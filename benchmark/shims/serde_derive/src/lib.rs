@@ -1,0 +1,15 @@
+//! No-op `Serialize` / `Deserialize` derives. They register the `serde`
+//! helper attribute so `#[serde(default)]` and friends parse, and expand to
+//! nothing: the benchmark never serializes a kernel type.
+
+use proc_macro::TokenStream;
+
+#[proc_macro_derive(Serialize, attributes(serde))]
+pub fn derive_serialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
+
+#[proc_macro_derive(Deserialize, attributes(serde))]
+pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
