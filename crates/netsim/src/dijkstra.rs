@@ -1,9 +1,15 @@
 //! Single-source shortest paths over link latencies.
 //!
-//! A plain binary-heap Dijkstra. The latency oracle runs one instance per
-//! overlay member (a few thousand sources over a few-thousand-node graph),
-//! parallelized across sources with Rayon in [`crate::oracle`]; per-source
-//! performance is dominated by heap traffic, so distances are `u32`
+//! One binary-heap Dijkstra, [`search`], over a *selected sub-graph* of a
+//! [`PhysGraph`]: the caller's `slot` function names the nodes that belong
+//! to the search and where each keeps its distance. [`shortest_paths`] is
+//! the whole-graph instance (every node, at its own index) — the general
+//! kernel any topology can use, and the reference every faster path is
+//! tested against. [`crate::decomp`] runs the same routine confined to one
+//! stub domain or to the transit core, which is what makes a latency row on
+//! a transit–stub graph cost a domain, not the graph.
+//!
+//! Per-source cost is dominated by heap traffic, so distances are `u32`
 //! milliseconds and the visited check is the standard "stale entry" skip.
 
 use crate::graph::{PhysGraph, PhysNodeId};
@@ -13,27 +19,48 @@ use std::collections::BinaryHeap;
 /// Distance value for unreachable nodes.
 pub const UNREACHABLE: u32 = u32::MAX;
 
+/// The search frontier: `distance << 32 | node`, smallest first — one
+/// integer compare orders by distance, then node. Callers that run many
+/// searches keep one and hand it back in.
+pub(crate) type Frontier = BinaryHeap<Reverse<u64>>;
+
+/// Dijkstra from `src` over the sub-graph `slot` selects: `slot(v)` is
+/// where node `v` keeps its distance in `dist`, or `None` when `v` is
+/// outside the search (links into it are not followed). `src` must be
+/// inside, and `dist` must hold [`UNREACHABLE`] everywhere on entry.
+pub(crate) fn search(
+    g: &PhysGraph,
+    src: PhysNodeId,
+    dist: &mut [u32],
+    frontier: &mut Frontier,
+    slot: impl Fn(u32) -> Option<usize>,
+) {
+    frontier.clear();
+    dist[slot(src.0).expect("the source lies in the searched sub-graph")] = 0;
+    frontier.push(Reverse(src.0 as u64));
+    while let Some(Reverse(key)) = frontier.pop() {
+        let (d, u) = ((key >> 32) as u32, key as u32);
+        // Only selected nodes are ever pushed, so the slot always exists.
+        if slot(u).is_none_or(|i| d > dist[i]) {
+            continue; // stale
+        }
+        for &(v, w) in g.neighbors(PhysNodeId(u)) {
+            let Some(i) = slot(v) else { continue };
+            let nd = d + w;
+            if nd < dist[i] {
+                dist[i] = nd;
+                frontier.push(Reverse((nd as u64) << 32 | v as u64));
+            }
+        }
+    }
+}
+
 /// Shortest-path latency (ms) from `src` to every node.
 ///
 /// Unreachable nodes get [`UNREACHABLE`].
 pub fn shortest_paths(g: &PhysGraph, src: PhysNodeId) -> Vec<u32> {
-    let n = g.num_nodes();
-    let mut dist = vec![UNREACHABLE; n];
-    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-    dist[src.index()] = 0;
-    heap.push(Reverse((0, src.0)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u as usize] {
-            continue; // stale
-        }
-        for &(v, w) in g.neighbors(PhysNodeId(u)) {
-            let nd = d + w;
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(Reverse((nd, v)));
-            }
-        }
-    }
+    let mut dist = vec![UNREACHABLE; g.num_nodes()];
+    search(g, src, &mut dist, &mut Frontier::new(), |v| Some(v as usize));
     dist
 }
 

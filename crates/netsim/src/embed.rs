@@ -1,15 +1,15 @@
 //! Coordinate-embedded latency tier: `d(u, v)` in O(1) at million-member
 //! scale.
 //!
-//! The row-cache tier ([`crate::CachedOracle`]) pays one full single-source
-//! Dijkstra per cold row. At 100,000 members that is tolerable; at 1,000,000
-//! it is the wall between the reproduction and the ROADMAP's "millions of
-//! users" north star. This module removes the per-pair graph computation
-//! entirely: every member gets a **network coordinate** — a Vivaldi-style
-//! *height-vector* (position in a low-dimensional Euclidean space plus a
-//! non-negative "height" modelling the access-link cost of climbing out of
-//! the stub domain) — fit **once** at construction from a small number of
-//! exact Dijkstra rows, after which
+//! The row-cache tier ([`crate::CachedOracle`]) pays one exact row per cold
+//! source: O(n + k log k) on a transit–stub graph, a whole-graph Dijkstra on
+//! any other (DESIGN.md §9, "Row kernel"; §13 on what that means for this
+//! tier). This module removes the per-pair graph computation entirely:
+//! every member gets a **network coordinate** — a
+//! Vivaldi-style *height-vector* (position in a low-dimensional Euclidean
+//! space plus a non-negative "height" modelling the access-link cost of
+//! climbing out of the stub domain) — fit **once** at construction from a
+//! small number of exact rows, after which
 //!
 //! ```text
 //! d̂(u, v) = ‖x_u − x_v‖ + h_u + h_v
@@ -20,9 +20,9 @@
 //! ## Fit procedure (deterministic, seeded)
 //!
 //! 1. **Landmarks.** `L` members are chosen by deterministic stride over the
-//!    member index space. One exact Dijkstra per landmark (Rayon-parallel)
-//!    yields the landmark→member distance rows — the only graph computation
-//!    the fit performs.
+//!    member index space. One exact row per landmark (Rayon-parallel, from
+//!    the internal exact tier's row kernel) yields the landmark→member
+//!    distances — the only graph computation the fit performs.
 //! 2. **Landmark relaxation.** Landmark coordinates are fit against the
 //!    L × L exact inter-landmark distances by seeded spring relaxation:
 //!    fixed iteration order, fixed decaying step schedule, no data-dependent
@@ -53,14 +53,14 @@
 //! Rounding uses `ceil`, which preserves the triangle inequality exactly:
 //! `⌈x⌉ + ⌈y⌉ ≥ ⌈x + y⌉ ≥ ⌈z⌉` whenever `x + y ≥ z`.
 
-use crate::dijkstra::shortest_paths;
 use crate::graph::{PhysGraph, PhysNodeId};
 use crate::latency::{Latency, OracleBuildError, OracleConfig};
-use crate::oracle::{member_row, CachedOracle, MemberIdx};
+use crate::oracle::{CachedOracle, MemberIdx};
 use prop_engine::SimRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Hard upper bound on embedding dimensionality (coordinates live in fixed
 /// stack arrays on the fit's hot path).
@@ -169,9 +169,9 @@ impl EmbedStats {
     /// Counter difference versus an earlier snapshot.
     pub fn since(&self, earlier: &EmbedStats) -> EmbedStats {
         EmbedStats {
-            embed_queries: self.embed_queries - earlier.embed_queries,
-            exact_queries: self.exact_queries - earlier.exact_queries,
-            escalations: self.escalations - earlier.escalations,
+            embed_queries: self.embed_queries.saturating_sub(earlier.embed_queries),
+            exact_queries: self.exact_queries.saturating_sub(earlier.exact_queries),
+            escalations: self.escalations.saturating_sub(earlier.escalations),
         }
     }
 
@@ -265,17 +265,17 @@ pub struct EmbedOracle {
 
 impl EmbedOracle {
     /// Fit the embedding and build the escalation tier. Connectivity is
-    /// validated by the internal exact build and by every landmark /
-    /// calibration row (a disconnected pair fails fast with the offending
-    /// members named).
+    /// validated by the internal exact build (a disconnected pair fails
+    /// fast with the offending members named), and every exact row the fit
+    /// reads — landmark, calibration — is made by that tier's row kernel.
     pub fn try_build(
         graph: &PhysGraph,
         members: Vec<PhysNodeId>,
         cfg: &OracleConfig,
     ) -> Result<Self, OracleBuildError> {
         let ecfg = cfg.embed.validated();
-        let exact = CachedOracle::try_build(graph, members.clone(), cfg)?;
         let n = members.len();
+        let exact = CachedOracle::try_build(graph, members, cfg)?;
         let dims = ecfg.dims;
 
         if n == 0 {
@@ -296,10 +296,8 @@ impl EmbedOracle {
         // 1. Landmarks by deterministic stride (distinct for l <= n).
         let l = ecfg.landmarks.min(n);
         let landmarks: Vec<MemberIdx> = (0..l).map(|k| k * n / l).collect();
-        let landmark_rows: Vec<Vec<u32>> = landmarks
-            .par_iter()
-            .map(|&lm| member_row(&shortest_paths(graph, members[lm]), &members, lm))
-            .collect::<Result<_, _>>()?;
+        let landmark_rows: Vec<Arc<[u32]>> =
+            landmarks.par_iter().map(|&lm| exact.compute_row(lm)).collect();
 
         // 2. Landmark relaxation over the exact L × L distances.
         let root = SimRng::seed_from(ecfg.seed);
@@ -383,10 +381,8 @@ impl EmbedOracle {
         let mut cal_sources: Vec<MemberIdx> =
             (0..c).map(|k| (k * n / c + n / (2 * c).max(1)).min(n - 1)).collect();
         cal_sources.dedup();
-        let cal_rows: Vec<Vec<u32>> = cal_sources
-            .par_iter()
-            .map(|&s| member_row(&shortest_paths(graph, members[s]), &members, s))
-            .collect::<Result<_, _>>()?;
+        let cal_rows: Vec<Arc<[u32]>> =
+            cal_sources.par_iter().map(|&s| exact.compute_row(s)).collect();
 
         let tgt = ecfg.calibration_targets.min(n);
         let mut abs_errs: Vec<f64> = Vec::with_capacity(cal_sources.len() * tgt);
@@ -438,11 +434,11 @@ impl EmbedOracle {
 
         // The fit already paid for these rows — seed the escalation tier
         // so borderline decisions near the landmarks start warm.
-        for (i, &lm) in landmarks.iter().enumerate() {
-            exact.seed_row(lm, landmark_rows[i].clone().into());
+        for (&lm, row) in landmarks.iter().zip(landmark_rows) {
+            exact.seed_row(lm, row);
         }
-        for (i, &s) in cal_sources.iter().enumerate() {
-            exact.seed_row(s, cal_rows[i].clone().into());
+        for (&s, row) in cal_sources.iter().zip(cal_rows) {
+            exact.seed_row(s, row);
         }
 
         Ok(EmbedOracle {
@@ -709,6 +705,8 @@ mod tests {
         assert_eq!(s.exact_queries, 1);
         assert_eq!(s.escalations, 1);
         assert!(s.escalation_rate() > 0.0);
+        // Snapshots in the wrong order read zero, not an overflow panic.
+        assert_eq!(s0.since(&o.stats()), EmbedStats::default());
     }
 
     #[test]

@@ -190,14 +190,15 @@ impl PhysGraph {
     /// The transit domain `u` belongs to: its own domain for a transit
     /// node, its gateway's domain for a stub host. The GT-ITM generator
     /// always hangs stub domains off a transit gateway, so this resolves
-    /// for every generated node; `None` only for a hand-built stub whose
-    /// recorded gateway is not a transit node.
+    /// for every generated node; `None` for a stub whose recorded gateway
+    /// is not a transit node of this graph — a hand-built one, or any host
+    /// of a flat Waxman graph (which records `u32::MAX`).
     pub fn transit_domain_of(&self, u: PhysNodeId) -> Option<u16> {
         match self.class(u) {
             NodeClass::Transit { domain } => Some(domain),
-            NodeClass::Stub { gateway, .. } => match self.class(PhysNodeId(gateway)) {
-                NodeClass::Transit { domain } => Some(domain),
-                NodeClass::Stub { .. } => None,
+            NodeClass::Stub { gateway, .. } => match self.classes.get(gateway as usize) {
+                Some(&NodeClass::Transit { domain }) => Some(domain),
+                _ => None,
             },
         }
     }

@@ -7,12 +7,12 @@
 //! * **dense** — the full `n × n` matrix, precomputed once. O(n²) memory,
 //!   O(1) lookups with no synchronization. The fast path for every
 //!   paper-scale experiment (n ≤ a few thousand).
-//! * **row-cache** — one Dijkstra per *requested source*, rows retained in
-//!   a sharded LRU bounded in bytes. O(capacity) memory regardless of `n`,
+//! * **row-cache** — one row per *requested source*, retained in a
+//!   sharded LRU bounded in bytes. O(capacity) memory regardless of `n`,
 //!   which is what lets a 100,000-member overlay run at all: the dense
 //!   matrix would need 40 GB, the cache runs in a few hundred MB.
 //! * **coord-embed** — a Vivaldi-style height-vector coordinate per member,
-//!   fit once from sampled exact Dijkstra rows; `d(u, v)` is O(1) with no
+//!   fit once from sampled exact rows; `d(u, v)` is O(1) with no
 //!   graph work at query time and O(n) memory, which is what a
 //!   1,000,000-member overlay needs. Estimates carry a calibrated error
 //!   margin; Var decisions inside the margin escalate to an internal
@@ -68,7 +68,7 @@ pub struct OracleConfig {
     /// Member counts above this get the coordinate-embedded tier instead of
     /// the row cache. The default (150,000) keeps every workload the row
     /// cache has been proven on exact, and routes the million-member scale
-    /// — where per-row Dijkstras are the wall — to the O(1) embedding.
+    /// to the O(1) embedding.
     #[serde(default = "default_embed_threshold")]
     pub embed_threshold: usize,
     /// Fit and fallback-band knobs of the coordinate-embedded tier; unused

@@ -10,18 +10,27 @@
 //! * [`TransitStubParams`] / [`generate`](transit_stub::generate) — the
 //!   generator, with the paper's two presets
 //!   [`TransitStubParams::ts_large`] and [`TransitStubParams::ts_small`].
-//! * [`dijkstra`] — single-source shortest paths over link latencies.
+//! * [`dijkstra`] — single-source shortest paths over link latencies: the
+//!   one search routine, over the whole graph or a selected part of it.
 //! * [`LatencyOracle`] — the `d(u, v)` oracle every protocol and metric
 //!   consults. **Tiered**: member counts up to
 //!   [`OracleConfig::dense_threshold`] precompute the full latency matrix
 //!   in parallel with Rayon (the paper-scale fast path); populations up to
 //!   [`OracleConfig::embed_threshold`] answer from a byte-bounded sharded
-//!   LRU of on-demand Dijkstra rows, so a 100,000-member overlay runs in a
-//!   few hundred MB instead of the 40 GB a dense matrix would need; and
+//!   LRU of on-demand rows, so a 100,000-member overlay runs in a few
+//!   hundred MB instead of the 40 GB a dense matrix would need; and
 //!   larger populations (the million-member scale) answer in O(1) from a
 //!   Vivaldi-style network-coordinate embedding with a calibrated error
 //!   margin and an exact-fallback band. See [`latency`], [`rowcache`] and
 //!   [`embed`], and DESIGN.md §9/§13 for the memory and error models.
+//! * The row kernel (private module `decomp`) — how the exact rows of every
+//!   tier are made (all but the one a single `d` miss computes, see
+//!   `CachedOracle::demand_row`). A transit–stub graph hangs each stub domain off
+//!   its transit node by a single link, so `d(u, v) = up(u) +
+//!   T[gw(u)][gw(v)] + up(v)` across domains, exactly; when the oracle
+//!   finds that structure in the graph it is given, a row is arithmetic
+//!   plus one search inside the source's own domain, and otherwise (Waxman,
+//!   multi-homed domains) a whole-graph Dijkstra. See DESIGN.md §9.
 //!
 //! ## Faithfulness notes (see DESIGN.md §3)
 //!
@@ -29,6 +38,7 @@
 //! 20 ms, stub–stub 5 ms. `d(u, v)` is the shortest-path latency in this
 //! graph — exactly the quantity a real PROP deployment estimates by probing.
 
+mod decomp;
 pub mod dijkstra;
 pub mod embed;
 pub mod graph;

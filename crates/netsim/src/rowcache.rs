@@ -1,7 +1,7 @@
 //! Sharded LRU cache of latency-oracle rows.
 //!
 //! One entry is a full source row: `d(src, ·)` over all members, 4 bytes a
-//! member. Rows are expensive to make (a Dijkstra over the physical graph)
+//! member. Rows are expensive to make (a search of the physical graph)
 //! and cheap to keep, so the cache is bounded in **bytes**, not entries:
 //! the capacity is split evenly over `shards` independently-locked LRU
 //! shards (a source's rows always live in shard `src % shards`), and each
@@ -27,7 +27,7 @@ use std::sync::Arc;
 pub struct CacheStats {
     /// Queries answered from a resident row.
     pub hits: u64,
-    /// Queries that forced a Dijkstra (row computations via `warm` count
+    /// Queries that forced a row computation (those via `warm` count
     /// one miss per computed row).
     pub misses: u64,
     /// Rows dropped by the LRU policy.
@@ -43,7 +43,7 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Fraction of queries served without a Dijkstra, in `[0, 1]`
+    /// Fraction of queries served from a resident row, in `[0, 1]`
     /// (`NaN`-free: 0 when nothing was asked yet).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -58,9 +58,9 @@ impl CacheStats {
     /// `self`).
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            evictions: self.evictions - earlier.evictions,
+            hits: self.hits.saturating_sub(earlier.hits),
+            misses: self.misses.saturating_sub(earlier.misses),
+            evictions: self.evictions.saturating_sub(earlier.evictions),
             ..*self
         }
     }
@@ -135,7 +135,7 @@ impl RowCache {
         self.shard(src).lock().rows.contains_key(&src)
     }
 
-    /// Record one computed row (one Dijkstra).
+    /// Record one computed row.
     pub fn record_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
@@ -268,5 +268,21 @@ mod tests {
         let diff = c.stats().since(&early);
         assert_eq!((diff.hits, diff.misses), (2, 0));
         assert_eq!(diff.resident_rows, 1);
+    }
+
+    #[test]
+    fn since_saturates_on_reversed_snapshots() {
+        let c = RowCache::new(8, 32, 1); // one row fits
+        let early = c.stats();
+        c.record_miss();
+        c.insert(0, row(8, 0));
+        c.get(0);
+        c.insert(1, row(8, 1)); // evicts 0
+        let late = c.stats();
+        assert_eq!((late.hits, late.misses, late.evictions), (1, 1, 1));
+        // Snapshots handed over in the wrong order read zero, not a
+        // debug-build overflow panic (as `Overhead::since` does).
+        let diff = early.since(&late);
+        assert_eq!((diff.hits, diff.misses, diff.evictions), (0, 0, 0));
     }
 }

@@ -143,6 +143,17 @@ mod tests {
     }
 
     #[test]
+    fn flat_hosts_have_no_transit_domain() {
+        // Every host records the out-of-range gateway `u32::MAX`; the
+        // lookup must answer `None`, not index past the node table.
+        let g = generate_waxman(&WaxmanParams::tiny(), &mut SimRng::seed_from(7));
+        for u in g.nodes() {
+            assert_eq!(g.transit_domain_of(u), None);
+        }
+        assert_eq!(g.num_transit_domains(), 0);
+    }
+
+    #[test]
     fn latencies_bounded_by_max() {
         let mut rng = SimRng::seed_from(3);
         let p = WaxmanParams::tiny();
