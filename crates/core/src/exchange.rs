@@ -34,6 +34,18 @@ pub struct ExchangePlan {
     pub kind: PlanKind,
 }
 
+impl ExchangePlan {
+    /// The neighbors whose link changes its far end under this plan: all of
+    /// both peers' (`2c`) for PROP-G, the `2m` moved ones for PROP-O. Each
+    /// is probed once to evaluate Var and notified once if the plan applies.
+    pub fn neighbors_touched(&self, net: &OverlayNet) -> usize {
+        match &self.kind {
+            PlanKind::SwapAll => net.graph().degree(self.u) + net.graph().degree(self.v),
+            PlanKind::Subset { from_u, from_v } => from_u.len() + from_v.len(),
+        }
+    }
+}
+
 /// The two exchange shapes of the PROP family.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlanKind {
@@ -194,10 +206,7 @@ pub fn plan_exchange(
 /// algebraically, so counting it overstates the band slightly — erring
 /// toward *more* exact escalation, never less.
 pub fn var_terms(net: &OverlayNet, plan: &ExchangePlan) -> usize {
-    match &plan.kind {
-        PlanKind::SwapAll => 2 * (net.graph().degree(plan.u) + net.graph().degree(plan.v)),
-        PlanKind::Subset { from_u, from_v } => 2 * (from_u.len() + from_v.len()),
-    }
+    2 * plan.neighbors_touched(net)
 }
 
 /// Re-evaluate a plan's Var with exact distances ([`OverlayNet::d_exact`])

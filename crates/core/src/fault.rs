@@ -1,20 +1,20 @@
-//! The fault-plane interface the protocol drivers speak.
+//! The fault-plane interface the protocol driver speaks.
 //!
-//! Both [`crate::sim::ProtocolSim`] and [`crate::sim_async::AsyncProtocolSim`]
-//! historically assumed a *perfect network*: every walk, address-list
+//! The driver ([`crate::sim::PropSim`], in either timing mode) historically
+//! assumed a *perfect network*: every walk, address-list
 //! exchange, and hypothetical-neighbor probe arrives, links never degrade,
-//! and peers never crash mid-trial. A [`FaultPlane`] sits between a driver
+//! and peers never crash mid-trial. A [`FaultPlane`] sits between the driver
 //! and the simulated network and decides, per message, whether and how it is
 //! delivered. The concrete injectors (random loss, duplication, reordering,
 //! latency spikes, transit-link partitions, crash/restart) live in the
 //! `prop-faults` crate; this module defines only the contract, so the
-//! drivers stay free of a dependency on the injector implementations.
+//! driver stays free of a dependency on the injector implementations.
 //!
 //! A driver without a plane attached behaves exactly as before — the
 //! fault path is `Option`-gated and costs one branch per trial.
 //!
 //! Determinism contract: a plane may own forked [`prop_engine::SimRng`]
-//! streams, and drivers consult it in event order, so a given seed + plane
+//! streams, and the driver consults it in event order, so a given seed + plane
 //! configuration yields bit-identical decisions (and therefore counters) on
 //! every run.
 
@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// [`MsgKind::Exchange`] (the address-list reply, counterpart → origin),
 /// [`MsgKind::Probe`] (the hypothetical-neighbor pings), and finally
 /// [`MsgKind::Commit`] (the exchange handshake that actually applies the
-/// plan — in the async driver this is delivered one probe-duration after
+/// plan — in message-level mode this is delivered one probe-duration after
 /// launch, so the overlay may have moved or the counterpart crashed
 /// underneath it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,7 +44,7 @@ pub struct Delivery {
     /// Did the message arrive at all?
     pub delivered: bool,
     /// Deliver a *second* copy (duplication). Only meaningful for messages
-    /// that schedule events — the async driver schedules the trial's commit
+    /// that schedule events — message-level mode schedules the trial's commit
     /// twice, and the second copy revalidates against a consumed plan.
     pub duplicate: bool,
     /// Extra in-flight time in ms (reordering relative to FIFO delivery,

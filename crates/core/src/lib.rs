@@ -25,12 +25,14 @@
 //! * [`protocol`] — one peer's state machine: warm-up then maintenance,
 //!   with the Markov backoff timer.
 //! * [`sim`] — the event-driven driver that runs a whole overlay of PROP
-//!   nodes on the [`prop_engine`] kernel and exposes overhead counters.
-//! * [`fault`] — the fault-plane contract both drivers consult per message
+//!   nodes on the [`prop_engine`] kernel and exposes overhead counters:
+//!   one event loop in two timing modes, [`ProtocolSim`] (atomic trials)
+//!   and [`AsyncProtocolSim`] (message-level trials).
+//! * [`fault`] — the fault-plane contract the driver consults per message
 //!   (drop/duplicate/delay verdicts, crash visibility, fault counters);
 //!   the concrete injectors and scripted scenarios live in `prop-faults`.
 //! * [`traffic`] — the traffic-plane contract: scripted time-varying
-//!   workload (joins/leaves/lookups) consumed by both drivers through the
+//!   workload (joins/leaves/lookups) consumed by the driver through the
 //!   [`traffic::ChurnDriver`] surface; the script compiler lives in
 //!   `prop-workloads`.
 
@@ -42,12 +44,10 @@ pub mod forwarding;
 pub mod neighborq;
 pub mod protocol;
 pub mod sim;
-pub mod sim_async;
 pub mod traffic;
 
 pub use config::{Policy, ProbeMode, PropConfig};
 pub use exchange::{decide, exact_var, plan_exchange, var_terms, ExchangePlan};
 pub use fault::{Delivery, FaultCounters, FaultPlane, MsgKind};
-pub use sim::{Overhead, ProtocolSim, DEFAULT_TRIAL_BATCH};
-pub use sim_async::{AsyncProtocolSim, AsyncStats};
+pub use sim::{AsyncProtocolSim, AsyncStats, Overhead, PropSim, ProtocolSim, DEFAULT_TRIAL_BATCH};
 pub use traffic::{ChurnDriver, TrafficCounters, TrafficEvent, TrafficPlane};

@@ -6,8 +6,8 @@
 //! transit domain — that a driver consumes in time order, interleaved with
 //! its own protocol events. The concrete compiler (diurnal rate tables,
 //! flash crowds, shifting Zipf popularity) lives in
-//! `prop_workloads::traffic`; this module only fixes the contract so both
-//! drivers and the experiment layer agree on it.
+//! `prop_workloads::traffic`; this module only fixes the contract so the
+//! driver and the experiment layer agree on it.
 //!
 //! Replayability is the whole point: a plane is a pure function of
 //! `(script, seed)`, so a scenario = topology + TrafficScript + FaultScript
@@ -15,6 +15,7 @@
 //! ordered; [`TrafficPlane::next_event`] never returns events out of
 //! nondecreasing time order.
 
+use crate::sim::{PropSim, Timing};
 use prop_engine::SimTime;
 use prop_overlay::{OverlayNet, Slot};
 use serde::{Deserialize, Serialize};
@@ -89,10 +90,10 @@ pub trait TrafficPlane {
 
 /// The driver surface scripted traffic needs: advance the clock, mutate the
 /// overlay, and keep protocol state (including the refreshed `m_default`)
-/// honest across churn. Implemented by both [`crate::ProtocolSim`] and
-/// [`crate::AsyncProtocolSim`], so one generic pump loop in the experiment
-/// layer serves either driver; the overlay-specific join/leave glue
-/// (Gnutella patching, ring maintenance) stays with the caller.
+/// honest across churn. Implemented by [`PropSim`] in either timing mode
+/// ([`crate::ProtocolSim`], [`crate::AsyncProtocolSim`]), so one generic pump
+/// loop in the experiment layer serves both; the overlay-specific join/leave
+/// glue (Gnutella patching, ring maintenance) stays with the caller.
 pub trait ChurnDriver {
     /// Run all protocol events up to and including `deadline`.
     fn run_until(&mut self, deadline: SimTime);
@@ -110,45 +111,24 @@ pub trait ChurnDriver {
     fn handle_leave(&mut self, slot: Slot, affected: &[Slot]);
 }
 
-impl ChurnDriver for crate::sim::ProtocolSim {
+impl<M: Timing> ChurnDriver for PropSim<M> {
     fn run_until(&mut self, deadline: SimTime) {
-        crate::sim::ProtocolSim::run_until(self, deadline);
+        PropSim::run_until(self, deadline);
     }
     fn now(&self) -> SimTime {
-        crate::sim::ProtocolSim::now(self)
+        PropSim::now(self)
     }
     fn net(&self) -> &OverlayNet {
-        crate::sim::ProtocolSim::net(self)
+        PropSim::net(self)
     }
     fn net_mut(&mut self) -> &mut OverlayNet {
-        crate::sim::ProtocolSim::net_mut(self)
+        PropSim::net_mut(self)
     }
     fn handle_join(&mut self, slot: Slot) {
-        crate::sim::ProtocolSim::handle_join(self, slot);
+        PropSim::handle_join(self, slot);
     }
     fn handle_leave(&mut self, slot: Slot, affected: &[Slot]) {
-        crate::sim::ProtocolSim::handle_leave(self, slot, affected);
-    }
-}
-
-impl ChurnDriver for crate::sim_async::AsyncProtocolSim {
-    fn run_until(&mut self, deadline: SimTime) {
-        crate::sim_async::AsyncProtocolSim::run_until(self, deadline);
-    }
-    fn now(&self) -> SimTime {
-        crate::sim_async::AsyncProtocolSim::now(self)
-    }
-    fn net(&self) -> &OverlayNet {
-        crate::sim_async::AsyncProtocolSim::net(self)
-    }
-    fn net_mut(&mut self) -> &mut OverlayNet {
-        crate::sim_async::AsyncProtocolSim::net_mut(self)
-    }
-    fn handle_join(&mut self, slot: Slot) {
-        crate::sim_async::AsyncProtocolSim::handle_join(self, slot);
-    }
-    fn handle_leave(&mut self, slot: Slot, affected: &[Slot]) {
-        crate::sim_async::AsyncProtocolSim::handle_leave(self, slot, affected);
+        PropSim::handle_leave(self, slot, affected);
     }
 }
 

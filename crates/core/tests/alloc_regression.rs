@@ -38,7 +38,7 @@ fn steady_state_trials_do_not_allocate() {
     let (_, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
     let mut sim = ProtocolSim::new(net, cfg, &mut rng);
     assert!(
-        sim.oracle_cache_stats().is_none(),
+        sim.net().oracle_cache_stats().is_none(),
         "test expects the dense tier (row warming on the cached tier allocates by design)"
     );
 

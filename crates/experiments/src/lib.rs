@@ -14,8 +14,7 @@
 //!
 //! Each experiment takes a [`Scale`]: `Paper` reproduces the published
 //! parameterization (n = 1000 over the ≈3,000-host `ts-large` topology,
-//! two simulated hours), `Quick` shrinks everything for smoke tests and
-//! Criterion benches.
+//! two simulated hours), `Quick` shrinks everything for smoke tests.
 //!
 //! Any of these can also run as a seed-sharded Monte-Carlo sweep
 //! ([`sweep`], or `--seeds N [--resume]` on the figure binaries): N
@@ -30,7 +29,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod generality;
-pub mod perf;
 pub mod plot;
 pub mod report;
 pub mod setup;

@@ -1,5 +1,5 @@
-//! The invariant harness: replay a [`FaultScript`] against both drivers
-//! and prove the paper's theorems hold under faults.
+//! The invariant harness: replay a [`FaultScript`] against the driver in
+//! both timing modes and prove the paper's theorems hold under faults.
 //!
 //! At every checkpoint (a regular cadence, plus the exact start of every
 //! partition window so side snapshots are taken at the right instant) the
@@ -27,14 +27,15 @@ use crate::partition::{transit_bisection, Side};
 use crate::plane::compile;
 use crate::script::FaultScript;
 use prop_core::fault::FaultCounters;
-use prop_core::{AsyncProtocolSim, Policy, PropConfig, ProtocolSim};
+use prop_core::sim::{Atomic, MessageLevel, Timing};
+use prop_core::{Policy, PropConfig, PropSim};
 use prop_engine::{Duration, SimRng, SimTime};
 use prop_netsim::{generate, LatencyOracle, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 use prop_overlay::{OverlayNet, Slot};
 use std::sync::Arc;
 
-/// One driver's verified replay result.
+/// One timing mode's verified replay result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplayResult {
     /// Fault counters at the horizon.
@@ -46,7 +47,7 @@ pub struct ReplayResult {
     pub checkpoints: usize,
 }
 
-/// Both drivers' verified replay results for one scenario.
+/// Both timing modes' verified replay results for one scenario.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HarnessReport {
     pub sync: ReplayResult,
@@ -81,16 +82,16 @@ impl FaultHarness {
         }
     }
 
-    /// Replay the script against both drivers, checking invariants at every
+    /// Replay the script in both timing modes, checking invariants at every
     /// checkpoint. `Err` describes the first violation.
     pub fn run(&self) -> Result<HarnessReport, String> {
         Ok(HarnessReport {
-            sync: self.replay(DriverKind::Sync)?,
-            r#async: self.replay(DriverKind::Async)?,
+            sync: self.replay::<Atomic>("Sync")?,
+            r#async: self.replay::<MessageLevel>("Async")?,
         })
     }
 
-    fn replay(&self, kind: DriverKind) -> Result<ReplayResult, String> {
+    fn replay<M: Timing>(&self, kind: &str) -> Result<ReplayResult, String> {
         let mut rng = SimRng::seed_from(self.seed);
         let phys = generate(&self.topology, &mut rng);
         let oracle = Arc::new(LatencyOracle::select_and_build(&phys, self.members, &mut rng));
@@ -100,18 +101,8 @@ impl FaultHarness {
         let edges0: Vec<(Slot, Slot)> = net.graph().edges().collect();
         let degseq0 = net.graph().degree_sequence();
 
-        let mut driver = match kind {
-            DriverKind::Sync => {
-                let mut sim = ProtocolSim::new(net, self.cfg.clone(), &mut rng);
-                sim.set_fault_plane(Box::new(compile(&self.script, &sides, self.seed)));
-                Driver::Sync(sim)
-            }
-            DriverKind::Async => {
-                let mut sim = AsyncProtocolSim::new(net, self.cfg.clone(), &mut rng);
-                sim.set_fault_plane(Box::new(compile(&self.script, &sides, self.seed)));
-                Driver::Async(sim)
-            }
-        };
+        let mut driver = PropSim::<M>::new(net, self.cfg.clone(), &mut rng);
+        driver.set_fault_plane(Box::new(compile(&self.script, &sides, self.seed)));
 
         // Checkpoints: the regular cadence, plus every partition boundary
         // (snapshots must be taken exactly at the split instant).
@@ -143,25 +134,23 @@ impl FaultHarness {
             // the overlay, so connectivity must survive every interleaving
             // — including mid-split, including after heal.
             if !net.graph().is_connected() {
-                return Err(format!("[{kind:?}] logical graph disconnected at t={t}ms"));
+                return Err(format!("[{kind}] logical graph disconnected at t={t}ms"));
             }
             match self.cfg.policy {
                 // Theorem 2: PROP-G trades positions, never edges.
                 Policy::PropG => {
                     let edges: Vec<(Slot, Slot)> = net.graph().edges().collect();
                     if edges != edges0 {
-                        return Err(format!("[{kind:?}] PROP-G edge set changed at t={t}ms"));
+                        return Err(format!("[{kind}] PROP-G edge set changed at t={t}ms"));
                     }
                     if !net.placement().is_consistent() {
-                        return Err(format!("[{kind:?}] placement inconsistent at t={t}ms"));
+                        return Err(format!("[{kind}] placement inconsistent at t={t}ms"));
                     }
                 }
                 // PROP-O: equal-sized neighbor trades preserve all degrees.
                 Policy::PropO { .. } => {
                     if net.graph().degree_sequence() != degseq0 {
-                        return Err(format!(
-                            "[{kind:?}] PROP-O degree sequence changed at t={t}ms"
-                        ));
+                        return Err(format!("[{kind}] PROP-O degree sequence changed at t={t}ms"));
                     }
                 }
             }
@@ -183,13 +172,13 @@ impl FaultHarness {
                             let (_, map0, conn0) = split_state.as_ref().unwrap();
                             if map != *map0 {
                                 return Err(format!(
-                                    "[{kind:?}] slot→side map changed during partition at t={t}ms \
+                                    "[{kind}] slot→side map changed during partition at t={t}ms \
                                      (a cross-side exchange committed through the cut)"
                                 ));
                             }
                             if conn != *conn0 {
                                 return Err(format!(
-                                    "[{kind:?}] per-side connectivity changed during partition \
+                                    "[{kind}] per-side connectivity changed during partition \
                                      at t={t}ms: {conn0:?} → {conn:?}"
                                 ));
                             }
@@ -208,40 +197,6 @@ impl FaultHarness {
             final_latency: driver.net().total_link_latency(),
             checkpoints: verified,
         })
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum DriverKind {
-    Sync,
-    Async,
-}
-
-enum Driver {
-    Sync(ProtocolSim),
-    Async(AsyncProtocolSim),
-}
-
-impl Driver {
-    fn run_until(&mut self, t: SimTime) {
-        match self {
-            Driver::Sync(s) => s.run_until(t),
-            Driver::Async(s) => s.run_until(t),
-        }
-    }
-
-    fn net(&self) -> &OverlayNet {
-        match self {
-            Driver::Sync(s) => s.net(),
-            Driver::Async(s) => s.net(),
-        }
-    }
-
-    fn fault_counters(&mut self) -> Option<FaultCounters> {
-        match self {
-            Driver::Sync(s) => s.fault_counters(),
-            Driver::Async(s) => s.fault_counters(),
-        }
     }
 }
 

@@ -42,12 +42,16 @@ pub const MEASURE_CHUNK: usize = 256;
 /// batch-warms their rows exactly once each (no-op on the dense tier,
 /// rayon-parallel Dijkstras on the row-cache tier, exact-escalation-cache
 /// warm-up on the coordinate-embedded tier). Measurement entry points call
-/// this before fanning out so workers start from a warm cache.
+/// this before fanning out so workers start from a warm cache. A pair with
+/// a departed endpoint is not measured against the oracle (a vacated slot
+/// has no peer), so it warms nothing either.
 pub fn warm_pair_rows(net: &OverlayNet, pairs: &[(Slot, Slot)]) {
     let mut slots: Vec<Slot> = Vec::with_capacity(pairs.len() * 2);
     for &(a, b) in pairs {
-        slots.push(a);
-        slots.push(b);
+        if net.graph().is_alive(a) && net.graph().is_alive(b) {
+            slots.push(a);
+            slots.push(b);
+        }
     }
     slots.sort_unstable();
     slots.dedup();
@@ -91,5 +95,17 @@ mod tests {
         assert_eq!(s.misses, 2, "each unique source warms once: {s:?}");
         let total = net.oracle_cache_stats().unwrap();
         assert_eq!(total.resident_rows, 3);
+    }
+
+    #[test]
+    fn pairs_naming_a_departed_slot_warm_nothing() {
+        let mut net = cached_net(12);
+        let gone = Slot(5);
+        net.graph_mut().remove_slot(gone);
+        net.placement_mut().vacate(gone);
+        let baseline = net.oracle_cache_stats().unwrap();
+        warm_pair_rows(&net, &[(gone, Slot(1)), (Slot(2), gone), (Slot(3), Slot(4))]);
+        let s = net.oracle_cache_stats().unwrap().since(&baseline);
+        assert_eq!(s.misses, 2, "only the live pair's two rows are computed: {s:?}");
     }
 }

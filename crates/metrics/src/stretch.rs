@@ -24,8 +24,10 @@ pub struct StretchSummary {
     pub delivered: u64,
     /// Pairs the overlay failed to deliver (e.g. flood TTL expired).
     pub failed: u64,
-    /// Pairs with zero physical distance (co-located hosts), for which the
-    /// ratio is undefined; excluded from the mean.
+    /// Pairs for which the ratio is undefined, excluded from the mean: zero
+    /// physical distance (co-located hosts), or an endpoint that has
+    /// departed since the pair was drawn (a traffic window measures at its
+    /// end, after later leaves).
     pub skipped: u64,
 }
 
@@ -51,6 +53,11 @@ impl StretchPartial {
     ) -> Self {
         let mut p = StretchPartial::default();
         for &(src, dst) in chunk {
+            // A vacated slot has no peer to ask the oracle about.
+            if !net.graph().is_alive(src) || !net.graph().is_alive(dst) {
+                p.skipped += 1;
+                continue;
+            }
             let direct = net.d(src, dst);
             if direct == 0 {
                 p.skipped += 1;
@@ -85,8 +92,9 @@ fn fold_partials(partials: Vec<StretchPartial>) -> StretchSummary {
 /// *Path stretch*: mean over lookups of (overlay route latency) /
 /// (direct physical latency). The natural reading for DHTs, where a lookup
 /// has a well-defined route; used for the Chord experiments (Fig. 6).
-/// Pairs with zero physical distance and undelivered lookups are excluded
-/// from the mean but reported in the summary.
+/// Pairs with zero physical distance or a departed endpoint, and
+/// undelivered lookups, are excluded from the mean but reported in the
+/// summary.
 pub fn path_stretch(
     net: &OverlayNet,
     overlay: &impl Lookup,
@@ -178,6 +186,32 @@ mod tests {
         }
         assert!(applied, "no beneficial swap found in a random placement");
         assert!(link_stretch(&net) < before);
+    }
+
+    #[test]
+    fn departed_endpoints_are_skipped_not_indexed() {
+        use prop_overlay::gnutella::{Gnutella, GnutellaParams};
+        let mut rng = SimRng::seed_from(5);
+        let phys = generate(&TransitStubParams::tiny(), &mut rng);
+        let oracle = Arc::new(LatencyOracle::select_and_build(&phys, 30, &mut rng));
+        let (gn, mut net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
+        // Pairs are drawn while everyone is alive; one endpoint then leaves.
+        let live: Vec<Slot> = net.graph().live_slots().collect();
+        let pairs = LookupGen::new(&rng).uniform_pairs(&live, 650);
+        let gone = Slot(7);
+        gn.leave(&mut net, gone, &mut rng);
+        let naming = pairs.iter().filter(|&&(a, b)| a == gone || b == gone).count() as u64;
+        assert!(naming > 0, "workload never names the departed slot");
+
+        let serial = path_stretch(&net, &gn, &pairs);
+        let parallel = par_path_stretch(&net, &gn, &pairs);
+        assert!(serial.skipped >= naming);
+        assert_eq!(serial.delivered + serial.failed + serial.skipped, 650);
+        assert_eq!(serial.mean.to_bits(), parallel.mean.to_bits());
+        assert_eq!(
+            (serial.delivered, serial.failed, serial.skipped),
+            (parallel.delivered, parallel.failed, parallel.skipped)
+        );
     }
 
     #[test]
