@@ -296,10 +296,8 @@ impl<M: Timing> PropSim<M> {
         &mut self.net
     }
 
-    /// Consume the simulation, keeping the optimized overlay (with its CSR
-    /// view freshly synced, so measurement sweeps start on the fast path).
-    pub fn into_net(mut self) -> OverlayNet {
-        self.net.refresh_csr();
+    /// Consume the simulation, keeping the optimized overlay.
+    pub fn into_net(self) -> OverlayNet {
         self.net
     }
 
@@ -350,7 +348,6 @@ impl<M: Timing> PropSim<M> {
                 }
             }
         }
-        self.net.refresh_csr();
     }
 
     /// Batch-prefetch oracle rows for pending events due by `deadline`: a
@@ -404,10 +401,6 @@ impl<M: Timing> PropSim<M> {
         if self.nodes[slot.index()].is_none() || !self.net.graph().is_alive(slot) {
             return; // departed while the event was pending
         }
-        // Catch the CSR view up with any mutations since the last event
-        // (PROP-O edge moves, churn); a patch replay at most, usually a
-        // no-op, and PROP-G never invalidates it at all.
-        self.net.refresh_csr();
         // A crashed host probes nothing; keep its tick chain alive so
         // probing resumes after restart.
         let now = self.events.now();

@@ -245,14 +245,6 @@ impl<E> EventQueue<E> {
         Some(SimTime(min))
     }
 
-    /// Non-destructive view of every pending event, in **unspecified**
-    /// order (the slab's internal layout). For look-ahead that is
-    /// insensitive to ordering — not for dispatch. Prefer
-    /// [`EventQueue::pending_until`] when order or bounded work matters.
-    pub fn pending(&self) -> impl Iterator<Item = (SimTime, &E)> + '_ {
-        self.nodes.iter().filter_map(|n| n.event.as_ref().map(|e| (n.key.time, e)))
-    }
-
     /// The next `k` pending events with `time <= deadline`, in exact
     /// `(time, seq)` pop order, without popping anything.
     ///
@@ -482,11 +474,6 @@ impl<E> BinaryHeapEventQueue<E> {
         self.heap.peek().map(|e| e.0.key.time)
     }
 
-    /// Non-destructive view of every pending event, in **unspecified** order.
-    pub fn pending(&self) -> impl Iterator<Item = (SimTime, &E)> + '_ {
-        self.heap.iter().map(|Reverse(e)| (e.key.time, &e.event))
-    }
-
     /// The next `k` events with `time <= deadline` in `(time, seq)` order —
     /// same contract as [`EventQueue::pending_until`], realized by a full
     /// sort (this is the reference, not the fast path).
@@ -601,19 +588,6 @@ mod tests {
         q.schedule_at(SimTime(10), ());
         q.pop();
         q.schedule_at(SimTime(5), ());
-    }
-
-    #[test]
-    fn pending_sees_everything_without_popping() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(30), "c");
-        q.schedule_at(SimTime(10), "a");
-        q.schedule_at(SimTime(20), "b");
-        let mut seen: Vec<_> = q.pending().collect();
-        seen.sort();
-        assert_eq!(seen, vec![(SimTime(10), &"a"), (SimTime(20), &"b"), (SimTime(30), &"c")]);
-        assert_eq!(q.len(), 3, "pending must not consume");
-        assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
     }
 
     #[test]

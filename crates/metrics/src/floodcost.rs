@@ -7,18 +7,14 @@
 //! more expensive even as they make it faster, while degree-preserving
 //! PROP leaves it untouched. This module counts it exactly.
 
-use prop_overlay::{Adjacency, OverlayNet, Slot};
+use prop_overlay::{LogicalGraph, OverlayNet, Slot};
 use rayon::prelude::*;
 
 /// Number of messages a TTL-limited flood from `src` generates: each node
 /// reached with remaining TTL > 0 forwards to all neighbors except the one
 /// it received from (classic Gnutella forwarding, duplicates included —
 /// that is what makes flooding expensive).
-///
-/// Generic over [`Adjacency`]: the count depends only on degrees and the
-/// reached set, and both representations present identical rows, so the
-/// result is the same u64 either way.
-pub fn flood_messages(g: &impl Adjacency, src: Slot, ttl: u32) -> u64 {
+pub fn flood_messages(g: &LogicalGraph, src: Slot, ttl: u32) -> u64 {
     // BFS levels: level[v] = hop distance from src (≤ ttl reachable set).
     let n = g.num_slots();
     let mut level = vec![u32::MAX; n];
@@ -48,16 +44,12 @@ pub fn flood_messages(g: &impl Adjacency, src: Slot, ttl: u32) -> u64 {
     msgs
 }
 
-/// Mean flood cost over a sample of sources. Runs over the net's CSR view
-/// when it is current, the legacy rows otherwise — same u64 totals.
+/// Mean flood cost over a sample of sources.
 pub fn mean_flood_messages(net: &OverlayNet, sources: &[Slot], ttl: u32) -> f64 {
     if sources.is_empty() {
         return f64::NAN;
     }
-    let total: u64 = match net.csr() {
-        Some(view) => sources.iter().map(|&s| flood_messages(view, s, ttl)).sum(),
-        None => sources.iter().map(|&s| flood_messages(net.graph(), s, ttl)).sum(),
-    };
+    let total: u64 = sources.iter().map(|&s| flood_messages(net.graph(), s, ttl)).sum();
     total as f64 / sources.len() as f64
 }
 
@@ -68,17 +60,13 @@ pub fn par_mean_flood_messages(net: &OverlayNet, sources: &[Slot], ttl: u32) -> 
     if sources.is_empty() {
         return f64::NAN;
     }
-    let total: u64 = match net.csr() {
-        Some(view) => sources.par_iter().map(|&s| flood_messages(view, s, ttl)).sum(),
-        None => sources.par_iter().map(|&s| flood_messages(net.graph(), s, ttl)).sum(),
-    };
+    let total: u64 = sources.par_iter().map(|&s| flood_messages(net.graph(), s, ttl)).sum();
     total as f64 / sources.len() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prop_overlay::LogicalGraph;
 
     fn ring(n: u32) -> LogicalGraph {
         let mut g = LogicalGraph::new(n as usize);

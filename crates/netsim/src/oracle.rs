@@ -63,29 +63,40 @@ impl DenseOracle {
     /// as it is produced — a disconnected pair fails fast inside the
     /// parallel row pass, before the matrix is assembled.
     ///
-    /// The rows are collected and then copied, so the build's peak is two
-    /// matrices. Writing them straight into the matrix halves that, but the
-    /// process's high-water mark then depends on whether the allocator can
-    /// reuse the block a previous oracle freed (measured over repeated
-    /// builds in one process: 7.7 or 11.3 MiB at n = 1000, by seed, against
-    /// a steady 11.2 this way); a steady peak was preferred.
+    /// The rows are made in two batches, each collected and then copied,
+    /// and the matrix is reserved after the first batch, above it: the
+    /// build's peak is one and a half matrices. Both choices are about
+    /// repeated builds in one process under glibc malloc, measured at
+    /// n = 1000 (CHANGES.md, PR 12 and PR 14). Writing rows straight into
+    /// the matrix, or reserving it below the rows, makes the process's
+    /// high-water mark depend on whether the allocator can reuse the block
+    /// a previous oracle freed (7.7 or 11.3 MiB by seed). Collecting every
+    /// row before the copy peaks at two matrices, which is the allocator's
+    /// trim threshold once it has unmapped one matrix (twice the largest
+    /// block it has unmapped): whether each later build faults 8 MB in
+    /// again (+2.7 ms on 4.4) then turns on some 50 KB of live memory
+    /// elsewhere in the process.
     pub fn try_build(
         graph: &PhysGraph,
         members: Vec<PhysNodeId>,
     ) -> Result<Self, OracleBuildError> {
         let n = members.len();
         let kernel = RowKernel::new(graph, &members);
-        let rows: Vec<Vec<u32>> = (0..n)
-            .into_par_iter()
-            .map(|i| {
-                let mut row = vec![0u32; n];
-                kernel.fill_row(graph, &members, i, &mut row)?;
-                Ok(row)
-            })
-            .collect::<Result<_, _>>()?;
-        let mut matrix = Vec::with_capacity(n * n);
-        for row in rows {
-            matrix.extend_from_slice(&row);
+        let mut matrix = Vec::new();
+        for batch in [0..n / 2, n / 2..n] {
+            let rows: Vec<Vec<u32>> = batch
+                .into_par_iter()
+                .map(|i| {
+                    let mut row = vec![0u32; n];
+                    kernel.fill_row(graph, &members, i, &mut row)?;
+                    Ok(row)
+                })
+                .collect::<Result<_, _>>()?;
+            // The whole matrix after the first batch; nothing after the second.
+            matrix.reserve_exact(n * n - matrix.len());
+            for row in rows {
+                matrix.extend_from_slice(&row);
+            }
         }
         Ok(DenseOracle {
             members,

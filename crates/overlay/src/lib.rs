@@ -26,7 +26,6 @@
 pub mod can;
 pub mod chord;
 pub mod chord_dynamic;
-pub mod csr;
 pub mod gnutella;
 pub mod iso;
 pub mod kademlia;
@@ -38,8 +37,7 @@ pub mod table;
 pub mod ultrapeer;
 pub mod walk;
 
-pub use csr::{Adjacency, CsrView};
-pub use logical::{GraphPatch, LogicalGraph, Slot};
+pub use logical::{LogicalGraph, Slot};
 pub use net::{FloodScratch, OverlayNet};
 pub use placement::Placement;
 pub use walk::{WalkPath, WalkScratch};

@@ -31,28 +31,6 @@ impl fmt::Debug for Slot {
     }
 }
 
-/// One recorded mutation of a [`LogicalGraph`], as replayed by
-/// [`crate::csr::CsrView::sync`] to catch a stale view up without a full
-/// rebuild. `remove_slot` records one `RemoveEdge` per dropped edge followed
-/// by a `KillSlot`, so a consumer never has to infer implicit edge drops.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GraphPatch {
-    AddEdge(Slot, Slot),
-    RemoveEdge(Slot, Slot),
-    /// A fresh (empty, live) slot was appended.
-    AddSlot,
-    /// The slot was marked dead; its edges were already removed by the
-    /// preceding `RemoveEdge` patches.
-    KillSlot(Slot),
-}
-
-/// Patch-log capacity. When a view falls further behind than this, replay is
-/// impossible and [`LogicalGraph::patches_since`] returns `None` (the caller
-/// rebuilds from scratch). Sized so any realistic between-probe mutation
-/// burst — one exchange is ≤ 4·m patches, one churn event ≤ degree + 1 —
-/// replays incrementally.
-pub const MAX_PATCH_LOG: usize = 4096;
-
 /// Fenwick (binary indexed) tree over the alive bits, giving O(log n)
 /// rank (`prefix`) and select-by-rank over the live-slot set. This is what
 /// lets the drivers' `ProbeMode::Random` draw a uniform live counterpart
@@ -138,13 +116,6 @@ pub struct LogicalGraph {
     /// Live-slot counter, maintained by `add_slot`/`remove_slot` so
     /// `num_live` is O(1) (churn recomputes δ(G) on every event).
     num_live: usize,
-    /// Total mutations ever applied; each patch bumps this by one, so a
-    /// generation is also an index into the mutation history.
-    generation: u64,
-    /// The tail of the mutation history: patches `log_base..generation`.
-    log: Vec<GraphPatch>,
-    /// Generation just before `log[0]` was applied.
-    log_base: u64,
     /// Degree histogram over **live** slots: `deg_count[d]` = live slots of
     /// degree `d` (trailing zeros allowed). Maintained by every mutator so
     /// δ(G) is O(1) instead of a full rescan per churn event.
@@ -165,9 +136,6 @@ impl LogicalGraph {
             alive: vec![true; n],
             num_edges: 0,
             num_live: n,
-            generation: 0,
-            log: Vec::new(),
-            log_base: 0,
             deg_count: if n > 0 { vec![n] } else { Vec::new() },
             min_deg: 0,
             live_index: LiveIndex::with_ones(n),
@@ -212,33 +180,6 @@ impl LogicalGraph {
         self.num_live
     }
 
-    /// Mutation stamp: bumped once per recorded patch. A snapshot taken at
-    /// generation `g` is current iff `g == generation()`.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The patches applied since generation `epoch`, oldest first — exactly
-    /// what replays a snapshot taken at `epoch` up to the present. `None`
-    /// when the log no longer reaches back that far (capped at
-    /// [`MAX_PATCH_LOG`]); the caller must rebuild instead.
-    pub fn patches_since(&self, epoch: u64) -> Option<&[GraphPatch]> {
-        if epoch < self.log_base || epoch > self.generation {
-            return None;
-        }
-        Some(&self.log[(epoch - self.log_base) as usize..])
-    }
-
-    fn record(&mut self, patch: GraphPatch) {
-        if self.log.len() == MAX_PATCH_LOG {
-            self.log.clear();
-            self.log_base = self.generation;
-        }
-        self.log.push(patch);
-        self.generation += 1;
-    }
-
     /// Number of undirected edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
@@ -262,7 +203,6 @@ impl LogicalGraph {
         }
         self.deg_count[0] += 1;
         self.min_deg = 0;
-        self.record(GraphPatch::AddSlot);
         s
     }
 
@@ -320,8 +260,9 @@ impl LogicalGraph {
     pub fn add_edge(&mut self, a: Slot, b: Slot) {
         assert_ne!(a, b, "self-loop at {a:?}");
         assert!(self.is_alive(a) && self.is_alive(b), "edge touching dead slot");
-        assert!(!self.has_edge(a, b), "duplicate edge {a:?}–{b:?}");
-        let pos_a = self.adj[a.index()].binary_search(&b).unwrap_err();
+        let Err(pos_a) = self.adj[a.index()].binary_search(&b) else {
+            panic!("duplicate edge {a:?}–{b:?}")
+        };
         self.adj[a.index()].insert(pos_a, b);
         let pos_b = self.adj[b.index()].binary_search(&a).unwrap_err();
         self.adj[b.index()].insert(pos_b, a);
@@ -329,7 +270,6 @@ impl LogicalGraph {
         let (da, db) = (self.adj[a.index()].len(), self.adj[b.index()].len());
         self.shift_degree(da - 1, da);
         self.shift_degree(db - 1, db);
-        self.record(GraphPatch::AddEdge(a, b));
     }
 
     /// Remove edge `a–b`. Panics if absent.
@@ -344,7 +284,6 @@ impl LogicalGraph {
         let (da, db) = (self.adj[a.index()].len(), self.adj[b.index()].len());
         self.shift_degree(da + 1, da);
         self.shift_degree(db + 1, db);
-        self.record(GraphPatch::RemoveEdge(a, b));
     }
 
     /// Kill slot `s`: drop all its edges and mark it dead. Returns its former
@@ -357,7 +296,6 @@ impl LogicalGraph {
             self.adj[n.index()].remove(pos);
             let dn = self.adj[n.index()].len();
             self.shift_degree(dn + 1, dn);
-            self.record(GraphPatch::RemoveEdge(s, n));
         }
         self.num_edges -= neighbors.len();
         self.alive[s.index()] = false;
@@ -367,7 +305,6 @@ impl LogicalGraph {
         // was left untouched by the neighbor shifts above.
         self.deg_count[neighbors.len()] -= 1;
         self.fix_min_degree();
-        self.record(GraphPatch::KillSlot(s));
         neighbors
     }
 
@@ -415,6 +352,7 @@ impl LogicalGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prop_engine::SimRng;
 
     fn path(n: u32) -> LogicalGraph {
         let mut g = LogicalGraph::new(n as usize);
@@ -599,50 +537,63 @@ mod tests {
         assert_eq!(g.live_rank(Slot(3)), 2);
     }
 
+    /// Every cache the graph maintains beside its rows — edge and live
+    /// counters, the δ(G) histogram, Fenwick rank/select — recounted from
+    /// the rows after each step of a seeded storm over all four mutators.
+    /// Slots are only ever appended, so the slot count crosses 16, 32, 64
+    /// and 128 with dead slots below it: `LiveIndex::append` after kills,
+    /// which no scripted test above reaches.
     #[test]
-    fn generation_counts_every_mutation() {
-        let mut g = LogicalGraph::new(3);
-        assert_eq!(g.generation(), 0);
-        g.add_edge(Slot(0), Slot(1)); // +1
-        g.add_edge(Slot(1), Slot(2)); // +1
-        g.remove_edge(Slot(0), Slot(1)); // +1
-        let s = g.add_slot(); // +1
-        g.add_edge(s, Slot(0)); // +1
-        assert_eq!(g.generation(), 5);
-        // remove_slot: one RemoveEdge per incident edge + KillSlot.
-        let deg = g.degree(Slot(1)) as u64;
-        g.remove_slot(Slot(1));
-        assert_eq!(g.generation(), 6 + deg);
-    }
-
-    #[test]
-    fn patch_log_replays_the_gap() {
-        let mut g = path(4);
-        let epoch = g.generation();
-        g.add_edge(Slot(0), Slot(2));
-        g.remove_edge(Slot(2), Slot(3));
-        let patches = g.patches_since(epoch).expect("log covers the gap");
-        assert_eq!(
-            patches,
-            &[GraphPatch::AddEdge(Slot(0), Slot(2)), GraphPatch::RemoveEdge(Slot(2), Slot(3))]
-        );
-        // Current epoch ⇒ empty tail; future epoch ⇒ None.
-        assert_eq!(g.patches_since(g.generation()), Some(&[][..]));
-        assert_eq!(g.patches_since(g.generation() + 1), None);
-    }
-
-    #[test]
-    fn patch_log_overflow_forces_rebuild() {
-        let mut g = LogicalGraph::new(2);
-        let epoch = g.generation();
-        for _ in 0..(MAX_PATCH_LOG + 1) {
-            g.add_edge(Slot(0), Slot(1));
-            g.remove_edge(Slot(0), Slot(1));
+    fn seeded_mutation_storm_recounts_every_cache() {
+        fn audit(g: &LogicalGraph, step: usize) {
+            let live: Vec<Slot> = g.live_slots().collect();
+            assert_eq!(g.num_live(), live.len(), "step {step}: live counter");
+            assert_eq!(g.num_edges(), g.edges().count(), "step {step}: edge counter");
+            let scan_min = live.iter().map(|&s| g.degree(s)).min();
+            assert_eq!(g.min_degree(), scan_min, "step {step}: δ(G)");
+            for (k, &s) in live.iter().enumerate() {
+                assert_eq!(g.live_rank(s), k, "step {step}: rank of {s:?}");
+                assert_eq!(g.live_slot_at_rank(k), Some(s), "step {step}: select {k}");
+            }
+            assert_eq!(g.live_slot_at_rank(live.len()), None, "step {step}: select past end");
+            for i in 0..g.num_slots() {
+                let s = Slot(i as u32);
+                let row = g.neighbors(s);
+                assert!(g.is_alive(s) || row.is_empty(), "step {step}: dead {s:?} keeps a row");
+                assert!(row.windows(2).all(|w| w[0] < w[1]), "step {step}: row {s:?} unsorted");
+                for &t in row {
+                    assert!(g.is_alive(t), "step {step}: row {s:?} names dead {t:?}");
+                    assert!(g.has_edge(t, s), "step {step}: {s:?}–{t:?} is one-sided");
+                }
+            }
         }
-        assert_eq!(g.patches_since(epoch), None, "ancient epochs are not replayable");
-        // A recent epoch inside the surviving tail still is.
-        let recent = g.generation();
-        g.add_edge(Slot(0), Slot(1));
-        assert_eq!(g.patches_since(recent), Some(&[GraphPatch::AddEdge(Slot(0), Slot(1))][..]));
+
+        let mut rng = SimRng::seed_from(14);
+        let mut g = LogicalGraph::new(12);
+        audit(&g, 0);
+        for step in 1..=2500 {
+            let live: Vec<Slot> = g.live_slots().collect();
+            match rng.range(0..10u32) {
+                0 => {
+                    g.add_slot();
+                }
+                1 if live.len() > 8 => {
+                    g.remove_slot(*rng.pick(&live).expect("more than 8 live"));
+                }
+                _ => {
+                    // Two distinct live slots: toggle the edge between them.
+                    let i = rng.range(0..live.len());
+                    let j = (i + rng.range(1..live.len())) % live.len();
+                    if g.has_edge(live[i], live[j]) {
+                        g.remove_edge(live[i], live[j]);
+                    } else {
+                        g.add_edge(live[i], live[j]);
+                    }
+                }
+            }
+            audit(&g, step);
+        }
+        assert!(g.num_slots() > 128, "storm must append past 128 slots");
+        assert!(g.num_live() < g.num_slots() / 2, "most slots must have died below the appends");
     }
 }

@@ -11,10 +11,9 @@
 //!   `Var` equation (Eq. 2);
 //! * the total/mean logical link latency — the numerator of *stretch*.
 
-use crate::csr::{Adjacency, CsrView};
 use crate::logical::{LogicalGraph, Slot};
 use crate::placement::Placement;
-use crate::walk::{random_walk, random_walk_into, WalkPath, WalkScratch};
+use crate::walk::{random_walk_into, WalkScratch};
 use prop_engine::SimRng;
 use prop_netsim::oracle::MemberIdx;
 use prop_netsim::LatencyOracle;
@@ -107,14 +106,9 @@ impl FloodScratch {
     /// snapshot dist and re-relax idempotently under the strict `<`), and a
     /// frontier node with `du ≥ best answer` is pruned (costs are
     /// non-negative, so nothing downstream can strictly improve the answer).
-    ///
-    /// Generic over [`Adjacency`], so it runs identically over the mutable
-    /// [`LogicalGraph`] rows or the compact [`CsrView`] — both keep rows
-    /// sorted ascending, so scan order, counters, and results match bit
-    /// for bit.
     pub fn run(
         &mut self,
-        graph: &impl Adjacency,
+        graph: &LogicalGraph,
         src: Slot,
         dst: Slot,
         max_hops: u32,
@@ -187,11 +181,6 @@ pub struct OverlayNet {
     oracle: Arc<LatencyOracle>,
     /// Per-*peer* processing delay in ms (empty ⇒ all zero).
     proc_delay: Vec<u32>,
-    /// Compact traversal view of `graph` (see [`CsrView`]); consulted by the
-    /// flood/walk hot paths when enabled *and* current, silently bypassed
-    /// otherwise — the legacy rows are always authoritative.
-    csr: CsrView,
-    csr_enabled: bool,
 }
 
 impl OverlayNet {
@@ -202,8 +191,7 @@ impl OverlayNet {
         for s in graph.live_slots() {
             assert!(placement.peer_at(s).is_some(), "live {s:?} is vacant");
         }
-        let csr = CsrView::build(&graph);
-        OverlayNet { graph, placement, oracle, proc_delay: Vec::new(), csr, csr_enabled: true }
+        OverlayNet { graph, placement, oracle, proc_delay: Vec::new() }
     }
 
     /// Attach per-peer processing delays (indexed by peer, ms). Used by the
@@ -224,72 +212,16 @@ impl OverlayNet {
         &mut self.graph
     }
 
-    /// The CSR view, when it is enabled and reflects the graph's current
-    /// generation. `None` means traversals must fall back to the legacy
-    /// `Vec<Vec<Slot>>` rows (same results, just slower).
-    #[inline]
-    pub fn csr(&self) -> Option<&CsrView> {
-        (self.csr_enabled && self.csr.is_current(&self.graph)).then_some(&self.csr)
-    }
+    // No-op kept for one caller this PR may not edit:
+    // `benchmark/src/probes.rs` calls it before its standalone probes.
+    // There is no second adjacency to refresh; the next `benchmark` PR
+    // drops those two calls and this stub with them.
+    #[doc(hidden)]
+    pub fn refresh_csr(&mut self) {}
 
-    /// Bring the CSR view up to date with the graph (patch replay or
-    /// rebuild; see [`CsrView::sync`]). Drivers call this once per quiescent
-    /// point — after a tick's mutations, before a measurement sweep — rather
-    /// than per mutation.
-    pub fn refresh_csr(&mut self) {
-        if self.csr_enabled {
-            self.csr.sync(&self.graph);
-        }
-    }
-
-    /// Toggle the CSR fast path (the perf harness's `--repr vecvec` runs
-    /// with it off to measure the legacy representation). Enabling syncs the
-    /// view immediately.
-    pub fn set_csr_enabled(&mut self, on: bool) {
-        self.csr_enabled = on;
-        if on {
-            self.csr.sync(&self.graph);
-        }
-    }
-
-    /// Run the flood engine over the best available representation: the CSR
-    /// view when current, the legacy rows otherwise. Bit-identical results
-    /// and ledger counters either way.
-    pub fn run_flood(
-        &self,
-        scratch: &mut FloodScratch,
-        src: Slot,
-        dst: Slot,
-        max_hops: u32,
-        relays: impl Fn(Slot) -> bool,
-        cost: impl Fn(Slot, Slot) -> u64,
-    ) -> Option<(u64, u32)> {
-        match self.csr() {
-            Some(view) => scratch.run(view, src, dst, max_hops, relays, cost),
-            None => scratch.run(&self.graph, src, dst, max_hops, relays, cost),
-        }
-    }
-
-    /// Run a probe walk (see [`random_walk`]) over the best available
-    /// representation. Both representations present identical sorted
-    /// neighbor slices, so the walk consumes the RNG identically and the
-    /// trace is bit-identical.
-    pub fn probe_walk(
-        &self,
-        origin: Slot,
-        first_hop: Slot,
-        nhops: u32,
-        rng: &mut SimRng,
-    ) -> WalkPath {
-        match self.csr() {
-            Some(view) => random_walk(view, origin, first_hop, nhops, rng),
-            None => random_walk(&self.graph, origin, first_hop, nhops, rng),
-        }
-    }
-
-    /// [`OverlayNet::probe_walk`] into a caller-owned [`WalkScratch`] — the
-    /// drivers' zero-alloc steady-state form. The result is read back via
-    /// `scratch.walk()`; RNG consumption is bit-identical to `probe_walk`.
+    /// Run a probe walk (see [`random_walk_into`]) into a caller-owned
+    /// [`WalkScratch`] — the drivers' zero-alloc steady-state form. The
+    /// result is read back via `scratch.walk()`.
     pub fn probe_walk_into(
         &self,
         origin: Slot,
@@ -298,10 +230,7 @@ impl OverlayNet {
         rng: &mut SimRng,
         scratch: &mut WalkScratch,
     ) {
-        match self.csr() {
-            Some(view) => random_walk_into(view, origin, first_hop, nhops, rng, scratch),
-            None => random_walk_into(&self.graph, origin, first_hop, nhops, rng, scratch),
-        }
+        random_walk_into(&self.graph, origin, first_hop, nhops, rng, scratch);
     }
 
     #[inline]
@@ -440,8 +369,8 @@ impl OverlayNet {
         max_hops: u32,
         scratch: &mut FloodScratch,
     ) -> Option<(u64, u32)> {
-        self.run_flood(
-            scratch,
+        scratch.run(
+            &self.graph,
             src,
             dst,
             max_hops,

@@ -148,7 +148,7 @@ impl Ultrapeer {
         }
         let max_hops = self.params.flood_ttl + 2;
         let relays = |u: Slot| u == src || self.is_ultrapeer(u);
-        net.run_flood(scratch, src, dst, max_hops, relays, |u, v| {
+        scratch.run(net.graph(), src, dst, max_hops, relays, |u, v| {
             net.d(u, v) as u64 + net.proc_delay(v) as u64
         })
     }

@@ -9,8 +9,7 @@
 //! neighbors must never lie on it (that is what keeps the graph connected —
 //! Theorem 1).
 
-use crate::csr::Adjacency;
-use crate::logical::Slot;
+use crate::logical::{LogicalGraph, Slot};
 use prop_engine::SimRng;
 
 /// Result of a probe walk: `path[0]` is the origin, `path.last()` the
@@ -71,17 +70,13 @@ impl WalkScratch {
 /// Walk `nhops` hops from `origin`, entering via `first_hop` (which must be
 /// a neighbor of `origin`). Later hops are uniform over unvisited neighbors.
 ///
-/// Generic over [`Adjacency`]: both representations present identical
-/// sorted neighbor slices, so the candidate order — and therefore the RNG
-/// consumption and the resulting trace — is bit-identical between them.
-///
 /// Allocation-free façade users: this builds a fresh scratch per call. Hot
 /// paths hold a [`WalkScratch`] and call [`random_walk_into`] instead; the
 /// two consume the RNG identically ([`SimRng::pick`] draws by candidate
 /// *length*, which both forms present the same way), so swapping one for
 /// the other never perturbs a seeded run.
 pub fn random_walk(
-    g: &impl Adjacency,
+    g: &LogicalGraph,
     origin: Slot,
     first_hop: Slot,
     nhops: u32,
@@ -96,7 +91,7 @@ pub fn random_walk(
 /// `scratch.walk()`, and no allocation happens beyond the buffers' own
 /// capacity growth (which stops at the overlay's max degree).
 pub fn random_walk_into(
-    g: &impl Adjacency,
+    g: &LogicalGraph,
     origin: Slot,
     first_hop: Slot,
     nhops: u32,
@@ -199,21 +194,6 @@ mod tests {
         let w = random_walk(&g, Slot(2), Slot(3), 1, &mut rng);
         assert_eq!(w.path, vec![Slot(2), Slot(3)]);
         assert_eq!(w.counterpart(1), Some(Slot(3)));
-    }
-
-    #[test]
-    fn csr_walk_is_bit_identical_to_graph_walk() {
-        let mut g = ring(10);
-        g.add_edge(Slot(0), Slot(5));
-        g.add_edge(Slot(2), Slot(7));
-        let view = crate::CsrView::build(&g);
-        for seed in 0..20u64 {
-            let mut r1 = SimRng::seed_from(seed);
-            let mut r2 = SimRng::seed_from(seed);
-            let w1 = random_walk(&g, Slot(0), Slot(1), 6, &mut r1);
-            let w2 = random_walk(&view, Slot(0), Slot(1), 6, &mut r2);
-            assert_eq!(w1, w2, "seed {seed}");
-        }
     }
 
     #[test]

@@ -80,8 +80,7 @@ pub mod prelude {
     pub use prop_overlay::pastry::{Pastry, PastryParams};
     pub use prop_overlay::ultrapeer::{Ultrapeer, UltrapeerParams};
     pub use prop_overlay::{
-        Adjacency, CsrView, FloodScratch, LogicalGraph, Lookup, OverlayNet, Placement,
-        RouteOutcome, Slot,
+        FloodScratch, LogicalGraph, Lookup, OverlayNet, Placement, RouteOutcome, Slot,
     };
     pub use prop_workloads::{BimodalParams, LookupGen};
 }
