@@ -119,6 +119,8 @@ impl FaultCounters {
 }
 
 /// The interface a driver uses to push its traffic through the fault plane.
+/// `deliver` and `counters` are required — a plane that rules on nothing or
+/// counts nothing is a bug, not a default.
 ///
 /// Peers are addressed by their oracle member index
 /// ([`prop_netsim::oracle::MemberIdx`], a plain `usize`) — the *physical*
@@ -136,15 +138,19 @@ pub trait FaultPlane {
     ) -> Delivery;
 
     /// Is `peer` up (not crashed) at `now`? A down peer launches no probes
-    /// and receives nothing.
-    fn is_up(&mut self, now: prop_engine::SimTime, peer: usize) -> bool;
+    /// and receives nothing. Perfect-network default: everyone is up.
+    fn is_up(&mut self, _now: prop_engine::SimTime, _peer: usize) -> bool {
+        true
+    }
 
     /// Extra one-way latency in ms currently afflicting the path between
     /// `a` and `b` (congestion spikes / drift), layered *over* the static
     /// oracle `d(a, b)`. Affects message transit time only — the oracle's
     /// ground-truth distances, and therefore `Var` and the theorems, are
-    /// untouched.
-    fn link_extra_ms(&mut self, now: prop_engine::SimTime, a: usize, b: usize) -> u64;
+    /// untouched. Perfect-network default: none.
+    fn link_extra_ms(&mut self, _now: prop_engine::SimTime, _a: usize, _b: usize) -> u64 {
+        0
+    }
 
     /// Counter snapshot as of `now` (the timestamp finalizes
     /// [`FaultCounters::partition_ms`] for still-open partition windows).

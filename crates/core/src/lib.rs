@@ -49,5 +49,5 @@ pub mod traffic;
 pub use config::{Policy, ProbeMode, PropConfig};
 pub use exchange::{decide, exact_var, plan_exchange, var_terms, ExchangePlan};
 pub use fault::{Delivery, FaultCounters, FaultPlane, MsgKind};
-pub use sim::{AsyncProtocolSim, AsyncStats, Overhead, PropSim, ProtocolSim, DEFAULT_TRIAL_BATCH};
+pub use sim::{AsyncProtocolSim, AsyncStats, Overhead, PropSim, ProtocolSim};
 pub use traffic::{ChurnDriver, TrafficCounters, TrafficEvent, TrafficPlane};

@@ -51,9 +51,15 @@ use prop_overlay::{OverlayNet, Slot};
 use serde::{Deserialize, Serialize};
 use std::marker::PhantomData;
 
-/// Default number of trials executed per prefetch batch (see
-/// [`PropSim::set_trial_batch`]).
-pub const DEFAULT_TRIAL_BATCH: usize = 64;
+/// Trials per prefetch batch. Trials execute one at a time (events are
+/// strictly ordered), but the *latency rows* they will need are
+/// independent, so the driver warms the oracle's row cache for the next
+/// batch of pending events (tick origins, in-flight walk endpoints) in one
+/// parallel pass before popping them. Warming only moves rows into the
+/// cache — verdicts, RNG draws, and counters are untouched — so any batch
+/// size, including 1 (prefetch off), produces bit-identical runs
+/// (`tests::trial_batching_is_observation_free`).
+const DEFAULT_TRIAL_BATCH: usize = 64;
 
 /// §4.3 cost accounting, cumulative since simulation start.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -203,7 +209,7 @@ pub struct PropSim<M: Timing> {
     overhead: Overhead,
     stats: AsyncStats,
     plane: Option<Box<dyn FaultPlane>>,
-    /// Trials per oracle-prefetch batch (see [`PropSim::set_trial_batch`]).
+    /// Trials per oracle-prefetch batch (see [`DEFAULT_TRIAL_BATCH`]).
     trial_batch: usize,
     /// Reusable walk/candidate buffers: the atomic steady-state trial loop
     /// must not allocate (pinned by the `alloc_regression` test). In
@@ -260,14 +266,8 @@ impl<M: Timing> PropSim<M> {
         self.events.schedule_in(offset, Ev::Tick(slot));
     }
 
-    /// Trials execute one at a time (events are strictly ordered), but the
-    /// *latency rows* they will need are independent, so the driver warms
-    /// the oracle's row cache for the next `batch` pending events (tick
-    /// origins, in-flight walk endpoints) in one parallel pass before
-    /// popping them. Warming only moves rows into the cache — verdicts, RNG
-    /// draws, and counters are untouched — so any batch size, including 1
-    /// (prefetch off), produces bit-identical runs.
-    pub fn set_trial_batch(&mut self, batch: usize) {
+    #[cfg(test)]
+    fn set_trial_batch(&mut self, batch: usize) {
         self.trial_batch = batch.max(1);
     }
 
@@ -353,7 +353,7 @@ impl<M: Timing> PropSim<M> {
     /// Batch-prefetch oracle rows for pending events due by `deadline`: a
     /// tick needs its origin's row (walk hops + probe pings), a commit
     /// re-evaluates Var between the walk's two endpoints. Purely a cache
-    /// warmer: see [`PropSim::set_trial_batch`].
+    /// warmer: see [`DEFAULT_TRIAL_BATCH`].
     ///
     /// `pending_until` reads exactly the next `trial_batch` events in pop
     /// order from the timer wheel, so the prefetch cost per batch is
@@ -1066,12 +1066,6 @@ mod tests {
     impl FaultPlane for AlwaysDup {
         fn deliver(&mut self, _: SimTime, _: MsgKind, _: usize, _: usize) -> Delivery {
             Delivery { delivered: true, duplicate: true, extra_delay_ms: 0 }
-        }
-        fn is_up(&mut self, _: SimTime, _: usize) -> bool {
-            true
-        }
-        fn link_extra_ms(&mut self, _: SimTime, _: usize, _: usize) -> u64 {
-            0
         }
         fn counters(&mut self, _: SimTime) -> FaultCounters {
             FaultCounters::default()

@@ -9,9 +9,7 @@
 //! * [`SimTime`] / [`Duration`] — a millisecond-granularity simulated clock.
 //! * [`EventQueue`] — a stable (FIFO within a timestamp) pending-event set:
 //!   a hierarchical timer wheel with amortized O(1) schedule/pop and a
-//!   bounded ordered look-ahead ([`EventQueue::pending_until`]). The
-//!   pre-wheel heap survives as [`BinaryHeapEventQueue`], the reference
-//!   oracle the equivalence proptests pop against.
+//!   bounded ordered look-ahead ([`EventQueue::pending_until`]).
 //! * [`SimRng`] — seedable, stream-splittable ChaCha8 randomness so every
 //!   experiment is reproducible bit-for-bit.
 //! * [`MarkovTimer`] — the paper's §3.2 probe-interval controller (double on
@@ -35,6 +33,6 @@ pub mod time;
 
 pub use alloc_track::{allocation_count, counting_active, CountingAllocator};
 pub use backoff::MarkovTimer;
-pub use queue::{BinaryHeapEventQueue, EventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{window_overlap_ms, Duration, SimTime};

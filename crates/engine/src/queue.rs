@@ -6,9 +6,9 @@
 //! that made the previous `BinaryHeap` calendar the drivers' wall at million
 //! scale (O(log n) per op, plus an O(n) full-heap scan for trial prefetch)
 //! are gone. Two details matter for reproducibility, and both are preserved
-//! bit-for-bit from the heap implementation (which survives below as
-//! [`BinaryHeapEventQueue`], the reference oracle for the differential
-//! proptests in `tests/properties.rs`):
+//! bit-for-bit from the heap implementation (which survives in this file's
+//! test module, as the reference the seeded differential tests there pop
+//! against):
 //!
 //! 1. **Stable ordering.** Events pop in `(time, seq)` order, where `seq` is
 //!    a monotonically increasing sequence number: same-instant events pop in
@@ -44,8 +44,6 @@
 //! touch allocates.
 
 use crate::time::{Duration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 const LEVELS: usize = 8;
 const SLOTS: usize = 256;
@@ -388,130 +386,210 @@ impl<E> EventQueue<E> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Reference implementation
-// ---------------------------------------------------------------------------
-
-struct HeapEntry<E> {
-    key: Key,
-    event: E,
-}
-
-// Manual impls: `E` need not be Ord/Eq, ordering is entirely by `key`.
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-/// The pre-wheel `BinaryHeap` calendar, kept as the **reference oracle**:
-/// the differential proptests in `tests/properties.rs` drive it and
-/// [`EventQueue`] through identical schedules and require bit-identical pop
-/// traces, which is what lets the drivers swap queues without re-validating
-/// a single simulation result. O(log n) per op — do not use it on hot
-/// paths; it exists to keep the wheel honest.
-pub struct BinaryHeapEventQueue<E> {
-    heap: BinaryHeap<Reverse<HeapEntry<E>>>,
-    now: SimTime,
-    next_seq: u64,
-}
-
-impl<E> Default for BinaryHeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> BinaryHeapEventQueue<E> {
-    /// An empty queue with the clock at `t = 0`.
-    pub fn new() -> Self {
-        BinaryHeapEventQueue { heap: BinaryHeap::new(), now: SimTime::ZERO, next_seq: 0 }
-    }
-
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedule `event` at absolute time `at`. Scheduling in the past is a
-    /// logic error: panics in debug builds, clamps to `now` in release.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        debug_assert!(at >= self.now, "scheduling into the past: {at:?} < {:?}", self.now);
-        let at = at.max(self.now);
-        let key = Key { time: at, seq: self.next_seq };
-        self.next_seq += 1;
-        self.heap.push(Reverse(HeapEntry { key, event }));
-    }
-
-    /// Schedule `event` a relative `delay` after `now`.
-    pub fn schedule_in(&mut self, delay: Duration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.0.key.time)
-    }
-
-    /// The next `k` events with `time <= deadline` in `(time, seq)` order —
-    /// same contract as [`EventQueue::pending_until`], realized by a full
-    /// sort (this is the reference, not the fast path).
-    pub fn pending_until(&self, deadline: SimTime, k: usize) -> Vec<(SimTime, &E)> {
-        let mut all: Vec<(Key, &E)> =
-            self.heap.iter().map(|Reverse(e)| (e.key, &e.event)).collect();
-        all.sort_unstable_by_key(|&(key, _)| key);
-        all.into_iter()
-            .take_while(|&(key, _)| key.time <= deadline)
-            .take(k)
-            .map(|(key, e)| (key.time, e))
-            .collect()
-    }
-
-    /// Pop the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(entry) = self.heap.pop()?;
-        self.now = entry.key.time;
-        Some((entry.key.time, entry.event))
-    }
-
-    /// Pop the earliest event only if it is scheduled at or before `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Drop every pending event, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    struct HeapEntry<E> {
+        key: Key,
+        event: E,
+    }
+
+    // Manual impls: `E` need not be Ord/Eq, ordering is entirely by `key`.
+    impl<E> PartialEq for HeapEntry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl<E> Eq for HeapEntry<E> {}
+    impl<E> PartialOrd for HeapEntry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> Ord for HeapEntry<E> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    /// The pre-wheel `BinaryHeap` calendar, kept as the **reference**: the
+    /// differential tests below drive it and [`EventQueue`] through
+    /// identical schedules and require identical pop traces, which is what
+    /// let the drivers swap queues without re-validating a single
+    /// simulation result. O(log n) per op and a full sort per look-ahead.
+    struct BinaryHeapEventQueue<E> {
+        heap: BinaryHeap<Reverse<HeapEntry<E>>>,
+        now: SimTime,
+        next_seq: u64,
+    }
+
+    impl<E> BinaryHeapEventQueue<E> {
+        fn new() -> Self {
+            BinaryHeapEventQueue { heap: BinaryHeap::new(), now: SimTime::ZERO, next_seq: 0 }
+        }
+
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn schedule_at(&mut self, at: SimTime, event: E) {
+            debug_assert!(at >= self.now, "scheduling into the past: {at:?} < {:?}", self.now);
+            let at = at.max(self.now);
+            let key = Key { time: at, seq: self.next_seq };
+            self.next_seq += 1;
+            self.heap.push(Reverse(HeapEntry { key, event }));
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.0.key.time)
+        }
+
+        /// Same contract as [`EventQueue::pending_until`], by a full sort.
+        fn pending_until(&self, deadline: SimTime, k: usize) -> Vec<(SimTime, &E)> {
+            let mut all: Vec<(Key, &E)> =
+                self.heap.iter().map(|Reverse(e)| (e.key, &e.event)).collect();
+            all.sort_unstable_by_key(|&(key, _)| key);
+            all.into_iter()
+                .take_while(|&(key, _)| key.time <= deadline)
+                .take(k)
+                .map(|(key, e)| (key.time, e))
+                .collect()
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            let Reverse(entry) = self.heap.pop()?;
+            self.now = entry.key.time;
+            Some((entry.key.time, entry.event))
+        }
+
+        fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+            match self.peek_time() {
+                Some(t) if t <= deadline => self.pop(),
+                _ => None,
+            }
+        }
+    }
+
+    /// Schedule the same event on both queues.
+    fn schedule_both(
+        wheel: &mut EventQueue<u32>,
+        heap: &mut BinaryHeapEventQueue<u32>,
+        at: SimTime,
+        event: u32,
+    ) {
+        wheel.schedule_at(at, event);
+        heap.schedule_at(at, event);
+    }
+
+    /// The wheel pops exactly as the heap does across seeded random
+    /// schedules: same (time, payload) trace, same clock, same length —
+    /// same-instant bursts (the FIFO tie-break), sub-slot / one-level /
+    /// cascade-forcing delays (up to ~83 hours, wheel level 3), `pop_until`
+    /// deadlines and the ordered `pending_until` look-ahead.
+    #[test]
+    fn timer_wheel_matches_heap_reference() {
+        for seed in 0..256u64 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut wheel: EventQueue<u32> = EventQueue::new();
+            let mut heap: BinaryHeapEventQueue<u32> = BinaryHeapEventQueue::new();
+            let mut payload = 0u32;
+            for _ in 0..200 {
+                let now = wheel.now().0;
+                match rng.range(0..5u32) {
+                    0 => {
+                        let span = [256u64, 70_000, 300_000_000][rng.range(0..3usize)];
+                        let at = SimTime(now + rng.range(0..span));
+                        schedule_both(&mut wheel, &mut heap, at, payload);
+                        payload += 1;
+                    }
+                    1 => {
+                        let at = SimTime(now + rng.range(0u64..2_000));
+                        for _ in 0..rng.range(1..20u32) {
+                            schedule_both(&mut wheel, &mut heap, at, payload);
+                            payload += 1;
+                        }
+                    }
+                    2 => {
+                        assert_eq!(wheel.peek_time(), heap.peek_time(), "seed {seed}");
+                        assert_eq!(wheel.pop(), heap.pop(), "seed {seed}");
+                    }
+                    3 => {
+                        let deadline = SimTime(now + rng.range(0u64..500_000));
+                        assert_eq!(
+                            wheel.pop_until(deadline),
+                            heap.pop_until(deadline),
+                            "seed {seed}"
+                        );
+                    }
+                    _ => {
+                        let deadline = SimTime(now + rng.range(0u64..500_000));
+                        let k = rng.range(0..32usize);
+                        assert_eq!(
+                            wheel.pending_until(deadline, k),
+                            heap.pending_until(deadline, k),
+                            "seed {seed}"
+                        );
+                    }
+                }
+                assert_eq!(wheel.len(), heap.len(), "seed {seed}");
+                assert_eq!(wheel.now(), heap.now(), "seed {seed}");
+            }
+            // Drain both to the end: every remaining event pops identically.
+            loop {
+                let (w, h) = (wheel.pop(), heap.pop());
+                assert_eq!(w, h, "seed {seed}");
+                if w.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Schedule-during-pop: a driver-shaped run (every pop reschedules the
+    /// popped peer with a backoff-lattice delay, occasionally with a
+    /// same-instant companion) pops identically on both queues.
+    #[test]
+    fn driver_shaped_run_is_identical_on_both_queues() {
+        // The paper's probe intervals: 2^k minutes, k ≤ 5.
+        let lattice: Vec<u64> = (0..6).map(|k| 60_000u64 << k).collect();
+        for seed in 0..256u64 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut wheel: EventQueue<u32> = EventQueue::new();
+            let mut heap: BinaryHeapEventQueue<u32> = BinaryHeapEventQueue::new();
+            // Initial offsets mimic the driver's staggered init timers.
+            for p in 0..rng.range(2..40u32) {
+                let at = SimTime(rng.range(0u64..60_000));
+                schedule_both(&mut wheel, &mut heap, at, p);
+            }
+            for step in 0..400 {
+                if step % 7 == 3 {
+                    // Interleave a deadline-bounded pop, as run_until does.
+                    let deadline = SimTime(wheel.now().0 + rng.range(0u64..120_000));
+                    assert_eq!(wheel.pop_until(deadline), heap.pop_until(deadline), "seed {seed}");
+                    continue;
+                }
+                let (w, h) = (wheel.pop(), heap.pop());
+                assert_eq!(w, h, "seed {seed}");
+                let Some((t, p)) = w else { break };
+                let at = t + Duration(*rng.pick(&lattice).unwrap());
+                schedule_both(&mut wheel, &mut heap, at, p);
+                if rng.chance(0.1) {
+                    // Same-instant companion event (extra probe after churn).
+                    schedule_both(&mut wheel, &mut heap, at, p + 1000);
+                }
+                assert_eq!(wheel.len(), heap.len(), "seed {seed}");
+                assert_eq!(wheel.now(), heap.now(), "seed {seed}");
+            }
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -2,7 +2,7 @@
 
 use prop_engine::backoff::TrialOutcome;
 use prop_engine::stats::Accumulator;
-use prop_engine::{BinaryHeapEventQueue, Duration, EventQueue, MarkovTimer, SimRng, SimTime};
+use prop_engine::{Duration, EventQueue, MarkovTimer, SimRng, SimTime};
 use proptest::prelude::{prop_oneof, Just, Strategy};
 use proptest::test_runner::Config as ProptestConfig;
 use proptest::{prop_assert, prop_assert_eq, proptest};
@@ -22,43 +22,10 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
     ]
 }
 
-/// Differential op set for the wheel-vs-heap equivalence suite: adds
-/// same-instant bursts (the FIFO tie-break stressor), multi-level delays
-/// (crossing several wheel bytes), and ordered look-ahead reads.
-#[derive(Clone, Debug)]
-enum DiffOp {
-    /// Schedule a single event `dt` after now.
-    Schedule(u64),
-    /// Schedule `count` events at the *same* instant, `dt` after now.
-    Burst {
-        dt: u64,
-        count: u8,
-    },
-    Pop,
-    PopUntil(u64),
-    /// Compare `pending_until(now + dt, k)` on both queues.
-    Lookahead {
-        dt: u64,
-        k: u8,
-    },
-}
-
-fn diff_op() -> impl Strategy<Value = DiffOp> {
-    prop_oneof![
-        // Mixed magnitudes: sub-slot, one-level, and cascade-forcing delays
-        // up to ~77 hours (wheel level 3).
-        prop_oneof![0u64..256, 0u64..70_000, 0u64..300_000_000].prop_map(DiffOp::Schedule),
-        (0u64..2_000, 1u8..20).prop_map(|(dt, count)| DiffOp::Burst { dt, count }),
-        Just(DiffOp::Pop),
-        (0u64..500_000).prop_map(DiffOp::PopUntil),
-        (0u64..500_000, 0u8..32).prop_map(|(dt, k)| DiffOp::Lookahead { dt, k }),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The heap-backed queue behaves exactly like a sorted-vec reference
+    /// The queue behaves exactly like a sorted-vec reference
     /// model with stable (time, insertion) ordering and a monotone clock.
     #[test]
     fn event_queue_matches_reference_model(ops in proptest::collection::vec(queue_op(), 1..120)) {
@@ -114,113 +81,6 @@ proptest! {
             }
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.now().0, now);
-        }
-    }
-
-    /// The timer wheel pops **bit-identically** to the retained BinaryHeap
-    /// reference across arbitrary schedules: same (time, payload) trace,
-    /// same clock, same length — including same-instant bursts (FIFO
-    /// tie-break), cascade-forcing multi-level delays, `pop_until`
-    /// deadlines, and the ordered `pending_until` look-ahead. This is the
-    /// equivalence proof that let the drivers swap queues without
-    /// revalidating any simulation output.
-    #[test]
-    fn timer_wheel_matches_heap_reference(ops in proptest::collection::vec(diff_op(), 1..200)) {
-        let mut wheel: EventQueue<u32> = EventQueue::new();
-        let mut heap: BinaryHeapEventQueue<u32> = BinaryHeapEventQueue::new();
-        let mut payload = 0u32;
-
-        for op in ops {
-            match op {
-                DiffOp::Schedule(dt) => {
-                    let at = SimTime(wheel.now().0 + dt);
-                    wheel.schedule_at(at, payload);
-                    heap.schedule_at(at, payload);
-                    payload += 1;
-                }
-                DiffOp::Burst { dt, count } => {
-                    let at = SimTime(wheel.now().0 + dt);
-                    for _ in 0..count {
-                        wheel.schedule_at(at, payload);
-                        heap.schedule_at(at, payload);
-                        payload += 1;
-                    }
-                }
-                DiffOp::Pop => {
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                    prop_assert_eq!(wheel.pop(), heap.pop());
-                }
-                DiffOp::PopUntil(dt) => {
-                    let deadline = SimTime(wheel.now().0 + dt);
-                    prop_assert_eq!(wheel.pop_until(deadline), heap.pop_until(deadline));
-                }
-                DiffOp::Lookahead { dt, k } => {
-                    let deadline = SimTime(wheel.now().0 + dt);
-                    let w: Vec<(SimTime, u32)> = wheel
-                        .pending_until(deadline, k as usize)
-                        .into_iter()
-                        .map(|(t, &e)| (t, e))
-                        .collect();
-                    let h: Vec<(SimTime, u32)> = heap
-                        .pending_until(deadline, k as usize)
-                        .into_iter()
-                        .map(|(t, &e)| (t, e))
-                        .collect();
-                    prop_assert_eq!(w, h);
-                }
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.now(), heap.now());
-        }
-
-        // Drain both to the end: every remaining event pops identically.
-        loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(w, h);
-            if w.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Schedule-during-pop: a driver-shaped run (every pop reschedules the
-    /// popped peer with a backoff-lattice delay, occasionally bursting) pops
-    /// identically on both queues. This is the same-seed old-vs-new-queue
-    /// regression at the layer where the old queue still exists.
-    #[test]
-    fn driver_shaped_run_is_identical_on_both_queues(seed in 0u64..u64::MAX, peers in 2u32..40) {
-        let mut rng = SimRng::seed_from(seed);
-        let mut wheel: EventQueue<u32> = EventQueue::new();
-        let mut heap: BinaryHeapEventQueue<u32> = BinaryHeapEventQueue::new();
-        // Initial offsets mimic the drivers' staggered init timers.
-        for p in 0..peers {
-            let at = SimTime(rng.range(0u64..60_000));
-            wheel.schedule_at(at, p);
-            heap.schedule_at(at, p);
-        }
-        // The paper's probe intervals: 2^k minutes, k ≤ 5.
-        let lattice: Vec<u64> = (0..6).map(|k| 60_000u64 << k).collect();
-        for step in 0..400 {
-            if step % 7 == 3 {
-                // Interleave a deadline-bounded pop, as run_until does.
-                let deadline = SimTime(wheel.now().0 + rng.range(0u64..120_000));
-                let (w, h) = (wheel.pop_until(deadline), heap.pop_until(deadline));
-                prop_assert_eq!(w, h);
-                continue;
-            }
-            let (w, h) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(w, h);
-            let Some((t, p)) = w else { break };
-            let delay = Duration(*rng.pick(&lattice).unwrap());
-            wheel.schedule_at(t + delay, p);
-            heap.schedule_at(t + delay, p);
-            if rng.chance(0.1) {
-                // Same-instant companion event (extra probe after churn).
-                wheel.schedule_at(t + delay, p + 1000);
-                heap.schedule_at(t + delay, p + 1000);
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.now(), heap.now());
         }
     }
 

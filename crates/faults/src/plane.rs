@@ -46,14 +46,6 @@ impl FaultPlane for LossInjector {
         }
     }
 
-    fn is_up(&mut self, _now: SimTime, _peer: usize) -> bool {
-        true
-    }
-
-    fn link_extra_ms(&mut self, _now: SimTime, _a: usize, _b: usize) -> u64 {
-        0
-    }
-
     fn counters(&mut self, _now: SimTime) -> FaultCounters {
         self.counters
     }
@@ -81,14 +73,6 @@ impl FaultPlane for DupInjector {
         } else {
             Delivery::CLEAN
         }
-    }
-
-    fn is_up(&mut self, _now: SimTime, _peer: usize) -> bool {
-        true
-    }
-
-    fn link_extra_ms(&mut self, _now: SimTime, _a: usize, _b: usize) -> u64 {
-        0
     }
 
     fn counters(&mut self, _now: SimTime) -> FaultCounters {
@@ -121,14 +105,6 @@ impl FaultPlane for ReorderInjector {
         } else {
             Delivery::CLEAN
         }
-    }
-
-    fn is_up(&mut self, _now: SimTime, _peer: usize) -> bool {
-        true
-    }
-
-    fn link_extra_ms(&mut self, _now: SimTime, _a: usize, _b: usize) -> u64 {
-        0
     }
 
     fn counters(&mut self, _now: SimTime) -> FaultCounters {
@@ -185,10 +161,6 @@ impl FaultPlane for SpikeInjector {
         Delivery::CLEAN
     }
 
-    fn is_up(&mut self, _now: SimTime, _peer: usize) -> bool {
-        true
-    }
-
     fn link_extra_ms(&mut self, now: SimTime, _a: usize, _b: usize) -> u64 {
         let t = now.as_millis();
         self.windows.iter().map(|w| w.extra_at(t)).sum()
@@ -200,7 +172,9 @@ impl FaultPlane for SpikeInjector {
 }
 
 /// Transit-core partitions: while a window is active, every message whose
-/// endpoints sit on opposite [`Side`]s of the bisection is dropped.
+/// endpoints sit on opposite [`Side`]s of the bisection is dropped. A
+/// partitioned peer is alive (`is_up` stays the default), just unreachable
+/// across the cut.
 pub struct PartitionInjector {
     /// Merged, disjoint, sorted `[start, end)` windows.
     windows: Vec<(u64, u64)>,
@@ -241,14 +215,6 @@ impl FaultPlane for PartitionInjector {
         } else {
             Delivery::CLEAN
         }
-    }
-
-    fn is_up(&mut self, _now: SimTime, _peer: usize) -> bool {
-        true // a partitioned peer is alive, just unreachable across the cut
-    }
-
-    fn link_extra_ms(&mut self, _now: SimTime, _a: usize, _b: usize) -> u64 {
-        0
     }
 
     fn counters(&mut self, now: SimTime) -> FaultCounters {
@@ -297,10 +263,6 @@ impl FaultPlane for CrashInjector {
 
     fn is_up(&mut self, now: SimTime, peer: usize) -> bool {
         !self.down(now.as_millis(), peer)
-    }
-
-    fn link_extra_ms(&mut self, _now: SimTime, _a: usize, _b: usize) -> u64 {
-        0
     }
 
     fn counters(&mut self, _now: SimTime) -> FaultCounters {

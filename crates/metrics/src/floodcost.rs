@@ -44,19 +44,10 @@ pub fn flood_messages(g: &LogicalGraph, src: Slot, ttl: u32) -> u64 {
     msgs
 }
 
-/// Mean flood cost over a sample of sources.
+/// Mean flood cost over a sample of sources, fanned out over rayon
+/// workers. Message counts are integers, so the u64 total — and therefore
+/// the mean — is the same bits under any reduction order.
 pub fn mean_flood_messages(net: &OverlayNet, sources: &[Slot], ttl: u32) -> f64 {
-    if sources.is_empty() {
-        return f64::NAN;
-    }
-    let total: u64 = sources.iter().map(|&s| flood_messages(net.graph(), s, ttl)).sum();
-    total as f64 / sources.len() as f64
-}
-
-/// [`mean_flood_messages`] fanned out over rayon workers. Message counts
-/// are integers, so the u64 total — and therefore the mean — is
-/// bit-identical to the serial function under any reduction order.
-pub fn par_mean_flood_messages(net: &OverlayNet, sources: &[Slot], ttl: u32) -> f64 {
     if sources.is_empty() {
         return f64::NAN;
     }
@@ -129,9 +120,9 @@ mod tests {
         }
         let net = OverlayNet::new(g, Placement::identity(12), oracle);
         let sources: Vec<Slot> = (0..12u32).map(Slot).collect();
-        let serial = mean_flood_messages(&net, &sources, 4);
-        let parallel = par_mean_flood_messages(&net, &sources, 4);
-        assert_eq!(serial.to_bits(), parallel.to_bits());
+        let total: u64 = sources.iter().map(|&s| flood_messages(net.graph(), s, 4)).sum();
+        let serial = total as f64 / sources.len() as f64;
+        assert_eq!(serial.to_bits(), mean_flood_messages(&net, &sources, 4).to_bits());
     }
 
     #[test]

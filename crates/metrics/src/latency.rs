@@ -2,9 +2,8 @@
 //!
 //! Accumulation is exact: latencies and hop counts are integers, so the
 //! totals are integer sums and the means are computed once at the end.
-//! That is what makes [`par_avg_lookup_latency`] bit-identical to
-//! [`avg_lookup_latency`] under any chunking and worker count (see
-//! [`crate::plane`]).
+//! That is what makes [`avg_lookup_latency`] return the same bits under any
+//! chunking and worker count (see [`crate::plane`]).
 
 use crate::plane::{warm_pair_rows, MEASURE_CHUNK};
 use prop_overlay::{FloodScratch, Lookup, OverlayNet, Slot};
@@ -75,21 +74,11 @@ impl LatencyTotals {
 }
 
 /// Run every pair through the overlay's lookup discipline and summarize.
-pub fn avg_lookup_latency(
-    net: &OverlayNet,
-    overlay: &impl Lookup,
-    pairs: &[(Slot, Slot)],
-) -> LatencySummary {
-    let mut scratch = FloodScratch::new();
-    LatencyTotals::measure(net, overlay, pairs, &mut scratch).summary()
-}
-
-/// [`avg_lookup_latency`] fanned out over rayon workers: the pair list is
-/// chunked, each worker measures its chunks with a private
-/// [`FloodScratch`], and the exact integer totals are merged. Bit-identical
-/// to the serial function for every worker count; oracle rows for the
+/// The pair list is chunked over rayon workers, each measuring its chunks
+/// with a private [`FloodScratch`], and the exact integer totals are
+/// merged: the same bits for every worker count. Oracle rows for the
 /// workload's slots are prefetched before the fan-out.
-pub fn par_avg_lookup_latency(
+pub fn avg_lookup_latency(
     net: &OverlayNet,
     overlay: &impl Lookup,
     pairs: &[(Slot, Slot)],
@@ -159,8 +148,8 @@ mod tests {
         // Deliberately not a multiple of MEASURE_CHUNK: exercises the
         // ragged tail chunk.
         let pairs = LookupGen::new(&rng).uniform_pairs(&live, 700);
-        let serial = avg_lookup_latency(&net, &gn, &pairs);
-        let parallel = par_avg_lookup_latency(&net, &gn, &pairs);
+        let serial = LatencyTotals::measure(&net, &gn, &pairs, &mut FloodScratch::new()).summary();
+        let parallel = avg_lookup_latency(&net, &gn, &pairs);
         assert_eq!(serial.mean_ms.to_bits(), parallel.mean_ms.to_bits());
         assert_eq!(serial.mean_hops.to_bits(), parallel.mean_hops.to_bits());
         assert_eq!(serial.delivered, parallel.delivered);

@@ -21,8 +21,8 @@
 //! * [`ci`] — cross-seed mean / sample-stddev / 95%-CI summaries (Student
 //!   t for small seed counts) backing the Monte-Carlo sweep orchestrator.
 //! * [`plane`] — the parallel measurement plane's determinism machinery:
-//!   the fixed chunk size and the oracle-row prefetch that make the
-//!   `par_*` measurement variants bit-identical to their serial twins.
+//!   the fixed chunk size and the oracle-row prefetch that make every
+//!   measurement return the same bits for any worker count.
 
 pub mod ci;
 pub mod convergence;
@@ -40,11 +40,18 @@ pub mod trafficstats;
 pub use ci::{t_critical_95, MetricSummary};
 pub use convergence::{convergence, Convergence};
 pub use faultstats::FaultReport;
-pub use floodcost::{flood_messages, mean_flood_messages, par_mean_flood_messages};
+pub use floodcost::{flood_messages, mean_flood_messages};
 pub use histogram::{class_breakdown, ClassBreakdown, LatencyCdf};
-pub use latency::{avg_lookup_latency, par_avg_lookup_latency, LatencySummary};
+pub use latency::{avg_lookup_latency, LatencySummary};
 pub use oraclestats::{OracleCacheReport, OracleEmbedReport};
 pub use plane::{warm_pair_rows, MEASURE_CHUNK};
-pub use stretch::{link_stretch, par_path_stretch, path_stretch, StretchSummary};
+pub use stretch::{link_stretch, path_stretch, StretchSummary};
 pub use timeseries::TimeSeries;
 pub use trafficstats::{TrafficDomainRow, TrafficPhaseRow, TrafficReport};
+
+// The names from when each metric had a serial and a rayon twin. `benchmark/`
+// (pinned by BENCHMARK.json) and prop-experiments still spell them this way;
+// see ROADMAP "Deferred".
+pub use floodcost::mean_flood_messages as par_mean_flood_messages;
+pub use latency::avg_lookup_latency as par_avg_lookup_latency;
+pub use stretch::path_stretch as par_path_stretch;

@@ -2,8 +2,8 @@
 //!
 //! Every figure panel measures the overlay by running thousands of lookups
 //! over a pair workload. The plane parallelizes that over rayon workers
-//! under one contract: **the parallel result is bit-identical to the serial
-//! result, for every worker count.** Two mechanisms deliver it:
+//! under one contract: **the result is bit-identical to a sequential loop
+//! over the pairs, for every worker count.** Two mechanisms deliver it:
 //!
 //! * **Exact integer accumulation** wherever the measured quantities are
 //!   integers (lookup latency in ms, hops, flood message counts): integer
@@ -15,9 +15,8 @@
 //!   (path stretch is a latency ratio): the pair list is split into
 //!   [`MEASURE_CHUNK`]-sized chunks — a constant, *never* a function of the
 //!   worker count — each chunk is summed sequentially, and the per-chunk
-//!   partials are folded in chunk-index order. The serial path runs the
-//!   identical chunked computation, so parallel == serial bit-for-bit even
-//!   though f64 addition is not associative.
+//!   partials are folded in chunk-index order, so the additions happen in
+//!   one order on any machine even though f64 addition is not associative.
 //!
 //! Each worker owns a [`prop_overlay::FloodScratch`], so flooding overlays
 //! allocate nothing per lookup, and entry points prefetch the oracle rows
@@ -29,9 +28,9 @@ use prop_overlay::{OverlayNet, Slot};
 
 /// Chunk size for the measurement plane's pair-list decomposition.
 ///
-/// This is the determinism anchor for float-valued metrics: both the serial
-/// and parallel paths sum per-chunk partials over exactly these chunks and
-/// fold them in chunk-index order. It must stay a constant — deriving it
+/// This is the determinism anchor for float-valued metrics: per-chunk
+/// partials are summed over exactly these chunks and folded in chunk-index
+/// order, whatever the worker count. It must stay a constant — deriving it
 /// from the worker count would make results depend on the machine. 256
 /// pairs amortize the per-chunk scratch setup while still splitting a
 /// 2,000-pair sample round across every core of any machine this runs on.

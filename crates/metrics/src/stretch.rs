@@ -94,25 +94,10 @@ fn fold_partials(partials: Vec<StretchPartial>) -> StretchSummary {
 /// has a well-defined route; used for the Chord experiments (Fig. 6).
 /// Pairs with zero physical distance or a departed endpoint, and
 /// undelivered lookups, are excluded from the mean but reported in the
-/// summary.
+/// summary. Fixed-size chunks go to rayon workers and fold in chunk order:
+/// the same bits for every worker count. Oracle rows for the workload's
+/// slots are prefetched before the fan-out.
 pub fn path_stretch(
-    net: &OverlayNet,
-    overlay: &impl Lookup,
-    pairs: &[(Slot, Slot)],
-) -> StretchSummary {
-    let mut scratch = FloodScratch::new();
-    let partials = pairs
-        .chunks(MEASURE_CHUNK)
-        .map(|chunk| StretchPartial::measure(net, overlay, chunk, &mut scratch))
-        .collect();
-    fold_partials(partials)
-}
-
-/// [`path_stretch`] fanned out over rayon workers. Bit-identical to the
-/// serial function for every worker count: both run the same fixed-chunk
-/// computation, only the chunk scheduling differs. Oracle rows for the
-/// workload's slots are prefetched before the fan-out.
-pub fn par_path_stretch(
     net: &OverlayNet,
     overlay: &impl Lookup,
     pairs: &[(Slot, Slot)],
@@ -137,12 +122,27 @@ mod tests {
     use prop_workloads::LookupGen;
     use std::sync::Arc;
 
-    fn chord(n: usize, seed: u64) -> (Chord, prop_overlay::OverlayNet, SimRng) {
+    fn chord(n: usize, seed: u64) -> (Chord, OverlayNet, SimRng) {
         let mut rng = SimRng::seed_from(seed);
         let phys = generate(&TransitStubParams::tiny(), &mut rng);
         let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
         let (ch, net) = Chord::build(ChordParams::default(), oracle, &mut rng);
         (ch, net, rng)
+    }
+
+    /// The sequential reference: one scratch, chunks measured and folded in
+    /// order on the calling thread.
+    fn sequential(
+        net: &OverlayNet,
+        overlay: &impl Lookup,
+        pairs: &[(Slot, Slot)],
+    ) -> StretchSummary {
+        let mut scratch = FloodScratch::new();
+        let partials = pairs
+            .chunks(MEASURE_CHUNK)
+            .map(|chunk| StretchPartial::measure(net, overlay, chunk, &mut scratch))
+            .collect();
+        fold_partials(partials)
     }
 
     #[test]
@@ -203,8 +203,8 @@ mod tests {
         let naming = pairs.iter().filter(|&&(a, b)| a == gone || b == gone).count() as u64;
         assert!(naming > 0, "workload never names the departed slot");
 
-        let serial = path_stretch(&net, &gn, &pairs);
-        let parallel = par_path_stretch(&net, &gn, &pairs);
+        let serial = sequential(&net, &gn, &pairs);
+        let parallel = path_stretch(&net, &gn, &pairs);
         assert!(serial.skipped >= naming);
         assert_eq!(serial.delivered + serial.failed + serial.skipped, 650);
         assert_eq!(serial.mean.to_bits(), parallel.mean.to_bits());
@@ -220,8 +220,8 @@ mod tests {
         let live: Vec<Slot> = net.graph().live_slots().collect();
         // Not a multiple of MEASURE_CHUNK: exercises the ragged tail.
         let pairs = LookupGen::new(&rng).uniform_pairs(&live, 650);
-        let serial = path_stretch(&net, &ch, &pairs);
-        let parallel = par_path_stretch(&net, &ch, &pairs);
+        let serial = sequential(&net, &ch, &pairs);
+        let parallel = path_stretch(&net, &ch, &pairs);
         assert_eq!(serial.mean.to_bits(), parallel.mean.to_bits());
         assert_eq!(serial.delivered, parallel.delivered);
         assert_eq!(serial.failed, parallel.failed);

@@ -1,5 +1,5 @@
-//! Property: every `par_*` measurement is **bit-for-bit identical** to its
-//! serial twin — across random overlays (Gnutella flooding and Chord
+//! Property: every measurement is **bit-for-bit identical** on one worker
+//! and on many — across random overlays (Gnutella flooding and Chord
 //! routing), rayon worker counts, and latency-oracle tiers including a row
 //! cache squeezed to its minimum capacity (one resident row per shard, so
 //! the measurement thrashes the cache constantly).
@@ -11,10 +11,7 @@
 //! of scheduler, worker count, or cache state may leak into the bits.
 
 use prop_engine::SimRng;
-use prop_metrics::{
-    avg_lookup_latency, mean_flood_messages, par_avg_lookup_latency, par_mean_flood_messages,
-    par_path_stretch, path_stretch,
-};
+use prop_metrics::{avg_lookup_latency, mean_flood_messages, path_stretch};
 use prop_netsim::{generate, LatencyOracle, OracleConfig, TransitStubParams};
 use prop_overlay::chord::{Chord, ChordParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
@@ -54,17 +51,15 @@ proptest! {
         // chunk is always exercised.
         let pairs = LookupGen::new(&rng).uniform_pairs(&live, 300);
 
-        let serial_latency = avg_lookup_latency(&gnet, &gn, &pairs);
-        let serial_stretch = path_stretch(&cnet, &ch, &pairs);
-        let serial_flood = mean_flood_messages(&gnet, &live, 4);
-
-        let (par_latency, par_stretch, par_flood) = pool(workers).install(|| {
+        let measure = || {
             (
-                par_avg_lookup_latency(&gnet, &gn, &pairs),
-                par_path_stretch(&cnet, &ch, &pairs),
-                par_mean_flood_messages(&gnet, &live, 4),
+                avg_lookup_latency(&gnet, &gn, &pairs),
+                path_stretch(&cnet, &ch, &pairs),
+                mean_flood_messages(&gnet, &live, 4),
             )
-        });
+        };
+        let (serial_latency, serial_stretch, serial_flood) = pool(1).install(measure);
+        let (par_latency, par_stretch, par_flood) = pool(workers).install(measure);
 
         prop_assert_eq!(serial_latency.mean_ms.to_bits(), par_latency.mean_ms.to_bits());
         prop_assert_eq!(serial_latency.mean_hops.to_bits(), par_latency.mean_hops.to_bits());

@@ -1,8 +1,7 @@
-//! The tier-agnostic latency interface and its configuration.
+//! The latency oracle's configuration and build error.
 //!
 //! Every consumer of `d(u, v)` — PROP probes, LTM detection, the metrics —
-//! talks to a [`Latency`] implementation. Three tiers exist (see
-//! [`crate::LatencyOracle`]):
+//! talks to [`crate::LatencyOracle`], which has three tiers:
 //!
 //! * **dense** — the full `n × n` matrix, precomputed once. O(n²) memory,
 //!   O(1) lookups with no synchronization. The fast path for every
@@ -26,29 +25,6 @@ use crate::embed::EmbedConfig;
 use crate::graph::PhysNodeId;
 use crate::oracle::MemberIdx;
 use serde::{Deserialize, Serialize};
-
-/// Tier-agnostic view of member-to-member latencies.
-///
-/// Implemented by both oracle tiers and by the [`crate::LatencyOracle`]
-/// facade; generic code (equivalence tests, reporting) can treat any of
-/// them uniformly.
-pub trait Latency: Send + Sync {
-    /// Number of members.
-    fn len(&self) -> usize;
-
-    /// End-to-end latency between members `a` and `b`, in ms.
-    fn d(&self, a: MemberIdx, b: MemberIdx) -> u32;
-
-    /// The physical host backing member `i`.
-    fn host(&self, i: MemberIdx) -> PhysNodeId;
-
-    /// Mean physical *link* latency — denominator of the stretch metric.
-    fn mean_phys_link_latency(&self) -> f64;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Construction-time knobs for [`crate::LatencyOracle`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]

@@ -50,7 +50,7 @@ pub mod waxman;
 
 pub use embed::{EmbedCalibration, EmbedConfig, EmbedOracle, EmbedStats};
 pub use graph::{LinkClass, NodeClass, PhysGraph, PhysNodeId};
-pub use latency::{Latency, OracleBuildError, OracleConfig};
+pub use latency::{OracleBuildError, OracleConfig};
 pub use oracle::{CachedOracle, DenseOracle, LatencyOracle};
 pub use rowcache::CacheStats;
 pub use transit_stub::{generate, TransitStubParams};

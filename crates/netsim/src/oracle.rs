@@ -38,7 +38,7 @@ use crate::decomp::RowKernel;
 use crate::dijkstra::{shortest_paths, UNREACHABLE};
 use crate::embed::{EmbedCalibration, EmbedOracle, EmbedStats};
 use crate::graph::{PhysGraph, PhysNodeId};
-use crate::latency::{Latency, OracleBuildError, OracleConfig};
+use crate::latency::{OracleBuildError, OracleConfig};
 use crate::rowcache::{CacheStats, RowCache};
 use prop_engine::SimRng;
 use rayon::prelude::*;
@@ -115,27 +115,29 @@ impl DenseOracle {
         let total: u64 = self.matrix.iter().map(|&d| d as u64).sum();
         total as f64 / (self.n as f64 * self.n as f64)
     }
-}
 
-impl Latency for DenseOracle {
+    /// Number of members.
     #[inline]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.n
     }
 
+    /// End-to-end latency between members `a` and `b`, in ms.
     #[inline]
-    fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
+    pub fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
         debug_assert!(a < self.n && b < self.n);
         self.matrix[a * self.n + b]
     }
 
+    /// The physical host backing member `i`.
     #[inline]
-    fn host(&self, i: MemberIdx) -> PhysNodeId {
+    pub fn host(&self, i: MemberIdx) -> PhysNodeId {
         self.members[i]
     }
 
+    /// Mean physical *link* latency — denominator of the stretch metric.
     #[inline]
-    fn mean_phys_link_latency(&self) -> f64 {
+    pub fn mean_phys_link_latency(&self) -> f64 {
         self.mean_phys_link_latency
     }
 }
@@ -188,7 +190,7 @@ impl CachedOracle {
         self.try_compute_row(src).expect("connectivity was validated at construction")
     }
 
-    /// The row a miss inside [`Self::row`] or [`Latency::d`] asks for: a
+    /// The row a miss inside [`Self::row`] or [`Self::d`] asks for: a
     /// whole-graph Dijkstra, as it was before the row kernel, and the only
     /// row still made that way on a graph the kernel decomposes.
     ///
@@ -266,15 +268,15 @@ impl CachedOracle {
         }
         total as f64 / (k as f64 * n as f64)
     }
-}
 
-impl Latency for CachedOracle {
+    /// Number of members.
     #[inline]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.members.len()
     }
 
-    fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
+    /// End-to-end latency between members `a` and `b`, in ms.
+    pub fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
         debug_assert!(a < self.members.len() && b < self.members.len());
         if a == b {
             return 0;
@@ -293,13 +295,15 @@ impl Latency for CachedOracle {
         d
     }
 
+    /// The physical host backing member `i`.
     #[inline]
-    fn host(&self, i: MemberIdx) -> PhysNodeId {
+    pub fn host(&self, i: MemberIdx) -> PhysNodeId {
         self.members[i]
     }
 
+    /// Mean physical *link* latency — denominator of the stretch metric.
     #[inline]
-    fn mean_phys_link_latency(&self) -> f64 {
+    pub fn mean_phys_link_latency(&self) -> f64 {
         self.mean_phys_link_latency
     }
 }
@@ -542,28 +546,6 @@ impl LatencyOracle {
             LatencyOracle::Cached(o) => o.warm_rows(sources),
             LatencyOracle::Embedded(o) => o.warm_exact_rows(sources),
         }
-    }
-}
-
-impl Latency for LatencyOracle {
-    #[inline]
-    fn len(&self) -> usize {
-        LatencyOracle::len(self)
-    }
-
-    #[inline]
-    fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
-        LatencyOracle::d(self, a, b)
-    }
-
-    #[inline]
-    fn host(&self, i: MemberIdx) -> PhysNodeId {
-        LatencyOracle::host(self, i)
-    }
-
-    #[inline]
-    fn mean_phys_link_latency(&self) -> f64 {
-        LatencyOracle::mean_phys_link_latency(self)
     }
 }
 

@@ -14,12 +14,23 @@
 //!
 //! Lookups use iterative greedy routing via the closest preceding finger,
 //! the textbook O(log n)-hop discipline.
+//!
+//! Membership can change ("notifications can still be implemented by using
+//! the underlying mechanisms just as what happens when peers arrive or
+//! depart"): [`Chord::leave`] removes a node — its keys fall to its
+//! successor — and [`Chord::join`] admits a peer at a fresh identifier.
+//! Maintenance is modeled as an immediate, correct stabilization pass (the
+//! eventual consistency a real Chord converges to): after each event the
+//! routing state is what the build rule yields over the live identifiers,
+//! and the *logical-graph delta* is applied edge by edge so the PROP driver
+//! can resync exactly the affected nodes.
 
-use crate::logical::Slot;
+use crate::logical::{LogicalGraph, Slot};
 use crate::net::OverlayNet;
 use crate::placement::Placement;
 use crate::{Lookup, RouteOutcome};
 use prop_engine::SimRng;
+use prop_netsim::oracle::MemberIdx;
 use prop_netsim::LatencyOracle;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -40,19 +51,23 @@ impl Default for ChordParams {
     }
 }
 
-/// The identifier-ring structure. Immutable once built; placement mobility
-/// (PROP-G) happens in the [`OverlayNet`]'s [`Placement`].
+/// The identifier-ring structure. PROP-G's placement mobility happens in the
+/// [`OverlayNet`]'s [`Placement`] and never touches it; only
+/// [`Chord::join`] / [`Chord::leave`] change it.
 #[derive(Clone, Debug)]
 pub struct Chord {
-    /// Identifier of each slot.
+    params: ChordParams,
+    /// Identifier of each slot (a departed slot keeps the one it held).
     ids: Vec<u64>,
-    /// Slots sorted by identifier (the ring).
+    /// Live slots sorted by identifier (the ring).
     ring: Vec<Slot>,
     /// Per slot: deduplicated outgoing routing entries
-    /// (successor list ∪ fingers), sorted by slot index.
+    /// (successor list ∪ fingers), sorted by slot index. Empty once departed.
     table: Vec<Vec<Slot>>,
-    /// Immediate successor per slot.
+    /// Immediate successor per live slot.
     successor: Vec<Slot>,
+    /// The `"chord-build"` stream, kept to draw the identifiers of joiners.
+    rng: SimRng,
 }
 
 /// Is `x` in the half-open circular interval `(a, b]`?
@@ -68,6 +83,70 @@ fn in_interval_oc(a: u64, x: u64, b: u64) -> bool {
     }
 }
 
+/// Position on `ring` (slots sorted by identifier) of the first identifier
+/// ≥ `key`; `ring.len()` when all are smaller, which callers wrap to 0.
+#[inline]
+fn first_at_or_after(ids: &[u64], ring: &[Slot], key: u64) -> usize {
+    ring.partition_point(|t| ids[t.index()] < key)
+}
+
+/// The textbook finger choice: the first node at or after `id + 2^i`.
+fn canonical(_slot: Slot, candidates: &[Slot], _i: u32) -> Slot {
+    candidates[0]
+}
+
+/// The successor/finger rule: routing entries and immediate successor of
+/// every slot on `ring`, indexed by slot (slots off the ring get no
+/// entries). `select` is [`Chord::build_with_selector`]'s.
+fn routing_state(
+    ids: &[u64],
+    ring: &[Slot],
+    successors: usize,
+    mut select: impl FnMut(Slot, &[Slot], u32) -> Slot,
+) -> (Vec<Vec<Slot>>, Vec<Slot>) {
+    // How many legal candidates the selector sees per finger: enough for
+    // PNS to matter, small enough to stay O(n log n).
+    const CANDIDATES: usize = 4;
+    let n = ring.len();
+    let mut successor = vec![Slot(0); ids.len()];
+    let mut table: Vec<Vec<Slot>> = vec![Vec::new(); ids.len()];
+
+    for (r, &s) in ring.iter().enumerate() {
+        successor[s.index()] = ring[(r + 1) % n];
+        let mut entries: Vec<Slot> = Vec::new();
+        // Successor list.
+        for k in 1..=successors.min(n - 1) {
+            entries.push(ring[(r + k) % n]);
+        }
+        // Fingers.
+        let my_id = ids[s.index()];
+        for i in 0..ID_BITS {
+            let target = my_id.wrapping_add(1u64 << i);
+            let pos = first_at_or_after(ids, ring, target);
+            // The canonical finger and the next few ring nodes are all
+            // legal "≥ target" choices; present them to the selector.
+            let mut cands = Vec::with_capacity(CANDIDATES);
+            for k in 0..CANDIDATES.min(n) {
+                let c = ring[(pos + k) % n];
+                if c != s {
+                    cands.push(c);
+                }
+            }
+            if cands.is_empty() {
+                continue;
+            }
+            let chosen = select(s, &cands, i);
+            debug_assert!(cands.contains(&chosen), "selector must pick a candidate");
+            entries.push(chosen);
+        }
+        entries.sort_unstable();
+        entries.dedup();
+        entries.retain(|&e| e != s);
+        table[s.index()] = entries;
+    }
+    (table, successor)
+}
+
 impl Chord {
     /// Build a Chord ring of `oracle.len()` slots with random distinct
     /// identifiers. Finger entries follow the standard rule (first node at
@@ -77,7 +156,7 @@ impl Chord {
         oracle: Arc<LatencyOracle>,
         rng: &mut SimRng,
     ) -> (Chord, OverlayNet) {
-        Self::build_with_selector(params, oracle, rng, |_slot, candidates, _| candidates[0])
+        Self::build_with_selector(params, oracle, rng, canonical)
     }
 
     /// Build with a custom finger-candidate selector, the hook the PNS
@@ -88,7 +167,7 @@ impl Chord {
         params: ChordParams,
         oracle: Arc<LatencyOracle>,
         rng: &mut SimRng,
-        mut select: impl FnMut(Slot, &[Slot], u32) -> Slot,
+        select: impl FnMut(Slot, &[Slot], u32) -> Slot,
     ) -> (Chord, OverlayNet) {
         let n = oracle.len();
         assert!(n >= 2, "Chord needs at least two nodes");
@@ -110,73 +189,77 @@ impl Chord {
 
         let mut ring: Vec<Slot> = (0..n as u32).map(Slot).collect();
         ring.sort_by_key(|s| ids[s.index()]);
-
-        // rank[slot] = position on the ring.
-        let mut rank = vec![0usize; n];
-        for (r, &s) in ring.iter().enumerate() {
-            rank[s.index()] = r;
-        }
-
-        let mut successor = vec![Slot(0); n];
-        let mut table: Vec<Vec<Slot>> = vec![Vec::new(); n];
-        // How many legal candidates the selector sees per finger: enough for
-        // PNS to matter, small enough to stay O(n log n).
-        const CANDIDATES: usize = 4;
-
-        for &s in &ring {
-            let r = rank[s.index()];
-            successor[s.index()] = ring[(r + 1) % n];
-            let mut entries: Vec<Slot> = Vec::new();
-            // Successor list.
-            for k in 1..=params.successors.min(n - 1) {
-                entries.push(ring[(r + k) % n]);
-            }
-            // Fingers.
-            let my_id = ids[s.index()];
-            for i in 0..ID_BITS {
-                let target = my_id.wrapping_add(1u64 << i);
-                // First ring position with id ≥ target (circular).
-                let pos = ring.partition_point(|t| ids[t.index()] < target) % n;
-                // The canonical finger and the next few ring nodes are all
-                // legal "≥ target" choices; present them to the selector.
-                let mut cands = Vec::with_capacity(CANDIDATES);
-                for k in 0..CANDIDATES.min(n) {
-                    let c = ring[(pos + k) % n];
-                    if c != s {
-                        cands.push(c);
-                    }
-                }
-                if cands.is_empty() {
-                    continue;
-                }
-                let chosen = select(s, &cands, i);
-                debug_assert!(cands.contains(&chosen), "selector must pick a candidate");
-                entries.push(chosen);
-            }
-            entries.sort_unstable();
-            entries.dedup();
-            entries.retain(|&e| e != s);
-            table[s.index()] = entries;
-        }
+        let (table, successor) = routing_state(&ids, &ring, params.successors, select);
 
         // Undirected logical graph = union of directed routing entries.
         let g = crate::table::graph_from_table(n, &table);
 
-        let chord = Chord { ids, ring, table, successor };
+        let chord = Chord { params, ids, ring, table, successor, rng };
         let net = OverlayNet::new(g, Placement::identity(n), oracle);
         (chord, net)
     }
 
-    /// Identifier of `s`.
+    /// Stabilize after a membership change: the build rule with the
+    /// canonical selector over the current ring, `g` moved to the new edge
+    /// union edge by edge. Returns the live slots whose neighbor lists
+    /// changed, sorted, so downstream resync order is deterministic.
+    fn restabilize(&mut self, g: &mut LogicalGraph) -> Vec<Slot> {
+        let (table, successor) =
+            routing_state(&self.ids, &self.ring, self.params.successors, canonical);
+        let affected = crate::table::apply_table_delta(g, &self.table, &table);
+        self.table = table;
+        self.successor = successor;
+        affected
+    }
+
+    /// The peer at `slot` departs: its keys fall to its successor and every
+    /// finger that pointed at it is re-resolved. Returns the affected slots
+    /// (for the PROP driver's resync). Panics, before changing anything, if
+    /// `slot` already left or is one of the last two members.
+    pub fn leave(&mut self, net: &mut OverlayNet, slot: Slot) -> Vec<Slot> {
+        let pos = first_at_or_after(&self.ids, &self.ring, self.ids[slot.index()]);
+        assert!(self.ring.get(pos) == Some(&slot), "leaving twice");
+        assert!(self.ring.len() > 2, "ring too small");
+        self.ring.remove(pos);
+        net.graph_mut().remove_slot(slot);
+        net.placement_mut().vacate(slot);
+        self.restabilize(net.graph_mut())
+    }
+
+    /// `peer` (absent) joins with a fresh random identifier, splitting its
+    /// successor's key range and acquiring its own tables. Returns its new
+    /// slot and the affected slots.
+    pub fn join(&mut self, net: &mut OverlayNet, peer: MemberIdx) -> (Slot, Vec<Slot>) {
+        assert_eq!(net.graph().num_slots(), self.ids.len(), "ring and graph number slots alike");
+        let slot = net.graph_mut().add_slot();
+        net.placement_mut().occupy(slot, peer);
+        let (id, pos) = loop {
+            let id: u64 = self.rng.range(0..u64::MAX);
+            let pos = first_at_or_after(&self.ids, &self.ring, id);
+            if self.ring.get(pos).is_none_or(|t| self.ids[t.index()] != id) {
+                break (id, pos);
+            }
+        };
+        self.ids.push(id);
+        self.ring.insert(pos, slot);
+        let affected = self.restabilize(net.graph_mut());
+        (slot, affected)
+    }
+
+    /// Number of live ring members.
+    pub fn ring_len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// Identifier of `s` (of a departed slot: the one it held).
     #[inline]
     pub fn id(&self, s: Slot) -> u64 {
         self.ids[s.index()]
     }
 
-    /// The slot responsible for `key`: its successor on the ring.
+    /// The live slot responsible for `key`: its successor on the ring.
     pub fn owner_of(&self, key: u64) -> Slot {
-        let pos = self.ring.partition_point(|t| self.ids[t.index()] < key) % self.ring.len();
-        self.ring[pos]
+        self.ring[first_at_or_after(&self.ids, &self.ring, key) % self.ring.len()]
     }
 
     /// Immediate ring successor of `s`.
@@ -389,5 +472,152 @@ mod tests {
         let (c2, _) = build(20, 10);
         assert_eq!(c1.ids, c2.ids);
         assert_eq!(c1.table, c2.table);
+    }
+
+    fn assert_all_lookups_correct(ch: &Chord, net: &OverlayNet) {
+        let live: Vec<Slot> = net.graph().live_slots().collect();
+        for &a in &live {
+            for &b in &live {
+                let out = ch.lookup(net, a, b).unwrap();
+                if a == b {
+                    assert_eq!(out.hops, 0);
+                }
+                assert!(out.hops as usize <= live.len());
+            }
+        }
+    }
+
+    /// `k` random leaves; returns the departed peers.
+    fn leave_some(ch: &mut Chord, net: &mut OverlayNet, rng: &mut SimRng, k: usize) -> Vec<usize> {
+        (0..k)
+            .map(|_| {
+                let live: Vec<Slot> = net.graph().live_slots().collect();
+                let victim = *rng.pick(&live).unwrap();
+                let peer = net.peer(victim);
+                let affected = ch.leave(net, victim);
+                assert!(!affected.contains(&victim));
+                peer
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fresh_ring_routes_correctly() {
+        let (ch, net) = build(25, 1);
+        assert!(net.graph().is_connected());
+        assert_all_lookups_correct(&ch, &net);
+    }
+
+    #[test]
+    fn leaves_keep_the_ring_correct() {
+        let (mut ch, mut net) = build(25, 2);
+        let mut rng = SimRng::seed_from(2);
+        for _ in 0..10 {
+            leave_some(&mut ch, &mut net, &mut rng, 1);
+            assert!(net.graph().is_connected());
+            assert_all_lookups_correct(&ch, &net);
+        }
+        assert_eq!(ch.ring_len(), 15);
+    }
+
+    #[test]
+    fn joins_keep_the_ring_correct() {
+        let (mut ch, mut net) = build(20, 3);
+        // Remove five peers, then re-admit them at new slots.
+        let absent = leave_some(&mut ch, &mut net, &mut SimRng::seed_from(3), 5);
+        for peer in absent {
+            let (slot, affected) = ch.join(&mut net, peer);
+            assert!(net.graph().is_alive(slot));
+            assert!(!affected.is_empty());
+            assert!(net.graph().is_connected());
+            assert_all_lookups_correct(&ch, &net);
+        }
+        assert_eq!(ch.ring_len(), 20);
+        assert!(net.placement().is_consistent());
+    }
+
+    #[test]
+    fn owner_moves_to_successor_after_leave() {
+        let (mut ch, mut net) = build(20, 4);
+        let victim = Slot(7);
+        let key = ch.id(victim);
+        assert_eq!(ch.owner_of(key), victim);
+        ch.leave(&mut net, victim);
+        let new_owner = ch.owner_of(key);
+        assert_ne!(new_owner, victim);
+        // The new owner's id is the smallest ≥ key among the living (or
+        // wraps): verify minimal clockwise distance.
+        let clockwise = |s: Slot| ch.id(s).wrapping_sub(key);
+        for s in net.graph().live_slots() {
+            assert!(clockwise(new_owner) <= clockwise(s));
+        }
+    }
+
+    #[test]
+    fn propg_swaps_compose_with_churn() {
+        let (mut ch, mut net) = build(25, 5);
+        let mut rng = SimRng::seed_from(5);
+        for round in 0..8 {
+            // Swap two random live peers (what PROP-G does)…
+            let live: Vec<Slot> = net.graph().live_slots().collect();
+            let a = *rng.pick(&live).unwrap();
+            let b = *rng.pick(&live).unwrap();
+            if a != b {
+                net.swap_peers(a, b);
+            }
+            // …then churn.
+            if round % 2 == 0 {
+                let absent = leave_some(&mut ch, &mut net, &mut rng, 1);
+                ch.join(&mut net, absent[0]);
+            }
+            assert!(net.graph().is_connected());
+            assert!(net.placement().is_consistent());
+            assert_all_lookups_correct(&ch, &net);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "leaving twice")]
+    fn double_leave_rejected() {
+        let (mut ch, mut net) = build(10, 6);
+        ch.leave(&mut net, Slot(3));
+        ch.leave(&mut net, Slot(3));
+    }
+
+    #[test]
+    fn leave_that_would_empty_the_ring_changes_nothing() {
+        let (mut ch, mut net) = build(3, 11);
+        ch.leave(&mut net, Slot(1));
+        let before = ch.lookup(&net, Slot(0), Slot(2));
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ch.leave(&mut net, Slot(2));
+        }));
+        assert!(refused.is_err(), "a two-member ring must refuse a leave");
+        assert_eq!(ch.ring_len(), 2);
+        assert_eq!(net.graph().num_live(), 2);
+        assert!(net.placement().is_consistent());
+        assert_eq!(ch.lookup(&net, Slot(0), Slot(2)), before);
+    }
+
+    #[test]
+    fn churned_ring_equals_the_build_rule_over_live_ids() {
+        // After k leaves and k joins the routing state is what the one
+        // routine yields over the live identifiers, and the graph is the
+        // edge union of those tables: incremental maintenance ≡ full rebuild.
+        let (mut ch, mut net) = build(30, 12);
+        let absent = leave_some(&mut ch, &mut net, &mut SimRng::seed_from(12), 8);
+        for peer in absent {
+            ch.join(&mut net, peer);
+        }
+        let mut ring: Vec<Slot> = net.graph().live_slots().collect();
+        ring.sort_by_key(|&s| ch.id(s));
+        let (table, successor) = routing_state(&ch.ids, &ring, ch.params.successors, canonical);
+        assert_eq!(ch.ring, ring);
+        assert_eq!(ch.table, table);
+        assert_eq!(ch.successor, successor);
+        let rebuilt = crate::table::graph_from_table(ch.ids.len(), &table);
+        for s in 0..ch.ids.len() as u32 {
+            assert_eq!(net.graph().neighbors(Slot(s)), rebuilt.neighbors(Slot(s)), "slot {s}");
+        }
     }
 }

@@ -25,7 +25,6 @@
 
 pub mod can;
 pub mod chord;
-pub mod chord_dynamic;
 pub mod gnutella;
 pub mod iso;
 pub mod kademlia;

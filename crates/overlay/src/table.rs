@@ -1,12 +1,11 @@
-//! Shared `Vec<Vec<Slot>>` routing-table → logical-graph helpers.
+//! `Vec<Vec<Slot>>` routing-table → logical-graph helpers.
 //!
-//! Both Chord builders keep a per-slot routing table (successor list +
-//! fingers) and derive the undirected [`LogicalGraph`] as the union of the
-//! directed entries. The static builder wires the union once; the dynamic
-//! one diffs old vs new tables and applies the edge delta so churn only
-//! touches affected nodes. Those two loops used to be copy-pasted; they
-//! live here now so any future table-based overlay (Pastry leaf sets, say)
-//! reuses them.
+//! Chord keeps a per-slot routing table (successor list + fingers) and
+//! derives the undirected [`LogicalGraph`] as the union of the directed
+//! entries. The build wires the union once; a join or leave diffs old vs
+//! new tables and applies the edge delta so churn only touches affected
+//! nodes. Kept apart from Chord so any future table-based overlay (Pastry
+//! leaf sets, say) reuses them.
 
 use crate::logical::{LogicalGraph, Slot};
 use std::collections::HashSet;

@@ -39,7 +39,7 @@
 //! |---|---|
 //! | [`engine`] | sim clock, event queue, deterministic RNG, Markov backoff timer |
 //! | [`netsim`] | transit–stub generator, Dijkstra, the `d(u,v)` latency oracle |
-//! | [`overlay`] | logical graph + placement abstraction; Gnutella, Chord (static + dynamic), Pastry, Kademlia, CAN |
+//! | [`overlay`] | logical graph + placement abstraction; Gnutella, Chord (with join/leave), Pastry, Kademlia, CAN |
 //! | [`core`] | **PROP-G / PROP-O** — the paper's contribution |
 //! | [`faults`] | deterministic fault plane: loss/dup/reorder, latency spikes, partitions, crash/restart, scripted scenarios, invariant harness |
 //! | [`baselines`] | LTM, PNS, PRS, PIS, selfish rewiring |
@@ -66,15 +66,14 @@ pub mod prelude {
         transit_bisection, FaultCounters, FaultHarness, FaultPlane, FaultScript,
     };
     pub use prop_metrics::{
-        avg_lookup_latency, link_stretch, par_avg_lookup_latency, par_path_stretch, path_stretch,
-        FaultReport, LatencySummary, OracleCacheReport, StretchSummary, TimeSeries,
+        avg_lookup_latency, link_stretch, path_stretch, FaultReport, LatencySummary,
+        OracleCacheReport, StretchSummary, TimeSeries,
     };
     pub use prop_netsim::{
         generate, CacheStats, LatencyOracle, OracleConfig, PhysGraph, TransitStubParams,
     };
     pub use prop_overlay::can::Can;
     pub use prop_overlay::chord::{Chord, ChordParams};
-    pub use prop_overlay::chord_dynamic::DynamicChord;
     pub use prop_overlay::gnutella::{Gnutella, GnutellaParams};
     pub use prop_overlay::kademlia::{Kademlia, KademliaParams};
     pub use prop_overlay::pastry::{Pastry, PastryParams};

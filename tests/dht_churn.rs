@@ -4,15 +4,14 @@
 //! identifiers; every invariant holds throughout.
 
 use prop::core::{PropConfig, ProtocolSim};
-use prop::overlay::chord_dynamic::DynamicChord;
 use prop::prelude::*;
 use std::sync::Arc;
 
-fn setup(n: usize, seed: u64) -> (DynamicChord, ProtocolSim, SimRng) {
+fn setup(n: usize, seed: u64) -> (Chord, ProtocolSim, SimRng) {
     let mut rng = SimRng::seed_from(seed);
     let phys = generate(&TransitStubParams::ts_small(), &mut rng);
     let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
-    let (dc, net) = DynamicChord::build(ChordParams::default(), oracle, &mut rng);
+    let (dc, net) = Chord::build(ChordParams::default(), oracle, &mut rng);
     let sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
     (dc, sim, rng)
 }
