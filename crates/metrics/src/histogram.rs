@@ -5,7 +5,7 @@
 //! set as quantiles and split a workload's outcomes by destination class.
 
 use prop_engine::stats::percentile;
-use prop_overlay::{Lookup, OverlayNet, Slot};
+use prop_overlay::{FloodScratch, Lookup, OverlayNet, Slot};
 use serde::{Deserialize, Serialize};
 
 /// Quantile summary of a latency sample set.
@@ -57,8 +57,9 @@ pub fn class_breakdown(
 ) -> ClassBreakdown {
     let mut matching = Vec::new();
     let mut rest = Vec::new();
+    let mut scratch = FloodScratch::new();
     for &(src, dst) in pairs {
-        if let Some(out) = overlay.lookup(net, src, dst) {
+        if let Some(out) = overlay.lookup_with(net, src, dst, &mut scratch) {
             if class(dst) {
                 matching.push(out.latency_ms as f64);
             } else {

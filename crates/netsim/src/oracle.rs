@@ -424,7 +424,8 @@ impl LatencyOracle {
 
     /// End-to-end latency between members `a` and `b`, in ms. Exact on the
     /// dense and row-cache tiers; the calibrated O(1) estimate on the
-    /// embedded tier.
+    /// embedded tier. A metric on every tier; flood pruning relies on it —
+    /// `d_exact` and `d` must never be mixed inside one flood.
     #[inline]
     pub fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
         match self {
@@ -598,6 +599,44 @@ mod tests {
             for b in 0..o.len() {
                 for c in 0..o.len() {
                     assert!(o.d(a, b) <= o.d(a, c) + o.d(c, b));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn d_is_a_metric_on_every_tier() {
+        // The premise of goal-directed floods (`prop_overlay::FloodScratch`):
+        // `d(u, dst)` bounds every route `u → … → dst` from below only if `d`
+        // is symmetric, zero on the diagonal and obeys the triangle
+        // inequality — on the row cache also while rows are evicted mid-loop.
+        let n = 30;
+        for seed in 0..32u64 {
+            let tiers = [
+                OracleConfig::default(),
+                OracleConfig { cache_shards: 1, ..OracleConfig::cached(3 * n * 4) },
+                OracleConfig::embedded(),
+            ];
+            for cfg in tiers {
+                let mut rng = SimRng::seed_from(seed);
+                let g = generate(&TransitStubParams::tiny(), &mut rng);
+                let o = LatencyOracle::select_and_build_with(&g, n, &mut rng, &cfg);
+                let tier = o.tier();
+                for a in 0..n {
+                    assert_eq!(o.d(a, a), 0, "seed {seed} {tier}: d({a},{a})");
+                    for b in 0..n {
+                        let ab = o.d(a, b);
+                        assert_eq!(ab, o.d(b, a), "seed {seed} {tier}: d({a},{b}) asymmetric");
+                        for c in 0..n {
+                            assert!(
+                                o.d(a, c) <= ab + o.d(b, c),
+                                "seed {seed} {tier}: d({a},{c}) > d({a},{b}) + d({b},{c})"
+                            );
+                        }
+                    }
+                }
+                if let LatencyOracle::Cached(c) = &o {
+                    assert!(c.cache_stats().evictions > 0, "seed {seed}: cache never evicted");
                 }
             }
         }

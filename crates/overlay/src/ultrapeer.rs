@@ -148,9 +148,15 @@ impl Ultrapeer {
         }
         let max_hops = self.params.flood_ttl + 2;
         let relays = |u: Slot| u == src || self.is_ultrapeer(u);
-        scratch.run(net.graph(), src, dst, max_hops, relays, |u, v| {
-            net.d(u, v) as u64 + net.proc_delay(v) as u64
-        })
+        scratch.run(
+            net.graph(),
+            src,
+            dst,
+            max_hops,
+            relays,
+            |u, v| net.d(u, v) as u64 + net.proc_delay(v) as u64,
+            |u| net.d(dst, u) as u64,
+        )
     }
 }
 
