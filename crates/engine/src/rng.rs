@@ -254,4 +254,121 @@ mod tests {
             assert_eq!(a.range(0u64..u64::MAX), b.range(0u64..u64::MAX), "streams diverged");
         }
     }
+    /// Everything `SimRng` hands out, drawn once from a root stream and from
+    /// both kinds of fork. The spans just over half the type's width make
+    /// the widening-multiply sampler reject about every other word, so the
+    /// rejection loop is part of what is pinned.
+    fn pinned_draws(mut r: SimRng) -> Vec<u64> {
+        let mut out = Vec::new();
+        for _ in 0..4 {
+            out.push(r.range(0..10u32) as u64);
+            out.push(r.range(5..50u32) as u64);
+            out.push(r.range(0..1_000_000u64));
+            out.push(r.range(1..=40u64));
+            out.push(r.range(0..3usize) as u64);
+            out.push(r.range(12..=40usize) as u64);
+        }
+        for _ in 0..8 {
+            out.push(r.range(0..u32::MAX / 2 + 2) as u64);
+            out.push(r.range(0..u64::MAX / 2 + 2));
+            out.push(r.range(1..=u64::MAX / 2 + 2));
+            out.push(r.range(0..usize::MAX / 2 + 2) as u64);
+            out.push(r.range(0..=usize::MAX / 2 + 1) as u64);
+        }
+        out.push(r.range(0..u64::MAX));
+        for _ in 0..4 {
+            out.push(r.range(0.0..1.0f64).to_bits());
+            out.push(r.range(2.5..1e9f64).to_bits());
+            out.push(r.unit().to_bits());
+            out.push(r.exp_millis(500.0));
+            out.push(r.chance(0.3) as u64);
+        }
+        let xs: Vec<u64> = (100..117).collect();
+        for _ in 0..4 {
+            out.push(*r.pick(&xs).unwrap());
+            out.push(r.pick_rank(1000).unwrap() as u64);
+            out.push(r.pick_index(1000).unwrap() as u64);
+        }
+        let mut shuffled = xs.clone();
+        r.shuffle(&mut shuffled);
+        out.extend(shuffled);
+        out.extend(r.sample_distinct(&xs, 5));
+        out.push(r.range(0..u64::MAX));
+        out
+    }
+
+    // Captured from the build against rand 0.8.5 + rand_chacha 0.3.1 semantics that
+    // `results/fig5a.json` was produced with (benchmark/run.sh --verify-ref).
+    #[rustfmt::skip]
+    const PINNED_ROOT: [u64; 120] = [
+        2, 35, 950275, 18, 0, 35, 6, 42, 536468, 16, 2, 40, 1, 17, 981630, 25, 1, 23, 2, 13, 337292,
+        21, 2, 20, 435157070, 2021816226763580918, 3913805721910573081, 8130607438556926106,
+        6051664685982598602, 1015626185, 2670831831937069428, 8707897339450368160,
+        5827842678585485307, 3492645961308305338, 1857440533, 2129029170240289513,
+        3378749838720817435, 4077458282464529548, 1269815056785573977, 2109981113,
+        8356960713175337400, 7741288986323831555, 5575448452303866328, 6981285117486208173,
+        746262210, 332373446105067566, 2894035854493544044, 6077280017354835701,
+        7799289295441432682, 1298578550, 8499532231006048789, 3576273284715848067,
+        4250525761524187772, 3200087622671113165, 686824298, 571781823538465986,
+        6609056168053145631, 5580740912073064740, 1001436042748482201, 218683878,
+        1034654103737574844, 8990274503654613236, 3361674651743970056, 8475393571188954225,
+        17811977381319994915, 4599247091865142572, 4731575507505497977, 4606552251900370486, 1183,
+        0, 4590078839944858896, 4738254666784012235, 4598265004225497798, 164, 1,
+        4602897718229233784, 4740701437767167083, 4597641187676518836, 1349, 1, 4601255891075133152,
+        4728755230506702625, 4596510239959277320, 989, 0, 115, 889, 226, 111, 716, 599, 103, 967,
+        907, 110, 399, 544, 114, 100, 101, 110, 109, 103, 107, 112, 105, 113, 115, 116, 108, 104,
+        106, 111, 102, 110, 109, 106, 104, 114, 16593647956177315884
+    ];
+    #[rustfmt::skip]
+    const PINNED_FORK: [u64; 120] = [
+        4, 40, 466800, 25, 1, 23, 4, 43, 21296, 36, 2, 40, 6, 27, 774919, 39, 1, 31, 8, 47, 447510,
+        14, 1, 34, 1966087084, 4250471283055113244, 7836248743564064784, 1667020578495083899,
+        855278014584596405, 1273998354, 130819293503891263, 6631377326441177458,
+        6967073555256202911, 1101729744305214720, 1930281012, 8390280864129039254,
+        6345975696996417604, 6405971417792841366, 1765966578015445660, 485082335,
+        8818355519774788097, 1177846606877614868, 1710079849507090293, 1146098274180929122,
+        702623745, 8499600452712949966, 1786728648525206587, 7773404483427291483,
+        1302730500563569839, 213403862, 1466549148524069466, 970625789988735999, 781639987516612109,
+        5589394010540104840, 1937700199, 1981484130838342798, 5723999034580587045,
+        1597142546190441708, 628605565578247369, 1333011184, 3278888690930533379,
+        7232364716468676634, 8237425960412462295, 6277438453365376650, 7970292517898636297,
+        4597836574260300776, 4736966351574602285, 4589035704160711744, 620, 0, 4584716816426211328,
+        4741033381703625679, 4602729246940899375, 80, 1, 4605463617262529166, 4727184877840019927,
+        4605127726578565091, 543, 1, 4604077123163605014, 4737132280860781532, 4597747948094206028,
+        550, 0, 100, 472, 851, 113, 307, 450, 111, 799, 42, 115, 211, 731, 103, 111, 105, 115, 112,
+        102, 110, 114, 109, 107, 106, 113, 101, 104, 100, 108, 116, 115, 104, 101, 113, 100,
+        2573707953640812580
+    ];
+    #[rustfmt::skip]
+    const PINNED_FORK_INDEXED: [u64; 120] = [
+        5, 46, 211058, 1, 0, 24, 3, 49, 461190, 24, 1, 34, 3, 15, 82283, 36, 0, 13, 5, 42, 281521,
+        21, 1, 36, 432925426, 6221448620676793628, 3765756322199450954, 1022079457082704028,
+        6628973872137964662, 600918916, 6269804459421893551, 5643492572180726458,
+        4280770152249926220, 1995927562469552888, 273460154, 1308260505077740605,
+        4481142725102312574, 3085489924245500799, 5925376596255782910, 663216150,
+        624723173718620442, 8094304695190760831, 8686091487337408580, 3819744115042028662,
+        1959131265, 6071101508196204108, 3611077273550017172, 4416905145026571668,
+        1242096051836919666, 430578066, 3456133576004932403, 7937956393785141289,
+        5740532662665909670, 5769758710015081207, 1138617485, 8242978692387146894,
+        482829487462884302, 318109836649574427, 3586349159034934080, 835396914, 60628139118647781,
+        2951306339870808711, 123747866593858874, 1515315507315559488, 10389544217463409077,
+        4594887215701076176, 4740810956844790538, 4605554252035502680, 50, 0, 4602547198075192284,
+        4739831316025784494, 4605775618897186347, 1307, 0, 4585511295429686656, 4729897803200770186,
+        4590734809198792400, 1205, 0, 4605786569732799446, 4740810080946248287, 4595682466799560084,
+        160, 1, 113, 478, 786, 115, 18, 204, 114, 146, 407, 107, 43, 650, 113, 107, 109, 103, 100,
+        112, 108, 111, 115, 114, 106, 101, 110, 102, 116, 104, 105, 111, 109, 108, 103, 101,
+        13380557878650111132
+    ];
+
+    #[test]
+    fn stream_is_pinned() {
+        let root = SimRng::seed_from(42);
+        assert_eq!(pinned_draws(root.clone()), PINNED_ROOT, "root stream");
+        assert_eq!(pinned_draws(root.fork("overlay")), PINNED_FORK, "fork(\"overlay\")");
+        assert_eq!(
+            pinned_draws(root.fork_indexed("peer", 3)),
+            PINNED_FORK_INDEXED,
+            "fork_indexed(\"peer\", 3)"
+        );
+    }
 }
