@@ -21,10 +21,9 @@
 
 use prop_engine::{Duration, EventQueue, SimRng, SimTime};
 use prop_overlay::{OverlayNet, Slot};
-use serde::{Deserialize, Serialize};
 
 /// LTM parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LtmConfig {
     /// Detector TTL (the paper's "small region"; LTM uses 2).
     pub detector_ttl: u32,
@@ -54,7 +53,7 @@ impl Default for LtmConfig {
 }
 
 /// Cumulative LTM message accounting (detector floods dominate).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LtmOverhead {
     pub steps: u64,
     pub detector_msgs: u64,

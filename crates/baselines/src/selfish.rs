@@ -16,10 +16,9 @@
 
 use prop_engine::{Duration, EventQueue, SimRng, SimTime};
 use prop_overlay::{OverlayNet, Slot};
-use serde::{Deserialize, Serialize};
 
 /// Selfish rewiring parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SelfishConfig {
     /// Per-peer step cadence (matched to PROP's `INIT_TIMER` for fair
     /// time-axis comparisons).

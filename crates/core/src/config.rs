@@ -1,10 +1,9 @@
 //! Protocol parameters — the named constants of the paper's §3.2 and §5.1.
 
 use prop_engine::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Which member of the PROP family to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Policy {
     /// Exchange *all* neighbors (swap positions / identifiers). Safe on any
     /// overlay, structured or unstructured.
@@ -21,7 +20,7 @@ pub enum Policy {
 }
 
 /// How a peer locates its exchange counterpart.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProbeMode {
     /// TTL-limited random walk of `nhops` hops (the deployable mechanism;
     /// paper default `nhops = 2`).
@@ -33,7 +32,7 @@ pub enum ProbeMode {
 }
 
 /// Full protocol configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PropConfig {
     pub policy: Policy,
     pub probe: ProbeMode,

@@ -21,7 +21,6 @@
 use crate::config::Policy;
 use prop_overlay::walk::WalkPath;
 use prop_overlay::{OverlayNet, Slot};
-use serde::{Deserialize, Serialize};
 
 /// What an exchange will do, plus its evaluated benefit.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,7 +46,7 @@ impl ExchangePlan {
 }
 
 /// The two exchange shapes of the PROP family.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanKind {
     /// PROP-G: exchange all neighbors — swap positions/identifiers.
     SwapAll,

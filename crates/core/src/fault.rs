@@ -18,8 +18,6 @@
 //! configuration yields bit-identical decisions (and therefore counters) on
 //! every run.
 
-use serde::{Deserialize, Serialize};
-
 /// Which §3.2 message a delivery decision is about.
 ///
 /// The per-trial message sequence a driver submits to the plane:
@@ -30,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// plan — in message-level mode this is delivered one probe-duration after
 /// launch, so the overlay may have moved or the counterpart crashed
 /// underneath it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MsgKind {
     Walk,
     Exchange,
@@ -72,7 +70,7 @@ impl Delivery {
 }
 
 /// Cumulative fault accounting, mirroring [`crate::sim::Overhead`] in style.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Messages the plane refused to deliver (random loss + partition cuts).
     pub drops: u64,

@@ -243,7 +243,7 @@ mod tests {
         for a in 0..60u32 {
             for b in (a + 1)..60u32 {
                 let plan = crate::exchange::plan_propg(&net, Slot(a), Slot(b));
-                if best.as_ref().map_or(true, |p| plan.var > p.var) {
+                if best.as_ref().is_none_or(|p| plan.var > p.var) {
                     best = Some(plan);
                 }
             }

@@ -48,7 +48,6 @@ use crate::protocol::NodeState;
 use prop_engine::{Duration, EventQueue, SimRng, SimTime};
 use prop_overlay::walk::{WalkPath, WalkScratch};
 use prop_overlay::{OverlayNet, Slot};
-use serde::{Deserialize, Serialize};
 use std::marker::PhantomData;
 
 /// Trials per prefetch batch. Trials execute one at a time (events are
@@ -62,7 +61,7 @@ use std::marker::PhantomData;
 const DEFAULT_TRIAL_BATCH: usize = 64;
 
 /// §4.3 cost accounting, cumulative since simulation start.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Overhead {
     /// Probe trials performed.
     pub trials: u64,
@@ -99,7 +98,7 @@ impl Overhead {
 
 /// Per-outcome trial accounting: every launched trial resolves into
 /// exactly one of the four buckets (up to those still in flight).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AsyncStats {
     /// Probe trials launched.
     pub launched: u64,
@@ -822,14 +821,14 @@ mod tests {
             self.calls += 1;
             self.rulings += 1;
             crate::Delivery {
-                delivered: self.rulings % 7 != 0,
-                duplicate: self.rulings % 5 == 0,
-                extra_delay_ms: if self.rulings % 4 == 0 { 3 } else { 0 },
+                delivered: !self.rulings.is_multiple_of(7),
+                duplicate: self.rulings.is_multiple_of(5),
+                extra_delay_ms: if self.rulings.is_multiple_of(4) { 3 } else { 0 },
             }
         }
         fn is_up(&mut self, _: SimTime, _: usize) -> bool {
             self.calls += 1;
-            self.calls % 13 != 0
+            !self.calls.is_multiple_of(13)
         }
         fn link_extra_ms(&mut self, _: SimTime, _: usize, _: usize) -> u64 {
             self.calls += 1;

@@ -18,13 +18,12 @@
 use crate::sim::{PropSim, Timing};
 use prop_engine::SimTime;
 use prop_overlay::{OverlayNet, Slot};
-use serde::{Deserialize, Serialize};
 
 /// One scripted workload event. Times live outside the event (the plane
 /// returns `(SimTime, TrafficEvent)` pairs); domains are transit-domain
 /// indices from `PhysGraph::transit_domain_of`, taken modulo the topology's
 /// actual domain count at apply time so one script drives any preset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrafficEvent {
     /// A departed peer (preferentially one homed in `domain`) rejoins.
     Join { domain: u16 },
@@ -48,12 +47,14 @@ impl TrafficEvent {
 
 /// Cumulative counts of events a plane has emitted (consumed via
 /// [`TrafficPlane::next_event`]), by kind.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficCounters {
     pub joins: u64,
     pub leaves: u64,
     pub lookups: u64,
 }
+
+prop_engine::json_impl!(ToJson for struct TrafficCounters { joins, leaves, lookups });
 
 impl TrafficCounters {
     /// Total events emitted.

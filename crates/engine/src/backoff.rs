@@ -15,7 +15,6 @@
 //! probing entirely.
 
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one probe trial, as seen by the timer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,7 +38,7 @@ pub enum TrialOutcome {
 /// t.record(TrialOutcome::Exchanged);
 /// assert_eq!(t.current(), Duration::from_minutes(1)); // reset on success
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MarkovTimer {
     init: Duration,
     max: Duration,

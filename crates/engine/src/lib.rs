@@ -12,6 +12,10 @@
 //!   bounded ordered look-ahead ([`EventQueue::pending_until`]).
 //! * [`SimRng`] — seedable, stream-splittable ChaCha8 randomness so every
 //!   experiment is reproducible bit-for-bit.
+//! * [`json`] — the workspace's JSON wire format: scenario files in, reports
+//!   and sweep state out.
+//! * [`par`] — fan-out over independent runs (seeds, curves), results in
+//!   input order.
 //! * [`MarkovTimer`] — the paper's §3.2 probe-interval controller (double on
 //!   failure, reset on success or on exceeding `MAX_TIMER`).
 //! * [`stats`] — small online statistics helpers shared by the metrics and
@@ -26,6 +30,8 @@
 
 pub mod alloc_track;
 pub mod backoff;
+pub mod json;
+pub mod par;
 pub mod queue;
 pub mod rng;
 pub mod stats;

@@ -4,24 +4,221 @@
 //! wiring, probe walks, workload sampling — draws from a [`SimRng`]. A run is
 //! fully determined by one `u64` experiment seed; independent subsystems get
 //! *derived streams* (`fork`) so adding randomness to one subsystem never
-//! shifts the stream consumed by another. ChaCha8 is used because its output
-//! is specified (stable across rand versions and platforms) and fast enough
-//! that RNG cost never shows in profiles of these simulations.
+//! shifts the stream consumed by another.
+//!
+//! The stream is a published one, reproduced here word for word so that the
+//! committed `results/*.json` stay reproducible: the generator is ChaCha8 as
+//! `rand_chacha 0.3.1` runs it, and the samplers consume its words exactly as
+//! `rand 0.8.5` does (`seed_from_u64`, `gen::<u64>`/`gen::<f64>`, `gen_range`,
+//! `SliceRandom::{choose, shuffle}`). Only what `SimRng` hands out is
+//! implemented; `tests::stream_is_pinned` holds the result to constants
+//! captured from those crates' semantics.
 
-use rand::distributions::uniform::{SampleRange, SampleUniform};
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use std::ops::{Range, RangeInclusive};
+
+const BUF_WORDS: usize = 64;
+const BLOCKS_PER_REFILL: u64 = 4;
+
+/// ChaCha at 8 rounds over a 256-bit key, a 64-bit block counter in words
+/// 12–13 and a zero stream id in words 14–15, generated four blocks (64
+/// words) at a time and handed out by `rand_core`'s `BlockRng` index rules.
+#[derive(Clone, Debug)]
+struct ChaCha8 {
+    key: [u32; 8],
+    counter: u64,
+    buf: [u32; BUF_WORDS],
+    index: usize,
+}
+
+#[inline(always)]
+fn quarter(x: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+    x[a] = x[a].wrapping_add(x[b]);
+    x[d] = (x[d] ^ x[a]).rotate_left(16);
+    x[c] = x[c].wrapping_add(x[d]);
+    x[b] = (x[b] ^ x[c]).rotate_left(12);
+    x[a] = x[a].wrapping_add(x[b]);
+    x[d] = (x[d] ^ x[a]).rotate_left(8);
+    x[c] = x[c].wrapping_add(x[d]);
+    x[b] = (x[b] ^ x[c]).rotate_left(7);
+}
+
+fn block(key: &[u32; 8], counter: u64, out: &mut [u32]) {
+    let mut init = [0u32; 16];
+    // "expand 32-byte k"
+    init[..4].copy_from_slice(&[0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]);
+    init[4..12].copy_from_slice(key);
+    init[12] = counter as u32;
+    init[13] = (counter >> 32) as u32;
+    let mut x = init;
+    for _ in 0..4 {
+        quarter(&mut x, 0, 4, 8, 12);
+        quarter(&mut x, 1, 5, 9, 13);
+        quarter(&mut x, 2, 6, 10, 14);
+        quarter(&mut x, 3, 7, 11, 15);
+        quarter(&mut x, 0, 5, 10, 15);
+        quarter(&mut x, 1, 6, 11, 12);
+        quarter(&mut x, 2, 7, 8, 13);
+        quarter(&mut x, 3, 4, 9, 14);
+    }
+    for (o, (w, i)) in out.iter_mut().zip(x.iter().zip(init.iter())) {
+        *o = w.wrapping_add(*i);
+    }
+}
+
+impl ChaCha8 {
+    fn from_seed(seed: [u8; 32]) -> Self {
+        let mut key = [0u32; 8];
+        for (k, bytes) in key.iter_mut().zip(seed.chunks_exact(4)) {
+            *k = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        }
+        // An exhausted buffer: the first draw generates.
+        ChaCha8 { key, counter: 0, buf: [0; BUF_WORDS], index: BUF_WORDS }
+    }
+
+    /// `rand_core 0.6`'s `seed_from_u64`: one PCG32 output per four seed bytes.
+    fn seed_from_u64(mut state: u64) -> Self {
+        const MUL: u64 = 6364136223846793005;
+        const INC: u64 = 11634580027462260723;
+        let mut seed = [0u8; 32];
+        for chunk in seed.chunks_mut(4) {
+            state = state.wrapping_mul(MUL).wrapping_add(INC);
+            let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
+            let rot = (state >> 59) as u32;
+            chunk.copy_from_slice(&xorshifted.rotate_right(rot).to_le_bytes());
+        }
+        Self::from_seed(seed)
+    }
+
+    fn refill(&mut self, index: usize) {
+        for b in 0..BLOCKS_PER_REFILL {
+            let at = b as usize * 16;
+            block(&self.key, self.counter.wrapping_add(b), &mut self.buf[at..at + 16]);
+        }
+        self.counter = self.counter.wrapping_add(BLOCKS_PER_REFILL);
+        self.index = index;
+    }
+
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        if self.index >= BUF_WORDS {
+            self.refill(0);
+        }
+        let v = self.buf[self.index];
+        self.index += 1;
+        v
+    }
+
+    /// Two buffered words, low first. A read straddling the buffer end takes
+    /// its low word from the old buffer and its high word from the new one.
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let index = self.index;
+        if index < BUF_WORDS - 1 {
+            self.index += 2;
+            u64::from(self.buf[index + 1]) << 32 | u64::from(self.buf[index])
+        } else if index >= BUF_WORDS {
+            self.refill(2);
+            u64::from(self.buf[1]) << 32 | u64::from(self.buf[0])
+        } else {
+            let lo = u64::from(self.buf[BUF_WORDS - 1]);
+            self.refill(1);
+            u64::from(self.buf[0]) << 32 | lo
+        }
+    }
+
+    /// `Standard` for `f64`: 53 random bits scaled into `[0, 1)`.
+    #[inline]
+    fn next_f64(&mut self) -> f64 {
+        const SCALE: f64 = 1.0 / ((1u64 << 53) as f64);
+        (self.next_u64() >> 11) as f64 * SCALE
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl<T> Sealed for std::ops::Range<T> {}
+    impl<T> Sealed for std::ops::RangeInclusive<T> {}
+}
+
+/// A range [`SimRng::range`] can sample a `T` from: `a..b` and `a..=b` over
+/// `u32`, `u64` and `usize`, and `a..b` over `f64` — the ranges the workspace
+/// draws. Sealed: each impl reproduces one row of rand's `UniformInt` /
+/// `UniformFloat` tables and there is nothing a caller could usefully add.
+pub trait SampleRange<T>: sealed::Sealed {
+    #[doc(hidden)]
+    fn sample(self, rng: &mut SimRng) -> T;
+}
+
+// rand's `UniformInt::sample_single_inclusive`: a widening multiply with the
+// leading-zeros rejection zone. `$next` is the word actually drawn — a `u32`
+// for 32-bit types, a `u64` above — and `$wide` holds the product.
+macro_rules! uniform_int {
+    ($ty:ty, $word:ty, $wide:ty, $next:ident) => {
+        impl SampleRange<$ty> for RangeInclusive<$ty> {
+            #[inline]
+            fn sample(self, rng: &mut SimRng) -> $ty {
+                let (low, high) = self.into_inner();
+                assert!(low <= high, "cannot sample empty range");
+                let range = high.wrapping_sub(low).wrapping_add(1) as $word;
+                if range == 0 {
+                    // The whole type: any word will do.
+                    return rng.inner.$next() as $ty;
+                }
+                let zone = (range << range.leading_zeros()).wrapping_sub(1);
+                loop {
+                    let product = (rng.inner.$next() as $wide) * (range as $wide);
+                    if product as $word <= zone {
+                        return low.wrapping_add((product >> <$word>::BITS) as $ty);
+                    }
+                }
+            }
+        }
+
+        impl SampleRange<$ty> for Range<$ty> {
+            #[inline]
+            fn sample(self, rng: &mut SimRng) -> $ty {
+                assert!(self.start < self.end, "cannot sample empty range");
+                (self.start..=self.end - 1).sample(rng)
+            }
+        }
+    };
+}
+
+uniform_int!(u32, u32, u64, next_u32);
+uniform_int!(u64, u64, u128, next_u64);
+#[cfg(target_pointer_width = "64")]
+uniform_int!(usize, u64, u128, next_u64);
+
+/// rand's `UniformFloat::sample_single`.
+impl SampleRange<f64> for Range<f64> {
+    fn sample(self, rng: &mut SimRng) -> f64 {
+        let (low, high) = (self.start, self.end);
+        assert!(low < high, "cannot sample empty range");
+        let mut scale = high - low;
+        assert!(scale.is_finite(), "range overflow");
+        loop {
+            // 52 random mantissa bits under exponent 0: a value in [1, 2).
+            let value1_2 = f64::from_bits((rng.inner.next_u64() >> 12) | (1023u64 << 52));
+            let res = (value1_2 - 1.0) * scale + low;
+            if res < high {
+                return res;
+            }
+            // Rounding reached `high`: shrink the scale by one ulp and redraw.
+            scale = f64::from_bits(scale.to_bits() - 1);
+        }
+    }
+}
 
 /// A seedable, forkable random stream.
 #[derive(Clone, Debug)]
 pub struct SimRng {
-    inner: ChaCha8Rng,
+    inner: ChaCha8,
 }
 
 impl SimRng {
     /// A root stream for an experiment seed.
     pub fn seed_from(seed: u64) -> Self {
-        SimRng { inner: ChaCha8Rng::seed_from_u64(seed) }
+        SimRng { inner: ChaCha8::seed_from_u64(seed) }
     }
 
     /// Derive an independent stream for a named subsystem.
@@ -39,32 +236,28 @@ impl SimRng {
             h ^= b as u64;
             h = h.wrapping_mul(0x100000001b3);
         }
-        let mut child = self.inner.clone();
-        let salt: u64 = {
-            // Use the *current* state deterministically without advancing
-            // self: clone, draw one word.
-            child.gen()
-        };
-        SimRng { inner: ChaCha8Rng::seed_from_u64(h ^ salt.rotate_left(17)) }
+        // Use the *current* state deterministically without advancing
+        // self: clone, draw one word.
+        let salt = self.inner.clone().next_u64();
+        SimRng::seed_from(h ^ salt.rotate_left(17))
     }
 
     /// Derive an independent stream for an indexed entity (peer, trial, …).
     pub fn fork_indexed(&self, label: &str, index: u64) -> SimRng {
-        let mut child = self.fork(label);
-        let salt: u64 = child.inner.gen();
-        SimRng { inner: ChaCha8Rng::seed_from_u64(salt ^ index.wrapping_mul(0x9e3779b97f4a7c15)) }
+        let salt = self.fork(label).inner.next_u64();
+        SimRng::seed_from(salt ^ index.wrapping_mul(0x9e3779b97f4a7c15))
     }
 
-    /// Uniform sample from a range (empty ranges panic, as in `rand`).
+    /// Uniform sample from a range (empty ranges panic).
     #[inline]
-    pub fn range<T: SampleUniform, R: SampleRange<T>>(&mut self, range: R) -> T {
-        self.inner.gen_range(range)
+    pub fn range<T, R: SampleRange<T>>(&mut self, range: R) -> T {
+        range.sample(self)
     }
 
     /// A uniform f64 in `[0, 1)`.
     #[inline]
     pub fn unit(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        self.inner.next_f64()
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
@@ -76,40 +269,44 @@ impl SimRng {
     /// Uniformly pick an element of a slice. `None` on an empty slice.
     #[inline]
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        xs.choose(&mut self.inner)
+        self.pick_rank(xs.len()).map(|i| &xs[i])
     }
 
-    /// Uniformly pick an index into a collection of length `len`.
+    /// Uniformly pick an index into a collection of length `len`, drawing a
+    /// `usize` range (one 64-bit word).
     #[inline]
     pub fn pick_index(&mut self, len: usize) -> Option<usize> {
-        (len > 0).then(|| self.inner.gen_range(0..len))
+        (len > 0).then(|| self.range(0..len))
     }
 
     /// Uniformly pick a *rank* in `0..len`, consuming the stream exactly as
     /// [`SimRng::pick`] does on a slice of length `len`.
     ///
-    /// `rand 0.8`'s `SliceRandom::choose` draws a `u32` range when the slice
-    /// fits in one (it always does here), which is a *different* stream than
-    /// `pick_index`'s `usize` draw. Callers replacing a materialized
-    /// `collect() + pick(&v)` with an index structure (the drivers'
-    /// live-slot rank select, DESIGN §16) must use this helper to keep the
-    /// run bit-identical to the allocating form.
+    /// Like `rand 0.8`'s `SliceRandom::choose`, this draws a `u32` range
+    /// when the length fits in one (it always does here), which is a
+    /// *different* stream than `pick_index`'s `usize` draw. Callers replacing
+    /// a materialized `collect() + pick(&v)` with an index structure (the
+    /// drivers' live-slot rank select, DESIGN §16) use this helper to keep
+    /// the run bit-identical to the allocating form.
     #[inline]
     pub fn pick_rank(&mut self, len: usize) -> Option<usize> {
         if len == 0 {
             return None;
         }
         Some(if len <= u32::MAX as usize {
-            self.inner.gen_range(0..len as u32) as usize
+            self.range(0..len as u32) as usize
         } else {
-            self.inner.gen_range(0..len)
+            self.range(0..len)
         })
     }
 
-    /// Fisher–Yates shuffle in place.
+    /// Fisher–Yates shuffle in place, from the top down (rand's order).
     #[inline]
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        xs.shuffle(&mut self.inner);
+        for i in (1..xs.len()).rev() {
+            let j = self.pick_rank(i + 1).expect("i + 1 > 0");
+            xs.swap(i, j);
+        }
     }
 
     /// Sample `k` distinct elements (by value) without replacement.
@@ -119,7 +316,7 @@ impl SimRng {
         let mut idx: Vec<usize> = (0..xs.len()).collect();
         // Partial Fisher–Yates: only the first k positions need settling.
         for i in 0..k {
-            let j = self.inner.gen_range(i..idx.len());
+            let j = self.range(i..idx.len());
             idx.swap(i, j);
         }
         idx[..k].iter().map(|&i| xs[i]).collect()
@@ -130,12 +327,6 @@ impl SimRng {
     pub fn exp_millis(&mut self, mean_ms: f64) -> u64 {
         let u = 1.0 - self.unit(); // in (0, 1]
         (-mean_ms * u.ln()).round().max(0.0) as u64
-    }
-
-    /// Access the underlying `RngCore` for interop with `rand` APIs.
-    #[inline]
-    pub fn raw(&mut self) -> &mut impl Rng {
-        &mut self.inner
     }
 }
 
@@ -254,6 +445,77 @@ mod tests {
             assert_eq!(a.range(0u64..u64::MAX), b.range(0u64..u64::MAX), "streams diverged");
         }
     }
+
+    /// draft-strombergson-chacha-test-vectors TC1, 256-bit key, 8 rounds:
+    /// all-zero key and IV, keystream blocks 0 and 1.
+    #[test]
+    fn zero_key_keystream_matches_the_published_vector() {
+        let mut rng = ChaCha8::from_seed([0; 32]);
+        let expect: [u8; 32] = [
+            0x3e, 0x00, 0xef, 0x2f, 0x89, 0x5f, 0x40, 0xd6, 0x7f, 0x5b, 0xb8, 0xe8, 0x1f, 0x09,
+            0xa5, 0xa1, 0x2c, 0x84, 0x0e, 0xc3, 0xce, 0x9a, 0x7f, 0x3b, 0x18, 0x1b, 0xe1, 0x88,
+            0xef, 0x71, 0x1a, 0x1e,
+        ];
+        let mut got = Vec::new();
+        for _ in 0..8 {
+            got.extend_from_slice(&rng.next_u32().to_le_bytes());
+        }
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn u64_reads_straddle_the_buffer_like_block_rng() {
+        let mut words = ChaCha8::seed_from_u64(9);
+        let stream: Vec<u32> = (0..130).map(|_| words.next_u32()).collect();
+        let mut rng = ChaCha8::seed_from_u64(9);
+        for w in &stream[..63] {
+            assert_eq!(rng.next_u32(), *w);
+        }
+        // index 63: low word is the last of this buffer, high the first of the next.
+        assert_eq!(rng.next_u64(), u64::from(stream[64]) << 32 | u64::from(stream[63]));
+        assert_eq!(rng.next_u64(), u64::from(stream[66]) << 32 | u64::from(stream[65]));
+    }
+
+    #[test]
+    fn int_ranges_stay_in_bounds_and_cover() {
+        let mut rng = SimRng::seed_from(1);
+        let mut seen = [false; 7];
+        for _ in 0..500 {
+            seen[rng.range(0..7usize)] = true;
+            assert!((3..=5).contains(&rng.range(3..=5u32)));
+            assert!((10..20).contains(&rng.range(10..20u64)));
+        }
+        assert!(seen.iter().all(|&s| s));
+        // A one-value range and the whole type are both legal.
+        assert_eq!(rng.range(9..=9u64), 9);
+        let _: u64 = rng.range(0..=u64::MAX);
+    }
+
+    #[test]
+    fn floats_are_half_open() {
+        let mut rng = SimRng::seed_from(7);
+        for _ in 0..500 {
+            assert!((0.0..1.0).contains(&rng.unit()));
+            assert!((2.0..3.0).contains(&rng.range(2.0..3.0)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn empty_range_panics() {
+        SimRng::seed_from(1).range(5..5u32);
+    }
+
+    #[test]
+    fn shuffle_is_a_permutation() {
+        let mut rng = SimRng::seed_from(3);
+        let mut xs: Vec<u32> = (0..50).collect();
+        rng.shuffle(&mut xs);
+        assert_ne!(xs, (0..50).collect::<Vec<_>>());
+        xs.sort_unstable();
+        assert_eq!(xs, (0..50).collect::<Vec<_>>());
+    }
+
     /// Everything `SimRng` hands out, drawn once from a root stream and from
     /// both kinds of fork. The spans just over half the type's width make
     /// the widening-multiply sampler reject about every other word, so the

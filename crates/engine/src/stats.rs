@@ -1,13 +1,11 @@
 //! Small statistics helpers shared by the metrics and experiment crates.
 
-use serde::{Deserialize, Serialize};
-
 /// Online mean/variance accumulator (Welford's algorithm).
 ///
 /// Used for every averaged metric in the evaluation; numerically stable even
-/// over millions of samples, and mergeable so per-thread accumulators from a
-/// Rayon sweep can be combined.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+/// over millions of samples, and mergeable so accumulators filled apart can
+/// be combined.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Accumulator {
     n: u64,
     mean: f64,

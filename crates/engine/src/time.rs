@@ -6,16 +6,15 @@
 //! both with ~585 million years of headroom, and — unlike `f64` seconds —
 //! makes event ordering exact and platform-independent.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// An instant on the simulated clock, in milliseconds since simulation start.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time, in milliseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub u64);
 
 impl SimTime {
@@ -50,8 +49,7 @@ impl SimTime {
     /// Buckets tile the clock as half-open intervals
     /// `[k·width, (k+1)·width)`; generators that derive one RNG stream per
     /// bucket (`SimRng::fork_indexed`) use this so event generation is a
-    /// pure function of the bucket, independent of worker count or
-    /// generation order.
+    /// pure function of the bucket, independent of generation order.
     #[inline]
     pub fn bucket(self, width: Duration) -> u64 {
         debug_assert!(width.0 > 0, "bucket width must be positive");

@@ -1,34 +1,18 @@
-//! Model-based property tests for the simulation kernel.
+//! Model-based property tests for the simulation kernel: seeded loops, one
+//! `SimRng` per case, the case number in every failure message.
 
 use prop_engine::backoff::TrialOutcome;
 use prop_engine::stats::Accumulator;
 use prop_engine::{Duration, EventQueue, MarkovTimer, SimRng, SimTime};
-use proptest::prelude::{prop_oneof, Just, Strategy};
-use proptest::test_runner::Config as ProptestConfig;
-use proptest::{prop_assert, prop_assert_eq, proptest};
 
-#[derive(Clone, Debug)]
-enum QueueOp {
-    Schedule(u64),
-    Pop,
-    PopUntil(u64),
-}
+const CASES: u64 = 256;
 
-fn queue_op() -> impl Strategy<Value = QueueOp> {
-    prop_oneof![
-        (0u64..1000).prop_map(QueueOp::Schedule),
-        Just(QueueOp::Pop),
-        (0u64..1000).prop_map(QueueOp::PopUntil),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The queue behaves exactly like a sorted-vec reference
-    /// model with stable (time, insertion) ordering and a monotone clock.
-    #[test]
-    fn event_queue_matches_reference_model(ops in proptest::collection::vec(queue_op(), 1..120)) {
+/// The queue behaves exactly like a sorted-vec reference model with stable
+/// (time, insertion) ordering and a monotone clock.
+#[test]
+fn event_queue_matches_reference_model() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
         let mut q: EventQueue<u32> = EventQueue::new();
         // Model: (time, seq, payload), popped by (time, seq).
         let mut model: Vec<(u64, u64, u32)> = Vec::new();
@@ -36,75 +20,76 @@ proptest! {
         let mut payload = 0u32;
         let mut now = 0u64;
 
-        for op in ops {
-            match op {
-                QueueOp::Schedule(dt) => {
+        for _ in 0..rng.range(1..120usize) {
+            let got_and_expect = match rng.range(0..3u32) {
+                0 => {
                     // Schedule relative to now: always legal.
-                    let at = now + dt;
+                    let at = now + rng.range(0..1000u64);
                     q.schedule_at(SimTime(at), payload);
                     model.push((at, seq, payload));
                     seq += 1;
                     payload += 1;
+                    None
                 }
-                QueueOp::Pop => {
-                    let got = q.pop();
+                1 => {
                     model.sort_by_key(|&(t, s, _)| (t, s));
                     let expect = if model.is_empty() { None } else { Some(model.remove(0)) };
-                    match (got, expect) {
-                        (None, None) => {}
-                        (Some((t, v)), Some((mt, _, mv))) => {
-                            prop_assert_eq!(t.0, mt);
-                            prop_assert_eq!(v, mv);
-                            now = mt;
-                        }
-                        other => prop_assert!(false, "mismatch: {other:?}"),
-                    }
+                    Some((q.pop(), expect))
                 }
-                QueueOp::PopUntil(dt) => {
-                    let deadline = now + dt;
-                    let got = q.pop_until(SimTime(deadline));
+                _ => {
+                    let deadline = now + rng.range(0..1000u64);
                     model.sort_by_key(|&(t, s, _)| (t, s));
                     let expect = match model.first() {
                         Some(&(t, _, _)) if t <= deadline => Some(model.remove(0)),
                         _ => None,
                     };
-                    match (got, expect) {
-                        (None, None) => {}
-                        (Some((t, v)), Some((mt, _, mv))) => {
-                            prop_assert_eq!(t.0, mt);
-                            prop_assert_eq!(v, mv);
-                            now = mt;
-                        }
-                        other => prop_assert!(false, "mismatch: {other:?}"),
-                    }
+                    Some((q.pop_until(SimTime(deadline)), expect))
                 }
+            };
+            match got_and_expect {
+                None | Some((None, None)) => {}
+                Some((Some((t, v)), Some((mt, _, mv)))) => {
+                    assert_eq!((t.0, v), (mt, mv), "case {case}");
+                    now = mt;
+                }
+                Some(other) => panic!("case {case}: mismatch: {other:?}"),
             }
-            prop_assert_eq!(q.len(), model.len());
-            prop_assert_eq!(q.now().0, now);
+            assert_eq!(q.len(), model.len(), "case {case}");
+            assert_eq!(q.now().0, now, "case {case}");
         }
     }
+}
 
-    /// The Markov timer's interval is always `2^k · INIT` with `k ≤ 5`,
-    /// resets on success, and wraps after five consecutive doublings.
-    #[test]
-    fn markov_timer_stays_on_the_lattice(outcomes in proptest::collection::vec(proptest::bool::ANY, 1..200)) {
+/// The Markov timer's interval is always `2^k · INIT` with `k ≤ 5`,
+/// resets on success, and wraps after five consecutive doublings.
+#[test]
+fn markov_timer_stays_on_the_lattice() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
         let init = Duration::from_secs(30);
         let mut t = MarkovTimer::new(init);
-        for ok in outcomes {
+        for _ in 0..rng.range(1..200usize) {
+            let ok = rng.chance(0.5);
             t.record(if ok { TrialOutcome::Exchanged } else { TrialOutcome::NoGain });
             let ratio = t.current().as_millis() / init.as_millis();
-            prop_assert!(t.current().as_millis() % init.as_millis() == 0);
-            prop_assert!([1, 2, 4, 8, 16, 32].contains(&ratio), "ratio {ratio}");
+            assert!(t.current().as_millis().is_multiple_of(init.as_millis()), "case {case}");
+            assert!([1, 2, 4, 8, 16, 32].contains(&ratio), "case {case}: ratio {ratio}");
             if ok {
-                prop_assert_eq!(t.current(), init);
+                assert_eq!(t.current(), init, "case {case}");
             }
         }
     }
+}
 
-    /// Welford accumulator agrees with direct two-pass computation and is
-    /// merge-order independent.
-    #[test]
-    fn accumulator_matches_two_pass(xs in proptest::collection::vec(-1e6f64..1e6, 1..300), split in 0usize..300) {
+/// Welford accumulator agrees with direct two-pass computation and is
+/// merge-order independent.
+#[test]
+fn accumulator_matches_two_pass() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let xs: Vec<f64> = (0..rng.range(1..300usize)).map(|_| rng.range(-1e6..1e6)).collect();
+        let split = rng.range(0..300usize);
+
         let mut acc = Accumulator::new();
         for &x in &xs {
             acc.add(x);
@@ -112,8 +97,12 @@ proptest! {
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         let scale = 1.0 + mean.abs() + var.abs();
-        prop_assert!((acc.mean() - mean).abs() / scale < 1e-9);
-        prop_assert!((acc.variance() - var).abs() / scale.powi(2).max(scale) < 1e-6);
+        assert!((acc.mean() - mean).abs() / scale < 1e-9, "case {case}");
+        assert!(
+            (acc.variance() - var).abs() / scale.powi(2).max(scale) < 1e-6,
+            "case {case}: variance {} vs two-pass {var}",
+            acc.variance()
+        );
 
         // Split-merge agrees with sequential.
         let k = split.min(xs.len());
@@ -126,14 +115,22 @@ proptest! {
             right.add(x);
         }
         left.merge(&right);
-        prop_assert_eq!(left.count(), acc.count());
-        prop_assert!((left.mean() - acc.mean()).abs() / scale < 1e-9);
+        assert_eq!(left.count(), acc.count(), "case {case}");
+        assert!((left.mean() - acc.mean()).abs() / scale < 1e-9, "case {case}");
     }
+}
 
-    /// Fork streams are stable (same label ⇒ same stream) and independent
-    /// of sibling draws.
-    #[test]
-    fn rng_forks_are_stable(seed in 0u64..u64::MAX, label in "[a-z]{1,12}") {
+/// Fork streams are stable (same label ⇒ same stream) and independent of
+/// sibling draws.
+#[test]
+fn rng_forks_are_stable() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let seed = rng.range(0..u64::MAX);
+        let label: String = (0..rng.range(1..=12usize))
+            .map(|_| (b'a' + rng.range(0..26u32) as u8) as char)
+            .collect();
+
         let root = SimRng::seed_from(seed);
         let mut a = root.fork(&label);
         // Interleave unrelated forks/draws — must not perturb `b`.
@@ -141,23 +138,24 @@ proptest! {
         let _ = noise.range(0..u64::MAX);
         let mut b = root.fork(&label);
         for _ in 0..8 {
-            prop_assert_eq!(a.range(0..u64::MAX), b.range(0..u64::MAX));
+            assert_eq!(a.range(0..u64::MAX), b.range(0..u64::MAX), "case {case}: label {label}");
         }
     }
+}
 
-    /// sample_distinct returns distinct in-range elements.
-    #[test]
-    fn sample_distinct_properties(seed in 0u64..u64::MAX, n in 1usize..100, k in 0usize..120) {
-        let mut rng = SimRng::seed_from(seed);
+/// sample_distinct returns distinct in-range elements.
+#[test]
+fn sample_distinct_properties() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let (n, k) = (rng.range(1..100usize), rng.range(0..120usize));
         let xs: Vec<usize> = (0..n).collect();
         let s = rng.sample_distinct(&xs, k);
-        prop_assert_eq!(s.len(), k.min(n));
+        assert_eq!(s.len(), k.min(n), "case {case}");
         let mut sorted = s.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        prop_assert_eq!(sorted.len(), s.len(), "duplicates in sample");
-        for v in s {
-            prop_assert!(v < n);
-        }
+        assert_eq!(sorted.len(), s.len(), "case {case}: duplicates in sample");
+        assert!(s.iter().all(|&v| v < n), "case {case}");
     }
 }

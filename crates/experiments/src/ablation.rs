@@ -30,14 +30,13 @@ use prop_baselines::pns::build_pns_chord;
 use prop_baselines::selfish::{SelfishConfig, SelfishSim};
 use prop_baselines::{LtmConfig, LtmSim};
 use prop_core::{PropConfig, ProtocolSim};
-use prop_engine::{Duration, SimTime};
+use prop_engine::{json_impl, Duration, SimTime};
 use prop_metrics::degree::degree_summary;
 use prop_metrics::{link_stretch, par_path_stretch, TimeSeries};
 use prop_overlay::chord::ChordParams;
 use prop_overlay::{Lookup, Slot};
 use prop_workloads::churn::{ChurnOp, ChurnTrace};
 use prop_workloads::LookupGen;
-use serde::{Deserialize, Serialize};
 
 fn topology_for(scale: Scale) -> Topology {
     match scale {
@@ -49,7 +48,7 @@ fn topology_for(scale: Scale) -> Topology {
 // ---------------------------------------------------------------- A1 ----
 
 /// One scheme's cost line in the A1 report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OverheadRow {
     pub label: String,
     pub trials: u64,
@@ -61,13 +60,19 @@ pub struct OverheadRow {
     pub predicted_msgs_per_trial: f64,
 }
 
+json_impl!(ToJson for struct OverheadRow {
+    label, trials, exchanges, total_msgs, msgs_per_trial, predicted_msgs_per_trial
+});
+
 /// A1 output: cost rows plus the probe-rate decay series for PROP-G.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OverheadReport {
     pub rows: Vec<OverheadRow>,
     /// Probe trials per minute, per sampling window.
     pub probe_rate: TimeSeries,
 }
+
+json_impl!(ToJson for struct OverheadReport { rows, probe_rate });
 
 /// A1: measure message overhead per adjustment for PROP-G vs PROP-O.
 pub fn overhead(scale: Scale, seed: u64) -> OverheadReport {
@@ -118,7 +123,7 @@ pub fn overhead(scale: Scale, seed: u64) -> OverheadReport {
 // ---------------------------------------------------------------- A2 ----
 
 /// A2 output: stretch and probe-rate series across a churn episode.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChurnReport {
     pub stretch: TimeSeries,
     pub probe_rate: TimeSeries,
@@ -128,6 +133,10 @@ pub struct ChurnReport {
     pub joins: u64,
     pub always_connected: bool,
 }
+
+json_impl!(ToJson for struct ChurnReport {
+    stretch, probe_rate, churn_window, leaves, joins, always_connected
+});
 
 /// A2: run PROP-O on Gnutella with a Poisson churn episode mid-run.
 pub fn churn(scale: Scale, seed: u64) -> ChurnReport {
@@ -210,12 +219,14 @@ pub fn churn(scale: Scale, seed: u64) -> ChurnReport {
 // ---------------------------------------------------------------- A3 ----
 
 /// A3 output: stretch of each stacked configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CombineRow {
     pub label: String,
     pub stretch_initial: f64,
     pub stretch_final: f64,
 }
+
+json_impl!(ToJson for struct CombineRow { label, stretch_initial, stretch_final });
 
 /// A3: PROP-G layered on PNS-Chord and PIS-CAN.
 pub fn combine(scale: Scale, seed: u64) -> Vec<CombineRow> {
@@ -325,7 +336,7 @@ pub fn combine(scale: Scale, seed: u64) -> Vec<CombineRow> {
 // ---------------------------------------------------------------- A5 ----
 
 /// A5 output: greedy vs random PROP-O neighbor selection.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SelectionRow {
     pub label: String,
     /// Total link latency after the same number of accepted exchanges.
@@ -333,6 +344,8 @@ pub struct SelectionRow {
     pub exchanges: u64,
     pub trials: u64,
 }
+
+json_impl!(ToJson for struct SelectionRow { label, total_link_latency_final, exchanges, trials });
 
 /// A5: the §3.1 "selectively choose neighbors" decision. Both variants run
 /// the same number of probe trials with identical walks; greedy offers the
@@ -388,13 +401,17 @@ pub fn selection_strategy(scale: Scale, seed: u64) -> Vec<SelectionRow> {
 // ---------------------------------------------------------------- A7 ----
 
 /// A7 output: PROP-G robustness to the physical-network model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PhysicalModelRow {
     pub label: String,
     pub stretch_initial: f64,
     pub stretch_final: f64,
     pub improvement: f64,
 }
+
+json_impl!(ToJson for struct PhysicalModelRow {
+    label, stretch_initial, stretch_final, improvement
+});
 
 /// A7: does PROP-G's benefit depend on the hierarchical transit–stub
 /// structure? Re-run the Fig. 5-style optimization on a flat Waxman random
@@ -455,7 +472,7 @@ pub fn physical_model(scale: Scale, seed: u64) -> Vec<PhysicalModelRow> {
 // ---------------------------------------------------------------- A8 ----
 
 /// A8 output: object custody under PROP-G identifier swaps.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CustodyReport {
     /// Mean object-lookup latency before optimization, ms.
     pub baseline_ms: f64,
@@ -468,6 +485,10 @@ pub struct CustodyReport {
     /// Summed migration "distance" (ms-equivalents of transfer cost).
     pub migration_cost: u64,
 }
+
+json_impl!(ToJson for struct CustodyReport {
+    baseline_ms, pointers_ms, migrated_ms, displacement, migration_cost
+});
 
 /// A8: the §3.2/§4.2 custody question. PROP-G swaps identifiers; keys
 /// follow identifiers but stored objects sit on physical peers. Quantify
@@ -508,13 +529,15 @@ pub fn custody(scale: Scale, seed: u64) -> CustodyReport {
 // ---------------------------------------------------------------- A9 ----
 
 /// A9 output: one row per exchange threshold.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ThresholdRow {
     pub min_var: i64,
     pub stretch_final: f64,
     pub exchanges: u64,
     pub notify_msgs: u64,
 }
+
+json_impl!(ToJson for struct ThresholdRow { min_var, stretch_final, exchanges, notify_msgs });
 
 /// A9: MIN_VAR sensitivity. §4.2 argues any `Var > 0` exchange helps, so
 /// the paper sets `MIN_VAR = 0`; raising the bar trades fewer (cheaper)
@@ -544,7 +567,7 @@ pub fn threshold_sweep(scale: Scale, seed: u64) -> Vec<ThresholdRow> {
 // --------------------------------------------------------------- A10 ----
 
 /// A10 output: one row per LTM connection cap.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LtmCapRow {
     pub max_degree: usize,
     pub mean_degree_final: f64,
@@ -554,6 +577,10 @@ pub struct LtmCapRow {
     pub ratio_frac0: f64,
     pub ratio_frac1: f64,
 }
+
+json_impl!(ToJson for struct LtmCapRow {
+    max_degree, mean_degree_final, mean_link_latency_final, ratio_frac0, ratio_frac1
+});
 
 /// A10: sensitivity of the Fig. 7 LTM comparison to the client connection
 /// cap — the one modeling knob this reproduction had to introduce (see
@@ -609,13 +636,15 @@ pub fn ltm_cap_sweep(scale: Scale, seed: u64) -> Vec<LtmCapRow> {
 // --------------------------------------------------------------- A11 ----
 
 /// A11 output: one row per scheme under the Zipf workload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ZipfRow {
     pub label: String,
     /// Mean lookup delay under Zipf(α) popularity, normalized by the
     /// unoptimized overlay.
     pub ratio: f64,
 }
+
+json_impl!(ToJson for struct ZipfRow { label, ratio });
 
 /// A11: the mechanistic version of Fig. 7's skew knob — object popularity
 /// is Zipf(α = 0.9) with the popular objects held by the high-degree fast
@@ -684,13 +713,17 @@ pub fn zipf_workload(scale: Scale, seed: u64) -> Vec<ZipfRow> {
 // --------------------------------------------------------------- A12 ----
 
 /// A12 output: per-query flooding message cost before/after optimization.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FloodCostRow {
     pub label: String,
     pub msgs_per_query_initial: f64,
     pub msgs_per_query_final: f64,
     pub mean_degree_final: f64,
 }
+
+json_impl!(ToJson for struct FloodCostRow {
+    label, msgs_per_query_initial, msgs_per_query_final, mean_degree_final
+});
 
 /// A12: flooding economics. A Gnutella query is broadcast through the TTL
 /// region, so per-query message cost tracks graph density. PROP preserves
@@ -737,7 +770,7 @@ pub fn flood_cost(scale: Scale, seed: u64) -> Vec<FloodCostRow> {
 // ---------------------------------------------------------------- A6 ----
 
 /// A6 output: one row per warm-up length.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WarmupRow {
     pub max_init_trial: u32,
     /// Stretch at the measurement horizon.
@@ -745,6 +778,8 @@ pub struct WarmupRow {
     /// Probe trials spent getting there (the cost of a longer warm-up).
     pub trials: u64,
 }
+
+json_impl!(ToJson for struct WarmupRow { max_init_trial, stretch_final, trials });
 
 /// A6: sweep `MAX_INIT_TRIAL`, backing the paper's "simulations … show
 /// this number to be less than ten" — longer warm-ups buy little extra
@@ -792,7 +827,7 @@ fn run_propg_over<L: Lookup>(
 // ---------------------------------------------------------------- A4 ----
 
 /// A4 output: system-wide comparison of cooperative vs selfish rewiring.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SelfishRow {
     pub label: String,
     /// System-wide mean logical link latency, ms.
@@ -800,6 +835,8 @@ pub struct SelfishRow {
     /// Degree-distribution coefficient of variation drift (|after − before|).
     pub degree_cv_drift: f64,
 }
+
+json_impl!(ToJson for struct SelfishRow { label, mean_link_latency_final, degree_cv_drift });
 
 /// A4: cooperative PROP-O vs selfish nearest-neighbor rewiring.
 pub fn selfish_vs_prop(scale: Scale, seed: u64) -> Vec<SelfishRow> {

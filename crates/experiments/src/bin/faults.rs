@@ -20,7 +20,13 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let cli = Cli::parse();
     if let Some(path) = &cli.traffic {
-        let spec = load_script_or_scenario(path, cli.scale, cli.seed);
+        let spec = match load_script_or_scenario(path, cli.scale, cli.seed) {
+            Ok(spec) => spec,
+            Err(e) => {
+                eprintln!("faults: {e}");
+                return ExitCode::from(2);
+            }
+        };
         let r = run_scenario(&spec, TrafficDriver::Async, cli.scale);
         println!("\n=== scenario {} on the async driver (seed {}) ===", spec.name, spec.seed);
         println!("{}", r.report);

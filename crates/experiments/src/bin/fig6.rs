@@ -50,7 +50,13 @@ fn main() -> ExitCode {
         return prop_experiments::sweep::run_cli(&cfg, Path::new("results"), cli.resume, &[]);
     }
     if let Some(path) = &cli.traffic {
-        let spec = load_script_or_scenario(path, cli.scale, cli.seed);
+        let spec = match load_script_or_scenario(path, cli.scale, cli.seed) {
+            Ok(spec) => spec,
+            Err(e) => {
+                eprintln!("fig6: {e}");
+                return ExitCode::from(2);
+            }
+        };
         let scenario = Scenario::build(topology_from_label(&spec.topology), spec.n, spec.seed);
         let (curve, overhead) = run_curve_scripted(
             &scenario,

@@ -38,21 +38,19 @@
 //! is meant for offline study, not CI.
 
 use prop_core::{PropConfig, ProtocolSim};
-use prop_engine::{Duration, SimRng};
+use prop_engine::{json_impl, Duration, SimRng};
 use prop_experiments::report::write_json;
 use prop_experiments::setup::{OracleTier, Scale};
 use prop_metrics::{OracleCacheReport, OracleEmbedReport};
 use prop_netsim::{generate, LatencyOracle, OracleConfig, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 use prop_overlay::{OverlayNet, Slot};
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Hard cap on oracle cache memory — the headline claim of this binary.
 const CACHE_CAP_BYTES: usize = 512 << 20;
 
-#[derive(Serialize)]
 struct SizeReport {
     members: usize,
     phys_hosts: usize,
@@ -71,7 +69,11 @@ struct SizeReport {
     warmups: Vec<WarmupReport>,
 }
 
-#[derive(Serialize)]
+json_impl!(ToJson for struct SizeReport {
+    members, phys_hosts, phys_links, tier, topo_ms, oracle_build_ms, queries, query_ms,
+    queries_per_sec, mean_query_latency_ms, query_cache, query_embed, warmups
+});
+
 struct WarmupReport {
     policy: &'static str,
     sim_minutes: u64,
@@ -81,6 +83,10 @@ struct WarmupReport {
     stretch_after: f64,
     cache: OracleCacheReport,
 }
+
+json_impl!(ToJson for struct WarmupReport {
+    policy, sim_minutes, wall_ms, exchanges, stretch_before, stretch_after, cache
+});
 
 fn main() -> std::process::ExitCode {
     let mut scale = Scale::Paper;

@@ -8,7 +8,7 @@
 //!     [--gate METRIC=MAX_CI_HALF_WIDTH]... [--root DIR]
 //! ```
 //!
-//! Fans N derived seeds of the experiment across the rayon pool (one
+//! Fans N derived seeds of the experiment across the machine's cores (one
 //! deterministic run per seed), streams `seed-<k>.json` records under
 //! `<root>/sweep-<experiment>-<scale>-s<base>/`, and writes an
 //! `aggregate.json` with mean ± 95% CI for every headline metric. A

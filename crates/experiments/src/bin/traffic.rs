@@ -120,7 +120,13 @@ fn main() -> ExitCode {
     }
 
     let spec = if args.scenario.ends_with(".json") || args.scenario.contains('/') {
-        load_script_or_scenario(&args.scenario, args.scale, args.seed)
+        match load_script_or_scenario(&args.scenario, args.scale, args.seed) {
+            Ok(spec) => spec,
+            Err(e) => {
+                eprintln!("traffic: {e}");
+                return ExitCode::from(2);
+            }
+        }
     } else {
         builtin_scenario(&args.scenario, args.scale, args.seed, None, None)
     };

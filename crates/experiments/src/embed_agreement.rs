@@ -22,17 +22,16 @@
 use crate::setup::OracleTier;
 use prop_core::exchange::{plan_propg, plan_propo};
 use prop_core::{decide, exact_var, PropConfig};
-use prop_engine::SimRng;
+use prop_engine::{json_impl, SimRng};
 use prop_metrics::OracleEmbedReport;
 use prop_netsim::{generate, LatencyOracle, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 use prop_overlay::walk::WalkPath;
 use prop_overlay::Slot;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Decision-agreement numbers over one sampled plan population.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct AgreementReport {
     pub members: usize,
     pub phys_hosts: usize,
@@ -52,6 +51,11 @@ pub struct AgreementReport {
     /// The oracle's embed-tier counters and calibration over the run.
     pub embed: Option<OracleEmbedReport>,
 }
+
+json_impl!(ToJson for struct AgreementReport {
+    members, phys_hosts, seed, plans, agreements, agreement_rate, escalations, escalation_rate,
+    embed
+});
 
 /// Sample `samples` candidate exchanges on an embedded-tier overlay of `n`
 /// members and compare the banded decision against the exact one.

@@ -16,10 +16,9 @@
 
 use crate::setup::{Scale, Scenario, Topology};
 use prop_core::{AsyncProtocolSim, PropConfig};
-use prop_engine::{Duration, SimTime};
+use prop_engine::{json_impl, Duration, SimTime};
 use prop_faults::{compile, transit_bisection, FaultScript};
 use prop_metrics::{FaultReport, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 fn topology_for(scale: Scale) -> Topology {
     match scale {
@@ -34,7 +33,7 @@ pub const LOSS_RATES: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
 pub const PARTITION_SECS: [u64; 3] = [0, 30, 120];
 
 /// One cell of the loss × partition grid.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FaultSweepRow {
     /// Scripted uniform loss probability, in percent.
     pub loss_pct: f64,
@@ -55,6 +54,11 @@ pub struct FaultSweepRow {
     /// Stretch improvement in percent (positive = got better).
     pub improvement_pct: f64,
 }
+
+json_impl!(ToJson for struct FaultSweepRow {
+    loss_pct, partition_secs, launched, exchanges, no_gain, stale_aborts, faulted, drops,
+    crashed_aborts, partition_ms, stretch_initial, stretch_final, improvement_pct
+});
 
 /// Run the default loss × partition grid at `scale`.
 pub fn sweep(scale: Scale, seed: u64) -> Vec<FaultSweepRow> {
@@ -129,7 +133,7 @@ pub fn sweep_with(
 }
 
 /// [`recovery`] output: the rate timeline plus the run's fault totals.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RecoveryReport {
     /// Exchanges per minute, one point per sampling window.
     pub exchange_rate: TimeSeries,
@@ -138,6 +142,8 @@ pub struct RecoveryReport {
     /// The scripted split: (start ms, heal ms).
     pub partition: (u64, u64),
 }
+
+json_impl!(ToJson for struct RecoveryReport { exchange_rate, faults, partition });
 
 /// Exchange-rate collapse and recovery across one transit partition.
 pub fn recovery(scale: Scale, seed: u64) -> RecoveryReport {
@@ -220,7 +226,7 @@ mod tests {
     fn tiny_sweep_is_deterministic() {
         let a = sweep_with(Topology::Tiny, 24, Duration::from_minutes(8), 11, &[0.2], &[30]);
         let b = sweep_with(Topology::Tiny, 24, Duration::from_minutes(8), 11, &[0.2], &[30]);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(prop_engine::json::to_string(&a), prop_engine::json::to_string(&b));
     }
 
     #[test]

@@ -15,27 +15,27 @@
 
 use crate::setup::{Scale, Scenario, Topology};
 use prop_core::{ProbeMode, PropConfig, ProtocolSim};
+use prop_engine::{json_impl, par};
 use prop_metrics::{par_avg_lookup_latency, MetricSummary, TimeSeries};
 use prop_workloads::LookupGen;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One plotted curve plus the numbers EXPERIMENTS.md quotes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Curve {
     pub series: TimeSeries,
     /// Relative improvement start → end (0.25 = 25% lower).
     pub improvement: f64,
     /// Cross-seed dispersion, present only on swept (multi-seed) output:
     /// single-seed runs keep the historical JSON shape unchanged.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub ci: Option<CurveCi>,
 }
+
+json_impl!(ToJson for struct Curve { series, improvement, ci [omit_none] });
 
 /// Error-bar block attached to a mean curve by the sweep orchestrator
 /// (see [`crate::sweep`]): the headline metrics as [`MetricSummary`]s plus
 /// a per-sample 95% half-width band aligned with `series.points`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CurveCi {
     /// Seeds aggregated into the mean curve.
     pub seeds: usize,
@@ -46,6 +46,8 @@ pub struct CurveCi {
     /// 95% CI half-width at each series sample (`None` where undefined).
     pub point_ci95: Vec<Option<f64>>,
 }
+
+json_impl!(ToJson for struct CurveCi { seeds, final_value, improvement, point_ci95 });
 
 /// Run PROP-G on this scenario's Gnutella overlay and sample mean lookup
 /// latency on a fixed pair workload at every interval.
@@ -82,12 +84,9 @@ pub fn panel_a(scale: Scale, seed: u64) -> Vec<Curve> {
         (format!("n={n}, nhops=4"), ProbeMode::Walk { nhops: 4 }),
         (format!("n={n}, random"), ProbeMode::Random),
     ];
-    variants
-        .into_par_iter()
-        .map(|(label, probe)| {
-            run_curve(&scenario, PropConfig::prop_g().with_probe(probe), scale, label)
-        })
-        .collect()
+    par::map(&variants, |(label, probe)| {
+        run_curve(&scenario, PropConfig::prop_g().with_probe(*probe), scale, label.clone())
+    })
 }
 
 /// Panel (b): vary the overlay size at `nhops = 2`.
@@ -97,25 +96,19 @@ pub fn panel_b(scale: Scale, seed: u64) -> Vec<Curve> {
         Scale::Quick => vec![60, 120, 240],
     };
     let topo = default_topology(scale);
-    sizes
-        .into_par_iter()
-        .map(|n| {
-            let scenario = Scenario::build(topo, n, seed);
-            run_curve(&scenario, PropConfig::prop_g(), scale, format!("n={n}, nhops=2"))
-        })
-        .collect()
+    par::map(&sizes, |&n| {
+        let scenario = Scenario::build(topo, n, seed);
+        run_curve(&scenario, PropConfig::prop_g(), scale, format!("n={n}, nhops=2"))
+    })
 }
 
 /// Panel (c): `ts-large` vs `ts-small` at the default n.
 pub fn panel_c(scale: Scale, seed: u64) -> Vec<Curve> {
     let n = scale.default_n();
-    [Topology::TsLarge, Topology::TsSmall]
-        .into_par_iter()
-        .map(|topo| {
-            let scenario = Scenario::build(topo, n, seed);
-            run_curve(&scenario, PropConfig::prop_g(), scale, topo.label().to_string())
-        })
-        .collect()
+    par::map(&[Topology::TsLarge, Topology::TsSmall], |&topo| {
+        let scenario = Scenario::build(topo, n, seed);
+        run_curve(&scenario, PropConfig::prop_g(), scale, topo.label().to_string())
+    })
 }
 
 fn default_topology(scale: Scale) -> Topology {

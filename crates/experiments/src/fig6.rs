@@ -9,17 +9,16 @@
 
 use crate::setup::{Scale, Scenario, Topology};
 use prop_core::{ProbeMode, PropConfig, ProtocolSim};
+use prop_engine::{json_impl, par};
 use prop_metrics::{par_path_stretch, TimeSeries};
 use prop_workloads::{LookupGen, PopularityProcess, TrafficScript};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One plotted stretch curve plus the workload's disposition — how many of
 /// the sampled pairs actually entered the mean at the final sample, and how
 /// many were dropped as undelivered or co-located. A stretch mean over a
 /// silently-shrunken workload would be biased; the counts make the
 /// denominator auditable in the JSON output.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StretchCurve {
     pub series: TimeSeries,
     /// Relative improvement start → end (0.25 = 25% lower).
@@ -31,6 +30,8 @@ pub struct StretchCurve {
     /// Zero-physical-distance pairs excluded from the ratio.
     pub skipped: u64,
 }
+
+json_impl!(ToJson for struct StretchCurve { series, improvement, delivered, failed, skipped });
 
 /// Run PROP-G on this scenario's Chord overlay and sample path stretch.
 pub fn run_curve(
@@ -115,7 +116,7 @@ pub fn run_curve_scripted(
     let step = scale.sample_every();
     let horizon = prop_engine::Duration::from_millis(script.horizon_ms);
     let mut elapsed = prop_engine::Duration::ZERO;
-    let mut sample = |sim: &ProtocolSim, rng: &mut prop_engine::SimRng, t_ms: u64| {
+    let sample = |sim: &ProtocolSim, rng: &mut prop_engine::SimRng, t_ms: u64| {
         let pairs = pop.pairs_at(t_ms, &live, &ranking, count, rng);
         par_path_stretch(sim.net(), &chord, &pairs)
     };
@@ -149,12 +150,9 @@ pub fn panel_a(scale: Scale, seed: u64) -> Vec<StretchCurve> {
         (format!("n={n}, nhops=4"), ProbeMode::Walk { nhops: 4 }),
         (format!("n={n}, random"), ProbeMode::Random),
     ];
-    variants
-        .into_par_iter()
-        .map(|(label, probe)| {
-            run_curve(&scenario, PropConfig::prop_g().with_probe(probe), scale, label)
-        })
-        .collect()
+    par::map(&variants, |(label, probe)| {
+        run_curve(&scenario, PropConfig::prop_g().with_probe(*probe), scale, label.clone())
+    })
 }
 
 /// Panel (b): vary the overlay size at `nhops = 2`.
@@ -164,25 +162,19 @@ pub fn panel_b(scale: Scale, seed: u64) -> Vec<StretchCurve> {
         Scale::Quick => vec![60, 120, 240],
     };
     let topo = default_topology(scale);
-    sizes
-        .into_par_iter()
-        .map(|n| {
-            let scenario = Scenario::build(topo, n, seed);
-            run_curve(&scenario, PropConfig::prop_g(), scale, format!("n={n}, nhops=2"))
-        })
-        .collect()
+    par::map(&sizes, |&n| {
+        let scenario = Scenario::build(topo, n, seed);
+        run_curve(&scenario, PropConfig::prop_g(), scale, format!("n={n}, nhops=2"))
+    })
 }
 
 /// Panel (c): `ts-large` vs `ts-small` at the default n.
 pub fn panel_c(scale: Scale, seed: u64) -> Vec<StretchCurve> {
     let n = scale.default_n();
-    [Topology::TsLarge, Topology::TsSmall]
-        .into_par_iter()
-        .map(|topo| {
-            let scenario = Scenario::build(topo, n, seed);
-            run_curve(&scenario, PropConfig::prop_g(), scale, topo.label().to_string())
-        })
-        .collect()
+    par::map(&[Topology::TsLarge, Topology::TsSmall], |&topo| {
+        let scenario = Scenario::build(topo, n, seed);
+        run_curve(&scenario, PropConfig::prop_g(), scale, topo.label().to_string())
+    })
 }
 
 fn default_topology(scale: Scale) -> Topology {
@@ -242,8 +234,8 @@ mod tests {
         assert!(overhead.trials > 0);
         let (c2, _) = run();
         assert_eq!(
-            serde_json::to_string(&c).unwrap(),
-            serde_json::to_string(&c2).unwrap(),
+            prop_engine::json::to_string(&c),
+            prop_engine::json::to_string(&c2),
             "scripted fig6 must replay identically"
         );
     }

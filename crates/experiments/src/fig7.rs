@@ -18,20 +18,21 @@
 use crate::setup::{Scale, Scenario, Topology};
 use prop_baselines::{LtmConfig, LtmSim};
 use prop_core::{PropConfig, ProtocolSim};
+use prop_engine::{json_impl, par};
 use prop_metrics::par_avg_lookup_latency;
 use prop_overlay::gnutella::Gnutella;
 use prop_overlay::{OverlayNet, Slot};
 use prop_workloads::hetero::HeteroAssignment;
 use prop_workloads::{BimodalParams, LookupGen};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One scheme's curve: (fraction of fast-destination lookups, delay ratio).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HeteroCurve {
     pub label: String,
     pub points: Vec<(f64, f64)>,
 }
+
+json_impl!(ToJson for struct HeteroCurve { label, points });
 
 #[derive(Clone, Copy, Debug)]
 enum Scheme {
@@ -154,22 +155,18 @@ pub fn run(scale: Scale, seed: u64) -> Vec<HeteroCurve> {
         Scheme::PropG,
         Scheme::Ltm,
     ];
-    schemes
-        .into_par_iter()
-        .map(|scheme| {
-            let (gn, net) = optimize(&scenario, scheme, &assignment, scale);
-            let points = workloads
-                .iter()
-                .zip(&baseline)
-                .map(|((f, pairs), &base)| {
-                    let mean =
-                        par_avg_lookup_latency(&net, &gn, &to_slot_pairs(&net, pairs)).mean_ms;
-                    (*f, mean / base)
-                })
-                .collect();
-            HeteroCurve { label: scheme.label(), points }
-        })
-        .collect()
+    par::map(&schemes, |&scheme| {
+        let (gn, net) = optimize(&scenario, scheme, &assignment, scale);
+        let points = workloads
+            .iter()
+            .zip(&baseline)
+            .map(|((f, pairs), &base)| {
+                let mean = par_avg_lookup_latency(&net, &gn, &to_slot_pairs(&net, pairs)).mean_ms;
+                (*f, mean / base)
+            })
+            .collect();
+        HeteroCurve { label: scheme.label(), points }
+    })
 }
 
 #[cfg(test)]

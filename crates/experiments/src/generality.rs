@@ -10,17 +10,16 @@
 
 use crate::setup::{Scale, Scenario, Topology};
 use prop_core::{PropConfig, ProtocolSim};
+use prop_engine::{json_impl, par};
 use prop_metrics::{par_avg_lookup_latency, par_path_stretch};
 use prop_overlay::can::Can;
 use prop_overlay::kademlia::{Kademlia, KademliaParams};
 use prop_overlay::pastry::{Pastry, PastryParams};
 use prop_overlay::{Lookup, OverlayNet, Slot};
 use prop_workloads::LookupGen;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One overlay family's before/after line.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GeneralityRow {
     pub overlay: String,
     pub metric: String,
@@ -31,6 +30,10 @@ pub struct GeneralityRow {
     /// unchanged? Must always be `true` for PROP-G.
     pub structure_preserved: bool,
 }
+
+json_impl!(ToJson for struct GeneralityRow {
+    overlay, metric, initial, final_, improvement, structure_preserved
+});
 
 fn optimize(scenario: &Scenario, net: OverlayNet, scale: Scale, label: &str) -> OverlayNet {
     let mut rng = scenario.rng(&format!("g1-{label}"));
@@ -43,7 +46,7 @@ fn dht_row(
     scenario: &Scenario,
     scale: Scale,
     label: &str,
-    overlay: impl Lookup + Sync,
+    overlay: impl Lookup,
     net: OverlayNet,
     pairs: &[(Slot, Slot)],
 ) -> GeneralityRow {
@@ -76,7 +79,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<GeneralityRow> {
         .uniform_pairs(&scenario.all_slots(), scale.lookups_per_sample());
 
     // Each closure builds, optimizes, and reports one family.
-    let jobs: Vec<Box<dyn Fn() -> GeneralityRow + Sync + Send>> = vec![
+    let jobs: Vec<Box<dyn Fn() -> GeneralityRow + Sync>> = vec![
         Box::new(|| {
             // Gnutella: flooding has no per-lookup route, so the metric is
             // mean lookup latency and the checksum is the degree sequence.
@@ -144,7 +147,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<GeneralityRow> {
         }),
     ];
 
-    jobs.into_par_iter().map(|job| job()).collect()
+    par::map(&jobs, |job| job())
 }
 
 #[cfg(test)]

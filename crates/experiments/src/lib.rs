@@ -18,7 +18,7 @@
 //!
 //! Any of these can also run as a seed-sharded Monte-Carlo sweep
 //! ([`sweep`], or `--seeds N [--resume]` on the figure binaries): N
-//! derived seeds fan across the rayon pool, each seed streams its record
+//! derived seeds fan across the machine's cores, each seed streams its record
 //! to `results/<sweep>/seed-<k>.json`, and the aggregate reports every
 //! headline metric as mean ± 95% CI.
 

@@ -4,8 +4,8 @@
 //! rows the paper plots) and drops a JSON copy under `results/` so
 //! EXPERIMENTS.md numbers can be traced to a file.
 
+use prop_engine::json::{self, ToJson};
 use prop_metrics::{MetricSummary, TimeSeries};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
@@ -117,24 +117,18 @@ fn truncate(s: &str, n: usize) -> String {
     }
 }
 
-/// Serialize `value` to `results/<name>.json` (best effort: failures are
+/// Write `value` to `results/<name>.json` (best effort: failures are
 /// reported but never abort the run).
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+pub fn write_json<T: ToJson>(name: &str, value: &T) {
     let dir = PathBuf::from("results");
     if let Err(e) = fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("(wrote {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
+    match fs::write(&path, json::to_string_pretty(value)) {
+        Ok(()) => println!("(wrote {})", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
 }
 

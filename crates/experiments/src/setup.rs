@@ -1,21 +1,22 @@
 //! Shared experiment scaffolding: topologies, scales, scenario builders.
 
-use prop_engine::{Duration, SimRng};
+use prop_engine::{json_impl, Duration, SimRng};
 use prop_netsim::{generate, LatencyOracle, OracleConfig, PhysGraph, TransitStubParams};
 use prop_overlay::chord::{Chord, ChordParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 use prop_overlay::{OverlayNet, Slot};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which transit–stub preset backs the experiment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Topology {
     TsLarge,
     TsSmall,
     /// Miniature topology for tests/benches.
     Tiny,
 }
+
+json_impl!(ToJson, FromJson for enum Topology { TsLarge, TsSmall, Tiny });
 
 impl Topology {
     pub fn params(self) -> TransitStubParams {
@@ -39,7 +40,7 @@ impl Topology {
 /// count pick through the config thresholds (the production default); the
 /// others pin the tier regardless of size, so the same workload can be
 /// compared across the dense, row-cache, and coordinate-embedded paths.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OracleTier {
     Auto,
     Dense,
@@ -89,7 +90,7 @@ impl OracleTier {
 }
 
 /// Experiment scale: the paper's parameterization or a fast smoke-test one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// n = 1000 peers, 2 simulated hours, 10-minute sampling,
     /// 2,000 sampled lookups per measurement.
@@ -99,6 +100,8 @@ pub enum Scale {
     /// 400 sampled lookups.
     Quick,
 }
+
+json_impl!(ToJson, FromJson for enum Scale { Paper, Quick });
 
 impl Scale {
     pub fn default_n(self) -> usize {

@@ -3,11 +3,9 @@
 //! Every figure in the reproduction is bit-deterministic per seed, so the
 //! statistically honest way to spend cores is *across* runs, never inside
 //! one: the orchestrator fans N independent seeds of an experiment over
-//! the rayon pool, one complete deterministic run per seed (the parallel
-//! measurement plane inside a run stays bit-identical on any worker
-//! count, so sharding seeds on top of it changes nothing), and reduces
-//! every headline metric to mean ± 95% CI ([`MetricSummary`], Student t
-//! for small N).
+//! the machine's cores ([`prop_engine::par::map`]), one complete
+//! deterministic run per seed, and reduces every headline metric to mean
+//! ± 95% CI ([`MetricSummary`], Student t for small N).
 //!
 //! Mechanics:
 //!
@@ -37,10 +35,9 @@ use crate::fig5::{Curve, CurveCi};
 use crate::setup::{Scale, Scenario, Topology};
 use crate::{ablation, embed_agreement, faults, fig5, fig6, fig7, traffic};
 use prop_core::PropConfig;
-use prop_engine::SimRng;
+use prop_engine::json::{self, FromJson, ToJson, Value};
+use prop_engine::{json_impl, par, SimRng};
 use prop_metrics::{MetricSummary, TimeSeries};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -50,7 +47,7 @@ use std::sync::Mutex;
 /// Which experiment a sweep fans out. Each variant maps to one
 /// representative deterministic unit run per seed (panel-independent: the
 /// figure binaries still own per-panel single-seed output).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepExperiment {
     /// PROP-G on Gnutella — mean flooded-lookup latency curve.
     Fig5,
@@ -68,6 +65,10 @@ pub enum SweepExperiment {
     /// per-diurnal-phase stretch and overhead.
     Traffic,
 }
+
+json_impl!(ToJson, FromJson for enum SweepExperiment {
+    Fig5, Fig6, Fig7, Ablation, Faults, EmbedAgreement, Traffic
+});
 
 impl SweepExperiment {
     /// Parse an `--experiment` argument.
@@ -100,7 +101,7 @@ impl SweepExperiment {
 /// Everything that determines a sweep's results. The manifest stores this
 /// config plus its hash; any field changing between a manifest and a
 /// `--resume` invocation refuses the resume.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepConfig {
     pub experiment: SweepExperiment,
     pub scale: Scale,
@@ -110,13 +111,15 @@ pub struct SweepConfig {
     pub seeds: usize,
     /// Override the scale's default topology (tests use [`Topology::Tiny`];
     /// honored by the fig5/fig6 units, which build their own scenario).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub topology: Option<Topology>,
     /// Override the scale's default member count (fig5/fig6 units, and the
     /// embed-agreement member count).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub n: Option<usize>,
 }
+
+json_impl!(ToJson, FromJson for struct SweepConfig {
+    experiment, scale, base_seed, seeds, topology [omit_none], n [omit_none]
+});
 
 impl SweepConfig {
     pub fn new(experiment: SweepExperiment, scale: Scale, base_seed: u64, seeds: usize) -> Self {
@@ -132,8 +135,7 @@ impl SweepConfig {
     /// struct is fixed, so equal configs hash equally across runs and
     /// platforms.
     pub fn hash(&self) -> String {
-        let json = serde_json::to_string(self).expect("config serializes");
-        format!("{:016x}", fnv64(json.as_bytes()))
+        format!("{:016x}", fnv64(json::to_string(self).as_bytes()))
     }
 
     /// The u64 experiment seed for shard `k`: one draw from a
@@ -162,7 +164,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 
 /// One seed's completed run: the headline metrics the aggregator reduces,
 /// plus the experiment's full report for auditability.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SeedRecord {
     pub index: usize,
     pub seed: u64,
@@ -171,19 +173,22 @@ pub struct SeedRecord {
     /// per-metric reduction well-defined.
     pub metrics: BTreeMap<String, f64>,
     /// The experiment's own report shape for this seed.
-    pub payload: serde_json::Value,
+    pub payload: Value,
 }
 
+json_impl!(ToJson, FromJson for struct SeedRecord { index, seed, metrics, payload });
+
 /// Per-seed completion state in the manifest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeedStatus {
     Pending,
     Done,
 }
 
+json_impl!(ToJson, FromJson for enum SeedStatus { Pending = "pending", Done = "done" });
+
 /// One manifest row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SeedEntry {
     pub index: usize,
     /// The derived u64 experiment seed for this shard.
@@ -192,17 +197,20 @@ pub struct SeedEntry {
     /// FNV-64 digest of the written `seed-<k>.json` bytes (done seeds
     /// only); a mismatch on resume re-runs the seed instead of trusting a
     /// truncated or hand-edited record.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub digest: Option<String>,
 }
 
+json_impl!(ToJson, FromJson for struct SeedEntry { index, seed, status, digest [omit_none] });
+
 /// The on-disk resume state: `results/<sweep>/manifest.json`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepManifest {
     pub config: SweepConfig,
     pub config_hash: String,
     pub seeds: Vec<SeedEntry>,
 }
+
+json_impl!(ToJson, FromJson for struct SweepManifest { config, config_hash, seeds });
 
 impl SweepManifest {
     fn fresh(cfg: &SweepConfig) -> SweepManifest {
@@ -221,7 +229,7 @@ impl SweepManifest {
 /// The cross-seed reduction: `results/<sweep>/aggregate.json`. A pure
 /// function of the per-seed records in index order — no clocks, no thread
 /// counts — so interrupted-then-resumed sweeps reproduce it byte-for-byte.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepAggregate {
     pub experiment: String,
     pub scale: String,
@@ -233,9 +241,12 @@ pub struct SweepAggregate {
     pub metrics: BTreeMap<String, MetricSummary>,
     /// For the curve experiments (fig5/fig6): the pointwise-mean curve in
     /// the figure's own shape, with the [`CurveCi`] error-bar block.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub mean_curve: Option<Curve>,
 }
+
+json_impl!(ToJson for struct SweepAggregate {
+    experiment, scale, config_hash, base_seed, seeds, metrics, mean_curve [omit_none]
+});
 
 /// What `run_sweep` did, beyond the files on disk.
 pub struct SweepOutcome {
@@ -300,18 +311,16 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 fn write_manifest(dir: &Path, m: &SweepManifest) -> std::io::Result<()> {
-    let bytes = serde_json::to_vec_pretty(m).expect("manifest serializes");
-    write_atomic(&dir.join("manifest.json"), &bytes)
+    write_atomic(&dir.join("manifest.json"), json::to_string_pretty(m).as_bytes())
 }
 
 fn load_manifest(dir: &Path) -> Result<SweepManifest, SweepError> {
     let path = dir.join("manifest.json");
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
+    let text = match fs::read_to_string(&path) {
+        Ok(t) => t,
         Err(_) => return Err(SweepError::NoManifest(path)),
     };
-    serde_json::from_slice(&bytes)
-        .map_err(|e| SweepError::Corrupt(format!("{}: {e}", path.display())))
+    json::from_str(&text).map_err(|e| SweepError::Corrupt(format!("{}:{e}", path.display())))
 }
 
 /// Run (or resume) a sweep, writing all state under `<root>/<dir_name>`.
@@ -360,45 +369,33 @@ pub fn run_sweep(cfg: &SweepConfig, root: &Path, resume: bool) -> Result<SweepOu
     let reused = manifest.seeds.len() - pending.len();
     let ran = pending.len();
 
-    // Fan the pending seeds across the rayon pool: one complete
-    // deterministic run per shard, streamed to disk as it finishes. The
-    // manifest update after each seed is what makes a kill cheap — only
-    // in-flight seeds are lost.
+    // Fan the pending seeds across the cores: one complete deterministic
+    // run per shard, streamed to disk as it finishes. The manifest update
+    // after each seed is what makes a kill cheap — only in-flight seeds
+    // are lost.
     let shared = Mutex::new(manifest);
-    let io_errors = Mutex::new(Vec::<std::io::Error>::new());
-    pending.into_par_iter().for_each(|(k, seed)| {
-        let record = run_unit(cfg, k, seed);
-        let bytes = serde_json::to_vec_pretty(&record).expect("record serializes");
-        let digest = format!("{:016x}", fnv64(&bytes));
-        if let Err(e) = write_atomic(&seed_file(&dir, k), &bytes) {
-            io_errors.lock().unwrap().push(e);
-            return;
-        }
-        let mut m = shared.lock().unwrap();
+    let written = par::map(&pending, |&(k, seed)| -> std::io::Result<()> {
+        let bytes = json::to_string_pretty(&run_unit(cfg, k, seed)).into_bytes();
+        write_atomic(&seed_file(&dir, k), &bytes)?;
+        let mut m = shared.lock().expect("no seed panics while holding the manifest");
         m.seeds[k].status = SeedStatus::Done;
-        m.seeds[k].digest = Some(digest);
-        if let Err(e) = write_manifest(&dir, &m) {
-            io_errors.lock().unwrap().push(e);
-        }
+        m.seeds[k].digest = Some(format!("{:016x}", fnv64(&bytes)));
+        write_manifest(&dir, &m)
     });
-    if let Some(e) = io_errors.into_inner().unwrap().into_iter().next() {
-        return Err(SweepError::Io(e));
-    }
-    let manifest = shared.into_inner().unwrap();
+    written.into_iter().collect::<std::io::Result<()>>()?;
+    let manifest = shared.into_inner().expect("no seed panics while holding the manifest");
 
     // Reduce in index order — the fixed fold order is what makes the
     // aggregate byte-identical whether or not the sweep was interrupted.
     let mut records = Vec::with_capacity(manifest.seeds.len());
     for e in &manifest.seeds {
         let path = seed_file(&dir, e.index);
-        let bytes = fs::read(&path)?;
-        let rec: SeedRecord = serde_json::from_slice(&bytes)
-            .map_err(|err| SweepError::Corrupt(format!("{}: {err}", path.display())))?;
+        let rec: SeedRecord = json::from_str(&fs::read_to_string(&path)?)
+            .map_err(|err| SweepError::Corrupt(format!("{}:{err}", path.display())))?;
         records.push(rec);
     }
     let aggregate = aggregate(cfg, &hash, &records);
-    let bytes = serde_json::to_vec_pretty(&aggregate).expect("aggregate serializes");
-    write_atomic(&dir.join("aggregate.json"), &bytes)?;
+    write_atomic(&dir.join("aggregate.json"), json::to_string_pretty(&aggregate).as_bytes())?;
 
     Ok(SweepOutcome { dir, aggregate, ran, reused })
 }
@@ -432,17 +429,21 @@ fn mean_curve(cfg: &SweepConfig, records: &[SeedRecord]) -> Option<Curve> {
     if !matches!(cfg.experiment, SweepExperiment::Fig5 | SweepExperiment::Fig6) {
         return None;
     }
-    // Both payload shapes serialize `series: TimeSeries` + `improvement`.
-    #[derive(Deserialize)]
+    // Both payload shapes carry `series: TimeSeries` + `improvement`
+    // (fig6's has the workload disposition beside them).
     struct CurveLike {
         series: TimeSeries,
         improvement: f64,
     }
     let curves: Vec<CurveLike> = records
         .iter()
-        .map(|r| serde_json::from_value(r.payload.clone()))
-        .collect::<Result<_, _>>()
-        .ok()?;
+        .map(|r| {
+            Some(CurveLike {
+                series: TimeSeries::from_json(r.payload.get("series")?).ok()?,
+                improvement: f64::from_json(r.payload.get("improvement")?).ok()?,
+            })
+        })
+        .collect::<Option<_>>()?;
     let first = curves.first()?;
     let len = first.series.points.len();
     if len == 0 || curves.iter().any(|c| c.series.points.len() != len) {
@@ -489,7 +490,7 @@ pub fn run_unit(cfg: &SweepConfig, index: usize, seed: u64) -> SeedRecord {
             metrics.insert("latency_initial_ms".into(), curve.series.first_value().unwrap_or(0.0));
             metrics.insert("latency_final_ms".into(), curve.series.last_value().unwrap_or(0.0));
             metrics.insert("improvement".into(), curve.improvement);
-            serde_json::to_value(&curve).expect("curve serializes")
+            curve.to_json()
         }
         SweepExperiment::Fig6 => {
             let scenario = unit_scenario(cfg, seed);
@@ -511,7 +512,7 @@ pub fn run_unit(cfg: &SweepConfig, index: usize, seed: u64) -> SeedRecord {
             };
             metrics.insert("overhead_msgs_per_trial".into(), per_trial);
             metrics.insert("overhead_trials".into(), overhead.trials as f64);
-            serde_json::to_value(&curve).expect("curve serializes")
+            curve.to_json()
         }
         SweepExperiment::Fig7 => {
             let curves = fig7::run(cfg.scale, seed);
@@ -522,7 +523,7 @@ pub fn run_unit(cfg: &SweepConfig, index: usize, seed: u64) -> SeedRecord {
                 let best = c.points.iter().map(|&(_, r)| r).fold(f64::MAX, f64::min);
                 metrics.insert(format!("best_ratio/{}", c.label), best);
             }
-            serde_json::to_value(&curves).expect("curves serialize")
+            curves.to_json()
         }
         SweepExperiment::Ablation => {
             let r = ablation::overhead(cfg.scale, seed);
@@ -533,7 +534,7 @@ pub fn run_unit(cfg: &SweepConfig, index: usize, seed: u64) -> SeedRecord {
                     row.predicted_msgs_per_trial,
                 );
             }
-            serde_json::to_value(&r).expect("report serializes")
+            r.to_json()
         }
         SweepExperiment::Faults => {
             let rows = faults::sweep(cfg.scale, seed);
@@ -542,7 +543,7 @@ pub fn run_unit(cfg: &SweepConfig, index: usize, seed: u64) -> SeedRecord {
                 metrics.insert(format!("improvement_pct/{cell}"), row.improvement_pct);
                 metrics.insert(format!("faulted/{cell}"), row.faulted as f64);
             }
-            serde_json::to_value(&rows).expect("rows serialize")
+            rows.to_json()
         }
         SweepExperiment::EmbedAgreement => {
             let (n, samples) = match cfg.scale {
@@ -554,7 +555,7 @@ pub fn run_unit(cfg: &SweepConfig, index: usize, seed: u64) -> SeedRecord {
             metrics.insert("agreement_rate".into(), r.agreement_rate);
             metrics.insert("escalation_rate".into(), r.escalation_rate);
             metrics.insert("plans".into(), r.plans as f64);
-            serde_json::to_value(&r).expect("report serializes")
+            r.to_json()
         }
         SweepExperiment::Traffic => {
             let spec =
@@ -575,7 +576,7 @@ pub fn run_unit(cfg: &SweepConfig, index: usize, seed: u64) -> SeedRecord {
                     metrics.insert(format!("stretch/{}/{}", r.driver, p.phase), p.stretch);
                 }
             }
-            serde_json::to_value(&runs).expect("runs serialize")
+            runs.to_json()
         }
     };
     SeedRecord { index, seed, metrics, payload }
@@ -762,12 +763,12 @@ mod tests {
                     ("stretch_final".to_string(), 2.0 + k as f64 * 0.1),
                     ("improvement".to_string(), 0.3),
                 ]),
-                payload: serde_json::Value::Null,
+                payload: Value::Null,
             })
             .collect();
         let a = aggregate(&cfg, "h", &recs);
         let b = aggregate(&cfg, "h", &recs);
-        assert_eq!(serde_json::to_vec(&a).unwrap(), serde_json::to_vec(&b).unwrap());
+        assert_eq!(json::to_string(&a), json::to_string(&b));
         let s = &a.metrics["stretch_final"];
         assert!((s.mean - 2.15).abs() < 1e-12);
         assert_eq!(s.n, 4);
@@ -785,7 +786,7 @@ mod tests {
             index: k,
             seed: cfg.seed_for(k),
             metrics: BTreeMap::from([("stretch_final".to_string(), v)]),
-            payload: serde_json::Value::Null,
+            payload: Value::Null,
         };
         let agg = aggregate(&cfg, "h", &[rec(0, 2.0), rec(1, 2.1), rec(2, 1.9)]);
         let w = agg.metrics["stretch_final"].ci95.unwrap();

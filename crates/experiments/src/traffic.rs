@@ -11,9 +11,9 @@
 //!
 //! Everything is deterministic: the plane is a pure function of
 //! `(script, seed)`, the apply-side RNG is a labelled fork of the scenario
-//! seed, and measurement uses the deterministic parallel plane — so the
-//! same scenario file replays byte-for-byte on any worker count
-//! (`tests/traffic_replay.rs` pins this).
+//! seed, and measurement is a function of the pair list alone — so the
+//! same scenario file replays byte-for-byte (`tests/traffic_replay.rs`
+//! pins this).
 
 use crate::setup::{Scale, Scenario, Topology};
 use prop_baselines::selfish::{SelfishConfig, SelfishSim};
@@ -21,7 +21,8 @@ use prop_core::{
     AsyncProtocolSim, ChurnDriver, PropConfig, ProtocolSim, TrafficCounters, TrafficEvent,
     TrafficPlane,
 };
-use prop_engine::{Duration, SimTime};
+use prop_engine::json;
+use prop_engine::{json_impl, Duration, SimTime};
 use prop_faults::{transit_bisection, Scenario as ScenarioSpec};
 use prop_metrics::{link_stretch, par_path_stretch, StretchSummary, TimeSeries, TrafficReport};
 use prop_netsim::oracle::MemberIdx;
@@ -29,7 +30,6 @@ use prop_overlay::gnutella::Gnutella;
 use prop_overlay::Slot;
 use prop_workloads::traffic::script::PHASES;
 use prop_workloads::{CompiledTraffic, TrafficScript};
-use serde::{Deserialize, Serialize};
 
 /// Which driver consumes the traffic plane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,7 +66,7 @@ impl TrafficDriver {
 }
 
 /// One driver's run of one scenario.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrafficRunReport {
     pub scenario: String,
     pub driver: String,
@@ -80,6 +80,10 @@ pub struct TrafficRunReport {
     pub final_link_stretch: f64,
     pub always_connected: bool,
 }
+
+json_impl!(ToJson for struct TrafficRunReport {
+    scenario, driver, seed, series, report, emitted, final_link_stretch, always_connected
+});
 
 /// Wrapper giving the selfish baseline the [`ChurnDriver`] surface (the
 /// trait lives in prop-core, the sim in prop-baselines — neither crate
@@ -107,12 +111,14 @@ impl ChurnDriver for SelfishDriver {
     }
 }
 
-/// Resolve a scenario's topology label to the [`Topology`] preset.
+/// Resolve a scenario's topology label to the [`Topology`] preset. The
+/// loaders below have already refused a file whose label is unknown.
 pub fn topology_from_label(label: &str) -> Topology {
-    [Topology::TsLarge, Topology::TsSmall, Topology::Tiny]
-        .into_iter()
-        .find(|t| t.label() == label)
-        .unwrap_or_else(|| panic!("unknown topology label {label:?}"))
+    find_topology(label).unwrap_or_else(|| panic!("unknown topology label {label:?}"))
+}
+
+fn find_topology(label: &str) -> Option<Topology> {
+    [Topology::TsLarge, Topology::TsSmall, Topology::Tiny].into_iter().find(|t| t.label() == label)
 }
 
 /// Run one scenario on one driver. Scripted lookups become the stretch
@@ -371,26 +377,84 @@ pub fn builtin_scenario(
     ScenarioSpec::new(name, topo.label(), n, seed, script)
 }
 
+/// Why a scenario file was refused.
+#[derive(Debug)]
+pub enum ScenarioError {
+    /// The file could not be read.
+    Read { path: String, source: std::io::Error },
+    /// The file is not the JSON it should be: `error` says where (line,
+    /// column, and the path inside the document) and what was expected.
+    Parse { path: String, error: json::Error },
+    /// The file parses, but a value in it cannot be run.
+    Invalid { path: String, what: String },
+}
+
+impl std::fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScenarioError::Read { path, source } => write!(f, "cannot read {path}: {source}"),
+            ScenarioError::Parse { path, error } => write!(f, "{path}:{error}"),
+            ScenarioError::Invalid { path, what } => write!(f, "{path}: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
+
+fn read(path: &str) -> Result<String, ScenarioError> {
+    std::fs::read_to_string(path)
+        .map_err(|source| ScenarioError::Read { path: path.to_string(), source })
+}
+
+/// The values a driver would divide by or index with.
+fn check_script(path: &str, script: &TrafficScript) -> Result<(), ScenarioError> {
+    let what = if script.hour_ms == 0 {
+        "traffic.hour_ms must be positive"
+    } else if script.catalog == 0 {
+        "traffic.catalog must be positive"
+    } else {
+        return Ok(());
+    };
+    Err(ScenarioError::Invalid { path: path.to_string(), what: what.to_string() })
+}
+
+fn parse_bundle(path: &str, text: &str) -> Result<ScenarioSpec, ScenarioError> {
+    let spec: ScenarioSpec = json::from_str(text)
+        .map_err(|error| ScenarioError::Parse { path: path.to_string(), error })?;
+    if find_topology(&spec.topology).is_none() {
+        let what =
+            format!("unknown topology {:?} (known: ts-large, ts-small, tiny)", spec.topology);
+        return Err(ScenarioError::Invalid { path: path.to_string(), what });
+    }
+    check_script(path, &spec.traffic)?;
+    Ok(spec)
+}
+
 /// Load a scenario bundle from a JSON file (see `examples/*.json`).
-pub fn load_scenario(path: &str) -> ScenarioSpec {
-    let json = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read scenario {path}: {e}"));
-    serde_json::from_str(&json).unwrap_or_else(|e| panic!("cannot parse scenario {path}: {e}"))
+pub fn load_scenario(path: &str) -> Result<ScenarioSpec, ScenarioError> {
+    parse_bundle(path, &read(path)?)
 }
 
 /// Load either a full [`ScenarioSpec`] bundle or a bare [`TrafficScript`]
-/// from JSON (the `--traffic` flag accepts both). A bare script is wrapped
-/// in a scenario named after the file, at the scale's default topology and
+/// from JSON (the `--traffic` flag accepts both): a document with a
+/// top-level `"traffic"` key is a bundle, anything else is read as a
+/// script, and an error is that type's error. A bare script is wrapped in
+/// a scenario named after the file, at the scale's default topology and
 /// population, under `seed`. A full bundle keeps its own seed — it *is*
 /// the reproducible unit.
-pub fn load_script_or_scenario(path: &str, scale: Scale, seed: u64) -> ScenarioSpec {
-    let json = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read scenario {path}: {e}"));
-    if let Ok(spec) = serde_json::from_str::<ScenarioSpec>(&json) {
-        return spec;
+pub fn load_script_or_scenario(
+    path: &str,
+    scale: Scale,
+    seed: u64,
+) -> Result<ScenarioSpec, ScenarioError> {
+    let text = read(path)?;
+    let parse_error = |error| ScenarioError::Parse { path: path.to_string(), error };
+    let doc = json::parse(&text).map_err(parse_error)?;
+    if doc.get("traffic").is_some() {
+        return parse_bundle(path, &text);
     }
-    let script: TrafficScript = serde_json::from_str(&json)
-        .unwrap_or_else(|e| panic!("{path} is neither a Scenario nor a TrafficScript: {e}"));
+    let script: TrafficScript = json::from_str(&text).map_err(parse_error)?;
+    check_script(path, &script)?;
     let topo = match scale {
         Scale::Paper => Topology::TsLarge,
         Scale::Quick => Topology::TsSmall,
@@ -400,7 +464,7 @@ pub fn load_script_or_scenario(path: &str, scale: Scale, seed: u64) -> ScenarioS
         .and_then(|s| s.to_str())
         .unwrap_or("scripted")
         .to_string();
-    ScenarioSpec::new(name, topo.label(), scale.default_n(), seed, script)
+    Ok(ScenarioSpec::new(name, topo.label(), scale.default_n(), seed, script))
 }
 
 #[cfg(test)]
@@ -430,8 +494,8 @@ mod tests {
         let a = run_scenario(&tiny_spec(9), TrafficDriver::PropG, Scale::Quick);
         let b = run_scenario(&tiny_spec(9), TrafficDriver::PropG, Scale::Quick);
         assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
+            json::to_string(&a),
+            json::to_string(&b),
             "same (scenario, seed) must replay byte-for-byte"
         );
     }
@@ -453,6 +517,169 @@ mod tests {
         let f = builtin_scenario("flash-crowd", Scale::Quick, 1, Some(Topology::Tiny), Some(24));
         assert_eq!(f.n, 24);
         assert_eq!(f.traffic.flash_crowds.len(), 2);
+    }
+
+    const BUNDLE: &str = r#"{
+  "name": "x",
+  "topology": "tiny",
+  "n": 24,
+  "seed": 1,
+  "traffic": {
+    "hour_ms": 60000,
+    "horizon_ms": 120000,
+    "catalog": 10,
+    "domains": [
+      {"domain": 0, "joins_per_min": 1.0, "leaves_per_min": 1.0, "lookups_per_min": 4.0}
+    ],
+    "flash_crowds": []
+  },
+  "faults": {"events": [{"Loss": {"at_ms": 0, "prob": 0.1}}]}
+}"#;
+
+    /// Write `text` under a scratch name and load it the way `--traffic` does.
+    fn load_text(name: &str, text: &str) -> Result<ScenarioSpec, ScenarioError> {
+        let dir = std::env::temp_dir().join(format!("prop-scenario-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, text).unwrap();
+        load_script_or_scenario(path.to_str().unwrap(), Scale::Quick, 9)
+    }
+
+    /// 1-based line and column of the last occurrence of `needle`.
+    fn position_of(text: &str, needle: &str) -> (usize, usize) {
+        let before = &text[..text.rfind(needle).unwrap_or_else(|| panic!("no {needle:?}"))];
+        let line_start = before.rfind('\n').map_or(0, |p| p + 1);
+        (1 + before.matches('\n').count(), 1 + before[line_start..].chars().count())
+    }
+
+    #[test]
+    fn the_reference_bundle_loads() {
+        let spec = load_text("ok", BUNDLE).expect("valid bundle");
+        assert_eq!((spec.n, spec.seed, spec.faults.events.len()), (24, 1, 1));
+        // A bare script is wrapped at the scale's defaults, under the CLI seed.
+        let script = json::to_string(&spec.traffic);
+        let wrapped = load_text("bare", &script).expect("valid bare script");
+        assert_eq!((wrapped.name.as_str(), wrapped.seed), ("bare", 9));
+        assert_eq!((wrapped.topology.as_str(), wrapped.n), ("ts-small", 120));
+        assert_eq!(wrapped.traffic, spec.traffic);
+    }
+
+    #[test]
+    fn malformed_scenarios_are_errors_with_a_position_never_panics() {
+        let edit = |from: &str, to: &str| {
+            assert!(BUNDLE.contains(from), "the reference bundle has no {from:?}");
+            BUNDLE.replacen(from, to, 1)
+        };
+        let cut = BUNDLE.find("\"faults\"").unwrap() + 3;
+        // (case, the file, the token the error points at, the path inside
+        //  the document, what the message says)
+        let cases = [
+            ("truncated", BUNDLE[..cut].to_string(), "\"fa", "", "unterminated string"),
+            ("trailing-comma", edit("[]\n  }", "[],\n  }"), "},", "", "trailing comma"),
+            (
+                "wrong-type",
+                edit("60000", "\"60000\""),
+                "\"60000\"",
+                "traffic.hour_ms",
+                "found a string",
+            ),
+            (
+                "unknown-variant",
+                edit("\"Loss\"", "\"Los\""),
+                "\"Los\"",
+                "faults.events[0].Los",
+                "unknown variant `Los` of FaultEvent",
+            ),
+            (
+                "unknown-key",
+                edit("\"flash_crowds\"", "\"flash_crowdz\""),
+                "\"flash_crowdz\"",
+                "traffic.flash_crowdz",
+                "unknown key `flash_crowdz` in TrafficScript",
+            ),
+            (
+                "missing-field",
+                edit("  \"seed\": 1,\n", ""),
+                "{\n  \"name\"",
+                "",
+                "missing field `seed` in Scenario",
+            ),
+            (
+                "duplicate-key",
+                edit("\"n\": 24,", "\"n\": 24, \"n\": 25,"),
+                "\"n\": 25",
+                "",
+                "duplicate key `n`",
+            ),
+            ("out-of-range", edit("4.0}", "1e999}"), "1e999", "", "out of range"),
+            (
+                "trailing-garbage",
+                edit("0.1}}]}\n}", "0.1}}]}\n} ]"),
+                "]",
+                "",
+                "trailing characters",
+            ),
+        ];
+        for (name, text, token, doc_path, needle) in cases {
+            match load_text(name, &text) {
+                Err(ScenarioError::Parse { path, error }) => {
+                    assert!(path.ends_with(&format!("{name}.json")), "{name}: {path}");
+                    assert_eq!(
+                        (error.line, error.col),
+                        position_of(&text, token),
+                        "{name}: {error}"
+                    );
+                    assert_eq!(error.path(), doc_path, "{name}: {error}");
+                    assert!(error.what.contains(needle), "{name}: {error}");
+                }
+                other => panic!("{name}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_bundle_with_one_bad_field_is_reported_as_a_bundle() {
+        // The old loader tried Scenario, swallowed its error, and reported
+        // the TrafficScript error for the whole document.
+        let text = BUNDLE.replacen("\"catalog\": 10", "\"catalog\": -10", 1);
+        let message = load_text("bundle-bad-field", &text).unwrap_err().to_string();
+        let (line, col) = position_of(&text, "-10");
+        assert!(
+            message.contains(&format!("bundle-bad-field.json:{line}:{col}: traffic.catalog:")),
+            "{message}"
+        );
+        // And a bare script's error is the script's.
+        let script = r#"{"hour_ms": 1000, "horizon_ms": 5000, "catalog": 5, "domains": {}}"#;
+        let message = load_text("script-bad-field", script).unwrap_err().to_string();
+        assert!(
+            message.contains("script-bad-field.json:1:64: domains: expected an array"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn unreadable_and_unrunnable_files_are_errors_too() {
+        assert!(matches!(
+            load_script_or_scenario("/nonexistent/scenario.json", Scale::Quick, 1),
+            Err(ScenarioError::Read { .. })
+        ));
+        for (name, from, to, needle) in [
+            ("zero-hour", "60000", "0", "traffic.hour_ms must be positive"),
+            (
+                "zero-catalog",
+                "\"catalog\": 10",
+                "\"catalog\": 0",
+                "traffic.catalog must be positive",
+            ),
+            ("bad-topology", "\"tiny\"", "\"huge\"", "unknown topology \"huge\""),
+        ] {
+            match load_text(name, &BUNDLE.replacen(from, to, 1)) {
+                Err(e @ ScenarioError::Invalid { .. }) => {
+                    assert!(e.to_string().contains(needle), "{name}: {e}")
+                }
+                other => panic!("{name}: expected an invalid-value error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

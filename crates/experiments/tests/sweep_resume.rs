@@ -8,6 +8,7 @@
 //! * resuming with no manifest on disk is an error, not a silent fresh
 //!   start.
 
+use prop_engine::json;
 use prop_experiments::setup::Topology;
 use prop_experiments::sweep::{
     run_sweep, SeedStatus, SweepConfig, SweepError, SweepExperiment, SweepManifest,
@@ -36,11 +37,11 @@ fn tiny_cfg(seeds: usize) -> SweepConfig {
 }
 
 fn read_manifest(dir: &Path) -> SweepManifest {
-    serde_json::from_slice(&fs::read(dir.join("manifest.json")).unwrap()).unwrap()
+    json::from_str(&fs::read_to_string(dir.join("manifest.json")).unwrap()).unwrap()
 }
 
 fn write_manifest(dir: &Path, m: &SweepManifest) {
-    fs::write(dir.join("manifest.json"), serde_json::to_vec_pretty(m).unwrap()).unwrap();
+    fs::write(dir.join("manifest.json"), json::to_string_pretty(m)).unwrap();
 }
 
 #[test]

@@ -2,15 +2,16 @@
 //!
 //! * the same (scenario JSON, seed) replays **byte for byte** on the
 //!   synchronous and asynchronous drivers — including a round trip of the
-//!   scenario itself through serde;
+//!   scenario itself through its JSON form;
 //! * a `Traffic` sweep interrupted mid-run and resumed with `--resume`
 //!   reproduces the uninterrupted aggregate byte for byte;
 //! * the committed `examples/*.json` scenario bundles stay parseable and
 //!   compile to non-empty traffic planes.
 
+use prop_engine::json;
 use prop_experiments::setup::Topology;
 use prop_experiments::sweep::{run_sweep, SeedStatus, SweepConfig, SweepExperiment, SweepManifest};
-use prop_experiments::traffic::{run_scenario, TrafficDriver};
+use prop_experiments::traffic::{load_scenario, run_scenario, TrafficDriver};
 use prop_experiments::Scale;
 use prop_faults::Scenario as ScenarioSpec;
 use prop_workloads::TrafficScript;
@@ -33,18 +34,17 @@ fn tiny_spec(seed: u64) -> ScenarioSpec {
 fn scenario_json_replays_byte_identically_on_both_drivers() {
     let spec = tiny_spec(21);
     // The JSON file *is* the reproducible unit: round-trip the bundle
-    // through serde and replay both copies.
-    let json = serde_json::to_string(&spec).unwrap();
-    let reparsed: ScenarioSpec = serde_json::from_str(&json).unwrap();
-    assert_eq!(spec, reparsed, "scenario serde round trip changed the bundle");
+    // through its JSON form and replay both copies.
+    let reparsed: ScenarioSpec = json::from_str(&json::to_string(&spec)).unwrap();
+    assert_eq!(spec, reparsed, "scenario JSON round trip changed the bundle");
 
     for driver in [TrafficDriver::PropO, TrafficDriver::Async] {
         let a = run_scenario(&spec, driver, Scale::Quick);
         let b = run_scenario(&reparsed, driver, Scale::Quick);
         assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "{} replay diverged across a serde round trip",
+            json::to_string(&a),
+            json::to_string(&b),
+            "{} replay diverged across a JSON round trip",
             driver.label()
         );
         assert!(a.report.total_applied() > 0, "{} applied nothing", driver.label());
@@ -60,13 +60,13 @@ fn async_driver_differs_from_sync_but_is_self_consistent() {
     let sync_run = run_scenario(&spec, TrafficDriver::PropO, Scale::Quick);
     let async_a = run_scenario(&spec, TrafficDriver::Async, Scale::Quick);
     let async_b = run_scenario(&spec, TrafficDriver::Async, Scale::Quick);
-    assert_eq!(serde_json::to_string(&async_a).unwrap(), serde_json::to_string(&async_b).unwrap());
+    assert_eq!(json::to_string(&async_a), json::to_string(&async_b));
     // Both consume the identical emitted stream.
     assert_eq!(sync_run.emitted, async_a.emitted, "drivers saw different planes");
 }
 
 fn read_manifest(dir: &Path) -> SweepManifest {
-    serde_json::from_slice(&fs::read(dir.join("manifest.json")).unwrap()).unwrap()
+    json::from_str(&fs::read_to_string(dir.join("manifest.json")).unwrap()).unwrap()
 }
 
 #[test]
@@ -94,7 +94,7 @@ fn interrupted_traffic_sweep_resumes_byte_identically() {
         e.status = SeedStatus::Pending;
         e.digest = None;
     }
-    fs::write(dir.join("manifest.json"), serde_json::to_vec_pretty(&manifest).unwrap()).unwrap();
+    fs::write(dir.join("manifest.json"), json::to_string_pretty(&manifest)).unwrap();
     for k in 2..4 {
         fs::remove_file(dir.join(format!("seed-{k}.json"))).unwrap();
     }
@@ -125,10 +125,7 @@ fn committed_example_scenarios_parse_and_compile() {
     let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
     for (file, flashes) in [("diurnal_regional.json", 0usize), ("flash_crowd.json", 2usize)] {
         let path = examples.join(file);
-        let json = fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        let spec: ScenarioSpec = serde_json::from_str(&json)
-            .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
+        let spec = load_scenario(path.to_str().unwrap()).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(spec.traffic.flash_crowds.len(), flashes, "{file}");
         assert!(!spec.traffic.domains.is_empty(), "{file} has no domains");
         let plane = prop_workloads::compile(&spec.traffic, spec.seed);

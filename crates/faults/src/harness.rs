@@ -122,8 +122,13 @@ impl FaultHarness {
 
         let windows = self.script.partition_windows();
         let is_prop_g = self.cfg.policy == Policy::PropG;
-        // (window, side-map snapshot, per-side connectivity snapshot)
-        let mut split_state: Option<((u64, u64), Vec<Option<Side>>, [bool; 2])> = None;
+        /// What held at the instant the active partition window opened.
+        struct SplitSnapshot {
+            window: (u64, u64),
+            sides: Vec<Option<Side>>,
+            connected: [bool; 2],
+        }
+        let mut split_state: Option<SplitSnapshot> = None;
         let mut verified = 0usize;
 
         for t in checks {
@@ -167,9 +172,8 @@ impl FaultHarness {
                             side_connected(net, &map, Side::A),
                             side_connected(net, &map, Side::B),
                         ];
-                        let same_window = matches!(&split_state, Some((sw, _, _)) if *sw == w);
-                        if same_window {
-                            let (_, map0, conn0) = split_state.as_ref().unwrap();
+                        if let Some(at_split) = split_state.as_ref().filter(|s| s.window == w) {
+                            let (map0, conn0) = (&at_split.sides, &at_split.connected);
                             if map != *map0 {
                                 return Err(format!(
                                     "[{kind}] slot→side map changed during partition at t={t}ms \
@@ -184,7 +188,8 @@ impl FaultHarness {
                             }
                         } else {
                             // Split instant (or a new window): take snapshots.
-                            split_state = Some((w, map, conn));
+                            split_state =
+                                Some(SplitSnapshot { window: w, sides: map, connected: conn });
                         }
                     }
                 }

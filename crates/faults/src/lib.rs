@@ -7,7 +7,7 @@
 //! protocol drivers and the simulated network that injects exactly those
 //! conditions — reproducibly, from a seed and a declarative script.
 //!
-//! * [`script`] — [`FaultScript`]: timed fault events (serde
+//! * [`script`] — [`FaultScript`]: timed fault events (JSON
 //!   round-trippable), the shared scenario language of experiments, tests,
 //!   and CI.
 //! * [`plane`] — the injectors ([`LossInjector`], [`DupInjector`],
@@ -20,7 +20,7 @@
 //!   drivers and assert Theorem 1 (connectivity — per side during a split,
 //!   globally always) and Theorem 2 (PROP-G isomorphism / PROP-O degree
 //!   preservation) at every checkpoint.
-//! * [`scenario`] — [`Scenario`]: a serde bundle composing topology,
+//! * [`scenario`] — [`Scenario`]: a JSON bundle composing topology,
 //!   population, a [`prop_workloads::TrafficScript`], and a [`FaultScript`]
 //!   under one seed — the unit the experiment binaries and the sweep
 //!   orchestrator replay.

@@ -11,10 +11,9 @@
 
 use prop_netsim::oracle::MemberIdx;
 use prop_netsim::{LatencyOracle, PhysGraph};
-use serde::{Deserialize, Serialize};
 
 /// Which half of the bisected transit core a peer is attached to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Side {
     A,
     B,

@@ -6,14 +6,14 @@
 //! ([`FaultScript`]), all replayed under a single seed. Experiments load a
 //! scenario from disk (see `examples/*.json` at the repo root), compile
 //! both scripts, and run — the same file on the same seed reproduces the
-//! same trace byte-for-byte on any worker count.
+//! same trace byte-for-byte.
 
 use crate::script::FaultScript;
+use prop_engine::json_impl;
 use prop_workloads::TrafficScript;
-use serde::{Deserialize, Serialize};
 
 /// A named, self-contained experiment input.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
     /// Scenario name — used for output file naming and report labels.
     pub name: String,
@@ -30,9 +30,12 @@ pub struct Scenario {
     pub traffic: TrafficScript,
     /// Optional fault plane composed alongside the traffic (defaults to
     /// no faults).
-    #[serde(default)]
     pub faults: FaultScript,
 }
+
+json_impl!(ToJson, FromJson for struct Scenario {
+    name, topology, n, seed, traffic, faults [default]
+});
 
 impl Scenario {
     /// A fault-free scenario around a traffic script.
@@ -69,6 +72,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prop_engine::json;
 
     fn sample() -> Scenario {
         let traffic = TrafficScript::preset_diurnal_regional(60_000, 24 * 60_000, 40, 1.0, 5.0);
@@ -77,10 +81,10 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_serde() {
+    fn round_trips_through_json() {
         let s = sample();
-        let json = serde_json::to_string_pretty(&s).unwrap();
-        let back: Scenario = serde_json::from_str(&json).unwrap();
+        let json = json::to_string_pretty(&s);
+        let back: Scenario = json::from_str(&json).unwrap();
         assert_eq!(s, back);
     }
 
@@ -101,7 +105,7 @@ mod tests {
                 ]
             }
         }"#;
-        let s: Scenario = serde_json::from_str(json).unwrap();
+        let s: Scenario = json::from_str(json).unwrap();
         assert!(s.faults.events.is_empty());
         assert_eq!(s.traffic.domains.len(), 1);
         assert!(s.traffic.flash_crowds.is_empty(), "script defaults apply too");

@@ -3,7 +3,7 @@
 //! A [`FaultScript`] is an ordered list of timed [`FaultEvent`]s — "at
 //! t = 60 s, 10 % message loss begins", "at t = 120 s the transit core
 //! partitions for 30 s", "peer 17 crashes at t = 90 s and restarts 20 s
-//! later". Scripts are plain data (serde round-trippable), so experiments,
+//! later". Scripts are plain data (JSON round-trippable), so experiments,
 //! tests, and the CI fault matrix share scenario definitions instead of
 //! each hand-wiring injectors.
 //!
@@ -13,11 +13,11 @@
 //! for the first minute"). Window-style events (spike, drift, partition,
 //! crash) are self-contained `[at, at + duration)` intervals.
 
-use serde::{Deserialize, Serialize};
+use prop_engine::json_impl;
 
 /// One timed fault directive. Times are simulated milliseconds since
 /// simulation start; peers are oracle member indices (physical identity).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FaultEvent {
     /// From `at_ms` on, drop each walk/exchange/probe/commit message with
     /// probability `prob` (until the next `Loss` event).
@@ -47,6 +47,16 @@ pub enum FaultEvent {
     Crash { at_ms: u64, peer: usize, restart_after_ms: u64 },
 }
 
+json_impl!(ToJson, FromJson for enum FaultEvent {
+    Loss { at_ms, prob },
+    Duplicate { at_ms, prob },
+    Reorder { at_ms, prob, max_extra_ms },
+    LatencySpike { at_ms, duration_ms, extra_ms },
+    LatencyDrift { at_ms, duration_ms, peak_extra_ms },
+    Partition { at_ms, heal_after_ms },
+    Crash { at_ms, peer, restart_after_ms },
+});
+
 impl FaultEvent {
     /// When the directive takes effect.
     pub fn at_ms(&self) -> u64 {
@@ -63,10 +73,12 @@ impl FaultEvent {
 }
 
 /// An ordered fault scenario (see module docs for the semantics).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultScript {
     pub events: Vec<FaultEvent>,
 }
+
+json_impl!(ToJson, FromJson for struct FaultScript { events });
 
 impl FaultScript {
     /// The empty scenario: a perfect network.
@@ -160,10 +172,14 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn json_round_trip() {
         let s = demo();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: FaultScript = serde_json::from_str(&json).unwrap();
+        let json = prop_engine::json::to_string(&s);
+        assert!(
+            json.starts_with(r#"{"events":[{"Loss":{"at_ms":0,"prob":0.1}},{"Partition":"#),
+            "{json}"
+        );
+        let back: FaultScript = prop_engine::json::from_str(&json).unwrap();
         assert_eq!(s, back);
     }
 

@@ -8,8 +8,6 @@
 //! and degenerates honestly: one seed has no dispersion estimate, so
 //! `ci95` is `None` (serialized as JSON `null`), never `NaN`.
 
-use serde::{Deserialize, Serialize};
-
 /// Two-sided 95% critical value of the Student t distribution with `df`
 /// degrees of freedom. Exact to three decimals for df ≤ 30, then the
 /// standard table breakpoints (40/60/120) down to the normal 1.960.
@@ -31,7 +29,7 @@ pub fn t_critical_95(df: usize) -> f64 {
 
 /// One metric across N seeds: mean, sample standard deviation, and the 95%
 /// confidence half-width (`mean ± ci95` covers the true mean at 95%).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MetricSummary {
     /// Number of seeds the samples came from.
     pub n: usize,
@@ -42,6 +40,8 @@ pub struct MetricSummary {
     /// when n < 2 — a single seed carries no dispersion information.
     pub ci95: Option<f64>,
 }
+
+prop_engine::json_impl!(ToJson, FromJson for struct MetricSummary { n, mean, stddev, ci95 });
 
 impl MetricSummary {
     /// Summarize samples (one per seed, in seed order — the fixed order
@@ -107,11 +107,11 @@ mod tests {
         assert_eq!(s.stddev, 0.0);
         assert_eq!(s.ci95, None);
         assert!(!s.mean.is_nan() && !s.stddev.is_nan());
-        // The JSON form must carry an explicit null, not NaN (which
-        // serde_json cannot even emit for f64 fields).
-        let json = serde_json::to_string(&s).unwrap();
+        // The JSON form must carry an explicit null, not NaN (which JSON
+        // cannot express).
+        let json = prop_engine::json::to_string(&s);
         assert!(json.contains("\"ci95\":null"), "{json}");
-        let back: MetricSummary = serde_json::from_str(&json).unwrap();
+        let back: MetricSummary = prop_engine::json::from_str(&json).unwrap();
         assert_eq!(back, s);
     }
 

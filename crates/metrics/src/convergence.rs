@@ -6,10 +6,9 @@
 //! converged to, and *how fast* it got (most of the way) there.
 
 use crate::timeseries::TimeSeries;
-use serde::{Deserialize, Serialize};
 
 /// Convergence summary of a falling time series.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Convergence {
     /// First sample value.
     pub initial: f64,

@@ -7,10 +7,9 @@
 //! same shape [`crate::OracleCacheReport`] gives the oracle cache.
 
 use prop_core::fault::FaultCounters;
-use serde::Serialize;
 
 /// One run's fault-plane activity, with derived rates.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FaultReport {
     pub drops: u64,
     pub dup_deliveries: u64,
@@ -25,6 +24,10 @@ pub struct FaultReport {
     /// scripted random-loss probability.
     pub drop_rate: f64,
 }
+
+prop_engine::json_impl!(ToJson for struct FaultReport {
+    drops, dup_deliveries, reorders, partition_secs, crashed_aborts, total_events, drop_rate
+});
 
 impl FaultReport {
     /// Package plane counters. `messages_ruled` is how many delivery
@@ -109,7 +112,7 @@ mod tests {
     #[test]
     fn serializes_for_json_dumps() {
         let r = FaultReport::from_counters(sample(), 400);
-        let json = serde_json::to_string(&r).unwrap();
+        let json = prop_engine::json::to_string(&r);
         assert!(json.contains("\"crashed_aborts\":2"));
         assert!(json.contains("\"partition_secs\":30.0"));
     }

@@ -8,7 +8,6 @@
 //! PROP leaves it untouched. This module counts it exactly.
 
 use prop_overlay::{LogicalGraph, OverlayNet, Slot};
-use rayon::prelude::*;
 
 /// Number of messages a TTL-limited flood from `src` generates: each node
 /// reached with remaining TTL > 0 forwards to all neighbors except the one
@@ -44,14 +43,14 @@ pub fn flood_messages(g: &LogicalGraph, src: Slot, ttl: u32) -> u64 {
     msgs
 }
 
-/// Mean flood cost over a sample of sources, fanned out over rayon
-/// workers. Message counts are integers, so the u64 total — and therefore
-/// the mean — is the same bits under any reduction order.
+/// Mean flood cost over a sample of sources. Message counts are integers,
+/// so the u64 total — and therefore the mean — is the same bits under any
+/// reduction order.
 pub fn mean_flood_messages(net: &OverlayNet, sources: &[Slot], ttl: u32) -> f64 {
     if sources.is_empty() {
         return f64::NAN;
     }
-    let total: u64 = sources.par_iter().map(|&s| flood_messages(net.graph(), s, ttl)).sum();
+    let total: u64 = sources.iter().map(|&s| flood_messages(net.graph(), s, ttl)).sum();
     total as f64 / sources.len() as f64
 }
 

@@ -6,10 +6,9 @@
 
 use prop_engine::stats::percentile;
 use prop_overlay::{FloodScratch, Lookup, OverlayNet, Slot};
-use serde::{Deserialize, Serialize};
 
 /// Quantile summary of a latency sample set.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LatencyCdf {
     pub count: usize,
     pub p10: f64,
@@ -38,7 +37,7 @@ impl LatencyCdf {
 
 /// Lookup-latency outcomes for one workload, split by a destination
 /// predicate (e.g. fast vs slow peers).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClassBreakdown {
     /// Destinations matching the predicate.
     pub matching: Option<LatencyCdf>,

@@ -3,15 +3,13 @@
 //! Accumulation is exact: latencies and hop counts are integers, so the
 //! totals are integer sums and the means are computed once at the end.
 //! That is what makes [`avg_lookup_latency`] return the same bits under any
-//! chunking and worker count (see [`crate::plane`]).
+//! chunking (see [`crate::plane`]).
 
 use crate::plane::{warm_pair_rows, MEASURE_CHUNK};
 use prop_overlay::{FloodScratch, Lookup, OverlayNet, Slot};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Result of measuring a lookup workload.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LatencySummary {
     /// Mean latency over delivered lookups, ms.
     pub mean_ms: f64,
@@ -74,10 +72,9 @@ impl LatencyTotals {
 }
 
 /// Run every pair through the overlay's lookup discipline and summarize.
-/// The pair list is chunked over rayon workers, each measuring its chunks
-/// with a private [`FloodScratch`], and the exact integer totals are
-/// merged: the same bits for every worker count. Oracle rows for the
-/// workload's slots are prefetched before the fan-out.
+/// The pair list is measured in [`MEASURE_CHUNK`]-sized chunks, each with
+/// its own [`FloodScratch`], and the exact integer totals are merged in
+/// chunk order. Oracle rows for the workload's slots are prefetched first.
 pub fn avg_lookup_latency(
     net: &OverlayNet,
     overlay: &impl Lookup,
@@ -85,12 +82,12 @@ pub fn avg_lookup_latency(
 ) -> LatencySummary {
     warm_pair_rows(net, pairs);
     pairs
-        .par_chunks(MEASURE_CHUNK)
+        .chunks(MEASURE_CHUNK)
         .map(|chunk| {
             let mut scratch = FloodScratch::new();
             LatencyTotals::measure(net, overlay, chunk, &mut scratch)
         })
-        .reduce(LatencyTotals::default, LatencyTotals::merge)
+        .fold(LatencyTotals::default(), LatencyTotals::merge)
         .summary()
 }
 

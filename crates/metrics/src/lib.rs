@@ -20,9 +20,9 @@
 //!   and per-transit-domain event totals for scripted traffic runs.
 //! * [`ci`] — cross-seed mean / sample-stddev / 95%-CI summaries (Student
 //!   t for small seed counts) backing the Monte-Carlo sweep orchestrator.
-//! * [`plane`] — the parallel measurement plane's determinism machinery:
-//!   the fixed chunk size and the oracle-row prefetch that make every
-//!   measurement return the same bits for any worker count.
+//! * [`plane`] — the measurement plane's determinism machinery: the fixed
+//!   chunk size and the oracle-row prefetch that make every measurement a
+//!   function of the pair list alone.
 
 pub mod ci;
 pub mod convergence;
@@ -49,7 +49,7 @@ pub use stretch::{link_stretch, path_stretch, StretchSummary};
 pub use timeseries::TimeSeries;
 pub use trafficstats::{TrafficDomainRow, TrafficPhaseRow, TrafficReport};
 
-// The names from when each metric had a serial and a rayon twin. `benchmark/`
+// The names from when each metric had a serial and a parallel twin. `benchmark/`
 // (pinned by BENCHMARK.json) and prop-experiments still spell them this way;
 // see ROADMAP "Deferred".
 pub use floodcost::mean_flood_messages as par_mean_flood_messages;

@@ -12,11 +12,11 @@
 //! [`OracleEmbedReport`] packages those ([`prop_netsim::EmbedStats`] +
 //! [`prop_netsim::EmbedCalibration`]) the same way.
 
+use prop_engine::json_impl;
 use prop_netsim::{CacheStats, EmbedStats, LatencyOracle};
-use serde::Serialize;
 
 /// One oracle's cache behavior over a measured window.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OracleCacheReport {
     /// Which tier answered: `"dense"` (no cache — all other fields zero)
     /// or `"row-cache"`.
@@ -31,6 +31,11 @@ pub struct OracleCacheReport {
     pub peak_resident_bytes: usize,
     pub capacity_bytes: usize,
 }
+
+json_impl!(ToJson for struct OracleCacheReport {
+    tier, hits, misses, hit_rate, evictions, resident_rows, resident_bytes, peak_resident_bytes,
+    capacity_bytes
+});
 
 impl OracleCacheReport {
     /// Snapshot an oracle's counters. The dense tier yields an all-zero
@@ -70,7 +75,7 @@ impl OracleCacheReport {
 /// measured window. `None`-producing constructors keep the exact tiers out
 /// of embed tables entirely (unlike the cache report, there is no sensible
 /// all-zero placeholder: a 0% escalation rate *means something*).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OracleEmbedReport {
     /// Always `"coord-embed"`.
     pub tier: &'static str,
@@ -87,6 +92,11 @@ pub struct OracleEmbedReport {
     /// The fit's committed error distribution.
     pub calibration: prop_netsim::EmbedCalibration,
 }
+
+json_impl!(ToJson for struct OracleEmbedReport {
+    tier, embed_queries, exact_queries, escalations, escalation_rate, margin_per_term_ms,
+    calibration
+});
 
 impl OracleEmbedReport {
     /// Snapshot an oracle's embedded-tier counters; `None` on the exact
@@ -222,7 +232,7 @@ mod tests {
     fn serializes_for_results_json() {
         let (_, cached) = oracles();
         let r = OracleCacheReport::from_oracle(&cached);
-        let json = serde_json::to_string(&r).unwrap();
+        let json = prop_engine::json::to_string(&r);
         assert!(json.contains("\"tier\":\"row-cache\""), "{json}");
         assert!(json.contains("hit_rate"), "{json}");
     }
@@ -259,7 +269,7 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("coord-embed"), "{text}");
         assert!(text.contains("escalations"), "{text}");
-        let json = serde_json::to_string(&r).unwrap();
+        let json = prop_engine::json::to_string(&r);
         assert!(json.contains("\"tier\":\"coord-embed\""), "{json}");
         assert!(json.contains("abs_p95_ms"), "{json}");
     }

@@ -1,28 +1,31 @@
 //! The measurement plane's determinism machinery.
 //!
 //! Every figure panel measures the overlay by running thousands of lookups
-//! over a pair workload. The plane parallelizes that over rayon workers
-//! under one contract: **the result is bit-identical to a sequential loop
-//! over the pairs, for every worker count.** Two mechanisms deliver it:
+//! over a pair workload. The workload is cut into fixed-size chunks that
+//! are measured one after another on the calling thread and merged in
+//! chunk order, under one contract: **the result is a function of the pair
+//! list alone.** Two mechanisms deliver it:
 //!
 //! * **Exact integer accumulation** wherever the measured quantities are
 //!   integers (lookup latency in ms, hops, flood message counts): integer
-//!   addition is associative and commutative, so any reduction order — any
-//!   chunking, any number of workers, rayon's join tree included — produces
-//!   the same totals, and the floating-point mean is computed exactly once
+//!   addition is associative and commutative, so any chunking produces the
+//!   same totals, and the floating-point mean is computed exactly once
 //!   from them.
 //! * **Fixed-size chunking** where the per-pair quantity is itself a float
 //!   (path stretch is a latency ratio): the pair list is split into
-//!   [`MEASURE_CHUNK`]-sized chunks — a constant, *never* a function of the
-//!   worker count — each chunk is summed sequentially, and the per-chunk
-//!   partials are folded in chunk-index order, so the additions happen in
-//!   one order on any machine even though f64 addition is not associative.
+//!   [`MEASURE_CHUNK`]-sized chunks — a constant — each chunk is summed
+//!   sequentially, and the per-chunk partials are folded in chunk-index
+//!   order, so the additions happen in one order on any machine even
+//!   though f64 addition is not associative.
 //!
-//! Each worker owns a [`prop_overlay::FloodScratch`], so flooding overlays
-//! allocate nothing per lookup, and entry points prefetch the oracle rows
-//! of every slot named by the workload (one batched, rayon-parallel warm —
-//! see [`warm_pair_rows`]) so row-cache misses become parallel Dijkstras up
-//! front instead of contended stalls inside the measurement loop.
+//! Chunks are independent (each owns its [`prop_overlay::FloodScratch`],
+//! so flooding overlays allocate nothing per lookup), which is what a later
+//! fan-out through `prop_engine::par::map` would rely on; today nothing
+//! inside one run is given a thread, because a row is O(n + k log k) and a
+//! goal-directed flood ≈ 16 µs — there is no measured work left to spread.
+//! Entry points prefetch the oracle rows of every slot named by the
+//! workload (one batched warm — see [`warm_pair_rows`]) so the measurement
+//! loop itself never computes a row.
 
 use prop_overlay::{OverlayNet, Slot};
 
@@ -30,20 +33,22 @@ use prop_overlay::{OverlayNet, Slot};
 ///
 /// This is the determinism anchor for float-valued metrics: per-chunk
 /// partials are summed over exactly these chunks and folded in chunk-index
-/// order, whatever the worker count. It must stay a constant — deriving it
-/// from the worker count would make results depend on the machine. 256
-/// pairs amortize the per-chunk scratch setup while still splitting a
-/// 2,000-pair sample round across every core of any machine this runs on.
+/// order. It must stay a constant — every committed stretch number has the
+/// float additions grouped this way, and deriving it from anything about
+/// the machine would make results depend on the machine. 256 pairs amortize
+/// the per-chunk scratch setup while still cutting a 2,000-pair sample
+/// round into eight independent pieces.
 pub const MEASURE_CHUNK: usize = 256;
 
 /// Prefetch the oracle rows behind a pair workload: dedups every slot named
 /// in `pairs` — a Zipf workload names hot sources hundreds of times — and
-/// batch-warms their rows exactly once each (no-op on the dense tier,
-/// rayon-parallel Dijkstras on the row-cache tier, exact-escalation-cache
-/// warm-up on the coordinate-embedded tier). Measurement entry points call
-/// this before fanning out so workers start from a warm cache. A pair with
-/// a departed endpoint is not measured against the oracle (a vacated slot
-/// has no peer), so it warms nothing either.
+/// batch-warms their rows exactly once each (no-op on the dense tier, one
+/// row computation per cold source on the row-cache tier,
+/// exact-escalation-cache warm-up on the coordinate-embedded tier).
+/// Measurement entry points call this first so the measurement loop starts
+/// from a warm cache. A pair with a departed endpoint is not measured
+/// against the oracle (a vacated slot has no peer), so it warms nothing
+/// either.
 pub fn warm_pair_rows(net: &OverlayNet, pairs: &[(Slot, Slot)]) {
     let mut slots: Vec<Slot> = Vec::with_capacity(pairs.len() * 2);
     for &(a, b) in pairs {

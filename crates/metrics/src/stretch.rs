@@ -2,8 +2,6 @@
 
 use crate::plane::{warm_pair_rows, MEASURE_CHUNK};
 use prop_overlay::{FloodScratch, Lookup, OverlayNet, Slot};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// *Link stretch*: mean logical link latency / mean physical link latency.
 /// This is the paper's headline definition — the numerator is exactly the
@@ -15,7 +13,7 @@ pub fn link_stretch(net: &OverlayNet) -> f64 {
 /// Result of measuring path stretch over a pair workload. Mirrors
 /// [`crate::LatencySummary`]: the mean alone hides how much of the workload
 /// actually contributed, so the disposition of every pair is reported.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StretchSummary {
     /// Mean over delivered, non-co-located pairs of (route latency /
     /// direct physical latency). `NaN` when nothing was delivered.
@@ -33,9 +31,9 @@ pub struct StretchSummary {
 
 /// Partial sums over one fixed-size chunk of the workload. The ratio sum is
 /// an f64 — *not* associative — so bit-determinism comes from the chunking
-/// itself: chunks are [`MEASURE_CHUNK`]-sized regardless of worker count,
-/// each chunk is summed sequentially, and partials are folded in
-/// chunk-index order (see [`crate::plane`]).
+/// itself: chunks are [`MEASURE_CHUNK`]-sized, each chunk is summed
+/// sequentially, and partials are folded in chunk-index order (see
+/// [`crate::plane`]).
 #[derive(Clone, Copy, Debug, Default)]
 struct StretchPartial {
     ratio_sum: f64,
@@ -94,9 +92,9 @@ fn fold_partials(partials: Vec<StretchPartial>) -> StretchSummary {
 /// has a well-defined route; used for the Chord experiments (Fig. 6).
 /// Pairs with zero physical distance or a departed endpoint, and
 /// undelivered lookups, are excluded from the mean but reported in the
-/// summary. Fixed-size chunks go to rayon workers and fold in chunk order:
-/// the same bits for every worker count. Oracle rows for the workload's
-/// slots are prefetched before the fan-out.
+/// summary. Fixed-size chunks are measured and folded in chunk order, so
+/// the float additions happen in one order. Oracle rows for the workload's
+/// slots are prefetched first.
 pub fn path_stretch(
     net: &OverlayNet,
     overlay: &impl Lookup,
@@ -104,7 +102,7 @@ pub fn path_stretch(
 ) -> StretchSummary {
     warm_pair_rows(net, pairs);
     let partials = pairs
-        .par_chunks(MEASURE_CHUNK)
+        .chunks(MEASURE_CHUNK)
         .map(|chunk| {
             let mut scratch = FloodScratch::new();
             StretchPartial::measure(net, overlay, chunk, &mut scratch)

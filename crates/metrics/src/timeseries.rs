@@ -1,7 +1,6 @@
 //! Labelled time series — the stuff of every figure.
 
 use prop_engine::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A named series of (simulated minutes, value) points.
 ///
@@ -14,11 +13,13 @@ use serde::{Deserialize, Serialize};
 /// ts.push(SimTime::ZERO + Duration::from_minutes(30), 4.0);
 /// assert_eq!(ts.improvement(), Some(0.5)); // halved
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     pub label: String,
     pub points: Vec<(f64, f64)>,
 }
+
+prop_engine::json_impl!(ToJson, FromJson for struct TimeSeries { label, points });
 
 impl TimeSeries {
     pub fn new(label: impl Into<String>) -> Self {
@@ -122,10 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip() {
         let ts = series();
-        let json = serde_json::to_string(&ts).unwrap();
-        let back: TimeSeries = serde_json::from_str(&json).unwrap();
+        let json = prop_engine::json::to_string(&ts);
+        let back: TimeSeries = prop_engine::json::from_str(&json).unwrap();
         assert_eq!(back.points, ts.points);
         assert_eq!(back.label, "test");
     }

@@ -10,10 +10,10 @@
 //! event at a time.
 
 use crate::stretch::StretchSummary;
-use serde::{Deserialize, Serialize};
+use prop_engine::json_impl;
 
 /// One diurnal phase's share of a traffic run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrafficPhaseRow {
     /// Phase label (`"night"`, `"morning"`, `"afternoon"`, `"evening"`).
     pub phase: String,
@@ -37,6 +37,11 @@ pub struct TrafficPhaseRow {
     /// target domain, population floor reached, dead destination).
     pub suppressed: u64,
 }
+
+json_impl!(ToJson, FromJson for struct TrafficPhaseRow {
+    phase, windows, stretch, delivered, failed, skipped, trials, msgs, joins, leaves, lookups,
+    suppressed
+});
 
 impl TrafficPhaseRow {
     /// Delivered fraction of measurable lookups (delivered + failed).
@@ -74,7 +79,7 @@ impl TrafficPhaseRow {
 
 /// One transit domain's scripted-event totals — the regional-correlation
 /// evidence (offset diurnal peaks show up as staggered per-domain churn).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrafficDomainRow {
     pub domain: u16,
     pub joins: u64,
@@ -82,13 +87,17 @@ pub struct TrafficDomainRow {
     pub lookups: u64,
 }
 
+json_impl!(ToJson, FromJson for struct TrafficDomainRow { domain, joins, leaves, lookups });
+
 /// A traffic run's full accounting: per-diurnal-phase quality/overhead
 /// rows plus per-transit-domain event totals.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrafficReport {
     pub phases: Vec<TrafficPhaseRow>,
     pub domains: Vec<TrafficDomainRow>,
 }
+
+json_impl!(ToJson, FromJson for struct TrafficReport { phases, domains });
 
 impl TrafficReport {
     /// Empty report with one row per phase label and per domain.
@@ -297,12 +306,12 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_serde() {
+    fn round_trips_through_json() {
         let mut r = TrafficReport::new(&["night"], 2);
         r.record_window(0, &summary(2.0, 5, 1), 3, 12);
         r.record_join(0, 1);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: TrafficReport = serde_json::from_str(&json).unwrap();
+        let json = prop_engine::json::to_string(&r);
+        let back: TrafficReport = prop_engine::json::from_str(&json).unwrap();
         assert_eq!(r, back);
     }
 

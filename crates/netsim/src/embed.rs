@@ -20,8 +20,8 @@
 //! ## Fit procedure (deterministic, seeded)
 //!
 //! 1. **Landmarks.** `L` members are chosen by deterministic stride over the
-//!    member index space. One exact row per landmark (Rayon-parallel, from
-//!    the internal exact tier's row kernel) yields the landmark→member
+//!    member index space. One exact row per landmark (from the internal
+//!    exact tier's row kernel) yields the landmark→member
 //!    distances — the only graph computation the fit performs.
 //! 2. **Landmark relaxation.** Landmark coordinates are fit against the
 //!    L × L exact inter-landmark distances by seeded spring relaxation:
@@ -29,8 +29,8 @@
 //!    branching — bit-identical on every run.
 //! 3. **Member fit.** Every member independently relaxes its own coordinate
 //!    against the (now frozen) landmark coordinates using its column of the
-//!    landmark rows. Members are mutually independent, so this pass is
-//!    Rayon-parallel *and* bit-deterministic for any worker count.
+//!    landmark rows. Members are mutually independent: each seeds its own
+//!    `fork_indexed` stream, so the pass does not depend on member order.
 //! 4. **Calibration.** Fresh exact rows from `C` stride-chosen sources (not
 //!    used during the fit) are compared against the embedding; the
 //!    per-percentile absolute and relative error distribution is committed
@@ -57,8 +57,6 @@ use crate::graph::{PhysGraph, PhysNodeId};
 use crate::latency::{OracleBuildError, OracleConfig};
 use crate::oracle::{CachedOracle, MemberIdx};
 use prop_engine::SimRng;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -70,8 +68,7 @@ pub const MAX_DIMS: usize = 8;
 const INIT_RADIUS_MS: f64 = 50.0;
 
 /// Construction-time knobs of the coordinate embedding.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EmbedConfig {
     /// Euclidean dimensions of the coordinate space (2..=[`MAX_DIMS`];
     /// the height is carried separately). 4 is the classic Vivaldi sweet
@@ -100,6 +97,12 @@ pub struct EmbedConfig {
     pub seed: u64,
 }
 
+// An absent knob keeps its default.
+prop_engine::json_impl!(FromJson for struct EmbedConfig [default] {
+    dims, landmarks, landmark_rounds, member_rounds, calibration_sources, calibration_targets,
+    fallback_percentile, margin_scale, seed
+});
+
 impl Default for EmbedConfig {
     fn default() -> Self {
         EmbedConfig {
@@ -111,7 +114,7 @@ impl Default for EmbedConfig {
             calibration_targets: 256,
             fallback_percentile: 0.95,
             margin_scale: 1.0,
-            seed: 0x454d_4245_44,
+            seed: 0x0045_4d42_4544,
         }
     }
 }
@@ -136,7 +139,7 @@ impl EmbedConfig {
 /// The embedding's measured error distribution, committed alongside the
 /// fit. All `abs` fields are milliseconds; `rel` fields are fractions of
 /// the exact distance (floored at 1 ms to keep ratios finite).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EmbedCalibration {
     /// Held-out (source, destination) samples measured.
     pub samples: usize,
@@ -151,9 +154,14 @@ pub struct EmbedCalibration {
     pub rel_p99: f64,
 }
 
+prop_engine::json_impl!(ToJson for struct EmbedCalibration {
+    samples, abs_p50_ms, abs_p90_ms, abs_p95_ms, abs_p99_ms, abs_max_ms, rel_p50, rel_p90,
+    rel_p95, rel_p99
+});
+
 /// Query counters of the embedded tier (relaxed atomics — reporting, not
 /// synchronization).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EmbedStats {
     /// `d(u,v)` queries answered from coordinates (the O(1) path).
     pub embed_queries: u64,
@@ -297,7 +305,7 @@ impl EmbedOracle {
         let l = ecfg.landmarks.min(n);
         let landmarks: Vec<MemberIdx> = (0..l).map(|k| k * n / l).collect();
         let landmark_rows: Vec<Arc<[u32]>> =
-            landmarks.par_iter().map(|&lm| exact.compute_row(lm)).collect();
+            landmarks.iter().map(|&lm| exact.compute_row(lm)).collect();
 
         // 2. Landmark relaxation over the exact L × L distances.
         let root = SimRng::seed_from(ecfg.seed);
@@ -334,11 +342,9 @@ impl EmbedOracle {
         }
 
         // 3. Per-member fit against the frozen landmarks. Members are
-        //    independent, so the parallel pass is bit-deterministic for
-        //    any rayon worker count. Landmark members pin to their own
-        //    relaxed coordinate.
+        //    independent (own stream, own coordinate). Landmark members
+        //    pin to their own relaxed coordinate.
         let fitted: Vec<([f64; MAX_DIMS], f64)> = (0..n)
-            .into_par_iter()
             .map(|m| {
                 if let Ok(li) = landmarks.binary_search(&m) {
                     let mut pos = [0.0f64; MAX_DIMS];
@@ -381,8 +387,7 @@ impl EmbedOracle {
         let mut cal_sources: Vec<MemberIdx> =
             (0..c).map(|k| (k * n / c + n / (2 * c).max(1)).min(n - 1)).collect();
         cal_sources.dedup();
-        let cal_rows: Vec<Arc<[u32]>> =
-            cal_sources.par_iter().map(|&s| exact.compute_row(s)).collect();
+        let cal_rows: Vec<Arc<[u32]>> = cal_sources.iter().map(|&s| exact.compute_row(s)).collect();
 
         let tgt = ecfg.calibration_targets.min(n);
         let mut abs_errs: Vec<f64> = Vec::with_capacity(cal_sources.len() * tgt);
@@ -521,8 +526,8 @@ impl EmbedOracle {
         &self.exact
     }
 
-    /// Warm the exact tier's rows for `sources` (Rayon-parallel) — for
-    /// harnesses that will escalate a known slot set.
+    /// Warm the exact tier's rows for `sources` — for harnesses that will
+    /// escalate a known slot set.
     pub fn warm_exact_rows(&self, sources: &[MemberIdx]) {
         self.exact.warm_rows(sources);
     }
@@ -570,6 +575,11 @@ impl EmbedOracle {
     #[inline]
     pub fn len(&self) -> usize {
         self.heights.len()
+    }
+
+    /// Whether the oracle has no members.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// The physical host backing member `i`.

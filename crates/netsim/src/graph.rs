@@ -6,11 +6,10 @@
 //! and cache-friendly for the thousands of Dijkstra runs the latency oracle
 //! performs.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Index of a host in the physical network.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PhysNodeId(pub u32);
 
 impl PhysNodeId {
@@ -21,7 +20,7 @@ impl PhysNodeId {
 }
 
 /// Transit/stub role of a physical node.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NodeClass {
     /// Backbone router in transit domain `domain`.
     Transit { domain: u16 },
@@ -40,7 +39,7 @@ impl NodeClass {
 
 /// Latency class of a physical link, following the paper's three-way
 /// assignment.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LinkClass {
     TransitTransit,
     StubTransit,

@@ -24,10 +24,9 @@
 use crate::embed::EmbedConfig;
 use crate::graph::PhysNodeId;
 use crate::oracle::MemberIdx;
-use serde::{Deserialize, Serialize};
 
 /// Construction-time knobs for [`crate::LatencyOracle`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OracleConfig {
     /// Member counts up to this build the dense matrix tier; larger counts
     /// get the row cache. The default (4,096) keeps every paper-scale
@@ -45,17 +44,24 @@ pub struct OracleConfig {
     /// the row cache. The default (150,000) keeps every workload the row
     /// cache has been proven on exact, and routes the million-member scale
     /// to the O(1) embedding.
-    #[serde(default = "default_embed_threshold")]
     pub embed_threshold: usize,
     /// Fit and fallback-band knobs of the coordinate-embedded tier; unused
     /// by the other two.
-    #[serde(default)]
     pub embed: EmbedConfig,
 }
 
 fn default_embed_threshold() -> usize {
     150_000
 }
+
+// Configs written before the coord-embed tier existed lack its two fields.
+prop_engine::json_impl!(FromJson for struct OracleConfig {
+    dense_threshold,
+    cache_capacity_bytes,
+    cache_shards,
+    embed_threshold [default = default_embed_threshold()],
+    embed [default]
+});
 
 impl Default for OracleConfig {
     fn default() -> Self {
@@ -150,7 +156,7 @@ mod tests {
         // Configs serialized before the coord-embed tier existed must keep
         // loading (and must route exactly as they used to).
         let legacy = r#"{"dense_threshold":4096,"cache_capacity_bytes":1048576,"cache_shards":4}"#;
-        let c: OracleConfig = serde_json::from_str(legacy).unwrap();
+        let c: OracleConfig = prop_engine::json::from_str(legacy).unwrap();
         assert_eq!(c.dense_threshold, 4096);
         assert_eq!(c.embed_threshold, 150_000);
         assert_eq!(c.embed, crate::embed::EmbedConfig::default());

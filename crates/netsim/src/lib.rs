@@ -15,7 +15,7 @@
 //! * [`LatencyOracle`] — the `d(u, v)` oracle every protocol and metric
 //!   consults. **Tiered**: member counts up to
 //!   [`OracleConfig::dense_threshold`] precompute the full latency matrix
-//!   in parallel with Rayon (the paper-scale fast path); populations up to
+//!   (the paper-scale fast path); populations up to
 //!   [`OracleConfig::embed_threshold`] answer from a byte-bounded sharded
 //!   LRU of on-demand rows, so a 100,000-member overlay runs in a few
 //!   hundred MB instead of the 40 GB a dense matrix would need; and

@@ -5,13 +5,13 @@
 //! **tiered** behind one facade, [`LatencyOracle`]:
 //!
 //! * [`DenseOracle`] — the full row-major `n × n` matrix, one row per
-//!   member fanned out across cores with Rayon. `d(a, b)` is a single
-//!   array load; this is the tier every paper-scale experiment uses.
+//!   member. `d(a, b)` is a single array load; this is the tier every
+//!   paper-scale experiment uses.
 //! * [`CachedOracle`] — for member counts where O(n²) memory is not an
 //!   option (100,000 members would need 40 GB), one row per *requested
 //!   source*, retained in a byte-bounded sharded LRU
-//!   ([`crate::rowcache::RowCache`]). Batch warm-up fans the per-source
-//!   rows over Rayon.
+//!   ([`crate::rowcache::RowCache`]), with a batch warm-up for sources
+//!   known in advance.
 //! * [`EmbedOracle`] — a height-vector network coordinate per member fit
 //!   once at build time; `d(u, v)` is O(1) arithmetic with a calibrated
 //!   error margin and an exact-escalation path through an internal
@@ -41,7 +41,6 @@ use crate::graph::{PhysGraph, PhysNodeId};
 use crate::latency::{OracleBuildError, OracleConfig};
 use crate::rowcache::{CacheStats, RowCache};
 use prop_engine::SimRng;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Dense index of an overlay member inside a [`LatencyOracle`].
@@ -85,7 +84,6 @@ impl DenseOracle {
         let mut matrix = Vec::new();
         for batch in [0..n / 2, n / 2..n] {
             let rows: Vec<Vec<u32>> = batch
-                .into_par_iter()
                 .map(|i| {
                     let mut row = vec![0u32; n];
                     kernel.fill_row(graph, &members, i, &mut row)?;
@@ -120,6 +118,11 @@ impl DenseOracle {
     #[inline]
     pub fn len(&self) -> usize {
         self.n
+    }
+
+    /// Whether the oracle has no members.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
     }
 
     /// End-to-end latency between members `a` and `b`, in ms.
@@ -222,19 +225,19 @@ impl CachedOracle {
         row
     }
 
-    /// Compute any non-resident rows among `sources` in parallel (Rayon)
-    /// and insert them. Memory stays bounded: each worker holds one row in
-    /// flight, and the LRU enforces the byte budget as rows land.
+    /// Compute any non-resident rows among `sources`, in ascending order,
+    /// and insert them. Memory stays bounded: one row is in flight, and
+    /// the LRU enforces the byte budget as rows land.
     pub fn warm_rows(&self, sources: &[MemberIdx]) {
         let mut todo: Vec<MemberIdx> = sources.to_vec();
         todo.sort_unstable();
         todo.dedup();
         todo.retain(|&s| !self.cache.contains(s));
-        todo.into_par_iter().for_each(|s| {
+        for s in todo {
             let row = self.compute_row(s);
             self.cache.record_miss();
             self.cache.insert(s, row);
-        });
+        }
     }
 
     /// Seed the cache with an exact row made outside it — the rows the
@@ -273,6 +276,11 @@ impl CachedOracle {
     #[inline]
     pub fn len(&self) -> usize {
         self.members.len()
+    }
+
+    /// Whether the oracle has no members.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
     }
 
     /// End-to-end latency between members `a` and `b`, in ms.
@@ -536,9 +544,9 @@ impl LatencyOracle {
         }
     }
 
-    /// Batch warm-up: ensure the rows for `sources` are resident, fanning
-    /// the per-source rows over Rayon. No-op on the dense tier (every
-    /// row is always resident there). On the embedded tier this warms the
+    /// Batch warm-up: ensure the rows for `sources` are resident, one row
+    /// kernel call per cold source. No-op on the dense tier (every row is
+    /// always resident there). On the embedded tier this warms the
     /// internal exact cache — the rows only escalated decisions will read —
     /// so callers should restrict it to slots they expect to escalate.
     pub fn warm_rows(&self, sources: &[MemberIdx]) {

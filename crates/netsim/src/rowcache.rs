@@ -16,14 +16,12 @@
 //! Hit/miss/eviction counters are plain relaxed atomics — they are
 //! reporting, not synchronization.
 
-use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Snapshot of the row cache's counters, for experiment reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CacheStats {
     /// Queries answered from a resident row.
     pub hits: u64,
@@ -111,9 +109,13 @@ impl RowCache {
         }
     }
 
+    /// Lock the shard that holds `src`. A poisoned lock hands back its
+    /// guard: a shard is a map of whole rows and a tick, valid after every
+    /// single update, so a panic elsewhere while it was held leaves nothing
+    /// half-written (at worst a reporting counter is one row off).
     #[inline]
-    fn shard(&self, src: usize) -> &Mutex<Shard> {
-        &self.shards[src % self.shards.len()]
+    fn shard(&self, src: usize) -> MutexGuard<'_, Shard> {
+        self.shards[src % self.shards.len()].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Fetch the row for `src` if resident, bumping its recency and the hit
@@ -121,7 +123,7 @@ impl RowCache {
     /// per row it actually computes (a `d(a, b)` query probes both `a` and
     /// `b`, and must not count twice).
     pub fn get(&self, src: usize) -> Option<Arc<[u32]>> {
-        let mut shard = self.shard(src).lock();
+        let mut shard = self.shard(src);
         shard.tick += 1;
         let tick = shard.tick;
         let entry = shard.rows.get_mut(&src)?;
@@ -132,7 +134,7 @@ impl RowCache {
 
     /// Is the row for `src` resident? No counter or recency side effects.
     pub fn contains(&self, src: usize) -> bool {
-        self.shard(src).lock().rows.contains_key(&src)
+        self.shard(src).rows.contains_key(&src)
     }
 
     /// Record one computed row.
@@ -145,7 +147,7 @@ impl RowCache {
     /// copy replaces the first.
     pub fn insert(&self, src: usize, row: Arc<[u32]>) {
         debug_assert_eq!(row.len() * std::mem::size_of::<u32>(), self.row_bytes);
-        let mut shard = self.shard(src).lock();
+        let mut shard = self.shard(src);
         shard.tick += 1;
         let tick = shard.tick;
         if shard.rows.insert(src, Entry { row, last_used: tick }).is_none() {

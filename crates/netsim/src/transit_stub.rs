@@ -22,10 +22,9 @@
 
 use crate::graph::{LinkClass, NodeClass, PhysGraph, PhysGraphBuilder, PhysNodeId};
 use prop_engine::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the transit–stub generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TransitStubParams {
     pub transit_domains: usize,
     pub transit_nodes_per_domain: usize,
@@ -141,7 +140,7 @@ fn pair_at(k: u64, t: u64) -> (usize, usize) {
     let pairs_before = |i: u64| i * k - i * (i + 1) / 2;
     let (mut lo, mut hi) = (0u64, k - 1);
     while lo < hi {
-        let mid = (lo + hi + 1) / 2;
+        let mid = (lo + hi).div_ceil(2);
         if pairs_before(mid) <= t {
             lo = mid;
         } else {

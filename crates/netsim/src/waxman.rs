@@ -16,10 +16,9 @@
 
 use crate::graph::{LinkClass, NodeClass, PhysGraph, PhysGraphBuilder, PhysNodeId};
 use prop_engine::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Waxman generator parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WaxmanParams {
     pub nodes: usize,
     /// Link-probability scale (α): higher ⇒ denser.

@@ -4,9 +4,7 @@
 //! oracle stack, so its contract is pinned from the outside here:
 //!
 //! * **Bit determinism** — the same `(graph, members, config)` produces
-//!   bit-identical coordinates, heights, and calibration on every build,
-//!   including under rayon pools of different worker counts (the member
-//!   fit is embarrassingly parallel by construction).
+//!   bit-identical coordinates, heights, and calibration on every build.
 //! * **Metric structure** — the rounded `d(u,v)` keeps a zero diagonal,
 //!   symmetry, and the triangle inequality on any topology, because the
 //!   estimate is a norm plus non-negative heights and ceil-rounding
@@ -20,8 +18,8 @@ use prop_netsim::{
     generate, EmbedConfig, EmbedOracle, LatencyOracle, OracleConfig, PhysGraph, PhysNodeId,
     TransitStubParams,
 };
-use proptest::test_runner::Config as ProptestConfig;
-use proptest::{prop_assert, prop_assert_eq, proptest};
+
+const CASES: u64 = 256;
 
 fn ts_params(domains: usize, transit: usize, stubs: usize, hosts: usize) -> TransitStubParams {
     TransitStubParams {
@@ -62,21 +60,17 @@ fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// Two independent builds over the same inputs are bit-identical —
+/// coordinates, heights, landmarks, calibration, and margin.
+#[test]
+fn same_inputs_same_bits() {
+    for case in 0..CASES {
+        let mut gen = SimRng::seed_from(case);
+        let (domains, transit) = (gen.range(1..3usize), gen.range(1..4usize));
+        let (stubs, hosts) = (gen.range(1..3usize), gen.range(3..8usize));
+        let members = gen.range(4..24usize);
+        let (topo_seed, fit_seed) = (gen.range(0..10_000u64), gen.range(0..10_000u64));
 
-    /// Two independent builds over the same inputs are bit-identical —
-    /// coordinates, heights, landmarks, calibration, and margin.
-    #[test]
-    fn same_inputs_same_bits(
-        domains in 1usize..3,
-        transit in 1usize..4,
-        stubs in 1usize..3,
-        hosts in 3usize..8,
-        members in 4usize..24,
-        topo_seed in 0u64..10_000,
-        fit_seed in 0u64..10_000,
-    ) {
         let p = ts_params(domains, transit, stubs, hosts);
         let mut rng = SimRng::seed_from(topo_seed);
         let g = generate(&p, &mut rng);
@@ -84,83 +78,63 @@ proptest! {
         let cfg = small_embed_cfg(fit_seed);
         let a = EmbedOracle::try_build(&g, m.clone(), &cfg).expect("connected");
         let b = EmbedOracle::try_build(&g, m, &cfg).expect("connected");
-        prop_assert_eq!(bits(a.coords()), bits(b.coords()));
-        prop_assert_eq!(bits(a.heights()), bits(b.heights()));
-        prop_assert_eq!(a.landmark_members(), b.landmark_members());
-        prop_assert_eq!(a.calibration(), b.calibration());
-        prop_assert_eq!(a.margin_per_term().to_bits(), b.margin_per_term().to_bits());
+        assert_eq!(bits(a.coords()), bits(b.coords()), "case {case}");
+        assert_eq!(bits(a.heights()), bits(b.heights()), "case {case}");
+        assert_eq!(a.landmark_members(), b.landmark_members(), "case {case}");
+        assert_eq!(a.calibration(), b.calibration(), "case {case}");
+        assert_eq!(a.margin_per_term().to_bits(), b.margin_per_term().to_bits(), "case {case}");
     }
+}
 
-    /// The rounded estimate is a metric: zero diagonal, symmetric, and
-    /// triangle inequality over every sampled triple.
-    #[test]
-    fn rounded_estimate_is_a_metric(
-        hosts in 3usize..8,
-        members in 4usize..20,
-        seed in 0u64..10_000,
-    ) {
-        let p = ts_params(2, 2, 2, hosts);
-        let mut rng = SimRng::seed_from(seed);
-        let g = generate(&p, &mut rng);
-        let m = pick_members(&g, members, &mut rng);
+/// A topology, a member set over it, and the seed both were drawn from.
+fn small_world(case: u64, max_members: usize) -> (PhysGraph, Vec<PhysNodeId>, u64) {
+    let mut gen = SimRng::seed_from(case);
+    let hosts = gen.range(3..8usize);
+    let members = gen.range(4..max_members);
+    let seed = gen.range(0..10_000u64);
+    let mut rng = SimRng::seed_from(seed);
+    let g = generate(&ts_params(2, 2, 2, hosts), &mut rng);
+    let m = pick_members(&g, members, &mut rng);
+    (g, m, seed)
+}
+
+/// The rounded estimate is a metric: zero diagonal, symmetric, and triangle
+/// inequality over every sampled triple.
+#[test]
+fn rounded_estimate_is_a_metric() {
+    for case in 0..CASES {
+        let (g, m, seed) = small_world(case, 20);
         let n = m.len();
         let o = EmbedOracle::try_build(&g, m, &small_embed_cfg(seed)).expect("connected");
         for a in 0..n {
-            prop_assert_eq!(o.d(a, a), 0);
+            assert_eq!(o.d(a, a), 0, "case {case}");
             for b in 0..n {
-                prop_assert_eq!(o.d(a, b), o.d(b, a), "symmetry ({}, {})", a, b);
+                assert_eq!(o.d(a, b), o.d(b, a), "case {case}: symmetry ({a}, {b})");
                 for c in 0..n {
-                    prop_assert!(
+                    assert!(
                         o.d(a, c) <= o.d(a, b).saturating_add(o.d(b, c)),
-                        "triangle ({}, {}, {})", a, b, c
+                        "case {case}: triangle ({a}, {b}, {c})"
                     );
                 }
             }
         }
     }
+}
 
-    /// The escalation path answers with true distances: every `d_exact`
-    /// equals the dense tier's answer over the same members.
-    #[test]
-    fn exact_fallback_matches_dense(
-        hosts in 3usize..8,
-        members in 4usize..16,
-        seed in 0u64..10_000,
-    ) {
-        let p = ts_params(2, 2, 2, hosts);
-        let mut rng = SimRng::seed_from(seed);
-        let g = generate(&p, &mut rng);
-        let m = pick_members(&g, members, &mut rng);
+/// The escalation path answers with true distances: every `d_exact` equals
+/// the dense tier's answer over the same members.
+#[test]
+fn exact_fallback_matches_dense() {
+    for case in 0..CASES {
+        let (g, m, seed) = small_world(case, 16);
         let n = m.len();
         let dense = LatencyOracle::try_build_with(&g, m.clone(), &OracleConfig::dense())
             .expect("connected");
         let emb = EmbedOracle::try_build(&g, m, &small_embed_cfg(seed)).expect("connected");
         for a in 0..n {
             for b in 0..n {
-                prop_assert_eq!(emb.d_exact(a, b), dense.d(a, b), "pair ({}, {})", a, b);
+                assert_eq!(emb.d_exact(a, b), dense.d(a, b), "case {case}: pair ({a}, {b})");
             }
         }
-    }
-}
-
-/// The fit must not depend on the rayon pool executing it: a worker-count
-/// change reorders the parallel member fits, and every per-member fit is
-/// independent, so the bits cannot move.
-#[test]
-fn coordinates_survive_any_worker_count() {
-    let p = ts_params(2, 3, 2, 8);
-    let mut rng = SimRng::seed_from(4242);
-    let g = generate(&p, &mut rng);
-    let members = pick_members(&g, 48, &mut rng);
-    let cfg = small_embed_cfg(7);
-
-    let reference = EmbedOracle::try_build(&g, members.clone(), &cfg).expect("connected");
-    for workers in [1usize, 2, 7] {
-        let pool =
-            rayon::ThreadPoolBuilder::new().num_threads(workers).build().expect("rayon pool");
-        let o = pool.install(|| EmbedOracle::try_build(&g, members.clone(), &cfg)).expect("build");
-        assert_eq!(bits(o.coords()), bits(reference.coords()), "{workers} workers");
-        assert_eq!(bits(o.heights()), bits(reference.heights()), "{workers} workers");
-        assert_eq!(o.calibration(), reference.calibration(), "{workers} workers");
     }
 }

@@ -9,8 +9,8 @@ use prop_netsim::waxman::{generate_waxman, WaxmanParams};
 use prop_netsim::{
     generate, LatencyOracle, OracleConfig, PhysGraph, PhysNodeId, TransitStubParams,
 };
-use proptest::test_runner::Config as ProptestConfig;
-use proptest::{prop_assert_eq, proptest};
+
+const CASES: u64 = 256;
 
 fn ts_params(
     domains: usize,
@@ -41,79 +41,68 @@ fn pick_members(g: &PhysGraph, want: usize, rng: &mut SimRng) -> Vec<PhysNodeId>
 /// Build both tiers over the same member set and assert every ordered
 /// pair agrees, across three query passes (cold, re-queried, reversed) so
 /// tiny caches have evicted and recomputed most rows by the end.
-fn assert_tiers_agree(
-    g: &PhysGraph,
-    members: Vec<PhysNodeId>,
-    cache_capacity: usize,
-) -> Result<(), proptest::test_runner::TestCaseError> {
+fn assert_tiers_agree(case: u64, g: &PhysGraph, members: Vec<PhysNodeId>, cache_capacity: usize) {
     let dense = LatencyOracle::try_build_with(g, members.clone(), &OracleConfig::dense())
         .expect("connected member set");
     let cached = LatencyOracle::try_build_with(g, members, &OracleConfig::cached(cache_capacity))
         .expect("connected member set");
-    prop_assert_eq!(dense.tier(), "dense");
-    prop_assert_eq!(cached.tier(), "row-cache");
+    assert_eq!(dense.tier(), "dense", "case {case}");
+    assert_eq!(cached.tier(), "row-cache", "case {case}");
     let n = dense.len();
 
     for a in 0..n {
         for b in 0..n {
-            prop_assert_eq!(dense.d(a, b), cached.d(a, b), "cold pass ({}, {})", a, b);
+            assert_eq!(dense.d(a, b), cached.d(a, b), "case {case}: cold pass ({a}, {b})");
         }
     }
     // Re-query in the same order: rows may now come from cache (or have
     // been evicted by later rows of the first pass).
     for a in 0..n {
         for b in 0..n {
-            prop_assert_eq!(dense.d(a, b), cached.d(a, b), "warm pass ({}, {})", a, b);
+            assert_eq!(dense.d(a, b), cached.d(a, b), "case {case}: warm pass ({a}, {b})");
         }
     }
     // Reversed order maximizes eviction churn under a tiny capacity.
     for a in (0..n).rev() {
         for b in (0..n).rev() {
-            prop_assert_eq!(dense.d(a, b), cached.d(a, b), "reverse pass ({}, {})", a, b);
+            assert_eq!(dense.d(a, b), cached.d(a, b), "case {case}: reverse pass ({a}, {b})");
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Dense and row-cache tiers agree on random transit–stub topologies,
-    /// at cache capacities from "one row per shard" up to "everything
-    /// resident".
-    #[test]
-    fn tiers_agree_on_transit_stub(
-        domains in 1usize..4,
-        transit in 1usize..4,
-        stubs in 1usize..3,
-        hosts in 2usize..8,
-        members in 2usize..14,
-        cap_bytes in 64usize..(64 << 10),
-        seed in 0u64..10_000,
-    ) {
+/// Dense and row-cache tiers agree on random transit–stub topologies, at
+/// cache capacities from "one row per shard" up to "everything resident".
+#[test]
+fn tiers_agree_on_transit_stub() {
+    for case in 0..CASES {
+        let mut gen = SimRng::seed_from(case);
+        let (domains, transit) = (gen.range(1..4usize), gen.range(1..4usize));
+        let (stubs, hosts) = (gen.range(1..3usize), gen.range(2..8usize));
+        let members = gen.range(2..14usize);
+        let cap_bytes = gen.range(64..64usize << 10);
         let p = ts_params(domains, transit, stubs, hosts, 0.25);
-        let mut rng = SimRng::seed_from(seed);
+        let mut rng = SimRng::seed_from(gen.range(0..10_000u64));
         let g = generate(&p, &mut rng);
         let m = pick_members(&g, members, &mut rng);
-        assert_tiers_agree(&g, m, cap_bytes)?;
+        assert_tiers_agree(case, &g, m, cap_bytes);
     }
+}
 
-    /// Same agreement on flat Waxman graphs (different latency
-    /// distribution and degree structure than transit–stub).
-    #[test]
-    fn tiers_agree_on_waxman(
-        nodes in 4usize..90,
-        alpha in 0.05f64..0.7,
-        beta in 0.1f64..0.6,
-        members in 2usize..14,
-        cap_bytes in 64usize..(64 << 10),
-        seed in 0u64..10_000,
-    ) {
+/// Same agreement on flat Waxman graphs (different latency distribution and
+/// degree structure than transit–stub).
+#[test]
+fn tiers_agree_on_waxman() {
+    for case in 0..CASES {
+        let mut gen = SimRng::seed_from(case);
+        let nodes = gen.range(4..90usize);
+        let (alpha, beta) = (gen.range(0.05..0.7), gen.range(0.1..0.6));
+        let members = gen.range(2..14usize);
+        let cap_bytes = gen.range(64..64usize << 10);
         let p = WaxmanParams { nodes, alpha, beta, max_latency_ms: 120 };
-        let mut rng = SimRng::seed_from(seed);
+        let mut rng = SimRng::seed_from(gen.range(0..10_000u64));
         let g = generate_waxman(&p, &mut rng);
         let m = pick_members(&g, members, &mut rng);
-        assert_tiers_agree(&g, m, cap_bytes)?;
+        assert_tiers_agree(case, &g, m, cap_bytes);
     }
 }
 

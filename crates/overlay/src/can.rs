@@ -18,7 +18,6 @@ use crate::placement::Placement;
 use crate::{Lookup, RouteOutcome};
 use prop_engine::SimRng;
 use prop_netsim::LatencyOracle;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 const DIMS: usize = 2;
@@ -26,7 +25,7 @@ const EPS: f64 = 1e-9;
 
 /// An axis-aligned rectangle of the unit torus: `lo[k] ≤ x[k] < hi[k]`.
 /// Zones never wrap internally (splits only shrink), so `lo < hi` always.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Zone {
     pub lo: [f64; DIMS],
     pub hi: [f64; DIMS],

@@ -32,14 +32,13 @@ use crate::{Lookup, RouteOutcome};
 use prop_engine::SimRng;
 use prop_netsim::oracle::MemberIdx;
 use prop_netsim::LatencyOracle;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Number of bits in the identifier space.
 pub const ID_BITS: u32 = 64;
 
 /// Chord construction parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChordParams {
     /// Successor-list length (≥ 1).
     pub successors: usize,

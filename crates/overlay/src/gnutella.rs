@@ -16,11 +16,10 @@ use crate::placement::Placement;
 use crate::{Lookup, RouteOutcome};
 use prop_engine::SimRng;
 use prop_netsim::LatencyOracle;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Construction and flooding parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GnutellaParams {
     /// Connections each joining peer opens. This is also the minimum degree
     /// δ(G) of the resulting overlay (the paper's default PROP-O `m`).

@@ -23,14 +23,13 @@ use crate::placement::Placement;
 use crate::{Lookup, RouteOutcome};
 use prop_engine::SimRng;
 use prop_netsim::LatencyOracle;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Identifier width in bits.
 pub const ID_BITS: u32 = 128;
 
 /// Kademlia construction parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KademliaParams {
     /// Bucket capacity `k` (Kademlia's replication parameter; 20 in the
     /// paper, smaller here to keep simulated state proportionate).

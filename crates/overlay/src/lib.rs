@@ -56,9 +56,9 @@ pub struct RouteOutcome {
 /// `None` means the overlay failed to deliver (e.g. a Gnutella flood whose
 /// TTL expired before reaching `dst`).
 ///
-/// `Sync` is a supertrait so the measurement plane can share one overlay
-/// across rayon workers; every overlay here is plain data, so the bound
-/// costs nothing.
+/// `Sync` is a supertrait so runs fanned out over threads
+/// (`prop_engine::par::map`) can share one overlay; every overlay here is
+/// plain data, so the bound costs nothing.
 pub trait Lookup: Sync {
     /// Route from slot `src` to slot `dst` over `net`.
     fn lookup(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<RouteOutcome>;

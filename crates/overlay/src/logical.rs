@@ -10,12 +10,11 @@
 //! Neighbor lists are kept sorted so `has_edge` is a binary search and
 //! iteration order is deterministic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A logical position in the overlay. Slots are dense indices; a slot is
 /// *alive* while some peer occupies it.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Slot(pub u32);
 
 impl Slot {

@@ -286,12 +286,12 @@ impl OverlayNet {
     }
 
     /// Batch-warm the oracle rows for the peers occupying `slots` (no-op on
-    /// the dense tier, Rayon-parallel Dijkstras on the row-cache tier, and
+    /// the dense tier, one row per cold source on the row-cache tier, and
     /// exact-escalation-cache warm-up on the coordinate-embedded tier).
     /// Call before a burst of latency queries over a known slot set — e.g.
-    /// a measurement sweep at 100k members — to turn the misses into
-    /// parallel work instead of serial on-demand stalls. Duplicate slots
-    /// (several pairs sharing a source) are warmed once.
+    /// a measurement sweep at 100k members — so the misses are paid up
+    /// front, on the batch row kernel, instead of as on-demand stalls.
+    /// Duplicate slots (several pairs sharing a source) are warmed once.
     pub fn warm_latency_rows(&self, slots: &[Slot]) {
         let mut peers: Vec<MemberIdx> = slots.iter().map(|&s| self.placement.peer(s)).collect();
         peers.sort_unstable();

@@ -25,7 +25,6 @@ use crate::placement::Placement;
 use crate::{Lookup, RouteOutcome};
 use prop_engine::SimRng;
 use prop_netsim::LatencyOracle;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Bits per digit (`b`); 4 ⇒ hexadecimal digits, the Pastry default.
@@ -36,7 +35,7 @@ pub const NUM_DIGITS: usize = (128 / DIGIT_BITS) as usize;
 pub const RADIX: usize = 1 << DIGIT_BITS;
 
 /// Pastry construction parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PastryParams {
     /// Total leaf-set size (half on each side). Pastry's default is 16; we
     /// default to 8, plenty for the overlay sizes simulated here.
@@ -50,7 +49,7 @@ impl Default for PastryParams {
 }
 
 /// A 128-bit Pastry identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PastryId(pub u128);
 
 impl PastryId {

@@ -26,11 +26,10 @@ use crate::placement::Placement;
 use crate::{Lookup, RouteOutcome};
 use prop_engine::SimRng;
 use prop_netsim::LatencyOracle;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Two-tier construction parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UltrapeerParams {
     /// Fraction of slots that are ultrapeers (Gnutella ~10–20%).
     pub ultrapeer_fraction: f64,

@@ -7,11 +7,10 @@ use prop_netsim::graph::{LinkClass, NodeClass, PhysGraphBuilder};
 use prop_netsim::LatencyOracle;
 use prop_overlay::can::Can;
 use prop_overlay::walk::random_walk;
-use prop_overlay::{LogicalGraph, Lookup, OverlayNet, Placement, Slot};
-use proptest::prelude::{prop_oneof, Strategy};
-use proptest::test_runner::Config as ProptestConfig;
-use proptest::{prop_assert, prop_assert_eq, proptest};
+use prop_overlay::{LogicalGraph, Lookup, Placement, Slot};
 use std::sync::Arc;
+
+const CASES: u64 = 256;
 
 /// A trivial complete-graph oracle (distance = |i − j| · 10 ms) for tests
 /// that only need *some* metric.
@@ -25,49 +24,35 @@ fn line_oracle(n: usize) -> Arc<LatencyOracle> {
     Arc::new(LatencyOracle::build(&g, ids))
 }
 
-#[derive(Clone, Debug)]
-enum GraphOp {
-    AddEdge(u32, u32),
-    RemoveEdgeAt(usize),
-    KillSlot(u32),
-}
-
-fn graph_op(n: u32) -> impl Strategy<Value = GraphOp> {
-    prop_oneof![
-        (0..n, 0..n).prop_map(|(a, b)| GraphOp::AddEdge(a, b)),
-        (0usize..64).prop_map(GraphOp::RemoveEdgeAt),
-        (0..n).prop_map(GraphOp::KillSlot),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// LogicalGraph bookkeeping (edge counts, degrees, symmetry) survives
-    /// arbitrary add/remove/kill sequences.
-    #[test]
-    fn logical_graph_bookkeeping(n in 3u32..24, ops in proptest::collection::vec(graph_op(24), 1..60)) {
+/// LogicalGraph bookkeeping (edge counts, degrees, symmetry) survives
+/// arbitrary add/remove/kill sequences.
+#[test]
+fn logical_graph_bookkeeping() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let n = rng.range(3..24u32);
         let mut g = LogicalGraph::new(n as usize);
         let mut edges: Vec<(Slot, Slot)> = Vec::new();
         let mut alive: Vec<bool> = vec![true; n as usize];
-        for op in ops {
-            match op {
-                GraphOp::AddEdge(a, b) => {
-                    let (a, b) = (a % n, b % n);
+        for _ in 0..rng.range(1..60usize) {
+            match rng.range(0..3u32) {
+                0 => {
+                    let (a, b) = (rng.range(0..24u32) % n, rng.range(0..24u32) % n);
                     let (sa, sb) = (Slot(a), Slot(b));
                     if a != b && alive[a as usize] && alive[b as usize] && !g.has_edge(sa, sb) {
                         g.add_edge(sa, sb);
                         edges.push((sa.min(sb), sa.max(sb)));
                     }
                 }
-                GraphOp::RemoveEdgeAt(i) => {
+                1 => {
+                    let i = rng.range(0..64usize);
                     if !edges.is_empty() {
                         let (a, b) = edges.swap_remove(i % edges.len());
                         g.remove_edge(a, b);
                     }
                 }
-                GraphOp::KillSlot(s) => {
-                    let s = s % n;
+                _ => {
+                    let s = rng.range(0..24u32) % n;
                     if alive[s as usize] {
                         g.remove_slot(Slot(s));
                         alive[s as usize] = false;
@@ -75,39 +60,48 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(g.num_edges(), edges.len());
+            assert_eq!(g.num_edges(), edges.len(), "case {case}");
             let degree_sum: usize = g.live_slots().map(|s| g.degree(s)).sum();
-            prop_assert_eq!(degree_sum, 2 * edges.len(), "handshake lemma violated");
+            assert_eq!(degree_sum, 2 * edges.len(), "case {case}: handshake lemma violated");
             for &(a, b) in &edges {
-                prop_assert!(g.has_edge(a, b) && g.has_edge(b, a));
+                assert!(g.has_edge(a, b) && g.has_edge(b, a), "case {case}");
             }
         }
     }
+}
 
-    /// Placement stays a bijection under arbitrary swap sequences, and any
-    /// even number of repeated swaps of the same pair is the identity.
-    #[test]
-    fn placement_is_always_a_bijection(n in 2usize..30, swaps in proptest::collection::vec((0u32..30, 0u32..30), 0..60)) {
+/// Placement stays a bijection under arbitrary swap sequences, and any even
+/// number of repeated swaps of the same pair is the identity.
+#[test]
+fn placement_is_always_a_bijection() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let n = rng.range(2..30usize);
         let mut p = Placement::identity(n);
-        for (a, b) in swaps {
-            let (a, b) = (a as usize % n, b as usize % n);
+        for _ in 0..rng.range(0..60usize) {
+            let (a, b) = (rng.range(0..30usize) % n, rng.range(0..30usize) % n);
             if a != b {
                 p.swap_slots(Slot(a as u32), Slot(b as u32));
             }
-            prop_assert!(p.is_consistent());
+            assert!(p.is_consistent(), "case {case}");
             // Round-trip: every peer found through its slot.
             for peer in 0..n {
                 let slot = p.slot_of(peer).unwrap();
-                prop_assert_eq!(p.peer(slot), peer);
+                assert_eq!(p.peer(slot), peer, "case {case}");
             }
         }
     }
+}
 
-    /// Random walks never repeat a node, always follow edges, and respect
-    /// the TTL, on arbitrary connected graphs.
-    #[test]
-    fn walks_are_simple_paths(n in 4u32..30, extra in 0usize..40, nhops in 1u32..6, seed in 0u64..10_000) {
-        let mut rng = SimRng::seed_from(seed);
+/// Random walks never repeat a node, always follow edges, and respect the
+/// TTL, on arbitrary connected graphs.
+#[test]
+fn walks_are_simple_paths() {
+    for case in 0..CASES {
+        let mut gen = SimRng::seed_from(case);
+        let (n, extra) = (gen.range(4..30u32), gen.range(0..40usize));
+        let nhops = gen.range(1..6u32);
+        let mut rng = SimRng::seed_from(gen.range(0..10_000u64));
         let mut g = LogicalGraph::new(n as usize);
         for i in 1..n {
             let parent = rng.range(0..i);
@@ -124,25 +118,27 @@ proptest! {
         let nbrs = g.neighbors(origin).to_vec();
         let first = *rng.pick(&nbrs).unwrap();
         let w = random_walk(&g, origin, first, nhops, &mut rng);
-        prop_assert!(w.path.len() as u32 <= nhops + 1);
-        prop_assert_eq!(w.path[0], origin);
+        assert!(w.path.len() as u32 <= nhops + 1, "case {case}");
+        assert_eq!(w.path[0], origin, "case {case}");
         let mut sorted = w.path.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        prop_assert_eq!(sorted.len(), w.path.len(), "walk revisited a node");
+        assert_eq!(sorted.len(), w.path.len(), "case {case}: walk revisited a node");
         for pair in w.path.windows(2) {
-            prop_assert!(g.has_edge(pair[0], pair[1]));
+            assert!(g.has_edge(pair[0], pair[1]), "case {case}");
         }
     }
+}
 
-    /// CAN zones always tile the unit torus exactly, and every greedy route
-    /// terminates, for arbitrary join-point sets.
-    #[test]
-    fn can_always_tiles_and_routes(
-        points in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..40),
-    ) {
-        let n = points.len();
-        let pts: Vec<[f64; 2]> = points.iter().map(|&(x, y)| [x, y]).collect();
+/// CAN zones always tile the unit torus exactly, and every greedy route
+/// terminates, for arbitrary join-point sets.
+#[test]
+fn can_always_tiles_and_routes() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let n = rng.range(2..40usize);
+        let pts: Vec<[f64; 2]> =
+            (0..n).map(|_| [rng.range(0.0..1.0), rng.range(0.0..1.0)]).collect();
         let (can, net) = Can::build_at(pts, line_oracle(n));
         let area: f64 = (0..n as u32)
             .map(|s| {
@@ -150,12 +146,11 @@ proptest! {
                 z.extent(0) * z.extent(1)
             })
             .sum();
-        prop_assert!((area - 1.0).abs() < 1e-9, "area {area}");
-        prop_assert!(net.graph().is_connected());
+        assert!((area - 1.0).abs() < 1e-9, "case {case}: area {area}");
+        assert!(net.graph().is_connected(), "case {case}");
         for a in 0..n as u32 {
             for b in 0..n as u32 {
-                let out = can.lookup(&net, Slot(a), Slot(b));
-                prop_assert!(out.is_some());
+                assert!(can.lookup(&net, Slot(a), Slot(b)).is_some(), "case {case}: {a} → {b}");
             }
         }
     }

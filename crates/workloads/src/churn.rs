@@ -7,11 +7,10 @@
 //! and notifies the protocol driver.
 
 use prop_engine::{Duration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One churn operation. Victims/joiners are resolved at apply time (the
 /// population changes as the trace plays), so the trace only carries kinds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChurnOp {
     /// A uniformly random live peer departs.
     Leave,
@@ -20,7 +19,7 @@ pub enum ChurnOp {
 }
 
 /// A timestamped churn schedule.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ChurnTrace {
     pub events: Vec<(SimTime, ChurnOp)>,
 }

@@ -8,10 +8,9 @@
 //! processing delay, so fast nodes model powerful, well-provisioned peers.
 
 use prop_engine::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// The bimodal processing-delay distribution.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BimodalParams {
     pub fast_delay_ms: u32,
     pub slow_delay_ms: u32,

@@ -10,7 +10,7 @@
 //!   peers are *fast* (small processing delay), the rest *slow*.
 //! * [`churn`] — Poisson join/leave traces for the dynamic-environment
 //!   experiments.
-//! * [`traffic`] — the scripted production traffic plane: serde
+//! * [`traffic`] — the scripted production traffic plane: JSON
 //!   [`TrafficScript`]s (per-transit-domain diurnal rate tables, flash
 //!   crowds, shifting Zipf popularity) compiled under one seed into a
 //!   replayable [`prop_core::TrafficPlane`] event trace. The static

@@ -89,7 +89,7 @@ mod tests {
         let mut g = LookupGen::new(&SimRng::seed_from(2));
         let pool = live(10);
         let pairs = g.uniform_pairs(&pool, 2000);
-        let mut seen = vec![false; 10];
+        let mut seen = [false; 10];
         for (s, d) in pairs {
             seen[s.index()] = true;
             seen[d.index()] = true;

@@ -6,7 +6,7 @@
 //! and content popularity whose skew and hot set drift over a run. This
 //! module scripts all three:
 //!
-//! * [`script`] — the serde-round-trippable [`TrafficScript`]: per-transit-
+//! * [`script`] — the JSON-round-trippable [`TrafficScript`]: per-transit-
 //!   domain diurnal rate tables (piecewise-constant by simulated hour, with
 //!   a per-domain clock offset), [`FlashCrowd`] windows, and
 //!   [`PopularityShift`] step changes.
@@ -14,7 +14,7 @@
 //!   train (shared with `ChurnTrace::poisson`, bit-for-bit) and the
 //!   time-bucketed train that derives one `SimRng::fork_indexed` stream per
 //!   `(generator, hour-bucket)` so compilation is a pure function of the
-//!   bucket — independent of worker count and generation order.
+//!   bucket — independent of generation order.
 //! * [`popularity`] — the [`PopularityProcess`]: Zipf rank sampling whose
 //!   exponent and rotation follow the script's shifts (shared with the
 //!   legacy `zipf_pairs`, bit-for-bit).
@@ -23,12 +23,12 @@
 //!   [`prop_core::TrafficPlane`].
 //!
 //! **Determinism argument.** Every generator draws from a stream that is a
-//! pure function of `(seed, label, bucket index)`; per-domain generation
-//! fans out over rayon but collects in domain order, and the final stable
-//! sort by time keeps same-instant events in authoring order (domains
-//! first, flash crowds after). Hence `compile(script, seed)` is
-//! bit-identical on any worker count, and a scenario (topology +
-//! TrafficScript + FaultScript under one seed) replays exactly.
+//! pure function of `(seed, label, bucket index)`; domains are generated
+//! and collected in declaration order, and the final stable sort by time
+//! keeps same-instant events in authoring order (domains first, flash
+//! crowds after). Hence `compile(script, seed)` is a pure function of its
+//! arguments, and a scenario (topology + TrafficScript + FaultScript under
+//! one seed) replays exactly.
 
 pub mod popularity;
 pub mod process;
@@ -39,7 +39,6 @@ pub use script::{DomainProfile, FlashCrowd, PopularityShift, TrafficScript, HOUR
 
 use prop_core::{TrafficCounters, TrafficEvent, TrafficPlane};
 use prop_engine::{Duration, SimRng, SimTime};
-use rayon::prelude::*;
 
 /// A compiled, replayable traffic trace: the whole event schedule of one
 /// `(script, seed)` pair, consumed in time order through the
@@ -101,8 +100,7 @@ impl TrafficPlane for CompiledTraffic {
 /// leaves, and lookups from `fork_indexed("traffic-{kind}-p{i}", bucket)`
 /// streams — one per simulated hour — and flash crowd `j` draws its extra
 /// hot-set lookups from `fork_indexed("traffic-flash", j)`. Base streams
-/// are therefore untouched by adding or removing flash crowds, and the
-/// whole trace is bit-identical on any rayon worker count.
+/// are therefore untouched by adding or removing flash crowds.
 pub fn compile(script: &TrafficScript, seed: u64) -> CompiledTraffic {
     let root = SimRng::seed_from(seed).fork("traffic");
     let pop = PopularityProcess::new(script);
@@ -110,7 +108,7 @@ pub fn compile(script: &TrafficScript, seed: u64) -> CompiledTraffic {
 
     let per_domain: Vec<Vec<(SimTime, TrafficEvent)>> = script
         .domains
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, d)| {
             let mut evs = Vec::new();

@@ -12,8 +12,8 @@
 //!   train: the clock is tiled into `bucket_ms`-wide buckets
 //!   ([`SimTime::bucket`]), each with its own rate and its own
 //!   `fork_indexed(label, bucket)` stream. Generation is a pure function
-//!   of `(root, label, bucket)` — buckets can be generated in any order,
-//!   on any number of workers, and the trace is bit-identical.
+//!   of `(root, label, bucket)` — buckets can be generated in any order
+//!   and the trace is bit-identical.
 //!
 //! The per-bucket process restarts its gap accumulation at each bucket
 //! boundary (a fresh exponential draw), which slightly thins arrivals

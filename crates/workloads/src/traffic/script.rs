@@ -1,7 +1,7 @@
 //! Declarative traffic scenarios.
 //!
-//! A [`TrafficScript`] is plain serde data — like `FaultScript` in
-//! prop-faults — describing a time-varying workload: per-transit-domain
+//! A [`TrafficScript`] is plain data with a JSON form — like `FaultScript`
+//! in prop-faults — describing a time-varying workload: per-transit-domain
 //! diurnal join/leave/lookup rate tables, flash-crowd windows, and Zipf
 //! popularity shifts. Scripts carry *no* randomness; all draws happen at
 //! compile time under one seed (see [`crate::traffic::compile`]).
@@ -14,7 +14,7 @@
 //! [`FlashCrowd`]s are self-contained `[at, at + duration)` windows —
 //! the same step/window split `FaultScript` uses.
 
-use serde::{Deserialize, Serialize};
+use prop_engine::json_impl;
 
 /// Hours per simulated day: diurnal tables index hour-of-day `0..24`.
 pub const HOURS_PER_DAY: u64 = 24;
@@ -30,7 +30,7 @@ pub const DEFAULT_ALPHA: f64 = 0.8;
 /// domain's local clock. Domains are indices from
 /// `PhysGraph::transit_domain_of`, taken modulo the topology's actual
 /// domain count at apply time.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DomainProfile {
     pub domain: u16,
     /// Baseline join rate, events per simulated minute.
@@ -41,14 +41,16 @@ pub struct DomainProfile {
     pub lookups_per_min: f64,
     /// Per-hour rate multipliers, indexed by local hour-of-day modulo the
     /// table length (canonically 24 entries). Empty ⇒ flat (all 1.0).
-    #[serde(default)]
     pub hourly: Vec<f64>,
     /// This domain's clock offset in simulated hours — its local midnight
     /// relative to the global clock (the regional wave: offsets stagger the
     /// same diurnal shape across domains).
-    #[serde(default)]
     pub hour_offset: u8,
 }
+
+json_impl!(ToJson, FromJson for struct DomainProfile {
+    domain, joins_per_min, leaves_per_min, lookups_per_min, hourly [default], hour_offset [default]
+});
 
 impl DomainProfile {
     /// A flat (unshaped, offset-free) profile.
@@ -95,7 +97,7 @@ impl DomainProfile {
 /// `multiplier` (relative to the script's total baseline lookup rate) and
 /// the extra arrivals concentrate on the hot set — popularity ranks
 /// `0..hot_keys`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlashCrowd {
     pub at_ms: u64,
     pub duration_ms: u64,
@@ -105,6 +107,8 @@ pub struct FlashCrowd {
     /// Size of the hot set the crowd piles onto.
     pub hot_keys: u32,
 }
+
+json_impl!(ToJson, FromJson for struct FlashCrowd { at_ms, duration_ms, multiplier, hot_keys });
 
 impl FlashCrowd {
     /// The half-open active window `[start, end)` in ms.
@@ -123,18 +127,19 @@ impl FlashCrowd {
 /// next shift), lookup ranks follow Zipf(`alpha`) rotated by `rotate`
 /// catalog positions — rotating models the hot set *moving* (yesterday's
 /// hit is today's long tail), not just flattening.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PopularityShift {
     pub at_ms: u64,
     /// Zipf exponent from `at_ms` on.
     pub alpha: f64,
     /// Catalog rotation: sampled rank `r` maps to `(r + rotate) % catalog`.
-    #[serde(default)]
     pub rotate: u32,
 }
 
+json_impl!(ToJson, FromJson for struct PopularityShift { at_ms, alpha, rotate [default] });
+
 /// A complete declarative traffic scenario (see module docs).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrafficScript {
     /// Length of one simulated hour in ms (`3_600_000` = real time;
     /// smaller values compress the diurnal day into a short run).
@@ -144,11 +149,13 @@ pub struct TrafficScript {
     /// Number of distinct popularity ranks lookups draw from.
     pub catalog: u32,
     pub domains: Vec<DomainProfile>,
-    #[serde(default)]
     pub popularity: Vec<PopularityShift>,
-    #[serde(default)]
     pub flash_crowds: Vec<FlashCrowd>,
 }
+
+json_impl!(ToJson, FromJson for struct TrafficScript {
+    hour_ms, horizon_ms, catalog, domains, popularity [default], flash_crowds [default]
+});
 
 impl TrafficScript {
     /// An empty script skeleton; add domains/shifts/crowds with the

@@ -8,7 +8,6 @@
 
 use prop_engine::SimRng;
 use prop_overlay::Slot;
-use serde::{Deserialize, Serialize};
 
 /// A Zipf(α) sampler over ranks `0..n` (rank 0 most popular), using the
 /// classic inverse-CDF over precomputed cumulative weights.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// // Rank 0 carries far more mass than rank 99.
 /// assert!(z.pmf(0) > 50.0 * z.pmf(99));
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,
 }
@@ -120,12 +119,12 @@ mod tests {
         let z = Zipf::new(20, 1.0);
         let mut rng = SimRng::seed_from(1);
         let n = 100_000;
-        let mut counts = vec![0usize; 20];
+        let mut counts = [0usize; 20];
         for _ in 0..n {
             counts[z.sample(&mut rng)] += 1;
         }
-        for r in 0..20 {
-            let observed = counts[r] as f64 / n as f64;
+        for (r, &count) in counts.iter().enumerate() {
+            let observed = count as f64 / n as f64;
             assert!(
                 (observed - z.pmf(r)).abs() < 0.01,
                 "rank {r}: observed {observed:.4} vs pmf {:.4}",

@@ -13,7 +13,6 @@
 use prop::baselines::{LtmConfig, LtmSim};
 use prop::metrics::degree::degree_summary;
 use prop::prelude::*;
-use prop::workloads::hetero;
 use std::sync::Arc;
 
 const N: usize = 300;

@@ -40,7 +40,7 @@ fn main() {
         "{N} members, transit core bisected at {SPLIT_AT_SECS}s, heals at {}s\n",
         SPLIT_AT_SECS + SPLIT_LEN_SECS
     );
-    println!("{:>6} {:>10} {:>10} {:>10}  {}", "t (s)", "trials", "exchanges", "exch/min", "");
+    println!("{:>6} {:>10} {:>10} {:>10}", "t (s)", "trials", "exchanges", "exch/min");
 
     let window = Duration::from_secs(WINDOW_SECS);
     let mut last = sim.overhead();

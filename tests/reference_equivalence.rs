@@ -13,9 +13,9 @@ use prop::overlay::iso::{
     is_isomorphic_via, peer_adjacency, reference_propg_exchange, transposition,
 };
 use prop::prelude::*;
-use proptest::test_runner::Config as ProptestConfig;
-use proptest::{prop_assert, prop_assert_eq, proptest};
 use std::sync::Arc;
+
+const CASES: u64 = 256;
 
 fn gnutella_net(n: usize, seed: u64) -> OverlayNet {
     let mut rng = SimRng::seed_from(seed);
@@ -25,12 +25,13 @@ fn gnutella_net(n: usize, seed: u64) -> OverlayNet {
     net
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Placement-swap PROP-G ≡ neighbor-set-exchange PROP-G, in peer space.
+#[test]
+fn production_equals_reference() {
+    for case in 0..CASES {
+        let mut gen = SimRng::seed_from(case);
+        let (seed, swaps) = (gen.range(0..5_000u64), gen.range(1..25usize));
 
-    /// Placement-swap PROP-G ≡ neighbor-set-exchange PROP-G, in peer space.
-    #[test]
-    fn production_equals_reference(seed in 0u64..5_000, swaps in 1usize..25) {
         let mut net = gnutella_net(24, seed);
         let mut rng = SimRng::seed_from(seed ^ 0xabcd);
         let mut reference = peer_adjacency(&net);
@@ -42,45 +43,47 @@ proptest! {
             }
             let (pa, pb) = (net.peer(a), net.peer(b));
             let plan = exchange::plan_propg(&net, a, b);
-            prop_assert_eq!(&plan.kind, &PlanKind::SwapAll);
+            assert_eq!(plan.kind, PlanKind::SwapAll, "case {case}");
             exchange::apply(&mut net, &plan);
             reference = reference_propg_exchange(&reference, pa, pb);
-            prop_assert_eq!(&peer_adjacency(&net), &reference,
-                "placement swap diverged from the paper's neighbor exchange");
+            assert_eq!(
+                peer_adjacency(&net),
+                reference,
+                "case {case}: placement swap diverged from the paper's neighbor exchange"
+            );
         }
     }
+}
 
-    /// Theorem 2 witness: the slot transposition is a verified isomorphism
-    /// between the peer-space graphs before and after an exchange.
-    #[test]
-    fn transposition_is_an_isomorphism_witness(seed in 0u64..5_000) {
+/// Theorem 2 witness: the slot transposition is a verified isomorphism
+/// between the peer-space graphs before and after an exchange.
+#[test]
+fn transposition_is_an_isomorphism_witness() {
+    for case in 0..CASES {
+        let seed = SimRng::seed_from(case).range(0..5_000u64);
         let mut net = gnutella_net(20, seed);
         let mut rng = SimRng::seed_from(seed ^ 0x1357);
         let a = Slot(rng.range(0..20u32));
         let b = Slot(rng.range(0..20u32));
         if a == b {
-            return Ok(());
+            continue;
         }
         // Peer-space graphs, expressed with *peer* labels (u32 for the
         // checker).
-        let before: std::collections::BTreeSet<(u32, u32)> = peer_adjacency(&net)
-            .into_iter()
-            .map(|(x, y)| (x as u32, y as u32))
-            .collect();
+        let before: std::collections::BTreeSet<(u32, u32)> =
+            peer_adjacency(&net).into_iter().map(|(x, y)| (x as u32, y as u32)).collect();
         let (pa, pb) = (net.peer(a), net.peer(b));
         let plan = exchange::plan_propg(&net, a, b);
         exchange::apply(&mut net, &plan);
-        let after: std::collections::BTreeSet<(u32, u32)> = peer_adjacency(&net)
-            .into_iter()
-            .map(|(x, y)| (x as u32, y as u32))
-            .collect();
+        let after: std::collections::BTreeSet<(u32, u32)> =
+            peer_adjacency(&net).into_iter().map(|(x, y)| (x as u32, y as u32)).collect();
         // φ = the transposition of the two *peers*.
         let phi = transposition(20, Slot(pa as u32), Slot(pb as u32));
-        prop_assert!(is_isomorphic_via(&before, &after, &phi));
+        assert!(is_isomorphic_via(&before, &after, &phi), "case {case}");
         // And the identity is NOT a witness unless the swap was symmetric.
         let identity: Vec<u32> = (0..20).collect();
         if before != after {
-            prop_assert!(!is_isomorphic_via(&before, &after, &identity));
+            assert!(!is_isomorphic_via(&before, &after, &identity), "case {case}");
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Property-based tests for the paper's §4 theorems, run against randomized
-//! overlays and exchange sequences.
+//! overlays and exchange sequences (seeded loops: one `SimRng` per case, the
+//! case number in every failure message).
 //!
 //! * Theorem 1 (connectivity persistence): no PROP-G/PROP-O exchange ever
 //!   disconnects a connected overlay.
@@ -15,9 +16,9 @@ use prop::core::Policy;
 use prop::netsim::graph::{LinkClass, NodeClass, PhysGraphBuilder};
 use prop::overlay::walk::random_walk;
 use prop::prelude::*;
-use proptest::test_runner::Config as ProptestConfig;
-use proptest::{prop_assert, prop_assert_eq, proptest};
 use std::sync::Arc;
+
+const CASES: u64 = 256;
 
 /// A random physical "line-with-chords" metric: n hosts on a 10 ms line
 /// plus a few random shortcut links, giving irregular but metric distances.
@@ -58,47 +59,49 @@ fn random_net(n: usize, extra_edges: usize, seed: u64) -> OverlayNet {
     OverlayNet::new(g, Placement::identity(n), oracle)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Theorems 1+2 under PROP-G: connectivity and the exact logical graph
+/// survive arbitrary accepted-exchange sequences.
+#[test]
+fn propg_preserves_connectivity_and_topology() {
+    for case in 0..CASES {
+        let mut gen = SimRng::seed_from(case);
+        let (n, extra) = (gen.range(6..40usize), gen.range(0..30usize));
+        let (seed, steps) = (gen.range(0..10_000u64), gen.range(1..60usize));
 
-    /// Theorems 1+2 under PROP-G: connectivity and the exact logical graph
-    /// survive arbitrary accepted-exchange sequences.
-    #[test]
-    fn propg_preserves_connectivity_and_topology(
-        n in 6usize..40,
-        extra in 0usize..30,
-        seed in 0u64..10_000,
-        steps in 1usize..60,
-    ) {
         let mut net = random_net(n, extra, seed);
         let mut rng = SimRng::seed_from(seed.wrapping_mul(31));
         let edges_before: Vec<_> = net.graph().edges().collect();
-        prop_assert!(net.graph().is_connected());
+        assert!(net.graph().is_connected(), "case {case}");
         for _ in 0..steps {
             let u = Slot(rng.range(0..n as u32));
             let v = Slot(rng.range(0..n as u32));
-            if u == v { continue; }
+            if u == v {
+                continue;
+            }
             let plan = exchange::plan_propg(&net, u, v);
             if plan.var > 0 {
                 exchange::apply(&mut net, &plan);
             }
-            prop_assert!(net.graph().is_connected(), "Theorem 1 violated");
+            assert!(net.graph().is_connected(), "case {case}: Theorem 1 violated");
         }
-        prop_assert_eq!(edges_before, net.graph().edges().collect::<Vec<_>>(),
-            "Theorem 2 violated: logical graph changed");
-        prop_assert!(net.placement().is_consistent());
+        assert_eq!(
+            edges_before,
+            net.graph().edges().collect::<Vec<_>>(),
+            "case {case}: Theorem 2 violated: logical graph changed"
+        );
+        assert!(net.placement().is_consistent(), "case {case}");
     }
+}
 
-    /// Theorem 1 + degree preservation under PROP-O with real probe walks.
-    #[test]
-    fn propo_preserves_connectivity_and_degrees(
-        n in 8usize..40,
-        extra in 4usize..30,
-        seed in 0u64..10_000,
-        steps in 1usize..60,
-        nhops in 2u32..5,
-        m in 1usize..4,
-    ) {
+/// Theorem 1 + degree preservation under PROP-O with real probe walks.
+#[test]
+fn propo_preserves_connectivity_and_degrees() {
+    for case in 0..CASES {
+        let mut gen = SimRng::seed_from(case);
+        let (n, extra) = (gen.range(8..40usize), gen.range(4..30usize));
+        let (seed, steps) = (gen.range(0..10_000u64), gen.range(1..60usize));
+        let (nhops, m) = (gen.range(2..5u32), gen.range(1..4usize));
+
         let mut net = random_net(n, extra, seed);
         let mut rng = SimRng::seed_from(seed.wrapping_mul(37));
         let degrees_before: Vec<usize> =
@@ -108,28 +111,32 @@ proptest! {
             let nbrs = net.graph().neighbors(u).to_vec();
             let Some(&first) = rng.pick(&nbrs) else { continue };
             let walk = random_walk(net.graph(), u, first, nhops, &mut rng);
-            if walk.counterpart(nhops).is_none() { continue; }
-            if let Some(plan) = exchange::plan_exchange(
-                &net, Policy::PropO { m: Some(m) }, &walk, m,
-            ) {
+            if walk.counterpart(nhops).is_none() {
+                continue;
+            }
+            if let Some(plan) =
+                exchange::plan_exchange(&net, Policy::PropO { m: Some(m) }, &walk, m)
+            {
                 if plan.var > 0 {
                     exchange::apply(&mut net, &plan);
                 }
             }
-            prop_assert!(net.graph().is_connected(), "Theorem 1 violated");
+            assert!(net.graph().is_connected(), "case {case}: Theorem 1 violated");
         }
         let degrees_after: Vec<usize> =
             (0..n as u32).map(|i| net.graph().degree(Slot(i))).collect();
-        prop_assert_eq!(degrees_before, degrees_after, "PROP-O changed a degree");
+        assert_eq!(degrees_before, degrees_after, "case {case}: PROP-O changed a degree");
     }
+}
 
-    /// §4.2: Var equals the exact total-latency delta, for both policies.
-    #[test]
-    fn var_is_exact_latency_delta(
-        n in 6usize..30,
-        extra in 2usize..20,
-        seed in 0u64..10_000,
-    ) {
+/// §4.2: Var equals the exact total-latency delta, for both policies.
+#[test]
+fn var_is_exact_latency_delta() {
+    for case in 0..CASES {
+        let mut gen = SimRng::seed_from(case);
+        let (n, extra) = (gen.range(6..30usize), gen.range(2..20usize));
+        let seed = gen.range(0..10_000u64);
+
         let mut net = random_net(n, extra, seed);
         let mut rng = SimRng::seed_from(seed.wrapping_mul(41));
 
@@ -142,7 +149,7 @@ proptest! {
             let plan = exchange::plan_propg(&net, u, v);
             exchange::apply(&mut net, &plan);
             let after = net.total_link_latency() as i64;
-            prop_assert_eq!(before - after, plan.var, "PROP-G Var mismatch");
+            assert_eq!(before - after, plan.var, "case {case}: PROP-G Var mismatch");
         }
 
         // PROP-O from a random walk.
@@ -155,45 +162,49 @@ proptest! {
                     let before = net.total_link_latency() as i64;
                     exchange::apply(&mut net, &plan);
                     let after = net.total_link_latency() as i64;
-                    prop_assert_eq!(before - after, plan.var, "PROP-O Var mismatch");
+                    assert_eq!(before - after, plan.var, "case {case}: PROP-O Var mismatch");
                 }
             }
         }
     }
+}
 
-    /// PROP-O plans never touch the probe path and never duplicate edges.
-    #[test]
-    fn propo_plans_are_well_formed(
-        n in 8usize..35,
-        extra in 4usize..25,
-        seed in 0u64..10_000,
-        m in 1usize..5,
-    ) {
+/// PROP-O plans never touch the probe path and never duplicate edges.
+#[test]
+fn propo_plans_are_well_formed() {
+    let mut plans = 0;
+    for case in 0..CASES {
+        let mut gen = SimRng::seed_from(case);
+        let (n, extra) = (gen.range(8..35usize), gen.range(4..25usize));
+        let (seed, m) = (gen.range(0..10_000u64), gen.range(1..5usize));
+
         let net = random_net(n, extra, seed);
         let mut rng = SimRng::seed_from(seed.wrapping_mul(43));
         let u = Slot(rng.range(0..n as u32));
         let nbrs = net.graph().neighbors(u).to_vec();
-        let Some(&first) = rng.pick(&nbrs) else { return Ok(()); };
+        let Some(&first) = rng.pick(&nbrs) else { continue };
         let walk = random_walk(net.graph(), u, first, 3, &mut rng);
-        if walk.counterpart(3).is_none() { return Ok(()); }
-        if let Some(plan) = exchange::plan_propo(&net, &walk, m) {
-            let v = *walk.path.last().unwrap();
-            if let PlanKind::Subset { from_u, from_v } = &plan.kind {
-                prop_assert_eq!(from_u.len(), from_v.len(), "unequal exchange");
-                prop_assert!(from_u.len() <= m);
-                for &x in from_u {
-                    prop_assert!(!walk.contains(x));
-                    prop_assert!(net.graph().has_edge(u, x));
-                    prop_assert!(!net.graph().has_edge(v, x), "duplicate edge would form");
-                }
-                for &y in from_v {
-                    prop_assert!(!walk.contains(y));
-                    prop_assert!(net.graph().has_edge(v, y));
-                    prop_assert!(!net.graph().has_edge(u, y), "duplicate edge would form");
-                }
-            } else {
-                prop_assert!(false, "PROP-O produced a non-subset plan");
-            }
+        if walk.counterpart(3).is_none() {
+            continue;
+        }
+        let Some(plan) = exchange::plan_propo(&net, &walk, m) else { continue };
+        plans += 1;
+        let v = *walk.path.last().unwrap();
+        let PlanKind::Subset { from_u, from_v } = &plan.kind else {
+            panic!("case {case}: PROP-O produced a non-subset plan");
+        };
+        assert_eq!(from_u.len(), from_v.len(), "case {case}: unequal exchange");
+        assert!(from_u.len() <= m, "case {case}");
+        for &x in from_u {
+            assert!(!walk.contains(x), "case {case}");
+            assert!(net.graph().has_edge(u, x), "case {case}");
+            assert!(!net.graph().has_edge(v, x), "case {case}: duplicate edge would form");
+        }
+        for &y in from_v {
+            assert!(!walk.contains(y), "case {case}");
+            assert!(net.graph().has_edge(v, y), "case {case}");
+            assert!(!net.graph().has_edge(u, y), "case {case}: duplicate edge would form");
         }
     }
+    assert!(plans > CASES / 4, "only {plans} of {CASES} cases produced a plan to check");
 }
