@@ -102,6 +102,12 @@ impl Error {
         self
     }
 
+    /// The error is about member `key` itself — its name — not its value.
+    pub fn at_key(mut self, key: &str) -> Error {
+        self.on_key = true;
+        self.in_key(key)
+    }
+
     /// The error happened inside element `index` of the enclosing array.
     pub fn in_index(mut self, index: usize) -> Error {
         self.path.push(Seg::Index(index));
@@ -822,7 +828,7 @@ impl<'a> Fields<'a> {
         };
         if let Some((key, _)) = members.iter().find(|(k, _)| !known.contains(&k.as_str())) {
             let what = format!("unknown key `{key}` in {owner}; it has {}", known.join(", "));
-            return Err(Error { on_key: true, ..Error::new(what) }.in_key(key));
+            return Err(Error::new(what).at_key(key));
         }
         Ok(Fields { object: v, owner })
     }
@@ -868,7 +874,7 @@ pub fn unknown_variant(tag: &str, keyed: bool, owner: &str, known: &[&str]) -> E
         known.join(", ")
     ));
     if keyed {
-        Error { on_key: true, ..e }.in_key(tag)
+        e.at_key(tag)
     } else {
         e
     }

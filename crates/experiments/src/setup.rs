@@ -34,6 +34,13 @@ impl Topology {
             Topology::Tiny => "tiny",
         }
     }
+
+    /// The preset a scenario file's `"topology"` label names.
+    pub fn from_label(label: &str) -> Option<Topology> {
+        [Topology::TsLarge, Topology::TsSmall, Topology::Tiny]
+            .into_iter()
+            .find(|t| t.label() == label)
+    }
 }
 
 /// Which latency-oracle tier an experiment forces. `Auto` lets the member

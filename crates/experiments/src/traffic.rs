@@ -21,8 +21,7 @@ use prop_core::{
     AsyncProtocolSim, ChurnDriver, PropConfig, ProtocolSim, TrafficCounters, TrafficEvent,
     TrafficPlane,
 };
-use prop_engine::json;
-use prop_engine::{json_impl, Duration, SimTime};
+use prop_engine::{json, json_impl, Duration, SimTime};
 use prop_faults::{transit_bisection, Scenario as ScenarioSpec};
 use prop_metrics::{link_stretch, par_path_stretch, StretchSummary, TimeSeries, TrafficReport};
 use prop_netsim::oracle::MemberIdx;
@@ -114,11 +113,7 @@ impl ChurnDriver for SelfishDriver {
 /// Resolve a scenario's topology label to the [`Topology`] preset. The
 /// loaders below have already refused a file whose label is unknown.
 pub fn topology_from_label(label: &str) -> Topology {
-    find_topology(label).unwrap_or_else(|| panic!("unknown topology label {label:?}"))
-}
-
-fn find_topology(label: &str) -> Option<Topology> {
-    [Topology::TsLarge, Topology::TsSmall, Topology::Tiny].into_iter().find(|t| t.label() == label)
+    Topology::from_label(label).unwrap_or_else(|| panic!("unknown topology label {label:?}"))
 }
 
 /// Run one scenario on one driver. Scripted lookups become the stretch
@@ -421,7 +416,7 @@ fn check_script(path: &str, script: &TrafficScript) -> Result<(), ScenarioError>
 fn parse_bundle(path: &str, text: &str) -> Result<ScenarioSpec, ScenarioError> {
     let spec: ScenarioSpec = json::from_str(text)
         .map_err(|error| ScenarioError::Parse { path: path.to_string(), error })?;
-    if find_topology(&spec.topology).is_none() {
+    if Topology::from_label(&spec.topology).is_none() {
         let what =
             format!("unknown topology {:?} (known: ts-large, ts-small, tiny)", spec.topology);
         return Err(ScenarioError::Invalid { path: path.to_string(), what });

@@ -42,7 +42,7 @@ fn random_script(rng: &mut SimRng) -> FaultScript {
 
 /// Theorem 1 (global + per-side) and Theorem 2 survive arbitrary bounded
 /// fault scripts, for both policies, on both drivers. A case is four
-/// twenty-minute protocol runs (≈ 60 ms), hence 16 of them.
+/// twenty-minute protocol runs (≈ 16 ms), hence 16 of them.
 #[test]
 fn random_scripts_preserve_the_theorems() {
     for case in 0..16u64 {
