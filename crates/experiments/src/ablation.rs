@@ -24,26 +24,24 @@
 //! * **A12 — flooding message cost per query** (degree preservation as
 //!   bandwidth economics).
 
-use crate::setup::{Scale, Scenario, Topology};
+use crate::fig7::{hetero_gnutella, hub_correlated_assignment, to_slot_pairs};
+use crate::setup::{Scale, Scenario, Scheme};
 use prop_baselines::pis::build_pis_can;
-use prop_baselines::pns::build_pns_chord;
-use prop_baselines::selfish::{SelfishConfig, SelfishSim};
-use prop_baselines::{LtmConfig, LtmSim};
+use prop_baselines::pns::{build_pns_chord, build_pns_pastry};
+use prop_baselines::{LtmConfig, LtmSim, PrsChord};
 use prop_core::{PropConfig, ProtocolSim};
-use prop_engine::{json_impl, Duration, SimTime};
+use prop_engine::{json_impl, Duration, SimRng, SimTime};
 use prop_metrics::degree::degree_summary;
-use prop_metrics::{link_stretch, par_path_stretch, TimeSeries};
+use prop_metrics::{
+    avg_lookup_latency, link_stretch, mean_flood_messages, path_stretch, TimeSeries,
+};
+use prop_overlay::can::Can;
 use prop_overlay::chord::ChordParams;
-use prop_overlay::{Lookup, Slot};
+use prop_overlay::pastry::{Pastry, PastryParams};
+use prop_overlay::{Lookup, OverlayNet, Slot};
 use prop_workloads::churn::{ChurnOp, ChurnTrace};
-use prop_workloads::LookupGen;
-
-fn topology_for(scale: Scale) -> Topology {
-    match scale {
-        Scale::Paper => Topology::TsLarge,
-        Scale::Quick => Topology::TsSmall,
-    }
-}
+use prop_workloads::{BimodalParams, LookupGen};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------- A1 ----
 
@@ -76,7 +74,7 @@ json_impl!(ToJson for struct OverheadReport { rows, probe_rate });
 
 /// A1: measure message overhead per adjustment for PROP-G vs PROP-O.
 pub fn overhead(scale: Scale, seed: u64) -> OverheadReport {
-    let scenario = Scenario::build(topology_for(scale), scale.default_n(), seed);
+    let scenario = Scenario::build(scale.topology(), scale.default_n(), seed);
     let nhops = 2.0;
     let mut rows = Vec::new();
     let mut probe_rate = TimeSeries::new("PROP-G probe rate (trials/min)");
@@ -140,7 +138,7 @@ json_impl!(ToJson for struct ChurnReport {
 
 /// A2: run PROP-O on Gnutella with a Poisson churn episode mid-run.
 pub fn churn(scale: Scale, seed: u64) -> ChurnReport {
-    let scenario = Scenario::build(topology_for(scale), scale.default_n(), seed);
+    let scenario = Scenario::build(scale.topology(), scale.default_n(), seed);
     let (gn, net) = scenario.gnutella();
     let mut rng = scenario.rng("a2-sim");
     let mut sim = ProtocolSim::new(net, PropConfig::prop_o(), &mut rng);
@@ -228,109 +226,60 @@ pub struct CombineRow {
 
 json_impl!(ToJson for struct CombineRow { label, stretch_initial, stretch_final });
 
-/// A3: PROP-G layered on PNS-Chord and PIS-CAN.
+/// A3: PROP-G layered on each DHT and on its proximity-aware variants.
 pub fn combine(scale: Scale, seed: u64) -> Vec<CombineRow> {
-    let scenario = Scenario::build(topology_for(scale), scale.default_n(), seed);
-    let live = scenario.all_slots();
+    let scenario = Scenario::build(scale.topology(), scale.default_n(), seed);
     let pairs = LookupGen::new(&scenario.rng("a3-lookups"))
-        .uniform_pairs(&live, scale.lookups_per_sample());
-    let mut rows = Vec::new();
+        .uniform_pairs(&scenario.all_slots(), scale.lookups_per_sample());
+    let oracle = || Arc::clone(&scenario.oracle);
+    let mut a3 = Combine { scenario: &scenario, scale, pairs: &pairs, rows: Vec::new() };
 
-    // Chord family.
-    {
-        let (vanilla, vanilla_net) = scenario.chord();
-        rows.push(CombineRow {
-            label: "Chord".into(),
-            stretch_initial: par_path_stretch(&vanilla_net, &vanilla, &pairs).mean,
-            stretch_final: par_path_stretch(&vanilla_net, &vanilla, &pairs).mean,
-        });
-        rows.push(run_propg_over(&scenario, scale, "Chord + PROP-G", vanilla, vanilla_net, &pairs));
-
-        let mut rng = scenario.rng("a3-pns");
-        let (pns, pns_net) = build_pns_chord(
-            ChordParams::default(),
-            std::sync::Arc::clone(&scenario.oracle),
-            &mut rng,
-        );
-        rows.push(CombineRow {
-            label: "PNS-Chord".into(),
-            stretch_initial: par_path_stretch(&pns_net, &pns, &pairs).mean,
-            stretch_final: par_path_stretch(&pns_net, &pns, &pairs).mean,
-        });
-        rows.push(run_propg_over(&scenario, scale, "PNS-Chord + PROP-G", pns, pns_net, &pairs));
-    }
-
+    let (chord, net) = scenario.chord();
+    a3.family("Chord", &chord, net);
+    let (pns, net) = build_pns_chord(ChordParams::default(), oracle(), &mut scenario.rng("a3-pns"));
+    a3.family("PNS-Chord", &pns, net);
     // PRS is a lookup-time policy over the same Chord; PROP-G stacks too.
-    {
-        let (chord, net) = scenario.chord();
-        let prs = prop_baselines::PrsChord::new(chord);
-        rows.push(CombineRow {
-            label: "PRS-Chord".into(),
-            stretch_initial: par_path_stretch(&net, &prs, &pairs).mean,
-            stretch_final: par_path_stretch(&net, &prs, &pairs).mean,
-        });
-        rows.push(run_propg_over(&scenario, scale, "PRS-Chord + PROP-G", prs, net, &pairs));
-    }
+    let (chord, net) = scenario.chord();
+    a3.family("PRS-Chord", &PrsChord::new(chord), net);
 
     // Pastry family (PROP-G's generality: a third DHT geometry).
-    {
-        let mut rng = scenario.rng("a3-pastry");
-        let (vanilla, vanilla_net) = prop_overlay::pastry::Pastry::build(
-            prop_overlay::pastry::PastryParams::default(),
-            std::sync::Arc::clone(&scenario.oracle),
-            &mut rng,
-        );
-        rows.push(CombineRow {
-            label: "Pastry".into(),
-            stretch_initial: par_path_stretch(&vanilla_net, &vanilla, &pairs).mean,
-            stretch_final: par_path_stretch(&vanilla_net, &vanilla, &pairs).mean,
-        });
-        rows.push(run_propg_over(
-            &scenario,
-            scale,
-            "Pastry + PROP-G",
-            vanilla,
-            vanilla_net,
-            &pairs,
-        ));
+    let (pastry, net) =
+        Pastry::build(PastryParams::default(), oracle(), &mut scenario.rng("a3-pastry"));
+    a3.family("Pastry", &pastry, net);
+    let (pns, net) =
+        build_pns_pastry(PastryParams::default(), oracle(), &mut scenario.rng("a3-pns-pastry"));
+    a3.family("PNS-Pastry", &pns, net);
 
-        let mut rng = scenario.rng("a3-pns-pastry");
-        let (pns, pns_net) = prop_baselines::pns::build_pns_pastry(
-            prop_overlay::pastry::PastryParams::default(),
-            std::sync::Arc::clone(&scenario.oracle),
-            &mut rng,
-        );
-        rows.push(CombineRow {
-            label: "PNS-Pastry".into(),
-            stretch_initial: par_path_stretch(&pns_net, &pns, &pairs).mean,
-            stretch_final: par_path_stretch(&pns_net, &pns, &pairs).mean,
+    let (can, net) = Can::build(oracle(), &mut scenario.rng("a3-can"));
+    a3.family("CAN", &can, net);
+    let (pis, net) = build_pis_can(oracle(), &mut scenario.rng("a3-pis"));
+    a3.family("PIS-CAN", &pis, net);
+
+    a3.rows
+}
+
+struct Combine<'a> {
+    scenario: &'a Scenario,
+    scale: Scale,
+    pairs: &'a [(Slot, Slot)],
+    rows: Vec<CombineRow>,
+}
+
+impl Combine<'_> {
+    /// One family: the base overlay's row, then PROP-G stacked on it.
+    fn family(&mut self, label: &str, overlay: &impl Lookup, net: OverlayNet) {
+        let initial = path_stretch(&net, overlay, self.pairs).mean;
+        self.rows.push(CombineRow {
+            label: label.into(),
+            stretch_initial: initial,
+            stretch_final: initial,
         });
-        rows.push(run_propg_over(&scenario, scale, "PNS-Pastry + PROP-G", pns, pns_net, &pairs));
+        let stacked = format!("{label} + PROP-G");
+        let rng_label = format!("a3-sim-{stacked}");
+        let net = Scheme::PropG.optimize(self.scenario, net, &rng_label, self.scale.horizon());
+        let stretch_final = path_stretch(&net, overlay, self.pairs).mean;
+        self.rows.push(CombineRow { label: stacked, stretch_initial: initial, stretch_final });
     }
-
-    // CAN family.
-    {
-        let mut rng = scenario.rng("a3-can");
-        let (vanilla, vanilla_net) =
-            prop_overlay::can::Can::build(std::sync::Arc::clone(&scenario.oracle), &mut rng);
-        rows.push(CombineRow {
-            label: "CAN".into(),
-            stretch_initial: par_path_stretch(&vanilla_net, &vanilla, &pairs).mean,
-            stretch_final: par_path_stretch(&vanilla_net, &vanilla, &pairs).mean,
-        });
-        rows.push(run_propg_over(&scenario, scale, "CAN + PROP-G", vanilla, vanilla_net, &pairs));
-
-        let mut rng = scenario.rng("a3-pis");
-        let (pis, pis_net) = build_pis_can(std::sync::Arc::clone(&scenario.oracle), &mut rng);
-        rows.push(CombineRow {
-            label: "PIS-CAN".into(),
-            stretch_initial: par_path_stretch(&pis_net, &pis, &pairs).mean,
-            stretch_final: par_path_stretch(&pis_net, &pis, &pairs).mean,
-        });
-        rows.push(run_propg_over(&scenario, scale, "PIS-CAN + PROP-G", pis, pis_net, &pairs));
-    }
-
-    rows
 }
 
 // ---------------------------------------------------------------- A5 ----
@@ -354,7 +303,7 @@ pub fn selection_strategy(scale: Scale, seed: u64) -> Vec<SelectionRow> {
     use prop_core::exchange::{self};
     use prop_overlay::walk::random_walk;
 
-    let scenario = Scenario::build(topology_for(scale), scale.default_n(), seed);
+    let scenario = Scenario::build(scale.topology(), scale.default_n(), seed);
     let n = scale.default_n();
     let trials = match scale {
         Scale::Paper => 40_000,
@@ -418,55 +367,37 @@ json_impl!(ToJson for struct PhysicalModelRow {
 /// graph of comparable size.
 pub fn physical_model(scale: Scale, seed: u64) -> Vec<PhysicalModelRow> {
     use prop_netsim::{generate_waxman, LatencyOracle, WaxmanParams};
-    use std::sync::Arc;
+    use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 
     let n = scale.default_n();
-    let mut rows = Vec::new();
+    let row = |label: &str, net: OverlayNet, rng: &mut SimRng| {
+        let initial = link_stretch(&net);
+        let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), rng);
+        sim.run_for(scale.horizon());
+        let fin = link_stretch(sim.net());
+        PhysicalModelRow {
+            label: label.to_string(),
+            stretch_initial: initial,
+            stretch_final: fin,
+            improvement: (initial - fin) / initial,
+        }
+    };
 
     // Transit–stub reference.
-    {
-        let scenario = Scenario::build(topology_for(scale), n, seed);
-        let (_, net) = scenario.gnutella();
-        let initial = link_stretch(&net);
-        let mut rng = scenario.rng("a7-ts");
-        let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
-        sim.run_for(scale.horizon());
-        let fin = link_stretch(sim.net());
-        rows.push(PhysicalModelRow {
-            label: topology_for(scale).label().to_string(),
-            stretch_initial: initial,
-            stretch_final: fin,
-            improvement: (initial - fin) / initial,
-        });
-    }
+    let scenario = Scenario::build(scale.topology(), n, seed);
+    let ts = row(scenario.topology.label(), scenario.gnutella().1, &mut scenario.rng("a7-ts"));
 
-    // Waxman.
-    {
-        let params = match scale {
-            Scale::Paper => WaxmanParams::comparable_to_ts(),
-            Scale::Quick => WaxmanParams { nodes: 400, ..WaxmanParams::comparable_to_ts() },
-        };
-        let mut rng = prop_engine::SimRng::seed_from(seed);
-        let phys = generate_waxman(&params, &mut rng);
-        let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
-        let (_, net) = prop_overlay::gnutella::Gnutella::build(
-            prop_overlay::gnutella::GnutellaParams::default(),
-            oracle,
-            &mut rng,
-        );
-        let initial = link_stretch(&net);
-        let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
-        sim.run_for(scale.horizon());
-        let fin = link_stretch(sim.net());
-        rows.push(PhysicalModelRow {
-            label: "waxman".to_string(),
-            stretch_initial: initial,
-            stretch_final: fin,
-            improvement: (initial - fin) / initial,
-        });
-    }
-
-    rows
+    // Waxman: one stream from the seed through topology, membership, overlay
+    // and protocol.
+    let params = match scale {
+        Scale::Paper => WaxmanParams::comparable_to_ts(),
+        Scale::Quick => WaxmanParams { nodes: 400, ..WaxmanParams::comparable_to_ts() },
+    };
+    let mut rng = SimRng::seed_from(seed);
+    let phys = generate_waxman(&params, &mut rng);
+    let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
+    let (_, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
+    vec![ts, row("waxman", net, &mut rng)]
 }
 
 // ---------------------------------------------------------------- A8 ----
@@ -497,14 +428,14 @@ json_impl!(ToJson for struct CustodyReport {
 pub fn custody(scale: Scale, seed: u64) -> CustodyReport {
     use prop_core::forwarding::ObjectStore;
 
-    let scenario = Scenario::build(topology_for(scale), scale.default_n(), seed);
+    let scenario = Scenario::build(scale.topology(), scale.default_n(), seed);
     let (chord, net) = scenario.chord();
     let mut store = ObjectStore::snapshot(&net);
     let live = scenario.all_slots();
     let pairs = LookupGen::new(&scenario.rng("a8-lookups"))
         .uniform_pairs(&live, scale.lookups_per_sample());
 
-    let mean = |store: &ObjectStore, net: &prop_overlay::OverlayNet| -> f64 {
+    let mean = |store: &ObjectStore, net: &OverlayNet| -> f64 {
         let total: u64 = pairs
             .iter()
             .map(|&(a, b)| store.lookup_object(&chord, net, a, b).unwrap().0.latency_ms)
@@ -513,10 +444,7 @@ pub fn custody(scale: Scale, seed: u64) -> CustodyReport {
     };
 
     let baseline_ms = mean(&store, &net);
-    let mut rng = scenario.rng("a8-sim");
-    let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
-    sim.run_for(scale.horizon());
-    let net = sim.into_net();
+    let net = Scheme::PropG.optimize(&scenario, net, "a8-sim", scale.horizon());
 
     let displacement = store.displacement_ratio(&net);
     let pointers_ms = mean(&store, &net);
@@ -543,7 +471,7 @@ json_impl!(ToJson for struct ThresholdRow { min_var, stretch_final, exchanges, n
 /// the paper sets `MIN_VAR = 0`; raising the bar trades fewer (cheaper)
 /// exchanges for a worse final topology.
 pub fn threshold_sweep(scale: Scale, seed: u64) -> Vec<ThresholdRow> {
-    let scenario = Scenario::build(topology_for(scale), scale.default_n(), seed);
+    let scenario = Scenario::build(scale.topology(), scale.default_n(), seed);
     [0i64, 20, 100, 400, 1600]
         .into_iter()
         .map(|min_var| {
@@ -587,34 +515,26 @@ json_impl!(ToJson for struct LtmCapRow {
 /// EXPERIMENTS.md). Reported so readers can judge the comparison's
 /// robustness themselves.
 pub fn ltm_cap_sweep(scale: Scale, seed: u64) -> Vec<LtmCapRow> {
-    use prop_workloads::hetero;
-
-    let scenario = Scenario::build(topology_for(scale), scale.default_n(), seed);
     let n = scale.default_n();
-    let params = prop_workloads::BimodalParams::default();
-    let n_fast = ((n as f64) * params.fast_fraction).round() as usize;
-    let delays: Vec<u32> = (0..n)
-        .map(|p| if p < n_fast { params.fast_delay_ms } else { params.slow_delay_ms })
-        .collect();
-    let is_fast = |s: Slot| s.index() < n_fast;
-    let _ = hetero::assign; // module reference kept for readers
+    let scenario = Scenario::build(scale.topology(), n, seed);
+    let assignment = hub_correlated_assignment(&BimodalParams::default(), n);
+    let is_fast = |s: Slot| assignment.is_fast[s.index()];
 
-    let peer_slots: Vec<Slot> = (0..n as u32).map(Slot).collect();
+    let peer_slots = scenario.all_slots();
     let mut gen = LookupGen::new(&scenario.rng("a10-lookups"));
     let pairs0 = gen.skewed_pairs(&peer_slots, is_fast, 0.0, scale.lookups_per_sample());
     let pairs1 = gen.skewed_pairs(&peer_slots, is_fast, 1.0, scale.lookups_per_sample());
 
-    // Unoptimized baseline.
-    let (gn0, mut net0) = scenario.gnutella();
-    net0.set_processing_delays(delays.clone());
-    let base0 = prop_metrics::par_avg_lookup_latency(&net0, &gn0, &pairs0).mean_ms;
-    let base1 = prop_metrics::par_avg_lookup_latency(&net0, &gn0, &pairs1).mean_ms;
+    // Unoptimized baseline. LTM rewires links and never relocates a peer, so
+    // the peer-space pairs are slot pairs throughout.
+    let (gn, net0) = hetero_gnutella(&scenario, &assignment);
+    let base0 = avg_lookup_latency(&net0, &gn, &pairs0).mean_ms;
+    let base1 = avg_lookup_latency(&net0, &gn, &pairs1).mean_ms;
 
     [8usize, 12, 16, 24, usize::MAX]
         .into_iter()
         .map(|cap| {
-            let (gn, mut net) = scenario.gnutella();
-            net.set_processing_delays(delays.clone());
+            let (_, net) = hetero_gnutella(&scenario, &assignment);
             let mut rng = scenario.rng(&format!("a10-{cap}"));
             let cfg = LtmConfig { max_degree: cap, ..Default::default() };
             let mut sim = LtmSim::new(net, cfg, &mut rng);
@@ -624,10 +544,8 @@ pub fn ltm_cap_sweep(scale: Scale, seed: u64) -> Vec<LtmCapRow> {
                 max_degree: cap,
                 mean_degree_final: net.graph().mean_degree(),
                 mean_link_latency_final: net.mean_link_latency(),
-                ratio_frac0: prop_metrics::par_avg_lookup_latency(&net, &gn, &pairs0).mean_ms
-                    / base0,
-                ratio_frac1: prop_metrics::par_avg_lookup_latency(&net, &gn, &pairs1).mean_ms
-                    / base1,
+                ratio_frac0: avg_lookup_latency(&net, &gn, &pairs0).mean_ms / base0,
+                ratio_frac1: avg_lookup_latency(&net, &gn, &pairs1).mean_ms / base1,
             }
         })
         .collect()
@@ -653,62 +571,34 @@ json_impl!(ToJson for struct ZipfRow { label, ratio });
 pub fn zipf_workload(scale: Scale, seed: u64) -> Vec<ZipfRow> {
     use prop_workloads::zipf::zipf_pairs;
 
-    let scenario = Scenario::build(topology_for(scale), scale.default_n(), seed);
     let n = scale.default_n();
-    let params = prop_workloads::BimodalParams::default();
-    let n_fast = ((n as f64) * params.fast_fraction).round() as usize;
-    let delays: Vec<u32> = (0..n)
-        .map(|p| if p < n_fast { params.fast_delay_ms } else { params.slow_delay_ms })
-        .collect();
+    let scenario = Scenario::build(scale.topology(), n, seed);
+    let assignment = hub_correlated_assignment(&BimodalParams::default(), n);
 
     // Popularity ranking = join order (peer 0 most popular): hubs hold the
     // hot objects.
-    let live: Vec<Slot> = (0..n as u32).map(Slot).collect();
-    let ranking: Vec<Slot> = live.clone();
+    let live = scenario.all_slots();
     let mut rng = scenario.rng("a11-workload");
-    let pairs = zipf_pairs(&live, &ranking, 0.9, scale.lookups_per_sample(), &mut rng);
+    let pairs = zipf_pairs(&live, &live, 0.9, scale.lookups_per_sample(), &mut rng);
 
-    let (gn0, mut net0) = scenario.gnutella();
-    net0.set_processing_delays(delays.clone());
-    let base = prop_metrics::par_avg_lookup_latency(&net0, &gn0, &pairs).mean_ms;
+    let (gn, net0) = hetero_gnutella(&scenario, &assignment);
+    let base = avg_lookup_latency(&net0, &gn, &pairs).mean_ms;
 
-    let mut rows = Vec::new();
-    for (label, which) in [("PROP-O", 0), ("PROP-G", 1), ("LTM", 2)] {
-        let (gn, mut net) = scenario.gnutella();
-        net.set_processing_delays(delays.clone());
-        let mut rng = scenario.rng(&format!("a11-{label}"));
-        let net = match which {
-            0 => {
-                let mut sim = ProtocolSim::new(net, PropConfig::prop_o(), &mut rng);
-                sim.run_for(scale.horizon());
-                sim.into_net()
-            }
-            1 => {
-                let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
-                sim.run_for(scale.horizon());
-                sim.into_net()
-            }
-            _ => {
-                let mut sim = LtmSim::new(net, LtmConfig::default(), &mut rng);
-                sim.run_for(scale.horizon());
-                sim.into_net()
-            }
-        };
-        // Destinations follow the *peer* (PROP-G relocates peers).
-        let slot_pairs: Vec<(Slot, Slot)> = pairs
-            .iter()
-            .map(|&(s, d)| {
-                (
-                    net.placement().slot_of(s.index()).expect("peer present"),
-                    net.placement().slot_of(d.index()).expect("peer present"),
-                )
-            })
-            .collect();
-        let mean = prop_metrics::par_avg_lookup_latency(&net, &gn, &slot_pairs).mean_ms;
-        rows.push(ZipfRow { label: label.to_string(), ratio: mean / base });
-    }
-    rows
+    COMPARED
+        .into_iter()
+        .map(|(label, scheme)| {
+            let (_, net) = hetero_gnutella(&scenario, &assignment);
+            let net = scheme.optimize(&scenario, net, &format!("a11-{label}"), scale.horizon());
+            // Destinations follow the *peer* (PROP-G relocates peers).
+            let mean = avg_lookup_latency(&net, &gn, &to_slot_pairs(&net, &pairs)).mean_ms;
+            ZipfRow { label: label.to_string(), ratio: mean / base }
+        })
+        .collect()
 }
+
+/// The three schemes A11 and A12 set side by side, under their row labels.
+const COMPARED: [(&str, Scheme); 3] =
+    [("PROP-O", Scheme::PropO { m: None }), ("PROP-G", Scheme::PropG), ("LTM", Scheme::Ltm)];
 
 // --------------------------------------------------------------- A12 ----
 
@@ -729,42 +619,24 @@ json_impl!(ToJson for struct FloodCostRow {
 /// region, so per-query message cost tracks graph density. PROP preserves
 /// it exactly; LTM's added links make every query more expensive.
 pub fn flood_cost(scale: Scale, seed: u64) -> Vec<FloodCostRow> {
-    use prop_metrics::par_mean_flood_messages;
-
-    let scenario = Scenario::build(topology_for(scale), scale.default_n(), seed);
+    let scenario = Scenario::build(scale.topology(), scale.default_n(), seed);
     let sources: Vec<Slot> = scenario.all_slots().into_iter().step_by(7).collect();
     let ttl = 7;
-    let mut rows = Vec::new();
 
-    for label in ["PROP-O", "PROP-G", "LTM"] {
-        let (_, net) = scenario.gnutella();
-        let initial = par_mean_flood_messages(&net, &sources, ttl);
-        let mut rng = scenario.rng(&format!("a12-{label}"));
-        let net = match label {
-            "PROP-O" => {
-                let mut sim = ProtocolSim::new(net, PropConfig::prop_o(), &mut rng);
-                sim.run_for(scale.horizon());
-                sim.into_net()
+    COMPARED
+        .into_iter()
+        .map(|(label, scheme)| {
+            let (_, net) = scenario.gnutella();
+            let initial = mean_flood_messages(&net, &sources, ttl);
+            let net = scheme.optimize(&scenario, net, &format!("a12-{label}"), scale.horizon());
+            FloodCostRow {
+                label: label.to_string(),
+                msgs_per_query_initial: initial,
+                msgs_per_query_final: mean_flood_messages(&net, &sources, ttl),
+                mean_degree_final: net.graph().mean_degree(),
             }
-            "PROP-G" => {
-                let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
-                sim.run_for(scale.horizon());
-                sim.into_net()
-            }
-            _ => {
-                let mut sim = LtmSim::new(net, LtmConfig::default(), &mut rng);
-                sim.run_for(scale.horizon());
-                sim.into_net()
-            }
-        };
-        rows.push(FloodCostRow {
-            label: label.to_string(),
-            msgs_per_query_initial: initial,
-            msgs_per_query_final: par_mean_flood_messages(&net, &sources, ttl),
-            mean_degree_final: net.graph().mean_degree(),
-        });
-    }
-    rows
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------- A6 ----
@@ -785,7 +657,7 @@ json_impl!(ToJson for struct WarmupRow { max_init_trial, stretch_final, trials }
 /// this number to be less than ten" — longer warm-ups buy little extra
 /// stretch at a real probing cost.
 pub fn warmup_sweep(scale: Scale, seed: u64) -> Vec<WarmupRow> {
-    let scenario = Scenario::build(topology_for(scale), scale.default_n(), seed);
+    let scenario = Scenario::build(scale.topology(), scale.default_n(), seed);
     [2u32, 5, 10, 20, 40]
         .into_iter()
         .map(|w| {
@@ -804,26 +676,6 @@ pub fn warmup_sweep(scale: Scale, seed: u64) -> Vec<WarmupRow> {
         .collect()
 }
 
-fn run_propg_over<L: Lookup>(
-    scenario: &Scenario,
-    scale: Scale,
-    label: &str,
-    overlay: L,
-    net: prop_overlay::OverlayNet,
-    pairs: &[(Slot, Slot)],
-) -> CombineRow {
-    let initial = par_path_stretch(&net, &overlay, pairs).mean;
-    let mut rng = scenario.rng(&format!("a3-sim-{label}"));
-    let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
-    sim.run_for(scale.horizon());
-    let net = sim.into_net();
-    CombineRow {
-        label: label.into(),
-        stretch_initial: initial,
-        stretch_final: par_path_stretch(&net, &overlay, pairs).mean,
-    }
-}
-
 // ---------------------------------------------------------------- A4 ----
 
 /// A4 output: system-wide comparison of cooperative vs selfish rewiring.
@@ -840,47 +692,24 @@ json_impl!(ToJson for struct SelfishRow { label, mean_link_latency_final, degree
 
 /// A4: cooperative PROP-O vs selfish nearest-neighbor rewiring.
 pub fn selfish_vs_prop(scale: Scale, seed: u64) -> Vec<SelfishRow> {
-    let scenario = Scenario::build(topology_for(scale), scale.default_n(), seed);
-    let mut rows = Vec::new();
-
-    let (_, net) = scenario.gnutella();
-    let cv0 = degree_summary(net.graph()).cv;
-    {
-        let mut rng = scenario.rng("a4-propo");
-        let mut sim = ProtocolSim::new(net, PropConfig::prop_o(), &mut rng);
-        sim.run_for(scale.horizon());
-        let net = sim.into_net();
-        rows.push(SelfishRow {
-            label: "PROP-O (cooperative)".into(),
-            mean_link_latency_final: net.mean_link_latency(),
-            degree_cv_drift: (degree_summary(net.graph()).cv - cv0).abs(),
-        });
-    }
-    {
+    let scenario = Scenario::build(scale.topology(), scale.default_n(), seed);
+    let cv0 = degree_summary(scenario.gnutella().1.graph()).cv;
+    [
+        ("PROP-O (cooperative)", "a4-propo", Scheme::PropO { m: None }),
+        ("selfish rewiring", "a4-selfish", Scheme::Selfish),
+        ("LTM", "a4-ltm", Scheme::Ltm),
+    ]
+    .into_iter()
+    .map(|(label, rng_label, scheme)| {
         let (_, net) = scenario.gnutella();
-        let mut rng = scenario.rng("a4-selfish");
-        let mut sim = SelfishSim::new(net, SelfishConfig::default(), &mut rng);
-        sim.run_for(scale.horizon());
-        let net = sim.into_net();
-        rows.push(SelfishRow {
-            label: "selfish rewiring".into(),
+        let net = scheme.optimize(&scenario, net, rng_label, scale.horizon());
+        SelfishRow {
+            label: label.into(),
             mean_link_latency_final: net.mean_link_latency(),
             degree_cv_drift: (degree_summary(net.graph()).cv - cv0).abs(),
-        });
-    }
-    {
-        let (_, net) = scenario.gnutella();
-        let mut rng = scenario.rng("a4-ltm");
-        let mut sim = LtmSim::new(net, LtmConfig::default(), &mut rng);
-        sim.run_for(scale.horizon());
-        let net = sim.into_net();
-        rows.push(SelfishRow {
-            label: "LTM".into(),
-            mean_link_latency_final: net.mean_link_latency(),
-            degree_cv_drift: (degree_summary(net.graph()).cv - cv0).abs(),
-        });
-    }
-    rows
+        }
+    })
+    .collect()
 }
 
 #[cfg(test)]

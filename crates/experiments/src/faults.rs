@@ -20,13 +20,6 @@ use prop_engine::{json_impl, Duration, SimTime};
 use prop_faults::{compile, transit_bisection, FaultScript};
 use prop_metrics::{FaultReport, TimeSeries};
 
-fn topology_for(scale: Scale) -> Topology {
-    match scale {
-        Scale::Paper => Topology::TsLarge,
-        Scale::Quick => Topology::TsSmall,
-    }
-}
-
 /// Loss probabilities swept by the default grid.
 pub const LOSS_RATES: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
 /// Partition durations (seconds) swept by the default grid.
@@ -63,7 +56,7 @@ json_impl!(ToJson for struct FaultSweepRow {
 /// Run the default loss × partition grid at `scale`.
 pub fn sweep(scale: Scale, seed: u64) -> Vec<FaultSweepRow> {
     sweep_with(
-        topology_for(scale),
+        scale.topology(),
         scale.default_n(),
         scale.horizon(),
         seed,
@@ -147,13 +140,7 @@ json_impl!(ToJson for struct RecoveryReport { exchange_rate, faults, partition }
 
 /// Exchange-rate collapse and recovery across one transit partition.
 pub fn recovery(scale: Scale, seed: u64) -> RecoveryReport {
-    recovery_with(
-        topology_for(scale),
-        scale.default_n(),
-        scale.horizon(),
-        scale.sample_every(),
-        seed,
-    )
+    recovery_with(scale.topology(), scale.default_n(), scale.horizon(), scale.sample_every(), seed)
 }
 
 /// [`recovery`] with every knob explicit. The partition opens a third of

@@ -13,10 +13,10 @@
 //! * **(c) varying the physical topology** — `ts-large` vs `ts-small`;
 //!   the big-backbone topology benefits more.
 
-use crate::setup::{Scale, Scenario, Topology};
-use prop_core::{ProbeMode, PropConfig, ProtocolSim};
-use prop_engine::{json_impl, par};
-use prop_metrics::{par_avg_lookup_latency, MetricSummary, TimeSeries};
+use crate::setup::{panel, sample_series, Scale, Scenario, Vary};
+use prop_core::{PropConfig, ProtocolSim};
+use prop_engine::json_impl;
+use prop_metrics::{avg_lookup_latency, MetricSummary, TimeSeries};
 use prop_workloads::LookupGen;
 
 /// One plotted curve plus the numbers EXPERIMENTS.md quotes.
@@ -55,68 +55,28 @@ pub fn run_curve(scenario: &Scenario, cfg: PropConfig, scale: Scale, label: Stri
     let (gn, net) = scenario.gnutella();
     let mut sim_rng = scenario.rng(&format!("fig5-sim-{label}"));
     let mut sim = ProtocolSim::new(net, cfg, &mut sim_rng);
-    let live = scenario.all_slots();
     let pairs = LookupGen::new(&scenario.rng("fig5-lookups"))
-        .uniform_pairs(&live, scale.lookups_per_sample());
-
-    let mut series = TimeSeries::new(label);
-    let step = scale.sample_every();
-    let horizon = scale.horizon();
-    let mut elapsed = prop_engine::Duration::ZERO;
-    series.push(sim.now(), par_avg_lookup_latency(sim.net(), &gn, &pairs).mean_ms);
-    while elapsed < horizon {
-        sim.run_for(step);
-        elapsed = elapsed + step;
-        series.push(sim.now(), par_avg_lookup_latency(sim.net(), &gn, &pairs).mean_ms);
-    }
+        .uniform_pairs(&scenario.all_slots(), scale.lookups_per_sample());
+    let series = sample_series(&mut sim, label, scale.sample_every(), scale.horizon(), |sim, _| {
+        avg_lookup_latency(sim.net(), &gn, &pairs).mean_ms
+    });
     let improvement = series.improvement().unwrap_or(0.0);
     Curve { series, improvement, ci: None }
 }
 
 /// Panel (a): vary the probe TTL at fixed n.
 pub fn panel_a(scale: Scale, seed: u64) -> Vec<Curve> {
-    let n = scale.default_n();
-    let topo = default_topology(scale);
-    let scenario = Scenario::build(topo, n, seed);
-    let variants: Vec<(String, ProbeMode)> = vec![
-        (format!("n={n}, nhops=1"), ProbeMode::Walk { nhops: 1 }),
-        (format!("n={n}, nhops=2"), ProbeMode::Walk { nhops: 2 }),
-        (format!("n={n}, nhops=4"), ProbeMode::Walk { nhops: 4 }),
-        (format!("n={n}, random"), ProbeMode::Random),
-    ];
-    par::map(&variants, |(label, probe)| {
-        run_curve(&scenario, PropConfig::prop_g().with_probe(*probe), scale, label.clone())
-    })
+    panel(Vary::Ttl, scale, seed, run_curve)
 }
 
 /// Panel (b): vary the overlay size at `nhops = 2`.
 pub fn panel_b(scale: Scale, seed: u64) -> Vec<Curve> {
-    let sizes: Vec<usize> = match scale {
-        Scale::Paper => vec![300, 500, 1000, 3000],
-        Scale::Quick => vec![60, 120, 240],
-    };
-    let topo = default_topology(scale);
-    par::map(&sizes, |&n| {
-        let scenario = Scenario::build(topo, n, seed);
-        run_curve(&scenario, PropConfig::prop_g(), scale, format!("n={n}, nhops=2"))
-    })
+    panel(Vary::Size, scale, seed, run_curve)
 }
 
 /// Panel (c): `ts-large` vs `ts-small` at the default n.
 pub fn panel_c(scale: Scale, seed: u64) -> Vec<Curve> {
-    let n = scale.default_n();
-    par::map(&[Topology::TsLarge, Topology::TsSmall], |&topo| {
-        let scenario = Scenario::build(topo, n, seed);
-        run_curve(&scenario, PropConfig::prop_g(), scale, topo.label().to_string())
-    })
-}
-
-fn default_topology(scale: Scale) -> Topology {
-    match scale {
-        Scale::Paper => Topology::TsLarge,
-        // Quick mode still needs >240 stub hosts, which `tiny` lacks.
-        Scale::Quick => Topology::TsSmall,
-    }
+    panel(Vary::Topology, scale, seed, run_curve)
 }
 
 #[cfg(test)]

@@ -7,10 +7,11 @@
 //! (c) physical topology. PROP-G's exchanges here are *identifier swaps* —
 //! the ring, fingers, and every DHT guarantee are untouched.
 
-use crate::setup::{Scale, Scenario, Topology};
-use prop_core::{ProbeMode, PropConfig, ProtocolSim};
-use prop_engine::{json_impl, par};
-use prop_metrics::{par_path_stretch, TimeSeries};
+use crate::setup::{panel, sample_series, Scale, Scenario, Vary};
+use prop_core::{Overhead, PropConfig, ProtocolSim};
+use prop_engine::{json_impl, Duration};
+use prop_metrics::{path_stretch, TimeSeries};
+use prop_overlay::Slot;
 use prop_workloads::{LookupGen, PopularityProcess, TrafficScript};
 
 /// One plotted stretch curve plus the workload's disposition — how many of
@@ -33,6 +34,36 @@ pub struct StretchCurve {
 
 json_impl!(ToJson for struct StretchCurve { series, improvement, delivered, failed, skipped });
 
+/// Run PROP-G on this scenario's Chord overlay and sample path stretch every
+/// `step` until `horizon`, over the pairs `pairs_at(elapsed ms)` hands out.
+fn sample_stretch(
+    scenario: &Scenario,
+    cfg: PropConfig,
+    label: String,
+    step: Duration,
+    horizon: Duration,
+    mut pairs_at: impl FnMut(u64) -> Vec<(Slot, Slot)>,
+) -> (StretchCurve, Overhead) {
+    let (chord, net) = scenario.chord();
+    let mut sim_rng = scenario.rng(&format!("fig6-sim-{label}"));
+    let mut sim = ProtocolSim::new(net, cfg, &mut sim_rng);
+    // The last sample's summary is the curve's workload disposition.
+    let mut last = None;
+    let series = sample_series(&mut sim, label, step, horizon, |sim, t_ms| {
+        let summary = path_stretch(sim.net(), &chord, &pairs_at(t_ms));
+        last.insert(summary).mean
+    });
+    let summary = last.expect("a curve has a sample at time zero");
+    let curve = StretchCurve {
+        improvement: series.improvement().unwrap_or(0.0),
+        series,
+        delivered: summary.delivered,
+        failed: summary.failed,
+        skipped: summary.skipped,
+    };
+    (curve, sim.overhead())
+}
+
 /// Run PROP-G on this scenario's Chord overlay and sample path stretch.
 pub fn run_curve(
     scenario: &Scenario,
@@ -46,42 +77,15 @@ pub fn run_curve(
 /// [`run_curve`] that also returns the driver's protocol [`Overhead`]
 /// counters, so the sweep orchestrator can put error bars on message cost
 /// per trial next to the stretch numbers.
-///
-/// [`Overhead`]: prop_core::Overhead
 pub fn run_curve_traced(
     scenario: &Scenario,
     cfg: PropConfig,
     scale: Scale,
     label: String,
-) -> (StretchCurve, prop_core::Overhead) {
-    let (chord, net) = scenario.chord();
-    let mut sim_rng = scenario.rng(&format!("fig6-sim-{label}"));
-    let mut sim = ProtocolSim::new(net, cfg, &mut sim_rng);
-    let live = scenario.all_slots();
+) -> (StretchCurve, Overhead) {
     let pairs = LookupGen::new(&scenario.rng("fig6-lookups"))
-        .uniform_pairs(&live, scale.lookups_per_sample());
-
-    let mut series = TimeSeries::new(label);
-    let step = scale.sample_every();
-    let horizon = scale.horizon();
-    let mut elapsed = prop_engine::Duration::ZERO;
-    let mut summary = par_path_stretch(sim.net(), &chord, &pairs);
-    series.push(sim.now(), summary.mean);
-    while elapsed < horizon {
-        sim.run_for(step);
-        elapsed = elapsed + step;
-        summary = par_path_stretch(sim.net(), &chord, &pairs);
-        series.push(sim.now(), summary.mean);
-    }
-    let improvement = series.improvement().unwrap_or(0.0);
-    let curve = StretchCurve {
-        series,
-        improvement,
-        delivered: summary.delivered,
-        failed: summary.failed,
-        skipped: summary.skipped,
-    };
-    (curve, sim.overhead())
+        .uniform_pairs(&scenario.all_slots(), scale.lookups_per_sample());
+    sample_stretch(scenario, cfg, label, scale.sample_every(), scale.horizon(), |_| pairs.clone())
 }
 
 /// Fig. 6 under a scripted traffic plane (`fig6 --traffic <script.json>`):
@@ -89,104 +93,47 @@ pub fn run_curve_traced(
 /// popularity — exponent shifts and hot-set rotations included — instead
 /// of the static uniform pair set, and the horizon is the script's. The
 /// script's churn events are not applied on the Chord overlay (full
-/// scenarios, churn included, run through the `traffic` binary against the
-/// Gnutella drivers); what this curve isolates is how PROP-G's stretch
-/// tracks a shifting popularity distribution.
+/// scenarios, churn included, run through `traffic` against the Gnutella
+/// drivers); what this curve isolates is how PROP-G's stretch tracks a
+/// shifting popularity distribution.
 pub fn run_curve_scripted(
     scenario: &Scenario,
     cfg: PropConfig,
     script: &TrafficScript,
     scale: Scale,
     label: String,
-) -> (StretchCurve, prop_core::Overhead) {
-    let (chord, net) = scenario.chord();
-    let mut sim_rng = scenario.rng(&format!("fig6-sim-{label}"));
-    let mut sim = ProtocolSim::new(net, cfg, &mut sim_rng);
+) -> (StretchCurve, Overhead) {
     let live = scenario.all_slots();
-    let ranking: Vec<prop_overlay::Slot> = {
-        let mut slots = scenario.all_slots();
-        scenario.rng("fig6-ranking").shuffle(&mut slots);
-        slots
-    };
+    let mut ranking = scenario.all_slots();
+    scenario.rng("fig6-ranking").shuffle(&mut ranking);
     let pop = PopularityProcess::new(script);
     let mut lookup_rng = scenario.rng("fig6-scripted-lookups");
     let count = scale.lookups_per_sample();
-
-    let mut series = TimeSeries::new(label);
-    let step = scale.sample_every();
-    let horizon = prop_engine::Duration::from_millis(script.horizon_ms);
-    let mut elapsed = prop_engine::Duration::ZERO;
-    let sample = |sim: &ProtocolSim, rng: &mut prop_engine::SimRng, t_ms: u64| {
-        let pairs = pop.pairs_at(t_ms, &live, &ranking, count, rng);
-        par_path_stretch(sim.net(), &chord, &pairs)
-    };
-    let mut summary = sample(&sim, &mut lookup_rng, 0);
-    series.push(sim.now(), summary.mean);
-    while elapsed < horizon {
-        sim.run_for(step);
-        elapsed = elapsed + step;
-        summary = sample(&sim, &mut lookup_rng, elapsed.as_millis());
-        series.push(sim.now(), summary.mean);
-    }
-    let improvement = series.improvement().unwrap_or(0.0);
-    let curve = StretchCurve {
-        series,
-        improvement,
-        delivered: summary.delivered,
-        failed: summary.failed,
-        skipped: summary.skipped,
-    };
-    (curve, sim.overhead())
+    let horizon = Duration::from_millis(script.horizon_ms);
+    sample_stretch(scenario, cfg, label, scale.sample_every(), horizon, |t_ms| {
+        pop.pairs_at(t_ms, &live, &ranking, count, &mut lookup_rng)
+    })
 }
 
 /// Panel (a): vary the probe TTL at fixed n.
 pub fn panel_a(scale: Scale, seed: u64) -> Vec<StretchCurve> {
-    let n = scale.default_n();
-    let topo = default_topology(scale);
-    let scenario = Scenario::build(topo, n, seed);
-    let variants: Vec<(String, ProbeMode)> = vec![
-        (format!("n={n}, nhops=1"), ProbeMode::Walk { nhops: 1 }),
-        (format!("n={n}, nhops=2"), ProbeMode::Walk { nhops: 2 }),
-        (format!("n={n}, nhops=4"), ProbeMode::Walk { nhops: 4 }),
-        (format!("n={n}, random"), ProbeMode::Random),
-    ];
-    par::map(&variants, |(label, probe)| {
-        run_curve(&scenario, PropConfig::prop_g().with_probe(*probe), scale, label.clone())
-    })
+    panel(Vary::Ttl, scale, seed, run_curve)
 }
 
 /// Panel (b): vary the overlay size at `nhops = 2`.
 pub fn panel_b(scale: Scale, seed: u64) -> Vec<StretchCurve> {
-    let sizes: Vec<usize> = match scale {
-        Scale::Paper => vec![300, 500, 1000, 3000],
-        Scale::Quick => vec![60, 120, 240],
-    };
-    let topo = default_topology(scale);
-    par::map(&sizes, |&n| {
-        let scenario = Scenario::build(topo, n, seed);
-        run_curve(&scenario, PropConfig::prop_g(), scale, format!("n={n}, nhops=2"))
-    })
+    panel(Vary::Size, scale, seed, run_curve)
 }
 
 /// Panel (c): `ts-large` vs `ts-small` at the default n.
 pub fn panel_c(scale: Scale, seed: u64) -> Vec<StretchCurve> {
-    let n = scale.default_n();
-    par::map(&[Topology::TsLarge, Topology::TsSmall], |&topo| {
-        let scenario = Scenario::build(topo, n, seed);
-        run_curve(&scenario, PropConfig::prop_g(), scale, topo.label().to_string())
-    })
-}
-
-fn default_topology(scale: Scale) -> Topology {
-    match scale {
-        Scale::Paper => Topology::TsLarge,
-        Scale::Quick => Topology::TsSmall,
-    }
+    panel(Vary::Topology, scale, seed, run_curve)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::Topology;
 
     #[test]
     fn quick_panel_a_reduces_stretch() {

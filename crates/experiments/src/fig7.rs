@@ -15,11 +15,9 @@
 //! placement advantage) while PROP-O — which provably preserves every
 //! node's degree — keeps improving and crosses below them.
 
-use crate::setup::{Scale, Scenario, Topology};
-use prop_baselines::{LtmConfig, LtmSim};
-use prop_core::{PropConfig, ProtocolSim};
+use crate::setup::{Scale, Scenario, Scheme};
 use prop_engine::{json_impl, par};
-use prop_metrics::par_avg_lookup_latency;
+use prop_metrics::avg_lookup_latency;
 use prop_overlay::gnutella::Gnutella;
 use prop_overlay::{OverlayNet, Slot};
 use prop_workloads::hetero::HeteroAssignment;
@@ -34,27 +32,10 @@ pub struct HeteroCurve {
 
 json_impl!(ToJson for struct HeteroCurve { label, points });
 
-#[derive(Clone, Copy, Debug)]
-enum Scheme {
-    PropO { m: usize },
-    PropG,
-    Ltm,
-}
-
-impl Scheme {
-    fn label(self) -> String {
-        match self {
-            Scheme::PropO { m } => format!("PROP-O (m={m})"),
-            Scheme::PropG => "PROP-G".to_string(),
-            Scheme::Ltm => "LTM".to_string(),
-        }
-    }
-}
-
 /// Fast peers are the earliest joiners: with preferential attachment, peer
 /// index correlates with degree, so this reproduces "powerful nodes own
 /// more connections".
-fn hub_correlated_assignment(params: &BimodalParams, n: usize) -> HeteroAssignment {
+pub(crate) fn hub_correlated_assignment(params: &BimodalParams, n: usize) -> HeteroAssignment {
     let n_fast = ((n as f64) * params.fast_fraction).round() as usize;
     let is_fast: Vec<bool> = (0..n).map(|p| p < n_fast).collect();
     let delay_ms = is_fast
@@ -64,9 +45,19 @@ fn hub_correlated_assignment(params: &BimodalParams, n: usize) -> HeteroAssignme
     HeteroAssignment { delay_ms, is_fast }
 }
 
+/// The scenario's Gnutella overlay with the assignment's processing delays.
+pub(crate) fn hetero_gnutella(
+    scenario: &Scenario,
+    assignment: &HeteroAssignment,
+) -> (Gnutella, OverlayNet) {
+    let (gn, mut net) = scenario.gnutella();
+    net.set_processing_delays(assignment.delay_ms.clone());
+    (gn, net)
+}
+
 /// Peer-space lookup pairs mapped to current slots (PROP-G relocates peers,
 /// so destinations follow the *peer*, not the slot).
-fn to_slot_pairs(net: &OverlayNet, peer_pairs: &[(Slot, Slot)]) -> Vec<(Slot, Slot)> {
+pub(crate) fn to_slot_pairs(net: &OverlayNet, peer_pairs: &[(Slot, Slot)]) -> Vec<(Slot, Slot)> {
     peer_pairs
         .iter()
         .map(|&(s, d)| {
@@ -78,50 +69,11 @@ fn to_slot_pairs(net: &OverlayNet, peer_pairs: &[(Slot, Slot)]) -> Vec<(Slot, Sl
         .collect()
 }
 
-fn optimize(
-    scenario: &Scenario,
-    scheme: Scheme,
-    assignment: &HeteroAssignment,
-    scale: Scale,
-) -> (Gnutella, OverlayNet) {
-    let (gn, mut net) = scenario.gnutella();
-    net.set_processing_delays(assignment.delay_ms.clone());
-    match scheme {
-        Scheme::PropO { m } => {
-            let mut rng = scenario.rng(&format!("fig7-propo-{m}"));
-            let mut sim = ProtocolSim::new(net, PropConfig::prop_o_m(m), &mut rng);
-            sim.run_for(scale.horizon());
-            (gn, take_net(sim))
-        }
-        Scheme::PropG => {
-            let mut rng = scenario.rng("fig7-propg");
-            let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
-            sim.run_for(scale.horizon());
-            (gn, take_net(sim))
-        }
-        Scheme::Ltm => {
-            let mut rng = scenario.rng("fig7-ltm");
-            let mut sim = LtmSim::new(net, LtmConfig::default(), &mut rng);
-            sim.run_for(scale.horizon());
-            (gn, sim.into_net())
-        }
-    }
-}
-
-fn take_net(sim: ProtocolSim) -> OverlayNet {
-    sim.into_net()
-}
-
 /// The full Fig. 7 sweep.
 pub fn run(scale: Scale, seed: u64) -> Vec<HeteroCurve> {
     let n = scale.default_n();
-    let topo = match scale {
-        Scale::Paper => Topology::TsLarge,
-        Scale::Quick => Topology::TsSmall,
-    };
-    let scenario = Scenario::build(topo, n, seed);
-    let params = BimodalParams::default();
-    let assignment = hub_correlated_assignment(&params, n);
+    let scenario = Scenario::build(scale.topology(), n, seed);
+    let assignment = hub_correlated_assignment(&BimodalParams::default(), n);
 
     let fractions: Vec<f64> = match scale {
         Scale::Paper => (0..=8).map(|i| i as f64 / 8.0).collect(),
@@ -130,7 +82,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<HeteroCurve> {
 
     // Shared peer-space workloads, one per fraction, identical for every
     // scheme (and for the unoptimized baseline used as the normalizer).
-    let peer_slots: Vec<Slot> = (0..n as u32).map(Slot).collect();
+    let peer_slots = scenario.all_slots();
     let is_fast = |s: Slot| assignment.is_fast[s.index()];
     let workloads: Vec<(f64, Vec<(Slot, Slot)>)> = {
         let mut gen = LookupGen::new(&scenario.rng("fig7-lookups"));
@@ -141,31 +93,31 @@ pub fn run(scale: Scale, seed: u64) -> Vec<HeteroCurve> {
     };
 
     // Normalizer: the unoptimized overlay.
-    let (gn0, mut net0) = scenario.gnutella();
-    net0.set_processing_delays(assignment.delay_ms.clone());
+    let (gn, net0) = hetero_gnutella(&scenario, &assignment);
     let baseline: Vec<f64> = workloads
         .iter()
-        .map(|(_, pairs)| par_avg_lookup_latency(&net0, &gn0, &to_slot_pairs(&net0, pairs)).mean_ms)
+        .map(|(_, pairs)| avg_lookup_latency(&net0, &gn, &to_slot_pairs(&net0, pairs)).mean_ms)
         .collect();
 
     let schemes = [
-        Scheme::PropO { m: 1 },
-        Scheme::PropO { m: 2 },
-        Scheme::PropO { m: 4 },
-        Scheme::PropG,
-        Scheme::Ltm,
+        ("PROP-O (m=1)", "fig7-propo-1", Scheme::PropO { m: Some(1) }),
+        ("PROP-O (m=2)", "fig7-propo-2", Scheme::PropO { m: Some(2) }),
+        ("PROP-O (m=4)", "fig7-propo-4", Scheme::PropO { m: Some(4) }),
+        ("PROP-G", "fig7-propg", Scheme::PropG),
+        ("LTM", "fig7-ltm", Scheme::Ltm),
     ];
-    par::map(&schemes, |&scheme| {
-        let (gn, net) = optimize(&scenario, scheme, &assignment, scale);
+    par::map(&schemes, |&(label, rng_label, scheme)| {
+        let (_, net) = hetero_gnutella(&scenario, &assignment);
+        let net = scheme.optimize(&scenario, net, rng_label, scale.horizon());
         let points = workloads
             .iter()
             .zip(&baseline)
             .map(|((f, pairs), &base)| {
-                let mean = par_avg_lookup_latency(&net, &gn, &to_slot_pairs(&net, pairs)).mean_ms;
+                let mean = avg_lookup_latency(&net, &gn, &to_slot_pairs(&net, pairs)).mean_ms;
                 (*f, mean / base)
             })
             .collect();
-        HeteroCurve { label: scheme.label(), points }
+        HeteroCurve { label: label.to_string(), points }
     })
 }
 

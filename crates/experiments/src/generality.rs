@@ -8,15 +8,16 @@
 //! after, plus a structural checksum (route hop counts for DHTs; the
 //! degree sequence for Gnutella) proving nothing but the placement moved.
 
-use crate::setup::{Scale, Scenario, Topology};
-use prop_core::{PropConfig, ProtocolSim};
+use crate::setup::{Scale, Scenario, Scheme};
 use prop_engine::{json_impl, par};
-use prop_metrics::{par_avg_lookup_latency, par_path_stretch};
+use prop_metrics::{avg_lookup_latency, path_stretch};
 use prop_overlay::can::Can;
 use prop_overlay::kademlia::{Kademlia, KademliaParams};
 use prop_overlay::pastry::{Pastry, PastryParams};
+use prop_overlay::ultrapeer::{Ultrapeer, UltrapeerParams};
 use prop_overlay::{Lookup, OverlayNet, Slot};
 use prop_workloads::LookupGen;
+use std::sync::Arc;
 
 /// One overlay family's before/after line.
 #[derive(Clone, Debug)]
@@ -35,13 +36,37 @@ json_impl!(ToJson for struct GeneralityRow {
     overlay, metric, initial, final_, improvement, structure_preserved
 });
 
-fn optimize(scenario: &Scenario, net: OverlayNet, scale: Scale, label: &str) -> OverlayNet {
-    let mut rng = scenario.rng(&format!("g1-{label}"));
-    let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
-    sim.run_for(scale.horizon());
-    sim.into_net()
+/// The PROP-G run every family gets, settings identical.
+fn optimize(scenario: &Scenario, net: OverlayNet, scale: Scale, rng_label: &str) -> OverlayNet {
+    Scheme::PropG.optimize(scenario, net, &format!("g1-{rng_label}"), scale.horizon())
 }
 
+/// A flooding family: no per-lookup route, so the metric is mean lookup
+/// latency and the checksum is the degree sequence.
+fn flood_row(
+    scenario: &Scenario,
+    scale: Scale,
+    label: &str,
+    rng_label: &str,
+    overlay: impl Lookup,
+    net: OverlayNet,
+    pairs: &[(Slot, Slot)],
+) -> GeneralityRow {
+    let initial = avg_lookup_latency(&net, &overlay, pairs).mean_ms;
+    let degseq = net.graph().degree_sequence();
+    let net = optimize(scenario, net, scale, rng_label);
+    let final_ = avg_lookup_latency(&net, &overlay, pairs).mean_ms;
+    GeneralityRow {
+        overlay: label.to_string(),
+        metric: "avg lookup latency (ms)".to_string(),
+        initial,
+        final_,
+        improvement: (initial - final_) / initial,
+        structure_preserved: net.graph().degree_sequence() == degseq,
+    }
+}
+
+/// A DHT family: path stretch, with every route's hop count as the checksum.
 fn dht_row(
     scenario: &Scenario,
     scale: Scale,
@@ -50,100 +75,60 @@ fn dht_row(
     net: OverlayNet,
     pairs: &[(Slot, Slot)],
 ) -> GeneralityRow {
-    let initial = par_path_stretch(&net, &overlay, pairs).mean;
-    let hops_before: Vec<Option<u32>> =
-        pairs.iter().map(|&(a, b)| overlay.lookup(&net, a, b).map(|o| o.hops)).collect();
+    let hops = |net: &OverlayNet| -> Vec<Option<u32>> {
+        pairs.iter().map(|&(a, b)| overlay.lookup(net, a, b).map(|o| o.hops)).collect()
+    };
+    let initial = path_stretch(&net, &overlay, pairs).mean;
+    let hops_before = hops(&net);
     let net = optimize(scenario, net, scale, label);
-    let final_ = par_path_stretch(&net, &overlay, pairs).mean;
-    let hops_after: Vec<Option<u32>> =
-        pairs.iter().map(|&(a, b)| overlay.lookup(&net, a, b).map(|o| o.hops)).collect();
+    let final_ = path_stretch(&net, &overlay, pairs).mean;
     GeneralityRow {
         overlay: label.to_string(),
         metric: "path stretch".to_string(),
         initial,
         final_,
         improvement: (initial - final_) / initial,
-        structure_preserved: hops_before == hops_after,
+        structure_preserved: hops_before == hops(&net),
     }
 }
 
 /// Run PROP-G over every overlay family with identical protocol settings.
 pub fn run(scale: Scale, seed: u64) -> Vec<GeneralityRow> {
-    let topo = match scale {
-        Scale::Paper => Topology::TsLarge,
-        Scale::Quick => Topology::TsSmall,
-    };
-    let n = scale.default_n();
-    let scenario = Scenario::build(topo, n, seed);
-    let pairs = LookupGen::new(&scenario.rng("g1-lookups"))
+    let scenario = &Scenario::build(scale.topology(), scale.default_n(), seed);
+    let pairs = &LookupGen::new(&scenario.rng("g1-lookups"))
         .uniform_pairs(&scenario.all_slots(), scale.lookups_per_sample());
+    let oracle = || Arc::clone(&scenario.oracle);
 
     // Each closure builds, optimizes, and reports one family.
-    let jobs: Vec<Box<dyn Fn() -> GeneralityRow + Sync>> = vec![
+    let jobs: Vec<Box<dyn Fn() -> GeneralityRow + Sync + '_>> = vec![
         Box::new(|| {
-            // Gnutella: flooding has no per-lookup route, so the metric is
-            // mean lookup latency and the checksum is the degree sequence.
             let (gn, net) = scenario.gnutella();
-            let initial = par_avg_lookup_latency(&net, &gn, &pairs).mean_ms;
-            let degseq = net.graph().degree_sequence();
-            let net = optimize(&scenario, net, scale, "gnutella");
-            let final_ = par_avg_lookup_latency(&net, &gn, &pairs).mean_ms;
-            GeneralityRow {
-                overlay: "Gnutella".into(),
-                metric: "avg lookup latency (ms)".into(),
-                initial,
-                final_,
-                improvement: (initial - final_) / initial,
-                structure_preserved: net.graph().degree_sequence() == degseq,
-            }
+            flood_row(scenario, scale, "Gnutella", "gnutella", gn, net, pairs)
         }),
         Box::new(|| {
             // Two-tier Gnutella: same flooding metric, leaf-aware relays.
             let mut rng = scenario.rng("g1-ultrapeer-build");
-            let (up, net) = prop_overlay::ultrapeer::Ultrapeer::build(
-                prop_overlay::ultrapeer::UltrapeerParams::default(),
-                std::sync::Arc::clone(&scenario.oracle),
-                &mut rng,
-            );
-            let initial = par_avg_lookup_latency(&net, &up, &pairs).mean_ms;
-            let degseq = net.graph().degree_sequence();
-            let net = optimize(&scenario, net, scale, "ultrapeer");
-            let final_ = par_avg_lookup_latency(&net, &up, &pairs).mean_ms;
-            GeneralityRow {
-                overlay: "Gnutella-2T".into(),
-                metric: "avg lookup latency (ms)".into(),
-                initial,
-                final_,
-                improvement: (initial - final_) / initial,
-                structure_preserved: net.graph().degree_sequence() == degseq,
-            }
+            let (up, net) = Ultrapeer::build(UltrapeerParams::default(), oracle(), &mut rng);
+            flood_row(scenario, scale, "Gnutella-2T", "ultrapeer", up, net, pairs)
         }),
         Box::new(|| {
             let (chord, net) = scenario.chord();
-            dht_row(&scenario, scale, "Chord", chord, net, &pairs)
+            dht_row(scenario, scale, "Chord", chord, net, pairs)
         }),
         Box::new(|| {
             let mut rng = scenario.rng("g1-pastry-build");
-            let (pastry, net) = Pastry::build(
-                PastryParams::default(),
-                std::sync::Arc::clone(&scenario.oracle),
-                &mut rng,
-            );
-            dht_row(&scenario, scale, "Pastry", pastry, net, &pairs)
+            let (pastry, net) = Pastry::build(PastryParams::default(), oracle(), &mut rng);
+            dht_row(scenario, scale, "Pastry", pastry, net, pairs)
         }),
         Box::new(|| {
             let mut rng = scenario.rng("g1-kad-build");
-            let (kad, net) = Kademlia::build(
-                KademliaParams::default(),
-                std::sync::Arc::clone(&scenario.oracle),
-                &mut rng,
-            );
-            dht_row(&scenario, scale, "Kademlia", kad, net, &pairs)
+            let (kad, net) = Kademlia::build(KademliaParams::default(), oracle(), &mut rng);
+            dht_row(scenario, scale, "Kademlia", kad, net, pairs)
         }),
         Box::new(|| {
             let mut rng = scenario.rng("g1-can-build");
-            let (can, net) = Can::build(std::sync::Arc::clone(&scenario.oracle), &mut rng);
-            dht_row(&scenario, scale, "CAN", can, net, &pairs)
+            let (can, net) = Can::build(oracle(), &mut rng);
+            dht_row(scenario, scale, "CAN", can, net, pairs)
         }),
     ];
 

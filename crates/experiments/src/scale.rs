@@ -1,10 +1,10 @@
 //! S1 — production-scale latency oracle + protocol demo.
 //!
 //! The paper stops at ~1,000 members, where a dense APSP matrix is cheap.
-//! This binary pushes the same pipeline (topology → latency oracle →
-//! overlay → PROP warm-up) to 100,000 members, where a dense matrix would
-//! need ~40 GB and the oracle instead runs on its row-cache tier: one
-//! Dijkstra per requested source, rows held in a byte-bounded LRU.
+//! This pipeline (topology → latency oracle → overlay → PROP warm-up) runs
+//! at up to 100,000 members, where a dense matrix would need ~40 GB and the
+//! oracle instead runs on its row-cache tier: one Dijkstra per requested
+//! source, rows held in a byte-bounded LRU.
 //!
 //! Two stages per size:
 //!
@@ -16,39 +16,34 @@
 //!    oracle and run a few minutes of PROP-G and PROP-O, reporting
 //!    stretch improvement and the cache counters the run generated.
 //!
-//! ```text
-//! cargo run --release -p prop-experiments --bin scale [--quick] [--seed N]
-//!     [--oracle-tier auto|dense|cached|embedded] [--million]
-//!     [--n N] [--budget-secs S]
-//! ```
-//!
 //! `--oracle-tier` pins the oracle tier instead of letting the member
 //! count choose — the axis for comparing the row-cache and the
-//! coordinate-embedded paths on identical workloads. `--million` appends a
-//! 1,000,000-member entry; the PROP warm-up runs at *every* size now that
-//! the drivers' hot path is O(1) per event (timer-wheel queue, zero-alloc
-//! trials, cached δ(G)) — the EXPERIMENTS S5 table is this binary's
-//! output. `--n N` replaces the size ladder with the single size N;
-//! `--budget-secs S` makes the run exit non-zero if its total wall clock
-//! exceeds S seconds (the CI driver-scale-smoke gate).
+//! coordinate-embedded paths on identical workloads. `--n N` replaces the
+//! size ladder with the single size N (`--n 1000000` is the EXPERIMENTS S5
+//! run: the PROP warm-up runs at every size, the drivers' hot path being
+//! O(1) per event); `--budget-secs S` makes the run exit non-zero if its
+//! total wall clock exceeds S seconds (the CI driver-scale-smoke gate).
 //!
 //! Useful for sizing reproduction runs; not a paper figure. Wall-clock
 //! numbers are machine-dependent by nature; the 100k paper-scale run is
 //! compute-heavy (hundreds of thousands of on-demand Dijkstra rows) and
 //! is meant for offline study, not CI.
 
+use crate::cli::{Args, CliError};
+use crate::registry::Experiment;
+use crate::report::write_json;
+use crate::setup::Scale;
 use prop_core::{PropConfig, ProtocolSim};
 use prop_engine::{json_impl, Duration, SimRng};
-use prop_experiments::report::write_json;
-use prop_experiments::setup::{OracleTier, Scale};
 use prop_metrics::{OracleCacheReport, OracleEmbedReport};
 use prop_netsim::{generate, LatencyOracle, OracleConfig, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 use prop_overlay::{OverlayNet, Slot};
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Hard cap on oracle cache memory — the headline claim of this binary.
+/// Hard cap on oracle cache memory — the headline claim of this experiment.
 const CACHE_CAP_BYTES: usize = 512 << 20;
 
 struct SizeReport {
@@ -88,69 +83,33 @@ json_impl!(ToJson for struct WarmupReport {
     policy, sim_minutes, wall_ms, exchanges, stretch_before, stretch_after, cache
 });
 
-fn main() -> std::process::ExitCode {
-    let mut scale = Scale::Paper;
-    let mut seed = 1u64;
-    let mut tier = OracleTier::Auto;
-    let mut million = false;
-    let mut single_n: Option<usize> = None;
-    let mut budget_secs: Option<u64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--seed" => {
-                seed = args.next().and_then(|s| s.parse().ok()).expect("--seed needs an integer");
-            }
-            "--oracle-tier" => {
-                let val = args.next().expect("--oracle-tier needs auto|dense|cached|embedded");
-                tier = OracleTier::parse(&val).unwrap_or_else(|| {
-                    panic!("--oracle-tier must be auto|dense|cached|embedded, got {val}")
-                });
-            }
-            "--million" => million = true,
-            "--n" => {
-                single_n =
-                    Some(args.next().and_then(|s| s.parse().ok()).expect("--n needs an integer"));
-            }
-            "--budget-secs" => {
-                budget_secs = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--budget-secs needs an integer"),
-                );
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    let (mut sizes, queries, sim_minutes): (Vec<usize>, usize, u64) = match scale {
-        Scale::Paper => (vec![2_000, 50_000, 100_000], 1_000_000, 5),
-        Scale::Quick => (vec![2_000, 5_000, 20_000], 200_000, 3),
+/// Run the ladder (or `--n`'s single size) and write `results/scale.json`.
+pub fn run(_: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
+    let (sizes, queries, sim_minutes): (&[usize], usize, u64) = match args.scale {
+        Scale::Paper => (&[2_000, 50_000, 100_000], 1_000_000, 5),
+        Scale::Quick => (&[2_000, 5_000, 20_000], 200_000, 3),
     };
-    if million {
-        sizes.push(1_000_000);
-    }
-    if let Some(n) = single_n {
-        sizes = vec![n];
-    }
-    let cfg = tier.config(CACHE_CAP_BYTES);
+    let cfg = args.oracle_tier.config(CACHE_CAP_BYTES);
 
     let start = Instant::now();
-    let mut reports = Vec::new();
-    for n in sizes {
-        reports.push(run_size(n, queries, sim_minutes, &cfg, seed));
-    }
+    let reports: Vec<SizeReport> = args
+        .n
+        .as_ref()
+        .map_or(sizes, std::slice::from_ref)
+        .iter()
+        .map(|&n| run_size(n, queries, sim_minutes, &cfg, args.seed))
+        .collect();
     write_json("scale", &reports);
 
-    if let Some(budget) = budget_secs {
+    if let Some(budget) = args.budget_secs {
         let elapsed = start.elapsed().as_secs_f64();
         if elapsed > budget as f64 {
             eprintln!("WALL-CLOCK BUDGET EXCEEDED: run took {elapsed:.0} s, budget {budget} s");
-            return std::process::ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!("wall-clock budget OK: {elapsed:.0} s <= {budget} s");
     }
-    std::process::ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn run_size(

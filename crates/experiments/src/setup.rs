@@ -1,6 +1,12 @@
-//! Shared experiment scaffolding: topologies, scales, scenario builders.
+//! Shared experiment scaffolding: topologies, scales, scenario builders,
+//! the optimizer [`Scheme`]s the comparisons run, and the three panels
+//! Figs. 5 and 6 have in common.
 
-use prop_engine::{json_impl, Duration, SimRng};
+use prop_baselines::selfish::{SelfishConfig, SelfishSim};
+use prop_baselines::{LtmConfig, LtmSim};
+use prop_core::{Policy, ProbeMode, PropConfig, ProtocolSim};
+use prop_engine::{json_impl, par, Duration, SimRng};
+use prop_metrics::TimeSeries;
 use prop_netsim::{generate, LatencyOracle, OracleConfig, PhysGraph, TransitStubParams};
 use prop_overlay::chord::{Chord, ChordParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
@@ -102,15 +108,23 @@ pub enum Scale {
     /// n = 1000 peers, 2 simulated hours, 10-minute sampling,
     /// 2,000 sampled lookups per measurement.
     Paper,
-    /// n = 120 peers over the tiny... no — `ts-small` is still used where
-    /// the panel demands it; 30 simulated minutes, 5-minute sampling,
-    /// 400 sampled lookups.
+    /// n = 120 peers over `ts-small`, 30 simulated minutes, 5-minute
+    /// sampling, 400 sampled lookups.
     Quick,
 }
 
 json_impl!(ToJson, FromJson for enum Scale { Paper, Quick });
 
 impl Scale {
+    /// The transit–stub preset behind this scale. Quick runs go up to 240
+    /// members, more stub hosts than `tiny` has, so they use `ts-small`.
+    pub fn topology(self) -> Topology {
+        match self {
+            Scale::Paper => Topology::TsLarge,
+            Scale::Quick => Topology::TsSmall,
+        }
+    }
+
     pub fn default_n(self) -> usize {
         match self {
             Scale::Paper => 1000,
@@ -197,6 +211,121 @@ impl Scenario {
     /// Live slots of a freshly built overlay (0..n for both builders).
     pub fn all_slots(&self) -> Vec<Slot> {
         (0..self.n as u32).map(Slot).collect()
+    }
+}
+
+/// An overlay optimizer, as the comparisons run one: built over an overlay,
+/// run to a horizon, the optimized overlay handed back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scheme {
+    /// PROP-O exchanging `m` neighbors (`None`: the default `m = δ(G)`).
+    PropO {
+        m: Option<usize>,
+    },
+    PropG,
+    Ltm,
+    /// The §3.1 selfish-rewiring strawman.
+    Selfish,
+}
+
+impl Scheme {
+    /// Run this scheme over `net` for `horizon`, drawing from the scenario's
+    /// `rng_label` stream.
+    pub fn optimize(
+        self,
+        scenario: &Scenario,
+        net: OverlayNet,
+        rng_label: &str,
+        horizon: Duration,
+    ) -> OverlayNet {
+        let mut rng = scenario.rng(rng_label);
+        let policy = match self {
+            Scheme::PropO { m } => Policy::PropO { m },
+            Scheme::PropG => Policy::PropG,
+            Scheme::Ltm => {
+                let mut sim = LtmSim::new(net, LtmConfig::default(), &mut rng);
+                sim.run_for(horizon);
+                return sim.into_net();
+            }
+            Scheme::Selfish => {
+                let mut sim = SelfishSim::new(net, SelfishConfig::default(), &mut rng);
+                sim.run_for(horizon);
+                return sim.into_net();
+            }
+        };
+        let mut sim = ProtocolSim::new(net, PropConfig::paper_defaults(policy), &mut rng);
+        sim.run_for(horizon);
+        sim.into_net()
+    }
+}
+
+/// The sampling loop of every curve: `measure(sim, elapsed ms)` at time zero
+/// and again after each `step` of protocol execution, until `horizon`.
+pub fn sample_series(
+    sim: &mut ProtocolSim,
+    label: String,
+    step: Duration,
+    horizon: Duration,
+    mut measure: impl FnMut(&ProtocolSim, u64) -> f64,
+) -> TimeSeries {
+    let mut series = TimeSeries::new(label);
+    let mut elapsed = Duration::ZERO;
+    series.push(sim.now(), measure(sim, 0));
+    while elapsed < horizon {
+        sim.run_for(step);
+        elapsed = elapsed + step;
+        series.push(sim.now(), measure(sim, elapsed.as_millis()));
+    }
+    series
+}
+
+/// What a panel of Fig. 5 / Fig. 6 varies.
+#[derive(Clone, Copy, Debug)]
+pub enum Vary {
+    /// (a) the probe TTL at fixed n: `nhops ∈ {1, 2, 4}` and random probes.
+    Ttl,
+    /// (b) the overlay size at `nhops = 2`.
+    Size,
+    /// (c) the physical topology, `ts-large` vs `ts-small`, at the default n.
+    Topology,
+}
+
+/// One panel of Fig. 5 or Fig. 6: the figure supplies `run_curve` (its
+/// overlay and metric), the panel supplies scenarios, configs and labels.
+pub fn panel<C: Send>(
+    vary: Vary,
+    scale: Scale,
+    seed: u64,
+    run_curve: impl Fn(&Scenario, PropConfig, Scale, String) -> C + Sync,
+) -> Vec<C> {
+    let n = scale.default_n();
+    match vary {
+        Vary::Ttl => {
+            let scenario = Scenario::build(scale.topology(), n, seed);
+            let variants = [
+                (format!("n={n}, nhops=1"), ProbeMode::Walk { nhops: 1 }),
+                (format!("n={n}, nhops=2"), ProbeMode::Walk { nhops: 2 }),
+                (format!("n={n}, nhops=4"), ProbeMode::Walk { nhops: 4 }),
+                (format!("n={n}, random"), ProbeMode::Random),
+            ];
+            par::map(&variants, |(label, probe)| {
+                run_curve(&scenario, PropConfig::prop_g().with_probe(*probe), scale, label.clone())
+            })
+        }
+        Vary::Size => {
+            let sizes: &[usize] = match scale {
+                Scale::Paper => &[300, 500, 1000, 3000],
+                Scale::Quick => &[60, 120, 240],
+            };
+            par::map(sizes, |&n| {
+                let scenario = Scenario::build(scale.topology(), n, seed);
+                run_curve(&scenario, PropConfig::prop_g(), scale, format!("n={n}, nhops=2"))
+            })
+        }
+        Vary::Topology => par::map(&[Topology::TsLarge, Topology::TsSmall], |&topo| {
+            let scenario = Scenario::build(topo, n, seed);
+            run_curve(&scenario, PropConfig::prop_g(), scale, topo.label().to_string())
+        }),
     }
 }
 

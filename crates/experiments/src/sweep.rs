@@ -28,10 +28,11 @@
 //!   index order — resuming an interrupted sweep reproduces it
 //!   byte-for-byte.
 //!
-//! The `sweep` binary fronts this module; every figure binary also
-//! accepts `--seeds N [--resume]` and delegates here.
+//! `prop <experiment> --seeds N [--resume] [--gate m=w]… [--root DIR]` fronts
+//! this module for every registered experiment that has a sweep unit.
 
 use crate::fig5::{Curve, CurveCi};
+use crate::registry;
 use crate::setup::{Scale, Scenario, Topology};
 use crate::{ablation, embed_agreement, faults, fig5, fig6, fig7, traffic};
 use prop_core::PropConfig;
@@ -45,8 +46,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Which experiment a sweep fans out. Each variant maps to one
-/// representative deterministic unit run per seed (panel-independent: the
-/// figure binaries still own per-panel single-seed output).
+/// representative deterministic unit run per seed — the `unit` of its
+/// [`registry`] entry. The variant names are the manifest's wire format.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepExperiment {
     /// PROP-G on Gnutella — mean flooded-lookup latency curve.
@@ -71,30 +72,17 @@ json_impl!(ToJson, FromJson for enum SweepExperiment {
 });
 
 impl SweepExperiment {
-    /// Parse an `--experiment` argument.
-    pub fn parse(s: &str) -> Option<SweepExperiment> {
-        match s {
-            "fig5" => Some(SweepExperiment::Fig5),
-            "fig6" => Some(SweepExperiment::Fig6),
-            "fig7" => Some(SweepExperiment::Fig7),
-            "ablation" => Some(SweepExperiment::Ablation),
-            "faults" => Some(SweepExperiment::Faults),
-            "embed_agreement" => Some(SweepExperiment::EmbedAgreement),
-            "traffic" => Some(SweepExperiment::Traffic),
-            _ => None,
-        }
+    /// The registered experiment whose sweep unit this is.
+    fn entry(self) -> (&'static str, registry::Unit) {
+        registry::EXPERIMENTS
+            .iter()
+            .find_map(|e| Some((e.name, e.unit.filter(|u| u.experiment == self)?)))
+            .expect("every sweep experiment is some registry entry's unit")
     }
 
+    /// The experiment's registered name, as sweep directories spell it.
     pub fn label(self) -> &'static str {
-        match self {
-            SweepExperiment::Fig5 => "fig5",
-            SweepExperiment::Fig6 => "fig6",
-            SweepExperiment::Fig7 => "fig7",
-            SweepExperiment::Ablation => "ablation",
-            SweepExperiment::Faults => "faults",
-            SweepExperiment::EmbedAgreement => "embed_agreement",
-            SweepExperiment::Traffic => "traffic",
-        }
+        self.entry().0
     }
 }
 
@@ -419,18 +407,16 @@ pub fn aggregate(cfg: &SweepConfig, hash: &str, records: &[SeedRecord]) -> Sweep
         base_seed: cfg.base_seed,
         seeds: records.iter().map(|r| r.seed).collect(),
         metrics,
-        mean_curve: mean_curve(cfg, records),
+        mean_curve: mean_curve(records),
     }
 }
 
 /// Pointwise-mean curve with a [`CurveCi`] error-bar block, for the
 /// experiments whose per-seed payload is a single curve (fig5/fig6).
-fn mean_curve(cfg: &SweepConfig, records: &[SeedRecord]) -> Option<Curve> {
-    if !matches!(cfg.experiment, SweepExperiment::Fig5 | SweepExperiment::Fig6) {
-        return None;
-    }
+fn mean_curve(records: &[SeedRecord]) -> Option<Curve> {
     // Both payload shapes carry `series: TimeSeries` + `improvement`
-    // (fig6's has the workload disposition beside them).
+    // (fig6's has the workload disposition beside them); no other
+    // experiment's payload has a `series` member.
     struct CurveLike {
         series: TimeSeries,
         improvement: f64,
@@ -473,124 +459,131 @@ fn mean_curve(cfg: &SweepConfig, records: &[SeedRecord]) -> Option<Curve> {
 
 // ------------------------------------------------------------ units ----
 
+/// What one unit run hands back: the flat headline metrics the aggregator
+/// reduces, and the experiment's own report.
+pub type UnitRun = (BTreeMap<String, f64>, Value);
+
 /// Run one experiment unit for one derived seed. Deterministic in
 /// `(cfg, seed)`; the index only labels the record.
 pub fn run_unit(cfg: &SweepConfig, index: usize, seed: u64) -> SeedRecord {
-    let mut metrics = BTreeMap::new();
-    let payload = match cfg.experiment {
-        SweepExperiment::Fig5 => {
-            let scenario = unit_scenario(cfg, seed);
-            let n = scenario.n;
-            let curve = fig5::run_curve(
-                &scenario,
-                PropConfig::prop_g(),
-                cfg.scale,
-                format!("n={n}, nhops=2"),
-            );
-            metrics.insert("latency_initial_ms".into(), curve.series.first_value().unwrap_or(0.0));
-            metrics.insert("latency_final_ms".into(), curve.series.last_value().unwrap_or(0.0));
-            metrics.insert("improvement".into(), curve.improvement);
-            curve.to_json()
-        }
-        SweepExperiment::Fig6 => {
-            let scenario = unit_scenario(cfg, seed);
-            let n = scenario.n;
-            let (curve, overhead) = fig6::run_curve_traced(
-                &scenario,
-                PropConfig::prop_g(),
-                cfg.scale,
-                format!("n={n}, nhops=2"),
-            );
-            metrics.insert("stretch_initial".into(), curve.series.first_value().unwrap_or(0.0));
-            metrics.insert("stretch_final".into(), curve.series.last_value().unwrap_or(0.0));
-            metrics.insert("improvement".into(), curve.improvement);
-            metrics.insert("delivered".into(), curve.delivered as f64);
-            let per_trial = if overhead.trials == 0 {
-                0.0
-            } else {
-                overhead.total_msgs() as f64 / overhead.trials as f64
-            };
-            metrics.insert("overhead_msgs_per_trial".into(), per_trial);
-            metrics.insert("overhead_trials".into(), overhead.trials as f64);
-            curve.to_json()
-        }
-        SweepExperiment::Fig7 => {
-            let curves = fig7::run(cfg.scale, seed);
-            for c in &curves {
-                if let Some(&(_, last)) = c.points.last() {
-                    metrics.insert(format!("final_ratio/{}", c.label), last);
-                }
-                let best = c.points.iter().map(|&(_, r)| r).fold(f64::MAX, f64::min);
-                metrics.insert(format!("best_ratio/{}", c.label), best);
-            }
-            curves.to_json()
-        }
-        SweepExperiment::Ablation => {
-            let r = ablation::overhead(cfg.scale, seed);
-            for row in &r.rows {
-                metrics.insert(format!("msgs_per_trial/{}", row.label), row.msgs_per_trial);
-                metrics.insert(
-                    format!("predicted_msgs_per_trial/{}", row.label),
-                    row.predicted_msgs_per_trial,
-                );
-            }
-            r.to_json()
-        }
-        SweepExperiment::Faults => {
-            let rows = faults::sweep(cfg.scale, seed);
-            for row in &rows {
-                let cell = format!("loss{:02.0}_part{:03}", row.loss_pct, row.partition_secs);
-                metrics.insert(format!("improvement_pct/{cell}"), row.improvement_pct);
-                metrics.insert(format!("faulted/{cell}"), row.faulted as f64);
-            }
-            rows.to_json()
-        }
-        SweepExperiment::EmbedAgreement => {
-            let (n, samples) = match cfg.scale {
-                Scale::Paper => (20_000, 2_000),
-                Scale::Quick => (2_000, 400),
-            };
-            let n = cfg.n.unwrap_or(n);
-            let r = embed_agreement::run(n, samples, seed);
-            metrics.insert("agreement_rate".into(), r.agreement_rate);
-            metrics.insert("escalation_rate".into(), r.escalation_rate);
-            metrics.insert("plans".into(), r.plans as f64);
-            r.to_json()
-        }
-        SweepExperiment::Traffic => {
-            let spec =
-                traffic::builtin_scenario("diurnal-regional", cfg.scale, seed, cfg.topology, cfg.n);
-            let runs = traffic::run_comparison(&spec, cfg.scale);
-            for r in &runs {
-                metrics.insert(
-                    format!("stretch_final/{}", r.driver),
-                    r.series.last_value().unwrap_or(0.0),
-                );
-                metrics.insert(format!("link_stretch/{}", r.driver), r.final_link_stretch);
-                metrics.insert(format!("delivery/{}", r.driver), r.report.delivery_rate());
-                metrics.insert(
-                    format!("overhead_msgs_per_trial/{}", r.driver),
-                    r.report.msgs_per_trial(),
-                );
-                for p in &r.report.phases {
-                    metrics.insert(format!("stretch/{}/{}", r.driver, p.phase), p.stretch);
-                }
-            }
-            runs.to_json()
-        }
-    };
+    let (metrics, payload) = (cfg.experiment.entry().1.run)(cfg, seed);
     SeedRecord { index, seed, metrics, payload }
 }
 
 /// Scenario for the curve units, honoring the config's topology / n
 /// overrides (scale defaults otherwise).
 fn unit_scenario(cfg: &SweepConfig, seed: u64) -> Scenario {
-    let topo = cfg.topology.unwrap_or(match cfg.scale {
-        Scale::Paper => Topology::TsLarge,
-        Scale::Quick => Topology::TsSmall,
-    });
-    let n = cfg.n.unwrap_or(cfg.scale.default_n());
-    Scenario::build(topo, n, seed)
+    let topo = cfg.topology.unwrap_or(cfg.scale.topology());
+    Scenario::build(topo, cfg.n.unwrap_or(cfg.scale.default_n()), seed)
+}
+
+/// Fig. 5's representative curve: PROP-G at `nhops = 2`.
+pub(crate) fn unit_fig5(cfg: &SweepConfig, seed: u64) -> UnitRun {
+    let scenario = unit_scenario(cfg, seed);
+    let label = format!("n={}, nhops=2", scenario.n);
+    let curve = fig5::run_curve(&scenario, PropConfig::prop_g(), cfg.scale, label);
+    let metrics = BTreeMap::from([
+        ("latency_initial_ms".into(), curve.series.first_value().unwrap_or(0.0)),
+        ("latency_final_ms".into(), curve.series.last_value().unwrap_or(0.0)),
+        ("improvement".into(), curve.improvement),
+    ]);
+    (metrics, curve.to_json())
+}
+
+/// Fig. 6's representative curve, with the driver's overhead beside it.
+pub(crate) fn unit_fig6(cfg: &SweepConfig, seed: u64) -> UnitRun {
+    let scenario = unit_scenario(cfg, seed);
+    let label = format!("n={}, nhops=2", scenario.n);
+    let (curve, overhead) =
+        fig6::run_curve_traced(&scenario, PropConfig::prop_g(), cfg.scale, label);
+    let per_trial = if overhead.trials == 0 {
+        0.0
+    } else {
+        overhead.total_msgs() as f64 / overhead.trials as f64
+    };
+    let metrics = BTreeMap::from([
+        ("stretch_initial".into(), curve.series.first_value().unwrap_or(0.0)),
+        ("stretch_final".into(), curve.series.last_value().unwrap_or(0.0)),
+        ("improvement".into(), curve.improvement),
+        ("delivered".into(), curve.delivered as f64),
+        ("overhead_msgs_per_trial".into(), per_trial),
+        ("overhead_trials".into(), overhead.trials as f64),
+    ]);
+    (metrics, curve.to_json())
+}
+
+pub(crate) fn unit_fig7(cfg: &SweepConfig, seed: u64) -> UnitRun {
+    let curves = fig7::run(cfg.scale, seed);
+    let mut metrics = BTreeMap::new();
+    for c in &curves {
+        if let Some(&(_, last)) = c.points.last() {
+            metrics.insert(format!("final_ratio/{}", c.label), last);
+        }
+        let best = c.points.iter().map(|&(_, r)| r).fold(f64::MAX, f64::min);
+        metrics.insert(format!("best_ratio/{}", c.label), best);
+    }
+    (metrics, curves.to_json())
+}
+
+/// The A1 overhead ablation (msgs/trial ± CI).
+pub(crate) fn unit_ablation(cfg: &SweepConfig, seed: u64) -> UnitRun {
+    let r = ablation::overhead(cfg.scale, seed);
+    let mut metrics = BTreeMap::new();
+    for row in &r.rows {
+        metrics.insert(format!("msgs_per_trial/{}", row.label), row.msgs_per_trial);
+        metrics.insert(
+            format!("predicted_msgs_per_trial/{}", row.label),
+            row.predicted_msgs_per_trial,
+        );
+    }
+    (metrics, r.to_json())
+}
+
+/// The loss × partition grid (improvement% ± CI per cell).
+pub(crate) fn unit_faults(cfg: &SweepConfig, seed: u64) -> UnitRun {
+    let rows = faults::sweep(cfg.scale, seed);
+    let mut metrics = BTreeMap::new();
+    for row in &rows {
+        let cell = format!("loss{:02.0}_part{:03}", row.loss_pct, row.partition_secs);
+        metrics.insert(format!("improvement_pct/{cell}"), row.improvement_pct);
+        metrics.insert(format!("faulted/{cell}"), row.faulted as f64);
+    }
+    (metrics, rows.to_json())
+}
+
+/// Embed agreement at scale-derived member counts, smaller than a single
+/// run's: a sweep builds one oracle per seed.
+pub(crate) fn unit_embed_agreement(cfg: &SweepConfig, seed: u64) -> UnitRun {
+    let (n, samples) = match cfg.scale {
+        Scale::Paper => (20_000, 2_000),
+        Scale::Quick => (2_000, 400),
+    };
+    let r = embed_agreement::run(cfg.n.unwrap_or(n), samples, seed);
+    let metrics = BTreeMap::from([
+        ("agreement_rate".into(), r.agreement_rate),
+        ("escalation_rate".into(), r.escalation_rate),
+        ("plans".into(), r.plans as f64),
+    ]);
+    (metrics, r.to_json())
+}
+
+/// The diurnal-regional comparison: PROP-G vs PROP-O vs selfish, per phase.
+pub(crate) fn unit_traffic(cfg: &SweepConfig, seed: u64) -> UnitRun {
+    let spec = traffic::builtin_scenario("diurnal-regional", cfg.scale, seed, cfg.topology, cfg.n)
+        .expect("diurnal-regional is a builtin scenario");
+    let runs = traffic::run_comparison(&spec, cfg.scale);
+    let mut metrics = BTreeMap::new();
+    for r in &runs {
+        let driver = &r.driver;
+        metrics.insert(format!("stretch_final/{driver}"), r.series.last_value().unwrap_or(0.0));
+        metrics.insert(format!("link_stretch/{driver}"), r.final_link_stretch);
+        metrics.insert(format!("delivery/{driver}"), r.report.delivery_rate());
+        metrics.insert(format!("overhead_msgs_per_trial/{driver}"), r.report.msgs_per_trial());
+        for p in &r.report.phases {
+            metrics.insert(format!("stretch/{driver}/{}", p.phase), p.stretch);
+        }
+    }
+    (metrics, runs.to_json())
 }
 
 // ------------------------------------------------------------- gate ----
@@ -598,7 +591,7 @@ fn unit_scenario(cfg: &SweepConfig, seed: u64) -> Scenario {
 /// One CI-width gate: fail when `metrics[metric].ci95` exceeds
 /// `max_ci95` — or cannot be assessed at all (missing metric, or a
 /// single-seed sweep whose CI is null). An armed gate must be meaningful.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GateSpec {
     pub metric: String,
     pub max_ci95: f64,
@@ -643,8 +636,7 @@ pub fn check_gates(agg: &SweepAggregate, gates: &[GateSpec]) -> Vec<String> {
 
 // -------------------------------------------------------------- cli ----
 
-/// Shared front-end for the `sweep` binary and the figure binaries'
-/// `--seeds N [--resume]` mode: run (or resume) the sweep under `root`,
+/// The command line's `--seeds N` mode: run (or resume) the sweep under `root`,
 /// print the aggregate (summary table, and the mean curve with its
 /// confidence band for the curve experiments), evaluate `gates`, and turn
 /// the outcome into an exit code.
@@ -817,17 +809,20 @@ mod tests {
 
     #[test]
     fn experiment_labels_round_trip() {
-        for e in [
-            SweepExperiment::Fig5,
-            SweepExperiment::Fig6,
-            SweepExperiment::Fig7,
-            SweepExperiment::Ablation,
-            SweepExperiment::Faults,
-            SweepExperiment::EmbedAgreement,
-            SweepExperiment::Traffic,
+        // Label → registry entry → its unit's experiment, and the labels are
+        // the directory names sweeps already on disk were written under.
+        for (e, label) in [
+            (SweepExperiment::Fig5, "fig5"),
+            (SweepExperiment::Fig6, "fig6"),
+            (SweepExperiment::Fig7, "fig7"),
+            (SweepExperiment::Ablation, "ablation"),
+            (SweepExperiment::Faults, "faults"),
+            (SweepExperiment::EmbedAgreement, "embed_agreement"),
+            (SweepExperiment::Traffic, "traffic"),
         ] {
-            assert_eq!(SweepExperiment::parse(e.label()), Some(e));
+            assert_eq!(e.label(), label);
+            let unit = registry::find(label).and_then(|entry| entry.unit);
+            assert_eq!(unit.map(|u| u.experiment), Some(e));
         }
-        assert_eq!(SweepExperiment::parse("bogus"), None);
     }
 }

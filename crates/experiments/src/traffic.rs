@@ -23,7 +23,7 @@ use prop_core::{
 };
 use prop_engine::{json, json_impl, Duration, SimTime};
 use prop_faults::{transit_bisection, Scenario as ScenarioSpec};
-use prop_metrics::{link_stretch, par_path_stretch, StretchSummary, TimeSeries, TrafficReport};
+use prop_metrics::{link_stretch, path_stretch, StretchSummary, TimeSeries, TrafficReport};
 use prop_netsim::oracle::MemberIdx;
 use prop_overlay::gnutella::Gnutella;
 use prop_overlay::Slot;
@@ -62,6 +62,20 @@ impl TrafficDriver {
             TrafficDriver::Selfish => "selfish",
         }
     }
+
+    /// The headline comparison: PROP-G vs PROP-O vs the selfish strawman.
+    pub const COMPARE: [TrafficDriver; 3] =
+        [TrafficDriver::PropG, TrafficDriver::PropO, TrafficDriver::Selfish];
+
+    /// The drivers a `--driver` value names: one driver, `both` (PROP-O on
+    /// both timing modes) or `compare`.
+    pub fn parse_set(s: &str) -> Option<Vec<TrafficDriver>> {
+        match s {
+            "both" => Some(vec![TrafficDriver::PropO, TrafficDriver::Async]),
+            "compare" => Some(Self::COMPARE.to_vec()),
+            one => Self::parse(one).map(|d| vec![d]),
+        }
+    }
 }
 
 /// One driver's run of one scenario.
@@ -83,6 +97,29 @@ pub struct TrafficRunReport {
 json_impl!(ToJson for struct TrafficRunReport {
     scenario, driver, seed, series, report, emitted, final_link_stretch, always_connected
 });
+
+impl TrafficRunReport {
+    /// The `--min-delivery` / `--max-stretch` gates this run violates. The
+    /// selfish strawman is reported, never gated.
+    pub fn gate_failures(
+        &self,
+        min_delivery: Option<f64>,
+        max_stretch: Option<f64>,
+    ) -> Vec<String> {
+        let mut failures = Vec::new();
+        if self.driver == TrafficDriver::Selfish.label() {
+            return failures;
+        }
+        let (delivery, stretch) = (self.report.delivery_rate(), self.report.overall_stretch());
+        if let Some(min) = min_delivery.filter(|&min| delivery < min) {
+            failures.push(format!("{}: delivery {delivery:.4} below gate {min:.4}", self.driver));
+        }
+        if let Some(max) = max_stretch.filter(|&max| stretch > max) {
+            failures.push(format!("{}: stretch {stretch:.4} above gate {max:.4}", self.driver));
+        }
+        failures
+    }
+}
 
 /// Wrapper giving the selfish baseline the [`ChurnDriver`] surface (the
 /// trait lives in prop-core, the sim in prop-baselines — neither crate
@@ -178,10 +215,7 @@ pub fn run_scenario(spec: &ScenarioSpec, driver: TrafficDriver, scale: Scale) ->
 /// Run the headline comparison: PROP-G vs PROP-O vs selfish on the same
 /// scenario (same plane, same apply-side RNG streams).
 pub fn run_comparison(spec: &ScenarioSpec, scale: Scale) -> Vec<TrafficRunReport> {
-    [TrafficDriver::PropG, TrafficDriver::PropO, TrafficDriver::Selfish]
-        .into_iter()
-        .map(|d| run_scenario(spec, d, scale))
-        .collect()
+    TrafficDriver::COMPARE.into_iter().map(|d| run_scenario(spec, d, scale)).collect()
 }
 
 /// The generic pump: interleave plane events with protocol execution, one
@@ -306,7 +340,7 @@ fn drive<S: ChurnDriver>(
         let summary = if window_pairs.is_empty() {
             StretchSummary { mean: f64::NAN, delivered: 0, failed: 0, skipped: 0 }
         } else {
-            par_path_stretch(sim.net(), gn, &window_pairs)
+            path_stretch(sim.net(), gn, &window_pairs)
         };
         window_pairs.clear();
         let (trials, msgs) = progress(sim);
@@ -326,8 +360,11 @@ fn drive<S: ChurnDriver>(
     (series, report, always_connected, final_link_stretch)
 }
 
-/// Built-in scenarios for the `traffic` binary, the sweep orchestrator,
-/// and CI: the two committed example scripts, regenerated at any scale.
+/// The scenarios [`builtin_scenario`] regenerates.
+pub const BUILTIN_SCENARIOS: [&str; 2] = ["diurnal-regional", "flash-crowd"];
+
+/// Built-in scenarios for `prop traffic`, the sweep orchestrator, and CI:
+/// the two committed example scripts, regenerated at any scale.
 /// `topology`/`n` override the scale defaults (the sweep does this for its
 /// tiny test fixtures).
 pub fn builtin_scenario(
@@ -336,11 +373,8 @@ pub fn builtin_scenario(
     seed: u64,
     topology: Option<Topology>,
     n: Option<usize>,
-) -> ScenarioSpec {
-    let topo = topology.unwrap_or(match scale {
-        Scale::Paper => Topology::TsLarge,
-        Scale::Quick => Topology::TsSmall,
-    });
+) -> Result<ScenarioSpec, ScenarioError> {
+    let topo = topology.unwrap_or(scale.topology());
     let n = n.unwrap_or(scale.default_n());
     let horizon_ms = scale.horizon().as_millis();
     // Compress a full 24-hour diurnal day into the run.
@@ -352,24 +386,13 @@ pub fn builtin_scenario(
     let lookups_per_min = scale.lookups_per_sample() as f64 * 60_000.0
         / scale.sample_every().as_millis() as f64
         / 4.0;
-    let script = match name {
-        "diurnal-regional" => TrafficScript::preset_diurnal_regional(
-            hour_ms,
-            horizon_ms,
-            catalog,
-            churn_per_min,
-            lookups_per_min,
-        ),
-        "flash-crowd" => TrafficScript::preset_flash_crowd(
-            hour_ms,
-            horizon_ms,
-            catalog,
-            churn_per_min,
-            lookups_per_min,
-        ),
-        other => panic!("unknown builtin scenario {other:?} (try diurnal-regional, flash-crowd)"),
+    let preset = match name {
+        "diurnal-regional" => TrafficScript::preset_diurnal_regional,
+        "flash-crowd" => TrafficScript::preset_flash_crowd,
+        other => return Err(ScenarioError::UnknownBuiltin(other.to_string())),
     };
-    ScenarioSpec::new(name, topo.label(), n, seed, script)
+    let script = preset(hour_ms, horizon_ms, catalog, churn_per_min, lookups_per_min);
+    Ok(ScenarioSpec::new(name, topo.label(), n, seed, script))
 }
 
 /// Why a scenario file was refused.
@@ -382,6 +405,8 @@ pub enum ScenarioError {
     Parse { path: String, error: json::Error },
     /// The file parses, but a value in it cannot be run.
     Invalid { path: String, what: String },
+    /// Not a file, and not one of [`BUILTIN_SCENARIOS`] either.
+    UnknownBuiltin(String),
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -390,6 +415,11 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::Read { path, source } => write!(f, "cannot read {path}: {source}"),
             ScenarioError::Parse { path, error } => write!(f, "{path}:{error}"),
             ScenarioError::Invalid { path, what } => write!(f, "{path}: {what}"),
+            ScenarioError::UnknownBuiltin(name) => write!(
+                f,
+                "unknown builtin scenario {name:?} (known: {})",
+                BUILTIN_SCENARIOS.join(", ")
+            ),
         }
     }
 }
@@ -450,16 +480,12 @@ pub fn load_script_or_scenario(
     }
     let script: TrafficScript = json::from_str(&text).map_err(parse_error)?;
     check_script(path, &script)?;
-    let topo = match scale {
-        Scale::Paper => Topology::TsLarge,
-        Scale::Quick => Topology::TsSmall,
-    };
     let name = std::path::Path::new(path)
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("scripted")
         .to_string();
-    Ok(ScenarioSpec::new(name, topo.label(), scale.default_n(), seed, script))
+    Ok(ScenarioSpec::new(name, scale.topology().label(), scale.default_n(), seed, script))
 }
 
 #[cfg(test)]
@@ -505,13 +531,19 @@ mod tests {
 
     #[test]
     fn builtin_scenarios_build_at_quick_scale() {
-        let d = builtin_scenario("diurnal-regional", Scale::Quick, 1, None, None);
+        let d = builtin_scenario("diurnal-regional", Scale::Quick, 1, None, None).unwrap();
         assert_eq!(d.topology, "ts-small");
         assert_eq!(d.traffic.domains.len(), 4);
         assert_eq!(d.traffic.buckets(), 24, "a full compressed day");
-        let f = builtin_scenario("flash-crowd", Scale::Quick, 1, Some(Topology::Tiny), Some(24));
+        let f = builtin_scenario("flash-crowd", Scale::Quick, 1, Some(Topology::Tiny), Some(24))
+            .unwrap();
         assert_eq!(f.n, 24);
         assert_eq!(f.traffic.flash_crowds.len(), 2);
+        for name in BUILTIN_SCENARIOS {
+            assert!(builtin_scenario(name, Scale::Quick, 1, None, None).is_ok(), "{name}");
+        }
+        let e = builtin_scenario("bogus", Scale::Quick, 1, None, None).unwrap_err();
+        assert!(matches!(&e, ScenarioError::UnknownBuiltin(name) if name == "bogus"), "{e}");
     }
 
     const BUNDLE: &str = r#"{
@@ -689,5 +721,12 @@ mod tests {
         }
         assert_eq!(TrafficDriver::parse("sync"), Some(TrafficDriver::PropG));
         assert_eq!(TrafficDriver::parse("nope"), None);
+        assert_eq!(
+            TrafficDriver::parse_set("both"),
+            Some(vec![TrafficDriver::PropO, TrafficDriver::Async])
+        );
+        assert_eq!(TrafficDriver::parse_set("compare"), Some(TrafficDriver::COMPARE.to_vec()));
+        assert_eq!(TrafficDriver::parse_set("async"), Some(vec![TrafficDriver::Async]));
+        assert_eq!(TrafficDriver::parse_set("nope"), None);
     }
 }

@@ -71,31 +71,11 @@ const GOLDEN: &[(&str, u64)] = &[
 const WALL_CLOCK: [&str; 5] =
     ["topo_ms", "oracle_build_ms", "query_ms", "queries_per_sec", "wall_ms"];
 
-/// The command for one invocation. A seed sweep (`--seeds`) goes through the
-/// `sweep` binary, which names its experiment with `--experiment`.
+/// The command for one invocation.
 fn command(experiment: &str, args: &[String]) -> Command {
-    let exe = |name: &str| match name {
-        "fig5" => env!("CARGO_BIN_EXE_fig5"),
-        "fig6" => env!("CARGO_BIN_EXE_fig6"),
-        "fig7" => env!("CARGO_BIN_EXE_fig7"),
-        "ablation" => env!("CARGO_BIN_EXE_ablation"),
-        "generality" => env!("CARGO_BIN_EXE_generality"),
-        "faults" => env!("CARGO_BIN_EXE_faults"),
-        "traffic" => env!("CARGO_BIN_EXE_traffic"),
-        "embed_agreement" => env!("CARGO_BIN_EXE_embed_agreement"),
-        "scale" => env!("CARGO_BIN_EXE_scale"),
-        "sweep" => env!("CARGO_BIN_EXE_sweep"),
-        other => panic!("no binary for {other}"),
-    };
-    if args.iter().any(|a| a == "--seeds") {
-        let mut cmd = Command::new(exe("sweep"));
-        cmd.args(args).args(["--experiment", experiment]);
-        cmd
-    } else {
-        let mut cmd = Command::new(exe(experiment));
-        cmd.args(args);
-        cmd
-    }
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_prop"));
+    cmd.arg(experiment).args(args);
+    cmd
 }
 
 fn fnv64(bytes: &[u8]) -> u64 {

@@ -1,5 +1,5 @@
 //! The JSON writer is byte-compatible with what is already committed, and
-//! the real `fig5` binary still produces the committed numbers.
+//! the real binary's `fig5 a` still produces the committed numbers.
 
 use prop_engine::json::{self, FromJson, Value};
 use prop_metrics::TimeSeries;
@@ -54,12 +54,12 @@ fn fig5a_by_the_real_binary_matches_the_committed_result() {
     let scratch = std::env::temp_dir().join(format!("prop-fig5a-{}", std::process::id()));
     let _ = fs::remove_dir_all(&scratch);
     fs::create_dir_all(&scratch).expect("create scratch directory");
-    let status = Command::new(env!("CARGO_BIN_EXE_fig5"))
-        .args(["a", "--seed", "1"])
+    let status = Command::new(env!("CARGO_BIN_EXE_prop"))
+        .args(["fig5", "a", "--seed", "1"])
         .current_dir(&scratch)
         .stdout(std::process::Stdio::null())
         .status()
-        .expect("run fig5");
+        .expect("run prop fig5");
     assert!(status.success(), "fig5 a exited with {status}");
 
     let read = |path: PathBuf| {

@@ -50,8 +50,8 @@ pub use timeseries::TimeSeries;
 pub use trafficstats::{TrafficDomainRow, TrafficPhaseRow, TrafficReport};
 
 // The names from when each metric had a serial and a parallel twin. `benchmark/`
-// (pinned by BENCHMARK.json) and prop-experiments still spell them this way;
-// see ROADMAP "Deferred".
+// (pinned by BENCHMARK.json) is the only user left; ROADMAP item 3's benchmark
+// PR renames its call sites and deletes these.
 pub use floodcost::mean_flood_messages as par_mean_flood_messages;
 pub use latency::avg_lookup_latency as par_avg_lookup_latency;
 pub use stretch::path_stretch as par_path_stretch;
