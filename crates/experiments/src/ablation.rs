@@ -25,7 +25,7 @@
 //!   bandwidth economics).
 
 use crate::fig7::{hetero_gnutella, hub_correlated_assignment, to_slot_pairs};
-use crate::setup::{Scale, Scenario, Scheme};
+use crate::setup::{msgs_per_trial, Scale, Scenario, Scheme};
 use prop_baselines::pis::build_pis_can;
 use prop_baselines::pns::{build_pns_chord, build_pns_pastry};
 use prop_baselines::{LtmConfig, LtmSim, PrsChord};
@@ -111,7 +111,7 @@ pub fn overhead(scale: Scale, seed: u64) -> OverheadReport {
             trials: o.trials,
             exchanges: o.exchanges,
             total_msgs: o.total_msgs(),
-            msgs_per_trial: o.total_msgs() as f64 / o.trials.max(1) as f64,
+            msgs_per_trial: msgs_per_trial(&o),
             predicted_msgs_per_trial: predicted,
         });
     }

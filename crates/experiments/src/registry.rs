@@ -12,7 +12,7 @@
 
 use crate::cli::{Args, CliError, Flag};
 use crate::report::{print_report, write_json};
-use crate::setup::{Scale, Scenario};
+use crate::setup::{msgs_per_trial, Scale, Scenario};
 use crate::sweep::{self, SweepConfig, SweepExperiment, UnitRun};
 use crate::traffic::{self, TrafficDriver, TrafficRunReport};
 use crate::{ablation, embed_agreement, faults, fig5, fig6, fig7, generality, scale};
@@ -185,6 +185,13 @@ pub fn list() -> Value {
     Value::Array(rows.collect())
 }
 
+impl Panel {
+    /// What heads its report: `A1 — §4.3: …`.
+    pub fn title(&self) -> String {
+        format!("{} — {}", self.id, self.claim)
+    }
+}
+
 impl Experiment {
     /// The names a panel argument can take (none for a one-panel experiment).
     pub fn panel_names(&self) -> Vec<&'static str> {
@@ -211,7 +218,7 @@ pub fn run_panels(exp: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
     for panel in exp.panels.iter().filter(wanted) {
         let run = panel.run.expect("an experiment run panel by panel has panel functions");
         let report = run(args.scale, args.seed);
-        print_report(&format!("{} — {}", panel.id, panel.claim), &report);
+        print_report(&panel.title(), &report);
         write_json(panel.stem, &report);
     }
     Ok(ExitCode::SUCCESS)
@@ -232,7 +239,7 @@ fn run_fig6(exp: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
     );
     let report = vec![curve].to_json();
     print_report("Fig. 6 — path stretch under scripted popularity", &report);
-    let per_trial = overhead.total_msgs() as f64 / overhead.trials.max(1) as f64;
+    let per_trial = msgs_per_trial(&overhead);
     println!("\noverhead: {} trials, {per_trial:.1} msgs/trial", overhead.trials);
     write_json("fig6_scripted", &report);
     Ok(ExitCode::SUCCESS)
@@ -306,7 +313,7 @@ fn run_embed_agreement(exp: &Experiment, args: &Args) -> Result<ExitCode, CliErr
     let report =
         embed_agreement::run(args.n.unwrap_or(n), args.samples.unwrap_or(samples), args.seed);
     let panel = &exp.panels[0];
-    print_report(&format!("{} — {}", panel.id, panel.claim), &report.to_json());
+    print_report(&panel.title(), &report.to_json());
     write_json(panel.stem, &report);
     if report.agreement_rate < args.floor {
         eprintln!(

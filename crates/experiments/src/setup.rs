@@ -4,7 +4,7 @@
 
 use prop_baselines::selfish::{SelfishConfig, SelfishSim};
 use prop_baselines::{LtmConfig, LtmSim};
-use prop_core::{Policy, ProbeMode, PropConfig, ProtocolSim};
+use prop_core::{Overhead, Policy, ProbeMode, PropConfig, ProtocolSim};
 use prop_engine::{json_impl, par, Duration, SimRng};
 use prop_metrics::TimeSeries;
 use prop_netsim::{generate, LatencyOracle, OracleConfig, PhysGraph, TransitStubParams};
@@ -257,6 +257,11 @@ impl Scheme {
         sim.run_for(horizon);
         sim.into_net()
     }
+}
+
+/// Protocol messages per probe trial (0 before the first trial).
+pub fn msgs_per_trial(overhead: &Overhead) -> f64 {
+    overhead.total_msgs() as f64 / overhead.trials.max(1) as f64
 }
 
 /// The sampling loop of every curve: `measure(sim, elapsed ms)` at time zero

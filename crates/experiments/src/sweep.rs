@@ -33,7 +33,7 @@
 
 use crate::fig5::{Curve, CurveCi};
 use crate::registry;
-use crate::setup::{Scale, Scenario, Topology};
+use crate::setup::{msgs_per_trial, Scale, Scenario, Topology};
 use crate::{ablation, embed_agreement, faults, fig5, fig6, fig7, traffic};
 use prop_core::PropConfig;
 use prop_engine::json::{self, FromJson, ToJson, Value};
@@ -496,17 +496,12 @@ pub(crate) fn unit_fig6(cfg: &SweepConfig, seed: u64) -> UnitRun {
     let label = format!("n={}, nhops=2", scenario.n);
     let (curve, overhead) =
         fig6::run_curve_traced(&scenario, PropConfig::prop_g(), cfg.scale, label);
-    let per_trial = if overhead.trials == 0 {
-        0.0
-    } else {
-        overhead.total_msgs() as f64 / overhead.trials as f64
-    };
     let metrics = BTreeMap::from([
         ("stretch_initial".into(), curve.series.first_value().unwrap_or(0.0)),
         ("stretch_final".into(), curve.series.last_value().unwrap_or(0.0)),
         ("improvement".into(), curve.improvement),
         ("delivered".into(), curve.delivered as f64),
-        ("overhead_msgs_per_trial".into(), per_trial),
+        ("overhead_msgs_per_trial".into(), msgs_per_trial(&overhead)),
         ("overhead_trials".into(), overhead.trials as f64),
     ]);
     (metrics, curve.to_json())
