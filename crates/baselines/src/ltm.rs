@@ -15,7 +15,7 @@
 //! exactly the behavior the PROP paper criticizes ("free modification of
 //! connections … impairs the natural feature of self-organizing overlay").
 //!
-//! The driver runs on the same event kernel as [`prop_core::ProtocolSim`]
+//! The driver runs on the same event kernel as `prop_core::ProtocolSim`
 //! with one optimization event per peer per `interval`, so LTM and PROP
 //! curves share a time axis.
 

@@ -81,7 +81,9 @@ mod tests {
         let o = oracle(60, 1);
         let [l0, l1] = pick_landmarks(&o);
         let d = o.d(l0, l1);
-        let mean = o.mean_pairwise_latency();
+        let n = o.len();
+        let total: u64 = (0..n).map(|a| (0..n).map(|b| o.d(a, b) as u64).sum::<u64>()).sum();
+        let mean = total as f64 / (n * n) as f64;
         assert!(d as f64 >= mean, "landmarks {d}ms apart vs mean {mean:.0}ms");
     }
 

@@ -67,8 +67,6 @@ pub fn steady_state_probe_rate(q: f64, init_timer: Duration) -> f64 {
 }
 
 /// Eq. 3: average latency over all ordered pairs, `d(i,i) = 0`.
-/// (`LatencyOracle::mean_pairwise_latency` computes the same quantity from
-/// a built oracle; this form works on any distance matrix slice.)
 pub fn average_latency(d: &[u32], n: usize) -> f64 {
     assert_eq!(d.len(), n * n);
     let total: u64 = d.iter().map(|&x| x as u64).sum();

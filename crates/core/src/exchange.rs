@@ -208,7 +208,7 @@ pub fn var_terms(net: &OverlayNet, plan: &ExchangePlan) -> usize {
     2 * plan.neighbors_touched(net)
 }
 
-/// Re-evaluate a plan's Var with exact distances ([`OverlayNet::d_exact`])
+/// Re-evaluate a plan's Var with exact distances (`LatencyOracle::d_exact`)
 /// — the escalation path of the embedded tier's fallback band. On the
 /// exact tiers this reproduces `plan.var` identically.
 pub fn exact_var(net: &OverlayNet, plan: &ExchangePlan) -> i64 {

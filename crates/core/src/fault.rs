@@ -96,19 +96,6 @@ impl FaultCounters {
         }
     }
 
-    /// Counter-wise difference (`self` − `earlier`), saturating at zero so
-    /// windowed reporting survives counter resets after a crash/restart
-    /// cycle.
-    pub fn since(&self, earlier: &FaultCounters) -> FaultCounters {
-        FaultCounters {
-            drops: self.drops.saturating_sub(earlier.drops),
-            dup_deliveries: self.dup_deliveries.saturating_sub(earlier.dup_deliveries),
-            reorders: self.reorders.saturating_sub(earlier.reorders),
-            partition_ms: self.partition_ms.saturating_sub(earlier.partition_ms),
-            crashed_aborts: self.crashed_aborts.saturating_sub(earlier.crashed_aborts),
-        }
-    }
-
     /// All fault events of any kind (partition time excluded — it is a
     /// duration, not an event count).
     pub fn total_events(&self) -> u64 {
@@ -168,15 +155,6 @@ mod tests {
         assert!(merged.duplicate);
         assert_eq!(merged.extra_delay_ms, 10);
         assert_eq!(Delivery::CLEAN.merge(Delivery::CLEAN), Delivery::CLEAN);
-    }
-
-    #[test]
-    fn counters_since_saturates() {
-        let early = FaultCounters { drops: 10, ..Default::default() };
-        let late = FaultCounters { drops: 4, dup_deliveries: 2, ..Default::default() };
-        let diff = late.since(&early);
-        assert_eq!(diff.drops, 0, "reset counters must not underflow");
-        assert_eq!(diff.dup_deliveries, 2);
     }
 
     #[test]

@@ -61,10 +61,6 @@ impl NodeState {
         self.timer.current()
     }
 
-    pub fn trials_done(&self) -> u32 {
-        self.trials_done
-    }
-
     /// Record a completed trial through first hop `s`.
     ///
     /// Warm-up: the neighbor order just cycles (demote = move to tail) and

@@ -61,16 +61,6 @@ impl TrafficCounters {
     pub fn total(&self) -> u64 {
         self.joins + self.leaves + self.lookups
     }
-
-    /// Counter-wise difference (`self` − `earlier`) for windowed rates,
-    /// saturating at zero.
-    pub fn since(&self, earlier: &TrafficCounters) -> TrafficCounters {
-        TrafficCounters {
-            joins: self.joins.saturating_sub(earlier.joins),
-            leaves: self.leaves.saturating_sub(earlier.leaves),
-            lookups: self.lookups.saturating_sub(earlier.lookups),
-        }
-    }
 }
 
 /// A deterministic source of timed workload events, consumed in
@@ -189,14 +179,6 @@ mod tests {
         let c = p.counters();
         assert_eq!((c.joins, c.leaves, c.lookups), (1, 1, 1));
         assert_eq!(p.peek(), None);
-    }
-
-    #[test]
-    fn counters_since_saturates() {
-        let a = TrafficCounters { joins: 5, leaves: 2, lookups: 10 };
-        let b = TrafficCounters { joins: 3, leaves: 4, lookups: 10 };
-        let d = a.since(&b);
-        assert_eq!((d.joins, d.leaves, d.lookups), (2, 0, 0));
     }
 
     #[test]

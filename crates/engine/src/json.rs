@@ -843,11 +843,11 @@ impl<'a> Fields<'a> {
         }
     }
 
-    /// A field that reads as `default()` when absent.
-    pub fn get_or<T: FromJson>(&self, key: &str, default: impl FnOnce() -> T) -> Result<T, Error> {
+    /// A field that reads as `T::default()` when absent.
+    pub fn get_or_default<T: FromJson + Default>(&self, key: &str) -> Result<T, Error> {
         match self.object.get(key) {
             Some(v) => T::from_json(v).map_err(|e| e.in_key(key)),
-            None => Ok(default()),
+            None => Ok(T::default()),
         }
     }
 }
@@ -905,22 +905,18 @@ pub fn unknown_variant(tag: &str, keyed: bool, owner: &str, known: &[&str]) -> E
 ///
 /// Field flags: `[omit_none]` leaves an `Option` field out when it is `None`
 /// (any `Option` field already reads as `None` when absent); `[default]`
-/// reads an absent field as `Default::default()`; `[default = expr]` reads it
-/// as `expr`. `struct T [default] { … }` reads every absent field from
-/// `T::default()`. A unit variant may be renamed: `Done = "done"`.
+/// reads an absent field as `Default::default()`. A unit variant may be
+/// renamed: `Done = "done"`.
 #[macro_export]
 macro_rules! json_impl {
     ($($dir:ident),+ for struct $ty:ident $fields:tt) => {
         $( $crate::json_impl!(@$dir struct $ty $fields); )+
     };
-    ($($dir:ident),+ for struct $ty:ident [default] $fields:tt) => {
-        $( $crate::json_impl!(@$dir struct $ty [default] $fields); )+
-    };
     ($($dir:ident),+ for enum $ty:ident $variants:tt) => {
         $( $crate::json_impl!(@$dir enum $ty $variants); )+
     };
 
-    (@ToJson struct $ty:ident $([default])? { $($f:ident $([$($flag:tt)+])?),+ $(,)? }) => {
+    (@ToJson struct $ty:ident { $($f:ident $([$($flag:tt)+])?),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Value {
                 let members = [$( $crate::json_impl!(@member self.$f, $f $(, $($flag)+)?) ),+];
@@ -944,21 +940,8 @@ macro_rules! json_impl {
             }
         }
     };
-    (@FromJson struct $ty:ident [default] { $($f:ident),+ $(,)? }) => {
-        impl $crate::json::FromJson for $ty {
-            fn from_json(v: &$crate::json::Value) -> Result<Self, $crate::json::Error> {
-                let fields =
-                    $crate::json::Fields::new(v, stringify!($ty), &[$(stringify!($f)),+])?;
-                let base = <$ty>::default();
-                Ok($ty { $( $f: fields.get_or(stringify!($f), || base.$f)?, )+ })
-            }
-        }
-    };
     (@get $fields:ident, $f:ident, default) => {
-        $fields.get_or(stringify!($f), Default::default)?
-    };
-    (@get $fields:ident, $f:ident, default = $default:expr) => {
-        $fields.get_or(stringify!($f), || $default)?
+        $fields.get_or_default(stringify!($f))?
     };
     (@get $fields:ident, $f:ident $(, omit_none)?) => {
         $fields.get(stringify!($f))?
@@ -1234,20 +1217,8 @@ mod tests {
         scale: f64,
     }
     json_impl!(ToJson, FromJson for struct Probe {
-        ttl, label, modes, note, ci [omit_none], retries [default], window [default = (1, 2)], scale
+        ttl, label, modes, note, ci [omit_none], retries [default], window [default], scale
     });
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Knobs {
-        dims: usize,
-        rate: f64,
-    }
-    impl Default for Knobs {
-        fn default() -> Self {
-            Knobs { dims: 4, rate: 0.95 }
-        }
-    }
-    json_impl!(FromJson for struct Knobs [default] { dims, rate });
 
     fn probe() -> Probe {
         Probe {
@@ -1284,9 +1255,7 @@ mod tests {
     #[test]
     fn absent_fields_take_their_declared_defaults() {
         let p: Probe = from_str(r#"{"ttl": 1, "label": "x", "modes": [], "scale": 2}"#).unwrap();
-        assert_eq!((p.note, p.ci, p.retries, p.window, p.scale), (None, None, 0, (1, 2), 2.0));
-        assert_eq!(from_str::<Knobs>("{}"), Ok(Knobs::default()));
-        assert_eq!(from_str::<Knobs>(r#"{"rate": 0.5}"#), Ok(Knobs { dims: 4, rate: 0.5 }));
+        assert_eq!((p.note, p.ci, p.retries, p.window, p.scale), (None, None, 0, (0, 0), 2.0));
     }
 
     #[test]

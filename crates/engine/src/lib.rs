@@ -18,8 +18,6 @@
 //!   input order.
 //! * [`MarkovTimer`] — the paper's §3.2 probe-interval controller (double on
 //!   failure, reset on success or on exceeding `MAX_TIMER`).
-//! * [`stats`] — small online statistics helpers shared by the metrics and
-//!   experiment crates.
 //! * [`alloc_track`] — an opt-in counting global allocator so perf claims
 //!   ("zero allocations per steady-state trial") are testable, not folklore.
 //!
@@ -34,7 +32,6 @@ pub mod json;
 pub mod par;
 pub mod queue;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use alloc_track::{allocation_count, counting_active, CountingAllocator};

@@ -374,16 +374,6 @@ impl<E> EventQueue<E> {
             _ => None,
         }
     }
-
-    /// Drop every pending event, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free = NIL;
-        self.head.fill(NIL);
-        self.tail.fill(NIL);
-        self.occupancy = [[0; 4]; LEVELS];
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -666,17 +656,6 @@ mod tests {
         q.schedule_at(SimTime(10), ());
         q.pop();
         q.schedule_at(SimTime(5), ());
-    }
-
-    #[test]
-    fn clear_keeps_clock() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(7), ());
-        q.pop();
-        q.schedule_at(SimTime(9), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime(7));
     }
 
     #[test]

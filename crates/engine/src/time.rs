@@ -27,12 +27,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole seconds since the epoch (truncating).
-    #[inline]
-    pub fn as_secs(self) -> u64 {
-        self.0 / 1000
-    }
-
     /// Fractional minutes since the epoch — the unit of the paper's x-axes.
     #[inline]
     pub fn as_minutes_f64(self) -> f64 {
@@ -181,7 +175,6 @@ mod tests {
         assert_eq!(t.as_millis(), 1000);
         let t2 = t + Duration::from_minutes(1);
         assert_eq!(t2 - t, Duration::from_minutes(1));
-        assert_eq!(t2.as_secs(), 61);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! `SimRng` per case, the case number in every failure message.
 
 use prop_engine::backoff::TrialOutcome;
-use prop_engine::stats::Accumulator;
 use prop_engine::{Duration, EventQueue, MarkovTimer, SimRng, SimTime};
 
 const CASES: u64 = 256;
@@ -78,45 +77,6 @@ fn markov_timer_stays_on_the_lattice() {
                 assert_eq!(t.current(), init, "case {case}");
             }
         }
-    }
-}
-
-/// Welford accumulator agrees with direct two-pass computation and is
-/// merge-order independent.
-#[test]
-fn accumulator_matches_two_pass() {
-    for case in 0..CASES {
-        let mut rng = SimRng::seed_from(case);
-        let xs: Vec<f64> = (0..rng.range(1..300usize)).map(|_| rng.range(-1e6..1e6)).collect();
-        let split = rng.range(0..300usize);
-
-        let mut acc = Accumulator::new();
-        for &x in &xs {
-            acc.add(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        let scale = 1.0 + mean.abs() + var.abs();
-        assert!((acc.mean() - mean).abs() / scale < 1e-9, "case {case}");
-        assert!(
-            (acc.variance() - var).abs() / scale.powi(2).max(scale) < 1e-6,
-            "case {case}: variance {} vs two-pass {var}",
-            acc.variance()
-        );
-
-        // Split-merge agrees with sequential.
-        let k = split.min(xs.len());
-        let mut left = Accumulator::new();
-        let mut right = Accumulator::new();
-        for &x in &xs[..k] {
-            left.add(x);
-        }
-        for &x in &xs[k..] {
-            right.add(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), acc.count(), "case {case}");
-        assert!((left.mean() - acc.mean()).abs() / scale < 1e-9, "case {case}");
     }
 }
 

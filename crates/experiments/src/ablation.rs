@@ -8,7 +8,7 @@
 //!   stretch stays bounded.
 //! * **A3 — combining (§1/§6)**: PROP-G stacks with PNS/PRS-Chord,
 //!   PNS-Pastry, and PIS-CAN ("combining it with other recent methods …
-//!   further improve[s]" the overall performance).
+//!   further improve\[s\]" the overall performance).
 //! * **A4 — selfish strawman (§3.1)**: uncooperative nearest-neighbor
 //!   rewiring is worse for system-wide average latency than cooperative
 //!   peer-exchange.
@@ -29,6 +29,7 @@ use crate::setup::{msgs_per_trial, Scale, Scenario, Scheme};
 use prop_baselines::pis::build_pis_can;
 use prop_baselines::pns::{build_pns_chord, build_pns_pastry};
 use prop_baselines::{LtmConfig, LtmSim, PrsChord};
+use prop_core::analysis::{propg_msgs_per_step, propo_msgs_per_step};
 use prop_core::{PropConfig, ProtocolSim};
 use prop_engine::{json_impl, Duration, SimRng, SimTime};
 use prop_metrics::degree::degree_summary;
@@ -75,7 +76,7 @@ json_impl!(ToJson for struct OverheadReport { rows, probe_rate });
 /// A1: measure message overhead per adjustment for PROP-G vs PROP-O.
 pub fn overhead(scale: Scale, seed: u64) -> OverheadReport {
     let scenario = Scenario::build(scale.topology(), scale.default_n(), seed);
-    let nhops = 2.0;
+    let nhops = 2; // the walk length both `PropConfig` presets below use
     let mut rows = Vec::new();
     let mut probe_rate = TimeSeries::new("PROP-G probe rate (trials/min)");
 
@@ -88,7 +89,7 @@ pub fn overhead(scale: Scale, seed: u64) -> OverheadReport {
         let mut rng = scenario.rng(&format!("a1-{label}"));
         let mut sim = ProtocolSim::new(net, cfg.clone(), &mut rng);
         let is_prop_g = label.starts_with("PROP-G");
-        let m = sim.m_default() as f64;
+        let m = sim.m_default();
 
         let step = scale.sample_every();
         let mut elapsed = Duration::ZERO;
@@ -105,7 +106,8 @@ pub fn overhead(scale: Scale, seed: u64) -> OverheadReport {
         }
 
         let o = sim.overhead();
-        let predicted = if is_prop_g { nhops + 2.0 * c } else { nhops + 2.0 * m };
+        let predicted =
+            if is_prop_g { propg_msgs_per_step(nhops, c) } else { propo_msgs_per_step(nhops, m) };
         rows.push(OverheadRow {
             label,
             trials: o.trials,

@@ -1,7 +1,7 @@
 //! Figure 5 — *Effectiveness of PROP-G in a Gnutella-like environment.*
 //!
 //! Metric: **average lookup latency** (flooding makes all-pairs stretch
-//! impractical, so the paper samples "1[0,000] lookup operations"), plotted
+//! impractical, so the paper samples "1\[0,000\] lookup operations"), plotted
 //! against simulated time as PROP-G keeps exchanging.
 //!
 //! * **(a) varying the TTL scale** — probe walks of `nhops ∈ {1, 2, 4}` and

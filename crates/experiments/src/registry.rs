@@ -370,11 +370,10 @@ mod tests {
         let mut committed = 0;
         for entry in std::fs::read_dir(dir).expect("results/ is committed") {
             let path = entry.expect("readable directory entry").path();
-            if path.extension().is_some_and(|ext| ext == "json") {
-                let stem = path.file_stem().and_then(|s| s.to_str()).expect("UTF-8 file name");
-                assert!(stems.contains(stem), "results/{stem}.json has no registered panel");
-                committed += 1;
-            }
+            assert_eq!(path.extension().and_then(|ext| ext.to_str()), Some("json"), "{path:?}");
+            let stem = path.file_stem().and_then(|s| s.to_str()).expect("UTF-8 file name");
+            assert!(stems.contains(stem), "results/{stem}.json has no registered panel");
+            committed += 1;
         }
         assert_eq!(committed, 20, "results/*.json");
     }

@@ -73,15 +73,6 @@ impl OracleTier {
         }
     }
 
-    pub fn label(self) -> &'static str {
-        match self {
-            OracleTier::Auto => "auto",
-            OracleTier::Dense => "dense",
-            OracleTier::Cached => "cached",
-            OracleTier::Embedded => "embedded",
-        }
-    }
-
     /// The forcing [`OracleConfig`], with the row cache (the tier itself on
     /// `Cached`, the escalation cache on `Embedded`) capped at
     /// `cache_capacity_bytes`.

@@ -17,8 +17,9 @@
 
 use crate::setup::{Scale, Scenario, Topology};
 use prop_baselines::selfish::{SelfishConfig, SelfishSim};
+use prop_core::sim::Timing;
 use prop_core::{
-    AsyncProtocolSim, ChurnDriver, PropConfig, ProtocolSim, TrafficCounters, TrafficEvent,
+    AsyncProtocolSim, ChurnDriver, PropConfig, PropSim, ProtocolSim, TrafficCounters, TrafficEvent,
     TrafficPlane,
 };
 use prop_engine::{json, json_impl, Duration, SimTime};
@@ -164,35 +165,18 @@ pub fn run_scenario(spec: &ScenarioSpec, driver: TrafficDriver, scale: Scale) ->
     let mut plane = prop_workloads::compile(&spec.traffic, spec.seed);
     let mut rng = scenario.rng("traffic-sim");
 
-    let fault_plane = || {
-        let sides = transit_bisection(scenario.phys(), &scenario.oracle);
-        Box::new(prop_faults::compile(&spec.faults, &sides, spec.seed))
-    };
-
     let (series, report, always_connected, final_link_stretch) = match driver {
-        TrafficDriver::PropG | TrafficDriver::PropO => {
-            let cfg = match driver {
-                TrafficDriver::PropG => PropConfig::prop_g(),
-                _ => PropConfig::prop_o(),
-            };
-            let mut sim = ProtocolSim::new(net, cfg, &mut rng);
-            if !spec.faults.events.is_empty() {
-                sim.set_fault_plane(fault_plane());
-            }
-            drive(&mut sim, &gn, spec, &scenario, &mut plane, scale, |s| {
-                let o = s.overhead();
-                (o.trials, o.total_msgs())
-            })
+        TrafficDriver::PropG => {
+            let sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
+            drive_prop(sim, &gn, spec, &scenario, &mut plane, scale)
+        }
+        TrafficDriver::PropO => {
+            let sim = ProtocolSim::new(net, PropConfig::prop_o(), &mut rng);
+            drive_prop(sim, &gn, spec, &scenario, &mut plane, scale)
         }
         TrafficDriver::Async => {
-            let mut sim = AsyncProtocolSim::new(net, PropConfig::prop_o(), &mut rng);
-            if !spec.faults.events.is_empty() {
-                sim.set_fault_plane(fault_plane());
-            }
-            drive(&mut sim, &gn, spec, &scenario, &mut plane, scale, |s| {
-                let st = s.stats();
-                (st.launched, st.exchanges)
-            })
+            let sim = AsyncProtocolSim::new(net, PropConfig::prop_o(), &mut rng);
+            drive_prop(sim, &gn, spec, &scenario, &mut plane, scale)
         }
         TrafficDriver::Selfish => {
             let mut sim = SelfishDriver(SelfishSim::new(net, SelfishConfig::default(), &mut rng));
@@ -216,6 +200,27 @@ pub fn run_scenario(spec: &ScenarioSpec, driver: TrafficDriver, scale: Scale) ->
 /// scenario (same plane, same apply-side RNG streams).
 pub fn run_comparison(spec: &ScenarioSpec, scale: Scale) -> Vec<TrafficRunReport> {
     TrafficDriver::COMPARE.into_iter().map(|d| run_scenario(spec, d, scale)).collect()
+}
+
+/// A PROP arm of [`run_scenario`] — the three differ in timing mode and
+/// config only: attach the scripted faults, if any, and pump, reading
+/// progress off the driver's [`prop_core::Overhead`].
+fn drive_prop<M: Timing>(
+    mut sim: PropSim<M>,
+    gn: &Gnutella,
+    spec: &ScenarioSpec,
+    scenario: &Scenario,
+    plane: &mut CompiledTraffic,
+    scale: Scale,
+) -> (TimeSeries, TrafficReport, bool, f64) {
+    if !spec.faults.events.is_empty() {
+        let sides = transit_bisection(scenario.phys(), &scenario.oracle);
+        sim.set_fault_plane(Box::new(prop_faults::compile(&spec.faults, &sides, spec.seed)));
+    }
+    drive(&mut sim, gn, spec, scenario, plane, scale, |s| {
+        let o = s.overhead();
+        (o.trials, o.total_msgs())
+    })
 }
 
 /// The generic pump: interleave plane events with protocol execution, one
@@ -519,6 +524,16 @@ mod tests {
             json::to_string(&b),
             "same (scenario, seed) must replay byte-for-byte"
         );
+    }
+
+    #[test]
+    fn async_rows_count_messages_not_exchanges() {
+        // A trial sends at least its walk, so messages bound trials from above.
+        let r = run_scenario(&tiny_spec(7), TrafficDriver::Async, Scale::Quick);
+        assert!(r.report.phases.iter().any(|p| p.trials > 0), "no trials ran");
+        for p in &r.report.phases {
+            assert!(p.msgs >= p.trials, "{}: {} msgs over {} trials", p.phase, p.msgs, p.trials);
+        }
     }
 
     #[test]

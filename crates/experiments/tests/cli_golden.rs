@@ -63,7 +63,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("results/traffic_diurnal-regional_prop-g.json", 0x9b3028bd39cea769),
     ("results/traffic_diurnal-regional_prop-o.json", 0x888c5dc9c0b28e91),
     ("results/traffic_diurnal-regional_selfish.json", 0xe1b376dc49541007),
-    ("results/traffic_flash-crowd_async.json", 0x65c86d951c64652b),
+    ("results/traffic_flash-crowd_async.json", 0x15bad2a7a537855e),
     ("results/traffic_flash-crowd_prop-o.json", 0x79c390aebf645c5e),
 ];
 

@@ -55,18 +55,6 @@ impl Scenario {
             faults: FaultScript::default(),
         }
     }
-
-    /// Attach a fault script.
-    pub fn with_faults(mut self, faults: FaultScript) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Re-seed a scenario (sweeps shard one scenario across many seeds).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -76,8 +64,10 @@ mod tests {
 
     fn sample() -> Scenario {
         let traffic = TrafficScript::preset_diurnal_regional(60_000, 24 * 60_000, 40, 1.0, 5.0);
-        Scenario::new("diurnal", "tiny", 24, 7, traffic)
-            .with_faults(FaultScript::new().loss(0, 0.05))
+        Scenario {
+            faults: FaultScript::new().loss(0, 0.05),
+            ..Scenario::new("diurnal", "tiny", 24, 7, traffic)
+        }
     }
 
     #[test]
@@ -109,14 +99,5 @@ mod tests {
         assert!(s.faults.events.is_empty());
         assert_eq!(s.traffic.domains.len(), 1);
         assert!(s.traffic.flash_crowds.is_empty(), "script defaults apply too");
-    }
-
-    #[test]
-    fn reseeding_changes_only_the_seed() {
-        let s = sample();
-        let t = s.clone().with_seed(99);
-        assert_eq!(t.seed, 99);
-        assert_eq!(s.traffic, t.traffic);
-        assert_eq!(s.name, t.name);
     }
 }

@@ -151,11 +151,6 @@ impl FaultScript {
         ws.sort_unstable();
         ws
     }
-
-    /// Is some partition window active at `t_ms`?
-    pub fn partition_active(&self, t_ms: u64) -> bool {
-        self.partition_windows().iter().any(|&(s, e)| s <= t_ms && t_ms < e)
-    }
 }
 
 #[cfg(test)]
@@ -193,9 +188,5 @@ mod tests {
     fn partition_windows_and_activity() {
         let s = demo();
         assert_eq!(s.partition_windows(), vec![(60_000, 90_000)]);
-        assert!(!s.partition_active(59_999));
-        assert!(s.partition_active(60_000));
-        assert!(s.partition_active(89_999));
-        assert!(!s.partition_active(90_000), "window is half-open");
     }
 }

@@ -27,13 +27,6 @@ pub fn degree_summary(g: &LogicalGraph) -> DegreeSummary {
     DegreeSummary { min: seq[0], max: *seq.last().unwrap(), mean, cv: var.sqrt() / mean }
 }
 
-/// L1 distance between two degree sequences of equal length — zero iff the
-/// multisets coincide (the PROP-O invariant).
-pub fn degree_sequence_distance(a: &[usize], b: &[usize]) -> usize {
-    assert_eq!(a.len(), b.len(), "populations differ");
-    a.iter().zip(b).map(|(&x, &y)| x.abs_diff(y)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,17 +58,5 @@ mod tests {
         let s = degree_summary(&g);
         assert_eq!(s.cv, 0.0);
         assert_eq!((s.min, s.max), (2, 2));
-    }
-
-    #[test]
-    fn sequence_distance() {
-        assert_eq!(degree_sequence_distance(&[1, 2, 3], &[1, 2, 3]), 0);
-        assert_eq!(degree_sequence_distance(&[1, 2, 3], &[2, 2, 5]), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "populations differ")]
-    fn distance_requires_equal_lengths() {
-        let _ = degree_sequence_distance(&[1], &[1, 2]);
     }
 }

@@ -48,11 +48,6 @@ impl FaultReport {
             },
         }
     }
-
-    /// Report over the window since `earlier` (saturating diff).
-    pub fn since(now: FaultCounters, earlier: &FaultCounters, messages_ruled: u64) -> Self {
-        Self::from_counters(now.since(earlier), messages_ruled)
-    }
 }
 
 impl std::fmt::Display for FaultReport {
@@ -98,15 +93,6 @@ mod tests {
     fn zero_denominator_is_safe() {
         let r = FaultReport::from_counters(sample(), 0);
         assert_eq!(r.drop_rate, 0.0);
-    }
-
-    #[test]
-    fn windowed_report_saturates() {
-        let later = FaultCounters { drops: 5, ..Default::default() };
-        let earlier = sample(); // counters "reset" below the snapshot
-        let r = FaultReport::since(later, &earlier, 100);
-        assert_eq!(r.drops, 0, "saturating diff must not underflow");
-        assert_eq!(r.crashed_aborts, 0);
     }
 
     #[test]

@@ -25,11 +25,9 @@
 //!   function of the pair list alone.
 
 pub mod ci;
-pub mod convergence;
 pub mod degree;
 pub mod faultstats;
 pub mod floodcost;
-pub mod histogram;
 pub mod latency;
 pub mod oraclestats;
 pub mod plane;
@@ -38,10 +36,8 @@ pub mod timeseries;
 pub mod trafficstats;
 
 pub use ci::{t_critical_95, MetricSummary};
-pub use convergence::{convergence, Convergence};
 pub use faultstats::FaultReport;
 pub use floodcost::{flood_messages, mean_flood_messages};
-pub use histogram::{class_breakdown, ClassBreakdown, LatencyCdf};
 pub use latency::{avg_lookup_latency, LatencySummary};
 pub use oraclestats::{OracleCacheReport, OracleEmbedReport};
 pub use plane::{warm_pair_rows, MEASURE_CHUNK};

@@ -59,16 +59,6 @@ impl TimeSeries {
         let last = self.last_value()?;
         (first != 0.0).then(|| (first - last) / first)
     }
-
-    /// Render as aligned text rows (`minutes value`), for experiment logs.
-    pub fn to_rows(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for &(t, v) in &self.points {
-            let _ = writeln!(out, "{t:>8.1}  {v:>12.3}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -114,12 +104,6 @@ mod tests {
         assert!(ts.is_empty());
         assert_eq!(ts.improvement(), None);
         assert_eq!(ts.min_value(), None);
-    }
-
-    #[test]
-    fn rows_render_one_line_per_point() {
-        let ts = series();
-        assert_eq!(ts.to_rows().lines().count(), 4);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Single-source shortest paths over link latencies.
 //!
-//! One binary-heap Dijkstra, [`search`], over a *selected sub-graph* of a
+//! One binary-heap Dijkstra, `search`, over a *selected sub-graph* of a
 //! [`PhysGraph`]: the caller's `slot` function names the nodes that belong
 //! to the search and where each keeps its distance. [`shortest_paths`] is
 //! the whole-graph instance (every node, at its own index) — the general
 //! kernel any topology can use, and the reference every faster path is
-//! tested against. [`crate::decomp`] runs the same routine confined to one
+//! tested against. `crate::decomp` runs the same routine confined to one
 //! stub domain or to the transit core, which is what makes a latency row on
 //! a transit–stub graph cost a domain, not the graph.
 //!
@@ -62,14 +62,6 @@ pub fn shortest_paths(g: &PhysGraph, src: PhysNodeId) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; g.num_nodes()];
     search(g, src, &mut dist, &mut Frontier::new(), |v| Some(v as usize));
     dist
-}
-
-/// Shortest-path latency (ms) between two nodes, or [`UNREACHABLE`].
-///
-/// Convenience for tests and one-off queries; bulk users go through
-/// [`crate::LatencyOracle`].
-pub fn distance(g: &PhysGraph, a: PhysNodeId, b: PhysNodeId) -> u32 {
-    shortest_paths(g, a)[b.index()]
 }
 
 #[cfg(test)]
@@ -129,12 +121,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn distance_helper_matches() {
-        let g = line_with_shortcut();
-        assert_eq!(distance(&g, PhysNodeId(0), PhysNodeId(3)), 13);
-        assert_eq!(distance(&g, PhysNodeId(2), PhysNodeId(2)), 0);
     }
 }

@@ -97,12 +97,6 @@ pub struct EmbedConfig {
     pub seed: u64,
 }
 
-// An absent knob keeps its default.
-prop_engine::json_impl!(FromJson for struct EmbedConfig [default] {
-    dims, landmarks, landmark_rounds, member_rounds, calibration_sources, calibration_targets,
-    fallback_percentile, margin_scale, seed
-});
-
 impl Default for EmbedConfig {
     fn default() -> Self {
         EmbedConfig {
@@ -551,24 +545,6 @@ impl EmbedOracle {
     /// Euclidean dimensionality of the fitted space.
     pub fn dims(&self) -> usize {
         self.dims
-    }
-
-    /// Deterministic stride-sampled estimate of the mean ordered-pair
-    /// latency from the embedding (O(64 · n), no graph work).
-    pub fn mean_pairwise_latency(&self) -> f64 {
-        let n = self.heights.len();
-        if n == 0 {
-            return f64::NAN;
-        }
-        let k = n.min(64);
-        let mut total = 0.0f64;
-        for i in 0..k {
-            let src = i * n / k;
-            for b in 0..n {
-                total += self.estimate(src, b).ceil();
-            }
-        }
-        total / (k as f64 * n as f64)
     }
 
     /// Number of members.

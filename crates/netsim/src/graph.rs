@@ -97,10 +97,6 @@ impl PhysGraphBuilder {
         self.edge_set.contains(&Self::norm(a, b))
     }
 
-    pub fn num_nodes(&self) -> usize {
-        self.classes.len()
-    }
-
     /// Freeze into the immutable CSR form.
     pub fn build(self) -> PhysGraph {
         let n = self.classes.len();

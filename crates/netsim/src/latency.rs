@@ -50,26 +50,13 @@ pub struct OracleConfig {
     pub embed: EmbedConfig,
 }
 
-fn default_embed_threshold() -> usize {
-    150_000
-}
-
-// Configs written before the coord-embed tier existed lack its two fields.
-prop_engine::json_impl!(FromJson for struct OracleConfig {
-    dense_threshold,
-    cache_capacity_bytes,
-    cache_shards,
-    embed_threshold [default = default_embed_threshold()],
-    embed [default]
-});
-
 impl Default for OracleConfig {
     fn default() -> Self {
         OracleConfig {
             dense_threshold: 4096,
             cache_capacity_bytes: 512 << 20,
             cache_shards: 16,
-            embed_threshold: default_embed_threshold(),
+            embed_threshold: 150_000,
             embed: EmbedConfig::default(),
         }
     }
@@ -149,17 +136,6 @@ mod tests {
         let e = OracleConfig::embedded();
         assert_eq!(e.dense_threshold, 0);
         assert_eq!(e.embed_threshold, 0);
-    }
-
-    #[test]
-    fn config_deserializes_without_embed_fields() {
-        // Configs serialized before the coord-embed tier existed must keep
-        // loading (and must route exactly as they used to).
-        let legacy = r#"{"dense_threshold":4096,"cache_capacity_bytes":1048576,"cache_shards":4}"#;
-        let c: OracleConfig = prop_engine::json::from_str(legacy).unwrap();
-        assert_eq!(c.dense_threshold, 4096);
-        assert_eq!(c.embed_threshold, 150_000);
-        assert_eq!(c.embed, crate::embed::EmbedConfig::default());
     }
 
     #[test]

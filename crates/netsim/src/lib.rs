@@ -7,7 +7,7 @@
 //!
 //! * [`PhysGraph`] — an undirected, latency-weighted graph with per-node
 //!   transit/stub classification.
-//! * [`TransitStubParams`] / [`generate`](transit_stub::generate) — the
+//! * [`TransitStubParams`] / [`generate`] — the
 //!   generator, with the paper's two presets
 //!   [`TransitStubParams::ts_large`] and [`TransitStubParams::ts_small`].
 //! * [`dijkstra`] — single-source shortest paths over link latencies: the

@@ -17,11 +17,11 @@
 //!   error margin and an exact-escalation path through an internal
 //!   row-cache tier. See [`crate::embed`].
 //!
-//! Exact rows come from the one row kernel ([`crate::decomp`]):
+//! Exact rows come from the one row kernel (`crate::decomp`):
 //! arithmetic over the verified transit–stub decomposition where the
 //! graph has it, whole-graph Dijkstra where it does not. The tiers differ
 //! in what they keep, not in how a row is made. One producer is not on
-//! the kernel yet — the row a single `d` / `row` miss computes; see
+//! the kernel yet — the row a single `d` miss computes; see
 //! `CachedOracle::demand_row`.
 //!
 //! Construction routes on [`OracleConfig::dense_threshold`] and
@@ -104,16 +104,6 @@ impl DenseOracle {
         })
     }
 
-    /// Mean latency over all ordered member pairs (exact; the paper's Eq. 3
-    /// "average latency" with `d(i,i) = 0`).
-    pub fn mean_pairwise_latency(&self) -> f64 {
-        if self.n == 0 {
-            return f64::NAN;
-        }
-        let total: u64 = self.matrix.iter().map(|&d| d as u64).sum();
-        total as f64 / (self.n as f64 * self.n as f64)
-    }
-
     /// Number of members.
     #[inline]
     pub fn len(&self) -> usize {
@@ -193,7 +183,7 @@ impl CachedOracle {
         self.try_compute_row(src).expect("connectivity was validated at construction")
     }
 
-    /// The row a miss inside [`Self::row`] or [`Self::d`] asks for: a
+    /// The row a miss inside [`Self::d`] asks for: a
     /// whole-graph Dijkstra, as it was before the row kernel, and the only
     /// row still made that way on a graph the kernel decomposes.
     ///
@@ -211,17 +201,6 @@ impl CachedOracle {
             row.iter().all(|&d| d != UNREACHABLE),
             "connectivity was validated at construction"
         );
-        row
-    }
-
-    /// The cached row for `src`, computing and inserting it on a miss.
-    pub fn row(&self, src: MemberIdx) -> Arc<[u32]> {
-        if let Some(r) = self.cache.get(src) {
-            return r;
-        }
-        self.cache.record_miss();
-        let row = self.demand_row(src);
-        self.cache.insert(src, Arc::clone(&row));
         row
     }
 
@@ -253,23 +232,6 @@ impl CachedOracle {
     /// Cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Deterministic *estimate* of the mean ordered-pair latency, averaged
-    /// over up to 64 stride-sampled source rows (an exact mean would need
-    /// all n Dijkstras — the very cost this tier exists to avoid).
-    pub fn mean_pairwise_latency(&self) -> f64 {
-        let n = self.members.len();
-        if n == 0 {
-            return f64::NAN;
-        }
-        let k = n.min(64);
-        let mut total: u64 = 0;
-        for i in 0..k {
-            let src = i * n / k;
-            total += self.row(src).iter().map(|&d| d as u64).sum::<u64>();
-        }
-        total as f64 / (k as f64 * n as f64)
     }
 
     /// Number of members.
@@ -495,18 +457,6 @@ impl LatencyOracle {
         }
     }
 
-    /// Mean latency over all ordered member pairs (the paper's Eq. 3
-    /// "average latency" over the member population, with `d(i,i) = 0`).
-    /// Exact on the dense tier; a deterministic 64-row sample estimate on
-    /// the row-cache and embedded tiers.
-    pub fn mean_pairwise_latency(&self) -> f64 {
-        match self {
-            LatencyOracle::Dense(o) => o.mean_pairwise_latency(),
-            LatencyOracle::Cached(o) => o.mean_pairwise_latency(),
-            LatencyOracle::Embedded(o) => o.mean_pairwise_latency(),
-        }
-    }
-
     /// Which tier is live — for logs and experiment reports.
     pub fn tier(&self) -> &'static str {
         match self {
@@ -683,13 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_pairwise_latency_positive() {
-        let o = tiny_oracle(10, 6);
-        let m = o.mean_pairwise_latency();
-        assert!(m > 0.0 && m.is_finite());
-    }
-
-    #[test]
     #[should_panic(expected = "stub hosts")]
     fn oversubscription_rejected() {
         let _ = tiny_oracle(1000, 7);
@@ -842,15 +785,5 @@ mod tests {
         let cached = tiny_cached(10, 21, 1 << 20);
         assert_eq!(cached.var_margin_per_term(), 0.0);
         assert!(cached.embed_stats().is_none());
-    }
-
-    #[test]
-    fn cached_mean_pairwise_estimate_is_close() {
-        let dense = tiny_oracle(30, 14);
-        let cached = tiny_cached(30, 14, 1 << 20);
-        let exact = dense.mean_pairwise_latency();
-        let est = cached.mean_pairwise_latency();
-        // 30 ≤ 64 sources ⇒ the "estimate" covers every row and is exact.
-        assert!((exact - est).abs() < 1e-9, "exact {exact}, estimate {est}");
     }
 }

@@ -211,11 +211,7 @@ impl Lookup for Can {
         let target = self.zones[dst.index()].center();
         let path = self.route_path(net.graph(), src, target);
         debug_assert_eq!(*path.last().unwrap(), dst);
-        let mut latency = 0u64;
-        for w in path.windows(2) {
-            latency += net.d(w[0], w[1]) as u64 + net.proc_delay(w[1]) as u64;
-        }
-        Some(RouteOutcome { latency_ms: latency, hops: (path.len() - 1) as u32 })
+        Some(net.route_outcome(&path))
     }
 }
 

@@ -309,11 +309,7 @@ impl Lookup for Chord {
     fn lookup(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<RouteOutcome> {
         let path = self.route_path(src, self.ids[dst.index()]);
         debug_assert_eq!(*path.last().unwrap(), dst);
-        let mut latency: u64 = 0;
-        for w in path.windows(2) {
-            latency += net.d(w[0], w[1]) as u64 + net.proc_delay(w[1]) as u64;
-        }
-        Some(RouteOutcome { latency_ms: latency, hops: (path.len() - 1) as u32 })
+        Some(net.route_outcome(&path))
     }
 }
 

@@ -14,6 +14,7 @@
 use crate::logical::{LogicalGraph, Slot};
 use crate::placement::Placement;
 use crate::walk::{random_walk_into, WalkScratch};
+use crate::RouteOutcome;
 use prop_engine::SimRng;
 use prop_netsim::oracle::MemberIdx;
 use prop_netsim::LatencyOracle;
@@ -76,8 +77,8 @@ impl FloodScratch {
         }
     }
 
-    /// Cumulative neighbor examinations across all floods since the last
-    /// [`FloodScratch::reset_counters`] (the last-hop stamps included).
+    /// Cumulative neighbor examinations across all floods (the last-hop
+    /// stamps included).
     pub fn edges_scanned(&self) -> u64 {
         self.edges_scanned
     }
@@ -90,12 +91,6 @@ impl FloodScratch {
     /// Cumulative slots admitted to a next frontier (post-dedup).
     pub fn frontier_pushes(&self) -> u64 {
         self.frontier_pushes
-    }
-
-    pub fn reset_counters(&mut self) {
-        self.edges_scanned = 0;
-        self.improvements = 0;
-        self.frontier_pushes = 0;
     }
 
     /// The shared flood engine: hop-bounded Bellman–Ford from `src` toward
@@ -317,16 +312,6 @@ impl OverlayNet {
         self.oracle.d(self.placement.peer(a), self.placement.peer(b))
     }
 
-    /// *Exact* physical latency between the peers at two slots — identical
-    /// to [`Self::d`] on the exact oracle tiers; on the coordinate-embedded
-    /// tier it escalates through the internal row cache. The Var fallback
-    /// band (`prop-core`'s `exchange::decide`) re-evaluates borderline
-    /// plans with this.
-    #[inline]
-    pub fn d_exact(&self, a: Slot, b: Slot) -> u32 {
-        self.oracle.d_exact(self.placement.peer(a), self.placement.peer(b))
-    }
-
     /// Processing delay (ms) of the peer at `s`; zero when heterogeneity is
     /// disabled.
     #[inline]
@@ -338,15 +323,20 @@ impl OverlayNet {
         }
     }
 
+    /// What a routed lookup along `path` (source first) costs: every link,
+    /// plus the processing delay of each *receiving* peer, destination
+    /// included and source excluded — the same charge a flood makes.
+    pub fn route_outcome(&self, path: &[Slot]) -> RouteOutcome {
+        let mut latency_ms = 0u64;
+        for w in path.windows(2) {
+            latency_ms += self.d(w[0], w[1]) as u64 + self.proc_delay(w[1]) as u64;
+        }
+        RouteOutcome { latency_ms, hops: (path.len() - 1) as u32 }
+    }
+
     /// Σ_{i ∈ N(s)} d(s, i) — the per-node term of the paper's Var (Eq. 2).
     pub fn neighbor_latency_sum(&self, s: Slot) -> u64 {
         self.graph.neighbors(s).iter().map(|&n| self.d(s, n) as u64).sum()
-    }
-
-    /// Hypothetical Σ d(s, i) if `s` had exactly the neighbor set `ns` —
-    /// the "t₁" terms of Var, evaluated without mutating anything.
-    pub fn latency_sum_over(&self, s: Slot, ns: &[Slot]) -> u64 {
-        ns.iter().map(|&n| self.d(s, n) as u64).sum()
     }
 
     /// Total latency over all logical links (each edge once), in ms.
@@ -545,6 +535,16 @@ mod tests {
         let link_only: u64 = lat - 50 * hops as u64;
         assert!(link_only > 0);
         assert!(hops >= 1);
+    }
+
+    #[test]
+    fn route_outcome_charges_links_and_receivers_not_the_source() {
+        let (mut net, oracle) = small_net(4, 9);
+        net.set_processing_delays(vec![1000, 200, 30, 4]);
+        let links = (oracle.d(0, 1) + oracle.d(1, 2) + oracle.d(2, 3)) as u64;
+        let out = net.route_outcome(&[Slot(0), Slot(1), Slot(2), Slot(3)]);
+        assert_eq!(out, RouteOutcome { latency_ms: links + 200 + 30 + 4, hops: 3 });
+        assert_eq!(net.route_outcome(&[Slot(2)]), RouteOutcome { latency_ms: 0, hops: 0 });
     }
 
     #[test]

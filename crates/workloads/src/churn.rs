@@ -60,15 +60,6 @@ impl ChurnTrace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Events within `[from, to)`.
-    pub fn in_window(
-        &self,
-        from: SimTime,
-        to: SimTime,
-    ) -> impl Iterator<Item = (SimTime, ChurnOp)> + '_ {
-        self.events.iter().copied().filter(move |&(t, _)| t >= from && t < to)
-    }
 }
 
 #[cfg(test)]
@@ -108,19 +99,5 @@ mod tests {
         let trace =
             ChurnTrace::poisson(SimTime::ZERO, Duration::from_minutes(60), 0.0, 0.0, &mut rng);
         assert!(trace.is_empty());
-    }
-
-    #[test]
-    fn window_filter() {
-        let mut rng = SimRng::seed_from(4);
-        let trace =
-            ChurnTrace::poisson(SimTime::ZERO, Duration::from_minutes(60), 5.0, 5.0, &mut rng);
-        let mid_from = SimTime::ZERO + Duration::from_minutes(20);
-        let mid_to = SimTime::ZERO + Duration::from_minutes(40);
-        let mid: Vec<_> = trace.in_window(mid_from, mid_to).collect();
-        assert!(!mid.is_empty());
-        for (t, _) in mid {
-            assert!(t >= mid_from && t < mid_to);
-        }
     }
 }

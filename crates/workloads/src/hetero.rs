@@ -1,8 +1,8 @@
 //! Bimodal node heterogeneity (§5.3).
 //!
 //! "There are two kinds of nodes — fast and slow. The processing delay of
-//! the fast nodes is 1[0] ms, while the delay of the slow ones is [100] ms.
-//! The fraction of fast nodes is [20]% of the total population" (defaults
+//! the fast nodes is 1\[0\] ms, while the delay of the slow ones is \[100\] ms.
+//! The fraction of fast nodes is \[20\]% of the total population" (defaults
 //! reconstructed per DESIGN.md §3; the setting follows Dabek et al.'s
 //! bimodal distribution). Total lookup delay = link delay + per-hop
 //! processing delay, so fast nodes model powerful, well-provisioned peers.

@@ -1,7 +1,7 @@
 //! Lookup-pair generators.
 //!
 //! A lookup is "peer `src` retrieves an object held by peer `dst`". The
-//! Gnutella experiments average "1[0,000] lookup operations"; the Fig. 7
+//! Gnutella experiments average "1\[0,000\] lookup operations"; the Fig. 7
 //! experiment skews destinations toward fast nodes with a controllable
 //! fraction.
 

@@ -64,11 +64,6 @@ impl PopularityProcess {
         PopularityProcess { catalog, phases }
     }
 
-    /// Number of catalog ranks.
-    pub fn catalog(&self) -> u32 {
-        self.catalog
-    }
-
     fn phase_at(&self, t_ms: u64) -> &Phase {
         let i = self.phases.partition_point(|p| p.from_ms <= t_ms);
         &self.phases[i.saturating_sub(1).min(self.phases.len() - 1)]

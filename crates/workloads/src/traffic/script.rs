@@ -216,11 +216,6 @@ impl TrafficScript {
         (self.hour_of_ms(t_ms) / 6) as usize
     }
 
-    /// Label for a [`TrafficScript::phase_of_ms`] index.
-    pub fn phase_label(idx: usize) -> &'static str {
-        PHASES[idx % PHASES.len()]
-    }
-
     /// Sum of the domains' baseline lookup rates (events/min) — the
     /// reference a [`FlashCrowd::multiplier`] scales.
     pub fn base_lookup_rate_per_min(&self) -> f64 {
@@ -311,7 +306,6 @@ mod tests {
         assert_eq!(s.phase_of_ms(12_500), 2);
         assert_eq!(s.phase_of_ms(18_000), 3);
         assert_eq!(s.phase_of_ms(24_000), 0, "day 2 wraps");
-        assert_eq!(TrafficScript::phase_label(2), "afternoon");
     }
 
     #[test]

@@ -42,14 +42,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Sample a rank.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         let u = rng.unit();
