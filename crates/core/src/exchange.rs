@@ -300,7 +300,7 @@ mod tests {
     use super::*;
     use prop_engine::SimRng;
     use prop_netsim::graph::{LinkClass, NodeClass, PhysGraphBuilder};
-    use prop_netsim::LatencyOracle;
+    use prop_netsim::{LatencyOracle, OracleConfig};
     use prop_overlay::walk::random_walk;
     use prop_overlay::{LogicalGraph, Placement};
     use std::sync::Arc;
@@ -313,7 +313,9 @@ mod tests {
             b.add_link(w[0], w[1], 10, LinkClass::TransitTransit);
         }
         let g = b.build();
-        Arc::new(LatencyOracle::build(&g, ids))
+        Arc::new(
+            LatencyOracle::try_build_with(&g, ids, &OracleConfig::default()).expect("connected"),
+        )
     }
 
     fn net_from(adj: &[(u32, u32)], n: usize) -> OverlayNet {

@@ -54,10 +54,18 @@ use std::marker::PhantomData;
 /// strictly ordered), but the *latency rows* they will need are
 /// independent, so the driver warms the oracle's row cache for the next
 /// batch of pending events (tick origins, in-flight walk endpoints) in one
-/// parallel pass before popping them. Warming only moves rows into the
+/// serial pass before popping them. Warming only moves rows into the
 /// cache — verdicts, RNG draws, and counters are untouched — so any batch
 /// size, including 1 (prefetch off), produces bit-identical runs
 /// (`tests::trial_batching_is_observation_free`).
+///
+/// What it buys today is the row's price, not overlap: a warmed row is a
+/// row-kernel row, a row a `d` miss demands is still a whole-graph
+/// Dijkstra (`prop_netsim`'s `RowStore::demand_row`). Without the prefetch
+/// the benchmark's `scale_rowcache` fell from 15.7k to 7.1k trials/s and
+/// `scale_embed` from 14.5k to 7.5k, digests equal (seed 1, 8 s, one run
+/// each, PR 20). It stays until demand misses are on the kernel too
+/// (ROADMAP item 3).
 const DEFAULT_TRIAL_BATCH: usize = 64;
 
 /// §4.3 cost accounting, cumulative since simulation start.
@@ -330,7 +338,7 @@ impl<M: Timing> PropSim<M> {
 
     /// Run all events up to and including `deadline`. Every `trial_batch`
     /// pops, the oracle rows the pending events will touch are warmed in
-    /// one parallel pass (a no-op on the dense tier).
+    /// one serial pass (a no-op on the dense tier).
     pub fn run_until(&mut self, deadline: SimTime) {
         let mut credit = 0usize;
         while let Some((_, ev)) = self.events.pop_until(deadline) {

@@ -175,11 +175,13 @@ pub fn churn(scale: Scale, seed: u64) -> ChurnReport {
             sim.run_until(et);
             match op {
                 ChurnOp::Leave => {
-                    let live: Vec<Slot> = sim.net().graph().live_slots().collect();
-                    if live.len() <= 8 {
+                    let g = sim.net().graph();
+                    if g.num_live() <= 8 {
                         continue;
                     }
-                    let victim = *churn_rng.pick(&live).unwrap();
+                    // The draw `pick` over the collected live slots made.
+                    let rank = churn_rng.pick_rank(g.num_live()).expect("more than 8 live");
+                    let victim = g.live_slot_at_rank(rank).expect("rank within live population");
                     let peer = sim.net().peer(victim);
                     let affected: Vec<Slot> = sim.net().graph().neighbors(victim).to_vec();
                     gn.leave(sim.net_mut(), victim, &mut churn_rng);

@@ -8,9 +8,10 @@
 
 use crate::registry::{self, Experiment};
 use crate::report::print_report;
-use crate::setup::{OracleTier, Scale};
+use crate::setup::Scale;
 use crate::sweep::GateSpec;
 use crate::traffic::{ScenarioError, TrafficDriver, BUILTIN_SCENARIOS};
+use prop_netsim::Tier;
 use std::fmt;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -34,7 +35,7 @@ pub enum Flag {
     N,
     Samples,
     Floor,
-    OracleTier,
+    Tier,
     BudgetSecs,
     /// Not spelt: the positional argument names a builtin scenario or a
     /// scenario file instead of a panel.
@@ -56,9 +57,14 @@ const SPELLINGS: [(Flag, &str, &str); 15] = [
     (Flag::N, "--n", "MEMBERS"),
     (Flag::Samples, "--samples", "N"),
     (Flag::Floor, "--floor", "RATE"),
-    (Flag::OracleTier, "--oracle-tier", "auto|dense|cached|embedded"),
+    (Flag::Tier, "--oracle-tier", "auto|dense|cached|embedded"),
     (Flag::BudgetSecs, "--budget-secs", "S"),
 ];
+
+/// The fewest members `--n` accepts: the experiments that take it build a
+/// Gnutella overlay, whose seed clique is `links_per_join + 1` slots.
+const MIN_MEMBERS: usize = 5;
+const MEMBERS_EXPECTED: &str = "a member count ≥ 5";
 
 /// A parsed invocation of one experiment.
 #[derive(Clone, Debug, PartialEq)]
@@ -83,7 +89,7 @@ pub struct Args {
     pub n: Option<usize>,
     pub samples: Option<usize>,
     pub floor: f64,
-    pub oracle_tier: OracleTier,
+    pub oracle_tier: Tier,
     pub budget_secs: Option<u64>,
 }
 
@@ -104,7 +110,7 @@ impl Default for Args {
             n: None,
             samples: None,
             floor: 0.99,
-            oracle_tier: OracleTier::Auto,
+            oracle_tier: Tier::Auto,
             budget_secs: None,
         }
     }
@@ -229,7 +235,8 @@ pub fn parse(argv: &[String], exp: &Experiment) -> Result<Args, CliError> {
         }
         // A flag's value is the argument after it, whatever that looks like.
         let raw = if placeholder.is_empty() { None } else { rest.next() };
-        let count = |s: &str| s.parse::<usize>().ok().filter(|&n| n > 0);
+        let at_least = |min: usize| move |s: &str| s.parse::<usize>().ok().filter(|&n| n >= min);
+        let count = at_least(1);
         let number = |s: &str| s.parse::<f64>().ok().filter(|x| x.is_finite());
         let text = |s: &str| Some(s.to_string());
         match flag {
@@ -246,12 +253,12 @@ pub fn parse(argv: &[String], exp: &Experiment) -> Result<Args, CliError> {
             }
             Flag::MinDelivery => args.min_delivery = Some(value(arg, raw, "a number", number)?),
             Flag::MaxStretch => args.max_stretch = Some(value(arg, raw, "a number", number)?),
-            Flag::N => args.n = Some(value(arg, raw, "a member count ≥ 1", count)?),
+            Flag::N => args.n = Some(value(arg, raw, MEMBERS_EXPECTED, at_least(MIN_MEMBERS))?),
             Flag::Samples => args.samples = Some(value(arg, raw, "a count ≥ 1", count)?),
             Flag::Floor => args.floor = value(arg, raw, "a number", number)?,
-            Flag::OracleTier => {
+            Flag::Tier => {
                 let expected = "one of auto, dense, cached, embedded";
-                args.oracle_tier = value(arg, raw, expected, OracleTier::parse)?
+                args.oracle_tier = value(arg, raw, expected, Tier::parse)?
             }
             Flag::BudgetSecs => {
                 args.budget_secs = Some(value(arg, raw, "whole seconds", |s| s.parse().ok())?)
@@ -369,7 +376,11 @@ mod tests {
             ("fig6 --seeds 0", "--seeds needs a seed count ≥ 1, got `0`"),
             ("fig6 --seeds 2 --gate nope", "--gate needs METRIC=MAX_CI95, got `nope`"),
             ("scale --oracle-tier warp", "--oracle-tier needs one of auto, dense, cached, embedded, got `warp`"),
-            ("scale --n -3", "--n needs a member count ≥ 1, got `-3`"),
+            ("scale --n -3", "--n needs a member count ≥ 5, got `-3`"),
+            ("scale --n 0", "--n needs a member count ≥ 5, got `0`"),
+            // Printed half a report, then panicked in `Gnutella::build`.
+            ("scale --quick --n 3", "--n needs a member count ≥ 5, got `3`"),
+            ("embed_agreement --quick --n 4 --samples 5", "--n needs a member count ≥ 5, got `4`"),
             ("traffic --driver nope", "--driver needs one of prop-g, prop-o, async, selfish, both, compare, got `nope`"),
             ("traffic --min-delivery lots", "--min-delivery needs a number, got `lots`"),
             ("embed_agreement --floor", "--floor needs a number"),
@@ -383,6 +394,10 @@ mod tests {
                 Ok(args) => panic!("`prop {line}` was accepted: {args:?}"),
             }
         }
+        // The floor on `--n` is the smallest overlay `Gnutella::build` accepts.
+        let links = prop_overlay::gnutella::GnutellaParams::default().links_per_join;
+        assert_eq!(MIN_MEMBERS, links + 1);
+        assert!(parse_line("scale --quick --n 5").is_ok());
     }
 
     #[test]
@@ -469,7 +484,7 @@ mod tests {
                 Args {
                     n: Some(100_000),
                     budget_secs: Some(900),
-                    oracle_tier: OracleTier::Embedded,
+                    oracle_tier: Tier::Embedded,
                     ..quick()
                 },
             ),

@@ -19,12 +19,11 @@
 //! exits non-zero when the agreement rate falls below `--floor` — the CI
 //! gate for the embedding's decision quality.
 
-use crate::setup::OracleTier;
 use prop_core::exchange::{plan_propg, plan_propo};
 use prop_core::{decide, exact_var, PropConfig};
 use prop_engine::{json_impl, SimRng};
 use prop_metrics::OracleEmbedReport;
-use prop_netsim::{generate, LatencyOracle, TransitStubParams};
+use prop_netsim::{generate, LatencyOracle, OracleConfig, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 use prop_overlay::walk::WalkPath;
 use prop_overlay::Slot;
@@ -63,7 +62,7 @@ json_impl!(ToJson for struct AgreementReport {
 pub fn run(n: usize, samples: usize, seed: u64) -> AgreementReport {
     let mut rng = SimRng::seed_from(seed);
     let phys = generate(&TransitStubParams::scaled(n), &mut rng);
-    let cfg = OracleTier::Embedded.config(512 << 20);
+    let cfg = OracleConfig::embedded();
     let oracle = Arc::new(LatencyOracle::select_and_build_with(&phys, n, &mut rng, &cfg));
     let mut grng = rng.fork("gnutella");
     let (_gn, net) = Gnutella::build(GnutellaParams::default(), Arc::clone(&oracle), &mut grng);

@@ -41,4 +41,4 @@ pub mod setup;
 pub mod sweep;
 pub mod traffic;
 
-pub use setup::{OracleTier, Scale, Scenario, Topology};
+pub use setup::{Scale, Scenario, Topology};

@@ -158,7 +158,7 @@ pub static EXPERIMENTS: [Experiment; 9] = [
         name: "scale",
         panels: &[panel!("", "S1", "scale", "oracle query storm and PROP warm-up at 2,000 to 100,000 members under a 512 MiB cap (S5: `--n 1000000`)")],
         unit: None,
-        flags: &[Flag::OracleTier, Flag::N, Flag::BudgetSecs],
+        flags: &[Flag::Tier, Flag::N, Flag::BudgetSecs],
         run: scale::run,
     },
 ];

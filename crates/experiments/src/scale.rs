@@ -36,7 +36,7 @@ use crate::setup::Scale;
 use prop_core::{PropConfig, ProtocolSim};
 use prop_engine::{json_impl, Duration, SimRng};
 use prop_metrics::{OracleCacheReport, OracleEmbedReport};
-use prop_netsim::{generate, LatencyOracle, OracleConfig, TransitStubParams};
+use prop_netsim::{generate, LatencyOracle, OracleConfig, Tier, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 use prop_overlay::{OverlayNet, Slot};
 use std::process::ExitCode;
@@ -89,7 +89,7 @@ pub fn run(_: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
         Scale::Paper => (&[2_000, 50_000, 100_000], 1_000_000, 5),
         Scale::Quick => (&[2_000, 5_000, 20_000], 200_000, 3),
     };
-    let cfg = args.oracle_tier.config(CACHE_CAP_BYTES);
+    let cfg = OracleConfig { tier: args.oracle_tier, cache_capacity_bytes: CACHE_CAP_BYTES };
 
     let start = Instant::now();
     let reports: Vec<SizeReport> = args
@@ -142,7 +142,7 @@ fn run_size(
     // so a batch never evicts its own rows. On the coordinate-embedded
     // tier `d(u,v)` never touches a row, so warming would only run
     // Dijkstras the storm doesn't need — skip it there.
-    let warm = oracle.tier() != "coord-embed";
+    let warm = oracle.built_tier() != Tier::Embedded;
     let mark = oracle.cache_stats().unwrap_or_default();
     let embed_mark = oracle.embed_stats().unwrap_or_default();
     let t0 = Instant::now();
@@ -267,7 +267,7 @@ fn batched_stretch(net: &OverlayNet, rows_per_batch: usize) -> f64 {
     let slots: Vec<Slot> = g.live_slots().collect();
     let mut total = 0u64;
     let mut edges = 0u64;
-    let warm = net.oracle().tier() != "coord-embed";
+    let warm = net.oracle().built_tier() != Tier::Embedded;
     for chunk in slots.chunks(rows_per_batch.max(1)) {
         if warm {
             net.warm_latency_rows(chunk);

@@ -49,50 +49,6 @@ impl Topology {
     }
 }
 
-/// Which latency-oracle tier an experiment forces. `Auto` lets the member
-/// count pick through the config thresholds (the production default); the
-/// others pin the tier regardless of size, so the same workload can be
-/// compared across the dense, row-cache, and coordinate-embedded paths.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OracleTier {
-    Auto,
-    Dense,
-    Cached,
-    Embedded,
-}
-
-impl OracleTier {
-    /// Parse an `--oracle-tier` argument.
-    pub fn parse(s: &str) -> Option<OracleTier> {
-        match s {
-            "auto" => Some(OracleTier::Auto),
-            "dense" => Some(OracleTier::Dense),
-            "cached" | "row-cache" => Some(OracleTier::Cached),
-            "embedded" | "coord-embed" => Some(OracleTier::Embedded),
-            _ => None,
-        }
-    }
-
-    /// The forcing [`OracleConfig`], with the row cache (the tier itself on
-    /// `Cached`, the escalation cache on `Embedded`) capped at
-    /// `cache_capacity_bytes`.
-    pub fn config(self, cache_capacity_bytes: usize) -> OracleConfig {
-        match self {
-            OracleTier::Auto => OracleConfig { cache_capacity_bytes, ..OracleConfig::default() },
-            OracleTier::Dense => OracleConfig {
-                dense_threshold: usize::MAX,
-                embed_threshold: usize::MAX,
-                cache_capacity_bytes,
-                ..OracleConfig::default()
-            },
-            OracleTier::Cached => OracleConfig::cached(cache_capacity_bytes),
-            OracleTier::Embedded => {
-                OracleConfig { cache_capacity_bytes, ..OracleConfig::embedded() }
-            }
-        }
-    }
-}
-
 /// Experiment scale: the paper's parameterization or a fast smoke-test one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
@@ -166,7 +122,7 @@ impl Scenario {
     }
 
     /// [`Scenario::build`] with an explicit oracle config — how the
-    /// tier-comparison experiments pin a tier (see [`OracleTier::config`]).
+    /// tier-comparison experiments pin a tier ([`OracleConfig::tier`]).
     /// The RNG consumption is identical to `build`, so two scenarios that
     /// differ only in config share topology, membership, and overlays.
     pub fn build_with(topology: Topology, n: usize, seed: u64, cfg: &OracleConfig) -> Self {
@@ -328,6 +284,7 @@ pub fn panel<C: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prop_netsim::Tier;
 
     #[test]
     fn scenario_builds_consistently() {
@@ -350,26 +307,17 @@ mod tests {
 
     #[test]
     fn oracle_tier_parse_and_config_force_tiers() {
-        for (s, t) in [
-            ("auto", OracleTier::Auto),
-            ("dense", OracleTier::Dense),
-            ("cached", OracleTier::Cached),
-            ("row-cache", OracleTier::Cached),
-            ("embedded", OracleTier::Embedded),
-            ("coord-embed", OracleTier::Embedded),
+        // What `--oracle-tier` accepts, through to the oracle a scenario holds.
+        for (spelt, expect) in [
+            ("auto", "dense"),
+            ("dense", "dense"),
+            ("cached", "row-cache"),
+            ("embedded", "coord-embed"),
         ] {
-            assert_eq!(OracleTier::parse(s), Some(t));
-        }
-        assert_eq!(OracleTier::parse("bogus"), None);
-
-        let cap = 1 << 20;
-        for (tier, expect) in [
-            (OracleTier::Dense, "dense"),
-            (OracleTier::Cached, "row-cache"),
-            (OracleTier::Embedded, "coord-embed"),
-        ] {
-            let s = Scenario::build_with(Topology::Tiny, 16, 3, &tier.config(cap));
-            assert_eq!(s.oracle.tier(), expect, "forcing {:?}", tier);
+            let tier = Tier::parse(spelt).expect(spelt);
+            let cfg = OracleConfig { tier, cache_capacity_bytes: 1 << 20 };
+            let s = Scenario::build_with(Topology::Tiny, 16, 3, &cfg);
+            assert_eq!(s.oracle.tier(), expect, "--oracle-tier {spelt}");
         }
     }
 
@@ -377,8 +325,7 @@ mod tests {
     fn forced_tiers_share_membership_with_auto() {
         // Same seed + topology ⇒ same hosts regardless of oracle config.
         let auto = Scenario::build(Topology::Tiny, 16, 5);
-        let emb =
-            Scenario::build_with(Topology::Tiny, 16, 5, &OracleTier::Embedded.config(1 << 20));
+        let emb = Scenario::build_with(Topology::Tiny, 16, 5, &OracleConfig::embedded());
         for i in 0..16 {
             assert_eq!(auto.oracle.host(i), emb.oracle.host(i));
         }

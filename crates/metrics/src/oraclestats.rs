@@ -1,7 +1,7 @@
 //! Latency-oracle cache counters as a reportable metric.
 //!
-//! The row-cache oracle tier (`prop_netsim::CachedOracle`) answers `d(u,v)`
-//! from a byte-bounded LRU of Dijkstra rows; whether an experiment is
+//! The row-cache oracle tier (`prop_netsim::Tier::Cached`) answers `d(u,v)`
+//! from a byte-bounded LRU of exact rows; whether an experiment is
 //! compute-bound (misses) or memory-bound (evictions) is part of its
 //! result. [`OracleCacheReport`] packages the counters with derived rates
 //! for the experiment binaries' tables and JSON dumps.
@@ -13,14 +13,14 @@
 //! [`prop_netsim::EmbedCalibration`]) the same way.
 
 use prop_engine::json_impl;
-use prop_netsim::{CacheStats, EmbedStats, LatencyOracle};
+use prop_netsim::{CacheStats, EmbedStats, LatencyOracle, Tier};
 
 /// One oracle's cache behavior over a measured window.
 #[derive(Clone, Copy, Debug)]
 pub struct OracleCacheReport {
-    /// Which tier answered: `"dense"` (no cache — all other fields zero)
-    /// or `"row-cache"`.
-    pub tier: &'static str,
+    /// Which tier answered; on [`Tier::Dense`] there is no cache and every
+    /// other field is zero. Written to JSON as the tier's label.
+    pub tier: Tier,
     pub hits: u64,
     pub misses: u64,
     /// `hits / (hits + misses)`, 0 when nothing was asked.
@@ -39,24 +39,19 @@ json_impl!(ToJson for struct OracleCacheReport {
 
 impl OracleCacheReport {
     /// Snapshot an oracle's counters. The dense tier yields an all-zero
-    /// report tagged `"dense"` so tables stay rectangular across tiers.
+    /// report tagged dense so tables stay rectangular across tiers.
     pub fn from_oracle(oracle: &LatencyOracle) -> Self {
-        match oracle.cache_stats() {
-            Some(s) => Self::from_stats(oracle.tier(), s),
-            None => Self::from_stats(oracle.tier(), CacheStats::default()),
-        }
+        Self::from_stats(oracle.built_tier(), oracle.cache_stats().unwrap_or_default())
     }
 
     /// Report over the window since `earlier` (counters diffed, gauges
     /// current).
     pub fn from_oracle_since(oracle: &LatencyOracle, earlier: &CacheStats) -> Self {
-        match oracle.cache_stats() {
-            Some(s) => Self::from_stats(oracle.tier(), s.since(earlier)),
-            None => Self::from_stats(oracle.tier(), CacheStats::default()),
-        }
+        let window = oracle.cache_stats().map(|s| s.since(earlier));
+        Self::from_stats(oracle.built_tier(), window.unwrap_or_default())
     }
 
-    pub fn from_stats(tier: &'static str, s: CacheStats) -> Self {
+    fn from_stats(tier: Tier, s: CacheStats) -> Self {
         OracleCacheReport {
             tier,
             hits: s.hits,
@@ -77,8 +72,8 @@ impl OracleCacheReport {
 /// all-zero placeholder: a 0% escalation rate *means something*).
 #[derive(Clone, Copy, Debug)]
 pub struct OracleEmbedReport {
-    /// Always `"coord-embed"`.
-    pub tier: &'static str,
+    /// Always [`Tier::Embedded`].
+    pub tier: Tier,
     /// Queries answered in O(1) from coordinates.
     pub embed_queries: u64,
     /// Queries answered through the exact escalation cache.
@@ -114,7 +109,7 @@ impl OracleEmbedReport {
 
     fn from_parts(oracle: &LatencyOracle, stats: EmbedStats) -> Self {
         OracleEmbedReport {
-            tier: "coord-embed",
+            tier: Tier::Embedded,
             embed_queries: stats.embed_queries,
             exact_queries: stats.exact_queries,
             escalations: stats.escalations,
@@ -132,7 +127,7 @@ impl std::fmt::Display for OracleEmbedReport {
             "oracle tier {}: {} embed / {} exact queries, {} Var escalations \
              ({:.2}% of embed), margin {:.1} ms/term, abs err p50/p95/p99 = \
              {:.1}/{:.1}/{:.1} ms over {} samples",
-            self.tier,
+            self.tier.label(),
             self.embed_queries,
             self.exact_queries,
             self.escalations,
@@ -152,14 +147,14 @@ fn mib(bytes: usize) -> f64 {
 
 impl std::fmt::Display for OracleCacheReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.tier == "dense" {
+        if self.tier == Tier::Dense {
             return write!(f, "oracle tier dense (full matrix resident, no cache)");
         }
         write!(
             f,
             "oracle tier {}: {} hits / {} misses ({:.1}% hit rate), {} evictions, \
              {} rows resident ({:.1} MiB, peak {:.1} MiB, cap {:.0} MiB)",
-            self.tier,
+            self.tier.label(),
             self.hits,
             self.misses,
             self.hit_rate * 100.0,
@@ -197,7 +192,7 @@ mod tests {
     fn dense_report_is_tagged_and_quiet() {
         let (dense, _) = oracles();
         let r = OracleCacheReport::from_oracle(&dense);
-        assert_eq!(r.tier, "dense");
+        assert_eq!(r.tier, Tier::Dense);
         assert_eq!((r.hits, r.misses, r.capacity_bytes), (0, 0, 0));
         assert!(r.to_string().contains("dense"));
     }
@@ -208,7 +203,7 @@ mod tests {
         let _ = cached.d(1, 2);
         let _ = cached.d(1, 3);
         let r = OracleCacheReport::from_oracle(&cached);
-        assert_eq!(r.tier, "row-cache");
+        assert_eq!(r.tier, Tier::Cached);
         assert!(r.misses >= 1);
         assert!(r.hits >= 1);
         assert!(r.hit_rate > 0.0 && r.hit_rate < 1.0);
@@ -259,7 +254,7 @@ mod tests {
         let _ = o.d_exact(1, 2);
         o.note_escalation();
         let r = OracleEmbedReport::from_oracle_since(&o, &mark).unwrap();
-        assert_eq!(r.tier, "coord-embed");
+        assert_eq!(r.tier, Tier::Embedded);
         assert_eq!(r.embed_queries, 2);
         assert_eq!(r.exact_queries, 1);
         assert_eq!(r.escalations, 1);
@@ -280,7 +275,7 @@ mod tests {
         // describes the escalation path's row cache.
         let o = embedded_oracle();
         let r = OracleCacheReport::from_oracle(&o);
-        assert_eq!(r.tier, "coord-embed");
+        assert_eq!(r.tier, Tier::Embedded);
         assert!(r.resident_rows > 0, "fit rows pre-seed the exact cache");
     }
 }

@@ -1,7 +1,9 @@
-//! The latency oracle's configuration and build error.
+//! The latency oracle's two settings — which tier, and how many bytes of
+//! rows it may keep — and its build error.
 //!
 //! Every consumer of `d(u, v)` — PROP probes, LTM detection, the metrics —
-//! talks to [`crate::LatencyOracle`], which has three tiers:
+//! talks to [`crate::LatencyOracle`], which keeps its answers one of three
+//! ways ([`Tier`]):
 //!
 //! * **dense** — the full `n × n` matrix, precomputed once. O(n²) memory,
 //!   O(1) lookups with no synchronization. The fast path for every
@@ -14,81 +16,121 @@
 //!   fit once from sampled exact rows; `d(u, v)` is O(1) with no
 //!   graph work at query time and O(n) memory, which is what a
 //!   1,000,000-member overlay needs. Estimates carry a calibrated error
-//!   margin; Var decisions inside the margin escalate to an internal
-//!   row-cache tier (see [`crate::EmbedOracle`] and DESIGN.md §13).
+//!   margin; Var decisions inside the margin escalate to the same exact
+//!   rows the row-cache tier keeps (see [`crate::Embedding`] and DESIGN.md
+//!   §13).
 //!
-//! Callers never pick a tier by hand; [`OracleConfig::dense_threshold`]
-//! and [`OracleConfig::embed_threshold`] route construction, and the
-//! facade's `d()` hides the difference.
+//! Callers never pick a tier by hand: [`Tier::Auto`] (the default) lets
+//! the member count choose through [`Tier::resolve`], the one place the
+//! policy is written, and `d()` hides the difference.
 
-use crate::embed::EmbedConfig;
 use crate::graph::PhysNodeId;
 use crate::oracle::MemberIdx;
+use prop_engine::json::{ToJson, Value};
 
-/// Construction-time knobs for [`crate::LatencyOracle`].
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// How a [`crate::LatencyOracle`] keeps its answers — or, for `Auto`, that
+/// the member count decides.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// [`Tier::resolve`] picks from the member count: the production
+    /// default.
+    Auto,
+    Dense,
+    Cached,
+    Embedded,
+}
+
+impl Tier {
+    /// The largest member count `Auto` gives the dense matrix. Keeps every
+    /// paper-scale experiment on the dense fast path while capping its
+    /// memory at 4096² × 4 B = 64 MiB.
+    pub const DENSE_MAX_MEMBERS: usize = 4_096;
+    /// The largest member count `Auto` gives the row cache. Keeps every
+    /// workload the row cache has been proven on exact, and routes the
+    /// million-member scale to the O(1) embedding.
+    pub const CACHED_MAX_MEMBERS: usize = 150_000;
+
+    /// Every tier, `Auto` first.
+    pub const ALL: [Tier; 4] = [Tier::Auto, Tier::Dense, Tier::Cached, Tier::Embedded];
+
+    /// The tier an oracle over `n` members is built on: `self` unless it is
+    /// `Auto`. Never returns `Auto`.
+    pub fn resolve(self, n: usize) -> Tier {
+        match self {
+            Tier::Auto if n <= Self::DENSE_MAX_MEMBERS => Tier::Dense,
+            Tier::Auto if n <= Self::CACHED_MAX_MEMBERS => Tier::Cached,
+            Tier::Auto => Tier::Embedded,
+            forced => forced,
+        }
+    }
+
+    /// The name reports and logs print, and [`Tier::parse`] reads back.
+    pub fn label(self) -> &'static str {
+        match self {
+            Tier::Auto => "auto",
+            Tier::Dense => "dense",
+            Tier::Cached => "row-cache",
+            Tier::Embedded => "coord-embed",
+        }
+    }
+
+    /// Read a tier's label, or the short spelling `--oracle-tier` documents.
+    pub fn parse(s: &str) -> Option<Tier> {
+        match s {
+            "cached" => Some(Tier::Cached),
+            "embedded" => Some(Tier::Embedded),
+            _ => Tier::ALL.into_iter().find(|t| t.label() == s),
+        }
+    }
+}
+
+/// A tier is its label in every results file.
+impl ToJson for Tier {
+    fn to_json(&self) -> Value {
+        self.label().to_json()
+    }
+}
+
+/// Construction-time settings of [`crate::LatencyOracle`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OracleConfig {
-    /// Member counts up to this build the dense matrix tier; larger counts
-    /// get the row cache. The default (4,096) keeps every paper-scale
-    /// experiment on the dense fast path while capping its memory at
-    /// 4096² × 4 B = 64 MiB.
-    pub dense_threshold: usize,
-    /// Byte budget for resident rows in the row-cache tier. One row costs
-    /// `4 × n` bytes (plus small bookkeeping), so the default 512 MiB holds
-    /// ~1,342 rows at n = 100,000.
+    /// Which tier to build; [`Tier::Auto`] by default.
+    pub tier: Tier,
+    /// Byte budget for resident rows — the row-cache tier itself, and the
+    /// embedded tier's exact escalation path. One row costs `4 × n` bytes
+    /// (plus small bookkeeping), so the default 512 MiB holds ~1,342 rows
+    /// at n = 100,000. Unused by the dense tier.
     pub cache_capacity_bytes: usize,
-    /// Number of independent LRU shards (each with its own lock); must be
-    /// ≥ 1. More shards ⇒ less contention under parallel query load.
-    pub cache_shards: usize,
-    /// Member counts above this get the coordinate-embedded tier instead of
-    /// the row cache. The default (150,000) keeps every workload the row
-    /// cache has been proven on exact, and routes the million-member scale
-    /// to the O(1) embedding.
-    pub embed_threshold: usize,
-    /// Fit and fallback-band knobs of the coordinate-embedded tier; unused
-    /// by the other two.
-    pub embed: EmbedConfig,
 }
 
 impl Default for OracleConfig {
     fn default() -> Self {
-        OracleConfig {
-            dense_threshold: 4096,
-            cache_capacity_bytes: 512 << 20,
-            cache_shards: 16,
-            embed_threshold: 150_000,
-            embed: EmbedConfig::default(),
-        }
+        OracleConfig { tier: Tier::Auto, cache_capacity_bytes: 512 << 20 }
     }
 }
 
 impl OracleConfig {
     /// Force the dense tier at any member count.
     pub fn dense() -> Self {
-        OracleConfig { dense_threshold: usize::MAX, ..Default::default() }
+        OracleConfig { tier: Tier::Dense, ..Default::default() }
     }
 
     /// Force the row-cache tier (at any member count) with the given byte
     /// budget.
     pub fn cached(capacity_bytes: usize) -> Self {
-        OracleConfig {
-            dense_threshold: 0,
-            cache_capacity_bytes: capacity_bytes,
-            embed_threshold: usize::MAX,
-            ..Default::default()
-        }
+        OracleConfig { tier: Tier::Cached, cache_capacity_bytes: capacity_bytes }
     }
 
     /// Force the coordinate-embedded tier at any member count.
     pub fn embedded() -> Self {
-        OracleConfig { dense_threshold: 0, embed_threshold: 0, ..Default::default() }
+        OracleConfig { tier: Tier::Embedded, ..Default::default() }
     }
 }
 
-/// A member pair the oracle cannot connect. Returned by the `try_build`
-/// constructors instead of the historical panic-after-the-fact, and named
-/// precisely so generator bugs are debuggable: *which* members, on *which*
-/// hosts.
+/// A member pair the oracle cannot connect. Returned by
+/// [`crate::LatencyOracle::try_build_with`] instead of the historical
+/// panic-after-the-fact, and named precisely so generator bugs are
+/// debuggable: *which* members, on *which* hosts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OracleBuildError {
     /// Member index of the unreachable pair's source side.
@@ -121,21 +163,72 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let c = OracleConfig::default();
-        assert!(c.dense_threshold >= 4096);
+        assert_eq!(c.tier, Tier::Auto);
         assert!(c.cache_capacity_bytes >= 1 << 20);
-        assert!(c.cache_shards >= 1);
     }
 
     #[test]
     fn forced_tiers() {
-        assert_eq!(OracleConfig::dense().dense_threshold, usize::MAX);
-        let c = OracleConfig::cached(1 << 20);
-        assert_eq!(c.dense_threshold, 0);
-        assert_eq!(c.cache_capacity_bytes, 1 << 20);
-        assert_eq!(c.embed_threshold, usize::MAX, "cached() must never route to the embedding");
-        let e = OracleConfig::embedded();
-        assert_eq!(e.dense_threshold, 0);
-        assert_eq!(e.embed_threshold, 0);
+        assert_eq!(OracleConfig::dense().tier, Tier::Dense);
+        assert_eq!(
+            OracleConfig::cached(1 << 20),
+            OracleConfig { tier: Tier::Cached, cache_capacity_bytes: 1 << 20 }
+        );
+        assert_eq!(OracleConfig::embedded().tier, Tier::Embedded);
+        // A forced tier is built at any size; only `Auto` reads the count.
+        for n in [0, 1, Tier::DENSE_MAX_MEMBERS + 1, Tier::CACHED_MAX_MEMBERS + 1, usize::MAX] {
+            for forced in [Tier::Dense, Tier::Cached, Tier::Embedded] {
+                assert_eq!(forced.resolve(n), forced, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn auto_resolves_at_the_two_boundaries() {
+        for (n, tier) in [
+            (0, Tier::Dense),
+            (4_096, Tier::Dense),
+            (4_097, Tier::Cached),
+            (150_000, Tier::Cached),
+            (150_001, Tier::Embedded),
+            (usize::MAX, Tier::Embedded),
+        ] {
+            assert_eq!(Tier::Auto.resolve(n), tier, "n = {n}");
+        }
+    }
+
+    /// DESIGN.md §9's policy table is these three rows, in this order.
+    #[test]
+    fn design_policy_table_is_what_resolve_does() {
+        const DESIGN: &str = include_str!("../../../DESIGN.md");
+        let (dense, cached) = (Tier::DENSE_MAX_MEMBERS, Tier::CACHED_MAX_MEMBERS);
+        let rows = [
+            (Tier::Dense, format!("n ≤ {dense}"), dense),
+            (Tier::Cached, format!("{dense} < n ≤ {cached}"), cached),
+            (Tier::Embedded, format!("n > {cached}"), cached + 1),
+        ];
+        let mut from = 0;
+        for (tier, range, n) in rows {
+            assert_eq!(Tier::Auto.resolve(n), tier);
+            let row = format!("| `{}` | {range} |", tier.label());
+            let at = DESIGN[from..].find(&row).unwrap_or_else(|| panic!("DESIGN.md lacks {row}"));
+            from += at + row.len();
+        }
+    }
+
+    #[test]
+    fn labels_parse_back_and_the_short_spellings_still_do() {
+        for tier in Tier::ALL {
+            assert_eq!(Tier::parse(tier.label()), Some(tier));
+        }
+        assert_eq!(Tier::parse("cached"), Some(Tier::Cached));
+        assert_eq!(Tier::parse("row-cache"), Some(Tier::Cached));
+        assert_eq!(Tier::parse("embedded"), Some(Tier::Embedded));
+        assert_eq!(Tier::parse("coord-embed"), Some(Tier::Embedded));
+        for bogus in ["", "bogus", "Dense", "row_cache"] {
+            assert_eq!(Tier::parse(bogus), None, "{bogus:?}");
+        }
+        assert_eq!(prop_engine::json::to_string(&Tier::Cached), "\"row-cache\"");
     }
 
     #[test]

@@ -13,19 +13,20 @@
 //! * [`dijkstra`] — single-source shortest paths over link latencies: the
 //!   one search routine, over the whole graph or a selected part of it.
 //! * [`LatencyOracle`] — the `d(u, v)` oracle every protocol and metric
-//!   consults. **Tiered**: member counts up to
-//!   [`OracleConfig::dense_threshold`] precompute the full latency matrix
-//!   (the paper-scale fast path); populations up to
-//!   [`OracleConfig::embed_threshold`] answer from a byte-bounded sharded
-//!   LRU of on-demand rows, so a 100,000-member overlay runs in a few
-//!   hundred MB instead of the 40 GB a dense matrix would need; and
-//!   larger populations (the million-member scale) answer in O(1) from a
-//!   Vivaldi-style network-coordinate embedding with a calibrated error
-//!   margin and an exact-fallback band. See [`latency`], [`rowcache`] and
-//!   [`embed`], and DESIGN.md §9/§13 for the memory and error models.
+//!   consults, with two settings ([`OracleConfig`]): the [`Tier`] and a
+//!   byte budget for rows. Left on [`Tier::Auto`], member counts up to
+//!   [`Tier::DENSE_MAX_MEMBERS`] precompute the full latency matrix (the
+//!   paper-scale fast path); populations up to
+//!   [`Tier::CACHED_MAX_MEMBERS`] answer from a byte-bounded sharded LRU
+//!   of on-demand rows, so a 100,000-member overlay runs in a few hundred
+//!   MB instead of the 40 GB a dense matrix would need; and larger
+//!   populations (the million-member scale) answer in O(1) from a
+//!   Vivaldi-style network-coordinate embedding ([`Embedding`]) with a
+//!   calibrated error margin and an exact-fallback band. See [`latency`]
+//!   and [`embed`], and DESIGN.md §9/§13 for the memory and error models.
 //! * The row kernel (private module `decomp`) — how the exact rows of every
 //!   tier are made (all but the one a single `d` miss computes, see
-//!   `CachedOracle::demand_row`). A transit–stub graph hangs each stub domain off
+//!   `RowStore::demand_row`). A transit–stub graph hangs each stub domain off
 //!   its transit node by a single link, so `d(u, v) = up(u) +
 //!   T[gw(u)][gw(v)] + up(v)` across domains, exactly; when the oracle
 //!   finds that structure in the graph it is given, a row is arithmetic
@@ -44,14 +45,14 @@ pub mod embed;
 pub mod graph;
 pub mod latency;
 pub mod oracle;
-pub mod rowcache;
+mod rowcache;
 pub mod transit_stub;
 pub mod waxman;
 
-pub use embed::{EmbedCalibration, EmbedConfig, EmbedOracle, EmbedStats};
+pub use embed::{EmbedCalibration, EmbedStats, Embedding};
 pub use graph::{LinkClass, NodeClass, PhysGraph, PhysNodeId};
-pub use latency::{OracleBuildError, OracleConfig};
-pub use oracle::{CachedOracle, DenseOracle, LatencyOracle};
+pub use latency::{OracleBuildError, OracleConfig, Tier};
+pub use oracle::LatencyOracle;
 pub use rowcache::CacheStats;
 pub use transit_stub::{generate, TransitStubParams};
 pub use waxman::{generate_waxman, WaxmanParams};

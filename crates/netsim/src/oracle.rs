@@ -1,44 +1,33 @@
 //! The latency oracle: `d(u, v)` for overlay members.
 //!
 //! Every PROP probe, every LTM detector, and every metric evaluation asks
-//! for the end-to-end latency between two overlay members. The oracle is
-//! **tiered** behind one facade, [`LatencyOracle`]:
-//!
-//! * [`DenseOracle`] — the full row-major `n × n` matrix, one row per
-//!   member. `d(a, b)` is a single array load; this is the tier every
-//!   paper-scale experiment uses.
-//! * [`CachedOracle`] — for member counts where O(n²) memory is not an
-//!   option (100,000 members would need 40 GB), one row per *requested
-//!   source*, retained in a byte-bounded sharded LRU
-//!   ([`crate::rowcache::RowCache`]), with a batch warm-up for sources
-//!   known in advance.
-//! * [`EmbedOracle`] — a height-vector network coordinate per member fit
-//!   once at build time; `d(u, v)` is O(1) arithmetic with a calibrated
-//!   error margin and an exact-escalation path through an internal
-//!   row-cache tier. See [`crate::embed`].
+//! for the end-to-end latency between two overlay members. They all hold
+//! one type, [`LatencyOracle`], which keeps its answers one of three ways —
+//! the dense matrix, a byte-bounded cache of rows, or a fitted coordinate
+//! per member beside such a cache. [`crate::latency`] describes the three
+//! [`Tier`]s and when each is built; [`crate::embed`] the fit.
 //!
 //! Exact rows come from the one row kernel (`crate::decomp`):
 //! arithmetic over the verified transit–stub decomposition where the
 //! graph has it, whole-graph Dijkstra where it does not. The tiers differ
 //! in what they keep, not in how a row is made. One producer is not on
 //! the kernel yet — the row a single `d` miss computes; see
-//! `CachedOracle::demand_row`.
+//! `RowStore::demand_row`.
 //!
-//! Construction routes on [`OracleConfig::dense_threshold`] and
-//! [`OracleConfig::embed_threshold`]; callers are tier-agnostic.
-//! Connectivity is validated per row *during* construction (dense) or from
-//! a single source on the undirected graph (cached/embedded), and the
-//! `try_build` constructors report the offending member pair instead of
-//! panicking after the full build.
+//! Construction routes on [`OracleConfig::tier`] through [`Tier::resolve`];
+//! callers are tier-agnostic. Connectivity is validated per row *during*
+//! construction (dense) or from a single source on the undirected graph
+//! (the other two), and [`LatencyOracle::try_build_with`] reports the
+//! offending member pair instead of panicking after the full build.
 //!
 //! Members are addressed by dense [`MemberIdx`] values `0..n`; the overlay
 //! crates use the same indexing for peers.
 
 use crate::decomp::RowKernel;
 use crate::dijkstra::{shortest_paths, UNREACHABLE};
-use crate::embed::{EmbedCalibration, EmbedOracle, EmbedStats};
+use crate::embed::{EmbedCalibration, EmbedStats, Embedding};
 use crate::graph::{PhysGraph, PhysNodeId};
-use crate::latency::{OracleBuildError, OracleConfig};
+use crate::latency::{OracleBuildError, OracleConfig, Tier};
 use crate::rowcache::{CacheStats, RowCache};
 use prop_engine::SimRng;
 use std::sync::Arc;
@@ -46,141 +35,93 @@ use std::sync::Arc;
 /// Dense index of an overlay member inside a [`LatencyOracle`].
 pub type MemberIdx = usize;
 
-/// Dense tier: the fully materialized latency matrix.
-pub struct DenseOracle {
-    /// Physical host backing each member.
-    members: Vec<PhysNodeId>,
-    /// Row-major `n × n` latency matrix, ms.
-    matrix: Box<[u32]>,
-    n: usize,
-    /// Mean physical *link* latency — denominator of the stretch metric.
-    mean_phys_link_latency: f64,
-}
+/// Independently locked LRU shards of a row store's cache: more shards,
+/// less contention under parallel query load.
+const CACHE_SHARDS: usize = 16;
 
-impl DenseOracle {
-    /// Build the full matrix, each row made by the row kernel and validated
-    /// as it is produced — a disconnected pair fails fast inside the
-    /// parallel row pass, before the matrix is assembled.
-    ///
-    /// The rows are made in two batches, each collected and then copied,
-    /// and the matrix is reserved after the first batch, above it: the
-    /// build's peak is one and a half matrices. Both choices are about
-    /// repeated builds in one process under glibc malloc, measured at
-    /// n = 1000 (CHANGES.md, PR 12 and PR 14). Writing rows straight into
-    /// the matrix, or reserving it below the rows, makes the process's
-    /// high-water mark depend on whether the allocator can reuse the block
-    /// a previous oracle freed (7.7 or 11.3 MiB by seed). Collecting every
-    /// row before the copy peaks at two matrices, which is the allocator's
-    /// trim threshold once it has unmapped one matrix (twice the largest
-    /// block it has unmapped): whether each later build faults 8 MB in
-    /// again (+2.7 ms on 4.4) then turns on some 50 KB of live memory
-    /// elsewhere in the process.
-    pub fn try_build(
-        graph: &PhysGraph,
-        members: Vec<PhysNodeId>,
-    ) -> Result<Self, OracleBuildError> {
-        let n = members.len();
-        let kernel = RowKernel::new(graph, &members);
-        let mut matrix = Vec::new();
-        for batch in [0..n / 2, n / 2..n] {
-            let rows: Vec<Vec<u32>> = batch
-                .map(|i| {
-                    let mut row = vec![0u32; n];
-                    kernel.fill_row(graph, &members, i, &mut row)?;
-                    Ok(row)
-                })
-                .collect::<Result<_, _>>()?;
-            // The whole matrix after the first batch; nothing after the second.
-            matrix.reserve_exact(n * n - matrix.len());
-            for row in rows {
-                matrix.extend_from_slice(&row);
-            }
+/// The dense tier's matrix, row-major `n × n`, each row made by the row
+/// kernel and validated as it is produced — a disconnected pair fails
+/// fast inside the row pass, before the matrix is assembled.
+///
+/// The rows are made in two batches, each collected and then copied,
+/// and the matrix is reserved after the first batch, above it: the
+/// build's peak is one and a half matrices. Both choices are about
+/// repeated builds in one process under glibc malloc, measured at
+/// n = 1000 (CHANGES.md, PR 12 and PR 14). Writing rows straight into
+/// the matrix, or reserving it below the rows, makes the process's
+/// high-water mark depend on whether the allocator can reuse the block
+/// a previous oracle freed (7.7 or 11.3 MiB by seed). Collecting every
+/// row before the copy peaks at two matrices, which is the allocator's
+/// trim threshold once it has unmapped one matrix (twice the largest
+/// block it has unmapped): whether each later build faults 8 MB in
+/// again (+2.7 ms on 4.4) then turns on some 50 KB of live memory
+/// elsewhere in the process.
+fn dense_matrix(graph: &PhysGraph, members: &[PhysNodeId]) -> Result<Box<[u32]>, OracleBuildError> {
+    let n = members.len();
+    let kernel = RowKernel::new(graph, members);
+    let mut matrix = Vec::new();
+    for batch in [0..n / 2, n / 2..n] {
+        let rows: Vec<Vec<u32>> = batch
+            .map(|i| {
+                let mut row = vec![0u32; n];
+                kernel.fill_row(graph, members, i, &mut row)?;
+                Ok(row)
+            })
+            .collect::<Result<_, _>>()?;
+        // The whole matrix after the first batch; nothing after the second.
+        matrix.reserve_exact(n * n - matrix.len());
+        for row in rows {
+            matrix.extend_from_slice(&row);
         }
-        Ok(DenseOracle {
-            members,
-            matrix: matrix.into_boxed_slice(),
-            n,
-            mean_phys_link_latency: graph.mean_link_latency(),
-        })
     }
-
-    /// Number of members.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the oracle has no members.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// End-to-end latency between members `a` and `b`, in ms.
-    #[inline]
-    pub fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
-        debug_assert!(a < self.n && b < self.n);
-        self.matrix[a * self.n + b]
-    }
-
-    /// The physical host backing member `i`.
-    #[inline]
-    pub fn host(&self, i: MemberIdx) -> PhysNodeId {
-        self.members[i]
-    }
-
-    /// Mean physical *link* latency — denominator of the stretch metric.
-    #[inline]
-    pub fn mean_phys_link_latency(&self) -> f64 {
-        self.mean_phys_link_latency
-    }
+    Ok(matrix.into_boxed_slice())
 }
 
-/// Row-cache tier: rows made on demand, kept in a byte-bounded LRU.
-pub struct CachedOracle {
-    members: Vec<PhysNodeId>,
+/// What the row-cache and coordinate-embedded tiers share: exact rows made
+/// on demand over the oracle's members and kept in a byte-bounded LRU.
+pub(crate) struct RowStore {
     /// Owned copy of the physical graph (CSR arrays) — rows are recomputed
     /// from it on every cache miss.
     graph: PhysGraph,
     kernel: RowKernel,
     cache: RowCache,
-    mean_phys_link_latency: f64,
 }
 
-impl CachedOracle {
+impl RowStore {
     /// Validate connectivity with the first member's row (the graph is
     /// undirected, so one source reaching every member means every pair is
     /// connected) and seed the cache with it.
-    pub fn try_build(
+    fn try_build(
         graph: &PhysGraph,
-        members: Vec<PhysNodeId>,
-        cfg: &OracleConfig,
+        members: &[PhysNodeId],
+        capacity_bytes: usize,
     ) -> Result<Self, OracleBuildError> {
-        let oracle = CachedOracle {
-            kernel: RowKernel::new(graph, &members),
-            cache: RowCache::new(members.len(), cfg.cache_capacity_bytes, cfg.cache_shards),
-            mean_phys_link_latency: graph.mean_link_latency(),
+        let rows = RowStore {
+            kernel: RowKernel::new(graph, members),
+            cache: RowCache::new(members.len(), capacity_bytes, CACHE_SHARDS),
             graph: graph.clone(),
-            members,
         };
-        if !oracle.members.is_empty() {
-            let row = oracle.try_compute_row(0)?;
-            oracle.cache.record_miss();
-            oracle.cache.insert(0, row);
+        if !members.is_empty() {
+            rows.seed_row(0, rows.try_compute_row(members, 0)?);
         }
-        Ok(oracle)
+        Ok(rows)
     }
 
-    fn try_compute_row(&self, src: MemberIdx) -> Result<Arc<[u32]>, OracleBuildError> {
-        let mut row: Arc<[u32]> = std::iter::repeat_n(0, self.members.len()).collect();
+    fn try_compute_row(
+        &self,
+        members: &[PhysNodeId],
+        src: MemberIdx,
+    ) -> Result<Arc<[u32]>, OracleBuildError> {
+        let mut row: Arc<[u32]> = std::iter::repeat_n(0, members.len()).collect();
         let out = Arc::get_mut(&mut row).expect("a fresh Arc has one owner");
-        self.kernel.fill_row(&self.graph, &self.members, src, out)?;
+        self.kernel.fill_row(&self.graph, members, src, out)?;
         Ok(row)
     }
 
     /// One exact row, bypassing the cache — also what the embedding fits
     /// and calibrates against.
-    pub(crate) fn compute_row(&self, src: MemberIdx) -> Arc<[u32]> {
-        self.try_compute_row(src).expect("connectivity was validated at construction")
+    pub(crate) fn compute_row(&self, members: &[PhysNodeId], src: MemberIdx) -> Arc<[u32]> {
+        self.try_compute_row(members, src).expect("connectivity was validated at construction")
     }
 
     /// The row a miss inside [`Self::d`] asks for: a
@@ -192,11 +133,12 @@ impl CachedOracle {
     /// `scale_*` workloads rises 17–21× (`wall_s` a further 6×), and the
     /// benchmark bounds a metric's spread over seeds by a share of the
     /// *parent's* median, which the metric's ordinary 1–2.5 % spread then
-    /// exceeds. `self.compute_row(src)` is the whole replacement once that
-    /// bound is re-based (CHANGES.md, PR 12, has both sets of numbers).
-    fn demand_row(&self, src: MemberIdx) -> Arc<[u32]> {
-        let full = shortest_paths(&self.graph, self.members[src]);
-        let row: Arc<[u32]> = self.members.iter().map(|&m| full[m.index()]).collect();
+    /// exceeds. `self.compute_row(members, src)` is the whole replacement
+    /// once that bound is re-based (CHANGES.md, PR 12, has both sets of
+    /// numbers).
+    fn demand_row(&self, members: &[PhysNodeId], src: MemberIdx) -> Arc<[u32]> {
+        let full = shortest_paths(&self.graph, members[src]);
+        let row: Arc<[u32]> = members.iter().map(|&m| full[m.index()]).collect();
         debug_assert!(
             row.iter().all(|&d| d != UNREACHABLE),
             "connectivity was validated at construction"
@@ -207,13 +149,13 @@ impl CachedOracle {
     /// Compute any non-resident rows among `sources`, in ascending order,
     /// and insert them. Memory stays bounded: one row is in flight, and
     /// the LRU enforces the byte budget as rows land.
-    pub fn warm_rows(&self, sources: &[MemberIdx]) {
+    fn warm(&self, members: &[PhysNodeId], sources: &[MemberIdx]) {
         let mut todo: Vec<MemberIdx> = sources.to_vec();
         todo.sort_unstable();
         todo.dedup();
         todo.retain(|&s| !self.cache.contains(s));
         for s in todo {
-            let row = self.compute_row(s);
+            let row = self.compute_row(members, s);
             self.cache.record_miss();
             self.cache.insert(s, row);
         }
@@ -221,7 +163,7 @@ impl CachedOracle {
 
     /// Seed the cache with an exact row made outside it — the rows the
     /// embedding fit already paid for. Counted as a miss (the row
-    /// *was* computed) so hit-rate accounting matches `warm_rows`.
+    /// *was* computed) so hit-rate accounting matches `warm`.
     pub(crate) fn seed_row(&self, src: MemberIdx, row: Arc<[u32]>) {
         if !self.cache.contains(src) {
             self.cache.record_miss();
@@ -229,25 +171,9 @@ impl CachedOracle {
         }
     }
 
-    /// Cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Number of members.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the oracle has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// End-to-end latency between members `a` and `b`, in ms.
-    pub fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
-        debug_assert!(a < self.members.len() && b < self.members.len());
+    /// Exact latency between members `a` and `b`, in ms.
+    fn d(&self, members: &[PhysNodeId], a: MemberIdx, b: MemberIdx) -> u32 {
+        debug_assert!(a < members.len() && b < members.len());
         if a == b {
             return 0;
         }
@@ -259,40 +185,44 @@ impl CachedOracle {
             return r[a];
         }
         self.cache.record_miss();
-        let row = self.demand_row(a);
+        let row = self.demand_row(members, a);
         let d = row[b];
         self.cache.insert(a, row);
         d
     }
+}
 
-    /// The physical host backing member `i`.
-    #[inline]
-    pub fn host(&self, i: MemberIdx) -> PhysNodeId {
-        self.members[i]
-    }
-
-    /// Mean physical *link* latency — denominator of the stretch metric.
-    #[inline]
-    pub fn mean_phys_link_latency(&self) -> f64 {
-        self.mean_phys_link_latency
-    }
+/// How a built oracle keeps its answers; one arm per [`Tier`].
+enum Store {
+    /// Row-major `n × n` latency matrix, ms.
+    Dense {
+        matrix: Box<[u32]>,
+    },
+    Rows(RowStore),
+    /// `rows` is the exact escalation path, pre-seeded with the landmark
+    /// and calibration rows the fit already paid for.
+    Embedded {
+        rows: RowStore,
+        fit: Embedding,
+    },
 }
 
 /// The tier-agnostic latency oracle every caller holds.
 ///
-/// Constructors pick the tier from [`OracleConfig::dense_threshold`]
-/// (default 4,096) and [`OracleConfig::embed_threshold`] (default
-/// 150,000): paper-scale populations get the dense matrix, mid-scale ones
-/// the bounded row cache, and million-member populations the coordinate
-/// embedding. Dense and cached answer identically byte-for-byte
+/// [`LatencyOracle::try_build_with`] picks the tier through
+/// [`Tier::resolve`]: paper-scale populations get the dense matrix,
+/// mid-scale ones the bounded row cache, and million-member populations the
+/// coordinate embedding. Dense and cached answer identically byte-for-byte
 /// (property-tested in `tests/tier_equivalence.rs`); the embedded tier is
 /// an estimate with a calibrated margin, kept decision-safe by the
 /// exact-fallback band (`tests/embed.rs` and `prop-core`'s
 /// `exchange::decide`).
-pub enum LatencyOracle {
-    Dense(DenseOracle),
-    Cached(CachedOracle),
-    Embedded(EmbedOracle),
+pub struct LatencyOracle {
+    /// Physical host backing each member.
+    members: Vec<PhysNodeId>,
+    /// Mean physical *link* latency — denominator of the stretch metric.
+    mean_phys_link_latency: f64,
+    store: Store,
 }
 
 /// Tier and size only — what `Result::unwrap_err` needs in the build-error
@@ -307,53 +237,33 @@ impl std::fmt::Debug for LatencyOracle {
 }
 
 impl LatencyOracle {
-    /// Build with default configuration for an explicit member set.
-    ///
-    /// Panics if any member cannot reach any other (the generators always
-    /// produce connected graphs, so this indicates a bug); the panic names
-    /// the offending member pair. Use [`LatencyOracle::try_build`] to
-    /// handle the error instead.
-    pub fn build(graph: &PhysGraph, members: Vec<PhysNodeId>) -> Self {
-        Self::build_with(graph, members, &OracleConfig::default())
-    }
-
-    /// Build with an explicit configuration, panicking on disconnection.
-    pub fn build_with(graph: &PhysGraph, members: Vec<PhysNodeId>, cfg: &OracleConfig) -> Self {
-        match Self::try_build_with(graph, members, cfg) {
-            Ok(o) => o,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible build with default configuration.
-    pub fn try_build(
-        graph: &PhysGraph,
-        members: Vec<PhysNodeId>,
-    ) -> Result<Self, OracleBuildError> {
-        Self::try_build_with(graph, members, &OracleConfig::default())
-    }
-
-    /// Fallible build: dense tier when `members.len() <= cfg.dense_threshold`,
-    /// row-cache tier up to `cfg.embed_threshold`, coordinate-embedded tier
-    /// above. Disconnected member sets fail fast with the offending pair
-    /// named.
+    /// Build over an explicit member set on the tier `cfg.tier` resolves to
+    /// at this member count. A disconnected member set fails fast with the
+    /// offending pair named.
     pub fn try_build_with(
         graph: &PhysGraph,
         members: Vec<PhysNodeId>,
         cfg: &OracleConfig,
     ) -> Result<Self, OracleBuildError> {
-        if members.len() <= cfg.dense_threshold {
-            DenseOracle::try_build(graph, members).map(LatencyOracle::Dense)
-        } else if members.len() <= cfg.embed_threshold {
-            CachedOracle::try_build(graph, members, cfg).map(LatencyOracle::Cached)
-        } else {
-            EmbedOracle::try_build(graph, members, cfg).map(LatencyOracle::Embedded)
-        }
+        let store = match cfg.tier.resolve(members.len()) {
+            Tier::Dense => Store::Dense { matrix: dense_matrix(graph, &members)? },
+            Tier::Cached => {
+                Store::Rows(RowStore::try_build(graph, &members, cfg.cache_capacity_bytes)?)
+            }
+            Tier::Embedded => {
+                let rows = RowStore::try_build(graph, &members, cfg.cache_capacity_bytes)?;
+                let fit = Embedding::fit(&rows, &members);
+                Store::Embedded { rows, fit }
+            }
+            Tier::Auto => unreachable!("Tier::resolve names a tier"),
+        };
+        Ok(LatencyOracle { members, mean_phys_link_latency: graph.mean_link_latency(), store })
     }
 
     /// Select `n` overlay members uniformly from the graph's stub (edge
-    /// host) population and build the oracle. This mirrors the paper's
-    /// setup: overlay peers are end systems, not backbone routers.
+    /// host) population and build the oracle with default configuration.
+    /// This mirrors the paper's setup: overlay peers are end systems, not
+    /// backbone routers.
     ///
     /// Panics if the graph has fewer than `n` stub nodes.
     pub fn select_and_build(graph: &PhysGraph, n: usize, rng: &mut SimRng) -> Self {
@@ -361,6 +271,10 @@ impl LatencyOracle {
     }
 
     /// [`LatencyOracle::select_and_build`] with an explicit configuration.
+    ///
+    /// Also panics if any member cannot reach any other (the generators
+    /// always produce connected graphs, so this indicates a bug), naming
+    /// the offending member pair.
     pub fn select_and_build_with(
         graph: &PhysGraph,
         n: usize,
@@ -374,22 +288,18 @@ impl LatencyOracle {
             stubs.len()
         );
         let members = rng.fork("member-selection").sample_distinct(&stubs, n);
-        Self::build_with(graph, members, cfg)
+        Self::try_build_with(graph, members, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of members.
     #[inline]
     pub fn len(&self) -> usize {
-        match self {
-            LatencyOracle::Dense(o) => o.len(),
-            LatencyOracle::Cached(o) => o.len(),
-            LatencyOracle::Embedded(o) => o.len(),
-        }
+        self.members.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.members.is_empty()
     }
 
     /// End-to-end latency between members `a` and `b`, in ms. Exact on the
@@ -398,22 +308,89 @@ impl LatencyOracle {
     /// `d_exact` and `d` must never be mixed inside one flood.
     #[inline]
     pub fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
-        match self {
-            LatencyOracle::Dense(o) => o.d(a, b),
-            LatencyOracle::Cached(o) => o.d(a, b),
-            LatencyOracle::Embedded(o) => o.d(a, b),
+        match &self.store {
+            Store::Dense { matrix } => {
+                let n = self.members.len();
+                debug_assert!(a < n && b < n);
+                matrix[a * n + b]
+            }
+            Store::Rows(rows) => rows.d(&self.members, a, b),
+            Store::Embedded { fit, .. } => fit.d(a, b),
         }
     }
 
     /// Exact latency regardless of tier — the embedded tier's escalation
-    /// path (through its internal row cache); identical to [`Self::d`] on
-    /// the other two tiers.
+    /// path (through its row store); identical to [`Self::d`] on the other
+    /// two tiers.
     #[inline]
     pub fn d_exact(&self, a: MemberIdx, b: MemberIdx) -> u32 {
-        match self {
-            LatencyOracle::Dense(o) => o.d(a, b),
-            LatencyOracle::Cached(o) => o.d(a, b),
-            LatencyOracle::Embedded(o) => o.d_exact(a, b),
+        match &self.store {
+            Store::Embedded { rows, fit } => {
+                fit.note_exact_query();
+                rows.d(&self.members, a, b)
+            }
+            _ => self.d(a, b),
+        }
+    }
+
+    /// The physical host backing member `i`.
+    #[inline]
+    pub fn host(&self, i: MemberIdx) -> PhysNodeId {
+        self.members[i]
+    }
+
+    /// Mean physical link latency (stretch denominator).
+    #[inline]
+    pub fn mean_phys_link_latency(&self) -> f64 {
+        self.mean_phys_link_latency
+    }
+
+    /// Which tier was built; never [`Tier::Auto`].
+    pub fn built_tier(&self) -> Tier {
+        match &self.store {
+            Store::Dense { .. } => Tier::Dense,
+            Store::Rows(_) => Tier::Cached,
+            Store::Embedded { .. } => Tier::Embedded,
+        }
+    }
+
+    /// [`Self::built_tier`]'s label — for logs and experiment reports.
+    pub fn tier(&self) -> &'static str {
+        self.built_tier().label()
+    }
+
+    /// The exact rows behind this oracle; `None` on the dense tier, where
+    /// every row is in the matrix.
+    fn rows(&self) -> Option<&RowStore> {
+        match &self.store {
+            Store::Dense { .. } => None,
+            Store::Rows(rows) | Store::Embedded { rows, .. } => Some(rows),
+        }
+    }
+
+    /// Row-cache counters; `None` on the dense tier (which has no cache).
+    /// On the embedded tier these are the *exact escalation* path's
+    /// counters.
+    pub fn cache_stats(&self) -> Option<CacheStats> {
+        self.rows().map(|rows| rows.cache.stats())
+    }
+
+    /// Batch warm-up: ensure the rows for `sources` are resident, one row
+    /// kernel call per cold source. No-op on the dense tier (every row is
+    /// always resident there). On the embedded tier this warms the rows
+    /// only escalated decisions will read, so callers should restrict it
+    /// to slots they expect to escalate.
+    pub fn warm_rows(&self, sources: &[MemberIdx]) {
+        if let Some(rows) = self.rows() {
+            rows.warm(&self.members, sources);
+        }
+    }
+
+    /// What the embedded tier fitted; `None` on the exact tiers.
+    pub fn embedding(&self) -> Option<&Embedding> {
+        match &self.store {
+            Store::Embedded { fit, .. } => Some(fit),
+            _ => None,
         }
     }
 
@@ -422,89 +399,27 @@ impl LatencyOracle {
     /// band is empty, so `exchange::decide` never escalates there.
     #[inline]
     pub fn var_margin_per_term(&self) -> f64 {
-        match self {
-            LatencyOracle::Embedded(o) => o.margin_per_term(),
-            _ => 0.0,
-        }
+        self.embedding().map_or(0.0, Embedding::margin_per_term)
     }
 
     /// Record one Var decision escalated into the fallback band (no-op on
     /// the exact tiers).
     #[inline]
     pub fn note_escalation(&self) {
-        if let LatencyOracle::Embedded(o) = self {
-            o.note_escalation();
-        }
-    }
-
-    /// The physical host backing member `i`.
-    #[inline]
-    pub fn host(&self, i: MemberIdx) -> PhysNodeId {
-        match self {
-            LatencyOracle::Dense(o) => o.host(i),
-            LatencyOracle::Cached(o) => o.host(i),
-            LatencyOracle::Embedded(o) => o.host(i),
-        }
-    }
-
-    /// Mean physical link latency (stretch denominator).
-    #[inline]
-    pub fn mean_phys_link_latency(&self) -> f64 {
-        match self {
-            LatencyOracle::Dense(o) => o.mean_phys_link_latency(),
-            LatencyOracle::Cached(o) => o.mean_phys_link_latency(),
-            LatencyOracle::Embedded(o) => o.mean_phys_link_latency(),
-        }
-    }
-
-    /// Which tier is live — for logs and experiment reports.
-    pub fn tier(&self) -> &'static str {
-        match self {
-            LatencyOracle::Dense(_) => "dense",
-            LatencyOracle::Cached(_) => "row-cache",
-            LatencyOracle::Embedded(_) => "coord-embed",
-        }
-    }
-
-    /// Row-cache counters; `None` on the dense tier (which has no cache).
-    /// On the embedded tier these are the internal *exact escalation*
-    /// cache's counters.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        match self {
-            LatencyOracle::Dense(_) => None,
-            LatencyOracle::Cached(o) => Some(o.cache_stats()),
-            LatencyOracle::Embedded(o) => Some(o.exact().cache_stats()),
+        if let Some(fit) = self.embedding() {
+            fit.note_escalation();
         }
     }
 
     /// Embedded-tier query/escalation counters; `None` on the exact tiers.
     pub fn embed_stats(&self) -> Option<EmbedStats> {
-        match self {
-            LatencyOracle::Embedded(o) => Some(o.stats()),
-            _ => None,
-        }
+        self.embedding().map(Embedding::stats)
     }
 
     /// The embedded tier's committed error calibration; `None` on the
     /// exact tiers.
     pub fn embed_calibration(&self) -> Option<EmbedCalibration> {
-        match self {
-            LatencyOracle::Embedded(o) => Some(o.calibration()),
-            _ => None,
-        }
-    }
-
-    /// Batch warm-up: ensure the rows for `sources` are resident, one row
-    /// kernel call per cold source. No-op on the dense tier (every row is
-    /// always resident there). On the embedded tier this warms the
-    /// internal exact cache — the rows only escalated decisions will read —
-    /// so callers should restrict it to slots they expect to escalate.
-    pub fn warm_rows(&self, sources: &[MemberIdx]) {
-        match self {
-            LatencyOracle::Dense(_) => {}
-            LatencyOracle::Cached(o) => o.warm_rows(sources),
-            LatencyOracle::Embedded(o) => o.warm_exact_rows(sources),
-        }
+        self.embedding().map(Embedding::calibration)
     }
 }
 
@@ -570,9 +485,11 @@ mod tests {
         // inequality — on the row cache also while rows are evicted mid-loop.
         let n = 30;
         for seed in 0..32u64 {
+            // Three rows' worth of bytes is under one row a shard: a shard
+            // keeps its latest row only, and 30 sources share 16 shards.
             let tiers = [
                 OracleConfig::default(),
-                OracleConfig { cache_shards: 1, ..OracleConfig::cached(3 * n * 4) },
+                OracleConfig::cached(3 * n * 4),
                 OracleConfig::embedded(),
             ];
             for cfg in tiers {
@@ -593,8 +510,9 @@ mod tests {
                         }
                     }
                 }
-                if let LatencyOracle::Cached(c) = &o {
-                    assert!(c.cache_stats().evictions > 0, "seed {seed}: cache never evicted");
+                if o.built_tier() == Tier::Cached {
+                    let evictions = o.cache_stats().unwrap().evictions;
+                    assert!(evictions > 0, "seed {seed}: cache never evicted");
                 }
             }
         }
@@ -703,16 +621,13 @@ mod tests {
 
     #[test]
     fn tiny_capacity_evicts_but_stays_correct() {
-        let n = 12;
-        // Room for ~2 rows per shard with 1 shard: constant churn.
+        // More sources than shards, and a budget of two rows in all — less
+        // than one a shard, so a shard keeps its latest row only and every
+        // pass evicts.
+        let n = CACHE_SHARDS + 8;
         let mut rng = SimRng::seed_from(13);
         let g = generate(&TransitStubParams::tiny(), &mut rng);
-        let cfg = OracleConfig {
-            dense_threshold: 0,
-            cache_capacity_bytes: 2 * n * 4,
-            cache_shards: 1,
-            ..OracleConfig::cached(0)
-        };
+        let cfg = OracleConfig::cached(2 * n * 4);
         let cached = LatencyOracle::select_and_build_with(&g, n, &mut rng, &cfg);
         let mut rng2 = SimRng::seed_from(13);
         let g2 = generate(&TransitStubParams::tiny(), &mut rng2);
@@ -726,13 +641,16 @@ mod tests {
         }
         let s = cached.cache_stats().unwrap();
         assert!(s.evictions > 0, "tiny capacity must evict");
-        assert!(s.resident_bytes <= s.capacity_bytes);
+        // A shard never evicts its last row: that, not the budget, bounds
+        // what stays resident here.
+        assert!(s.resident_rows <= CACHE_SHARDS, "{s:?}");
     }
 
     #[test]
     fn try_build_reports_offending_pair_dense() {
         let (g, members) = disconnected_graph();
-        let err = LatencyOracle::try_build(&g, members.clone()).unwrap_err();
+        let err = LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::default())
+            .unwrap_err();
         // Some member of component A cannot reach some member of component B.
         assert_ne!(err.from_member, err.to_member);
         let (a_side, b_side) = (err.from_member < 2, err.to_member < 2);
@@ -753,8 +671,50 @@ mod tests {
     #[test]
     #[should_panic(expected = "disconnected member set")]
     fn build_panics_on_disconnection() {
+        // All four hosts are stubs, so selecting four takes both components.
         let (g, members) = disconnected_graph();
-        let _ = LatencyOracle::build(&g, members);
+        let _ = LatencyOracle::select_and_build(&g, members.len(), &mut SimRng::seed_from(0));
+    }
+
+    #[test]
+    fn each_forced_tier_builds_the_tier_and_budget_it_says() {
+        let b = 1 << 20;
+        // The last two are the spellings `benchmark/src/scale.rs` uses.
+        let rows = [
+            (OracleConfig::default(), Tier::Dense, None),
+            (OracleConfig::dense(), Tier::Dense, None),
+            (OracleConfig { tier: Tier::Cached, ..OracleConfig::default() }, Tier::Cached, None),
+            (OracleConfig::cached(b), Tier::Cached, Some(b)),
+            (
+                OracleConfig { cache_capacity_bytes: b, ..OracleConfig::embedded() },
+                Tier::Embedded,
+                Some(b),
+            ),
+        ];
+        for (cfg, tier, budget) in rows {
+            let mut rng = SimRng::seed_from(22);
+            let g = generate(&TransitStubParams::tiny(), &mut rng);
+            let o = LatencyOracle::select_and_build_with(&g, 16, &mut rng, &cfg);
+            assert_eq!(o.built_tier(), tier, "{cfg:?}");
+            assert_eq!(o.tier(), tier.label(), "{cfg:?}");
+            assert_eq!(o.embedding().is_some(), tier == Tier::Embedded, "{cfg:?}");
+            let capacity = o.cache_stats().map(|s| s.capacity_bytes);
+            let default_budget = OracleConfig::default().cache_capacity_bytes;
+            let expected = (tier != Tier::Dense).then_some(budget.unwrap_or(default_budget));
+            assert_eq!(capacity, expected, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn an_empty_member_set_builds_on_every_tier() {
+        let g = generate(&TransitStubParams::tiny(), &mut SimRng::seed_from(23));
+        for cfg in [OracleConfig::dense(), OracleConfig::cached(1 << 20), OracleConfig::embedded()]
+        {
+            let o = LatencyOracle::try_build_with(&g, Vec::new(), &cfg).unwrap();
+            assert!(o.is_empty(), "{}", o.tier());
+            assert_eq!(o.cache_stats().map(|s| s.resident_rows).unwrap_or(0), 0);
+            assert_eq!(o.var_margin_per_term(), 0.0);
+        }
     }
 
     #[test]

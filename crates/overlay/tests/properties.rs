@@ -4,7 +4,7 @@
 
 use prop_engine::SimRng;
 use prop_netsim::graph::{LinkClass, NodeClass, PhysGraphBuilder};
-use prop_netsim::LatencyOracle;
+use prop_netsim::{LatencyOracle, OracleConfig};
 use prop_overlay::can::Can;
 use prop_overlay::walk::random_walk;
 use prop_overlay::{LogicalGraph, Lookup, Placement, Slot};
@@ -21,7 +21,7 @@ fn line_oracle(n: usize) -> Arc<LatencyOracle> {
         b.add_link(w[0], w[1], 10, LinkClass::TransitTransit);
     }
     let g = b.build();
-    Arc::new(LatencyOracle::build(&g, ids))
+    Arc::new(LatencyOracle::try_build_with(&g, ids, &OracleConfig::default()).expect("connected"))
 }
 
 /// LogicalGraph bookkeeping (edge counts, degrees, symmetry) survives

@@ -37,7 +37,7 @@ fn line_oracle(n: usize, shortcut_seed: u64) -> Arc<LatencyOracle> {
         }
     }
     let g = b.build();
-    Arc::new(LatencyOracle::build(&g, ids))
+    Arc::new(LatencyOracle::try_build_with(&g, ids, &OracleConfig::default()).expect("connected"))
 }
 
 /// A random connected overlay (spanning tree + extra random edges).
