@@ -397,6 +397,7 @@ mod tests {
         // The floor on `--n` is the smallest overlay `Gnutella::build` accepts.
         let links = prop_overlay::gnutella::GnutellaParams::default().links_per_join;
         assert_eq!(MIN_MEMBERS, links + 1);
+        assert!(MEMBERS_EXPECTED.ends_with(&format!("≥ {MIN_MEMBERS}")), "{MEMBERS_EXPECTED}");
         assert!(parse_line("scale --quick --n 5").is_ok());
     }
 

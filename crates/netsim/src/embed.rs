@@ -472,12 +472,16 @@ mod tests {
         o.embedding().expect("built on the embedded tier")
     }
 
+    /// All of `tiny()`'s stub hosts: more members than landmarks, so eight
+    /// of them take the per-member fit.
+    const PAST_LANDMARKS: usize = LANDMARKS + 8;
+
     #[test]
     fn symmetric_zero_diagonal() {
-        let o = tiny_embed(20, 1);
-        for a in 0..20 {
+        let o = tiny_embed(PAST_LANDMARKS, 1);
+        for a in 0..PAST_LANDMARKS {
             assert_eq!(o.d(a, a), 0);
-            for b in 0..20 {
+            for b in 0..PAST_LANDMARKS {
                 assert_eq!(o.d(a, b), o.d(b, a), "pair ({a}, {b})");
             }
         }
@@ -485,10 +489,10 @@ mod tests {
 
     #[test]
     fn triangle_inequality_survives_ceil_rounding() {
-        let o = tiny_embed(14, 2);
-        for a in 0..14 {
-            for b in 0..14 {
-                for c in 0..14 {
+        let o = tiny_embed(PAST_LANDMARKS, 2);
+        for a in 0..PAST_LANDMARKS {
+            for b in 0..PAST_LANDMARKS {
+                for c in 0..PAST_LANDMARKS {
                     assert!(
                         o.d(a, b) <= o.d(a, c) + o.d(c, b),
                         "({a},{b},{c}): {} > {} + {}",
@@ -503,7 +507,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_graph_bit_identical() {
-        let (a, b) = (tiny_embed(24, 7), tiny_embed(24, 7));
+        let (a, b) = (tiny_embed(PAST_LANDMARKS, 7), tiny_embed(PAST_LANDMARKS, 7));
         let (a, b) = (fit(&a), fit(&b));
         assert_eq!(a.coords().len(), b.coords().len());
         for (x, y) in a.coords().iter().zip(b.coords()) {
@@ -516,9 +520,10 @@ mod tests {
 
     #[test]
     fn heights_nonnegative_and_finite() {
-        let o = tiny_embed(24, 3);
+        let o = tiny_embed(PAST_LANDMARKS, 3);
         let e = fit(&o);
-        assert_eq!(e.heights().len(), 24);
+        assert_eq!(e.heights().len(), PAST_LANDMARKS);
+        assert_eq!(e.landmark_members().len(), LANDMARKS, "the rest are fitted members");
         for (&h, chunk) in e.heights().iter().zip(e.coords().chunks(e.dims())) {
             assert!(h >= 0.0 && h.is_finite());
             assert!(chunk.iter().all(|c| c.is_finite()));
@@ -527,7 +532,7 @@ mod tests {
 
     #[test]
     fn calibration_percentiles_are_monotone() {
-        let o = tiny_embed(30, 4);
+        let o = tiny_embed(PAST_LANDMARKS, 4);
         let c = o.embed_calibration().unwrap();
         assert!(c.samples > 0);
         assert!(c.abs_p50_ms <= c.abs_p90_ms);
@@ -543,9 +548,9 @@ mod tests {
         // The calibrated max is a measured quantile of held-out error, not
         // a proof — but on this tiny graph the same stride sources were
         // measured, so re-checking them must reproduce errors <= max.
-        let o = tiny_embed(30, 5);
+        let o = tiny_embed(PAST_LANDMARKS, 5);
         let c = o.embed_calibration().unwrap();
-        let n = 30;
+        let n = PAST_LANDMARKS;
         for s in 0..n {
             for b in 0..n {
                 if s == b {

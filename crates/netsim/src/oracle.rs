@@ -483,13 +483,15 @@ mod tests {
         // `d(u, dst)` bounds every route `u → … → dst` from below only if `d`
         // is symmetric, zero on the diagonal and obeys the triangle
         // inequality — on the row cache also while rows are evicted mid-loop.
-        let n = 30;
+        // All 40 stub hosts of `tiny()`: past the embed fit's 32 landmarks,
+        // so the embedded tier answers for fitted members too.
+        let n = 40;
         for seed in 0..32u64 {
-            // Three rows' worth of bytes is under one row a shard: a shard
-            // keeps its latest row only, and 30 sources share 16 shards.
+            // One row a shard, and 40 sources share 16 shards: every shard
+            // evicts.
             let tiers = [
                 OracleConfig::default(),
-                OracleConfig::cached(3 * n * 4),
+                OracleConfig::cached(CACHE_SHARDS * n * 4),
                 OracleConfig::embedded(),
             ];
             for cfg in tiers {
@@ -511,8 +513,12 @@ mod tests {
                     }
                 }
                 if o.built_tier() == Tier::Cached {
-                    let evictions = o.cache_stats().unwrap().evictions;
-                    assert!(evictions > 0, "seed {seed}: cache never evicted");
+                    let s = o.cache_stats().unwrap();
+                    assert!(s.evictions > 0, "seed {seed}: cache never evicted");
+                    assert!(s.resident_bytes <= s.capacity_bytes, "seed {seed}: {s:?}");
+                }
+                if let Some(fit) = o.embedding() {
+                    assert!(fit.landmark_members().len() < n, "seed {seed}: no fitted member");
                 }
             }
         }
@@ -621,16 +627,16 @@ mod tests {
 
     #[test]
     fn tiny_capacity_evicts_but_stays_correct() {
-        // More sources than shards, and a budget of two rows in all — less
-        // than one a shard, so a shard keeps its latest row only and every
-        // pass evicts.
-        let n = CACHE_SHARDS + 8;
+        // Three sources a shard and a budget of two rows a shard: every
+        // shard evicts on every pass and the cache ends inside its byte budget.
+        let n = 3 * CACHE_SHARDS;
+        let params = TransitStubParams { nodes_per_stub_domain: 8, ..TransitStubParams::tiny() };
         let mut rng = SimRng::seed_from(13);
-        let g = generate(&TransitStubParams::tiny(), &mut rng);
-        let cfg = OracleConfig::cached(2 * n * 4);
+        let g = generate(&params, &mut rng);
+        let cfg = OracleConfig::cached(2 * CACHE_SHARDS * n * 4);
         let cached = LatencyOracle::select_and_build_with(&g, n, &mut rng, &cfg);
         let mut rng2 = SimRng::seed_from(13);
-        let g2 = generate(&TransitStubParams::tiny(), &mut rng2);
+        let g2 = generate(&params, &mut rng2);
         let dense = LatencyOracle::select_and_build(&g2, n, &mut rng2);
         for pass in 0..3 {
             for a in 0..n {
@@ -641,9 +647,7 @@ mod tests {
         }
         let s = cached.cache_stats().unwrap();
         assert!(s.evictions > 0, "tiny capacity must evict");
-        // A shard never evicts its last row: that, not the budget, bounds
-        // what stays resident here.
-        assert!(s.resident_rows <= CACHE_SHARDS, "{s:?}");
+        assert!(s.resident_bytes <= s.capacity_bytes, "{s:?}");
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //!   exactly: the fallback band lands on true distances, not another
 //!   approximation.
 //!
-//! Every case fits with the production constants (32 landmarks, so at these
-//! sizes every member is one): there is no other fit to test.
+//! Every case fits with the production constants: there is no other fit to
+//! test. Member counts run past the fit's 32 landmarks, so a good share of
+//! the cases take the per-member relaxation and calibrate on non-landmark
+//! sources — the only kind of member there is at production scale. Each test
+//! counts those cases and fails if the share lapses.
 
 use prop_engine::SimRng;
 use prop_netsim::{
@@ -22,6 +25,10 @@ use prop_netsim::{
 };
 
 const CASES: u64 = 256;
+
+/// Upper bound (exclusive) on a case's member count: well past the landmark
+/// count. A topology with fewer stub hosts caps it (`pick_members`).
+const MAX_MEMBERS: usize = 56;
 
 fn ts_params(domains: usize, transit: usize, stubs: usize, hosts: usize) -> TransitStubParams {
     TransitStubParams {
@@ -51,15 +58,30 @@ fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Does the fit behind `o` hold a member that is not a landmark?
+fn has_fitted_members(o: &LatencyOracle) -> bool {
+    o.embedding().expect("embedded tier").landmark_members().len() < o.len()
+}
+
+/// The premise of every test here: at least a quarter of the cases fitted
+/// non-landmark members.
+fn assert_fitted_share(fitted_cases: u64) {
+    assert!(
+        fitted_cases * 4 >= CASES,
+        "only {fitted_cases} of {CASES} cases had a non-landmark member"
+    );
+}
+
 /// Two independent builds over the same inputs are bit-identical —
 /// coordinates, heights, landmarks, calibration, and margin.
 #[test]
 fn same_inputs_same_bits() {
+    let mut fitted_cases = 0;
     for case in 0..CASES {
         let mut gen = SimRng::seed_from(case);
         let (domains, transit) = (gen.range(1..3usize), gen.range(1..4usize));
-        let (stubs, hosts) = (gen.range(1..3usize), gen.range(3..8usize));
-        let members = gen.range(4..24usize);
+        let (stubs, hosts) = (gen.range(2..4usize), gen.range(5..8usize));
+        let members = gen.range(4..MAX_MEMBERS);
         let topo_seed = gen.range(0..10_000u64);
 
         let p = ts_params(domains, transit, stubs, hosts);
@@ -78,14 +100,16 @@ fn same_inputs_same_bits() {
             b.var_margin_per_term().to_bits(),
             "case {case}"
         );
+        fitted_cases += u64::from(has_fitted_members(&a));
     }
+    assert_fitted_share(fitted_cases);
 }
 
-/// A topology and a member set over it.
-fn small_world(case: u64, max_members: usize) -> (PhysGraph, Vec<PhysNodeId>) {
+/// A topology of 40 to 56 stub hosts and a member set over it.
+fn small_world(case: u64) -> (PhysGraph, Vec<PhysNodeId>) {
     let mut gen = SimRng::seed_from(case);
-    let hosts = gen.range(3..8usize);
-    let members = gen.range(4..max_members);
+    let hosts = gen.range(5..8usize);
+    let members = gen.range(4..MAX_MEMBERS);
     let seed = gen.range(0..10_000u64);
     let mut rng = SimRng::seed_from(seed);
     let g = generate(&ts_params(2, 2, 2, hosts), &mut rng);
@@ -97,31 +121,36 @@ fn small_world(case: u64, max_members: usize) -> (PhysGraph, Vec<PhysNodeId>) {
 /// inequality over every sampled triple.
 #[test]
 fn rounded_estimate_is_a_metric() {
+    let mut fitted_cases = 0;
     for case in 0..CASES {
-        let (g, m) = small_world(case, 20);
+        let (g, m) = small_world(case);
         let n = m.len();
         let o = embedded(&g, m);
         for a in 0..n {
             assert_eq!(o.d(a, a), 0, "case {case}");
             for b in 0..n {
-                assert_eq!(o.d(a, b), o.d(b, a), "case {case}: symmetry ({a}, {b})");
+                let ab = o.d(a, b);
+                assert_eq!(ab, o.d(b, a), "case {case}: symmetry ({a}, {b})");
                 for c in 0..n {
                     assert!(
-                        o.d(a, c) <= o.d(a, b).saturating_add(o.d(b, c)),
+                        o.d(a, c) <= ab.saturating_add(o.d(b, c)),
                         "case {case}: triangle ({a}, {b}, {c})"
                     );
                 }
             }
         }
+        fitted_cases += u64::from(has_fitted_members(&o));
     }
+    assert_fitted_share(fitted_cases);
 }
 
 /// The escalation path answers with true distances: every `d_exact` equals
 /// the dense tier's answer over the same members.
 #[test]
 fn exact_fallback_matches_dense() {
+    let mut fitted_cases = 0;
     for case in 0..CASES {
-        let (g, m) = small_world(case, 16);
+        let (g, m) = small_world(case);
         let n = m.len();
         let dense = LatencyOracle::try_build_with(&g, m.clone(), &OracleConfig::dense())
             .expect("connected");
@@ -131,5 +160,7 @@ fn exact_fallback_matches_dense() {
                 assert_eq!(emb.d_exact(a, b), dense.d(a, b), "case {case}: pair ({a}, {b})");
             }
         }
+        fitted_cases += u64::from(has_fitted_members(&emb));
     }
+    assert_fitted_share(fitted_cases);
 }
