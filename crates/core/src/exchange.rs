@@ -83,6 +83,91 @@ pub fn plan_propg(net: &OverlayNet, u: Slot, v: Slot) -> ExchangePlan {
     ExchangePlan { u, v, var: before as i64 - after as i64, kind: PlanKind::SwapAll }
 }
 
+/// Driver-owned buffers for [`plan_exchange_into`]: the two sides' candidate
+/// lists and the plan itself, whose `from_u`/`from_v` vectors are refilled
+/// in place. Once they have reached the overlay's largest degree, planning
+/// allocates nothing (pinned by the `alloc_regression` test). Sits beside
+/// the driver's [`prop_overlay::walk::WalkScratch`].
+#[derive(Debug)]
+pub struct PlanScratch {
+    /// `(benefit, neighbor)` of every neighbor `u` (resp. `v`) could hand over.
+    only_u: Vec<(i64, Slot)>,
+    only_v: Vec<(i64, Slot)>,
+    plan: ExchangePlan,
+}
+
+impl Default for PlanScratch {
+    fn default() -> Self {
+        PlanScratch {
+            only_u: Vec::new(),
+            only_v: Vec::new(),
+            plan: ExchangePlan { u: Slot(0), v: Slot(0), var: 0, kind: PlanKind::SwapAll },
+        }
+    }
+}
+
+/// The neighbors each end of `walk` could hand to the other under
+/// [`plan_propo`]'s two eligibility rules (`u` and `v` are on the path, so
+/// the first rule covers them too).
+///
+/// One merge pass over the two sorted adjacency rows: a slot at both heads
+/// is shared, the smaller head is exclusive to its row. Each side's list
+/// comes out in ascending slot order with a zero benefit for the caller to
+/// fill in.
+fn exclusive_neighbors(
+    net: &OverlayNet,
+    walk: &WalkPath,
+    (u, v): (Slot, Slot),
+    only_u: &mut Vec<(i64, Slot)>,
+    only_v: &mut Vec<(i64, Slot)>,
+) {
+    let (row_u, row_v) = (net.graph().neighbors(u), net.graph().neighbors(v));
+    only_u.clear();
+    only_v.clear();
+    only_u.reserve(row_u.len());
+    only_v.reserve(row_v.len());
+    let offer = |side: &mut Vec<(i64, Slot)>, x: Slot| {
+        if !walk.contains(x) {
+            side.push((0, x));
+        }
+    };
+    let (mut i, mut j) = (0, 0);
+    while i < row_u.len() && j < row_v.len() {
+        match row_u[i].cmp(&row_v[j]) {
+            std::cmp::Ordering::Less => {
+                offer(only_u, row_u[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                offer(only_v, row_v[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    row_u[i..].iter().for_each(|&x| offer(only_u, x));
+    row_v[j..].iter().for_each(|&x| offer(only_v, x));
+}
+
+/// PROP-O's strict offer order: larger benefit first, lower slot on a tie.
+/// Slots are distinct, so the `k` best under it are one fixed sequence.
+fn offer_order(p: &(i64, Slot), q: &(i64, Slot)) -> std::cmp::Ordering {
+    q.0.cmp(&p.0).then(p.1.cmp(&q.1))
+}
+
+/// Bring the `k` best offers to the front of `side`, in offer order, and
+/// return their summed benefit. Selection is O(len), the sort O(k log k).
+fn keep_best(side: &mut [(i64, Slot)], k: usize) -> i64 {
+    if k < side.len() {
+        side.select_nth_unstable_by(k - 1, offer_order);
+    }
+    side[..k].sort_unstable_by(offer_order);
+    side[..k].iter().map(|&(benefit, _)| benefit).sum()
+}
+
 /// Plan a PROP-O exchange of (up to) `m` neighbors per side between the walk
 /// origin and counterpart.
 ///
@@ -97,43 +182,48 @@ pub fn plan_propg(net: &OverlayNet, u: Slot, v: Slot) -> ExchangePlan {
 /// `d(self, x) − d(other, x)`). Returns `None` when no pair of eligible
 /// neighbors exists.
 pub fn plan_propo(net: &OverlayNet, walk: &WalkPath, m: usize) -> Option<ExchangePlan> {
-    let u = *walk.path.first()?;
-    let v = *walk.path.last()?;
+    let mut scratch = PlanScratch::default();
+    plan_propo_into(net, walk, m, &mut scratch).then_some(scratch.plan)
+}
+
+/// [`plan_propo`] into `scratch.plan`; `false` when there is no plan.
+fn plan_propo_into(net: &OverlayNet, walk: &WalkPath, m: usize, scratch: &mut PlanScratch) -> bool {
+    let (Some(&u), Some(&v)) = (walk.path.first(), walk.path.last()) else { return false };
     if u == v || m == 0 {
-        return None;
+        return false;
     }
-    let g = net.graph();
-
-    // benefit of moving x from `a` to `b`: latency drops by d(a,x) − d(b,x).
-    let eligible = |a: Slot, b: Slot| -> Vec<(i64, Slot)> {
-        let mut out: Vec<(i64, Slot)> = g
-            .neighbors(a)
-            .iter()
-            .copied()
-            .filter(|&x| x != b && !walk.contains(x) && !g.has_edge(b, x))
-            .map(|x| (net.d(a, x) as i64 - net.d(b, x) as i64, x))
-            .collect();
-        out.sort_by(|p, q| q.0.cmp(&p.0).then(p.1.cmp(&q.1)));
-        out
-    };
-
-    let from_u_all = eligible(u, v);
-    let from_v_all = eligible(v, u);
-    let k = m.min(from_u_all.len()).min(from_v_all.len());
+    let PlanScratch { only_u, only_v, plan } = scratch;
+    exclusive_neighbors(net, walk, (u, v), only_u, only_v);
+    let k = m.min(only_u.len()).min(only_v.len());
     if k == 0 {
-        return None;
+        return false;
     }
-    let var: i64 = from_u_all[..k].iter().map(|&(b, _)| b).sum::<i64>()
-        + from_v_all[..k].iter().map(|&(b, _)| b).sum::<i64>();
-    Some(ExchangePlan {
-        u,
-        v,
-        var,
-        kind: PlanKind::Subset {
-            from_u: from_u_all[..k].iter().map(|&(_, x)| x).collect(),
-            from_v: from_v_all[..k].iter().map(|&(_, x)| x).collect(),
-        },
-    })
+    // Benefit of moving x from `a` to `b`: latency drops by d(a,x) − d(b,x).
+    // All of `u`'s side is priced before `v`'s: the cached oracle tiers'
+    // row traffic depends on the order of the reads.
+    let oracle = net.oracle();
+    let (pu, pv) = (net.peer(u), net.peer(v));
+    for (benefit, x) in only_u.iter_mut() {
+        let px = net.peer(*x);
+        *benefit = oracle.d(pu, px) as i64 - oracle.d(pv, px) as i64;
+    }
+    for (benefit, y) in only_v.iter_mut() {
+        let py = net.peer(*y);
+        *benefit = oracle.d(pv, py) as i64 - oracle.d(pu, py) as i64;
+    }
+    let var = keep_best(only_u, k) + keep_best(only_v, k);
+
+    // The last plan's vectors, if it had any, are this one's buffers.
+    let (mut from_u, mut from_v) = match std::mem::replace(&mut plan.kind, PlanKind::SwapAll) {
+        PlanKind::Subset { from_u, from_v } => (from_u, from_v),
+        PlanKind::SwapAll => (Vec::new(), Vec::new()),
+    };
+    from_u.clear();
+    from_u.extend(only_u[..k].iter().map(|&(_, x)| x));
+    from_v.clear();
+    from_v.extend(only_v[..k].iter().map(|&(_, y)| y));
+    *plan = ExchangePlan { u, v, var, kind: PlanKind::Subset { from_u, from_v } };
+    true
 }
 
 /// PROP-O with *random* (rather than most-profitable) eligible neighbors —
@@ -151,22 +241,17 @@ pub fn plan_propo_random(
     if u == v || m == 0 {
         return None;
     }
-    let g = net.graph();
-    let eligible = |a: Slot, b: Slot| -> Vec<Slot> {
-        g.neighbors(a)
-            .iter()
-            .copied()
-            .filter(|&x| x != b && !walk.contains(x) && !g.has_edge(b, x))
-            .collect()
-    };
-    let eu = eligible(u, v);
-    let ev = eligible(v, u);
+    let (mut eu, mut ev) = (Vec::new(), Vec::new());
+    exclusive_neighbors(net, walk, (u, v), &mut eu, &mut ev);
     let k = m.min(eu.len()).min(ev.len());
     if k == 0 {
         return None;
     }
-    let from_u = rng.sample_distinct(&eu, k);
-    let from_v = rng.sample_distinct(&ev, k);
+    let mut pick = |side: &[(i64, Slot)]| -> Vec<Slot> {
+        rng.sample_distinct(side, k).into_iter().map(|(_, x)| x).collect()
+    };
+    let from_u = pick(&eu);
+    let from_v = pick(&ev);
     let var: i64 = from_u
         .iter()
         .map(|&x| net.d(u, x) as i64 - net.d(v, x) as i64)
@@ -178,21 +263,43 @@ pub fn plan_propo_random(
 /// Plan under a [`Policy`]: PROP-G swaps with the walk counterpart, PROP-O
 /// exchanges `m` neighbors (`m_default` supplies the resolved `δ(G)` when
 /// the policy says `m = None`).
+///
+/// Allocates its buffers per call; the driver plans through
+/// [`plan_exchange_into`] instead.
 pub fn plan_exchange(
     net: &OverlayNet,
     policy: Policy,
     walk: &WalkPath,
     m_default: usize,
 ) -> Option<ExchangePlan> {
+    let mut scratch = PlanScratch::default();
+    plan_exchange_into(net, policy, walk, m_default, &mut scratch)?;
+    Some(scratch.plan)
+}
+
+/// [`plan_exchange`] into caller-owned buffers: the plan is lent out of
+/// `scratch` and stays valid until the next call.
+pub fn plan_exchange_into<'s>(
+    net: &OverlayNet,
+    policy: Policy,
+    walk: &WalkPath,
+    m_default: usize,
+    scratch: &'s mut PlanScratch,
+) -> Option<&'s ExchangePlan> {
     let u = *walk.path.first()?;
     let v = *walk.path.last()?;
     if u == v || walk.path.len() < 2 {
         return None;
     }
     match policy {
-        Policy::PropG => Some(plan_propg(net, u, v)),
-        Policy::PropO { m } => plan_propo(net, walk, m.unwrap_or(m_default)),
+        Policy::PropG => scratch.plan = plan_propg(net, u, v),
+        Policy::PropO { m } => {
+            if !plan_propo_into(net, walk, m.unwrap_or(m_default), scratch) {
+                return None;
+            }
+        }
     }
+    Some(&scratch.plan)
 }
 
 /// How many `d(u, v)` terms a plan's Var sums over — the multiplier that
@@ -283,13 +390,24 @@ pub fn apply(net: &mut OverlayNet, plan: &ExchangePlan) {
     match &plan.kind {
         PlanKind::SwapAll => net.swap_peers(plan.u, plan.v),
         PlanKind::Subset { from_u, from_v } => {
-            for &x in from_u {
-                net.graph_mut().remove_edge(plan.u, x);
-                net.graph_mut().add_edge(plan.v, x);
-            }
-            for &y in from_v {
-                net.graph_mut().remove_edge(plan.v, y);
-                net.graph_mut().add_edge(plan.u, y);
+            // One neighbor each way per step, both removals first: no row is
+            // ever longer than it was before the exchange, so none outgrows
+            // its buffer.
+            let g = net.graph_mut();
+            for i in 0..from_u.len().max(from_v.len()) {
+                let (x, y) = (from_u.get(i), from_v.get(i));
+                if let Some(&x) = x {
+                    g.remove_edge(plan.u, x);
+                }
+                if let Some(&y) = y {
+                    g.remove_edge(plan.v, y);
+                }
+                if let Some(&x) = x {
+                    g.add_edge(plan.v, x);
+                }
+                if let Some(&y) = y {
+                    g.add_edge(plan.u, y);
+                }
             }
         }
     }
@@ -496,6 +614,133 @@ mod tests {
             assert_eq!(from_u, &vec![Slot(7)], "u should give its farthest useful neighbor");
         } else {
             panic!("wrong kind");
+        }
+    }
+
+    /// The planner this module had before the merge pass, kept as the
+    /// differential reference: filter each row with a `has_edge` search per
+    /// neighbor, sort every candidate, keep the first `m`.
+    fn plan_propo_reference(net: &OverlayNet, walk: &WalkPath, m: usize) -> Option<ExchangePlan> {
+        let u = *walk.path.first()?;
+        let v = *walk.path.last()?;
+        if u == v || m == 0 {
+            return None;
+        }
+        let g = net.graph();
+        let eligible = |a: Slot, b: Slot| -> Vec<(i64, Slot)> {
+            let mut out: Vec<(i64, Slot)> = g
+                .neighbors(a)
+                .iter()
+                .copied()
+                .filter(|&x| x != b && !walk.contains(x) && !g.has_edge(b, x))
+                .map(|x| (net.d(a, x) as i64 - net.d(b, x) as i64, x))
+                .collect();
+            out.sort_by(|p, q| q.0.cmp(&p.0).then(p.1.cmp(&q.1)));
+            out
+        };
+        let from_u_all = eligible(u, v);
+        let from_v_all = eligible(v, u);
+        let k = m.min(from_u_all.len()).min(from_v_all.len());
+        if k == 0 {
+            return None;
+        }
+        let var: i64 = from_u_all[..k].iter().map(|&(b, _)| b).sum::<i64>()
+            + from_v_all[..k].iter().map(|&(b, _)| b).sum::<i64>();
+        Some(ExchangePlan {
+            u,
+            v,
+            var,
+            kind: PlanKind::Subset {
+                from_u: from_u_all[..k].iter().map(|&(_, x)| x).collect(),
+                from_v: from_v_all[..k].iter().map(|&(_, x)| x).collect(),
+            },
+        })
+    }
+
+    /// Differential twin for the merge pass + top-`m` selection: on
+    /// preferential-attachment overlays, half of them churned, every walk
+    /// (hub origins, adjacent `u`–`v`, shared neighbors, path nodes among
+    /// the neighbors) plans identically under both planners for every `m`
+    /// from 1 past δ(G) to "more than anyone has", through one scratch
+    /// reused across all of them. Checked against: treating a shared
+    /// neighbor as exclusive, dropping the tail of either row, offering path
+    /// nodes, sorting the prefix without the selection, leaving the selected
+    /// prefix unsorted, breaking ties by higher slot, and not clearing the
+    /// scratch between plans.
+    #[test]
+    fn merge_pass_planner_matches_the_filter_and_sort_reference() {
+        use prop_netsim::{generate, TransitStubParams};
+        use prop_overlay::gnutella::{Gnutella, GnutellaParams};
+        const OVERLAYS: u64 = 12;
+        const WALKS: usize = 32;
+
+        let mut scratch = PlanScratch::default();
+        let mut case = 0usize;
+        // What the cases covered, so a generator that stops reaching a
+        // shape fails here instead of passing vacuously.
+        let (mut plans, mut none, mut adjacent, mut shared, mut capped, mut ties) =
+            (0, 0, 0, 0, 0, 0);
+        for overlay in 0..OVERLAYS {
+            let mut rng = SimRng::seed_from(0x21_0000 + overlay);
+            let phys = generate(&TransitStubParams::tiny(), &mut rng);
+            let n = 18 + 2 * overlay as usize;
+            let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
+            let (gn, mut net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
+            if overlay % 2 == 1 {
+                // Post-churn: holes in the slot table, cycle-patched rows.
+                for _ in 0..n / 2 {
+                    let rank = rng.pick_rank(net.graph().num_live()).unwrap();
+                    let victim = net.graph().live_slot_at_rank(rank).unwrap();
+                    let peer = net.peer(victim);
+                    gn.leave(&mut net, victim, &mut rng);
+                    gn.join(&mut net, peer, &mut rng);
+                }
+            }
+            let g = net.graph();
+            let mut by_degree: Vec<Slot> = g.live_slots().collect();
+            by_degree.sort_by_key(|&s| std::cmp::Reverse(g.degree(s)));
+            let delta = g.min_degree().unwrap();
+            for w in 0..WALKS {
+                // Every other walk starts at one of the four biggest hubs.
+                let origin =
+                    if w % 2 == 0 { by_degree[w / 2 % 4] } else { *rng.pick(&by_degree).unwrap() };
+                let first = *rng.pick(g.neighbors(origin)).unwrap();
+                let nhops = 1 + (w % 3) as u32; // 1 hop: u and v adjacent
+                let walk = random_walk(g, origin, first, nhops, &mut rng);
+                let (u, v) = (walk.path[0], *walk.path.last().unwrap());
+                adjacent += g.has_edge(u, v) as usize;
+                shared += g.neighbors(u).iter().any(|&x| g.has_edge(v, x)) as usize;
+                for m in (1..=delta + 2).chain([g.degree(u) + g.degree(v)]) {
+                    let want = plan_propo_reference(&net, &walk, m);
+                    let policy = Policy::PropO { m: Some(m) };
+                    let got = plan_exchange_into(&net, policy, &walk, 1, &mut scratch).cloned();
+                    let at = format!("case {case}: overlay {overlay}, walk {:?}, m {m}", walk.path);
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(plan_propo(&net, &walk, m), want, "{at} (fresh scratch)");
+                    match &want {
+                        Some(ExchangePlan { kind: PlanKind::Subset { from_u, .. }, .. }) => {
+                            plans += 1;
+                            capped += (from_u.len() < m) as usize;
+                            let benefit = |x: Slot| net.d(u, x) as i64 - net.d(v, x) as i64;
+                            ties +=
+                                from_u.windows(2).any(|p| benefit(p[0]) == benefit(p[1])) as usize;
+                        }
+                        _ => none += 1,
+                    }
+                    case += 1;
+                }
+            }
+        }
+        assert!(case >= 256, "only {case} cases");
+        for (what, hits) in [
+            ("plans", plans),
+            ("no plan", none),
+            ("adjacent u-v", adjacent),
+            ("shared neighbors", shared),
+            ("m > eligible", capped),
+            ("tied benefits", ties),
+        ] {
+            assert!(hits >= 8, "{what} reached only {hits} times in {case} cases");
         }
     }
 

@@ -41,14 +41,24 @@ impl NeighborQueue {
     /// 0, 1, 2, … in shuffled order, giving each neighbor an equal chance
     /// to be probed first.
     pub fn init(neighbors: &[Slot], rng: &mut SimRng) -> Self {
-        let mut order: Vec<Slot> = neighbors.to_vec();
-        rng.shuffle(&mut order);
-        let items = order
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| Entry { slot, priority: i as i64, seq: i as u64 })
-            .collect();
-        NeighborQueue { items, next_seq: neighbors.len() as u64 }
+        let mut q = NeighborQueue::default();
+        q.reinit(neighbors, rng);
+        q
+    }
+
+    /// [`NeighborQueue::init`] over this queue's own buffer: the shuffle
+    /// runs in place, so a rebuild for a neighborhood no larger than one
+    /// the buffer has held allocates nothing. A shuffle draws by length
+    /// alone, so the stream is consumed as a shuffle of the slots is.
+    pub fn reinit(&mut self, neighbors: &[Slot], rng: &mut SimRng) {
+        self.items.clear();
+        self.items.extend(neighbors.iter().map(|&slot| Entry { slot, priority: 0, seq: 0 }));
+        rng.shuffle(&mut self.items);
+        for (i, e) in self.items.iter_mut().enumerate() {
+            e.priority = i as i64;
+            e.seq = i as u64;
+        }
+        self.next_seq = neighbors.len() as u64;
     }
 
     pub fn len(&self) -> usize {
@@ -96,10 +106,17 @@ impl NeighborQueue {
     /// A new neighbor arrived (churn or PROP-O rewire): front of the queue,
     /// maximum preference, so it is probed early.
     pub fn add_front(&mut self, s: Slot) {
+        let mut front = self.min_priority();
+        self.push_front(&mut front, s);
+    }
+
+    /// Insert `s` one step ahead of `front`, the minimum priority the
+    /// caller carries across a run of insertions instead of rescanning.
+    fn push_front(&mut self, front: &mut i64, s: Slot) {
         debug_assert!(!self.contains(s), "adding duplicate {s:?}");
-        let front = self.min_priority() - 1;
+        *front -= 1;
         let seq = self.bump_seq();
-        self.items.push(Entry { slot: s, priority: front, seq });
+        self.items.push(Entry { slot: s, priority: *front, seq });
     }
 
     /// A neighbor departed (churn or PROP-O rewire).
@@ -107,10 +124,55 @@ impl NeighborQueue {
         self.items.retain(|e| e.slot != s);
     }
 
+    /// A rewire in one step: drop the `lost` neighbors, then front-insert
+    /// each `gained` one not already queued, in order — what `remove` per
+    /// lost and `add_front` per gained slot do, in one pass each.
+    pub fn replace(&mut self, lost: &[Slot], gained: &[Slot]) {
+        self.items.retain(|e| !lost.contains(&e.slot));
+        let mut front = self.min_priority();
+        for &s in gained {
+            if !self.contains(s) {
+                self.push_front(&mut front, s);
+            }
+        }
+    }
+
+    /// Reconcile with `current`, the owner's neighbor list sorted ascending:
+    /// entries no longer in it are dropped, the others keep their priority,
+    /// and the neighbors not yet queued are front-inserted in ascending
+    /// order. O(d log d) for degree `d`: one `retain` that binary-searches
+    /// `current` and ticks the position it finds in `seen` (caller-owned
+    /// scratch, so nothing is allocated), then one pass over the unticked.
+    pub fn resync(&mut self, current: &[Slot], seen: &mut Vec<bool>) {
+        seen.clear();
+        seen.resize(current.len(), false);
+        self.items.retain(|e| {
+            let hit = current.binary_search(&e.slot);
+            if let Ok(i) = hit {
+                seen[i] = true;
+            }
+            hit.is_ok()
+        });
+        if self.items.len() == current.len() {
+            return; // nothing arrived
+        }
+        let mut front = self.min_priority();
+        for (&s, _) in current.iter().zip(seen.iter()).filter(|&(_, &queued)| !queued) {
+            self.push_front(&mut front, s);
+        }
+    }
+
     fn bump_seq(&mut self) -> u64 {
         let s = self.next_seq;
         self.next_seq += 1;
         s
+    }
+
+    /// Every entry as `(slot, priority, seq)`, in buffer order — what the
+    /// differential twins compare.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> Vec<(Slot, i64, u64)> {
+        self.items.iter().map(|e| (e.slot, e.priority, e.seq)).collect()
     }
 }
 
@@ -139,6 +201,68 @@ mod tests {
         let b = NeighborQueue::init(&ns, &mut SimRng::seed_from(2)).best();
         // Not guaranteed distinct for every pair of seeds, but these two are.
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn reinit_over_a_used_buffer_is_init_and_the_slot_shuffle() {
+        for case in 0..64u64 {
+            let mut rng = SimRng::seed_from(case);
+            let ns: Vec<Slot> = (0..rng.range(0..14u32)).map(|i| Slot(3 * i + 1)).collect();
+            let (mut a, mut b, mut c) = (rng.clone(), rng.clone(), rng.clone());
+            let fresh = NeighborQueue::init(&ns, &mut a);
+            let mut reused = NeighborQueue::init(&slots(&[90, 91, 92, 93]), &mut rng);
+            reused.demote(Slot(91));
+            reused.add_front(Slot(99));
+            reused.reinit(&ns, &mut b);
+            assert_eq!(reused.entries(), fresh.entries(), "case {case}");
+            // The order is the one a shuffle of the slots themselves gives.
+            let mut order = ns.clone();
+            c.shuffle(&mut order);
+            let want: Vec<_> =
+                order.iter().enumerate().map(|(i, &s)| (s, i as i64, i as u64)).collect();
+            assert_eq!(fresh.entries(), want, "case {case}");
+            reused.add_front(Slot(100));
+            assert_eq!(reused.entries().last(), Some(&(Slot(100), -1, ns.len() as u64)));
+            let next = a.range(0u64..u64::MAX);
+            assert_eq!((b.range(0u64..u64::MAX), c.range(0u64..u64::MAX)), (next, next));
+        }
+    }
+
+    #[test]
+    fn replace_is_remove_and_add_front_one_by_one() {
+        for case in 0..128u64 {
+            let mut rng = SimRng::seed_from(case);
+            let ns: Vec<Slot> = (0..rng.range(1..12u32)).map(Slot).collect();
+            let mut q = NeighborQueue::init(&ns, &mut rng);
+            for _ in 0..rng.range(0..8u32) {
+                let s = *rng.pick(&ns).unwrap();
+                if rng.chance(0.5) {
+                    q.demote(s);
+                } else {
+                    q.reward(s);
+                }
+            }
+            // Some of `lost` absent, some of `gained` already queued (and
+            // not lost), and sometimes everything lost.
+            let how_many = rng.range(0..=ns.len());
+            let lost = rng.sample_distinct(&ns, how_many);
+            let gained: Vec<Slot> = (0..rng.range(0..5u32)).map(|i| Slot(5 * i + 3)).collect();
+            let mut want = q.clone();
+            for &s in lost.iter().chain(&[Slot(77)]) {
+                want.remove(s);
+            }
+            for &s in &gained {
+                if !want.contains(s) {
+                    want.add_front(s);
+                }
+            }
+            q.replace(&[lost.as_slice(), &[Slot(77)]].concat(), &gained);
+            assert_eq!(
+                q.entries(),
+                want.entries(),
+                "case {case}: lost {lost:?}, gained {gained:?}"
+            );
+        }
     }
 
     #[test]

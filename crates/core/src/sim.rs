@@ -42,7 +42,7 @@
 //! used by the dynamic-environment experiments.
 
 use crate::config::{ProbeMode, PropConfig};
-use crate::exchange::{self, PlanKind};
+use crate::exchange::{self, PlanKind, PlanScratch};
 use crate::fault::{Delivery, FaultCounters, FaultPlane, MsgKind};
 use crate::protocol::NodeState;
 use prop_engine::{Duration, EventQueue, SimRng, SimTime};
@@ -218,14 +218,20 @@ pub struct PropSim<M: Timing> {
     plane: Option<Box<dyn FaultPlane>>,
     /// Trials per oracle-prefetch batch (see [`DEFAULT_TRIAL_BATCH`]).
     trial_batch: usize,
-    /// Reusable walk/candidate buffers: the atomic steady-state trial loop
+    /// Reusable walk/candidate buffers: an atomic trial, exchanging or not,
     /// must not allocate (pinned by the `alloc_regression` test). In
     /// message-level mode one clone per launch is unavoidable — the
     /// `Commit` event owns its walk while it is in flight — but the per-hop
     /// candidate lists still reuse this scratch.
     walk_scratch: WalkScratch,
-    /// Reusable neighbor-list buffer for the churn entry points.
-    churn_scratch: Vec<Slot>,
+    /// Reusable candidate lists and plan for `exchange::plan_exchange_into`:
+    /// the other half of an allocation-free trial.
+    plan_scratch: PlanScratch,
+    /// Reusable slot list: a joiner's neighbors in `handle_join`, the
+    /// pending events' row owners in `warm_pending_rows`.
+    slot_scratch: Vec<Slot>,
+    /// Reusable tick marks for `NeighborQueue::resync`.
+    resync_scratch: Vec<bool>,
     mode: PhantomData<M>,
 }
 
@@ -247,7 +253,9 @@ impl<M: Timing> PropSim<M> {
             plane: None,
             trial_batch: DEFAULT_TRIAL_BATCH,
             walk_scratch: WalkScratch::new(),
-            churn_scratch: Vec::new(),
+            plan_scratch: PlanScratch::default(),
+            slot_scratch: Vec::new(),
+            resync_scratch: Vec::new(),
             mode: PhantomData,
         };
         sim.refresh_m_default();
@@ -370,7 +378,8 @@ impl<M: Timing> PropSim<M> {
         if self.trial_batch <= 1 || self.net.oracle_cache_stats().is_none() {
             return; // prefetch disabled, or dense tier (warming is a no-op)
         }
-        let mut slots: Vec<Slot> = Vec::with_capacity(2 * self.trial_batch);
+        let mut slots = std::mem::take(&mut self.slot_scratch);
+        slots.clear();
         for (_, ev) in self.events.pending_until(deadline, self.trial_batch) {
             match ev {
                 Ev::Tick(slot) => slots.push(*slot),
@@ -384,6 +393,7 @@ impl<M: Timing> PropSim<M> {
         }
         slots.retain(|&s| self.net.graph().is_alive(s) && self.nodes[s.index()].is_some());
         self.net.warm_latency_rows(&slots);
+        self.slot_scratch = slots;
     }
 
     /// Convenience: advance the clock by `window`.
@@ -606,16 +616,20 @@ impl<M: Timing> PropSim<M> {
         let mut outcome = Outcome::NoGain;
         let mut msgs = 0;
         if counterpart.is_some() {
-            if let Some(plan) =
-                exchange::plan_exchange(&self.net, self.cfg.policy, walk, self.m_default)
-            {
+            if let Some(plan) = exchange::plan_exchange_into(
+                &self.net,
+                self.cfg.policy,
+                walk,
+                self.m_default,
+                &mut self.plan_scratch,
+            ) {
                 // One probe per hypothetical neighbor and, if the exchange
                 // goes ahead, one notification to each of the same.
                 msgs = plan.neighbors_touched(&self.net) as u64;
                 // `Var > MIN_VAR` with the embedded tier's exact-fallback
                 // band: borderline comparisons re-evaluate exactly.
-                if exchange::decide(&self.net, &plan, self.cfg.min_var) {
-                    self.perform(&plan);
+                if exchange::decide(&self.net, plan, self.cfg.min_var) {
+                    Self::perform(&mut self.net, &mut self.nodes, &mut self.rng, plan);
                     outcome = Outcome::Exchanged;
                 }
             }
@@ -654,32 +668,44 @@ impl<M: Timing> PropSim<M> {
     }
 
     /// Apply the plan to the overlay and move the protocol state with it.
-    fn perform(&mut self, plan: &exchange::ExchangePlan) {
+    /// Over the fields it writes rather than `&mut self`: the plan is on
+    /// loan from the driver's own `plan_scratch`.
+    fn perform(
+        net: &mut OverlayNet,
+        nodes: &mut [Option<NodeState>],
+        rng: &mut SimRng,
+        plan: &exchange::ExchangePlan,
+    ) {
         let (u, v) = (plan.u, plan.v);
-        exchange::apply(&mut self.net, plan);
+        exchange::apply(net, plan);
         match &plan.kind {
             PlanKind::SwapAll => {
                 // Peers traded slots: their protocol state travels with
                 // them, then sees a brand-new neighborhood. (Every logical
                 // neighbor is notified to refresh latency bookkeeping;
                 // slot-level links are unchanged.)
-                self.nodes.swap(u.index(), v.index());
+                if let Ok(pair) = nodes.get_disjoint_mut([u.index(), v.index()]) {
+                    match pair {
+                        [Some(a), Some(b)] => a.trade_places(b),
+                        [a, b] => std::mem::swap(a, b), // a slot the driver never started
+                    }
+                }
                 for &s in &[u, v] {
-                    if let Some(state) = self.nodes[s.index()].as_mut() {
-                        state.reinit_queue(self.net.graph(), s, &mut self.rng);
+                    if let Some(state) = nodes[s.index()].as_mut() {
+                        state.reinit_queue(net.graph(), s, rng);
                         state.on_exchanged();
                     }
                 }
             }
             PlanKind::Subset { from_u, from_v } => {
                 for (a, b, from_a, from_b) in [(u, v, from_u, from_v), (v, u, from_v, from_u)] {
-                    if let Some(state) = self.nodes[a.index()].as_mut() {
+                    if let Some(state) = nodes[a.index()].as_mut() {
                         state.swap_queue_entries(from_a, from_b);
                         state.on_exchanged();
                     }
                     // The moved neighbors each changed one edge endpoint.
                     for &x in from_a {
-                        if let Some(state) = self.nodes[x.index()].as_mut() {
+                        if let Some(state) = nodes[x.index()].as_mut() {
                             state.swap_queue_entries(&[a], &[b]);
                         }
                     }
@@ -706,18 +732,21 @@ impl<M: Timing> PropSim<M> {
         // Snapshot the neighbor list into the driver-owned scratch (the
         // notifications below mutate node state, so the graph's slice can't
         // stay borrowed) — no per-join allocation once it reaches capacity.
-        let mut neighbors = std::mem::take(&mut self.churn_scratch);
+        let mut neighbors = std::mem::take(&mut self.slot_scratch);
         neighbors.clear();
         neighbors.extend_from_slice(self.net.graph().neighbors(slot));
         self.handle_rewire(&neighbors);
-        self.churn_scratch = neighbors;
+        self.slot_scratch = neighbors;
     }
 
     /// The peer at `slot` departed (the overlay has already removed it and
     /// patched around the hole). `affected` are the slots whose neighbor
     /// lists changed. Its in-flight trials abort as stale.
     pub fn handle_leave(&mut self, slot: Slot, affected: &[Slot]) {
-        self.nodes[slot.index()] = None;
+        // A slot that joined behind the driver's back has no state to drop.
+        if let Some(node) = self.nodes.get_mut(slot.index()) {
+            *node = None;
+        }
         self.handle_rewire(affected);
     }
 
@@ -736,7 +765,7 @@ impl<M: Timing> PropSim<M> {
             }
             if let Some(state) = self.nodes[w.index()].as_mut() {
                 let had_backoff = state.probe_interval() > self.cfg.init_timer;
-                state.on_neighborhood_changed(self.net.graph(), w);
+                state.on_neighborhood_changed(self.net.graph(), w, &mut self.resync_scratch);
                 // A reset node should also probe soon, not wait out a long
                 // previously-scheduled interval. Known defect, kept because
                 // fixing it moves every churn digest: the pending tick is
@@ -1147,6 +1176,25 @@ mod tests {
             assert!(sim.net().graph().is_connected());
         }
         assert!(sim.net().placement().is_consistent());
+    }
+
+    #[test]
+    fn leave_of_a_slot_the_driver_never_started_is_not_a_panic() {
+        let (gn, mut sim) = gnutella_sim::<Atomic>(30, 15, PropConfig::prop_o());
+        sim.run_for(minutes(5));
+        let mut rng = SimRng::seed_from(15);
+        let peer = sim.net().peer(Slot(3));
+        let affected: Vec<Slot> = sim.net().graph().neighbors(Slot(3)).to_vec();
+        gn.leave(sim.net_mut(), Slot(3), &mut rng);
+        sim.handle_leave(Slot(3), &affected);
+        // The peer comes back and goes again with no `handle_join` in
+        // between: its slot lies past the driver's node table.
+        let slot = gn.join(sim.net_mut(), peer, &mut rng);
+        let affected: Vec<Slot> = sim.net().graph().neighbors(slot).to_vec();
+        gn.leave(sim.net_mut(), slot, &mut rng);
+        sim.handle_leave(slot, &affected);
+        sim.run_for(minutes(5));
+        assert!(sim.net().graph().is_connected());
     }
 
     #[test]

@@ -322,6 +322,39 @@ impl SimRng {
         idx[..k].iter().map(|&i| xs[i]).collect()
     }
 
+    /// The `k` *ranks* in `0..len` that [`SimRng::sample_distinct`] would
+    /// pick from a slice of length `len`, in the same order and consuming
+    /// the stream exactly as it does (the same `range(i..len)` draws).
+    ///
+    /// The partial Fisher–Yates runs over a sparse map of the displaced
+    /// positions instead of a `len`-wide index vector: O(k²) work and two
+    /// `k`-element buffers, whatever `len` is. Callers that used to
+    /// `collect()` a population only to sample it (a Gnutella join picking
+    /// its targets among every live slot) resolve the ranks through an index
+    /// structure instead.
+    pub fn sample_distinct_ranks(&mut self, len: usize, k: usize) -> Vec<usize> {
+        let k = k.min(len);
+        let mut picked = Vec::with_capacity(k);
+        // (position, value there) for every position whose value is no
+        // longer its own index; at most one entry per draw.
+        let mut displaced: Vec<(usize, usize)> = Vec::with_capacity(k);
+        let at = |p: usize, displaced: &[(usize, usize)]| {
+            displaced.iter().find(|&&(q, _)| q == p).map_or(p, |&(_, v)| v)
+        };
+        for i in 0..k {
+            let j = self.range(i..len);
+            let (vi, vj) = (at(i, &displaced), at(j, &displaced));
+            // swap(i, j): position i is settled (later draws start above
+            // it), so only j's new value needs remembering.
+            picked.push(vj);
+            match displaced.iter_mut().find(|(q, _)| *q == j) {
+                Some(entry) => entry.1 = vi,
+                None => displaced.push((j, vi)),
+            }
+        }
+        picked
+    }
+
     /// Exponentially distributed duration with the given mean, in
     /// milliseconds — used for Poisson churn inter-arrival times.
     pub fn exp_millis(&mut self, mean_ms: f64) -> u64 {
@@ -400,6 +433,34 @@ mod tests {
         let mut s = s;
         s.sort_unstable();
         assert_eq!(s, vec![1, 2, 3]);
+    }
+
+    /// Differential twin: the sparse-map ranks against the dense index
+    /// vector, element for element and on the draw that follows. Checked
+    /// against: reading `at(j)` after the write, leaving a position that is
+    /// displaced a second time at its first value, and drawing
+    /// `range(0..len)` instead of `i..len`.
+    #[test]
+    fn sample_distinct_ranks_is_sample_distinct() {
+        const CASES: u64 = 512;
+        let mut sizes = SimRng::seed_from(0xd15);
+        for case in 0..CASES {
+            // Small populations force repeated and self draws (j == i, a j
+            // drawn twice); k runs past len to cover the truncation.
+            let len = if case % 4 == 0 { sizes.range(0..6usize) } else { sizes.range(0..200usize) };
+            let k = sizes.range(0..=len.min(12) + 2);
+            let xs: Vec<usize> = (0..len).collect();
+            let mut a = SimRng::seed_from(case);
+            let mut b = a.clone();
+            let dense = a.sample_distinct(&xs, k);
+            let sparse = b.sample_distinct_ranks(len, k);
+            assert_eq!(dense, sparse, "case {case}: len {len}, k {k}");
+            assert_eq!(
+                a.range(0u64..u64::MAX),
+                b.range(0u64..u64::MAX),
+                "case {case}: streams diverged after len {len}, k {k}"
+            );
+        }
     }
 
     #[test]

@@ -98,18 +98,26 @@ impl Gnutella {
 
     /// Churn: a previously-absent `peer` joins, wiring `links_per_join`
     /// connections to random live slots. Returns its new slot.
+    ///
+    /// O(k log n): the targets are drawn as ranks over the live population
+    /// and resolved through the graph's rank index — the draws
+    /// `sample_distinct` would make over `live_slots().collect()`, without
+    /// the two n-wide vectors per join.
     pub fn join(
         &self,
         net: &mut OverlayNet,
         peer: prop_netsim::oracle::MemberIdx,
         rng: &mut SimRng,
     ) -> Slot {
-        let live: Vec<Slot> = net.graph().live_slots().collect();
-        assert!(live.len() >= self.params.links_per_join);
+        let k = self.params.links_per_join;
+        let live = net.graph().num_live();
+        assert!(live >= k);
         let slot = net.graph_mut().add_slot();
         net.placement_mut().occupy(slot, peer);
-        let targets = rng.sample_distinct(&live, self.params.links_per_join);
-        for t in targets {
+        // The new slot has the highest index, so it sits past every rank
+        // below `live`.
+        for rank in rng.sample_distinct_ranks(live, k) {
+            let t = net.graph().live_slot_at_rank(rank).expect("rank within live population");
             net.graph_mut().add_edge(slot, t);
         }
         slot
@@ -255,6 +263,44 @@ mod tests {
             assert!(net.graph().is_connected(), "disconnected after join");
         }
         assert!(net.placement().is_consistent());
+    }
+
+    /// `join` by ranks against the form it replaced — collect every live
+    /// slot, `sample_distinct` over the vector — on two copies of an overlay
+    /// under the same leaves, so the slot table has holes at both ends.
+    #[test]
+    fn join_by_rank_is_join_over_the_collected_live_slots() {
+        fn join_reference(gn: &Gnutella, net: &mut OverlayNet, peer: usize, rng: &mut SimRng) {
+            let live: Vec<Slot> = net.graph().live_slots().collect();
+            let slot = net.graph_mut().add_slot();
+            net.placement_mut().occupy(slot, peer);
+            for t in rng.sample_distinct(&live, gn.params.links_per_join) {
+                net.graph_mut().add_edge(slot, t);
+            }
+        }
+        for case in 0..32u64 {
+            let (gn, mut a) = build(24, 100 + case);
+            let (_, mut b) = build(24, 100 + case);
+            let (mut ra, mut rb) = (SimRng::seed_from(case), SimRng::seed_from(case));
+            for round in 0..12u32 {
+                let rank = ra.pick_rank(a.graph().num_live()).unwrap();
+                assert_eq!(rb.pick_rank(b.graph().num_live()), Some(rank));
+                let victim = match round % 3 {
+                    0 => a.graph().live_slot_at_rank(0).unwrap(),
+                    1 => a.graph().live_slot_at_rank(a.graph().num_live() - 1).unwrap(),
+                    _ => a.graph().live_slot_at_rank(rank).unwrap(),
+                };
+                let peer = a.peer(victim);
+                gn.leave(&mut a, victim, &mut ra);
+                gn.leave(&mut b, victim, &mut rb);
+                let slot = gn.join(&mut a, peer, &mut ra);
+                join_reference(&gn, &mut b, peer, &mut rb);
+                let at = format!("case {case}, round {round}");
+                assert_eq!(a.graph().neighbors(slot), b.graph().neighbors(slot), "{at}");
+                assert_eq!(a.graph().num_edges(), b.graph().num_edges(), "{at}");
+            }
+            assert_eq!(ra.range(0u64..u64::MAX), rb.range(0u64..u64::MAX), "case {case}: streams");
+        }
     }
 
     #[test]
