@@ -138,8 +138,10 @@ fn run_size(
     );
 
     // Stage 1: the query storm. Group by source so each cached row is
-    // computed once, and warm sources in batches sized to half the cache
-    // so a batch never evicts its own rows. On the coordinate-embedded
+    // computed once, and warm sources in batches of at most half the cache
+    // so a batch never evicts its own rows (a quarter, since a row became
+    // `2 × n` bytes and the batch stayed the size the committed rows of
+    // EXPERIMENTS S3/S5 were measured with). On the coordinate-embedded
     // tier `d(u,v)` never touches a row, so warming would only run
     // Dijkstras the storm doesn't need — skip it there.
     let warm = oracle.built_tier() != Tier::Embedded;
@@ -149,8 +151,7 @@ fn run_size(
     let mut pairs: Vec<(usize, usize)> =
         (0..queries).map(|_| (rng.range(0..n), rng.range(0..n))).collect();
     pairs.sort_unstable();
-    let row_bytes = 4 * n;
-    let batch_rows = (CACHE_CAP_BYTES / row_bytes / 2).max(1);
+    let batch_rows = (CACHE_CAP_BYTES / (4 * n) / 2).max(1);
     let mut total_latency = 0u64;
     let mut answered = 0u64;
     let mut i = 0;

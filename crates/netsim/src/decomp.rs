@@ -39,8 +39,31 @@
 
 use crate::dijkstra::{search, shortest_paths, Frontier, UNREACHABLE};
 use crate::graph::{NodeClass, PhysGraph, PhysNodeId};
-use crate::latency::OracleBuildError;
+use crate::latency::{OracleBuildError, PairFault};
 use crate::oracle::MemberIdx;
+use crate::rowcache::RowMs;
+
+/// What a row is written into: the dense matrix's `u32`, or the row
+/// store's [`RowMs`] — filled directly, no wider row made and then copied.
+pub(crate) trait Cell: Copy {
+    fn from_ms(ms: u32) -> Self;
+}
+
+impl Cell for u32 {
+    #[inline]
+    fn from_ms(ms: u32) -> u32 {
+        ms
+    }
+}
+
+impl Cell for RowMs {
+    /// Checked, and never taken: `RowStore::try_build` refuses a member set
+    /// any of whose latencies could pass the type.
+    #[inline]
+    fn from_ms(ms: u32) -> RowMs {
+        RowMs::try_from(ms).expect("the row store was built over latencies that fit its rows")
+    }
+}
 
 /// "No such node / domain" in the `u32` index arrays below.
 const NONE: u32 = u32::MAX;
@@ -240,11 +263,17 @@ impl Decomposition {
         })
     }
 
-    fn fill_row(&self, g: &PhysGraph, members: &[PhysNodeId], src: MemberIdx, out: &mut [u32]) {
+    fn fill_row<T: Cell>(
+        &self,
+        g: &PhysGraph,
+        members: &[PhysNodeId],
+        src: MemberIdx,
+        out: &mut [T],
+    ) {
         let (gw, base) = self.gw_up[src];
         let via = &self.transit[gw as usize * self.t..][..self.t];
         for (o, &(gw_j, up_j)) in out.iter_mut().zip(self.gw_up.iter()) {
-            *o = base + via[gw_j as usize] + up_j;
+            *o = T::from_ms(base + via[gw_j as usize] + up_j);
         }
         let d = self.dom[src];
         if d == NONE {
@@ -257,7 +286,7 @@ impl Decomposition {
         let mut frontier = Frontier::with_capacity(k);
         search(g, members[src], &mut local, &mut frontier, domain_hosts(&self.slot));
         for &j in &self.dom_members[self.dom_mstart[d] as usize..self.dom_mstart[d + 1] as usize] {
-            out[j as usize] = local[self.slot[members[j as usize].index()] as usize];
+            out[j as usize] = T::from_ms(local[self.slot[members[j as usize].index()] as usize]);
         }
     }
 }
@@ -275,12 +304,12 @@ impl RowKernel {
     /// Write `d(members[src], members[j])` into `out[j]` for every member,
     /// failing on the first one `src` cannot reach. `g` and `members` are
     /// the ones the kernel was built over.
-    pub(crate) fn fill_row(
+    pub(crate) fn fill_row<T: Cell>(
         &self,
         g: &PhysGraph,
         members: &[PhysNodeId],
         src: MemberIdx,
-        out: &mut [u32],
+        out: &mut [T],
     ) -> Result<(), OracleBuildError> {
         debug_assert_eq!(out.len(), members.len());
         if let Some(dec) = &self.0 {
@@ -290,15 +319,17 @@ impl RowKernel {
         }
         let full = shortest_paths(g, members[src]);
         for (j, (o, &dst)) in out.iter_mut().zip(members).enumerate() {
-            *o = full[dst.index()];
-            if *o == UNREACHABLE {
+            let ms = full[dst.index()];
+            if ms == UNREACHABLE {
                 return Err(OracleBuildError {
                     from_member: src,
                     from_host: members[src],
                     to_member: j,
                     to_host: dst,
+                    fault: PairFault::Disconnected,
                 });
             }
+            *o = T::from_ms(ms);
         }
         Ok(())
     }
@@ -459,6 +490,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_stored_row_holds_65_535_from_either_kernel() {
+        // a - t0 - t1 - b is decomposed, a - b alone (no transit node) is
+        // not; both put the widest latency a `RowMs` has between a and b.
+        let mut b = PhysGraphBuilder::new();
+        let t0 = b.add_node(NodeClass::Transit { domain: 0 });
+        let t1 = b.add_node(NodeClass::Transit { domain: 1 });
+        let a0 = b.add_node(NodeClass::Stub { domain: 0, gateway: t0.0 });
+        let b0 = b.add_node(NodeClass::Stub { domain: 1, gateway: t1.0 });
+        b.add_link(a0, t0, 20, LinkClass::StubTransit);
+        b.add_link(t0, t1, 65_485, LinkClass::TransitTransit);
+        b.add_link(t1, b0, 30, LinkClass::StubTransit);
+        let decomposed = (b.build(), vec![a0, b0]);
+        let mut b = PhysGraphBuilder::new();
+        let u = b.add_node(NodeClass::Stub { domain: 0, gateway: 0 });
+        let v = b.add_node(NodeClass::Stub { domain: 0, gateway: 0 });
+        b.add_link(u, v, 65_535, LinkClass::StubStub);
+        let whole_graph = (b.build(), vec![u, v]);
+        for (expect_decomposed, (g, members)) in [(true, decomposed), (false, whole_graph)] {
+            let kernel = RowKernel::new(&g, &members);
+            assert_eq!(kernel.is_decomposed(), expect_decomposed);
+            let mut row = [0 as RowMs; 2];
+            kernel.fill_row(&g, &members, 0, &mut row).expect("connected");
+            assert_eq!(row, [0, RowMs::MAX]);
+            assert_eq!(u32::from(row[1]), shortest_paths(&g, members[0])[members[1].index()]);
+        }
+    }
+
     /// Domain 0 with `a2` cut off from `a0 - a1` (and so from everything).
     fn split_domain() -> (PhysGraph, Vec<PhysNodeId>) {
         let mut b = PhysGraphBuilder::new();
@@ -489,6 +548,7 @@ mod tests {
                     from_host: members[0],
                     to_member: to,
                     to_host: members[to],
+                    fault: PairFault::Disconnected,
                 }
             );
         }

@@ -59,7 +59,6 @@ use crate::graph::PhysNodeId;
 use crate::oracle::{MemberIdx, RowStore};
 use prop_engine::SimRng;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Euclidean dimensions of the coordinate space (the height is carried
 /// separately). 4 is the classic Vivaldi sweet spot for internet-like
@@ -221,7 +220,7 @@ impl Embedding {
         // 1. Landmarks by deterministic stride (distinct for l <= n).
         let l = LANDMARKS.min(n);
         let landmarks: Vec<MemberIdx> = (0..l).map(|k| k * n / l).collect();
-        let landmark_rows: Vec<Arc<[u32]>> =
+        let landmark_rows: Vec<_> =
             landmarks.iter().map(|&lm| rows.compute_row(members, lm)).collect();
 
         // 2. Landmark relaxation over the exact L × L distances.
@@ -303,8 +302,7 @@ impl Embedding {
         let mut cal_sources: Vec<MemberIdx> =
             (0..c).map(|k| (k * n / c + n / (2 * c).max(1)).min(n - 1)).collect();
         cal_sources.dedup();
-        let cal_rows: Vec<Arc<[u32]>> =
-            cal_sources.iter().map(|&s| rows.compute_row(members, s)).collect();
+        let cal_rows: Vec<_> = cal_sources.iter().map(|&s| rows.compute_row(members, s)).collect();
 
         let tgt = CALIBRATION_TARGETS.min(n);
         let mut abs_errs: Vec<f64> = Vec::with_capacity(cal_sources.len() * tgt);

@@ -26,6 +26,7 @@
 
 use crate::graph::PhysNodeId;
 use crate::oracle::MemberIdx;
+use crate::rowcache::RowMs;
 use prop_engine::json::{ToJson, Value};
 
 /// How a [`crate::LatencyOracle`] keeps its answers — or, for `Auto`, that
@@ -97,8 +98,8 @@ pub struct OracleConfig {
     /// Which tier to build; [`Tier::Auto`] by default.
     pub tier: Tier,
     /// Byte budget for resident rows — the row-cache tier itself, and the
-    /// embedded tier's exact escalation path. One row costs `4 × n` bytes
-    /// (plus small bookkeeping), so the default 512 MiB holds ~1,342 rows
+    /// embedded tier's exact escalation path. One row costs `2 × n` bytes
+    /// (plus small bookkeeping), so the default 512 MiB holds ~2,684 rows
     /// at n = 100,000. Unused by the dense tier.
     pub cache_capacity_bytes: usize,
 }
@@ -127,30 +128,55 @@ impl OracleConfig {
     }
 }
 
-/// A member pair the oracle cannot connect. Returned by
+/// Why [`OracleBuildError`]'s pair stops the build.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PairFault {
+    /// No path joins the two members.
+    Disconnected,
+    /// The two are `ms` apart, and a stored row keeps a latency in sixteen
+    /// bits: twice the first member's distance to its farthest bounds
+    /// every pair (`d` is a metric), and here that is past 65,535 ms. Only
+    /// the tiers that keep rows refuse it; the dense matrix holds `u32`.
+    TooFar { ms: u32 },
+}
+
+/// A member pair the oracle cannot be built over. Returned by
 /// [`crate::LatencyOracle::try_build_with`] instead of the historical
 /// panic-after-the-fact, and named precisely so generator bugs are
-/// debuggable: *which* members, on *which* hosts.
+/// debuggable: *which* members, on *which* hosts, and [`PairFault`] says
+/// what is wrong with them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OracleBuildError {
-    /// Member index of the unreachable pair's source side.
+    /// Member index of the pair's source side.
     pub from_member: MemberIdx,
     /// Physical host backing `from_member`.
     pub from_host: PhysNodeId,
-    /// Member index of the unreachable pair's destination side.
+    /// Member index of the pair's destination side.
     pub to_member: MemberIdx,
     /// Physical host backing `to_member`.
     pub to_host: PhysNodeId,
+    pub fault: PairFault,
 }
 
 impl std::fmt::Display for OracleBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "latency oracle built over a disconnected member set: \
-             member {} (host {:?}) cannot reach member {} (host {:?})",
-            self.from_member, self.from_host, self.to_member, self.to_host
-        )
+        let OracleBuildError { from_member, from_host, to_member, to_host, fault } = self;
+        match fault {
+            PairFault::Disconnected => write!(
+                f,
+                "latency oracle built over a disconnected member set: \
+                 member {from_member} (host {from_host:?}) cannot reach \
+                 member {to_member} (host {to_host:?})"
+            ),
+            PairFault::TooFar { ms } => write!(
+                f,
+                "latency oracle's rows keep 16-bit milliseconds and this member set is too \
+                 wide for them: member {from_member} (host {from_host:?}) is {ms} ms from \
+                 member {to_member} (host {to_host:?}), and twice that bounds every pair \
+                 (limit {}); the dense tier has no such limit",
+                RowMs::MAX
+            ),
+        }
     }
 }
 
@@ -237,10 +263,15 @@ mod tests {
             from_host: PhysNodeId(30),
             to_member: 7,
             to_host: PhysNodeId(70),
+            fault: PairFault::Disconnected,
         };
         let msg = e.to_string();
         assert!(msg.contains("disconnected member set"));
         assert!(msg.contains("member 3"));
         assert!(msg.contains("member 7"));
+        let msg = OracleBuildError { fault: PairFault::TooFar { ms: 40_040 }, ..e }.to_string();
+        assert!(msg.contains("40040 ms"), "{msg}");
+        assert!(msg.contains("member 3") && msg.contains("member 7"), "{msg}");
+        assert!(!msg.contains('\n'), "one line: {msg}");
     }
 }

@@ -51,7 +51,7 @@ pub mod waxman;
 
 pub use embed::{EmbedCalibration, EmbedStats, Embedding};
 pub use graph::{LinkClass, NodeClass, PhysGraph, PhysNodeId};
-pub use latency::{OracleBuildError, OracleConfig, Tier};
+pub use latency::{OracleBuildError, OracleConfig, PairFault, Tier};
 pub use oracle::LatencyOracle;
 pub use rowcache::CacheStats;
 pub use transit_stub::{generate, TransitStubParams};

@@ -1,8 +1,11 @@
 //! Sharded LRU cache of latency-oracle rows.
 //!
-//! One entry is a full source row: `d(src, ·)` over all members, 4 bytes a
-//! member. Rows are expensive to make (a search of the physical graph)
-//! and cheap to keep, so the cache is bounded in **bytes**, not entries:
+//! One entry is a full source row: `d(src, ·)` over all members, 2 bytes a
+//! member ([`RowMs`]: the physical model prices a link at 100, 20 or 5 ms,
+//! and `RowStore::try_build` refuses a member set whose latencies could
+//! pass the type). Rows are expensive to make (a search of the physical
+//! graph) and cheap to keep, so the cache is bounded in **bytes**, not
+//! entries — half the bytes a member is twice the rows every budget holds:
 //! the capacity is split evenly over `shards` independently-locked LRU
 //! shards (a source's rows always live in shard `src % shards`), and each
 //! shard evicts its least-recently-used rows when over budget.
@@ -19,6 +22,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+/// One stored latency, ms. The only width a kept row has; `d` widens it to
+/// the `u32` every caller reads.
+pub(crate) type RowMs = u16;
 
 /// Snapshot of the row cache's counters, for experiment reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -65,7 +72,7 @@ impl CacheStats {
 }
 
 struct Entry {
-    row: Arc<[u32]>,
+    row: Arc<[RowMs]>,
     last_used: u64,
 }
 
@@ -76,12 +83,22 @@ struct Shard {
     tick: u64,
 }
 
+impl Shard {
+    /// Make `src`'s row, if resident, the shard's most recently used.
+    fn bump(&mut self, src: usize) -> Option<&Entry> {
+        self.tick += 1;
+        let entry = self.rows.get_mut(&src)?;
+        entry.last_used = self.tick;
+        Some(entry)
+    }
+}
+
 /// The sharded, byte-bounded LRU row store.
 pub struct RowCache {
     shards: Box<[Mutex<Shard>]>,
     /// Byte budget per shard.
     shard_capacity: usize,
-    /// Bytes one row occupies (`4 × n`).
+    /// Bytes one row occupies (`2 × n`).
     row_bytes: usize,
     capacity_bytes: usize,
     hits: AtomicU64,
@@ -92,14 +109,14 @@ pub struct RowCache {
 }
 
 impl RowCache {
-    /// A cache for rows of `row_len` `u32`s, bounded by `capacity_bytes`
+    /// A cache for rows of `row_len` [`RowMs`], bounded by `capacity_bytes`
     /// split over `shards` locks.
     pub fn new(row_len: usize, capacity_bytes: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         RowCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: capacity_bytes / shards,
-            row_bytes: row_len * std::mem::size_of::<u32>(),
+            row_bytes: row_len * std::mem::size_of::<RowMs>(),
             capacity_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -122,14 +139,17 @@ impl RowCache {
     /// counter. Misses are *not* counted here — the caller records one miss
     /// per row it actually computes (a `d(a, b)` query probes both `a` and
     /// `b`, and must not count twice).
-    pub fn get(&self, src: usize) -> Option<Arc<[u32]>> {
-        let mut shard = self.shard(src);
-        shard.tick += 1;
-        let tick = shard.tick;
-        let entry = shard.rows.get_mut(&src)?;
-        entry.last_used = tick;
+    pub fn get(&self, src: usize) -> Option<Arc<[RowMs]>> {
+        let row = Arc::clone(&self.shard(src).bump(src)?.row);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(Arc::clone(&entry.row))
+        Some(row)
+    }
+
+    /// Is the row for `src` resident? If so it becomes its shard's most
+    /// recently used, as after [`Self::get`], but no hit is counted: this
+    /// is a caller saying it is about to need the row, not reading it.
+    pub fn touch(&self, src: usize) -> bool {
+        self.shard(src).bump(src).is_some()
     }
 
     /// Is the row for `src` resident? No counter or recency side effects.
@@ -145,8 +165,8 @@ impl RowCache {
     /// Insert a freshly computed row, evicting LRU rows while the shard is
     /// over budget. A concurrent duplicate insert is benign: the second
     /// copy replaces the first.
-    pub fn insert(&self, src: usize, row: Arc<[u32]>) {
-        debug_assert_eq!(row.len() * std::mem::size_of::<u32>(), self.row_bytes);
+    pub fn insert(&self, src: usize, row: Arc<[RowMs]>) {
+        debug_assert_eq!(std::mem::size_of_val(&*row), self.row_bytes);
         let mut shard = self.shard(src);
         shard.tick += 1;
         let tick = shard.tick;
@@ -190,16 +210,19 @@ impl RowCache {
 mod tests {
     use super::*;
 
-    fn row(len: usize, fill: u32) -> Arc<[u32]> {
-        vec![fill; len].into()
+    /// Entries of the 32-byte row the byte budgets below are written in.
+    const LEN: usize = 16;
+
+    fn row(fill: RowMs) -> Arc<[RowMs]> {
+        vec![fill; LEN].into()
     }
 
     #[test]
     fn hit_and_miss_accounting() {
-        let c = RowCache::new(8, 1 << 20, 4);
+        let c = RowCache::new(LEN, 1 << 20, 4);
         assert!(c.get(0).is_none());
         c.record_miss();
-        c.insert(0, row(8, 7));
+        c.insert(0, row(7));
         let r = c.get(0).expect("resident");
         assert_eq!(r[3], 7);
         let s = c.stats();
@@ -212,11 +235,11 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent_within_shard() {
         // One shard, room for exactly two 32-byte rows.
-        let c = RowCache::new(8, 64, 1);
-        c.insert(0, row(8, 0));
-        c.insert(1, row(8, 1));
+        let c = RowCache::new(LEN, 64, 1);
+        c.insert(0, row(0));
+        c.insert(1, row(1));
         assert!(c.get(0).is_some()); // 0 now more recent than 1
-        c.insert(2, row(8, 2)); // over budget ⇒ evict 1
+        c.insert(2, row(2)); // over budget ⇒ evict 1
         assert!(c.contains(0));
         assert!(!c.contains(1));
         assert!(c.contains(2));
@@ -226,12 +249,46 @@ mod tests {
     }
 
     #[test]
+    fn a_budget_of_b_bytes_keeps_b_over_2n_rows() {
+        // Two bytes a member is the claim: a four-byte row keeps half of
+        // these and evicts from row `fit / 2` on. One shard of sixteen, at
+        // the benchmark's n = 3000 under 12 MiB and S5's n = 100,000 under
+        // 512 MiB: 131 and 167 rows.
+        for (n, budget) in [(LEN, 4096), (3_000, (12 << 20) / 16), (100_000, (512 << 20) / 16)] {
+            let fit = budget / (2 * n);
+            let c = RowCache::new(n, budget, 1);
+            let blank: Arc<[RowMs]> = vec![0; n].into();
+            for src in 0..fit {
+                c.insert(src, Arc::clone(&blank));
+            }
+            let s = c.stats();
+            assert_eq!((s.resident_rows, s.evictions), (fit, 0), "n = {n}");
+            assert_eq!(s.resident_bytes, fit * 2 * n, "n = {n}");
+            c.insert(fit, blank);
+            let s = c.stats();
+            assert_eq!((s.resident_rows, s.evictions), (fit, 1), "n = {n}: the next row evicts");
+        }
+    }
+
+    #[test]
+    fn touch_bumps_recency_and_counts_no_hit() {
+        let c = RowCache::new(LEN, 64, 1); // two rows fit
+        c.insert(0, row(0));
+        c.insert(1, row(1));
+        assert!(c.touch(0)); // 0 now more recent than 1
+        assert!(!c.touch(2), "not resident, and not made so");
+        c.insert(2, row(2));
+        assert!(c.contains(0) && !c.contains(1) && c.contains(2));
+        assert_eq!(c.stats().hits, 0);
+    }
+
+    #[test]
     fn never_evicts_the_only_row() {
         // Capacity smaller than a single row: the fresh row must survive.
-        let c = RowCache::new(8, 16, 1);
-        c.insert(0, row(8, 0));
+        let c = RowCache::new(LEN, 16, 1);
+        c.insert(0, row(0));
         assert!(c.contains(0));
-        c.insert(1, row(8, 1));
+        c.insert(1, row(1));
         assert!(c.contains(1));
         assert!(!c.contains(0), "old row evicted in favor of the fresh one");
         assert_eq!(c.stats().resident_rows, 1);
@@ -239,9 +296,9 @@ mod tests {
 
     #[test]
     fn peak_tracks_high_water_mark() {
-        let c = RowCache::new(8, 32, 1); // one row fits
-        c.insert(0, row(8, 0));
-        c.insert(1, row(8, 1));
+        let c = RowCache::new(LEN, 32, 1); // one row fits
+        c.insert(0, row(0));
+        c.insert(1, row(1));
         let s = c.stats();
         assert_eq!(s.resident_bytes, 32);
         // Insert-then-evict briefly held two rows.
@@ -250,9 +307,9 @@ mod tests {
 
     #[test]
     fn shards_are_independent() {
-        let c = RowCache::new(8, 128, 4); // 32 B per shard = 1 row each
+        let c = RowCache::new(LEN, 128, 4); // 32 B per shard = 1 row each
         for src in 0..4 {
-            c.insert(src, row(8, src as u32));
+            c.insert(src, row(src as RowMs));
         }
         for src in 0..4 {
             assert!(c.contains(src), "each shard holds its own row");
@@ -261,9 +318,9 @@ mod tests {
 
     #[test]
     fn since_diffs_counters_only() {
-        let c = RowCache::new(8, 1 << 20, 1);
+        let c = RowCache::new(LEN, 1 << 20, 1);
         c.record_miss();
-        c.insert(0, row(8, 0));
+        c.insert(0, row(0));
         let early = c.stats();
         c.get(0);
         c.get(0);
@@ -274,12 +331,12 @@ mod tests {
 
     #[test]
     fn since_saturates_on_reversed_snapshots() {
-        let c = RowCache::new(8, 32, 1); // one row fits
+        let c = RowCache::new(LEN, 32, 1); // one row fits
         let early = c.stats();
         c.record_miss();
-        c.insert(0, row(8, 0));
+        c.insert(0, row(0));
         c.get(0);
-        c.insert(1, row(8, 1)); // evicts 0
+        c.insert(1, row(1)); // evicts 0
         let late = c.stats();
         assert_eq!((late.hits, late.misses, late.evictions), (1, 1, 1));
         // Snapshots handed over in the wrong order read zero, not a

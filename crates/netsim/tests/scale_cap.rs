@@ -26,8 +26,9 @@ fn twenty_k_members_stay_under_64_mib() {
 
     // Clustered workload: 2,000 distinct sources (every 10th member),
     // warmed in cache-friendly batches, three queries each. Total row
-    // demand is 2,000 × 80 KB = 156 MiB — 2.4× the budget, so the cache
-    // must evict to stay under the cap.
+    // demand is 2,000 × 40 KB = 78 MiB (two bytes a member) — 1.2× the
+    // budget, which holds 16 shards × 104 rows = 1,664 of them, so the
+    // cache must evict to stay under the cap.
     let sources: Vec<usize> = (0..MEMBERS).step_by(10).collect();
     assert_eq!(sources.len(), 2_000);
     for chunk in sources.chunks(400) {

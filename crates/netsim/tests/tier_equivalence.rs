@@ -118,8 +118,9 @@ fn tiny_cache_evicts_and_still_agrees() {
     let members = pick_members(&g, 24, &mut rng);
     let n = members.len();
     let dense = LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::dense()).unwrap();
-    // Row = 4n bytes; a 4n-byte-total budget over the default shard count
-    // leaves each shard pinned at its single most recent row.
+    // Row = 2n bytes; a 4n-byte-total budget over the default shard count
+    // (n / 4 bytes a shard) leaves each shard pinned at its single most
+    // recent row.
     let cached = LatencyOracle::try_build_with(&g, members, &OracleConfig::cached(4 * n)).unwrap();
     for pass in 0..3 {
         for a in 0..n {
