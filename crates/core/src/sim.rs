@@ -50,24 +50,6 @@ use prop_overlay::walk::{WalkPath, WalkScratch};
 use prop_overlay::{OverlayNet, Slot};
 use std::marker::PhantomData;
 
-/// Trials per prefetch batch. Trials execute one at a time (events are
-/// strictly ordered), but the *latency rows* they will need are
-/// independent, so the driver warms the oracle's row cache for the next
-/// batch of pending events (tick origins, in-flight walk endpoints) in one
-/// serial pass before popping them. Warming only moves rows into the
-/// cache — verdicts, RNG draws, and counters are untouched — so any batch
-/// size, including 1 (prefetch off), produces bit-identical runs
-/// (`tests::trial_batching_is_observation_free`).
-///
-/// What it buys today is the row's price, not overlap: a warmed row is a
-/// row-kernel row, a row a `d` miss demands is still a whole-graph
-/// Dijkstra (`prop_netsim`'s `RowStore::demand_row`). Without the prefetch
-/// the benchmark's `scale_rowcache` fell from 15.7k to 7.1k trials/s and
-/// `scale_embed` from 14.5k to 7.5k, digests equal (seed 1, 8 s, one run
-/// each, PR 20). It stays until demand misses are on the kernel too
-/// (ROADMAP item 3).
-const DEFAULT_TRIAL_BATCH: usize = 64;
-
 /// §4.3 cost accounting, cumulative since simulation start.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Overhead {
@@ -216,8 +198,6 @@ pub struct PropSim<M: Timing> {
     overhead: Overhead,
     stats: AsyncStats,
     plane: Option<Box<dyn FaultPlane>>,
-    /// Trials per oracle-prefetch batch (see [`DEFAULT_TRIAL_BATCH`]).
-    trial_batch: usize,
     /// Reusable walk/candidate buffers: an atomic trial, exchanging or not,
     /// must not allocate (pinned by the `alloc_regression` test). In
     /// message-level mode one clone per launch is unavoidable — the
@@ -227,8 +207,7 @@ pub struct PropSim<M: Timing> {
     /// Reusable candidate lists and plan for `exchange::plan_exchange_into`:
     /// the other half of an allocation-free trial.
     plan_scratch: PlanScratch,
-    /// Reusable slot list: a joiner's neighbors in `handle_join`, the
-    /// pending events' row owners in `warm_pending_rows`.
+    /// Reusable slot list: a joiner's neighbors in `handle_join`.
     slot_scratch: Vec<Slot>,
     /// Reusable tick marks for `NeighborQueue::resync`.
     resync_scratch: Vec<bool>,
@@ -251,7 +230,6 @@ impl<M: Timing> PropSim<M> {
             overhead: Overhead::default(),
             stats: AsyncStats::default(),
             plane: None,
-            trial_batch: DEFAULT_TRIAL_BATCH,
             walk_scratch: WalkScratch::new(),
             plan_scratch: PlanScratch::default(),
             slot_scratch: Vec::new(),
@@ -279,11 +257,6 @@ impl<M: Timing> PropSim<M> {
         let offset =
             Duration::from_millis(self.rng.range(0..self.cfg.init_timer.as_millis().max(1)));
         self.events.schedule_in(offset, Ev::Tick(slot));
-    }
-
-    #[cfg(test)]
-    fn set_trial_batch(&mut self, batch: usize) {
-        self.trial_batch = batch.max(1);
     }
 
     /// Route all subsequent message traffic through `plane`. Without a
@@ -344,17 +317,9 @@ impl<M: Timing> PropSim<M> {
         self.m_default = self.net.graph().min_degree().unwrap_or(1).max(1);
     }
 
-    /// Run all events up to and including `deadline`. Every `trial_batch`
-    /// pops, the oracle rows the pending events will touch are warmed in
-    /// one serial pass (a no-op on the dense tier).
+    /// Run all events up to and including `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        let mut credit = 0usize;
         while let Some((_, ev)) = self.events.pop_until(deadline) {
-            if credit == 0 {
-                self.warm_pending_rows(deadline);
-                credit = self.trial_batch;
-            }
-            credit -= 1;
             match ev {
                 Ev::Tick(slot) => self.launch(slot),
                 Ev::Commit { origin, walk, dup } => {
@@ -363,37 +328,6 @@ impl<M: Timing> PropSim<M> {
                 }
             }
         }
-    }
-
-    /// Batch-prefetch oracle rows for pending events due by `deadline`: a
-    /// tick needs its origin's row (walk hops + probe pings), a commit
-    /// re-evaluates Var between the walk's two endpoints. Purely a cache
-    /// warmer: see [`DEFAULT_TRIAL_BATCH`].
-    ///
-    /// `pending_until` reads exactly the next `trial_batch` events in pop
-    /// order from the timer wheel, so the prefetch cost per batch is
-    /// O(batch) rather than a scan of the whole pending set — the scan made
-    /// long runs quadratic in the population at million scale.
-    fn warm_pending_rows(&mut self, deadline: SimTime) {
-        if self.trial_batch <= 1 || self.net.oracle_cache_stats().is_none() {
-            return; // prefetch disabled, or dense tier (warming is a no-op)
-        }
-        let mut slots = std::mem::take(&mut self.slot_scratch);
-        slots.clear();
-        for (_, ev) in self.events.pending_until(deadline, self.trial_batch) {
-            match ev {
-                Ev::Tick(slot) => slots.push(*slot),
-                Ev::Commit { origin, walk, .. } => {
-                    slots.push(*origin);
-                    if let Some(&end) = walk.path.last() {
-                        slots.push(end);
-                    }
-                }
-            }
-        }
-        slots.retain(|&s| self.net.graph().is_alive(s) && self.nodes[s.index()].is_some());
-        self.net.warm_latency_rows(&slots);
-        self.slot_scratch = slots;
     }
 
     /// Convenience: advance the clock by `window`.
@@ -785,14 +719,24 @@ mod tests {
     use super::*;
     use crate::traffic::ChurnDriver;
     use prop_engine::Duration;
-    use prop_netsim::{generate, LatencyOracle, TransitStubParams};
+    use prop_netsim::{generate, LatencyOracle, OracleConfig, TransitStubParams};
     use prop_overlay::gnutella::{Gnutella, GnutellaParams};
     use std::sync::Arc;
 
     fn gnutella_sim<M: Timing>(n: usize, seed: u64, cfg: PropConfig) -> (Gnutella, PropSim<M>) {
+        gnutella_sim_on(n, seed, cfg, &OracleConfig::default())
+    }
+
+    /// [`gnutella_sim`] with the latency oracle built as `oracle` says.
+    fn gnutella_sim_on<M: Timing>(
+        n: usize,
+        seed: u64,
+        cfg: PropConfig,
+        oracle: &OracleConfig,
+    ) -> (Gnutella, PropSim<M>) {
         let mut rng = SimRng::seed_from(seed);
         let phys = generate(&TransitStubParams::tiny(), &mut rng);
-        let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
+        let oracle = Arc::new(LatencyOracle::select_and_build_with(&phys, n, &mut rng, oracle));
         let (gn, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
         let sim = PropSim::new(net, cfg, &mut rng);
         (gn, sim)
@@ -1227,22 +1171,25 @@ mod tests {
     }
 
     #[test]
-    fn trial_batching_is_observation_free() {
-        // Prefetch batching warms caches only; a batch-1 run and a batch-64
-        // run from the same seed must agree on every counter and edge.
+    fn a_one_row_a_shard_cache_drives_as_the_dense_tier_does() {
+        // The row cache holds one row a shard, so the Var reads of a trial
+        // are demand misses and evictions; where the answers come from must
+        // not show in any counter or edge.
         fn check<M: Timing>() {
             for cfg in [PropConfig::prop_g(), PropConfig::prop_o()] {
-                let (_, mut a) = gnutella_sim::<M>(30, 14, cfg.clone());
-                let (_, mut b) = gnutella_sim::<M>(30, 14, cfg);
-                a.set_trial_batch(1);
-                b.set_trial_batch(64);
-                a.run_for(minutes(40));
-                b.run_for(minutes(40));
-                assert_eq!((a.overhead(), a.stats()), (b.overhead(), b.stats()));
-                assert_eq!(a.net().total_link_latency(), b.net().total_link_latency());
+                let (_, mut dense) = gnutella_sim::<M>(30, 14, cfg.clone());
+                let (_, mut rows) = gnutella_sim_on::<M>(30, 14, cfg, &OracleConfig::cached(1));
+                assert!(dense.net().oracle_cache_stats().is_none());
+                dense.run_for(minutes(40));
+                rows.run_for(minutes(40));
+                let evictions = rows.net().oracle_cache_stats().expect("row-cache tier").evictions;
+                assert!(evictions > 0, "the cache held every row: nothing was compared");
+                assert!(rows.overhead().exchanges > 0);
+                assert_eq!((dense.overhead(), dense.stats()), (rows.overhead(), rows.stats()));
+                assert_eq!(dense.net().total_link_latency(), rows.net().total_link_latency());
                 assert_eq!(
-                    a.net().graph().edges().collect::<Vec<_>>(),
-                    b.net().graph().edges().collect::<Vec<_>>()
+                    dense.net().graph().edges().collect::<Vec<_>>(),
+                    rows.net().graph().edges().collect::<Vec<_>>()
                 );
             }
         }

@@ -8,8 +8,7 @@
 //!
 //! * [`SimTime`] / [`Duration`] — a millisecond-granularity simulated clock.
 //! * [`EventQueue`] — a stable (FIFO within a timestamp) pending-event set:
-//!   a hierarchical timer wheel with amortized O(1) schedule/pop and a
-//!   bounded ordered look-ahead ([`EventQueue::pending_until`]).
+//!   a hierarchical timer wheel with amortized O(1) schedule/pop.
 //! * [`SimRng`] — seedable, stream-splittable ChaCha8 randomness so every
 //!   experiment is reproducible bit-for-bit.
 //! * [`json`] — the workspace's JSON wire format: scenario files in, reports

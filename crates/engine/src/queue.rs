@@ -2,13 +2,12 @@
 //!
 //! [`EventQueue`] is a deterministic **hierarchical timer wheel** (a bucketed
 //! calendar queue): 8 levels × 256 slots, one level per byte of the `u64`
-//! millisecond clock. Scheduling and popping are amortized O(1) — the costs
+//! millisecond clock. Scheduling and popping are amortized O(1) — the cost
 //! that made the previous `BinaryHeap` calendar the drivers' wall at million
-//! scale (O(log n) per op, plus an O(n) full-heap scan for trial prefetch)
-//! are gone. Two details matter for reproducibility, and both are preserved
-//! bit-for-bit from the heap implementation (which survives in this file's
-//! test module, as the reference the seeded differential tests there pop
-//! against):
+//! scale (O(log n) per op) is gone. Two details matter for reproducibility,
+//! and both are preserved bit-for-bit from the heap implementation (which
+//! survives in this file's test module, as the reference the seeded
+//! differential tests there pop against):
 //!
 //! 1. **Stable ordering.** Events pop in `(time, seq)` order, where `seq` is
 //!    a monotonically increasing sequence number: same-instant events pop in
@@ -243,72 +242,6 @@ impl<E> EventQueue<E> {
         Some(SimTime(min))
     }
 
-    /// The next `k` pending events with `time <= deadline`, in exact
-    /// `(time, seq)` pop order, without popping anything.
-    ///
-    /// This is the bounded look-ahead the drivers use for trial prefetch:
-    /// O(k) plus the cost of ordering at most one coarse bucket, instead of
-    /// scanning the entire pending set. Level-0 buckets are already exact
-    /// (one instant, FIFO by seq); a higher-level bucket covers a window
-    /// disjoint from — and strictly earlier than — every bucket after it in
-    /// (level, slot) order, so a local sort per bucket yields the global
-    /// order.
-    pub fn pending_until(&self, deadline: SimTime, k: usize) -> Vec<(SimTime, &E)> {
-        let mut out = Vec::with_capacity(k.min(self.len));
-        if k == 0 || self.len == 0 {
-            return out;
-        }
-        let mut scratch: Vec<(Key, u32)> = Vec::new();
-        'levels: for level in 0..LEVELS {
-            let mut slot_base = 0usize;
-            for &word in &self.occupancy[level] {
-                let mut bits = word;
-                while bits != 0 {
-                    let slot = slot_base + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let bucket = level * SLOTS + slot;
-                    if level == 0 {
-                        // Homogeneous instant, list already seq-ordered.
-                        let mut idx = self.head[bucket];
-                        while idx != NIL {
-                            let node = &self.nodes[idx as usize];
-                            if node.key.time > deadline {
-                                break 'levels;
-                            }
-                            let ev = node.event.as_ref().expect("linked node is live");
-                            out.push((node.key.time, ev));
-                            if out.len() == k {
-                                break 'levels;
-                            }
-                            idx = node.next;
-                        }
-                    } else {
-                        scratch.clear();
-                        let mut idx = self.head[bucket];
-                        while idx != NIL {
-                            let node = &self.nodes[idx as usize];
-                            scratch.push((node.key, idx));
-                            idx = node.next;
-                        }
-                        scratch.sort_unstable_by_key(|&(key, _)| key);
-                        for &(key, idx) in &scratch {
-                            if key.time > deadline {
-                                break 'levels;
-                            }
-                            let ev = self.nodes[idx as usize].event.as_ref();
-                            out.push((key.time, ev.expect("linked node is live")));
-                            if out.len() == k {
-                                break 'levels;
-                            }
-                        }
-                    }
-                }
-                slot_base += 64;
-            }
-        }
-        out
-    }
-
     /// Re-distribute every entry of high-level bucket `(level, slot)` one or
     /// more levels down. All entries share their bytes at and above `level`,
     /// so re-placing them relative to their common window base sends each
@@ -410,7 +343,7 @@ mod tests {
     /// differential tests below drive it and [`EventQueue`] through
     /// identical schedules and require identical pop traces, which is what
     /// let the drivers swap queues without re-validating a single
-    /// simulation result. O(log n) per op and a full sort per look-ahead.
+    /// simulation result. O(log n) per op.
     struct BinaryHeapEventQueue<E> {
         heap: BinaryHeap<Reverse<HeapEntry<E>>>,
         now: SimTime,
@@ -442,18 +375,6 @@ mod tests {
             self.heap.peek().map(|e| e.0.key.time)
         }
 
-        /// Same contract as [`EventQueue::pending_until`], by a full sort.
-        fn pending_until(&self, deadline: SimTime, k: usize) -> Vec<(SimTime, &E)> {
-            let mut all: Vec<(Key, &E)> =
-                self.heap.iter().map(|Reverse(e)| (e.key, &e.event)).collect();
-            all.sort_unstable_by_key(|&(key, _)| key);
-            all.into_iter()
-                .take_while(|&(key, _)| key.time <= deadline)
-                .take(k)
-                .map(|(key, e)| (key.time, e))
-                .collect()
-        }
-
         fn pop(&mut self) -> Option<(SimTime, E)> {
             let Reverse(entry) = self.heap.pop()?;
             self.now = entry.key.time;
@@ -482,8 +403,8 @@ mod tests {
     /// The wheel pops exactly as the heap does across seeded random
     /// schedules: same (time, payload) trace, same clock, same length —
     /// same-instant bursts (the FIFO tie-break), sub-slot / one-level /
-    /// cascade-forcing delays (up to ~83 hours, wheel level 3), `pop_until`
-    /// deadlines and the ordered `pending_until` look-ahead.
+    /// cascade-forcing delays (up to ~83 hours, wheel level 3) and
+    /// `pop_until` deadlines.
     #[test]
     fn timer_wheel_matches_heap_reference() {
         for seed in 0..256u64 {
@@ -493,7 +414,7 @@ mod tests {
             let mut payload = 0u32;
             for _ in 0..200 {
                 let now = wheel.now().0;
-                match rng.range(0..5u32) {
+                match rng.range(0..4u32) {
                     0 => {
                         let span = [256u64, 70_000, 300_000_000][rng.range(0..3usize)];
                         let at = SimTime(now + rng.range(0..span));
@@ -511,20 +432,11 @@ mod tests {
                         assert_eq!(wheel.peek_time(), heap.peek_time(), "seed {seed}");
                         assert_eq!(wheel.pop(), heap.pop(), "seed {seed}");
                     }
-                    3 => {
+                    _ => {
                         let deadline = SimTime(now + rng.range(0u64..500_000));
                         assert_eq!(
                             wheel.pop_until(deadline),
                             heap.pop_until(deadline),
-                            "seed {seed}"
-                        );
-                    }
-                    _ => {
-                        let deadline = SimTime(now + rng.range(0u64..500_000));
-                        let k = rng.range(0..32usize);
-                        assert_eq!(
-                            wheel.pending_until(deadline, k),
-                            heap.pending_until(deadline, k),
                             "seed {seed}"
                         );
                     }
@@ -680,21 +592,6 @@ mod tests {
         }
         let expected: Vec<_> = times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         assert_eq!(popped, expected);
-    }
-
-    #[test]
-    fn pending_until_is_ordered_and_bounded() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(300_000), "far");
-        q.schedule_at(SimTime(20), "b");
-        q.schedule_at(SimTime(10), "a");
-        q.schedule_at(SimTime(20), "c"); // same instant as b, later seq
-        let next: Vec<_> = q.pending_until(SimTime(1_000_000), 3);
-        assert_eq!(next, vec![(SimTime(10), &"a"), (SimTime(20), &"b"), (SimTime(20), &"c")]);
-        // Deadline cuts the look-ahead short even when k would allow more.
-        let next: Vec<_> = q.pending_until(SimTime(25), 10);
-        assert_eq!(next.len(), 3);
-        assert_eq!(q.len(), 4, "pending_until must not consume");
     }
 
     #[test]

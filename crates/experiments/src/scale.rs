@@ -2,9 +2,10 @@
 //!
 //! The paper stops at ~1,000 members, where a dense APSP matrix is cheap.
 //! This pipeline (topology → latency oracle → overlay → PROP warm-up) runs
-//! at up to 100,000 members, where a dense matrix would need ~40 GB and the
-//! oracle instead runs on its row-cache tier: one Dijkstra per requested
-//! source, rows held in a byte-bounded LRU.
+//! at any member count `--n` names; at 100,000 a dense matrix would need
+//! ~40 GB and the oracle instead runs on its row-cache tier: one row-kernel
+//! row per requested source (O(n + k log k) on a transit–stub graph,
+//! DESIGN.md §9), rows held in a byte-bounded LRU.
 //!
 //! Two stages per size:
 //!
@@ -25,9 +26,10 @@
 //! total wall clock exceeds S seconds (the CI driver-scale-smoke gate).
 //!
 //! Useful for sizing reproduction runs; not a paper figure. Wall-clock
-//! numbers are machine-dependent by nature; the 100k paper-scale run is
-//! compute-heavy (hundreds of thousands of on-demand Dijkstra rows) and
-//! is meant for offline study, not CI.
+//! numbers are machine-dependent by nature. CI's `driver-scale-smoke` job
+//! runs `--quick --n 100000` under `--budget-secs 900`: several hundred
+//! thousand on-demand rows of 200 KB each a warm-up (EXPERIMENTS S5 has
+//! the measured run).
 
 use crate::cli::{Args, CliError};
 use crate::registry::Experiment;

@@ -335,7 +335,7 @@ impl RowKernel {
     }
 
     #[cfg(test)]
-    fn is_decomposed(&self) -> bool {
+    pub(crate) fn is_decomposed(&self) -> bool {
         self.0.is_some()
     }
 }
@@ -430,17 +430,21 @@ mod tests {
         (b.build(), nodes.to_vec())
     }
 
-    /// Both exact tiers over `members` answer as whole-graph Dijkstra does.
-    /// The cached tier's rows are batch-warmed first (the cache holds them
-    /// all), so they are the kernel's and not `demand_row`'s.
+    /// Both exact tiers over `members` answer as whole-graph Dijkstra does;
+    /// the cached one cold (every row is a `d` miss's) and with every row
+    /// batch-warmed first (the cache holds them all).
     fn assert_oracles_match(g: &PhysGraph, members: &[PhysNodeId]) {
-        for cfg in [OracleConfig::dense(), OracleConfig::cached(1 << 20)] {
+        let cached = OracleConfig::cached(1 << 20);
+        for (cfg, warmed) in [(OracleConfig::dense(), false), (cached, false), (cached, true)] {
             let o = LatencyOracle::try_build_with(g, members.to_vec(), &cfg).unwrap();
-            o.warm_rows(&(0..members.len()).collect::<Vec<_>>());
+            if warmed {
+                o.warm_rows(&(0..members.len()).collect::<Vec<_>>());
+            }
             for a in 0..members.len() {
                 let full = shortest_paths(g, members[a]);
                 for b in 0..members.len() {
-                    assert_eq!(o.d(a, b), full[members[b].index()], "{} ({a}, {b})", o.tier());
+                    let want = full[members[b].index()];
+                    assert_eq!(o.d(a, b), want, "{} warmed {warmed} ({a}, {b})", o.tier());
                 }
             }
         }

@@ -25,13 +25,13 @@
 //!   calibrated error margin and an exact-fallback band. See [`latency`]
 //!   and [`embed`], and DESIGN.md §9/§13 for the memory and error models.
 //! * The row kernel (private module `decomp`) — how the exact rows of every
-//!   tier are made (all but the one a single `d` miss computes, see
-//!   `RowStore::demand_row`). A transit–stub graph hangs each stub domain off
-//!   its transit node by a single link, so `d(u, v) = up(u) +
-//!   T[gw(u)][gw(v)] + up(v)` across domains, exactly; when the oracle
-//!   finds that structure in the graph it is given, a row is arithmetic
-//!   plus one search inside the source's own domain, and otherwise (Waxman,
-//!   multi-homed domains) a whole-graph Dijkstra. See DESIGN.md §9.
+//!   tier are made, the one a single `d` miss computes included. A
+//!   transit–stub graph hangs each stub domain off its transit node by a
+//!   single link, so `d(u, v) = up(u) + T[gw(u)][gw(v)] + up(v)` across
+//!   domains, exactly; when the oracle finds that structure in the graph
+//!   it is given, a row is arithmetic plus one search inside the source's
+//!   own domain, and otherwise (Waxman, multi-homed domains) a whole-graph
+//!   Dijkstra. See DESIGN.md §9.
 //!
 //! ## Faithfulness notes (see DESIGN.md §3)
 //!

@@ -284,8 +284,8 @@ impl OverlayNet {
     /// the dense tier, one row per cold source on the row-cache tier, and
     /// exact-escalation-cache warm-up on the coordinate-embedded tier).
     /// Call before a burst of latency queries over a known slot set — e.g.
-    /// a measurement sweep at 100k members — so the misses are paid up
-    /// front, on the batch row kernel, instead of as on-demand stalls.
+    /// a measurement sweep at 100k members — so each row is made once, up
+    /// front, and not again every time the sweep's own reads evict it.
     /// Duplicate slots (several pairs sharing a source) are warmed once.
     pub fn warm_latency_rows(&self, slots: &[Slot]) {
         let mut peers: Vec<MemberIdx> = slots.iter().map(|&s| self.placement.peer(s)).collect();
