@@ -481,10 +481,10 @@ mod tests {
                 Args { n: Some(2000), samples: Some(200), floor: 0.99, ..quick() },
             ),
             (
-                "scale --quick --n 100000 --budget-secs 900 --seed 1 --oracle-tier embedded",
+                "scale --quick --n 100000 --budget-secs 120 --seed 1 --oracle-tier embedded",
                 Args {
                     n: Some(100_000),
-                    budget_secs: Some(900),
+                    budget_secs: Some(120),
                     oracle_tier: Tier::Embedded,
                     ..quick()
                 },

@@ -3,19 +3,24 @@
 //! The paper stops at ~1,000 members, where a dense APSP matrix is cheap.
 //! This pipeline (topology → latency oracle → overlay → PROP warm-up) runs
 //! at any member count `--n` names; at 100,000 a dense matrix would need
-//! ~40 GB and the oracle instead runs on its row-cache tier: one row-kernel
-//! row per requested source (O(n + k log k) on a transit–stub graph,
-//! DESIGN.md §9), rows held in a byte-bounded LRU.
+//! ~40 GB and the oracle instead runs on its row-cache tier: `scaled(n)` is
+//! a transit–stub graph, so `d(u, v)` between two stub domains (149 of 150
+//! uniform pairs) is a point query over the verified decomposition, and a
+//! pair inside one domain reads a row over that domain's hosts — one search
+//! confined to it, held in a byte-bounded LRU (DESIGN.md §9).
 //!
 //! Two stages per size:
 //!
 //! 1. **Query storm** — answer 1,000,000 random `d(u, v)` queries
-//!    (200,000 under `--quick`), grouped by source and warmed in
-//!    cache-sized batches, asserting peak oracle memory stays under the
-//!    512 MiB cap.
+//!    (200,000 under `--quick`), grouped by source, asserting peak oracle
+//!    memory stays under the 512 MiB cap.
 //! 2. **Protocol warm-up** — build a Gnutella overlay over the same
 //!    oracle and run a few minutes of PROP-G and PROP-O, reporting
 //!    stretch improvement and the cache counters the run generated.
+//!
+//! Nothing is warmed ahead of a read: on this graph `warm_rows` computes
+//! no row (a same-domain miss costs the one search a warm would), so there
+//! is no batch to size.
 //!
 //! `--oracle-tier` pins the oracle tier instead of letting the member
 //! count choose — the axis for comparing the row-cache and the
@@ -27,9 +32,10 @@
 //!
 //! Useful for sizing reproduction runs; not a paper figure. Wall-clock
 //! numbers are machine-dependent by nature. CI's `driver-scale-smoke` job
-//! runs `--quick --n 100000` under `--budget-secs 900`: several hundred
-//! thousand on-demand rows of 200 KB each a warm-up (EXPERIMENTS S5 has
-//! the measured run).
+//! runs `--quick --n 100000` under `--budget-secs 120`: a warm-up there is
+//! some tens of thousands of on-demand rows of 667 cells each, and what
+//! would blow the budget is a whole 200 KB row coming back on a `d` miss
+//! (EXPERIMENTS S5 has the measured runs, up to a million members).
 
 use crate::cli::{Args, CliError};
 use crate::registry::Experiment;
@@ -38,9 +44,8 @@ use crate::setup::Scale;
 use prop_core::{PropConfig, ProtocolSim};
 use prop_engine::{json_impl, Duration, SimRng};
 use prop_metrics::{OracleCacheReport, OracleEmbedReport};
-use prop_netsim::{generate, LatencyOracle, OracleConfig, Tier, TransitStubParams};
+use prop_netsim::{generate, LatencyOracle, OracleConfig, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
-use prop_overlay::{OverlayNet, Slot};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -139,53 +144,20 @@ fn run_size(
         oracle.tier(),
     );
 
-    // Stage 1: the query storm. Group by source so each cached row is
-    // computed once, and warm sources in batches of at most half the cache
-    // so a batch never evicts its own rows (a quarter, since a row became
-    // `2 × n` bytes and the batch stayed the size the committed rows of
-    // EXPERIMENTS S3/S5 were measured with). On the coordinate-embedded
-    // tier `d(u,v)` never touches a row, so warming would only run
-    // Dijkstras the storm doesn't need — skip it there.
-    let warm = oracle.built_tier() != Tier::Embedded;
+    // Stage 1: the query storm, grouped by source so the reads inside one
+    // stub domain — the only ones a row answers — come together. On the
+    // coordinate-embedded tier `d(u,v)` never touches a row.
     let mark = oracle.cache_stats().unwrap_or_default();
     let embed_mark = oracle.embed_stats().unwrap_or_default();
     let t0 = Instant::now();
     let mut pairs: Vec<(usize, usize)> =
         (0..queries).map(|_| (rng.range(0..n), rng.range(0..n))).collect();
     pairs.sort_unstable();
-    let batch_rows = (CACHE_CAP_BYTES / (4 * n) / 2).max(1);
-    let mut total_latency = 0u64;
-    let mut answered = 0u64;
-    let mut i = 0;
-    while i < pairs.len() {
-        // Extend the window until it spans `batch_rows` distinct sources.
-        let mut j = i;
-        let mut batch: Vec<usize> = Vec::with_capacity(batch_rows);
-        while j < pairs.len() && batch.len() < batch_rows {
-            if batch.last() != Some(&pairs[j].0) {
-                batch.push(pairs[j].0);
-            }
-            j += 1;
-        }
-        // Extend forward so the window ends on a source boundary.
-        while j < pairs.len() && pairs[j].0 == pairs[j - 1].0 {
-            j += 1;
-        }
-        if warm {
-            oracle.warm_rows(&batch);
-        }
-        for &(a, b) in &pairs[i..j] {
-            let d = oracle.d(a, b);
-            total_latency += d as u64;
-            answered += 1;
-        }
-        i = j;
-    }
+    let total_latency: u64 = pairs.iter().map(|&(a, b)| oracle.d(a, b) as u64).sum();
     let query_ms = t0.elapsed().as_secs_f64() * 1e3;
     let query_cache = OracleCacheReport::from_oracle_since(&oracle, &mark);
     let query_embed = OracleEmbedReport::from_oracle_since(&oracle, &embed_mark);
-    let mean_query_latency_ms =
-        if answered == 0 { 0.0 } else { total_latency as f64 / answered as f64 };
+    let mean_query_latency_ms = total_latency as f64 / queries as f64;
     println!(
         "query storm: {queries} queries in {:.0} ms ({:.0}k queries/s, mean d(u,v) = {:.1} ms)",
         query_ms,
@@ -219,14 +191,14 @@ fn run_size(
     for (label, policy) in [("PROP-G", PropConfig::prop_g()), ("PROP-O", PropConfig::prop_o())] {
         let mut wrng = rng.fork(label);
         let (_gn, net) = Gnutella::build(GnutellaParams::default(), Arc::clone(&oracle), &mut wrng);
-        let stretch_before = batched_stretch(&net, batch_rows);
+        let stretch_before = net.stretch();
         let mark = oracle.cache_stats().unwrap_or_default();
         let t0 = Instant::now();
         let mut sim = ProtocolSim::new(net, policy, &mut wrng);
         sim.run_for(Duration::from_minutes(sim_minutes));
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let cache = OracleCacheReport::from_oracle_since(&oracle, &mark);
-        let stretch_after = batched_stretch(sim.net(), batch_rows);
+        let stretch_after = sim.net().stretch();
         let exchanges = sim.overhead().exchanges;
         println!(
             "{label}: {sim_minutes} sim-min in {wall_ms:.0} ms, {exchanges} exchanges, \
@@ -259,33 +231,4 @@ fn run_size(
         query_embed,
         warmups,
     }
-}
-
-/// Link stretch computed in cache-sized batches: warm the rows of a chunk
-/// of slots, then sum the latency of the edges sourced in that chunk.
-/// Equivalent to [`OverlayNet::stretch`] but never needs more than one
-/// batch of rows resident at a time.
-fn batched_stretch(net: &OverlayNet, rows_per_batch: usize) -> f64 {
-    let g = net.graph();
-    let slots: Vec<Slot> = g.live_slots().collect();
-    let mut total = 0u64;
-    let mut edges = 0u64;
-    let warm = net.oracle().built_tier() != Tier::Embedded;
-    for chunk in slots.chunks(rows_per_batch.max(1)) {
-        if warm {
-            net.warm_latency_rows(chunk);
-        }
-        for &a in chunk {
-            for &b in g.neighbors(a) {
-                if a < b {
-                    total += net.d(a, b) as u64;
-                    edges += 1;
-                }
-            }
-        }
-    }
-    if edges == 0 {
-        return 0.0;
-    }
-    (total as f64 / edges as f64) / net.oracle().mean_phys_link_latency()
 }

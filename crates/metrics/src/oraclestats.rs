@@ -171,21 +171,22 @@ impl std::fmt::Display for OracleCacheReport {
 mod tests {
     use super::*;
     use prop_engine::SimRng;
-    use prop_netsim::{generate, OracleConfig, TransitStubParams};
+    use prop_netsim::{generate, generate_waxman, OracleConfig, TransitStubParams, WaxmanParams};
 
     fn oracles() -> (LatencyOracle, LatencyOracle) {
         let mut rng = SimRng::seed_from(1);
         let g = generate(&TransitStubParams::tiny(), &mut rng);
         let dense = LatencyOracle::select_and_build(&g, 10, &mut rng);
-        let mut rng2 = SimRng::seed_from(1);
-        let g2 = generate(&TransitStubParams::tiny(), &mut rng2);
-        let cached = LatencyOracle::select_and_build_with(
-            &g2,
-            10,
-            &mut rng2,
-            &OracleConfig::cached(1 << 20),
-        );
-        (dense, cached)
+        (dense, row_oracle(&OracleConfig::cached(1 << 20)))
+    }
+
+    /// Twelve members of a Waxman graph on a row tier: the row kernel finds
+    /// no transit–stub structure there, so every `d(a, ·)` reads row `a`,
+    /// whole — on `tiny()` a pair in two stub domains would read none.
+    fn row_oracle(cfg: &OracleConfig) -> LatencyOracle {
+        let mut rng = SimRng::seed_from(2);
+        let g = generate_waxman(&WaxmanParams::tiny(), &mut rng);
+        LatencyOracle::select_and_build_with(&g, 12, &mut rng, cfg)
     }
 
     #[test]
@@ -233,9 +234,7 @@ mod tests {
     }
 
     fn embedded_oracle() -> LatencyOracle {
-        let mut rng = SimRng::seed_from(2);
-        let g = generate(&TransitStubParams::tiny(), &mut rng);
-        LatencyOracle::select_and_build_with(&g, 12, &mut rng, &OracleConfig::embedded())
+        row_oracle(&OracleConfig::embedded())
     }
 
     #[test]

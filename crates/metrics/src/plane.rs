@@ -21,11 +21,12 @@
 //! Chunks are independent (each owns its [`prop_overlay::FloodScratch`],
 //! so flooding overlays allocate nothing per lookup), which is what a later
 //! fan-out through `prop_engine::par::map` would rely on; today nothing
-//! inside one run is given a thread, because a row is O(n + k log k) and a
-//! goal-directed flood ≈ 16 µs — there is no measured work left to spread.
-//! Entry points prefetch the oracle rows of every slot named by the
-//! workload (one batched warm — see [`warm_pair_rows`]) so the measurement
-//! loop itself never computes a row.
+//! inside one run is given a thread, because a latency is a point query or
+//! one search of a stub domain and a goal-directed flood ≈ 16 µs — there
+//! is no measured work left to spread. Entry points prefetch the oracle
+//! rows of every slot named by the workload (one batched warm — see
+//! [`warm_pair_rows`]) so that where rows are whole the measurement loop
+//! itself never computes one.
 
 use prop_overlay::{OverlayNet, Slot};
 
@@ -42,9 +43,10 @@ pub const MEASURE_CHUNK: usize = 256;
 
 /// Prefetch the oracle rows behind a pair workload: dedups every slot named
 /// in `pairs` — a Zipf workload names hot sources hundreds of times — and
-/// batch-warms their rows exactly once each (no-op on the dense tier, one
-/// row computation per cold source on the row-cache tier,
-/// exact-escalation-cache warm-up on the coordinate-embedded tier).
+/// batch-warms their rows exactly once each (no-op on the dense tier; on
+/// the row tiers one row computation per cold source where the cache keeps
+/// whole rows, and only a recency bump of resident rows on a transit–stub
+/// graph, where a row is a stub domain's and most pairs read none).
 /// Measurement entry points call this first so the measurement loop starts
 /// from a warm cache. A pair with a departed endpoint is not measured
 /// against the oracle (a vacated slot has no peer), so it warms nothing
@@ -66,13 +68,16 @@ pub fn warm_pair_rows(net: &OverlayNet, pairs: &[(Slot, Slot)]) {
 mod tests {
     use super::*;
     use prop_engine::SimRng;
-    use prop_netsim::{generate, LatencyOracle, OracleConfig, TransitStubParams};
+    use prop_netsim::{generate_waxman, LatencyOracle, OracleConfig, WaxmanParams};
     use prop_overlay::{LogicalGraph, Placement};
     use std::sync::Arc;
 
+    /// A ring over `n` hosts of a Waxman graph, where the row cache keeps
+    /// whole rows and warming a source computes its row (on a transit–stub
+    /// graph it keeps a stub domain's, and computes none ahead of a read).
     fn cached_net(n: usize) -> OverlayNet {
         let mut rng = SimRng::seed_from(3);
-        let phys = generate(&TransitStubParams::tiny(), &mut rng);
+        let phys = generate_waxman(&WaxmanParams::tiny(), &mut rng);
         let oracle = Arc::new(LatencyOracle::select_and_build_with(
             &phys,
             n,

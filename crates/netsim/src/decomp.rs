@@ -1,4 +1,6 @@
-//! The row kernel: how one latency row `d(src, ·)` over the members is made.
+//! The row kernel: how one latency row `d(src, ·)` over the members is
+//! made — and, where the graph allows, how one latency is answered without
+//! a row.
 //!
 //! [`generate`](crate::transit_stub::generate) joins every stub domain to
 //! its transit node by exactly one stub–transit link. That link is a
@@ -28,11 +30,17 @@
 //!
 //! When all hold it precomputes `up` (one search per domain, confined to
 //! it), `T` (one search per transit node, confined to the core) and the
-//! members' `(gateway, up)` pairs; a row is then one add per member plus
-//! one search inside the source's own domain — O(n + k log k) for `n`
-//! members and a domain of `k` hosts, with nothing sized by the graph
-//! allocated or cleared. When any check fails (a Waxman graph, a
-//! multi-homed domain, a disconnected graph) every row is a whole-graph
+//! members' `(gateway, up)` pairs. The first line of the identity is then a
+//! **point query** ([`RowKernel::point`]): two array reads and two adds,
+//! exact, for every pair but two hosts of one stub domain. That pair reads
+//! a **domain row** ([`RowKernel::domain_row`]) — `d(src, ·)` over the `k`
+//! hosts of the source's own domain, one search confined to it — which is
+//! the only row a row store keeps on such a graph. A whole row
+//! ([`RowKernel::fill_row`]: the dense matrix's, the embedding fit's) is
+//! one add per member plus that same search — O(n + k log k) for `n`
+//! members, with nothing sized by the graph allocated or cleared. When any
+//! check fails (a Waxman graph, a multi-homed domain, a disconnected graph)
+//! there is no point answer and every row is a whole-graph
 //! [`shortest_paths`], exactly as before, and it is that path which names
 //! the offending pair of a disconnected member set. Both paths run the one
 //! Dijkstra in [`crate::dijkstra`].
@@ -42,6 +50,7 @@ use crate::graph::{NodeClass, PhysGraph, PhysNodeId};
 use crate::latency::{OracleBuildError, PairFault};
 use crate::oracle::MemberIdx;
 use crate::rowcache::RowMs;
+use std::sync::Arc;
 
 /// What a row is written into: the dense matrix's `u32`, or the row
 /// store's [`RowMs`] — filled directly, no wider row made and then copied.
@@ -263,6 +272,44 @@ impl Decomposition {
         })
     }
 
+    /// `d(members[a], members[b])` when the path crosses the core: exact
+    /// for every pair but two hosts of one stub domain (`None`), transit
+    /// members and one host listed twice included — a transit node is its
+    /// own gateway at `up = 0`, and a twice-listed host shares its domain
+    /// with itself.
+    #[inline]
+    fn point(&self, a: MemberIdx, b: MemberIdx) -> Option<u32> {
+        let d = self.dom[a];
+        if d != NONE && d == self.dom[b] {
+            return None;
+        }
+        let ((gw_a, up_a), (gw_b, up_b)) = (self.gw_up[a], self.gw_up[b]);
+        Some(up_a + self.transit[gw_a as usize * self.t + gw_b as usize] + up_b)
+    }
+
+    /// Distances from stub host `src` to the hosts of its own domain `d`,
+    /// each at its [`Self::slot`]: the one search confined to a domain that
+    /// both kinds of row are made by.
+    fn domain_search(&self, g: &PhysGraph, src: PhysNodeId, d: usize) -> Vec<u32> {
+        let k = (self.dom_start[d + 1] - self.dom_start[d]) as usize;
+        let mut local = vec![UNREACHABLE; k];
+        search(g, src, &mut local, &mut Frontier::with_capacity(k), domain_hosts(&self.slot));
+        local
+    }
+
+    /// The row kept for stub member `src`: [`Self::domain_search`]'s, two
+    /// bytes a host. A member's cell fits (the store checked every member
+    /// pair when it was built); a host that is no member may lie farther,
+    /// or out of reach inside the domain, and its cell is never read.
+    fn domain_row(&self, g: &PhysGraph, members: &[PhysNodeId], src: MemberIdx) -> Arc<[RowMs]> {
+        let d = self.dom[src];
+        debug_assert_ne!(d, NONE, "a transit member is never half of a same-domain pair");
+        self.domain_search(g, members[src], d as usize)
+            .into_iter()
+            .map(|ms| RowMs::try_from(ms).unwrap_or(RowMs::MAX))
+            .collect()
+    }
+
     fn fill_row<T: Cell>(
         &self,
         g: &PhysGraph,
@@ -281,10 +328,7 @@ impl Decomposition {
         }
         // Members of the source's own domain: the path stays inside it.
         let d = d as usize;
-        let k = (self.dom_start[d + 1] - self.dom_start[d]) as usize;
-        let mut local = vec![UNREACHABLE; k];
-        let mut frontier = Frontier::with_capacity(k);
-        search(g, members[src], &mut local, &mut frontier, domain_hosts(&self.slot));
+        let local = self.domain_search(g, members[src], d);
         for &j in &self.dom_members[self.dom_mstart[d] as usize..self.dom_mstart[d + 1] as usize] {
             out[j as usize] = T::from_ms(local[self.slot[members[j as usize].index()] as usize]);
         }
@@ -334,9 +378,38 @@ impl RowKernel {
         Ok(())
     }
 
-    #[cfg(test)]
+    /// Was the structure found? Then [`Self::point`] answers every pair but
+    /// two hosts of one stub domain, and a store keeps [`Self::domain_row`]s.
     pub(crate) fn is_decomposed(&self) -> bool {
         self.0.is_some()
+    }
+
+    /// `d(members[a], members[b])` by two array reads and two adds, exact;
+    /// `None` for two hosts of one stub domain, and for every pair of a
+    /// graph without the structure — the pairs a kept row answers.
+    #[inline]
+    pub(crate) fn point(&self, a: MemberIdx, b: MemberIdx) -> Option<u32> {
+        self.0.as_ref()?.point(a, b)
+    }
+
+    /// The row a store keeps for `src` on a decomposed graph: `d(src, ·)`
+    /// over the hosts of its stub domain, by one search confined to it.
+    /// `None` on a graph without the structure, where a store keeps
+    /// [`Self::fill_row`]'s rows whole.
+    pub(crate) fn domain_row(
+        &self,
+        g: &PhysGraph,
+        members: &[PhysNodeId],
+        src: MemberIdx,
+    ) -> Option<Arc<[RowMs]>> {
+        self.0.as_ref().map(|dec| dec.domain_row(g, members, src))
+    }
+
+    /// Where member `j`'s cell lies in a kept row: at its host's index
+    /// inside the domain, or at `j` in a whole row.
+    #[inline]
+    pub(crate) fn cell(&self, members: &[PhysNodeId], j: MemberIdx) -> usize {
+        self.0.as_ref().map_or(j, |dec| dec.slot[members[j].index()] as usize)
     }
 }
 
@@ -405,6 +478,55 @@ mod tests {
         }
     }
 
+    /// The point query against whole-graph Dijkstra over every ordered pair
+    /// of `mixed_members`, and the store built on it over the same pairs.
+    fn assert_point_matches(name: &str, params: &TransitStubParams, stubs: usize) {
+        let mut rng = SimRng::seed_from(27);
+        let g = generate(params, &mut rng);
+        let members = mixed_members(&g, stubs, &mut rng);
+        let dec = Decomposition::build(&g, &members).expect(name);
+        let cached = OracleConfig::cached(1 << 20);
+        let o = LatencyOracle::try_build_with(&g, members.clone(), &cached).unwrap();
+        let mut same_domain = 0;
+        for (a, &u) in members.iter().enumerate() {
+            let full = shortest_paths(&g, u);
+            for (b, &v) in members.iter().enumerate() {
+                let want = full[v.index()];
+                match dec.point(a, b) {
+                    Some(ms) => assert_eq!(ms, want, "{name}: ({a}, {b}) = ({u:?}, {v:?})"),
+                    None => {
+                        // Only two hosts of one stub domain are left to a row.
+                        let (
+                            NodeClass::Stub { domain: du, .. },
+                            NodeClass::Stub { domain: dv, .. },
+                        ) = (g.class(u), g.class(v))
+                        else {
+                            panic!("{name}: no point answer for ({u:?}, {v:?})");
+                        };
+                        assert_eq!(du, dv, "{name}: no point answer for ({u:?}, {v:?})");
+                        same_domain += 1;
+                    }
+                }
+                assert_eq!(o.d(a, b), want, "{name}: d({a}, {b}) = d({u:?}, {v:?})");
+            }
+        }
+        // Each member with itself, the ten listed twice with their twins.
+        assert!(same_domain >= stubs + 20, "{name}: {same_domain} same-domain pairs");
+    }
+
+    #[test]
+    fn point_is_shortest_paths_for_every_pair() {
+        assert_point_matches("tiny", &TransitStubParams::tiny(), 40);
+        assert_point_matches("ts_large", &TransitStubParams::ts_large(), 300);
+        assert_point_matches("ts_small", &TransitStubParams::ts_small(), 300);
+        assert_point_matches("scaled(3000)", &TransitStubParams::scaled(3000), 300);
+    }
+
+    #[test]
+    fn point_is_shortest_paths_for_every_pair_on_scaled_10_000() {
+        assert_point_matches("scaled(10_000)", &TransitStubParams::scaled(10_000), 300);
+    }
+
     /// Two transit nodes, domain 0 = {a0 - a1 - a2} under t0, domain 1 =
     /// {b0 - b1} under t1; `edit` may add to it before it is frozen.
     fn two_domains(
@@ -456,6 +578,29 @@ mod tests {
         assert!(RowKernel::new(&g, &nodes).is_decomposed());
         assert_rows_match(&g, &nodes, &(0..nodes.len()).collect::<Vec<_>>());
         assert_oracles_match(&g, &nodes);
+    }
+
+    #[test]
+    fn domains_of_unequal_size_share_one_cache() {
+        // Domain 0 has three hosts and domain 1 two: a row of one is six
+        // bytes, of the other four, and the one cache counts each as it is.
+        let (g, nodes) = two_domains(0, |_, _| {});
+        let (a0, a1, a2, b0, b1) = (2, 3, 4, 5, 6);
+        // Seven members in sixteen shards: each row is the last of its
+        // shard, which is never evicted, so a budget of one byte holds the
+        // same three rows — past its cap by less than a row a shard.
+        for cap in [1 << 20, 1] {
+            let cfg = OracleConfig::cached(cap);
+            let o = LatencyOracle::try_build_with(&g, nodes.clone(), &cfg).unwrap();
+            let stats = || o.cache_stats().unwrap();
+            assert_eq!(stats().resident_rows, 0, "no whole row is kept");
+            assert_eq!((o.d(a0, a1), stats().resident_bytes), (5, 6));
+            assert_eq!((o.d(b0, b1), stats().resident_bytes), (5, 6 + 4));
+            assert_eq!((o.d(a2, a1), stats().resident_bytes), (7, 6 + 4 + 6));
+            let s = stats();
+            assert_eq!((s.resident_rows, s.misses, s.evictions), (3, 3, 0), "cap {cap}");
+            assert!(s.peak_resident_bytes <= cap + 16 * 6, "cap {cap}: {s:?}");
+        }
     }
 
     #[test]

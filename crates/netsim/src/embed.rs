@@ -1,10 +1,12 @@
 //! Coordinate-embedded latency tier: `d(u, v)` in O(1) at million-member
 //! scale.
 //!
-//! The row-cache tier pays one exact row per cold source: O(n + k log k) on
-//! a transit–stub graph, a whole-graph Dijkstra on any other (DESIGN.md §9,
-//! "Row kernel"; §13 on what that means for this tier). This module removes
-//! the per-pair graph computation entirely: every member gets a **network
+//! The row-cache tier pays a whole-graph Dijkstra per cold source on a
+//! graph without the transit–stub structure; on one that has it, a pair in
+//! two stub domains is two array reads and two adds, exact, and only a pair
+//! inside one domain pays a search, confined to it (DESIGN.md §9, "Row
+//! kernel"; §13 on what that leaves this tier). This module removes the
+//! per-pair graph computation entirely: every member gets a **network
 //! coordinate** — a Vivaldi-style *height-vector* (position in a
 //! low-dimensional Euclidean space plus a non-negative "height" modelling
 //! the access-link cost of climbing out of the stub domain) — fit **once**
@@ -46,7 +48,8 @@
 //! When a Var comparison lands within `terms × margin` of the threshold,
 //! the decision **escalates**: the same plan is re-evaluated with exact
 //! distances from the oracle's row store
-//! ([`crate::LatencyOracle::d_exact`]). Decisions far from the threshold —
+//! ([`crate::LatencyOracle::d_exact`] — a point query there wherever the
+//! row tier's is). Decisions far from the threshold —
 //! the vast majority — stay on the O(1) path. `prop-core`'s
 //! `exchange::decide` is the single consumer of this contract, and the
 //! `embed_agreement` harness measures the resulting exchange-decision
@@ -212,8 +215,9 @@ pub struct Embedding {
 
 impl Embedding {
     /// Fit the embedding over `members`. Every exact row the fit reads —
-    /// landmark, calibration — is made by `rows`' kernel (which validated
-    /// connectivity when it was built) and left in its cache afterwards.
+    /// landmark, calibration — is a whole row made by `rows`' kernel (which
+    /// validated connectivity when it was built), and is left in its cache
+    /// afterwards where whole rows are what that keeps.
     pub(crate) fn fit(rows: &RowStore, members: &[PhysNodeId]) -> Embedding {
         let n = members.len();
 
@@ -352,7 +356,8 @@ impl Embedding {
             if abs_errs.is_empty() { 0.0 } else { calibration.abs_p95_ms.max(1.0) };
 
         // The fit already paid for these rows — seed the escalation path
-        // so borderline decisions near the landmarks start warm.
+        // so borderline decisions near the landmarks start warm (a no-op
+        // on a decomposed store, whose escalations read no whole row).
         for (&lm, row) in landmarks.iter().zip(landmark_rows) {
             rows.seed_row(lm, row);
         }
@@ -456,6 +461,7 @@ impl Embedding {
 mod tests {
     use super::*;
     use crate::transit_stub::{generate, TransitStubParams};
+    use crate::waxman::{generate_waxman, WaxmanParams};
     use crate::{LatencyOracle, OracleConfig};
 
     fn tiny_embed(n: usize, seed: u64) -> LatencyOracle {
@@ -586,9 +592,19 @@ mod tests {
 
     #[test]
     fn landmark_rows_preseed_exact_tier() {
-        let o = tiny_embed(24, 8);
+        // Where whole rows are what the exact path keeps (a Waxman graph),
+        // the fit's are left there: landmarks, calibration sources and the
+        // connectivity row.
+        let mut rng = SimRng::seed_from(8);
+        let g = generate_waxman(&WaxmanParams::tiny(), &mut rng);
+        let members = rng.sample_distinct(&g.stub_nodes(), 24);
+        let o = LatencyOracle::try_build_with(&g, members, &OracleConfig::embedded()).unwrap();
         let stats = o.cache_stats().unwrap();
-        // Landmarks + calibration sources + the connectivity row.
-        assert!(stats.resident_rows > 1, "fit rows should seed the cache: {stats:?}");
+        assert_eq!(stats.resident_rows, 24, "fit rows should seed the cache: {stats:?}");
+        assert_eq!(stats.resident_bytes, 24 * 24 * 2, "{stats:?}");
+        // On a decomposed graph an escalation is a point query or reads a
+        // domain's row: a whole row has no reader, and none is kept.
+        let stats = tiny_embed(24, 8).cache_stats().unwrap();
+        assert_eq!((stats.resident_rows, stats.misses), (0, 0), "{stats:?}");
     }
 }

@@ -8,10 +8,14 @@
 //! * **dense** — the full `n × n` matrix, precomputed once. O(n²) memory,
 //!   O(1) lookups with no synchronization. The fast path for every
 //!   paper-scale experiment (n ≤ a few thousand).
-//! * **row-cache** — one row per *requested source*, retained in a
-//!   sharded LRU bounded in bytes. O(capacity) memory regardless of `n`,
-//!   which is what lets a 100,000-member overlay run at all: the dense
-//!   matrix would need 40 GB, the cache runs in a few hundred MB.
+//! * **row-cache** — exact answers without the matrix. On a transit–stub
+//!   graph `d(u, v)` between two stub domains is a point query over the
+//!   verified decomposition (8 bytes a member and the transit matrix), and
+//!   only a pair inside one domain reads a row — over that domain's hosts
+//!   — retained in a sharded LRU bounded in bytes; on any other graph it
+//!   is one whole row per *requested source* in the same LRU. O(n +
+//!   capacity) memory, which is what lets a 100,000-member overlay run at
+//!   all: the dense matrix would need 40 GB.
 //! * **coord-embed** — a Vivaldi-style height-vector coordinate per member,
 //!   fit once from sampled exact rows; `d(u, v)` is O(1) with no
 //!   graph work at query time and O(n) memory, which is what a
@@ -98,9 +102,11 @@ pub struct OracleConfig {
     /// Which tier to build; [`Tier::Auto`] by default.
     pub tier: Tier,
     /// Byte budget for resident rows — the row-cache tier itself, and the
-    /// embedded tier's exact escalation path. One row costs `2 × n` bytes
-    /// (plus small bookkeeping), so the default 512 MiB holds ~2,684 rows
-    /// at n = 100,000. Unused by the dense tier.
+    /// embedded tier's exact escalation path. A row costs two bytes a cell
+    /// (plus small bookkeeping): the hosts of one stub domain on a
+    /// transit–stub graph (667 at n = 100,000, so every member's row fits
+    /// in 128 MiB), the `n` members on any other (the default 512 MiB
+    /// holds ~2,684 of those at n = 100,000). Unused by the dense tier.
     pub cache_capacity_bytes: usize,
 }
 

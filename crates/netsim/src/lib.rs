@@ -17,20 +17,23 @@
 //!   byte budget for rows. Left on [`Tier::Auto`], member counts up to
 //!   [`Tier::DENSE_MAX_MEMBERS`] precompute the full latency matrix (the
 //!   paper-scale fast path); populations up to
-//!   [`Tier::CACHED_MAX_MEMBERS`] answer from a byte-bounded sharded LRU
-//!   of on-demand rows, so a 100,000-member overlay runs in a few hundred
-//!   MB instead of the 40 GB a dense matrix would need; and larger
+//!   [`Tier::CACHED_MAX_MEMBERS`] answer a pair in two stub domains from
+//!   the decomposition below and the rest from a byte-bounded sharded LRU
+//!   of on-demand rows, so a 100,000-member overlay runs in 130 MB of
+//!   process memory instead of the 40 GB a dense matrix would need; and larger
 //!   populations (the million-member scale) answer in O(1) from a
 //!   Vivaldi-style network-coordinate embedding ([`Embedding`]) with a
 //!   calibrated error margin and an exact-fallback band. See [`latency`]
 //!   and [`embed`], and DESIGN.md §9/§13 for the memory and error models.
-//! * The row kernel (private module `decomp`) — how the exact rows of every
-//!   tier are made, the one a single `d` miss computes included. A
-//!   transit–stub graph hangs each stub domain off its transit node by a
-//!   single link, so `d(u, v) = up(u) + T[gw(u)][gw(v)] + up(v)` across
-//!   domains, exactly; when the oracle finds that structure in the graph
-//!   it is given, a row is arithmetic plus one search inside the source's
-//!   own domain, and otherwise (Waxman, multi-homed domains) a whole-graph
+//! * The row kernel (private module `decomp`) — how the exact answers of
+//!   every tier are made. A transit–stub graph hangs each stub domain off
+//!   its transit node by a single link, so `d(u, v) = up(u) +
+//!   T[gw(u)][gw(v)] + up(v)` across domains, exactly; when the oracle
+//!   finds that structure in the graph it is given, that sum *is* the row
+//!   tiers' `d` for such a pair, the only row they keep is one search
+//!   inside the source's own domain, and a whole row (the dense matrix's,
+//!   the embedding fit's) is the sum per member plus that search;
+//!   otherwise (Waxman, multi-homed domains) a row is a whole-graph
 //!   Dijkstra. See DESIGN.md §9.
 //!
 //! ## Faithfulness notes (see DESIGN.md §3)

@@ -7,12 +7,16 @@
 //! per member beside such a cache. [`crate::latency`] describes the three
 //! [`Tier`]s and when each is built; [`crate::embed`] the fit.
 //!
-//! Exact rows come from the one row kernel (`crate::decomp`):
-//! arithmetic over the verified transit–stub decomposition where the
-//! graph has it, whole-graph Dijkstra where it does not. The tiers differ
-//! in what they keep, not in how a row is made: a warmed row, a fitted
-//! row and the row a single `d` miss computes are all
-//! `RowStore::compute_row`'s.
+//! Exact answers come from the one row kernel (`crate::decomp`). Where the
+//! graph has the verified transit–stub decomposition, `d(u, v)` between two
+//! stub domains is a point query on the row tiers — two array reads and two
+//! adds — and only a pair inside one domain reads a row, `d(src, ·)` over
+//! that domain's hosts, made by one search confined to it; where it does
+//! not, a row is a whole-graph Dijkstra over the members. The tiers differ
+//! in what they keep, not in how a row is made: the dense matrix's rows, a
+//! fitted row and a whole row a `d` miss or a warm computes are all
+//! `RowKernel::fill_row`'s, and the search inside a domain that `fill_row`
+//! runs is the one a kept domain row is made by.
 //!
 //! Construction routes on [`OracleConfig::tier`] through [`Tier::resolve`];
 //! callers are tier-agnostic. Connectivity is validated per row *during*
@@ -78,8 +82,13 @@ fn dense_matrix(graph: &PhysGraph, members: &[PhysNodeId]) -> Result<Box<[u32]>,
     Ok(matrix.into_boxed_slice())
 }
 
-/// What the row-cache and coordinate-embedded tiers share: exact rows made
-/// on demand over the oracle's members and kept in a byte-bounded LRU.
+/// What the row-cache and coordinate-embedded tiers share: exact answers
+/// over the oracle's members. On a graph the row kernel decomposes, a pair
+/// in two stub domains is `RowKernel::point`'s sum and no row is made for
+/// it; only a pair inside one domain reads a row, `d(src, ·)` over that
+/// domain's hosts. On any other graph every pair reads a whole row over the
+/// members. Either way the rows are made on demand and kept in one
+/// byte-bounded LRU, each counted by its own length.
 pub(crate) struct RowStore {
     /// Owned copy of the physical graph (CSR arrays) — rows are recomputed
     /// from it on every cache miss.
@@ -89,13 +98,13 @@ pub(crate) struct RowStore {
 }
 
 impl RowStore {
-    /// Validate the member set with the first member's row and seed the
-    /// cache with it. The graph is undirected, so one source reaching every
-    /// member means every pair is connected; and rows are exact, so `d` is
-    /// a metric and `d(a, b) ≤ d(a, 0) + d(0, b)`: twice the row's largest
-    /// entry inside [`RowMs`] means every latency any later row holds is.
-    /// That one row is made four bytes wide, to be checked before it is
-    /// narrowed; no other is.
+    /// Validate the member set with the first member's whole row. The graph
+    /// is undirected, so one source reaching every member means every pair
+    /// is connected; and rows are exact, so `d` is a metric and
+    /// `d(a, b) ≤ d(a, 0) + d(0, b)`: twice the row's largest entry inside
+    /// [`RowMs`] means every latency any later row holds is. That one row
+    /// is made four bytes wide, to be checked before it is narrowed; no
+    /// other is. Where whole rows are what is kept, it is the first.
     fn try_build(
         graph: &PhysGraph,
         members: &[PhysNodeId],
@@ -103,7 +112,7 @@ impl RowStore {
     ) -> Result<Self, OracleBuildError> {
         let rows = RowStore {
             kernel: RowKernel::new(graph, members),
-            cache: RowCache::new(members.len(), capacity_bytes, CACHE_SHARDS),
+            cache: RowCache::new(capacity_bytes, CACHE_SHARDS),
             graph: graph.clone(),
         };
         if members.is_empty() {
@@ -126,9 +135,9 @@ impl RowStore {
         Ok(rows)
     }
 
-    /// One exact row from the row kernel, bypassing the cache: what a `d`
-    /// miss and a warm-up insert, and what the embedding fits and
-    /// calibrates against.
+    /// One exact whole row from the row kernel, bypassing the cache: what a
+    /// `d` miss and a warm-up insert on a graph without the decomposition,
+    /// and what the embedding fits and calibrates against on any graph.
     pub(crate) fn compute_row(&self, members: &[PhysNodeId], src: MemberIdx) -> Arc<[RowMs]> {
         let mut row: Arc<[RowMs]> = std::iter::repeat_n(0, members.len()).collect();
         let out = Arc::get_mut(&mut row).expect("a fresh Arc has one owner");
@@ -138,10 +147,28 @@ impl RowStore {
         row
     }
 
-    /// Compute any non-resident rows among `sources`, in ascending order,
-    /// and insert them. Memory stays bounded: one row is in flight, and
-    /// the LRU enforces the byte budget as rows land.
+    /// The row the cache keeps for `src`: over its stub domain's hosts on a
+    /// decomposed graph, over the members otherwise.
+    fn kept_row(&self, members: &[PhysNodeId], src: MemberIdx) -> Arc<[RowMs]> {
+        self.kernel
+            .domain_row(&self.graph, members, src)
+            .unwrap_or_else(|| self.compute_row(members, src))
+    }
+
+    /// Make the rows among `sources` that are resident recent, and on a
+    /// graph without the decomposition compute the rest, in ascending
+    /// order, and insert them — memory stays bounded: one row is in flight,
+    /// and the LRU enforces the byte budget as rows land. On a decomposed
+    /// graph nothing is computed: most sources never have a same-domain
+    /// pair read, and for one that does the miss costs the one confined
+    /// search a warm would, so batching buys nothing.
     fn warm(&self, members: &[PhysNodeId], sources: &[MemberIdx]) {
+        if self.kernel.is_decomposed() {
+            for &s in sources {
+                self.cache.touch(s);
+            }
+            return;
+        }
         let mut todo: Vec<MemberIdx> = sources.to_vec();
         todo.sort_unstable();
         todo.dedup();
@@ -155,11 +182,12 @@ impl RowStore {
         }
     }
 
-    /// Seed the cache with an exact row made outside it — the rows the
-    /// embedding fit already paid for. Counted as a miss (the row
-    /// *was* computed) so hit-rate accounting matches `warm`.
+    /// Seed the cache with an exact whole row made outside it — the rows
+    /// the build check and the embedding fit already paid for. Counted as a
+    /// miss (the row *was* computed) so hit-rate accounting matches `warm`.
+    /// A decomposed store keeps no whole row, and drops it.
     pub(crate) fn seed_row(&self, src: MemberIdx, row: Arc<[RowMs]>) {
-        if !self.cache.contains(src) {
+        if !self.kernel.is_decomposed() && !self.cache.contains(src) {
             self.cache.record_miss();
             self.cache.insert(src, row);
         }
@@ -171,16 +199,22 @@ impl RowStore {
         if a == b {
             return 0;
         }
+        if let Some(ms) = self.kernel.point(a, b) {
+            return ms;
+        }
+        // Two hosts of one stub domain, or a graph without the
+        // decomposition: a kept row answers.
+        let at = |j| self.kernel.cell(members, j);
         if let Some(r) = self.cache.get(a) {
-            return r[b].into();
+            return r[at(b)].into();
         }
         // Latencies are symmetric (undirected graph): b's row serves too.
         if let Some(r) = self.cache.get(b) {
-            return r[a].into();
+            return r[at(a)].into();
         }
         self.cache.record_miss();
-        let row = self.compute_row(members, a);
-        let d = row[b];
+        let row = self.kept_row(members, a);
+        let d = row[at(b)];
         self.cache.insert(a, row);
         d.into()
     }
@@ -205,8 +239,8 @@ enum Store {
 ///
 /// [`LatencyOracle::try_build_with`] picks the tier through
 /// [`Tier::resolve`]: paper-scale populations get the dense matrix,
-/// mid-scale ones the bounded row cache, and million-member populations the
-/// coordinate embedding. Dense and cached answer identically byte-for-byte
+/// mid-scale ones point queries over the decomposition beside the bounded
+/// row cache, and million-member populations the coordinate embedding. Dense and cached answer identically byte-for-byte
 /// (property-tested in `tests/tier_equivalence.rs`); the embedded tier is
 /// an estimate with a calibrated margin, kept decision-safe by the
 /// exact-fallback band (`tests/embed.rs` and `prop-core`'s
@@ -364,16 +398,24 @@ impl LatencyOracle {
 
     /// Row-cache counters; `None` on the dense tier (which has no cache).
     /// On the embedded tier these are the *exact escalation* path's
-    /// counters.
+    /// counters. A miss is one row made: on a transit–stub graph `d(src, ·)`
+    /// over the hosts of one stub domain, and only a pair inside one domain
+    /// counts a hit or a miss at all — a pair in two domains reads no row;
+    /// on any other graph a whole row over the members. `resident_rows`
+    /// counts entries and `resident_bytes` sums their own lengths.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.rows().map(|rows| rows.cache.stats())
     }
 
-    /// Batch warm-up: ensure the rows for `sources` are resident, one row
-    /// kernel call per cold source. No-op on the dense tier (every row is
-    /// always resident there). On the embedded tier this warms the rows
-    /// only escalated decisions will read, so callers should restrict it
-    /// to slots they expect to escalate.
+    /// Batch warm-up. No-op on the dense tier (every row is always resident
+    /// there). On a row tier over a graph the kernel does not decompose:
+    /// ensure the whole rows for `sources` are resident, one row kernel
+    /// call per cold source (on the embedded tier these are rows only
+    /// escalated decisions will read, so callers should restrict it to
+    /// slots they expect to escalate). Over a decomposed graph: the
+    /// resident rows among `sources` become recent and nothing is computed
+    /// — most sources never have a same-domain pair read, and one that
+    /// does pays on that read the one search a warm would.
     pub fn warm_rows(&self, sources: &[MemberIdx]) {
         if let Some(rows) = self.rows() {
             rows.warm(&self.members, sources);
@@ -437,9 +479,37 @@ mod tests {
         LatencyOracle::select_and_build_with(&g, n, &mut rng, &OracleConfig::cached(capacity))
     }
 
-    /// Bytes one stored row over `n` members occupies.
-    fn row_bytes(n: usize) -> usize {
-        n * std::mem::size_of::<RowMs>()
+    /// Bytes one stored row of `cells` occupies.
+    fn row_bytes(cells: usize) -> usize {
+        cells * std::mem::size_of::<RowMs>()
+    }
+
+    /// Hosts of one stub domain of `tiny()`: the cells of a row kept there.
+    const TINY_DOMAIN: usize = 5;
+
+    /// A row-cache oracle of each row shape over 40 members, its budget
+    /// `rows_a_shard` kept rows in every shard: all 40 stub hosts of
+    /// `tiny()`, eight domains of [`TINY_DOMAIN`] (decomposed: a row is a
+    /// domain's), and 40 hosts of a Waxman graph (refused: a row is whole).
+    /// With each, its graph and the cells of one kept row.
+    fn both_row_shapes(seed: u64, rows_a_shard: usize) -> [(LatencyOracle, PhysGraph, usize); 2] {
+        let mut rng = SimRng::seed_from(seed);
+        let transit_stub = generate(&TransitStubParams::tiny(), &mut rng);
+        let waxman = generate_waxman(&WaxmanParams::tiny(), &mut rng);
+        [(transit_stub, TINY_DOMAIN), (waxman, 40)].map(|(g, cells)| {
+            let members = rng.sample_distinct(&g.stub_nodes(), 40);
+            let cfg = OracleConfig::cached(rows_a_shard * CACHE_SHARDS * row_bytes(cells));
+            let o = LatencyOracle::try_build_with(&g, members, &cfg).unwrap();
+            assert_eq!(o.rows().unwrap().kernel.is_decomposed(), cells == TINY_DOMAIN);
+            (o, g, cells)
+        })
+    }
+
+    /// The members `d(a, ·)` reads a kept row for: those of `a`'s own stub
+    /// domain on a decomposed store, every other member on a refused graph.
+    fn row_mates(o: &LatencyOracle, a: MemberIdx) -> Vec<MemberIdx> {
+        let kernel = &o.rows().expect("a row tier").kernel;
+        (0..o.len()).filter(|&b| b != a && kernel.point(a, b).is_none()).collect()
     }
 
     /// Two stub components with no path between them.
@@ -487,11 +557,11 @@ mod tests {
         // so the embedded tier answers for fitted members too.
         let n = 40;
         for seed in 0..32u64 {
-            // One row a shard, and 40 sources share 16 shards: every shard
-            // evicts.
+            // One kept row a shard — a domain's, `tiny()` being decomposed —
+            // and 40 sources share 16 shards: every shard evicts.
             let tiers = [
                 OracleConfig::default(),
-                OracleConfig::cached(CACHE_SHARDS * row_bytes(n)),
+                OracleConfig::cached(CACHE_SHARDS * row_bytes(TINY_DOMAIN)),
                 OracleConfig::embedded(),
             ];
             for cfg in tiers {
@@ -600,20 +670,53 @@ mod tests {
 
     #[test]
     fn cached_tier_counts_hits_and_misses() {
-        let o = tiny_cached(10, 11, 1 << 20);
-        let s0 = o.cache_stats().unwrap();
-        let first = o.d(3, 4); // row 3 computed
-        let again = o.d(3, 5); // row 3 hit
-        assert!(first > 0 && again > 0);
-        let s = o.cache_stats().unwrap().since(&s0);
-        assert_eq!(s.misses, 1);
-        assert!(s.hits >= 1);
+        for (o, _, cells) in both_row_shapes(11, 8) {
+            let mates = row_mates(&o, 3);
+            let s0 = o.cache_stats().unwrap();
+            let first = o.d(3, mates[0]); // row 3 computed
+            let again = o.d(3, mates[1]); // row 3 hit
+            assert!(first > 0 && again > 0);
+            let s = o.cache_stats().unwrap().since(&s0);
+            assert_eq!(s.misses, 1, "{cells}-cell rows");
+            assert!(s.hits >= 1, "{cells}-cell rows");
+        }
+    }
+
+    #[test]
+    fn a_cross_domain_d_reads_no_row_and_a_same_domain_miss_keeps_one_domain_row() {
+        let [(o, g, k), _] = both_row_shapes(28, 8);
+        let n = o.len();
+        let built = o.cache_stats().unwrap();
+        assert_eq!(
+            (built.resident_rows, built.misses),
+            (0, 0),
+            "the checked first row is not kept"
+        );
+        for a in 0..n {
+            let full = shortest_paths(&g, o.host(a));
+            let mates = row_mates(&o, a);
+            assert_eq!(mates.len(), k - 1);
+            for b in (0..n).filter(|b| !mates.contains(b)) {
+                assert_eq!(o.d(a, b), full[o.host(b).index()], "({a}, {b})");
+            }
+        }
+        assert_eq!(o.cache_stats().unwrap(), built, "a pair in two domains touched the cache");
+        let mates = row_mates(&o, 7);
+        let _ = o.d(7, mates[0]);
+        let s = o.cache_stats().unwrap();
+        assert_eq!((s.hits, s.misses, s.resident_rows), (0, 1, 1));
+        assert_eq!(s.resident_bytes, 2 * k, "one row over the domain's {k} hosts");
+        // Its other cells, and its mates' reads of 7, are hits on that row.
+        let _ = (o.d(7, mates[1]), o.d(mates[2], 7));
+        let s = o.cache_stats().unwrap();
+        assert_eq!((s.hits, s.misses, s.resident_bytes), (2, 1, 2 * k));
     }
 
     #[test]
     fn a_never_warmed_oracle_answers_every_miss_as_dijkstra_does() {
         // One row a shard and nothing warmed: every row read below was made
-        // by a `d` miss, by the decomposition on the transit–stub graph and
+        // by a `d` miss, by the search confined to a domain on the
+        // transit–stub graph (where only a same-domain pair reads one) and
         // by the kernel's whole-graph fallback on the Waxman one.
         let mut rng = SimRng::seed_from(26);
         let transit_stub = generate(&TransitStubParams::tiny(), &mut rng);
@@ -631,7 +734,11 @@ mod tests {
                 }
             }
             let s = o.cache_stats().unwrap().since(&built);
-            assert!(s.misses >= (n - 1) as u64, "decomposed {decomposed}: {s:?}");
+            // Whole rows: every source but the seeded first misses. Domain
+            // rows: the first pair read inside each of `tiny()`'s eight
+            // domains finds neither row.
+            let floor = if decomposed { 8 } else { n - 1 };
+            assert!(s.misses >= floor as u64, "decomposed {decomposed}: {s:?}");
             assert!(s.evictions > 0, "decomposed {decomposed}: {s:?}");
             assert!(s.resident_rows <= CACHE_SHARDS, "decomposed {decomposed}: {s:?}");
         }
@@ -639,42 +746,49 @@ mod tests {
 
     #[test]
     fn warm_rows_makes_queries_hits() {
-        let o = tiny_cached(12, 12, 1 << 20);
-        o.warm_rows(&(0..12).collect::<Vec<_>>());
-        let warmed = o.cache_stats().unwrap();
-        assert_eq!(warmed.resident_rows, 12);
-        for a in 0..12 {
-            for b in 0..12 {
-                let _ = o.d(a, b);
+        for (o, _, cells) in both_row_shapes(12, 8) {
+            let n = o.len();
+            let built = o.cache_stats().unwrap();
+            o.warm_rows(&(0..n).collect::<Vec<_>>());
+            let warmed = o.cache_stats().unwrap();
+            if cells == n {
+                assert_eq!(warmed.resident_rows, n);
+                for a in 0..n {
+                    for b in 0..n {
+                        let _ = o.d(a, b);
+                    }
+                }
+                let s = o.cache_stats().unwrap().since(&warmed);
+                assert_eq!(s.misses, 0, "fully warmed cache answers without Dijkstra");
+            } else {
+                // Domain rows: a miss costs what a warm would, so warming
+                // computes nothing and leaves the cache as it found it.
+                assert_eq!(warmed, built);
             }
         }
-        let s = o.cache_stats().unwrap().since(&warmed);
-        assert_eq!(s.misses, 0, "fully warmed cache answers without Dijkstra");
     }
 
     #[test]
     fn tiny_capacity_evicts_but_stays_correct() {
-        // Three sources a shard and a budget of two rows a shard: every
-        // shard evicts on every pass and the cache ends inside its byte budget.
-        let n = 3 * CACHE_SHARDS;
-        let params = TransitStubParams { nodes_per_stub_domain: 8, ..TransitStubParams::tiny() };
-        let mut rng = SimRng::seed_from(13);
-        let g = generate(&params, &mut rng);
-        let cfg = OracleConfig::cached(2 * CACHE_SHARDS * row_bytes(n));
-        let cached = LatencyOracle::select_and_build_with(&g, n, &mut rng, &cfg);
-        let mut rng2 = SimRng::seed_from(13);
-        let g2 = generate(&params, &mut rng2);
-        let dense = LatencyOracle::select_and_build(&g2, n, &mut rng2);
-        for pass in 0..3 {
-            for a in 0..n {
-                for b in 0..n {
-                    assert_eq!(cached.d(a, b), dense.d(a, b), "pass {pass}, pair ({a},{b})");
+        // Forty sources over sixteen shards and a budget of one kept row a
+        // shard, on both row shapes: every shard evicts on every pass and
+        // the cache ends inside its byte budget.
+        for (cached, g, cells) in both_row_shapes(13, 1) {
+            let n = cached.len();
+            let members = (0..n).map(|i| cached.host(i)).collect();
+            let dense = LatencyOracle::try_build_with(&g, members, &OracleConfig::dense()).unwrap();
+            for pass in 0..3 {
+                for a in 0..n {
+                    for b in 0..n {
+                        assert_eq!(cached.d(a, b), dense.d(a, b), "pass {pass}, pair ({a},{b})");
+                    }
                 }
             }
+            let s = cached.cache_stats().unwrap();
+            assert!(s.evictions > 0, "{cells}-cell rows: tiny capacity must evict");
+            assert!(s.resident_bytes <= s.capacity_bytes, "{s:?}");
+            assert_eq!(s.resident_bytes, s.resident_rows * row_bytes(cells), "{s:?}");
         }
-        let s = cached.cache_stats().unwrap();
-        assert!(s.evictions > 0, "tiny capacity must evict");
-        assert!(s.resident_bytes <= s.capacity_bytes, "{s:?}");
     }
 
     #[test]
@@ -754,21 +868,29 @@ mod tests {
     #[test]
     fn warming_a_resident_row_keeps_it_through_the_batch() {
         // Sources 1, 17 and 33 share a shard that holds two rows. 1 is read
-        // first, then 17; warming {1, 33} lands 33 in the full shard, and
-        // the row it pushes out must be 17 — not 1, which the caller has
-        // just asked to have warm.
-        let n = 40;
-        let mut rng = SimRng::seed_from(25);
-        let g = generate(&TransitStubParams::tiny(), &mut rng);
-        let cfg = OracleConfig::cached(2 * CACHE_SHARDS * row_bytes(n));
-        let o = LatencyOracle::select_and_build_with(&g, n, &mut rng, &cfg);
-        let (old, newer, cold) = (1, 1 + CACHE_SHARDS, 1 + 2 * CACHE_SHARDS);
-        let _ = (o.d(old, 2), o.d(newer, 2));
-        o.warm_rows(&[old, cold]);
-        let warmed = o.cache_stats().unwrap();
-        let _ = (o.d(old, 5), o.d(cold, 5));
-        let s = o.cache_stats().unwrap().since(&warmed);
-        assert_eq!((s.hits, s.misses), (2, 0), "a warmed row was not there to read");
+        // first, then 17; {1, 33} is warmed and 33 read, which lands 33 in
+        // the full shard — by the warm where whole rows are kept, by the
+        // read's miss where a domain's are. The row it pushes out must be
+        // 17 — not 1, which the caller has just asked to have warm.
+        for (o, _, cells) in both_row_shapes(25, 2) {
+            let (old, newer, cold) = (1, 1 + CACHE_SHARDS, 1 + 2 * CACHE_SHARDS);
+            // A row mate whose own row is not one of the three.
+            let mate = |a| {
+                let rows = [old, newer, cold];
+                row_mates(&o, a).into_iter().find(|b| !rows.contains(b)).unwrap()
+            };
+            let _ = (o.d(old, mate(old)), o.d(newer, mate(newer)));
+            o.warm_rows(&[old, cold]);
+            let warmed = o.cache_stats().unwrap();
+            let _ = o.d(cold, mate(cold));
+            let s = o.cache_stats().unwrap().since(&warmed);
+            let computed_by_the_read = u64::from(cells != o.len());
+            assert_eq!((s.misses, s.evictions), (computed_by_the_read, computed_by_the_read));
+            let landed = o.cache_stats().unwrap();
+            let _ = o.d(old, mate(old));
+            let s = o.cache_stats().unwrap().since(&landed);
+            assert_eq!((s.hits, s.misses), (1, 0), "{cells}-cell rows: a warmed row was not there");
+        }
     }
 
     #[test]

@@ -1,20 +1,24 @@
 //! Sharded LRU cache of latency-oracle rows.
 //!
-//! One entry is a full source row: `d(src, ·)` over all members, 2 bytes a
-//! member ([`RowMs`]: the physical model prices a link at 100, 20 or 5 ms,
+//! One entry is the row its store keeps for one source member, 2 bytes a
+//! cell ([`RowMs`]: the physical model prices a link at 100, 20 or 5 ms,
 //! and `RowStore::try_build` refuses a member set whose latencies could
-//! pass the type). Rows are expensive to make (a search of the physical
-//! graph) and cheap to keep, so the cache is bounded in **bytes**, not
-//! entries — half the bytes a member is twice the rows every budget holds:
-//! the capacity is split evenly over `shards` independently-locked LRU
-//! shards (a source's rows always live in shard `src % shards`), and each
-//! shard evicts its least-recently-used rows when over budget.
+//! pass the type). On a graph the row kernel decomposes that is `d(src, ·)`
+//! over the hosts of the source's own stub domain — every other pair is
+//! answered without a row — and on any other graph `d(src, ·)` over all
+//! members. The cache does not know which: an entry is accounted by its own
+//! length, so rows of different domains share one budget. Rows are
+//! expensive to make (a search of the physical graph) and cheap to keep, so
+//! the cache is bounded in **bytes**, not entries: the capacity is split
+//! evenly over `shards` independently-locked LRU shards (a source's row
+//! always lives in shard `src % shards`), and each shard evicts its
+//! least-recently-used rows while over budget.
 //!
 //! Invariant: a shard never evicts its *last* row, so a single over-sized
 //! row still caches (resident bytes then exceed the configured capacity by
-//! at most `shards × row_bytes`; with any sane configuration
-//! `row_bytes × shards ≪ capacity` and residency stays under the cap —
-//! asserted by `tests/scale_cap.rs`).
+//! at most `shards ×` the widest row; with any sane configuration that is
+//! far below the capacity and residency stays under the cap — asserted by
+//! `tests/scale_cap.rs`).
 //!
 //! Hit/miss/eviction counters are plain relaxed atomics — they are
 //! reporting, not synchronization.
@@ -37,7 +41,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Rows dropped by the LRU policy.
     pub evictions: u64,
-    /// Rows currently resident.
+    /// Rows currently resident, of whatever lengths.
     pub resident_rows: usize,
     /// Bytes currently resident (rows only, excluding bookkeeping).
     pub resident_bytes: usize,
@@ -79,6 +83,8 @@ struct Entry {
 #[derive(Default)]
 struct Shard {
     rows: HashMap<usize, Entry>,
+    /// Bytes of the rows above, each by its own length.
+    bytes: usize,
     /// Monotonic use counter; higher = more recently used.
     tick: u64,
 }
@@ -98,38 +104,38 @@ pub struct RowCache {
     shards: Box<[Mutex<Shard>]>,
     /// Byte budget per shard.
     shard_capacity: usize,
-    /// Bytes one row occupies (`2 × n`).
-    row_bytes: usize,
     capacity_bytes: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    resident_rows: AtomicUsize,
     resident_bytes: AtomicUsize,
     peak_resident_bytes: AtomicUsize,
 }
 
 impl RowCache {
-    /// A cache for rows of `row_len` [`RowMs`], bounded by `capacity_bytes`
-    /// split over `shards` locks.
-    pub fn new(row_len: usize, capacity_bytes: usize, shards: usize) -> Self {
+    /// A cache of [`RowMs`] rows, bounded by `capacity_bytes` split over
+    /// `shards` locks.
+    pub fn new(capacity_bytes: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         RowCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: capacity_bytes / shards,
-            row_bytes: row_len * std::mem::size_of::<RowMs>(),
             capacity_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            resident_rows: AtomicUsize::new(0),
             resident_bytes: AtomicUsize::new(0),
             peak_resident_bytes: AtomicUsize::new(0),
         }
     }
 
     /// Lock the shard that holds `src`. A poisoned lock hands back its
-    /// guard: a shard is a map of whole rows and a tick, valid after every
-    /// single update, so a panic elsewhere while it was held leaves nothing
-    /// half-written (at worst a reporting counter is one row off).
+    /// guard: a shard is a map of finished rows, their byte total and a
+    /// tick, valid after every single update, so a panic elsewhere while it
+    /// was held leaves nothing half-written (at worst a reporting counter is
+    /// one row off).
     #[inline]
     fn shard(&self, src: usize) -> MutexGuard<'_, Shard> {
         self.shards[src % self.shards.len()].lock().unwrap_or_else(|e| e.into_inner())
@@ -166,40 +172,46 @@ impl RowCache {
     /// over budget. A concurrent duplicate insert is benign: the second
     /// copy replaces the first.
     pub fn insert(&self, src: usize, row: Arc<[RowMs]>) {
-        debug_assert_eq!(std::mem::size_of_val(&*row), self.row_bytes);
+        let bytes = std::mem::size_of_val(&*row);
         let mut shard = self.shard(src);
         shard.tick += 1;
         let tick = shard.tick;
-        if shard.rows.insert(src, Entry { row, last_used: tick }).is_none() {
-            self.add_resident(self.row_bytes);
+        if let Some(old) = shard.rows.insert(src, Entry { row, last_used: tick }) {
+            self.drop_resident(&mut shard, &old);
         }
-        while shard.rows.len() * self.row_bytes > self.shard_capacity && shard.rows.len() > 1 {
+        shard.bytes += bytes;
+        self.resident_rows.fetch_add(1, Ordering::Relaxed);
+        let now = self.resident_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak_resident_bytes.fetch_max(now, Ordering::Relaxed);
+        while shard.bytes > self.shard_capacity && shard.rows.len() > 1 {
             let (&lru, _) = shard
                 .rows
                 .iter()
                 .filter(|&(&k, _)| k != src)
                 .min_by_key(|(_, e)| e.last_used)
                 .expect("len > 1 so another key exists");
-            shard.rows.remove(&lru);
+            let evicted = shard.rows.remove(&lru).expect("the key was just found");
+            self.drop_resident(&mut shard, &evicted);
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.resident_bytes.fetch_sub(self.row_bytes, Ordering::Relaxed);
         }
     }
 
-    fn add_resident(&self, bytes: usize) {
-        let now = self.resident_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak_resident_bytes.fetch_max(now, Ordering::Relaxed);
+    /// Take a row that has left `shard`'s map out of the byte and row counts.
+    fn drop_resident(&self, shard: &mut Shard, gone: &Entry) {
+        let bytes = std::mem::size_of_val(&*gone.row);
+        shard.bytes -= bytes;
+        self.resident_rows.fetch_sub(1, Ordering::Relaxed);
+        self.resident_bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        let resident_bytes = self.resident_bytes.load(Ordering::Relaxed);
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            resident_rows: resident_bytes / self.row_bytes.max(1),
-            resident_bytes,
+            resident_rows: self.resident_rows.load(Ordering::Relaxed),
+            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
             peak_resident_bytes: self.peak_resident_bytes.load(Ordering::Relaxed),
             capacity_bytes: self.capacity_bytes,
         }
@@ -219,7 +231,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_accounting() {
-        let c = RowCache::new(LEN, 1 << 20, 4);
+        let c = RowCache::new(1 << 20, 4);
         assert!(c.get(0).is_none());
         c.record_miss();
         c.insert(0, row(7));
@@ -235,7 +247,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent_within_shard() {
         // One shard, room for exactly two 32-byte rows.
-        let c = RowCache::new(LEN, 64, 1);
+        let c = RowCache::new(64, 1);
         c.insert(0, row(0));
         c.insert(1, row(1));
         assert!(c.get(0).is_some()); // 0 now more recent than 1
@@ -256,7 +268,7 @@ mod tests {
         // 512 MiB: 131 and 167 rows.
         for (n, budget) in [(LEN, 4096), (3_000, (12 << 20) / 16), (100_000, (512 << 20) / 16)] {
             let fit = budget / (2 * n);
-            let c = RowCache::new(n, budget, 1);
+            let c = RowCache::new(budget, 1);
             let blank: Arc<[RowMs]> = vec![0; n].into();
             for src in 0..fit {
                 c.insert(src, Arc::clone(&blank));
@@ -271,8 +283,32 @@ mod tests {
     }
 
     #[test]
+    fn rows_of_unequal_length_are_counted_and_evicted_by_their_own_bytes() {
+        // One shard of 64 bytes: a 32-byte row and two of 8 fit (48); a
+        // 24-byte one makes 72, and evicting the oldest — the long one —
+        // is enough, where a row count would have evicted on the fourth
+        // insert whatever its size.
+        let c = RowCache::new(64, 1);
+        let of = |cells: usize| -> Arc<[RowMs]> { vec![0; cells].into() };
+        c.insert(0, row(0));
+        c.insert(1, of(4));
+        c.insert(2, of(4));
+        let s = c.stats();
+        assert_eq!((s.resident_rows, s.resident_bytes, s.evictions), (3, 48, 0));
+        c.insert(3, of(12));
+        let s = c.stats();
+        assert_eq!((s.resident_rows, s.resident_bytes, s.evictions), (3, 40, 1));
+        assert_eq!(s.peak_resident_bytes, 72);
+        assert!(!c.contains(0) && c.contains(1) && c.contains(2) && c.contains(3));
+        // A second copy of a source's row replaces the first, at its size.
+        c.insert(3, of(4));
+        let s = c.stats();
+        assert_eq!((s.resident_rows, s.resident_bytes, s.evictions), (3, 24, 1));
+    }
+
+    #[test]
     fn touch_bumps_recency_and_counts_no_hit() {
-        let c = RowCache::new(LEN, 64, 1); // two rows fit
+        let c = RowCache::new(64, 1); // two rows fit
         c.insert(0, row(0));
         c.insert(1, row(1));
         assert!(c.touch(0)); // 0 now more recent than 1
@@ -285,7 +321,7 @@ mod tests {
     #[test]
     fn never_evicts_the_only_row() {
         // Capacity smaller than a single row: the fresh row must survive.
-        let c = RowCache::new(LEN, 16, 1);
+        let c = RowCache::new(16, 1);
         c.insert(0, row(0));
         assert!(c.contains(0));
         c.insert(1, row(1));
@@ -296,7 +332,7 @@ mod tests {
 
     #[test]
     fn peak_tracks_high_water_mark() {
-        let c = RowCache::new(LEN, 32, 1); // one row fits
+        let c = RowCache::new(32, 1); // one row fits
         c.insert(0, row(0));
         c.insert(1, row(1));
         let s = c.stats();
@@ -307,7 +343,7 @@ mod tests {
 
     #[test]
     fn shards_are_independent() {
-        let c = RowCache::new(LEN, 128, 4); // 32 B per shard = 1 row each
+        let c = RowCache::new(128, 4); // 32 B per shard = 1 row each
         for src in 0..4 {
             c.insert(src, row(src as RowMs));
         }
@@ -318,7 +354,7 @@ mod tests {
 
     #[test]
     fn since_diffs_counters_only() {
-        let c = RowCache::new(LEN, 1 << 20, 1);
+        let c = RowCache::new(1 << 20, 1);
         c.record_miss();
         c.insert(0, row(0));
         let early = c.stats();
@@ -331,7 +367,7 @@ mod tests {
 
     #[test]
     fn since_saturates_on_reversed_snapshots() {
-        let c = RowCache::new(LEN, 32, 1); // one row fits
+        let c = RowCache::new(32, 1); // one row fits
         let early = c.stats();
         c.record_miss();
         c.insert(0, row(0));

@@ -280,13 +280,14 @@ impl OverlayNet {
         &self.oracle
     }
 
-    /// Batch-warm the oracle rows for the peers occupying `slots` (no-op on
-    /// the dense tier, one row per cold source on the row-cache tier, and
-    /// exact-escalation-cache warm-up on the coordinate-embedded tier).
-    /// Call before a burst of latency queries over a known slot set — e.g.
-    /// a measurement sweep at 100k members — so each row is made once, up
-    /// front, and not again every time the sweep's own reads evict it.
-    /// Duplicate slots (several pairs sharing a source) are warmed once.
+    /// Batch-warm the oracle rows for the peers occupying `slots`: a no-op
+    /// on the dense tier; on the row tiers, one whole row per cold source
+    /// on a graph the row kernel does not decompose, and only a recency
+    /// bump of resident rows on one it does (`LatencyOracle::warm_rows`).
+    /// Call before a burst of latency queries over a known slot set so
+    /// that, where rows are whole, each is made once, up front, and not
+    /// again every time the sweep's own reads evict it. Duplicate slots
+    /// (several pairs sharing a source) are warmed once.
     pub fn warm_latency_rows(&self, slots: &[Slot]) {
         let mut peers: Vec<MemberIdx> = slots.iter().map(|&s| self.placement.peer(s)).collect();
         peers.sort_unstable();
