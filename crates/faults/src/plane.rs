@@ -537,6 +537,67 @@ mod tests {
         assert_eq!(a.counters(t(10_000)), b.counters(t(10_000)));
     }
 
+    /// Every answer a compiled plane gives a driver-shaped caller, folded
+    /// into one FNV-64 per seed: 20,000 rulings over 8 members, each with
+    /// the `is_up` and `link_extra_ms` reads beside it, and a counter
+    /// snapshot every 1,000. The script uses every event kind: a loss step
+    /// back to zero, a reorder step with no extra delay, overlapping
+    /// partitions and a crash that never restarts.
+    #[test]
+    fn verdict_stream_is_pinned() {
+        let script = FaultScript::new()
+            .loss(0, 0.1)
+            .loss(40_000, 0.3)
+            .loss(75_000, 0.0)
+            .duplicate(5_000, 0.05)
+            .duplicate(60_000, 0.2)
+            .reorder(0, 0.2, 150)
+            .reorder(55_000, 0.4, 0)
+            .reorder(85_000, 0.3, 40)
+            .spike(10_000, 20_000, 40)
+            .drift(50_000, 30_000, 120)
+            .partition(20_000, 30_000)
+            .partition(35_000, 25_000)
+            .partition(90_000, 5_000)
+            .crash(15_000, 3, 10_000)
+            .crash(30_000, 3, 5_000)
+            .crash(70_000, 5, u64::MAX);
+        let sides = [Side::A, Side::B, Side::A, Side::B, Side::B, Side::A, Side::A, Side::B];
+        const KINDS: [MsgKind; 4] =
+            [MsgKind::Walk, MsgKind::Exchange, MsgKind::Probe, MsgKind::Commit];
+        let fold = |h: &mut u64, x: u64| {
+            for b in x.to_le_bytes() {
+                *h = (*h ^ b as u64).wrapping_mul(0x100000001b3);
+            }
+        };
+        for (seed, want) in
+            [(1, 0xc6e44b2ec91bc7ac), (2, 0xdefe28343b753984), (2024, 0x612e82906b1977b9)]
+        {
+            let mut plane = compile(&script, &sides, seed);
+            let mut driver = SimRng::seed_from(seed).fork("driver");
+            let (mut h, mut now) = (0xcbf29ce484222325u64, 0u64);
+            for i in 1..=20_000u32 {
+                now += driver.range(0..=10u64);
+                let kind = KINDS[driver.range(0..4usize)];
+                let (from, to) = (driver.range(0..8usize), driver.range(0..8usize));
+                let v = plane.deliver(t(now), kind, from, to);
+                fold(&mut h, v.delivered as u64 | (v.duplicate as u64) << 1);
+                fold(&mut h, v.extra_delay_ms);
+                fold(&mut h, plane.is_up(t(now), from) as u64);
+                fold(&mut h, plane.link_extra_ms(t(now), from, to));
+                if i % 1_000 == 0 {
+                    let c = plane.counters(t(now));
+                    for x in
+                        [c.drops, c.dup_deliveries, c.reorders, c.partition_ms, c.crashed_aborts]
+                    {
+                        fold(&mut h, x);
+                    }
+                }
+            }
+            assert_eq!(h, want, "seed {seed}: {h:#018x}");
+        }
+    }
+
     #[test]
     fn empty_script_compiles_to_empty_plane() {
         let plane = compile(&FaultScript::new(), &[], 1);
