@@ -5,10 +5,10 @@
 //! exchange, and hypothetical-neighbor probe arrives, links never degrade,
 //! and peers never crash mid-trial. A [`FaultPlane`] sits between the driver
 //! and the simulated network and decides, per message, whether and how it is
-//! delivered. The concrete injectors (random loss, duplication, reordering,
-//! latency spikes, transit-link partitions, crash/restart) live in the
-//! `prop-faults` crate; this module defines only the contract, so the
-//! driver stays free of a dependency on the injector implementations.
+//! delivered. The plane that injects faults (random loss, duplication,
+//! reordering, latency spikes, transit-link partitions, crash/restart) is
+//! compiled from a script in the `prop-faults` crate; this module defines
+//! only the contract, so the driver stays free of a dependency on it.
 //!
 //! A driver without a plane attached behaves exactly as before — the
 //! fault path is `Option`-gated and costs one branch per trial.
@@ -58,8 +58,8 @@ impl Delivery {
     pub const DROPPED: Delivery =
         Delivery { delivered: false, duplicate: false, extra_delay_ms: 0 };
 
-    /// Merge two verdicts from composed injectors: a drop from either side
-    /// wins, duplication from either side sticks, delays accumulate.
+    /// Merge the verdicts on two messages of one trial: a drop from either
+    /// side wins, duplication from either side sticks, delays accumulate.
     pub fn merge(self, other: Delivery) -> Delivery {
         Delivery {
             delivered: self.delivered && other.delivered,
@@ -85,17 +85,6 @@ pub struct FaultCounters {
 }
 
 impl FaultCounters {
-    /// Counter-wise sum — how a composed plane aggregates its injectors.
-    pub fn merge(self, other: FaultCounters) -> FaultCounters {
-        FaultCounters {
-            drops: self.drops + other.drops,
-            dup_deliveries: self.dup_deliveries + other.dup_deliveries,
-            reorders: self.reorders + other.reorders,
-            partition_ms: self.partition_ms + other.partition_ms,
-            crashed_aborts: self.crashed_aborts + other.crashed_aborts,
-        }
-    }
-
     /// All fault events of any kind (partition time excluded — it is a
     /// duration, not an event count).
     pub fn total_events(&self) -> u64 {
@@ -155,14 +144,5 @@ mod tests {
         assert!(merged.duplicate);
         assert_eq!(merged.extra_delay_ms, 10);
         assert_eq!(Delivery::CLEAN.merge(Delivery::CLEAN), Delivery::CLEAN);
-    }
-
-    #[test]
-    fn counters_merge_sums() {
-        let a = FaultCounters { drops: 1, reorders: 2, ..Default::default() };
-        let b = FaultCounters { drops: 3, crashed_aborts: 5, ..Default::default() };
-        let m = a.merge(b);
-        assert_eq!((m.drops, m.reorders, m.crashed_aborts), (4, 2, 5));
-        assert_eq!(m.total_events(), 11);
     }
 }

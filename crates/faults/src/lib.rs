@@ -10,10 +10,9 @@
 //! * [`script`] — [`FaultScript`]: timed fault events (JSON
 //!   round-trippable), the shared scenario language of experiments, tests,
 //!   and CI.
-//! * [`plane`] — the injectors ([`LossInjector`], [`DupInjector`],
-//!   [`ReorderInjector`], [`SpikeInjector`], [`PartitionInjector`],
-//!   [`CrashInjector`]), their composition ([`ComposedPlane`]), and the
-//!   script compiler ([`compile`]).
+//! * [`plane`] — the script compiler ([`compile`]) and the plane it
+//!   builds ([`ComposedPlane`]): one schedule of loss, duplication,
+//!   reordering, latency spikes and drifts, partitions and crashes.
 //! * [`partition`] — [`transit_bisection`]: which peers land on which side
 //!   when the transit core splits.
 //! * [`harness`] — [`FaultHarness`]: replay any script against **both**
@@ -26,12 +25,11 @@
 //!   orchestrator replay.
 //!
 //! The [`FaultPlane`] trait itself lives in `prop-core` (re-exported here)
-//! so the drivers can consult a plane without depending on the injector
-//! implementations.
+//! so the drivers can consult a plane without depending on this crate.
 //!
-//! Determinism is load-bearing: every injector owns a labelled fork of the
-//! seed's RNG, the drivers consult the plane in event order, and composed
-//! planes consult *every* child for *every* query — so the same
+//! Determinism is load-bearing: each random fault kind owns a labelled
+//! fork of the seed's RNG, the drivers consult the plane in event order,
+//! and the plane rules on *every* kind for *every* message — so the same
 //! `(seed, script)` replays to bit-identical fault counters and final
 //! overlay, which is what the golden-trace tests pin.
 
@@ -43,10 +41,7 @@ pub mod script;
 
 pub use harness::{FaultHarness, HarnessReport, ReplayResult};
 pub use partition::{transit_bisection, Side};
-pub use plane::{
-    compile, ComposedPlane, CrashInjector, DupInjector, LossInjector, PartitionInjector,
-    ReorderInjector, SpikeInjector,
-};
+pub use plane::{compile, ComposedPlane};
 pub use scenario::Scenario;
 pub use script::{FaultEvent, FaultScript};
 

@@ -5,7 +5,7 @@
 //! partitions for 30 s", "peer 17 crashes at t = 90 s and restarts 20 s
 //! later". Scripts are plain data (JSON round-trippable), so experiments,
 //! tests, and the CI fault matrix share scenario definitions instead of
-//! each hand-wiring injectors.
+//! each hand-wiring a plane.
 //!
 //! Rate-style events (loss / duplication / reordering) are *step changes*:
 //! the probability set at `at_ms` stays in force until the next event of
@@ -128,7 +128,7 @@ impl FaultScript {
     }
 
     /// Events sorted by effect time (stable, so same-time events keep their
-    /// authoring order). Injector compilation works on the sorted view;
+    /// authoring order). [`crate::compile`] works on the sorted view;
     /// scripts themselves may be authored in any order.
     pub fn sorted(&self) -> Vec<FaultEvent> {
         let mut evs = self.events.clone();
