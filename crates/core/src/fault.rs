@@ -72,6 +72,8 @@ impl Delivery {
 /// Cumulative fault accounting, mirroring [`crate::sim::Overhead`] in style.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounters {
+    /// Messages the plane ruled on: one per `deliver`, whatever the verdict.
+    pub ruled: u64,
     /// Messages the plane refused to deliver (random loss + partition cuts).
     pub drops: u64,
     /// Messages delivered twice.
@@ -86,7 +88,7 @@ pub struct FaultCounters {
 
 impl FaultCounters {
     /// All fault events of any kind (partition time excluded — it is a
-    /// duration, not an event count).
+    /// duration, not an event count; rulings excluded — most are clean).
     pub fn total_events(&self) -> u64 {
         self.drops + self.dup_deliveries + self.reorders + self.crashed_aborts
     }

@@ -175,11 +175,10 @@ pub fn recovery_with(
         last = sim.stats();
     }
 
-    let stats = sim.stats();
     let counters = sim.fault_counters().unwrap_or_default();
     RecoveryReport {
         exchange_rate,
-        faults: FaultReport::from_counters(counters, stats.launched * 4),
+        faults: FaultReport::from_counters(counters),
         partition: (split_at, split_at + heal_after),
     }
 }

@@ -44,7 +44,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("results/ablation_waxman.json", 0x368c38931910c61f),
     ("results/ablation_zipf.json", 0x1b1e445b5bcf6169),
     ("results/embed_agreement.json", 0x241d806c2669fc41),
-    ("results/faults_recovery.json", 0x7c582eb657bc61a8),
+    ("results/faults_recovery.json", 0x2fd7d316dcaf5992),
     ("results/faults_sweep.json", 0xf0fc29609f424223),
     ("results/fig5a.json", 0x846075754476fe7f),
     ("results/fig5b.json", 0x3b9069f4555165be),

@@ -116,6 +116,7 @@ impl FaultPlane for ComposedPlane {
         // A commit that reaches a crashed peer is an abort, not a drop.
         let aborted = to_down && kind == MsgKind::Commit;
         let c = &mut self.counters;
+        c.ruled += 1;
         c.drops += lost as u64 + cut as u64 + ((to_down || from_down) && !aborted) as u64;
         c.dup_deliveries += duplicate as u64;
         c.reorders += (extra_delay_ms > 0) as u64;
@@ -237,6 +238,7 @@ mod tests {
         }
         assert_eq!(sure.counters(t(50)).drops, 50);
         assert_eq!(never.counters(t(50)).drops, 0);
+        assert_eq!(never.counters(t(50)).ruled, 50, "one ruling per deliver");
     }
 
     #[test]
@@ -422,7 +424,7 @@ mod tests {
             assert!(plane.is_up(now, from));
             assert_eq!(plane.link_extra_ms(now, from, to), 0);
         }
-        assert_eq!(plane.counters(t(50_000)), FaultCounters::default());
+        assert_eq!(plane.counters(t(50_000)), FaultCounters { ruled: 50, ..Default::default() });
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub struct FaultReport {
     pub crashed_aborts: u64,
     /// All fault events of any kind (partition time excluded).
     pub total_events: u64,
-    /// `drops / messages_ruled`, 0 when nothing was ruled. This is the
+    /// `drops / ruled`, 0 when nothing was ruled. This is the
     /// *observed* loss rate, which under partitions and crashes exceeds the
     /// scripted random-loss probability.
     pub drop_rate: f64,
@@ -30,10 +30,10 @@ prop_engine::json_impl!(ToJson for struct FaultReport {
 });
 
 impl FaultReport {
-    /// Package plane counters. `messages_ruled` is how many delivery
-    /// verdicts the drivers requested (4 per attempted trial); it is the
-    /// denominator of [`FaultReport::drop_rate`].
-    pub fn from_counters(c: FaultCounters, messages_ruled: u64) -> Self {
+    /// Package plane counters. The plane counts its own rulings
+    /// ([`FaultCounters::ruled`]), which are the denominator of
+    /// [`FaultReport::drop_rate`].
+    pub fn from_counters(c: FaultCounters) -> Self {
         FaultReport {
             drops: c.drops,
             dup_deliveries: c.dup_deliveries,
@@ -41,11 +41,7 @@ impl FaultReport {
             partition_secs: c.partition_ms as f64 / 1000.0,
             crashed_aborts: c.crashed_aborts,
             total_events: c.total_events(),
-            drop_rate: if messages_ruled == 0 {
-                0.0
-            } else {
-                c.drops as f64 / messages_ruled as f64
-            },
+            drop_rate: if c.ruled == 0 { 0.0 } else { c.drops as f64 / c.ruled as f64 },
         }
     }
 }
@@ -72,6 +68,7 @@ mod tests {
 
     fn sample() -> FaultCounters {
         FaultCounters {
+            ruled: 1000,
             drops: 25,
             dup_deliveries: 3,
             reorders: 7,
@@ -82,7 +79,7 @@ mod tests {
 
     #[test]
     fn rates_derive_from_counters() {
-        let r = FaultReport::from_counters(sample(), 1000);
+        let r = FaultReport::from_counters(sample());
         assert_eq!(r.drops, 25);
         assert!((r.drop_rate - 0.025).abs() < 1e-12);
         assert!((r.partition_secs - 30.0).abs() < 1e-12);
@@ -91,13 +88,13 @@ mod tests {
 
     #[test]
     fn zero_denominator_is_safe() {
-        let r = FaultReport::from_counters(sample(), 0);
+        let r = FaultReport::from_counters(FaultCounters { ruled: 0, ..sample() });
         assert_eq!(r.drop_rate, 0.0);
     }
 
     #[test]
     fn serializes_for_json_dumps() {
-        let r = FaultReport::from_counters(sample(), 400);
+        let r = FaultReport::from_counters(sample());
         let json = prop_engine::json::to_string(&r);
         assert!(json.contains("\"crashed_aborts\":2"));
         assert!(json.contains("\"partition_secs\":30.0"));
@@ -105,7 +102,7 @@ mod tests {
 
     #[test]
     fn display_is_one_line() {
-        let r = FaultReport::from_counters(sample(), 400);
+        let r = FaultReport::from_counters(sample());
         let s = format!("{r}");
         assert!(s.contains("25 drops"));
         assert!(!s.contains('\n'));
