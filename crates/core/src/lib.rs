@@ -30,7 +30,8 @@
 //!   and [`AsyncProtocolSim`] (message-level trials).
 //! * [`fault`] — the fault-plane contract the driver consults per message
 //!   (drop/duplicate/delay verdicts, crash visibility, fault counters);
-//!   the concrete injectors and scripted scenarios live in `prop-faults`.
+//!   the plane compiled from a fault script, and the scripted scenarios,
+//!   live in `prop-faults`.
 //! * [`traffic`] — the traffic-plane contract: scripted time-varying
 //!   workload (joins/leaves/lookups) consumed by the driver through the
 //!   [`traffic::ChurnDriver`] surface; the script compiler lives in

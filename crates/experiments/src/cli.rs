@@ -359,6 +359,7 @@ mod tests {
             // Ran something other than what was asked, exit 0.
             ("generality --seeds 3", "`generality` does not take --seeds"),
             ("fig7 --traffic x.json", "`fig7` does not take --traffic"),
+            ("faults --traffic x.json", "`faults` does not take --traffic"),
             ("scale --samples 5", "`scale` does not take --samples"),
             ("ablation churn --seeds 4", "`churn` has no effect: --seeds N repeats `overhead`"),
             ("fig5 a --seeds 2", "`a` has no effect: --seeds N repeats its representative run"),
@@ -506,7 +507,7 @@ mod tests {
         assert_eq!(usage_of("generality"), "usage: prop generality [--quick] [--seed N]");
         assert_eq!(
             usage_of("faults"),
-            "usage: prop faults [sweep|recovery] [--quick] [--seed N] [--traffic FILE.json] \
+            "usage: prop faults [sweep|recovery] [--quick] [--seed N] \
              [--seeds N [--resume] [--gate METRIC=MAX_CI95]... [--root DIR]]"
         );
         assert_eq!(

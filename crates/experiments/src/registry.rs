@@ -14,7 +14,7 @@ use crate::cli::{Args, CliError, Flag};
 use crate::report::{print_report, write_json};
 use crate::setup::{msgs_per_trial, Scale, Scenario};
 use crate::sweep::{self, SweepConfig, SweepExperiment, UnitRun};
-use crate::traffic::{self, TrafficDriver, TrafficRunReport};
+use crate::traffic::{self, TrafficRunReport};
 use crate::{ablation, embed_agreement, faults, fig5, fig6, fig7, generality, scale};
 use prop_core::PropConfig;
 use prop_engine::json::{ToJson, Value};
@@ -137,8 +137,8 @@ pub static EXPERIMENTS: [Experiment; 9] = [
             panel!("recovery", "F2", "faults_recovery", "exchange rate across one transit partition and its heal", faults::recovery),
         ],
         unit: Some(Unit { experiment: SweepExperiment::Faults, panel: Some("sweep"), run: sweep::unit_faults }),
-        flags: &[Flag::Traffic],
-        run: run_faults,
+        flags: &[],
+        run: run_panels,
     },
     Experiment {
         name: "traffic",
@@ -242,17 +242,6 @@ fn run_fig6(exp: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
     let per_trial = msgs_per_trial(&overhead);
     println!("\noverhead: {} trials, {per_trial:.1} msgs/trial", overhead.trials);
     write_json("fig6_scripted", &report);
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `faults --traffic FILE`: replay the scenario bundle (its traffic script
-/// composed with its fault script, if any) on the message-level driver.
-fn run_faults(exp: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
-    let Some(path) = &args.traffic else { return run_panels(exp, args) };
-    let spec = traffic::load_script_or_scenario(path, args.scale, args.seed)?;
-    let run = traffic::run_scenario(&spec, TrafficDriver::Async, args.scale);
-    print_traffic_run(&run);
-    write_json(&format!("faults_traffic_{}", spec.name), &run);
     Ok(ExitCode::SUCCESS)
 }
 

@@ -23,7 +23,7 @@ use prop_core::{
     TrafficPlane,
 };
 use prop_engine::{json, json_impl, Duration, SimTime};
-use prop_faults::{transit_bisection, Scenario as ScenarioSpec};
+use prop_faults::{transit_bisection, FaultEvent, Scenario as ScenarioSpec};
 use prop_metrics::{link_stretch, path_stretch, StretchSummary, TimeSeries, TrafficReport};
 use prop_netsim::oracle::MemberIdx;
 use prop_overlay::gnutella::Gnutella;
@@ -448,6 +448,29 @@ fn check_script(path: &str, script: &TrafficScript) -> Result<(), ScenarioError>
     Err(ScenarioError::Invalid { path: path.to_string(), what: what.to_string() })
 }
 
+/// The fault events a plane would misread: a probability outside [0, 1]
+/// acts as 0 or 1, and a crash of a peer past the membership never fires.
+fn check_faults(path: &str, spec: &ScenarioSpec) -> Result<(), ScenarioError> {
+    let bad_prob = |kind: &str, p: f64| {
+        (!(0.0..=1.0).contains(&p)).then(|| format!("{kind}.prob must be in [0, 1], got {p}"))
+    };
+    for (i, ev) in spec.faults.events.iter().enumerate() {
+        let what = match *ev {
+            FaultEvent::Loss { prob, .. } => bad_prob("Loss", prob),
+            FaultEvent::Duplicate { prob, .. } => bad_prob("Duplicate", prob),
+            FaultEvent::Reorder { prob, .. } => bad_prob("Reorder", prob),
+            FaultEvent::Crash { peer, .. } => (peer >= spec.n)
+                .then(|| format!("Crash.peer must be below n = {}, got {peer}", spec.n)),
+            _ => None,
+        };
+        if let Some(what) = what {
+            let what = format!("faults.events[{i}].{what}");
+            return Err(ScenarioError::Invalid { path: path.to_string(), what });
+        }
+    }
+    Ok(())
+}
+
 fn parse_bundle(path: &str, text: &str) -> Result<ScenarioSpec, ScenarioError> {
     let spec: ScenarioSpec = json::from_str(text)
         .map_err(|error| ScenarioError::Parse { path: path.to_string(), error })?;
@@ -457,6 +480,7 @@ fn parse_bundle(path: &str, text: &str) -> Result<ScenarioSpec, ScenarioError> {
         return Err(ScenarioError::Invalid { path: path.to_string(), what });
     }
     check_script(path, &spec.traffic)?;
+    check_faults(path, &spec)?;
     Ok(spec)
 }
 
@@ -714,6 +738,30 @@ mod tests {
                 "traffic.catalog must be positive",
             ),
             ("bad-topology", "\"tiny\"", "\"huge\"", "unknown topology \"huge\""),
+            (
+                "loss-above-one",
+                "\"prob\": 0.1",
+                "\"prob\": 1.5",
+                ".json: faults.events[0].Loss.prob must be in [0, 1], got 1.5",
+            ),
+            (
+                "duplicate-negative",
+                "[{\"Loss\"",
+                "[{\"Duplicate\": {\"at_ms\": 0, \"prob\": -0.1}}, {\"Loss\"",
+                ".json: faults.events[0].Duplicate.prob must be in [0, 1], got -0.1",
+            ),
+            (
+                "reorder-above-one",
+                "0.1}}]",
+                "0.1}}, {\"Reorder\": {\"at_ms\": 5, \"prob\": 2.0, \"max_extra_ms\": 10}}]",
+                ".json: faults.events[1].Reorder.prob must be in [0, 1], got 2",
+            ),
+            (
+                "crash-past-n",
+                "0.1}}]",
+                "0.1}}, {\"Crash\": {\"at_ms\": 0, \"peer\": 24, \"restart_after_ms\": 1000}}]",
+                ".json: faults.events[1].Crash.peer must be below n = 24, got 24",
+            ),
         ] {
             match load_text(name, &BUNDLE.replacen(from, to, 1)) {
                 Err(e @ ScenarioError::Invalid { .. }) => {

@@ -62,7 +62,7 @@ pub struct FaultHarness {
     pub members: usize,
     pub cfg: PropConfig,
     pub script: FaultScript,
-    /// Seeds topology, overlay, driver, and every injector.
+    /// Seeds topology, overlay, driver, and the fault plane.
     pub seed: u64,
     pub horizon: Duration,
     pub checkpoint_every: Duration,

@@ -200,23 +200,20 @@ pub fn compile(script: &FaultScript, sides: &[Side], seed: u64) -> ComposedPlane
             }
         }
     }
-    if !plane.partitions.is_empty() {
-        assert!(
-            sides.contains(&Side::A) && sides.contains(&Side::B),
-            "script has partition windows but `sides` does not bisect the membership \
-             (pass the output of transit_bisection)"
-        );
-    }
+    assert!(
+        plane.partitions.is_empty() || (sides.contains(&Side::A) && sides.contains(&Side::B)),
+        "script has partition windows but `sides` does not bisect the membership \
+         (pass the output of transit_bisection)"
+    );
     // Overlapping windows merge, so active time is not counted twice.
     plane.partitions.sort_unstable();
-    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(plane.partitions.len());
-    for (s, e) in plane.partitions.drain(..) {
-        match merged.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => merged.push((s, e)),
+    plane.partitions.dedup_by(|next, kept| {
+        let overlaps = next.0 <= kept.1;
+        if overlaps {
+            kept.1 = kept.1.max(next.1);
         }
-    }
-    plane.partitions = merged;
+        overlaps
+    });
     plane
 }
 
