@@ -25,8 +25,6 @@ use prop_overlay::{OverlayNet, Slot};
 /// LTM parameters.
 #[derive(Clone, Debug)]
 pub struct LtmConfig {
-    /// Detector TTL (the paper's "small region"; LTM uses 2).
-    pub detector_ttl: u32,
     /// Per-step cap on link cuts (LTM cuts "the most" redundant links; one
     /// conservative cut per step keeps the overlay from thrashing).
     pub max_cuts_per_step: usize,
@@ -43,7 +41,6 @@ pub struct LtmConfig {
 impl Default for LtmConfig {
     fn default() -> Self {
         LtmConfig {
-            detector_ttl: 2,
             max_cuts_per_step: 1,
             min_degree: 2,
             max_degree: 16,

@@ -28,8 +28,8 @@
 //! What still allocates, by design, and is therefore not in a window: the
 //! message-level driver's in-flight `Commit { walk }` event owns a clone of
 //! its walk (one allocation per launch, a second for a duplicated
-//! handshake); the cached oracle tiers allocate when a row is computed or
-//! warmed; a churn event allocates in the overlay (`remove_slot` hands back
+//! handshake); the cached oracle tiers allocate when a `d` miss computes a
+//! row; a churn event allocates in the overlay (`remove_slot` hands back
 //! the orphans, a new slot gets a row) and for the joiner's fresh node
 //! state, though no longer per notified neighbor.
 //!
@@ -130,7 +130,7 @@ fn steady_state_trials_do_not_allocate() {
         let mut sim = ProtocolSim::new(net, w.cfg, &mut rng);
         assert!(
             sim.net().oracle_cache_stats().is_none(),
-            "test expects the dense tier (row warming on the cached tier allocates by design)"
+            "test expects the dense tier (a row miss on the cached tier allocates by design)"
         );
 
         sim.run_for(Duration::from_minutes(w.warm_up_min));

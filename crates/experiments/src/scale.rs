@@ -18,9 +18,8 @@
 //!    oracle and run a few minutes of PROP-G and PROP-O, reporting
 //!    stretch improvement and the cache counters the run generated.
 //!
-//! Nothing is warmed ahead of a read: on this graph `warm_rows` computes
-//! no row (a same-domain miss costs the one search a warm would), so there
-//! is no batch to size.
+//! Nothing is made ahead of a read: a row enters the oracle's cache only
+//! through the `d` miss that needs it, so there is no batch to size.
 //!
 //! `--oracle-tier` pins the oracle tier instead of letting the member
 //! count choose — the axis for comparing the row-cache and the

@@ -5,7 +5,7 @@
 //! That is what makes [`avg_lookup_latency`] return the same bits under any
 //! chunking (see [`crate::plane`]).
 
-use crate::plane::{warm_pair_rows, MEASURE_CHUNK};
+use crate::plane::MEASURE_CHUNK;
 use prop_engine::par;
 use prop_overlay::{FloodScratch, Lookup, OverlayNet, Slot};
 
@@ -75,14 +75,12 @@ impl LatencyTotals {
 /// Run every pair through the overlay's lookup discipline and summarize.
 /// The pair list is measured in [`MEASURE_CHUNK`]-sized chunks fanned out
 /// through [`prop_engine::par::map`], each with its own [`FloodScratch`],
-/// and the exact integer totals are merged in chunk order. Oracle rows for
-/// the workload's slots are prefetched first.
+/// and the exact integer totals are merged in chunk order.
 pub fn avg_lookup_latency(
     net: &OverlayNet,
     overlay: &impl Lookup,
     pairs: &[(Slot, Slot)],
 ) -> LatencySummary {
-    warm_pair_rows(net, pairs);
     let chunks: Vec<&[(Slot, Slot)]> = pairs.chunks(MEASURE_CHUNK).collect();
     par::map(&chunks, |chunk| LatencyTotals::measure(net, overlay, chunk, &mut FloodScratch::new()))
         .into_iter()

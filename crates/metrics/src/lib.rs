@@ -21,8 +21,8 @@
 //! * [`ci`] — cross-seed mean / sample-stddev / 95%-CI summaries (Student
 //!   t for small seed counts) backing the Monte-Carlo sweep orchestrator.
 //! * [`plane`] — the measurement plane's determinism machinery: the fixed
-//!   chunk size and the oracle-row prefetch that make every measurement,
-//!   fanned out over the cores, a function of the pair list alone.
+//!   chunk size that makes every measurement, fanned out over the cores, a
+//!   function of the pair list alone.
 
 pub mod ci;
 pub mod degree;
@@ -40,7 +40,7 @@ pub use faultstats::FaultReport;
 pub use floodcost::{flood_messages, mean_flood_messages};
 pub use latency::{avg_lookup_latency, LatencySummary};
 pub use oraclestats::{OracleCacheReport, OracleEmbedReport};
-pub use plane::{warm_pair_rows, MEASURE_CHUNK};
+pub use plane::MEASURE_CHUNK;
 pub use stretch::{link_stretch, path_stretch, StretchSummary};
 pub use timeseries::TimeSeries;
 pub use trafficstats::{TrafficDomainRow, TrafficPhaseRow, TrafficReport};

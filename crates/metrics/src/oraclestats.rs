@@ -271,10 +271,14 @@ mod tests {
     #[test]
     fn embed_tier_also_reports_its_exact_cache() {
         // The cache report stays available on the embedded tier — it
-        // describes the escalation path's row cache.
+        // describes the escalation path's row cache, which the fit leaves
+        // empty and the first escalation's `d` miss fills.
         let o = embedded_oracle();
         let r = OracleCacheReport::from_oracle(&o);
         assert_eq!(r.tier, Tier::Embedded);
-        assert!(r.resident_rows > 0, "fit rows pre-seed the exact cache");
+        assert_eq!((r.resident_rows, r.misses), (0, 0), "the fit keeps no row");
+        let _ = o.d_exact(1, 2);
+        let r = OracleCacheReport::from_oracle(&o);
+        assert_eq!((r.resident_rows, r.misses), (1, 1));
     }
 }

@@ -1,6 +1,6 @@
 //! Stretch (§4.2): how well the logical topology matches the physical one.
 
-use crate::plane::{warm_pair_rows, MEASURE_CHUNK};
+use crate::plane::MEASURE_CHUNK;
 use prop_engine::par;
 use prop_overlay::{FloodScratch, Lookup, OverlayNet, Slot};
 
@@ -95,14 +95,12 @@ fn fold_partials(partials: Vec<StretchPartial>) -> StretchSummary {
 /// undelivered lookups, are excluded from the mean but reported in the
 /// summary. Fixed-size chunks are measured — fanned out through
 /// [`prop_engine::par::map`] — and folded in chunk order, so the float
-/// additions happen in one order. Oracle rows for the workload's slots are
-/// prefetched first.
+/// additions happen in one order.
 pub fn path_stretch(
     net: &OverlayNet,
     overlay: &impl Lookup,
     pairs: &[(Slot, Slot)],
 ) -> StretchSummary {
-    warm_pair_rows(net, pairs);
     let chunks: Vec<&[(Slot, Slot)]> = pairs.chunks(MEASURE_CHUNK).collect();
     fold_partials(par::map(&chunks, |chunk| {
         StretchPartial::measure(net, overlay, chunk, &mut FloodScratch::new())

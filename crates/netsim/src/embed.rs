@@ -216,8 +216,8 @@ pub struct Embedding {
 impl Embedding {
     /// Fit the embedding over `members`. Every exact row the fit reads —
     /// landmark, calibration — is a whole row made by `rows`' kernel (which
-    /// validated connectivity when it was built), and is left in its cache
-    /// afterwards where whole rows are what that keeps.
+    /// validated connectivity when it was built), outside its cache: the
+    /// fit leaves no row there.
     pub(crate) fn fit(rows: &RowStore, members: &[PhysNodeId]) -> Embedding {
         let n = members.len();
 
@@ -354,16 +354,6 @@ impl Embedding {
         // least the 1 ms `d` is quantized to.
         let margin_per_term =
             if abs_errs.is_empty() { 0.0 } else { calibration.abs_p95_ms.max(1.0) };
-
-        // The fit already paid for these rows — seed the escalation path
-        // so borderline decisions near the landmarks start warm (a no-op
-        // on a decomposed store, whose escalations read no whole row).
-        for (&lm, row) in landmarks.iter().zip(landmark_rows) {
-            rows.seed_row(lm, row);
-        }
-        for (&s, row) in cal_sources.iter().zip(cal_rows) {
-            rows.seed_row(s, row);
-        }
 
         Embedding {
             coords: coords.into_boxed_slice(),
@@ -592,19 +582,17 @@ mod tests {
 
     #[test]
     fn landmark_rows_preseed_exact_tier() {
-        // Where whole rows are what the exact path keeps (a Waxman graph),
-        // the fit's are left there: landmarks, calibration sources and the
-        // connectivity row.
+        // Landmark rows do not preseed the exact tier: on both row shapes
+        // the fit's landmark and calibration rows (24 members: every one
+        // is a landmark) are made outside the exact path's cache and leave
+        // it empty and uncounted. Its first row is an escalation's `d` miss.
         let mut rng = SimRng::seed_from(8);
         let g = generate_waxman(&WaxmanParams::tiny(), &mut rng);
         let members = rng.sample_distinct(&g.stub_nodes(), 24);
-        let o = LatencyOracle::try_build_with(&g, members, &OracleConfig::embedded()).unwrap();
-        let stats = o.cache_stats().unwrap();
-        assert_eq!(stats.resident_rows, 24, "fit rows should seed the cache: {stats:?}");
-        assert_eq!(stats.resident_bytes, 24 * 24 * 2, "{stats:?}");
-        // On a decomposed graph an escalation is a point query or reads a
-        // domain's row: a whole row has no reader, and none is kept.
-        let stats = tiny_embed(24, 8).cache_stats().unwrap();
-        assert_eq!((stats.resident_rows, stats.misses), (0, 0), "{stats:?}");
+        let waxman = LatencyOracle::try_build_with(&g, members, &OracleConfig::embedded()).unwrap();
+        for o in [waxman, tiny_embed(24, 8)] {
+            let s = o.cache_stats().unwrap();
+            assert_eq!((s.resident_rows, s.misses), (0, 0), "{s:?}");
+        }
     }
 }

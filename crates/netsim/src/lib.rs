@@ -21,7 +21,8 @@
 //!   populations up to
 //!   [`Tier::CACHED_MAX_MEMBERS`] answer a pair in two stub domains from
 //!   the decomposition below and the rest from a byte-bounded sharded LRU
-//!   of on-demand rows, so a 100,000-member overlay runs in 130 MB of
+//!   of rows, each made by the `d` miss that first reads it and by
+//!   nothing else, so a 100,000-member overlay runs in 130 MB of
 //!   process memory instead of the 40 GB a dense matrix would need; and larger
 //!   populations (the million-member scale) answer in O(1) from a
 //!   Vivaldi-style network-coordinate embedding ([`Embedding`]) with a

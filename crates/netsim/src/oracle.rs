@@ -18,9 +18,11 @@
 //! does not, a row is a whole-graph Dijkstra over the members, and the
 //! dense tier is the `n × n` matrix of those. The tiers differ in what
 //! they keep, not in how an answer is made: the matrix's rows, a fitted row
-//! and a whole row a `d` miss or a warm computes are all
-//! `RowKernel::fill_row`'s, and the search inside a domain that `fill_row`
-//! runs is the one a kept domain row and a block are made by.
+//! and a whole row a `d` miss computes are all `RowKernel::fill_row`'s,
+//! and the search inside a domain that `fill_row` runs is the one a kept
+//! domain row and a block are made by. A row enters a row tier's cache
+//! only through a `d` miss: nothing is made, kept or reordered ahead of a
+//! read.
 //!
 //! Construction routes on [`OracleConfig::tier`] through [`Tier::resolve`];
 //! callers are tier-agnostic. Connectivity is validated by the
@@ -36,7 +38,7 @@
 //! Members are addressed by dense [`MemberIdx`] values `0..n`; the overlay
 //! crates use the same indexing for peers.
 
-use crate::decomp::{Blocks, Cell, RowKernel};
+use crate::decomp::{Blocks, RowKernel};
 use crate::embed::{EmbedCalibration, EmbedStats, Embedding};
 use crate::graph::{PhysGraph, PhysNodeId};
 use crate::latency::{OracleBuildError, OracleConfig, PairFault, Tier};
@@ -56,41 +58,17 @@ const CACHE_SHARDS: usize = 16;
 /// Dijkstra by `kernel` and validated as it is produced — a disconnected
 /// pair fails fast inside the row pass, before the matrix is assembled. It
 /// becomes the one block of that graph's [`Blocks`]; a decomposed graph's
-/// dense tier has a block per stub domain instead, and no matrix.
-///
-/// The rows are made in two batches, each collected and then copied,
-/// and the matrix is reserved after the first batch, above it: the
-/// build's peak is one and a half matrices. Both choices are about
-/// repeated builds in one process under glibc malloc, measured at
-/// n = 1000 (CHANGES.md, PR 12 and PR 14). Writing rows straight into
-/// the matrix, or reserving it below the rows, makes the process's
-/// high-water mark depend on whether the allocator can reuse the block
-/// a previous oracle freed (7.7 or 11.3 MiB by seed). Collecting every
-/// row before the copy peaks at two matrices, which is the allocator's
-/// trim threshold once it has unmapped one matrix (twice the largest
-/// block it has unmapped): whether each later build faults 8 MB in
-/// again (+2.7 ms on 4.4) then turns on some 50 KB of live memory
-/// elsewhere in the process.
+/// dense tier has a block per stub domain instead, and no matrix. Each row
+/// is written in place: the build's peak is the one matrix.
 fn dense_matrix(
     graph: &PhysGraph,
     members: &[PhysNodeId],
     kernel: &RowKernel,
 ) -> Result<Box<[u32]>, OracleBuildError> {
     let n = members.len();
-    let mut matrix = Vec::new();
-    for batch in [0..n / 2, n / 2..n] {
-        let rows: Vec<Vec<u32>> = batch
-            .map(|i| {
-                let mut row = vec![0u32; n];
-                kernel.fill_row(graph, members, i, &mut row)?;
-                Ok(row)
-            })
-            .collect::<Result<_, _>>()?;
-        // The whole matrix after the first batch; nothing after the second.
-        matrix.reserve_exact(n * n - matrix.len());
-        for row in rows {
-            matrix.extend_from_slice(&row);
-        }
+    let mut matrix = vec![0u32; n * n];
+    for i in 0..n {
+        kernel.fill_row(graph, members, i, &mut matrix[i * n..(i + 1) * n])?;
     }
     Ok(matrix.into_boxed_slice())
 }
@@ -100,8 +78,8 @@ fn dense_matrix(
 /// in two stub domains is `RowKernel::point`'s sum and no row is made for
 /// it; only a pair inside one domain reads a row, `d(src, ·)` over that
 /// domain's hosts. On any other graph every pair reads a whole row over the
-/// members. Either way the rows are made on demand and kept in one
-/// byte-bounded LRU, each counted by its own length.
+/// members. Either way a row is made by the `d` miss that reads it and
+/// kept in one byte-bounded LRU, each counted by its own length.
 pub(crate) struct RowStore {
     /// Owned copy of the physical graph (CSR arrays) — rows are recomputed
     /// from it on every cache miss.
@@ -116,8 +94,8 @@ impl RowStore {
     /// is connected; and rows are exact, so `d` is a metric and
     /// `d(a, b) ≤ d(a, 0) + d(0, b)`: twice the row's largest entry inside
     /// [`RowMs`] means every latency any later row holds is. That one row
-    /// is made four bytes wide, to be checked before it is narrowed; no
-    /// other is. Where whole rows are what is kept, it is the first.
+    /// is made four bytes wide, to be checked before it is narrowed, and
+    /// is not kept.
     fn try_build(
         graph: &PhysGraph,
         members: &[PhysNodeId],
@@ -144,13 +122,12 @@ impl RowStore {
                 fault: PairFault::TooFar { ms },
             });
         }
-        rows.seed_row(0, first.into_iter().map(RowMs::from_ms).collect());
         Ok(rows)
     }
 
     /// One exact whole row from the row kernel, bypassing the cache: what a
-    /// `d` miss and a warm-up insert on a graph without the decomposition,
-    /// and what the embedding fits and calibrates against on any graph.
+    /// `d` miss inserts on a graph without the decomposition, and what the
+    /// embedding fits and calibrates against on any graph.
     pub(crate) fn compute_row(&self, members: &[PhysNodeId], src: MemberIdx) -> Arc<[RowMs]> {
         let mut row: Arc<[RowMs]> = std::iter::repeat_n(0, members.len()).collect();
         let out = Arc::get_mut(&mut row).expect("a fresh Arc has one owner");
@@ -168,45 +145,8 @@ impl RowStore {
             .unwrap_or_else(|| self.compute_row(members, src))
     }
 
-    /// Make the rows among `sources` that are resident recent, and on a
-    /// graph without the decomposition compute the rest, in ascending
-    /// order, and insert them — memory stays bounded: one row is in flight,
-    /// and the LRU enforces the byte budget as rows land. On a decomposed
-    /// graph nothing is computed: most sources never have a same-domain
-    /// pair read, and for one that does the miss costs the one confined
-    /// search a warm would, so batching buys nothing.
-    fn warm(&self, members: &[PhysNodeId], sources: &[MemberIdx]) {
-        if self.kernel.is_decomposed() {
-            for &s in sources {
-                self.cache.touch(s);
-            }
-            return;
-        }
-        let mut todo: Vec<MemberIdx> = sources.to_vec();
-        todo.sort_unstable();
-        todo.dedup();
-        // A source already resident is asked for as much as a cold one: it
-        // becomes recent, or the rows about to land could evict it first.
-        todo.retain(|&s| !self.cache.touch(s));
-        for s in todo {
-            let row = self.compute_row(members, s);
-            self.cache.record_miss();
-            self.cache.insert(s, row);
-        }
-    }
-
-    /// Seed the cache with an exact whole row made outside it — the rows
-    /// the build check and the embedding fit already paid for. Counted as a
-    /// miss (the row *was* computed) so hit-rate accounting matches `warm`.
-    /// A decomposed store keeps no whole row, and drops it.
-    pub(crate) fn seed_row(&self, src: MemberIdx, row: Arc<[RowMs]>) {
-        if !self.kernel.is_decomposed() && !self.cache.contains(src) {
-            self.cache.record_miss();
-            self.cache.insert(src, row);
-        }
-    }
-
-    /// Exact latency between members `a` and `b`, in ms.
+    /// Exact latency between members `a` and `b`, in ms. The one place a
+    /// row enters the cache: on a miss, `a`'s kept row is made and stored.
     fn d(&self, members: &[PhysNodeId], a: MemberIdx, b: MemberIdx) -> u32 {
         debug_assert!(a < members.len() && b < members.len());
         if a == b {
@@ -225,7 +165,6 @@ impl RowStore {
         if let Some(r) = self.cache.get(b) {
             return r[at(a)].into();
         }
-        self.cache.record_miss();
         let row = self.kept_row(members, a);
         let d = row[at(b)];
         self.cache.insert(a, row);
@@ -240,8 +179,8 @@ enum Store {
     /// block that is the `n × n` matrix.
     Dense(Blocks),
     Rows(RowStore),
-    /// `rows` is the exact escalation path, pre-seeded with the landmark
-    /// and calibration rows the fit already paid for.
+    /// `rows` is the exact escalation path; the fit's own rows are not
+    /// kept in it.
     Embedded {
         rows: RowStore,
         fit: Embedding,
@@ -426,20 +365,13 @@ impl LatencyOracle {
         self.rows().map(|rows| rows.cache.stats())
     }
 
-    /// Batch warm-up. No-op on the dense tier (every answer is always
-    /// resident there). On a row tier over a graph the kernel does not decompose:
-    /// ensure the whole rows for `sources` are resident, one row kernel
-    /// call per cold source (on the embedded tier these are rows only
-    /// escalated decisions will read, so callers should restrict it to
-    /// slots they expect to escalate). Over a decomposed graph: the
-    /// resident rows among `sources` become recent and nothing is computed
-    /// — most sources never have a same-domain pair read, and one that
-    /// does pays on that read the one search a warm would.
-    pub fn warm_rows(&self, sources: &[MemberIdx]) {
-        if let Some(rows) = self.rows() {
-            rows.warm(&self.members, sources);
-        }
-    }
+    // No-op kept for one caller outside the workspace's packages:
+    // `benchmark/src/probes.rs` calls it before its row probes. A row
+    // enters the store only through a `d` miss, so there is nothing to
+    // warm; the next `benchmark` change drops those calls and this stub
+    // with them.
+    #[doc(hidden)]
+    pub fn warm_rows(&self, _sources: &[MemberIdx]) {}
 
     /// What the embedded tier fitted; `None` on the exact tiers.
     pub fn embedding(&self) -> Option<&Embedding> {
@@ -786,10 +718,10 @@ mod tests {
                 }
             }
             let s = o.cache_stats().unwrap().since(&built);
-            // Whole rows: every source but the seeded first misses. Domain
-            // rows: the first pair read inside each of `tiny()`'s eight
-            // domains finds neither row.
-            let floor = if decomposed { 8 } else { n - 1 };
+            // Whole rows: every source misses. Domain rows: the first pair
+            // read inside each of `tiny()`'s eight domains finds neither
+            // row.
+            let floor = if decomposed { 8 } else { n };
             assert!(s.misses >= floor as u64, "decomposed {decomposed}: {s:?}");
             assert!(s.evictions > 0, "decomposed {decomposed}: {s:?}");
             assert!(s.resident_rows <= CACHE_SHARDS, "decomposed {decomposed}: {s:?}");
@@ -797,25 +729,32 @@ mod tests {
     }
 
     #[test]
-    fn warm_rows_makes_queries_hits() {
-        for (o, _, cells) in both_row_shapes(12, 8) {
-            let n = o.len();
-            let built = o.cache_stats().unwrap();
-            o.warm_rows(&(0..n).collect::<Vec<_>>());
-            let warmed = o.cache_stats().unwrap();
-            if cells == n {
-                assert_eq!(warmed.resident_rows, n);
-                for a in 0..n {
-                    for b in 0..n {
-                        let _ = o.d(a, b);
-                    }
+    fn a_row_enters_the_store_only_through_a_d_miss() {
+        // On both row shapes, on the row-cache tier and behind the embedded
+        // tier's exact path: the build's checked row and the fit's rows
+        // leave the cache empty and uncounted, one `d` miss adds one miss
+        // and the one row it read, filed under its source, `warm_rows` then
+        // leaves the cache bit-equal, and the next read of that row hits.
+        for seed in 0..4 {
+            for (cached, g, cells) in both_row_shapes(seed, 8) {
+                let members = (0..cached.len()).map(|i| cached.host(i)).collect();
+                let embedded =
+                    LatencyOracle::try_build_with(&g, members, &OracleConfig::embedded()).unwrap();
+                for o in [cached, embedded] {
+                    let at = format!("seed {seed}, {} on {cells}-cell rows", o.tier());
+                    let built = o.cache_stats().unwrap();
+                    assert_eq!((built.resident_rows, built.misses), (0, 0), "{at}");
+                    let mates = row_mates(&o, 3);
+                    let _ = o.d_exact(3, mates[0]);
+                    let s = o.cache_stats().unwrap();
+                    assert_eq!((s.hits, s.misses, s.resident_rows), (0, 1, 1), "{at}");
+                    assert_eq!(s.resident_bytes, row_bytes(cells), "{at}");
+                    o.warm_rows(&(0..o.len()).collect::<Vec<_>>());
+                    assert_eq!(o.cache_stats().unwrap(), s, "{at}: warm_rows");
+                    let _ = o.d_exact(3, mates[1]);
+                    let s = o.cache_stats().unwrap();
+                    assert_eq!((s.hits, s.misses, s.resident_rows), (1, 1, 1), "{at}");
                 }
-                let s = o.cache_stats().unwrap().since(&warmed);
-                assert_eq!(s.misses, 0, "fully warmed cache answers without Dijkstra");
-            } else {
-                // Domain rows: a miss costs what a warm would, so warming
-                // computes nothing and leaves the cache as it found it.
-                assert_eq!(warmed, built);
             }
         }
     }
@@ -915,34 +854,6 @@ mod tests {
         let (g, m) = path(32_767, 32_768);
         let err = LatencyOracle::try_build_with(&g, m, &OracleConfig::cached(1 << 20)).unwrap_err();
         assert_eq!((err.to_member, err.fault), (2, PairFault::TooFar { ms: 32_768 }));
-    }
-
-    #[test]
-    fn warming_a_resident_row_keeps_it_through_the_batch() {
-        // Sources 1, 17 and 33 share a shard that holds two rows. 1 is read
-        // first, then 17; {1, 33} is warmed and 33 read, which lands 33 in
-        // the full shard — by the warm where whole rows are kept, by the
-        // read's miss where a domain's are. The row it pushes out must be
-        // 17 — not 1, which the caller has just asked to have warm.
-        for (o, _, cells) in both_row_shapes(25, 2) {
-            let (old, newer, cold) = (1, 1 + CACHE_SHARDS, 1 + 2 * CACHE_SHARDS);
-            // A row mate whose own row is not one of the three.
-            let mate = |a| {
-                let rows = [old, newer, cold];
-                row_mates(&o, a).into_iter().find(|b| !rows.contains(b)).unwrap()
-            };
-            let _ = (o.d(old, mate(old)), o.d(newer, mate(newer)));
-            o.warm_rows(&[old, cold]);
-            let warmed = o.cache_stats().unwrap();
-            let _ = o.d(cold, mate(cold));
-            let s = o.cache_stats().unwrap().since(&warmed);
-            let computed_by_the_read = u64::from(cells != o.len());
-            assert_eq!((s.misses, s.evictions), (computed_by_the_read, computed_by_the_read));
-            let landed = o.cache_stats().unwrap();
-            let _ = o.d(old, mate(old));
-            let s = o.cache_stats().unwrap().since(&landed);
-            assert_eq!((s.hits, s.misses), (1, 0), "{cells}-cell rows: a warmed row was not there");
-        }
     }
 
     #[test]

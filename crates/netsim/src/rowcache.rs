@@ -36,8 +36,8 @@ pub(crate) type RowMs = u16;
 pub struct CacheStats {
     /// Queries answered from a resident row.
     pub hits: u64,
-    /// Queries that forced a row computation (those via `warm` count
-    /// one miss per computed row).
+    /// Rows computed and stored: one per `d` miss, the only way a row
+    /// enters the cache.
     pub misses: u64,
     /// Rows dropped by the LRU policy.
     pub evictions: u64,
@@ -142,36 +142,26 @@ impl RowCache {
     }
 
     /// Fetch the row for `src` if resident, bumping its recency and the hit
-    /// counter. Misses are *not* counted here — the caller records one miss
-    /// per row it actually computes (a `d(a, b)` query probes both `a` and
-    /// `b`, and must not count twice).
+    /// counter. Misses are *not* counted here — [`Self::insert`] counts
+    /// one per row it stores (a `d(a, b)` query probes both `a` and `b`,
+    /// and must not count twice).
     pub fn get(&self, src: usize) -> Option<Arc<[RowMs]>> {
         let row = Arc::clone(&self.shard(src).bump(src)?.row);
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(row)
     }
 
-    /// Is the row for `src` resident? If so it becomes its shard's most
-    /// recently used, as after [`Self::get`], but no hit is counted: this
-    /// is a caller saying it is about to need the row, not reading it.
-    pub fn touch(&self, src: usize) -> bool {
-        self.shard(src).bump(src).is_some()
-    }
-
     /// Is the row for `src` resident? No counter or recency side effects.
-    pub fn contains(&self, src: usize) -> bool {
+    #[cfg(test)]
+    fn contains(&self, src: usize) -> bool {
         self.shard(src).rows.contains_key(&src)
     }
 
-    /// Record one computed row.
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Insert a freshly computed row, evicting LRU rows while the shard is
-    /// over budget. A concurrent duplicate insert is benign: the second
-    /// copy replaces the first.
+    /// Insert the row a miss just computed, counting that miss, and evict
+    /// LRU rows while the shard is over budget. A concurrent duplicate
+    /// insert is benign: the second copy replaces the first.
     pub fn insert(&self, src: usize, row: Arc<[RowMs]>) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let bytes = std::mem::size_of_val(&*row);
         let mut shard = self.shard(src);
         shard.tick += 1;
@@ -233,7 +223,6 @@ mod tests {
     fn hit_and_miss_accounting() {
         let c = RowCache::new(1 << 20, 4);
         assert!(c.get(0).is_none());
-        c.record_miss();
         c.insert(0, row(7));
         let r = c.get(0).expect("resident");
         assert_eq!(r[3], 7);
@@ -307,18 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn touch_bumps_recency_and_counts_no_hit() {
-        let c = RowCache::new(64, 1); // two rows fit
-        c.insert(0, row(0));
-        c.insert(1, row(1));
-        assert!(c.touch(0)); // 0 now more recent than 1
-        assert!(!c.touch(2), "not resident, and not made so");
-        c.insert(2, row(2));
-        assert!(c.contains(0) && !c.contains(1) && c.contains(2));
-        assert_eq!(c.stats().hits, 0);
-    }
-
-    #[test]
     fn never_evicts_the_only_row() {
         // Capacity smaller than a single row: the fresh row must survive.
         let c = RowCache::new(16, 1);
@@ -355,7 +332,6 @@ mod tests {
     #[test]
     fn since_diffs_counters_only() {
         let c = RowCache::new(1 << 20, 1);
-        c.record_miss();
         c.insert(0, row(0));
         let early = c.stats();
         c.get(0);
@@ -369,12 +345,11 @@ mod tests {
     fn since_saturates_on_reversed_snapshots() {
         let c = RowCache::new(32, 1); // one row fits
         let early = c.stats();
-        c.record_miss();
         c.insert(0, row(0));
         c.get(0);
         c.insert(1, row(1)); // evicts 0
         let late = c.stats();
-        assert_eq!((late.hits, late.misses, late.evictions), (1, 1, 1));
+        assert_eq!((late.hits, late.misses, late.evictions), (1, 2, 1));
         // Snapshots handed over in the wrong order read zero, not a
         // debug-build overflow panic (as `Overhead::since` does).
         let diff = early.since(&late);

@@ -280,20 +280,13 @@ impl OverlayNet {
         &self.oracle
     }
 
-    /// Batch-warm the oracle rows for the peers occupying `slots`: a no-op
-    /// on the dense tier; on the row tiers, one whole row per cold source
-    /// on a graph the row kernel does not decompose, and only a recency
-    /// bump of resident rows on one it does (`LatencyOracle::warm_rows`).
-    /// Call before a burst of latency queries over a known slot set so
-    /// that, where rows are whole, each is made once, up front, and not
-    /// again every time the sweep's own reads evict it. Duplicate slots
-    /// (several pairs sharing a source) are warmed once.
-    pub fn warm_latency_rows(&self, slots: &[Slot]) {
-        let mut peers: Vec<MemberIdx> = slots.iter().map(|&s| self.placement.peer(s)).collect();
-        peers.sort_unstable();
-        peers.dedup();
-        self.oracle.warm_rows(&peers);
-    }
+    // No-op kept for one caller outside the workspace's packages:
+    // `benchmark/src/scale.rs` calls it before each batch of latency reads.
+    // An oracle row is made only by the `d` miss that reads it, so there
+    // is nothing to warm; the next `benchmark` change drops that call and
+    // this stub with it.
+    #[doc(hidden)]
+    pub fn warm_latency_rows(&self, _slots: &[Slot]) {}
 
     /// Hit/miss/eviction counters of the oracle's row cache; `None` while
     /// the dense tier is live.
