@@ -22,30 +22,26 @@
 use prop_engine::{Duration, EventQueue, SimRng, SimTime};
 use prop_overlay::{OverlayNet, Slot};
 
+/// Per-step cap on link cuts (LTM cuts "the most" redundant links; one
+/// conservative cut per step keeps the overlay from thrashing).
+const MAX_CUTS_PER_STEP: usize = 1;
+/// Never cut below this degree (keeps lookup fan-out usable).
+const MIN_DEGREE: usize = 2;
+/// Optimization cadence per peer.
+const INTERVAL: Duration = Duration::from_minutes(1);
+
 /// LTM parameters.
 #[derive(Clone, Debug)]
 pub struct LtmConfig {
-    /// Per-step cap on link cuts (LTM cuts "the most" redundant links; one
-    /// conservative cut per step keeps the overlay from thrashing).
-    pub max_cuts_per_step: usize,
-    /// Never cut below this degree (keeps lookup fan-out usable).
-    pub min_degree: usize,
     /// Never add beyond this degree — real Gnutella clients cap their
     /// connection count, and without a cap LTM densifies without bound
     /// (every step finds *some* 2-hop node beating the worst link).
     pub max_degree: usize,
-    /// Optimization cadence per peer.
-    pub interval: Duration,
 }
 
 impl Default for LtmConfig {
     fn default() -> Self {
-        LtmConfig {
-            max_cuts_per_step: 1,
-            min_degree: 2,
-            max_degree: 16,
-            interval: Duration::from_minutes(1),
-        }
+        LtmConfig { max_degree: 16 }
     }
 }
 
@@ -76,7 +72,7 @@ impl LtmSim {
         let mut rng = rng.fork("ltm-sim");
         let mut events = EventQueue::new();
         for slot in net.graph().live_slots() {
-            let offset = Duration::from_millis(rng.range(0..cfg.interval.as_millis().max(1)));
+            let offset = Duration::from_millis(rng.range(0..INTERVAL.as_millis()));
             events.schedule_at(SimTime::ZERO + offset, Ev::Optimize(slot));
         }
         LtmSim { net, cfg, events, overhead: LtmOverhead::default() }
@@ -106,7 +102,7 @@ impl LtmSim {
                 Ev::Optimize(slot) => {
                     if self.net.graph().is_alive(slot) {
                         self.optimize(slot);
-                        self.events.schedule_in(self.cfg.interval, Ev::Optimize(slot));
+                        self.events.schedule_in(INTERVAL, Ev::Optimize(slot));
                     }
                 }
             }
@@ -149,11 +145,10 @@ impl LtmSim {
         cuttable.sort_by_key(|&(duw, _)| std::cmp::Reverse(duw));
         let mut cuts = 0;
         for (_, w) in cuttable {
-            if cuts >= self.cfg.max_cuts_per_step {
+            if cuts >= MAX_CUTS_PER_STEP {
                 break;
             }
-            if self.net.graph().degree(u) <= self.cfg.min_degree
-                || self.net.graph().degree(w) <= self.cfg.min_degree
+            if self.net.graph().degree(u) <= MIN_DEGREE || self.net.graph().degree(w) <= MIN_DEGREE
             {
                 continue;
             }
@@ -226,7 +221,7 @@ mod tests {
         let mut sim = ltm_sim(30, 3);
         sim.run_for(Duration::from_minutes(40));
         let min = sim.net().graph().min_degree().unwrap();
-        assert!(min >= sim.cfg.min_degree, "min degree {min}");
+        assert!(min >= MIN_DEGREE, "min degree {min}");
     }
 
     #[test]

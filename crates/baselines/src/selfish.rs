@@ -17,21 +17,11 @@
 use prop_engine::{Duration, EventQueue, SimRng, SimTime};
 use prop_overlay::{OverlayNet, Slot};
 
-/// Selfish rewiring parameters.
-#[derive(Clone, Debug)]
-pub struct SelfishConfig {
-    /// Per-peer step cadence (matched to PROP's `INIT_TIMER` for fair
-    /// time-axis comparisons).
-    pub interval: Duration,
-    /// Don't drop a link if either endpoint would fall below this degree.
-    pub min_degree: usize,
-}
-
-impl Default for SelfishConfig {
-    fn default() -> Self {
-        SelfishConfig { interval: Duration::from_minutes(1), min_degree: 2 }
-    }
-}
+/// Per-peer step cadence (matched to PROP's `INIT_TIMER` for fair
+/// time-axis comparisons).
+const INTERVAL: Duration = Duration::from_minutes(1);
+/// Don't drop a link if either endpoint would fall below this degree.
+const MIN_DEGREE: usize = 2;
 
 enum Ev {
     Step(Slot),
@@ -40,20 +30,19 @@ enum Ev {
 /// An overlay running selfish rewiring.
 pub struct SelfishSim {
     net: OverlayNet,
-    cfg: SelfishConfig,
     events: EventQueue<Ev>,
     pub rewires: u64,
 }
 
 impl SelfishSim {
-    pub fn new(net: OverlayNet, cfg: SelfishConfig, rng: &mut SimRng) -> Self {
+    pub fn new(net: OverlayNet, rng: &mut SimRng) -> Self {
         let mut rng = rng.fork("selfish-sim");
         let mut events = EventQueue::new();
         for slot in net.graph().live_slots() {
-            let offset = Duration::from_millis(rng.range(0..cfg.interval.as_millis().max(1)));
+            let offset = Duration::from_millis(rng.range(0..INTERVAL.as_millis()));
             events.schedule_at(SimTime::ZERO + offset, Ev::Step(slot));
         }
-        SelfishSim { net, cfg, events, rewires: 0 }
+        SelfishSim { net, events, rewires: 0 }
     }
 
     pub fn net(&self) -> &OverlayNet {
@@ -78,7 +67,7 @@ impl SelfishSim {
     /// a scripted traffic plane must not disturb the event order of
     /// already-scheduled peers.
     pub fn handle_join(&mut self, slot: Slot) {
-        self.events.schedule_in(self.cfg.interval, Ev::Step(slot));
+        self.events.schedule_in(INTERVAL, Ev::Step(slot));
     }
 
     /// Departures need no queue surgery: a dead slot's pending tick is
@@ -96,7 +85,7 @@ impl SelfishSim {
                 Ev::Step(slot) => {
                     if self.net.graph().is_alive(slot) {
                         self.step(slot);
-                        self.events.schedule_in(self.cfg.interval, Ev::Step(slot));
+                        self.events.schedule_in(INTERVAL, Ev::Step(slot));
                     }
                 }
             }
@@ -106,7 +95,7 @@ impl SelfishSim {
     fn step(&mut self, u: Slot) {
         let g = self.net.graph();
         let direct: Vec<Slot> = g.neighbors(u).to_vec();
-        if direct.len() <= self.cfg.min_degree {
+        if direct.len() <= MIN_DEGREE {
             return;
         }
         // Nearest 2-hop candidate.
@@ -130,7 +119,7 @@ impl SelfishSim {
             if dux <= d_new {
                 continue; // not an improvement
             }
-            if g.degree(x) <= self.cfg.min_degree {
+            if g.degree(x) <= MIN_DEGREE {
                 continue;
             }
             let has_alt = g.neighbors(x).iter().any(|&y| y != u && g.has_edge(y, u));
@@ -157,7 +146,7 @@ mod tests {
         let phys = generate(&TransitStubParams::tiny(), &mut rng);
         let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
         let (_, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
-        SelfishSim::new(net, SelfishConfig::default(), &mut rng)
+        SelfishSim::new(net, &mut rng)
     }
 
     #[test]
@@ -183,6 +172,6 @@ mod tests {
     fn respects_degree_floor() {
         let mut s = sim(30, 3);
         s.run_for(Duration::from_minutes(40));
-        assert!(s.net().graph().min_degree().unwrap() >= s.cfg.min_degree);
+        assert!(s.net().graph().min_degree().unwrap() >= MIN_DEGREE);
     }
 }

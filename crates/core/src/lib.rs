@@ -25,9 +25,10 @@
 //! * [`protocol`] — one peer's state machine: warm-up then maintenance,
 //!   with the Markov backoff timer.
 //! * [`sim`] — the event-driven driver that runs a whole overlay of PROP
-//!   nodes on the [`prop_engine`] kernel and exposes overhead counters:
-//!   one event loop in two timing modes, [`ProtocolSim`] (atomic trials)
-//!   and [`AsyncProtocolSim`] (message-level trials).
+//!   nodes on the [`prop_engine`] kernel: one event loop in two timing
+//!   modes, [`ProtocolSim`] (atomic trials) and [`AsyncProtocolSim`]
+//!   (message-level trials), and one trial ledger, [`Overhead`], kept the
+//!   same way in both (trials, their outcomes, §4.3 messages, probe time).
 //! * [`fault`] — the fault-plane contract the driver consults per message
 //!   (drop/duplicate/delay verdicts, crash visibility, fault counters);
 //!   the plane compiled from a fault script, and the scripted scenarios,
@@ -50,5 +51,5 @@ pub mod traffic;
 pub use config::{Policy, ProbeMode, PropConfig};
 pub use exchange::{decide, exact_var, plan_exchange, var_terms, ExchangePlan};
 pub use fault::{Delivery, FaultCounters, FaultPlane, MsgKind};
-pub use sim::{AsyncProtocolSim, AsyncStats, Overhead, PropSim, ProtocolSim};
+pub use sim::{AsyncProtocolSim, Overhead, PropSim, ProtocolSim};
 pub use traffic::{ChurnDriver, TrafficCounters, TrafficEvent, TrafficPlane};

@@ -540,7 +540,7 @@ pub fn ltm_cap_sweep(scale: Scale, seed: u64) -> Vec<LtmCapRow> {
         .map(|cap| {
             let (_, net) = hetero_gnutella(&scenario, &assignment);
             let mut rng = scenario.rng(&format!("a10-{cap}"));
-            let cfg = LtmConfig { max_degree: cap, ..Default::default() };
+            let cfg = LtmConfig { max_degree: cap };
             let mut sim = LtmSim::new(net, cfg, &mut rng);
             sim.run_for(scale.horizon());
             let net = sim.into_net();

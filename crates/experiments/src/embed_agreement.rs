@@ -14,10 +14,10 @@
 //! binary), so the harness runs at any membership up to the million-member
 //! smoke — the fixed figure presets stop at ~3,000 hosts.
 //!
-//! The binary (`cargo run --release -p prop-experiments --bin
-//! embed_agreement`) prints and JSON-dumps the [`AgreementReport`] and
-//! exits non-zero when the agreement rate falls below `--floor` — the CI
-//! gate for the embedding's decision quality.
+//! `prop embed_agreement` (`cargo run --release -- embed_agreement`)
+//! prints and JSON-dumps the [`AgreementReport`] and exits non-zero when
+//! the agreement rate falls below `--floor` — the CI gate for the
+//! embedding's decision quality.
 
 use prop_core::exchange::{plan_propg, plan_propo};
 use prop_core::{decide, exact_var, PropConfig};

@@ -9,10 +9,10 @@
 //!   faulted trials) alongside the plane's own counters and the achieved
 //!   stretch improvement.
 //! * [`recovery`] — an exchange-rate timeline across one partition + heal,
-//!   sampled with the saturating windowed [`AsyncStats::since`] diff, so the
+//!   sampled with the saturating windowed [`Overhead::since`] diff, so the
 //!   collapse during the split and the recovery after the heal are visible.
 //!
-//! [`AsyncStats::since`]: prop_core::AsyncStats::since
+//! [`Overhead::since`]: prop_core::Overhead::since
 
 use crate::setup::{Scale, Scenario, Topology};
 use prop_core::{AsyncProtocolSim, PropConfig};
@@ -97,7 +97,7 @@ pub fn sweep_with(
             }
 
             sim.run_until(SimTime(horizon.as_millis()));
-            let stats = sim.stats();
+            let ledger = sim.overhead();
             let counters = sim.fault_counters().unwrap_or_default();
             let stretch_final = sim.net().stretch();
             let improvement_pct = if stretch_initial != 0.0 {
@@ -108,11 +108,11 @@ pub fn sweep_with(
             rows.push(FaultSweepRow {
                 loss_pct: loss * 100.0,
                 partition_secs: psecs,
-                launched: stats.launched,
-                exchanges: stats.exchanges,
-                no_gain: stats.no_gain,
-                stale_aborts: stats.stale_aborts,
-                faulted: stats.faulted,
+                launched: ledger.trials,
+                exchanges: ledger.exchanges,
+                no_gain: ledger.no_gain,
+                stale_aborts: ledger.stale_aborts,
+                faulted: ledger.faulted,
                 drops: counters.drops,
                 crashed_aborts: counters.crashed_aborts,
                 partition_ms: counters.partition_ms,
@@ -165,14 +165,14 @@ pub fn recovery_with(
 
     let mut exchange_rate = TimeSeries::new("exchanges/min");
     let mut elapsed = Duration::ZERO;
-    let mut last = sim.stats();
+    let mut last = sim.overhead();
     while elapsed < horizon {
         sim.run_for(window);
         elapsed = elapsed + window;
-        let diff = sim.stats().since(&last);
+        let diff = sim.overhead().since(&last);
         let mins = window.as_millis() as f64 / 60_000.0;
         exchange_rate.push(sim.now(), diff.exchanges as f64 / mins);
-        last = sim.stats();
+        last = sim.overhead();
     }
 
     let counters = sim.fault_counters().unwrap_or_default();

@@ -2,7 +2,7 @@
 //! the optimizer [`Scheme`]s the comparisons run, and the three panels
 //! Figs. 5 and 6 have in common.
 
-use prop_baselines::selfish::{SelfishConfig, SelfishSim};
+use prop_baselines::selfish::SelfishSim;
 use prop_baselines::{LtmConfig, LtmSim};
 use prop_core::{Overhead, Policy, ProbeMode, PropConfig, ProtocolSim};
 use prop_engine::{json_impl, par, Duration, SimRng};
@@ -195,7 +195,7 @@ impl Scheme {
                 return sim.into_net();
             }
             Scheme::Selfish => {
-                let mut sim = SelfishSim::new(net, SelfishConfig::default(), &mut rng);
+                let mut sim = SelfishSim::new(net, &mut rng);
                 sim.run_for(horizon);
                 return sim.into_net();
             }

@@ -16,7 +16,7 @@
 //! pins this).
 
 use crate::setup::{Scale, Scenario, Topology};
-use prop_baselines::selfish::{SelfishConfig, SelfishSim};
+use prop_baselines::selfish::SelfishSim;
 use prop_core::sim::Timing;
 use prop_core::{
     AsyncProtocolSim, ChurnDriver, PropConfig, PropSim, ProtocolSim, TrafficCounters, TrafficEvent,
@@ -179,7 +179,7 @@ pub fn run_scenario(spec: &ScenarioSpec, driver: TrafficDriver, scale: Scale) ->
             drive_prop(sim, &gn, spec, &scenario, &mut plane, scale)
         }
         TrafficDriver::Selfish => {
-            let mut sim = SelfishDriver(SelfishSim::new(net, SelfishConfig::default(), &mut rng));
+            let mut sim = SelfishDriver(SelfishSim::new(net, &mut rng));
             drive(&mut sim, &gn, spec, &scenario, &mut plane, scale, |s| (s.0.rewires, 0))
         }
     };
