@@ -302,85 +302,10 @@ pub fn plan_exchange_into<'s>(
     Some(&scratch.plan)
 }
 
-/// How many `d(u, v)` terms a plan's Var sums over — the multiplier that
-/// turns the embedded oracle's per-term error margin into a whole-decision
-/// margin.
-///
-/// PROP-G evaluates every incident edge of both slots twice (before and
-/// after); PROP-O evaluates each moved neighbor's `d` against both
-/// endpoints. The shared `d(u, v)` edge of an adjacent PROP-G pair cancels
-/// algebraically, so counting it overstates the band slightly — erring
-/// toward *more* exact escalation, never less.
-pub fn var_terms(net: &OverlayNet, plan: &ExchangePlan) -> usize {
-    2 * plan.neighbors_touched(net)
-}
-
-/// Re-evaluate a plan's Var with exact distances (`LatencyOracle::d_exact`)
-/// — the escalation path of the embedded tier's fallback band. On the
-/// exact tiers this reproduces `plan.var` identically.
-pub fn exact_var(net: &OverlayNet, plan: &ExchangePlan) -> i64 {
-    let oracle = net.oracle();
-    match &plan.kind {
-        PlanKind::SwapAll => {
-            let (u, v) = (plan.u, plan.v);
-            let pu = net.peer(u);
-            let pv = net.peer(v);
-            // Mirror of plan_propg's hypothetical-sum closure, with the
-            // exact oracle path; evaluating "before" through the same
-            // closure keeps the cancellation structure identical.
-            let sum = |slot: Slot, occupant, counterpart: Slot, counterpart_peer| -> u64 {
-                net.graph()
-                    .neighbors(slot)
-                    .iter()
-                    .map(|&i| {
-                        let other = if i == counterpart { counterpart_peer } else { net.peer(i) };
-                        oracle.d_exact(occupant, other) as u64
-                    })
-                    .sum()
-            };
-            let before = sum(u, pu, v, pv) + sum(v, pv, u, pu);
-            let after = sum(u, pv, v, pu) + sum(v, pu, u, pv);
-            before as i64 - after as i64
-        }
-        PlanKind::Subset { from_u, from_v } => {
-            let pu = net.peer(plan.u);
-            let pv = net.peer(plan.v);
-            from_u
-                .iter()
-                .map(|&x| {
-                    let px = net.peer(x);
-                    oracle.d_exact(pu, px) as i64 - oracle.d_exact(pv, px) as i64
-                })
-                .chain(from_v.iter().map(|&y| {
-                    let py = net.peer(y);
-                    oracle.d_exact(pv, py) as i64 - oracle.d_exact(pu, py) as i64
-                }))
-                .sum()
-        }
-    }
-}
-
-/// The protocol's exchange decision (`Var > MIN_VAR`, Eq. 2) with the
-/// coordinate-embedded tier's **exact-fallback band**.
-///
-/// On the exact tiers the per-term margin is zero and this is exactly the
-/// historical `plan.var > min_var`. On the embedded tier, a comparison
-/// landing within `var_terms × margin_per_term` of the threshold — where
-/// the embedding's calibrated error could flip the answer — escalates: the
-/// plan's Var is re-evaluated with exact distances and *that* comparison
-/// decides. Decisions outside the band (the vast majority) stay on the
-/// O(1) path. Escalations are counted on the oracle
-/// ([`prop_netsim::EmbedStats`]).
-pub fn decide(net: &OverlayNet, plan: &ExchangePlan, min_var: i64) -> bool {
-    let per_term = net.oracle().var_margin_per_term();
-    if per_term > 0.0 {
-        let margin = per_term * var_terms(net, plan) as f64;
-        let gap = (plan.var as i128 - min_var as i128).abs() as f64;
-        if gap <= margin {
-            net.oracle().note_escalation();
-            return exact_var(net, plan) > min_var;
-        }
-    }
+/// The protocol's exchange decision: `Var > MIN_VAR` (Eq. 2), on the
+/// oracle's exact latencies. `net` is not read; it stays in the signature
+/// `benchmark/src/probes.rs` calls.
+pub fn decide(_net: &OverlayNet, plan: &ExchangePlan, min_var: i64) -> bool {
     plan.var > min_var
 }
 
@@ -791,38 +716,9 @@ mod tests {
     }
 
     #[test]
-    fn exact_var_reproduces_planned_var_on_exact_tiers() {
-        let net = net_from(
-            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4), (1, 5)],
-            8,
-        );
-        let g = plan_propg(&net, Slot(1), Slot(5));
-        assert_eq!(exact_var(&net, &g), g.var);
-        let walk = WalkPath { path: vec![Slot(0), Slot(1), Slot(2)] };
-        let o = plan_propo(&net, &walk, 2).expect("plan");
-        assert_eq!(exact_var(&net, &o), o.var);
-    }
-
-    #[test]
-    fn var_terms_counts_both_sides() {
-        let net = net_from(&[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4);
-        let g = plan_propg(&net, Slot(0), Slot(1));
-        // deg(0) = 3, deg(1) = 2 → 2·(3+2).
-        assert_eq!(var_terms(&net, &g), 10);
-        let o = ExchangePlan {
-            u: Slot(0),
-            v: Slot(2),
-            var: 0,
-            kind: PlanKind::Subset { from_u: vec![Slot(1)], from_v: vec![Slot(3)] },
-        };
-        assert_eq!(var_terms(&net, &o), 4);
-    }
-
-    #[test]
     fn decide_is_plain_comparison_on_exact_tiers() {
-        // The line oracle is dense ⇒ the fallback band is empty and decide
-        // must equal `var > min_var` for any threshold, including the
-        // extreme i64 values the drivers' tests use.
+        // Every tier is exact, so decide must equal `var > min_var` for any
+        // threshold, including the extreme i64 values the drivers' tests use.
         let net = net_from(&[(0, 1), (1, 2), (2, 3), (3, 0)], 4);
         let plan = plan_propg(&net, Slot(0), Slot(2));
         for min_var in [i64::MIN, -1, 0, 1, plan.var, i64::MAX] {

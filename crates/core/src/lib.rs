@@ -49,7 +49,7 @@ pub mod sim;
 pub mod traffic;
 
 pub use config::{Policy, ProbeMode, PropConfig};
-pub use exchange::{decide, exact_var, plan_exchange, var_terms, ExchangePlan};
+pub use exchange::{decide, plan_exchange, ExchangePlan};
 pub use fault::{Delivery, FaultCounters, FaultPlane, MsgKind};
 pub use sim::{AsyncProtocolSim, Overhead, PropSim, ProtocolSim};
 pub use traffic::{ChurnDriver, TrafficCounters, TrafficEvent, TrafficPlane};

@@ -548,8 +548,7 @@ impl<M: Timing> PropSim<M> {
                 // One probe per hypothetical neighbor and, if the exchange
                 // goes ahead, one notification to each of the same.
                 msgs = plan.neighbors_touched(&self.net) as u64;
-                // `Var > MIN_VAR` with the embedded tier's exact-fallback
-                // band: borderline comparisons re-evaluate exactly.
+                // `Var > MIN_VAR`, on exact latencies.
                 if exchange::decide(&self.net, plan, self.cfg.min_var) {
                     Self::perform(&mut self.net, &mut self.nodes, &mut self.rng, plan);
                     outcome = Outcome::Exchanged;
@@ -711,19 +710,9 @@ mod tests {
     use std::sync::Arc;
 
     fn gnutella_sim<M: Timing>(n: usize, seed: u64, cfg: PropConfig) -> (Gnutella, PropSim<M>) {
-        gnutella_sim_on(n, seed, cfg, &OracleConfig::default())
-    }
-
-    /// [`gnutella_sim`] with the latency oracle built as `oracle` says.
-    fn gnutella_sim_on<M: Timing>(
-        n: usize,
-        seed: u64,
-        cfg: PropConfig,
-        oracle: &OracleConfig,
-    ) -> (Gnutella, PropSim<M>) {
         let mut rng = SimRng::seed_from(seed);
         let phys = generate(&TransitStubParams::tiny(), &mut rng);
-        let oracle = Arc::new(LatencyOracle::select_and_build_with(&phys, n, &mut rng, oracle));
+        let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
         let (gn, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
         let sim = PropSim::new(net, cfg, &mut rng);
         (gn, sim)
@@ -1246,21 +1235,41 @@ mod tests {
 
     #[test]
     fn a_one_row_a_shard_cache_drives_as_the_dense_tier_does() {
-        // The row cache holds one row a shard, so the Var reads of a trial
-        // that fall inside one stub domain — the only ones a row answers —
+        // The row cache holds one row a shard. On `tiny()` it keeps none —
+        // a trial's Var reads inside one stub domain are meeting searches —
+        // and on a Waxman graph every read is a whole row's, so there they
         // are demand misses and evictions; where the answers come from must
         // not show in any counter or edge.
+        fn on<M: Timing>(waxman: bool, cfg: PropConfig, oracle: &OracleConfig) -> PropSim<M> {
+            let mut rng = SimRng::seed_from(14);
+            let phys = if waxman {
+                prop_netsim::generate_waxman(&prop_netsim::WaxmanParams::tiny(), &mut rng)
+            } else {
+                generate(&TransitStubParams::tiny(), &mut rng)
+            };
+            let oracle =
+                Arc::new(LatencyOracle::select_and_build_with(&phys, 30, &mut rng, oracle));
+            let (_, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
+            PropSim::new(net, cfg, &mut rng)
+        }
         fn check<M: Timing>() {
-            for cfg in [PropConfig::prop_g(), PropConfig::prop_o()] {
-                let (_, mut dense) = gnutella_sim::<M>(30, 14, cfg.clone());
-                let (_, mut rows) = gnutella_sim_on::<M>(30, 14, cfg, &OracleConfig::cached(1));
+            for (waxman, cfg) in [false, true]
+                .into_iter()
+                .flat_map(|w| [PropConfig::prop_g(), PropConfig::prop_o()].map(|c| (w, c)))
+            {
+                let mut dense = on::<M>(waxman, cfg.clone(), &OracleConfig::dense());
+                let mut rows = on::<M>(waxman, cfg, &OracleConfig::cached(1));
                 assert!(dense.net().oracle_cache_stats().is_none());
                 dense.run_for(minutes(40));
                 rows.run_for(minutes(40));
                 let cache = rows.net().oracle_cache_stats().expect("row-cache tier");
-                assert!(cache.misses > 0, "no trial read a row: the cache was never crossed");
-                assert!(cache.evictions > 0, "the cache held every row: nothing was compared");
-                assert!(rows.overhead().exchanges > 0);
+                if waxman {
+                    assert!(cache.misses > 0, "no trial read a row: the cache was never crossed");
+                    assert!(cache.evictions > 0, "the cache held every row: nothing was compared");
+                } else {
+                    assert_eq!((cache.misses, cache.resident_rows), (0, 0), "{cache:?}");
+                }
+                assert!(rows.overhead().exchanges > 0, "waxman {waxman}");
                 assert_eq!(dense.overhead(), rows.overhead());
                 assert_eq!(dense.net().total_link_latency(), rows.net().total_link_latency());
                 assert_eq!(

@@ -33,8 +33,6 @@ pub enum Flag {
     MinDelivery,
     MaxStretch,
     N,
-    Samples,
-    Floor,
     Tier,
     BudgetSecs,
     /// Not spelt: the positional argument names a builtin scenario or a
@@ -43,7 +41,7 @@ pub enum Flag {
 }
 
 /// `(flag, spelling, value placeholder — empty for a switch)`.
-const SPELLINGS: [(Flag, &str, &str); 15] = [
+const SPELLINGS: [(Flag, &str, &str); 13] = [
     (Flag::Quick, "--quick", ""),
     (Flag::Seed, "--seed", "N"),
     (Flag::Seeds, "--seeds", "N"),
@@ -55,15 +53,14 @@ const SPELLINGS: [(Flag, &str, &str); 15] = [
     (Flag::MinDelivery, "--min-delivery", "RATE"),
     (Flag::MaxStretch, "--max-stretch", "X"),
     (Flag::N, "--n", "MEMBERS"),
-    (Flag::Samples, "--samples", "N"),
-    (Flag::Floor, "--floor", "RATE"),
-    (Flag::Tier, "--oracle-tier", "auto|dense|cached|embedded"),
+    (Flag::Tier, "--oracle-tier", "auto|dense|cached"),
     (Flag::BudgetSecs, "--budget-secs", "S"),
 ];
 
-/// The fewest members `--n` accepts: the experiments that take it build a
-/// Gnutella overlay, whose seed clique is `links_per_join + 1` slots.
-const MIN_MEMBERS: usize = 5;
+/// The fewest members `--n` (and a scenario file's `n`) accepts: the
+/// experiments that take it build a Gnutella overlay, whose seed clique is
+/// `links_per_join + 1` slots.
+pub(crate) const MIN_MEMBERS: usize = 5;
 const MEMBERS_EXPECTED: &str = "a member count ≥ 5";
 
 /// A parsed invocation of one experiment.
@@ -87,8 +84,6 @@ pub struct Args {
     pub min_delivery: Option<f64>,
     pub max_stretch: Option<f64>,
     pub n: Option<usize>,
-    pub samples: Option<usize>,
-    pub floor: f64,
     pub oracle_tier: Tier,
     pub budget_secs: Option<u64>,
 }
@@ -108,8 +103,6 @@ impl Default for Args {
             min_delivery: None,
             max_stretch: None,
             n: None,
-            samples: None,
-            floor: 0.99,
             oracle_tier: Tier::Auto,
             budget_secs: None,
         }
@@ -254,10 +247,8 @@ pub fn parse(argv: &[String], exp: &Experiment) -> Result<Args, CliError> {
             Flag::MinDelivery => args.min_delivery = Some(value(arg, raw, "a number", number)?),
             Flag::MaxStretch => args.max_stretch = Some(value(arg, raw, "a number", number)?),
             Flag::N => args.n = Some(value(arg, raw, MEMBERS_EXPECTED, at_least(MIN_MEMBERS))?),
-            Flag::Samples => args.samples = Some(value(arg, raw, "a count ≥ 1", count)?),
-            Flag::Floor => args.floor = value(arg, raw, "a number", number)?,
             Flag::Tier => {
-                let expected = "one of auto, dense, cached, embedded";
+                let expected = "one of auto, dense, cached";
                 args.oracle_tier = value(arg, raw, expected, Tier::parse)?
             }
             Flag::BudgetSecs => {
@@ -360,12 +351,12 @@ mod tests {
             ("generality --seeds 3", "`generality` does not take --seeds"),
             ("fig7 --traffic x.json", "`fig7` does not take --traffic"),
             ("faults --traffic x.json", "`faults` does not take --traffic"),
-            ("scale --samples 5", "`scale` does not take --samples"),
+            ("scale --samples 5", "unknown flag --samples"),
             ("ablation churn --seeds 4", "`churn` has no effect: --seeds N repeats `overhead`"),
             ("fig5 a --seeds 2", "`a` has no effect: --seeds N repeats its representative run"),
             ("traffic flash-crowd --seeds 2", "`flash-crowd` has no effect: --seeds N repeats `diurnal-regional`"),
             ("traffic --seeds 2 --driver both", "--driver has no effect: a sweep repeats its unit as it is"),
-            ("embed_agreement --seeds 2 --n 500", "--n has no effect: a sweep repeats its unit as it is"),
+            ("fig5 --seeds 2 --n 500", "`fig5` does not take --n"),
             ("fig6 a --traffic x.json", "`a` has no effect: --traffic replaces the panels"),
             ("scale --million", "unknown flag --million"),
             // Panicked with a backtrace.
@@ -376,15 +367,17 @@ mod tests {
             ("fig5 --seed", "--seed needs an integer"),
             ("fig6 --seeds 0", "--seeds needs a seed count ≥ 1, got `0`"),
             ("fig6 --seeds 2 --gate nope", "--gate needs METRIC=MAX_CI95, got `nope`"),
-            ("scale --oracle-tier warp", "--oracle-tier needs one of auto, dense, cached, embedded, got `warp`"),
+            ("scale --oracle-tier warp", "--oracle-tier needs one of auto, dense, cached, got `warp`"),
+            // The deleted coordinate-embedded tier.
+            ("scale --oracle-tier embedded", "--oracle-tier needs one of auto, dense, cached, got `embedded`"),
+            ("embed_agreement --quick", "unknown experiment `embed_agreement`"),
             ("scale --n -3", "--n needs a member count ≥ 5, got `-3`"),
             ("scale --n 0", "--n needs a member count ≥ 5, got `0`"),
             // Printed half a report, then panicked in `Gnutella::build`.
             ("scale --quick --n 3", "--n needs a member count ≥ 5, got `3`"),
-            ("embed_agreement --quick --n 4 --samples 5", "--n needs a member count ≥ 5, got `4`"),
             ("traffic --driver nope", "--driver needs one of prop-g, prop-o, async, selfish, both, compare, got `nope`"),
             ("traffic --min-delivery lots", "--min-delivery needs a number, got `lots`"),
-            ("embed_agreement --floor", "--floor needs a number"),
+            ("scale --floor 0.99", "unknown flag --floor"),
             ("fig5 --resume", "--resume has no effect: it configures a sweep (--seeds N)"),
             ("fig6 --gate stretch_final=1", "--gate has no effect: it configures a sweep (--seeds N)"),
             ("faults --root elsewhere", "--root has no effect: it configures a sweep (--seeds N)"),
@@ -478,15 +471,15 @@ mod tests {
                 ..Args::default()
             }),
             (
-                "embed_agreement --quick --seed 1 --floor 0.99 --n 2000 --samples 200",
-                Args { n: Some(2000), samples: Some(200), floor: 0.99, ..quick() },
+                "scale --quick --n 100000 --budget-secs 120 --seed 1",
+                Args { n: Some(100_000), budget_secs: Some(120), ..quick() },
             ),
             (
-                "scale --quick --n 100000 --budget-secs 120 --seed 1 --oracle-tier embedded",
+                "scale --quick --n 1000000 --budget-secs 900 --seed 1 --oracle-tier cached",
                 Args {
-                    n: Some(100_000),
-                    budget_secs: Some(120),
-                    oracle_tier: Tier::Embedded,
+                    n: Some(1_000_000),
+                    budget_secs: Some(900),
+                    oracle_tier: Tier::Cached,
                     ..quick()
                 },
             ),
@@ -513,11 +506,11 @@ mod tests {
         assert_eq!(
             usage_of("scale"),
             "usage: prop scale [--quick] [--seed N] [--n MEMBERS] \
-             [--oracle-tier auto|dense|cached|embedded] [--budget-secs S]"
+             [--oracle-tier auto|dense|cached] [--budget-secs S]"
         );
         assert!(usage_of("traffic")
             .starts_with("usage: prop traffic [diurnal-regional|flash-crowd|FILE.json] "));
-        // Fifteen flags in all, and every one some experiment takes.
+        // Thirteen flags in all, and every one some experiment takes.
         for (flag, spelt, _) in SPELLINGS {
             let taken =
                 registry::EXPERIMENTS.iter().any(|e| usage(e).contains(&format!("[{spelt}")));

@@ -13,7 +13,7 @@
 //! | [`generality`] | §1/§6 headline | G1: one PROP-G, six overlay families |
 //! | [`faults`] | robustness (beyond-paper) | F1 loss × partition sweep, F2 partition-recovery timeline |
 //! | [`traffic`] | scripted production traffic (beyond-paper) | diurnal-regional and flash-crowd scenarios, PROP-G vs PROP-O vs selfish per diurnal phase |
-//! | [`embed_agreement`], [`scale`] | beyond-paper scale | embedded-tier decision agreement; oracle and driver at 10^5 members |
+//! | [`scale`] | beyond-paper scale | the exact oracle and the driver at 10^5–10^6 members |
 //!
 //! Each experiment takes a [`Scale`]: `Paper` reproduces the published
 //! parameterization (n = 1000 over the ≈3,000-host `ts-large` topology,
@@ -27,7 +27,6 @@
 
 pub mod ablation;
 pub mod cli;
-pub mod embed_agreement;
 pub mod faults;
 pub mod fig5;
 pub mod fig6;

@@ -15,7 +15,7 @@ use crate::report::{print_report, write_json};
 use crate::setup::{msgs_per_trial, Scale, Scenario};
 use crate::sweep::{self, SweepConfig, SweepExperiment, UnitRun};
 use crate::traffic::{self, TrafficRunReport};
-use crate::{ablation, embed_agreement, faults, fig5, fig6, fig7, generality, scale};
+use crate::{ablation, faults, fig5, fig6, fig7, generality, scale};
 use prop_core::PropConfig;
 use prop_engine::json::{ToJson, Value};
 use std::process::ExitCode;
@@ -73,7 +73,7 @@ macro_rules! panel {
 
 // One row per line, whatever its width.
 #[rustfmt::skip]
-pub static EXPERIMENTS: [Experiment; 9] = [
+pub static EXPERIMENTS: [Experiment; 8] = [
     Experiment {
         name: "fig5",
         panels: &[
@@ -148,15 +148,8 @@ pub static EXPERIMENTS: [Experiment; 9] = [
         run: run_traffic,
     },
     Experiment {
-        name: "embed_agreement",
-        panels: &[panel!("", "S3", "embed_agreement", "exchange decisions on the coordinate-embedded oracle tier vs the exact ones, plan by plan")],
-        unit: Some(Unit { experiment: SweepExperiment::EmbedAgreement, panel: None, run: sweep::unit_embed_agreement }),
-        flags: &[Flag::N, Flag::Samples, Flag::Floor],
-        run: run_embed_agreement,
-    },
-    Experiment {
         name: "scale",
-        panels: &[panel!("", "S1", "scale", "oracle query storm and PROP warm-up at 2,000 to 100,000 members under a 512 MiB cap (S5: `--n 1000000`)")],
+        panels: &[panel!("", "S1", "scale", "exact oracle query storm and PROP warm-up at 2,000 to 100,000 members; on `scaled(n)` the row store keeps no row (S5: `--n 1000000`)")],
         unit: None,
         flags: &[Flag::Tier, Flag::N, Flag::BudgetSecs],
         run: scale::run,
@@ -293,28 +286,6 @@ fn run_traffic(_: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
     Ok(if failures.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-/// One agreement run at `--n` members; fails below `--floor`.
-fn run_embed_agreement(exp: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
-    let (n, samples) = match args.scale {
-        Scale::Paper => (100_000, 2_000),
-        Scale::Quick => (20_000, 1_000),
-    };
-    let report =
-        embed_agreement::run(args.n.unwrap_or(n), args.samples.unwrap_or(samples), args.seed);
-    let panel = &exp.panels[0];
-    print_report(&panel.title(), &report.to_json());
-    write_json(panel.stem, &report);
-    if report.agreement_rate < args.floor {
-        eprintln!(
-            "EMBED AGREEMENT REGRESSION: rate {:.4} below floor {:.4}",
-            report.agreement_rate, args.floor
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    println!("agreement floor passed ({:.4} >= {:.4})", report.agreement_rate, args.floor);
-    Ok(ExitCode::SUCCESS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,7 +354,7 @@ mod tests {
     fn list_is_one_row_per_panel() {
         let Value::Array(rows) = list() else { panic!("an array of rows") };
         assert_eq!(rows.len(), panels().count());
-        for id in ["F5a", "F7", "A1", "A12", "G1", "F1", "F2", "S1", "S3", "S4"] {
+        for id in ["F5a", "F7", "A1", "A12", "G1", "F1", "F2", "S1", "S4"] {
             let row = rows.iter().find(|r| r.get("id") == Some(&Value::Str(id.into())));
             assert!(row.is_some(), "{id} missing from `prop list`");
         }

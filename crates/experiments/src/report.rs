@@ -283,13 +283,13 @@ mod tests {
     #[test]
     fn objects_become_key_value_lines_with_nested_members_after() {
         let doc = json::parse(
-            r#"{"rows": [{"n": 1}], "leaves": 3, "window": [10.0, 20.0], "embed": null,
+            r#"{"rows": [{"n": 1}], "leaves": 3, "window": [10.0, 20.0], "gate": null,
                 "faults": {"drops": 7}}"#,
         )
         .unwrap();
         assert_eq!(
             render_report("t", &doc),
-            "\n=== t ===\nleaves: 3\nwindow: [10.000, 20.000]\nembed: -\n\n-- rows --\nn\n1\n\n-- faults --\ndrops: 7\n"
+            "\n=== t ===\nleaves: 3\nwindow: [10.000, 20.000]\ngate: -\n\n-- rows --\nn\n1\n\n-- faults --\ndrops: 7\n"
         );
     }
 }

@@ -6,8 +6,8 @@
 //! ~40 GB and the oracle instead runs on its row-cache tier: `scaled(n)` is
 //! a transit–stub graph, so `d(u, v)` between two stub domains (149 of 150
 //! uniform pairs) is a point query over the verified decomposition, and a
-//! pair inside one domain reads a row over that domain's hosts — one search
-//! confined to it, held in a byte-bounded LRU (DESIGN.md §9).
+//! pair inside one domain a meeting search confined to it — one Dijkstra
+//! from each end — so the oracle keeps no row at all (DESIGN.md §9).
 //!
 //! Two stages per size:
 //!
@@ -18,23 +18,20 @@
 //!    oracle and run a few minutes of PROP-G and PROP-O, reporting
 //!    stretch improvement and the cache counters the run generated.
 //!
-//! Nothing is made ahead of a read: a row enters the oracle's cache only
-//! through the `d` miss that needs it, so there is no batch to size.
-//!
 //! `--oracle-tier` pins the oracle tier instead of letting the member
-//! count choose — the axis for comparing the row-cache and the
-//! coordinate-embedded paths on identical workloads. `--n N` replaces the
-//! size ladder with the single size N (`--n 1000000` is the EXPERIMENTS S5
-//! run: the PROP warm-up runs at every size, the drivers' hot path being
-//! O(1) per event); `--budget-secs S` makes the run exit non-zero if its
-//! total wall clock exceeds S seconds (the CI driver-scale-smoke gate).
+//! count choose. `--n N` replaces the size ladder with the single size N
+//! (`--n 1000000` is the EXPERIMENTS S5 run: the PROP warm-up runs at
+//! every size, the drivers' hot path being O(1) per event); `--budget-secs
+//! S` makes the run exit non-zero if its total wall clock exceeds S seconds
+//! (the CI driver-scale-smoke gate).
 //!
 //! Useful for sizing reproduction runs; not a paper figure. Wall-clock
 //! numbers are machine-dependent by nature. CI's `driver-scale-smoke` job
-//! runs `--quick --n 100000` under `--budget-secs 120`: a warm-up there is
-//! some tens of thousands of on-demand rows of 667 cells each, and what
-//! would blow the budget is a whole 200 KB row coming back on a `d` miss
-//! (EXPERIMENTS S5 has the measured runs, up to a million members).
+//! runs `--quick --n 100000` under `--budget-secs 120` and `--quick --n
+//! 1000000` under `--budget-secs 900`: what would blow those budgets is a
+//! same-domain pair making a row again, or the meeting search degrading
+//! into a search of the whole domain (EXPERIMENTS S5 has the measured
+//! runs, up to a million members).
 
 use crate::cli::{Args, CliError};
 use crate::registry::Experiment;
@@ -42,7 +39,7 @@ use crate::report::write_json;
 use crate::setup::Scale;
 use prop_core::{PropConfig, ProtocolSim};
 use prop_engine::{json_impl, Duration, SimRng};
-use prop_metrics::{OracleCacheReport, OracleEmbedReport};
+use prop_metrics::OracleCacheReport;
 use prop_netsim::{generate, LatencyOracle, OracleConfig, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 use std::process::ExitCode;
@@ -64,15 +61,12 @@ struct SizeReport {
     queries_per_sec: f64,
     mean_query_latency_ms: f64,
     query_cache: OracleCacheReport,
-    /// Embed-tier counters and calibration over the storm; absent on the
-    /// exact tiers.
-    query_embed: Option<OracleEmbedReport>,
     warmups: Vec<WarmupReport>,
 }
 
 json_impl!(ToJson for struct SizeReport {
     members, phys_hosts, phys_links, tier, topo_ms, oracle_build_ms, queries, query_ms,
-    queries_per_sec, mean_query_latency_ms, query_cache, query_embed, warmups
+    queries_per_sec, mean_query_latency_ms, query_cache, warmups
 });
 
 struct WarmupReport {
@@ -143,11 +137,9 @@ fn run_size(
         oracle.tier(),
     );
 
-    // Stage 1: the query storm, grouped by source so the reads inside one
-    // stub domain — the only ones a row answers — come together. On the
-    // coordinate-embedded tier `d(u,v)` never touches a row.
+    // Stage 1: the query storm, grouped by source so that, on a graph
+    // without the decomposition, the reads of one whole row come together.
     let mark = oracle.cache_stats().unwrap_or_default();
-    let embed_mark = oracle.embed_stats().unwrap_or_default();
     let t0 = Instant::now();
     let mut pairs: Vec<(usize, usize)> =
         (0..queries).map(|_| (rng.range(0..n), rng.range(0..n))).collect();
@@ -155,7 +147,6 @@ fn run_size(
     let total_latency: u64 = pairs.iter().map(|&(a, b)| oracle.d(a, b) as u64).sum();
     let query_ms = t0.elapsed().as_secs_f64() * 1e3;
     let query_cache = OracleCacheReport::from_oracle_since(&oracle, &mark);
-    let query_embed = OracleEmbedReport::from_oracle_since(&oracle, &embed_mark);
     let mean_query_latency_ms = total_latency as f64 / queries as f64;
     println!(
         "query storm: {queries} queries in {:.0} ms ({:.0}k queries/s, mean d(u,v) = {:.1} ms)",
@@ -164,9 +155,6 @@ fn run_size(
         mean_query_latency_ms,
     );
     println!("  {query_cache}");
-    if let Some(embed) = &query_embed {
-        println!("  {embed}");
-    }
     if let Some(stats) = oracle.cache_stats() {
         assert!(
             stats.peak_resident_bytes <= CACHE_CAP_BYTES,
@@ -227,7 +215,6 @@ fn run_size(
         queries_per_sec: queries as f64 / (query_ms / 1e3),
         mean_query_latency_ms,
         query_cache,
-        query_embed,
         warmups,
     }
 }

@@ -308,12 +308,7 @@ mod tests {
     #[test]
     fn oracle_tier_parse_and_config_force_tiers() {
         // What `--oracle-tier` accepts, through to the oracle a scenario holds.
-        for (spelt, expect) in [
-            ("auto", "dense"),
-            ("dense", "dense"),
-            ("cached", "row-cache"),
-            ("embedded", "coord-embed"),
-        ] {
+        for (spelt, expect) in [("auto", "dense"), ("dense", "dense"), ("cached", "row-cache")] {
             let tier = Tier::parse(spelt).expect(spelt);
             let cfg = OracleConfig { tier, cache_capacity_bytes: 1 << 20 };
             let s = Scenario::build_with(Topology::Tiny, 16, 3, &cfg);
@@ -325,9 +320,9 @@ mod tests {
     fn forced_tiers_share_membership_with_auto() {
         // Same seed + topology ⇒ same hosts regardless of oracle config.
         let auto = Scenario::build(Topology::Tiny, 16, 5);
-        let emb = Scenario::build_with(Topology::Tiny, 16, 5, &OracleConfig::embedded());
+        let cached = Scenario::build_with(Topology::Tiny, 16, 5, &OracleConfig::cached(1 << 20));
         for i in 0..16 {
-            assert_eq!(auto.oracle.host(i), emb.oracle.host(i));
+            assert_eq!(auto.oracle.host(i), cached.oracle.host(i));
         }
     }
 

@@ -34,7 +34,7 @@
 use crate::fig5::{Curve, CurveCi};
 use crate::registry;
 use crate::setup::{msgs_per_trial, Scale, Scenario, Topology};
-use crate::{ablation, embed_agreement, faults, fig5, fig6, fig7, traffic};
+use crate::{ablation, faults, fig5, fig6, fig7, traffic};
 use prop_core::PropConfig;
 use prop_engine::json::{self, FromJson, ToJson, Value};
 use prop_engine::{json_impl, par, SimRng};
@@ -60,15 +60,13 @@ pub enum SweepExperiment {
     Ablation,
     /// Loss × partition robustness grid.
     Faults,
-    /// Embedded-tier exchange-decision agreement.
-    EmbedAgreement,
     /// Scripted diurnal-regional traffic: PROP-G vs PROP-O vs selfish,
     /// per-diurnal-phase stretch and overhead.
     Traffic,
 }
 
 json_impl!(ToJson, FromJson for enum SweepExperiment {
-    Fig5, Fig6, Fig7, Ablation, Faults, EmbedAgreement, Traffic
+    Fig5, Fig6, Fig7, Ablation, Faults, Traffic
 });
 
 impl SweepExperiment {
@@ -100,8 +98,8 @@ pub struct SweepConfig {
     /// Override the scale's default topology (tests use [`Topology::Tiny`];
     /// honored by the fig5/fig6 units, which build their own scenario).
     pub topology: Option<Topology>,
-    /// Override the scale's default member count (fig5/fig6 units, and the
-    /// embed-agreement member count).
+    /// Override the scale's default member count (the fig5, fig6 and
+    /// traffic units).
     pub n: Option<usize>,
 }
 
@@ -546,22 +544,6 @@ pub(crate) fn unit_faults(cfg: &SweepConfig, seed: u64) -> UnitRun {
     (metrics, rows.to_json())
 }
 
-/// Embed agreement at scale-derived member counts, smaller than a single
-/// run's: a sweep builds one oracle per seed.
-pub(crate) fn unit_embed_agreement(cfg: &SweepConfig, seed: u64) -> UnitRun {
-    let (n, samples) = match cfg.scale {
-        Scale::Paper => (20_000, 2_000),
-        Scale::Quick => (2_000, 400),
-    };
-    let r = embed_agreement::run(cfg.n.unwrap_or(n), samples, seed);
-    let metrics = BTreeMap::from([
-        ("agreement_rate".into(), r.agreement_rate),
-        ("escalation_rate".into(), r.escalation_rate),
-        ("plans".into(), r.plans as f64),
-    ]);
-    (metrics, r.to_json())
-}
-
 /// The diurnal-regional comparison: PROP-G vs PROP-O vs selfish, per phase.
 pub(crate) fn unit_traffic(cfg: &SweepConfig, seed: u64) -> UnitRun {
     let spec = traffic::builtin_scenario("diurnal-regional", cfg.scale, seed, cfg.topology, cfg.n)
@@ -812,7 +794,6 @@ mod tests {
             (SweepExperiment::Fig7, "fig7"),
             (SweepExperiment::Ablation, "ablation"),
             (SweepExperiment::Faults, "faults"),
-            (SweepExperiment::EmbedAgreement, "embed_agreement"),
             (SweepExperiment::Traffic, "traffic"),
         ] {
             assert_eq!(e.label(), label);

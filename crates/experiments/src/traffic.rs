@@ -15,6 +15,7 @@
 //! same scenario file replays byte-for-byte (`tests/traffic_replay.rs`
 //! pins this).
 
+use crate::cli::MIN_MEMBERS;
 use crate::setup::{Scale, Scenario, Topology};
 use prop_baselines::selfish::SelfishSim;
 use prop_core::sim::Timing;
@@ -436,16 +437,34 @@ fn read(path: &str) -> Result<String, ScenarioError> {
         .map_err(|source| ScenarioError::Read { path: path.to_string(), source })
 }
 
-/// The values a driver would divide by or index with.
+/// The values a driver would divide by or index with, and the Zipf
+/// exponents its popularity would be drawn from.
 fn check_script(path: &str, script: &TrafficScript) -> Result<(), ScenarioError> {
+    let negative = script.popularity.iter().position(|shift| shift.alpha < 0.0);
     let what = if script.hour_ms == 0 {
-        "traffic.hour_ms must be positive"
+        "traffic.hour_ms must be positive".to_string()
     } else if script.catalog == 0 {
-        "traffic.catalog must be positive"
+        "traffic.catalog must be positive".to_string()
+    } else if let Some(i) = negative {
+        format!("traffic.popularity[{i}].alpha must be ≥ 0, got {}", script.popularity[i].alpha)
     } else {
         return Ok(());
     };
-    Err(ScenarioError::Invalid { path: path.to_string(), what: what.to_string() })
+    Err(ScenarioError::Invalid { path: path.to_string(), what })
+}
+
+/// A membership the run can build: a Gnutella overlay's seed clique, and no
+/// more members than the topology has stub hosts to put them on.
+fn check_members(path: &str, spec: &ScenarioSpec, topology: Topology) -> Result<(), ScenarioError> {
+    let hosts = topology.params().stub_hosts();
+    let what = if spec.n < MIN_MEMBERS {
+        format!("n must be at least {MIN_MEMBERS}, got {}", spec.n)
+    } else if spec.n > hosts {
+        format!("n must be at most the {hosts} stub hosts of {}, got {}", spec.topology, spec.n)
+    } else {
+        return Ok(());
+    };
+    Err(ScenarioError::Invalid { path: path.to_string(), what })
 }
 
 /// The fault events a plane would misread: a probability outside [0, 1]
@@ -474,11 +493,12 @@ fn check_faults(path: &str, spec: &ScenarioSpec) -> Result<(), ScenarioError> {
 fn parse_bundle(path: &str, text: &str) -> Result<ScenarioSpec, ScenarioError> {
     let spec: ScenarioSpec = json::from_str(text)
         .map_err(|error| ScenarioError::Parse { path: path.to_string(), error })?;
-    if Topology::from_label(&spec.topology).is_none() {
+    let Some(topology) = Topology::from_label(&spec.topology) else {
         let what =
             format!("unknown topology {:?} (known: ts-large, ts-small, tiny)", spec.topology);
         return Err(ScenarioError::Invalid { path: path.to_string(), what });
-    }
+    };
+    check_members(path, &spec, topology)?;
     check_script(path, &spec.traffic)?;
     check_faults(path, &spec)?;
     Ok(spec)
@@ -761,6 +781,21 @@ mod tests {
                 "0.1}}]",
                 "0.1}}, {\"Crash\": {\"at_ms\": 0, \"peer\": 24, \"restart_after_ms\": 1000}}]",
                 ".json: faults.events[1].Crash.peer must be below n = 24, got 24",
+            ),
+            // Each of these three panicked in the run: in `Zipf::new`, in
+            // `Gnutella::build` and in `LatencyOracle::select_and_build`.
+            (
+                "negative-alpha",
+                "\"flash_crowds\": []",
+                "\"flash_crowds\": [], \"popularity\": [{\"at_ms\": 0, \"alpha\": 0.8}, {\"at_ms\": 9, \"alpha\": -0.5}]",
+                ".json: traffic.popularity[1].alpha must be ≥ 0, got -0.5",
+            ),
+            ("four-members", "\"n\": 24,", "\"n\": 4,", ".json: n must be at least 5, got 4"),
+            (
+                "more-members-than-stub-hosts",
+                "\"n\": 24,",
+                "\"n\": 500,",
+                ".json: n must be at most the 40 stub hosts of tiny, got 500",
             ),
         ] {
             match load_text(name, &BUNDLE.replacen(from, to, 1)) {

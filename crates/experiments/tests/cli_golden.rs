@@ -1,7 +1,7 @@
 //! Golden files: every file the command line writes at quick scale, by name
 //! and FNV-64 of its bytes.
 //!
-//! Twelve invocations cover every experiment and every output path (panels,
+//! Eleven invocations cover every experiment and every output path (panels,
 //! scripted traffic, a two-seed sweep with its manifest, seed records and
 //! aggregate, the scale pipeline). They run in one scratch directory, and
 //! the set of files under it must be exactly [`GOLDEN`]. `scale.json` is
@@ -25,7 +25,6 @@ const INVOCATIONS: &[(&str, &[&str])] = &[
     ("traffic", &["diurnal-regional", "--quick"]),
     ("traffic", &["flash-crowd", "--quick", "--driver", "both"]),
     ("fig6", &["--quick", "--seeds", "2"]),
-    ("embed_agreement", &["--quick", "--seed", "1", "--n", "2000", "--samples", "200"]),
     ("fig6", &["--quick", "--traffic", "{examples}/flash_crowd.json"]),
     ("scale", &["--quick", "--seed", "1", "--n", "2000"]),
 ];
@@ -43,7 +42,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("results/ablation_warmup.json", 0x94ca644ae78ff815),
     ("results/ablation_waxman.json", 0x368c38931910c61f),
     ("results/ablation_zipf.json", 0x1b1e445b5bcf6169),
-    ("results/embed_agreement.json", 0x241d806c2669fc41),
     ("results/faults_recovery.json", 0x2fd7d316dcaf5992),
     ("results/faults_sweep.json", 0xf0fc29609f424223),
     ("results/fig5a.json", 0x846075754476fe7f),
@@ -55,7 +53,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("results/fig6c.json", 0x9854eda049c19b4d),
     ("results/fig7.json", 0x7ff87323a18eeff5),
     ("results/generality.json", 0x7a6ff612e2c7a87f),
-    ("results/scale.json", 0x71b1ec974fbc81ed),
+    // Re-pinned when the coordinate-embedded tier went: the file lost its
+    // `"query_embed": null` line and nothing else.
+    ("results/scale.json", 0xfc1ac6f81f3fecb0),
     ("results/sweep-fig6-quick-s1/aggregate.json", 0x46f171f90849a893),
     ("results/sweep-fig6-quick-s1/manifest.json", 0xa55540ac25bfb8b3),
     ("results/sweep-fig6-quick-s1/seed-0.json", 0x34f6a1ee4d8438ec),

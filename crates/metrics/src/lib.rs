@@ -11,8 +11,7 @@
 //! * [`degree`] — degree-distribution summaries for the PROP-O
 //!   power-law-preservation argument.
 //! * [`oraclestats`] — latency-oracle row-cache hit/miss/eviction counters
-//!   and coordinate-embedding query/escalation/calibration reports for
-//!   large-scale (beyond-paper) runs.
+//!   for large-scale (beyond-paper) runs.
 //! * [`faultstats`] — fault-plane counters (drops, dups, reorders,
 //!   partition time, crashed-commit aborts) with derived rates, for the
 //!   robustness sweeps.
@@ -39,7 +38,7 @@ pub use ci::{t_critical_95, MetricSummary};
 pub use faultstats::FaultReport;
 pub use floodcost::{flood_messages, mean_flood_messages};
 pub use latency::{avg_lookup_latency, LatencySummary};
-pub use oraclestats::{OracleCacheReport, OracleEmbedReport};
+pub use oraclestats::OracleCacheReport;
 pub use plane::MEASURE_CHUNK;
 pub use stretch::{link_stretch, path_stretch, StretchSummary};
 pub use timeseries::TimeSeries;

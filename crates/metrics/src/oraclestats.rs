@@ -1,19 +1,15 @@
 //! Latency-oracle cache counters as a reportable metric.
 //!
 //! The row-cache oracle tier (`prop_netsim::Tier::Cached`) answers `d(u,v)`
-//! from a byte-bounded LRU of exact rows; whether an experiment is
-//! compute-bound (misses) or memory-bound (evictions) is part of its
-//! result. [`OracleCacheReport`] packages the counters with derived rates
-//! for the experiment binaries' tables and JSON dumps.
-//!
-//! The coordinate-embedded tier adds a second axis: how many `d(u,v)`
-//! queries stayed on the O(1) coordinate path versus escalating into the
-//! exact row cache, and what error distribution the fit committed to.
-//! [`OracleEmbedReport`] packages those ([`prop_netsim::EmbedStats`] +
-//! [`prop_netsim::EmbedCalibration`]) the same way.
+//! on a graph without the transit–stub decomposition from a byte-bounded
+//! LRU of exact rows; whether an experiment is compute-bound (misses) or
+//! memory-bound (evictions) is part of its result, and on a transit–stub
+//! graph that every counter stays zero is. [`OracleCacheReport`] packages
+//! the counters with derived rates for the experiment binaries' tables and
+//! JSON dumps.
 
 use prop_engine::json_impl;
-use prop_netsim::{CacheStats, EmbedStats, LatencyOracle, Tier};
+use prop_netsim::{CacheStats, LatencyOracle, Tier};
 
 /// One oracle's cache behavior over a measured window.
 #[derive(Clone, Copy, Debug)]
@@ -63,81 +59,6 @@ impl OracleCacheReport {
             peak_resident_bytes: s.peak_resident_bytes,
             capacity_bytes: s.capacity_bytes,
         }
-    }
-}
-
-/// The embedded tier's query-path split and error calibration over a
-/// measured window. `None`-producing constructors keep the exact tiers out
-/// of embed tables entirely (unlike the cache report, there is no sensible
-/// all-zero placeholder: a 0% escalation rate *means something*).
-#[derive(Clone, Copy, Debug)]
-pub struct OracleEmbedReport {
-    /// Always [`Tier::Embedded`].
-    pub tier: Tier,
-    /// Queries answered in O(1) from coordinates.
-    pub embed_queries: u64,
-    /// Queries answered through the exact escalation cache.
-    pub exact_queries: u64,
-    /// Var decisions that fell inside the fallback band.
-    pub escalations: u64,
-    /// `escalations / embed_queries`, 0 when nothing was asked.
-    pub escalation_rate: f64,
-    /// Per-term margin (ms) the fallback band uses.
-    pub margin_per_term_ms: f64,
-    /// The fit's committed error distribution.
-    pub calibration: prop_netsim::EmbedCalibration,
-}
-
-json_impl!(ToJson for struct OracleEmbedReport {
-    tier, embed_queries, exact_queries, escalations, escalation_rate, margin_per_term_ms,
-    calibration
-});
-
-impl OracleEmbedReport {
-    /// Snapshot an oracle's embedded-tier counters; `None` on the exact
-    /// tiers.
-    pub fn from_oracle(oracle: &LatencyOracle) -> Option<Self> {
-        let stats = oracle.embed_stats()?;
-        Some(Self::from_parts(oracle, stats))
-    }
-
-    /// Report over the window since `earlier`; `None` on the exact tiers.
-    pub fn from_oracle_since(oracle: &LatencyOracle, earlier: &EmbedStats) -> Option<Self> {
-        let stats = oracle.embed_stats()?.since(earlier);
-        Some(Self::from_parts(oracle, stats))
-    }
-
-    fn from_parts(oracle: &LatencyOracle, stats: EmbedStats) -> Self {
-        OracleEmbedReport {
-            tier: Tier::Embedded,
-            embed_queries: stats.embed_queries,
-            exact_queries: stats.exact_queries,
-            escalations: stats.escalations,
-            escalation_rate: stats.escalation_rate(),
-            margin_per_term_ms: oracle.var_margin_per_term(),
-            calibration: oracle.embed_calibration().unwrap_or_default(),
-        }
-    }
-}
-
-impl std::fmt::Display for OracleEmbedReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "oracle tier {}: {} embed / {} exact queries, {} Var escalations \
-             ({:.2}% of embed), margin {:.1} ms/term, abs err p50/p95/p99 = \
-             {:.1}/{:.1}/{:.1} ms over {} samples",
-            self.tier.label(),
-            self.embed_queries,
-            self.exact_queries,
-            self.escalations,
-            self.escalation_rate * 100.0,
-            self.margin_per_term_ms,
-            self.calibration.abs_p50_ms,
-            self.calibration.abs_p95_ms,
-            self.calibration.abs_p99_ms,
-            self.calibration.samples,
-        )
     }
 }
 
@@ -231,54 +152,5 @@ mod tests {
         let json = prop_engine::json::to_string(&r);
         assert!(json.contains("\"tier\":\"row-cache\""), "{json}");
         assert!(json.contains("hit_rate"), "{json}");
-    }
-
-    fn embedded_oracle() -> LatencyOracle {
-        row_oracle(&OracleConfig::embedded())
-    }
-
-    #[test]
-    fn embed_report_absent_on_exact_tiers() {
-        let (dense, cached) = oracles();
-        assert!(OracleEmbedReport::from_oracle(&dense).is_none());
-        assert!(OracleEmbedReport::from_oracle(&cached).is_none());
-    }
-
-    #[test]
-    fn embed_report_counts_query_paths() {
-        let o = embedded_oracle();
-        let mark = o.embed_stats().unwrap();
-        let _ = o.d(1, 2);
-        let _ = o.d(2, 3);
-        let _ = o.d_exact(1, 2);
-        o.note_escalation();
-        let r = OracleEmbedReport::from_oracle_since(&o, &mark).unwrap();
-        assert_eq!(r.tier, Tier::Embedded);
-        assert_eq!(r.embed_queries, 2);
-        assert_eq!(r.exact_queries, 1);
-        assert_eq!(r.escalations, 1);
-        assert!(r.escalation_rate > 0.0);
-        assert!(r.margin_per_term_ms >= 1.0);
-        assert!(r.calibration.samples > 0);
-        let text = r.to_string();
-        assert!(text.contains("coord-embed"), "{text}");
-        assert!(text.contains("escalations"), "{text}");
-        let json = prop_engine::json::to_string(&r);
-        assert!(json.contains("\"tier\":\"coord-embed\""), "{json}");
-        assert!(json.contains("abs_p95_ms"), "{json}");
-    }
-
-    #[test]
-    fn embed_tier_also_reports_its_exact_cache() {
-        // The cache report stays available on the embedded tier — it
-        // describes the escalation path's row cache, which the fit leaves
-        // empty and the first escalation's `d` miss fills.
-        let o = embedded_oracle();
-        let r = OracleCacheReport::from_oracle(&o);
-        assert_eq!(r.tier, Tier::Embedded);
-        assert_eq!((r.resident_rows, r.misses), (0, 0), "the fit keeps no row");
-        let _ = o.d_exact(1, 2);
-        let r = OracleCacheReport::from_oracle(&o);
-        assert_eq!((r.resident_rows, r.misses), (1, 1));
     }
 }

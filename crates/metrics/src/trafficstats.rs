@@ -133,19 +133,19 @@ impl TrafficReport {
     /// Count one applied scripted join.
     pub fn record_join(&mut self, phase: usize, domain: u16) {
         self.phases[phase].joins += 1;
-        self.domain_row(domain).joins += 1;
+        self.tally(domain).joins += 1;
     }
 
     /// Count one applied scripted leave.
     pub fn record_leave(&mut self, phase: usize, domain: u16) {
         self.phases[phase].leaves += 1;
-        self.domain_row(domain).leaves += 1;
+        self.tally(domain).leaves += 1;
     }
 
     /// Count one resolved scripted lookup.
     pub fn record_lookup(&mut self, phase: usize, domain: u16) {
         self.phases[phase].lookups += 1;
-        self.domain_row(domain).lookups += 1;
+        self.tally(domain).lookups += 1;
     }
 
     /// Count one scripted event that could not be applied.
@@ -153,7 +153,8 @@ impl TrafficReport {
         self.phases[phase].suppressed += 1;
     }
 
-    fn domain_row(&mut self, domain: u16) -> &mut TrafficDomainRow {
+    /// The row of `domain`, appended on its first event.
+    fn tally(&mut self, domain: u16) -> &mut TrafficDomainRow {
         let i = self.domains.iter().position(|r| r.domain == domain).unwrap_or_else(|| {
             self.domains.push(TrafficDomainRow { domain, ..Default::default() });
             self.domains.len() - 1

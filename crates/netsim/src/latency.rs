@@ -2,8 +2,8 @@
 //! rows it may keep — and its build error.
 //!
 //! Every consumer of `d(u, v)` — PROP probes, LTM detection, the metrics —
-//! talks to [`crate::LatencyOracle`], which keeps its answers one of three
-//! ways ([`Tier`]):
+//! talks to [`crate::LatencyOracle`], which keeps its answers one of two
+//! ways ([`Tier`]), both exact and equal to the bit:
 //!
 //! * **dense** — every answer precomputed once, O(1) lookups with no
 //!   synchronization: the fast path for every paper-scale experiment (n ≤
@@ -14,19 +14,11 @@
 //!   `n × n` matrix, O(n²) memory.
 //! * **row-cache** — exact answers without the matrix. On a transit–stub
 //!   graph `d(u, v)` between two stub domains is a point query over the
-//!   verified decomposition (16 bytes a member and the transit matrix), and
-//!   only a pair inside one domain reads a row — over that domain's hosts
-//!   — retained in a sharded LRU bounded in bytes; on any other graph it
-//!   is one whole row per *requested source* in the same LRU. O(n +
-//!   capacity) memory, which is what lets a 100,000-member overlay run at
-//!   all: the dense matrix would need 40 GB.
-//! * **coord-embed** — a Vivaldi-style height-vector coordinate per member,
-//!   fit once from sampled exact rows; `d(u, v)` is O(1) with no
-//!   graph work at query time and O(n) memory, which is what a
-//!   1,000,000-member overlay needs. Estimates carry a calibrated error
-//!   margin; Var decisions inside the margin escalate to the same exact
-//!   rows the row-cache tier keeps (see [`crate::Embedding`] and DESIGN.md
-//!   §13).
+//!   verified decomposition (16 bytes a member and the transit matrix),
+//!   and a pair inside one domain a meeting search confined to it: no row
+//!   is kept at all, so a million-member overlay answers in O(n) memory.
+//!   On any other graph it is one whole row per *requested source*,
+//!   retained in a sharded LRU bounded in bytes: O(n + capacity) memory.
 //!
 //! Callers never pick a tier by hand: [`Tier::Auto`] (the default) lets
 //! the member count choose through [`Tier::resolve`], the one place the
@@ -46,7 +38,6 @@ pub enum Tier {
     Auto,
     Dense,
     Cached,
-    Embedded,
 }
 
 impl Tier {
@@ -56,21 +47,16 @@ impl Tier {
     /// matrix, at 4096² × 4 B = 64 MiB; a transit–stub graph's blocks are a
     /// small share of that.
     pub const DENSE_MAX_MEMBERS: usize = 4_096;
-    /// The largest member count `Auto` gives the row cache. Keeps every
-    /// workload the row cache has been proven on exact, and routes the
-    /// million-member scale to the O(1) embedding.
-    pub const CACHED_MAX_MEMBERS: usize = 150_000;
 
     /// Every tier, `Auto` first.
-    const ALL: [Tier; 4] = [Tier::Auto, Tier::Dense, Tier::Cached, Tier::Embedded];
+    const ALL: [Tier; 3] = [Tier::Auto, Tier::Dense, Tier::Cached];
 
     /// The tier an oracle over `n` members is built on: `self` unless it is
     /// `Auto`. Never returns `Auto`.
     pub fn resolve(self, n: usize) -> Tier {
         match self {
             Tier::Auto if n <= Self::DENSE_MAX_MEMBERS => Tier::Dense,
-            Tier::Auto if n <= Self::CACHED_MAX_MEMBERS => Tier::Cached,
-            Tier::Auto => Tier::Embedded,
+            Tier::Auto => Tier::Cached,
             forced => forced,
         }
     }
@@ -81,7 +67,6 @@ impl Tier {
             Tier::Auto => "auto",
             Tier::Dense => "dense",
             Tier::Cached => "row-cache",
-            Tier::Embedded => "coord-embed",
         }
     }
 
@@ -89,7 +74,6 @@ impl Tier {
     pub fn parse(s: &str) -> Option<Tier> {
         match s {
             "cached" => Some(Tier::Cached),
-            "embedded" => Some(Tier::Embedded),
             _ => Tier::ALL.into_iter().find(|t| t.label() == s),
         }
     }
@@ -107,12 +91,11 @@ impl ToJson for Tier {
 pub struct OracleConfig {
     /// Which tier to build; [`Tier::Auto`] by default.
     pub tier: Tier,
-    /// Byte budget for resident rows — the row-cache tier itself, and the
-    /// embedded tier's exact escalation path. A row costs two bytes a cell
-    /// (plus small bookkeeping): the hosts of one stub domain on a
-    /// transit–stub graph (667 at n = 100,000, so every member's row fits
-    /// in 128 MiB), the `n` members on any other (the default 512 MiB
-    /// holds ~2,684 of those at n = 100,000). Unused by the dense tier.
+    /// Byte budget for the row-cache tier's resident rows. A row is whole,
+    /// two bytes a member (plus small bookkeeping), and kept only on a graph
+    /// without the transit–stub decomposition: the default 512 MiB holds
+    /// ~2,684 of them at n = 100,000. Unused by the dense tier, and by
+    /// either tier on a transit–stub graph.
     pub cache_capacity_bytes: usize,
 }
 
@@ -134,9 +117,11 @@ impl OracleConfig {
         OracleConfig { tier: Tier::Cached, cache_capacity_bytes: capacity_bytes }
     }
 
-    /// Force the coordinate-embedded tier at any member count.
+    // The coordinate-embedded tier is gone; `benchmark/src/scale.rs` still
+    // spells its configuration, and gets the row-cache tier's.
+    #[doc(hidden)]
     pub fn embedded() -> Self {
-        OracleConfig { tier: Tier::Embedded, ..Default::default() }
+        OracleConfig { tier: Tier::Cached, ..Default::default() }
     }
 }
 
@@ -148,7 +133,9 @@ pub enum PairFault {
     /// The two are `ms` apart, and a stored row keeps a latency in sixteen
     /// bits: twice the first member's distance to its farthest bounds
     /// every pair (`d` is a metric), and here that is past 65,535 ms. Only
-    /// the tiers that keep rows refuse it; the dense matrix holds `u32`.
+    /// the row-cache tier refuses it, and only on a graph without the
+    /// transit–stub decomposition, where it keeps rows; the dense matrix
+    /// holds `u32`.
     TooFar { ms: u32 },
 }
 
@@ -212,10 +199,11 @@ mod tests {
             OracleConfig::cached(1 << 20),
             OracleConfig { tier: Tier::Cached, cache_capacity_bytes: 1 << 20 }
         );
-        assert_eq!(OracleConfig::embedded().tier, Tier::Embedded);
+        // The hidden spelling `benchmark/` uses is the cached configuration.
+        assert_eq!(OracleConfig::embedded(), OracleConfig::cached(512 << 20));
         // A forced tier is built at any size; only `Auto` reads the count.
-        for n in [0, 1, Tier::DENSE_MAX_MEMBERS + 1, Tier::CACHED_MAX_MEMBERS + 1, usize::MAX] {
-            for forced in [Tier::Dense, Tier::Cached, Tier::Embedded] {
+        for n in [0, 1, Tier::DENSE_MAX_MEMBERS + 1, 150_001, usize::MAX] {
+            for forced in [Tier::Dense, Tier::Cached] {
                 assert_eq!(forced.resolve(n), forced, "n = {n}");
             }
         }
@@ -223,28 +211,25 @@ mod tests {
 
     #[test]
     fn auto_resolves_at_the_two_boundaries() {
+        // One boundary between the two tiers, and none above it.
         for (n, tier) in [
             (0, Tier::Dense),
             (4_096, Tier::Dense),
             (4_097, Tier::Cached),
-            (150_000, Tier::Cached),
-            (150_001, Tier::Embedded),
-            (usize::MAX, Tier::Embedded),
+            (150_001, Tier::Cached),
+            (1_000_000, Tier::Cached),
+            (usize::MAX, Tier::Cached),
         ] {
             assert_eq!(Tier::Auto.resolve(n), tier, "n = {n}");
         }
     }
 
-    /// DESIGN.md §9's policy table is these three rows, in this order.
+    /// DESIGN.md §9's policy table is these two rows, in this order.
     #[test]
     fn design_policy_table_names_each_tier_and_boundary() {
         const DESIGN: &str = include_str!("../../../DESIGN.md");
-        let (dense, cached) = (Tier::DENSE_MAX_MEMBERS, Tier::CACHED_MAX_MEMBERS);
-        let rows = [
-            (Tier::Dense, format!("n ≤ {dense}")),
-            (Tier::Cached, format!("{dense} < n ≤ {cached}")),
-            (Tier::Embedded, format!("n > {cached}")),
-        ];
+        let dense = Tier::DENSE_MAX_MEMBERS;
+        let rows = [(Tier::Dense, format!("n ≤ {dense}")), (Tier::Cached, format!("n > {dense}"))];
         let mut from = 0;
         for (tier, range) in rows {
             let row = format!("| `{}` | {range} |", tier.label());
@@ -260,9 +245,8 @@ mod tests {
         }
         assert_eq!(Tier::parse("cached"), Some(Tier::Cached));
         assert_eq!(Tier::parse("row-cache"), Some(Tier::Cached));
-        assert_eq!(Tier::parse("embedded"), Some(Tier::Embedded));
-        assert_eq!(Tier::parse("coord-embed"), Some(Tier::Embedded));
-        for bogus in ["", "bogus", "Dense", "row_cache"] {
+        // The deleted embedded tier's spelling is refused like any other.
+        for bogus in ["", "bogus", "Dense", "row_cache", "embedded"] {
             assert_eq!(Tier::parse(bogus), None, "{bogus:?}");
         }
         assert_eq!(prop_engine::json::to_string(&Tier::Cached), "\"row-cache\"");

@@ -2,44 +2,39 @@
 //!
 //! Every PROP probe, every LTM detector, and every metric evaluation asks
 //! for the end-to-end latency between two overlay members. They all hold
-//! one type, [`LatencyOracle`], which keeps its answers one of three ways —
+//! one type, [`LatencyOracle`], which keeps its answers one of two ways —
 //! all of them (the dense tier: per-domain blocks, or the matrix on a graph
-//! without the decomposition below), a byte-bounded cache of rows, or a
-//! fitted coordinate per member beside such a cache. [`crate::latency`] describes the three
-//! [`Tier`]s and when each is built; [`crate::embed`] the fit.
+//! without the decomposition below), or a byte-bounded cache of rows (the
+//! row-cache tier). [`crate::latency`] describes the two [`Tier`]s and when
+//! each is built. Both are exact, and answer alike to the bit.
 //!
 //! Exact answers come from the one row kernel (`crate::decomp`). Where the
 //! graph has the verified transit–stub decomposition, `d(u, v)` between two
-//! stub domains is one point query on every exact tier — two record loads,
-//! one transit cell and two adds — and only a pair inside one domain reads
-//! anything more: a row `d(src, ·)` over that domain's hosts on the row
-//! tiers, a cell of the domain's `k × k` block over its members on the
-//! dense tier, both made by one search confined to the domain. Where it
-//! does not, a row is a whole-graph Dijkstra over the members, and the
-//! dense tier is the `n × n` matrix of those. The tiers differ in what
-//! they keep, not in how an answer is made: the matrix's rows, a fitted row
-//! and a whole row a `d` miss computes are all `RowKernel::fill_row`'s,
-//! and the search inside a domain that `fill_row` runs is the one a kept
-//! domain row and a block are made by. A row enters a row tier's cache
-//! only through a `d` miss: nothing is made, kept or reordered ahead of a
+//! stub domains is one point query on both tiers — two record loads, one
+//! transit cell and two adds — and a pair inside one domain is a meeting
+//! search confined to it on the row-cache tier, a cell of the domain's
+//! `k × k` block over its members on the dense tier; the row-cache tier
+//! then keeps no row at all. Where it does not, a row is a whole-graph
+//! Dijkstra over the members: the dense tier is the `n × n` matrix of
+//! those, and a row enters the row-cache tier's cache only through the `d`
+//! miss that first reads it — nothing is made, kept or reordered ahead of a
 //! read.
 //!
 //! Construction routes on [`OracleConfig::tier`] through [`Tier::resolve`];
 //! callers are tier-agnostic. Connectivity is validated by the
-//! decomposition's own checks (the blocks), per row *during* construction
-//! (the dense matrix, whose kernel found no decomposition — so it is the
-//! matrix that meets a disconnected member set) or from a single source on
-//! the undirected graph (the other two tiers), and
-//! [`LatencyOracle::try_build_with`] reports the offending member pair
-//! instead of panicking after the full build. The other two tiers keep
-//! their rows as two-byte milliseconds and refuse, the same way and from
-//! the same one row, a member set too wide for that.
+//! decomposition's own checks (both tiers on a transit–stub graph), per row
+//! *during* construction (the dense matrix, whose kernel found no
+//! decomposition — so it is the matrix that meets a disconnected member
+//! set) or from a single source on the undirected graph (the row cache's
+//! whole rows), and [`LatencyOracle::try_build_with`] reports the offending
+//! member pair instead of panicking after the full build. Whole rows keep
+//! two-byte milliseconds, and the row-cache tier refuses, the same way and
+//! from the same one row, a member set too wide for them.
 //!
 //! Members are addressed by dense [`MemberIdx`] values `0..n`; the overlay
 //! crates use the same indexing for peers.
 
-use crate::decomp::{Blocks, RowKernel};
-use crate::embed::{EmbedCalibration, EmbedStats, Embedding};
+use crate::decomp::{whole_row, Blocks, RowKernel};
 use crate::graph::{PhysGraph, PhysNodeId};
 use crate::latency::{OracleBuildError, OracleConfig, PairFault, Tier};
 use crate::rowcache::{CacheStats, RowCache, RowMs};
@@ -55,47 +50,41 @@ const CACHE_SHARDS: usize = 16;
 
 /// The dense tier's matrix on a graph the row kernel refuses (Waxman,
 /// multi-homed, disconnected), row-major `n × n`, each row a whole-graph
-/// Dijkstra by `kernel` and validated as it is produced — a disconnected
-/// pair fails fast inside the row pass, before the matrix is assembled. It
-/// becomes the one block of that graph's [`Blocks`]; a decomposed graph's
-/// dense tier has a block per stub domain instead, and no matrix. Each row
-/// is written in place: the build's peak is the one matrix.
-fn dense_matrix(
-    graph: &PhysGraph,
-    members: &[PhysNodeId],
-    kernel: &RowKernel,
-) -> Result<Box<[u32]>, OracleBuildError> {
+/// Dijkstra validated as it is produced — a disconnected pair fails fast
+/// inside the row pass, before the matrix is assembled. It becomes the one
+/// block of that graph's [`Blocks`]; a decomposed graph's dense tier has a
+/// block per stub domain instead, and no matrix. Each row is written in
+/// place: the build's peak is the one matrix.
+fn dense_matrix(graph: &PhysGraph, members: &[PhysNodeId]) -> Result<Box<[u32]>, OracleBuildError> {
     let n = members.len();
     let mut matrix = vec![0u32; n * n];
     for i in 0..n {
-        kernel.fill_row(graph, members, i, &mut matrix[i * n..(i + 1) * n])?;
+        whole_row(graph, members, i, &mut matrix[i * n..(i + 1) * n])?;
     }
     Ok(matrix.into_boxed_slice())
 }
 
-/// What the row-cache and coordinate-embedded tiers share: exact answers
-/// over the oracle's members. On a graph the row kernel decomposes, a pair
-/// in two stub domains is `RowKernel::point`'s sum and no row is made for
-/// it; only a pair inside one domain reads a row, `d(src, ·)` over that
-/// domain's hosts. On any other graph every pair reads a whole row over the
-/// members. Either way a row is made by the `d` miss that reads it and
-/// kept in one byte-bounded LRU, each counted by its own length.
+/// The row-cache tier: exact answers over the oracle's members. On a graph
+/// the row kernel decomposes every pair is `RowKernel::d`'s and no row is
+/// made; on any other every pair reads a whole row over the members, made
+/// by the `d` miss that reads it and kept in one byte-bounded LRU.
 pub(crate) struct RowStore {
-    /// Owned copy of the physical graph (CSR arrays) — rows are recomputed
-    /// from it on every cache miss.
+    /// Owned copy of the physical graph (CSR arrays): meeting searches run
+    /// on it, and whole rows are recomputed from it on every cache miss.
     graph: PhysGraph,
     kernel: RowKernel,
     cache: RowCache,
 }
 
 impl RowStore {
-    /// Validate the member set with the first member's whole row. The graph
-    /// is undirected, so one source reaching every member means every pair
-    /// is connected; and rows are exact, so `d` is a metric and
-    /// `d(a, b) ≤ d(a, 0) + d(0, b)`: twice the row's largest entry inside
-    /// [`RowMs`] means every latency any later row holds is. That one row
-    /// is made four bytes wide, to be checked before it is narrowed, and
-    /// is not kept.
+    /// On a graph without the decomposition, validate the member set with
+    /// the first member's whole row. The graph is undirected, so one source
+    /// reaching every member means every pair is connected; and rows are
+    /// exact, so `d` is a metric and `d(a, b) ≤ d(a, 0) + d(0, b)`: twice
+    /// the row's largest entry inside [`RowMs`] means every latency any
+    /// later row holds is. That one row is made four bytes wide, to be
+    /// checked before it is narrowed, and is not kept. A decomposed graph
+    /// keeps no row, and its own checks cover connectivity.
     fn try_build(
         graph: &PhysGraph,
         members: &[PhysNodeId],
@@ -106,11 +95,11 @@ impl RowStore {
             cache: RowCache::new(capacity_bytes, CACHE_SHARDS),
             graph: graph.clone(),
         };
-        if members.is_empty() {
+        if rows.kernel.is_decomposed() || members.is_empty() {
             return Ok(rows);
         }
         let mut first = vec![0u32; members.len()];
-        rows.kernel.fill_row(&rows.graph, members, 0, &mut first)?;
+        whole_row(&rows.graph, members, 0, &mut first)?;
         let (far, &ms) =
             first.iter().enumerate().max_by_key(|&(_, &ms)| ms).expect("members is not empty");
         if 2 * u64::from(ms) > u64::from(RowMs::MAX) {
@@ -125,48 +114,27 @@ impl RowStore {
         Ok(rows)
     }
 
-    /// One exact whole row from the row kernel, bypassing the cache: what a
-    /// `d` miss inserts on a graph without the decomposition, and what the
-    /// embedding fits and calibrates against on any graph.
-    pub(crate) fn compute_row(&self, members: &[PhysNodeId], src: MemberIdx) -> Arc<[RowMs]> {
-        let mut row: Arc<[RowMs]> = std::iter::repeat_n(0, members.len()).collect();
-        let out = Arc::get_mut(&mut row).expect("a fresh Arc has one owner");
-        self.kernel
-            .fill_row(&self.graph, members, src, out)
-            .expect("connectivity was validated at construction");
-        row
-    }
-
-    /// The row the cache keeps for `src`: over its stub domain's hosts on a
-    /// decomposed graph, over the members otherwise.
-    fn kept_row(&self, members: &[PhysNodeId], src: MemberIdx) -> Arc<[RowMs]> {
-        self.kernel
-            .domain_row(&self.graph, members, src)
-            .unwrap_or_else(|| self.compute_row(members, src))
-    }
-
     /// Exact latency between members `a` and `b`, in ms. The one place a
-    /// row enters the cache: on a miss, `a`'s kept row is made and stored.
+    /// row enters the cache: on a miss, `a`'s whole row is made and stored.
     fn d(&self, members: &[PhysNodeId], a: MemberIdx, b: MemberIdx) -> u32 {
         debug_assert!(a < members.len() && b < members.len());
         if a == b {
             return 0;
         }
-        if let Some(ms) = self.kernel.point(a, b) {
+        if let Some(ms) = self.kernel.d(&self.graph, members, a, b) {
             return ms;
         }
-        // Two hosts of one stub domain, or a graph without the
-        // decomposition: a kept row answers.
-        let at = |j| self.kernel.cell(members, j);
         if let Some(r) = self.cache.get(a) {
-            return r[at(b)].into();
+            return r[b].into();
         }
         // Latencies are symmetric (undirected graph): b's row serves too.
         if let Some(r) = self.cache.get(b) {
-            return r[at(a)].into();
+            return r[a].into();
         }
-        let row = self.kept_row(members, a);
-        let d = row[at(b)];
+        let mut row: Arc<[RowMs]> = std::iter::repeat_n(0, members.len()).collect();
+        let out = Arc::get_mut(&mut row).expect("a fresh Arc has one owner");
+        whole_row(&self.graph, members, a, out).expect("connectivity was validated at build");
+        let d = row[b];
         self.cache.insert(a, row);
         d.into()
     }
@@ -179,12 +147,6 @@ enum Store {
     /// block that is the `n × n` matrix.
     Dense(Blocks),
     Rows(RowStore),
-    /// `rows` is the exact escalation path; the fit's own rows are not
-    /// kept in it.
-    Embedded {
-        rows: RowStore,
-        fit: Embedding,
-    },
 }
 
 /// The tier-agnostic latency oracle every caller holds.
@@ -193,13 +155,10 @@ enum Store {
 /// [`Tier::resolve`]: paper-scale populations get the dense tier — every
 /// answer in memory: on a transit–stub graph point queries over the
 /// decomposition beside one `k × k` block per stub domain, on any other
-/// graph the `n × n` matrix — mid-scale ones the same point queries beside
-/// the bounded row cache, and million-member populations the coordinate
-/// embedding. Dense and cached answer identically byte-for-byte
-/// (property-tested in `tests/tier_equivalence.rs`); the embedded tier is
-/// an estimate with a calibrated margin, kept decision-safe by the
-/// exact-fallback band (`tests/embed.rs` and `prop-core`'s
-/// `exchange::decide`).
+/// graph the `n × n` matrix — and larger ones the row-cache tier: the same
+/// point queries beside a meeting search inside a domain, or whole rows in
+/// a bounded cache on a graph without the decomposition. The two answer
+/// identically byte-for-byte (property-tested in `tests/tier_equivalence.rs`).
 pub struct LatencyOracle {
     /// Physical host backing each member.
     members: Vec<PhysNodeId>,
@@ -219,6 +178,27 @@ impl std::fmt::Debug for LatencyOracle {
     }
 }
 
+/// What `embed_stats` returned while the oracle had a coordinate-embedded
+/// tier, kept with its fields only so that `benchmark/src/scale.rs`
+/// compiles. Every count is zero.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EmbedStats {
+    pub embed_queries: u64,
+    pub exact_queries: u64,
+    pub escalations: u64,
+}
+
+impl EmbedStats {
+    pub fn since(&self, earlier: &EmbedStats) -> EmbedStats {
+        EmbedStats {
+            embed_queries: self.embed_queries.saturating_sub(earlier.embed_queries),
+            exact_queries: self.exact_queries.saturating_sub(earlier.exact_queries),
+            escalations: self.escalations.saturating_sub(earlier.escalations),
+        }
+    }
+}
+
 impl LatencyOracle {
     /// Build over an explicit member set on the tier `cfg.tier` resolves to
     /// at this member count. A disconnected member set fails fast with the
@@ -232,18 +212,11 @@ impl LatencyOracle {
             Tier::Dense => {
                 Store::Dense(match RowKernel::new(graph, &members).into_blocks(graph, &members) {
                     Ok(blocks) => blocks,
-                    Err(refused) => {
-                        Blocks::whole(dense_matrix(graph, &members, &refused)?, members.len())
-                    }
+                    Err(_) => Blocks::whole(dense_matrix(graph, &members)?, members.len()),
                 })
             }
             Tier::Cached => {
                 Store::Rows(RowStore::try_build(graph, &members, cfg.cache_capacity_bytes)?)
-            }
-            Tier::Embedded => {
-                let rows = RowStore::try_build(graph, &members, cfg.cache_capacity_bytes)?;
-                let fit = Embedding::fit(&rows, &members);
-                Store::Embedded { rows, fit }
             }
             Tier::Auto => unreachable!("Tier::resolve names a tier"),
         };
@@ -292,30 +265,13 @@ impl LatencyOracle {
         self.members.is_empty()
     }
 
-    /// End-to-end latency between members `a` and `b`, in ms. Exact on the
-    /// dense and row-cache tiers; the calibrated O(1) estimate on the
-    /// embedded tier. A metric on every tier; flood pruning relies on it —
-    /// `d_exact` and `d` must never be mixed inside one flood.
+    /// End-to-end latency between members `a` and `b`, in ms: exact, and
+    /// the same on both tiers. A metric; flood pruning relies on it.
     #[inline]
     pub fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
         match &self.store {
             Store::Dense(blocks) => blocks.d(a, b),
             Store::Rows(rows) => rows.d(&self.members, a, b),
-            Store::Embedded { fit, .. } => fit.d(a, b),
-        }
-    }
-
-    /// Exact latency regardless of tier — the embedded tier's escalation
-    /// path (through its row store); identical to [`Self::d`] on the other
-    /// two tiers.
-    #[inline]
-    pub fn d_exact(&self, a: MemberIdx, b: MemberIdx) -> u32 {
-        match &self.store {
-            Store::Embedded { rows, fit } => {
-                fit.note_exact_query();
-                rows.d(&self.members, a, b)
-            }
-            _ => self.d(a, b),
         }
     }
 
@@ -336,7 +292,6 @@ impl LatencyOracle {
         match &self.store {
             Store::Dense(_) => Tier::Dense,
             Store::Rows(_) => Tier::Cached,
-            Store::Embedded { .. } => Tier::Embedded,
         }
     }
 
@@ -345,22 +300,20 @@ impl LatencyOracle {
         self.built_tier().label()
     }
 
-    /// The exact rows behind this oracle; `None` on the dense tier, which
+    /// The row store behind this oracle; `None` on the dense tier, which
     /// keeps every answer.
     fn rows(&self) -> Option<&RowStore> {
         match &self.store {
             Store::Dense(_) => None,
-            Store::Rows(rows) | Store::Embedded { rows, .. } => Some(rows),
+            Store::Rows(rows) => Some(rows),
         }
     }
 
     /// Row-cache counters; `None` on the dense tier (which has no cache).
-    /// On the embedded tier these are the *exact escalation* path's
-    /// counters. A miss is one row made: on a transit–stub graph `d(src, ·)`
-    /// over the hosts of one stub domain, and only a pair inside one domain
-    /// counts a hit or a miss at all — a pair in two domains reads no row;
-    /// on any other graph a whole row over the members. `resident_rows`
-    /// counts entries and `resident_bytes` sums their own lengths.
+    /// A miss is one whole row made over the members. On a transit–stub
+    /// graph no pair reads a row, and every counter stays zero; on any
+    /// other graph every pair of two members does. `resident_rows` counts
+    /// entries and `resident_bytes` sums their own lengths.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.rows().map(|rows| rows.cache.stats())
     }
@@ -373,40 +326,11 @@ impl LatencyOracle {
     #[doc(hidden)]
     pub fn warm_rows(&self, _sources: &[MemberIdx]) {}
 
-    /// What the embedded tier fitted; `None` on the exact tiers.
-    pub fn embedding(&self) -> Option<&Embedding> {
-        match &self.store {
-            Store::Embedded { fit, .. } => Some(fit),
-            _ => None,
-        }
-    }
-
-    /// Absolute error margin (ms) one `d(u, v)` term contributes to a Var
-    /// comparison's exact-fallback band. Zero on the exact tiers — their
-    /// band is empty, so `exchange::decide` never escalates there.
-    #[inline]
-    pub fn var_margin_per_term(&self) -> f64 {
-        self.embedding().map_or(0.0, Embedding::margin_per_term)
-    }
-
-    /// Record one Var decision escalated into the fallback band (no-op on
-    /// the exact tiers).
-    #[inline]
-    pub fn note_escalation(&self) {
-        if let Some(fit) = self.embedding() {
-            fit.note_escalation();
-        }
-    }
-
-    /// Embedded-tier query/escalation counters; `None` on the exact tiers.
+    // Kept, like `OracleConfig::embedded` and `EmbedStats`, only because
+    // `benchmark/src/scale.rs` names it; there is no embedded tier to count.
+    #[doc(hidden)]
     pub fn embed_stats(&self) -> Option<EmbedStats> {
-        self.embedding().map(Embedding::stats)
-    }
-
-    /// The embedded tier's committed error calibration; `None` on the
-    /// exact tiers.
-    pub fn embed_calibration(&self) -> Option<EmbedCalibration> {
-        self.embedding().map(Embedding::calibration)
+        None
     }
 }
 
@@ -435,32 +359,18 @@ mod tests {
         cells * std::mem::size_of::<RowMs>()
     }
 
-    /// Hosts of one stub domain of `tiny()`: the cells of a row kept there.
-    const TINY_DOMAIN: usize = 5;
-
-    /// A row-cache oracle of each row shape over 40 members, its budget
-    /// `rows_a_shard` kept rows in every shard: all 40 stub hosts of
-    /// `tiny()`, eight domains of [`TINY_DOMAIN`] (decomposed: a row is a
-    /// domain's), and 40 hosts of a Waxman graph (refused: a row is whole).
-    /// With each, its graph and the cells of one kept row.
-    fn both_row_shapes(seed: u64, rows_a_shard: usize) -> [(LatencyOracle, PhysGraph, usize); 2] {
+    /// A row-cache oracle over 40 hosts of a Waxman graph, which the row
+    /// kernel refuses — so every pair of two members reads a whole row of
+    /// 40 cells — its budget `rows_a_shard` rows in every shard; with its
+    /// graph.
+    fn waxman_rows(seed: u64, rows_a_shard: usize) -> (LatencyOracle, PhysGraph) {
         let mut rng = SimRng::seed_from(seed);
-        let transit_stub = generate(&TransitStubParams::tiny(), &mut rng);
-        let waxman = generate_waxman(&WaxmanParams::tiny(), &mut rng);
-        [(transit_stub, TINY_DOMAIN), (waxman, 40)].map(|(g, cells)| {
-            let members = rng.sample_distinct(&g.stub_nodes(), 40);
-            let cfg = OracleConfig::cached(rows_a_shard * CACHE_SHARDS * row_bytes(cells));
-            let o = LatencyOracle::try_build_with(&g, members, &cfg).unwrap();
-            assert_eq!(o.rows().unwrap().kernel.is_decomposed(), cells == TINY_DOMAIN);
-            (o, g, cells)
-        })
-    }
-
-    /// The members `d(a, ·)` reads a kept row for: those of `a`'s own stub
-    /// domain on a decomposed store, every other member on a refused graph.
-    fn row_mates(o: &LatencyOracle, a: MemberIdx) -> Vec<MemberIdx> {
-        let kernel = &o.rows().expect("a row tier").kernel;
-        (0..o.len()).filter(|&b| b != a && kernel.point(a, b).is_none()).collect()
+        let g = generate_waxman(&WaxmanParams::tiny(), &mut rng);
+        let members = rng.sample_distinct(&g.stub_nodes(), 40);
+        let cfg = OracleConfig::cached(rows_a_shard * CACHE_SHARDS * row_bytes(40));
+        let o = LatencyOracle::try_build_with(&g, members, &cfg).unwrap();
+        assert!(!o.rows().unwrap().kernel.is_decomposed());
+        (o, g)
     }
 
     /// Two stub components with no path between them.
@@ -503,21 +413,22 @@ mod tests {
         // The premise of goal-directed floods (`prop_overlay::FloodScratch`):
         // `d(u, dst)` bounds every route `u → … → dst` from below only if `d`
         // is symmetric, zero on the diagonal and obeys the triangle
-        // inequality — on the row cache also while rows are evicted mid-loop.
-        // All 40 stub hosts of `tiny()`: past the embed fit's 32 landmarks,
-        // so the embedded tier answers for fitted members too.
+        // inequality — on the row cache also while rows are evicted mid-loop,
+        // which only a graph the row kernel refuses has: on `tiny()` the
+        // row cache answers by meeting searches and keeps no row.
         let n = 40;
         for seed in 0..32u64 {
-            // One kept row a shard — a domain's, `tiny()` being decomposed —
-            // and 40 sources share 16 shards: every shard evicts.
-            let tiers = [
-                OracleConfig::default(),
-                OracleConfig::cached(CACHE_SHARDS * row_bytes(TINY_DOMAIN)),
-                OracleConfig::embedded(),
-            ];
-            for cfg in tiers {
+            // One whole row a shard on Waxman, and 40 sources share 16
+            // shards: every shard evicts.
+            let tiers =
+                [OracleConfig::default(), OracleConfig::cached(CACHE_SHARDS * row_bytes(n))];
+            for (decomposed, cfg) in [true, false].into_iter().flat_map(|d| tiers.map(|c| (d, c))) {
                 let mut rng = SimRng::seed_from(seed);
-                let g = generate(&TransitStubParams::tiny(), &mut rng);
+                let g = if decomposed {
+                    generate(&TransitStubParams::tiny(), &mut rng)
+                } else {
+                    generate_waxman(&WaxmanParams::tiny(), &mut rng)
+                };
                 let o = LatencyOracle::select_and_build_with(&g, n, &mut rng, &cfg);
                 let tier = o.tier();
                 for a in 0..n {
@@ -533,13 +444,11 @@ mod tests {
                         }
                     }
                 }
-                if o.built_tier() == Tier::Cached {
-                    let s = o.cache_stats().unwrap();
-                    assert!(s.evictions > 0, "seed {seed}: cache never evicted");
-                    assert!(s.resident_bytes <= s.capacity_bytes, "seed {seed}: {s:?}");
-                }
-                if let Some(fit) = o.embedding() {
-                    assert!(fit.landmark_members().len() < n, "seed {seed}: no fitted member");
+                if let Some(s) = o.cache_stats() {
+                    let at = format!("seed {seed}, decomposed {decomposed}: {s:?}");
+                    assert_eq!(s.evictions > 0, !decomposed, "{at}");
+                    assert_eq!(s.misses == 0, decomposed, "{at}");
+                    assert!(s.resident_bytes <= s.capacity_bytes, "{at}");
                 }
             }
         }
@@ -654,54 +563,80 @@ mod tests {
 
     #[test]
     fn cached_tier_counts_hits_and_misses() {
-        for (o, _, cells) in both_row_shapes(11, 8) {
-            let mates = row_mates(&o, 3);
-            let s0 = o.cache_stats().unwrap();
-            let first = o.d(3, mates[0]); // row 3 computed
-            let again = o.d(3, mates[1]); // row 3 hit
-            assert!(first > 0 && again > 0);
-            let s = o.cache_stats().unwrap().since(&s0);
-            assert_eq!(s.misses, 1, "{cells}-cell rows");
-            assert!(s.hits >= 1, "{cells}-cell rows");
-        }
+        let (o, _) = waxman_rows(11, 8);
+        let s0 = o.cache_stats().unwrap();
+        let first = o.d(3, 4); // row 3 computed
+        let again = o.d(3, 5); // row 3 hit
+        assert!(first > 0 && again > 0);
+        let s = o.cache_stats().unwrap().since(&s0);
+        assert_eq!((s.hits, s.misses), (1, 1), "{s:?}");
     }
 
     #[test]
-    fn a_cross_domain_d_reads_no_row_and_a_same_domain_miss_keeps_one_domain_row() {
-        let [(o, g, k), _] = both_row_shapes(28, 8);
-        let n = o.len();
-        let built = o.cache_stats().unwrap();
-        assert_eq!(
-            (built.resident_rows, built.misses),
-            (0, 0),
-            "the checked first row is not kept"
-        );
-        for a in 0..n {
-            let full = shortest_paths(&g, o.host(a));
-            let mates = row_mates(&o, a);
-            assert_eq!(mates.len(), k - 1);
-            for b in (0..n).filter(|b| !mates.contains(b)) {
-                assert_eq!(o.d(a, b), full[o.host(b).index()], "({a}, {b})");
+    fn a_decomposed_graph_leaves_the_row_store_empty() {
+        // Any workload on a transit–stub graph — every ordered pair, three
+        // passes, forwards and back, under a budget of one byte or of
+        // plenty, on `tiny()`, the two unequal domains of a hand-built
+        // graph, and `scaled(3000)` — answers as whole-graph Dijkstra does
+        // and leaves the row store as it was built: nothing made, nothing
+        // kept, nothing counted.
+        let mut rng = SimRng::seed_from(28);
+        let tiny = generate(&TransitStubParams::tiny(), &mut rng);
+        let tiny_members = tiny.stub_nodes();
+        let scaled = generate(&TransitStubParams::scaled(3000), &mut rng);
+        let scaled_members = rng.sample_distinct(&scaled.stub_nodes(), 200);
+        let unequal = {
+            let mut b = PhysGraphBuilder::new();
+            let t0 = b.add_node(NodeClass::Transit { domain: 0 });
+            let t1 = b.add_node(NodeClass::Transit { domain: 1 });
+            let a: Vec<_> =
+                (0..3).map(|_| b.add_node(NodeClass::Stub { domain: 0, gateway: t0.0 })).collect();
+            let c: Vec<_> =
+                (0..2).map(|_| b.add_node(NodeClass::Stub { domain: 1, gateway: t1.0 })).collect();
+            b.add_link(t0, t1, 100, LinkClass::TransitTransit);
+            b.add_link(a[0], t0, 20, LinkClass::StubTransit);
+            b.add_link(a[0], a[1], 5, LinkClass::StubStub);
+            b.add_link(a[1], a[2], 7, LinkClass::StubStub);
+            b.add_link(c[0], t1, 30, LinkClass::StubTransit);
+            b.add_link(c[0], c[1], 5, LinkClass::StubStub);
+            let members = [a, c].concat();
+            (b.build(), members)
+        };
+        let cases = [
+            ("tiny", (tiny, tiny_members)),
+            ("scaled(3000)", (scaled, scaled_members)),
+            ("two unequal domains", unequal),
+        ];
+        for (name, (g, members)) in cases {
+            let n = members.len();
+            let full: Vec<Vec<u32>> = members.iter().map(|&m| shortest_paths(&g, m)).collect();
+            for cap in [1, 1 << 20] {
+                let o =
+                    LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::cached(cap))
+                        .unwrap();
+                assert!(o.rows().unwrap().kernel.is_decomposed(), "{name}");
+                let built = o.cache_stats().unwrap();
+                for pass in 0..3 {
+                    for i in 0..n * n {
+                        let i = if pass == 2 { n * n - 1 - i } else { i };
+                        let (a, b) = (i / n, i % n);
+                        let want = full[a][members[b].index()];
+                        assert_eq!(o.d(a, b), want, "{name}, pass {pass}: d({a}, {b})");
+                    }
+                }
+                let s = o.cache_stats().unwrap();
+                assert_eq!(s, built, "{name}, cap {cap}");
+                assert_eq!((s.misses, s.resident_rows), (0, 0), "{name}, cap {cap}");
             }
         }
-        assert_eq!(o.cache_stats().unwrap(), built, "a pair in two domains touched the cache");
-        let mates = row_mates(&o, 7);
-        let _ = o.d(7, mates[0]);
-        let s = o.cache_stats().unwrap();
-        assert_eq!((s.hits, s.misses, s.resident_rows), (0, 1, 1));
-        assert_eq!(s.resident_bytes, 2 * k, "one row over the domain's {k} hosts");
-        // Its other cells, and its mates' reads of 7, are hits on that row.
-        let _ = (o.d(7, mates[1]), o.d(mates[2], 7));
-        let s = o.cache_stats().unwrap();
-        assert_eq!((s.hits, s.misses, s.resident_bytes), (2, 1, 2 * k));
     }
 
     #[test]
     fn a_never_warmed_oracle_answers_every_miss_as_dijkstra_does() {
         // One row a shard and nothing warmed: every row read below was made
-        // by a `d` miss, by the search confined to a domain on the
-        // transit–stub graph (where only a same-domain pair reads one) and
-        // by the kernel's whole-graph fallback on the Waxman one.
+        // by a `d` miss, by the kernel's whole-graph row on the Waxman
+        // graph; the transit–stub one answers every pair by the kernel and
+        // makes none.
         let mut rng = SimRng::seed_from(26);
         let transit_stub = generate(&TransitStubParams::tiny(), &mut rng);
         let waxman = generate_waxman(&WaxmanParams::tiny(), &mut rng);
@@ -718,68 +653,61 @@ mod tests {
                 }
             }
             let s = o.cache_stats().unwrap().since(&built);
-            // Whole rows: every source misses. Domain rows: the first pair
-            // read inside each of `tiny()`'s eight domains finds neither
-            // row.
-            let floor = if decomposed { 8 } else { n };
-            assert!(s.misses >= floor as u64, "decomposed {decomposed}: {s:?}");
-            assert!(s.evictions > 0, "decomposed {decomposed}: {s:?}");
-            assert!(s.resident_rows <= CACHE_SHARDS, "decomposed {decomposed}: {s:?}");
+            if decomposed {
+                assert_eq!((s.hits, s.misses, s.resident_rows), (0, 0, 0), "{s:?}");
+            } else {
+                // Whole rows: every source misses.
+                assert!(s.misses >= n as u64, "{s:?}");
+                assert!(s.evictions > 0, "{s:?}");
+                assert!(s.resident_rows <= CACHE_SHARDS, "{s:?}");
+            }
         }
     }
 
     #[test]
     fn a_row_enters_the_store_only_through_a_d_miss() {
-        // On both row shapes, on the row-cache tier and behind the embedded
-        // tier's exact path: the build's checked row and the fit's rows
-        // leave the cache empty and uncounted, one `d` miss adds one miss
-        // and the one row it read, filed under its source, `warm_rows` then
-        // leaves the cache bit-equal, and the next read of that row hits.
+        // On the one row shape left, a Waxman graph's whole rows: the
+        // build's checked row leaves the cache empty and uncounted, one `d`
+        // miss adds one miss and the one row it read, filed under its
+        // source, `warm_rows` then leaves the cache bit-equal, and the next
+        // read of that row hits.
         for seed in 0..4 {
-            for (cached, g, cells) in both_row_shapes(seed, 8) {
-                let members = (0..cached.len()).map(|i| cached.host(i)).collect();
-                let embedded =
-                    LatencyOracle::try_build_with(&g, members, &OracleConfig::embedded()).unwrap();
-                for o in [cached, embedded] {
-                    let at = format!("seed {seed}, {} on {cells}-cell rows", o.tier());
-                    let built = o.cache_stats().unwrap();
-                    assert_eq!((built.resident_rows, built.misses), (0, 0), "{at}");
-                    let mates = row_mates(&o, 3);
-                    let _ = o.d_exact(3, mates[0]);
-                    let s = o.cache_stats().unwrap();
-                    assert_eq!((s.hits, s.misses, s.resident_rows), (0, 1, 1), "{at}");
-                    assert_eq!(s.resident_bytes, row_bytes(cells), "{at}");
-                    o.warm_rows(&(0..o.len()).collect::<Vec<_>>());
-                    assert_eq!(o.cache_stats().unwrap(), s, "{at}: warm_rows");
-                    let _ = o.d_exact(3, mates[1]);
-                    let s = o.cache_stats().unwrap();
-                    assert_eq!((s.hits, s.misses, s.resident_rows), (1, 1, 1), "{at}");
-                }
-            }
+            let (o, _) = waxman_rows(seed, 8);
+            let at = format!("seed {seed}");
+            let built = o.cache_stats().unwrap();
+            assert_eq!((built.resident_rows, built.misses), (0, 0), "{at}");
+            let _ = o.d(3, 4);
+            let s = o.cache_stats().unwrap();
+            assert_eq!((s.hits, s.misses, s.resident_rows), (0, 1, 1), "{at}");
+            assert_eq!(s.resident_bytes, row_bytes(40), "{at}");
+            o.warm_rows(&(0..o.len()).collect::<Vec<_>>());
+            assert_eq!(o.cache_stats().unwrap(), s, "{at}: warm_rows");
+            let _ = o.d(3, 5);
+            let s = o.cache_stats().unwrap();
+            assert_eq!((s.hits, s.misses, s.resident_rows), (1, 1, 1), "{at}");
         }
     }
 
     #[test]
     fn tiny_capacity_evicts_but_stays_correct() {
-        // Forty sources over sixteen shards and a budget of one kept row a
-        // shard, on both row shapes: every shard evicts on every pass and
-        // the cache ends inside its byte budget.
-        for (cached, g, cells) in both_row_shapes(13, 1) {
-            let n = cached.len();
-            let members = (0..n).map(|i| cached.host(i)).collect();
-            let dense = LatencyOracle::try_build_with(&g, members, &OracleConfig::dense()).unwrap();
-            for pass in 0..3 {
-                for a in 0..n {
-                    for b in 0..n {
-                        assert_eq!(cached.d(a, b), dense.d(a, b), "pass {pass}, pair ({a},{b})");
-                    }
+        // Forty sources over sixteen shards and a budget of one whole row a
+        // shard: every shard evicts on every pass and the cache ends inside
+        // its byte budget.
+        let (cached, g) = waxman_rows(13, 1);
+        let n = cached.len();
+        let members = (0..n).map(|i| cached.host(i)).collect();
+        let dense = LatencyOracle::try_build_with(&g, members, &OracleConfig::dense()).unwrap();
+        for pass in 0..3 {
+            for a in 0..n {
+                for b in 0..n {
+                    assert_eq!(cached.d(a, b), dense.d(a, b), "pass {pass}, pair ({a},{b})");
                 }
             }
-            let s = cached.cache_stats().unwrap();
-            assert!(s.evictions > 0, "{cells}-cell rows: tiny capacity must evict");
-            assert!(s.resident_bytes <= s.capacity_bytes, "{s:?}");
-            assert_eq!(s.resident_bytes, s.resident_rows * row_bytes(cells), "{s:?}");
         }
+        let s = cached.cache_stats().unwrap();
+        assert!(s.evictions > 0, "tiny capacity must evict");
+        assert!(s.resident_bytes <= s.capacity_bytes, "{s:?}");
+        assert_eq!(s.resident_bytes, s.resident_rows * row_bytes(n), "{s:?}");
     }
 
     #[test]
@@ -808,31 +736,45 @@ mod tests {
 
     #[test]
     fn a_latency_past_the_row_width_is_a_build_error_on_the_row_tiers_only() {
-        // All 40 stub hosts, so the first member has one across the core:
-        // at least 40,000 ms away, and twice that is past `RowMs::MAX`.
-        let params = TransitStubParams { transit_transit_ms: 40_000, ..TransitStubParams::tiny() };
-        let g = generate(&params, &mut SimRng::seed_from(24));
+        // Every host of a Waxman graph whose longest link is 40,000 ms: its
+        // rows are whole, the first member's farthest is at least one link
+        // of the graph's, and twice that is past `RowMs::MAX`.
+        let params = WaxmanParams { max_latency_ms: 40_000, ..WaxmanParams::tiny() };
+        let g = generate_waxman(&params, &mut SimRng::seed_from(24));
         let members = g.stub_nodes();
         let from_first = shortest_paths(&g, members[0]);
         let farthest = members.iter().map(|m| from_first[m.index()]).max().unwrap();
-        assert!(farthest >= 40_000);
-        for cfg in [OracleConfig::cached(1 << 20), OracleConfig::embedded()] {
-            let err = LatencyOracle::try_build_with(&g, members.clone(), &cfg).unwrap_err();
-            assert_eq!(err.fault, PairFault::TooFar { ms: farthest }, "{cfg:?}");
-            assert_eq!((err.from_member, err.from_host), (0, members[0]), "{cfg:?}");
-            assert_eq!(err.to_host, members[err.to_member], "{cfg:?}");
-            assert_eq!(from_first[err.to_host.index()], farthest, "{cfg:?}");
-            let msg = err.to_string();
-            assert!(msg.contains(&format!("{farthest} ms")) && !msg.contains('\n'), "{msg}");
-        }
+        assert!(2 * farthest > u32::from(RowMs::MAX), "{farthest}");
+        let err =
+            LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::cached(1 << 20))
+                .unwrap_err();
+        assert_eq!(err.fault, PairFault::TooFar { ms: farthest });
+        assert_eq!((err.from_member, err.from_host), (0, members[0]));
+        assert_eq!(err.to_host, members[err.to_member]);
+        assert_eq!(from_first[err.to_host.index()], farthest);
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("{farthest} ms")) && !msg.contains('\n'), "{msg}");
         // The matrix is `u32`: it builds, and answers past sixteen bits.
         let dense = LatencyOracle::try_build_with(&g, members, &OracleConfig::dense())
             .expect("the dense tier has no width limit");
         assert_eq!((0..dense.len()).map(|j| dense.d(0, j)).max(), Some(farthest));
+        // A transit–stub graph as wide keeps no row, so neither tier has a
+        // limit there: the row cache builds and answers past sixteen bits.
+        let params = TransitStubParams { transit_transit_ms: 40_000, ..TransitStubParams::tiny() };
+        let g = generate(&params, &mut SimRng::seed_from(24));
+        let members = g.stub_nodes();
+        let from_first = shortest_paths(&g, members[0]);
+        let cached =
+            LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::cached(1 << 20))
+                .expect("a decomposed graph keeps no row to be too narrow");
+        for (j, m) in members.iter().enumerate() {
+            assert_eq!(cached.d(0, j), from_first[m.index()], "{j}");
+        }
+        assert!((0..cached.len()).any(|j| cached.d(0, j) > u32::from(RowMs::MAX)));
     }
 
     #[test]
-    fn the_width_check_is_on_twice_the_first_row_and_exact_at_the_edge() {
+    fn the_width_check_is_on_twice_the_first_row_and_is_exact_at_the_edge() {
         // A path m1 - m0 - m2: row 0 holds (0, a, b) and `d(m1, m2) = a + b`.
         // `2 · max(a, b) ≤ 65,535` is what is checked, so 32,767 either
         // side builds — and row 1 then holds 65,534, which reads back —
@@ -846,11 +788,10 @@ mod tests {
             (g.build(), m)
         };
         let (g, m) = path(32_767, 32_767);
-        for cfg in [OracleConfig::cached(1 << 20), OracleConfig::embedded()] {
-            let o = LatencyOracle::try_build_with(&g, m.clone(), &cfg).unwrap();
-            assert_eq!(o.d_exact(1, 2), 65_534, "{cfg:?}");
-            assert_eq!(o.d_exact(2, 0), 32_767, "{cfg:?}");
-        }
+        let o =
+            LatencyOracle::try_build_with(&g, m.clone(), &OracleConfig::cached(1 << 20)).unwrap();
+        assert_eq!(o.d(1, 2), 65_534);
+        assert_eq!(o.d(2, 0), 32_767);
         let (g, m) = path(32_767, 32_768);
         let err = LatencyOracle::try_build_with(&g, m, &OracleConfig::cached(1 << 20)).unwrap_err();
         assert_eq!((err.to_member, err.fault), (2, PairFault::TooFar { ms: 32_768 }));
@@ -867,7 +808,8 @@ mod tests {
     #[test]
     fn each_forced_tier_builds_the_tier_and_budget_it_says() {
         let b = 1 << 20;
-        // The last two are the spellings `benchmark/src/scale.rs` uses.
+        // The last two are the spellings `benchmark/src/scale.rs` uses; the
+        // hidden `embedded()` is the cached configuration.
         let rows = [
             (OracleConfig::default(), Tier::Dense, None),
             (OracleConfig::dense(), Tier::Dense, None),
@@ -875,7 +817,7 @@ mod tests {
             (OracleConfig::cached(b), Tier::Cached, Some(b)),
             (
                 OracleConfig { cache_capacity_bytes: b, ..OracleConfig::embedded() },
-                Tier::Embedded,
+                Tier::Cached,
                 Some(b),
             ),
         ];
@@ -885,7 +827,6 @@ mod tests {
             let o = LatencyOracle::select_and_build_with(&g, 16, &mut rng, &cfg);
             assert_eq!(o.built_tier(), tier, "{cfg:?}");
             assert_eq!(o.tier(), tier.label(), "{cfg:?}");
-            assert_eq!(o.embedding().is_some(), tier == Tier::Embedded, "{cfg:?}");
             let capacity = o.cache_stats().map(|s| s.capacity_bytes);
             let default_budget = OracleConfig::default().cache_capacity_bytes;
             let expected = (tier != Tier::Dense).then_some(budget.unwrap_or(default_budget));
@@ -896,42 +837,25 @@ mod tests {
     #[test]
     fn an_empty_member_set_builds_on_every_tier() {
         let g = generate(&TransitStubParams::tiny(), &mut SimRng::seed_from(23));
-        for cfg in [OracleConfig::dense(), OracleConfig::cached(1 << 20), OracleConfig::embedded()]
-        {
+        for cfg in [OracleConfig::dense(), OracleConfig::cached(1 << 20)] {
             let o = LatencyOracle::try_build_with(&g, Vec::new(), &cfg).unwrap();
             assert!(o.is_empty(), "{}", o.tier());
             assert_eq!(o.cache_stats().map(|s| s.resident_rows).unwrap_or(0), 0);
-            assert_eq!(o.var_margin_per_term(), 0.0);
         }
     }
 
     #[test]
-    fn embedded_config_routes_to_coord_embed() {
+    fn the_embed_shims_build_the_cached_tier_and_count_nothing() {
+        // `benchmark/src/scale.rs` still spells the deleted tier's
+        // configuration and reads its counters.
         let mut rng = SimRng::seed_from(20);
         let g = generate(&TransitStubParams::tiny(), &mut rng);
         let o = LatencyOracle::select_and_build_with(&g, 16, &mut rng, &OracleConfig::embedded());
-        assert_eq!(o.tier(), "coord-embed");
-        assert!(o.cache_stats().is_some(), "embedded tier exposes its exact cache");
-        assert!(o.embed_stats().is_some());
-        assert!(o.embed_calibration().is_some());
-        assert!(o.var_margin_per_term() >= 1.0);
-        // d_exact must agree with a straight Dijkstra even though d() is
-        // an estimate.
-        let full = shortest_paths(&g, o.host(0));
-        for b in 0..16 {
-            assert_eq!(o.d_exact(0, b), full[o.host(b).index()]);
+        assert_eq!(o.built_tier(), Tier::Cached);
+        for oracle in [&o, &tiny_oracle(10, 21)] {
+            let s = oracle.embed_stats().unwrap_or_default();
+            assert_eq!(s.since(&EmbedStats::default()), EmbedStats::default());
+            assert!(oracle.embed_stats().is_none());
         }
-    }
-
-    #[test]
-    fn exact_tiers_have_empty_fallback_band() {
-        let dense = tiny_oracle(10, 21);
-        assert_eq!(dense.var_margin_per_term(), 0.0);
-        assert!(dense.embed_stats().is_none());
-        assert!(dense.embed_calibration().is_none());
-        dense.note_escalation(); // no-op, must not panic
-        let cached = tiny_cached(10, 21, 1 << 20);
-        assert_eq!(cached.var_margin_per_term(), 0.0);
-        assert!(cached.embed_stats().is_none());
     }
 }

@@ -121,8 +121,14 @@ impl TransitStubParams {
 
     /// Total number of hosts this parameterization produces.
     pub fn total_nodes(&self) -> usize {
+        self.transit_domains * self.transit_nodes_per_domain + self.stub_hosts()
+    }
+
+    /// Stub hosts this parameterization produces: the most members an
+    /// oracle can select from it.
+    pub fn stub_hosts(&self) -> usize {
         let transit = self.transit_domains * self.transit_nodes_per_domain;
-        transit + transit * self.stub_domains_per_transit * self.nodes_per_stub_domain
+        transit * self.stub_domains_per_transit * self.nodes_per_stub_domain
     }
 }
 
@@ -300,6 +306,7 @@ mod tests {
         assert_eq!(g.num_nodes(), 44);
         assert!(g.is_connected());
         assert_eq!(g.stub_nodes().len(), 40);
+        assert_eq!(p.stub_hosts(), 40);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! observationally identical to the dense tier — the same `u32` latency
 //! for every ordered pair — on any topology, member subset, and cache
 //! capacity, including capacities tiny enough to evict rows between
-//! queries and force recomputation.
+//! queries and force recomputation (rows are kept only on a graph without
+//! the transit–stub decomposition: a Waxman one here).
 
 use prop_engine::SimRng;
 use prop_netsim::waxman::{generate_waxman, WaxmanParams};
@@ -109,12 +110,14 @@ fn tiers_agree_on_waxman() {
 /// Deterministic eviction regression: a capacity that can hold only one
 /// row per shard must still answer identically to dense, and must
 /// actually evict (the equivalence above would be vacuous if the tiny
-/// caps never churned).
+/// caps never churned). Only a graph the row kernel refuses keeps rows —
+/// a transit–stub one answers every pair without — so this is a Waxman
+/// graph, whose rows are whole.
 #[test]
 fn tiny_cache_evicts_and_still_agrees() {
-    let p = ts_params(2, 2, 2, 6, 0.3);
+    let p = WaxmanParams { nodes: 40, alpha: 0.4, beta: 0.3, max_latency_ms: 120 };
     let mut rng = SimRng::seed_from(77);
-    let g = generate(&p, &mut rng);
+    let g = generate_waxman(&p, &mut rng);
     let members = pick_members(&g, 24, &mut rng);
     let n = members.len();
     let dense = LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::dense()).unwrap();
