@@ -787,6 +787,38 @@ mod tests {
     }
 
     #[test]
+    fn domains_of_unequal_size_share_one_cache() {
+        // Domain 0 has three hosts and domain 1 two. Both are answered from
+        // this thread's one meeting scratch, grown to the larger domain and
+        // kept as it is for the smaller: what a query in one leaves behind
+        // is stale to the next in the other. The row cache, at a budget of
+        // plenty or of one byte, keeps nothing for either.
+        let (g, nodes) = two_domains(0, |_, _| {});
+        let (a0, a1, a2, b0, b1) = (2, 3, 4, 5, 6);
+        let kernel = RowKernel::new(&g, &nodes);
+        let scratch = || MEETING.with_borrow(|m| (m.from.stamp.len(), m.to.stamp.len()));
+        let pairs = [(a0, a2, 12), (b0, b1, 5), (a2, a1, 7), (b1, b0, 5), (a1, a0, 5)];
+        assert_eq!(kernel.d(&g, &nodes, a0, a2), Some(12));
+        let grown = scratch();
+        assert!(grown.0 >= 3 && grown.1 >= 3, "{grown:?}");
+        for (a, b, want) in pairs {
+            assert_eq!(shortest_paths(&g, nodes[a])[nodes[b].index()], want, "({a}, {b})");
+            assert_eq!(kernel.d(&g, &nodes, a, b), Some(want), "({a}, {b})");
+            assert_eq!(scratch(), grown, "({a}, {b})");
+        }
+        for cap in [1 << 20, 1] {
+            let cfg = OracleConfig::cached(cap);
+            let o = LatencyOracle::try_build_with(&g, nodes.clone(), &cfg).unwrap();
+            let built = o.cache_stats().unwrap();
+            assert_eq!((built.misses, built.resident_rows), (0, 0), "cap {cap}");
+            for (a, b, want) in pairs {
+                assert_eq!(o.d(a, b), want, "cap {cap}: ({a}, {b})");
+            }
+            assert_eq!(o.cache_stats().unwrap(), built, "cap {cap}");
+        }
+    }
+
+    #[test]
     fn other_structures_are_rejected_and_still_exact() {
         let mut rng = SimRng::seed_from(3);
         let waxman = generate_waxman(&WaxmanParams::tiny(), &mut rng);
