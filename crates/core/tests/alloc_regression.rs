@@ -28,10 +28,11 @@
 //! What still allocates, by design, and is therefore not in a window: the
 //! message-level driver's in-flight `Commit { walk }` event owns a clone of
 //! its walk (one allocation per launch, a second for a duplicated
-//! handshake); the cached oracle tiers allocate when a `d` miss computes a
-//! row; a churn event allocates in the overlay (`remove_slot` hands back
-//! the orphans, a new slot gets a row) and for the joiner's fresh node
-//! state, though no longer per notified neighbor.
+//! handshake); the search store's meeting scratch grows, once per thread,
+//! to the largest stub domain searched; a churn event allocates in the
+//! overlay (`remove_slot` hands back the orphans, a new slot gets a row)
+//! and for the joiner's fresh node state, though no longer per notified
+//! neighbor.
 //!
 //! One `#[test]`: the counter is process-wide, so windows must not overlap.
 //!
@@ -41,7 +42,7 @@
 use prop_core::config::PropConfig;
 use prop_core::sim::ProtocolSim;
 use prop_engine::{allocation_count, counting_active, CountingAllocator, Duration, SimRng};
-use prop_netsim::{generate, LatencyOracle, TransitStubParams};
+use prop_netsim::{generate, LatencyOracle, Tier, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 use std::sync::Arc;
 
@@ -128,10 +129,7 @@ fn steady_state_trials_do_not_allocate() {
         let oracle = Arc::new(LatencyOracle::select_and_build(&phys, w.members, &mut rng));
         let (_, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
         let mut sim = ProtocolSim::new(net, w.cfg, &mut rng);
-        assert!(
-            sim.net().oracle_cache_stats().is_none(),
-            "test expects the dense tier (a row miss on the cached tier allocates by design)"
-        );
+        assert_eq!(sim.net().oracle().built_tier(), Tier::Dense, "test expects the dense tier");
 
         sim.run_for(Duration::from_minutes(w.warm_up_min));
         let before = sim.overhead();

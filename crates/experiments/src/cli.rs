@@ -11,7 +11,6 @@ use crate::report::print_report;
 use crate::setup::Scale;
 use crate::sweep::GateSpec;
 use crate::traffic::{ScenarioError, TrafficDriver, BUILTIN_SCENARIOS};
-use prop_netsim::Tier;
 use std::fmt;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,7 +32,6 @@ pub enum Flag {
     MinDelivery,
     MaxStretch,
     N,
-    Tier,
     BudgetSecs,
     /// Not spelt: the positional argument names a builtin scenario or a
     /// scenario file instead of a panel.
@@ -41,7 +39,7 @@ pub enum Flag {
 }
 
 /// `(flag, spelling, value placeholder — empty for a switch)`.
-const SPELLINGS: [(Flag, &str, &str); 13] = [
+const SPELLINGS: [(Flag, &str, &str); 12] = [
     (Flag::Quick, "--quick", ""),
     (Flag::Seed, "--seed", "N"),
     (Flag::Seeds, "--seeds", "N"),
@@ -53,7 +51,6 @@ const SPELLINGS: [(Flag, &str, &str); 13] = [
     (Flag::MinDelivery, "--min-delivery", "RATE"),
     (Flag::MaxStretch, "--max-stretch", "X"),
     (Flag::N, "--n", "MEMBERS"),
-    (Flag::Tier, "--oracle-tier", "auto|dense|cached"),
     (Flag::BudgetSecs, "--budget-secs", "S"),
 ];
 
@@ -84,7 +81,6 @@ pub struct Args {
     pub min_delivery: Option<f64>,
     pub max_stretch: Option<f64>,
     pub n: Option<usize>,
-    pub oracle_tier: Tier,
     pub budget_secs: Option<u64>,
 }
 
@@ -103,7 +99,6 @@ impl Default for Args {
             min_delivery: None,
             max_stretch: None,
             n: None,
-            oracle_tier: Tier::Auto,
             budget_secs: None,
         }
     }
@@ -247,10 +242,6 @@ pub fn parse(argv: &[String], exp: &Experiment) -> Result<Args, CliError> {
             Flag::MinDelivery => args.min_delivery = Some(value(arg, raw, "a number", number)?),
             Flag::MaxStretch => args.max_stretch = Some(value(arg, raw, "a number", number)?),
             Flag::N => args.n = Some(value(arg, raw, MEMBERS_EXPECTED, at_least(MIN_MEMBERS))?),
-            Flag::Tier => {
-                let expected = "one of auto, dense, cached";
-                args.oracle_tier = value(arg, raw, expected, Tier::parse)?
-            }
             Flag::BudgetSecs => {
                 args.budget_secs = Some(value(arg, raw, "whole seconds", |s| s.parse().ok())?)
             }
@@ -367,9 +358,9 @@ mod tests {
             ("fig5 --seed", "--seed needs an integer"),
             ("fig6 --seeds 0", "--seeds needs a seed count ≥ 1, got `0`"),
             ("fig6 --seeds 2 --gate nope", "--gate needs METRIC=MAX_CI95, got `nope`"),
-            ("scale --oracle-tier warp", "--oracle-tier needs one of auto, dense, cached, got `warp`"),
+            // The deleted tier knob: the member count picks the tier.
+            ("scale --quick --n 2000 --oracle-tier dense", "unknown flag --oracle-tier"),
             // The deleted coordinate-embedded tier.
-            ("scale --oracle-tier embedded", "--oracle-tier needs one of auto, dense, cached, got `embedded`"),
             ("embed_agreement --quick", "unknown experiment `embed_agreement`"),
             ("scale --n -3", "--n needs a member count ≥ 5, got `-3`"),
             ("scale --n 0", "--n needs a member count ≥ 5, got `0`"),
@@ -475,13 +466,8 @@ mod tests {
                 Args { n: Some(100_000), budget_secs: Some(120), ..quick() },
             ),
             (
-                "scale --quick --n 1000000 --budget-secs 900 --seed 1 --oracle-tier cached",
-                Args {
-                    n: Some(1_000_000),
-                    budget_secs: Some(900),
-                    oracle_tier: Tier::Cached,
-                    ..quick()
-                },
+                "scale --quick --n 1000000 --budget-secs 900 --seed 1",
+                Args { n: Some(1_000_000), budget_secs: Some(900), ..quick() },
             ),
         ];
         for (line, expected) in rows {
@@ -505,12 +491,11 @@ mod tests {
         );
         assert_eq!(
             usage_of("scale"),
-            "usage: prop scale [--quick] [--seed N] [--n MEMBERS] \
-             [--oracle-tier auto|dense|cached] [--budget-secs S]"
+            "usage: prop scale [--quick] [--seed N] [--n MEMBERS] [--budget-secs S]"
         );
         assert!(usage_of("traffic")
             .starts_with("usage: prop traffic [diurnal-regional|flash-crowd|FILE.json] "));
-        // Thirteen flags in all, and every one some experiment takes.
+        // Twelve flags in all, and every one some experiment takes.
         for (flag, spelt, _) in SPELLINGS {
             let taken =
                 registry::EXPERIMENTS.iter().any(|e| usage(e).contains(&format!("[{spelt}")));

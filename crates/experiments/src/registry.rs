@@ -149,9 +149,9 @@ pub static EXPERIMENTS: [Experiment; 8] = [
     },
     Experiment {
         name: "scale",
-        panels: &[panel!("", "S1", "scale", "exact oracle query storm and PROP warm-up at 2,000 to 100,000 members; on `scaled(n)` the row store keeps no row (S5: `--n 1000000`)")],
+        panels: &[panel!("", "S1", "scale", "exact oracle query storm and PROP warm-up at 2,000 to 100,000 members; on `scaled(n)` the oracle keeps no row (S5: `--n 1000000`)")],
         unit: None,
-        flags: &[Flag::Tier, Flag::N, Flag::BudgetSecs],
+        flags: &[Flag::N, Flag::BudgetSecs],
         run: scale::run,
     },
 ];

@@ -3,27 +3,26 @@
 //! The paper stops at ~1,000 members, where a dense APSP matrix is cheap.
 //! This pipeline (topology → latency oracle → overlay → PROP warm-up) runs
 //! at any member count `--n` names; at 100,000 a dense matrix would need
-//! ~40 GB and the oracle instead runs on its row-cache tier: `scaled(n)` is
-//! a transit–stub graph, so `d(u, v)` between two stub domains (149 of 150
-//! uniform pairs) is a point query over the verified decomposition, and a
-//! pair inside one domain a meeting search confined to it — one Dijkstra
-//! from each end — so the oracle keeps no row at all (DESIGN.md §9).
+//! ~40 GB, and the member count instead picks the oracle's search store:
+//! `scaled(n)` is a transit–stub graph, so `d(u, v)` between two stub
+//! domains (149 of 150 uniform pairs) is a point query over the verified
+//! decomposition, and a pair inside one domain a meeting search confined
+//! to it — one Dijkstra from each end — so the oracle keeps no row at all
+//! (DESIGN.md §9).
 //!
 //! Two stages per size:
 //!
 //! 1. **Query storm** — answer 1,000,000 random `d(u, v)` queries
-//!    (200,000 under `--quick`), grouped by source, asserting peak oracle
-//!    memory stays under the 512 MiB cap.
+//!    (200,000 under `--quick`).
 //! 2. **Protocol warm-up** — build a Gnutella overlay over the same
 //!    oracle and run a few minutes of PROP-G and PROP-O, reporting
-//!    stretch improvement and the cache counters the run generated.
+//!    stretch improvement.
 //!
-//! `--oracle-tier` pins the oracle tier instead of letting the member
-//! count choose. `--n N` replaces the size ladder with the single size N
-//! (`--n 1000000` is the EXPERIMENTS S5 run: the PROP warm-up runs at
-//! every size, the drivers' hot path being O(1) per event); `--budget-secs
-//! S` makes the run exit non-zero if its total wall clock exceeds S seconds
-//! (the CI driver-scale-smoke gate).
+//! `--n N` replaces the size ladder with the single size N (`--n 1000000`
+//! is the EXPERIMENTS S5 run: the PROP warm-up runs at every size, the
+//! drivers' hot path being O(1) per event); `--budget-secs S` makes the
+//! run exit non-zero if its total wall clock exceeds S seconds (the CI
+//! driver-scale-smoke gate).
 //!
 //! Useful for sizing reproduction runs; not a paper figure. Wall-clock
 //! numbers are machine-dependent by nature. CI's `driver-scale-smoke` job
@@ -39,15 +38,11 @@ use crate::report::write_json;
 use crate::setup::Scale;
 use prop_core::{PropConfig, ProtocolSim};
 use prop_engine::{json_impl, Duration, SimRng};
-use prop_metrics::OracleCacheReport;
-use prop_netsim::{generate, LatencyOracle, OracleConfig, TransitStubParams};
+use prop_netsim::{generate, LatencyOracle, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Hard cap on oracle cache memory — the headline claim of this experiment.
-const CACHE_CAP_BYTES: usize = 512 << 20;
 
 struct SizeReport {
     members: usize,
@@ -60,13 +55,12 @@ struct SizeReport {
     query_ms: f64,
     queries_per_sec: f64,
     mean_query_latency_ms: f64,
-    query_cache: OracleCacheReport,
     warmups: Vec<WarmupReport>,
 }
 
 json_impl!(ToJson for struct SizeReport {
     members, phys_hosts, phys_links, tier, topo_ms, oracle_build_ms, queries, query_ms,
-    queries_per_sec, mean_query_latency_ms, query_cache, warmups
+    queries_per_sec, mean_query_latency_ms, warmups
 });
 
 struct WarmupReport {
@@ -76,11 +70,10 @@ struct WarmupReport {
     exchanges: u64,
     stretch_before: f64,
     stretch_after: f64,
-    cache: OracleCacheReport,
 }
 
 json_impl!(ToJson for struct WarmupReport {
-    policy, sim_minutes, wall_ms, exchanges, stretch_before, stretch_after, cache
+    policy, sim_minutes, wall_ms, exchanges, stretch_before, stretch_after
 });
 
 /// Run the ladder (or `--n`'s single size) and write `results/scale.json`.
@@ -89,15 +82,13 @@ pub fn run(_: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
         Scale::Paper => (&[2_000, 50_000, 100_000], 1_000_000, 5),
         Scale::Quick => (&[2_000, 5_000, 20_000], 200_000, 3),
     };
-    let cfg = OracleConfig { tier: args.oracle_tier, cache_capacity_bytes: CACHE_CAP_BYTES };
-
     let start = Instant::now();
     let reports: Vec<SizeReport> = args
         .n
         .as_ref()
         .map_or(sizes, std::slice::from_ref)
         .iter()
-        .map(|&n| run_size(n, queries, sim_minutes, &cfg, args.seed))
+        .map(|&n| run_size(n, queries, sim_minutes, args.seed))
         .collect();
     write_json("scale", &reports);
 
@@ -112,13 +103,7 @@ pub fn run(_: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn run_size(
-    n: usize,
-    queries: usize,
-    sim_minutes: u64,
-    cfg: &OracleConfig,
-    seed: u64,
-) -> SizeReport {
+fn run_size(n: usize, queries: usize, sim_minutes: u64, seed: u64) -> SizeReport {
     let mut rng = SimRng::seed_from(seed);
 
     let t0 = Instant::now();
@@ -127,7 +112,7 @@ fn run_size(
     let topo_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t0 = Instant::now();
-    let oracle = Arc::new(LatencyOracle::select_and_build_with(&phys, n, &mut rng, cfg));
+    let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
     let oracle_build_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!(
         "\n=== n = {n} members over {} hosts / {} links (tier: {}; topo {topo_ms:.0} ms, \
@@ -137,16 +122,11 @@ fn run_size(
         oracle.tier(),
     );
 
-    // Stage 1: the query storm, grouped by source so that, on a graph
-    // without the decomposition, the reads of one whole row come together.
-    let mark = oracle.cache_stats().unwrap_or_default();
+    // Stage 1: the query storm.
     let t0 = Instant::now();
-    let mut pairs: Vec<(usize, usize)> =
-        (0..queries).map(|_| (rng.range(0..n), rng.range(0..n))).collect();
-    pairs.sort_unstable();
-    let total_latency: u64 = pairs.iter().map(|&(a, b)| oracle.d(a, b) as u64).sum();
+    let total_latency: u64 =
+        (0..queries).map(|_| oracle.d(rng.range(0..n), rng.range(0..n)) as u64).sum();
     let query_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let query_cache = OracleCacheReport::from_oracle_since(&oracle, &mark);
     let mean_query_latency_ms = total_latency as f64 / queries as f64;
     println!(
         "query storm: {queries} queries in {:.0} ms ({:.0}k queries/s, mean d(u,v) = {:.1} ms)",
@@ -154,20 +134,6 @@ fn run_size(
         queries as f64 / query_ms,
         mean_query_latency_ms,
     );
-    println!("  {query_cache}");
-    if let Some(stats) = oracle.cache_stats() {
-        assert!(
-            stats.peak_resident_bytes <= CACHE_CAP_BYTES,
-            "oracle exceeded the {} MiB cap: peak {} bytes",
-            CACHE_CAP_BYTES >> 20,
-            stats.peak_resident_bytes
-        );
-        println!(
-            "  memory cap OK: peak {:.1} MiB <= {} MiB",
-            stats.peak_resident_bytes as f64 / (1024.0 * 1024.0),
-            CACHE_CAP_BYTES >> 20
-        );
-    }
 
     // Stage 2: PROP warm-up over the same oracle — at every size,
     // including a million members: with the timer-wheel queue and the
@@ -179,19 +145,16 @@ fn run_size(
         let mut wrng = rng.fork(label);
         let (_gn, net) = Gnutella::build(GnutellaParams::default(), Arc::clone(&oracle), &mut wrng);
         let stretch_before = net.stretch();
-        let mark = oracle.cache_stats().unwrap_or_default();
         let t0 = Instant::now();
         let mut sim = ProtocolSim::new(net, policy, &mut wrng);
         sim.run_for(Duration::from_minutes(sim_minutes));
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let cache = OracleCacheReport::from_oracle_since(&oracle, &mark);
         let stretch_after = sim.net().stretch();
         let exchanges = sim.overhead().exchanges;
         println!(
             "{label}: {sim_minutes} sim-min in {wall_ms:.0} ms, {exchanges} exchanges, \
              stretch {stretch_before:.3} -> {stretch_after:.3}",
         );
-        println!("  {cache}");
         warmups.push(WarmupReport {
             policy: label,
             sim_minutes,
@@ -199,7 +162,6 @@ fn run_size(
             exchanges,
             stretch_before,
             stretch_after,
-            cache,
         });
     }
 
@@ -214,7 +176,6 @@ fn run_size(
         query_ms,
         queries_per_sec: queries as f64 / (query_ms / 1e3),
         mean_query_latency_ms,
-        query_cache,
         warmups,
     }
 }

@@ -121,8 +121,8 @@ impl Scenario {
         Self::build_with(topology, n, seed, &OracleConfig::default())
     }
 
-    /// [`Scenario::build`] with an explicit oracle config — how the
-    /// tier-comparison experiments pin a tier ([`OracleConfig::tier`]).
+    /// [`Scenario::build`] with an explicit oracle config — how a test pins
+    /// a tier ([`OracleConfig::tier`]).
     /// The RNG consumption is identical to `build`, so two scenarios that
     /// differ only in config share topology, membership, and overlays.
     pub fn build_with(topology: Topology, n: usize, seed: u64, cfg: &OracleConfig) -> Self {
@@ -306,21 +306,14 @@ mod tests {
     }
 
     #[test]
-    fn oracle_tier_parse_and_config_force_tiers() {
-        // What `--oracle-tier` accepts, through to the oracle a scenario holds.
-        for (spelt, expect) in [("auto", "dense"), ("dense", "dense"), ("cached", "row-cache")] {
-            let tier = Tier::parse(spelt).expect(spelt);
-            let cfg = OracleConfig { tier, cache_capacity_bytes: 1 << 20 };
-            let s = Scenario::build_with(Topology::Tiny, 16, 3, &cfg);
-            assert_eq!(s.oracle.tier(), expect, "--oracle-tier {spelt}");
-        }
-    }
-
-    #[test]
     fn forced_tiers_share_membership_with_auto() {
         // Same seed + topology ⇒ same hosts regardless of oracle config.
         let auto = Scenario::build(Topology::Tiny, 16, 5);
-        let cached = Scenario::build_with(Topology::Tiny, 16, 5, &OracleConfig::cached(1 << 20));
+        let cached = Scenario::build_with(Topology::Tiny, 16, 5, &OracleConfig::cached(1));
+        assert_eq!(
+            (auto.oracle.built_tier(), cached.oracle.built_tier()),
+            (Tier::Dense, Tier::Cached)
+        );
         for i in 0..16 {
             assert_eq!(auto.oracle.host(i), cached.oracle.host(i));
         }

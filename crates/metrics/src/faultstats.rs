@@ -3,8 +3,7 @@
 //! The fault plane (`prop-faults`) counts what it did to the traffic —
 //! drops, duplicate deliveries, reorders, partition time, crashed-commit
 //! aborts ([`FaultCounters`]). [`FaultReport`] packages those raw counters
-//! with the derived rates the experiment tables and JSON dumps need, the
-//! same shape [`crate::OracleCacheReport`] gives the oracle cache.
+//! with the derived rates the experiment tables and JSON dumps need.
 
 use prop_core::fault::FaultCounters;
 

@@ -10,8 +10,6 @@
 //!   plots.
 //! * [`degree`] — degree-distribution summaries for the PROP-O
 //!   power-law-preservation argument.
-//! * [`oraclestats`] — latency-oracle row-cache hit/miss/eviction counters
-//!   for large-scale (beyond-paper) runs.
 //! * [`faultstats`] — fault-plane counters (drops, dups, reorders,
 //!   partition time, crashed-commit aborts) with derived rates, for the
 //!   robustness sweeps.
@@ -28,7 +26,6 @@ pub mod degree;
 pub mod faultstats;
 pub mod floodcost;
 pub mod latency;
-pub mod oraclestats;
 pub mod plane;
 pub mod stretch;
 pub mod timeseries;
@@ -38,7 +35,6 @@ pub use ci::{t_critical_95, MetricSummary};
 pub use faultstats::FaultReport;
 pub use floodcost::{flood_messages, mean_flood_messages};
 pub use latency::{avg_lookup_latency, LatencySummary};
-pub use oraclestats::OracleCacheReport;
 pub use plane::MEASURE_CHUNK;
 pub use stretch::{link_stretch, path_stretch, StretchSummary};
 pub use timeseries::TimeSeries;

@@ -24,9 +24,9 @@
 //! shared overlay and oracle), which is what the fan-out relies on. A
 //! measurement called from inside a fanned-out run — a seed of a sweep, a
 //! curve of a panel — runs its chunks inline on that run's thread. Nothing
-//! is fetched ahead of the loop: on a row tier an oracle row is made by the
-//! `d` miss that first reads it, and rows are exact, so which chunk made it
-//! never shows in a value.
+//! is fetched ahead of the loop: no oracle store keeps a row, and the
+//! search store's meeting scratch is per thread and forgets each query, so
+//! which chunk asked first never shows in a value.
 
 /// Chunk size for the measurement plane's pair-list decomposition.
 ///

@@ -1,13 +1,13 @@
 //! Property: every measurement is **bit-for-bit identical** on the dense
-//! oracle tier and on a row cache squeezed to its minimum capacity (one
-//! resident row per shard, so the measurement thrashes the cache
-//! constantly) — across random overlays (Gnutella flooding and Chord
-//! routing).
+//! oracle tier (per-domain blocks) and on the row-cache tier (the search
+//! store: point queries and meeting searches from per-thread scratch) —
+//! across random overlays (Gnutella flooding and Chord routing).
 //!
 //! This is the determinism contract of `prop_metrics::plane` stated as a
 //! property rather than as a handful of fixed seeds: integer metrics are
 //! exact sums, and the float-valued stretch uses fixed `MEASURE_CHUNK`
-//! chunking with in-order folding, so no cache state may leak into the bits.
+//! chunking with in-order folding, so no store or scratch state may leak
+//! into the bits.
 
 use prop_engine::SimRng;
 use prop_metrics::{avg_lookup_latency, mean_flood_messages, path_stretch};
@@ -29,9 +29,8 @@ fn measurements_are_bit_identical_on_dense_and_squeezed_cache() {
         let seed = gen.range(0..u64::MAX / 2);
         let n = gen.range(24..=40usize);
 
-        // `cached(1)` clamps to the cache's floor — one row per shard —
-        // forcing evictions on nearly every lookup. Both configs consume the
-        // stream identically, so the two sides measure the same overlays.
+        // Both configs consume the stream identically, so the two sides
+        // measure the same overlays.
         let measure = |cfg: OracleConfig| {
             let mut rng = SimRng::seed_from(seed);
             let phys = generate(&TransitStubParams::tiny(), &mut rng);

@@ -1,6 +1,6 @@
 //! The row kernel: how one latency `d(u, v)` between members is answered —
-//! without a row where the graph allows, and by a whole row where it does
-//! not.
+//! without a row where the graph allows, and from the whole matrix where
+//! it does not.
 //!
 //! [`generate`](crate::transit_stub::generate) joins every stub domain to
 //! its transit node by exactly one stub–transit link. That link is a
@@ -18,8 +18,9 @@
 //! hosts of one domain never gains by leaving it (it would cross the bridge
 //! twice), and a path between transit nodes never gains by entering one.
 //!
-//! [`RowKernel::new`] **checks that structure on the graph it is given** —
-//! it is never assumed from how the graph was made, and there is no setting:
+//! [`Decomposition::build`] **checks that structure on the graph it is
+//! given** — it is never assumed from how the graph was made, and there is
+//! no setting:
 //!
 //! * all hosts of a stub domain name the same gateway;
 //! * every stub–stub link stays inside one domain;
@@ -37,46 +38,23 @@
 //! tag. That pair is answered by a **meeting search**: one Dijkstra from
 //! each end, both confined to the domain, stopped once the two frontiers'
 //! smallest keys sum to at least the shortest meeting found
-//! ([`RowKernel::d`] answers every pair either way, and keeps nothing). On
-//! the dense tier such a pair reads a cell of its tag's **block**
-//! ([`Blocks`]), `k × k` over the tag's members, filled by one search
-//! confined to the domain from each. When any check fails (a Waxman graph,
-//! a multi-homed domain, a disconnected graph) there is no point answer
-//! and a latency is read from a whole-graph row ([`whole_row`], one
-//! [`shortest_paths`]) — the dense tier's `n × n` matrix is made of these,
-//! a row store keeps them — and it is that row which names the offending
-//! pair of a disconnected member set. Every search runs the one Dijkstra in
-//! [`crate::dijkstra`], or, for the meeting, its two halves.
+//! ([`Decomposition::d`] answers every pair either way, and keeps nothing:
+//! the search store). On the dense tier such a pair reads a cell of its
+//! tag's **block** ([`Blocks`]), `k × k` over the tag's members, filled by
+//! one search confined to the domain from each. When any check fails (a
+//! Waxman graph, a multi-homed domain, a disconnected graph) there is no
+//! point answer, and every tier is the `n × n` matrix
+//! ([`Blocks::matrix`]), a row of it one whole-graph [`shortest_paths`]; it
+//! is that row which names the offending pair of a disconnected member
+//! set. Every search runs the one Dijkstra in [`crate::dijkstra`], or, for
+//! the meeting, its two halves.
 
 use crate::dijkstra::{search, shortest_paths, Frontier, UNREACHABLE};
 use crate::graph::{NodeClass, PhysGraph, PhysNodeId};
-use crate::latency::{OracleBuildError, PairFault};
+use crate::latency::OracleBuildError;
 use crate::oracle::MemberIdx;
-use crate::rowcache::RowMs;
 use std::cell::RefCell;
 use std::cmp::Reverse;
-
-/// What a row is written into: the dense matrix's `u32`, or the row
-/// store's [`RowMs`] — filled directly, no wider row made and then copied.
-pub(crate) trait Cell: Copy {
-    fn from_ms(ms: u32) -> Self;
-}
-
-impl Cell for u32 {
-    #[inline]
-    fn from_ms(ms: u32) -> u32 {
-        ms
-    }
-}
-
-impl Cell for RowMs {
-    /// Checked, and never taken: `RowStore::try_build` refuses a member set
-    /// any of whose latencies could pass the type.
-    #[inline]
-    fn from_ms(ms: u32) -> RowMs {
-        RowMs::try_from(ms).expect("the row store was built over latencies that fit its rows")
-    }
-}
 
 /// "No such node / domain" in the `u32` index arrays below.
 const NONE: u32 = u32::MAX;
@@ -147,8 +125,9 @@ impl Points {
 }
 
 /// The verified single-homed structure of one graph, and what answers over
-/// one member set need of it. All arrays are flat; none is per domain.
-struct Decomposition {
+/// one member set need of it: the search store, or the makings of the dense
+/// tier's blocks. All arrays are flat; none is per domain.
+pub(crate) struct Decomposition {
     points: Points,
     /// Per graph node. A stub host: its index among its domain's hosts. A
     /// transit node: `TRANSIT |` its index into the transit matrix.
@@ -165,8 +144,8 @@ struct Decomposition {
 }
 impl Decomposition {
     /// Verify the structure and precompute, or `None` when any check in the
-    /// module docs fails.
-    fn build(g: &PhysGraph, members: &[PhysNodeId]) -> Option<Self> {
+    /// module docs fails: a graph whose every tier is the matrix.
+    pub(crate) fn build(g: &PhysGraph, members: &[PhysNodeId]) -> Option<Self> {
         let n = g.num_nodes();
         if n >= TRANSIT as usize {
             return None;
@@ -330,10 +309,16 @@ impl Decomposition {
         local
     }
 
-    /// `d(members[a], members[b])` for every pair: the point query, or, for
-    /// two hosts of one stub domain, the meeting search inside it.
-    #[inline]
-    fn d(&self, g: &PhysGraph, members: &[PhysNodeId], a: MemberIdx, b: MemberIdx) -> u32 {
+    /// `d(members[a], members[b])` for every pair, exact, keeping nothing:
+    /// the point query, or, for two hosts of one stub domain, the meeting
+    /// search inside it. `g` and `members` are the ones it was built over.
+    pub(crate) fn d(
+        &self,
+        g: &PhysGraph,
+        members: &[PhysNodeId],
+        a: MemberIdx,
+        b: MemberIdx,
+    ) -> u32 {
         self.points.point(a, b).unwrap_or_else(|(ra, _)| {
             let (u, v) = (members[a], members[b]);
             // A member with itself, a host listed twice; otherwise, a tag
@@ -349,7 +334,7 @@ impl Decomposition {
     /// The dense tier's store: the point query, and for each tag one
     /// `k × k` block over its `k` members — rows by [`Self::domain_search`]
     /// from each, a lone transit member's block its `d(a, a) = 0`.
-    fn into_blocks(self, g: &PhysGraph, members: &[PhysNodeId]) -> Blocks {
+    pub(crate) fn into_blocks(self, g: &PhysGraph, members: &[PhysNodeId]) -> Blocks {
         let tags = self.tag_start.len() as u32 - 1;
         let mut at = Vec::with_capacity(tags as usize);
         let mut cells = Vec::with_capacity((0..tags).map(|x| self.mates(x).len().pow(2)).sum());
@@ -500,12 +485,32 @@ pub(crate) struct Blocks {
 }
 
 impl Blocks {
-    /// The dense tier over a refused graph's row-major `n × n` `matrix`.
-    pub(crate) fn whole(matrix: Box<[u32]>, n: usize) -> Self {
-        debug_assert_eq!(matrix.len(), n * n);
+    /// The dense tier over a graph without the decomposition: one block,
+    /// the row-major `n × n` matrix, each row a whole-graph Dijkstra
+    /// validated as it is produced — a disconnected pair fails fast inside
+    /// the row pass, naming the first member the first source cannot reach
+    /// — and written in place: the build's peak is the one matrix.
+    pub(crate) fn matrix(g: &PhysGraph, members: &[PhysNodeId]) -> Result<Self, OracleBuildError> {
+        let n = members.len();
+        let mut cells = vec![0u32; n * n];
+        for (src, &u) in members.iter().enumerate() {
+            let full = shortest_paths(g, u);
+            for (j, &v) in members.iter().enumerate() {
+                let ms = full[v.index()];
+                if ms == UNREACHABLE {
+                    return Err(OracleBuildError::Disconnected {
+                        from_member: src,
+                        from_host: u,
+                        to_member: j,
+                        to_host: v,
+                    });
+                }
+                cells[src * n + j] = ms;
+            }
+        }
         let rec = (0..n as u32).map(|idx| Record { tag: 0, gw: 0, up: 0, idx }).collect();
         let points = Points { rec, transit: Box::new([]), t: 0 };
-        Blocks { points, at: Box::new([(0, n)]), cells: matrix }
+        Ok(Blocks { points, at: Box::new([(0, n)]), cells: cells.into() })
     }
 
     /// `d(members[a], members[b])`: the point query, or one block read for
@@ -529,101 +534,30 @@ impl Blocks {
     }
 }
 
-/// Write `d(members[src], members[j])` into `out[j]` for every member by
-/// one whole-graph Dijkstra, failing on the first member `src` cannot
-/// reach: a row of a graph the kernel refuses.
-pub(crate) fn whole_row<T: Cell>(
-    g: &PhysGraph,
-    members: &[PhysNodeId],
-    src: MemberIdx,
-    out: &mut [T],
-) -> Result<(), OracleBuildError> {
-    debug_assert_eq!(out.len(), members.len());
-    let full = shortest_paths(g, members[src]);
-    for (j, (o, &dst)) in out.iter_mut().zip(members).enumerate() {
-        let ms = full[dst.index()];
-        if ms == UNREACHABLE {
-            return Err(OracleBuildError {
-                from_member: src,
-                from_host: members[src],
-                to_member: j,
-                to_host: dst,
-                fault: PairFault::Disconnected,
-            });
-        }
-        *o = T::from_ms(ms);
-    }
-    Ok(())
-}
-
-/// Answers latencies over one member set of one graph by the decomposition
-/// when the graph has the structure; `None` of them otherwise, for whole
-/// rows to answer. Which one is a property observed in the input.
-pub(crate) struct RowKernel(Option<Decomposition>);
-
-impl RowKernel {
-    pub(crate) fn new(g: &PhysGraph, members: &[PhysNodeId]) -> Self {
-        RowKernel(Decomposition::build(g, members))
-    }
-
-    /// Was the structure found? Then [`Self::d`] answers every pair.
-    pub(crate) fn is_decomposed(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// The dense tier's store over the structure, or the kernel back when
-    /// there is none — a graph whose dense tier is the whole matrix.
-    pub(crate) fn into_blocks(self, g: &PhysGraph, members: &[PhysNodeId]) -> Result<Blocks, Self> {
-        match self.0 {
-            Some(dec) => Ok(dec.into_blocks(g, members)),
-            None => Err(self),
-        }
-    }
-
-    /// `d(members[a], members[b])`, exact, keeping nothing: three array
-    /// reads and two adds across stub domains, the meeting search inside
-    /// one. `None` for every pair of a graph without the structure. `g` and
-    /// `members` are the ones the kernel was built over.
-    #[inline]
-    pub(crate) fn d(
-        &self,
-        g: &PhysGraph,
-        members: &[PhysNodeId],
-        a: MemberIdx,
-        b: MemberIdx,
-    ) -> Option<u32> {
-        Some(self.0.as_ref()?.d(g, members, a, b))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{LinkClass, PhysGraphBuilder};
-    use crate::latency::OracleConfig;
+    use crate::latency::{OracleConfig, Tier};
     use crate::oracle::LatencyOracle;
     use crate::transit_stub::{generate, TransitStubParams};
     use crate::waxman::{generate_waxman, WaxmanParams};
     use prop_engine::SimRng;
 
-    /// Every latency from `sources` (member indices) must equal a
-    /// whole-graph Dijkstra from the same host, entry for entry: the
-    /// kernel's answer where it found the structure, and a whole row —
-    /// what a row store keeps — either way.
-    fn assert_rows_match(g: &PhysGraph, members: &[PhysNodeId], sources: &[MemberIdx]) {
-        let kernel = RowKernel::new(g, members);
-        let mut row = vec![0u32; members.len()];
+    /// Every latency from `sources` (member indices), on the dense and the
+    /// cached tier, must equal a whole-graph Dijkstra from the same host,
+    /// entry for entry: blocks and the search store where the graph has the
+    /// structure, the matrix on both where it does not.
+    fn assert_oracles_match(g: &PhysGraph, members: &[PhysNodeId], sources: &[MemberIdx]) {
+        let oracles = [OracleConfig::dense(), OracleConfig::cached(1)]
+            .map(|cfg| LatencyOracle::try_build_with(g, members.to_vec(), &cfg).unwrap());
         for &s in sources {
-            whole_row(g, members, s, &mut row).expect("connected member set");
             let full = shortest_paths(g, members[s]);
             for (j, &m) in members.iter().enumerate() {
-                let at = format!("source {s} ({:?}) to {j} ({m:?})", members[s]);
-                assert_eq!(row[j], full[m.index()], "{at}");
-                assert_eq!(
-                    kernel.d(g, members, s, j),
-                    kernel.is_decomposed().then_some(row[j]),
-                    "{at}"
-                );
+                for o in &oracles {
+                    let at = format!("{}: source {s} ({:?}) to {j} ({m:?})", o.tier(), members[s]);
+                    assert_eq!(o.d(s, j), full[m.index()], "{at}");
+                }
             }
         }
     }
@@ -638,6 +572,29 @@ mod tests {
     }
 
     #[test]
+    fn every_generated_transit_stub_graph_is_decomposed() {
+        // What the oracle's search store rests on: `generate` hangs each
+        // stub domain off its transit node by one link, at every preset and
+        // size, so no generated graph falls onto the matrix — an O(n²)
+        // build, refused past `Tier::DENSE_MAX_MEMBERS`.
+        let presets = [
+            ("tiny", TransitStubParams::tiny()),
+            ("ts_small", TransitStubParams::ts_small()),
+            ("ts_large", TransitStubParams::ts_large()),
+            ("scaled(3000)", TransitStubParams::scaled(3000)),
+            ("scaled(20_000)", TransitStubParams::scaled(20_000)),
+        ];
+        for (name, params) in presets {
+            for seed in 0..20 {
+                let g = generate(&params, &mut SimRng::seed_from(seed));
+                let members: Vec<PhysNodeId> = g.nodes().collect();
+                let dec = Decomposition::build(&g, &members);
+                assert!(dec.is_some(), "{name}, seed {seed}: the structure was not verified");
+            }
+        }
+    }
+
+    #[test]
     fn every_source_on_tiny_topologies() {
         for seed in 0..20 {
             let mut rng = SimRng::seed_from(seed);
@@ -646,8 +603,8 @@ mod tests {
             let mut members: Vec<PhysNodeId> = g.nodes().collect();
             members.extend_from_within(..5);
             rng.shuffle(&mut members);
-            assert!(RowKernel::new(&g, &members).is_decomposed(), "seed {seed}");
-            assert_rows_match(&g, &members, &(0..members.len()).collect::<Vec<_>>());
+            assert!(Decomposition::build(&g, &members).is_some(), "seed {seed}");
+            assert_oracles_match(&g, &members, &(0..members.len()).collect::<Vec<_>>());
         }
     }
 
@@ -663,25 +620,25 @@ mod tests {
             let mut rng = SimRng::seed_from(12);
             let g = generate(&params, &mut rng);
             let members = mixed_members(&g, 300, &mut rng);
-            assert!(RowKernel::new(&g, &members).is_decomposed(), "{name}");
+            assert!(Decomposition::build(&g, &members).is_some(), "{name}");
             let sources: Vec<MemberIdx> = (0..members.len()).step_by(7).collect();
-            assert_rows_match(&g, &members, &sources);
+            assert_oracles_match(&g, &members, &sources);
         }
     }
 
     /// The point query against whole-graph Dijkstra over every ordered pair
-    /// of `mixed_members`, and both stores built on it — the row cache's and
-    /// the dense tier's blocks — over the same pairs. Then every pair the
-    /// point query leaves to a meeting search is read again, from every
-    /// worker of `par::map` at once, on a fresh row-cache oracle, which
-    /// ends as it began: no row made, none kept.
+    /// of `mixed_members`, and both stores built on it — the search store
+    /// and the dense tier's blocks — over the same pairs. Then every pair
+    /// the point query leaves to a meeting search is read again, from every
+    /// worker of `par::map` at once, on a fresh search store.
     fn assert_point_matches(name: &str, params: &TransitStubParams, stubs: usize) {
         let mut rng = SimRng::seed_from(27);
         let g = generate(params, &mut rng);
         let members = mixed_members(&g, stubs, &mut rng);
         let dec = Decomposition::build(&g, &members).expect(name);
-        let cached = OracleConfig::cached(1 << 20);
+        let cached = OracleConfig::cached(1);
         let o = LatencyOracle::try_build_with(&g, members.clone(), &cached).unwrap();
+        assert_eq!(o.built_tier(), Tier::Cached, "{name}");
         let dense =
             LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::dense()).unwrap();
         let mut same_domain = Vec::new();
@@ -720,10 +677,6 @@ mod tests {
         });
         let wrong: Vec<_> = wrong.into_iter().flatten().collect();
         assert!(wrong.is_empty(), "{name}: (a, b, got, want) {:?}", &wrong[..wrong.len().min(5)]);
-        for oracle in [&o, &fresh] {
-            let s = oracle.cache_stats().unwrap();
-            assert_eq!((s.hits, s.misses, s.resident_rows, s.peak_resident_bytes), (0, 0, 0, 0));
-        }
     }
 
     #[test]
@@ -764,26 +717,11 @@ mod tests {
         (b.build(), nodes.to_vec())
     }
 
-    /// Both exact tiers over `members` answer as whole-graph Dijkstra does.
-    fn assert_oracles_match(g: &PhysGraph, members: &[PhysNodeId]) {
-        for cfg in [OracleConfig::dense(), OracleConfig::cached(1 << 20)] {
-            let o = LatencyOracle::try_build_with(g, members.to_vec(), &cfg).unwrap();
-            for a in 0..members.len() {
-                let full = shortest_paths(g, members[a]);
-                for b in 0..members.len() {
-                    let want = full[members[b].index()];
-                    assert_eq!(o.d(a, b), want, "{} ({a}, {b})", o.tier());
-                }
-            }
-        }
-    }
-
     #[test]
     fn hand_built_single_homed_graph_is_decomposed() {
         let (g, nodes) = two_domains(0, |_, _| {});
-        assert!(RowKernel::new(&g, &nodes).is_decomposed());
-        assert_rows_match(&g, &nodes, &(0..nodes.len()).collect::<Vec<_>>());
-        assert_oracles_match(&g, &nodes);
+        assert!(Decomposition::build(&g, &nodes).is_some());
+        assert_oracles_match(&g, &nodes, &(0..nodes.len()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -791,35 +729,34 @@ mod tests {
         // Domain 0 has three hosts and domain 1 two. Both are answered from
         // this thread's one meeting scratch, grown to the larger domain and
         // kept as it is for the smaller: what a query in one leaves behind
-        // is stale to the next in the other. The row cache, at a budget of
-        // plenty or of one byte, keeps nothing for either.
+        // is stale to the next in the other. The search store answers them
+        // the same way.
         let (g, nodes) = two_domains(0, |_, _| {});
         let (a0, a1, a2, b0, b1) = (2, 3, 4, 5, 6);
-        let kernel = RowKernel::new(&g, &nodes);
+        let dec = Decomposition::build(&g, &nodes).unwrap();
         let scratch = || MEETING.with_borrow(|m| (m.from.stamp.len(), m.to.stamp.len()));
         let pairs = [(a0, a2, 12), (b0, b1, 5), (a2, a1, 7), (b1, b0, 5), (a1, a0, 5)];
-        assert_eq!(kernel.d(&g, &nodes, a0, a2), Some(12));
+        assert_eq!(dec.d(&g, &nodes, a0, a2), 12);
         let grown = scratch();
         assert!(grown.0 >= 3 && grown.1 >= 3, "{grown:?}");
         for (a, b, want) in pairs {
             assert_eq!(shortest_paths(&g, nodes[a])[nodes[b].index()], want, "({a}, {b})");
-            assert_eq!(kernel.d(&g, &nodes, a, b), Some(want), "({a}, {b})");
+            assert_eq!(dec.d(&g, &nodes, a, b), want, "({a}, {b})");
             assert_eq!(scratch(), grown, "({a}, {b})");
         }
-        for cap in [1 << 20, 1] {
-            let cfg = OracleConfig::cached(cap);
-            let o = LatencyOracle::try_build_with(&g, nodes.clone(), &cfg).unwrap();
-            let built = o.cache_stats().unwrap();
-            assert_eq!((built.misses, built.resident_rows), (0, 0), "cap {cap}");
-            for (a, b, want) in pairs {
-                assert_eq!(o.d(a, b), want, "cap {cap}: ({a}, {b})");
-            }
-            assert_eq!(o.cache_stats().unwrap(), built, "cap {cap}");
+        let o = LatencyOracle::try_build_with(&g, nodes, &OracleConfig::cached(1)).unwrap();
+        assert_eq!(o.built_tier(), Tier::Cached);
+        for (a, b, want) in pairs {
+            assert_eq!(o.d(a, b), want, "({a}, {b})");
         }
     }
 
     #[test]
     fn other_structures_are_rejected_and_still_exact() {
+        // Every graph the decomposition refuses — Waxman, a multi-homed
+        // domain, a domain split across a stub–stub link or across two
+        // gateways, no transit node — builds the matrix on every tier,
+        // keeps no search store, and answers as whole-graph Dijkstra does.
         let mut rng = SimRng::seed_from(3);
         let waxman = generate_waxman(&WaxmanParams::tiny(), &mut rng);
         let waxman_members = rng.sample_distinct(&waxman.stub_nodes(), 25);
@@ -847,42 +784,38 @@ mod tests {
             ("hosts of one domain name different gateways", two_domains(1, |_, _| {})),
             ("no transit node", no_transit),
         ];
+        let tiers = [OracleConfig::dense(), OracleConfig::cached(1), OracleConfig::default()];
         for (name, (g, members)) in cases {
-            assert!(!RowKernel::new(&g, &members).is_decomposed(), "{name}");
-            assert_rows_match(&g, &members, &(0..members.len()).collect::<Vec<_>>());
-            assert_oracles_match(&g, &members);
+            assert!(Decomposition::build(&g, &members).is_none(), "{name}");
+            for cfg in tiers {
+                let o = LatencyOracle::try_build_with(&g, members.clone(), &cfg).unwrap();
+                assert_eq!(o.built_tier(), Tier::Dense, "{name}: {cfg:?}");
+                assert!(o.cache_stats().is_none(), "{name}: {cfg:?}");
+                for (a, &u) in members.iter().enumerate() {
+                    let full = shortest_paths(&g, u);
+                    for (b, &v) in members.iter().enumerate() {
+                        assert_eq!(o.d(a, b), full[v.index()], "{name}, {cfg:?}: ({a}, {b})");
+                    }
+                }
+            }
         }
-    }
 
-    #[test]
-    fn a_stored_row_holds_65_535_from_either_kernel() {
-        // a - t0 - t1 - b is decomposed, a - b alone (no transit node) is
-        // not; both put the widest latency a `RowMs` has between a and b,
-        // and the kernel's own answer on the first is the same.
+        // One member past the matrix's limit is refused on every tier by
+        // its count, before a row is made: these hosts share no link, so
+        // the matrix's first row would have named a disconnected pair — as
+        // it does one member fewer.
         let mut b = PhysGraphBuilder::new();
-        let t0 = b.add_node(NodeClass::Transit { domain: 0 });
-        let t1 = b.add_node(NodeClass::Transit { domain: 1 });
-        let a0 = b.add_node(NodeClass::Stub { domain: 0, gateway: t0.0 });
-        let b0 = b.add_node(NodeClass::Stub { domain: 1, gateway: t1.0 });
-        b.add_link(a0, t0, 20, LinkClass::StubTransit);
-        b.add_link(t0, t1, 65_485, LinkClass::TransitTransit);
-        b.add_link(t1, b0, 30, LinkClass::StubTransit);
-        let decomposed = (b.build(), vec![a0, b0]);
-        let mut b = PhysGraphBuilder::new();
-        let u = b.add_node(NodeClass::Stub { domain: 0, gateway: 0 });
-        let v = b.add_node(NodeClass::Stub { domain: 0, gateway: 0 });
-        b.add_link(u, v, 65_535, LinkClass::StubStub);
-        let whole_graph = (b.build(), vec![u, v]);
-        for (expect_decomposed, (g, members)) in [(true, decomposed), (false, whole_graph)] {
-            let kernel = RowKernel::new(&g, &members);
-            assert_eq!(kernel.is_decomposed(), expect_decomposed);
-            let mut row = [0 as RowMs; 2];
-            whole_row(&g, &members, 0, &mut row).expect("connected");
-            assert_eq!(row, [0, RowMs::MAX]);
-            assert_eq!(u32::from(row[1]), shortest_paths(&g, members[0])[members[1].index()]);
-            let point = expect_decomposed.then_some(u32::from(RowMs::MAX));
-            assert_eq!(kernel.d(&g, &members, 0, 1), point);
+        let members: Vec<_> = (0..=Tier::DENSE_MAX_MEMBERS)
+            .map(|_| b.add_node(NodeClass::Stub { domain: 0, gateway: 0 }))
+            .collect();
+        let g = b.build();
+        for cfg in tiers {
+            let err = LatencyOracle::try_build_with(&g, members.clone(), &cfg).unwrap_err();
+            assert_eq!(err, OracleBuildError::TooManyForMatrix { members: 4_097 }, "{cfg:?}");
         }
+        let fewer = members[..Tier::DENSE_MAX_MEMBERS].to_vec();
+        let err = LatencyOracle::try_build_with(&g, fewer, &OracleConfig::default()).unwrap_err();
+        assert!(matches!(err, OracleBuildError::Disconnected { from_member: 0, .. }), "{err:?}");
     }
 
     /// Domain 0 with `a2` cut off from `a0 - a1` (and so from everything).
@@ -906,22 +839,21 @@ mod tests {
         let full = shortest_paths(&g, members[0]);
         let to = members.iter().position(|m| full[m.index()] == UNREACHABLE).unwrap();
         assert_eq!(to, 2);
-        for cfg in [OracleConfig::dense(), OracleConfig::cached(1 << 20)] {
+        for cfg in [OracleConfig::dense(), OracleConfig::cached(1), OracleConfig::default()] {
             let err = LatencyOracle::try_build_with(&g, members.clone(), &cfg).unwrap_err();
             assert_eq!(
                 err,
-                OracleBuildError {
+                OracleBuildError::Disconnected {
                     from_member: 0,
                     from_host: members[0],
                     to_member: to,
                     to_host: members[to],
-                    fault: PairFault::Disconnected,
                 }
             );
         }
         // With the cut-off host left out the rest decomposes as usual.
         let reachable = [members[0], members[1], members[3]];
-        assert!(RowKernel::new(&g, &reachable).is_decomposed());
-        assert_rows_match(&g, &reachable, &[0, 1, 2]);
+        assert!(Decomposition::build(&g, &reachable).is_some());
+        assert_oracles_match(&g, &reachable, &[0, 1, 2]);
     }
 }

@@ -1,55 +1,54 @@
-//! The latency oracle's two settings — which tier, and how many bytes of
-//! rows it may keep — and its build error.
+//! The latency oracle's one setting — which tier — and its build error.
 //!
 //! Every consumer of `d(u, v)` — PROP probes, LTM detection, the metrics —
-//! talks to [`crate::LatencyOracle`], which keeps its answers one of two
-//! ways ([`Tier`]), both exact and equal to the bit:
+//! talks to [`crate::LatencyOracle`], which keeps its answers in one of two
+//! stores, both exact and equal to the bit, and neither keeps a row:
 //!
 //! * **dense** — every answer precomputed once, O(1) lookups with no
 //!   synchronization: the fast path for every paper-scale experiment (n ≤
 //!   a few thousand). On a transit–stub graph that is the point query over
 //!   the verified decomposition beside one `k × k` block per stub domain
 //!   over its `k` members — Σ k² cells, 57 KB at n = 1000 on `ts-large`;
-//!   on any other graph (Waxman, multi-homed, disconnected) the full
-//!   `n × n` matrix, O(n²) memory.
-//! * **row-cache** — exact answers without the matrix. On a transit–stub
-//!   graph `d(u, v)` between two stub domains is a point query over the
-//!   verified decomposition (16 bytes a member and the transit matrix),
-//!   and a pair inside one domain a meeting search confined to it: no row
-//!   is kept at all, so a million-member overlay answers in O(n) memory.
-//!   On any other graph it is one whole row per *requested source*,
-//!   retained in a sharded LRU bounded in bytes: O(n + capacity) memory.
+//!   on any other graph (Waxman, multi-homed) the full `n × n` matrix,
+//!   O(n²) memory.
+//! * **search** — exact answers without the blocks, on a transit–stub
+//!   graph only: `d(u, v)` between two stub domains is a point query over
+//!   the verified decomposition (16 bytes a member and the transit
+//!   matrix), and a pair inside one domain a meeting search confined to it,
+//!   so a million-member overlay answers in O(n) memory.
 //!
 //! Callers never pick a tier by hand: [`Tier::Auto`] (the default) lets
 //! the member count choose through [`Tier::resolve`], the one place the
-//! policy is written, and `d()` hides the difference.
+//! policy is written, and `d()` hides the difference. A graph without the
+//! decomposition has no search store, so every tier builds its matrix
+//! there, and a member set too large for one is refused
+//! ([`OracleBuildError::TooManyForMatrix`]).
 
 use crate::graph::PhysNodeId;
 use crate::oracle::MemberIdx;
-use crate::rowcache::RowMs;
 use prop_engine::json::{ToJson, Value};
 
 /// How a [`crate::LatencyOracle`] keeps its answers — or, for `Auto`, that
 /// the member count decides.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Tier {
     /// [`Tier::resolve`] picks from the member count: the production
     /// default.
+    #[default]
     Auto,
     Dense,
+    /// The search store on a transit–stub graph; on any other, the dense
+    /// matrix.
     Cached,
 }
 
 impl Tier {
-    /// The largest member count `Auto` gives the dense tier. Keeps every
-    /// paper-scale experiment on the dense fast path while capping the
-    /// memory of a graph the row kernel refuses, whose dense tier is the
-    /// matrix, at 4096² × 4 B = 64 MiB; a transit–stub graph's blocks are a
-    /// small share of that.
+    /// The largest member count `Auto` gives the dense tier, and the
+    /// largest any tier builds over a graph without the transit–stub
+    /// decomposition, whose dense tier is the matrix: 4096² × 4 B = 64 MiB.
+    /// Keeps every paper-scale experiment on the dense fast path; a
+    /// transit–stub graph's blocks are a small share of that.
     pub const DENSE_MAX_MEMBERS: usize = 4_096;
-
-    /// Every tier, `Auto` first.
-    const ALL: [Tier; 3] = [Tier::Auto, Tier::Dense, Tier::Cached];
 
     /// The tier an oracle over `n` members is built on: `self` unless it is
     /// `Auto`. Never returns `Auto`.
@@ -61,20 +60,12 @@ impl Tier {
         }
     }
 
-    /// The name reports and logs print, and [`Tier::parse`] reads back.
+    /// The name reports and logs print.
     pub fn label(self) -> &'static str {
         match self {
             Tier::Auto => "auto",
             Tier::Dense => "dense",
             Tier::Cached => "row-cache",
-        }
-    }
-
-    /// Read a tier's label, or the short spelling `--oracle-tier` documents.
-    pub fn parse(s: &str) -> Option<Tier> {
-        match s {
-            "cached" => Some(Tier::Cached),
-            _ => Tier::ALL.into_iter().find(|t| t.label() == s),
         }
     }
 }
@@ -87,22 +78,14 @@ impl ToJson for Tier {
 }
 
 /// Construction-time settings of [`crate::LatencyOracle`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OracleConfig {
     /// Which tier to build; [`Tier::Auto`] by default.
     pub tier: Tier,
-    /// Byte budget for the row-cache tier's resident rows. A row is whole,
-    /// two bytes a member (plus small bookkeeping), and kept only on a graph
-    /// without the transit–stub decomposition: the default 512 MiB holds
-    /// ~2,684 of them at n = 100,000. Unused by the dense tier, and by
-    /// either tier on a transit–stub graph.
+    // Ignored: there is no row store to budget. `benchmark/src/scale.rs`
+    // spells it in a struct literal; the next `benchmark` change drops it.
+    #[doc(hidden)]
     pub cache_capacity_bytes: usize,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig { tier: Tier::Auto, cache_capacity_bytes: 512 << 20 }
-    }
 }
 
 impl OracleConfig {
@@ -111,69 +94,55 @@ impl OracleConfig {
         OracleConfig { tier: Tier::Dense, ..Default::default() }
     }
 
-    /// Force the row-cache tier (at any member count) with the given byte
-    /// budget.
-    pub fn cached(capacity_bytes: usize) -> Self {
-        OracleConfig { tier: Tier::Cached, cache_capacity_bytes: capacity_bytes }
+    /// Force [`Tier::Cached`] at any member count. The byte count is
+    /// ignored: no tier keeps a row.
+    pub fn cached(_capacity_bytes: usize) -> Self {
+        OracleConfig { tier: Tier::Cached, ..Default::default() }
     }
 
     // The coordinate-embedded tier is gone; `benchmark/src/scale.rs` still
     // spells its configuration, and gets the row-cache tier's.
     #[doc(hidden)]
     pub fn embedded() -> Self {
-        OracleConfig { tier: Tier::Cached, ..Default::default() }
+        OracleConfig::cached(0)
     }
 }
 
-/// Why [`OracleBuildError`]'s pair stops the build.
+/// Why [`crate::LatencyOracle::try_build_with`] refused a member set. It
+/// never panics after the fact, and names precisely what is wrong so
+/// generator bugs are debuggable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PairFault {
-    /// No path joins the two members.
-    Disconnected,
-    /// The two are `ms` apart, and a stored row keeps a latency in sixteen
-    /// bits: twice the first member's distance to its farthest bounds
-    /// every pair (`d` is a metric), and here that is past 65,535 ms. Only
-    /// the row-cache tier refuses it, and only on a graph without the
-    /// transit–stub decomposition, where it keeps rows; the dense matrix
-    /// holds `u32`.
-    TooFar { ms: u32 },
-}
-
-/// A member pair the oracle cannot be built over. Returned by
-/// [`crate::LatencyOracle::try_build_with`] instead of the historical
-/// panic-after-the-fact, and named precisely so generator bugs are
-/// debuggable: *which* members, on *which* hosts, and [`PairFault`] says
-/// what is wrong with them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OracleBuildError {
-    /// Member index of the pair's source side.
-    pub from_member: MemberIdx,
-    /// Physical host backing `from_member`.
-    pub from_host: PhysNodeId,
-    /// Member index of the pair's destination side.
-    pub to_member: MemberIdx,
-    /// Physical host backing `to_member`.
-    pub to_host: PhysNodeId,
-    pub fault: PairFault,
+pub enum OracleBuildError {
+    /// No path joins member `from_member` (on host `from_host`) to member
+    /// `to_member` (on `to_host`).
+    Disconnected {
+        from_member: MemberIdx,
+        from_host: PhysNodeId,
+        to_member: MemberIdx,
+        to_host: PhysNodeId,
+    },
+    /// The graph lacks the transit–stub decomposition, so the oracle would
+    /// be the `n × n` matrix, and `members` is past
+    /// [`Tier::DENSE_MAX_MEMBERS`]. Refused before any row is made.
+    TooManyForMatrix { members: usize },
 }
 
 impl std::fmt::Display for OracleBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let OracleBuildError { from_member, from_host, to_member, to_host, fault } = self;
-        match fault {
-            PairFault::Disconnected => write!(
+        match *self {
+            OracleBuildError::Disconnected { from_member, from_host, to_member, to_host } => {
+                write!(
+                    f,
+                    "latency oracle built over a disconnected member set: \
+                     member {from_member} (host {from_host:?}) cannot reach \
+                     member {to_member} (host {to_host:?})"
+                )
+            }
+            OracleBuildError::TooManyForMatrix { members } => write!(
                 f,
-                "latency oracle built over a disconnected member set: \
-                 member {from_member} (host {from_host:?}) cannot reach \
-                 member {to_member} (host {to_host:?})"
-            ),
-            PairFault::TooFar { ms } => write!(
-                f,
-                "latency oracle's rows keep 16-bit milliseconds and this member set is too \
-                 wide for them: member {from_member} (host {from_host:?}) is {ms} ms from \
-                 member {to_member} (host {to_host:?}), and twice that bounds every pair \
-                 (limit {}); the dense tier has no such limit",
-                RowMs::MAX
+                "latency oracle over {members} members of a graph without the transit–stub \
+                 decomposition: its answers are an n × n matrix, built for at most {} members",
+                Tier::DENSE_MAX_MEMBERS
             ),
         }
     }
@@ -189,17 +158,16 @@ mod tests {
     fn default_config_is_sane() {
         let c = OracleConfig::default();
         assert_eq!(c.tier, Tier::Auto);
-        assert!(c.cache_capacity_bytes >= 1 << 20);
+        assert_eq!(c.tier.resolve(1_000), Tier::Dense);
     }
 
     #[test]
     fn forced_tiers() {
         assert_eq!(OracleConfig::dense().tier, Tier::Dense);
-        assert_eq!(
-            OracleConfig::cached(1 << 20),
-            OracleConfig { tier: Tier::Cached, cache_capacity_bytes: 1 << 20 }
-        );
-        // The hidden spelling `benchmark/` uses is the cached configuration.
+        // The byte count is no setting, and the hidden spelling `benchmark/`
+        // uses is the cached configuration.
+        assert_eq!(OracleConfig::cached(1 << 20), OracleConfig::cached(1));
+        assert_eq!(OracleConfig::cached(1).tier, Tier::Cached);
         assert_eq!(OracleConfig::embedded(), OracleConfig::cached(512 << 20));
         // A forced tier is built at any size; only `Auto` reads the count.
         for n in [0, 1, Tier::DENSE_MAX_MEMBERS + 1, 150_001, usize::MAX] {
@@ -239,35 +207,19 @@ mod tests {
     }
 
     #[test]
-    fn labels_parse_back_and_the_short_spellings_still_do() {
-        for tier in Tier::ALL {
-            assert_eq!(Tier::parse(tier.label()), Some(tier));
-        }
-        assert_eq!(Tier::parse("cached"), Some(Tier::Cached));
-        assert_eq!(Tier::parse("row-cache"), Some(Tier::Cached));
-        // The deleted embedded tier's spelling is refused like any other.
-        for bogus in ["", "bogus", "Dense", "row_cache", "embedded"] {
-            assert_eq!(Tier::parse(bogus), None, "{bogus:?}");
-        }
-        assert_eq!(prop_engine::json::to_string(&Tier::Cached), "\"row-cache\"");
-    }
-
-    #[test]
     fn error_names_the_pair() {
-        let e = OracleBuildError {
+        let e = OracleBuildError::Disconnected {
             from_member: 3,
             from_host: PhysNodeId(30),
             to_member: 7,
             to_host: PhysNodeId(70),
-            fault: PairFault::Disconnected,
         };
         let msg = e.to_string();
         assert!(msg.contains("disconnected member set"));
         assert!(msg.contains("member 3"));
         assert!(msg.contains("member 7"));
-        let msg = OracleBuildError { fault: PairFault::TooFar { ms: 40_040 }, ..e }.to_string();
-        assert!(msg.contains("40040 ms"), "{msg}");
-        assert!(msg.contains("member 3") && msg.contains("member 7"), "{msg}");
+        let msg = OracleBuildError::TooManyForMatrix { members: 4_097 }.to_string();
+        assert!(msg.contains("4097 members") && msg.contains("4096"), "{msg}");
         assert!(!msg.contains('\n'), "one line: {msg}");
     }
 }

@@ -13,19 +13,17 @@
 //! * [`dijkstra`] — single-source shortest paths over link latencies: the
 //!   one search routine, over the whole graph or a selected part of it.
 //! * [`LatencyOracle`] — the `d(u, v)` oracle every protocol and metric
-//!   consults, exact at every scale, with two settings ([`OracleConfig`]):
-//!   the [`Tier`] and a byte budget for rows. Left on [`Tier::Auto`],
-//!   member counts up to [`Tier::DENSE_MAX_MEMBERS`] precompute every
-//!   answer (the paper-scale fast path: on a transit–stub graph the
-//!   decomposition below and one block per stub domain, on any other the
-//!   full latency matrix); larger populations answer from the row-cache
-//!   tier, which on a transit–stub graph keeps no row at all — a pair in
-//!   two stub domains is a point query over the decomposition below, a
-//!   pair inside one a meeting search confined to it — so a
-//!   million-member overlay runs in O(n) oracle memory, and on any other
-//!   graph keeps whole rows in a byte-bounded sharded LRU, each made by
-//!   the `d` miss that first reads it and by nothing else. See [`latency`]
-//!   and DESIGN.md §9 for the memory model.
+//!   consults, exact at every scale, with one setting ([`OracleConfig`]):
+//!   the [`Tier`]. Left on [`Tier::Auto`], member counts up to
+//!   [`Tier::DENSE_MAX_MEMBERS`] precompute every answer (the paper-scale
+//!   fast path: on a transit–stub graph the decomposition below and one
+//!   block per stub domain, on any other the full latency matrix); larger
+//!   populations answer from the search store, which keeps no row — a
+//!   pair in two stub domains is a point query over the decomposition
+//!   below, a pair inside one a meeting search confined to it — so a
+//!   million-member overlay runs in O(n) oracle memory. A graph without
+//!   the decomposition is the matrix on every tier, and refused past that
+//!   member count. See [`latency`] and DESIGN.md §9 for the memory model.
 //! * The row kernel (private module `decomp`) — how the exact answers of
 //!   both tiers are made. A transit–stub graph hangs each stub domain off
 //!   its transit node by a single link, so `d(u, v) = up(u) +
@@ -35,7 +33,7 @@
 //!   Dijkstra inside the domain answer every pair, and the dense tier's
 //!   per-domain blocks are rows of one search inside the source's own
 //!   domain; otherwise (Waxman, multi-homed domains) a row is a
-//!   whole-graph Dijkstra, and the dense tier the matrix of them. See
+//!   whole-graph Dijkstra, and the oracle the matrix of them. See
 //!   DESIGN.md §9.
 //!
 //! ## Faithfulness notes (see DESIGN.md §3)
@@ -49,13 +47,13 @@ pub mod dijkstra;
 pub mod graph;
 pub mod latency;
 pub mod oracle;
-mod rowcache;
 pub mod transit_stub;
 pub mod waxman;
 
 pub use graph::{LinkClass, NodeClass, PhysGraph, PhysNodeId};
-pub use latency::{OracleBuildError, OracleConfig, PairFault, Tier};
+pub use latency::{OracleBuildError, OracleConfig, Tier};
+#[doc(hidden)]
+pub use oracle::CacheStats;
 pub use oracle::LatencyOracle;
-pub use rowcache::CacheStats;
 pub use transit_stub::{generate, TransitStubParams};
 pub use waxman::{generate_waxman, WaxmanParams};

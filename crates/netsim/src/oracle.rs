@@ -2,143 +2,40 @@
 //!
 //! Every PROP probe, every LTM detector, and every metric evaluation asks
 //! for the end-to-end latency between two overlay members. They all hold
-//! one type, [`LatencyOracle`], which keeps its answers one of two ways —
-//! all of them (the dense tier: per-domain blocks, or the matrix on a graph
-//! without the decomposition below), or a byte-bounded cache of rows (the
-//! row-cache tier). [`crate::latency`] describes the two [`Tier`]s and when
-//! each is built. Both are exact, and answer alike to the bit.
+//! one type, [`LatencyOracle`], which keeps its answers in one of two
+//! stores — all of them (the dense tier: per-domain blocks, or the matrix
+//! on a graph without the decomposition below), or none (the search store
+//! of the row-cache tier, which keeps no row). [`crate::latency`] describes
+//! the two [`Tier`]s and when each is built. Both are exact, and answer
+//! alike to the bit.
 //!
 //! Exact answers come from the one row kernel (`crate::decomp`). Where the
 //! graph has the verified transit–stub decomposition, `d(u, v)` between two
 //! stub domains is one point query on both tiers — two record loads, one
 //! transit cell and two adds — and a pair inside one domain is a meeting
 //! search confined to it on the row-cache tier, a cell of the domain's
-//! `k × k` block over its members on the dense tier; the row-cache tier
-//! then keeps no row at all. Where it does not, a row is a whole-graph
-//! Dijkstra over the members: the dense tier is the `n × n` matrix of
-//! those, and a row enters the row-cache tier's cache only through the `d`
-//! miss that first reads it — nothing is made, kept or reordered ahead of a
-//! read.
+//! `k × k` block over its members on the dense tier. Where it does not,
+//! every tier is the `n × n` matrix of whole-graph Dijkstra rows, and a
+//! member set past [`Tier::DENSE_MAX_MEMBERS`] is refused.
 //!
 //! Construction routes on [`OracleConfig::tier`] through [`Tier::resolve`];
 //! callers are tier-agnostic. Connectivity is validated by the
-//! decomposition's own checks (both tiers on a transit–stub graph), per row
-//! *during* construction (the dense matrix, whose kernel found no
-//! decomposition — so it is the matrix that meets a disconnected member
-//! set) or from a single source on the undirected graph (the row cache's
-//! whole rows), and [`LatencyOracle::try_build_with`] reports the offending
-//! member pair instead of panicking after the full build. Whole rows keep
-//! two-byte milliseconds, and the row-cache tier refuses, the same way and
-//! from the same one row, a member set too wide for them.
+//! decomposition's own checks on a transit–stub graph, and per row
+//! *during* construction of the matrix otherwise (so it is the matrix that
+//! meets a disconnected member set); [`LatencyOracle::try_build_with`]
+//! reports the offending member pair instead of panicking after the full
+//! build.
 //!
 //! Members are addressed by dense [`MemberIdx`] values `0..n`; the overlay
 //! crates use the same indexing for peers.
 
-use crate::decomp::{whole_row, Blocks, RowKernel};
+use crate::decomp::{Blocks, Decomposition};
 use crate::graph::{PhysGraph, PhysNodeId};
-use crate::latency::{OracleBuildError, OracleConfig, PairFault, Tier};
-use crate::rowcache::{CacheStats, RowCache, RowMs};
+use crate::latency::{OracleBuildError, OracleConfig, Tier};
 use prop_engine::SimRng;
-use std::sync::Arc;
 
 /// Dense index of an overlay member inside a [`LatencyOracle`].
 pub type MemberIdx = usize;
-
-/// Independently locked LRU shards of a row store's cache: more shards,
-/// less contention under parallel query load.
-const CACHE_SHARDS: usize = 16;
-
-/// The dense tier's matrix on a graph the row kernel refuses (Waxman,
-/// multi-homed, disconnected), row-major `n × n`, each row a whole-graph
-/// Dijkstra validated as it is produced — a disconnected pair fails fast
-/// inside the row pass, before the matrix is assembled. It becomes the one
-/// block of that graph's [`Blocks`]; a decomposed graph's dense tier has a
-/// block per stub domain instead, and no matrix. Each row is written in
-/// place: the build's peak is the one matrix.
-fn dense_matrix(graph: &PhysGraph, members: &[PhysNodeId]) -> Result<Box<[u32]>, OracleBuildError> {
-    let n = members.len();
-    let mut matrix = vec![0u32; n * n];
-    for i in 0..n {
-        whole_row(graph, members, i, &mut matrix[i * n..(i + 1) * n])?;
-    }
-    Ok(matrix.into_boxed_slice())
-}
-
-/// The row-cache tier: exact answers over the oracle's members. On a graph
-/// the row kernel decomposes every pair is `RowKernel::d`'s and no row is
-/// made; on any other every pair reads a whole row over the members, made
-/// by the `d` miss that reads it and kept in one byte-bounded LRU.
-pub(crate) struct RowStore {
-    /// Owned copy of the physical graph (CSR arrays): meeting searches run
-    /// on it, and whole rows are recomputed from it on every cache miss.
-    graph: PhysGraph,
-    kernel: RowKernel,
-    cache: RowCache,
-}
-
-impl RowStore {
-    /// On a graph without the decomposition, validate the member set with
-    /// the first member's whole row. The graph is undirected, so one source
-    /// reaching every member means every pair is connected; and rows are
-    /// exact, so `d` is a metric and `d(a, b) ≤ d(a, 0) + d(0, b)`: twice
-    /// the row's largest entry inside [`RowMs`] means every latency any
-    /// later row holds is. That one row is made four bytes wide, to be
-    /// checked before it is narrowed, and is not kept. A decomposed graph
-    /// keeps no row, and its own checks cover connectivity.
-    fn try_build(
-        graph: &PhysGraph,
-        members: &[PhysNodeId],
-        capacity_bytes: usize,
-    ) -> Result<Self, OracleBuildError> {
-        let rows = RowStore {
-            kernel: RowKernel::new(graph, members),
-            cache: RowCache::new(capacity_bytes, CACHE_SHARDS),
-            graph: graph.clone(),
-        };
-        if rows.kernel.is_decomposed() || members.is_empty() {
-            return Ok(rows);
-        }
-        let mut first = vec![0u32; members.len()];
-        whole_row(&rows.graph, members, 0, &mut first)?;
-        let (far, &ms) =
-            first.iter().enumerate().max_by_key(|&(_, &ms)| ms).expect("members is not empty");
-        if 2 * u64::from(ms) > u64::from(RowMs::MAX) {
-            return Err(OracleBuildError {
-                from_member: 0,
-                from_host: members[0],
-                to_member: far,
-                to_host: members[far],
-                fault: PairFault::TooFar { ms },
-            });
-        }
-        Ok(rows)
-    }
-
-    /// Exact latency between members `a` and `b`, in ms. The one place a
-    /// row enters the cache: on a miss, `a`'s whole row is made and stored.
-    fn d(&self, members: &[PhysNodeId], a: MemberIdx, b: MemberIdx) -> u32 {
-        debug_assert!(a < members.len() && b < members.len());
-        if a == b {
-            return 0;
-        }
-        if let Some(ms) = self.kernel.d(&self.graph, members, a, b) {
-            return ms;
-        }
-        if let Some(r) = self.cache.get(a) {
-            return r[b].into();
-        }
-        // Latencies are symmetric (undirected graph): b's row serves too.
-        if let Some(r) = self.cache.get(b) {
-            return r[a].into();
-        }
-        let mut row: Arc<[RowMs]> = std::iter::repeat_n(0, members.len()).collect();
-        let out = Arc::get_mut(&mut row).expect("a fresh Arc has one owner");
-        whole_row(&self.graph, members, a, out).expect("connectivity was validated at build");
-        let d = row[b];
-        self.cache.insert(a, row);
-        d.into()
-    }
-}
 
 /// How a built oracle keeps its answers; one arm per [`Tier`].
 enum Store {
@@ -146,7 +43,10 @@ enum Store {
     /// `k × k` block per stub domain over its members; on any other, one
     /// block that is the `n × n` matrix.
     Dense(Blocks),
-    Rows(RowStore),
+    /// The point query and the per-thread meeting search, over an owned
+    /// copy of the graph (CSR arrays) the searches run on. No row, no
+    /// cache.
+    Search { graph: PhysGraph, dec: Decomposition },
 }
 
 /// The tier-agnostic latency oracle every caller holds.
@@ -155,9 +55,8 @@ enum Store {
 /// [`Tier::resolve`]: paper-scale populations get the dense tier — every
 /// answer in memory: on a transit–stub graph point queries over the
 /// decomposition beside one `k × k` block per stub domain, on any other
-/// graph the `n × n` matrix — and larger ones the row-cache tier: the same
-/// point queries beside a meeting search inside a domain, or whole rows in
-/// a bounded cache on a graph without the decomposition. The two answer
+/// graph the `n × n` matrix — and larger ones the search store: the same
+/// point queries beside a meeting search inside a domain. The two answer
 /// identically byte-for-byte (property-tested in `tests/tier_equivalence.rs`).
 pub struct LatencyOracle {
     /// Physical host backing each member.
@@ -168,13 +67,34 @@ pub struct LatencyOracle {
 }
 
 /// Tier and size only — what `Result::unwrap_err` needs in the build-error
-/// tests; the matrix or cache contents would be noise.
+/// tests; the store's contents would be noise.
 impl std::fmt::Debug for LatencyOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LatencyOracle")
             .field("tier", &self.tier())
             .field("len", &self.len())
             .finish()
+    }
+}
+
+/// What `cache_stats` returned while the row-cache tier kept rows, kept
+/// with the fields `benchmark/src/{scale,probes}.rs` read so that they
+/// compile. Every count is zero.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    pub misses: u64,
+    pub evictions: u64,
+    pub peak_resident_bytes: usize,
+}
+
+impl CacheStats {
+    pub fn since(&self, _earlier: &CacheStats) -> CacheStats {
+        *self
+    }
+
+    pub fn hit_rate(&self) -> f64 {
+        0.0
     }
 }
 
@@ -201,24 +121,25 @@ impl EmbedStats {
 
 impl LatencyOracle {
     /// Build over an explicit member set on the tier `cfg.tier` resolves to
-    /// at this member count. A disconnected member set fails fast with the
-    /// offending pair named.
+    /// at this member count — the dense matrix, whatever was asked, on a
+    /// graph without the transit–stub decomposition, where more than
+    /// [`Tier::DENSE_MAX_MEMBERS`] members are refused. A disconnected
+    /// member set fails fast with the offending pair named.
     pub fn try_build_with(
         graph: &PhysGraph,
         members: Vec<PhysNodeId>,
         cfg: &OracleConfig,
     ) -> Result<Self, OracleBuildError> {
-        let store = match cfg.tier.resolve(members.len()) {
-            Tier::Dense => {
-                Store::Dense(match RowKernel::new(graph, &members).into_blocks(graph, &members) {
-                    Ok(blocks) => blocks,
-                    Err(_) => Blocks::whole(dense_matrix(graph, &members)?, members.len()),
-                })
+        let n = members.len();
+        let store = match Decomposition::build(graph, &members) {
+            Some(dec) if cfg.tier.resolve(n) == Tier::Cached => {
+                Store::Search { graph: graph.clone(), dec }
             }
-            Tier::Cached => {
-                Store::Rows(RowStore::try_build(graph, &members, cfg.cache_capacity_bytes)?)
+            Some(dec) => Store::Dense(dec.into_blocks(graph, &members)),
+            None if n > Tier::DENSE_MAX_MEMBERS => {
+                return Err(OracleBuildError::TooManyForMatrix { members: n })
             }
-            Tier::Auto => unreachable!("Tier::resolve names a tier"),
+            None => Store::Dense(Blocks::matrix(graph, &members)?),
         };
         Ok(LatencyOracle { members, mean_phys_link_latency: graph.mean_link_latency(), store })
     }
@@ -235,9 +156,10 @@ impl LatencyOracle {
 
     /// [`LatencyOracle::select_and_build`] with an explicit configuration.
     ///
-    /// Also panics if any member cannot reach any other (the generators
-    /// always produce connected graphs, so this indicates a bug), naming
-    /// the offending member pair.
+    /// Also panics with [`OracleBuildError`]'s message if the build is
+    /// refused: a member that cannot reach another (the generators always
+    /// produce connected graphs, so this indicates a bug), or too many
+    /// members of a graph without the decomposition.
     pub fn select_and_build_with(
         graph: &PhysGraph,
         n: usize,
@@ -271,7 +193,7 @@ impl LatencyOracle {
     pub fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
         match &self.store {
             Store::Dense(blocks) => blocks.d(a, b),
-            Store::Rows(rows) => rows.d(&self.members, a, b),
+            Store::Search { graph, dec } => dec.d(graph, &self.members, a, b),
         }
     }
 
@@ -287,11 +209,12 @@ impl LatencyOracle {
         self.mean_phys_link_latency
     }
 
-    /// Which tier was built; never [`Tier::Auto`].
+    /// Which tier was built; never [`Tier::Auto`], and [`Tier::Dense`] on
+    /// a graph without the decomposition whatever was asked.
     pub fn built_tier(&self) -> Tier {
         match &self.store {
             Store::Dense(_) => Tier::Dense,
-            Store::Rows(_) => Tier::Cached,
+            Store::Search { .. } => Tier::Cached,
         }
     }
 
@@ -300,29 +223,19 @@ impl LatencyOracle {
         self.built_tier().label()
     }
 
-    /// The row store behind this oracle; `None` on the dense tier, which
-    /// keeps every answer.
-    fn rows(&self) -> Option<&RowStore> {
-        match &self.store {
-            Store::Dense(_) => None,
-            Store::Rows(rows) => Some(rows),
-        }
-    }
-
-    /// Row-cache counters; `None` on the dense tier (which has no cache).
-    /// A miss is one whole row made over the members. On a transit–stub
-    /// graph no pair reads a row, and every counter stays zero; on any
-    /// other graph every pair of two members does. `resident_rows` counts
-    /// entries and `resident_bytes` sums their own lengths.
+    // All-zero counters on the search store and `None` on the dense tier,
+    // as when the search store had a row cache: `benchmark/` reads them,
+    // and decides by `None` whether to run its flood probe. The next
+    // `benchmark` change drops its row counters and this with them.
+    #[doc(hidden)]
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.rows().map(|rows| rows.cache.stats())
+        matches!(self.store, Store::Search { .. }).then(CacheStats::default)
     }
 
     // No-op kept for one caller outside the workspace's packages:
-    // `benchmark/src/probes.rs` calls it before its row probes. A row
-    // enters the store only through a `d` miss, so there is nothing to
-    // warm; the next `benchmark` change drops those calls and this stub
-    // with them.
+    // `benchmark/src/probes.rs` calls it before its row probes. No store
+    // keeps a row, so there is nothing to warm; the next `benchmark`
+    // change drops those calls and this stub with them.
     #[doc(hidden)]
     pub fn warm_rows(&self, _sources: &[MemberIdx]) {}
 
@@ -348,29 +261,10 @@ mod tests {
         LatencyOracle::select_and_build(&g, n, &mut rng)
     }
 
-    fn tiny_cached(n: usize, seed: u64, capacity: usize) -> LatencyOracle {
+    fn tiny_cached(n: usize, seed: u64) -> LatencyOracle {
         let mut rng = SimRng::seed_from(seed);
         let g = generate(&TransitStubParams::tiny(), &mut rng);
-        LatencyOracle::select_and_build_with(&g, n, &mut rng, &OracleConfig::cached(capacity))
-    }
-
-    /// Bytes one stored row of `cells` occupies.
-    fn row_bytes(cells: usize) -> usize {
-        cells * std::mem::size_of::<RowMs>()
-    }
-
-    /// A row-cache oracle over 40 hosts of a Waxman graph, which the row
-    /// kernel refuses — so every pair of two members reads a whole row of
-    /// 40 cells — its budget `rows_a_shard` rows in every shard; with its
-    /// graph.
-    fn waxman_rows(seed: u64, rows_a_shard: usize) -> (LatencyOracle, PhysGraph) {
-        let mut rng = SimRng::seed_from(seed);
-        let g = generate_waxman(&WaxmanParams::tiny(), &mut rng);
-        let members = rng.sample_distinct(&g.stub_nodes(), 40);
-        let cfg = OracleConfig::cached(rows_a_shard * CACHE_SHARDS * row_bytes(40));
-        let o = LatencyOracle::try_build_with(&g, members, &cfg).unwrap();
-        assert!(!o.rows().unwrap().kernel.is_decomposed());
-        (o, g)
+        LatencyOracle::select_and_build_with(&g, n, &mut rng, &OracleConfig::cached(1))
     }
 
     /// Two stub components with no path between them.
@@ -383,6 +277,17 @@ mod tests {
         b.add_link(a0, a1, 5, LinkClass::StubStub);
         b.add_link(b0, b1, 5, LinkClass::StubStub);
         (b.build(), vec![a0, a1, b0, b1])
+    }
+
+    /// The pair a disconnected build names, as `(from, to)` member indices.
+    fn disconnected_pair(err: OracleBuildError, members: &[PhysNodeId]) -> (usize, usize) {
+        let OracleBuildError::Disconnected { from_member, from_host, to_member, to_host } = err
+        else {
+            panic!("not a disconnected pair: {err:?}");
+        };
+        assert_eq!(from_host, members[from_member]);
+        assert_eq!(to_host, members[to_member]);
+        (from_member, to_member)
     }
 
     #[test]
@@ -413,15 +318,11 @@ mod tests {
         // The premise of goal-directed floods (`prop_overlay::FloodScratch`):
         // `d(u, dst)` bounds every route `u → … → dst` from below only if `d`
         // is symmetric, zero on the diagonal and obeys the triangle
-        // inequality — on the row cache also while rows are evicted mid-loop,
-        // which only a graph the row kernel refuses has: on `tiny()` the
-        // row cache answers by meeting searches and keeps no row.
+        // inequality — on the blocks and the search store of a transit–stub
+        // graph, and on a Waxman graph's matrix.
         let n = 40;
         for seed in 0..32u64 {
-            // One whole row a shard on Waxman, and 40 sources share 16
-            // shards: every shard evicts.
-            let tiers =
-                [OracleConfig::default(), OracleConfig::cached(CACHE_SHARDS * row_bytes(n))];
+            let tiers = [OracleConfig::default(), OracleConfig::cached(1)];
             for (decomposed, cfg) in [true, false].into_iter().flat_map(|d| tiers.map(|c| (d, c))) {
                 let mut rng = SimRng::seed_from(seed);
                 let g = if decomposed {
@@ -443,12 +344,6 @@ mod tests {
                             );
                         }
                     }
-                }
-                if let Some(s) = o.cache_stats() {
-                    let at = format!("seed {seed}, decomposed {decomposed}: {s:?}");
-                    assert_eq!(s.evictions > 0, !decomposed, "{at}");
-                    assert_eq!(s.misses == 0, decomposed, "{at}");
-                    assert!(s.resident_bytes <= s.capacity_bytes, "{at}");
                 }
             }
         }
@@ -543,15 +438,15 @@ mod tests {
 
     #[test]
     fn cached_config_routes_to_row_cache() {
-        let o = tiny_cached(10, 9, 1 << 20);
+        let o = tiny_cached(10, 9);
         assert_eq!(o.tier(), "row-cache");
-        assert!(o.cache_stats().is_some());
+        assert_eq!(o.cache_stats(), Some(CacheStats::default()));
     }
 
     #[test]
     fn cached_tier_matches_dense_tier() {
         let dense = tiny_oracle(20, 10);
-        let cached = tiny_cached(20, 10, 1 << 20);
+        let cached = tiny_cached(20, 10);
         assert_eq!(dense.len(), cached.len());
         for a in 0..20 {
             assert_eq!(dense.host(a), cached.host(a));
@@ -562,24 +457,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_tier_counts_hits_and_misses() {
-        let (o, _) = waxman_rows(11, 8);
-        let s0 = o.cache_stats().unwrap();
-        let first = o.d(3, 4); // row 3 computed
-        let again = o.d(3, 5); // row 3 hit
-        assert!(first > 0 && again > 0);
-        let s = o.cache_stats().unwrap().since(&s0);
-        assert_eq!((s.hits, s.misses), (1, 1), "{s:?}");
-    }
-
-    #[test]
     fn a_decomposed_graph_leaves_the_row_store_empty() {
         // Any workload on a transit–stub graph — every ordered pair, three
-        // passes, forwards and back, under a budget of one byte or of
-        // plenty, on `tiny()`, the two unequal domains of a hand-built
-        // graph, and `scaled(3000)` — answers as whole-graph Dijkstra does
-        // and leaves the row store as it was built: nothing made, nothing
-        // kept, nothing counted.
+        // passes, forwards and back, on `tiny()`, the two unequal domains of
+        // a hand-built graph, and `scaled(3000)` — is answered by the search
+        // store, which keeps no row, as whole-graph Dijkstra does.
         let mut rng = SimRng::seed_from(28);
         let tiny = generate(&TransitStubParams::tiny(), &mut rng);
         let tiny_members = tiny.stub_nodes();
@@ -610,104 +492,40 @@ mod tests {
         for (name, (g, members)) in cases {
             let n = members.len();
             let full: Vec<Vec<u32>> = members.iter().map(|&m| shortest_paths(&g, m)).collect();
-            for cap in [1, 1 << 20] {
-                let o =
-                    LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::cached(cap))
-                        .unwrap();
-                assert!(o.rows().unwrap().kernel.is_decomposed(), "{name}");
-                let built = o.cache_stats().unwrap();
-                for pass in 0..3 {
-                    for i in 0..n * n {
-                        let i = if pass == 2 { n * n - 1 - i } else { i };
-                        let (a, b) = (i / n, i % n);
-                        let want = full[a][members[b].index()];
-                        assert_eq!(o.d(a, b), want, "{name}, pass {pass}: d({a}, {b})");
-                    }
+            let o = LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::cached(1))
+                .unwrap();
+            assert!(matches!(o.store, Store::Search { .. }), "{name}");
+            for pass in 0..3 {
+                for i in 0..n * n {
+                    let i = if pass == 2 { n * n - 1 - i } else { i };
+                    let (a, b) = (i / n, i % n);
+                    let want = full[a][members[b].index()];
+                    assert_eq!(o.d(a, b), want, "{name}, pass {pass}: d({a}, {b})");
                 }
-                let s = o.cache_stats().unwrap();
-                assert_eq!(s, built, "{name}, cap {cap}");
-                assert_eq!((s.misses, s.resident_rows), (0, 0), "{name}, cap {cap}");
             }
         }
     }
 
     #[test]
     fn a_never_warmed_oracle_answers_every_miss_as_dijkstra_does() {
-        // One row a shard and nothing warmed: every row read below was made
-        // by a `d` miss, by the kernel's whole-graph row on the Waxman
-        // graph; the transit–stub one answers every pair by the kernel and
-        // makes none.
+        // Nothing warmed: the transit–stub graph answers every pair by the
+        // search store, the Waxman graph — asked for the same tier — by its
+        // matrix.
         let mut rng = SimRng::seed_from(26);
         let transit_stub = generate(&TransitStubParams::tiny(), &mut rng);
         let waxman = generate_waxman(&WaxmanParams::tiny(), &mut rng);
-        for (decomposed, g) in [(true, transit_stub), (false, waxman)] {
+        for (tier, g) in [(Tier::Cached, transit_stub), (Tier::Dense, waxman)] {
             let members = rng.sample_distinct(&g.stub_nodes(), 40);
             let n = members.len();
             let o = LatencyOracle::try_build_with(&g, members, &OracleConfig::cached(1)).unwrap();
-            assert_eq!(o.rows().unwrap().kernel.is_decomposed(), decomposed);
-            let built = o.cache_stats().unwrap();
+            assert_eq!(o.built_tier(), tier);
             for a in 0..n {
                 let full = shortest_paths(&g, o.host(a));
                 for b in 0..n {
                     assert_eq!(o.d(a, b), full[o.host(b).index()], "({a}, {b})");
                 }
             }
-            let s = o.cache_stats().unwrap().since(&built);
-            if decomposed {
-                assert_eq!((s.hits, s.misses, s.resident_rows), (0, 0, 0), "{s:?}");
-            } else {
-                // Whole rows: every source misses.
-                assert!(s.misses >= n as u64, "{s:?}");
-                assert!(s.evictions > 0, "{s:?}");
-                assert!(s.resident_rows <= CACHE_SHARDS, "{s:?}");
-            }
         }
-    }
-
-    #[test]
-    fn a_row_enters_the_store_only_through_a_d_miss() {
-        // On the one row shape left, a Waxman graph's whole rows: the
-        // build's checked row leaves the cache empty and uncounted, one `d`
-        // miss adds one miss and the one row it read, filed under its
-        // source, `warm_rows` then leaves the cache bit-equal, and the next
-        // read of that row hits.
-        for seed in 0..4 {
-            let (o, _) = waxman_rows(seed, 8);
-            let at = format!("seed {seed}");
-            let built = o.cache_stats().unwrap();
-            assert_eq!((built.resident_rows, built.misses), (0, 0), "{at}");
-            let _ = o.d(3, 4);
-            let s = o.cache_stats().unwrap();
-            assert_eq!((s.hits, s.misses, s.resident_rows), (0, 1, 1), "{at}");
-            assert_eq!(s.resident_bytes, row_bytes(40), "{at}");
-            o.warm_rows(&(0..o.len()).collect::<Vec<_>>());
-            assert_eq!(o.cache_stats().unwrap(), s, "{at}: warm_rows");
-            let _ = o.d(3, 5);
-            let s = o.cache_stats().unwrap();
-            assert_eq!((s.hits, s.misses, s.resident_rows), (1, 1, 1), "{at}");
-        }
-    }
-
-    #[test]
-    fn tiny_capacity_evicts_but_stays_correct() {
-        // Forty sources over sixteen shards and a budget of one whole row a
-        // shard: every shard evicts on every pass and the cache ends inside
-        // its byte budget.
-        let (cached, g) = waxman_rows(13, 1);
-        let n = cached.len();
-        let members = (0..n).map(|i| cached.host(i)).collect();
-        let dense = LatencyOracle::try_build_with(&g, members, &OracleConfig::dense()).unwrap();
-        for pass in 0..3 {
-            for a in 0..n {
-                for b in 0..n {
-                    assert_eq!(cached.d(a, b), dense.d(a, b), "pass {pass}, pair ({a},{b})");
-                }
-            }
-        }
-        let s = cached.cache_stats().unwrap();
-        assert!(s.evictions > 0, "tiny capacity must evict");
-        assert!(s.resident_bytes <= s.capacity_bytes, "{s:?}");
-        assert_eq!(s.resident_bytes, s.resident_rows * row_bytes(n), "{s:?}");
     }
 
     #[test]
@@ -716,85 +534,45 @@ mod tests {
         let err = LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::default())
             .unwrap_err();
         // Some member of component A cannot reach some member of component B.
-        assert_ne!(err.from_member, err.to_member);
-        let (a_side, b_side) = (err.from_member < 2, err.to_member < 2);
-        assert_ne!(a_side, b_side, "pair must straddle the two components");
-        assert_eq!(err.from_host, members[err.from_member]);
-        assert_eq!(err.to_host, members[err.to_member]);
-        assert_eq!(err.fault, PairFault::Disconnected);
+        let (from, to) = disconnected_pair(err, &members);
+        assert_ne!(from, to);
+        assert_ne!(from < 2, to < 2, "pair must straddle the two components");
     }
 
     #[test]
     fn try_build_reports_offending_pair_cached() {
         let (g, members) = disconnected_graph();
-        let err =
-            LatencyOracle::try_build_with(&g, members, &OracleConfig::cached(1 << 20)).unwrap_err();
-        assert_eq!(err.from_member, 0, "cached tier validates from the first member");
-        assert!(err.to_member >= 2, "components straddled");
-        assert_eq!(err.fault, PairFault::Disconnected);
+        let err = LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::cached(1))
+            .unwrap_err();
+        let (from, to) = disconnected_pair(err, &members);
+        assert_eq!(from, 0, "the matrix validates from the first member");
+        assert!(to >= 2, "components straddled");
     }
 
     #[test]
-    fn a_latency_past_the_row_width_is_a_build_error_on_the_row_tiers_only() {
-        // Every host of a Waxman graph whose longest link is 40,000 ms: its
-        // rows are whole, the first member's farthest is at least one link
-        // of the graph's, and twice that is past `RowMs::MAX`.
-        let params = WaxmanParams { max_latency_ms: 40_000, ..WaxmanParams::tiny() };
-        let g = generate_waxman(&params, &mut SimRng::seed_from(24));
-        let members = g.stub_nodes();
-        let from_first = shortest_paths(&g, members[0]);
-        let farthest = members.iter().map(|m| from_first[m.index()]).max().unwrap();
-        assert!(2 * farthest > u32::from(RowMs::MAX), "{farthest}");
-        let err =
-            LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::cached(1 << 20))
-                .unwrap_err();
-        assert_eq!(err.fault, PairFault::TooFar { ms: farthest });
-        assert_eq!((err.from_member, err.from_host), (0, members[0]));
-        assert_eq!(err.to_host, members[err.to_member]);
-        assert_eq!(from_first[err.to_host.index()], farthest);
-        let msg = err.to_string();
-        assert!(msg.contains(&format!("{farthest} ms")) && !msg.contains('\n'), "{msg}");
-        // The matrix is `u32`: it builds, and answers past sixteen bits.
-        let dense = LatencyOracle::try_build_with(&g, members, &OracleConfig::dense())
-            .expect("the dense tier has no width limit");
-        assert_eq!((0..dense.len()).map(|j| dense.d(0, j)).max(), Some(farthest));
-        // A transit–stub graph as wide keeps no row, so neither tier has a
-        // limit there: the row cache builds and answers past sixteen bits.
-        let params = TransitStubParams { transit_transit_ms: 40_000, ..TransitStubParams::tiny() };
-        let g = generate(&params, &mut SimRng::seed_from(24));
-        let members = g.stub_nodes();
-        let from_first = shortest_paths(&g, members[0]);
-        let cached =
-            LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::cached(1 << 20))
-                .expect("a decomposed graph keeps no row to be too narrow");
-        for (j, m) in members.iter().enumerate() {
-            assert_eq!(cached.d(0, j), from_first[m.index()], "{j}");
+    fn a_latency_past_sixteen_bits_builds_on_every_tier_and_is_exact() {
+        // A Waxman graph whose longest link is 40,000 ms, and a transit–stub
+        // graph with 40,000 ms transit links: no store narrows a latency, so
+        // every tier builds on both and answers past 65,535 ms exactly.
+        let waxman = WaxmanParams { max_latency_ms: 40_000, ..WaxmanParams::tiny() };
+        let waxman = generate_waxman(&waxman, &mut SimRng::seed_from(24));
+        let transit_stub =
+            TransitStubParams { transit_transit_ms: 40_000, ..TransitStubParams::tiny() };
+        let transit_stub = generate(&transit_stub, &mut SimRng::seed_from(24));
+        for (name, g) in [("waxman", waxman), ("transit-stub", transit_stub)] {
+            let members = g.stub_nodes();
+            let full: Vec<Vec<u32>> = members.iter().map(|&m| shortest_paths(&g, m)).collect();
+            let widest = full.iter().flat_map(|row| members.iter().map(|m| row[m.index()])).max();
+            assert!(widest > Some(u32::from(u16::MAX)), "{name}: {widest:?}");
+            for cfg in [OracleConfig::dense(), OracleConfig::cached(1), OracleConfig::default()] {
+                let o = LatencyOracle::try_build_with(&g, members.clone(), &cfg).unwrap();
+                for (a, row) in full.iter().enumerate() {
+                    for (b, m) in members.iter().enumerate() {
+                        assert_eq!(o.d(a, b), row[m.index()], "{name}, {cfg:?}: ({a}, {b})");
+                    }
+                }
+            }
         }
-        assert!((0..cached.len()).any(|j| cached.d(0, j) > u32::from(RowMs::MAX)));
-    }
-
-    #[test]
-    fn the_width_check_is_on_twice_the_first_row_and_is_exact_at_the_edge() {
-        // A path m1 - m0 - m2: row 0 holds (0, a, b) and `d(m1, m2) = a + b`.
-        // `2 · max(a, b) ≤ 65,535` is what is checked, so 32,767 either
-        // side builds — and row 1 then holds 65,534, which reads back —
-        // while 32,768 on one side is refused though 65,535 itself fits.
-        let path = |a: u32, b: u32| {
-            let mut g = PhysGraphBuilder::new();
-            let m: Vec<_> =
-                (0..3).map(|_| g.add_node(NodeClass::Stub { domain: 0, gateway: 0 })).collect();
-            g.add_link(m[0], m[1], a, LinkClass::StubStub);
-            g.add_link(m[0], m[2], b, LinkClass::StubStub);
-            (g.build(), m)
-        };
-        let (g, m) = path(32_767, 32_767);
-        let o =
-            LatencyOracle::try_build_with(&g, m.clone(), &OracleConfig::cached(1 << 20)).unwrap();
-        assert_eq!(o.d(1, 2), 65_534);
-        assert_eq!(o.d(2, 0), 32_767);
-        let (g, m) = path(32_767, 32_768);
-        let err = LatencyOracle::try_build_with(&g, m, &OracleConfig::cached(1 << 20)).unwrap_err();
-        assert_eq!((err.to_member, err.fault), (2, PairFault::TooFar { ms: 32_768 }));
     }
 
     #[test]
@@ -806,41 +584,35 @@ mod tests {
     }
 
     #[test]
-    fn each_forced_tier_builds_the_tier_and_budget_it_says() {
-        let b = 1 << 20;
+    fn each_forced_tier_builds_the_tier_it_says() {
         // The last two are the spellings `benchmark/src/scale.rs` uses; the
-        // hidden `embedded()` is the cached configuration.
+        // hidden `embedded()` is the cached configuration, and the byte
+        // count changes nothing.
+        let b = 1 << 20;
         let rows = [
-            (OracleConfig::default(), Tier::Dense, None),
-            (OracleConfig::dense(), Tier::Dense, None),
-            (OracleConfig { tier: Tier::Cached, ..OracleConfig::default() }, Tier::Cached, None),
-            (OracleConfig::cached(b), Tier::Cached, Some(b)),
-            (
-                OracleConfig { cache_capacity_bytes: b, ..OracleConfig::embedded() },
-                Tier::Cached,
-                Some(b),
-            ),
+            (OracleConfig::default(), Tier::Dense),
+            (OracleConfig::dense(), Tier::Dense),
+            (OracleConfig { tier: Tier::Cached, ..OracleConfig::default() }, Tier::Cached),
+            (OracleConfig::cached(b), Tier::Cached),
+            (OracleConfig { cache_capacity_bytes: b, ..OracleConfig::embedded() }, Tier::Cached),
         ];
-        for (cfg, tier, budget) in rows {
+        for (cfg, tier) in rows {
             let mut rng = SimRng::seed_from(22);
             let g = generate(&TransitStubParams::tiny(), &mut rng);
             let o = LatencyOracle::select_and_build_with(&g, 16, &mut rng, &cfg);
             assert_eq!(o.built_tier(), tier, "{cfg:?}");
             assert_eq!(o.tier(), tier.label(), "{cfg:?}");
-            let capacity = o.cache_stats().map(|s| s.capacity_bytes);
-            let default_budget = OracleConfig::default().cache_capacity_bytes;
-            let expected = (tier != Tier::Dense).then_some(budget.unwrap_or(default_budget));
-            assert_eq!(capacity, expected, "{cfg:?}");
+            assert_eq!(o.cache_stats().is_some(), tier == Tier::Cached, "{cfg:?}");
         }
     }
 
     #[test]
     fn an_empty_member_set_builds_on_every_tier() {
         let g = generate(&TransitStubParams::tiny(), &mut SimRng::seed_from(23));
-        for cfg in [OracleConfig::dense(), OracleConfig::cached(1 << 20)] {
+        for cfg in [OracleConfig::dense(), OracleConfig::cached(1)] {
             let o = LatencyOracle::try_build_with(&g, Vec::new(), &cfg).unwrap();
             assert!(o.is_empty(), "{}", o.tier());
-            assert_eq!(o.cache_stats().map(|s| s.resident_rows).unwrap_or(0), 0);
+            assert_eq!(o.built_tier(), cfg.tier);
         }
     }
 

@@ -282,14 +282,16 @@ impl OverlayNet {
 
     // No-op kept for one caller outside the workspace's packages:
     // `benchmark/src/scale.rs` calls it before each batch of latency reads.
-    // An oracle row is made only by the `d` miss that reads it, so there
-    // is nothing to warm; the next `benchmark` change drops that call and
-    // this stub with it.
+    // No oracle store keeps a row, so there is nothing to warm; the next
+    // `benchmark` change drops that call and this stub with it.
     #[doc(hidden)]
     pub fn warm_latency_rows(&self, _slots: &[Slot]) {}
 
-    /// Hit/miss/eviction counters of the oracle's row cache; `None` while
-    /// the dense tier is live.
+    // Kept, like `warm_latency_rows`, for `benchmark/src/probes.rs`, which
+    // runs its flood probe when this is `None` (the dense tier). No oracle
+    // store keeps a row, so every counter is zero; the next `benchmark`
+    // change drops this with its row counters.
+    #[doc(hidden)]
     pub fn oracle_cache_stats(&self) -> Option<prop_netsim::CacheStats> {
         self.oracle.cache_stats()
     }

@@ -67,11 +67,9 @@ pub mod prelude {
     };
     pub use prop_metrics::{
         avg_lookup_latency, link_stretch, path_stretch, FaultReport, LatencySummary,
-        OracleCacheReport, StretchSummary, TimeSeries,
+        StretchSummary, TimeSeries,
     };
-    pub use prop_netsim::{
-        generate, CacheStats, LatencyOracle, OracleConfig, PhysGraph, TransitStubParams,
-    };
+    pub use prop_netsim::{generate, LatencyOracle, OracleConfig, PhysGraph, TransitStubParams};
     pub use prop_overlay::can::Can;
     pub use prop_overlay::chord::{Chord, ChordParams};
     pub use prop_overlay::gnutella::{Gnutella, GnutellaParams};
