@@ -16,7 +16,7 @@
 use prop_engine::SimRng;
 use prop_netsim::LatencyOracle;
 use prop_overlay::chord::{Chord, ChordParams};
-use prop_overlay::pastry::{Pastry, PastryParams};
+use prop_overlay::pastry::Pastry;
 use prop_overlay::OverlayNet;
 use std::sync::Arc;
 
@@ -40,13 +40,9 @@ pub fn build_pns_chord(
 
 /// Build a Pastry overlay with proximity-selected routing tables: every
 /// cell takes the physically nearest node among all that legally fill it.
-pub fn build_pns_pastry(
-    params: PastryParams,
-    oracle: Arc<LatencyOracle>,
-    rng: &mut SimRng,
-) -> (Pastry, OverlayNet) {
+pub fn build_pns_pastry(oracle: Arc<LatencyOracle>, rng: &mut SimRng) -> (Pastry, OverlayNet) {
     let o = Arc::clone(&oracle);
-    Pastry::build_with_selector(params, oracle, rng, move |slot, candidates| {
+    Pastry::build_with_selector(oracle, rng, move |slot, candidates| {
         *candidates
             .iter()
             .min_by_key(|&&c| o.d(slot.index(), c.index()))
@@ -110,9 +106,9 @@ mod tests {
     fn pns_pastry_lowers_mean_link_latency_vs_vanilla() {
         let o = oracle(120, 4);
         let mut rng = SimRng::seed_from(4);
-        let (_, vanilla) = Pastry::build(PastryParams::default(), Arc::clone(&o), &mut rng);
+        let (_, vanilla) = Pastry::build(Arc::clone(&o), &mut rng);
         let mut rng = SimRng::seed_from(4);
-        let (_, pns) = build_pns_pastry(PastryParams::default(), o, &mut rng);
+        let (_, pns) = build_pns_pastry(o, &mut rng);
         assert!(
             pns.mean_link_latency() < vanilla.mean_link_latency(),
             "PNS-Pastry {:.1} should beat vanilla {:.1}",
@@ -125,7 +121,7 @@ mod tests {
     fn pns_pastry_routes_correctly() {
         let o = oracle(80, 5);
         let mut rng = SimRng::seed_from(5);
-        let (pastry, net) = build_pns_pastry(PastryParams::default(), o, &mut rng);
+        let (pastry, net) = build_pns_pastry(o, &mut rng);
         let mut hops = Vec::new();
         for a in (0..80u32).step_by(3) {
             for b in 0..80u32 {

@@ -17,7 +17,7 @@
 //! paper discusses (PRS needs more than one candidate per hop to exist).
 
 use prop_overlay::chord::Chord;
-use prop_overlay::{Lookup, OverlayNet, RouteOutcome, Slot};
+use prop_overlay::{FloodScratch, Lookup, OverlayNet, RouteOutcome, Slot};
 
 /// A Chord whose lookups use proximity route selection.
 pub struct PrsChord {
@@ -69,7 +69,13 @@ impl PrsChord {
 }
 
 impl Lookup for PrsChord {
-    fn lookup(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<RouteOutcome> {
+    fn lookup_with(
+        &self,
+        net: &OverlayNet,
+        src: Slot,
+        dst: Slot,
+        _: &mut FloodScratch,
+    ) -> Option<RouteOutcome> {
         let path = self.route_path(net, src, self.chord.id(dst));
         debug_assert_eq!(*path.last().unwrap(), dst);
         Some(net.route_outcome(&path))

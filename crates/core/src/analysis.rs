@@ -11,7 +11,7 @@
 //!   very low after [warm-up]";
 //! * Eq. 3's average latency `AL = (Σ_i Σ_j d(i,j)) / n²`.
 
-use prop_engine::Duration;
+use crate::config::INIT_TIMER;
 
 /// §4.3: messages for one PROP-G adjustment step — the walk plus both
 /// peers probing each other's full neighborhoods (`c` = average degree).
@@ -35,20 +35,20 @@ pub fn propo_msgs_per_step(nhop: u32, m: usize) -> f64 {
 /// §4.3: worst-case per-node probe frequency (probes per millisecond) —
 /// every trial fails *and* the timer is pinned at `INIT_TIMER` (i.e. the
 /// warm-up regime).
-pub fn worst_case_probe_rate(init_timer: Duration) -> f64 {
-    1.0 / init_timer.as_millis() as f64
+pub fn worst_case_probe_rate() -> f64 {
+    1.0 / INIT_TIMER.as_millis() as f64
 }
 
 /// Steady-state probe rate (probes per millisecond) of the maintenance
 /// Markov chain, for a per-trial exchange probability `q`.
 ///
-/// The timer walks states `2⁰·T, 2¹·T, …, 2⁵·T`: success (prob `q`) resets
-/// to state 0, failure advances (state 5 wraps to 0, the paper's "at most
-/// five times of suspending"). The chain regenerates at every visit to
+/// The timer walks states `2⁰·T, 2¹·T, …, 2⁵·T` (`T` = [`INIT_TIMER`]):
+/// success (prob `q`) resets to state 0, failure advances (state 5 wraps to
+/// 0, the paper's "at most five times of suspending"). The chain regenerates at every visit to
 /// state 0, so the rate is `E[trials per cycle] / E[time per cycle]`.
-pub fn steady_state_probe_rate(q: f64, init_timer: Duration) -> f64 {
+pub fn steady_state_probe_rate(q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q));
-    let t = init_timer.as_millis() as f64;
+    let t = INIT_TIMER.as_millis() as f64;
     let states = 6; // 2^0 .. 2^5
                     // A renewal cycle starts just after a reset: wait 2⁰·T, trial at state
                     // 0; on failure wait 2¹·T, trial at state 1; … The cycle ends at the
@@ -87,19 +87,18 @@ mod tests {
 
     #[test]
     fn worst_case_rate_is_one_per_init_timer() {
-        let r = worst_case_probe_rate(Duration::from_minutes(1));
+        let r = worst_case_probe_rate();
         assert!((r * 60_000.0 - 1.0).abs() < 1e-12, "1 probe per minute");
     }
 
     #[test]
     fn steady_state_rate_decreases_with_failures() {
-        let t = Duration::from_minutes(1);
-        let always_succeed = steady_state_probe_rate(1.0, t);
-        let half = steady_state_probe_rate(0.5, t);
-        let never = steady_state_probe_rate(0.0, t);
+        let always_succeed = steady_state_probe_rate(1.0);
+        let half = steady_state_probe_rate(0.5);
+        let never = steady_state_probe_rate(0.0);
         assert!(always_succeed > half && half > never);
         // q = 1 ⇒ every wait is INIT_TIMER ⇒ worst-case rate.
-        assert!((always_succeed - worst_case_probe_rate(t)).abs() < 1e-15);
+        assert!((always_succeed - worst_case_probe_rate()).abs() < 1e-15);
     }
 
     #[test]
@@ -107,8 +106,7 @@ mod tests {
         // q = 0: one cycle = 6 trials, waits T+2T+4T+8T+16T+32T = 63T
         // ⇒ rate = 6/(63T) ≈ one probe per 10.5·T — the paper's "the
         // frequency is very low after [warm-up]".
-        let t = Duration::from_minutes(1);
-        let rate = steady_state_probe_rate(0.0, t);
+        let rate = steady_state_probe_rate(0.0);
         let expect = 6.0 / (63.0 * 60_000.0);
         assert!((rate - expect).abs() < 1e-15, "rate {rate}, expect {expect}");
     }
@@ -127,14 +125,13 @@ mod tests {
         // timer must be back at INIT_TIMER afterwards (cycle complete).
         use prop_engine::backoff::TrialOutcome;
         use prop_engine::MarkovTimer;
-        let init = Duration::from_minutes(1);
-        let mut timer = MarkovTimer::new(init);
+        let mut timer = MarkovTimer::new(INIT_TIMER);
         let mut waited = 0u64;
         for _ in 0..6 {
             waited += timer.current().as_millis();
             timer.record(TrialOutcome::NoGain);
         }
         assert_eq!(waited, 63 * 60_000, "(1+2+4+8+16+32)·T");
-        assert_eq!(timer.current(), init, "wrapped back to INIT_TIMER");
+        assert_eq!(timer.current(), INIT_TIMER, "wrapped back to INIT_TIMER");
     }
 }

@@ -2,6 +2,10 @@
 
 use prop_engine::Duration;
 
+/// Initial probe interval ("we simply set it as 1 minute"): the warm-up
+/// cadence and the base of the Markov backoff.
+pub const INIT_TIMER: Duration = Duration::from_minutes(1);
+
 /// Which member of the PROP family to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Policy {
@@ -42,21 +46,13 @@ pub struct PropConfig {
     /// Warm-up length in probe trials ("simulations … show this number to
     /// be less than ten").
     pub max_init_trial: u32,
-    /// Initial probe interval ("we simply set it as 1 minute").
-    pub init_timer: Duration,
 }
 
 impl PropConfig {
     /// The paper's defaults with the given policy: `nhops = 2`,
-    /// `MIN_VAR = 0`, `MAX_INIT_TRIAL = 10`, `INIT_TIMER = 1 min`.
+    /// `MIN_VAR = 0`, `MAX_INIT_TRIAL = 10` (the timer is [`INIT_TIMER`]).
     pub fn paper_defaults(policy: Policy) -> Self {
-        PropConfig {
-            policy,
-            probe: ProbeMode::Walk { nhops: 2 },
-            min_var: 0,
-            max_init_trial: 10,
-            init_timer: Duration::from_minutes(1),
-        }
+        PropConfig { policy, probe: ProbeMode::Walk { nhops: 2 }, min_var: 0, max_init_trial: 10 }
     }
 
     /// PROP-G with paper defaults.
@@ -79,12 +75,6 @@ impl PropConfig {
         self.probe = probe;
         self
     }
-
-    /// Builder-style override of the initial timer.
-    pub fn with_init_timer(mut self, init: Duration) -> Self {
-        self.init_timer = init;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -98,7 +88,7 @@ mod tests {
         assert_eq!(c.probe, ProbeMode::Walk { nhops: 2 });
         assert_eq!(c.min_var, 0);
         assert_eq!(c.max_init_trial, 10);
-        assert_eq!(c.init_timer, Duration::from_minutes(1));
+        assert_eq!(INIT_TIMER, Duration::from_minutes(1));
     }
 
     #[test]
@@ -109,10 +99,7 @@ mod tests {
 
     #[test]
     fn builders_override() {
-        let c = PropConfig::prop_g()
-            .with_probe(ProbeMode::Random)
-            .with_init_timer(Duration::from_secs(30));
+        let c = PropConfig::prop_g().with_probe(ProbeMode::Random);
         assert_eq!(c.probe, ProbeMode::Random);
-        assert_eq!(c.init_timer, Duration::from_secs(30));
     }
 }

@@ -10,7 +10,7 @@
 //!   ([`prop_engine::MarkovTimer`]): doubling on failure, resetting on
 //!   success, on exceeding `MAX_TIMER`, or on churn.
 
-use crate::config::PropConfig;
+use crate::config::{PropConfig, INIT_TIMER};
 use crate::neighborq::NeighborQueue;
 use prop_engine::backoff::TrialOutcome;
 use prop_engine::{Duration, MarkovTimer, SimRng};
@@ -35,9 +35,9 @@ pub struct NodeState {
 impl NodeState {
     /// Fresh state for a peer occupying `slot`, with the warm-up's random
     /// first-hop order.
-    pub fn new(cfg: &PropConfig, g: &LogicalGraph, slot: Slot, rng: &mut SimRng) -> Self {
+    pub fn new(g: &LogicalGraph, slot: Slot, rng: &mut SimRng) -> Self {
         NodeState {
-            timer: MarkovTimer::new(cfg.init_timer),
+            timer: MarkovTimer::new(INIT_TIMER),
             queue: NeighborQueue::init(g.neighbors(slot), rng),
             trials_done: 0,
         }
@@ -162,7 +162,7 @@ mod tests {
 
     fn state(g: &LogicalGraph, slot: Slot, seed: u64) -> (PropConfig, NodeState) {
         let cfg = PropConfig::prop_g();
-        let st = NodeState::new(&cfg, g, slot, &mut SimRng::seed_from(seed));
+        let st = NodeState::new(g, slot, &mut SimRng::seed_from(seed));
         (cfg, st)
     }
 
@@ -226,12 +226,12 @@ mod tests {
         for _ in 0..cfg.max_init_trial + 2 {
             st.record_trial(&cfg, st.next_first_hop(), false);
         }
-        assert!(st.probe_interval() > cfg.init_timer);
+        assert!(st.probe_interval() > INIT_TIMER);
         // Slot 5 leaves the ring; slot 0 gains an edge to 4 via patching.
         g.remove_slot(Slot(5));
         g.add_edge(Slot(0), Slot(4));
         st.on_neighborhood_changed(&g, Slot(0), &mut Vec::new());
-        assert_eq!(st.probe_interval(), cfg.init_timer);
+        assert_eq!(st.probe_interval(), INIT_TIMER);
         assert!(!st.queue().contains(Slot(5)));
         assert!(st.queue().contains(Slot(4)));
         // New neighbor is at the front.
@@ -288,9 +288,8 @@ mod tests {
             let phys = generate(&TransitStubParams::tiny(), &mut rng);
             let oracle = Arc::new(LatencyOracle::select_and_build(&phys, 36, &mut rng));
             let (gn, mut net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
-            let mut nodes: Vec<Option<NodeState>> = (0..36)
-                .map(|i| Some(NodeState::new(&cfg, net.graph(), Slot(i), &mut rng)))
-                .collect();
+            let mut nodes: Vec<Option<NodeState>> =
+                (0..36).map(|i| Some(NodeState::new(net.graph(), Slot(i), &mut rng))).collect();
             for event in 0..EVENTS {
                 // Age the queues: demotions, rewards, tail/front churn of seq.
                 for st in nodes.iter_mut().flatten() {
@@ -320,7 +319,7 @@ mod tests {
                 nodes[victim.index()] = None;
                 let joined = gn.join(&mut net, peer, &mut rng);
                 nodes.resize_with(net.graph().num_slots(), || None);
-                nodes[joined.index()] = Some(NodeState::new(&cfg, net.graph(), joined, &mut rng));
+                nodes[joined.index()] = Some(NodeState::new(net.graph(), joined, &mut rng));
                 touched.extend_from_slice(net.graph().neighbors(joined));
                 touched.push(joined); // fresh queue: nothing to do
                 touched.extend(net.graph().live_slots().take(3)); // mostly untouched rows
@@ -393,8 +392,8 @@ mod tests {
         for _ in 0..cfg.max_init_trial + 3 {
             st.record_trial(&cfg, st.next_first_hop(), false);
         }
-        assert!(st.probe_interval() > cfg.init_timer);
+        assert!(st.probe_interval() > INIT_TIMER);
         st.on_exchanged();
-        assert_eq!(st.probe_interval(), cfg.init_timer);
+        assert_eq!(st.probe_interval(), INIT_TIMER);
     }
 }

@@ -43,7 +43,7 @@
 //! added at commit. It also owns the churn entry points used by the
 //! dynamic-environment experiments.
 
-use crate::config::{ProbeMode, PropConfig};
+use crate::config::{ProbeMode, PropConfig, INIT_TIMER};
 use crate::exchange::{self, PlanKind, PlanScratch};
 use crate::fault::{Delivery, FaultCounters, FaultPlane, MsgKind};
 use crate::protocol::NodeState;
@@ -245,10 +245,9 @@ impl<M: Timing> PropSim<M> {
         if self.nodes.len() < self.net.graph().num_slots() {
             self.nodes.resize_with(self.net.graph().num_slots(), || None);
         }
-        let state = NodeState::new(&self.cfg, self.net.graph(), slot, &mut self.rng);
+        let state = NodeState::new(self.net.graph(), slot, &mut self.rng);
         self.nodes[slot.index()] = Some(state);
-        let offset =
-            Duration::from_millis(self.rng.range(0..self.cfg.init_timer.as_millis().max(1)));
+        let offset = Duration::from_millis(self.rng.range(0..INIT_TIMER.as_millis()));
         self.events.schedule_in(offset, Ev::Tick(slot));
     }
 
@@ -684,7 +683,7 @@ impl<M: Timing> PropSim<M> {
             }
             // A slot joined without `handle_join` lies past the table.
             if let Some(Some(state)) = self.nodes.get_mut(w.index()) {
-                let had_backoff = state.probe_interval() > self.cfg.init_timer;
+                let had_backoff = state.probe_interval() > INIT_TIMER;
                 state.on_neighborhood_changed(self.net.graph(), w, &mut self.resync_scratch);
                 // A reset node should also probe soon, not wait out a long
                 // previously-scheduled interval. Known defect, kept because
@@ -693,7 +692,7 @@ impl<M: Timing> PropSim<M> {
                 // generation), so from here on the node runs two
                 // self-rescheduling tick chains.
                 if had_backoff {
-                    self.events.schedule_in(self.cfg.init_timer, Ev::Tick(w));
+                    self.events.schedule_in(INIT_TIMER, Ev::Tick(w));
                 }
             }
         }

@@ -24,7 +24,7 @@
 //! * **A12 — flooding message cost per query** (degree preservation as
 //!   bandwidth economics).
 
-use crate::fig7::{hetero_gnutella, hub_correlated_assignment, to_slot_pairs};
+use crate::fig7::{hetero_gnutella, to_slot_pairs};
 use crate::setup::{msgs_per_trial, Scale, Scenario, Scheme};
 use prop_baselines::pis::build_pis_can;
 use prop_baselines::pns::{build_pns_chord, build_pns_pastry};
@@ -38,10 +38,10 @@ use prop_metrics::{
 };
 use prop_overlay::can::Can;
 use prop_overlay::chord::ChordParams;
-use prop_overlay::pastry::{Pastry, PastryParams};
+use prop_overlay::pastry::Pastry;
 use prop_overlay::{Lookup, OverlayNet, Slot};
 use prop_workloads::churn::{ChurnOp, ChurnTrace};
-use prop_workloads::{BimodalParams, LookupGen};
+use prop_workloads::{hetero, LookupGen, PopularityProcess};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------- A1 ----
@@ -247,11 +247,9 @@ pub fn combine(scale: Scale, seed: u64) -> Vec<CombineRow> {
     a3.family("PRS-Chord", &PrsChord::new(chord), net);
 
     // Pastry family (PROP-G's generality: a third DHT geometry).
-    let (pastry, net) =
-        Pastry::build(PastryParams::default(), oracle(), &mut scenario.rng("a3-pastry"));
+    let (pastry, net) = Pastry::build(oracle(), &mut scenario.rng("a3-pastry"));
     a3.family("Pastry", &pastry, net);
-    let (pns, net) =
-        build_pns_pastry(PastryParams::default(), oracle(), &mut scenario.rng("a3-pns-pastry"));
+    let (pns, net) = build_pns_pastry(oracle(), &mut scenario.rng("a3-pns-pastry"));
     a3.family("PNS-Pastry", &pns, net);
 
     let (can, net) = Can::build(oracle(), &mut scenario.rng("a3-can"));
@@ -521,7 +519,7 @@ json_impl!(ToJson for struct LtmCapRow {
 pub fn ltm_cap_sweep(scale: Scale, seed: u64) -> Vec<LtmCapRow> {
     let n = scale.default_n();
     let scenario = Scenario::build(scale.topology(), n, seed);
-    let assignment = hub_correlated_assignment(&BimodalParams::default(), n);
+    let assignment = hetero::hub_correlated(n);
     let is_fast = |s: Slot| assignment.is_fast[s.index()];
 
     let peer_slots = scenario.all_slots();
@@ -573,17 +571,16 @@ json_impl!(ToJson for struct ZipfRow { label, ratio });
 /// hubs (popularity rank = join order). Compares the same three schemes
 /// under the workload real file-sharing systems see.
 pub fn zipf_workload(scale: Scale, seed: u64) -> Vec<ZipfRow> {
-    use prop_workloads::zipf::zipf_pairs;
-
     let n = scale.default_n();
     let scenario = Scenario::build(scale.topology(), n, seed);
-    let assignment = hub_correlated_assignment(&BimodalParams::default(), n);
+    let assignment = hetero::hub_correlated(n);
 
     // Popularity ranking = join order (peer 0 most popular): hubs hold the
     // hot objects.
     let live = scenario.all_slots();
-    let mut rng = scenario.rng("a11-workload");
-    let pairs = zipf_pairs(&live, &live, 0.9, scale.lookups_per_sample(), &mut rng);
+    let popularity = PopularityProcess::constant(live.len() as u32, 0.9);
+    let mut rng = scenario.rng("a11-workload").fork("zipf-pairs");
+    let pairs = popularity.pairs_at(0, &live, &live, scale.lookups_per_sample(), &mut rng);
 
     let (gn, net0) = hetero_gnutella(&scenario, &assignment);
     let base = avg_lookup_latency(&net0, &gn, &pairs).mean_ms;

@@ -367,6 +367,8 @@ mod tests {
             // Printed half a report, then panicked in `Gnutella::build`.
             ("scale --quick --n 3", "--n needs a member count ≥ 5, got `3`"),
             ("traffic --driver nope", "--driver needs one of prop-g, prop-o, async, selfish, both, compare, got `nope`"),
+            // A second spelling of prop-g that neither the usage nor this message listed.
+            ("traffic --driver sync", "--driver needs one of prop-g, prop-o, async, selfish, both, compare, got `sync`"),
             ("traffic --min-delivery lots", "--min-delivery needs a number, got `lots`"),
             ("scale --floor 0.99", "unknown flag --floor"),
             ("fig5 --resume", "--resume has no effect: it configures a sweep (--seeds N)"),

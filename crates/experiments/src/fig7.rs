@@ -20,8 +20,8 @@ use prop_engine::{json_impl, par};
 use prop_metrics::avg_lookup_latency;
 use prop_overlay::gnutella::Gnutella;
 use prop_overlay::{OverlayNet, Slot};
-use prop_workloads::hetero::HeteroAssignment;
-use prop_workloads::{BimodalParams, LookupGen};
+use prop_workloads::hetero::{self, HeteroAssignment};
+use prop_workloads::LookupGen;
 
 /// One scheme's curve: (fraction of fast-destination lookups, delay ratio).
 #[derive(Clone, Debug)]
@@ -31,19 +31,6 @@ pub struct HeteroCurve {
 }
 
 json_impl!(ToJson for struct HeteroCurve { label, points });
-
-/// Fast peers are the earliest joiners: with preferential attachment, peer
-/// index correlates with degree, so this reproduces "powerful nodes own
-/// more connections".
-pub(crate) fn hub_correlated_assignment(params: &BimodalParams, n: usize) -> HeteroAssignment {
-    let n_fast = ((n as f64) * params.fast_fraction).round() as usize;
-    let is_fast: Vec<bool> = (0..n).map(|p| p < n_fast).collect();
-    let delay_ms = is_fast
-        .iter()
-        .map(|&f| if f { params.fast_delay_ms } else { params.slow_delay_ms })
-        .collect();
-    HeteroAssignment { delay_ms, is_fast }
-}
 
 /// The scenario's Gnutella overlay with the assignment's processing delays.
 pub(crate) fn hetero_gnutella(
@@ -73,7 +60,7 @@ pub(crate) fn to_slot_pairs(net: &OverlayNet, peer_pairs: &[(Slot, Slot)]) -> Ve
 pub fn run(scale: Scale, seed: u64) -> Vec<HeteroCurve> {
     let n = scale.default_n();
     let scenario = Scenario::build(scale.topology(), n, seed);
-    let assignment = hub_correlated_assignment(&BimodalParams::default(), n);
+    let assignment = hetero::hub_correlated(n);
 
     let fractions: Vec<f64> = match scale {
         Scale::Paper => (0..=8).map(|i| i as f64 / 8.0).collect(),
@@ -124,14 +111,6 @@ pub fn run(scale: Scale, seed: u64) -> Vec<HeteroCurve> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hub_assignment_marks_prefix_fast() {
-        let a = hub_correlated_assignment(&BimodalParams::default(), 50);
-        assert_eq!(a.num_fast(), 10);
-        assert!(a.is_fast[..10].iter().all(|&f| f));
-        assert!(!a.is_fast[10..].iter().any(|&f| f));
-    }
 
     #[test]
     fn quick_sweep_has_sane_shape() {

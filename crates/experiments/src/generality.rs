@@ -12,9 +12,9 @@ use crate::setup::{Scale, Scenario, Scheme};
 use prop_engine::{json_impl, par};
 use prop_metrics::{avg_lookup_latency, path_stretch};
 use prop_overlay::can::Can;
-use prop_overlay::kademlia::{Kademlia, KademliaParams};
-use prop_overlay::pastry::{Pastry, PastryParams};
-use prop_overlay::ultrapeer::{Ultrapeer, UltrapeerParams};
+use prop_overlay::kademlia::Kademlia;
+use prop_overlay::pastry::Pastry;
+use prop_overlay::ultrapeer::Ultrapeer;
 use prop_overlay::{Lookup, OverlayNet, Slot};
 use prop_workloads::LookupGen;
 use std::sync::Arc;
@@ -108,7 +108,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<GeneralityRow> {
         Box::new(|| {
             // Two-tier Gnutella: same flooding metric, leaf-aware relays.
             let mut rng = scenario.rng("g1-ultrapeer-build");
-            let (up, net) = Ultrapeer::build(UltrapeerParams::default(), oracle(), &mut rng);
+            let (up, net) = Ultrapeer::build(oracle(), &mut rng);
             flood_row(scenario, scale, "Gnutella-2T", "ultrapeer", up, net, pairs)
         }),
         Box::new(|| {
@@ -117,12 +117,12 @@ pub fn run(scale: Scale, seed: u64) -> Vec<GeneralityRow> {
         }),
         Box::new(|| {
             let mut rng = scenario.rng("g1-pastry-build");
-            let (pastry, net) = Pastry::build(PastryParams::default(), oracle(), &mut rng);
+            let (pastry, net) = Pastry::build(oracle(), &mut rng);
             dht_row(scenario, scale, "Pastry", pastry, net, pairs)
         }),
         Box::new(|| {
             let mut rng = scenario.rng("g1-kad-build");
-            let (kad, net) = Kademlia::build(KademliaParams::default(), oracle(), &mut rng);
+            let (kad, net) = Kademlia::build(oracle(), &mut rng);
             dht_row(scenario, scale, "Kademlia", kad, net, pairs)
         }),
         Box::new(|| {

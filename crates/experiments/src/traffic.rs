@@ -48,7 +48,7 @@ pub enum TrafficDriver {
 impl TrafficDriver {
     pub fn parse(s: &str) -> Option<TrafficDriver> {
         match s {
-            "prop-g" | "sync" => Some(TrafficDriver::PropG),
+            "prop-g" => Some(TrafficDriver::PropG),
             "prop-o" => Some(TrafficDriver::PropO),
             "async" => Some(TrafficDriver::Async),
             "selfish" => Some(TrafficDriver::Selfish),
@@ -817,7 +817,7 @@ mod tests {
         ] {
             assert_eq!(TrafficDriver::parse(d.label()), Some(d));
         }
-        assert_eq!(TrafficDriver::parse("sync"), Some(TrafficDriver::PropG));
+        assert_eq!(TrafficDriver::parse("sync"), None);
         assert_eq!(TrafficDriver::parse("nope"), None);
         assert_eq!(
             TrafficDriver::parse_set("both"),

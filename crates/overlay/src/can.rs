@@ -15,7 +15,7 @@
 use crate::logical::{LogicalGraph, Slot};
 use crate::net::OverlayNet;
 use crate::placement::Placement;
-use crate::{Lookup, RouteOutcome};
+use crate::{FloodScratch, Lookup, RouteOutcome};
 use prop_engine::SimRng;
 use prop_netsim::LatencyOracle;
 use std::sync::Arc;
@@ -207,7 +207,13 @@ impl Can {
 
 impl Lookup for Can {
     /// Latency of routing to a point inside `dst`'s zone (its center).
-    fn lookup(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<RouteOutcome> {
+    fn lookup_with(
+        &self,
+        net: &OverlayNet,
+        src: Slot,
+        dst: Slot,
+        _: &mut FloodScratch,
+    ) -> Option<RouteOutcome> {
         let target = self.zones[dst.index()].center();
         let path = self.route_path(net.graph(), src, target);
         debug_assert_eq!(*path.last().unwrap(), dst);

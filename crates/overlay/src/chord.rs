@@ -28,7 +28,7 @@
 use crate::logical::{LogicalGraph, Slot};
 use crate::net::OverlayNet;
 use crate::placement::Placement;
-use crate::{Lookup, RouteOutcome};
+use crate::{FloodScratch, Lookup, RouteOutcome};
 use prop_engine::SimRng;
 use prop_netsim::oracle::MemberIdx;
 use prop_netsim::LatencyOracle;
@@ -306,7 +306,13 @@ impl Chord {
 
 impl Lookup for Chord {
     /// Latency of looking up a key owned by `dst`, starting at `src`.
-    fn lookup(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<RouteOutcome> {
+    fn lookup_with(
+        &self,
+        net: &OverlayNet,
+        src: Slot,
+        dst: Slot,
+        _: &mut FloodScratch,
+    ) -> Option<RouteOutcome> {
         let path = self.route_path(src, self.ids[dst.index()]);
         debug_assert_eq!(*path.last().unwrap(), dst);
         Some(net.route_outcome(&path))

@@ -24,16 +24,13 @@ pub struct GnutellaParams {
     /// Connections each joining peer opens. This is also the minimum degree
     /// δ(G) of the resulting overlay (the paper's default PROP-O `m`).
     pub links_per_join: usize,
-    /// Preferential attachment (`true`, power-law-ish, the Gnutella shape)
-    /// vs uniform attachment.
-    pub preferential: bool,
     /// Flood TTL for lookups (classic Gnutella default: 7).
     pub flood_ttl: u32,
 }
 
 impl Default for GnutellaParams {
     fn default() -> Self {
-        GnutellaParams { links_per_join: 4, preferential: true, flood_ttl: 7 }
+        GnutellaParams { links_per_join: 4, flood_ttl: 7 }
     }
 }
 
@@ -76,11 +73,7 @@ impl Gnutella {
             let joiner = Slot(s as u32);
             let mut chosen: Vec<Slot> = Vec::with_capacity(k);
             while chosen.len() < k {
-                let target = if params.preferential {
-                    *rng.pick(&endpoints).expect("seed clique populated endpoints")
-                } else {
-                    Slot(rng.range(0..s as u32))
-                };
+                let target = *rng.pick(&endpoints).expect("seed clique populated endpoints");
                 if target != joiner && !chosen.contains(&target) {
                     chosen.push(target);
                 }
@@ -150,11 +143,6 @@ impl Gnutella {
 }
 
 impl Lookup for Gnutella {
-    fn lookup(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<RouteOutcome> {
-        net.min_latency_within_hops(src, dst, self.params.flood_ttl)
-            .map(|(latency_ms, hops)| RouteOutcome { latency_ms, hops })
-    }
-
     fn lookup_with(
         &self,
         net: &OverlayNet,
@@ -195,26 +183,10 @@ mod tests {
     fn preferential_attachment_skews_degrees() {
         let mut rng = SimRng::seed_from(2);
         let o = oracle(40, 2);
-        let (_, pref) = Gnutella::build(
-            GnutellaParams { preferential: true, ..Default::default() },
-            Arc::clone(&o),
-            &mut rng,
-        );
+        let (_, pref) = Gnutella::build(GnutellaParams::default(), o, &mut rng);
         let seq = pref.graph().degree_sequence();
         // Max degree should noticeably exceed the per-join link count.
         assert!(*seq.last().unwrap() > 6, "degree sequence {seq:?}");
-    }
-
-    #[test]
-    fn uniform_attachment_also_connected() {
-        let mut rng = SimRng::seed_from(3);
-        let (_, net) = Gnutella::build(
-            GnutellaParams { preferential: false, ..Default::default() },
-            oracle(25, 3),
-            &mut rng,
-        );
-        assert!(net.graph().is_connected());
-        assert_eq!(net.graph().min_degree(), Some(4));
     }
 
     #[test]

@@ -20,24 +20,14 @@
 use crate::logical::{LogicalGraph, Slot};
 use crate::net::OverlayNet;
 use crate::placement::Placement;
-use crate::{Lookup, RouteOutcome};
+use crate::{FloodScratch, Lookup, RouteOutcome};
 use prop_engine::SimRng;
 use prop_netsim::LatencyOracle;
 use std::sync::Arc;
 
-/// Kademlia construction parameters.
-#[derive(Clone, Debug)]
-pub struct KademliaParams {
-    /// Bucket capacity `k` (Kademlia's replication parameter; 20 in the
-    /// paper, smaller here to keep simulated state proportionate).
-    pub k: usize,
-}
-
-impl Default for KademliaParams {
-    fn default() -> Self {
-        KademliaParams { k: 8 }
-    }
-}
+/// Bucket capacity `k` (Kademlia's replication parameter; 20 in the
+/// paper, smaller here to keep simulated state proportionate).
+pub const K: usize = 8;
 
 /// The Kademlia overlay structure.
 #[derive(Clone, Debug)]
@@ -51,18 +41,13 @@ pub struct Kademlia {
 
 impl Kademlia {
     /// Build over `oracle.len()` slots with random distinct identifiers.
-    /// Each bucket is filled with the `k` *first-seen* eligible nodes in a
+    /// Each bucket is filled with the [`K`] *first-seen* eligible nodes in a
     /// random join order (as a real Kademlia's buckets would be, favoring
     /// long-lived contacts) — the selector hook mirrors Chord/Pastry and
     /// is what a PNS variant would override.
-    pub fn build(
-        params: KademliaParams,
-        oracle: Arc<LatencyOracle>,
-        rng: &mut SimRng,
-    ) -> (Kademlia, OverlayNet) {
+    pub fn build(oracle: Arc<LatencyOracle>, rng: &mut SimRng) -> (Kademlia, OverlayNet) {
         let n = oracle.len();
         assert!(n >= 2, "Kademlia needs at least two nodes");
-        assert!(params.k >= 1);
         let mut rng = rng.fork("kademlia-build");
 
         // Random distinct 128-bit ids.
@@ -93,7 +78,7 @@ impl Kademlia {
                 let bit = 127 - d.leading_zeros();
                 for (a, b) in [(joiner, earlier), (earlier, joiner)] {
                     let fill = bucket_fill[a].entry(bit).or_insert(0);
-                    if *fill < params.k {
+                    if *fill < K {
                         *fill += 1;
                         contacts[a].push(Slot(b as u32));
                     }
@@ -181,7 +166,13 @@ impl Kademlia {
 }
 
 impl Lookup for Kademlia {
-    fn lookup(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<RouteOutcome> {
+    fn lookup_with(
+        &self,
+        net: &OverlayNet,
+        src: Slot,
+        dst: Slot,
+        _: &mut FloodScratch,
+    ) -> Option<RouteOutcome> {
         let path = self.route_path(src, self.ids[dst.index()])?;
         debug_assert_eq!(*path.last().unwrap(), dst);
         Some(net.route_outcome(&path))
@@ -201,7 +192,7 @@ mod tests {
 
     fn build(n: usize, seed: u64) -> (Kademlia, OverlayNet) {
         let mut rng = SimRng::seed_from(seed);
-        Kademlia::build(KademliaParams::default(), oracle(n, seed), &mut rng)
+        Kademlia::build(oracle(n, seed), &mut rng)
     }
 
     #[test]
@@ -276,8 +267,10 @@ mod tests {
     #[test]
     fn buckets_respect_capacity() {
         let mut rng = SimRng::seed_from(6);
-        let (kad, _) = Kademlia::build(KademliaParams { k: 2 }, oracle(30, 6), &mut rng);
-        // With k = 2, every (node, bit) bucket holds ≤ 2 contacts.
+        let (kad, _) = Kademlia::build(oracle(30, 6), &mut rng);
+        // Every (node, bit) bucket holds ≤ K contacts, and at 30 nodes the
+        // far buckets have more than K candidates, so some bucket is full.
+        let mut full = 0;
         for s in 0..30u32 {
             let mut per_bit: std::collections::HashMap<u32, usize> =
                 std::collections::HashMap::new();
@@ -290,9 +283,11 @@ mod tests {
             // undirected union lives in the logical graph), so every bucket
             // obeys the capacity exactly.
             for (&bit, &count) in per_bit.iter() {
-                assert!(count <= 2, "slot {s} bit {bit} holds {count} > k");
+                assert!(count <= K, "slot {s} bit {bit} holds {count} > K");
+                full += usize::from(count == K);
             }
         }
+        assert!(full > 0, "no bucket reached its capacity of {K}");
     }
 
     #[test]

@@ -60,21 +60,21 @@ pub struct RouteOutcome {
 /// (`prop_engine::par::map`) can share one overlay; every overlay here is
 /// plain data, so the bound costs nothing.
 pub trait Lookup: Sync {
-    /// Route from slot `src` to slot `dst` over `net`.
-    fn lookup(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<RouteOutcome>;
-
-    /// [`Lookup::lookup`] with caller-owned flood scratch. Flooding overlays
-    /// override this to reuse the scratch's buffers across calls (the
+    /// Route from slot `src` to slot `dst` over `net`. Flooding overlays run
+    /// their flood in `scratch`, reusing its buffers across calls (the
     /// measurement-plane hot path: one scratch per worker, thousands of
-    /// lookups each); routed overlays keep the default, which ignores the
-    /// scratch. Must return exactly what `lookup` returns.
+    /// lookups each); routed overlays ignore it.
     fn lookup_with(
         &self,
         net: &OverlayNet,
         src: Slot,
         dst: Slot,
-        _scratch: &mut FloodScratch,
-    ) -> Option<RouteOutcome> {
-        self.lookup(net, src, dst)
+        scratch: &mut FloodScratch,
+    ) -> Option<RouteOutcome>;
+
+    /// [`Lookup::lookup_with`] over a fresh scratch, which allocates only
+    /// if a flood runs in it.
+    fn lookup(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<RouteOutcome> {
+        self.lookup_with(net, src, dst, &mut FloodScratch::new())
     }
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 /// Reusable per-worker scratch state for repeated flood evaluations.
 ///
-/// The hop-bounded Bellman–Ford behind [`OverlayNet::min_latency_within_hops`]
+/// The hop-bounded Bellman–Ford behind [`OverlayNet::min_latency_within_hops_with`]
 /// needs a dist array, a frontier, and a next-frontier per call; a measurement
 /// sweep runs thousands of floods back to back, so allocating those fresh each
 /// time dominates the profile. `FloodScratch` keeps them alive across calls:
@@ -369,22 +369,10 @@ impl OverlayNet {
     /// each *receiving* node, destination included.
     ///
     /// Returns `(latency, hops)` or `None` if `dst` is not reachable within
-    /// the hop budget.
-    pub fn min_latency_within_hops(
-        &self,
-        src: Slot,
-        dst: Slot,
-        max_hops: u32,
-    ) -> Option<(u64, u32)> {
-        let mut scratch = FloodScratch::new();
-        self.min_latency_within_hops_with(src, dst, max_hops, &mut scratch)
-    }
-
-    /// [`OverlayNet::min_latency_within_hops`] with caller-owned scratch —
-    /// the fast path for measurement sweeps, which run thousands of floods
-    /// back to back and reuse one [`FloodScratch`] per worker. Same answer
-    /// as the allocating version for every input (see [`FloodScratch::run`]
-    /// for why the scratch's dedup and pruning are observationally safe).
+    /// the hop budget. The flood runs in caller-owned scratch: measurement
+    /// sweeps run thousands of floods back to back and reuse one
+    /// [`FloodScratch`] per worker (see [`FloodScratch::run`] for why its
+    /// dedup and pruning leave every answer unchanged).
     pub fn min_latency_within_hops_with(
         &self,
         src: Slot,
@@ -408,7 +396,7 @@ impl OverlayNet {
 mod tests {
     use super::*;
     use crate::gnutella::{Gnutella, GnutellaParams};
-    use crate::ultrapeer::{Ultrapeer, UltrapeerParams};
+    use crate::ultrapeer::{self, Ultrapeer};
     use prop_engine::SimRng;
     use prop_netsim::{generate, TransitStubParams};
 
@@ -423,6 +411,11 @@ mod tests {
         }
         let net = OverlayNet::new(g, Placement::identity(n), Arc::clone(&oracle));
         (net, oracle)
+    }
+
+    /// A flood over a fresh scratch.
+    fn flood(net: &OverlayNet, src: Slot, dst: Slot, ttl: u32) -> Option<(u64, u32)> {
+        net.min_latency_within_hops_with(src, dst, ttl, &mut FloodScratch::new())
     }
 
     #[test]
@@ -474,7 +467,7 @@ mod tests {
     #[test]
     fn flood_reaches_neighbors_in_one_hop() {
         let (net, _) = small_net(6, 6);
-        let (lat, hops) = net.min_latency_within_hops(Slot(0), Slot(1), 7).unwrap();
+        let (lat, hops) = flood(&net, Slot(0), Slot(1), 7).unwrap();
         assert_eq!(hops, 1);
         assert_eq!(lat, net.d(Slot(0), Slot(1)) as u64);
     }
@@ -483,8 +476,8 @@ mod tests {
     fn flood_respects_ttl() {
         // On a 6-ring the antipode is 3 hops away.
         let (net, _) = small_net(6, 7);
-        assert!(net.min_latency_within_hops(Slot(0), Slot(3), 2).is_none());
-        assert!(net.min_latency_within_hops(Slot(0), Slot(3), 3).is_some());
+        assert!(flood(&net, Slot(0), Slot(3), 2).is_none());
+        assert!(flood(&net, Slot(0), Slot(3), 3).is_some());
     }
 
     #[test]
@@ -518,7 +511,7 @@ mod tests {
         g.add_edge(Slot(b as u32), Slot(c as u32));
         g.add_edge(Slot(a as u32), Slot(c as u32));
         let net = OverlayNet::new(g, Placement::identity(10), oracle);
-        let (lat, _) = net.min_latency_within_hops(Slot(a as u32), Slot(c as u32), 7).unwrap();
+        let (lat, _) = flood(&net, Slot(a as u32), Slot(c as u32), 7).unwrap();
         assert!(lat <= net.d(Slot(a as u32), Slot(c as u32)) as u64);
     }
 
@@ -526,7 +519,7 @@ mod tests {
     fn processing_delay_charged_per_receiving_hop() {
         let (mut net, oracle) = small_net(4, 9);
         net.set_processing_delays(vec![50; oracle.len()]);
-        let (lat, hops) = net.min_latency_within_hops(Slot(0), Slot(2), 7).unwrap();
+        let (lat, hops) = flood(&net, Slot(0), Slot(2), 7).unwrap();
         // Whatever path it takes, it pays 50ms per hop.
         let link_only: u64 = lat - 50 * hops as u64;
         assert!(link_only > 0);
@@ -546,7 +539,7 @@ mod tests {
     #[test]
     fn lookup_to_self_is_free() {
         let (net, _) = small_net(4, 10);
-        assert_eq!(net.min_latency_within_hops(Slot(1), Slot(1), 7), Some((0, 0)));
+        assert_eq!(flood(&net, Slot(1), Slot(1), 7), Some((0, 0)));
     }
 
     #[test]
@@ -653,19 +646,26 @@ mod tests {
                 }
             }
 
-            for flood_ttl in [0u32, 1, 2, 5] {
-                let params = UltrapeerParams { flood_ttl, ..UltrapeerParams::default() };
-                let (up, mut net) = Ultrapeer::build(params, Arc::clone(&oracle), &mut rng);
-                if seed % 4 >= 2 {
-                    net.set_processing_delays(delays.clone());
-                }
-                let cost = |u, v| net.d(u, v) as u64 + net.proc_delay(v) as u64;
-                for a in (0..n as u32).map(Slot) {
-                    for b in (0..n as u32).map(Slot) {
-                        let relays = |u| u == a || up.is_ultrapeer(u);
-                        let want = reference_flood(net.graph(), a, b, flood_ttl + 2, relays, cost);
-                        let got = up.flood_latency_with(&net, a, b, &mut scratch);
+            // The two-tier relay rule over every hop budget its TTL gives,
+            // then the overlay's own flood at its TTL.
+            let (up, mut net) = Ultrapeer::build(Arc::clone(&oracle), &mut rng);
+            if seed % 4 >= 2 {
+                net.set_processing_delays(delays.clone());
+            }
+            let cost = |u, v| net.d(u, v) as u64 + net.proc_delay(v) as u64;
+            for a in (0..n as u32).map(Slot) {
+                let relays = |u| u == a || up.is_ultrapeer(u);
+                for b in (0..n as u32).map(Slot) {
+                    for flood_ttl in [0u32, 1, 2, ultrapeer::FLOOD_TTL] {
+                        let hops = flood_ttl + 2;
+                        let want = reference_flood(net.graph(), a, b, hops, relays, cost);
+                        let lower = |u| net.d(b, u) as u64;
+                        let got = scratch.run(net.graph(), a, b, hops, relays, cost, lower);
                         assert_eq!(got, want, "seed {seed} two-tier {a:?}→{b:?} ttl {flood_ttl}");
+                        if flood_ttl == ultrapeer::FLOOD_TTL {
+                            let got = up.flood_latency_with(&net, a, b, &mut scratch);
+                            assert_eq!(got, want, "seed {seed} two-tier {a:?}→{b:?}");
+                        }
                         triples += 1;
                     }
                 }
@@ -687,7 +687,7 @@ mod tests {
             Gnutella::build(GnutellaParams::default(), Arc::clone(&oracle), &mut rng);
         let gone = Slot(7);
         gn.crash(&mut net, gone);
-        let (up, mut tiers) = Ultrapeer::build(UltrapeerParams::default(), oracle, &mut rng);
+        let (up, mut tiers) = Ultrapeer::build(oracle, &mut rng);
         tiers.graph_mut().remove_slot(gone);
         tiers.placement_mut().vacate(gone);
         let mut scratch = FloodScratch::new();
@@ -756,7 +756,7 @@ mod tests {
         for ttl in [1u32, 2, 3, 7] {
             for a in 0..12u32 {
                 for b in 0..12u32 {
-                    let fresh = net.min_latency_within_hops(Slot(a), Slot(b), ttl);
+                    let fresh = flood(&net, Slot(a), Slot(b), ttl);
                     let reused =
                         net.min_latency_within_hops_with(Slot(a), Slot(b), ttl, &mut scratch);
                     assert_eq!(fresh, reused, "{a}→{b} ttl {ttl}");
@@ -772,9 +772,9 @@ mod tests {
         let (large, _) = small_net(16, 15);
         let mut scratch = FloodScratch::new();
         let s = small.min_latency_within_hops_with(Slot(0), Slot(2), 7, &mut scratch);
-        assert_eq!(s, small.min_latency_within_hops(Slot(0), Slot(2), 7));
+        assert_eq!(s, flood(&small, Slot(0), Slot(2), 7));
         let l = large.min_latency_within_hops_with(Slot(0), Slot(9), 7, &mut scratch);
-        assert_eq!(l, large.min_latency_within_hops(Slot(0), Slot(9), 7));
+        assert_eq!(l, flood(&large, Slot(0), Slot(9), 7));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::logical::{LogicalGraph, Slot};
 use crate::net::OverlayNet;
 use crate::placement::Placement;
-use crate::{Lookup, RouteOutcome};
+use crate::{FloodScratch, Lookup, RouteOutcome};
 use prop_engine::SimRng;
 use prop_netsim::LatencyOracle;
 use std::sync::Arc;
@@ -34,19 +34,9 @@ pub const NUM_DIGITS: usize = (128 / DIGIT_BITS) as usize;
 /// Radix (2^b).
 pub const RADIX: usize = 1 << DIGIT_BITS;
 
-/// Pastry construction parameters.
-#[derive(Clone, Debug)]
-pub struct PastryParams {
-    /// Total leaf-set size (half on each side). Pastry's default is 16; we
-    /// default to 8, plenty for the overlay sizes simulated here.
-    pub leaf_set: usize,
-}
-
-impl Default for PastryParams {
-    fn default() -> Self {
-        PastryParams { leaf_set: 8 }
-    }
-}
+/// Total leaf-set size (half on each side). Pastry's default is 16; 8 is
+/// plenty for the overlay sizes simulated here.
+pub const LEAF_SET: usize = 8;
 
 /// A 128-bit Pastry identifier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -93,26 +83,20 @@ pub struct Pastry {
 
 impl Pastry {
     /// Build with the canonical (first-candidate) table fill.
-    pub fn build(
-        params: PastryParams,
-        oracle: Arc<LatencyOracle>,
-        rng: &mut SimRng,
-    ) -> (Pastry, OverlayNet) {
-        Self::build_with_selector(params, oracle, rng, |_slot, candidates| candidates[0])
+    pub fn build(oracle: Arc<LatencyOracle>, rng: &mut SimRng) -> (Pastry, OverlayNet) {
+        Self::build_with_selector(oracle, rng, |_slot, candidates| candidates[0])
     }
 
     /// Build with a custom per-cell candidate selector — the PNS hook.
     /// `select(slot, candidates)` picks the routing-table entry among every
     /// node legal for that cell.
     pub fn build_with_selector(
-        params: PastryParams,
         oracle: Arc<LatencyOracle>,
         rng: &mut SimRng,
         mut select: impl FnMut(Slot, &[Slot]) -> Slot,
     ) -> (Pastry, OverlayNet) {
         let n = oracle.len();
         assert!(n >= 2, "Pastry needs at least two nodes");
-        assert!(params.leaf_set >= 2 && params.leaf_set.is_multiple_of(2));
         let mut rng = rng.fork("pastry-build");
 
         // Random distinct 128-bit ids.
@@ -135,11 +119,11 @@ impl Pastry {
         }
 
         // Leaf sets: l/2 ring neighbors each side (wrapping).
-        let half = params.leaf_set / 2;
+        let half = LEAF_SET / 2;
         let mut leaves: Vec<Vec<Slot>> = vec![Vec::new(); n];
         for &s in &ring {
             let r = rank[s.index()];
-            let mut set = Vec::with_capacity(params.leaf_set);
+            let mut set = Vec::with_capacity(LEAF_SET);
             for k in 1..=half.min(n - 1) {
                 set.push(ring[(r + k) % n]);
                 set.push(ring[(r + n - k) % n]);
@@ -283,7 +267,13 @@ impl Pastry {
 }
 
 impl Lookup for Pastry {
-    fn lookup(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<RouteOutcome> {
+    fn lookup_with(
+        &self,
+        net: &OverlayNet,
+        src: Slot,
+        dst: Slot,
+        _: &mut FloodScratch,
+    ) -> Option<RouteOutcome> {
         let path = self.route_path(src, self.ids[dst.index()]);
         debug_assert_eq!(*path.last().unwrap(), dst);
         Some(net.route_outcome(&path))
@@ -303,7 +293,7 @@ mod tests {
 
     fn build(n: usize, seed: u64) -> (Pastry, OverlayNet) {
         let mut rng = SimRng::seed_from(seed);
-        Pastry::build(PastryParams::default(), oracle(n, seed), &mut rng)
+        Pastry::build(oracle(n, seed), &mut rng)
     }
 
     #[test]
@@ -431,10 +421,7 @@ mod tests {
     fn custom_selector_still_routes_correctly() {
         let mut rng = SimRng::seed_from(9);
         let o = oracle(25, 9);
-        let (p, net) =
-            Pastry::build_with_selector(PastryParams::default(), o, &mut rng, |_, cands| {
-                *cands.last().unwrap()
-            });
+        let (p, net) = Pastry::build_with_selector(o, &mut rng, |_, cands| *cands.last().unwrap());
         for b in 0..25u32 {
             let out = p.lookup(&net, Slot(3), Slot(b)).unwrap();
             assert!(out.hops <= 25);

@@ -11,7 +11,7 @@
 //!
 //! * Construction: the first `n_up` peers (the "capable" ones) build a
 //!   preferential-attachment mesh among themselves; every later peer is a
-//!   leaf attaching to `leaf_links` ultrapeers.
+//!   leaf attaching to [`LEAF_LINKS`] ultrapeers.
 //! * Lookup: the source hands the query to its ultrapeer(s); it floods
 //!   across the mesh with a TTL; the destination's ultrapeer delivers the
 //!   last hop. **Leaves never relay**, which the latency model enforces.
@@ -28,29 +28,18 @@ use prop_engine::SimRng;
 use prop_netsim::LatencyOracle;
 use std::sync::Arc;
 
-/// Two-tier construction parameters.
-#[derive(Clone, Debug)]
-pub struct UltrapeerParams {
-    /// Fraction of slots that are ultrapeers (Gnutella ~10–20%).
-    pub ultrapeer_fraction: f64,
-    /// Mesh links each ultrapeer opens when joining the top tier.
-    pub mesh_links: usize,
-    /// Ultrapeers each leaf attaches to (Gnutella clients use 2–3).
-    pub leaf_links: usize,
-    /// Flood TTL within the ultrapeer mesh.
-    pub flood_ttl: u32,
-}
-
-impl Default for UltrapeerParams {
-    fn default() -> Self {
-        UltrapeerParams { ultrapeer_fraction: 0.2, mesh_links: 4, leaf_links: 2, flood_ttl: 5 }
-    }
-}
+/// Fraction of slots that are ultrapeers (Gnutella ~10–20%).
+pub const ULTRAPEER_FRACTION: f64 = 0.2;
+/// Mesh links each ultrapeer opens when joining the top tier.
+pub const MESH_LINKS: usize = 4;
+/// Ultrapeers each leaf attaches to (Gnutella clients use 2–3).
+pub const LEAF_LINKS: usize = 2;
+/// Flood TTL within the ultrapeer mesh.
+pub const FLOOD_TTL: u32 = 5;
 
 /// The two-tier overlay.
 #[derive(Clone, Debug)]
 pub struct Ultrapeer {
-    pub params: UltrapeerParams,
     /// Which *slots* are ultrapeer positions (fixed: positions have roles;
     /// PROP-G moves peers between positions).
     is_ultrapeer: Vec<bool>,
@@ -59,23 +48,16 @@ pub struct Ultrapeer {
 impl Ultrapeer {
     /// Build over the oracle's members: slots `0..n_up` are the ultrapeer
     /// mesh, the rest are leaves.
-    pub fn build(
-        params: UltrapeerParams,
-        oracle: Arc<LatencyOracle>,
-        rng: &mut SimRng,
-    ) -> (Ultrapeer, OverlayNet) {
+    pub fn build(oracle: Arc<LatencyOracle>, rng: &mut SimRng) -> (Ultrapeer, OverlayNet) {
         let n = oracle.len();
-        let n_up = ((n as f64 * params.ultrapeer_fraction).round() as usize)
-            .max(params.mesh_links + 1)
-            .min(n);
+        let n_up = ((n as f64 * ULTRAPEER_FRACTION).round() as usize).max(MESH_LINKS + 1).min(n);
         assert!(n_up < n, "need at least one leaf");
-        assert!(params.leaf_links >= 1);
         let mut rng = rng.fork("ultrapeer-build");
         let mut g = LogicalGraph::new(n);
 
         // Ultrapeer mesh: seed clique + preferential attachment, exactly
         // like the flat Gnutella builder but restricted to the top tier.
-        let k = params.mesh_links;
+        let k = MESH_LINKS;
         let mut endpoints: Vec<Slot> = Vec::new();
         for a in 0..=(k as u32) {
             for b in (a + 1)..=(k as u32) {
@@ -100,18 +82,18 @@ impl Ultrapeer {
             }
         }
 
-        // Leaves: attach to `leaf_links` distinct random ultrapeers.
+        // Leaves: attach to `LEAF_LINKS` distinct random ultrapeers.
         let ups: Vec<Slot> = (0..n_up as u32).map(Slot).collect();
         for s in n_up..n {
             let leaf = Slot(s as u32);
-            for up in rng.sample_distinct(&ups, params.leaf_links.min(n_up)) {
+            for up in rng.sample_distinct(&ups, LEAF_LINKS.min(n_up)) {
                 g.add_edge(leaf, up);
             }
         }
 
         let is_ultrapeer = (0..n).map(|i| i < n_up).collect();
         let net = OverlayNet::new(g, Placement::identity(n), oracle);
-        (Ultrapeer { params, is_ultrapeer }, net)
+        (Ultrapeer { is_ultrapeer }, net)
     }
 
     /// Is `s` an ultrapeer *position*?
@@ -125,16 +107,10 @@ impl Ultrapeer {
         self.is_ultrapeer.iter().filter(|&&u| u).count()
     }
 
-    /// Leaf-aware flood: cheapest delivery from `src` to `dst` where only
-    /// ultrapeer positions relay. Hop budget: 1 (into the mesh) +
-    /// `flood_ttl` (mesh) + 1 (out to a leaf).
-    pub fn flood_latency(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<(u64, u32)> {
-        let mut scratch = crate::FloodScratch::new();
-        self.flood_latency_with(net, src, dst, &mut scratch)
-    }
-
-    /// [`Ultrapeer::flood_latency`] with caller-owned scratch (see
-    /// [`crate::FloodScratch`]); identical answers, no per-call allocation.
+    /// Leaf-aware flood into caller-owned scratch (see
+    /// [`crate::FloodScratch`]): cheapest delivery from `src` to `dst` where
+    /// only ultrapeer positions relay. Hop budget: 1 (into the mesh) +
+    /// [`FLOOD_TTL`] (mesh) + 1 (out to a leaf).
     pub fn flood_latency_with(
         &self,
         net: &OverlayNet,
@@ -145,7 +121,7 @@ impl Ultrapeer {
         if src == dst {
             return Some((0, 0));
         }
-        let max_hops = self.params.flood_ttl + 2;
+        let max_hops = FLOOD_TTL + 2;
         let relays = |u: Slot| u == src || self.is_ultrapeer(u);
         scratch.run(
             net.graph(),
@@ -160,11 +136,6 @@ impl Ultrapeer {
 }
 
 impl Lookup for Ultrapeer {
-    fn lookup(&self, net: &OverlayNet, src: Slot, dst: Slot) -> Option<RouteOutcome> {
-        self.flood_latency(net, src, dst)
-            .map(|(latency_ms, hops)| RouteOutcome { latency_ms, hops })
-    }
-
     fn lookup_with(
         &self,
         net: &OverlayNet,
@@ -190,7 +161,7 @@ mod tests {
 
     fn build(n: usize, seed: u64) -> (Ultrapeer, OverlayNet) {
         let mut rng = SimRng::seed_from(seed);
-        Ultrapeer::build(UltrapeerParams::default(), oracle(n, seed), &mut rng)
+        Ultrapeer::build(oracle(n, seed), &mut rng)
     }
 
     #[test]
@@ -198,7 +169,7 @@ mod tests {
         let (up, net) = build(40, 1);
         assert_eq!(up.num_ultrapeers(), 8);
         assert!(net.graph().is_connected());
-        // Every leaf has exactly `leaf_links` edges, all into the top tier.
+        // Every leaf has exactly `LEAF_LINKS` edges, all into the top tier.
         for s in 8..40u32 {
             let leaf = Slot(s);
             assert!(!up.is_ultrapeer(leaf));
@@ -225,12 +196,14 @@ mod tests {
         // A query between two leaves sharing no ultrapeer must take ≥ 3
         // hops (leaf → up → … → up → leaf), never 2 via another leaf.
         let (up, net) = build(40, 3);
+        let mut scratch = crate::FloodScratch::new();
         for a in 8..40u32 {
             for b in 8..40u32 {
                 if a == b {
                     continue;
                 }
-                let (_, hops) = up.flood_latency(&net, Slot(a), Slot(b)).unwrap();
+                let (_, hops) =
+                    up.flood_latency_with(&net, Slot(a), Slot(b), &mut scratch).unwrap();
                 let share_up = net
                     .graph()
                     .neighbors(Slot(a))
@@ -243,6 +216,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn hop_budget_is_the_mesh_ttl_plus_a_hop_at_each_end() {
+        // Leaf 38 – ultrapeers 0..=k – leaf 39 in a line: `k` mesh hops.
+        let o = oracle(40, 6);
+        let (up, _) = Ultrapeer::build(Arc::clone(&o), &mut SimRng::seed_from(6));
+        let line = |mesh_hops: u32| {
+            let mut g = LogicalGraph::new(40);
+            let mut prev = Slot(38);
+            for u in (0..=mesh_hops).map(Slot) {
+                assert!(up.is_ultrapeer(u));
+                g.add_edge(prev, u);
+                prev = u;
+            }
+            g.add_edge(prev, Slot(39));
+            OverlayNet::new(g, Placement::identity(40), Arc::clone(&o))
+        };
+        let mut scratch = crate::FloodScratch::new();
+        let out = up.flood_latency_with(&line(FLOOD_TTL), Slot(38), Slot(39), &mut scratch);
+        assert_eq!(out.map(|(_, hops)| hops), Some(FLOOD_TTL + 2));
+        let out = up.flood_latency_with(&line(FLOOD_TTL + 1), Slot(38), Slot(39), &mut scratch);
+        assert_eq!(out, None);
     }
 
     // PROP integration is covered by workspace-level tests

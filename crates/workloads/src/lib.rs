@@ -23,7 +23,6 @@ pub mod lookups;
 pub mod traffic;
 pub mod zipf;
 
-pub use hetero::BimodalParams;
 pub use lookups::LookupGen;
 pub use traffic::{
     compile, CompiledTraffic, DomainProfile, FlashCrowd, PopularityProcess, PopularityShift,

@@ -16,8 +16,8 @@
 //!   `(generator, hour-bucket)` so compilation is a pure function of the
 //!   bucket — independent of generation order.
 //! * [`popularity`] — the [`PopularityProcess`]: Zipf rank sampling whose
-//!   exponent and rotation follow the script's shifts (shared with the
-//!   legacy `zipf_pairs`, bit-for-bit).
+//!   exponent and rotation follow the script's shifts (a constant one is
+//!   ablation A11's static Zipf workload, bit-for-bit the loop it replaced).
 //! * [`compile`] turns `(script, seed)` into a [`CompiledTraffic`] — a
 //!   sorted, replayable event trace implementing
 //!   [`prop_core::TrafficPlane`].

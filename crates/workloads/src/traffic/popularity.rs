@@ -2,9 +2,10 @@
 //!
 //! A [`PopularityProcess`] resolves "which object does a lookup at time `t`
 //! want?" under the script's [`PopularityShift`]s: Zipf(α) over the catalog
-//! with a step-changing exponent and a rotating hot set. The legacy static
-//! generator [`crate::zipf::zipf_pairs`] now routes through a constant
-//! process — same fork label, same draw order, pinned by regression test.
+//! with a step-changing exponent and a rotating hot set. A static Zipf
+//! workload (ablation A11) is a [`PopularityProcess::constant`] process
+//! under a `"zipf-pairs"` fork — the draw order of the hand-rolled loop it
+//! replaced, pinned by regression test.
 
 use super::script::{PopularityShift, TrafficScript, DEFAULT_ALPHA};
 use crate::zipf::Zipf;
@@ -37,7 +38,7 @@ impl PopularityProcess {
     }
 
     /// A shift-free process: Zipf(`alpha`) over `catalog` ranks at every
-    /// instant — the legacy `zipf_pairs` distribution.
+    /// instant.
     pub fn constant(catalog: u32, alpha: f64) -> Self {
         Self::from_shifts(catalog, &[PopularityShift { at_ms: 0, alpha, rotate: 0 }])
     }
@@ -89,7 +90,7 @@ impl PopularityProcess {
     /// A `(src, dst)` lookup workload at instant `t_ms`: uniform live
     /// sources, destinations by popularity over `ranking`
     /// (`ranking[rank % len]` holds the rank-th object). Exactly the
-    /// legacy `zipf_pairs` loop when the process is
+    /// hand-rolled static Zipf loop when the process is
     /// [`PopularityProcess::constant`] over `ranking.len()` ranks.
     pub fn pairs_at(
         &self,

@@ -7,7 +7,6 @@
 //! destination workload is the mechanistic version of that experiment.
 
 use prop_engine::SimRng;
-use prop_overlay::Slot;
 
 /// A Zipf(α) sampler over ranks `0..n` (rank 0 most popular), using the
 /// classic inverse-CDF over precomputed cumulative weights.
@@ -55,31 +54,23 @@ impl Zipf {
     }
 }
 
-/// A lookup workload whose destinations follow Zipf popularity over a
-/// ranked list of holder slots (`ranking[0]` = the most popular object's
-/// holder). Sources are uniform.
-///
-/// Sampling routes through a shift-free
-/// [`crate::traffic::PopularityProcess`] — same `"zipf-pairs"` fork and
-/// draw order as the original hand-rolled loop, so workloads are
-/// bit-identical to every prior release (regression-pinned in
-/// `tests/traffic.rs`).
-pub fn zipf_pairs(
-    live: &[Slot],
-    ranking: &[Slot],
-    alpha: f64,
-    count: usize,
-    rng: &mut SimRng,
-) -> Vec<(Slot, Slot)> {
-    assert!(live.len() >= 2 && !ranking.is_empty());
-    let process = crate::traffic::PopularityProcess::constant(ranking.len() as u32, alpha);
-    let mut rng = rng.fork("zipf-pairs");
-    process.pairs_at(0, live, ranking, count, &mut rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::PopularityProcess;
+    use prop_overlay::Slot;
+
+    /// Uniform sources, Zipf(`alpha`) destinations over `ranking`.
+    fn pairs(
+        live: &[Slot],
+        ranking: &[Slot],
+        alpha: f64,
+        count: usize,
+        seed: u64,
+    ) -> Vec<(Slot, Slot)> {
+        let process = PopularityProcess::constant(ranking.len() as u32, alpha);
+        process.pairs_at(0, live, ranking, count, &mut SimRng::seed_from(seed))
+    }
 
     #[test]
     fn pmf_sums_to_one() {
@@ -129,8 +120,7 @@ mod tests {
     fn zipf_pairs_concentrate_on_top_ranks() {
         let live: Vec<Slot> = (0..50).map(Slot).collect();
         let ranking: Vec<Slot> = (0..50).map(Slot).collect();
-        let mut rng = SimRng::seed_from(2);
-        let pairs = zipf_pairs(&live, &ranking, 1.0, 10_000, &mut rng);
+        let pairs = pairs(&live, &ranking, 1.0, 10_000, 2);
         let top5 = pairs.iter().filter(|&&(_, d)| d.0 < 5).count() as f64 / 10_000.0;
         assert!(top5 > 0.4, "top-5 share {top5}");
         for (s, d) in pairs {
@@ -141,8 +131,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let live: Vec<Slot> = (0..20).map(Slot).collect();
-        let a = zipf_pairs(&live, &live, 0.9, 100, &mut SimRng::seed_from(3));
-        let b = zipf_pairs(&live, &live, 0.9, 100, &mut SimRng::seed_from(3));
+        let a = pairs(&live, &live, 0.9, 100, 3);
+        let b = pairs(&live, &live, 0.9, 100, 3);
         assert_eq!(a, b);
     }
 }

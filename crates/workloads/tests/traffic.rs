@@ -5,15 +5,16 @@
 //!   the event trace;
 //! * flash crowds never emit events outside their windows (and never
 //!   perturb the base streams);
-//! * legacy-stream regression: `ChurnTrace::poisson` and `zipf_pairs`
-//!   produce bit-identical output to the pre-refactor hand-rolled loops
-//!   they were deduplicated from.
+//! * legacy-stream regression: `ChurnTrace::poisson` and a constant
+//!   `PopularityProcess` under a `"zipf-pairs"` fork produce bit-identical
+//!   output to the pre-refactor hand-rolled loops they were deduplicated
+//!   from.
 
 use prop_engine::{json, Duration, SimRng, SimTime};
 use prop_overlay::Slot;
 use prop_workloads::churn::{ChurnOp, ChurnTrace};
-use prop_workloads::traffic::{self, DomainProfile, FlashCrowd, TrafficScript};
-use prop_workloads::zipf::{zipf_pairs, Zipf};
+use prop_workloads::traffic::{self, DomainProfile, FlashCrowd, PopularityProcess, TrafficScript};
+use prop_workloads::zipf::Zipf;
 const CASES: u64 = 256;
 
 fn random_script(rng: &mut SimRng) -> TrafficScript {
@@ -162,7 +163,7 @@ fn churn_trace_stream_is_preserved() {
     }
 }
 
-/// The pre-refactor `zipf_pairs` body, verbatim.
+/// The pre-refactor static Zipf workload (`zipf_pairs`), verbatim.
 fn legacy_zipf_pairs(
     live: &[Slot],
     ranking: &[Slot],
@@ -192,7 +193,9 @@ fn zipf_pairs_stream_is_preserved() {
         for &alpha in &[0.0, 0.8, 1.0, 1.2] {
             let expect =
                 legacy_zipf_pairs(&live, &ranking, alpha, 600, &mut SimRng::seed_from(seed));
-            let got = zipf_pairs(&live, &ranking, alpha, 600, &mut SimRng::seed_from(seed));
+            let process = PopularityProcess::constant(ranking.len() as u32, alpha);
+            let mut rng = SimRng::seed_from(seed).fork("zipf-pairs");
+            let got = process.pairs_at(0, &live, &ranking, 600, &mut rng);
             assert_eq!(expect, got, "seed {seed}, alpha {alpha}");
         }
     }

@@ -13,6 +13,7 @@
 use prop::baselines::{LtmConfig, LtmSim};
 use prop::metrics::degree::degree_summary;
 use prop::prelude::*;
+use prop::workloads::hetero;
 use std::sync::Arc;
 
 const N: usize = 300;
@@ -25,18 +26,14 @@ fn main() {
 
     // Fast hubs: the earliest joiners, which preferential attachment makes
     // the high-degree nodes.
-    let params = BimodalParams::default();
-    let n_fast = (N as f64 * params.fast_fraction).round() as usize;
-    let delays: Vec<u32> = (0..N)
-        .map(|p| if p < n_fast { params.fast_delay_ms } else { params.slow_delay_ms })
-        .collect();
-    let is_fast = |s: Slot| (s.index()) < n_fast;
+    let hubs = hetero::hub_correlated(N);
+    let is_fast = |s: Slot| hubs.is_fast[s.index()];
 
     let build = |seed: u64| {
         let mut rng = SimRng::seed_from(seed);
         let (gn, mut net) =
             Gnutella::build(GnutellaParams::default(), Arc::clone(&oracle), &mut rng);
-        net.set_processing_delays(delays.clone());
+        net.set_processing_delays(hubs.delay_ms.clone());
         (gn, net, rng)
     };
 

@@ -55,10 +55,9 @@ fn main() {
 
     // Model: per-trial success probability in late maintenance is low;
     // bracket the measurement between q=0 and q=0.2.
-    let t = Duration::from_minutes(1);
-    let lo = analysis::steady_state_probe_rate(0.0, t);
-    let hi = analysis::steady_state_probe_rate(0.2, t);
-    let worst = analysis::worst_case_probe_rate(t);
+    let lo = analysis::steady_state_probe_rate(0.0);
+    let hi = analysis::steady_state_probe_rate(0.2);
+    let worst = analysis::worst_case_probe_rate();
     println!("\nper-node probe rate (probes/ms):");
     println!("  worst case (warm-up):        {worst:.3e}");
     println!("  Markov model, q ∈ [0, 0.2]:  [{lo:.3e}, {hi:.3e}]");

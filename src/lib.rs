@@ -73,11 +73,11 @@ pub mod prelude {
     pub use prop_overlay::can::Can;
     pub use prop_overlay::chord::{Chord, ChordParams};
     pub use prop_overlay::gnutella::{Gnutella, GnutellaParams};
-    pub use prop_overlay::kademlia::{Kademlia, KademliaParams};
-    pub use prop_overlay::pastry::{Pastry, PastryParams};
-    pub use prop_overlay::ultrapeer::{Ultrapeer, UltrapeerParams};
+    pub use prop_overlay::kademlia::Kademlia;
+    pub use prop_overlay::pastry::Pastry;
+    pub use prop_overlay::ultrapeer::Ultrapeer;
     pub use prop_overlay::{
         FloodScratch, LogicalGraph, Lookup, OverlayNet, Placement, RouteOutcome, Slot,
     };
-    pub use prop_workloads::{BimodalParams, LookupGen};
+    pub use prop_workloads::LookupGen;
 }

@@ -83,8 +83,9 @@ fn heavy_dht_churn_never_breaks_invariants() {
             sim.handle_leave(victim, &affected);
             absent.push(peer);
         } else if let Some(peer) = absent.pop() {
-            let (slot, _) = dc.join(sim.net_mut(), peer);
+            let (slot, affected) = dc.join(sim.net_mut(), peer);
             sim.handle_join(slot);
+            sim.handle_rewire(&affected);
         }
         assert!(sim.net().graph().is_connected(), "partition at event {i}");
         assert!(sim.net().placement().is_consistent());

@@ -8,7 +8,7 @@
 //! structural invariants (ring order, prefix tables, zone tiling) hold.
 
 use prop::overlay::can::Can;
-use prop::overlay::pastry::{Pastry, PastryParams};
+use prop::overlay::pastry::Pastry;
 use prop::prelude::*;
 use std::sync::Arc;
 
@@ -65,7 +65,7 @@ fn pastry_invariants_survive_swaps() {
         let (seed, swaps) = case_inputs(case);
         let n = 24usize;
         let mut rng = SimRng::seed_from(seed);
-        let (pastry, mut net) = Pastry::build(PastryParams::default(), oracle(n, seed), &mut rng);
+        let (pastry, mut net) = Pastry::build(oracle(n, seed), &mut rng);
         let hops_before: Vec<u32> =
             (0..n as u32).map(|b| pastry.lookup(&net, Slot(1), Slot(b)).unwrap().hops).collect();
         apply_random_swaps(&mut net, n as u32, swaps, seed ^ 0xaa);

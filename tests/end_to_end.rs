@@ -134,8 +134,7 @@ fn ltm_and_prop_both_beat_unoptimized() {
 fn heterogeneous_lookup_pipeline() {
     use prop::workloads::hetero;
     let (oracle, mut rng) = setup(100, 7);
-    let params = BimodalParams::default();
-    let assignment = hetero::assign(&params, 100, &mut rng);
+    let assignment = hetero::hub_correlated(100);
     let (gn, mut net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
     net.set_processing_delays(assignment.delay_ms.clone());
 

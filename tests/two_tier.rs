@@ -1,7 +1,7 @@
 //! PROP on the two-tier (ultrapeer/leaf) Gnutella: the architecture whose
 //! bimodal degree structure makes degree preservation non-negotiable.
 
-use prop::overlay::ultrapeer::{Ultrapeer, UltrapeerParams};
+use prop::overlay::ultrapeer::Ultrapeer;
 use prop::prelude::*;
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ fn setup(n: usize, seed: u64) -> (Ultrapeer, OverlayNet, SimRng) {
     let mut rng = SimRng::seed_from(seed);
     let phys = generate(&TransitStubParams::ts_small(), &mut rng);
     let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
-    let (up, net) = Ultrapeer::build(UltrapeerParams::default(), oracle, &mut rng);
+    let (up, net) = Ultrapeer::build(oracle, &mut rng);
     (up, net, rng)
 }
 
