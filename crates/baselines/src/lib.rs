@@ -2,7 +2,7 @@
 //!
 //! PROP is evaluated against the location-aware techniques that preceded it:
 //!
-//! * [`ltm`] — **Location-aware Topology Matching** (Liu et al., TPDS '05),
+//! * [`Rewiring::Ltm`] — **Location-aware Topology Matching** (Liu et al., TPDS '05),
 //!   the unstructured-overlay baseline of Fig. 7: peers flood a small-TTL
 //!   detector, cut slow redundant links, and connect to closer two-hop
 //!   neighbors. Free cut/add means node degrees drift — the property the
@@ -17,15 +17,19 @@
 //! * [`pis`] — **Proximity Identifier Selection** (topologically-aware
 //!   CAN, Ratnasamy et al.): landmark-derived join points place physically
 //!   close peers in adjacent zones.
-//! * [`selfish`] — the §3.1 strawman: every node greedily replaces its farthest
-//!   neighbor with the nearest candidate it can find, without cooperating —
-//!   good for the node, not for the system.
+//! * [`Rewiring::Selfish`] — the §3.1 strawman: every node greedily replaces
+//!   its farthest neighbor with the nearest candidate it can find, without
+//!   cooperating — good for the node, not for the system.
+//!
+//! The two rewiring schemes run on one driver, [`RewiringSim`], a
+//! [`prop_core::ChurnDriver`] like PROP's own.
 
-pub mod ltm;
+mod ltm;
 pub mod pis;
 pub mod pns;
 pub mod prs;
-pub mod selfish;
+pub mod rewiring;
+mod selfish;
 
-pub use ltm::{LtmConfig, LtmSim};
 pub use prs::PrsChord;
+pub use rewiring::{Rewiring, RewiringSim};

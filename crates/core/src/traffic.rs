@@ -71,10 +71,6 @@ pub trait TrafficPlane {
     /// nondecreasing times.
     fn next_event(&mut self, deadline: SimTime) -> Option<(SimTime, TrafficEvent)>;
 
-    /// Arrival time of the next unconsumed event, if any — lets a driver
-    /// decide how far it can run before checking back.
-    fn peek(&self) -> Option<SimTime>;
-
     /// Events emitted so far, by kind.
     fn counters(&self) -> TrafficCounters;
 }
@@ -82,9 +78,11 @@ pub trait TrafficPlane {
 /// The driver surface scripted traffic needs: advance the clock, mutate the
 /// overlay, and keep protocol state (including the refreshed `m_default`)
 /// honest across churn. Implemented by [`PropSim`] in either timing mode
-/// ([`crate::ProtocolSim`], [`crate::AsyncProtocolSim`]), so one generic pump
-/// loop in the experiment layer serves both; the overlay-specific join/leave
-/// glue (Gnutella patching, ring maintenance) stays with the caller.
+/// ([`crate::ProtocolSim`], [`crate::AsyncProtocolSim`]) and by the rewiring
+/// baselines' driver (`prop_baselines::RewiringSim`), so one generic pump
+/// loop in the experiment layer serves them all; the overlay-specific
+/// join/leave glue (Gnutella patching, ring maintenance) stays with the
+/// caller.
 pub trait ChurnDriver {
     /// Run all protocol events up to and including `deadline`.
     fn run_until(&mut self, deadline: SimTime);
@@ -148,9 +146,6 @@ mod tests {
             }
             Some((t, ev))
         }
-        fn peek(&self) -> Option<SimTime> {
-            self.events.get(self.cursor).map(|&(t, _)| t)
-        }
         fn counters(&self) -> TrafficCounters {
             self.counters
         }
@@ -167,7 +162,6 @@ mod tests {
             cursor: 0,
             counters: TrafficCounters::default(),
         };
-        assert_eq!(p.peek(), Some(SimTime(10)));
         assert!(p.next_event(SimTime(5)).is_none(), "nothing due yet");
         let mut last = SimTime::ZERO;
         while let Some((t, _)) = p.next_event(SimTime(25)) {
@@ -178,7 +172,6 @@ mod tests {
         assert_eq!(p.next_event(SimTime(30)).unwrap().1, TrafficEvent::Leave { domain: 1 });
         let c = p.counters();
         assert_eq!((c.joins, c.leaves, c.lookups), (1, 1, 1));
-        assert_eq!(p.peek(), None);
     }
 
     #[test]

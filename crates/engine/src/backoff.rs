@@ -43,7 +43,6 @@ pub struct MarkovTimer {
     init: Duration,
     max: Duration,
     current: Duration,
-    consecutive_failures: u32,
 }
 
 impl MarkovTimer {
@@ -51,16 +50,11 @@ impl MarkovTimer {
     /// ("MAX_TIMER = 2⁵ · INIT_TIMER").
     pub const MAX_FACTOR: u64 = 32;
 
-    /// A timer with the paper's default relationship `max = 32 · init`.
+    /// A timer at `init` with the paper's ceiling `max = 32 · init`.
     pub fn new(init: Duration) -> Self {
-        Self::with_max(init, Duration(init.0.saturating_mul(Self::MAX_FACTOR)))
-    }
-
-    /// A timer with an explicit ceiling (must be ≥ `init`).
-    pub fn with_max(init: Duration, max: Duration) -> Self {
         assert!(init > Duration::ZERO, "INIT_TIMER must be positive");
-        assert!(max >= init, "MAX_TIMER must be ≥ INIT_TIMER");
-        MarkovTimer { init, max, current: init, consecutive_failures: 0 }
+        let max = Duration(init.0.saturating_mul(Self::MAX_FACTOR));
+        MarkovTimer { init, max, current: init }
     }
 
     /// The interval to wait before the *next* probe.
@@ -69,22 +63,15 @@ impl MarkovTimer {
         self.current
     }
 
-    /// Number of failed trials since the last reset.
-    #[inline]
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
     /// Record a trial outcome and update the interval.
     pub fn record(&mut self, outcome: TrialOutcome) {
         match outcome {
             TrialOutcome::Exchanged => self.reset(),
             TrialOutcome::NoGain => {
-                self.consecutive_failures += 1;
                 let doubled = self.current.double();
                 // "if Timer ≥ MAX_TIMER, it will also be set as INIT_TIMER"
                 if doubled > self.max {
-                    self.reset_interval_only();
+                    self.reset();
                 } else {
                     self.current = doubled;
                 }
@@ -92,13 +79,8 @@ impl MarkovTimer {
         }
     }
 
-    /// Reset on success or churn: interval back to `INIT_TIMER`.
+    /// Reset on success, churn or wrap: interval back to `INIT_TIMER`.
     pub fn reset(&mut self) {
-        self.current = self.init;
-        self.consecutive_failures = 0;
-    }
-
-    fn reset_interval_only(&mut self) {
         self.current = self.init;
     }
 }
@@ -130,7 +112,6 @@ mod tests {
         assert_eq!(t.current(), minutes(8));
         t.record(TrialOutcome::Exchanged);
         assert_eq!(t.current(), minutes(1));
-        assert_eq!(t.consecutive_failures(), 0);
     }
 
     #[test]
@@ -146,31 +127,11 @@ mod tests {
     }
 
     #[test]
-    fn failure_count_survives_wrap() {
-        let mut t = MarkovTimer::new(minutes(1));
-        for _ in 0..7 {
-            t.record(TrialOutcome::NoGain);
-        }
-        assert_eq!(t.consecutive_failures(), 7);
-    }
-
-    #[test]
     fn churn_reset_clears_everything() {
         let mut t = MarkovTimer::new(minutes(1));
         t.record(TrialOutcome::NoGain);
         t.record(TrialOutcome::NoGain);
         t.reset();
-        assert_eq!(t.current(), minutes(1));
-        assert_eq!(t.consecutive_failures(), 0);
-    }
-
-    #[test]
-    fn custom_ceiling_respected() {
-        let mut t = MarkovTimer::with_max(minutes(1), minutes(4));
-        t.record(TrialOutcome::NoGain); // 2
-        t.record(TrialOutcome::NoGain); // 4
-        assert_eq!(t.current(), minutes(4));
-        t.record(TrialOutcome::NoGain); // would be 8 > 4 ⇒ wrap
         assert_eq!(t.current(), minutes(1));
     }
 

@@ -28,7 +28,7 @@ use crate::fig7::{hetero_gnutella, to_slot_pairs};
 use crate::setup::{msgs_per_trial, Scale, Scenario, Scheme};
 use prop_baselines::pis::build_pis_can;
 use prop_baselines::pns::{build_pns_chord, build_pns_pastry};
-use prop_baselines::{LtmConfig, LtmSim, PrsChord};
+use prop_baselines::{PrsChord, Rewiring};
 use prop_core::analysis::{propg_msgs_per_step, propo_msgs_per_step};
 use prop_core::{PropConfig, ProtocolSim};
 use prop_engine::{json_impl, Duration, SimRng, SimTime};
@@ -537,11 +537,8 @@ pub fn ltm_cap_sweep(scale: Scale, seed: u64) -> Vec<LtmCapRow> {
         .into_iter()
         .map(|cap| {
             let (_, net) = hetero_gnutella(&scenario, &assignment);
-            let mut rng = scenario.rng(&format!("a10-{cap}"));
-            let cfg = LtmConfig { max_degree: cap };
-            let mut sim = LtmSim::new(net, cfg, &mut rng);
-            sim.run_for(scale.horizon());
-            let net = sim.into_net();
+            let ltm = Scheme::Rewire(Rewiring::Ltm { max_degree: cap });
+            let net = ltm.optimize(&scenario, net, &format!("a10-{cap}"), scale.horizon());
             LtmCapRow {
                 max_degree: cap,
                 mean_degree_final: net.graph().mean_degree(),
@@ -598,8 +595,11 @@ pub fn zipf_workload(scale: Scale, seed: u64) -> Vec<ZipfRow> {
 }
 
 /// The three schemes A11 and A12 set side by side, under their row labels.
-const COMPARED: [(&str, Scheme); 3] =
-    [("PROP-O", Scheme::PropO { m: None }), ("PROP-G", Scheme::PropG), ("LTM", Scheme::Ltm)];
+const COMPARED: [(&str, Scheme); 3] = [
+    ("PROP-O", Scheme::PropO { m: None }),
+    ("PROP-G", Scheme::PropG),
+    ("LTM", Scheme::Rewire(Rewiring::LTM)),
+];
 
 // --------------------------------------------------------------- A12 ----
 
@@ -697,8 +697,8 @@ pub fn selfish_vs_prop(scale: Scale, seed: u64) -> Vec<SelfishRow> {
     let cv0 = degree_summary(scenario.gnutella().1.graph()).cv;
     [
         ("PROP-O (cooperative)", "a4-propo", Scheme::PropO { m: None }),
-        ("selfish rewiring", "a4-selfish", Scheme::Selfish),
-        ("LTM", "a4-ltm", Scheme::Ltm),
+        ("selfish rewiring", "a4-selfish", Scheme::Rewire(Rewiring::Selfish)),
+        ("LTM", "a4-ltm", Scheme::Rewire(Rewiring::LTM)),
     ]
     .into_iter()
     .map(|(label, rng_label, scheme)| {

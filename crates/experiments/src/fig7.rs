@@ -16,6 +16,7 @@
 //! node's degree — keeps improving and crosses below them.
 
 use crate::setup::{Scale, Scenario, Scheme};
+use prop_baselines::Rewiring;
 use prop_engine::{json_impl, par};
 use prop_metrics::avg_lookup_latency;
 use prop_overlay::gnutella::Gnutella;
@@ -91,7 +92,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<HeteroCurve> {
         ("PROP-O (m=2)", "fig7-propo-2", Scheme::PropO { m: Some(2) }),
         ("PROP-O (m=4)", "fig7-propo-4", Scheme::PropO { m: Some(4) }),
         ("PROP-G", "fig7-propg", Scheme::PropG),
-        ("LTM", "fig7-ltm", Scheme::Ltm),
+        ("LTM", "fig7-ltm", Scheme::Rewire(Rewiring::LTM)),
     ];
     par::map(&schemes, |&(label, rng_label, scheme)| {
         let (_, net) = hetero_gnutella(&scenario, &assignment);

@@ -2,8 +2,7 @@
 //! the optimizer [`Scheme`]s the comparisons run, and the three panels
 //! Figs. 5 and 6 have in common.
 
-use prop_baselines::selfish::SelfishSim;
-use prop_baselines::{LtmConfig, LtmSim};
+use prop_baselines::{Rewiring, RewiringSim};
 use prop_core::{Overhead, Policy, ProbeMode, PropConfig, ProtocolSim};
 use prop_engine::{json_impl, par, Duration, SimRng};
 use prop_metrics::TimeSeries;
@@ -170,9 +169,8 @@ pub enum Scheme {
         m: Option<usize>,
     },
     PropG,
-    Ltm,
-    /// The §3.1 selfish-rewiring strawman.
-    Selfish,
+    /// LTM or the §3.1 selfish-rewiring strawman.
+    Rewire(Rewiring),
 }
 
 impl Scheme {
@@ -189,13 +187,8 @@ impl Scheme {
         let policy = match self {
             Scheme::PropO { m } => Policy::PropO { m },
             Scheme::PropG => Policy::PropG,
-            Scheme::Ltm => {
-                let mut sim = LtmSim::new(net, LtmConfig::default(), &mut rng);
-                sim.run_for(horizon);
-                return sim.into_net();
-            }
-            Scheme::Selfish => {
-                let mut sim = SelfishSim::new(net, &mut rng);
+            Scheme::Rewire(rule) => {
+                let mut sim = RewiringSim::new(net, rule, &mut rng);
                 sim.run_for(horizon);
                 return sim.into_net();
             }

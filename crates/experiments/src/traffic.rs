@@ -17,7 +17,7 @@
 
 use crate::cli::MIN_MEMBERS;
 use crate::setup::{Scale, Scenario, Topology};
-use prop_baselines::selfish::SelfishSim;
+use prop_baselines::{Rewiring, RewiringSim};
 use prop_core::sim::Timing;
 use prop_core::{
     AsyncProtocolSim, ChurnDriver, PropConfig, PropSim, ProtocolSim, TrafficCounters, TrafficEvent,
@@ -123,32 +123,6 @@ impl TrafficRunReport {
     }
 }
 
-/// Wrapper giving the selfish baseline the [`ChurnDriver`] surface (the
-/// trait lives in prop-core, the sim in prop-baselines — neither crate
-/// knows the other, so the glue sits here).
-struct SelfishDriver(SelfishSim);
-
-impl ChurnDriver for SelfishDriver {
-    fn run_until(&mut self, deadline: SimTime) {
-        self.0.run_until(deadline);
-    }
-    fn now(&self) -> SimTime {
-        self.0.now()
-    }
-    fn net(&self) -> &prop_overlay::OverlayNet {
-        self.0.net()
-    }
-    fn net_mut(&mut self) -> &mut prop_overlay::OverlayNet {
-        self.0.net_mut()
-    }
-    fn handle_join(&mut self, slot: Slot) {
-        self.0.handle_join(slot);
-    }
-    fn handle_leave(&mut self, slot: Slot, affected: &[Slot]) {
-        self.0.handle_leave(slot, affected);
-    }
-}
-
 /// Resolve a scenario's topology label to the [`Topology`] preset. The
 /// loaders below have already refused a file whose label is unknown.
 pub fn topology_from_label(label: &str) -> Topology {
@@ -180,8 +154,8 @@ pub fn run_scenario(spec: &ScenarioSpec, driver: TrafficDriver, scale: Scale) ->
             drive_prop(sim, &gn, spec, &scenario, &mut plane, scale)
         }
         TrafficDriver::Selfish => {
-            let mut sim = SelfishDriver(SelfishSim::new(net, &mut rng));
-            drive(&mut sim, &gn, spec, &scenario, &mut plane, scale, |s| (s.0.rewires, 0))
+            let mut sim = RewiringSim::new(net, Rewiring::Selfish, &mut rng);
+            drive(&mut sim, &gn, spec, &scenario, &mut plane, scale, |s| (s.rewires(), 0))
         }
     };
 

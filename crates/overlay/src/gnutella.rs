@@ -34,6 +34,39 @@ impl Default for GnutellaParams {
     }
 }
 
+/// Wire slots `0..n` of `g` by preferential attachment: a seed clique on
+/// slots `0..=k`, then each later slot in index order links to `k`
+/// distinct earlier slots drawn with probability ∝ degree (Barabási–Albert),
+/// so the minimum degree is exactly `k`. Shared by the flat overlay and
+/// the two-tier overlay's ultrapeer mesh.
+pub(crate) fn preferential_attachment(g: &mut LogicalGraph, n: usize, k: usize, rng: &mut SimRng) {
+    // `endpoints` holds each edge's two ends; sampling a uniform entry
+    // samples a slot with probability ∝ its degree.
+    let mut endpoints: Vec<Slot> = Vec::with_capacity(2 * n * k);
+    for a in 0..=(k as u32) {
+        for b in (a + 1)..=(k as u32) {
+            g.add_edge(Slot(a), Slot(b));
+            endpoints.push(Slot(a));
+            endpoints.push(Slot(b));
+        }
+    }
+    for s in (k + 1)..n {
+        let joiner = Slot(s as u32);
+        let mut chosen: Vec<Slot> = Vec::with_capacity(k);
+        while chosen.len() < k {
+            let target = *rng.pick(&endpoints).expect("seed clique populated endpoints");
+            if target != joiner && !chosen.contains(&target) {
+                chosen.push(target);
+            }
+        }
+        for t in chosen {
+            g.add_edge(joiner, t);
+            endpoints.push(joiner);
+            endpoints.push(t);
+        }
+    }
+}
+
 /// The Gnutella overlay: flooding-based lookups over an [`OverlayNet`].
 #[derive(Clone, Debug)]
 pub struct Gnutella {
@@ -53,37 +86,7 @@ impl Gnutella {
         assert!(n > k, "need more than links_per_join peers");
         let mut rng = rng.fork("gnutella-build");
         let mut g = LogicalGraph::new(n);
-
-        // `endpoints` holds each edge's two ends; sampling a uniform entry
-        // samples a slot with probability ∝ its degree (preferential
-        // attachment à la Barabási–Albert).
-        let mut endpoints: Vec<Slot> = Vec::with_capacity(2 * n * k);
-
-        // Seed clique of k+1 slots so every later joiner can find k targets
-        // and the minimum degree is exactly k.
-        for a in 0..=(k as u32) {
-            for b in (a + 1)..=(k as u32) {
-                g.add_edge(Slot(a), Slot(b));
-                endpoints.push(Slot(a));
-                endpoints.push(Slot(b));
-            }
-        }
-
-        for s in (k + 1)..n {
-            let joiner = Slot(s as u32);
-            let mut chosen: Vec<Slot> = Vec::with_capacity(k);
-            while chosen.len() < k {
-                let target = *rng.pick(&endpoints).expect("seed clique populated endpoints");
-                if target != joiner && !chosen.contains(&target) {
-                    chosen.push(target);
-                }
-            }
-            for t in chosen {
-                g.add_edge(joiner, t);
-                endpoints.push(joiner);
-                endpoints.push(t);
-            }
-        }
+        preferential_attachment(&mut g, n, k, &mut rng);
 
         let net = OverlayNet::new(g, Placement::identity(n), oracle);
         (Gnutella { params }, net)

@@ -55,32 +55,9 @@ impl Ultrapeer {
         let mut rng = rng.fork("ultrapeer-build");
         let mut g = LogicalGraph::new(n);
 
-        // Ultrapeer mesh: seed clique + preferential attachment, exactly
-        // like the flat Gnutella builder but restricted to the top tier.
-        let k = MESH_LINKS;
-        let mut endpoints: Vec<Slot> = Vec::new();
-        for a in 0..=(k as u32) {
-            for b in (a + 1)..=(k as u32) {
-                g.add_edge(Slot(a), Slot(b));
-                endpoints.push(Slot(a));
-                endpoints.push(Slot(b));
-            }
-        }
-        for s in (k + 1)..n_up {
-            let joiner = Slot(s as u32);
-            let mut chosen: Vec<Slot> = Vec::with_capacity(k);
-            while chosen.len() < k {
-                let target = *rng.pick(&endpoints).expect("seeded");
-                if target != joiner && !chosen.contains(&target) {
-                    chosen.push(target);
-                }
-            }
-            for t in chosen {
-                g.add_edge(joiner, t);
-                endpoints.push(joiner);
-                endpoints.push(t);
-            }
-        }
+        // Ultrapeer mesh: the flat Gnutella builder's preferential
+        // attachment, restricted to the top tier.
+        crate::gnutella::preferential_attachment(&mut g, n_up, MESH_LINKS, &mut rng);
 
         // Leaves: attach to `LEAF_LINKS` distinct random ultrapeers.
         let ups: Vec<Slot> = (0..n_up as u32).map(Slot).collect();

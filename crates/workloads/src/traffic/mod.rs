@@ -85,10 +85,6 @@ impl TrafficPlane for CompiledTraffic {
         Some((t, ev))
     }
 
-    fn peek(&self) -> Option<SimTime> {
-        self.events.get(self.cursor).map(|&(t, _)| t)
-    }
-
     fn counters(&self) -> TrafficCounters {
         self.counters
     }

@@ -10,7 +10,6 @@
 //! cargo run --release --example gnutella_file_sharing
 //! ```
 
-use prop::baselines::{LtmConfig, LtmSim};
 use prop::metrics::degree::degree_summary;
 use prop::prelude::*;
 use prop::workloads::hetero;
@@ -38,38 +37,59 @@ fn main() {
     };
 
     // One workload, shared by every scheme: 80% of queries target the hubs.
-    let (_, probe_net, wl_rng) = build(42);
-    let live: Vec<Slot> = probe_net.graph().live_slots().collect();
-    let pairs = LookupGen::new(&wl_rng).skewed_pairs(&live, is_fast, 0.8, 1500);
-    let cv0 = degree_summary(probe_net.graph()).cv;
-    let base =
-        avg_lookup_latency(&probe_net, &Gnutella { params: GnutellaParams::default() }, &pairs);
-    println!("unoptimized swarm: {:.1} ms mean lookup, degree CV {cv0:.3}\n", base.mean_ms);
+    // A pair names two *peers* (before optimization peer i sits at slot i);
+    // every scheme is measured where its placement put them, so PROP-G's
+    // relocated hubs are still the hubs the queries want.
+    let (gn, net0, wl_rng) = build(42);
+    let peers: Vec<Slot> = net0.graph().live_slots().collect();
+    let pairs = LookupGen::new(&wl_rng).skewed_pairs(&peers, is_fast, 0.8, 1500);
+    let cv0 = degree_summary(net0.graph()).cv;
+    let base = lookup_ms(&gn, &net0, &pairs);
+    println!("unoptimized swarm: {base:.1} ms mean lookup, degree CV {cv0:.3}\n");
     println!("{:<10} {:>14} {:>12} {:>14}", "scheme", "lookup (ms)", "vs base", "degree-CV drift");
 
     // PROP-O — the paper's recommendation for heterogeneous swarms.
-    {
+    let propo = {
         let (gn, net, mut rng) = build(42);
         let mut sim = ProtocolSim::new(net, PropConfig::prop_o(), &mut rng);
         sim.run_for(Duration::from_minutes(HORIZON_MIN));
-        report("PROP-O", &gn, &sim.into_net(), &pairs, base.mean_ms, cv0);
-    }
+        report("PROP-O", &gn, &sim.into_net(), &pairs, base, cv0)
+    };
     // PROP-G — still helps, but swaps hubs out of their positions.
-    {
+    let propg = {
         let (gn, net, mut rng) = build(42);
         let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
         sim.run_for(Duration::from_minutes(HORIZON_MIN));
-        report("PROP-G", &gn, &sim.into_net(), &pairs, base.mean_ms, cv0);
-    }
+        report("PROP-G", &gn, &sim.into_net(), &pairs, base, cv0)
+    };
     // LTM — cuts/adds freely, deforming the degree distribution.
-    {
+    let ltm = {
         let (gn, net, mut rng) = build(42);
-        let mut sim = LtmSim::new(net, LtmConfig::default(), &mut rng);
+        let mut sim = RewiringSim::new(net, Rewiring::LTM, &mut rng);
         sim.run_for(Duration::from_minutes(HORIZON_MIN));
-        report("LTM", &gn, &sim.into_net(), &pairs, base.mean_ms, cv0);
+        report("LTM", &gn, &sim.into_net(), &pairs, base, cv0)
+    };
+
+    // Every scheme helps; only LTM deforms the degree distribution, and
+    // PROP-O, which keeps the hubs in place, beats PROP-G here.
+    for (ms, _) in [propo, propg, ltm] {
+        assert!(ms < base, "{ms:.1} ms is no better than the unoptimized {base:.1} ms");
     }
+    assert_eq!(propo.1, 0.0, "PROP-O changed a degree");
+    assert_eq!(propg.1, 0.0, "PROP-G changed a degree");
+    assert!(ltm.1 > 0.0, "LTM kept the degree distribution");
+    assert!(propo.0 < propg.0, "PROP-O {:.1} ms not below PROP-G {:.1} ms", propo.0, propg.0);
 }
 
+/// Mean delay of the peer-space lookups `pairs` on `net`, each peer looked
+/// up at the slot it holds there.
+fn lookup_ms(gn: &Gnutella, net: &OverlayNet, pairs: &[(Slot, Slot)]) -> f64 {
+    let slot = |peer: Slot| net.placement().slot_of(peer.index()).expect("peer present");
+    let slot_pairs: Vec<(Slot, Slot)> = pairs.iter().map(|&(s, d)| (slot(s), slot(d))).collect();
+    avg_lookup_latency(net, gn, &slot_pairs).mean_ms
+}
+
+/// Print one scheme's row; returns its mean lookup delay and degree-CV drift.
 fn report(
     label: &str,
     gn: &Gnutella,
@@ -77,13 +97,9 @@ fn report(
     pairs: &[(Slot, Slot)],
     base_ms: f64,
     cv0: f64,
-) {
-    let s = avg_lookup_latency(net, gn, pairs);
-    let cv = degree_summary(net.graph()).cv;
-    println!(
-        "{label:<10} {:>14.1} {:>11.1}% {:>14.4}",
-        s.mean_ms,
-        (s.mean_ms / base_ms - 1.0) * 100.0,
-        (cv - cv0).abs()
-    );
+) -> (f64, f64) {
+    let ms = lookup_ms(gn, net, pairs);
+    let drift = (degree_summary(net.graph()).cv - cv0).abs();
+    println!("{label:<10} {ms:>14.1} {:>11.1}% {drift:>14.4}", (ms / base_ms - 1.0) * 100.0);
+    (ms, drift)
 }

@@ -59,7 +59,7 @@ pub use prop_workloads as workloads;
 
 /// The names almost every user of the library needs.
 pub mod prelude {
-    pub use prop_baselines::{LtmConfig, LtmSim, PrsChord};
+    pub use prop_baselines::{PrsChord, Rewiring, RewiringSim};
     pub use prop_core::{AsyncProtocolSim, Policy, ProbeMode, PropConfig, ProtocolSim};
     pub use prop_engine::{Duration, SimRng, SimTime};
     pub use prop_faults::{

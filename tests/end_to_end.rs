@@ -3,7 +3,6 @@
 
 use prop::baselines::pis::build_pis_can;
 use prop::baselines::pns::build_pns_chord;
-use prop::baselines::{LtmConfig, LtmSim};
 use prop::prelude::*;
 use std::sync::Arc;
 
@@ -121,7 +120,7 @@ fn ltm_and_prop_both_beat_unoptimized() {
     let prop_lat = prop_sim.into_net().mean_link_latency();
 
     let (_, net2) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
-    let mut ltm_sim = LtmSim::new(net2, LtmConfig::default(), &mut rng);
+    let mut ltm_sim = RewiringSim::new(net2, Rewiring::LTM, &mut rng);
     ltm_sim.run_for(Duration::from_minutes(45));
     let ltm_lat = ltm_sim.into_net().mean_link_latency();
 
