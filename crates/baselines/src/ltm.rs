@@ -84,6 +84,7 @@ pub(crate) fn step(net: &mut OverlayNet, u: Slot, max_degree: usize) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use crate::rewiring::MIN_DEGREE;
     use crate::{Rewiring, RewiringSim};
     use prop_core::ChurnDriver;
     use prop_engine::{Duration, SimRng};
@@ -91,17 +92,48 @@ mod tests {
     use prop_overlay::gnutella::{Gnutella, GnutellaParams};
     use std::sync::Arc;
 
+    fn ltm_sim(n: usize, seed: u64) -> RewiringSim {
+        let mut rng = SimRng::seed_from(seed);
+        let phys = generate(&TransitStubParams::tiny(), &mut rng);
+        let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
+        let (_, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
+        RewiringSim::new(net, Rewiring::LTM, &mut rng)
+    }
+
     #[test]
     fn ltm_reduces_mean_link_latency() {
-        let mut rng = SimRng::seed_from(1);
-        let phys = generate(&TransitStubParams::tiny(), &mut rng);
-        let oracle = Arc::new(LatencyOracle::select_and_build(&phys, 30, &mut rng));
-        let (_, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
-        let mut sim = RewiringSim::new(net, Rewiring::LTM, &mut rng);
+        let mut sim = ltm_sim(30, 1);
         let before = sim.net().mean_link_latency();
         sim.run_for(Duration::from_minutes(30));
         let after = sim.net().mean_link_latency();
         assert!(after < before, "LTM should reduce mean link latency: {before:.1} → {after:.1}");
         assert!(sim.rewires() > 0);
+    }
+
+    #[test]
+    fn ltm_preserves_connectivity() {
+        let mut sim = ltm_sim(30, 2);
+        for _ in 0..20 {
+            sim.run_for(Duration::from_minutes(2));
+            assert!(sim.net().graph().is_connected());
+        }
+    }
+
+    #[test]
+    fn ltm_respects_min_degree() {
+        let mut sim = ltm_sim(30, 3);
+        sim.run_for(Duration::from_minutes(40));
+        let min = sim.net().graph().min_degree().unwrap();
+        assert!(min >= MIN_DEGREE, "min degree {min}");
+    }
+
+    #[test]
+    fn ltm_changes_degree_sequence() {
+        // The PROP paper's critique: LTM does not preserve degrees.
+        let mut sim = ltm_sim(40, 4);
+        let before = sim.net().graph().degree_sequence();
+        sim.run_for(Duration::from_minutes(40));
+        let after = sim.net().graph().degree_sequence();
+        assert_ne!(before, after, "expected LTM to reshape the degree distribution");
     }
 }

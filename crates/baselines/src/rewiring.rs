@@ -119,54 +119,3 @@ impl ChurnDriver for RewiringSim {
     /// retired by the `is_alive` check when it fires.
     fn handle_leave(&mut self, _slot: Slot, _affected: &[Slot]) {}
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use prop_netsim::{generate, LatencyOracle, TransitStubParams};
-    use prop_overlay::gnutella::{Gnutella, GnutellaParams};
-    use std::sync::Arc;
-
-    const RULES: [Rewiring; 2] = [Rewiring::LTM, Rewiring::Selfish];
-
-    fn sim(rule: Rewiring, n: usize, seed: u64) -> RewiringSim {
-        let mut rng = SimRng::seed_from(seed);
-        let phys = generate(&TransitStubParams::tiny(), &mut rng);
-        let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
-        let (_, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
-        RewiringSim::new(net, rule, &mut rng)
-    }
-
-    #[test]
-    fn rewiring_happens_and_stays_connected() {
-        for rule in RULES {
-            let mut s = sim(rule, 30, 1);
-            for _ in 0..15 {
-                s.run_for(Duration::from_minutes(2));
-                assert!(s.net().graph().is_connected(), "{rule:?}");
-            }
-            assert!(s.rewires() > 0, "{rule:?}");
-        }
-    }
-
-    #[test]
-    fn rewiring_respects_the_degree_floor() {
-        for rule in RULES {
-            let mut s = sim(rule, 30, 3);
-            s.run_for(Duration::from_minutes(40));
-            let min = s.net().graph().min_degree().unwrap();
-            assert!(min >= MIN_DEGREE, "{rule:?}: min degree {min}");
-        }
-    }
-
-    #[test]
-    fn rewiring_reshapes_the_degree_sequence() {
-        // The PROP paper's critique: neither scheme preserves degrees.
-        for rule in RULES {
-            let mut s = sim(rule, 40, 4);
-            let before = s.net().graph().degree_sequence();
-            s.run_for(Duration::from_minutes(40));
-            assert_ne!(before, s.net().graph().degree_sequence(), "{rule:?}");
-        }
-    }
-}

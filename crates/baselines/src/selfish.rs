@@ -61,3 +61,48 @@ pub(crate) fn step(net: &mut OverlayNet, u: Slot) -> bool {
     net.graph_mut().add_edge(u, w);
     true
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::rewiring::MIN_DEGREE;
+    use crate::{Rewiring, RewiringSim};
+    use prop_core::ChurnDriver;
+    use prop_engine::{Duration, SimRng};
+    use prop_netsim::{generate, LatencyOracle, TransitStubParams};
+    use prop_overlay::gnutella::{Gnutella, GnutellaParams};
+    use std::sync::Arc;
+
+    fn sim(n: usize, seed: u64) -> RewiringSim {
+        let mut rng = SimRng::seed_from(seed);
+        let phys = generate(&TransitStubParams::tiny(), &mut rng);
+        let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
+        let (_, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
+        RewiringSim::new(net, Rewiring::Selfish, &mut rng)
+    }
+
+    #[test]
+    fn selfish_rewiring_happens_and_stays_connected() {
+        let mut s = sim(30, 1);
+        for _ in 0..15 {
+            s.run_for(Duration::from_minutes(2));
+            assert!(s.net().graph().is_connected());
+        }
+        assert!(s.rewires() > 0);
+    }
+
+    #[test]
+    fn selfish_does_not_preserve_degree_sequence() {
+        let mut s = sim(40, 2);
+        let before = s.net().graph().degree_sequence();
+        s.run_for(Duration::from_minutes(40));
+        assert!(s.rewires() > 0);
+        assert_ne!(before, s.net().graph().degree_sequence());
+    }
+
+    #[test]
+    fn respects_degree_floor() {
+        let mut s = sim(30, 3);
+        s.run_for(Duration::from_minutes(40));
+        assert!(s.net().graph().min_degree().unwrap() >= MIN_DEGREE);
+    }
+}
