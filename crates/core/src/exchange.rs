@@ -19,6 +19,7 @@
 //! self-loops) plus Theorem 1's path-exclusion rule are enforced here.
 
 use crate::config::Policy;
+use prop_netsim::Source;
 use prop_overlay::walk::WalkPath;
 use prop_overlay::{OverlayNet, Slot};
 
@@ -58,29 +59,29 @@ pub enum PlanKind {
 /// Plan a PROP-G exchange between `u` and `v`: evaluate Var for a full
 /// position swap. Always yields a plan (a swap is always *possible*; whether
 /// it is *beneficial* is the caller's `Var > MIN_VAR` check).
+///
+/// One pass over each peer's neighbor row: after the swap, slot `u` hosts
+/// `pv` and slot `v` hosts `pu`, so a link of `u`'s saves `d(pu, i) −
+/// d(pv, i)` and one of `v`'s the mirror image, every read from one of the
+/// two peers' [`Source`]s. The `u`–`v` link, if there is one, is skipped on
+/// both sides: its before term on one side is its after term on the other,
+/// so the two cancel exactly, whether or not `d` is symmetric.
 pub fn plan_propg(net: &OverlayNet, u: Slot, v: Slot) -> ExchangePlan {
     debug_assert_ne!(u, v);
     let oracle = net.oracle();
-    let pu = net.peer(u);
-    let pv = net.peer(v);
-
-    // Hypothetical post-swap sums, computed without mutating: after the
-    // swap, slot u hosts pv and slot v hosts pu; a neighbor slot equal to
-    // the counterpart also changes occupant.
-    let sum_after = |slot: Slot, new_occupant, counterpart: Slot, counterpart_peer| -> u64 {
-        net.graph()
-            .neighbors(slot)
-            .iter()
+    let (from_u, from_v) = (oracle.source(net.peer(u)), oracle.source(net.peer(v)));
+    let saved = |slot: Slot, own: &Source, cross: &Source, counterpart: Slot| -> i64 {
+        let row = net.graph().neighbors(slot);
+        row.iter()
+            .filter(|&&i| i != counterpart)
             .map(|&i| {
-                let other = if i == counterpart { counterpart_peer } else { net.peer(i) };
-                oracle.d(new_occupant, other) as u64
+                let p = net.peer(i);
+                own.to(p) as i64 - cross.to(p) as i64
             })
             .sum()
     };
-
-    let before = net.neighbor_latency_sum(u) + net.neighbor_latency_sum(v);
-    let after = sum_after(u, pv, v, pu) + sum_after(v, pu, u, pv);
-    ExchangePlan { u, v, var: before as i64 - after as i64, kind: PlanKind::SwapAll }
+    let var = saved(u, &from_u, &from_v, v) + saved(v, &from_v, &from_u, u);
+    ExchangePlan { u, v, var, kind: PlanKind::SwapAll }
 }
 
 /// Driver-owned buffers for [`plan_exchange_into`]: the two sides' candidate
@@ -108,12 +109,16 @@ impl Default for PlanScratch {
 
 /// The neighbors each end of `walk` could hand to the other under
 /// [`plan_propo`]'s two eligibility rules (`u` and `v` are on the path, so
-/// the first rule covers them too).
+/// the first rule covers them too), each with its benefit: moving `x` from
+/// `a` to `b` lowers the total latency by `d(a, x) − d(b, x)`.
 ///
-/// One merge pass over the two sorted adjacency rows: a slot at both heads
-/// is shared, the smaller head is exclusive to its row. Each side's list
-/// comes out in ascending slot order with a zero benefit for the caller to
-/// fill in.
+/// Two passes, neither with a data-dependent branch. A merge over the two
+/// sorted adjacency rows writes each row's head at its side's end, and
+/// moves that end on only if the head is the smaller (a shared slot is
+/// neither side's). Then each side is priced from the two peers'
+/// [`Source`]s in place, and a slot on the path is dropped the same way:
+/// written, and its end not moved on — a compare against each path node,
+/// no search. Each side's list comes out in ascending slot order.
 fn exclusive_neighbors(
     net: &OverlayNet,
     walk: &WalkPath,
@@ -124,32 +129,40 @@ fn exclusive_neighbors(
     let (row_u, row_v) = (net.graph().neighbors(u), net.graph().neighbors(v));
     only_u.clear();
     only_v.clear();
-    only_u.reserve(row_u.len());
-    only_v.reserve(row_v.len());
-    let offer = |side: &mut Vec<(i64, Slot)>, x: Slot| {
-        if !walk.contains(x) {
-            side.push((0, x));
-        }
-    };
-    let (mut i, mut j) = (0, 0);
+    only_u.resize(row_u.len(), (0, u));
+    only_v.resize(row_v.len(), (0, v));
+    let (mut i, mut j, mut nu, mut nv) = (0, 0, 0, 0);
     while i < row_u.len() && j < row_v.len() {
-        match row_u[i].cmp(&row_v[j]) {
-            std::cmp::Ordering::Less => {
-                offer(only_u, row_u[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                offer(only_v, row_v[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (row_u[i], row_v[j]);
+        only_u[nu].1 = x;
+        only_v[nv].1 = y;
+        nu += usize::from(x < y);
+        nv += usize::from(y < x);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
-    row_u[i..].iter().for_each(|&x| offer(only_u, x));
-    row_v[j..].iter().for_each(|&x| offer(only_v, x));
+    let tail = |side: &mut Vec<(i64, Slot)>, n: usize, rest: &[Slot]| {
+        side.truncate(n);
+        side.extend(rest.iter().map(|&x| (0, x)));
+    };
+    tail(only_u, nu, &row_u[i..]);
+    tail(only_v, nv, &row_v[j..]);
+
+    let oracle = net.oracle();
+    let (from_u, from_v) = (oracle.source(net.peer(u)), oracle.source(net.peer(v)));
+    let price = |side: &mut Vec<(i64, Slot)>, give: &Source, take: &Source| {
+        let mut n = 0;
+        for at in 0..side.len() {
+            let x = side[at].1;
+            let p = net.peer(x);
+            side[n] = (give.to(p) as i64 - take.to(p) as i64, x);
+            let on_path = walk.path.iter().fold(false, |hit, &s| hit | (s == x));
+            n += usize::from(!on_path);
+        }
+        side.truncate(n);
+    };
+    price(only_u, &from_u, &from_v);
+    price(only_v, &from_v, &from_u);
 }
 
 /// PROP-O's strict offer order: larger benefit first, lower slot on a tie.
@@ -158,14 +171,25 @@ fn offer_order(p: &(i64, Slot), q: &(i64, Slot)) -> std::cmp::Ordering {
     q.0.cmp(&p.0).then(p.1.cmp(&q.1))
 }
 
-/// Bring the `k` best offers to the front of `side`, in offer order, and
-/// return their summed benefit. Selection is O(len), the sort O(k log k).
+/// Bring the `k` best offers (`1 ≤ k ≤ len`) to the front of `side`, in
+/// offer order, and return their summed benefit. The first `k` are sorted,
+/// then each later offer is compared with the `k`-th best so far and, only
+/// if it is better, inserted into the prefix in place: one comparison for
+/// most offers, and `k` is PROP-O's `m`, a handful.
 fn keep_best(side: &mut [(i64, Slot)], k: usize) -> i64 {
-    if k < side.len() {
-        side.select_nth_unstable_by(k - 1, offer_order);
+    let (best, rest) = side.split_at_mut(k);
+    best.sort_unstable_by(offer_order);
+    for offer in rest {
+        if offer_order(offer, &best[k - 1]).is_lt() {
+            std::mem::swap(offer, &mut best[k - 1]);
+            let mut at = k - 1;
+            while at > 0 && offer_order(&best[at], &best[at - 1]).is_lt() {
+                best.swap(at, at - 1);
+                at -= 1;
+            }
+        }
     }
-    side[..k].sort_unstable_by(offer_order);
-    side[..k].iter().map(|&(benefit, _)| benefit).sum()
+    best.iter().map(|&(benefit, _)| benefit).sum()
 }
 
 /// Plan a PROP-O exchange of (up to) `m` neighbors per side between the walk
@@ -197,19 +221,6 @@ fn plan_propo_into(net: &OverlayNet, walk: &WalkPath, m: usize, scratch: &mut Pl
     let k = m.min(only_u.len()).min(only_v.len());
     if k == 0 {
         return false;
-    }
-    // Benefit of moving x from `a` to `b`: latency drops by d(a,x) − d(b,x).
-    // All of `u`'s side is priced before `v`'s: the cached oracle tiers'
-    // row traffic depends on the order of the reads.
-    let oracle = net.oracle();
-    let (pu, pv) = (net.peer(u), net.peer(v));
-    for (benefit, x) in only_u.iter_mut() {
-        let px = net.peer(*x);
-        *benefit = oracle.d(pu, px) as i64 - oracle.d(pv, px) as i64;
-    }
-    for (benefit, y) in only_v.iter_mut() {
-        let py = net.peer(*y);
-        *benefit = oracle.d(pv, py) as i64 - oracle.d(pu, py) as i64;
     }
     let var = keep_best(only_u, k) + keep_best(only_v, k);
 
@@ -247,16 +258,14 @@ pub fn plan_propo_random(
     if k == 0 {
         return None;
     }
+    let mut var = 0;
     let mut pick = |side: &[(i64, Slot)]| -> Vec<Slot> {
-        rng.sample_distinct(side, k).into_iter().map(|(_, x)| x).collect()
+        let picked = rng.sample_distinct(side, k);
+        var += picked.iter().map(|&(benefit, _)| benefit).sum::<i64>();
+        picked.into_iter().map(|(_, x)| x).collect()
     };
     let from_u = pick(&eu);
     let from_v = pick(&ev);
-    let var: i64 = from_u
-        .iter()
-        .map(|&x| net.d(u, x) as i64 - net.d(v, x) as i64)
-        .chain(from_v.iter().map(|&y| net.d(v, y) as i64 - net.d(u, y) as i64))
-        .sum();
     Some(ExchangePlan { u, v, var, kind: PlanKind::Subset { from_u, from_v } })
 }
 
@@ -542,6 +551,85 @@ mod tests {
         }
     }
 
+    /// The PROP-G planner the one-pass `plan_propg` replaced, kept as its
+    /// differential reference: both peers' neighbor latency sums now, and
+    /// both as they would be after the swap, four sums over the two rows.
+    fn plan_propg_reference(net: &OverlayNet, u: Slot, v: Slot) -> ExchangePlan {
+        let oracle = net.oracle();
+        let (pu, pv) = (net.peer(u), net.peer(v));
+        let sum_now = |slot: Slot| -> u64 {
+            net.graph().neighbors(slot).iter().map(|&i| net.d(slot, i) as u64).sum()
+        };
+        let sum_after = |slot: Slot, new_occupant, counterpart: Slot, counterpart_peer| -> u64 {
+            net.graph()
+                .neighbors(slot)
+                .iter()
+                .map(|&i| {
+                    let other = if i == counterpart { counterpart_peer } else { net.peer(i) };
+                    oracle.d(new_occupant, other) as u64
+                })
+                .sum()
+        };
+        let before = sum_now(u) + sum_now(v);
+        let after = sum_after(u, pv, v, pu) + sum_after(v, pu, u, pv);
+        ExchangePlan { u, v, var: before as i64 - after as i64, kind: PlanKind::SwapAll }
+    }
+
+    /// Differential twin for the one-pass PROP-G planner: on
+    /// preferential-attachment overlays, half of them churned, every walk's
+    /// two ends (adjacent pairs among them) and as many random pairs plan
+    /// the same Var under both planners, and so does the pair reversed.
+    /// Checked against dropping the counterpart skip, skipping the
+    /// counterpart on one side only, and pricing a link from the wrong peer.
+    #[test]
+    fn one_pass_propg_matches_the_four_sum_reference() {
+        use prop_netsim::{generate, TransitStubParams};
+        use prop_overlay::gnutella::{Gnutella, GnutellaParams};
+        let (mut cases, mut adjacent, mut gains) = (0, 0, 0);
+        for overlay in 0..12u64 {
+            let mut rng = SimRng::seed_from(0x35_0000 + overlay);
+            let phys = generate(&TransitStubParams::tiny(), &mut rng);
+            let n = 18 + 2 * overlay as usize;
+            let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
+            let (gn, mut net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
+            if overlay % 2 == 1 {
+                for _ in 0..n / 2 {
+                    let rank = rng.pick_rank(net.graph().num_live()).unwrap();
+                    let victim = net.graph().live_slot_at_rank(rank).unwrap();
+                    let peer = net.peer(victim);
+                    gn.leave(&mut net, victim, &mut rng);
+                    gn.join(&mut net, peer, &mut rng);
+                }
+            }
+            let g = net.graph();
+            let live: Vec<Slot> = g.live_slots().collect();
+            for w in 0..32 {
+                let origin = *rng.pick(&live).unwrap();
+                let first = *rng.pick(g.neighbors(origin)).unwrap();
+                let walk = random_walk(g, origin, first, 1 + (w % 3) as u32, &mut rng);
+                let far = *rng.pick(&live).unwrap();
+                for (u, v) in [(origin, *walk.path.last().unwrap()), (origin, far)] {
+                    if u == v {
+                        continue;
+                    }
+                    for (a, b) in [(u, v), (v, u)] {
+                        let want = plan_propg_reference(&net, a, b);
+                        assert_eq!(
+                            plan_propg(&net, a, b),
+                            want,
+                            "overlay {overlay}: ({a:?}, {b:?})"
+                        );
+                        gains += usize::from(want.var > 0);
+                    }
+                    adjacent += usize::from(g.has_edge(u, v));
+                    cases += 1;
+                }
+            }
+        }
+        assert!(cases >= 600, "only {cases} pairs");
+        assert!(adjacent >= 100 && gains >= 100, "{adjacent} adjacent, {gains} gainful");
+    }
+
     /// The planner this module had before the merge pass, kept as the
     /// differential reference: filter each row with a `has_edge` search per
     /// neighbor, sort every candidate, keep the first `m`.
@@ -589,9 +677,10 @@ mod tests {
     /// from 1 past δ(G) to "more than anyone has", through one scratch
     /// reused across all of them. Checked against: treating a shared
     /// neighbor as exclusive, dropping the tail of either row, offering path
-    /// nodes, sorting the prefix without the selection, leaving the selected
-    /// prefix unsorted, breaking ties by higher slot, and not clearing the
-    /// scratch between plans.
+    /// nodes (all of them, or all but the origin), never inserting a later
+    /// offer into the best prefix, inserting it without moving it up,
+    /// leaving the first `m` unsorted, breaking ties by higher slot, and not
+    /// clearing the scratch between plans.
     #[test]
     fn merge_pass_planner_matches_the_filter_and_sort_reference() {
         use prop_netsim::{generate, TransitStubParams};

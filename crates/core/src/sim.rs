@@ -48,6 +48,7 @@ use crate::exchange::{self, PlanKind, PlanScratch};
 use crate::fault::{Delivery, FaultCounters, FaultPlane, MsgKind};
 use crate::protocol::NodeState;
 use prop_engine::{Duration, EventQueue, SimRng, SimTime};
+use prop_netsim::Source;
 use prop_overlay::walk::{WalkPath, WalkScratch};
 use prop_overlay::{OverlayNet, Slot};
 use std::marker::PhantomData;
@@ -192,12 +193,14 @@ pub struct PropSim<M: Timing> {
     m_default: usize,
     overhead: Overhead,
     plane: Option<Box<dyn FaultPlane>>,
-    /// Reusable walk/candidate buffers: an atomic trial, exchanging or not,
-    /// must not allocate (pinned by the `alloc_regression` test). In
-    /// message-level mode one clone per launch is unavoidable — the
-    /// `Commit` event owns its walk while it is in flight — but the per-hop
-    /// candidate lists still reuse this scratch.
+    /// Reusable walk/candidate buffers: a trial, exchanging or not, must
+    /// not allocate (pinned by the `alloc_regression` test).
     walk_scratch: WalkScratch,
+    /// Walk buffers for message-level `Commit` events: a launch copies its
+    /// walk into one taken from here, and the commit gives it back, so
+    /// once the list has grown to the most commits ever in flight no
+    /// launch allocates.
+    walk_spares: Vec<WalkPath>,
     /// Reusable candidate lists and plan for `exchange::plan_exchange_into`:
     /// the other half of an allocation-free trial.
     plan_scratch: PlanScratch,
@@ -224,6 +227,7 @@ impl<M: Timing> PropSim<M> {
             overhead: Overhead::default(),
             plane: None,
             walk_scratch: WalkScratch::new(),
+            walk_spares: Vec::new(),
             plan_scratch: PlanScratch::default(),
             slot_scratch: Vec::new(),
             resync_scratch: Vec::new(),
@@ -315,7 +319,10 @@ impl<M: Timing> PropSim<M> {
         while let Some((_, ev)) = self.events.pop_until(deadline) {
             match ev {
                 Ev::Tick(slot) => self.launch(slot),
-                Ev::Commit { origin, walk, dup } => self.commit(origin, &walk, dup),
+                Ev::Commit { origin, walk, dup } => {
+                    self.commit(origin, &walk, dup);
+                    self.walk_spares.push(walk);
+                }
             }
         }
     }
@@ -449,12 +456,18 @@ impl<M: Timing> PropSim<M> {
         // handshake against the already-consumed plan (stale abort, no
         // double-counting). The reverse order would deliver the dup first
         // and charge every duplicated-but-successful trial as a failure.
-        let walk = self.walk_scratch.walk().clone();
-        let copy = verdict.duplicate.then(|| walk.clone());
-        self.events.schedule_in(flight, Ev::Commit { origin: slot, walk, dup: false });
-        if let Some(walk) = copy {
-            self.events.schedule_in(flight, Ev::Commit { origin: slot, walk, dup: true });
+        self.schedule_commit(flight, slot, false);
+        if verdict.duplicate {
+            self.schedule_commit(flight, slot, true);
         }
+    }
+
+    /// Schedule the `Commit` of the walk in the scratch, copied into a
+    /// buffer from the spares.
+    fn schedule_commit(&mut self, flight: Duration, origin: Slot, dup: bool) {
+        let mut walk = self.walk_spares.pop().unwrap_or_default();
+        walk.path.clone_from(&self.walk_scratch.walk().path);
+        self.events.schedule_in(flight, Ev::Commit { origin, walk, dup });
     }
 
     /// Network time for one §3.2 trial: the walk's one-way per-hop
@@ -462,23 +475,24 @@ impl<M: Timing> PropSim<M> {
     /// exchange, plus the slowest hypothetical-neighbor ping (they run in
     /// parallel).
     fn probe_duration(&self, walk: &WalkPath) -> Duration {
+        let net = &self.net;
         let mut ms: u64 = 0;
         for w in walk.path.windows(2) {
-            ms += self.net.d(w[0], w[1]) as u64;
+            ms += net.d(w[0], w[1]) as u64;
         }
         if let (Some(&u), Some(&v)) = (walk.path.first(), walk.path.last()) {
             if u != v {
-                ms += 2 * self.net.d(u, v) as u64; // address-list RTT
-                let worst_ping = self
-                    .net
-                    .graph()
-                    .neighbors(u)
-                    .iter()
-                    .map(|&i| self.net.d(v, i) as u64)
-                    .chain(self.net.graph().neighbors(v).iter().map(|&i| self.net.d(u, i) as u64))
-                    .max()
-                    .unwrap_or(0);
-                ms += 2 * worst_ping;
+                let (pu, pv) = (net.peer(u), net.peer(v));
+                let (from_u, from_v) = (net.oracle().source(pu), net.oracle().source(pv));
+                // The address-list RTT, then the slowest ping: each peer
+                // pings the other's neighbors.
+                ms += 2 * from_u.to(pv) as u64;
+                let worst = |row: &[Slot], from: &Source| -> u32 {
+                    row.iter().map(|&i| from.to(net.peer(i))).max().unwrap_or(0)
+                };
+                let worst_ping = worst(net.graph().neighbors(u), &from_v)
+                    .max(worst(net.graph().neighbors(v), &from_u));
+                ms += 2 * worst_ping as u64;
             }
         }
         Duration::from_millis(ms.max(1))

@@ -9,8 +9,8 @@
 //! long enough for every buffer to reach its high-water capacity, a
 //! measurement window must perform **zero** heap allocations.
 //!
-//! Three kinds of window, all on the synchronous driver, Walk mode, dense
-//! oracle tier:
+//! Three kinds of window on the synchronous driver, and one on the
+//! message-level driver, all Walk mode, dense oracle tier:
 //!
 //! * **no exchange** (`min_var = i64::MAX`, PROP-G): the pure trial loop
 //!   over ten simulated hours, long enough for the Markov backoff to
@@ -23,12 +23,15 @@
 //!   exchange in nearly every trial for four hours — the PROP-G queue
 //!   rebuild in place, PROP-O's plan out of the scratch, its edge moves
 //!   inside the rows' buffers, the queue patches of both peers and of every
-//!   moved neighbor.
+//!   moved neighbor;
+//! * **message level** (`min_var = i64::MIN`, PROP-O, a plane that
+//!   duplicates every third walk): each in-flight `Commit` carries its walk
+//!   in a buffer from the driver's spare list and hands it back at commit,
+//!   the duplicate's too, so once the list has grown to the most commits in
+//!   flight a launch allocates nothing.
 //!
 //! What still allocates, by design, and is therefore not in a window: the
-//! message-level driver's in-flight `Commit { walk }` event owns a clone of
-//! its walk (one allocation per launch, a second for a duplicated
-//! handshake); the search store's meeting scratch grows, once per thread,
+//! search store's meeting scratch grows, once per thread,
 //! to the largest stub domain searched; a churn event allocates in the
 //! overlay (`remove_slot` hands back the orphans, a new slot gets a row)
 //! and for the joiner's fresh node state, though no longer per notified
@@ -40,8 +43,11 @@
 //! [`PlanScratch`]: prop_core::exchange::PlanScratch
 
 use prop_core::config::PropConfig;
-use prop_core::sim::ProtocolSim;
-use prop_engine::{allocation_count, counting_active, CountingAllocator, Duration, SimRng};
+use prop_core::fault::{Delivery, FaultCounters, FaultPlane, MsgKind};
+use prop_core::sim::{AsyncProtocolSim, PropSim, ProtocolSim, Timing};
+use prop_engine::{
+    allocation_count, counting_active, CountingAllocator, Duration, SimRng, SimTime,
+};
 use prop_netsim::{generate, LatencyOracle, Tier, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
 use std::sync::Arc;
@@ -49,8 +55,31 @@ use std::sync::Arc;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Delivers everything, and every third walk twice.
+#[derive(Default)]
+struct EveryThirdDuplicated {
+    walks: u64,
+}
+
+impl FaultPlane for EveryThirdDuplicated {
+    fn deliver(&mut self, _now: SimTime, kind: MsgKind, _from: usize, _to: usize) -> Delivery {
+        if kind != MsgKind::Walk {
+            return Delivery::CLEAN;
+        }
+        self.walks += 1;
+        Delivery { duplicate: self.walks.is_multiple_of(3), ..Delivery::CLEAN }
+    }
+
+    fn counters(&mut self, _now: SimTime) -> FaultCounters {
+        FaultCounters::default()
+    }
+}
+
 struct Window {
     name: &'static str,
+    /// The message-level driver with [`EveryThirdDuplicated`], or the
+    /// synchronous one without a plane.
+    message_level: bool,
     cfg: PropConfig,
     members: usize,
     warm_up_min: u64,
@@ -77,6 +106,7 @@ fn steady_state_trials_do_not_allocate() {
         // slab free list and the scratch buffers are at their high-water
         // marks. Then 4 more hours of steady-state probing.
         Window {
+            message_level: false,
             name: "PROP-G, no exchange",
             cfg: with_min_var(g(), i64::MAX),
             members: 20,
@@ -86,6 +116,7 @@ fn steady_state_trials_do_not_allocate() {
             min_exchanges: 0,
         },
         Window {
+            message_level: false,
             name: "PROP-G, converging",
             cfg: with_min_var(g(), 0),
             members: 40,
@@ -95,6 +126,7 @@ fn steady_state_trials_do_not_allocate() {
             min_exchanges: 4,
         },
         Window {
+            message_level: false,
             name: "PROP-O, converging",
             cfg: with_min_var(o(), 0),
             members: 40,
@@ -104,6 +136,7 @@ fn steady_state_trials_do_not_allocate() {
             min_exchanges: 4,
         },
         Window {
+            message_level: false,
             name: "PROP-G, every plan applied",
             cfg: with_min_var(g(), i64::MIN),
             members: 40,
@@ -113,10 +146,25 @@ fn steady_state_trials_do_not_allocate() {
             min_exchanges: 5_000,
         },
         Window {
+            message_level: false,
             name: "PROP-O, every plan applied",
             cfg: with_min_var(o(), i64::MIN),
             members: 40,
             warm_up_min: 10,
+            measured_min: 240,
+            min_trials: 5_000,
+            min_exchanges: 5_000,
+        },
+        // Fifteen hours of warm-up: the spare walk list grows each time
+        // more commits are in flight at once than ever before (at most two
+        // a node, a trial and its duplicate), and at this seed the last new
+        // high falls past the first four hours.
+        Window {
+            message_level: true,
+            name: "PROP-O, message level, every plan applied",
+            cfg: with_min_var(o(), i64::MIN),
+            members: 40,
+            warm_up_min: 900,
             measured_min: 240,
             min_trials: 5_000,
             min_exchanges: 5_000,
@@ -128,25 +176,35 @@ fn steady_state_trials_do_not_allocate() {
         let phys = generate(&TransitStubParams::tiny(), &mut rng);
         let oracle = Arc::new(LatencyOracle::select_and_build(&phys, w.members, &mut rng));
         let (_, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
-        let mut sim = ProtocolSim::new(net, w.cfg, &mut rng);
-        assert_eq!(sim.net().oracle().built_tier(), Tier::Dense, "test expects the dense tier");
-
-        sim.run_for(Duration::from_minutes(w.warm_up_min));
-        let before = sim.overhead();
-        let allocs_before = allocation_count();
-
-        sim.run_for(Duration::from_minutes(w.measured_min));
-
-        let allocs = allocation_count() - allocs_before;
-        let done = sim.overhead().since(&before);
-        let (name, trials, exchanges) = (w.name, done.trials, done.exchanges);
-        assert!(
-            trials >= w.min_trials && exchanges >= w.min_exchanges,
-            "{name}: window too quiet to be meaningful: {trials} trials, {exchanges} exchanges"
-        );
-        assert_eq!(
-            allocs, 0,
-            "{name}: allocated {allocs} times over {trials} trials, {exchanges} exchanges"
-        );
+        if w.message_level {
+            let mut sim = AsyncProtocolSim::new(net, w.cfg.clone(), &mut rng);
+            sim.set_fault_plane(Box::new(EveryThirdDuplicated::default()));
+            measure(&w, sim);
+        } else {
+            measure(&w, ProtocolSim::new(net, w.cfg.clone(), &mut rng));
+        }
     }
+}
+
+/// Warm `sim` up, then hold the window to zero allocations.
+fn measure<M: Timing>(w: &Window, mut sim: PropSim<M>) {
+    assert_eq!(sim.net().oracle().built_tier(), Tier::Dense, "test expects the dense tier");
+
+    sim.run_for(Duration::from_minutes(w.warm_up_min));
+    let before = sim.overhead();
+    let allocs_before = allocation_count();
+
+    sim.run_for(Duration::from_minutes(w.measured_min));
+
+    let allocs = allocation_count() - allocs_before;
+    let done = sim.overhead().since(&before);
+    let (name, trials, exchanges) = (w.name, done.trials, done.exchanges);
+    assert!(
+        trials >= w.min_trials && exchanges >= w.min_exchanges,
+        "{name}: window too quiet to be meaningful: {trials} trials, {exchanges} exchanges"
+    );
+    assert_eq!(
+        allocs, 0,
+        "{name}: allocated {allocs} times over {trials} trials, {exchanges} exchanges"
+    );
 }

@@ -35,11 +35,13 @@
 //! its own), gateway, `up`, and index among its tag's members. The first
 //! line of the identity is then a **point query**: two record loads, one
 //! transit cell and two adds, exact, for every pair but two members of one
-//! tag. That pair is answered by a **meeting search**: one Dijkstra from
-//! each end, both confined to the domain, stopped once the two frontiers'
-//! smallest keys sum to at least the shortest meeting found
-//! ([`Decomposition::d`] answers every pair either way, and keeps nothing:
-//! the search store). On the dense tier such a pair reads a cell of its
+//! tag. It is bound to its source ([`Points::from`]): the source's record
+//! and the offset of its transit row are found once, and each read after
+//! that is one record load and one cell. A pair of one tag is answered on the search store by
+//! a **meeting search** ([`Decomposition::meet`], out of line and keeping
+//! nothing): one Dijkstra from each end, both confined to the domain,
+//! stopped once the two frontiers' smallest keys sum to at least the
+//! shortest meeting found. On the dense tier such a pair reads a cell of its
 //! tag's **block** ([`Blocks`]), `k × k` over the tag's members, filled by
 //! one search confined to the domain from each. When any check fails (a
 //! Waxman graph, a multi-homed domain, a disconnected graph) there is no
@@ -89,7 +91,7 @@ fn transit_core(slot: &[u32]) -> impl Fn(u32) -> Option<usize> + '_ {
 
 /// One member as a point query reads it: sixteen bytes, one cache line.
 #[derive(Clone, Copy)]
-struct Record {
+pub(crate) struct Record {
     /// Its stub domain; a transit member has a tag no other member shares.
     /// Two members of one tag are the pairs the core does not answer.
     tag: u32,
@@ -104,31 +106,53 @@ struct Record {
 
 /// What a point query reads: one [`Record`] a member and the row-major
 /// `t × t` transit matrix.
-struct Points {
+pub(crate) struct Points {
     rec: Box<[Record]>,
     transit: Box<[u32]>,
     t: usize,
 }
 
 impl Points {
+    /// The point query from member `a`: its record and the offset of its
+    /// gateway's row of the transit matrix, found once for any number of
+    /// reads.
+    #[inline(always)]
+    pub(crate) fn from(&self, a: MemberIdx) -> PointsFrom<'_> {
+        let ra = self.rec[a];
+        PointsFrom { rec: &self.rec, transit: &self.transit, ra, row: ra.gw as usize * self.t }
+    }
+}
+
+/// [`Points`] bound to one source member.
+#[derive(Clone, Copy)]
+pub(crate) struct PointsFrom<'a> {
+    rec: &'a [Record],
+    transit: &'a [u32],
+    ra: Record,
+    /// Where the source's gateway's row starts in `transit`.
+    row: usize,
+}
+
+impl PointsFrom<'_> {
     /// `d(members[a], members[b])` when the two have different tags — the
-    /// path crosses the core, or joins two transit members; the two records
-    /// when they share one, for a meeting search or a block to answer.
-    #[inline]
-    fn point(&self, a: MemberIdx, b: MemberIdx) -> Result<u32, (Record, Record)> {
-        let (ra, rb) = (self.rec[a], self.rec[b]);
-        if ra.tag == rb.tag {
-            return Err((ra, rb));
+    /// path crosses the core, or joins two transit members: one record load
+    /// and one transit cell. `b`'s record when they share one, for a meeting
+    /// search or a block to answer.
+    #[inline(always)]
+    pub(crate) fn point(&self, b: MemberIdx) -> Result<u32, Record> {
+        let rb = self.rec[b];
+        if rb.tag == self.ra.tag {
+            return Err(rb);
         }
-        Ok(ra.up + self.transit[ra.gw as usize * self.t + rb.gw as usize] + rb.up)
+        Ok(self.ra.up + self.transit[self.row + rb.gw as usize] + rb.up)
     }
 }
 
 /// The verified single-homed structure of one graph, and what answers over
-/// one member set need of it: the search store, or the makings of the dense
-/// tier's blocks. All arrays are flat; none is per domain.
+/// one member set need of it beside the point query: the search store, or
+/// the makings of the dense tier's blocks. All arrays are flat; none is per
+/// domain.
 pub(crate) struct Decomposition {
-    points: Points,
     /// Per graph node. A stub host: its index among its domain's hosts. A
     /// transit node: `TRANSIT |` its index into the transit matrix.
     slot: Box<[u32]>,
@@ -143,9 +167,10 @@ pub(crate) struct Decomposition {
     tag_members: Box<[u32]>,
 }
 impl Decomposition {
-    /// Verify the structure and precompute, or `None` when any check in the
-    /// module docs fails: a graph whose every tier is the matrix.
-    pub(crate) fn build(g: &PhysGraph, members: &[PhysNodeId]) -> Option<Self> {
+    /// Verify the structure and precompute the point query and the rest,
+    /// or `None` when any check in the module docs fails: a graph whose
+    /// every tier is the matrix.
+    pub(crate) fn build(g: &PhysGraph, members: &[PhysNodeId]) -> Option<(Points, Self)> {
         let n = g.num_nodes();
         if n >= TRANSIT as usize {
             return None;
@@ -278,14 +303,15 @@ impl Decomposition {
             tag_members[(tag_start[r.tag as usize] + r.idx) as usize] = j as u32;
         }
 
-        Some(Decomposition {
-            points: Points { rec: rec.into(), transit: transit.into(), t },
+        let points = Points { rec: rec.into(), transit: transit.into(), t };
+        let dec = Decomposition {
             slot: slot.into(),
             dom_start: dom_start.into(),
             domains: domains as u32,
             tag_start: tag_start.into(),
             tag_members: tag_members.into(),
-        })
+        };
+        Some((points, dec))
     }
 
     /// The members of tag `x`, in [`Record::idx`] order.
@@ -309,32 +335,34 @@ impl Decomposition {
         local
     }
 
-    /// `d(members[a], members[b])` for every pair, exact, keeping nothing:
-    /// the point query, or, for two hosts of one stub domain, the meeting
-    /// search inside it. `g` and `members` are the ones it was built over.
-    pub(crate) fn d(
+    /// `d(members[a], members[b])` for two members the point query leaves
+    /// over (`rb` is `b`'s record): a member with itself, a host listed
+    /// twice, or else two hosts of one stub domain — the meeting search
+    /// inside it, keeping nothing. `g` and `members` are the ones it was
+    /// built over. Out of line: the search store's one path off the point
+    /// query.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn meet(
         &self,
         g: &PhysGraph,
         members: &[PhysNodeId],
+        rb: Record,
         a: MemberIdx,
         b: MemberIdx,
     ) -> u32 {
-        self.points.point(a, b).unwrap_or_else(|(ra, _)| {
-            let (u, v) = (members[a], members[b]);
-            // A member with itself, a host listed twice; otherwise, a tag
-            // shared by two hosts is a stub domain.
-            if u == v {
-                return 0;
-            }
-            let k = self.domain_size(ra.tag);
-            MEETING.with_borrow_mut(|m| m.run(g, domain_hosts(&self.slot), k, u, v))
-        })
+        let (u, v) = (members[a], members[b]);
+        if u == v {
+            return 0;
+        }
+        let k = self.domain_size(rb.tag);
+        MEETING.with_borrow_mut(|m| m.run(g, domain_hosts(&self.slot), k, u, v))
     }
 
-    /// The dense tier's store: the point query, and for each tag one
+    /// The dense tier's store beside the point query: for each tag one
     /// `k × k` block over its `k` members — rows by [`Self::domain_search`]
     /// from each, a lone transit member's block its `d(a, a) = 0`.
-    pub(crate) fn into_blocks(self, g: &PhysGraph, members: &[PhysNodeId]) -> Blocks {
+    pub(crate) fn blocks(&self, g: &PhysGraph, members: &[PhysNodeId]) -> Blocks {
         let tags = self.tag_start.len() as u32 - 1;
         let mut at = Vec::with_capacity(tags as usize);
         let mut cells = Vec::with_capacity((0..tags).map(|x| self.mates(x).len().pow(2)).sum());
@@ -352,7 +380,7 @@ impl Decomposition {
                 );
             }
         }
-        Blocks { points: self.points, at: at.into(), cells: cells.into() }
+        Blocks { at: at.into(), cells: cells.into() }
     }
 }
 
@@ -479,7 +507,6 @@ impl Meeting {
 /// answer is a matrix cell; on a graph the kernel refuses every member has
 /// the one tag, whose block is the `n × n` matrix.
 pub(crate) struct Blocks {
-    points: Points,
     at: Box<[(usize, usize)]>,
     cells: Box<[u32]>,
 }
@@ -489,8 +516,13 @@ impl Blocks {
     /// the row-major `n × n` matrix, each row a whole-graph Dijkstra
     /// validated as it is produced — a disconnected pair fails fast inside
     /// the row pass, naming the first member the first source cannot reach
-    /// — and written in place: the build's peak is the one matrix.
-    pub(crate) fn matrix(g: &PhysGraph, members: &[PhysNodeId]) -> Result<Self, OracleBuildError> {
+    /// — and written in place: the build's peak is the one matrix. Its
+    /// point query gives every member the one tag, so that every read
+    /// defers to the matrix.
+    pub(crate) fn matrix(
+        g: &PhysGraph,
+        members: &[PhysNodeId],
+    ) -> Result<(Points, Self), OracleBuildError> {
         let n = members.len();
         let mut cells = vec![0u32; n * n];
         for (src, &u) in members.iter().enumerate() {
@@ -510,27 +542,73 @@ impl Blocks {
         }
         let rec = (0..n as u32).map(|idx| Record { tag: 0, gw: 0, up: 0, idx }).collect();
         let points = Points { rec, transit: Box::new([]), t: 0 };
-        Ok(Blocks { points, at: Box::new([(0, n)]), cells: cells.into() })
+        Ok((points, Blocks { at: Box::new([(0, n)]), cells: cells.into() }))
     }
 
-    /// `d(members[a], members[b])`: the point query, or one block read for
-    /// two members of one tag.
-    #[inline]
-    pub(crate) fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
-        self.points.point(a, b).unwrap_or_else(|(ra, rb)| {
+    /// `d(members[a], members[b])` for two members of one tag, `from` bound
+    /// to `a` and `rb` `b`'s record: one cell of the tag's block.
+    #[inline(always)]
+    pub(crate) fn cell(&self, from: &PointsFrom, rb: Record) -> u32 {
+        let ra = from.ra;
+        let (start, k) = self.at[ra.tag as usize];
+        self.cells[start + ra.idx as usize * k + rb.idx as usize]
+    }
+
+    /// Bytes the blocks hold.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&*self.at) + size_of_val(&*self.cells)
+    }
+}
+
+/// The read path [`Points::from`] replaced, kept as the twin it is tested
+/// against: both records and the transit cell read per pair, then a block
+/// cell or a meeting search for two members of one tag.
+#[cfg(test)]
+impl Points {
+    /// Bytes the point query holds.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.rec) + std::mem::size_of_val(&*self.transit)
+    }
+
+    fn point_reference(&self, a: MemberIdx, b: MemberIdx) -> Result<u32, (Record, Record)> {
+        let (ra, rb) = (self.rec[a], self.rec[b]);
+        if ra.tag == rb.tag {
+            return Err((ra, rb));
+        }
+        Ok(ra.up + self.transit[ra.gw as usize * self.t + rb.gw as usize] + rb.up)
+    }
+}
+
+#[cfg(test)]
+impl Blocks {
+    pub(crate) fn d_reference(&self, points: &Points, a: MemberIdx, b: MemberIdx) -> u32 {
+        points.point_reference(a, b).unwrap_or_else(|(ra, rb)| {
             let (start, k) = self.at[ra.tag as usize];
             self.cells[start + ra.idx as usize * k + rb.idx as usize]
         })
     }
+}
 
-    /// Bytes the store holds.
-    #[cfg(test)]
-    pub(crate) fn bytes(&self) -> usize {
-        use std::mem::size_of_val;
-        size_of_val(&*self.points.rec)
-            + size_of_val(&*self.points.transit)
-            + size_of_val(&*self.at)
-            + size_of_val(&*self.cells)
+#[cfg(test)]
+impl Decomposition {
+    pub(crate) fn d_reference(
+        &self,
+        points: &Points,
+        g: &PhysGraph,
+        members: &[PhysNodeId],
+        a: MemberIdx,
+        b: MemberIdx,
+    ) -> u32 {
+        points.point_reference(a, b).unwrap_or_else(|(ra, _)| {
+            let (u, v) = (members[a], members[b]);
+            if u == v {
+                return 0;
+            }
+            let k = self.domain_size(ra.tag);
+            MEETING.with_borrow_mut(|m| m.run(g, domain_hosts(&self.slot), k, u, v))
+        })
     }
 }
 
@@ -635,7 +713,7 @@ mod tests {
         let mut rng = SimRng::seed_from(27);
         let g = generate(params, &mut rng);
         let members = mixed_members(&g, stubs, &mut rng);
-        let dec = Decomposition::build(&g, &members).expect(name);
+        let (points, _) = Decomposition::build(&g, &members).expect(name);
         let cached = OracleConfig::cached(1);
         let o = LatencyOracle::try_build_with(&g, members.clone(), &cached).unwrap();
         assert_eq!(o.built_tier(), Tier::Cached, "{name}");
@@ -647,7 +725,7 @@ mod tests {
             for (b, &v) in members.iter().enumerate() {
                 let want = full[v.index()];
                 assert_eq!(dense.d(a, b), want, "{name}: dense d({a}, {b}) = d({u:?}, {v:?})");
-                match dec.points.point(a, b).ok() {
+                match points.from(a).point(b).ok() {
                     Some(ms) => assert_eq!(ms, want, "{name}: ({a}, {b}) = ({u:?}, {v:?})"),
                     // A transit member's tag is its own: it shares it with itself only.
                     None if a == b && g.class(u).is_transit() => {}
@@ -733,15 +811,19 @@ mod tests {
         // the same way.
         let (g, nodes) = two_domains(0, |_, _| {});
         let (a0, a1, a2, b0, b1) = (2, 3, 4, 5, 6);
-        let dec = Decomposition::build(&g, &nodes).unwrap();
+        let (points, dec) = Decomposition::build(&g, &nodes).unwrap();
         let scratch = || MEETING.with_borrow(|m| (m.from.stamp.len(), m.to.stamp.len()));
         let pairs = [(a0, a2, 12), (b0, b1, 5), (a2, a1, 7), (b1, b0, 5), (a1, a0, 5)];
-        assert_eq!(dec.d(&g, &nodes, a0, a2), 12);
+        let meet = |a, b| {
+            let rb = points.from(a).point(b).expect_err("a pair of one domain");
+            dec.meet(&g, &nodes, rb, a, b)
+        };
+        assert_eq!(meet(a0, a2), 12);
         let grown = scratch();
         assert!(grown.0 >= 3 && grown.1 >= 3, "{grown:?}");
         for (a, b, want) in pairs {
             assert_eq!(shortest_paths(&g, nodes[a])[nodes[b].index()], want, "({a}, {b})");
-            assert_eq!(dec.d(&g, &nodes, a, b), want, "({a}, {b})");
+            assert_eq!(meet(a, b), want, "({a}, {b})");
             assert_eq!(scratch(), grown, "({a}, {b})");
         }
         let o = LatencyOracle::try_build_with(&g, nodes, &OracleConfig::cached(1)).unwrap();

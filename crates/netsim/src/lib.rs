@@ -24,6 +24,10 @@
 //!   million-member overlay runs in O(n) oracle memory. A graph without
 //!   the decomposition is the matrix on every tier, and refused past that
 //!   member count. See [`latency`] and DESIGN.md §9 for the memory model.
+//! * [`Source`] — the oracle's one read path: [`LatencyOracle::source`]
+//!   loads a member's record and transit row once, and each
+//!   [`Source::to`] is then one record load and one transit cell;
+//!   `d(a, b)` is `source(a).to(b)`.
 //! * The row kernel (private module `decomp`) — how the exact answers of
 //!   both tiers are made. A transit–stub graph hangs each stub domain off
 //!   its transit node by a single link, so `d(u, v) = up(u) +
@@ -54,6 +58,6 @@ pub use graph::{LinkClass, NodeClass, PhysGraph, PhysNodeId};
 pub use latency::{OracleBuildError, OracleConfig, Tier};
 #[doc(hidden)]
 pub use oracle::CacheStats;
-pub use oracle::LatencyOracle;
+pub use oracle::{LatencyOracle, Source};
 pub use transit_stub::{generate, TransitStubParams};
 pub use waxman::{generate_waxman, WaxmanParams};

@@ -18,6 +18,11 @@
 //! every tier is the `n × n` matrix of whole-graph Dijkstra rows, and a
 //! member set past [`Tier::DENSE_MAX_MEMBERS`] is refused.
 //!
+//! There is one read path: [`LatencyOracle::source`] binds the point query
+//! to one member, and its [`Source::to`] is inlined into the caller —
+//! `d(a, b)` is `source(a).to(b)`, and a caller pricing every neighbour of
+//! a peer loads that peer's record and transit row once.
+//!
 //! Construction routes on [`OracleConfig::tier`] through [`Tier::resolve`];
 //! callers are tier-agnostic. Connectivity is validated by the
 //! decomposition's own checks on a transit–stub graph, and per row
@@ -29,7 +34,7 @@
 //! Members are addressed by dense [`MemberIdx`] values `0..n`; the overlay
 //! crates use the same indexing for peers.
 
-use crate::decomp::{Blocks, Decomposition};
+use crate::decomp::{Blocks, Decomposition, Points, PointsFrom};
 use crate::graph::{PhysGraph, PhysNodeId};
 use crate::latency::{OracleBuildError, OracleConfig, Tier};
 use prop_engine::SimRng;
@@ -37,15 +42,15 @@ use prop_engine::SimRng;
 /// Dense index of an overlay member inside a [`LatencyOracle`].
 pub type MemberIdx = usize;
 
-/// How a built oracle keeps its answers; one arm per [`Tier`].
+/// How a built oracle answers the pairs its point query leaves over (two
+/// members of one tag); one arm per [`Tier`].
 enum Store {
-    /// On a graph the row kernel decomposes, the point query and one
-    /// `k × k` block per stub domain over its members; on any other, one
-    /// block that is the `n × n` matrix.
+    /// On a graph the row kernel decomposes, one `k × k` block per stub
+    /// domain over its members; on any other, one block that is the
+    /// `n × n` matrix.
     Dense(Blocks),
-    /// The point query and the per-thread meeting search, over an owned
-    /// copy of the graph (CSR arrays) the searches run on. No row, no
-    /// cache.
+    /// The per-thread meeting search, over an owned copy of the graph (CSR
+    /// arrays) the searches run on. No row, no cache.
     Search { graph: PhysGraph, dec: Decomposition },
 }
 
@@ -63,7 +68,37 @@ pub struct LatencyOracle {
     members: Vec<PhysNodeId>,
     /// Mean physical *link* latency — denominator of the stretch metric.
     mean_phys_link_latency: f64,
+    /// The point query both stores share: on a graph without the
+    /// decomposition it gives every member one tag, and defers every pair.
+    points: Points,
     store: Store,
+}
+
+/// [`LatencyOracle::d`] from one member, bound by [`LatencyOracle::source`].
+#[derive(Clone, Copy)]
+pub struct Source<'a> {
+    from: PointsFrom<'a>,
+    a: MemberIdx,
+    oracle: &'a LatencyOracle,
+}
+
+impl Source<'_> {
+    /// `d(a, b)`, in ms, for the member `a` this source is bound to. Two
+    /// members of one tag are a block cell on the dense tier and a meeting
+    /// search, out of line, on the search store.
+    // `always`: at `#[inline]` the planners called it, one call a read.
+    #[inline(always)]
+    pub fn to(&self, b: MemberIdx) -> u32 {
+        match self.from.point(b) {
+            Ok(ms) => ms,
+            Err(rb) => match &self.oracle.store {
+                Store::Dense(blocks) => blocks.cell(&self.from, rb),
+                Store::Search { graph, dec } => {
+                    dec.meet(graph, &self.oracle.members, rb, self.a, b)
+                }
+            },
+        }
+    }
 }
 
 /// Tier and size only — what `Result::unwrap_err` needs in the build-error
@@ -131,17 +166,21 @@ impl LatencyOracle {
         cfg: &OracleConfig,
     ) -> Result<Self, OracleBuildError> {
         let n = members.len();
-        let store = match Decomposition::build(graph, &members) {
-            Some(dec) if cfg.tier.resolve(n) == Tier::Cached => {
-                Store::Search { graph: graph.clone(), dec }
+        let (points, store) = match Decomposition::build(graph, &members) {
+            Some((points, dec)) if cfg.tier.resolve(n) == Tier::Cached => {
+                (points, Store::Search { graph: graph.clone(), dec })
             }
-            Some(dec) => Store::Dense(dec.into_blocks(graph, &members)),
+            Some((points, dec)) => (points, Store::Dense(dec.blocks(graph, &members))),
             None if n > Tier::DENSE_MAX_MEMBERS => {
                 return Err(OracleBuildError::TooManyForMatrix { members: n })
             }
-            None => Store::Dense(Blocks::matrix(graph, &members)?),
+            None => {
+                let (points, blocks) = Blocks::matrix(graph, &members)?;
+                (points, Store::Dense(blocks))
+            }
         };
-        Ok(LatencyOracle { members, mean_phys_link_latency: graph.mean_link_latency(), store })
+        let mean_phys_link_latency = graph.mean_link_latency();
+        Ok(LatencyOracle { members, mean_phys_link_latency, points, store })
     }
 
     /// Select `n` overlay members uniformly from the graph's stub (edge
@@ -191,10 +230,15 @@ impl LatencyOracle {
     /// the same on both tiers. A metric; flood pruning relies on it.
     #[inline]
     pub fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
-        match &self.store {
-            Store::Dense(blocks) => blocks.d(a, b),
-            Store::Search { graph, dec } => dec.d(graph, &self.members, a, b),
-        }
+        self.source(a).to(b)
+    }
+
+    /// Latencies from member `a`: its record and transit row are read here
+    /// once, and each [`Source::to`] after that is one record load and one
+    /// transit cell. What a caller pricing many links of one peer holds.
+    #[inline(always)]
+    pub fn source(&self, a: MemberIdx) -> Source<'_> {
+        Source { from: self.points.from(a), a, oracle: self }
     }
 
     /// The physical host backing member `i`.
@@ -349,6 +393,51 @@ mod tests {
         }
     }
 
+    /// `d(a, b)` by the read path [`Source`] replaced (`decomp`'s
+    /// `d_reference`), store by store.
+    fn d_reference(o: &LatencyOracle, a: MemberIdx, b: MemberIdx) -> u32 {
+        match &o.store {
+            Store::Dense(blocks) => blocks.d_reference(&o.points, a, b),
+            Store::Search { graph, dec } => dec.d_reference(&o.points, graph, &o.members, a, b),
+        }
+    }
+
+    #[test]
+    fn a_bound_source_reads_what_the_two_record_point_query_does() {
+        // Every ordered pair, each source bound once and read for every
+        // target, against the per-pair read path it replaced: on the dense
+        // tier's blocks (ts_large, n = 1000), the search store (scaled(3000),
+        // n = 1000) and a Waxman graph's matrix (every host). Checked
+        // against reading the transit cell from the wrong row and against a
+        // same-tag pair answered from the source's record alone.
+        let mut rng = SimRng::seed_from(35);
+        let ts_large = generate(&TransitStubParams::ts_large(), &mut rng);
+        let scaled = generate(&TransitStubParams::scaled(3000), &mut rng);
+        let waxman = generate_waxman(&WaxmanParams::tiny(), &mut rng);
+        let n_waxman = waxman.stub_nodes().len();
+        let cases = [
+            ("ts_large, dense", ts_large, 1000, OracleConfig::dense(), Tier::Dense),
+            ("scaled(3000), search store", scaled, 1000, OracleConfig::cached(1), Tier::Cached),
+            ("waxman, matrix", waxman, n_waxman, OracleConfig::dense(), Tier::Dense),
+        ];
+        for (name, g, n, cfg, tier) in cases {
+            let o = LatencyOracle::select_and_build_with(&g, n, &mut rng, &cfg);
+            assert_eq!(o.built_tier(), tier, "{name}");
+            let mut same_tag = 0;
+            for a in 0..n {
+                let from = o.source(a);
+                for b in 0..n {
+                    let want = d_reference(&o, a, b);
+                    assert_eq!(from.to(b), want, "{name}: source({a}).to({b})");
+                    assert_eq!(o.d(a, b), want, "{name}: d({a}, {b})");
+                    same_tag += usize::from(from.from.point(b).is_err());
+                }
+            }
+            // Beyond each member with itself, some pairs share a tag.
+            assert!(same_tag > n, "{name}: only {same_tag} pairs share a tag");
+        }
+    }
+
     #[test]
     fn members_are_stub_hosts() {
         let mut rng = SimRng::seed_from(3);
@@ -403,10 +492,10 @@ mod tests {
         assert!(o.cache_stats().is_none());
     }
 
-    /// Bytes the dense tier's store holds.
+    /// Bytes the dense tier's store holds, its point query included.
     fn dense_bytes(o: &LatencyOracle) -> usize {
         match &o.store {
-            Store::Dense(blocks) => blocks.bytes(),
+            Store::Dense(blocks) => o.points.bytes() + blocks.bytes(),
             _ => panic!("{} is not the dense tier", o.tier()),
         }
     }

@@ -7,8 +7,6 @@
 //!
 //! * `d(a, b)` between *slots* — physical latency between the peers that
 //!   occupy them;
-//! * per-slot neighbor latency sums — the Σ d(u, i) terms of the paper's
-//!   `Var` equation (Eq. 2);
 //! * the total/mean logical link latency — the numerator of *stretch*.
 
 use crate::logical::{LogicalGraph, Slot};
@@ -330,11 +328,6 @@ impl OverlayNet {
         RouteOutcome { latency_ms, hops: (path.len() - 1) as u32 }
     }
 
-    /// Σ_{i ∈ N(s)} d(s, i) — the per-node term of the paper's Var (Eq. 2).
-    pub fn neighbor_latency_sum(&self, s: Slot) -> u64 {
-        self.graph.neighbors(s).iter().map(|&n| self.d(s, n) as u64).sum()
-    }
-
     /// Total latency over all logical links (each edge once), in ms.
     pub fn total_link_latency(&self) -> u64 {
         self.graph.edges().map(|(a, b)| self.d(a, b) as u64).sum()
@@ -428,20 +421,17 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_latency_sum_matches_manual() {
-        let (net, _) = small_net(6, 2);
-        let s = Slot(2);
-        let manual: u64 = net.graph().neighbors(s).iter().map(|&x| net.d(s, x) as u64).sum();
-        assert_eq!(net.neighbor_latency_sum(s), manual);
-    }
-
-    #[test]
     fn total_link_latency_counts_each_edge_once() {
         let (net, _) = small_net(5, 3);
         let by_edges: u64 = net.graph().edges().map(|(a, b)| net.d(a, b) as u64).sum();
         assert_eq!(net.total_link_latency(), by_edges);
         // Sum over per-node sums double counts:
-        let per_node: u64 = net.graph().live_slots().map(|s| net.neighbor_latency_sum(s)).sum();
+        let per_node: u64 = net
+            .graph()
+            .live_slots()
+            .flat_map(|s| net.graph().neighbors(s).iter().map(move |&x| (s, x)))
+            .map(|(s, x)| net.d(s, x) as u64)
+            .sum();
         assert_eq!(per_node, 2 * by_edges);
     }
 
