@@ -91,7 +91,8 @@ pub fn avg_lookup_latency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prop_engine::SimRng;
+    use prop_core::{PropConfig, ProtocolSim};
+    use prop_engine::{Duration, SimRng};
     use prop_netsim::{generate, LatencyOracle, TransitStubParams};
     use prop_overlay::gnutella::{Gnutella, GnutellaParams};
     use prop_workloads::LookupGen;
@@ -148,5 +149,46 @@ mod tests {
         assert_eq!(serial.mean_hops.to_bits(), parallel.mean_hops.to_bits());
         assert_eq!(serial.delivered, parallel.delivered);
         assert_eq!(serial.failed, parallel.failed);
+    }
+
+    #[test]
+    fn measuring_after_prop_g_reads_the_net_as_it_now_is() {
+        // The first measurement builds the net's flood view; PROP-G's swaps
+        // must drop it before the second. Each measurement is held bit for
+        // bit to a sequential loop of fresh-scratch lookups over a net
+        // assembled afresh from the same wiring and placement, which has
+        // never built a view.
+        let mut rng = SimRng::seed_from(5);
+        let phys = generate(&TransitStubParams::tiny(), &mut rng);
+        let oracle = Arc::new(LatencyOracle::select_and_build(&phys, 40, &mut rng));
+        let (gn, net) = Gnutella::build(GnutellaParams::default(), Arc::clone(&oracle), &mut rng);
+        let live: Vec<Slot> = net.graph().live_slots().collect();
+        let pairs = LookupGen::new(&rng).uniform_pairs(&live, 700);
+        let sequential = |net: &OverlayNet| {
+            let fresh =
+                OverlayNet::new(net.graph().clone(), net.placement().clone(), Arc::clone(&oracle));
+            let mut t = LatencyTotals::default();
+            for &(a, b) in &pairs {
+                match gn.lookup(&fresh, a, b) {
+                    Some(out) => {
+                        t.latency_ms += out.latency_ms as u128;
+                        t.hops += out.hops as u64;
+                        t.delivered += 1;
+                    }
+                    None => t.failed += 1,
+                }
+            }
+            t.summary()
+        };
+        let bits = |s: LatencySummary| (s.mean_ms.to_bits(), s.mean_hops.to_bits(), s.delivered);
+
+        let before = avg_lookup_latency(&net, &gn, &pairs);
+        assert_eq!(bits(before), bits(sequential(&net)), "before PROP-G");
+        let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);
+        sim.run_for(Duration::from_minutes(10));
+        assert!(sim.overhead().exchanges > 0, "PROP-G exchanged nothing");
+        let after = avg_lookup_latency(sim.net(), &gn, &pairs);
+        assert_eq!(bits(after), bits(sequential(sim.net())), "after PROP-G");
+        assert_ne!(bits(after), bits(before), "PROP-G moved no lookup");
     }
 }

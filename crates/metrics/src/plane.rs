@@ -23,10 +23,13 @@
 //! so flooding overlays allocate nothing per lookup, and only reads the
 //! shared overlay and oracle), which is what the fan-out relies on. A
 //! measurement called from inside a fanned-out run — a seed of a sweep, a
-//! curve of a panel — runs its chunks inline on that run's thread. Nothing
-//! is fetched ahead of the loop: no oracle store keeps a row, and the
-//! search store's meeting scratch is per thread and forgets each query, so
-//! which chunk asked first never shows in a value.
+//! curve of a panel — runs its chunks inline on that run's thread. The one
+//! thing the chunks share beyond the net is its flood view, the link costs
+//! a flooding overlay reads: whichever chunk floods first builds it, the
+//! others wait for it, and it is a function of the net's state alone. No
+//! oracle store keeps a row, and the search store's meeting scratch is per
+//! thread and forgets each query, so which chunk asked first never shows
+//! in a value.
 
 /// Chunk size for the measurement plane's pair-list decomposition.
 ///

@@ -16,42 +16,118 @@ use crate::RouteOutcome;
 use prop_engine::SimRng;
 use prop_netsim::oracle::MemberIdx;
 use prop_netsim::LatencyOracle;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// One overlay link as a flood prices it: the neighbour reached and
+/// `d(u, v) + proc_delay(v)`.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    to: Slot,
+    cost: u32,
+}
+
+/// Every live slot's neighbour row with each link priced for a flood, in
+/// one flat array: slot `u`'s row is `links[start[u]..start[u + 1]]`, in
+/// [`LogicalGraph::neighbors`] order, and a dead slot's row is empty.
+///
+/// A derived, immutable table of one net state. [`OverlayNet`] builds it
+/// at the first flood after a mutation and drops it at each of its `&mut`
+/// gates, so it is never patched and never answers for a net that has
+/// changed since it was built.
+#[derive(Debug)]
+struct FloodView {
+    start: Vec<u32>,
+    links: Vec<Link>,
+}
+
+/// What a link into `v` costs a flood, given `d(u, v)` and `v`'s
+/// processing delay. Kept below `u32::MAX`, which [`FloodScratch`] reserves
+/// for "no look-ahead tail".
+fn flood_cost(d: u32, proc_delay: u32) -> u32 {
+    match d.checked_add(proc_delay) {
+        Some(c) if c < u32::MAX => c,
+        _ => panic!("flood link cost {d} + {proc_delay} ms does not fit below u32::MAX"),
+    }
+}
+
+impl FloodView {
+    /// One pass over the live slots, each row priced through one bound
+    /// source at its own peer.
+    fn build(net: &OverlayNet) -> FloodView {
+        let g = &net.graph;
+        let mut start = Vec::with_capacity(g.num_slots() + 1);
+        let mut links = Vec::with_capacity(2 * g.num_edges());
+        start.push(0);
+        for u in (0..g.num_slots() as u32).map(Slot) {
+            if g.is_alive(u) {
+                let from = net.oracle.source(net.peer(u));
+                links.extend(g.neighbors(u).iter().map(|&v| Link {
+                    to: v,
+                    cost: flood_cost(from.to(net.peer(v)), net.proc_delay(v)),
+                }));
+            }
+            start.push(u32::try_from(links.len()).expect("more than u32::MAX overlay links"));
+        }
+        FloodView { start, links }
+    }
+
+    fn num_slots(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    #[inline]
+    fn row(&self, u: Slot) -> &[Link] {
+        &self.links[self.start[u.index()] as usize..self.start[u.index() + 1] as usize]
+    }
+}
+
+/// [`FloodScratch`]'s state for one slot. `stamp` is the last tick that
+/// touched it: the flood's epoch (a tail or the source set) or the round
+/// that pushed it to the next frontier. A stamp below the current epoch
+/// is an earlier flood's, and the cell reads as unreached with no tail.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cell {
+    dist: u64,
+    /// `cost(w, dst)` for a relaying neighbour `w` of `dst`, else [`NO_TAIL`].
+    tail: u32,
+    stamp: u32,
+}
+
+const NO_TAIL: u32 = u32::MAX;
 
 /// Reusable per-worker scratch state for repeated flood evaluations.
 ///
 /// The hop-bounded Bellman–Ford behind [`OverlayNet::min_latency_within_hops_with`]
-/// needs a dist array, a frontier, and a next-frontier per call; a measurement
-/// sweep runs thousands of floods back to back, so allocating those fresh each
-/// time dominates the profile. `FloodScratch` keeps them alive across calls:
+/// needs per-slot state, a frontier, and a next-frontier per call; a
+/// measurement sweep runs thousands of floods back to back, so allocating
+/// those fresh each time dominates the profile. `FloodScratch` keeps them
+/// alive across calls:
 ///
-/// * **epoch-tagged dist** — `dist[v]` is valid only when `dist_tick[v]`
-///   equals the current flood's epoch, so "clearing" the array between floods
-///   is a single counter increment, not an O(n) fill;
-/// * **epoch-tagged tail** — `tail[w]`, the cost of the last hop `w → dst`,
-///   is stamped the same way for the relaying neighbours of `dst`;
-/// * **deduped next-frontier** — `next_tick[v]` stamps the round in which `v`
-///   entered the next frontier, so a slot improved by several frontier nodes
-///   in the same round is relayed once, not once per improvement;
+/// * **one epoch-stamped cell per slot** — the slot's dist, its last-hop
+///   `tail` cost when it is a relaying neighbour of `dst`, and one stamp:
+///   a cell stamped before the current flood's epoch reads as unreached,
+///   so "clearing" between floods is a counter increment, not an O(n)
+///   fill, and a cell stamped with the current round is already in the
+///   next frontier, which dedups it;
 /// * **swap buffers** — the frontier and next-frontier vectors are reused
 ///   (and swapped) rather than reallocated each round.
+///
+/// Link costs are not the scratch's: the flood reads them from the net's
+/// flood view ([`OverlayNet`] prices every link once per net state and
+/// shares that table between all workers of a measurement).
 ///
 /// The scratch also keeps cumulative work counters (edge scans, dist
 /// improvements, frontier pushes) so benchmarks and regression tests can
 /// assert the flood does the amount of work the algorithm promises.
 ///
-/// One scratch serves floods over nets of any size (`ensure` grows it), but
-/// it must not be shared between threads — give each worker its own.
+/// One scratch serves floods over nets of any size (it grows), but it must
+/// not be shared between threads — give each worker its own.
 #[derive(Clone, Debug, Default)]
 pub struct FloodScratch {
     /// Monotone counter doubling as flood epoch and round stamp; unique
-    /// values across all calls make stale tags unambiguous.
-    tick: u64,
-    dist: Vec<u64>,
-    dist_tick: Vec<u64>,
-    tail: Vec<u64>,
-    tail_tick: Vec<u64>,
-    next_tick: Vec<u64>,
+    /// values between restarts make stale stamps unambiguous.
+    tick: u32,
+    cells: Vec<Cell>,
     frontier: Vec<(Slot, u64)>,
     next: Vec<Slot>,
     edges_scanned: u64,
@@ -64,15 +140,19 @@ impl FloodScratch {
         Self::default()
     }
 
-    /// Grow the tag arrays to cover `n` slots (never shrinks).
-    fn ensure(&mut self, n: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, 0);
-            self.dist_tick.resize(n, 0);
-            self.tail.resize(n, 0);
-            self.tail_tick.resize(n, 0);
-            self.next_tick.resize(n, 0);
+    /// Cover `n` slots (never shrinks) and open a flood of at most
+    /// `max_hops` rounds: returns its epoch. A flood takes one tick and one
+    /// a round, so the stamps restart from zero before they could wrap.
+    fn begin(&mut self, n: usize, max_hops: u32) -> u32 {
+        if self.cells.len() < n {
+            self.cells.resize(n, Cell::default());
         }
+        if u32::MAX - self.tick <= max_hops {
+            self.cells.fill(Cell::default());
+            self.tick = 0;
+        }
+        self.tick += 1;
+        self.tick
     }
 
     /// Cumulative neighbor examinations across all floods (the last-hop
@@ -92,11 +172,12 @@ impl FloodScratch {
     }
 
     /// The shared flood engine: hop-bounded Bellman–Ford from `src` toward
-    /// `dst` over `graph`, restricted each round to last round's improved
-    /// slots, where only slots satisfying `relays` forward and traversing
-    /// `u → v` costs `cost(u, v)`. Returns the cheapest `(cost, hops)`
-    /// delivery within `max_hops` — `hops` is the first round that attains
-    /// that cost — or `None` if `dst` is out of reach.
+    /// `dst` over `net`'s overlay, restricted each round to last round's
+    /// improved slots, where only slots satisfying `relays` forward and
+    /// traversing `u → v` costs `d(u, v) + proc_delay(v)`, read from the
+    /// net's flood view. Returns the cheapest `(cost, hops)` delivery
+    /// within `max_hops` — `hops` is the first round that attains that
+    /// cost — or `None` if `dst` is out of reach.
     ///
     /// Frontier entries carry their round-start dist (the per-round snapshot
     /// of the allocating original), so in-round improvements to a frontier
@@ -104,10 +185,10 @@ impl FloodScratch {
     /// frontier is deduped (duplicate entries would carry the same snapshot
     /// dist and re-relax idempotently under the strict `<`).
     ///
-    /// The flood is goal-directed. `lower(u)` must never exceed the cost of
-    /// any `cost`-priced route `u → … → dst` (for latency floods the physical
-    /// `d(u, dst)`: `d` is a metric and delays only add), so a frontier node
-    /// at `du` relays only while `du + lower(u)` could still beat two bounds:
+    /// The flood is goal-directed. The lower bound `d(u, dst)` never
+    /// exceeds the cost of any route `u → … → dst` (`d` is a metric and
+    /// delays only add), so a frontier node at `du` relays only while
+    /// `du + d(u, dst)` could still beat two bounds:
     ///
     /// * the incumbent answer `best` — skipped at `≥`, since only a strictly
     ///   cheaper delivery replaces the recorded `(cost, hops)`;
@@ -118,34 +199,36 @@ impl FloodScratch {
     ///
     /// Every node on the cheapest fewest-hop route sits at or under both
     /// bounds, so it relays in the same rounds as in the unpruned flood and
-    /// `(cost, hops)` is unchanged. `lower` is not evaluated until a bound
-    /// exists, which takes a live edge into `dst`.
-    #[allow(clippy::too_many_arguments)]
+    /// `(cost, hops)` is unchanged. The lower bound is read through a
+    /// source bound at `dst`'s peer, and that source is not bound until a
+    /// bound exists, which takes a live edge into `dst`.
     pub fn run(
         &mut self,
-        graph: &LogicalGraph,
+        net: &OverlayNet,
         src: Slot,
         dst: Slot,
         max_hops: u32,
         relays: impl Fn(Slot) -> bool,
-        cost: impl Fn(Slot, Slot) -> u64,
-        lower: impl Fn(Slot) -> u64,
     ) -> Option<(u64, u32)> {
         if src == dst {
             return Some((0, 0));
         }
-        self.ensure(graph.num_slots());
-        self.tick += 1;
-        let epoch = self.tick;
-        self.dist[src.index()] = 0;
-        self.dist_tick[src.index()] = epoch;
-        for &w in graph.neighbors(dst) {
+        let view = net.flood_view();
+        let epoch = self.begin(view.num_slots(), max_hops);
+        let cells = &mut self.cells;
+        for link in view.row(dst) {
+            let w = link.to;
             if relays(w) {
                 self.edges_scanned += 1;
-                self.tail[w.index()] = cost(w, dst);
-                self.tail_tick[w.index()] = epoch;
+                let tail = flood_cost(net.d(w, dst), net.proc_delay(dst));
+                cells[w.index()] = Cell { dist: u64::MAX, tail, stamp: epoch };
             }
         }
+        let s = &mut cells[src.index()];
+        if s.stamp != epoch {
+            (s.tail, s.stamp) = (NO_TAIL, epoch);
+        }
+        s.dist = 0;
         let mut frontier = std::mem::take(&mut self.frontier);
         let mut next = std::mem::take(&mut self.next);
         frontier.clear();
@@ -153,13 +236,15 @@ impl FloodScratch {
         // `u64::MAX` stands for "no such bound yet" in both.
         let (mut best, mut best_hops) = (u64::MAX, 0);
         let mut ub = u64::MAX;
+        let mut to_dst = None;
         for h in 1..=max_hops {
             self.tick += 1;
             let round = self.tick;
             next.clear();
             for &(u, du) in &frontier {
                 if best.min(ub) != u64::MAX {
-                    let floor = du + lower(u);
+                    let to_dst = to_dst.get_or_insert_with(|| net.oracle.source(net.peer(dst)));
+                    let floor = du + to_dst.to(net.peer(u)) as u64;
                     if floor >= best || floor > ub {
                         continue;
                     }
@@ -167,17 +252,18 @@ impl FloodScratch {
                 if !relays(u) {
                     continue;
                 }
-                for &v in graph.neighbors(u) {
+                for &Link { to: v, cost } in view.row(u) {
                     self.edges_scanned += 1;
-                    let c = du + cost(u, v);
-                    let vi = v.index();
-                    let dv = if self.dist_tick[vi] == epoch { self.dist[vi] } else { u64::MAX };
-                    if c < dv {
-                        self.dist[vi] = c;
-                        self.dist_tick[vi] = epoch;
+                    let c = du + cost as u64;
+                    let cell = &mut cells[v.index()];
+                    if cell.stamp < epoch {
+                        *cell = Cell { dist: u64::MAX, tail: NO_TAIL, stamp: epoch };
+                    }
+                    if c < cell.dist {
+                        cell.dist = c;
                         self.improvements += 1;
-                        if self.next_tick[vi] != round {
-                            self.next_tick[vi] = round;
+                        if cell.stamp != round {
+                            cell.stamp = round;
                             next.push(v);
                             self.frontier_pushes += 1;
                         }
@@ -185,8 +271,8 @@ impl FloodScratch {
                             if c < best {
                                 (best, best_hops) = (c, h);
                             }
-                        } else if h < max_hops && self.tail_tick[vi] == epoch {
-                            ub = ub.min(c + self.tail[vi]);
+                        } else if h < max_hops && cell.tail != NO_TAIL {
+                            ub = ub.min(c + cell.tail as u64);
                         }
                     }
                 }
@@ -195,7 +281,7 @@ impl FloodScratch {
                 break;
             }
             frontier.clear();
-            frontier.extend(next.iter().map(|&v| (v, self.dist[v.index()])));
+            frontier.extend(next.iter().map(|&v| (v, cells[v.index()].dist)));
         }
         self.frontier = frontier;
         self.next = next;
@@ -211,6 +297,10 @@ pub struct OverlayNet {
     oracle: Arc<LatencyOracle>,
     /// Per-*peer* processing delay in ms (empty ⇒ all zero).
     proc_delay: Vec<u32>,
+    /// The links priced for floods at the current state: built by the
+    /// first flood that needs it, shared read-only by every worker of a
+    /// measurement, dropped by each `&mut` gate below.
+    flood_view: OnceLock<FloodView>,
 }
 
 impl OverlayNet {
@@ -221,13 +311,14 @@ impl OverlayNet {
         for s in graph.live_slots() {
             assert!(placement.peer_at(s).is_some(), "live {s:?} is vacant");
         }
-        OverlayNet { graph, placement, oracle, proc_delay: Vec::new() }
+        OverlayNet { graph, placement, oracle, proc_delay: Vec::new(), flood_view: OnceLock::new() }
     }
 
     /// Attach per-peer processing delays (indexed by peer, ms). Used by the
     /// heterogeneous-environment experiments (Fig. 7).
     pub fn set_processing_delays(&mut self, delays: Vec<u32>) {
         assert_eq!(delays.len(), self.oracle.len());
+        self.flood_view.take();
         self.proc_delay = delays;
     }
 
@@ -239,13 +330,15 @@ impl OverlayNet {
     /// Mutable access to the logical wiring — used by PROP-O, LTM, and churn.
     #[inline]
     pub fn graph_mut(&mut self) -> &mut LogicalGraph {
+        self.flood_view.take();
         &mut self.graph
     }
 
-    // No-op kept for one caller this PR may not edit:
+    // No-op kept for one caller outside the workspace's packages:
     // `benchmark/src/probes.rs` calls it before its standalone probes.
-    // There is no second adjacency to refresh; the next `benchmark` PR
-    // drops those two calls and this stub with them.
+    // The flood view is dropped by every `&mut` gate and rebuilt by the
+    // next flood, so there is nothing to refresh; the next `benchmark`
+    // change drops those two calls and this stub with them.
     #[doc(hidden)]
     pub fn refresh_csr(&mut self) {}
 
@@ -270,6 +363,7 @@ impl OverlayNet {
 
     #[inline]
     pub fn placement_mut(&mut self) -> &mut Placement {
+        self.flood_view.take();
         &mut self.placement
     }
 
@@ -352,7 +446,13 @@ impl OverlayNet {
     /// O(1); the logical graph is untouched.
     pub fn swap_peers(&mut self, a: Slot, b: Slot) {
         debug_assert!(self.graph.is_alive(a) && self.graph.is_alive(b));
+        self.flood_view.take();
         self.placement.swap_slots(a, b);
+    }
+
+    /// Every live link priced for a flood at the net's current state.
+    fn flood_view(&self) -> &FloodView {
+        self.flood_view.get_or_init(|| FloodView::build(self))
     }
 
     /// Minimum end-to-end latency from `src` to `dst` using at most
@@ -373,15 +473,7 @@ impl OverlayNet {
         max_hops: u32,
         scratch: &mut FloodScratch,
     ) -> Option<(u64, u32)> {
-        scratch.run(
-            &self.graph,
-            src,
-            dst,
-            max_hops,
-            |_| true,
-            |u, v| self.d(u, v) as u64 + self.proc_delay(v) as u64,
-            |u| self.d(dst, u) as u64,
-        )
+        scratch.run(self, src, dst, max_hops, |_| true)
     }
 }
 
@@ -409,6 +501,127 @@ mod tests {
     /// A flood over a fresh scratch.
     fn flood(net: &OverlayNet, src: Slot, dst: Slot, ttl: u32) -> Option<(u64, u32)> {
         net.min_latency_within_hops_with(src, dst, ttl, &mut FloodScratch::new())
+    }
+
+    /// The engine `FloodScratch::run` replaced, kept as the reference it is
+    /// held to ledger for ledger: the same rounds, dedup and bounds over
+    /// the graph's own rows, but every scan prices its link through `cost`
+    /// and every pruning test reads `lower`, and the per-slot state is five
+    /// separately tagged arrays.
+    #[derive(Default)]
+    struct ReferenceScratch {
+        tick: u64,
+        dist: Vec<u64>,
+        dist_tick: Vec<u64>,
+        tail: Vec<u64>,
+        tail_tick: Vec<u64>,
+        next_tick: Vec<u64>,
+        frontier: Vec<(Slot, u64)>,
+        next: Vec<Slot>,
+        edges_scanned: u64,
+        improvements: u64,
+        frontier_pushes: u64,
+    }
+
+    impl ReferenceScratch {
+        fn ensure(&mut self, n: usize) {
+            if self.dist.len() < n {
+                self.dist.resize(n, 0);
+                self.dist_tick.resize(n, 0);
+                self.tail.resize(n, 0);
+                self.tail_tick.resize(n, 0);
+                self.next_tick.resize(n, 0);
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn run_reference(
+            &mut self,
+            graph: &LogicalGraph,
+            src: Slot,
+            dst: Slot,
+            max_hops: u32,
+            relays: impl Fn(Slot) -> bool,
+            cost: impl Fn(Slot, Slot) -> u64,
+            lower: impl Fn(Slot) -> u64,
+        ) -> Option<(u64, u32)> {
+            if src == dst {
+                return Some((0, 0));
+            }
+            self.ensure(graph.num_slots());
+            self.tick += 1;
+            let epoch = self.tick;
+            self.dist[src.index()] = 0;
+            self.dist_tick[src.index()] = epoch;
+            for &w in graph.neighbors(dst) {
+                if relays(w) {
+                    self.edges_scanned += 1;
+                    self.tail[w.index()] = cost(w, dst);
+                    self.tail_tick[w.index()] = epoch;
+                }
+            }
+            let mut frontier = std::mem::take(&mut self.frontier);
+            let mut next = std::mem::take(&mut self.next);
+            frontier.clear();
+            frontier.push((src, 0));
+            let (mut best, mut best_hops) = (u64::MAX, 0);
+            let mut ub = u64::MAX;
+            for h in 1..=max_hops {
+                self.tick += 1;
+                let round = self.tick;
+                next.clear();
+                for &(u, du) in &frontier {
+                    if best.min(ub) != u64::MAX {
+                        let floor = du + lower(u);
+                        if floor >= best || floor > ub {
+                            continue;
+                        }
+                    }
+                    if !relays(u) {
+                        continue;
+                    }
+                    for &v in graph.neighbors(u) {
+                        self.edges_scanned += 1;
+                        let c = du + cost(u, v);
+                        let vi = v.index();
+                        let dv = if self.dist_tick[vi] == epoch { self.dist[vi] } else { u64::MAX };
+                        if c < dv {
+                            self.dist[vi] = c;
+                            self.dist_tick[vi] = epoch;
+                            self.improvements += 1;
+                            if self.next_tick[vi] != round {
+                                self.next_tick[vi] = round;
+                                next.push(v);
+                                self.frontier_pushes += 1;
+                            }
+                            if v == dst {
+                                if c < best {
+                                    (best, best_hops) = (c, h);
+                                }
+                            } else if h < max_hops && self.tail_tick[vi] == epoch {
+                                ub = ub.min(c + self.tail[vi]);
+                            }
+                        }
+                    }
+                }
+                if next.is_empty() {
+                    break;
+                }
+                frontier.clear();
+                frontier.extend(next.iter().map(|&v| (v, self.dist[v.index()])));
+            }
+            self.frontier = frontier;
+            self.next = next;
+            (best != u64::MAX).then_some((best, best_hops))
+        }
+    }
+
+    /// Both engines' cumulative ledgers: scans, improvements, pushes.
+    fn ledgers(new: &FloodScratch, old: &ReferenceScratch) -> [[u64; 3]; 2] {
+        [
+            [new.edges_scanned(), new.improvements(), new.frontier_pushes()],
+            [old.edges_scanned, old.improvements, old.frontier_pushes],
+        ]
     }
 
     #[test]
@@ -605,9 +818,13 @@ mod tests {
     fn goal_directed_flood_matches_textbook_twin() {
         // Every ordered pair × TTL on seeded Gnutella and two-tier builds,
         // half of them heterogeneous, placements shuffled by PROP-G swaps,
-        // one scratch across all of it. Mutation-checked: `lower = 2·d`
-        // and `>=` on the look-ahead prune both fail here.
+        // one scratch per family across all of it. Mutation-checked:
+        // `lower = 2·d` and `>=` on the look-ahead prune both fail here. The
+        // two-tier sweep also runs the replaced engine beside the view's,
+        // flood by flood, and holds their answers and ledgers equal.
         let mut scratch = FloodScratch::new();
+        let mut tiers = FloodScratch::new();
+        let mut reference = ReferenceScratch::default();
         let mut triples = 0u64;
         for seed in 0..256u64 {
             let mut rng = SimRng::seed_from(seed);
@@ -650,11 +867,17 @@ mod tests {
                         let hops = flood_ttl + 2;
                         let want = reference_flood(net.graph(), a, b, hops, relays, cost);
                         let lower = |u| net.d(b, u) as u64;
-                        let got = scratch.run(net.graph(), a, b, hops, relays, cost, lower);
+                        let old =
+                            reference.run_reference(net.graph(), a, b, hops, relays, cost, lower);
+                        let got = tiers.run(&net, a, b, hops, relays);
                         assert_eq!(got, want, "seed {seed} two-tier {a:?}→{b:?} ttl {flood_ttl}");
+                        assert_eq!(old, want, "seed {seed} two-tier {a:?}→{b:?} ttl {flood_ttl}");
+                        let [new_ledger, old_ledger] = ledgers(&tiers, &reference);
+                        assert_eq!(new_ledger, old_ledger, "seed {seed} ledger ttl {flood_ttl}");
                         if flood_ttl == ultrapeer::FLOOD_TTL {
-                            let got = up.flood_latency_with(&net, a, b, &mut scratch);
+                            let got = up.flood_latency_with(&net, a, b, &mut tiers);
                             assert_eq!(got, want, "seed {seed} two-tier {a:?}→{b:?}");
+                            reference.run_reference(net.graph(), a, b, hops, relays, cost, lower);
                         }
                         triples += 1;
                     }
@@ -662,6 +885,64 @@ mod tests {
             }
         }
         assert!(triples >= 400_000, "only {triples} triples compared");
+    }
+
+    #[test]
+    fn flood_view_follows_every_mutation_gate() {
+        // One net and one scratch throughout. Between floods the net is
+        // mutated through each `&mut` gate in turn; after each mutation
+        // every ordered pair at every TTL must answer as the textbook twin
+        // does on the net as it now is, and some answer must have moved,
+        // so a view that outlived the mutation would be caught.
+        let mut rng = SimRng::seed_from(21);
+        let phys = generate(&TransitStubParams::tiny(), &mut rng);
+        let n = 24;
+        let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
+        let (_, mut net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
+        let mut delays = || (0..n).map(|_| rng.range(0..80u32)).collect::<Vec<_>>();
+        net.set_processing_delays(delays());
+        let later_delays = delays();
+        let mut scratch = FloodScratch::new();
+        let mut answers = |net: &OverlayNet, after: &str| {
+            let cost = |u, v| net.d(u, v) as u64 + net.proc_delay(v) as u64;
+            let mut all = Vec::new();
+            for ttl in [1u32, 2, 3, 7] {
+                for a in (0..n as u32).map(Slot) {
+                    for b in (0..n as u32).map(Slot) {
+                        let want = reference_flood(net.graph(), a, b, ttl, |_| true, cost);
+                        let got = net.min_latency_within_hops_with(a, b, ttl, &mut scratch);
+                        assert_eq!(got, want, "after {after}: {a:?}→{b:?} ttl {ttl}");
+                        all.push(got);
+                    }
+                }
+            }
+            all
+        };
+        let mut last = answers(&net, "build");
+        let mut step = |net: &OverlayNet, after: &str| {
+            let now = answers(net, after);
+            assert_ne!(now, last, "{after} moved no answer");
+            last = now;
+        };
+
+        let far = (1..n as u32).map(Slot).find(|&b| !net.graph().has_edge(Slot(0), b)).unwrap();
+        net.graph_mut().add_edge(Slot(0), far);
+        step(&net, "add_edge");
+        let (c, d) = (Slot(5), net.graph().neighbors(Slot(5))[0]);
+        net.graph_mut().remove_edge(c, d);
+        step(&net, "remove_edge");
+        let gone = Slot(9);
+        net.graph_mut().remove_slot(gone);
+        let freed = net.placement_mut().vacate(gone);
+        step(&net, "remove_slot + vacate");
+        let moved = Slot(13);
+        net.placement_mut().vacate(moved);
+        net.placement_mut().occupy(moved, freed);
+        step(&net, "re-occupy");
+        net.swap_peers(Slot(2), Slot(17));
+        step(&net, "swap_peers");
+        net.set_processing_delays(later_delays);
+        step(&net, "set_processing_delays");
     }
 
     #[test]
@@ -696,17 +977,27 @@ mod tests {
         // flood scans 6,368 edges and pushes 1,300 slots, the lower bound
         // alone 2,589 / 904, both bounds 1,674 / 703 (PROP-optimised
         // overlays prune harder: ≈ 1.0k / 0.57k in the benchmark's probe).
-        // A change that silently disables a bound fails these counts.
+        // A change that silently disables a bound fails these counts. The
+        // replaced engine runs every flood beside the view's, and the two
+        // answers and ledgers must agree flood by flood.
         let mut rng = SimRng::seed_from(1);
         let phys = generate(&TransitStubParams::ts_large(), &mut rng);
         let oracle = Arc::new(LatencyOracle::select_and_build(&phys, 1000, &mut rng));
         let (gn, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
         let mut scratch = FloodScratch::new();
+        let mut reference = ReferenceScratch::default();
+        let cost = |u, v| net.d(u, v) as u64 + net.proc_delay(v) as u64;
         let floods = 256u64;
+        let ttl = gn.params.flood_ttl;
         for _ in 0..floods {
             let (a, b) = (Slot(rng.range(0..1000u32)), Slot(rng.range(0..1000u32)));
-            let out = net.min_latency_within_hops_with(a, b, gn.params.flood_ttl, &mut scratch);
+            let out = net.min_latency_within_hops_with(a, b, ttl, &mut scratch);
             assert!(out.is_some(), "{a:?}→{b:?} undelivered at TTL 7");
+            let lower = |u| net.d(b, u) as u64;
+            let old = reference.run_reference(net.graph(), a, b, ttl, |_| true, cost, lower);
+            assert_eq!(out, old, "{a:?}→{b:?}");
+            let [new_ledger, old_ledger] = ledgers(&scratch, &reference);
+            assert_eq!(new_ledger, old_ledger, "{a:?}→{b:?}");
         }
         let edges = scratch.edges_scanned() / floods;
         let pushes = scratch.frontier_pushes() / floods;
@@ -753,6 +1044,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn stamps_restart_before_they_wrap() {
+        // A scratch whose clock is a few floods from `u32::MAX` must clear
+        // its cells and restart rather than let a wrapped stamp pass for
+        // the current flood's.
+        let (net, _) = small_net(12, 17);
+        let mut scratch = FloodScratch::new();
+        for a in 0..12u32 {
+            for b in 0..12u32 {
+                let _ = net.min_latency_within_hops_with(Slot(a), Slot(b), 7, &mut scratch);
+            }
+        }
+        scratch.tick = u32::MAX - 20;
+        for a in 0..12u32 {
+            for b in 0..12u32 {
+                let reused = net.min_latency_within_hops_with(Slot(a), Slot(b), 7, &mut scratch);
+                assert_eq!(reused, flood(&net, Slot(a), Slot(b), 7), "{a}→{b}");
+            }
+        }
+        assert!(scratch.tick < 1_000, "the clock never restarted");
     }
 
     #[test]

@@ -95,20 +95,7 @@ impl Ultrapeer {
         dst: Slot,
         scratch: &mut crate::FloodScratch,
     ) -> Option<(u64, u32)> {
-        if src == dst {
-            return Some((0, 0));
-        }
-        let max_hops = FLOOD_TTL + 2;
-        let relays = |u: Slot| u == src || self.is_ultrapeer(u);
-        scratch.run(
-            net.graph(),
-            src,
-            dst,
-            max_hops,
-            relays,
-            |u, v| net.d(u, v) as u64 + net.proc_delay(v) as u64,
-            |u| net.d(dst, u) as u64,
-        )
+        scratch.run(net, src, dst, FLOOD_TTL + 2, |u| u == src || self.is_ultrapeer(u))
     }
 }
 
