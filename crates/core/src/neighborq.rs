@@ -14,18 +14,25 @@
 //! * **churn**: newly-arrived neighbors go to "the front … with a maximum
 //!   priority value" so they are probed early in maintenance.
 //!
-//! The queue is a plain vector with linear scans. On the power-law
-//! overlays the benchmark runs, most degrees are small and a few hubs are
-//! not: at seed 1 the final `driver_sweep` PROP-O overlay has mean degree
-//! 8.0 and maximum 97, and `churn_storm`'s mean 31.7 and maximum 206, with
-//! 145 of its 1,000 nodes at degree 50 or more. A scan costs what a hub's
-//! degree does, so every operation touches each entry at most once or
-//! twice: a PROP-O rewire ([`NeighborQueue::replace`]) is one `retain` that
-//! drops the lost neighbors, takes the minimum priority of the rest and
-//! counts the gained ones already queued, then the front insertions.
+//! The queue is kept in probe order: a ring buffer of entries sorted
+//! ascending by `(priority, seq)`, so the next first hop is the front, the
+//! minimum priority is the front's and the maximum the back's. On the
+//! power-law overlays the benchmark runs, most degrees are small and a few
+//! hubs are not: at seed 1 the final `driver_sweep` PROP-O overlay has
+//! mean degree 8.0 and maximum 97, and `churn_storm`'s mean 31.7 and
+//! maximum 206, with 145 of its 1,000 nodes at degree 50 or more. A trial
+//! touches the front: [`NeighborQueue::best`] reads it, a failed first hop
+//! leaves it for the back ([`NeighborQueue::demote`]) and a rewarded one
+//! moves up past the entries its new key now beats
+//! ([`NeighborQueue::reward`]) — O(1) for the front, and only a first hop
+//! that is no longer the front (the queue changed while its walk was out)
+//! is looked for. Arrivals go to the front, departures are taken out
+//! where they stand, and nothing else moves: the order is the one a scan
+//! for the minimum `(priority, seq)` would give, entry for entry.
 
 use prop_engine::SimRng;
 use prop_overlay::Slot;
+use std::collections::VecDeque;
 
 #[derive(Clone, Copy, Debug)]
 struct Entry {
@@ -36,10 +43,51 @@ struct Entry {
     seq: u64,
 }
 
+impl Entry {
+    /// The probe order: every seq is handed out once, so keys are distinct.
+    #[inline]
+    fn key(&self) -> (i64, u64) {
+        (self.priority, self.seq)
+    }
+}
+
+/// Epoch-stamped per-slot marks: the scratch of [`NeighborQueue::resync`].
+/// A driver owns one for its whole lifetime; a resync stamps the node's row
+/// with a fresh epoch instead of clearing anything, so its cost is the
+/// row's and the queue's length, not the overlay's. Two bytes a slot: the
+/// stamps are cleared once every 65,535 resyncs.
+#[derive(Clone, Debug, Default)]
+pub struct SlotMarks {
+    stamps: Vec<u16>,
+    epoch: u16,
+}
+
+impl SlotMarks {
+    /// Cover slots `0..n` (never shrinks) and open a new epoch. The stamps
+    /// restart from zero before the epoch could wrap.
+    fn begin(&mut self, n: usize) -> u16 {
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+        }
+        if self.epoch == u16::MAX {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    #[inline]
+    fn is_marked(&self, s: Slot, epoch: u16) -> bool {
+        self.stamps.get(s.index()) == Some(&epoch)
+    }
+}
+
 /// The first-hop priority queue of one peer.
 #[derive(Clone, Debug, Default)]
 pub struct NeighborQueue {
-    items: Vec<Entry>,
+    /// Ascending by `(priority, seq)`: the front is probed next.
+    items: VecDeque<Entry>,
     next_seq: u64,
 }
 
@@ -60,8 +108,9 @@ impl NeighborQueue {
     pub fn reinit(&mut self, neighbors: &[Slot], rng: &mut SimRng) {
         self.items.clear();
         self.items.extend(neighbors.iter().map(|&slot| Entry { slot, priority: 0, seq: 0 }));
-        rng.shuffle(&mut self.items);
-        for (i, e) in self.items.iter_mut().enumerate() {
+        let items = self.items.make_contiguous();
+        rng.shuffle(items);
+        for (i, e) in items.iter_mut().enumerate() {
             e.priority = i as i64;
             e.seq = i as u64;
         }
@@ -77,26 +126,37 @@ impl NeighborQueue {
     }
 
     pub fn contains(&self, s: Slot) -> bool {
-        self.items.iter().any(|e| e.slot == s)
+        self.position(s).is_some()
+    }
+
+    /// Where `s` stands, looked for from the front, where a trial's first
+    /// hop is.
+    #[inline]
+    fn position(&self, s: Slot) -> Option<usize> {
+        self.items.iter().position(|e| e.slot == s)
     }
 
     /// The neighbor to use as the next probe's first hop.
+    #[inline]
     pub fn best(&self) -> Option<Slot> {
-        self.items.iter().min_by_key(|e| (e.priority, e.seq)).map(|e| e.slot)
+        self.items.front().map(|e| e.slot)
     }
 
     fn min_priority(&self) -> i64 {
-        self.items.iter().map(|e| e.priority).min().unwrap_or(0)
+        self.items.front().map_or(0, |e| e.priority)
     }
 
     fn max_priority(&self) -> i64 {
-        self.items.iter().map(|e| e.priority).max().unwrap_or(0)
+        self.items.back().map_or(0, |e| e.priority)
     }
 
     /// A probe through `s` led to an exchange: bump it toward the front.
     pub fn reward(&mut self, s: Slot) {
-        if let Some(e) = self.items.iter_mut().find(|e| e.slot == s) {
-            e.priority -= 1;
+        let Some(mut i) = self.position(s) else { return };
+        self.items[i].priority -= 1;
+        while i > 0 && self.items[i].key() < self.items[i - 1].key() {
+            self.items.swap(i, i - 1);
+            i -= 1;
         }
     }
 
@@ -104,9 +164,11 @@ impl NeighborQueue {
     pub fn demote(&mut self, s: Slot) {
         let tail = self.max_priority() + 1;
         let seq = self.bump_seq();
-        if let Some(e) = self.items.iter_mut().find(|e| e.slot == s) {
+        if let Some(i) = self.position(s) {
+            let mut e = self.items.remove(i).expect("position is in range");
             e.priority = tail;
             e.seq = seq;
+            self.items.push_back(e);
         }
     }
 
@@ -118,26 +180,175 @@ impl NeighborQueue {
     }
 
     /// Insert `s` one step ahead of `front`, the minimum priority the
-    /// caller carries across a run of insertions instead of rescanning.
+    /// caller carries across a run of insertions.
     fn push_front(&mut self, front: &mut i64, s: Slot) {
         debug_assert!(!self.contains(s), "adding duplicate {s:?}");
+        *front -= 1;
+        let seq = self.bump_seq();
+        self.items.push_front(Entry { slot: s, priority: *front, seq });
+    }
+
+    /// A neighbor departed (churn or PROP-O rewire).
+    pub fn remove(&mut self, s: Slot) {
+        if let Some(i) = self.position(s) {
+            self.items.remove(i);
+        }
+    }
+
+    /// A rewire in one step: drop the `lost` neighbors, then front-insert
+    /// each `gained` one (distinct slots) not already queued, in order —
+    /// what `remove` per lost and `add_front` per gained slot do. Each lost
+    /// slot is taken out where it stands, then the gained slots are looked
+    /// up until one is found queued; only then is each looked up again
+    /// before it is inserted.
+    pub fn replace(&mut self, lost: &[Slot], gained: &[Slot]) {
+        for &s in lost {
+            self.remove(s);
+        }
+        let queued = gained.iter().any(|&s| self.contains(s));
+        let mut front = self.min_priority();
+        for &s in gained {
+            if !queued || !self.contains(s) {
+                self.push_front(&mut front, s);
+            }
+        }
+    }
+
+    /// Reconcile with `current`, the owner's neighbor list sorted ascending:
+    /// entries no longer in it are dropped, the others keep their priority,
+    /// and the neighbors not yet queued are front-inserted in ascending
+    /// order. O(d) for degree `d`, through `marks` (caller-owned, so nothing
+    /// is allocated once it covers the slot table): the row is stamped, one
+    /// pass keeps the entries whose slot is stamped and clears each stamp
+    /// it keeps, and the stamps left are the arrivals.
+    pub fn resync(&mut self, current: &[Slot], marks: &mut SlotMarks) {
+        let epoch = marks.begin(current.last().map_or(0, |s| s.index() + 1));
+        for &s in current {
+            marks.stamps[s.index()] = epoch;
+        }
+        // One `remove` per departure: `VecDeque::retain` would swap every
+        // entry behind the first one dropped.
+        let mut i = 0;
+        while let Some(e) = self.items.get(i) {
+            if marks.is_marked(e.slot, epoch) {
+                marks.stamps[e.slot.index()] = 0;
+                i += 1;
+            } else {
+                self.items.remove(i);
+            }
+        }
+        if self.items.len() == current.len() {
+            return; // nothing arrived
+        }
+        let mut front = self.min_priority();
+        for &s in current {
+            if marks.is_marked(s, epoch) {
+                self.push_front(&mut front, s);
+            }
+        }
+    }
+
+    fn bump_seq(&mut self) -> u64 {
+        let s = self.next_seq;
+        self.next_seq += 1;
+        s
+    }
+
+    /// Every entry as `(slot, priority, seq)`, front to back — what the
+    /// differential twins compare.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> Vec<(Slot, i64, u64)> {
+        self.items.iter().map(|e| (e.slot, e.priority, e.seq)).collect()
+    }
+
+    /// The representation invariant: keys strictly ascend from front to
+    /// back, slots are distinct, and every seq was handed out already.
+    #[cfg(test)]
+    pub(crate) fn audit(&self) {
+        for (a, b) in self.items.iter().zip(self.items.iter().skip(1)) {
+            assert!(a.key() < b.key(), "out of probe order: {a:?} before {b:?}");
+        }
+        let mut slots: Vec<Slot> = self.items.iter().map(|e| e.slot).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), self.items.len(), "a slot is queued twice");
+        for e in &self.items {
+            assert!(e.seq < self.next_seq, "{e:?} not below next seq {}", self.next_seq);
+        }
+    }
+}
+
+/// The queue as it was before it was kept in probe order, the reference
+/// of `probe_order_queue_matches_the_scan_reference`: a plain vector in
+/// insertion order, every operation a scan for the entry, the minimum or
+/// the maximum, and `resync` a binary search of the row per entry.
+#[cfg(test)]
+#[derive(Clone, Debug, Default)]
+struct ScanQueue {
+    items: Vec<Entry>,
+    next_seq: u64,
+}
+
+#[cfg(test)]
+impl ScanQueue {
+    fn reinit(&mut self, neighbors: &[Slot], rng: &mut SimRng) {
+        self.items.clear();
+        self.items.extend(neighbors.iter().map(|&slot| Entry { slot, priority: 0, seq: 0 }));
+        rng.shuffle(&mut self.items);
+        for (i, e) in self.items.iter_mut().enumerate() {
+            e.priority = i as i64;
+            e.seq = i as u64;
+        }
+        self.next_seq = neighbors.len() as u64;
+    }
+
+    fn contains(&self, s: Slot) -> bool {
+        self.items.iter().any(|e| e.slot == s)
+    }
+
+    fn best(&self) -> Option<Slot> {
+        self.items.iter().min_by_key(|e| e.key()).map(|e| e.slot)
+    }
+
+    fn min_priority(&self) -> i64 {
+        self.items.iter().map(|e| e.priority).min().unwrap_or(0)
+    }
+
+    fn max_priority(&self) -> i64 {
+        self.items.iter().map(|e| e.priority).max().unwrap_or(0)
+    }
+
+    fn reward(&mut self, s: Slot) {
+        if let Some(e) = self.items.iter_mut().find(|e| e.slot == s) {
+            e.priority -= 1;
+        }
+    }
+
+    fn demote(&mut self, s: Slot) {
+        let tail = self.max_priority() + 1;
+        let seq = self.bump_seq();
+        if let Some(e) = self.items.iter_mut().find(|e| e.slot == s) {
+            e.priority = tail;
+            e.seq = seq;
+        }
+    }
+
+    fn add_front(&mut self, s: Slot) {
+        let mut front = self.min_priority();
+        self.push_front(&mut front, s);
+    }
+
+    fn push_front(&mut self, front: &mut i64, s: Slot) {
         *front -= 1;
         let seq = self.bump_seq();
         self.items.push(Entry { slot: s, priority: *front, seq });
     }
 
-    /// A neighbor departed (churn or PROP-O rewire).
-    pub fn remove(&mut self, s: Slot) {
+    fn remove(&mut self, s: Slot) {
         self.items.retain(|e| e.slot != s);
     }
 
-    /// A rewire in one step: drop the `lost` neighbors, then front-insert
-    /// each `gained` one (distinct slots) not already queued, in order —
-    /// what `remove` per lost and `add_front` per gained slot do. One
-    /// `retain` drops the lost, takes the minimum priority of what stays
-    /// and counts the gained slots it meets; only when it met one is a
-    /// gained slot looked up again before it is inserted.
-    pub fn replace(&mut self, lost: &[Slot], gained: &[Slot]) {
+    fn replace(&mut self, lost: &[Slot], gained: &[Slot]) {
         let (mut front, mut queued) = (i64::MAX, 0usize);
         self.items.retain(|e| {
             let keep = !lost.contains(&e.slot);
@@ -157,13 +368,7 @@ impl NeighborQueue {
         }
     }
 
-    /// Reconcile with `current`, the owner's neighbor list sorted ascending:
-    /// entries no longer in it are dropped, the others keep their priority,
-    /// and the neighbors not yet queued are front-inserted in ascending
-    /// order. O(d log d) for degree `d`: one `retain` that binary-searches
-    /// `current` and ticks the position it finds in `seen` (caller-owned
-    /// scratch, so nothing is allocated), then one pass over the unticked.
-    pub fn resync(&mut self, current: &[Slot], seen: &mut Vec<bool>) {
+    fn resync(&mut self, current: &[Slot], seen: &mut Vec<bool>) {
         seen.clear();
         seen.resize(current.len(), false);
         self.items.retain(|e| {
@@ -174,7 +379,7 @@ impl NeighborQueue {
             hit.is_ok()
         });
         if self.items.len() == current.len() {
-            return; // nothing arrived
+            return;
         }
         let mut front = self.min_priority();
         for (&s, _) in current.iter().zip(seen.iter()).filter(|&(_, &queued)| !queued) {
@@ -188,11 +393,11 @@ impl NeighborQueue {
         s
     }
 
-    /// Every entry as `(slot, priority, seq)`, in buffer order — what the
-    /// differential twins compare.
-    #[cfg(test)]
-    pub(crate) fn entries(&self) -> Vec<(Slot, i64, u64)> {
-        self.items.iter().map(|e| (e.slot, e.priority, e.seq)).collect()
+    /// Every entry as `(slot, priority, seq)` in probe order.
+    fn entries(&self) -> Vec<(Slot, i64, u64)> {
+        let mut v: Vec<_> = self.items.iter().map(|e| (e.slot, e.priority, e.seq)).collect();
+        v.sort_unstable_by_key(|&(_, p, q)| (p, q));
+        v
     }
 }
 
@@ -242,10 +447,178 @@ mod tests {
                 order.iter().enumerate().map(|(i, &s)| (s, i as i64, i as u64)).collect();
             assert_eq!(fresh.entries(), want, "case {case}");
             reused.add_front(Slot(100));
-            assert_eq!(reused.entries().last(), Some(&(Slot(100), -1, ns.len() as u64)));
+            assert_eq!(reused.entries().first(), Some(&(Slot(100), -1, ns.len() as u64)));
             let next = a.range(0u64..u64::MAX);
             assert_eq!((b.range(0u64..u64::MAX), c.range(0u64..u64::MAX)), (next, next));
         }
+    }
+
+    /// Differential twin for the probe-order queue against the scan queue it
+    /// replaced: seeded storms of every operation over the same slots, and
+    /// after each one the same `best()`, the same entries in probe order
+    /// (the probe-order queue's buffer order) and the same next seq, with
+    /// [`NeighborQueue::audit`] holding. Every case the buffer order could
+    /// get wrong is counted and must be reached: a reward of a non-front
+    /// entry onto a priority another entry holds, a demote of a non-front
+    /// slot (the message-level driver's) and of an absent one, a `replace`
+    /// inserting one and several slots and one with a gained slot already
+    /// queued, a `resync` with departures and arrivals at once, and a
+    /// `reinit` over a used buffer. Checked against: `add_front` pushing to
+    /// the back, `reward` without the reposition, `demote` not bumping the
+    /// seq for an absent slot, and `replace` skipping the `queued` count.
+    #[test]
+    fn probe_order_queue_matches_the_scan_reference() {
+        const CASES: u64 = 320;
+        const STEPS: usize = 64;
+        let mut marks = SlotMarks::default();
+        let mut seen = Vec::new();
+        let (mut tie, mut demote_inner, mut demote_absent) = (0, 0, 0);
+        let (mut replace_one, mut replace_many, mut replace_queued) = (0, 0, 0);
+        let (mut resync_both, mut reinit_used) = (0, 0);
+        for case in 0..CASES {
+            let mut rng = SimRng::seed_from(0x9e_0000 + case);
+            let universe = rng.range(1..40u32);
+            let pool: Vec<Slot> = (0..universe + 8).map(Slot).collect();
+            let row = |rng: &mut SimRng| {
+                let k = rng.range(0..=universe as usize);
+                let mut v = rng.sample_distinct(&pool[..universe as usize], k);
+                v.sort_unstable();
+                v
+            };
+            let (mut q, mut r) = (NeighborQueue::default(), ScanQueue::default());
+            for step in 0..STEPS {
+                let queued: Vec<Slot> = r.entries().iter().map(|e| e.0).collect();
+                let absent: Vec<Slot> = pool.iter().copied().filter(|&s| !r.contains(s)).collect();
+                let op = if step == 0 { 9 } else { rng.range(0..10u32) };
+                match op {
+                    0 => {
+                        if let Some(s) = r.best() {
+                            q.reward(s);
+                            r.reward(s);
+                        }
+                    }
+                    1 => {
+                        if let Some(&s) = rng.pick(&queued) {
+                            let e = r.items.iter().find(|e| e.slot == s).unwrap();
+                            let onto = e.priority - 1;
+                            if r.best() != Some(s)
+                                && r.items.iter().any(|o| o.slot != s && o.priority == onto)
+                            {
+                                tie += 1;
+                            }
+                            q.reward(s);
+                            r.reward(s);
+                        }
+                    }
+                    2 => {
+                        if let Some(s) = r.best() {
+                            q.demote(s);
+                            r.demote(s);
+                        }
+                    }
+                    3 => {
+                        if let Some(&s) = rng.pick(&queued) {
+                            demote_inner += usize::from(r.best() != Some(s));
+                            q.demote(s);
+                            r.demote(s);
+                        }
+                    }
+                    4 => {
+                        if let Some(&s) = rng.pick(&absent) {
+                            demote_absent += 1;
+                            q.demote(s);
+                            r.demote(s);
+                        }
+                    }
+                    5 => {
+                        if let Some(&s) = rng.pick(&absent) {
+                            q.add_front(s);
+                            r.add_front(s);
+                        }
+                    }
+                    6 => {
+                        let s = *rng.pick(&pool).unwrap();
+                        q.remove(s);
+                        r.remove(s);
+                    }
+                    7 => {
+                        let k = rng.range(0..=queued.len().min(3));
+                        let mut lost = rng.sample_distinct(&queued, k);
+                        if rng.chance(0.3) {
+                            lost.extend(rng.pick(&absent));
+                        }
+                        let k = rng.range(0..=absent.len().min(3));
+                        let mut gained = rng.sample_distinct(&absent, k);
+                        let kept: Vec<Slot> =
+                            queued.iter().copied().filter(|s| !lost.contains(s)).collect();
+                        if rng.chance(0.3) {
+                            if let Some(&s) = rng.pick(&kept) {
+                                let at = rng.range(0..=gained.len());
+                                gained.insert(at, s);
+                                replace_queued += 1;
+                            }
+                        }
+                        let inserted = gained.iter().filter(|s| !kept.contains(s)).count();
+                        replace_one += usize::from(inserted == 1);
+                        replace_many += usize::from(inserted > 1);
+                        q.replace(&lost, &gained);
+                        r.replace(&lost, &gained);
+                    }
+                    8 => {
+                        let current = row(&mut rng);
+                        let departs = queued.iter().any(|s| current.binary_search(s).is_err());
+                        let arrives = current.iter().any(|s| !queued.contains(s));
+                        resync_both += usize::from(departs && arrives);
+                        q.resync(&current, &mut marks);
+                        r.resync(&current, &mut seen);
+                    }
+                    _ => {
+                        reinit_used += usize::from(step > 0);
+                        let mut ns = row(&mut rng);
+                        rng.shuffle(&mut ns);
+                        let (mut a, mut b) = (rng.clone(), rng.clone());
+                        q.reinit(&ns, &mut a);
+                        r.reinit(&ns, &mut b);
+                        let next = a.range(0u64..u64::MAX);
+                        assert_eq!(b.range(0u64..u64::MAX), next, "case {case}, step {step}");
+                        rng = a;
+                    }
+                }
+                let at = format!("case {case}, step {step} (op {op})");
+                q.audit();
+                assert_eq!(q.best(), r.best(), "{at}");
+                assert_eq!(q.entries(), r.entries(), "{at}");
+                assert_eq!(q.next_seq, r.next_seq, "{at}: next seq");
+            }
+        }
+        for (what, hits) in [
+            ("reward of a non-front entry onto a tie", tie),
+            ("demote of a non-front slot", demote_inner),
+            ("demote of an absent slot", demote_absent),
+            ("replace inserting one", replace_one),
+            ("replace inserting several", replace_many),
+            ("replace with a gained slot queued", replace_queued),
+            ("resync with departures and arrivals", resync_both),
+            ("reinit over a used buffer", reinit_used),
+        ] {
+            assert!(hits >= 64, "{what} reached only {hits} times");
+        }
+    }
+
+    #[test]
+    fn marks_restart_before_they_wrap() {
+        let mut marks = SlotMarks { stamps: Vec::new(), epoch: u16::MAX - 1 };
+        let mut q = NeighborQueue::init(&slots(&[1, 2, 3]), &mut SimRng::seed_from(1));
+        let want = q.entries();
+        for _ in 0..3 {
+            q.resync(&slots(&[1, 2, 3]), &mut marks);
+            assert_eq!(q.entries(), want);
+        }
+        assert_eq!(marks.epoch, 2);
+        q.resync(&slots(&[2, 3, 4]), &mut marks);
+        assert!(!q.contains(Slot(1)));
+        assert_eq!(q.best(), Some(Slot(4)));
+        q.audit();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   success, on exceeding `MAX_TIMER`, or on churn.
 
 use crate::config::{PropConfig, INIT_TIMER};
-use crate::neighborq::NeighborQueue;
+use crate::neighborq::{NeighborQueue, SlotMarks};
 use prop_engine::backoff::TrialOutcome;
 use prop_engine::{Duration, MarkovTimer, SimRng};
 use prop_overlay::{LogicalGraph, Slot};
@@ -103,17 +103,17 @@ impl NodeState {
     /// Churn touched this node's neighborhood: timer back to `INIT_TIMER`
     /// (the paper's departure/failure handling) and the queue reconciled
     /// with the current neighbor list — departed entries dropped, new
-    /// neighbors inserted at the front with maximum preference. `seen` is
+    /// neighbors inserted at the front with maximum preference. `marks` is
     /// the driver's scratch for [`NeighborQueue::resync`].
-    pub fn on_neighborhood_changed(&mut self, g: &LogicalGraph, slot: Slot, seen: &mut Vec<bool>) {
+    pub fn on_neighborhood_changed(&mut self, g: &LogicalGraph, slot: Slot, marks: &mut SlotMarks) {
         self.timer.reset();
-        self.resync_queue(g, slot, seen);
+        self.resync_queue(g, slot, marks);
     }
 
     /// Reconcile the queue with the graph's neighbor list, preserving the
     /// priorities of unchanged entries.
-    pub fn resync_queue(&mut self, g: &LogicalGraph, slot: Slot, seen: &mut Vec<bool>) {
-        self.queue.resync(g.neighbors(slot), seen);
+    pub fn resync_queue(&mut self, g: &LogicalGraph, slot: Slot, marks: &mut SlotMarks) {
+        self.queue.resync(g.neighbors(slot), marks);
     }
 
     /// Rebuild the queue from scratch in random order — used after PROP-G,
@@ -230,7 +230,7 @@ mod tests {
         // Slot 5 leaves the ring; slot 0 gains an edge to 4 via patching.
         g.remove_slot(Slot(5));
         g.add_edge(Slot(0), Slot(4));
-        st.on_neighborhood_changed(&g, Slot(0), &mut Vec::new());
+        st.on_neighborhood_changed(&g, Slot(0), &mut SlotMarks::default());
         assert_eq!(st.probe_interval(), INIT_TIMER);
         assert!(!st.queue().contains(Slot(5)));
         assert!(st.queue().contains(Slot(4)));
@@ -270,7 +270,8 @@ mod tests {
     /// off a demotion applied to both). Checked against: returning early
     /// when the lengths are within one of each other, inserting the missing
     /// in descending order, carrying the minimum from before the `retain`,
-    /// and not clearing `seen` between resyncs.
+    /// not clearing `seen` between resyncs (the tick vector the resync had
+    /// before its slot marks) and an epoch that does not move.
     #[test]
     fn one_retain_resync_matches_the_clone_and_drain_reference() {
         use prop_netsim::{generate, LatencyOracle, TransitStubParams};
@@ -280,7 +281,7 @@ mod tests {
         const EVENTS: usize = 12;
 
         let cfg = PropConfig::prop_o();
-        let mut seen = Vec::new();
+        let mut marks = SlotMarks::default();
         let mut case = 0usize;
         let (mut dropped, mut arrived, mut both, mut unchanged) = (0, 0, 0, 0);
         for overlay in 0..OVERLAYS {
@@ -338,7 +339,7 @@ mod tests {
                     }
                     let mut want = st.clone();
                     resync_queue_reference(&mut want, g, w);
-                    st.resync_queue(g, w, &mut seen);
+                    st.resync_queue(g, w, &mut marks);
                     let at = format!("case {case}: overlay {overlay}, event {event}, {w:?}");
                     assert_eq!(st.queue.entries(), want.queue.entries(), "{at}");
                     let slots: Vec<Slot> = st.queue.entries().iter().map(|e| e.0).collect();

@@ -46,6 +46,7 @@
 use crate::config::{ProbeMode, PropConfig, INIT_TIMER};
 use crate::exchange::{self, PlanKind, PlanScratch};
 use crate::fault::{Delivery, FaultCounters, FaultPlane, MsgKind};
+use crate::neighborq::SlotMarks;
 use crate::protocol::NodeState;
 use prop_engine::{Duration, EventQueue, SimRng, SimTime};
 use prop_netsim::Source;
@@ -206,8 +207,9 @@ pub struct PropSim<M: Timing> {
     plan_scratch: PlanScratch,
     /// Reusable slot list: a joiner's neighbors in `handle_join`.
     slot_scratch: Vec<Slot>,
-    /// Reusable tick marks for `NeighborQueue::resync`.
-    resync_scratch: Vec<bool>,
+    /// Epoch-stamped per-slot marks for `NeighborQueue::resync`: they grow
+    /// to the slot table once, and a resync costs its row and queue.
+    resync_scratch: SlotMarks,
     mode: PhantomData<M>,
 }
 
@@ -230,7 +232,7 @@ impl<M: Timing> PropSim<M> {
             walk_spares: Vec::new(),
             plan_scratch: PlanScratch::default(),
             slot_scratch: Vec::new(),
-            resync_scratch: Vec::new(),
+            resync_scratch: SlotMarks::default(),
             mode: PhantomData,
         };
         sim.refresh_m_default();

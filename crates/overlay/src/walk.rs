@@ -34,21 +34,22 @@ impl WalkPath {
     }
 }
 
-/// Reusable buffers for probe walks: the walk path itself plus the per-hop
-/// candidate list. A driver owns one scratch for its whole lifetime, so the
-/// steady-state trial loop performs **zero heap allocations** once both
-/// buffers have reached their high-water capacity (pinned by prop-core's
+/// Reusable buffers for probe walks: the walk path itself plus, per hop,
+/// the positions of the path nodes in the current row (at most `nhops`).
+/// A driver owns one scratch for its whole lifetime, so the steady-state
+/// trial loop performs **zero heap allocations** once both buffers have
+/// reached their high-water capacity (pinned by prop-core's
 /// `alloc_regression` test). Mirrors the `FloodScratch` idiom in
 /// [`crate::net`].
 #[derive(Debug, Default)]
 pub struct WalkScratch {
     walk: WalkPath,
-    candidates: Vec<Slot>,
+    visited: Vec<usize>,
 }
 
 impl WalkScratch {
     pub fn new() -> Self {
-        WalkScratch { walk: WalkPath { path: Vec::new() }, candidates: Vec::new() }
+        WalkScratch { walk: WalkPath { path: Vec::new() }, visited: Vec::new() }
     }
 
     /// The walk produced by the last [`random_walk_into`] call.
@@ -72,9 +73,8 @@ impl WalkScratch {
 ///
 /// Allocation-free façade users: this builds a fresh scratch per call. Hot
 /// paths hold a [`WalkScratch`] and call [`random_walk_into`] instead; the
-/// two consume the RNG identically ([`SimRng::pick`] draws by candidate
-/// *length*, which both forms present the same way), so swapping one for
-/// the other never perturbs a seeded run.
+/// two are one walk, so swapping one for the other never perturbs a seeded
+/// run.
 pub fn random_walk(
     g: &LogicalGraph,
     origin: Slot,
@@ -89,7 +89,14 @@ pub fn random_walk(
 
 /// [`random_walk`] into caller-owned buffers: the result lands in
 /// `scratch.walk()`, and no allocation happens beyond the buffers' own
-/// capacity growth (which stops at the overlay's max degree).
+/// capacity growth (which stops at `nhops + 1` entries each).
+///
+/// A later hop draws a *rank* among the unvisited neighbors of the current
+/// node and finds it in the sorted row without copying the row: each path
+/// node is binary-searched in the row, and the rank is stepped past the
+/// positions found below it. The draw is [`SimRng::pick_rank`] over the
+/// unvisited count, the one a [`SimRng::pick`] over the filtered row makes,
+/// and the rank-th unvisited neighbor is the one it would pick.
 pub fn random_walk_into(
     g: &LogicalGraph,
     origin: Slot,
@@ -107,17 +114,60 @@ pub fn random_walk_into(
     }
     path.push(first_hop);
     let mut cur = first_hop;
+    let visited = &mut scratch.visited;
     for _ in 1..nhops {
-        scratch.candidates.clear();
-        scratch.candidates.extend(g.neighbors(cur).iter().copied().filter(|n| !path.contains(n)));
-        match rng.pick(&scratch.candidates) {
+        let row = g.neighbors(cur);
+        visited.clear();
+        for p in path.iter() {
+            if let Ok(i) = row.binary_search(p) {
+                let at = visited.partition_point(|&v| v < i);
+                visited.insert(at, i);
+            }
+        }
+        let Some(mut rank) = rng.pick_rank(row.len() - visited.len()) else {
+            break; // stuck: every neighbor already visited
+        };
+        for &v in visited.iter() {
+            if v > rank {
+                break;
+            }
+            rank += 1;
+        }
+        cur = row[rank];
+        path.push(cur);
+    }
+}
+
+/// The later-hop step as it was before it drew by rank, kept as the
+/// reference of `rank_step_walk_matches_the_candidate_copy_reference`: copy
+/// the current row less the path nodes, then `pick` from the copy.
+#[cfg(test)]
+fn random_walk_reference(
+    g: &LogicalGraph,
+    origin: Slot,
+    first_hop: Slot,
+    nhops: u32,
+    rng: &mut SimRng,
+) -> WalkPath {
+    let mut path = vec![origin];
+    if nhops == 0 {
+        return WalkPath { path };
+    }
+    path.push(first_hop);
+    let mut cur = first_hop;
+    let mut candidates = Vec::new();
+    for _ in 1..nhops {
+        candidates.clear();
+        candidates.extend(g.neighbors(cur).iter().copied().filter(|n| !path.contains(n)));
+        match rng.pick(&candidates) {
             Some(&next) => {
                 path.push(next);
                 cur = next;
             }
-            None => break, // stuck: every neighbor already visited
+            None => break,
         }
     }
+    WalkPath { path }
 }
 
 #[cfg(test)]
@@ -214,6 +264,77 @@ mod tests {
             assert_eq!(&w1, scratch.walk(), "round {round}");
         }
         assert_eq!(r1.range(0u64..u64::MAX), r2.range(0u64..u64::MAX), "streams diverged");
+    }
+
+    /// Differential twin for the rank step against the candidate copy it
+    /// replaced: every walk from every live origin through each of its
+    /// neighbors at `nhops` 1–4, on preferential-attachment Gnutella
+    /// overlays (hubs of degree 15 and more) before and after rounds of
+    /// leaves and joins, and on small rings and a path, where walks get
+    /// stuck. Each walk must give the same path and leave the stream at the
+    /// same next draw.
+    #[test]
+    fn rank_step_walk_matches_the_candidate_copy_reference() {
+        use crate::gnutella::{Gnutella, GnutellaParams};
+        use prop_netsim::{generate, LatencyOracle, TransitStubParams};
+        use std::sync::Arc;
+
+        let mut scratch = WalkScratch::new();
+        let (mut walks, mut stuck, mut through_hubs) = (0usize, 0usize, 0usize);
+        let mut check = |g: &LogicalGraph, seed: u64, at: &str| {
+            let mut rng = SimRng::seed_from(seed);
+            for origin in g.live_slots() {
+                for &first in g.neighbors(origin) {
+                    for nhops in 1..=4 {
+                        let mut want_rng = rng.clone();
+                        let want = random_walk_reference(g, origin, first, nhops, &mut want_rng);
+                        random_walk_into(g, origin, first, nhops, &mut rng, &mut scratch);
+                        let got = scratch.walk();
+                        assert_eq!(got, &want, "{at}: {origin:?} via {first:?}, nhops {nhops}");
+                        let next = want_rng.range(0u64..u64::MAX);
+                        assert_eq!(rng.clone().range(0u64..u64::MAX), next, "{at}: stream");
+                        walks += 1;
+                        stuck += usize::from(got.path.len() < nhops as usize + 1);
+                        through_hubs += usize::from(
+                            got.path[1..got.path.len().saturating_sub(1)]
+                                .iter()
+                                .any(|&s| g.degree(s) >= 15),
+                        );
+                    }
+                }
+            }
+        };
+        for overlay in 0..4u64 {
+            let mut rng = SimRng::seed_from(0x3a_0000 + overlay);
+            let phys = generate(&TransitStubParams::tiny(), &mut rng);
+            let oracle = Arc::new(LatencyOracle::select_and_build(&phys, 40, &mut rng));
+            let (gn, mut net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
+            for round in 0..3u64 {
+                check(
+                    net.graph(),
+                    overlay * 16 + round,
+                    &format!("overlay {overlay}, round {round}"),
+                );
+                for _ in 0..6 {
+                    let rank = rng.pick_rank(net.graph().num_live()).unwrap();
+                    let victim = net.graph().live_slot_at_rank(rank).unwrap();
+                    let peer = net.peer(victim);
+                    gn.leave(&mut net, victim, &mut rng);
+                    gn.join(&mut net, peer, &mut rng);
+                }
+            }
+        }
+        let mut path = LogicalGraph::new(4);
+        for i in 0..3 {
+            path.add_edge(Slot(i), Slot(i + 1));
+        }
+        check(&path, 7, "path of 4");
+        for n in 3..=5u32 {
+            check(&ring(n), u64::from(n), &format!("ring {n}"));
+        }
+        assert!(walks >= 4_000, "only {walks} walks");
+        assert!(stuck >= 20, "only {stuck} stuck walks");
+        assert!(through_hubs >= 500, "only {through_hubs} walks through a hub");
     }
 
     #[test]
