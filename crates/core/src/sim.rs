@@ -1250,7 +1250,7 @@ mod tests {
 
     #[test]
     fn a_one_row_a_shard_cache_drives_as_the_dense_tier_does() {
-        // The row-cache tier, asked for with a one-byte budget, keeps no
+        // The search tier, asked for with a one-byte budget, keeps no
         // row: on `tiny()` it is the search store — a trial's Var reads
         // inside one stub domain are meeting searches — and on a Waxman
         // graph, which has no decomposition, it is the dense tier's matrix.
@@ -1274,7 +1274,7 @@ mod tests {
             {
                 let mut dense = on::<M>(waxman, cfg.clone(), &OracleConfig::dense());
                 let mut rows = on::<M>(waxman, cfg, &OracleConfig::cached(1));
-                let tier = if waxman { Tier::Dense } else { Tier::Cached };
+                let tier = if waxman { Tier::Dense } else { Tier::Search };
                 assert_eq!(dense.net().oracle().built_tier(), Tier::Dense);
                 assert_eq!(rows.net().oracle().built_tier(), tier);
                 dense.run_for(minutes(40));

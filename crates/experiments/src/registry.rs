@@ -149,7 +149,7 @@ pub static EXPERIMENTS: [Experiment; 8] = [
     },
     Experiment {
         name: "scale",
-        panels: &[panel!("", "S1", "scale", "exact oracle query storm and PROP warm-up at 2,000 to 100,000 members; on `scaled(n)` the oracle keeps no row (S5: `--n 1000000`)")],
+        panels: &[panel!("", "S1", "scale", "exact oracle query storm and PROP warm-up at 2,000 to 100,000 members on `scaled(n)`, which adds 20-host stub domains as n grows (S5: `--n 1000000`)")],
         unit: None,
         flags: &[Flag::N, Flag::BudgetSecs],
         run: scale::run,

@@ -4,11 +4,12 @@
 //! This pipeline (topology → latency oracle → overlay → PROP warm-up) runs
 //! at any member count `--n` names; at 100,000 a dense matrix would need
 //! ~40 GB, and the member count instead picks the oracle's search store:
-//! `scaled(n)` is a transit–stub graph, so `d(u, v)` between two stub
-//! domains (149 of 150 uniform pairs) is a point query over the verified
-//! decomposition, and a pair inside one domain a meeting search confined
-//! to it — one Dijkstra from each end — so the oracle keeps no row at all
-//! (DESIGN.md §9).
+//! `scaled(n)` is a transit–stub graph of 20-host stub domains, 50 for
+//! every thousand members, so `d(u, v)` between two stub domains (all but
+//! one in 5,000 uniform pairs at 100,000 members) is a point query over
+//! the verified decomposition, and a pair inside one domain a meeting
+//! search confined to its 20 hosts — one Dijkstra from each end — so the
+//! oracle keeps no row at all (DESIGN.md §9).
 //!
 //! Two stages per size:
 //!
@@ -26,11 +27,13 @@
 //!
 //! Useful for sizing reproduction runs; not a paper figure. Wall-clock
 //! numbers are machine-dependent by nature. CI's `driver-scale-smoke` job
-//! runs `--quick --n 100000` under `--budget-secs 120` and `--quick --n
-//! 1000000` under `--budget-secs 900`: what would blow those budgets is a
-//! same-domain pair making a row again, or the meeting search degrading
-//! into a search of the whole domain (EXPERIMENTS S5 has the measured
-//! runs, up to a million members).
+//! runs `--quick --n 100000` under `--budget-secs 60` and `--quick --n
+//! 1000000` under `--budget-secs 300`: a domain holds 20 hosts at every
+//! n, so what would blow those budgets is work that grows with n where it
+//! should stay within a domain — a same-domain read searching past its
+//! domain, a row or matrix over the members, or a pass over every peer
+//! per driver event (EXPERIMENTS S5 has the measured runs, up to a
+//! million members).
 
 use crate::cli::{Args, CliError};
 use crate::registry::Experiment;

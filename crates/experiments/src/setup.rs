@@ -305,7 +305,7 @@ mod tests {
         let cached = Scenario::build_with(Topology::Tiny, 16, 5, &OracleConfig::cached(1));
         assert_eq!(
             (auto.oracle.built_tier(), cached.oracle.built_tier()),
-            (Tier::Dense, Tier::Cached)
+            (Tier::Dense, Tier::Search)
         );
         for i in 0..16 {
             assert_eq!(auto.oracle.host(i), cached.oracle.host(i));

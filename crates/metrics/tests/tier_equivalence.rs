@@ -1,5 +1,5 @@
 //! Property: every measurement is **bit-for-bit identical** on the dense
-//! oracle tier (per-domain blocks) and on the row-cache tier (the search
+//! oracle tier (per-domain blocks) and on the search tier (the search
 //! store: point queries and meeting searches from per-thread scratch) —
 //! across random overlays (Gnutella flooding and Chord routing).
 //!

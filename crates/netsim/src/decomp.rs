@@ -623,7 +623,7 @@ mod tests {
     use prop_engine::SimRng;
 
     /// Every latency from `sources` (member indices), on the dense and the
-    /// cached tier, must equal a whole-graph Dijkstra from the same host,
+    /// search tier, must equal a whole-graph Dijkstra from the same host,
     /// entry for entry: blocks and the search store where the graph has the
     /// structure, the matrix on both where it does not.
     fn assert_oracles_match(g: &PhysGraph, members: &[PhysNodeId], sources: &[MemberIdx]) {
@@ -716,7 +716,7 @@ mod tests {
         let (points, _) = Decomposition::build(&g, &members).expect(name);
         let cached = OracleConfig::cached(1);
         let o = LatencyOracle::try_build_with(&g, members.clone(), &cached).unwrap();
-        assert_eq!(o.built_tier(), Tier::Cached, "{name}");
+        assert_eq!(o.built_tier(), Tier::Search, "{name}");
         let dense =
             LatencyOracle::try_build_with(&g, members.clone(), &OracleConfig::dense()).unwrap();
         let mut same_domain = Vec::new();
@@ -827,7 +827,7 @@ mod tests {
             assert_eq!(scratch(), grown, "({a}, {b})");
         }
         let o = LatencyOracle::try_build_with(&g, nodes, &OracleConfig::cached(1)).unwrap();
-        assert_eq!(o.built_tier(), Tier::Cached);
+        assert_eq!(o.built_tier(), Tier::Search);
         for (a, b, want) in pairs {
             assert_eq!(o.d(a, b), want, "({a}, {b})");
         }

@@ -39,7 +39,7 @@ pub enum Tier {
     Dense,
     /// The search store on a transit–stub graph; on any other, the dense
     /// matrix.
-    Cached,
+    Search,
 }
 
 impl Tier {
@@ -55,7 +55,7 @@ impl Tier {
     pub fn resolve(self, n: usize) -> Tier {
         match self {
             Tier::Auto if n <= Self::DENSE_MAX_MEMBERS => Tier::Dense,
-            Tier::Auto => Tier::Cached,
+            Tier::Auto => Tier::Search,
             forced => forced,
         }
     }
@@ -65,7 +65,7 @@ impl Tier {
         match self {
             Tier::Auto => "auto",
             Tier::Dense => "dense",
-            Tier::Cached => "row-cache",
+            Tier::Search => "search",
         }
     }
 }
@@ -94,14 +94,14 @@ impl OracleConfig {
         OracleConfig { tier: Tier::Dense, ..Default::default() }
     }
 
-    /// Force [`Tier::Cached`] at any member count. The byte count is
+    /// Force [`Tier::Search`] at any member count. The byte count is
     /// ignored: no tier keeps a row.
     pub fn cached(_capacity_bytes: usize) -> Self {
-        OracleConfig { tier: Tier::Cached, ..Default::default() }
+        OracleConfig { tier: Tier::Search, ..Default::default() }
     }
 
     // The coordinate-embedded tier is gone; `benchmark/src/scale.rs` still
-    // spells its configuration, and gets the row-cache tier's.
+    // spells its configuration, and gets the search tier's.
     #[doc(hidden)]
     pub fn embedded() -> Self {
         OracleConfig::cached(0)
@@ -167,11 +167,11 @@ mod tests {
         // The byte count is no setting, and the hidden spelling `benchmark/`
         // uses is the cached configuration.
         assert_eq!(OracleConfig::cached(1 << 20), OracleConfig::cached(1));
-        assert_eq!(OracleConfig::cached(1).tier, Tier::Cached);
+        assert_eq!(OracleConfig::cached(1).tier, Tier::Search);
         assert_eq!(OracleConfig::embedded(), OracleConfig::cached(512 << 20));
         // A forced tier is built at any size; only `Auto` reads the count.
         for n in [0, 1, Tier::DENSE_MAX_MEMBERS + 1, 150_001, usize::MAX] {
-            for forced in [Tier::Dense, Tier::Cached] {
+            for forced in [Tier::Dense, Tier::Search] {
                 assert_eq!(forced.resolve(n), forced, "n = {n}");
             }
         }
@@ -183,10 +183,10 @@ mod tests {
         for (n, tier) in [
             (0, Tier::Dense),
             (4_096, Tier::Dense),
-            (4_097, Tier::Cached),
-            (150_001, Tier::Cached),
-            (1_000_000, Tier::Cached),
-            (usize::MAX, Tier::Cached),
+            (4_097, Tier::Search),
+            (150_001, Tier::Search),
+            (1_000_000, Tier::Search),
+            (usize::MAX, Tier::Search),
         ] {
             assert_eq!(Tier::Auto.resolve(n), tier, "n = {n}");
         }
@@ -197,7 +197,7 @@ mod tests {
     fn design_policy_table_names_each_tier_and_boundary() {
         const DESIGN: &str = include_str!("../../../DESIGN.md");
         let dense = Tier::DENSE_MAX_MEMBERS;
-        let rows = [(Tier::Dense, format!("n ≤ {dense}")), (Tier::Cached, format!("n > {dense}"))];
+        let rows = [(Tier::Dense, format!("n ≤ {dense}")), (Tier::Search, format!("n > {dense}"))];
         let mut from = 0;
         for (tier, range) in rows {
             let row = format!("| `{}` | {range} |", tier.label());

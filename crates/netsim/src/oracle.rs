@@ -5,7 +5,7 @@
 //! one type, [`LatencyOracle`], which keeps its answers in one of two
 //! stores — all of them (the dense tier: per-domain blocks, or the matrix
 //! on a graph without the decomposition below), or none (the search store
-//! of the row-cache tier, which keeps no row). [`crate::latency`] describes
+//! of the search tier, which keeps no row). [`crate::latency`] describes
 //! the two [`Tier`]s and when each is built. Both are exact, and answer
 //! alike to the bit.
 //!
@@ -13,7 +13,7 @@
 //! graph has the verified transit–stub decomposition, `d(u, v)` between two
 //! stub domains is one point query on both tiers — two record loads, one
 //! transit cell and two adds — and a pair inside one domain is a meeting
-//! search confined to it on the row-cache tier, a cell of the domain's
+//! search confined to it on the search tier, a cell of the domain's
 //! `k × k` block over its members on the dense tier. Where it does not,
 //! every tier is the `n × n` matrix of whole-graph Dijkstra rows, and a
 //! member set past [`Tier::DENSE_MAX_MEMBERS`] is refused.
@@ -112,7 +112,7 @@ impl std::fmt::Debug for LatencyOracle {
     }
 }
 
-/// What `cache_stats` returned while the row-cache tier kept rows, kept
+/// What `cache_stats` returned while the search store kept rows, kept
 /// with the fields `benchmark/src/{scale,probes}.rs` read so that they
 /// compile. Every count is zero.
 #[doc(hidden)]
@@ -167,7 +167,7 @@ impl LatencyOracle {
     ) -> Result<Self, OracleBuildError> {
         let n = members.len();
         let (points, store) = match Decomposition::build(graph, &members) {
-            Some((points, dec)) if cfg.tier.resolve(n) == Tier::Cached => {
+            Some((points, dec)) if cfg.tier.resolve(n) == Tier::Search => {
                 (points, Store::Search { graph: graph.clone(), dec })
             }
             Some((points, dec)) => (points, Store::Dense(dec.blocks(graph, &members))),
@@ -258,7 +258,7 @@ impl LatencyOracle {
     pub fn built_tier(&self) -> Tier {
         match &self.store {
             Store::Dense(_) => Tier::Dense,
-            Store::Search { .. } => Tier::Cached,
+            Store::Search { .. } => Tier::Search,
         }
     }
 
@@ -417,7 +417,7 @@ mod tests {
         let n_waxman = waxman.stub_nodes().len();
         let cases = [
             ("ts_large, dense", ts_large, 1000, OracleConfig::dense(), Tier::Dense),
-            ("scaled(3000), search store", scaled, 1000, OracleConfig::cached(1), Tier::Cached),
+            ("scaled(3000), search store", scaled, 1000, OracleConfig::cached(1), Tier::Search),
             ("waxman, matrix", waxman, n_waxman, OracleConfig::dense(), Tier::Dense),
         ];
         for (name, g, n, cfg, tier) in cases {
@@ -528,7 +528,7 @@ mod tests {
     #[test]
     fn cached_config_routes_to_row_cache() {
         let o = tiny_cached(10, 9);
-        assert_eq!(o.tier(), "row-cache");
+        assert_eq!(o.tier(), "search");
         assert_eq!(o.cache_stats(), Some(CacheStats::default()));
     }
 
@@ -603,7 +603,7 @@ mod tests {
         let mut rng = SimRng::seed_from(26);
         let transit_stub = generate(&TransitStubParams::tiny(), &mut rng);
         let waxman = generate_waxman(&WaxmanParams::tiny(), &mut rng);
-        for (tier, g) in [(Tier::Cached, transit_stub), (Tier::Dense, waxman)] {
+        for (tier, g) in [(Tier::Search, transit_stub), (Tier::Dense, waxman)] {
             let members = rng.sample_distinct(&g.stub_nodes(), 40);
             let n = members.len();
             let o = LatencyOracle::try_build_with(&g, members, &OracleConfig::cached(1)).unwrap();
@@ -681,9 +681,9 @@ mod tests {
         let rows = [
             (OracleConfig::default(), Tier::Dense),
             (OracleConfig::dense(), Tier::Dense),
-            (OracleConfig { tier: Tier::Cached, ..OracleConfig::default() }, Tier::Cached),
-            (OracleConfig::cached(b), Tier::Cached),
-            (OracleConfig { cache_capacity_bytes: b, ..OracleConfig::embedded() }, Tier::Cached),
+            (OracleConfig { tier: Tier::Search, ..OracleConfig::default() }, Tier::Search),
+            (OracleConfig::cached(b), Tier::Search),
+            (OracleConfig { cache_capacity_bytes: b, ..OracleConfig::embedded() }, Tier::Search),
         ];
         for (cfg, tier) in rows {
             let mut rng = SimRng::seed_from(22);
@@ -691,7 +691,7 @@ mod tests {
             let o = LatencyOracle::select_and_build_with(&g, 16, &mut rng, &cfg);
             assert_eq!(o.built_tier(), tier, "{cfg:?}");
             assert_eq!(o.tier(), tier.label(), "{cfg:?}");
-            assert_eq!(o.cache_stats().is_some(), tier == Tier::Cached, "{cfg:?}");
+            assert_eq!(o.cache_stats().is_some(), tier == Tier::Search, "{cfg:?}");
         }
     }
 
@@ -712,7 +712,7 @@ mod tests {
         let mut rng = SimRng::seed_from(20);
         let g = generate(&TransitStubParams::tiny(), &mut rng);
         let o = LatencyOracle::select_and_build_with(&g, 16, &mut rng, &OracleConfig::embedded());
-        assert_eq!(o.built_tier(), Tier::Cached);
+        assert_eq!(o.built_tier(), Tier::Search);
         for oracle in [&o, &tiny_oracle(10, 21)] {
             let s = oracle.embed_stats().unwrap_or_default();
             assert_eq!(s.since(&EmbedStats::default()), EmbedStats::default());

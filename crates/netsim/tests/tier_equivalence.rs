@@ -1,4 +1,4 @@
-//! Tier-equivalence property tests: the row-cache oracle tier must be
+//! Tier-equivalence property tests: the search oracle tier must be
 //! observationally identical to the dense tier — the same `u32` latency
 //! for every ordered pair — on any topology and member subset. On a
 //! transit–stub graph that holds the search store (point queries and
@@ -71,7 +71,7 @@ fn assert_tiers_agree(case: u64, g: &PhysGraph, members: Vec<PhysNodeId>, tier: 
     }
 }
 
-/// Dense and row-cache tiers agree on random transit–stub topologies.
+/// Dense and search tiers agree on random transit–stub topologies.
 #[test]
 fn tiers_agree_on_transit_stub() {
     for case in 0..CASES {
@@ -83,7 +83,7 @@ fn tiers_agree_on_transit_stub() {
         let mut rng = SimRng::seed_from(gen.range(0..10_000u64));
         let g = generate(&p, &mut rng);
         let m = pick_members(&g, members, &mut rng);
-        assert_tiers_agree(case, &g, m, Tier::Cached);
+        assert_tiers_agree(case, &g, m, Tier::Search);
     }
 }
 
