@@ -1249,7 +1249,7 @@ mod tests {
     }
 
     #[test]
-    fn a_one_row_a_shard_cache_drives_as_the_dense_tier_does() {
+    fn the_search_store_drives_as_the_dense_tier_does() {
         // The search tier, asked for with a one-byte budget, keeps no
         // row: on `tiny()` it is the search store — a trial's Var reads
         // inside one stub domain are meeting searches — and on a Waxman

@@ -21,7 +21,7 @@ pub enum Flag {
     /// Taken by every experiment.
     Quick,
     Seed,
-    /// The sweep flags, taken by every experiment that has a unit.
+    /// The sweep flags, taken by every experiment with a panel that sweeps.
     Seeds,
     Resume,
     Gate,
@@ -69,7 +69,7 @@ pub struct Args {
     pub scale: Scale,
     /// The seed — of a sweep, the base seed.
     pub seed: u64,
-    /// `--seeds N`: run the experiment's unit as an N-seed sweep instead.
+    /// `--seeds N`: sweep the panel over N seeds instead.
     pub seeds: Option<usize>,
     pub resume: bool,
     pub gates: Vec<GateSpec>,
@@ -125,9 +125,14 @@ pub enum CliError {
         expected: &'static str,
         value: Option<String>,
     },
+    /// `--seeds` on an experiment of several panels, none of them named.
+    NoPanel {
+        known: Vec<&'static str>,
+    },
     /// An argument the run would silently ignore: a sweep flag without
-    /// `--seeds`; beside `--seeds`, a panel the sweep's unit is not or a flag
-    /// only the single-seed run reads; a panel beside `--traffic`.
+    /// `--seeds`; beside `--seeds`, a scenario other than the one the
+    /// traffic panel is, or a flag only the single-seed run reads; a panel
+    /// beside `--traffic`.
     NoEffect {
         what: String,
         why: String,
@@ -154,6 +159,9 @@ impl fmt::Display for CliError {
             }
             CliError::BadValue { flag, expected, value: Some(value) } => {
                 write!(f, "{flag} needs {expected}, got `{value}`")
+            }
+            CliError::NoPanel { known } => {
+                write!(f, "--seeds N sweeps one panel: name one of {}", known.join(", "))
             }
             CliError::NoEffect { what, why } => write!(f, "{what} has no effect: {why}"),
             CliError::Scenario(e) => e.fmt(f),
@@ -208,10 +216,10 @@ pub fn parse(argv: &[String], exp: &Experiment) -> Result<Args, CliError> {
         };
         let taken = match flag {
             Flag::Quick | Flag::Seed => true,
-            Flag::Seeds => exp.unit.is_some(),
+            Flag::Seeds => exp.sweeps(),
             Flag::Resume | Flag::Gate | Flag::Root => {
                 sweep_only.get_or_insert(arg);
-                exp.unit.is_some()
+                exp.sweeps()
             }
             _ => {
                 own.get_or_insert(arg);
@@ -249,15 +257,19 @@ pub fn parse(argv: &[String], exp: &Experiment) -> Result<Args, CliError> {
         }
     }
 
-    // Everything parses; refuse what the run would silently ignore.
-    let ignored = match (args.seeds.and(exp.unit), &args.panel, own, sweep_only) {
-        (Some(unit), Some(panel), ..) if unit.panel != Some(panel.as_str()) => {
-            let unit =
-                unit.panel.map_or("its representative run".to_string(), |p| format!("`{p}`"));
-            Some((format!("`{panel}`"), format!("--seeds N repeats {unit}")))
+    // Everything parses; refuse what the run would silently ignore. The
+    // traffic panel is the comparison on the first builtin scenario.
+    let swept_scenario = BUILTIN_SCENARIOS[0];
+    let scenario = exp.flags.contains(&Flag::Scenario);
+    let ignored = match (args.seeds, &args.panel, own, sweep_only) {
+        (Some(_), Some(panel), ..) if scenario && panel != swept_scenario => {
+            Some((format!("`{panel}`"), format!("--seeds N repeats `{swept_scenario}`")))
+        }
+        (Some(_), None, ..) if exp.panels.len() > 1 => {
+            return Err(CliError::NoPanel { known: exp.panel_names() })
         }
         (Some(_), _, Some(flag), _) => {
-            Some((flag.clone(), "a sweep repeats its unit as it is".into()))
+            Some((flag.clone(), "a sweep repeats its panel as it is".into()))
         }
         (None, _, _, Some(flag)) => {
             Some((flag.clone(), "it configures a sweep (--seeds N)".into()))
@@ -285,7 +297,7 @@ pub fn usage(exp: &Experiment) -> String {
     for (_, spelt, placeholder) in SPELLINGS.iter().filter(|(flag, ..)| exp.flags.contains(flag)) {
         line += &format!(" [{}]", format!("{spelt} {placeholder}").trim_end());
     }
-    if exp.unit.is_some() {
+    if exp.sweeps() {
         line += " [--seeds N [--resume] [--gate METRIC=MAX_CI95]... [--root DIR]]";
     }
     line
@@ -339,14 +351,14 @@ mod tests {
             ("generality a b", "unexpected argument `a`: there are no panels to choose from"),
             ("fig5 a b", "unknown panel `b` (known: a, b, c)"),
             // Ran something other than what was asked, exit 0.
-            ("generality --seeds 3", "`generality` does not take --seeds"),
+            ("scale --seeds 3", "`scale` does not take --seeds"),
             ("fig7 --traffic x.json", "`fig7` does not take --traffic"),
             ("faults --traffic x.json", "`faults` does not take --traffic"),
             ("scale --samples 5", "unknown flag --samples"),
-            ("ablation churn --seeds 4", "`churn` has no effect: --seeds N repeats `overhead`"),
-            ("fig5 a --seeds 2", "`a` has no effect: --seeds N repeats its representative run"),
+            ("fig5 --quick --seeds 2", "--seeds N sweeps one panel: name one of a, b, c"),
+            ("ablation --seeds 4", "--seeds N sweeps one panel: name one of overhead, churn, combine, selfish, selection, warmup, waxman, custody, threshold, ltmcap, zipf, floodcost"),
             ("traffic flash-crowd --seeds 2", "`flash-crowd` has no effect: --seeds N repeats `diurnal-regional`"),
-            ("traffic --seeds 2 --driver both", "--driver has no effect: a sweep repeats its unit as it is"),
+            ("traffic --seeds 2 --driver both", "--driver has no effect: a sweep repeats its panel as it is"),
             ("fig5 --seeds 2 --n 500", "`fig5` does not take --n"),
             ("fig6 a --traffic x.json", "`a` has no effect: --traffic replaces the panels"),
             ("scale --million", "unknown flag --million"),
@@ -415,13 +427,16 @@ mod tests {
             ("fig5 a --seed 1", Args { panel: Some("a".into()), ..Args::default() }),
             ("fig5 --quick --seed 7", Args { seed: 7, ..quick() }),
             (
-                "fig6 --quick --seeds 8 --gate stretch_final=0.75 --gate overhead_msgs_per_trial=1.5",
+                "fig6 a --quick --seeds 8 --gate 1/series/final=0.75 --gate 1/msgs_per_trial=1.5",
                 Args {
+                    panel: Some("a".into()),
                     seeds: Some(8),
-                    gates: vec![gate("stretch_final", 0.75), gate("overhead_msgs_per_trial", 1.5)],
+                    gates: vec![gate("1/series/final", 0.75), gate("1/msgs_per_trial", 1.5)],
                     ..quick()
                 },
             ),
+            ("fig7 --quick --seeds 8", Args { seeds: Some(8), ..quick() }),
+            ("generality --quick --seeds 2", Args { seeds: Some(2), ..quick() }),
             (
                 "fig6 --quick --traffic examples/flash_crowd.json",
                 Args { traffic: Some("examples/flash_crowd.json".into()), ..quick() },
@@ -458,11 +473,11 @@ mod tests {
                     ..quick()
                 },
             ),
-            ("traffic diurnal-regional --seeds 2", Args {
-                panel: Some("diurnal-regional".into()),
-                seeds: Some(2),
-                ..Args::default()
-            }),
+            (
+                "traffic diurnal-regional --seeds 2",
+                Args { panel: Some("diurnal-regional".into()), seeds: Some(2), ..Args::default() },
+            ),
+            ("traffic --seeds 2", Args { seeds: Some(2), ..Args::default() }),
             (
                 "scale --quick --n 100000 --budget-secs 120 --seed 1",
                 Args { n: Some(100_000), budget_secs: Some(120), ..quick() },
@@ -485,7 +500,11 @@ mod tests {
     #[test]
     fn usage_lists_what_the_registry_entry_takes() {
         let usage_of = |name| usage(registry::find(name).unwrap());
-        assert_eq!(usage_of("generality"), "usage: prop generality [--quick] [--seed N]");
+        assert_eq!(
+            usage_of("generality"),
+            "usage: prop generality [--quick] [--seed N] \
+             [--seeds N [--resume] [--gate METRIC=MAX_CI95]... [--root DIR]]"
+        );
         assert_eq!(
             usage_of("faults"),
             "usage: prop faults [sweep|recovery] [--quick] [--seed N] \

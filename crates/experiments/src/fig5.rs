@@ -16,7 +16,7 @@
 use crate::setup::{panel, sample_series, Scale, Scenario, Vary};
 use prop_core::{PropConfig, ProtocolSim};
 use prop_engine::json_impl;
-use prop_metrics::{avg_lookup_latency, MetricSummary, TimeSeries};
+use prop_metrics::{avg_lookup_latency, TimeSeries};
 use prop_workloads::LookupGen;
 
 /// One plotted curve plus the numbers EXPERIMENTS.md quotes.
@@ -25,29 +25,9 @@ pub struct Curve {
     pub series: TimeSeries,
     /// Relative improvement start → end (0.25 = 25% lower).
     pub improvement: f64,
-    /// Cross-seed dispersion, present only on swept (multi-seed) output:
-    /// single-seed runs keep the historical JSON shape unchanged.
-    pub ci: Option<CurveCi>,
 }
 
-json_impl!(ToJson for struct Curve { series, improvement, ci [omit_none] });
-
-/// Error-bar block attached to a mean curve by the sweep orchestrator
-/// (see [`crate::sweep`]): the headline metrics as [`MetricSummary`]s plus
-/// a per-sample 95% half-width band aligned with `series.points`.
-#[derive(Clone, Debug)]
-pub struct CurveCi {
-    /// Seeds aggregated into the mean curve.
-    pub seeds: usize,
-    /// Final-sample value across seeds.
-    pub final_value: MetricSummary,
-    /// Start → end relative improvement across seeds.
-    pub improvement: MetricSummary,
-    /// 95% CI half-width at each series sample (`None` where undefined).
-    pub point_ci95: Vec<Option<f64>>,
-}
-
-json_impl!(ToJson for struct CurveCi { seeds, final_value, improvement, point_ci95 });
+json_impl!(ToJson for struct Curve { series, improvement });
 
 /// Run PROP-G on this scenario's Gnutella overlay and sample mean lookup
 /// latency on a fixed pair workload at every interval.
@@ -61,7 +41,7 @@ pub fn run_curve(scenario: &Scenario, cfg: PropConfig, scale: Scale, label: Stri
         avg_lookup_latency(sim.net(), &gn, &pairs).mean_ms
     });
     let improvement = series.improvement().unwrap_or(0.0);
-    Curve { series, improvement, ci: None }
+    Curve { series, improvement }
 }
 
 /// Panel (a): vary the probe TTL at fixed n.

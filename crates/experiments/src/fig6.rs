@@ -7,8 +7,8 @@
 //! (c) physical topology. PROP-G's exchanges here are *identifier swaps* —
 //! the ring, fingers, and every DHT guarantee are untouched.
 
-use crate::setup::{panel, sample_series, Scale, Scenario, Vary};
-use prop_core::{Overhead, PropConfig, ProtocolSim};
+use crate::setup::{msgs_per_trial, panel, sample_series, Scale, Scenario, Vary};
+use prop_core::{PropConfig, ProtocolSim};
 use prop_engine::{json_impl, Duration};
 use prop_metrics::{path_stretch, TimeSeries};
 use prop_overlay::Slot;
@@ -30,9 +30,15 @@ pub struct StretchCurve {
     pub failed: u64,
     /// Zero-physical-distance pairs excluded from the ratio.
     pub skipped: u64,
+    /// Probe trials the driver ran over the whole curve.
+    pub trials: u64,
+    /// Protocol messages per probe trial over the whole curve.
+    pub msgs_per_trial: f64,
 }
 
-json_impl!(ToJson for struct StretchCurve { series, improvement, delivered, failed, skipped });
+json_impl!(ToJson for struct StretchCurve {
+    series, improvement, delivered, failed, skipped, trials, msgs_per_trial
+});
 
 /// Run PROP-G on this scenario's Chord overlay and sample path stretch every
 /// `step` until `horizon`, over the pairs `pairs_at(elapsed ms)` hands out.
@@ -43,7 +49,7 @@ fn sample_stretch(
     step: Duration,
     horizon: Duration,
     mut pairs_at: impl FnMut(u64) -> Vec<(Slot, Slot)>,
-) -> (StretchCurve, Overhead) {
+) -> StretchCurve {
     let (chord, net) = scenario.chord();
     let mut sim_rng = scenario.rng(&format!("fig6-sim-{label}"));
     let mut sim = ProtocolSim::new(net, cfg, &mut sim_rng);
@@ -54,14 +60,16 @@ fn sample_stretch(
         last.insert(summary).mean
     });
     let summary = last.expect("a curve has a sample at time zero");
-    let curve = StretchCurve {
+    let overhead = sim.overhead();
+    StretchCurve {
         improvement: series.improvement().unwrap_or(0.0),
         series,
         delivered: summary.delivered,
         failed: summary.failed,
         skipped: summary.skipped,
-    };
-    (curve, sim.overhead())
+        trials: overhead.trials,
+        msgs_per_trial: msgs_per_trial(&overhead),
+    }
 }
 
 /// Run PROP-G on this scenario's Chord overlay and sample path stretch.
@@ -71,18 +79,6 @@ pub fn run_curve(
     scale: Scale,
     label: String,
 ) -> StretchCurve {
-    run_curve_traced(scenario, cfg, scale, label).0
-}
-
-/// [`run_curve`] that also returns the driver's protocol [`Overhead`]
-/// counters, so the sweep orchestrator can put error bars on message cost
-/// per trial next to the stretch numbers.
-pub fn run_curve_traced(
-    scenario: &Scenario,
-    cfg: PropConfig,
-    scale: Scale,
-    label: String,
-) -> (StretchCurve, Overhead) {
     let pairs = LookupGen::new(&scenario.rng("fig6-lookups"))
         .uniform_pairs(&scenario.all_slots(), scale.lookups_per_sample());
     sample_stretch(scenario, cfg, label, scale.sample_every(), scale.horizon(), |_| pairs.clone())
@@ -102,7 +98,7 @@ pub fn run_curve_scripted(
     script: &TrafficScript,
     scale: Scale,
     label: String,
-) -> (StretchCurve, Overhead) {
+) -> StretchCurve {
     let live = scenario.all_slots();
     let mut ranking = scenario.all_slots();
     scenario.rng("fig6-ranking").shuffle(&mut ranking);
@@ -175,11 +171,11 @@ mod tests {
                 "scripted".into(),
             )
         };
-        let (c, overhead) = run();
+        let c = run();
         assert!(!c.series.is_empty());
         assert!(c.series.min_value().unwrap() >= 1.0, "routes can't beat the direct path");
-        assert!(overhead.trials > 0);
-        let (c2, _) = run();
+        assert!(c.trials > 0);
+        let c2 = run();
         assert_eq!(
             prop_engine::json::to_string(&c),
             prop_engine::json::to_string(&c2),

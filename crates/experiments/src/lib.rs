@@ -19,11 +19,11 @@
 //! parameterization (n = 1000 over the ≈3,000-host `ts-large` topology,
 //! two simulated hours), `Quick` shrinks everything for smoke tests.
 //!
-//! Any experiment with a sweep unit also runs as a seed-sharded Monte-Carlo
-//! sweep ([`sweep`]; `--seeds N [--resume]`): N derived seeds fan across
-//! the machine's cores, each seed streams its record to
-//! `results/<sweep>/seed-<k>.json`, and the aggregate reports every
-//! headline metric as mean ± 95% CI.
+//! Any panel with a `run` also runs as a seed-sharded Monte-Carlo sweep
+//! ([`sweep`]; `--seeds N [--resume]`): N derived seeds fan across the
+//! machine's cores, each seed streams its record to
+//! `results/<sweep>/seed-<k>.json`, and the aggregate reports every number
+//! the panel's report holds as mean ± 95% CI.
 
 pub mod ablation;
 pub mod cli;

@@ -8,12 +8,13 @@
 //! Adding an experiment is one entry here beside its module: panels that
 //! are `fn(Scale, u64) -> Value` need no other code, and anything else
 //! (a scenario file, a gate, a pipeline that reports as it goes) is the
-//! entry's `run`.
+//! entry's `run`. A panel with a `fn` also sweeps (`--seeds N`, [`sweep`]):
+//! the numbers its report holds are the sweep's metrics.
 
 use crate::cli::{Args, CliError, Flag};
 use crate::report::{print_report, write_json};
-use crate::setup::{msgs_per_trial, Scale, Scenario};
-use crate::sweep::{self, SweepConfig, SweepExperiment, UnitRun};
+use crate::setup::{Scale, Scenario};
+use crate::sweep::{self, SweepConfig};
 use crate::traffic::{self, TrafficRunReport};
 use crate::{ablation, faults, fig5, fig6, fig7, generality, scale};
 use prop_core::PropConfig;
@@ -26,10 +27,8 @@ pub struct Experiment {
     pub name: &'static str,
     /// The DESIGN §4 rows this experiment regenerates: at least one.
     pub panels: &'static [Panel],
-    /// What one seed of `--seeds N` runs, if the experiment can be swept.
-    pub unit: Option<Unit>,
-    /// The flags it takes beyond `--quick --seed N` (and, with a unit,
-    /// `--seeds N [--resume] [--gate M=W]… [--root DIR]`).
+    /// The flags it takes beyond `--quick --seed N` (and, when a panel
+    /// sweeps, `--seeds N [--resume] [--gate M=W]… [--root DIR]`).
     pub flags: &'static [Flag],
     /// A single-seed run: [`run_panels`], or the experiment's own.
     pub run: fn(&Experiment, &Args) -> Result<ExitCode, CliError>,
@@ -44,19 +43,9 @@ pub struct Panel {
     pub claim: &'static str,
     /// The file it writes: `results/<stem>.json`.
     pub stem: &'static str,
-    /// `None` where the experiment's own `run` produces the report.
+    /// Its report for one seed, which is also what one seed of a sweep
+    /// runs; `None` where only the experiment's own `run` produces it.
     pub run: Option<fn(Scale, u64) -> Value>,
-}
-
-/// The representative run a sweep repeats per seed.
-#[derive(Clone, Copy)]
-pub struct Unit {
-    /// The manifest's name for it.
-    pub experiment: SweepExperiment,
-    /// The panel (for `traffic`, the scenario) the unit is, if it is one:
-    /// the only positional argument `--seeds` accepts.
-    pub panel: Option<&'static str>,
-    pub run: fn(&SweepConfig, u64) -> UnitRun,
 }
 
 macro_rules! panel {
@@ -81,7 +70,6 @@ pub static EXPERIMENTS: [Experiment; 8] = [
             panel!("b", "F5b", "fig5b", "Fig. 5(b): PROP-G on Gnutella, varying the system size", fig5::panel_b),
             panel!("c", "F5c", "fig5c", "Fig. 5(c): PROP-G on Gnutella, varying the physical topology", fig5::panel_c),
         ],
-        unit: Some(Unit { experiment: SweepExperiment::Fig5, panel: None, run: sweep::unit_fig5 }),
         flags: &[],
         run: run_panels,
     },
@@ -92,14 +80,12 @@ pub static EXPERIMENTS: [Experiment; 8] = [
             panel!("b", "F6b", "fig6b", "Fig. 6(b): PROP-G on Chord, varying the system size", fig6::panel_b),
             panel!("c", "F6c", "fig6c", "Fig. 6(c): PROP-G on Chord, varying the physical topology", fig6::panel_c),
         ],
-        unit: Some(Unit { experiment: SweepExperiment::Fig6, panel: None, run: sweep::unit_fig6 }),
         flags: &[Flag::Traffic],
         run: run_fig6,
     },
     Experiment {
         name: "fig7",
         panels: &[panel!("", "F7", "fig7", "Fig. 7: PROP-O vs PROP-G vs LTM under bimodal heterogeneity, normalized lookup delay vs fraction of fast-node lookups", fig7::run)],
-        unit: Some(Unit { experiment: SweepExperiment::Fig7, panel: None, run: sweep::unit_fig7 }),
         flags: &[],
         run: run_panels,
     },
@@ -119,14 +105,12 @@ pub static EXPERIMENTS: [Experiment; 8] = [
             panel!("zipf", "A11", "ablation_zipf", "Zipf(0.9) popularity with the hot objects on hubs", ablation::zipf_workload),
             panel!("floodcost", "A12", "ablation_floodcost", "flooding messages per query (TTL 7) before and after", ablation::flood_cost),
         ],
-        unit: Some(Unit { experiment: SweepExperiment::Ablation, panel: Some("overhead"), run: sweep::unit_ablation }),
         flags: &[],
         run: run_panels,
     },
     Experiment {
         name: "generality",
         panels: &[panel!("", "G1", "generality", "§1/§6: one unchanged PROP-G over six overlay families, structure preserved", generality::run)],
-        unit: None,
         flags: &[],
         run: run_panels,
     },
@@ -136,21 +120,18 @@ pub static EXPERIMENTS: [Experiment; 8] = [
             panel!("sweep", "F1", "faults_sweep", "PROP-G under loss × transit partition (message-level driver)", faults::sweep),
             panel!("recovery", "F2", "faults_recovery", "exchange rate across one transit partition and its heal", faults::recovery),
         ],
-        unit: Some(Unit { experiment: SweepExperiment::Faults, panel: Some("sweep"), run: sweep::unit_faults }),
         flags: &[],
         run: run_panels,
     },
     Experiment {
         name: "traffic",
-        panels: &[panel!("", "S4", "traffic_<scenario>_<driver>", "scripted production traffic (diurnal waves, flash crowds, regional churn) replayed on each driver")],
-        unit: Some(Unit { experiment: SweepExperiment::Traffic, panel: Some("diurnal-regional"), run: sweep::unit_traffic }),
+        panels: &[panel!("", "S4", "traffic_<scenario>_<driver>", "scripted production traffic (diurnal waves, flash crowds, regional churn) replayed on each driver", traffic::default_comparison)],
         flags: &[Flag::Scenario, Flag::Driver, Flag::MinDelivery, Flag::MaxStretch],
         run: run_traffic,
     },
     Experiment {
         name: "scale",
         panels: &[panel!("", "S1", "scale", "exact oracle query storm and PROP warm-up at 2,000 to 100,000 members on `scaled(n)`, which adds 20-host stub domains as n grows (S5: `--n 1000000`)")],
-        unit: None,
         flags: &[Flag::N, Flag::BudgetSecs],
         run: scale::run,
     },
@@ -191,16 +172,27 @@ impl Experiment {
         self.panels.iter().map(|p| p.name).filter(|name| !name.is_empty()).collect()
     }
 
-    /// Run this experiment as the command line asked: the sweep when
-    /// `--seeds` was given, its single-seed `run` otherwise.
+    /// Whether `--seeds N` can repeat one of its panels.
+    pub fn sweeps(&self) -> bool {
+        self.panels.iter().any(|p| p.run.is_some())
+    }
+
+    /// Run this experiment as the command line asked: a sweep of the named
+    /// (or only) panel when `--seeds` was given, its single-seed `run`
+    /// otherwise.
     pub fn execute(&self, args: &Args) -> Result<ExitCode, CliError> {
-        match (args.seeds, self.unit) {
-            (Some(seeds), Some(unit)) => {
-                let cfg = SweepConfig::new(unit.experiment, args.scale, args.seed, seeds);
-                Ok(sweep::run_cli(&cfg, &args.root, args.resume, &args.gates))
-            }
-            _ => (self.run)(self, args),
-        }
+        let Some(seeds) = args.seeds else { return (self.run)(self, args) };
+        // An only panel is swept whatever the positional argument (for
+        // `traffic`, the scenario) says; of several, `parse` required a name.
+        let panel = match self.panels {
+            [only] => only,
+            several => several
+                .iter()
+                .find(|p| Some(p.name) == args.panel.as_deref())
+                .expect("parse names one of several panels"),
+        };
+        let cfg = SweepConfig::new(self.name, panel.name, args.scale, args.seed, seeds);
+        Ok(sweep::run_cli(&cfg, &args.root, args.resume, &args.gates))
     }
 }
 
@@ -223,17 +215,17 @@ fn run_fig6(exp: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
     let Some(path) = &args.traffic else { return run_panels(exp, args) };
     let spec = traffic::load_script_or_scenario(path, args.scale, args.seed)?;
     let scenario = Scenario::build(traffic::topology_from_label(&spec.topology), spec.n, spec.seed);
-    let (curve, overhead) = fig6::run_curve_scripted(
+    let curve = fig6::run_curve_scripted(
         &scenario,
         PropConfig::prop_g(),
         &spec.traffic,
         args.scale,
         format!("scripted:{}", spec.name),
     );
+    let (trials, per_trial) = (curve.trials, curve.msgs_per_trial);
     let report = vec![curve].to_json();
     print_report("Fig. 6 — path stretch under scripted popularity", &report);
-    let per_trial = msgs_per_trial(&overhead);
-    println!("\noverhead: {} trials, {per_trial:.1} msgs/trial", overhead.trials);
+    println!("\noverhead: {trials} trials, {per_trial:.1} msgs/trial");
     write_json("fig6_scripted", &report);
     Ok(ExitCode::SUCCESS)
 }
@@ -261,7 +253,7 @@ fn run_traffic(_: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
     let spec = if name.ends_with(".json") || name.contains('/') {
         traffic::load_script_or_scenario(name, args.scale, args.seed)?
     } else {
-        traffic::builtin_scenario(name, args.scale, args.seed, None, None)?
+        traffic::builtin_scenario(name, args.scale, args.seed)?
     };
     println!(
         "scenario {} on {} (n = {}, seed {}): {} domains, {} flash crowds, {} shifts",
@@ -314,11 +306,6 @@ mod tests {
             assert_eq!(named.iter().collect::<BTreeSet<_>>().len(), named.len(), "{}", e.name);
             for p in e.panels {
                 assert!(p.stem.starts_with(e.name), "{}: {} is not its file", e.name, p.stem);
-            }
-            // A unit that is a panel (for `traffic`, a scenario) names one that exists.
-            if let Some(panel) = e.unit.and_then(|u| u.panel) {
-                let known = named.contains(&panel) || traffic::BUILTIN_SCENARIOS.contains(&panel);
-                assert!(known, "{}: its unit is an unknown panel `{panel}`", e.name);
             }
         }
     }

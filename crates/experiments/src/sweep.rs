@@ -2,10 +2,11 @@
 //!
 //! Every figure in the reproduction is bit-deterministic per seed, so the
 //! statistically honest way to spend cores is *across* runs, never inside
-//! one: the orchestrator fans N independent seeds of an experiment over
-//! the machine's cores ([`prop_engine::par::map`]), one complete
-//! deterministic run per seed, and reduces every headline metric to mean
-//! ± 95% CI ([`MetricSummary`], Student t for small N).
+//! one: the orchestrator fans N independent seeds of one registered panel
+//! over the machine's cores ([`prop_engine::par::map`]), one complete
+//! deterministic [`Panel::run`](crate::registry::Panel) per seed, and
+//! reduces every number the panel's report holds to mean ± 95% CI
+//! ([`MetricSummary`], Student t for small N).
 //!
 //! Mechanics:
 //!
@@ -13,6 +14,9 @@
 //!   `SimRng::seed_from(base_seed).fork_indexed("sweep-seed", k)`, the
 //!   same derivation discipline the drivers use for per-trial streams:
 //!   seeds are decorrelated but fully reproducible from `(base_seed, k)`.
+//! * **Metric names** — [`flatten`]: a report's object keys and array
+//!   indices joined by `/`, every number a metric, a series its `initial`
+//!   and `final` values. No experiment has sweep code of its own.
 //! * **Streaming records** — each finished seed writes
 //!   `results/<sweep>/seed-<k>.json` (atomic tmp + rename) the moment it
 //!   completes, so a killed sweep loses at most the in-flight seeds.
@@ -22,21 +26,17 @@
 //!   refuses outright when the config hash changed: stale partial results
 //!   can never leak into a differently-configured aggregate.
 //! * **Aggregate** — `aggregate.json` carries a [`MetricSummary`] per
-//!   headline metric and, for the curve experiments (fig5/fig6), a mean
-//!   curve in the existing [`Curve`] shape with a [`CurveCi`] error-bar
-//!   block. The aggregate is a pure fold over the per-seed records in
-//!   index order — resuming an interrupted sweep reproduces it
+//!   metric and, per series in the report, its pointwise mean with a 95%
+//!   band ([`SeriesBand`]). The aggregate is a pure fold over the per-seed
+//!   records in index order — resuming an interrupted sweep reproduces it
 //!   byte-for-byte.
 //!
-//! `prop <experiment> --seeds N [--resume] [--gate m=w]… [--root DIR]` fronts
-//! this module for every registered experiment that has a sweep unit.
+//! `prop <experiment> [panel] --seeds N [--resume] [--gate m=w]… [--root DIR]`
+//! fronts this module for every registered panel that has a `run`.
 
-use crate::fig5::{Curve, CurveCi};
-use crate::registry;
-use crate::setup::{msgs_per_trial, Scale, Scenario, Topology};
-use crate::{ablation, faults, fig5, fig6, fig7, traffic};
-use prop_core::PropConfig;
-use prop_engine::json::{self, FromJson, ToJson, Value};
+use crate::registry::{self, Panel};
+use crate::setup::Scale;
+use prop_engine::json::{self, FromJson, Value};
 use prop_engine::{json_impl, par, SimRng};
 use prop_metrics::{MetricSummary, TimeSeries};
 use std::collections::BTreeMap;
@@ -45,76 +45,53 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Which experiment a sweep fans out. Each variant maps to one
-/// representative deterministic unit run per seed — the `unit` of its
-/// [`registry`] entry. The variant names are the manifest's wire format.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SweepExperiment {
-    /// PROP-G on Gnutella — mean flooded-lookup latency curve.
-    Fig5,
-    /// PROP-G on Chord — path-stretch curve plus protocol overhead.
-    Fig6,
-    /// PROP-O vs PROP-G vs LTM under bimodal heterogeneity.
-    Fig7,
-    /// A1 per-adjustment overhead ablation.
-    Ablation,
-    /// Loss × partition robustness grid.
-    Faults,
-    /// Scripted diurnal-regional traffic: PROP-G vs PROP-O vs selfish,
-    /// per-diurnal-phase stretch and overhead.
-    Traffic,
-}
-
-json_impl!(ToJson, FromJson for enum SweepExperiment {
-    Fig5, Fig6, Fig7, Ablation, Faults, Traffic
-});
-
-impl SweepExperiment {
-    /// The registered experiment whose sweep unit this is.
-    fn entry(self) -> (&'static str, registry::Unit) {
-        registry::EXPERIMENTS
-            .iter()
-            .find_map(|e| Some((e.name, e.unit.filter(|u| u.experiment == self)?)))
-            .expect("every sweep experiment is some registry entry's unit")
-    }
-
-    /// The experiment's registered name, as sweep directories spell it.
-    pub fn label(self) -> &'static str {
-        self.entry().0
-    }
-}
-
 /// Everything that determines a sweep's results. The manifest stores this
 /// config plus its hash; any field changing between a manifest and a
 /// `--resume` invocation refuses the resume.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepConfig {
-    pub experiment: SweepExperiment,
+    /// The registered experiment, as `prop` spells it.
+    pub experiment: String,
+    /// The panel's registered name; `None` for an experiment's only,
+    /// unnamed panel.
+    pub panel: Option<String>,
     pub scale: Scale,
     /// Root seed the per-seed streams are derived from.
     pub base_seed: u64,
     /// Number of independent seeds.
     pub seeds: usize,
-    /// Override the scale's default topology (tests use [`Topology::Tiny`];
-    /// honored by the fig5/fig6 units, which build their own scenario).
-    pub topology: Option<Topology>,
-    /// Override the scale's default member count (the fig5, fig6 and
-    /// traffic units).
-    pub n: Option<usize>,
 }
 
 json_impl!(ToJson, FromJson for struct SweepConfig {
-    experiment, scale, base_seed, seeds, topology [omit_none], n [omit_none]
+    experiment, panel [omit_none], scale, base_seed, seeds
 });
 
 impl SweepConfig {
-    pub fn new(experiment: SweepExperiment, scale: Scale, base_seed: u64, seeds: usize) -> Self {
-        SweepConfig { experiment, scale, base_seed, seeds, topology: None, n: None }
+    /// A sweep of `experiment`'s `panel` (empty for its only, unnamed one).
+    pub fn new(experiment: &str, panel: &str, scale: Scale, base_seed: u64, seeds: usize) -> Self {
+        let panel = (!panel.is_empty()).then(|| panel.to_string());
+        SweepConfig { experiment: experiment.to_string(), panel, scale, base_seed, seeds }
     }
 
-    /// Directory (under the sweep root) this config writes into.
+    /// `fig6 a`, or `traffic` for an unnamed panel.
+    pub fn label(&self) -> String {
+        match &self.panel {
+            Some(panel) => format!("{} {panel}", self.experiment),
+            None => self.experiment.clone(),
+        }
+    }
+
+    /// The registered panel this sweep repeats, if there is one.
+    pub fn registered(&self) -> Option<&'static Panel> {
+        let name = self.panel.as_deref().unwrap_or("");
+        registry::find(&self.experiment)?.panels.iter().find(|p| p.name == name)
+    }
+
+    /// Directory (under the sweep root) this config writes into:
+    /// `sweep-<experiment>[-<panel>]-<scale>-s<base seed>`.
     pub fn dir_name(&self) -> String {
-        format!("sweep-{}-{}-s{}", self.experiment.label(), scale_label(self.scale), self.base_seed)
+        let name = self.label().replace(' ', "-");
+        format!("sweep-{name}-{}-s{}", scale_label(self.scale), self.base_seed)
     }
 
     /// Stable FNV-64 hash of the canonical JSON form. Field order in the
@@ -148,17 +125,17 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One seed's completed run: the headline metrics the aggregator reduces,
-/// plus the experiment's full report for auditability.
+/// One seed's completed run: the metrics the aggregator reduces, plus the
+/// panel's full report for auditability.
 #[derive(Clone, Debug)]
 pub struct SeedRecord {
     pub index: usize,
     pub seed: u64,
-    /// Flat metric name → value. Keys are identical across seeds of one
-    /// sweep (they depend only on the config), which is what makes the
-    /// per-metric reduction well-defined.
+    /// The report's numbers by [`flatten`]ed path. A report's shape depends
+    /// on the config, not the seed, so the keys agree across seeds and the
+    /// per-metric reduction is well-defined.
     pub metrics: BTreeMap<String, f64>,
-    /// The experiment's own report shape for this seed.
+    /// The panel's report for this seed, as its `run` returned it.
     pub payload: Value,
 }
 
@@ -218,21 +195,32 @@ impl SweepManifest {
 #[derive(Clone, Debug)]
 pub struct SweepAggregate {
     pub experiment: String,
+    pub panel: Option<String>,
     pub scale: String,
     pub config_hash: String,
     pub base_seed: u64,
     /// The derived per-shard seeds, in index order.
     pub seeds: Vec<u64>,
-    /// Every headline metric with mean, sample stddev, and 95% CI.
+    /// Every metric with mean, sample stddev, and 95% CI.
     pub metrics: BTreeMap<String, MetricSummary>,
-    /// For the curve experiments (fig5/fig6): the pointwise-mean curve in
-    /// the figure's own shape, with the [`CurveCi`] error-bar block.
-    pub mean_curve: Option<Curve>,
+    /// Every series the reports hold, by path, where its length agrees
+    /// across seeds: the pointwise mean with its 95% band.
+    pub series: BTreeMap<String, SeriesBand>,
 }
 
 json_impl!(ToJson for struct SweepAggregate {
-    experiment, scale, config_hash, base_seed, seeds, metrics, mean_curve [omit_none]
+    experiment, panel [omit_none], scale, config_hash, base_seed, seeds, metrics, series
 });
+
+/// One series across seeds: the mean at each sample time, and the 95%
+/// half-width there (`None` where a single seed leaves it undefined).
+#[derive(Clone, Debug)]
+pub struct SeriesBand {
+    pub mean: TimeSeries,
+    pub ci95: Vec<Option<f64>>,
+}
+
+json_impl!(ToJson for struct SeriesBand { mean, ci95 });
 
 /// What `run_sweep` did, beyond the files on disk.
 pub struct SweepOutcome {
@@ -258,6 +246,8 @@ pub enum SweepError {
         manifest: String,
         requested: String,
     },
+    /// The config names no registered panel with a `run`.
+    NotSweepable(String),
 }
 
 impl fmt::Display for SweepError {
@@ -274,6 +264,9 @@ impl fmt::Display for SweepError {
                  {requested} (the sweep on disk was produced by a different configuration; rerun \
                  without --resume to start over)"
             ),
+            SweepError::NotSweepable(label) => {
+                write!(f, "`{label}` is not a registered panel with a run to sweep")
+            }
         }
     }
 }
@@ -317,6 +310,7 @@ fn load_manifest(dir: &Path) -> Result<SweepManifest, SweepError> {
 /// everything else re-runs.
 pub fn run_sweep(cfg: &SweepConfig, root: &Path, resume: bool) -> Result<SweepOutcome, SweepError> {
     assert!(cfg.seeds > 0, "a sweep needs at least one seed");
+    let run = cfg.registered().and_then(|p| p.run).ok_or(SweepError::NotSweepable(cfg.label()))?;
     let dir = root.join(cfg.dir_name());
     fs::create_dir_all(&dir)?;
     let hash = cfg.hash();
@@ -361,7 +355,9 @@ pub fn run_sweep(cfg: &SweepConfig, root: &Path, resume: bool) -> Result<SweepOu
     // are lost.
     let shared = Mutex::new(manifest);
     let written = par::map(&pending, |&(k, seed)| -> std::io::Result<()> {
-        let bytes = json::to_string_pretty(&run_unit(cfg, k, seed)).into_bytes();
+        let payload = run(cfg.scale, seed);
+        let record = SeedRecord { index: k, seed, metrics: flatten(&payload).0, payload };
+        let bytes = json::to_string_pretty(&record).into_bytes();
         write_atomic(&seed_file(&dir, k), &bytes)?;
         let mut m = shared.lock().expect("no seed panics while holding the manifest");
         m.seeds[k].status = SeedStatus::Done;
@@ -399,168 +395,93 @@ pub fn aggregate(cfg: &SweepConfig, hash: &str, records: &[SeedRecord]) -> Sweep
         .filter_map(|(k, xs)| MetricSummary::from_samples(&xs).map(|s| (k, s)))
         .collect();
     SweepAggregate {
-        experiment: cfg.experiment.label().to_string(),
+        experiment: cfg.experiment.clone(),
+        panel: cfg.panel.clone(),
         scale: scale_label(cfg.scale).to_string(),
         config_hash: hash.to_string(),
         base_seed: cfg.base_seed,
         seeds: records.iter().map(|r| r.seed).collect(),
         metrics,
-        mean_curve: mean_curve(records),
+        series: mean_series(records),
     }
 }
 
-/// Pointwise-mean curve with a [`CurveCi`] error-bar block, for the
-/// experiments whose per-seed payload is a single curve (fig5/fig6).
-fn mean_curve(records: &[SeedRecord]) -> Option<Curve> {
-    // Both payload shapes carry `series: TimeSeries` + `improvement`
-    // (fig6's has the workload disposition beside them); no other
-    // experiment's payload has a `series` member.
-    struct CurveLike {
-        series: TimeSeries,
-        improvement: f64,
-    }
-    let curves: Vec<CurveLike> = records
-        .iter()
-        .map(|r| {
-            Some(CurveLike {
-                series: TimeSeries::from_json(r.payload.get("series")?).ok()?,
-                improvement: f64::from_json(r.payload.get("improvement")?).ok()?,
-            })
-        })
-        .collect::<Option<_>>()?;
-    let first = curves.first()?;
-    let len = first.series.points.len();
-    if len == 0 || curves.iter().any(|c| c.series.points.len() != len) {
-        return None;
-    }
-
-    let mut series =
-        TimeSeries::new(format!("{} (mean of {} seeds)", first.series.label, curves.len()));
-    let mut point_ci95 = Vec::with_capacity(len);
-    for i in 0..len {
-        let t = first.series.points[i].0;
-        let samples: Vec<f64> = curves.iter().map(|c| c.series.points[i].1).collect();
-        let s = MetricSummary::from_samples(&samples)?;
-        series.points.push((t, s.mean));
-        point_ci95.push(s.ci95);
-    }
-    let finals: Vec<f64> = curves.iter().map(|c| c.series.points[len - 1].1).collect();
-    let improvements: Vec<f64> = curves.iter().map(|c| c.improvement).collect();
-    let final_value = MetricSummary::from_samples(&finals)?;
-    let improvement = MetricSummary::from_samples(&improvements)?;
-    Some(Curve {
-        series,
-        improvement: improvement.mean,
-        ci: Some(CurveCi { seeds: curves.len(), final_value, improvement, point_ci95 }),
-    })
-}
-
-// ------------------------------------------------------------ units ----
-
-/// What one unit run hands back: the flat headline metrics the aggregator
-/// reduces, and the experiment's own report.
-pub type UnitRun = (BTreeMap<String, f64>, Value);
-
-/// Run one experiment unit for one derived seed. Deterministic in
-/// `(cfg, seed)`; the index only labels the record.
-pub fn run_unit(cfg: &SweepConfig, index: usize, seed: u64) -> SeedRecord {
-    let (metrics, payload) = (cfg.experiment.entry().1.run)(cfg, seed);
-    SeedRecord { index, seed, metrics, payload }
-}
-
-/// Scenario for the curve units, honoring the config's topology / n
-/// overrides (scale defaults otherwise).
-fn unit_scenario(cfg: &SweepConfig, seed: u64) -> Scenario {
-    let topo = cfg.topology.unwrap_or(cfg.scale.topology());
-    Scenario::build(topo, cfg.n.unwrap_or(cfg.scale.default_n()), seed)
-}
-
-/// Fig. 5's representative curve: PROP-G at `nhops = 2`.
-pub(crate) fn unit_fig5(cfg: &SweepConfig, seed: u64) -> UnitRun {
-    let scenario = unit_scenario(cfg, seed);
-    let label = format!("n={}, nhops=2", scenario.n);
-    let curve = fig5::run_curve(&scenario, PropConfig::prop_g(), cfg.scale, label);
-    let metrics = BTreeMap::from([
-        ("latency_initial_ms".into(), curve.series.first_value().unwrap_or(0.0)),
-        ("latency_final_ms".into(), curve.series.last_value().unwrap_or(0.0)),
-        ("improvement".into(), curve.improvement),
-    ]);
-    (metrics, curve.to_json())
-}
-
-/// Fig. 6's representative curve, with the driver's overhead beside it.
-pub(crate) fn unit_fig6(cfg: &SweepConfig, seed: u64) -> UnitRun {
-    let scenario = unit_scenario(cfg, seed);
-    let label = format!("n={}, nhops=2", scenario.n);
-    let (curve, overhead) =
-        fig6::run_curve_traced(&scenario, PropConfig::prop_g(), cfg.scale, label);
-    let metrics = BTreeMap::from([
-        ("stretch_initial".into(), curve.series.first_value().unwrap_or(0.0)),
-        ("stretch_final".into(), curve.series.last_value().unwrap_or(0.0)),
-        ("improvement".into(), curve.improvement),
-        ("delivered".into(), curve.delivered as f64),
-        ("overhead_msgs_per_trial".into(), msgs_per_trial(&overhead)),
-        ("overhead_trials".into(), overhead.trials as f64),
-    ]);
-    (metrics, curve.to_json())
-}
-
-pub(crate) fn unit_fig7(cfg: &SweepConfig, seed: u64) -> UnitRun {
-    let curves = fig7::run(cfg.scale, seed);
-    let mut metrics = BTreeMap::new();
-    for c in &curves {
-        if let Some(&(_, last)) = c.points.last() {
-            metrics.insert(format!("final_ratio/{}", c.label), last);
+/// Pointwise mean ± 95% CI of every series path the first record holds
+/// and every record holds at the same length.
+fn mean_series(records: &[SeedRecord]) -> BTreeMap<String, SeriesBand> {
+    let per_seed: Vec<BTreeMap<String, TimeSeries>> =
+        records.iter().map(|r| flatten(&r.payload).1).collect();
+    let Some(first) = per_seed.first() else { return BTreeMap::new() };
+    let mut bands = BTreeMap::new();
+    for (path, head) in first {
+        let len = head.points.len();
+        let runs: Option<Vec<&TimeSeries>> = per_seed
+            .iter()
+            .map(|s| s.get(path).filter(|s| s.points.len() == len && len > 0))
+            .collect();
+        let Some(runs) = runs else { continue };
+        let label = format!("{} (mean of {} seeds)", head.label, runs.len());
+        let mut band = SeriesBand { mean: TimeSeries::new(label), ci95: Vec::with_capacity(len) };
+        for (i, &(t, _)) in head.points.iter().enumerate() {
+            let samples: Vec<f64> = runs.iter().map(|s| s.points[i].1).collect();
+            let s = MetricSummary::from_samples(&samples).expect("at least one seed");
+            band.mean.points.push((t, s.mean));
+            band.ci95.push(s.ci95);
         }
-        let best = c.points.iter().map(|&(_, r)| r).fold(f64::MAX, f64::min);
-        metrics.insert(format!("best_ratio/{}", c.label), best);
+        bands.insert(path.clone(), band);
     }
-    (metrics, curves.to_json())
+    bands
 }
 
-/// The A1 overhead ablation (msgs/trial ± CI).
-pub(crate) fn unit_ablation(cfg: &SweepConfig, seed: u64) -> UnitRun {
-    let r = ablation::overhead(cfg.scale, seed);
-    let mut metrics = BTreeMap::new();
-    for row in &r.rows {
-        metrics.insert(format!("msgs_per_trial/{}", row.label), row.msgs_per_trial);
-        metrics.insert(
-            format!("predicted_msgs_per_trial/{}", row.label),
-            row.predicted_msgs_per_trial,
-        );
-    }
-    (metrics, r.to_json())
-}
-
-/// The loss × partition grid (improvement% ± CI per cell).
-pub(crate) fn unit_faults(cfg: &SweepConfig, seed: u64) -> UnitRun {
-    let rows = faults::sweep(cfg.scale, seed);
-    let mut metrics = BTreeMap::new();
-    for row in &rows {
-        let cell = format!("loss{:02.0}_part{:03}", row.loss_pct, row.partition_secs);
-        metrics.insert(format!("improvement_pct/{cell}"), row.improvement_pct);
-        metrics.insert(format!("faulted/{cell}"), row.faulted as f64);
-    }
-    (metrics, rows.to_json())
-}
-
-/// The diurnal-regional comparison: PROP-G vs PROP-O vs selfish, per phase.
-pub(crate) fn unit_traffic(cfg: &SweepConfig, seed: u64) -> UnitRun {
-    let spec = traffic::builtin_scenario("diurnal-regional", cfg.scale, seed, cfg.topology, cfg.n)
-        .expect("diurnal-regional is a builtin scenario");
-    let runs = traffic::run_comparison(&spec, cfg.scale);
-    let mut metrics = BTreeMap::new();
-    for r in &runs {
-        let driver = &r.driver;
-        metrics.insert(format!("stretch_final/{driver}"), r.series.last_value().unwrap_or(0.0));
-        metrics.insert(format!("link_stretch/{driver}"), r.final_link_stretch);
-        metrics.insert(format!("delivery/{driver}"), r.report.delivery_rate());
-        metrics.insert(format!("overhead_msgs_per_trial/{driver}"), r.report.msgs_per_trial());
-        for p in &r.report.phases {
-            metrics.insert(format!("stretch/{driver}/{}", p.phase), p.stretch);
+/// A report's numbers and series, by path: object keys and array indices
+/// joined by `/`. Every number is a metric; strings, booleans and nulls
+/// (which is how a non-finite number is written) are not. A value that
+/// reads as a [`TimeSeries`] is one series, whose metrics are only
+/// `<path>/initial` and `<path>/final`.
+pub fn flatten(report: &Value) -> (BTreeMap<String, f64>, BTreeMap<String, TimeSeries>) {
+    fn walk(
+        v: &Value,
+        path: &str,
+        metrics: &mut BTreeMap<String, f64>,
+        series: &mut BTreeMap<String, TimeSeries>,
+    ) {
+        let at =
+            |key: &str| if path.is_empty() { key.to_string() } else { format!("{path}/{key}") };
+        let number = match *v {
+            Value::U64(u) => Some(u as f64),
+            Value::I64(i) => Some(i as f64),
+            Value::F64(x) => Some(x).filter(|x| x.is_finite()),
+            _ => None,
+        };
+        if let Some(x) = number {
+            metrics.insert(path.to_string(), x);
+        }
+        match v {
+            Value::Array(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    walk(item, &at(&i.to_string()), metrics, series);
+                }
+            }
+            Value::Object(members) => match TimeSeries::from_json(v) {
+                Ok(s) => {
+                    if let (Some(first), Some(last)) = (s.first_value(), s.last_value()) {
+                        metrics.insert(at("initial"), first);
+                        metrics.insert(at("final"), last);
+                    }
+                    series.insert(path.to_string(), s);
+                }
+                Err(_) => {
+                    for (key, member) in members {
+                        walk(member, &at(key), metrics, series);
+                    }
+                }
+            },
+            _ => {}
         }
     }
-    (metrics, runs.to_json())
+    let (mut metrics, mut series) = (BTreeMap::new(), BTreeMap::new());
+    walk(report, "", &mut metrics, &mut series);
+    (metrics, series)
 }
 
 // ------------------------------------------------------------- gate ----
@@ -614,8 +535,8 @@ pub fn check_gates(agg: &SweepAggregate, gates: &[GateSpec]) -> Vec<String> {
 // -------------------------------------------------------------- cli ----
 
 /// The command line's `--seeds N` mode: run (or resume) the sweep under `root`,
-/// print the aggregate (summary table, and the mean curve with its
-/// confidence band for the curve experiments), evaluate `gates`, and turn
+/// print the aggregate (summary table, and each series' mean with its
+/// confidence band), evaluate `gates`, and turn
 /// the outcome into an exit code.
 pub fn run_cli(
     cfg: &SweepConfig,
@@ -626,7 +547,7 @@ pub fn run_cli(
     use std::process::ExitCode;
     println!(
         "sweep: {} at {} scale, {} seeds off base seed {}{}",
-        cfg.experiment.label(),
+        cfg.label(),
         scale_label(cfg.scale),
         cfg.seeds,
         cfg.base_seed,
@@ -649,17 +570,14 @@ pub fn run_cli(
     crate::report::print_ci_table(
         &format!(
             "{} sweep — {} seeds, mean ± 95% CI (config {})",
-            agg.experiment,
+            cfg.label(),
             agg.seeds.len(),
             agg.config_hash
         ),
         &agg.metrics,
     );
-    if let Some(curve) = &agg.mean_curve {
-        if let Some(ci) = &curve.ci {
-            println!("\n{}", crate::plot::ascii_band_chart(&curve.series, &ci.point_ci95, 72, 14));
-            println!("final value {}   improvement {}", ci.final_value, ci.improvement);
-        }
+    for (path, band) in &agg.series {
+        println!("\n{path}:\n{}", crate::plot::ascii_band_chart(&band.mean, &band.ci95, 72, 14));
     }
     println!("(wrote {})", outcome.dir.join("aggregate.json").display());
 
@@ -681,14 +599,7 @@ mod tests {
     use super::*;
 
     fn tiny_cfg() -> SweepConfig {
-        SweepConfig {
-            experiment: SweepExperiment::Fig6,
-            scale: Scale::Quick,
-            base_seed: 5,
-            seeds: 4,
-            topology: Some(Topology::Tiny),
-            n: Some(24),
-        }
+        SweepConfig::new("fig6", "a", Scale::Quick, 5, 4)
     }
 
     #[test]
@@ -699,7 +610,7 @@ mod tests {
         b.seeds = 5;
         assert_ne!(a.hash(), b.hash());
         let mut c = tiny_cfg();
-        c.n = Some(25);
+        c.panel = Some("b".into());
         assert_ne!(a.hash(), c.hash());
         let mut d = tiny_cfg();
         d.base_seed = 6;
@@ -744,8 +655,8 @@ mod tests {
         assert!(s.ci95.is_some());
         // Identical samples keep a zero-width interval.
         assert_eq!(a.metrics["improvement"].ci95, Some(0.0));
-        // fig6 payloads were null here, so no mean curve could be built.
-        assert!(a.mean_curve.is_none());
+        // The payloads were null here, so they hold no series.
+        assert!(a.series.is_empty());
     }
 
     #[test]
@@ -775,8 +686,8 @@ mod tests {
 
     #[test]
     fn gate_spec_parses() {
-        let g = GateSpec::parse("stretch_final=0.05").unwrap();
-        assert_eq!(g.metric, "stretch_final");
+        let g = GateSpec::parse("1/series/final=0.05").unwrap();
+        assert_eq!(g.metric, "1/series/final");
         assert!((g.max_ci95 - 0.05).abs() < 1e-12);
         assert!(GateSpec::parse("nope").is_none());
         assert!(GateSpec::parse("=0.05").is_none());
@@ -785,20 +696,116 @@ mod tests {
     }
 
     #[test]
-    fn experiment_labels_round_trip() {
-        // Label → registry entry → its unit's experiment, and the labels are
-        // the directory names sweeps already on disk were written under.
-        for (e, label) in [
-            (SweepExperiment::Fig5, "fig5"),
-            (SweepExperiment::Fig6, "fig6"),
-            (SweepExperiment::Fig7, "fig7"),
-            (SweepExperiment::Ablation, "ablation"),
-            (SweepExperiment::Faults, "faults"),
-            (SweepExperiment::Traffic, "traffic"),
-        ] {
-            assert_eq!(e.label(), label);
-            let unit = registry::find(label).and_then(|entry| entry.unit);
-            assert_eq!(unit.map(|u| u.experiment), Some(e));
+    fn flatten_names_every_number() {
+        let report = json::parse(
+            r#"{"rows": [{"label": "PROP-G", "msgs": 12, "rate": 0.5, "ok": true},
+                         {"label": "PROP-O", "msgs": 18, "rate": -1.5, "ok": false}],
+                "curve": {"series": {"label": "n=120", "points": [[0, 8.0], [5, 6.0], [10, 4.0]]},
+                          "improvement": 0.5},
+                "delta": -3,
+                "note": "skipped",
+                "missing": null}"#,
+        )
+        .unwrap();
+        let (metrics, series) = flatten(&report);
+        let names: Vec<&str> = metrics.keys().map(String::as_str).collect();
+        assert_eq!(
+            names,
+            [
+                "curve/improvement",
+                "curve/series/final",
+                "curve/series/initial",
+                "delta",
+                "rows/0/msgs",
+                "rows/0/rate",
+                "rows/1/msgs",
+                "rows/1/rate",
+            ]
+        );
+        assert_eq!(metrics["rows/1/rate"], -1.5);
+        assert_eq!(metrics["delta"], -3.0);
+        assert_eq!((metrics["curve/series/initial"], metrics["curve/series/final"]), (8.0, 4.0));
+        // The series is one entry, whole; its points name no metric.
+        assert_eq!(series.keys().collect::<Vec<_>>(), ["curve/series"]);
+        assert_eq!(series["curve/series"].points, [(0.0, 8.0), (5.0, 6.0), (10.0, 4.0)]);
+    }
+
+    #[test]
+    fn mean_series_is_pointwise_and_skips_a_length_mismatch() {
+        let cfg = tiny_cfg();
+        let rec = |k: usize, payload: &str| SeedRecord {
+            index: k,
+            seed: cfg.seed_for(k),
+            metrics: BTreeMap::new(),
+            payload: json::parse(payload).unwrap(),
+        };
+        let agg = aggregate(
+            &cfg,
+            "h",
+            &[
+                rec(
+                    0,
+                    r#"[{"label": "a", "points": [[0, 2.0], [5, 4.0]]},
+                           {"label": "b", "points": [[0, 1.0]]}]"#,
+                ),
+                rec(
+                    1,
+                    r#"[{"label": "a", "points": [[0, 4.0], [5, 8.0]]},
+                           {"label": "b", "points": [[0, 1.0], [5, 1.0]]}]"#,
+                ),
+            ],
+        );
+        assert_eq!(agg.series.keys().collect::<Vec<_>>(), ["0"]);
+        let band = &agg.series["0"];
+        assert_eq!(band.mean.label, "a (mean of 2 seeds)");
+        assert_eq!(band.mean.points, [(0.0, 3.0), (5.0, 6.0)]);
+        assert_eq!(band.ci95.len(), 2);
+        assert!(band.ci95.iter().all(|w| w.is_some_and(|w| w > 0.0)));
+    }
+
+    /// A process-unique scratch root (no wall clock: test name + pid).
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("prop-sweep-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("create scratch root");
+        dir
+    }
+
+    #[test]
+    fn every_panel_sweeps() {
+        let root = scratch("every-panel");
+        for e in &registry::EXPERIMENTS {
+            for p in e.panels.iter().filter(|p| p.run.is_some()) {
+                let cfg = SweepConfig::new(e.name, p.name, Scale::Quick, 1, 2);
+                let outcome = run_sweep(&cfg, &root, false)
+                    .unwrap_or_else(|err| panic!("{}: {err}", cfg.label()));
+                assert_eq!(outcome.dir, root.join(cfg.dir_name()));
+                let read = |k: usize| -> SeedRecord {
+                    let text = fs::read_to_string(seed_file(&outcome.dir, k)).unwrap();
+                    json::from_str(&text).unwrap()
+                };
+                let (a, b) = (read(0), read(1));
+                let names = |r: &SeedRecord| r.metrics.keys().cloned().collect::<Vec<_>>();
+                assert_eq!(names(&a), names(&b), "{}: names differ across seeds", cfg.label());
+                assert!(!a.metrics.is_empty(), "{}: no metric", cfg.label());
+                for (name, x) in a.metrics.iter().chain(&b.metrics) {
+                    assert!(x.is_finite(), "{} {name} = {x}", cfg.label());
+                }
+            }
         }
+        // A panel without a run (S1's report is the experiment's own) is not sweepable.
+        let scale = SweepConfig::new("scale", "", Scale::Quick, 1, 2);
+        assert!(matches!(run_sweep(&scale, &root, false), Err(SweepError::NotSweepable(_))));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn directory_names_the_experiment_and_its_named_panel() {
+        assert_eq!(tiny_cfg().dir_name(), "sweep-fig6-a-quick-s5");
+        let traffic = SweepConfig::new("traffic", "", Scale::Paper, 1, 8);
+        assert_eq!(
+            (traffic.dir_name(), traffic.label()),
+            ("sweep-traffic-paper-s1".into(), "traffic".into())
+        );
     }
 }

@@ -177,6 +177,13 @@ pub fn run_comparison(spec: &ScenarioSpec, scale: Scale) -> Vec<TrafficRunReport
     TrafficDriver::COMPARE.into_iter().map(|d| run_scenario(spec, d, scale)).collect()
 }
 
+/// The S4 panel, as one seed of a sweep runs it: the headline comparison
+/// on the first builtin scenario, the one `prop traffic` runs by default.
+pub fn default_comparison(scale: Scale, seed: u64) -> Vec<TrafficRunReport> {
+    let spec = builtin_scenario(BUILTIN_SCENARIOS[0], scale, seed).expect("a builtin scenario");
+    run_comparison(&spec, scale)
+}
+
 /// A PROP arm of [`run_scenario`] — the three differ in timing mode and
 /// config only: attach the scripted faults, if any, and pump, reading
 /// progress off the driver's [`prop_core::Overhead`].
@@ -345,17 +352,13 @@ pub const BUILTIN_SCENARIOS: [&str; 2] = ["diurnal-regional", "flash-crowd"];
 
 /// Built-in scenarios for `prop traffic`, the sweep orchestrator, and CI:
 /// the two committed example scripts, regenerated at any scale.
-/// `topology`/`n` override the scale defaults (the sweep does this for its
-/// tiny test fixtures).
 pub fn builtin_scenario(
     name: &str,
     scale: Scale,
     seed: u64,
-    topology: Option<Topology>,
-    n: Option<usize>,
 ) -> Result<ScenarioSpec, ScenarioError> {
-    let topo = topology.unwrap_or(scale.topology());
-    let n = n.unwrap_or(scale.default_n());
+    let topo = scale.topology();
+    let n = scale.default_n();
     let horizon_ms = scale.horizon().as_millis();
     // Compress a full 24-hour diurnal day into the run.
     let hour_ms = (horizon_ms / prop_workloads::traffic::HOURS_PER_DAY).max(1);
@@ -564,18 +567,17 @@ mod tests {
 
     #[test]
     fn builtin_scenarios_build_at_quick_scale() {
-        let d = builtin_scenario("diurnal-regional", Scale::Quick, 1, None, None).unwrap();
+        let d = builtin_scenario("diurnal-regional", Scale::Quick, 1).unwrap();
         assert_eq!(d.topology, "ts-small");
         assert_eq!(d.traffic.domains.len(), 4);
         assert_eq!(d.traffic.buckets(), 24, "a full compressed day");
-        let f = builtin_scenario("flash-crowd", Scale::Quick, 1, Some(Topology::Tiny), Some(24))
-            .unwrap();
-        assert_eq!(f.n, 24);
+        let f = builtin_scenario("flash-crowd", Scale::Quick, 1).unwrap();
+        assert_eq!(f.n, Scale::Quick.default_n());
         assert_eq!(f.traffic.flash_crowds.len(), 2);
         for name in BUILTIN_SCENARIOS {
-            assert!(builtin_scenario(name, Scale::Quick, 1, None, None).is_ok(), "{name}");
+            assert!(builtin_scenario(name, Scale::Quick, 1).is_ok(), "{name}");
         }
-        let e = builtin_scenario("bogus", Scale::Quick, 1, None, None).unwrap_err();
+        let e = builtin_scenario("bogus", Scale::Quick, 1).unwrap_err();
         assert!(matches!(&e, ScenarioError::UnknownBuiltin(name) if name == "bogus"), "{e}");
     }
 

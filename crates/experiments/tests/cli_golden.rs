@@ -24,7 +24,7 @@ const INVOCATIONS: &[(&str, &[&str])] = &[
     ("faults", &["--quick", "--seed", "1"]),
     ("traffic", &["diurnal-regional", "--quick"]),
     ("traffic", &["flash-crowd", "--quick", "--driver", "both"]),
-    ("fig6", &["--quick", "--seeds", "2"]),
+    ("fig6", &["a", "--quick", "--seeds", "2"]),
     ("fig6", &["--quick", "--traffic", "{examples}/flash_crowd.json"]),
     ("scale", &["--quick", "--seed", "1", "--n", "2000"]),
 ];
@@ -47,10 +47,12 @@ const GOLDEN: &[(&str, u64)] = &[
     ("results/fig5a.json", 0x846075754476fe7f),
     ("results/fig5b.json", 0x3b9069f4555165be),
     ("results/fig5c.json", 0x8c9e5f17641c04dc),
-    ("results/fig6_scripted.json", 0xafc662c496bf35ce),
-    ("results/fig6a.json", 0xedc434e5f4d94e93),
-    ("results/fig6b.json", 0x79356ad55cc6c7f9),
-    ("results/fig6c.json", 0x9854eda049c19b4d),
+    // The fig6 curves carry their run's `trials` and `msgs_per_trial` since
+    // the sweep reads its overhead metrics from the report.
+    ("results/fig6_scripted.json", 0x0594c611b03cb995),
+    ("results/fig6a.json", 0xc8177485a2a23eed),
+    ("results/fig6b.json", 0x56f5d022ac048642),
+    ("results/fig6c.json", 0x2e4a00695ccb23fc),
     ("results/fig7.json", 0x7ff87323a18eeff5),
     ("results/generality.json", 0x7a6ff612e2c7a87f),
     // Re-pinned when the coordinate-embedded tier went (the file lost its
@@ -60,15 +62,18 @@ const GOLDEN: &[(&str, u64)] = &[
     // 20-host stub domains instead of widening 150: at n = 2,000 the
     // substrate went from 150 domains of 14 hosts to 100 of 20.
     ("results/scale.json", 0x0240fcb58428f4d9),
-    ("results/sweep-fig6-quick-s1/aggregate.json", 0x46f171f90849a893),
-    ("results/sweep-fig6-quick-s1/manifest.json", 0xa55540ac25bfb8b3),
-    ("results/sweep-fig6-quick-s1/seed-0.json", 0x34f6a1ee4d8438ec),
-    ("results/sweep-fig6-quick-s1/seed-1.json", 0x7949b47d47d3122c),
-    ("results/traffic_diurnal-regional_prop-g.json", 0x9b3028bd39cea769),
-    ("results/traffic_diurnal-regional_prop-o.json", 0x888c5dc9c0b28e91),
-    ("results/traffic_diurnal-regional_selfish.json", 0xe1b376dc49541007),
-    ("results/traffic_flash-crowd_async.json", 0x15bad2a7a537855e),
-    ("results/traffic_flash-crowd_prop-o.json", 0x79c390aebf645c5e),
+    // The sweep repeats a registered panel (Fig. 6 (a)) and names its
+    // metrics by their path in that panel's report.
+    ("results/sweep-fig6-a-quick-s1/aggregate.json", 0x6dcead7b0cf5dd84),
+    ("results/sweep-fig6-a-quick-s1/manifest.json", 0x52c101d6a26fcbf5),
+    ("results/sweep-fig6-a-quick-s1/seed-0.json", 0xf6432e2fbea6c9fe),
+    ("results/sweep-fig6-a-quick-s1/seed-1.json", 0x83a0808d0db26147),
+    // A traffic report carries its `delivery_rate` and `msgs_per_trial`.
+    ("results/traffic_diurnal-regional_prop-g.json", 0x9b17305585bedd5b),
+    ("results/traffic_diurnal-regional_prop-o.json", 0xa02e3691478032fd),
+    ("results/traffic_diurnal-regional_selfish.json", 0x04e0501effc9eae0),
+    ("results/traffic_flash-crowd_async.json", 0xb409c160ccf09d85),
+    ("results/traffic_flash-crowd_prop-o.json", 0x8e89093658e89c3e),
 ];
 
 /// Wall-clock fields of `scale.json`, removed before hashing.

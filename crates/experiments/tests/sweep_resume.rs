@@ -1,4 +1,5 @@
-//! Sweep manifest resume semantics, end to end on a miniature fig6 sweep:
+//! Sweep manifest resume semantics, end to end on a quick-scale sweep of
+//! Fig. 6 (a):
 //!
 //! * an interrupted sweep (manifest truncated to half its completed
 //!   seeds) resumed with `--resume` reproduces the uninterrupted
@@ -9,10 +10,7 @@
 //!   start.
 
 use prop_engine::json;
-use prop_experiments::setup::Topology;
-use prop_experiments::sweep::{
-    run_sweep, SeedStatus, SweepConfig, SweepError, SweepExperiment, SweepManifest,
-};
+use prop_experiments::sweep::{run_sweep, SeedStatus, SweepConfig, SweepError, SweepManifest};
 use prop_experiments::Scale;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -25,15 +23,8 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn tiny_cfg(seeds: usize) -> SweepConfig {
-    SweepConfig {
-        experiment: SweepExperiment::Fig6,
-        scale: Scale::Quick,
-        base_seed: 5,
-        seeds,
-        topology: Some(Topology::Tiny),
-        n: Some(24),
-    }
+fn quick_cfg(seeds: usize) -> SweepConfig {
+    SweepConfig::new("fig6", "a", Scale::Quick, 5, seeds)
 }
 
 fn read_manifest(dir: &Path) -> SweepManifest {
@@ -46,7 +37,7 @@ fn write_manifest(dir: &Path, m: &SweepManifest) {
 
 #[test]
 fn interrupted_sweep_resumes_to_byte_identical_aggregate() {
-    let cfg = tiny_cfg(6);
+    let cfg = quick_cfg(6);
 
     // Reference: one uninterrupted 6-seed sweep.
     let root_a = scratch("uninterrupted");
@@ -78,23 +69,24 @@ fn interrupted_sweep_resumes_to_byte_identical_aggregate() {
     let resumed_bytes = fs::read(resumed.dir.join("aggregate.json")).unwrap();
     assert_eq!(resumed_bytes, reference, "resumed aggregate diverged from the uninterrupted one");
 
-    // Sanity on content: fig6 sweeps carry stretch + overhead CIs and a
-    // mean curve with an error-bar block.
+    // Sanity on content: a fig6 sweep carries stretch and overhead CIs per
+    // curve, and each curve's mean with its band.
     let agg = &resumed.aggregate;
-    for metric in ["stretch_final", "stretch_initial", "improvement", "overhead_msgs_per_trial"] {
+    for metric in ["1/series/final", "1/series/initial", "1/improvement", "1/msgs_per_trial"] {
         let s = agg.metrics.get(metric).unwrap_or_else(|| panic!("missing metric {metric}"));
         assert_eq!(s.n, 6);
         assert!(s.ci95.is_some(), "{metric} must have a CI at n=6");
     }
-    let curve = agg.mean_curve.as_ref().expect("fig6 sweep builds a mean curve");
-    let ci = curve.ci.as_ref().expect("mean curve carries the CI block");
-    assert_eq!(ci.seeds, 6);
-    assert_eq!(ci.point_ci95.len(), curve.series.points.len());
+    let paths: Vec<&str> = agg.series.keys().map(String::as_str).collect();
+    assert_eq!(paths, ["0/series", "1/series", "2/series", "3/series"]);
+    let band = &agg.series["1/series"];
+    assert_eq!(band.mean.label, "n=120, nhops=2 (mean of 6 seeds)");
+    assert_eq!(band.ci95.len(), band.mean.points.len());
 }
 
 #[test]
 fn corrupted_seed_record_is_rerun_not_trusted() {
-    let cfg = tiny_cfg(3);
+    let cfg = quick_cfg(3);
     let root = scratch("corrupt");
     let full = run_sweep(&cfg, &root, false).expect("sweep");
     let reference = fs::read(full.dir.join("aggregate.json")).unwrap();
@@ -112,14 +104,14 @@ fn corrupted_seed_record_is_rerun_not_trusted() {
 
 #[test]
 fn changed_config_refuses_to_resume() {
-    let cfg = tiny_cfg(3);
+    let cfg = quick_cfg(3);
     let root = scratch("config-change");
     run_sweep(&cfg, &root, false).expect("sweep");
 
-    // Same directory name (same experiment/scale/base seed), different
-    // membership: the config hash differs, resume must refuse.
+    // Same directory name (same experiment, panel, scale and base seed),
+    // different config: the hash differs, resume must refuse.
     let mut changed = cfg.clone();
-    changed.n = Some(32);
+    changed.seeds = 2;
     match run_sweep(&changed, &root, true) {
         Err(SweepError::ConfigChanged { manifest, requested }) => {
             assert_ne!(manifest, requested);
@@ -129,18 +121,18 @@ fn changed_config_refuses_to_resume() {
         other => panic!("expected ConfigChanged, got {other:?}", other = other.err()),
     }
 
-    // A different seed count is also a different sweep.
-    let more = tiny_cfg(4);
+    // More seeds is a different sweep too.
+    let more = quick_cfg(4);
     assert!(matches!(run_sweep(&more, &root, true), Err(SweepError::ConfigChanged { .. })));
 
     // Without --resume the changed config simply starts over.
     let fresh = run_sweep(&changed, &root, false).expect("fresh run overwrites");
-    assert_eq!((fresh.ran, fresh.reused), (3, 0));
+    assert_eq!((fresh.ran, fresh.reused), (2, 0));
 }
 
 #[test]
 fn resume_without_manifest_is_an_error() {
-    let cfg = tiny_cfg(2);
+    let cfg = quick_cfg(2);
     let root = scratch("no-manifest");
     match run_sweep(&cfg, &root, true) {
         Err(SweepError::NoManifest(path)) => {

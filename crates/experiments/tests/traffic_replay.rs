@@ -9,8 +9,7 @@
 //!   compile to non-empty traffic planes.
 
 use prop_engine::json;
-use prop_experiments::setup::Topology;
-use prop_experiments::sweep::{run_sweep, SeedStatus, SweepConfig, SweepExperiment, SweepManifest};
+use prop_experiments::sweep::{run_sweep, SeedStatus, SweepConfig, SweepManifest};
 use prop_experiments::traffic::{load_scenario, run_scenario, TrafficDriver};
 use prop_experiments::Scale;
 use prop_faults::Scenario as ScenarioSpec;
@@ -71,14 +70,7 @@ fn read_manifest(dir: &Path) -> SweepManifest {
 
 #[test]
 fn interrupted_traffic_sweep_resumes_byte_identically() {
-    let cfg = SweepConfig {
-        experiment: SweepExperiment::Traffic,
-        scale: Scale::Quick,
-        base_seed: 3,
-        seeds: 4,
-        topology: Some(Topology::Tiny),
-        n: Some(24),
-    };
+    let cfg = SweepConfig::new("traffic", "", Scale::Quick, 3, 4);
 
     let root_a = scratch("sweep-uninterrupted");
     let full = run_sweep(&cfg, &root_a, false).expect("uninterrupted sweep");
@@ -108,8 +100,9 @@ fn interrupted_traffic_sweep_resumes_byte_identically() {
         "resumed traffic sweep diverged from the uninterrupted one"
     );
 
-    // The aggregate carries the per-driver headline metrics with CIs.
-    for metric in ["stretch_final/prop-g", "delivery/prop-o", "link_stretch/selfish"] {
+    // The aggregate carries the per-driver headline metrics with CIs:
+    // PROP-G's final stretch, PROP-O's delivery, the selfish run's link stretch.
+    for metric in ["0/series/final", "1/report/delivery_rate", "2/final_link_stretch"] {
         let s = resumed
             .aggregate
             .metrics

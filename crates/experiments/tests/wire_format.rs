@@ -1,8 +1,7 @@
 //! The JSON writer is byte-compatible with what is already committed, and
-//! the real binary's `fig5 a` still produces the committed numbers.
+//! the real binary writes every committed result byte for byte.
 
-use prop_engine::json::{self, FromJson, Value};
-use prop_metrics::TimeSeries;
+use prop_engine::json;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -34,60 +33,44 @@ fn committed_results_round_trip_byte_for_byte() {
     }
 }
 
-/// The series of every curve in a `fig5<panel>.json` document.
-fn curve_series(doc: &Value) -> Vec<TimeSeries> {
-    let Value::Array(curves) = doc else { panic!("a figure file holds an array of curves") };
-    curves
-        .iter()
-        .map(|curve| TimeSeries::from_json(curve.get("series").expect("series")).expect("series"))
-        .collect()
-}
-
-/// Closes the loop through the real binary: `fig5 a` at paper scale, run in
-/// a scratch directory (the committed `results/` are not overwritten),
-/// writes a file the parser reads and whose every sample is within 1e-9 ms
-/// of the committed `results/fig5a.json`. Paper scale wants an optimized
-/// build: `cargo test --release -p prop-experiments --test wire_format -- --ignored`.
+/// Closes the loop through the real binary: the five commands that write
+/// the committed results, run at seed 1 in a scratch directory (the
+/// committed `results/` are not overwritten), write exactly the committed
+/// files, byte for byte. Paper scale wants an optimized build:
+/// `cargo test --release -p prop-experiments --test wire_format -- --ignored`.
 #[test]
-#[ignore = "paper-scale run; use --release"]
-fn fig5a_by_the_real_binary_matches_the_committed_result() {
-    let scratch = std::env::temp_dir().join(format!("prop-fig5a-{}", std::process::id()));
+#[ignore = "paper-scale runs; use --release"]
+fn the_real_binary_writes_every_committed_result() {
+    let scratch = std::env::temp_dir().join(format!("prop-results-{}", std::process::id()));
     let _ = fs::remove_dir_all(&scratch);
     fs::create_dir_all(&scratch).expect("create scratch directory");
-    let status = Command::new(env!("CARGO_BIN_EXE_prop"))
-        .args(["fig5", "a", "--seed", "1"])
-        .current_dir(&scratch)
-        .stdout(std::process::Stdio::null())
-        .status()
-        .expect("run prop fig5");
-    assert!(status.success(), "fig5 a exited with {status}");
-
-    let read = |path: PathBuf| {
-        let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        curve_series(&json::parse(&text).unwrap_or_else(|e| panic!("{}:{e}", path.display())))
-    };
-    let fresh = read(scratch.join("results/fig5a.json"));
-    let committed = read(committed_results().join("fig5a.json"));
-    assert_eq!(fresh.len(), committed.len(), "curve count");
-    for (f, c) in fresh.iter().zip(&committed) {
-        assert_eq!(f.label, c.label);
-        assert_eq!(f.points.len(), c.points.len(), "{}", c.label);
-        for (i, (fp, cp)) in f.points.iter().zip(&c.points).enumerate() {
-            assert!(
-                (fp.0 - cp.0).abs() < 1e-9,
-                "{} sample {i}: minute {} vs {}",
-                c.label,
-                fp.0,
-                cp.0
-            );
-            assert!(
-                (fp.1 - cp.1).abs() < 1e-9,
-                "{} sample {i}: {} ms vs {} ms",
-                c.label,
-                fp.1,
-                cp.1
-            );
-        }
+    for experiment in ["fig5", "fig6", "fig7", "ablation", "generality"] {
+        let status = Command::new(env!("CARGO_BIN_EXE_prop"))
+            .args([experiment, "--seed", "1"])
+            .current_dir(&scratch)
+            .stdout(std::process::Stdio::null())
+            .status()
+            .unwrap_or_else(|e| panic!("run prop {experiment}: {e}"));
+        assert!(status.success(), "{experiment} exited with {status}");
     }
+
+    let names = |dir: PathBuf| -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+            .map(|entry| entry.expect("readable directory entry").file_name())
+            .map(|name| name.into_string().expect("UTF-8 file name"))
+            .collect();
+        names.sort();
+        names
+    };
+    let written = scratch.join("results");
+    assert_eq!(names(written.clone()), names(committed_results()), "files written");
+    let differ: Vec<String> = names(committed_results())
+        .into_iter()
+        .filter(|name| {
+            fs::read(written.join(name)).ok() != fs::read(committed_results().join(name)).ok()
+        })
+        .collect();
+    assert!(differ.is_empty(), "the binary writes other bytes than the committed {differ:?}");
     let _ = fs::remove_dir_all(&scratch);
 }

@@ -10,6 +10,7 @@
 //! event at a time.
 
 use crate::stretch::StretchSummary;
+use prop_engine::json::{ToJson, Value};
 use prop_engine::json_impl;
 
 /// One diurnal phase's share of a traffic run.
@@ -97,7 +98,18 @@ pub struct TrafficReport {
     pub domains: Vec<TrafficDomainRow>,
 }
 
-json_impl!(ToJson for struct TrafficReport { phases, domains });
+/// The rows, then the run's two totals ([`TrafficReport::delivery_rate`],
+/// [`TrafficReport::msgs_per_trial`]) beside them.
+impl ToJson for TrafficReport {
+    fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("phases".to_string(), self.phases.to_json()),
+            ("domains".to_string(), self.domains.to_json()),
+            ("delivery_rate".to_string(), self.delivery_rate().to_json()),
+            ("msgs_per_trial".to_string(), self.msgs_per_trial().to_json()),
+        ])
+    }
+}
 
 impl TrafficReport {
     /// Empty report with one row per phase label and per domain.

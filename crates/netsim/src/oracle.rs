@@ -526,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_config_routes_to_row_cache() {
+    fn cached_config_routes_to_the_search_store() {
         let o = tiny_cached(10, 9);
         assert_eq!(o.tier(), "search");
         assert_eq!(o.cache_stats(), Some(CacheStats::default()));
