@@ -2,9 +2,13 @@
 //!
 //! When several nodes legally satisfy a routing-table entry, pick the
 //! physically closest (Castro et al., "Exploiting network proximity in
-//! peer-to-peer overlay networks"). For Chord, finger `i` of node `n` may
-//! point at any node in `[n + 2^{i-1}, n + 2^i)`; the canonical choice is
-//! the first one, PNS picks the nearest of the first few. For Pastry —
+//! peer-to-peer overlay networks"). For Chord, finger `i` of node `n`
+//! targets `n + 2^i`; the canonical choice is the first ring node at or
+//! after the target, and PNS picks the nearest of the first four ring nodes
+//! at or after it. Those four are consecutive on the ring, so for most of a
+//! node's 64 fingers (every finger whose step is below the gap to its
+//! successor — about 54 of them at n = 1,000) they are the successor and
+//! the next three. For Pastry —
 //! PNS's original home — *any* node with the right prefix+digit satisfies
 //! a routing cell, so PNS picks the nearest over all of them.
 //!
@@ -30,7 +34,7 @@ pub fn build_pns_chord(
     rng: &mut SimRng,
 ) -> (Chord, OverlayNet) {
     let o = Arc::clone(&oracle);
-    Chord::build_with_selector(params, oracle, rng, move |slot, candidates, _i| {
+    Chord::build_with_selector(params, oracle, rng, move |slot, candidates| {
         *candidates
             .iter()
             .min_by_key(|&&c| o.d(slot.index(), c.index()))

@@ -90,58 +90,84 @@ fn first_at_or_after(ids: &[u64], ring: &[Slot], key: u64) -> usize {
 }
 
 /// The textbook finger choice: the first node at or after `id + 2^i`.
-fn canonical(_slot: Slot, candidates: &[Slot], _i: u32) -> Slot {
+fn canonical(_slot: Slot, candidates: &[Slot]) -> Slot {
     candidates[0]
 }
+
+/// How many ring nodes at or after a finger's target the selector sees:
+/// enough for PNS to matter, few enough that a node's 64 fingers cost at
+/// most 64 binary searches and 256 candidate reads.
+const CANDIDATES: usize = 4;
 
 /// The successor/finger rule: routing entries and immediate successor of
 /// every slot on `ring`, indexed by slot (slots off the ring get no
 /// entries). `select` is [`Chord::build_with_selector`]'s.
+///
+/// One pass per node. A finger whose step `2^i` is at most the gap to the
+/// successor is the successor's position (whether or not `id + 2^i` wraps);
+/// every other finger binary-searches `ring_ids`, the ring's identifiers in
+/// ring order. Targets move clockwise with `i`, so each distinct position
+/// comes as one run of fingers: its candidates are gathered and `select` is
+/// called once per run.
 fn routing_state(
     ids: &[u64],
     ring: &[Slot],
     successors: usize,
-    mut select: impl FnMut(Slot, &[Slot], u32) -> Slot,
+    mut select: impl FnMut(Slot, &[Slot]) -> Slot,
 ) -> (Vec<Vec<Slot>>, Vec<Slot>) {
-    // How many legal candidates the selector sees per finger: enough for
-    // PNS to matter, small enough to stay O(n log n).
-    const CANDIDATES: usize = 4;
     let n = ring.len();
+    let ring_ids: Vec<u64> = ring.iter().map(|s| ids[s.index()]).collect();
     let mut successor = vec![Slot(0); ids.len()];
     let mut table: Vec<Vec<Slot>> = vec![Vec::new(); ids.len()];
+    let mut entries: Vec<Slot> = Vec::with_capacity(successors + ID_BITS as usize);
 
     for (r, &s) in ring.iter().enumerate() {
-        successor[s.index()] = ring[(r + 1) % n];
-        let mut entries: Vec<Slot> = Vec::new();
+        let next = (r + 1) % n;
+        successor[s.index()] = ring[next];
+        entries.clear();
         // Successor list.
         for k in 1..=successors.min(n - 1) {
             entries.push(ring[(r + k) % n]);
         }
         // Fingers.
-        let my_id = ids[s.index()];
+        let my_id = ring_ids[r];
+        let gap = ring_ids[next].wrapping_sub(my_id);
+        let mut last_pos = usize::MAX;
         for i in 0..ID_BITS {
-            let target = my_id.wrapping_add(1u64 << i);
-            let pos = first_at_or_after(ids, ring, target);
+            let step = 1u64 << i;
+            let pos = if step <= gap {
+                next
+            } else {
+                let target = my_id.wrapping_add(step);
+                ring_ids.partition_point(|&x| x < target) % n
+            };
+            if pos == last_pos {
+                continue;
+            }
+            last_pos = pos;
             // The canonical finger and the next few ring nodes are all
             // legal "≥ target" choices; present them to the selector.
-            let mut cands = Vec::with_capacity(CANDIDATES);
+            let mut cands = [Slot(0); CANDIDATES];
+            let mut len = 0;
             for k in 0..CANDIDATES.min(n) {
                 let c = ring[(pos + k) % n];
                 if c != s {
-                    cands.push(c);
+                    cands[len] = c;
+                    len += 1;
                 }
             }
-            if cands.is_empty() {
+            if len == 0 {
                 continue;
             }
-            let chosen = select(s, &cands, i);
-            debug_assert!(cands.contains(&chosen), "selector must pick a candidate");
-            entries.push(chosen);
+            let chosen = select(s, &cands[..len]);
+            debug_assert!(cands[..len].contains(&chosen), "selector must pick a candidate");
+            if entries.last() != Some(&chosen) {
+                entries.push(chosen);
+            }
         }
         entries.sort_unstable();
         entries.dedup();
-        entries.retain(|&e| e != s);
-        table[s.index()] = entries;
+        table[s.index()] = entries.to_vec();
     }
     (table, successor)
 }
@@ -159,14 +185,15 @@ impl Chord {
     }
 
     /// Build with a custom finger-candidate selector, the hook the PNS
-    /// baseline uses: for each finger, `select(slot, candidates, i)` picks
-    /// among the first few nodes that legally satisfy finger `i` (candidates
-    /// are in ring order starting at the canonical entry).
+    /// baseline uses: `select(slot, candidates)` picks among the first few
+    /// ring nodes at or after a finger's target (candidates are in ring
+    /// order starting at the canonical entry). It is called once per
+    /// distinct target position, so it must not keep state between calls.
     pub fn build_with_selector(
         params: ChordParams,
         oracle: Arc<LatencyOracle>,
         rng: &mut SimRng,
-        select: impl FnMut(Slot, &[Slot], u32) -> Slot,
+        select: impl FnMut(Slot, &[Slot]) -> Slot,
     ) -> (Chord, OverlayNet) {
         let n = oracle.len();
         assert!(n >= 2, "Chord needs at least two nodes");
@@ -459,7 +486,7 @@ mod tests {
             ChordParams::default(),
             oracle(20, 9),
             &mut rng,
-            |_, cands, _| *cands.last().unwrap(),
+            |_, cands| *cands.last().unwrap(),
         );
         for b in 0..20u32 {
             let out = ch.lookup(&net, Slot(2), Slot(b)).unwrap();
@@ -619,6 +646,108 @@ mod tests {
         let rebuilt = crate::table::graph_from_table(ch.ids.len(), &table);
         for s in 0..ch.ids.len() as u32 {
             assert_eq!(net.graph().neighbors(Slot(s)), rebuilt.neighbors(Slot(s)), "slot {s}");
+        }
+    }
+
+    /// The per-finger rule [`routing_state`] replaced, kept as its twin: a
+    /// binary search through `ids[ring[k]]` and a fresh candidate vector for
+    /// every one of a node's 64 fingers, the selector called per finger.
+    fn routing_state_reference(
+        ids: &[u64],
+        ring: &[Slot],
+        successors: usize,
+        mut select: impl FnMut(Slot, &[Slot]) -> Slot,
+    ) -> (Vec<Vec<Slot>>, Vec<Slot>) {
+        let n = ring.len();
+        let mut successor = vec![Slot(0); ids.len()];
+        let mut table: Vec<Vec<Slot>> = vec![Vec::new(); ids.len()];
+
+        for (r, &s) in ring.iter().enumerate() {
+            successor[s.index()] = ring[(r + 1) % n];
+            let mut entries: Vec<Slot> = Vec::new();
+            for k in 1..=successors.min(n - 1) {
+                entries.push(ring[(r + k) % n]);
+            }
+            let my_id = ids[s.index()];
+            for i in 0..ID_BITS {
+                let target = my_id.wrapping_add(1u64 << i);
+                let pos = first_at_or_after(ids, ring, target);
+                let mut cands = Vec::with_capacity(CANDIDATES);
+                for k in 0..CANDIDATES.min(n) {
+                    let c = ring[(pos + k) % n];
+                    if c != s {
+                        cands.push(c);
+                    }
+                }
+                if cands.is_empty() {
+                    continue;
+                }
+                entries.push(select(s, &cands));
+            }
+            entries.sort_unstable();
+            entries.dedup();
+            entries.retain(|&e| e != s);
+            table[s.index()] = entries;
+        }
+        (table, successor)
+    }
+
+    /// The one-pass rule against the per-finger reference, table for table
+    /// and successor for successor: every ring size from two members up,
+    /// identifiers spread over the ring, half of them clustered just below
+    /// `u64::MAX` (so targets wrap past it onto the spread half), and a
+    /// ring over a subset of the slots (departed slots keep ids but get no
+    /// entries); successor lists of 1, 3 and 8; the canonical selector, a
+    /// pick-last one and PNS's nearest-by-latency one.
+    #[test]
+    fn one_pass_routing_matches_the_per_finger_reference() {
+        let mut rng = SimRng::seed_from(40);
+        let phys = generate(&TransitStubParams::ts_large(), &mut rng);
+        let o = LatencyOracle::select_and_build(&phys, 1000, &mut rng);
+        let m = o.len();
+        let pns = |s: Slot, c: &[Slot]| {
+            *c.iter().min_by_key(|&&c| o.d(s.index() % m, c.index() % m)).unwrap()
+        };
+        let pick_last = |_: Slot, c: &[Slot]| *c.last().unwrap();
+        for n in [2usize, 3, 4, 5, 7, 16, 33, 100, 1000] {
+            for layout in ["spread", "clustered below u64::MAX", "subset ring"] {
+                let slots = if layout == "subset ring" { n + n / 2 + 1 } else { n };
+                let mut used = std::collections::HashSet::new();
+                let ids: Vec<u64> = (0..slots)
+                    .map(|k| loop {
+                        let id = if layout == "spread" || k % 2 == 0 {
+                            rng.range(0..u64::MAX)
+                        } else {
+                            u64::MAX - rng.range(0..4 * n as u64)
+                        };
+                        if used.insert(id) {
+                            break id;
+                        }
+                    })
+                    .collect();
+                let mut ring: Vec<Slot> = (0..slots as u32).map(Slot).collect();
+                rng.shuffle(&mut ring);
+                ring.truncate(n);
+                ring.sort_by_key(|s| ids[s.index()]);
+                for successors in [1, 3, 8] {
+                    let case = format!("n {n}, {layout}, {successors} successors");
+                    assert_eq!(
+                        routing_state(&ids, &ring, successors, canonical),
+                        routing_state_reference(&ids, &ring, successors, canonical),
+                        "{case}, canonical"
+                    );
+                    assert_eq!(
+                        routing_state(&ids, &ring, successors, pick_last),
+                        routing_state_reference(&ids, &ring, successors, pick_last),
+                        "{case}, pick-last"
+                    );
+                    assert_eq!(
+                        routing_state(&ids, &ring, successors, pns),
+                        routing_state_reference(&ids, &ring, successors, pns),
+                        "{case}, PNS"
+                    );
+                }
+            }
         }
     }
 }

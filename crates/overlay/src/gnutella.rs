@@ -50,16 +50,17 @@ pub(crate) fn preferential_attachment(g: &mut LogicalGraph, n: usize, k: usize, 
             endpoints.push(Slot(b));
         }
     }
+    let mut chosen: Vec<Slot> = Vec::with_capacity(k);
     for s in (k + 1)..n {
         let joiner = Slot(s as u32);
-        let mut chosen: Vec<Slot> = Vec::with_capacity(k);
+        chosen.clear();
         while chosen.len() < k {
             let target = *rng.pick(&endpoints).expect("seed clique populated endpoints");
             if target != joiner && !chosen.contains(&target) {
                 chosen.push(target);
             }
         }
-        for t in chosen {
+        for &t in &chosen {
             g.add_edge(joiner, t);
             endpoints.push(joiner);
             endpoints.push(t);

@@ -17,7 +17,7 @@
 //! [`crate::pastry`]), so a PROP-G exchange is a placement transposition
 //! and Kademlia's structure is untouched.
 
-use crate::logical::{LogicalGraph, Slot};
+use crate::logical::Slot;
 use crate::net::OverlayNet;
 use crate::placement::Placement;
 use crate::{FloodScratch, Lookup, RouteOutcome};
@@ -91,14 +91,7 @@ impl Kademlia {
         }
 
         // Undirected logical graph over the contact lists.
-        let mut g = LogicalGraph::new(n);
-        for s in 0..n as u32 {
-            for &e in &contacts[s as usize] {
-                if !g.has_edge(Slot(s), e) {
-                    g.add_edge(Slot(s), e);
-                }
-            }
-        }
+        let g = crate::table::graph_from_table(n, &contacts);
 
         let kad = Kademlia { ids, contacts };
         let net = OverlayNet::new(g, Placement::identity(n), oracle);

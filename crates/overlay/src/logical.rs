@@ -141,6 +141,43 @@ impl LogicalGraph {
         }
     }
 
+    /// Graph with `n` live slots wired with `edges`: each `(a, b)` has
+    /// `a < b < n`, and the list is strictly ascending (sorted, no
+    /// duplicates). Rows are pushed in ascending order at their final
+    /// capacity and every cache is set in one O(n + E) pass — what `new`
+    /// followed by `add_edge` per entry yields, without a sorted insert
+    /// into a growing row per edge.
+    pub fn from_sorted_edges(n: usize, edges: &[(Slot, Slot)]) -> Self {
+        assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges must be strictly ascending");
+        let mut degree = vec![0usize; n];
+        for &(a, b) in edges {
+            assert!(a < b && b.index() < n, "edge {a:?}–{b:?} is not (min, max) over {n} slots");
+            degree[a.index()] += 1;
+            degree[b.index()] += 1;
+        }
+        let mut adj: Vec<Vec<Slot>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+        // Sorted by `a` first, every `(x, a)` with `x < a` precedes every
+        // `(a, y)`: each row receives its smaller neighbours, then its
+        // larger ones, both ascending.
+        for &(a, b) in edges {
+            adj[a.index()].push(b);
+            adj[b.index()].push(a);
+        }
+        let mut deg_count = vec![0usize; degree.iter().max().map_or(0, |&d| d + 1)];
+        for &d in &degree {
+            deg_count[d] += 1;
+        }
+        LogicalGraph {
+            adj,
+            alive: vec![true; n],
+            num_edges: edges.len(),
+            num_live: n,
+            min_deg: degree.iter().copied().min().unwrap_or(0),
+            deg_count,
+            live_index: LiveIndex::with_ones(n),
+        }
+    }
+
     /// Move one live slot from degree `from` to degree `to` in the
     /// histogram, keeping the cached minimum exact.
     fn shift_degree(&mut self, from: usize, to: usize) {
@@ -536,6 +573,32 @@ mod tests {
         assert_eq!(g.live_rank(Slot(3)), 2);
     }
 
+    /// Every cache the graph keeps beside its rows — edge and live
+    /// counters, δ(G), Fenwick rank/select — recounted from the rows, and
+    /// the rows themselves checked sorted, symmetric and live.
+    fn audit(g: &LogicalGraph, at: std::fmt::Arguments) {
+        let live: Vec<Slot> = g.live_slots().collect();
+        assert_eq!(g.num_live(), live.len(), "{at}: live counter");
+        assert_eq!(g.num_edges(), g.edges().count(), "{at}: edge counter");
+        let scan_min = live.iter().map(|&s| g.degree(s)).min();
+        assert_eq!(g.min_degree(), scan_min, "{at}: δ(G)");
+        for (k, &s) in live.iter().enumerate() {
+            assert_eq!(g.live_rank(s), k, "{at}: rank of {s:?}");
+            assert_eq!(g.live_slot_at_rank(k), Some(s), "{at}: select {k}");
+        }
+        assert_eq!(g.live_slot_at_rank(live.len()), None, "{at}: select past end");
+        for i in 0..g.num_slots() {
+            let s = Slot(i as u32);
+            let row = g.neighbors(s);
+            assert!(g.is_alive(s) || row.is_empty(), "{at}: dead {s:?} keeps a row");
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "{at}: row {s:?} unsorted");
+            for &t in row {
+                assert!(g.is_alive(t), "{at}: row {s:?} names dead {t:?}");
+                assert!(g.has_edge(t, s), "{at}: {s:?}–{t:?} is one-sided");
+            }
+        }
+    }
+
     /// Every cache the graph maintains beside its rows — edge and live
     /// counters, the δ(G) histogram, Fenwick rank/select — recounted from
     /// the rows after each step of a seeded storm over all four mutators.
@@ -544,32 +607,9 @@ mod tests {
     /// which no scripted test above reaches.
     #[test]
     fn seeded_mutation_storm_recounts_every_cache() {
-        fn audit(g: &LogicalGraph, step: usize) {
-            let live: Vec<Slot> = g.live_slots().collect();
-            assert_eq!(g.num_live(), live.len(), "step {step}: live counter");
-            assert_eq!(g.num_edges(), g.edges().count(), "step {step}: edge counter");
-            let scan_min = live.iter().map(|&s| g.degree(s)).min();
-            assert_eq!(g.min_degree(), scan_min, "step {step}: δ(G)");
-            for (k, &s) in live.iter().enumerate() {
-                assert_eq!(g.live_rank(s), k, "step {step}: rank of {s:?}");
-                assert_eq!(g.live_slot_at_rank(k), Some(s), "step {step}: select {k}");
-            }
-            assert_eq!(g.live_slot_at_rank(live.len()), None, "step {step}: select past end");
-            for i in 0..g.num_slots() {
-                let s = Slot(i as u32);
-                let row = g.neighbors(s);
-                assert!(g.is_alive(s) || row.is_empty(), "step {step}: dead {s:?} keeps a row");
-                assert!(row.windows(2).all(|w| w[0] < w[1]), "step {step}: row {s:?} unsorted");
-                for &t in row {
-                    assert!(g.is_alive(t), "step {step}: row {s:?} names dead {t:?}");
-                    assert!(g.has_edge(t, s), "step {step}: {s:?}–{t:?} is one-sided");
-                }
-            }
-        }
-
         let mut rng = SimRng::seed_from(14);
         let mut g = LogicalGraph::new(12);
-        audit(&g, 0);
+        audit(&g, format_args!("step 0"));
         for step in 1..=2500 {
             let live: Vec<Slot> = g.live_slots().collect();
             match rng.range(0..10u32) {
@@ -590,9 +630,77 @@ mod tests {
                     }
                 }
             }
-            audit(&g, step);
+            audit(&g, format_args!("step {step}"));
         }
         assert!(g.num_slots() > 128, "storm must append past 128 slots");
         assert!(g.num_live() < g.num_slots() / 2, "most slots must have died below the appends");
+    }
+
+    /// The one-pass constructor against `new` plus an `add_edge` per edge
+    /// in shuffled order and direction: same rows, counters, δ(G) histogram
+    /// and rank index over random edge sets from empty to dense, at n = 0
+    /// and 1 and with isolated slots; then both take the same mutations,
+    /// so the caches it set keep working under the mutators.
+    #[test]
+    fn from_sorted_edges_is_the_add_edge_loop() {
+        let mut rng = SimRng::seed_from(40);
+        for case in 0..300 {
+            let n = match case {
+                0 => 0,
+                1 => 1,
+                _ => rng.range(2..70usize),
+            };
+            let percent = rng.range(0..=100u32);
+            let mut edges = Vec::new();
+            for a in 0..n as u32 {
+                // Every third case leaves its last slot isolated.
+                for b in (a + 1)..n as u32 - (case % 3 == 0) as u32 {
+                    if rng.range(0..100u32) < percent {
+                        edges.push((Slot(a), Slot(b)));
+                    }
+                }
+            }
+            let built = LogicalGraph::from_sorted_edges(n, &edges);
+            let mut looped = LogicalGraph::new(n);
+            let mut order = edges.clone();
+            rng.shuffle(&mut order);
+            for &(a, b) in &order {
+                if rng.range(0..2u32) == 0 {
+                    looped.add_edge(a, b);
+                } else {
+                    looped.add_edge(b, a);
+                }
+            }
+            audit(&built, format_args!("case {case}"));
+            assert_eq!(built.adj, looped.adj, "case {case}: rows");
+            assert_eq!(built.num_edges(), edges.len(), "case {case}: edge counter");
+            assert_eq!(built.deg_count, looped.deg_count, "case {case}: degree histogram");
+            assert_eq!(built.min_degree(), looped.min_degree(), "case {case}: δ(G)");
+            assert_eq!(built.live_index.tree, looped.live_index.tree, "case {case}: rank index");
+            let mut pair = [built, looped];
+            for step in 0..20 {
+                if n < 2 {
+                    break;
+                }
+                let a = Slot(rng.range(0..n as u32));
+                let b = Slot((a.0 + rng.range(1..n as u32)) % n as u32);
+                if !pair[0].is_alive(a) || !pair[0].is_alive(b) {
+                    continue;
+                }
+                for g in &mut pair {
+                    match (step % 7 == 6, g.has_edge(a, b)) {
+                        (true, _) => {
+                            g.remove_slot(a);
+                        }
+                        (false, true) => g.remove_edge(a, b),
+                        (false, false) => g.add_edge(a, b),
+                    }
+                }
+                audit(&pair[0], format_args!("case {case} step {step}"));
+                assert_eq!(pair[0].adj, pair[1].adj, "case {case} step {step}: rows");
+                assert_eq!(pair[0].deg_count, pair[1].deg_count, "case {case} step {step}");
+                assert_eq!(pair[0].min_degree(), pair[1].min_degree(), "case {case} step {step}");
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! As with Chord, identifiers belong to **slots**: PROP-G swaps which peer
 //! answers to which identifier and the prefix structure never changes.
 
-use crate::logical::{LogicalGraph, Slot};
+use crate::logical::Slot;
 use crate::net::OverlayNet;
 use crate::placement::Placement;
 use crate::{FloodScratch, Lookup, RouteOutcome};
@@ -163,21 +163,12 @@ impl Pastry {
             table.push(t);
         }
 
-        // Logical graph: union of leaf sets and routing entries.
-        let mut g = LogicalGraph::new(n);
-        for s in 0..n as u32 {
-            let slot = Slot(s);
-            for &l in &leaves[s as usize] {
-                if !g.has_edge(slot, l) {
-                    g.add_edge(slot, l);
-                }
-            }
-            for e in table[s as usize].iter().flatten() {
-                if *e != slot && !g.has_edge(slot, *e) {
-                    g.add_edge(slot, *e);
-                }
-            }
-        }
+        // Logical graph: union of leaf sets and routing entries (neither
+        // holds the slot itself: leaf sets drop it, cells come from pairs).
+        let entries: Vec<Vec<Slot>> = (0..n)
+            .map(|s| leaves[s].iter().chain(table[s].iter().flatten()).copied().collect())
+            .collect();
+        let g = crate::table::graph_from_table(n, &entries);
 
         let pastry = Pastry { ids, ring, leaves, table };
         let net = OverlayNet::new(g, Placement::identity(n), oracle);

@@ -4,8 +4,8 @@
 //! derives the undirected [`LogicalGraph`] as the union of the directed
 //! entries. The build wires the union once; a join or leave diffs old vs
 //! new tables and applies the edge delta so churn only touches affected
-//! nodes. Kept apart from Chord so any future table-based overlay (Pastry
-//! leaf sets, say) reuses them.
+//! nodes. Pastry (leaf set ∪ routing cells) and Kademlia (contact lists)
+//! wire their builds through the same [`graph_from_table`].
 
 use crate::logical::{LogicalGraph, Slot};
 use std::collections::HashSet;
@@ -23,18 +23,18 @@ pub fn edge_set(table: &[Vec<Slot>]) -> HashSet<(Slot, Slot)> {
     set
 }
 
-/// Fresh graph over `n` slots wired with `table`'s undirected edge union.
+/// Fresh graph over `n` slots wired with `table`'s undirected edge union:
+/// the directed entries, normalized to `(min, max)`, sorted and deduped
+/// into one list that [`LogicalGraph::from_sorted_edges`] wires in one pass.
 pub fn graph_from_table(n: usize, table: &[Vec<Slot>]) -> LogicalGraph {
-    let mut g = LogicalGraph::new(n);
+    let mut edges: Vec<(Slot, Slot)> = Vec::with_capacity(table.iter().map(Vec::len).sum());
     for (i, entries) in table.iter().enumerate() {
         let s = Slot(i as u32);
-        for &e in entries {
-            if !g.has_edge(s, e) {
-                g.add_edge(s, e);
-            }
-        }
+        edges.extend(entries.iter().map(|&e| (s.min(e), s.max(e))));
     }
-    g
+    edges.sort_unstable();
+    edges.dedup();
+    LogicalGraph::from_sorted_edges(n, &edges)
 }
 
 /// Mutate `g` from `old`'s edge union to `new`'s, edge by edge. Returns the
