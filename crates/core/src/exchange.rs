@@ -17,11 +17,20 @@
 //! Planning never mutates the overlay; [`apply`] does, and the
 //! [`prop_overlay::LogicalGraph`] invariants (no duplicate edges, no
 //! self-loops) plus Theorem 1's path-exclusion rule are enforced here.
+//!
+//! A PROP-O plan classifies the two peers' neighbors by per-slot epoch
+//! stamps (one pass over each row, no search and no merge), prices each
+//! eligible one once through the two peers' bound [`Source`]s and keeps
+//! the `m` best per side against a running threshold. Its [`apply`] moves
+//! the `2m` edges in place ([`prop_overlay::LogicalGraph::exchange_neighbors`]):
+//! every degree is kept, so no row grows and no counter moves.
 
 use crate::config::Policy;
+use crate::neighborq::SlotMarks;
 use prop_netsim::Source;
 use prop_overlay::walk::WalkPath;
 use prop_overlay::{OverlayNet, Slot};
+use std::cell::RefCell;
 
 /// What an exchange will do, plus its evaluated benefit.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,13 +93,16 @@ pub fn plan_propg(net: &OverlayNet, u: Slot, v: Slot) -> ExchangePlan {
     ExchangePlan { u, v, var, kind: PlanKind::SwapAll }
 }
 
-/// Driver-owned buffers for [`plan_exchange_into`]: the two sides' candidate
-/// lists and the plan itself, whose `from_u`/`from_v` vectors are refilled
-/// in place. Once they have reached the overlay's largest degree, planning
-/// allocates nothing (pinned by the `alloc_regression` test). Sits beside
-/// the driver's [`prop_overlay::walk::WalkScratch`].
+/// Driver-owned buffers for [`plan_exchange_into`]: per-slot marks over the
+/// slot table, the two sides' candidate lists and the plan itself, whose
+/// `from_u`/`from_v` vectors are refilled in place. Once the lists have
+/// reached the overlay's largest degree and the marks its slot count,
+/// planning allocates nothing (pinned by the `alloc_regression` test).
+/// Sits beside the driver's [`prop_overlay::walk::WalkScratch`].
 #[derive(Debug)]
 pub struct PlanScratch {
+    /// Three epochs a plan: "in `u`'s row", "on the path", "shared".
+    marks: SlotMarks,
     /// `(benefit, neighbor)` of every neighbor `u` (resp. `v`) could hand over.
     only_u: Vec<(i64, Slot)>,
     only_v: Vec<(i64, Slot)>,
@@ -100,6 +112,7 @@ pub struct PlanScratch {
 impl Default for PlanScratch {
     fn default() -> Self {
         PlanScratch {
+            marks: SlotMarks::default(),
             only_u: Vec::new(),
             only_v: Vec::new(),
             plan: ExchangePlan { u: Slot(0), v: Slot(0), var: 0, kind: PlanKind::SwapAll },
@@ -107,62 +120,64 @@ impl Default for PlanScratch {
     }
 }
 
+thread_local! {
+    /// The scratch of the calls that hand back a plan of their own
+    /// ([`plan_exchange`], [`plan_propo`], [`plan_propo_random`]), one per
+    /// thread: a fresh one would zero marks over the whole slot table for
+    /// every plan.
+    static SCRATCH: RefCell<PlanScratch> = RefCell::new(PlanScratch::default());
+}
+
 /// The neighbors each end of `walk` could hand to the other under
 /// [`plan_propo`]'s two eligibility rules (`u` and `v` are on the path, so
 /// the first rule covers them too), each with its benefit: moving `x` from
 /// `a` to `b` lowers the total latency by `d(a, x) − d(b, x)`.
 ///
-/// Two passes, neither with a data-dependent branch. A merge over the two
-/// sorted adjacency rows writes each row's head at its side's end, and
-/// moves that end on only if the head is the smaller (a shared slot is
-/// neither side's). Then each side is priced from the two peers'
-/// [`Source`]s in place, and a slot on the path is dropped the same way:
-/// written, and its end not moved on — a compare against each path node,
-/// no search. Each side's list comes out in ascending slot order.
+/// Three fresh epochs of `marks` classify the slots, so no row is searched
+/// and none is merged with the other: `u`'s row is stamped "in `u`", then
+/// the path nodes "on path" (over the first stamp where a path node is
+/// `u`'s neighbor). One pass over `v`'s row turns an "in `u`" slot into
+/// "shared" and prices every other slot not on the path from the two
+/// peers' [`Source`]s; one pass over `u`'s row prices the slots still "in
+/// `u`". Each side's list comes out in ascending slot order.
 fn exclusive_neighbors(
     net: &OverlayNet,
     walk: &WalkPath,
     (u, v): (Slot, Slot),
+    marks: &mut SlotMarks,
     only_u: &mut Vec<(i64, Slot)>,
     only_v: &mut Vec<(i64, Slot)>,
 ) {
-    let (row_u, row_v) = (net.graph().neighbors(u), net.graph().neighbors(v));
-    only_u.clear();
-    only_v.clear();
-    only_u.resize(row_u.len(), (0, u));
-    only_v.resize(row_v.len(), (0, v));
-    let (mut i, mut j, mut nu, mut nv) = (0, 0, 0, 0);
-    while i < row_u.len() && j < row_v.len() {
-        let (x, y) = (row_u[i], row_v[j]);
-        only_u[nu].1 = x;
-        only_v[nv].1 = y;
-        nu += usize::from(x < y);
-        nv += usize::from(y < x);
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
+    let g = net.graph();
+    let (row_u, row_v) = (g.neighbors(u), g.neighbors(v));
+    let in_u = marks.open(g.num_slots(), 3);
+    let (on_path, shared) = (in_u + 1, in_u + 2);
+    for &x in row_u {
+        marks.set(x, in_u);
     }
-    let tail = |side: &mut Vec<(i64, Slot)>, n: usize, rest: &[Slot]| {
-        side.truncate(n);
-        side.extend(rest.iter().map(|&x| (0, x)));
-    };
-    tail(only_u, nu, &row_u[i..]);
-    tail(only_v, nv, &row_v[j..]);
+    for &s in &walk.path {
+        marks.set(s, on_path);
+    }
 
     let oracle = net.oracle();
     let (from_u, from_v) = (oracle.source(net.peer(u)), oracle.source(net.peer(v)));
-    let price = |side: &mut Vec<(i64, Slot)>, give: &Source, take: &Source| {
-        let mut n = 0;
-        for at in 0..side.len() {
-            let x = side[at].1;
-            let p = net.peer(x);
-            side[n] = (give.to(p) as i64 - take.to(p) as i64, x);
-            let on_path = walk.path.iter().fold(false, |hit, &s| hit | (s == x));
-            n += usize::from(!on_path);
+    only_v.clear();
+    for &y in row_v {
+        let mark = marks.get(y);
+        if mark == in_u {
+            marks.set(y, shared);
+        } else if mark != on_path {
+            let p = net.peer(y);
+            only_v.push((from_v.to(p) as i64 - from_u.to(p) as i64, y));
         }
-        side.truncate(n);
-    };
-    price(only_u, &from_u, &from_v);
-    price(only_v, &from_v, &from_u);
+    }
+    only_u.clear();
+    for &x in row_u {
+        if marks.get(x) == in_u {
+            let p = net.peer(x);
+            only_u.push((from_u.to(p) as i64 - from_v.to(p) as i64, x));
+        }
+    }
 }
 
 /// PROP-O's strict offer order: larger benefit first, lower slot on a tie.
@@ -172,21 +187,24 @@ fn offer_order(p: &(i64, Slot), q: &(i64, Slot)) -> std::cmp::Ordering {
 }
 
 /// Bring the `k` best offers (`1 ≤ k ≤ len`) to the front of `side`, in
-/// offer order, and return their summed benefit. The first `k` are sorted,
-/// then each later offer is compared with the `k`-th best so far and, only
-/// if it is better, inserted into the prefix in place: one comparison for
-/// most offers, and `k` is PROP-O's `m`, a handful.
+/// offer order, and return their summed benefit. The first `k` are sorted
+/// and the `k`-th best is held in a local; each later offer is compared
+/// with it once and, only if it is better, inserted into the prefix in
+/// place (the `k`-th falls out) and the local refreshed. `k` is PROP-O's
+/// `m`, a handful. What lies past the prefix afterwards is not read.
 fn keep_best(side: &mut [(i64, Slot)], k: usize) -> i64 {
     let (best, rest) = side.split_at_mut(k);
     best.sort_unstable_by(offer_order);
-    for offer in rest {
-        if offer_order(offer, &best[k - 1]).is_lt() {
-            std::mem::swap(offer, &mut best[k - 1]);
+    let mut kth = best[k - 1];
+    for &offer in rest.iter() {
+        if offer_order(&offer, &kth).is_lt() {
             let mut at = k - 1;
-            while at > 0 && offer_order(&best[at], &best[at - 1]).is_lt() {
-                best.swap(at, at - 1);
+            while at > 0 && offer_order(&offer, &best[at - 1]).is_lt() {
+                best[at] = best[at - 1];
                 at -= 1;
             }
+            best[at] = offer;
+            kth = best[k - 1];
         }
     }
     best.iter().map(|&(benefit, _)| benefit).sum()
@@ -206,8 +224,7 @@ fn keep_best(side: &mut [(i64, Slot)], k: usize) -> i64 {
 /// `d(self, x) − d(other, x)`). Returns `None` when no pair of eligible
 /// neighbors exists.
 pub fn plan_propo(net: &OverlayNet, walk: &WalkPath, m: usize) -> Option<ExchangePlan> {
-    let mut scratch = PlanScratch::default();
-    plan_propo_into(net, walk, m, &mut scratch).then_some(scratch.plan)
+    SCRATCH.with_borrow_mut(|s| plan_propo_into(net, walk, m, s).then(|| s.plan.clone()))
 }
 
 /// [`plan_propo`] into `scratch.plan`; `false` when there is no plan.
@@ -216,8 +233,8 @@ fn plan_propo_into(net: &OverlayNet, walk: &WalkPath, m: usize, scratch: &mut Pl
     if u == v || m == 0 {
         return false;
     }
-    let PlanScratch { only_u, only_v, plan } = scratch;
-    exclusive_neighbors(net, walk, (u, v), only_u, only_v);
+    let PlanScratch { marks, only_u, only_v, plan } = scratch;
+    exclusive_neighbors(net, walk, (u, v), marks, only_u, only_v);
     let k = m.min(only_u.len()).min(only_v.len());
     if k == 0 {
         return false;
@@ -252,38 +269,38 @@ pub fn plan_propo_random(
     if u == v || m == 0 {
         return None;
     }
-    let (mut eu, mut ev) = (Vec::new(), Vec::new());
-    exclusive_neighbors(net, walk, (u, v), &mut eu, &mut ev);
-    let k = m.min(eu.len()).min(ev.len());
-    if k == 0 {
-        return None;
-    }
-    let mut var = 0;
-    let mut pick = |side: &[(i64, Slot)]| -> Vec<Slot> {
-        let picked = rng.sample_distinct(side, k);
-        var += picked.iter().map(|&(benefit, _)| benefit).sum::<i64>();
-        picked.into_iter().map(|(_, x)| x).collect()
-    };
-    let from_u = pick(&eu);
-    let from_v = pick(&ev);
-    Some(ExchangePlan { u, v, var, kind: PlanKind::Subset { from_u, from_v } })
+    SCRATCH.with_borrow_mut(|s| {
+        let PlanScratch { marks, only_u, only_v, .. } = s;
+        exclusive_neighbors(net, walk, (u, v), marks, only_u, only_v);
+        let k = m.min(only_u.len()).min(only_v.len());
+        if k == 0 {
+            return None;
+        }
+        let mut var = 0;
+        let mut pick = |side: &[(i64, Slot)]| -> Vec<Slot> {
+            let picked = rng.sample_distinct(side, k);
+            var += picked.iter().map(|&(benefit, _)| benefit).sum::<i64>();
+            picked.into_iter().map(|(_, x)| x).collect()
+        };
+        let from_u = pick(only_u);
+        let from_v = pick(only_v);
+        Some(ExchangePlan { u, v, var, kind: PlanKind::Subset { from_u, from_v } })
+    })
 }
 
 /// Plan under a [`Policy`]: PROP-G swaps with the walk counterpart, PROP-O
 /// exchanges `m` neighbors (`m_default` supplies the resolved `δ(G)` when
 /// the policy says `m = None`).
 ///
-/// Allocates its buffers per call; the driver plans through
-/// [`plan_exchange_into`] instead.
+/// Plans in the thread's own scratch and hands back a copy of the plan;
+/// the driver plans through [`plan_exchange_into`] instead.
 pub fn plan_exchange(
     net: &OverlayNet,
     policy: Policy,
     walk: &WalkPath,
     m_default: usize,
 ) -> Option<ExchangePlan> {
-    let mut scratch = PlanScratch::default();
-    plan_exchange_into(net, policy, walk, m_default, &mut scratch)?;
-    Some(scratch.plan)
+    SCRATCH.with_borrow_mut(|s| plan_exchange_into(net, policy, walk, m_default, s).cloned())
 }
 
 /// [`plan_exchange`] into caller-owned buffers: the plan is lent out of
@@ -324,25 +341,7 @@ pub fn apply(net: &mut OverlayNet, plan: &ExchangePlan) {
     match &plan.kind {
         PlanKind::SwapAll => net.swap_peers(plan.u, plan.v),
         PlanKind::Subset { from_u, from_v } => {
-            // One neighbor each way per step, both removals first: no row is
-            // ever longer than it was before the exchange, so none outgrows
-            // its buffer.
-            let g = net.graph_mut();
-            for i in 0..from_u.len().max(from_v.len()) {
-                let (x, y) = (from_u.get(i), from_v.get(i));
-                if let Some(&x) = x {
-                    g.remove_edge(plan.u, x);
-                }
-                if let Some(&y) = y {
-                    g.remove_edge(plan.v, y);
-                }
-                if let Some(&x) = x {
-                    g.add_edge(plan.v, x);
-                }
-                if let Some(&y) = y {
-                    g.add_edge(plan.u, y);
-                }
-            }
+            net.graph_mut().exchange_neighbors(plan.u, plan.v, from_u, from_v)
         }
     }
 }
@@ -630,33 +629,16 @@ mod tests {
         assert!(adjacent >= 100 && gains >= 100, "{adjacent} adjacent, {gains} gainful");
     }
 
-    /// The planner this module had before the merge pass, kept as the
-    /// differential reference: filter each row with a `has_edge` search per
-    /// neighbor, sort every candidate, keep the first `m`.
+    /// The planner this module had before the merge pass and the stamps,
+    /// kept as the differential reference: filter each row with a
+    /// `has_edge` search per neighbor, sort every candidate, keep the first
+    /// `m`.
     fn plan_propo_reference(net: &OverlayNet, walk: &WalkPath, m: usize) -> Option<ExchangePlan> {
-        let u = *walk.path.first()?;
-        let v = *walk.path.last()?;
-        if u == v || m == 0 {
-            return None;
-        }
-        let g = net.graph();
-        let eligible = |a: Slot, b: Slot| -> Vec<(i64, Slot)> {
-            let mut out: Vec<(i64, Slot)> = g
-                .neighbors(a)
-                .iter()
-                .copied()
-                .filter(|&x| x != b && !walk.contains(x) && !g.has_edge(b, x))
-                .map(|x| (net.d(a, x) as i64 - net.d(b, x) as i64, x))
-                .collect();
-            out.sort_by(|p, q| q.0.cmp(&p.0).then(p.1.cmp(&q.1)));
-            out
-        };
-        let from_u_all = eligible(u, v);
-        let from_v_all = eligible(v, u);
+        let (u, v, mut from_u_all, mut from_v_all) = eligible_reference(net, walk, m)?;
+        let order = |p: &(i64, Slot), q: &(i64, Slot)| q.0.cmp(&p.0).then(p.1.cmp(&q.1));
+        from_u_all.sort_by(order);
+        from_v_all.sort_by(order);
         let k = m.min(from_u_all.len()).min(from_v_all.len());
-        if k == 0 {
-            return None;
-        }
         let var: i64 = from_u_all[..k].iter().map(|&(b, _)| b).sum::<i64>()
             + from_v_all[..k].iter().map(|&(b, _)| b).sum::<i64>();
         Some(ExchangePlan {
@@ -670,19 +652,76 @@ mod tests {
         })
     }
 
-    /// Differential twin for the merge pass + top-`m` selection: on
+    /// `(benefit, neighbor)` per eligible neighbor of one side.
+    type Offers = Vec<(i64, Slot)>;
+
+    /// Each end's eligible neighbors with their benefits, in row (ascending
+    /// slot) order, by the filter: not the other end, not on the path, not
+    /// already the other end's neighbor. `None` where there is no plan.
+    fn eligible_reference(
+        net: &OverlayNet,
+        walk: &WalkPath,
+        m: usize,
+    ) -> Option<(Slot, Slot, Offers, Offers)> {
+        let u = *walk.path.first()?;
+        let v = *walk.path.last()?;
+        if u == v || m == 0 {
+            return None;
+        }
+        let g = net.graph();
+        let eligible = |a: Slot, b: Slot| -> Offers {
+            g.neighbors(a)
+                .iter()
+                .copied()
+                .filter(|&x| x != b && !walk.contains(x) && !g.has_edge(b, x))
+                .map(|x| (net.d(a, x) as i64 - net.d(b, x) as i64, x))
+                .collect()
+        };
+        let (from_u_all, from_v_all) = (eligible(u, v), eligible(v, u));
+        (m.min(from_u_all.len()).min(from_v_all.len()) > 0)
+            .then_some((u, v, from_u_all, from_v_all))
+    }
+
+    /// A5's random pick over the filtered lists, in the order the filter
+    /// yields them: what `plan_propo_random` must draw, pick for pick.
+    fn plan_propo_random_reference(
+        net: &OverlayNet,
+        walk: &WalkPath,
+        m: usize,
+        rng: &mut SimRng,
+    ) -> Option<ExchangePlan> {
+        let (u, v, eu, ev) = eligible_reference(net, walk, m)?;
+        let k = m.min(eu.len()).min(ev.len());
+        let (pu, pv) = (rng.sample_distinct(&eu, k), rng.sample_distinct(&ev, k));
+        let var = pu.iter().chain(&pv).map(|&(b, _)| b).sum();
+        let slots = |picked: Vec<(i64, Slot)>| picked.into_iter().map(|(_, x)| x).collect();
+        Some(ExchangePlan {
+            u,
+            v,
+            var,
+            kind: PlanKind::Subset { from_u: slots(pu), from_v: slots(pv) },
+        })
+    }
+
+    /// Differential twin for the stamp planner + top-`m` selection: on
     /// preferential-attachment overlays, half of them churned, every walk
     /// (hub origins, adjacent `u`–`v`, shared neighbors, path nodes among
     /// the neighbors) plans identically under both planners for every `m`
     /// from 1 past δ(G) to "more than anyone has", through one scratch
-    /// reused across all of them. Checked against: treating a shared
-    /// neighbor as exclusive, dropping the tail of either row, offering path
-    /// nodes (all of them, or all but the origin), never inserting a later
-    /// offer into the best prefix, inserting it without moving it up,
-    /// leaving the first `m` unsorted, breaking ties by higher slot, and not
+    /// reused across all of them, and A5's random pick draws what the
+    /// filter-order reference draws from the same stream. Each overlay
+    /// starts the scratch's marks a plan or three short of their wrap,
+    /// every slot stamped with an epoch the restart reuses, so every
+    /// overlay plans across a restart that must clear those stamps.
+    /// Checked against the mutations DESIGN §8 lists for the stamps and,
+    /// before them, for the merge pass: treating a shared neighbor as
+    /// exclusive, dropping the tail of either row, offering path nodes
+    /// (all of them, or all but the origin), never inserting a later offer
+    /// into the best prefix, inserting it without moving it up, leaving
+    /// the first `m` unsorted, breaking ties by higher slot, and not
     /// clearing the scratch between plans.
     #[test]
-    fn merge_pass_planner_matches_the_filter_and_sort_reference() {
+    fn stamp_planner_matches_the_filter_and_sort_reference() {
         use prop_netsim::{generate, TransitStubParams};
         use prop_overlay::gnutella::{Gnutella, GnutellaParams};
         const OVERLAYS: u64 = 12;
@@ -692,8 +731,8 @@ mod tests {
         let mut case = 0usize;
         // What the cases covered, so a generator that stops reaching a
         // shape fails here instead of passing vacuously.
-        let (mut plans, mut none, mut adjacent, mut shared, mut capped, mut ties) =
-            (0, 0, 0, 0, 0, 0);
+        let (mut plans, mut none, mut adjacent, mut shared, mut capped, mut ties, mut wraps) =
+            (0, 0, 0, 0, 0, 0, 0);
         for overlay in 0..OVERLAYS {
             let mut rng = SimRng::seed_from(0x21_0000 + overlay);
             let phys = generate(&TransitStubParams::tiny(), &mut rng);
@@ -711,6 +750,10 @@ mod tests {
                 }
             }
             let g = net.graph();
+            // One to three plans short of the wrap, so the restart falls
+            // while most slots still carry the stamps it must clear.
+            let short = 3 * (overlay % 3) as u16;
+            scratch.marks = SlotMarks::worn(g.num_slots(), u16::MAX - 1 - short);
             let mut by_degree: Vec<Slot> = g.live_slots().collect();
             by_degree.sort_by_key(|&s| std::cmp::Reverse(g.degree(s)));
             let delta = g.min_degree().unwrap();
@@ -727,10 +770,20 @@ mod tests {
                 for m in (1..=delta + 2).chain([g.degree(u) + g.degree(v)]) {
                     let want = plan_propo_reference(&net, &walk, m);
                     let policy = Policy::PropO { m: Some(m) };
+                    let epoch = scratch.marks.epoch();
                     let got = plan_exchange_into(&net, policy, &walk, 1, &mut scratch).cloned();
+                    wraps += (scratch.marks.epoch() < epoch) as usize;
                     let at = format!("case {case}: overlay {overlay}, walk {:?}, m {m}", walk.path);
                     assert_eq!(got, want, "{at}");
-                    assert_eq!(plan_propo(&net, &walk, m), want, "{at} (fresh scratch)");
+                    assert_eq!(plan_propo(&net, &walk, m), want, "{at} (the thread's scratch)");
+                    let mut r1 = rng.fork_indexed("pick", case as u64);
+                    let mut r2 = r1.clone();
+                    assert_eq!(
+                        plan_propo_random(&net, &walk, m, &mut r1),
+                        plan_propo_random_reference(&net, &walk, m, &mut r2),
+                        "{at} (random pick)"
+                    );
+                    assert_eq!(r1.range(0..u64::MAX), r2.range(0..u64::MAX), "{at}: streams");
                     match &want {
                         Some(ExchangePlan { kind: PlanKind::Subset { from_u, .. }, .. }) => {
                             plans += 1;
@@ -756,6 +809,7 @@ mod tests {
         ] {
             assert!(hits >= 8, "{what} reached only {hits} times in {case} cases");
         }
+        assert_eq!(wraps, OVERLAYS as usize, "one restart of the marks per overlay");
     }
 
     #[test]

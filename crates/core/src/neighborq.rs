@@ -51,11 +51,12 @@ impl Entry {
     }
 }
 
-/// Epoch-stamped per-slot marks: the scratch of [`NeighborQueue::resync`].
-/// A driver owns one for its whole lifetime; a resync stamps the node's row
-/// with a fresh epoch instead of clearing anything, so its cost is the
-/// row's and the queue's length, not the overlay's. Two bytes a slot: the
-/// stamps are cleared once every 65,535 resyncs.
+/// Epoch-stamped per-slot marks: the scratch of [`NeighborQueue::resync`]
+/// and of the PROP-O planner ([`crate::exchange::PlanScratch`]). A driver
+/// owns one of each for its whole lifetime; a pass stamps the rows it
+/// reads with fresh epochs instead of clearing anything, so its cost is
+/// the rows' length, not the overlay's. Two bytes a slot: the stamps are
+/// cleared once every 65,535 epochs opened.
 #[derive(Clone, Debug, Default)]
 pub struct SlotMarks {
     stamps: Vec<u16>,
@@ -63,23 +64,52 @@ pub struct SlotMarks {
 }
 
 impl SlotMarks {
-    /// Cover slots `0..n` (never shrinks) and open a new epoch. The stamps
-    /// restart from zero before the epoch could wrap.
-    fn begin(&mut self, n: usize) -> u16 {
+    /// Cover slots `0..n` (never shrinks) and open `count` fresh epochs at
+    /// once, `first .. first + count`; `first` is returned. No slot carries any of them
+    /// yet, and none is zero, the stamp of a slot never marked: the stamps
+    /// restart from zero before the last of them could wrap.
+    #[inline]
+    pub(crate) fn open(&mut self, n: usize, count: u16) -> u16 {
         if self.stamps.len() < n {
             self.stamps.resize(n, 0);
         }
-        if self.epoch == u16::MAX {
+        if self.epoch > u16::MAX - count {
             self.stamps.fill(0);
             self.epoch = 0;
         }
-        self.epoch += 1;
-        self.epoch
+        let first = self.epoch + 1;
+        self.epoch += count;
+        first
+    }
+
+    /// The epoch `s` was last marked with (0 if never).
+    #[inline]
+    pub(crate) fn get(&self, s: Slot) -> u16 {
+        self.stamps[s.index()]
+    }
+
+    #[inline]
+    pub(crate) fn set(&mut self, s: Slot, epoch: u16) {
+        self.stamps[s.index()] = epoch;
     }
 
     #[inline]
     fn is_marked(&self, s: Slot, epoch: u16) -> bool {
         self.stamps.get(s.index()) == Some(&epoch)
+    }
+
+    /// The last epoch opened.
+    #[cfg(test)]
+    pub(crate) fn epoch(&self) -> u16 {
+        self.epoch
+    }
+
+    /// Marks a long way through their epochs, every slot of `0..n` left
+    /// stamped with one of the first few, as by an earlier cycle: the next
+    /// restart must clear those stamps before the epochs come round again.
+    #[cfg(test)]
+    pub(crate) fn worn(n: usize, epoch: u16) -> Self {
+        SlotMarks { stamps: (0..n).map(|i| 1 + (i % 7) as u16).collect(), epoch }
     }
 }
 
@@ -222,7 +252,7 @@ impl NeighborQueue {
     /// pass keeps the entries whose slot is stamped and clears each stamp
     /// it keeps, and the stamps left are the arrivals.
     pub fn resync(&mut self, current: &[Slot], marks: &mut SlotMarks) {
-        let epoch = marks.begin(current.last().map_or(0, |s| s.index() + 1));
+        let epoch = marks.open(current.last().map_or(0, |s| s.index() + 1), 1);
         for &s in current {
             marks.stamps[s.index()] = epoch;
         }

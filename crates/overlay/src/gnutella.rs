@@ -34,18 +34,25 @@ impl Default for GnutellaParams {
     }
 }
 
-/// Wire slots `0..n` of `g` by preferential attachment: a seed clique on
-/// slots `0..=k`, then each later slot in index order links to `k`
-/// distinct earlier slots drawn with probability ∝ degree (Barabási–Albert),
-/// so the minimum degree is exactly `k`. Shared by the flat overlay and
-/// the two-tier overlay's ultrapeer mesh.
-pub(crate) fn preferential_attachment(g: &mut LogicalGraph, n: usize, k: usize, rng: &mut SimRng) {
+/// Wire slots `0..n` by preferential attachment: a seed clique on slots
+/// `0..=k`, then each later slot in index order links to `k` distinct
+/// earlier slots drawn with probability ∝ degree (Barabási–Albert), so the
+/// minimum degree is exactly `k`. Each edge is pushed onto `edges` once, as
+/// `(min, max)`; the graph is never read, so the caller sorts the list and
+/// wires it in one pass ([`LogicalGraph::from_sorted_edges`]). Shared by
+/// the flat overlay and the two-tier overlay's ultrapeer mesh.
+pub(crate) fn preferential_attachment(
+    edges: &mut Vec<(Slot, Slot)>,
+    n: usize,
+    k: usize,
+    rng: &mut SimRng,
+) {
     // `endpoints` holds each edge's two ends; sampling a uniform entry
     // samples a slot with probability ∝ its degree.
     let mut endpoints: Vec<Slot> = Vec::with_capacity(2 * n * k);
     for a in 0..=(k as u32) {
         for b in (a + 1)..=(k as u32) {
-            g.add_edge(Slot(a), Slot(b));
+            edges.push((Slot(a), Slot(b)));
             endpoints.push(Slot(a));
             endpoints.push(Slot(b));
         }
@@ -61,7 +68,8 @@ pub(crate) fn preferential_attachment(g: &mut LogicalGraph, n: usize, k: usize, 
             }
         }
         for &t in &chosen {
-            g.add_edge(joiner, t);
+            // Every target joined earlier: it is the smaller end.
+            edges.push((t, joiner));
             endpoints.push(joiner);
             endpoints.push(t);
         }
@@ -86,8 +94,10 @@ impl Gnutella {
         let k = params.links_per_join;
         assert!(n > k, "need more than links_per_join peers");
         let mut rng = rng.fork("gnutella-build");
-        let mut g = LogicalGraph::new(n);
-        preferential_attachment(&mut g, n, k, &mut rng);
+        let mut edges = Vec::with_capacity(k * n);
+        preferential_attachment(&mut edges, n, k, &mut rng);
+        edges.sort_unstable();
+        let g = LogicalGraph::from_sorted_edges(n, &edges);
 
         let net = OverlayNet::new(g, Placement::identity(n), oracle);
         (Gnutella { params }, net)
@@ -295,6 +305,81 @@ mod tests {
         let (_, n2) = build(20, 8);
         for s in n1.graph().live_slots() {
             assert_eq!(n1.graph().neighbors(s), n2.graph().neighbors(s));
+        }
+    }
+
+    /// The attachment as it was before it pushed pairs, kept as the
+    /// reference: an `add_edge` into the graph per edge.
+    fn preferential_attachment_reference(
+        g: &mut LogicalGraph,
+        n: usize,
+        k: usize,
+        rng: &mut SimRng,
+    ) {
+        let mut endpoints: Vec<Slot> = Vec::with_capacity(2 * n * k);
+        for a in 0..=(k as u32) {
+            for b in (a + 1)..=(k as u32) {
+                g.add_edge(Slot(a), Slot(b));
+                endpoints.push(Slot(a));
+                endpoints.push(Slot(b));
+            }
+        }
+        let mut chosen: Vec<Slot> = Vec::with_capacity(k);
+        for s in (k + 1)..n {
+            let joiner = Slot(s as u32);
+            chosen.clear();
+            while chosen.len() < k {
+                let target = *rng.pick(&endpoints).unwrap();
+                if target != joiner && !chosen.contains(&target) {
+                    chosen.push(target);
+                }
+            }
+            for &t in &chosen {
+                g.add_edge(joiner, t);
+                endpoints.push(joiner);
+                endpoints.push(t);
+            }
+        }
+    }
+
+    /// Both builders that wire preferential attachment — the flat overlay
+    /// and the ultrapeer mesh with its leaf links — against `new` plus an
+    /// `add_edge` per edge, drawing from the same fork: the same graph,
+    /// every cache included, at one to four links a join.
+    #[test]
+    fn sorted_edge_attachment_is_the_add_edge_loop() {
+        use crate::ultrapeer::{Ultrapeer, LEAF_LINKS, MESH_LINKS};
+        for case in 0..24u64 {
+            // `tiny()` has 40 stub hosts.
+            let n = [6, 7, 11, 23, 32, 40][case as usize % 6];
+            let links_per_join = 1 + case as usize % 4;
+            let o = oracle(n, 300 + case);
+            let params = GnutellaParams { links_per_join, ..GnutellaParams::default() };
+            let parent = SimRng::seed_from(case);
+
+            let (mut rng, mut fork) = (parent.clone(), parent.fork("gnutella-build"));
+            let (_, net) = Gnutella::build(params, o.clone(), &mut rng);
+            let mut looped = LogicalGraph::new(n);
+            preferential_attachment_reference(&mut looped, n, links_per_join, &mut fork);
+            let at = format!("case {case}: Gnutella n {n} k {links_per_join}");
+            let edges = |g: &LogicalGraph| g.edges().collect::<Vec<_>>();
+            assert_eq!(edges(net.graph()), edges(&looped), "{at}");
+            assert!(*net.graph() == looped, "{at}");
+
+            let (mut rng, mut fork) = (parent.clone(), parent.fork("ultrapeer-build"));
+            let (up, net) = Ultrapeer::build(o, &mut rng);
+            let n_up = up.num_ultrapeers();
+            let mut looped = LogicalGraph::new(n);
+            preferential_attachment_reference(&mut looped, n_up, MESH_LINKS, &mut fork);
+            let ups: Vec<Slot> = (0..n_up as u32).map(Slot).collect();
+            for leaf in n_up..n {
+                for u in fork.sample_distinct(&ups, LEAF_LINKS.min(n_up)) {
+                    looped.add_edge(Slot(leaf as u32), u);
+                }
+            }
+            let at = format!("case {case}: ultrapeer n {n}, {n_up} ultrapeers");
+            assert_eq!(edges(net.graph()), edges(&looped), "{at}");
+            assert!(*net.graph() == looped, "{at}");
         }
     }
 }

@@ -35,6 +35,7 @@ impl fmt::Debug for Slot {
 /// lets the drivers' `ProbeMode::Random` draw a uniform live counterpart
 /// without materializing `live_slots().collect()` on every trial.
 #[derive(Clone, Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 struct LiveIndex {
     /// 1-indexed Fenwick array; `tree[i-1]` covers `(i - lowbit(i), i]`.
     tree: Vec<usize>,
@@ -108,6 +109,7 @@ impl LiveIndex {
 
 /// Undirected adjacency over slots.
 #[derive(Clone, Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct LogicalGraph {
     adj: Vec<Vec<Slot>>,
     alive: Vec<bool>,
@@ -320,6 +322,49 @@ impl LogicalGraph {
         let (da, db) = (self.adj[a.index()].len(), self.adj[b.index()].len());
         self.shift_degree(da + 1, da);
         self.shift_degree(db + 1, db);
+    }
+
+    /// PROP-O's degree-preserving exchange: `u` hands each `from_u[i]` to
+    /// `v` and `v` hands each `from_v[i]` to `u`. For each pair `(x, y)`,
+    /// in `u`'s row `x` becomes `y`, in `v`'s row `y` becomes `x`, in `x`'s
+    /// row `u` becomes `v` and in `y`'s row `v` becomes `u` — each change
+    /// two binary searches and one rotate of the entries between the two
+    /// positions. Nothing else moves: every degree stays, and with them
+    /// the edge count, the degree histogram, δ(G) and the live index; no
+    /// row changes its length, so none reallocates.
+    ///
+    /// What `remove_edge(u, x)`, `remove_edge(v, y)`, `add_edge(v, x)`,
+    /// `add_edge(u, y)` per pair leave behind. Panics where they would, on
+    /// a stale plan (a moved edge missing, or one that is to appear already
+    /// there), on a self-loop (`x == v` or `y == u`), and on sides of
+    /// unequal length.
+    pub fn exchange_neighbors(&mut self, u: Slot, v: Slot, from_u: &[Slot], from_v: &[Slot]) {
+        assert_eq!(from_u.len(), from_v.len(), "unequal exchange {u:?}–{v:?}");
+        for (&x, &y) in from_u.iter().zip(from_v) {
+            assert!(x != v && y != u, "self-loop exchanging {x:?}/{y:?} between {u:?} and {v:?}");
+            self.rekey(u, x, y);
+            self.rekey(v, y, x);
+            self.rekey(x, u, v);
+            self.rekey(y, v, u);
+        }
+    }
+
+    /// In `s`'s sorted row, `old` becomes `new`: the entries between the
+    /// two positions shift one place toward `old`'s, and the row stays
+    /// sorted.
+    fn rekey(&mut self, s: Slot, old: Slot, new: Slot) {
+        let row = &mut self.adj[s.index()];
+        let Ok(from) = row.binary_search(&old) else {
+            panic!("moving missing edge {s:?}–{old:?}")
+        };
+        let Err(to) = row.binary_search(&new) else { panic!("duplicate edge {s:?}–{new:?}") };
+        if from < to {
+            row[from..to].rotate_left(1);
+            row[to - 1] = new;
+        } else {
+            row[to..=from].rotate_right(1);
+            row[to] = new;
+        }
     }
 
     /// Kill slot `s`: drop all its edges and mark it dead. Returns its former
@@ -702,5 +747,118 @@ mod tests {
                 assert_eq!(pair[0].min_degree(), pair[1].min_degree(), "case {case} step {step}");
             }
         }
+    }
+
+    /// The exchange `exchange_neighbors` replaced, kept as its reference:
+    /// per pair, both removals, then both additions.
+    fn exchange_neighbors_reference(
+        g: &mut LogicalGraph,
+        (u, v): (Slot, Slot),
+        from_u: &[Slot],
+        from_v: &[Slot],
+    ) {
+        for (&x, &y) in from_u.iter().zip(from_v) {
+            g.remove_edge(u, x);
+            g.remove_edge(v, y);
+            g.add_edge(v, x);
+            g.add_edge(u, y);
+        }
+    }
+
+    /// The in-place move against the remove/add loop, on random graphs
+    /// with dead slots below appended ones: each exchange leaves the same
+    /// rows, counters, δ(G) histogram and rank index, all recounted by
+    /// [`audit`], and moving the pairs one call at a time leaves what one
+    /// call for all of them does. The coverage counters hold the shapes a
+    /// rotate can get wrong: old and new neighbor in neighboring
+    /// positions, a position at either end of a row, and `u`–`v` adjacent.
+    #[test]
+    fn degree_preserving_move_is_the_remove_and_add_loop() {
+        /// Where `old` leaves `row` and `new` enters it.
+        fn shape(row: &[Slot], old: Slot, new: Slot, at: &str) -> (bool, bool) {
+            let (Ok(from), Err(to)) = (row.binary_search(&old), row.binary_search(&new)) else {
+                panic!("{at}: {old:?} is not in {row:?}, or {new:?} is already")
+            };
+            let neighboring = to == from || to == from + 1;
+            let at_end = from == 0 || from + 1 == row.len() || to == 0 || to == row.len();
+            (neighboring, at_end)
+        }
+        let mut rng = SimRng::seed_from(41);
+        let (mut moves, mut neighboring, mut at_end, mut adjacent) = (0, 0, 0, 0);
+        for case in 0..300 {
+            let n = rng.range(4..36u32);
+            let percent = rng.range(10..=90u32);
+            let mut edges = Vec::new();
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    if rng.range(0..100u32) < percent {
+                        edges.push((Slot(a), Slot(b)));
+                    }
+                }
+            }
+            let mut g = LogicalGraph::from_sorted_edges(n as usize, &edges);
+            if case % 3 == 0 {
+                g.remove_slot(Slot(rng.range(0..n)));
+                let first = g.live_slots().next().expect("a live slot");
+                let s = g.add_slot();
+                g.add_edge(s, first);
+            }
+            let mut reference = g.clone();
+            for step in 0..8 {
+                let at = format!("case {case} step {step}");
+                let live: Vec<Slot> = g.live_slots().collect();
+                let u = *rng.pick(&live).expect("live slots");
+                let v = loop {
+                    let v = *rng.pick(&live).expect("live slots");
+                    if v != u {
+                        break v;
+                    }
+                };
+                let only = |a: Slot, b: Slot| -> Vec<Slot> {
+                    let row = g.neighbors(a).iter().copied();
+                    row.filter(|&x| x != b && !g.has_edge(b, x)).collect()
+                };
+                let (mut from_u, mut from_v) = (only(u, v), only(v, u));
+                rng.shuffle(&mut from_u);
+                rng.shuffle(&mut from_v);
+                let k = rng.range(0..=from_u.len().min(from_v.len()));
+                from_u.truncate(k);
+                from_v.truncate(k);
+
+                let mut one_by_one = g.clone();
+                for (&x, &y) in from_u.iter().zip(&from_v) {
+                    for (s, old, new) in [(u, x, y), (v, y, x), (x, u, v), (y, v, u)] {
+                        let (near, end) = shape(one_by_one.neighbors(s), old, new, &at);
+                        neighboring += near as usize;
+                        at_end += end as usize;
+                    }
+                    one_by_one.exchange_neighbors(u, v, &[x], &[y]);
+                    moves += 1;
+                }
+                adjacent += (k > 0 && g.has_edge(u, v)) as usize;
+                g.exchange_neighbors(u, v, &from_u, &from_v);
+                exchange_neighbors_reference(&mut reference, (u, v), &from_u, &from_v);
+                audit(&g, format_args!("{at}"));
+                assert_eq!(g.adj, reference.adj, "{at}: rows");
+                assert!(g == reference, "{at}: counters, histogram or rank index");
+                assert!(g == one_by_one, "{at}: one pair a call");
+            }
+        }
+        for (what, hits) in [
+            ("moves", moves),
+            ("neighboring positions", neighboring),
+            ("a row end", at_end),
+            ("u-v adjacent", adjacent),
+        ] {
+            assert!(hits >= 100, "{what} reached only {hits} times");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "moving missing edge")]
+    fn exchanging_a_neighbor_no_longer_held_panics() {
+        let mut g = path(4);
+        // Slot 2 is slot 1's neighbor, not slot 0's.
+        g.exchange_neighbors(Slot(0), Slot(3), &[Slot(2)], &[Slot(1)]);
     }
 }

@@ -53,20 +53,23 @@ impl Ultrapeer {
         let n_up = ((n as f64 * ULTRAPEER_FRACTION).round() as usize).max(MESH_LINKS + 1).min(n);
         assert!(n_up < n, "need at least one leaf");
         let mut rng = rng.fork("ultrapeer-build");
-        let mut g = LogicalGraph::new(n);
+        let mut edges = Vec::with_capacity(MESH_LINKS * n_up + LEAF_LINKS * (n - n_up));
 
         // Ultrapeer mesh: the flat Gnutella builder's preferential
         // attachment, restricted to the top tier.
-        crate::gnutella::preferential_attachment(&mut g, n_up, MESH_LINKS, &mut rng);
+        crate::gnutella::preferential_attachment(&mut edges, n_up, MESH_LINKS, &mut rng);
 
-        // Leaves: attach to `LEAF_LINKS` distinct random ultrapeers.
+        // Leaves: attach to `LEAF_LINKS` distinct random ultrapeers. Every
+        // ultrapeer slot is below every leaf slot.
         let ups: Vec<Slot> = (0..n_up as u32).map(Slot).collect();
         for s in n_up..n {
             let leaf = Slot(s as u32);
             for up in rng.sample_distinct(&ups, LEAF_LINKS.min(n_up)) {
-                g.add_edge(leaf, up);
+                edges.push((up, leaf));
             }
         }
+        edges.sort_unstable();
+        let g = LogicalGraph::from_sorted_edges(n, &edges);
 
         let is_ultrapeer = (0..n).map(|i| i < n_up).collect();
         let net = OverlayNet::new(g, Placement::identity(n), oracle);
