@@ -43,13 +43,14 @@ pub fn build_pns_chord(
 }
 
 /// Build a Pastry overlay with proximity-selected routing tables: every
-/// cell takes the physically nearest node among all that legally fill it.
+/// cell takes the physically nearest node among all that legally fill it,
+/// the lowest slot among equally near ones.
 pub fn build_pns_pastry(oracle: Arc<LatencyOracle>, rng: &mut SimRng) -> (Pastry, OverlayNet) {
     let o = Arc::clone(&oracle);
     Pastry::build_with_selector(oracle, rng, move |slot, candidates| {
         *candidates
             .iter()
-            .min_by_key(|&&c| o.d(slot.index(), c.index()))
+            .min_by_key(|&&c| (o.d(slot.index(), c.index()), c))
             .expect("candidates nonempty")
     })
 }

@@ -110,7 +110,6 @@ fn torus_gap(a: f64, b: f64) -> f64 {
 #[derive(Clone, Debug)]
 pub struct Can {
     zones: Vec<Zone>,
-    points: Vec<[f64; DIMS]>,
 }
 
 impl Can {
@@ -151,7 +150,7 @@ impl Can {
             }
         }
 
-        let can = Can { zones, points: join_points };
+        let can = Can { zones };
         let net = OverlayNet::new(g, Placement::identity(n), oracle);
         (can, net)
     }
@@ -166,11 +165,6 @@ impl Can {
     #[inline]
     pub fn zone(&self, s: Slot) -> &Zone {
         &self.zones[s.index()]
-    }
-
-    #[inline]
-    pub fn join_point(&self, s: Slot) -> [f64; DIMS] {
-        self.points[s.index()]
     }
 
     /// The slot whose zone contains `p`.
@@ -257,15 +251,10 @@ mod tests {
         // earlier owner's point, so every zone contains its join point.
         let o = oracle(4, 2);
         let pts = vec![[0.1, 0.1], [0.6, 0.6], [0.6, 0.1], [0.1, 0.6]];
-        let (can, _) = Can::build_at(pts, o);
-        for i in 0..4u32 {
-            let s = Slot(i);
-            assert!(
-                can.zone(s).contains(can.join_point(s)),
-                "{s:?}: zone {:?} missing point {:?}",
-                can.zone(s),
-                can.join_point(s)
-            );
+        let (can, _) = Can::build_at(pts.clone(), o);
+        for (i, &p) in pts.iter().enumerate() {
+            let s = Slot(i as u32);
+            assert!(can.zone(s).contains(p), "{s:?}: zone {:?} missing point {p:?}", can.zone(s));
         }
     }
 

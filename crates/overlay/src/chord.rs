@@ -22,8 +22,9 @@
 //! Maintenance is modeled as an immediate, correct stabilization pass (the
 //! eventual consistency a real Chord converges to): after each event the
 //! routing state is what the build rule yields over the live identifiers,
-//! and the *logical-graph delta* is applied edge by edge so the PROP driver
-//! can resync exactly the affected nodes.
+//! and merging the old and new tables' sorted edge lists gives the
+//! *logical-graph delta*, applied edge by edge so the PROP driver can
+//! resync exactly the affected nodes.
 
 use crate::logical::{LogicalGraph, Slot};
 use crate::net::OverlayNet;
@@ -227,8 +228,9 @@ impl Chord {
 
     /// Stabilize after a membership change: the build rule with the
     /// canonical selector over the current ring, `g` moved to the new edge
-    /// union edge by edge. Returns the live slots whose neighbor lists
-    /// changed, sorted, so downstream resync order is deterministic.
+    /// union by the merged edge-list delta. Returns the live slots whose
+    /// neighbor lists changed, sorted, so downstream resync order is
+    /// deterministic.
     fn restabilize(&mut self, g: &mut LogicalGraph) -> Vec<Slot> {
         let (table, successor) =
             routing_state(&self.ids, &self.ring, self.params.successors, canonical);
@@ -748,6 +750,46 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Churn's merged edge-list delta against the hashed one it replaced
+    /// (`table::tests::apply_table_delta_reference`): 100 leave + join
+    /// events on a 1,000-member ring, each event's tables handed to both,
+    /// the reference moving a second graph. The affected lists must be
+    /// equal event by event and every row of the two graphs after each.
+    #[test]
+    fn merged_churn_delta_matches_the_hashed_reference() {
+        let mut rng = SimRng::seed_from(43);
+        let phys = generate(&TransitStubParams::ts_large(), &mut rng);
+        let o = Arc::new(LatencyOracle::select_and_build(&phys, 1000, &mut rng));
+        let (mut ch, mut net) = Chord::build(ChordParams::default(), o, &mut rng);
+        let mut reference = net.graph().clone();
+        for event in 0..100 {
+            let live: Vec<Slot> = net.graph().live_slots().collect();
+            let victim = *rng.pick(&live).unwrap();
+            let peer = net.peer(victim);
+            let old = ch.table.clone();
+            let affected = ch.leave(&mut net, victim);
+            reference.remove_slot(victim);
+            let expect =
+                crate::table::tests::apply_table_delta_reference(&mut reference, &old, &ch.table);
+            assert_eq!(affected, expect, "event {event}, leave of {victim:?}");
+
+            let old = ch.table.clone();
+            let (slot, affected) = ch.join(&mut net, peer);
+            assert_eq!(reference.add_slot(), slot);
+            let expect =
+                crate::table::tests::apply_table_delta_reference(&mut reference, &old, &ch.table);
+            assert_eq!(affected, expect, "event {event}, join at {slot:?}");
+            for s in 0..reference.num_slots() as u32 {
+                assert_eq!(
+                    net.graph().neighbors(Slot(s)),
+                    reference.neighbors(Slot(s)),
+                    "event {event}, slot {s}"
+                );
+            }
+            assert!(net.graph() == &reference, "event {event}: the graphs' caches differ");
         }
     }
 }

@@ -13,6 +13,10 @@
 //!   target; each hop fixes at least one more leading bit, giving
 //!   O(log n) hops.
 //!
+//! A bucket keeps the first [`K`] nodes it meets when the nodes join one
+//! by one in a random order, each meeting every earlier node: its subtree's
+//! `K` oldest members, which the build reads off the trie of sorted ids.
+//!
 //! Identifiers belong to slots (as in [`crate::chord`] and
 //! [`crate::pastry`]), so a PROP-G exchange is a placement transposition
 //! and Kademlia's structure is untouched.
@@ -33,67 +37,73 @@ pub const K: usize = 8;
 #[derive(Clone, Debug)]
 pub struct Kademlia {
     ids: Vec<u128>,
-    /// Per slot: flattened buckets — for each bit position, up to `k`
-    /// slots at that XOR-prefix distance. Stored as one sorted, deduped
-    /// contact list per slot (bucket boundaries only matter at build time).
+    /// Slots sorted by id: the leaves of the id trie, in order.
+    ring: Vec<Slot>,
+    /// Per slot: all its buckets in one contact list, sorted by slot.
     contacts: Vec<Vec<Slot>>,
 }
 
+/// Where a trie range (two or more slots sorted by distinct id) splits: the
+/// highest bit its ids differ in, above which they all agree, and the
+/// position of the first id with that bit set.
+fn split(ids: &[u128], range: &[Slot]) -> (u32, usize) {
+    let bit = 127 - (ids[range[0].index()] ^ ids[range[range.len() - 1].index()]).leading_zeros();
+    (bit, range.partition_point(|s| ids[s.index()] >> bit & 1 == 0))
+}
+
+/// Give every member of a trie range its buckets at the range's split and
+/// below, and return the range's [`K`] oldest members (lowest `joined`).
+/// Each half is the other's bucket at the split bit and holds its `K`
+/// oldest there, merged from its own halves'.
+fn fill_buckets(
+    ids: &[u128],
+    joined: &[usize],
+    range: &[Slot],
+    contacts: &mut [Vec<Slot>],
+) -> Vec<Slot> {
+    if range.len() == 1 {
+        return range.to_vec();
+    }
+    let (low, high) = range.split_at(split(ids, range).1);
+    let oldest_low = fill_buckets(ids, joined, low, contacts);
+    let oldest_high = fill_buckets(ids, joined, high, contacts);
+    low.iter().for_each(|s| contacts[s.index()].extend_from_slice(&oldest_high));
+    high.iter().for_each(|s| contacts[s.index()].extend_from_slice(&oldest_low));
+    let mut oldest = [oldest_low, oldest_high].concat();
+    oldest.sort_unstable_by_key(|s| joined[s.index()]);
+    oldest.truncate(K);
+    oldest
+}
+
+/// Every slot's contact list, sorted, from the slots sorted by id and the
+/// join order (`order[pos]` joined at `pos`).
+fn contact_lists(ids: &[u128], ring: &[Slot], order: &[usize]) -> Vec<Vec<Slot>> {
+    let mut joined = vec![0; ids.len()];
+    order.iter().enumerate().for_each(|(pos, &s)| joined[s] = pos);
+    let mut contacts = vec![Vec::new(); ids.len()];
+    fill_buckets(ids, &joined, ring, &mut contacts);
+    contacts.iter_mut().for_each(|list| list.sort_unstable());
+    contacts
+}
+
 impl Kademlia {
-    /// Build over `oracle.len()` slots with random distinct identifiers.
-    /// Each bucket is filled with the [`K`] *first-seen* eligible nodes in a
-    /// random join order (as a real Kademlia's buckets would be, favoring
-    /// long-lived contacts) — the selector hook mirrors Chord/Pastry and
-    /// is what a PNS variant would override.
+    /// Build over `oracle.len()` slots with random distinct identifiers,
+    /// joining in a random order. Bucket `i` of a slot (the nodes sharing
+    /// exactly `127 − i` leading bits with it) holds the [`K`] of them that
+    /// joined first, or all if fewer.
     pub fn build(oracle: Arc<LatencyOracle>, rng: &mut SimRng) -> (Kademlia, OverlayNet) {
         let n = oracle.len();
         assert!(n >= 2, "Kademlia needs at least two nodes");
         let mut rng = rng.fork("kademlia-build");
-
-        // Random distinct 128-bit ids.
-        let mut ids: Vec<u128> = Vec::with_capacity(n);
-        let mut used = std::collections::HashSet::with_capacity(n);
-        while ids.len() < n {
-            let hi: u64 = rng.range(0..u64::MAX);
-            let lo: u64 = rng.range(0..u64::MAX);
-            let id = ((hi as u128) << 64) | lo as u128;
-            if used.insert(id) {
-                ids.push(id);
-            }
-        }
-
-        // Random join order for bucket-filling precedence.
+        let ids = crate::table::distinct_u128_ids(&mut rng, n);
         let mut order: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut order);
+        let mut ring: Vec<Slot> = (0..n as u32).map(Slot).collect();
+        ring.sort_by_key(|s| ids[s.index()]);
+        let contacts = contact_lists(&ids, &ring, &order);
 
-        let mut contacts: Vec<Vec<Slot>> = vec![Vec::new(); n];
-        // bucket_fill[u][bit] = how many contacts u already has there.
-        let mut bucket_fill: Vec<std::collections::HashMap<u32, usize>> =
-            vec![std::collections::HashMap::new(); n];
-        for (pos, &joiner) in order.iter().enumerate() {
-            // The joiner meets everyone who joined before it; both sides
-            // try to insert the other into the matching bucket.
-            for &earlier in &order[..pos] {
-                let d = ids[joiner] ^ ids[earlier];
-                let bit = 127 - d.leading_zeros();
-                for (a, b) in [(joiner, earlier), (earlier, joiner)] {
-                    let fill = bucket_fill[a].entry(bit).or_insert(0);
-                    if *fill < K {
-                        *fill += 1;
-                        contacts[a].push(Slot(b as u32));
-                    }
-                }
-            }
-        }
-        for list in contacts.iter_mut() {
-            list.sort_unstable();
-            list.dedup();
-        }
-
-        // Undirected logical graph over the contact lists.
         let g = crate::table::graph_from_table(n, &contacts);
-
-        let kad = Kademlia { ids, contacts };
+        let kad = Kademlia { ids, ring, contacts };
         let net = OverlayNet::new(g, Placement::identity(n), oracle);
         (kad, net)
     }
@@ -103,35 +113,22 @@ impl Kademlia {
         self.ids[s.index()]
     }
 
-    /// The slot whose id is XOR-closest to `key`.
+    /// The slot whose id is XOR-closest to `key`: down the id trie, at each
+    /// split into the half whose split bit is `key`'s.
     pub fn owner_of(&self, key: u128) -> Slot {
-        let mut best = Slot(0);
-        let mut best_d = self.ids[0] ^ key;
-        for i in 1..self.ids.len() {
-            let d = self.ids[i] ^ key;
-            if d < best_d {
-                best_d = d;
-                best = Slot(i as u32);
-            }
+        let mut range = &self.ring[..];
+        while range.len() > 1 {
+            let (bit, mid) = split(&self.ids, range);
+            range = if key >> bit & 1 == 0 { &range[..mid] } else { &range[mid..] };
         }
-        best
+        range[0]
     }
 
-    /// Contacts of `s` (all buckets merged).
-    pub fn contacts(&self, s: Slot) -> &[Slot] {
-        &self.contacts[s.index()]
-    }
-
-    /// Greedy XOR route from `src` to the owner of `key`.
-    ///
-    /// Termination: each hop strictly reduces XOR distance to the key, and
-    /// a node always knows a strictly closer contact unless it is the
-    /// closest node overall — Kademlia's bucket structure guarantees a
-    /// contact sharing a longer prefix with the key exists whenever one
-    /// exists globally... with bounded buckets that can fail rarely, so a
-    /// final fallback scans the node's whole contact list; if nothing is
-    /// closer, the walk stops at a local minimum and the lookup is counted
-    /// failed (`None`). In practice (tests below) delivery is ≥99%.
+    /// Greedy XOR route from `src` to the owner of `key`, each hop to the
+    /// contact XOR-closest to `key` among those closer than the current
+    /// node. A node other than the owner always has one: where its id first
+    /// differs from the owner's, its bucket holds a node of the owner's
+    /// side, which is closer. `None` (no closer contact) is only a guard.
     pub fn route_path(&self, src: Slot, key: u128) -> Option<Vec<Slot>> {
         let dst = self.owner_of(key);
         let mut path = vec![src];
@@ -151,7 +148,7 @@ impl Kademlia {
                     cur = next;
                     cur_d = d;
                 }
-                None => return None, // local minimum (rare with k ≥ 8)
+                None => return None, // no closer contact
             }
         }
         Some(path)
@@ -267,7 +264,7 @@ mod tests {
         for s in 0..30u32 {
             let mut per_bit: std::collections::HashMap<u32, usize> =
                 std::collections::HashMap::new();
-            for &c in kad.contacts(Slot(s)) {
+            for &c in &kad.contacts[s as usize] {
                 let d = kad.id(Slot(s)) ^ kad.id(c);
                 let bit = 127 - d.leading_zeros();
                 *per_bit.entry(bit).or_insert(0) += 1;
@@ -307,5 +304,96 @@ mod tests {
         let (b, _) = build(20, 9);
         assert_eq!(a.ids, b.ids);
         assert_eq!(a.contacts, b.contacts);
+    }
+
+    /// The join loop [`contact_lists`] replaced, kept as its twin: each
+    /// joiner meets every earlier node, and both sides insert the other
+    /// while the matching bucket holds fewer than [`K`].
+    fn contact_lists_reference(ids: &[u128], order: &[usize]) -> Vec<Vec<Slot>> {
+        let n = ids.len();
+        let mut contacts: Vec<Vec<Slot>> = vec![Vec::new(); n];
+        let mut bucket_fill: Vec<std::collections::HashMap<u32, usize>> =
+            vec![std::collections::HashMap::new(); n];
+        for (pos, &joiner) in order.iter().enumerate() {
+            for &earlier in &order[..pos] {
+                let d = ids[joiner] ^ ids[earlier];
+                let bit = 127 - d.leading_zeros();
+                for (a, b) in [(joiner, earlier), (earlier, joiner)] {
+                    let fill = bucket_fill[a].entry(bit).or_insert(0);
+                    if *fill < K {
+                        *fill += 1;
+                        contacts[a].push(Slot(b as u32));
+                    }
+                }
+            }
+        }
+        for list in contacts.iter_mut() {
+            list.sort_unstable();
+            list.dedup();
+        }
+        contacts
+    }
+
+    /// The scan [`Kademlia::owner_of`] replaced: the lowest slot of least
+    /// XOR distance.
+    fn owner_of_reference(kad: &Kademlia, key: u128) -> Slot {
+        let mut best = Slot(0);
+        let mut best_d = kad.ids[0] ^ key;
+        for i in 1..kad.ids.len() {
+            let d = kad.ids[i] ^ key;
+            if d < best_d {
+                best_d = d;
+                best = Slot(i as u32);
+            }
+        }
+        best
+    }
+
+    /// The trie fill and the trie descent against the join loop and the
+    /// scan: nine overlay sizes from two members up, four seeds, ids spread
+    /// over the whole space or half of them clustered under one 100-bit
+    /// prefix (deep, lopsided trie); every contact list, then `owner_of` on
+    /// every id, its neighbours one above and below, and 200 random keys.
+    #[test]
+    fn trie_buckets_and_descent_match_the_join_loop_and_the_scan() {
+        for n in [2usize, 3, 5, 9, 17, 40, 100, 300, 1000] {
+            for seed in 0..4u64 {
+                for layout in ["spread", "clustered"] {
+                    let case = format!("n {n}, seed {seed}, {layout}");
+                    let mut rng = SimRng::seed_from(seed);
+                    let mut ids = crate::table::distinct_u128_ids(&mut rng, n);
+                    if layout == "clustered" {
+                        let prefix = ids[0] & !((1u128 << 28) - 1);
+                        for id in ids.iter_mut().skip(1).step_by(2) {
+                            *id = prefix | (*id & ((1 << 28) - 1));
+                        }
+                        let mut seen = std::collections::HashSet::new();
+                        ids.retain(|&id| seen.insert(id));
+                    }
+                    let mut order: Vec<usize> = (0..ids.len()).collect();
+                    rng.shuffle(&mut order);
+                    let mut ring: Vec<Slot> = (0..ids.len() as u32).map(Slot).collect();
+                    ring.sort_by_key(|s| ids[s.index()]);
+                    let contacts = contact_lists(&ids, &ring, &order);
+                    assert_eq!(contacts, contact_lists_reference(&ids, &order), "{case}");
+
+                    let kad = Kademlia { ids, ring, contacts };
+                    let mut keys: Vec<u128> = Vec::new();
+                    for &id in &kad.ids {
+                        keys.extend([id, id.wrapping_add(1), id.wrapping_sub(1)]);
+                    }
+                    keys.extend((0..200).map(|_| {
+                        ((rng.range(0..u64::MAX) as u128) << 64) | rng.range(0..u64::MAX) as u128
+                    }));
+                    for key in keys {
+                        assert_eq!(
+                            kad.owner_of(key),
+                            owner_of_reference(&kad, key),
+                            "{case}, key {key:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

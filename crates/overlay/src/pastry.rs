@@ -81,48 +81,82 @@ pub struct Pastry {
     table: Vec<Vec<Option<Slot>>>,
 }
 
+/// The canonical table fill: the lowest slot among a cell's candidates.
+fn canonical(_slot: Slot, candidates: &[Slot]) -> Slot {
+    *candidates.iter().min().expect("a filled cell has candidates")
+}
+
+/// Every slot's routing table, from `ring` (the slots sorted by id),
+/// indexed by slot. `select` is [`Pastry::build_with_selector`]'s.
+///
+/// The ids sharing at least `r` digits with a slot form one contiguous
+/// range of the ring, and inside it digit `r` never decreases. So cell
+/// `(r, d)` is the sub-range whose digit `r` is `d`, found by one binary
+/// search, and the slot's own sub-range is the range of row `r + 1`. The
+/// walk down the rows stops when that range holds only the slot, so the
+/// last row visited is the deepest filled one.
+fn routing_tables(
+    ids: &[PastryId],
+    ring: &[Slot],
+    mut select: impl FnMut(Slot, &[Slot]) -> Slot,
+) -> Vec<Vec<Option<Slot>>> {
+    let ring_ids: Vec<PastryId> = ring.iter().map(|s| ids[s.index()]).collect();
+    let mut table: Vec<Vec<Option<Slot>>> = vec![Vec::new(); ids.len()];
+    for &s in ring {
+        let me = ids[s.index()];
+        let t = &mut table[s.index()];
+        let (mut lo, mut hi) = (0, ring.len());
+        for row in 0..NUM_DIGITS {
+            t.resize((row + 1) * RADIX, None);
+            let mine = me.digit(row);
+            let (mut start, mut own) = (lo, (lo, hi));
+            for digit in 0..RADIX {
+                let end = start + ring_ids[start..hi].partition_point(|x| x.digit(row) <= digit);
+                if digit == mine {
+                    own = (start, end);
+                } else if end > start {
+                    t[row * RADIX + digit] = Some(select(s, &ring[start..end]));
+                }
+                start = end;
+            }
+            (lo, hi) = own;
+            if hi - lo == 1 {
+                break;
+            }
+        }
+    }
+    table
+}
+
 impl Pastry {
-    /// Build with the canonical (first-candidate) table fill.
+    /// Build with the canonical table fill: each cell holds the lowest slot
+    /// legal for it.
     pub fn build(oracle: Arc<LatencyOracle>, rng: &mut SimRng) -> (Pastry, OverlayNet) {
-        Self::build_with_selector(oracle, rng, |_slot, candidates| candidates[0])
+        Self::build_with_selector(oracle, rng, canonical)
     }
 
     /// Build with a custom per-cell candidate selector — the PNS hook.
     /// `select(slot, candidates)` picks the routing-table entry among every
-    /// node legal for that cell.
+    /// node legal for that cell; the candidates arrive in ascending id
+    /// order, never include `slot`, and the selector is called once per
+    /// filled cell.
     pub fn build_with_selector(
         oracle: Arc<LatencyOracle>,
         rng: &mut SimRng,
-        mut select: impl FnMut(Slot, &[Slot]) -> Slot,
+        select: impl FnMut(Slot, &[Slot]) -> Slot,
     ) -> (Pastry, OverlayNet) {
         let n = oracle.len();
         assert!(n >= 2, "Pastry needs at least two nodes");
         let mut rng = rng.fork("pastry-build");
-
-        // Random distinct 128-bit ids.
-        let mut ids: Vec<PastryId> = Vec::with_capacity(n);
-        let mut used = std::collections::HashSet::with_capacity(n);
-        while ids.len() < n {
-            let hi: u64 = rng.range(0..u64::MAX);
-            let lo: u64 = rng.range(0..u64::MAX);
-            let id = ((hi as u128) << 64) | lo as u128;
-            if used.insert(id) {
-                ids.push(PastryId(id));
-            }
-        }
-
+        let ids: Vec<PastryId> =
+            crate::table::distinct_u128_ids(&mut rng, n).into_iter().map(PastryId).collect();
         let mut ring: Vec<Slot> = (0..n as u32).map(Slot).collect();
         ring.sort_by_key(|s| ids[s.index()]);
-        let mut rank = vec![0usize; n];
-        for (r, &s) in ring.iter().enumerate() {
-            rank[s.index()] = r;
-        }
 
         // Leaf sets: l/2 ring neighbors each side (wrapping).
         let half = LEAF_SET / 2;
         let mut leaves: Vec<Vec<Slot>> = vec![Vec::new(); n];
-        for &s in &ring {
-            let r = rank[s.index()];
+        for (r, &s) in ring.iter().enumerate() {
             let mut set = Vec::with_capacity(LEAF_SET);
             for k in 1..=half.min(n - 1) {
                 set.push(ring[(r + k) % n]);
@@ -134,37 +168,10 @@ impl Pastry {
             leaves[s.index()] = set;
         }
 
-        // Routing tables. Bucket every pair once: for (s, t), t is a
-        // candidate for s's cell (shared_prefix(s,t), digit of t at that
-        // row) and vice versa.
-        let mut candidates: Vec<std::collections::HashMap<(usize, usize), Vec<Slot>>> =
-            vec![std::collections::HashMap::new(); n];
-        for a in 0..n {
-            for b in (a + 1)..n {
-                let ia = ids[a];
-                let ib = ids[b];
-                let l = ia.shared_prefix(ib);
-                if l < NUM_DIGITS {
-                    candidates[a].entry((l, ib.digit(l))).or_default().push(Slot(b as u32));
-                    candidates[b].entry((l, ia.digit(l))).or_default().push(Slot(a as u32));
-                }
-            }
-        }
-
-        let mut table: Vec<Vec<Option<Slot>>> = Vec::with_capacity(n);
-        for (s, cells) in candidates.iter().enumerate() {
-            // Only the first ~log_16(n) rows are ever populated; store rows
-            // up to the deepest non-empty one.
-            let max_row = cells.keys().map(|&(r, _)| r).max().unwrap_or(0);
-            let mut t = vec![None; (max_row + 1) * RADIX];
-            for (&(row, digit), cands) in cells {
-                t[row * RADIX + digit] = Some(select(Slot(s as u32), cands));
-            }
-            table.push(t);
-        }
+        let table = routing_tables(&ids, &ring, select);
 
         // Logical graph: union of leaf sets and routing entries (neither
-        // holds the slot itself: leaf sets drop it, cells come from pairs).
+        // holds the slot itself: leaf sets drop it, cells never offer it).
         let entries: Vec<Vec<Slot>> = (0..n)
             .map(|s| leaves[s].iter().chain(table[s].iter().flatten()).copied().collect())
             .collect();
@@ -180,32 +187,18 @@ impl Pastry {
         self.ids[s.index()]
     }
 
-    /// The slot numerically closest to `key` (ties toward the lower id).
+    /// The slot numerically closest to `key` (ties toward the lower id):
+    /// the closer of the ring's ids on either side of `key`.
     pub fn owner_of(&self, key: PastryId) -> Slot {
         let pos = self.ring.partition_point(|t| self.ids[t.index()] < key);
-        let mut best: Option<Slot> = None;
-        for cand in [pos.checked_sub(1), Some(pos)].into_iter().flatten() {
-            if let Some(&s) = self.ring.get(cand) {
-                best = match best {
-                    None => Some(s),
-                    Some(b) => {
-                        let db = self.ids[b.index()].distance(key);
-                        let ds = self.ids[s.index()].distance(key);
-                        if ds < db || (ds == db && self.ids[s.index()] < self.ids[b.index()]) {
-                            Some(s)
-                        } else {
-                            Some(b)
-                        }
-                    }
-                };
-            }
+        let below = self.ring[pos.saturating_sub(1)];
+        let above = self.ring[pos.min(self.ring.len() - 1)];
+        let dist = |s: Slot| self.ids[s.index()].distance(key);
+        if dist(above) < dist(below) {
+            above
+        } else {
+            below
         }
-        best.expect("nonempty ring")
-    }
-
-    /// Leaf set of `s`.
-    pub fn leaf_set(&self, s: Slot) -> &[Slot] {
-        &self.leaves[s.index()]
     }
 
     /// Routing-table entry at (row, digit), if filled.
@@ -367,7 +360,7 @@ mod tests {
             let closest =
                 (0..20u32).filter(|&t| t != s).min_by_key(|&t| p.id(Slot(t)).distance(me)).unwrap();
             assert!(
-                p.leaf_set(Slot(s)).contains(&Slot(closest)),
+                p.leaves[s as usize].contains(&Slot(closest)),
                 "slot {s}: closest {closest} missing from leaf set"
             );
         }
@@ -412,7 +405,8 @@ mod tests {
     fn custom_selector_still_routes_correctly() {
         let mut rng = SimRng::seed_from(9);
         let o = oracle(25, 9);
-        let (p, net) = Pastry::build_with_selector(o, &mut rng, |_, cands| *cands.last().unwrap());
+        let (p, net) =
+            Pastry::build_with_selector(o, &mut rng, |_, cands| *cands.iter().max().unwrap());
         for b in 0..25u32 {
             let out = p.lookup(&net, Slot(3), Slot(b)).unwrap();
             assert!(out.hops <= 25);
@@ -426,5 +420,90 @@ mod tests {
         assert_eq!(a.ids, b.ids);
         assert_eq!(a.table, b.table);
         assert_eq!(a.leaves, b.leaves);
+    }
+
+    /// The all-pairs fill [`routing_tables`] replaced, kept as its twin:
+    /// every pair bucketed into the two slots' candidate maps, keyed by
+    /// (shared prefix, next digit), candidates in slot order.
+    fn routing_tables_reference(
+        ids: &[PastryId],
+        mut select: impl FnMut(Slot, &[Slot]) -> Slot,
+    ) -> Vec<Vec<Option<Slot>>> {
+        let n = ids.len();
+        let mut candidates: Vec<std::collections::HashMap<(usize, usize), Vec<Slot>>> =
+            vec![std::collections::HashMap::new(); n];
+        for a in 0..n {
+            for b in (a + 1)..n {
+                let l = ids[a].shared_prefix(ids[b]);
+                if l < NUM_DIGITS {
+                    candidates[a].entry((l, ids[b].digit(l))).or_default().push(Slot(b as u32));
+                    candidates[b].entry((l, ids[a].digit(l))).or_default().push(Slot(a as u32));
+                }
+            }
+        }
+        let mut table: Vec<Vec<Option<Slot>>> = Vec::with_capacity(n);
+        for (s, cells) in candidates.iter().enumerate() {
+            let max_row = cells.keys().map(|&(r, _)| r).max().unwrap_or(0);
+            let mut t = vec![None; (max_row + 1) * RADIX];
+            for (&(row, digit), cands) in cells {
+                t[row * RADIX + digit] = Some(select(Slot(s as u32), cands));
+            }
+            table.push(t);
+        }
+        table
+    }
+
+    /// The sorted-ring fill against the all-pairs reference, cell for cell
+    /// and in stored length: nine overlay sizes from two members up, three
+    /// seeds (one at 1,000), ids spread over the whole space or half of
+    /// them clustered under one 100-bit prefix (deep rows, long shared
+    /// prefixes), and the canonical, PNS (on a `ts_large` oracle, latency
+    /// ties to the lowest slot) and pick-max selectors.
+    #[test]
+    fn sorted_ring_tables_match_the_all_pairs_reference() {
+        let mut rng = SimRng::seed_from(42);
+        let phys = generate(&TransitStubParams::ts_large(), &mut rng);
+        let o = LatencyOracle::select_and_build(&phys, 1000, &mut rng);
+        let m = o.len();
+        let pns = |s: Slot, c: &[Slot]| {
+            *c.iter().min_by_key(|&&c| (o.d(s.index() % m, c.index() % m), c)).unwrap()
+        };
+        let pick_max = |_: Slot, c: &[Slot]| *c.iter().max().unwrap();
+        for n in [2usize, 3, 5, 9, 17, 40, 100, 300, 1000] {
+            // One seed at n = 1,000: its PNS fills alone read ~2M latencies.
+            for seed in 0..if n < 1000 { 3u64 } else { 1 } {
+                for layout in ["spread", "clustered"] {
+                    let mut rng = SimRng::seed_from(seed);
+                    let mut raw = crate::table::distinct_u128_ids(&mut rng, n);
+                    if layout == "clustered" {
+                        let prefix = raw[0] & !((1u128 << 28) - 1);
+                        for id in raw.iter_mut().skip(1).step_by(2) {
+                            *id = prefix | (*id & ((1 << 28) - 1));
+                        }
+                        let mut seen = std::collections::HashSet::new();
+                        raw.retain(|&id| seen.insert(id));
+                    }
+                    let ids: Vec<PastryId> = raw.into_iter().map(PastryId).collect();
+                    let mut ring: Vec<Slot> = (0..ids.len() as u32).map(Slot).collect();
+                    ring.sort_by_key(|s| ids[s.index()]);
+                    let case = format!("n {n}, seed {seed}, {layout}");
+                    assert_eq!(
+                        routing_tables(&ids, &ring, canonical),
+                        routing_tables_reference(&ids, canonical),
+                        "{case}, canonical"
+                    );
+                    assert_eq!(
+                        routing_tables(&ids, &ring, pns),
+                        routing_tables_reference(&ids, pns),
+                        "{case}, PNS"
+                    );
+                    assert_eq!(
+                        routing_tables(&ids, &ring, pick_max),
+                        routing_tables_reference(&ids, pick_max),
+                        "{case}, pick-max"
+                    );
+                }
+            }
+        }
     }
 }
