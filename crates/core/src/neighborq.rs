@@ -29,6 +29,12 @@
 //! is looked for. Arrivals go to the front, departures are taken out
 //! where they stand, and nothing else moves: the order is the one a scan
 //! for the minimum `(priority, seq)` would give, entry for entry.
+//!
+//! A PROP-O rewire ([`NeighborQueue::replace`]) front-inserts its arrivals
+//! without looking for them first: the driver keeps every started node's
+//! queue equal to its row, and the overlay refuses a rewire that would hand
+//! a node a neighbor it already has, so an arrival is never queued already.
+//! A debug build checks that on every insertion.
 
 use prop_engine::SimRng;
 use prop_overlay::Slot;
@@ -226,21 +232,22 @@ impl NeighborQueue {
     }
 
     /// A rewire in one step: drop the `lost` neighbors, then front-insert
-    /// each `gained` one (distinct slots) not already queued, in order —
-    /// what `remove` per lost and `add_front` per gained slot do. Each lost
-    /// slot is taken out where it stands, then the gained slots are looked
-    /// up until one is found queued; only then is each looked up again
-    /// before it is inserted.
+    /// each `gained` one (distinct slots) in order — what `remove` per lost
+    /// and `add_front` per gained slot do. Each lost slot is taken out where
+    /// it stands; the gained ones are inserted without being looked for.
+    ///
+    /// Precondition: no gained slot is queued once the lost ones are out.
+    /// The one caller, the PROP-O rewire (`PropSim::perform`), meets it by
+    /// construction: `LogicalGraph::exchange_neighbors` refuses a gained
+    /// slot that is already a neighbor, and a started node's queue holds
+    /// exactly its row between events. A debug build checks it per slot.
     pub fn replace(&mut self, lost: &[Slot], gained: &[Slot]) {
         for &s in lost {
             self.remove(s);
         }
-        let queued = gained.iter().any(|&s| self.contains(s));
         let mut front = self.min_priority();
         for &s in gained {
-            if !queued || !self.contains(s) {
-                self.push_front(&mut front, s);
-            }
+            self.push_front(&mut front, s);
         }
     }
 
@@ -379,12 +386,11 @@ impl ScanQueue {
     }
 
     fn replace(&mut self, lost: &[Slot], gained: &[Slot]) {
-        let (mut front, mut queued) = (i64::MAX, 0usize);
+        let mut front = i64::MAX;
         self.items.retain(|e| {
             let keep = !lost.contains(&e.slot);
             if keep {
                 front = front.min(e.priority);
-                queued += usize::from(gained.contains(&e.slot));
             }
             keep
         });
@@ -392,9 +398,7 @@ impl ScanQueue {
             front = 0;
         }
         for &s in gained {
-            if queued == 0 || !self.contains(s) {
-                self.push_front(&mut front, s);
-            }
+            self.push_front(&mut front, s);
         }
     }
 
@@ -491,11 +495,11 @@ mod tests {
     /// get wrong is counted and must be reached: a reward of a non-front
     /// entry onto a priority another entry holds, a demote of a non-front
     /// slot (the message-level driver's) and of an absent one, a `replace`
-    /// inserting one and several slots and one with a gained slot already
-    /// queued, a `resync` with departures and arrivals at once, and a
-    /// `reinit` over a used buffer. Checked against: `add_front` pushing to
-    /// the back, `reward` without the reposition, `demote` not bumping the
-    /// seq for an absent slot, and `replace` skipping the `queued` count.
+    /// inserting one and several slots, a `resync` with departures and
+    /// arrivals at once, and a `reinit` over a used buffer. A `replace`
+    /// gains only slots outside the queue, its precondition. Checked
+    /// against: `add_front` pushing to the back, `reward` without the
+    /// reposition, and `demote` not bumping the seq for an absent slot.
     #[test]
     fn probe_order_queue_matches_the_scan_reference() {
         const CASES: u64 = 320;
@@ -503,7 +507,7 @@ mod tests {
         let mut marks = SlotMarks::default();
         let mut seen = Vec::new();
         let (mut tie, mut demote_inner, mut demote_absent) = (0, 0, 0);
-        let (mut replace_one, mut replace_many, mut replace_queued) = (0, 0, 0);
+        let (mut replace_one, mut replace_many) = (0, 0);
         let (mut resync_both, mut reinit_used) = (0, 0);
         for case in 0..CASES {
             let mut rng = SimRng::seed_from(0x9e_0000 + case);
@@ -578,19 +582,9 @@ mod tests {
                             lost.extend(rng.pick(&absent));
                         }
                         let k = rng.range(0..=absent.len().min(3));
-                        let mut gained = rng.sample_distinct(&absent, k);
-                        let kept: Vec<Slot> =
-                            queued.iter().copied().filter(|s| !lost.contains(s)).collect();
-                        if rng.chance(0.3) {
-                            if let Some(&s) = rng.pick(&kept) {
-                                let at = rng.range(0..=gained.len());
-                                gained.insert(at, s);
-                                replace_queued += 1;
-                            }
-                        }
-                        let inserted = gained.iter().filter(|s| !kept.contains(s)).count();
-                        replace_one += usize::from(inserted == 1);
-                        replace_many += usize::from(inserted > 1);
+                        let gained = rng.sample_distinct(&absent, k);
+                        replace_one += usize::from(gained.len() == 1);
+                        replace_many += usize::from(gained.len() > 1);
                         q.replace(&lost, &gained);
                         r.replace(&lost, &gained);
                     }
@@ -627,7 +621,6 @@ mod tests {
             ("demote of an absent slot", demote_absent),
             ("replace inserting one", replace_one),
             ("replace inserting several", replace_many),
-            ("replace with a gained slot queued", replace_queued),
             ("resync with departures and arrivals", resync_both),
             ("reinit over a used buffer", reinit_used),
         ] {
@@ -665,19 +658,21 @@ mod tests {
                     q.reward(s);
                 }
             }
-            // Some of `lost` absent, some of `gained` already queued (and
-            // not lost), and sometimes everything lost.
+            // Some of `lost` absent and sometimes everything lost; `gained`
+            // only slots outside the queue once `lost` is out (a lost one
+            // among them), the precondition.
             let how_many = rng.range(0..=ns.len());
             let lost = rng.sample_distinct(&ns, how_many);
-            let gained: Vec<Slot> = (0..rng.range(0..5u32)).map(|i| Slot(5 * i + 3)).collect();
+            let outside: Vec<Slot> =
+                (0..24).map(Slot).filter(|s| !ns.contains(s) || lost.contains(s)).collect();
+            let how_many = rng.range(0..=outside.len().min(5));
+            let gained = rng.sample_distinct(&outside, how_many);
             let mut want = q.clone();
             for &s in lost.iter().chain(&[Slot(77)]) {
                 want.remove(s);
             }
             for &s in &gained {
-                if !want.contains(s) {
-                    want.add_front(s);
-                }
+                want.add_front(s);
             }
             q.replace(&[lost.as_slice(), &[Slot(77)]].concat(), &gained);
             assert_eq!(
@@ -686,6 +681,16 @@ mod tests {
                 "case {case}: lost {lost:?}, gained {gained:?}"
             );
         }
+    }
+
+    /// A gained slot still queued breaks `replace`'s precondition; a debug
+    /// build stops at the insertion instead of queuing the slot twice.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "adding duplicate s2")]
+    fn replace_refuses_a_gained_slot_still_queued() {
+        let mut q = NeighborQueue::init(&slots(&[1, 2, 3]), &mut SimRng::seed_from(7));
+        q.replace(&slots(&[1]), &slots(&[4, 2]));
     }
 
     #[test]

@@ -136,7 +136,10 @@ impl NodeState {
     }
 
     /// PROP-O rewire bookkeeping: `lost` edges removed, `gained` inserted
-    /// at the front.
+    /// at the front without a lookup. No gained slot may be queued once the
+    /// lost ones are out ([`NeighborQueue::replace`]'s precondition): the
+    /// rewire only hands a node neighbors its row lacks, and the queue is
+    /// the row.
     pub fn swap_queue_entries(&mut self, lost: &[Slot], gained: &[Slot]) {
         self.queue.replace(lost, gained);
     }

@@ -403,8 +403,6 @@ impl<M: Timing> PropSim<M> {
         // the walk message reached, counterpart or not.
         let v = *walk.path.last().unwrap_or(&slot);
         let full_len = self.counterpart(walk).is_some();
-        // Network time is read off the overlay as it stands at launch.
-        let flight_ms = if M::ATOMIC { 0 } else { self.probe_duration(walk).as_millis() };
         let mut verdict = Delivery::CLEAN;
         let mut link_extra = 0;
         if let Some(plane) = self.plane.as_mut().filter(|_| v != slot) {
@@ -447,9 +445,13 @@ impl<M: Timing> PropSim<M> {
             self.walk_scratch = scratch;
             return;
         }
-        // Drift/spikes and reordering stretch the in-flight time (one RTT's
-        // worth of link degradation), never d() itself — Var and the
-        // theorems see the oracle's ground truth.
+        // Network time is read off the overlay as it stands at launch, and
+        // only for a trial the plane let through: pricing reads the oracle
+        // but neither draws nor asks the plane, so the rulings above are
+        // the same either way. Drift/spikes and reordering stretch the
+        // in-flight time (one RTT's worth of link degradation), never d()
+        // itself — Var and the theorems see the oracle's ground truth.
+        let flight_ms = self.probe_duration(self.walk_scratch.walk()).as_millis();
         let flight =
             Duration::from_millis((flight_ms + verdict.extra_delay_ms + 2 * link_extra).max(1));
         self.overhead.probe_time_ms += flight.as_millis();

@@ -2,12 +2,12 @@
 //!
 //! Accumulation is exact: latencies and hop counts are integers, so the
 //! totals are integer sums and the means are computed once at the end.
-//! That is what makes [`avg_lookup_latency`] return the same bits under any
-//! chunking (see [`crate::plane`]).
+//! That is what makes [`avg_lookup_latency`] return the same bits however
+//! the pairs are spread over workers (see [`crate::plane`]).
 
 use crate::plane::MEASURE_CHUNK;
 use prop_engine::par;
-use prop_overlay::{FloodScratch, Lookup, OverlayNet, Slot};
+use prop_overlay::{FloodScratch, Lookup, OverlayNet, RouteOutcome, Slot};
 
 /// Result of measuring a lookup workload.
 #[derive(Clone, Copy, Debug)]
@@ -21,9 +21,9 @@ pub struct LatencySummary {
     pub failed: u64,
 }
 
-/// Exact integer totals of a (partial) latency workload. Merging is integer
-/// addition — associative and commutative — so any reduction tree over any
-/// partition of the pairs yields the same totals.
+/// Exact integer totals of a latency workload: integer addition is
+/// associative and commutative, so the totals do not depend on the order
+/// the lookups were measured in.
 #[derive(Clone, Copy, Debug, Default)]
 struct LatencyTotals {
     latency_ms: u128,
@@ -33,33 +33,17 @@ struct LatencyTotals {
 }
 
 impl LatencyTotals {
-    fn measure(
-        net: &OverlayNet,
-        overlay: &impl Lookup,
-        pairs: &[(Slot, Slot)],
-        scratch: &mut FloodScratch,
-    ) -> Self {
-        let mut t = LatencyTotals::default();
-        for &(src, dst) in pairs {
-            match overlay.lookup_with(net, src, dst, scratch) {
-                Some(out) => {
-                    t.latency_ms += out.latency_ms as u128;
-                    t.hops += out.hops as u64;
-                    t.delivered += 1;
-                }
-                None => t.failed += 1,
+    /// Count one lookup's outcome in.
+    fn add(mut self, outcome: Option<RouteOutcome>) -> Self {
+        match outcome {
+            Some(out) => {
+                self.latency_ms += out.latency_ms as u128;
+                self.hops += out.hops as u64;
+                self.delivered += 1;
             }
+            None => self.failed += 1,
         }
-        t
-    }
-
-    fn merge(self, other: Self) -> Self {
-        LatencyTotals {
-            latency_ms: self.latency_ms + other.latency_ms,
-            hops: self.hops + other.hops,
-            delivered: self.delivered + other.delivered,
-            failed: self.failed + other.failed,
-        }
+        self
     }
 
     fn summary(self) -> LatencySummary {
@@ -73,19 +57,21 @@ impl LatencyTotals {
 }
 
 /// Run every pair through the overlay's lookup discipline and summarize.
-/// The pair list is measured in [`MEASURE_CHUNK`]-sized chunks fanned out
-/// through [`prop_engine::par::map`], each with its own [`FloodScratch`],
-/// and the exact integer totals are merged in chunk order.
+/// The pairs are fanned out through [`prop_engine::par::map_init`] — one
+/// [`FloodScratch`] per worker, a list of at most [`MEASURE_CHUNK`] pairs
+/// measured inline — and the outcomes, back in pair order, are summed into
+/// exact integer totals.
 pub fn avg_lookup_latency(
     net: &OverlayNet,
     overlay: &impl Lookup,
     pairs: &[(Slot, Slot)],
 ) -> LatencySummary {
-    let chunks: Vec<&[(Slot, Slot)]> = pairs.chunks(MEASURE_CHUNK).collect();
-    par::map(&chunks, |chunk| LatencyTotals::measure(net, overlay, chunk, &mut FloodScratch::new()))
-        .into_iter()
-        .fold(LatencyTotals::default(), LatencyTotals::merge)
-        .summary()
+    par::map_init(pairs, MEASURE_CHUNK, FloodScratch::new, |scratch, &(src, dst)| {
+        overlay.lookup_with(net, src, dst, scratch)
+    })
+    .into_iter()
+    .fold(LatencyTotals::default(), LatencyTotals::add)
+    .summary()
 }
 
 #[cfg(test)]
@@ -136,19 +122,84 @@ mod tests {
         assert!(s.mean_ms.is_nan());
     }
 
+    /// The sequential reference: one scratch, every pair in order on the
+    /// calling thread, integer totals.
+    fn sequential(
+        net: &OverlayNet,
+        overlay: &impl Lookup,
+        pairs: &[(Slot, Slot)],
+    ) -> LatencySummary {
+        let mut scratch = FloodScratch::new();
+        pairs
+            .iter()
+            .fold(LatencyTotals::default(), |t, &(a, b)| {
+                t.add(overlay.lookup_with(net, a, b, &mut scratch))
+            })
+            .summary()
+    }
+
+    fn bits(s: LatencySummary) -> (u64, u64, u64, u64) {
+        (nan_or_bits(s.mean_ms), nan_or_bits(s.mean_hops), s.delivered, s.failed)
+    }
+
+    /// The bits of `x`, every NaN read as one: the sign of `0.0 / 0.0`
+    /// depends on whether the compiler folded the division, and the empty
+    /// workload's mean is that NaN.
+    fn nan_or_bits(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
     #[test]
     fn parallel_matches_serial_bitwise() {
         let (gn, net, rng) = setup(30, 4);
         let live: Vec<Slot> = net.graph().live_slots().collect();
-        // Deliberately not a multiple of MEASURE_CHUNK: exercises the
-        // ragged tail chunk.
-        let pairs = LookupGen::new(&rng).uniform_pairs(&live, 700);
-        let serial = LatencyTotals::measure(&net, &gn, &pairs, &mut FloodScratch::new()).summary();
-        let parallel = avg_lookup_latency(&net, &gn, &pairs);
-        assert_eq!(serial.mean_ms.to_bits(), parallel.mean_ms.to_bits());
-        assert_eq!(serial.mean_hops.to_bits(), parallel.mean_hops.to_bits());
-        assert_eq!(serial.delivered, parallel.delivered);
-        assert_eq!(serial.failed, parallel.failed);
+        let all = LookupGen::new(&rng).uniform_pairs(&live, 700);
+        // Empty, one pair, either side of one chunk, and lists that are
+        // no multiple of MEASURE_CHUNK (the ragged tail).
+        for len in [0, 1, 255, 256, 257, 600, 650] {
+            let pairs = &all[..len];
+            let want = bits(sequential(&net, &gn, pairs));
+            assert_eq!(bits(avg_lookup_latency(&net, &gn, pairs)), want, "{len} pairs");
+        }
+    }
+
+    /// A lookup that records the thread it ran on.
+    struct Recording<'a, L> {
+        inner: &'a L,
+        threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl<L: Lookup> Lookup for Recording<'_, L> {
+        fn lookup_with(
+            &self,
+            net: &OverlayNet,
+            src: Slot,
+            dst: Slot,
+            scratch: &mut FloodScratch,
+        ) -> Option<RouteOutcome> {
+            self.threads.lock().unwrap().push(std::thread::current().id());
+            self.inner.lookup_with(net, src, dst, scratch)
+        }
+    }
+
+    #[test]
+    fn a_list_of_one_chunk_is_measured_on_the_callers_thread_by_both_measures() {
+        let (gn, net, rng) = setup(30, 6);
+        let live: Vec<Slot> = net.graph().live_slots().collect();
+        let pairs = LookupGen::new(&rng).uniform_pairs(&live, MEASURE_CHUNK);
+        let recording = Recording { inner: &gn, threads: Default::default() };
+        let got = avg_lookup_latency(&net, &recording, &pairs);
+        assert_eq!(bits(got), bits(sequential(&net, &gn, &pairs)));
+        let stretch = crate::path_stretch(&net, &recording, &pairs);
+        assert_eq!(stretch.mean.to_bits(), crate::path_stretch(&net, &gn, &pairs).mean.to_bits());
+        let threads = recording.threads.into_inner().unwrap();
+        assert_eq!(threads.len() as u64, MEASURE_CHUNK as u64 + stretch.delivered + stretch.failed);
+        let me = std::thread::current().id();
+        assert!(threads.iter().all(|&id| id == me), "a one-chunk list left the calling thread");
     }
 
     #[test]
@@ -167,21 +218,9 @@ mod tests {
         let sequential = |net: &OverlayNet| {
             let fresh =
                 OverlayNet::new(net.graph().clone(), net.placement().clone(), Arc::clone(&oracle));
-            let mut t = LatencyTotals::default();
-            for &(a, b) in &pairs {
-                match gn.lookup(&fresh, a, b) {
-                    Some(out) => {
-                        t.latency_ms += out.latency_ms as u128;
-                        t.hops += out.hops as u64;
-                        t.delivered += 1;
-                    }
-                    None => t.failed += 1,
-                }
-            }
-            t.summary()
+            let totals = LatencyTotals::default();
+            pairs.iter().fold(totals, |t, &(a, b)| t.add(gn.lookup(&fresh, a, b))).summary()
         };
-        let bits = |s: LatencySummary| (s.mean_ms.to_bits(), s.mean_hops.to_bits(), s.delivered);
-
         let before = avg_lookup_latency(&net, &gn, &pairs);
         assert_eq!(bits(before), bits(sequential(&net)), "before PROP-G");
         let mut sim = ProtocolSim::new(net, PropConfig::prop_g(), &mut rng);

@@ -30,60 +30,55 @@ pub struct StretchSummary {
     pub skipped: u64,
 }
 
-/// Partial sums over one fixed-size chunk of the workload. The ratio sum is
-/// an f64 — *not* associative — so bit-determinism comes from the chunking
-/// itself: chunks are [`MEASURE_CHUNK`]-sized, each chunk is summed
-/// sequentially, and partials are folded in chunk-index order (see
-/// [`crate::plane`]).
-#[derive(Clone, Copy, Debug, Default)]
-struct StretchPartial {
-    ratio_sum: f64,
-    delivered: u64,
-    failed: u64,
-    skipped: u64,
+/// What one pair contributes to the mean.
+#[derive(Clone, Copy, Debug)]
+enum PairStretch {
+    Delivered(f64),
+    Failed,
+    Skipped,
 }
 
-impl StretchPartial {
+impl PairStretch {
     fn measure(
         net: &OverlayNet,
         overlay: &impl Lookup,
-        chunk: &[(Slot, Slot)],
+        (src, dst): (Slot, Slot),
         scratch: &mut FloodScratch,
     ) -> Self {
-        let mut p = StretchPartial::default();
-        for &(src, dst) in chunk {
-            // A vacated slot has no peer to ask the oracle about.
-            if !net.graph().is_alive(src) || !net.graph().is_alive(dst) {
-                p.skipped += 1;
-                continue;
-            }
-            let direct = net.d(src, dst);
-            if direct == 0 {
-                p.skipped += 1;
-                continue;
-            }
-            match overlay.lookup_with(net, src, dst, scratch) {
-                Some(out) => {
-                    p.ratio_sum += out.latency_ms as f64 / direct as f64;
-                    p.delivered += 1;
-                }
-                None => p.failed += 1,
-            }
+        // A vacated slot has no peer to ask the oracle about.
+        if !net.graph().is_alive(src) || !net.graph().is_alive(dst) {
+            return PairStretch::Skipped;
         }
-        p
+        let direct = net.d(src, dst);
+        if direct == 0 {
+            return PairStretch::Skipped;
+        }
+        match overlay.lookup_with(net, src, dst, scratch) {
+            Some(out) => PairStretch::Delivered(out.latency_ms as f64 / direct as f64),
+            None => PairStretch::Failed,
+        }
     }
 }
 
-fn fold_partials(partials: Vec<StretchPartial>) -> StretchSummary {
-    let mut sum = 0.0;
-    let mut delivered = 0u64;
-    let mut failed = 0u64;
-    let mut skipped = 0u64;
-    for p in partials {
-        sum += p.ratio_sum;
-        delivered += p.delivered;
-        failed += p.failed;
-        skipped += p.skipped;
+/// The summary of the per-pair outcomes, in pair order. The ratio sum is
+/// an f64 — *not* associative — so it is grouped by a constant: each
+/// [`MEASURE_CHUNK`] of pairs is summed on its own, in order, and the chunk
+/// sums are added in chunk order (see [`crate::plane`]).
+fn fold(pairs: &[PairStretch]) -> StretchSummary {
+    let (mut sum, mut delivered, mut failed, mut skipped) = (0.0, 0u64, 0u64, 0u64);
+    for chunk in pairs.chunks(MEASURE_CHUNK) {
+        let mut chunk_sum = 0.0;
+        for &pair in chunk {
+            match pair {
+                PairStretch::Delivered(ratio) => {
+                    chunk_sum += ratio;
+                    delivered += 1;
+                }
+                PairStretch::Failed => failed += 1,
+                PairStretch::Skipped => skipped += 1,
+            }
+        }
+        sum += chunk_sum;
     }
     StretchSummary { mean: sum / delivered as f64, delivered, failed, skipped }
 }
@@ -93,17 +88,17 @@ fn fold_partials(partials: Vec<StretchPartial>) -> StretchSummary {
 /// has a well-defined route; used for the Chord experiments (Fig. 6).
 /// Pairs with zero physical distance or a departed endpoint, and
 /// undelivered lookups, are excluded from the mean but reported in the
-/// summary. Fixed-size chunks are measured — fanned out through
-/// [`prop_engine::par::map`] — and folded in chunk order, so the float
-/// additions happen in one order.
+/// summary. The pairs are fanned out through
+/// [`prop_engine::par::map_init`] — one [`FloodScratch`] per worker, a list
+/// of at most [`MEASURE_CHUNK`] pairs measured inline — and the ratios,
+/// back in pair order, are added in one order on any machine.
 pub fn path_stretch(
     net: &OverlayNet,
     overlay: &impl Lookup,
     pairs: &[(Slot, Slot)],
 ) -> StretchSummary {
-    let chunks: Vec<&[(Slot, Slot)]> = pairs.chunks(MEASURE_CHUNK).collect();
-    fold_partials(par::map(&chunks, |chunk| {
-        StretchPartial::measure(net, overlay, chunk, &mut FloodScratch::new())
+    fold(&par::map_init(pairs, MEASURE_CHUNK, FloodScratch::new, |scratch, &pair| {
+        PairStretch::measure(net, overlay, pair, scratch)
     }))
 }
 
@@ -124,19 +119,42 @@ mod tests {
         (ch, net, rng)
     }
 
-    /// The sequential reference: one scratch, chunks measured and folded in
-    /// order on the calling thread.
+    /// The sequential reference: one scratch, every pair in order on the
+    /// calling thread, each chunk's ratios summed and the chunk sums folded
+    /// in chunk order.
     fn sequential(
         net: &OverlayNet,
         overlay: &impl Lookup,
         pairs: &[(Slot, Slot)],
     ) -> StretchSummary {
         let mut scratch = FloodScratch::new();
-        let partials = pairs
-            .chunks(MEASURE_CHUNK)
-            .map(|chunk| StretchPartial::measure(net, overlay, chunk, &mut scratch))
-            .collect();
-        fold_partials(partials)
+        let (mut sum, mut delivered, mut failed, mut skipped) = (0.0, 0, 0, 0);
+        for chunk in pairs.chunks(MEASURE_CHUNK) {
+            let mut chunk_sum = 0.0;
+            for &(a, b) in chunk {
+                let g = net.graph();
+                if !g.is_alive(a) || !g.is_alive(b) || net.d(a, b) == 0 {
+                    skipped += 1;
+                    continue;
+                }
+                match overlay.lookup_with(net, a, b, &mut scratch) {
+                    Some(out) => {
+                        chunk_sum += out.latency_ms as f64 / net.d(a, b) as f64;
+                        delivered += 1;
+                    }
+                    None => failed += 1,
+                }
+            }
+            sum += chunk_sum;
+        }
+        StretchSummary { mean: sum / delivered as f64, delivered, failed, skipped }
+    }
+
+    /// Every NaN read as one: the sign of `0.0 / 0.0`, the empty
+    /// workload's mean, depends on whether the compiler folded it.
+    fn bits(s: StretchSummary) -> (u64, u64, u64, u64) {
+        let mean = if s.mean.is_nan() { f64::NAN } else { s.mean };
+        (mean.to_bits(), s.delivered, s.failed, s.skipped)
     }
 
     #[test]
@@ -198,27 +216,22 @@ mod tests {
         assert!(naming > 0, "workload never names the departed slot");
 
         let serial = sequential(&net, &gn, &pairs);
-        let parallel = path_stretch(&net, &gn, &pairs);
         assert!(serial.skipped >= naming);
         assert_eq!(serial.delivered + serial.failed + serial.skipped, 650);
-        assert_eq!(serial.mean.to_bits(), parallel.mean.to_bits());
-        assert_eq!(
-            (serial.delivered, serial.failed, serial.skipped),
-            (parallel.delivered, parallel.failed, parallel.skipped)
-        );
+        assert_eq!(bits(path_stretch(&net, &gn, &pairs)), bits(serial));
     }
 
     #[test]
     fn parallel_matches_serial_bitwise() {
         let (ch, net, rng) = chord(30, 4);
         let live: Vec<Slot> = net.graph().live_slots().collect();
-        // Not a multiple of MEASURE_CHUNK: exercises the ragged tail.
-        let pairs = LookupGen::new(&rng).uniform_pairs(&live, 650);
-        let serial = sequential(&net, &ch, &pairs);
-        let parallel = path_stretch(&net, &ch, &pairs);
-        assert_eq!(serial.mean.to_bits(), parallel.mean.to_bits());
-        assert_eq!(serial.delivered, parallel.delivered);
-        assert_eq!(serial.failed, parallel.failed);
-        assert_eq!(serial.skipped, parallel.skipped);
+        let all = LookupGen::new(&rng).uniform_pairs(&live, 650);
+        // Empty, one pair, either side of one chunk, and lists that are
+        // no multiple of MEASURE_CHUNK (the ragged tail).
+        for len in [0, 1, 255, 256, 257, 600, 650] {
+            let pairs = &all[..len];
+            let want = bits(sequential(&net, &ch, pairs));
+            assert_eq!(bits(path_stretch(&net, &ch, pairs)), want, "{len} pairs");
+        }
     }
 }
