@@ -73,7 +73,7 @@ impl RewiringSim {
         self.rewires
     }
 
-    /// Advance by `window`.
+    /// Advance the clock by exactly `window`.
     pub fn run_for(&mut self, window: Duration) {
         let deadline = self.now() + window;
         self.run_until(deadline);

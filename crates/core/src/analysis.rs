@@ -66,13 +66,6 @@ pub fn steady_state_probe_rate(q: f64) -> f64 {
     expected_trials / expected_time
 }
 
-/// Eq. 3: average latency over all ordered pairs, `d(i,i) = 0`.
-pub fn average_latency(d: &[u32], n: usize) -> f64 {
-    assert_eq!(d.len(), n * n);
-    let total: u64 = d.iter().map(|&x| x as u64).sum();
-    total as f64 / (n as f64 * n as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,13 +102,6 @@ mod tests {
         let rate = steady_state_probe_rate(0.0);
         let expect = 6.0 / (63.0 * 60_000.0);
         assert!((rate - expect).abs() < 1e-15, "rate {rate}, expect {expect}");
-    }
-
-    #[test]
-    fn average_latency_matches_manual() {
-        // 2×2 matrix: d(0,1)=d(1,0)=10.
-        let d = [0, 10, 10, 0];
-        assert!((average_latency(&d, 2) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -37,6 +37,15 @@
 //! — the test-suite runs both modes over the same scenarios and checks the
 //! same properties.
 //!
+//! The driver's clock is its event queue's ([`PropSim::now`]), the
+//! simulation's only clock. [`PropSim::run_until`]`(t)` runs every event at
+//! or before `t` and then stands at `t`, whether or not an event fell
+//! there, so [`PropSim::run_for`]`(w)` ends exactly `w` after it starts and
+//! `k` windows from a fresh driver end at `k·w`. Callers sample on that
+//! grid by reading `now()` and keep no clock of their own. The churn entry
+//! points schedule from that instant too: a node joined right after
+//! `run_until(t)` first ticks within `INIT_TIMER` after `t`, never before.
+//!
 //! The driver keeps one trial ledger, [`Overhead`], the same way in both
 //! modes: `launch` counts a trial and its walk messages, `resolve` files it
 //! under one outcome, and the §4.3 probe and notification messages are
@@ -316,7 +325,8 @@ impl<M: Timing> PropSim<M> {
         self.m_default = self.net.graph().min_degree().unwrap_or(1).max(1);
     }
 
-    /// Run all events up to and including `deadline`.
+    /// Run all events up to and including `deadline`, then stand at
+    /// `deadline` (the clock never moves back).
     pub fn run_until(&mut self, deadline: SimTime) {
         while let Some((_, ev)) = self.events.pop_until(deadline) {
             match ev {
@@ -329,7 +339,7 @@ impl<M: Timing> PropSim<M> {
         }
     }
 
-    /// Convenience: advance the clock by `window`.
+    /// Advance the clock by exactly `window`.
     pub fn run_for(&mut self, window: Duration) {
         let deadline = self.now() + window;
         self.run_until(deadline);
@@ -877,6 +887,9 @@ mod tests {
     /// The reference for the driver merge: captured from the two separate
     /// drivers (`sim.rs` + `sim_async.rs` at PR 12), it pins each timing
     /// mode's counters, clock, overlay and fault-plane call sequence.
+    /// Re-captured when a drained `run_until` began to stand at its
+    /// deadline: the churn at minutes 10 and 20 now schedules from those
+    /// instants, and every row ends at minute 40 exactly.
     #[test]
     fn golden_table() {
         let random = || PropConfig::prop_g().with_probe(ProbeMode::Random);
@@ -891,19 +904,19 @@ mod tests {
         // [trials, exchanges, no_gain, stale_aborts, faulted, probe_time_ms].
         let expected = [
             // perfect network: PROP-G walk, PROP-O walk, PROP-G random (sync, async each)
-            "[503, 44, 1006, 8192, 719] now=2398244 lat=11395 fnv=99c7ceb2e98bb6d4",
-            "[473, 43, 430, 0, 0, 466575] now=2375152 lat=11325 fnv=84e4cce34848ebdc",
-            "[459, 51, 918, 2136, 252] now=2391809 lat=10185 fnv=1b905916a5514b00",
-            "[460, 56, 404, 0, 0, 425000] now=2370273 lat=9520 fnv=b23b9d39cc1aa8da",
-            "[490, 40, 0, 7321, 602] now=2382328 lat=12000 fnv=a9832c97d3c75344",
-            "[500, 55, 445, 0, 0, 465885] now=2355389 lat=11825 fnv=55eeef4d655c2214",
+            "[505, 44, 1010, 8279, 728] now=2400000 lat=11385 fnv=9e1ff54c80b268e4",
+            "[482, 47, 435, 0, 0, 478910] now=2400000 lat=11440 fnv=c01a199d9a1c8dac",
+            "[461, 51, 922, 2132, 250] now=2400000 lat=9925 fnv=eb5a14f94a4caed0",
+            "[474, 60, 414, 0, 0, 434915] now=2400000 lat=9160 fnv=a88b6649eed0be6a",
+            "[485, 38, 0, 7110, 557] now=2400000 lat=12040 fnv=fd83a00ed4074984",
+            "[501, 52, 449, 0, 0, 459180] now=2400000 lat=11790 fnv=3512d4433b273d44",
             // the same six through CallCountPlane
-            "[451, 28, 902, 3192, 472] now=2384581 lat=11740 fnv=946f3113ce0baa6c",
-            "[469, 36, 214, 0, 219, 282114] now=2398985 lat=12050 fnv=22bee2e47e820c2c",
-            "[471, 41, 942, 892, 172] now=2377068 lat=10445 fnv=ac0456e79b6ccdf3",
-            "[471, 42, 201, 0, 228, 278735] now=2397346 lat=9985 fnv=1280a258d65670ee",
-            "[450, 27, 0, 2815, 382] now=2390937 lat=12505 fnv=35bcde56c50913d4",
-            "[462, 25, 222, 0, 215, 258106] now=2394988 lat=11705 fnv=1fa6fb649689d244",
+            "[456, 29, 912, 3220, 497] now=2400000 lat=11790 fnv=586c87c5a6387fcc",
+            "[461, 34, 209, 0, 218, 278591] now=2400000 lat=12180 fnv=742f276f74a1212c",
+            "[477, 44, 954, 912, 182] now=2400000 lat=10435 fnv=a3c9e8983674a683",
+            "[460, 37, 202, 0, 221, 272976] now=2400000 lat=10325 fnv=c6bb6d4512c343ae",
+            "[463, 32, 0, 2867, 451] now=2400000 lat=12055 fnv=ff08e32f3a0cb4f4",
+            "[467, 28, 219, 0, 220, 263535] now=2400000 lat=12085 fnv=64ecefba73593744",
         ];
         assert_eq!(table, expected, "\n{}", table.join("\n"));
     }
@@ -1184,6 +1197,68 @@ mod tests {
         assert!(async_final < start && sync_final < start);
         let ratio = async_final as f64 / sync_final as f64;
         assert!((0.7..1.3).contains(&ratio), "drivers diverged: {ratio}");
+    }
+
+    /// A perfect network that logs every launched tick's `is_up` ruling as
+    /// (instant, peer).
+    #[derive(Clone, Default)]
+    struct TickLog(std::rc::Rc<std::cell::RefCell<Vec<(SimTime, usize)>>>);
+
+    impl FaultPlane for TickLog {
+        fn deliver(&mut self, _: SimTime, _: MsgKind, _: usize, _: usize) -> Delivery {
+            Delivery::CLEAN
+        }
+        fn is_up(&mut self, now: SimTime, peer: usize) -> bool {
+            self.0.borrow_mut().push((now, peer));
+            true
+        }
+        fn counters(&mut self, _: SimTime) -> FaultCounters {
+            FaultCounters::default()
+        }
+    }
+
+    #[test]
+    fn windows_end_on_the_clock_and_a_joiner_ticks_from_its_join() {
+        fn check<M: Timing>() {
+            let (gn, mut sim) = gnutella_sim::<M>(30, 8, PropConfig::prop_g());
+            let log = TickLog::default();
+            sim.set_fault_plane(Box::new(log.clone()));
+            let mut rng = SimRng::seed_from(8);
+            // An odd window, so a deadline is seldom an event's instant.
+            let w = Duration::from_millis(97_919);
+            for k in 1..=20u64 {
+                sim.run_for(w);
+                assert_eq!(sim.now(), SimTime(k * w.as_millis()), "window {k}");
+            }
+            // Past warm-up, ticks are sparse: a tick scheduled from the
+            // last popped event instead of the deadline would often fire
+            // before the join it follows.
+            let mut joined: Option<(SimTime, usize, usize)> = None;
+            for k in 21..=80u64 {
+                let t = SimTime(k * w.as_millis());
+                sim.run_until(t);
+                assert_eq!(sim.now(), t, "window {k}");
+                if let Some((at, peer, mark)) = joined.take() {
+                    for &(tick, p) in &log.0.borrow()[mark..] {
+                        assert!(p != peer || tick >= at, "joined at {at:?}, ticked at {tick:?}");
+                    }
+                }
+                // Every other window ends in a peer leaving and rejoining.
+                if k % 2 == 1 {
+                    continue;
+                }
+                let g = sim.net().graph();
+                let victim = g.live_slot_at_rank(rng.range(0..g.num_live())).unwrap();
+                let peer = sim.net().peer(victim);
+                let affected: Vec<Slot> = g.neighbors(victim).to_vec();
+                gn.leave(sim.net_mut(), victim, &mut rng);
+                sim.handle_leave(victim, &affected);
+                let slot = gn.join(sim.net_mut(), peer, &mut rng);
+                sim.handle_join(slot);
+                joined = Some((t, peer, log.0.borrow().len()));
+            }
+        }
+        in_both_modes!(check);
     }
 
     #[test]

@@ -84,9 +84,11 @@ pub trait TrafficPlane {
 /// join/leave glue (Gnutella patching, ring maintenance) stays with the
 /// caller.
 pub trait ChurnDriver {
-    /// Run all protocol events up to and including `deadline`.
+    /// Run all protocol events up to and including `deadline`, then stand
+    /// at `deadline`.
     fn run_until(&mut self, deadline: SimTime);
-    /// Current simulated time.
+    /// Current simulated time: the driver's event-queue clock, which the
+    /// pump reads for its sample instants and deadlines.
     fn now(&self) -> SimTime;
     /// The overlay under optimization.
     fn net(&self) -> &OverlayNet;

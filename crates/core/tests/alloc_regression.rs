@@ -37,7 +37,11 @@
 //! and for the joiner's fresh node state, though no longer per notified
 //! neighbor.
 //!
-//! One `#[test]`: the counter is process-wide, so windows must not overlap.
+//! A window counts the test thread's own allocator entries
+//! ([`thread_allocation_count`]), not the process's: libtest's main thread
+//! allocates when it first blocks waiting for the test's result, and on a
+//! loaded machine that can fall inside a window (four entries, seen in the
+//! longest window in most runs with both cores busy).
 //!
 //! [`WalkScratch`]: prop_overlay::walk::WalkScratch
 //! [`PlanScratch`]: prop_core::exchange::PlanScratch
@@ -46,7 +50,7 @@ use prop_core::config::PropConfig;
 use prop_core::fault::{Delivery, FaultCounters, FaultPlane, MsgKind};
 use prop_core::sim::{AsyncProtocolSim, PropSim, ProtocolSim, Timing};
 use prop_engine::{
-    allocation_count, counting_active, CountingAllocator, Duration, SimRng, SimTime,
+    counting_active, thread_allocation_count, CountingAllocator, Duration, SimRng, SimTime,
 };
 use prop_netsim::{generate, LatencyOracle, Tier, TransitStubParams};
 use prop_overlay::gnutella::{Gnutella, GnutellaParams};
@@ -192,11 +196,11 @@ fn measure<M: Timing>(w: &Window, mut sim: PropSim<M>) {
 
     sim.run_for(Duration::from_minutes(w.warm_up_min));
     let before = sim.overhead();
-    let allocs_before = allocation_count();
+    let allocs_before = thread_allocation_count();
 
     sim.run_for(Duration::from_minutes(w.measured_min));
 
-    let allocs = allocation_count() - allocs_before;
+    let allocs = thread_allocation_count() - allocs_before;
     let done = sim.overhead().since(&before);
     let (name, trials, exchanges) = (w.name, done.trials, done.exchanges);
     assert!(

@@ -15,7 +15,10 @@
 //! ```
 //!
 //! [`allocation_count`] then reads the running total, and a window's
-//! allocations are `after - before`. In a binary that did *not* install the
+//! allocations are `after - before`. [`thread_allocation_count`] is the same
+//! count for the calling thread alone, for a window that the process's
+//! other threads (a test harness's among them) must not land in. In a
+//! binary that did *not* install the
 //! allocator the counter never moves; [`counting_active`] distinguishes the
 //! two so metric producers (the `perf` binary's `allocs_per_trial` field)
 //! can report "not measured" instead of a vacuous zero.
@@ -25,27 +28,41 @@
 //! precise count of such entries that can grow memory.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Const-initialized and without a destructor: reading it never
+    // allocates, so the allocator itself may touch it.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+#[inline]
+fn count_entry() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
 /// A `#[global_allocator]` wrapper over [`System`] that counts every
-/// allocator entry (`alloc`, `alloc_zeroed`, `realloc`).
+/// allocator entry (`alloc`, `alloc_zeroed`, `realloc`), process-wide and
+/// per thread.
 pub struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_entry();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_entry();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_entry();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -60,6 +77,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[inline]
 pub fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Allocator entries made by the calling thread since it started, as
+/// counted by [`CountingAllocator`] (0 forever without it).
+#[inline]
+pub fn thread_allocation_count() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 /// Is the counting allocator actually installed in this binary? Probes by
@@ -83,5 +107,6 @@ mod tests {
     fn inactive_binary_reports_inactive() {
         assert!(!counting_active());
         assert_eq!(allocation_count(), 0);
+        assert_eq!(thread_allocation_count(), 0);
     }
 }

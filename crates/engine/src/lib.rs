@@ -33,7 +33,9 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use alloc_track::{allocation_count, counting_active, CountingAllocator};
+pub use alloc_track::{
+    allocation_count, counting_active, thread_allocation_count, CountingAllocator,
+};
 pub use backoff::MarkovTimer;
 pub use queue::EventQueue;
 pub use rng::SimRng;

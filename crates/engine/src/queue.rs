@@ -18,20 +18,33 @@
 //!    larger seq than anything a later cascade could add in front of it,
 //!    because cascades into that bucket's window happen *before* the cursor
 //!    enters the window and direct placements only after.
-//! 2. **Monotonic clock.** Popping an event advances the queue's notion of
-//!    `now`; scheduling strictly in the past is a logic error and panics in
-//!    debug builds (it is clamped to `now` in release builds).
+//! 2. **One monotonic clock.** [`EventQueue::now`] is the simulation's clock.
+//!    Popping an event moves it to the event's timestamp, and a
+//!    [`EventQueue::pop_until`] that finds nothing left at or before its
+//!    deadline moves it to the deadline: a drained run stands exactly where
+//!    it was asked to stop, so [`EventQueue::schedule_in`] counts from the
+//!    instant the caller handed in, and back-to-back windows tile the time
+//!    axis with no gap. Scheduling strictly before `now` is a logic error
+//!    and panics in debug builds (it is clamped to `now` in release builds).
 //!
 //! ## Layout
 //!
 //! An event at absolute time `t` lives at level `l` = the index of the
-//! most-significant byte in which `t` differs from the cursor (`now`), in
+//! most-significant byte in which `t` differs from the placement cursor, in
 //! slot `(t >> 8l) & 0xff`. Level-0 buckets are time-homogeneous (every
 //! entry shares one exact millisecond); higher-level buckets cover windows
 //! of `256^l` ms. When a pop finds level 0 empty it *cascades* the
 //! lowest-level first-occupied bucket: its entries re-distribute strictly
 //! downward (their shared high bytes become the new sub-cursor), so each
 //! event cascades at most 7 times over its whole life.
+//!
+//! The cursor is not the clock. It is the timestamp of the last popped
+//! event and moves only when an event pops; the clock may run ahead of it
+//! to a drained deadline. Moving the cursor there too would re-base
+//! placements while older events still sit in buckets laid out against the
+//! old cursor, and a new same-instant event could land in a lower bucket
+//! than an older one and overtake it. Any `t >= now >= cursor` is a valid
+//! placement against the cursor, so scheduling needs nothing else.
 //!
 //! Entries live in a slab (`Vec` + intrusive free list) and buckets are
 //! intrusive singly-linked lists, so steady-state churn — pop an event,
@@ -102,7 +115,10 @@ pub struct EventQueue<E> {
     /// One bit per bucket: 4 words × 64 bits = 256 slots per level.
     occupancy: [[u64; 4]; LEVELS],
     len: usize,
+    /// The public clock: the last popped timestamp or a drained deadline.
     now: SimTime,
+    /// Where placements are laid out from: the last popped timestamp.
+    cursor: u64,
     next_seq: u64,
 }
 
@@ -123,12 +139,14 @@ impl<E> EventQueue<E> {
             occupancy: [[0; 4]; LEVELS],
             len: 0,
             now: SimTime::ZERO,
+            cursor: 0,
             next_seq: 0,
         }
     }
 
-    /// The current simulated instant — the timestamp of the last popped
-    /// event, or `t = 0` if nothing has been popped yet.
+    /// The current simulated instant: the later of the last popped event's
+    /// timestamp and the last deadline a [`pop_until`](Self::pop_until)
+    /// drained to (`t = 0` before either).
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
@@ -209,7 +227,7 @@ impl<E> EventQueue<E> {
         let key = Key { time: at, seq: self.next_seq };
         self.next_seq += 1;
         let idx = self.alloc_node(key, event);
-        self.link(bucket_of(self.now.0, at.0), idx);
+        self.link(bucket_of(self.cursor, at.0), idx);
         self.len += 1;
     }
 
@@ -256,7 +274,7 @@ impl<E> EventQueue<E> {
         self.tail[bucket] = NIL;
         self.clear_occupied(bucket);
         // The window base must come from the entries themselves, not from
-        // `now`: during a multi-step cascade the cursor's bytes below the
+        // the cursor: during a multi-step cascade the cursor's bytes below the
         // original level are stale.
         let shift = 8 * level;
         let base = (self.nodes[idx as usize].key.time.0 >> shift) << shift;
@@ -291,6 +309,7 @@ impl<E> EventQueue<E> {
                 self.free = idx;
                 self.len -= 1;
                 self.now = key.time;
+                self.cursor = key.time.0;
                 return Some((key.time, event));
             }
             let (level, slot) = self.first_occupied_high().expect("non-empty queue has a bucket");
@@ -299,12 +318,16 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the earliest event only if it is scheduled at or before `deadline`.
-    /// The clock never advances past `deadline` through this method, so a
-    /// driver can interleave externally-clocked work at a fixed cadence.
+    /// When none is, the clock moves to `deadline` (never back): a loop of
+    /// `pop_until(t)` ends with `now() == t`, so a driver's window ends
+    /// where it was asked to and the next window starts there.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         match self.peek_time() {
             Some(t) if t <= deadline => self.pop(),
-            _ => None,
+            _ => {
+                self.now = self.now.max(deadline);
+                None
+            }
         }
     }
 }
@@ -371,6 +394,10 @@ mod tests {
             self.heap.push(Reverse(HeapEntry { key, event }));
         }
 
+        fn schedule_in(&mut self, delay: Duration, event: E) {
+            self.schedule_at(self.now + delay, event);
+        }
+
         fn peek_time(&self) -> Option<SimTime> {
             self.heap.peek().map(|e| e.0.key.time)
         }
@@ -384,7 +411,10 @@ mod tests {
         fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
             match self.peek_time() {
                 Some(t) if t <= deadline => self.pop(),
-                _ => None,
+                _ => {
+                    self.now = self.now.max(deadline);
+                    None
+                }
             }
         }
     }
@@ -403,8 +433,10 @@ mod tests {
     /// The wheel pops exactly as the heap does across seeded random
     /// schedules: same (time, payload) trace, same clock, same length —
     /// same-instant bursts (the FIFO tie-break), sub-slot / one-level /
-    /// cascade-forcing delays (up to ~83 hours, wheel level 3) and
-    /// `pop_until` deadlines.
+    /// cascade-forcing delays (up to ~83 hours, wheel level 3), `pop_until`
+    /// deadlines, and drained deadlines followed by a relative schedule
+    /// that lands beside an older pending event (the clock has moved, the
+    /// placement cursor has not, and the newcomer must still pop second).
     #[test]
     fn timer_wheel_matches_heap_reference() {
         for seed in 0..256u64 {
@@ -414,7 +446,7 @@ mod tests {
             let mut payload = 0u32;
             for _ in 0..200 {
                 let now = wheel.now().0;
-                match rng.range(0..4u32) {
+                match rng.range(0..5u32) {
                     0 => {
                         let span = [256u64, 70_000, 300_000_000][rng.range(0..3usize)];
                         let at = SimTime(now + rng.range(0..span));
@@ -432,13 +464,26 @@ mod tests {
                         assert_eq!(wheel.peek_time(), heap.peek_time(), "seed {seed}");
                         assert_eq!(wheel.pop(), heap.pop(), "seed {seed}");
                     }
-                    _ => {
+                    3 => {
                         let deadline = SimTime(now + rng.range(0u64..500_000));
-                        assert_eq!(
-                            wheel.pop_until(deadline),
-                            heap.pop_until(deadline),
-                            "seed {seed}"
-                        );
+                        let popped = wheel.pop_until(deadline);
+                        assert_eq!(popped, heap.pop_until(deadline), "seed {seed}");
+                        if popped.is_none() {
+                            assert_eq!(wheel.now(), deadline, "seed {seed}: drained clock");
+                        }
+                    }
+                    _ => {
+                        let Some(next) = heap.peek_time() else { continue };
+                        if next.0 == now {
+                            continue;
+                        }
+                        let deadline = SimTime(next.0 - 1);
+                        assert_eq!(wheel.pop_until(deadline), None, "seed {seed}");
+                        assert_eq!(heap.pop_until(deadline), None, "seed {seed}");
+                        assert_eq!(wheel.now(), deadline, "seed {seed}: drained clock");
+                        wheel.schedule_in(Duration(1), payload);
+                        heap.schedule_in(Duration(1), payload);
+                        payload += 1;
                     }
                 }
                 assert_eq!(wheel.len(), heap.len(), "seed {seed}");
@@ -457,7 +502,10 @@ mod tests {
 
     /// Schedule-during-pop: a driver-shaped run (every pop reschedules the
     /// popped peer with a backoff-lattice delay, occasionally with a
-    /// same-instant companion) pops identically on both queues.
+    /// same-instant companion) pops identically on both queues. Every
+    /// seventh step is a whole `run_until` window drained to its deadline,
+    /// after which the clock stands at the deadline and a joiner's first
+    /// tick is scheduled relative to it, as `PropSim::handle_join` does.
     #[test]
     fn driver_shaped_run_is_identical_on_both_queues() {
         // The paper's probe intervals: 2^k minutes, k ≤ 5.
@@ -471,11 +519,25 @@ mod tests {
                 let at = SimTime(rng.range(0u64..60_000));
                 schedule_both(&mut wheel, &mut heap, at, p);
             }
+            let mut joiner = 2000u32;
             for step in 0..400 {
                 if step % 7 == 3 {
-                    // Interleave a deadline-bounded pop, as run_until does.
                     let deadline = SimTime(wheel.now().0 + rng.range(0u64..120_000));
-                    assert_eq!(wheel.pop_until(deadline), heap.pop_until(deadline), "seed {seed}");
+                    loop {
+                        let (w, h) = (wheel.pop_until(deadline), heap.pop_until(deadline));
+                        assert_eq!(w, h, "seed {seed}");
+                        let Some((t, p)) = w else { break };
+                        let at = t + Duration(*rng.pick(&lattice).unwrap());
+                        schedule_both(&mut wheel, &mut heap, at, p);
+                    }
+                    assert_eq!(wheel.now(), deadline, "seed {seed}: drained clock");
+                    assert_eq!(heap.now(), deadline, "seed {seed}: drained clock");
+                    if rng.chance(0.5) {
+                        let offset = Duration(rng.range(0u64..60_000));
+                        wheel.schedule_in(offset, joiner);
+                        heap.schedule_in(offset, joiner);
+                        joiner += 1;
+                    }
                     continue;
                 }
                 let (w, h) = (wheel.pop(), heap.pop());
@@ -541,6 +603,21 @@ mod tests {
         assert_eq!(q.pop_until(SimTime(50)), None);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_until(SimTime(100)).map(|(_, e)| e), Some("late"));
+    }
+
+    #[test]
+    fn a_drained_deadline_is_the_clock() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(10), "early");
+        q.schedule_at(SimTime(500), "late");
+        while q.pop_until(SimTime(100)).is_some() {}
+        assert_eq!(q.now(), SimTime(100), "a drained run stands at its deadline");
+        q.schedule_in(Duration(20), "relative");
+        assert_eq!(q.pop(), Some((SimTime(120), "relative")));
+        // An earlier deadline never moves the clock back.
+        assert_eq!(q.pop_until(SimTime(50)), None);
+        assert_eq!(q.now(), SimTime(120));
+        assert_eq!(q.pop(), Some((SimTime(500), "late")));
     }
 
     #[test]

@@ -7,7 +7,8 @@ use prop_engine::{Duration, EventQueue, MarkovTimer, SimRng, SimTime};
 const CASES: u64 = 256;
 
 /// The queue behaves exactly like a sorted-vec reference model with stable
-/// (time, insertion) ordering and a monotone clock.
+/// (time, insertion) ordering and a monotone clock that a drained
+/// `pop_until` moves to its deadline.
 #[test]
 fn event_queue_matches_reference_model() {
     for case in 0..CASES {
@@ -40,7 +41,10 @@ fn event_queue_matches_reference_model() {
                     model.sort_by_key(|&(t, s, _)| (t, s));
                     let expect = match model.first() {
                         Some(&(t, _, _)) if t <= deadline => Some(model.remove(0)),
-                        _ => None,
+                        _ => {
+                            now = deadline;
+                            None
+                        }
                     };
                     Some((q.pop_until(SimTime(deadline)), expect))
                 }

@@ -92,14 +92,12 @@ pub fn overhead(scale: Scale, seed: u64) -> OverheadReport {
         let m = sim.m_default();
 
         let step = scale.sample_every();
-        let mut elapsed = Duration::ZERO;
+        let mins = step.as_millis() as f64 / 60_000.0;
         let mut last = sim.overhead();
-        while elapsed < scale.horizon() {
+        while sim.now() < SimTime::ZERO + scale.horizon() {
             sim.run_for(step);
-            elapsed = elapsed + step;
             if is_prop_g {
                 let window = sim.overhead().since(&last);
-                let mins = step.as_millis() as f64 / 60_000.0;
                 probe_rate.push(sim.now(), window.trials as f64 / mins);
                 last = sim.overhead();
             }
@@ -163,11 +161,11 @@ pub fn churn(scale: Scale, seed: u64) -> ChurnReport {
     let mut next_event = 0usize;
 
     let step = scale.sample_every();
+    let mins = step.as_millis() as f64 / 60_000.0;
     let mut last_overhead = sim.overhead();
-    let mut t = SimTime::ZERO;
-    stretch.push(t, link_stretch(sim.net()));
-    while t.since(SimTime::ZERO) < horizon {
-        let deadline = t + step;
+    stretch.push(sim.now(), link_stretch(sim.net()));
+    while sim.now() < SimTime::ZERO + horizon {
+        let deadline = sim.now() + step;
         // Interleave churn events with protocol execution.
         while next_event < trace.events.len() && trace.events[next_event].0 <= deadline {
             let (et, op) = trace.events[next_event];
@@ -199,12 +197,10 @@ pub fn churn(scale: Scale, seed: u64) -> ChurnReport {
             always_connected &= sim.net().graph().is_connected();
         }
         sim.run_until(deadline);
-        t = deadline;
-        stretch.push(t, link_stretch(sim.net()));
+        stretch.push(sim.now(), link_stretch(sim.net()));
         let window = sim.overhead().since(&last_overhead);
         last_overhead = sim.overhead();
-        let mins = step.as_millis() as f64 / 60_000.0;
-        probe_rate.push(t, window.trials as f64 / mins);
+        probe_rate.push(sim.now(), window.trials as f64 / mins);
         always_connected &= sim.net().graph().is_connected();
     }
 

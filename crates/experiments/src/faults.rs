@@ -164,13 +164,11 @@ pub fn recovery_with(
     sim.set_fault_plane(Box::new(compile(&script, &sides, seed)));
 
     let mut exchange_rate = TimeSeries::new("exchanges/min");
-    let mut elapsed = Duration::ZERO;
+    let mins = window.as_millis() as f64 / 60_000.0;
     let mut last = sim.overhead();
-    while elapsed < horizon {
+    while sim.now() < SimTime::ZERO + horizon {
         sim.run_for(window);
-        elapsed = elapsed + window;
         let diff = sim.overhead().since(&last);
-        let mins = window.as_millis() as f64 / 60_000.0;
         exchange_rate.push(sim.now(), diff.exchanges as f64 / mins);
         last = sim.overhead();
     }

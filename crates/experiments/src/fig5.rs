@@ -37,7 +37,7 @@ pub fn run_curve(scenario: &Scenario, cfg: PropConfig, scale: Scale, label: Stri
     let mut sim = ProtocolSim::new(net, cfg, &mut sim_rng);
     let pairs = LookupGen::new(&scenario.rng("fig5-lookups"))
         .uniform_pairs(&scenario.all_slots(), scale.lookups_per_sample());
-    let series = sample_series(&mut sim, label, scale.sample_every(), scale.horizon(), |sim, _| {
+    let series = sample_series(&mut sim, label, scale.sample_every(), scale.horizon(), |sim| {
         avg_lookup_latency(sim.net(), &gn, &pairs).mean_ms
     });
     let improvement = series.improvement().unwrap_or(0.0);

@@ -41,7 +41,7 @@ json_impl!(ToJson for struct StretchCurve {
 });
 
 /// Run PROP-G on this scenario's Chord overlay and sample path stretch every
-/// `step` until `horizon`, over the pairs `pairs_at(elapsed ms)` hands out.
+/// `step` until `horizon`, over the pairs `pairs_at(now ms)` hands out.
 fn sample_stretch(
     scenario: &Scenario,
     cfg: PropConfig,
@@ -55,8 +55,8 @@ fn sample_stretch(
     let mut sim = ProtocolSim::new(net, cfg, &mut sim_rng);
     // The last sample's summary is the curve's workload disposition.
     let mut last = None;
-    let series = sample_series(&mut sim, label, step, horizon, |sim, t_ms| {
-        let summary = path_stretch(sim.net(), &chord, &pairs_at(t_ms));
+    let series = sample_series(&mut sim, label, step, horizon, |sim| {
+        let summary = path_stretch(sim.net(), &chord, &pairs_at(sim.now().as_millis()));
         last.insert(summary).mean
     });
     let summary = last.expect("a curve has a sample at time zero");

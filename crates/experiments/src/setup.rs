@@ -204,22 +204,23 @@ pub fn msgs_per_trial(overhead: &Overhead) -> f64 {
     overhead.total_msgs() as f64 / overhead.trials.max(1) as f64
 }
 
-/// The sampling loop of every curve: `measure(sim, elapsed ms)` at time zero
-/// and again after each `step` of protocol execution, until `horizon`.
+/// The sampling loop of every curve: `measure(sim)` now and again after
+/// each `step` of protocol execution, until `horizon` has passed. The
+/// driver's clock ends every window exactly, so the points lie on the
+/// `step` grid and `measure` reads the sample's instant off `sim.now()`.
 pub fn sample_series(
     sim: &mut ProtocolSim,
     label: String,
     step: Duration,
     horizon: Duration,
-    mut measure: impl FnMut(&ProtocolSim, u64) -> f64,
+    mut measure: impl FnMut(&ProtocolSim) -> f64,
 ) -> TimeSeries {
     let mut series = TimeSeries::new(label);
-    let mut elapsed = Duration::ZERO;
-    series.push(sim.now(), measure(sim, 0));
-    while elapsed < horizon {
+    let end = sim.now() + horizon;
+    series.push(sim.now(), measure(sim));
+    while sim.now() < end {
         sim.run_for(step);
-        elapsed = elapsed + step;
-        series.push(sim.now(), measure(sim, elapsed.as_millis()));
+        series.push(sim.now(), measure(sim));
     }
     series
 }

@@ -242,10 +242,9 @@ fn drive<S: ChurnDriver>(
 
     let horizon = Duration::from_millis(spec.traffic.horizon_ms);
     let step = scale.sample_every();
-    let mut t = SimTime::ZERO;
-    while t.since(SimTime::ZERO) < horizon {
-        let window_phase = spec.traffic.phase_of_ms(t.as_millis());
-        let deadline = t + step;
+    while sim.now() < SimTime::ZERO + horizon {
+        let window_phase = spec.traffic.phase_of_ms(sim.now().as_millis());
+        let deadline = sim.now() + step;
         while let Some((et, ev)) = plane.next_event(deadline) {
             sim.run_until(et);
             let phase = spec.traffic.phase_of_ms(et.as_millis());
@@ -322,7 +321,6 @@ fn drive<S: ChurnDriver>(
             }
         }
         sim.run_until(deadline);
-        t = deadline;
 
         let summary = if window_pairs.is_empty() {
             StretchSummary { mean: f64::NAN, delivered: 0, failed: 0, skipped: 0 }
@@ -339,7 +337,7 @@ fn drive<S: ChurnDriver>(
         );
         (last_trials, last_msgs) = (trials, msgs);
         if summary.delivered > 0 {
-            series.push(t, summary.mean);
+            series.push(sim.now(), summary.mean);
         }
     }
 

@@ -29,30 +29,34 @@ const INVOCATIONS: &[(&str, &[&str])] = &[
     ("scale", &["--quick", "--seed", "1", "--n", "2000"]),
 ];
 
+// Every series sampled window by window (fig5, fig6 and its sweep, A1, A2,
+// F2 and the traffic pump's PROP drivers) was re-pinned when a drained
+// `run_until` began to stand at its deadline: windows end on the sampling
+// grid, and churn schedules from the instant it is applied.
 const GOLDEN: &[(&str, u64)] = &[
-    ("results/ablation_churn.json", 0x52f72faeb8f1c6a9),
+    ("results/ablation_churn.json", 0x39c68b6dda83d3b0),
     ("results/ablation_combine.json", 0x408746a918be679d),
     ("results/ablation_custody.json", 0xca5cd0dfff464572),
     ("results/ablation_floodcost.json", 0x5f6556b513d3edbe),
     ("results/ablation_ltmcap.json", 0xcd133f9e93667851),
-    ("results/ablation_overhead.json", 0xaa94fac847754db9),
+    ("results/ablation_overhead.json", 0x715896d1078bfc26),
     ("results/ablation_selection.json", 0x8dab3170e070e7f4),
     ("results/ablation_selfish.json", 0xb2475de9ed9f8440),
     ("results/ablation_threshold.json", 0x64a41fc7cda9af88),
     ("results/ablation_warmup.json", 0x94ca644ae78ff815),
     ("results/ablation_waxman.json", 0x368c38931910c61f),
     ("results/ablation_zipf.json", 0x1b1e445b5bcf6169),
-    ("results/faults_recovery.json", 0x2fd7d316dcaf5992),
+    ("results/faults_recovery.json", 0xcf1c6a2ce0c96fb8),
     ("results/faults_sweep.json", 0xf0fc29609f424223),
-    ("results/fig5a.json", 0x846075754476fe7f),
-    ("results/fig5b.json", 0x3b9069f4555165be),
-    ("results/fig5c.json", 0x8c9e5f17641c04dc),
+    ("results/fig5a.json", 0x726891dd08b889a2),
+    ("results/fig5b.json", 0x2150d69a83468c45),
+    ("results/fig5c.json", 0x3413a5150d57ad28),
     // The fig6 curves carry their run's `trials` and `msgs_per_trial` since
     // the sweep reads its overhead metrics from the report.
-    ("results/fig6_scripted.json", 0x0594c611b03cb995),
-    ("results/fig6a.json", 0xc8177485a2a23eed),
-    ("results/fig6b.json", 0x56f5d022ac048642),
-    ("results/fig6c.json", 0x2e4a00695ccb23fc),
+    ("results/fig6_scripted.json", 0xbff95b28ba3cf5d9),
+    ("results/fig6a.json", 0x776eeb6f9a6b765d),
+    ("results/fig6b.json", 0xc20e01bc0ae01f99),
+    ("results/fig6c.json", 0x06668426450d8d39),
     ("results/fig7.json", 0x7ff87323a18eeff5),
     ("results/generality.json", 0x7a6ff612e2c7a87f),
     // Re-pinned when the coordinate-embedded tier went (the file lost its
@@ -64,16 +68,16 @@ const GOLDEN: &[(&str, u64)] = &[
     ("results/scale.json", 0x0240fcb58428f4d9),
     // The sweep repeats a registered panel (Fig. 6 (a)) and names its
     // metrics by their path in that panel's report.
-    ("results/sweep-fig6-a-quick-s1/aggregate.json", 0x6dcead7b0cf5dd84),
-    ("results/sweep-fig6-a-quick-s1/manifest.json", 0x52c101d6a26fcbf5),
-    ("results/sweep-fig6-a-quick-s1/seed-0.json", 0xf6432e2fbea6c9fe),
-    ("results/sweep-fig6-a-quick-s1/seed-1.json", 0x83a0808d0db26147),
+    ("results/sweep-fig6-a-quick-s1/aggregate.json", 0x542ae214f888e6df),
+    ("results/sweep-fig6-a-quick-s1/manifest.json", 0x160c928b2d441fbf),
+    ("results/sweep-fig6-a-quick-s1/seed-0.json", 0x73712745a9dcc2e4),
+    ("results/sweep-fig6-a-quick-s1/seed-1.json", 0x171238a80161bb12),
     // A traffic report carries its `delivery_rate` and `msgs_per_trial`.
-    ("results/traffic_diurnal-regional_prop-g.json", 0x9b17305585bedd5b),
-    ("results/traffic_diurnal-regional_prop-o.json", 0xa02e3691478032fd),
+    ("results/traffic_diurnal-regional_prop-g.json", 0x7deaf4443165fa4a),
+    ("results/traffic_diurnal-regional_prop-o.json", 0x1683b3676c1d8c67),
     ("results/traffic_diurnal-regional_selfish.json", 0x04e0501effc9eae0),
-    ("results/traffic_flash-crowd_async.json", 0xb409c160ccf09d85),
-    ("results/traffic_flash-crowd_prop-o.json", 0x8e89093658e89c3e),
+    ("results/traffic_flash-crowd_async.json", 0x0b978e255bf6cd62),
+    ("results/traffic_flash-crowd_prop-o.json", 0x0bce2075bb9c1675),
 ];
 
 /// Wall-clock fields of `scale.json`, removed before hashing.

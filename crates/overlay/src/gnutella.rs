@@ -368,7 +368,7 @@ mod tests {
 
             let (mut rng, mut fork) = (parent.clone(), parent.fork("ultrapeer-build"));
             let (up, net) = Ultrapeer::build(o, &mut rng);
-            let n_up = up.num_ultrapeers();
+            let n_up = (0..n as u32).filter(|&s| up.is_ultrapeer(Slot(s))).count();
             let mut looped = LogicalGraph::new(n);
             preferential_attachment_reference(&mut looped, n_up, MESH_LINKS, &mut fork);
             let ups: Vec<Slot> = (0..n_up as u32).map(Slot).collect();

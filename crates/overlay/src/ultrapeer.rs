@@ -82,11 +82,6 @@ impl Ultrapeer {
         self.is_ultrapeer[s.index()]
     }
 
-    /// Number of ultrapeer positions.
-    pub fn num_ultrapeers(&self) -> usize {
-        self.is_ultrapeer.iter().filter(|&&u| u).count()
-    }
-
     /// Leaf-aware flood into caller-owned scratch (see
     /// [`crate::FloodScratch`]): cheapest delivery from `src` to `dst` where
     /// only ultrapeer positions relay. Hop budget: 1 (into the mesh) +
@@ -134,7 +129,7 @@ mod tests {
     #[test]
     fn tiers_have_expected_shape() {
         let (up, net) = build(40, 1);
-        assert_eq!(up.num_ultrapeers(), 8);
+        assert_eq!((0..40).filter(|&s| up.is_ultrapeer(Slot(s))).count(), 8);
         assert!(net.graph().is_connected());
         // Every leaf has exactly `LEAF_LINKS` edges, all into the top tier.
         for s in 8..40u32 {

@@ -23,12 +23,6 @@ pub struct HeteroAssignment {
     pub is_fast: Vec<bool>,
 }
 
-impl HeteroAssignment {
-    pub fn num_fast(&self) -> usize {
-        self.is_fast.iter().filter(|&&f| f).count()
-    }
-}
-
 /// Exactly `round(n · FAST_FRACTION)` fast peers — the earliest joiners,
 /// peers `0..n_fast` — and the rest slow. With preferential attachment,
 /// peer index correlates with degree, so this reproduces "powerful nodes
@@ -47,7 +41,7 @@ mod tests {
     #[test]
     fn exact_fast_count() {
         let a = hub_correlated(100);
-        assert_eq!(a.num_fast(), 20);
+        assert_eq!(a.is_fast.iter().filter(|&&f| f).count(), 20);
         assert_eq!(a.delay_ms.len(), 100);
     }
 
@@ -63,7 +57,6 @@ mod tests {
     #[test]
     fn hub_assignment_marks_prefix_fast() {
         let a = hub_correlated(50);
-        assert_eq!(a.num_fast(), 10);
         assert!(a.is_fast[..10].iter().all(|&f| f));
         assert!(!a.is_fast[10..].iter().any(|&f| f));
     }

@@ -14,7 +14,6 @@ use prop_overlay::Slot;
 
 struct Phase {
     from_ms: u64,
-    alpha: f64,
     rotate: u32,
     zipf: Zipf,
 }
@@ -49,7 +48,6 @@ impl PopularityProcess {
         if shifts.first().map(|s| s.at_ms > 0).unwrap_or(true) {
             phases.push(Phase {
                 from_ms: 0,
-                alpha: DEFAULT_ALPHA,
                 rotate: 0,
                 zipf: Zipf::new(catalog as usize, DEFAULT_ALPHA),
             });
@@ -57,7 +55,6 @@ impl PopularityProcess {
         for s in shifts {
             phases.push(Phase {
                 from_ms: s.at_ms,
-                alpha: s.alpha,
                 rotate: s.rotate % catalog,
                 zipf: Zipf::new(catalog as usize, s.alpha),
             });
@@ -68,16 +65,6 @@ impl PopularityProcess {
     fn phase_at(&self, t_ms: u64) -> &Phase {
         let i = self.phases.partition_point(|p| p.from_ms <= t_ms);
         &self.phases[i.saturating_sub(1).min(self.phases.len() - 1)]
-    }
-
-    /// The Zipf exponent in force at `t_ms`.
-    pub fn alpha_at(&self, t_ms: u64) -> f64 {
-        self.phase_at(t_ms).alpha
-    }
-
-    /// The catalog rotation in force at `t_ms`.
-    pub fn rotation_at(&self, t_ms: u64) -> u32 {
-        self.phase_at(t_ms).rotate
     }
 
     /// Sample a catalog rank for a lookup at `t_ms` — one Zipf draw, then
@@ -121,20 +108,30 @@ mod tests {
         TrafficScript::new(1000, 100_000, 20).shift(50_000, 1.5, 5)
     }
 
+    /// 200 ranks the process samples at `t_ms`.
+    fn ranks_at(p: &PopularityProcess, t_ms: u64) -> Vec<u32> {
+        let mut rng = SimRng::seed_from(9);
+        (0..200).map(|_| p.sample_rank(t_ms, &mut rng)).collect()
+    }
+
+    /// The same 200 draws from Zipf(`alpha`) over `catalog` ranks, rotated.
+    fn zipf_ranks(catalog: u32, alpha: f64, rotate: u32) -> Vec<u32> {
+        let (zipf, mut rng) = (Zipf::new(catalog as usize, alpha), SimRng::seed_from(9));
+        (0..200).map(|_| (zipf.sample(&mut rng) as u32 + rotate) % catalog).collect()
+    }
+
     #[test]
     fn default_phase_covers_time_zero() {
         let p = PopularityProcess::new(&script());
-        assert!((p.alpha_at(0) - DEFAULT_ALPHA).abs() < 1e-12);
-        assert_eq!(p.rotation_at(0), 0);
+        assert_eq!(ranks_at(&p, 0), zipf_ranks(20, DEFAULT_ALPHA, 0));
     }
 
     #[test]
     fn shift_is_a_step_change_at_its_instant() {
         let p = PopularityProcess::new(&script());
-        assert!((p.alpha_at(49_999) - DEFAULT_ALPHA).abs() < 1e-12);
-        assert!((p.alpha_at(50_000) - 1.5).abs() < 1e-12);
-        assert_eq!(p.rotation_at(50_000), 5);
-        assert!((p.alpha_at(99_999) - 1.5).abs() < 1e-12, "in force until the next shift");
+        assert_eq!(ranks_at(&p, 49_999), zipf_ranks(20, DEFAULT_ALPHA, 0));
+        assert_eq!(ranks_at(&p, 50_000), zipf_ranks(20, 1.5, 5));
+        assert_eq!(ranks_at(&p, 99_999), zipf_ranks(20, 1.5, 5), "in force until the next shift");
     }
 
     #[test]
@@ -158,11 +155,7 @@ mod tests {
             8,
             &[PopularityShift { at_ms: 0, alpha: 0.0, rotate: 19 }],
         );
-        assert_eq!(p.rotation_at(0), 3);
-        let mut rng = SimRng::seed_from(2);
-        for _ in 0..100 {
-            assert!(p.sample_rank(0, &mut rng) < 8);
-        }
+        assert_eq!(ranks_at(&p, 0), zipf_ranks(8, 0.0, 3));
     }
 
     #[test]

@@ -38,8 +38,8 @@ fn main() {
     let mut absent: Vec<usize> = Vec::new();
     let mut next = 0usize;
     let mut last_trials = 0u64;
-    for step in 1..=18 {
-        let deadline = SimTime::ZERO + Duration::from_minutes(step * 5);
+    while sim.now() < SimTime::ZERO + Duration::from_minutes(90) {
+        let deadline = sim.now() + Duration::from_minutes(5);
         while next < trace.events.len() && trace.events[next].0 <= deadline {
             let (t, op) = trace.events[next];
             next += 1;
@@ -71,7 +71,7 @@ fn main() {
         last_trials = trials;
         println!(
             "{:>6} {:>10.2} {:>14.1} {:>8} {:>10}",
-            step * 5,
+            sim.now().as_minutes_f64(),
             sim.net().stretch(),
             rate,
             sim.net().graph().num_live(),

@@ -49,12 +49,12 @@ fn main() {
     let mut last = sim.overhead();
     let mut during = 0u64;
     let mut after = 0u64;
-    for w in 0..HORIZON_SECS / WINDOW_SECS {
+    while sim.now() < SimTime::ZERO + Duration::from_secs(HORIZON_SECS) {
         sim.run_for(window);
         let diff = sim.overhead().since(&last);
         last = sim.overhead();
 
-        let t = (w + 1) * WINDOW_SECS;
+        let t = sim.now().as_millis() / 1000;
         let split_live = t > SPLIT_AT_SECS && t <= SPLIT_AT_SECS + SPLIT_LEN_SECS;
         let marker = if split_live { "<- partitioned" } else { "" };
         let per_min = diff.exchanges as f64 * 60.0 / WINDOW_SECS as f64;
