@@ -593,8 +593,7 @@ mod tests {
             let (gn, mut net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
             if overlay % 2 == 1 {
                 for _ in 0..n / 2 {
-                    let rank = rng.pick_rank(net.graph().num_live()).unwrap();
-                    let victim = net.graph().live_slot_at_rank(rank).unwrap();
+                    let victim = net.graph().pick_live(&mut rng, None).unwrap();
                     let peer = net.peer(victim);
                     gn.leave(&mut net, victim, &mut rng);
                     gn.join(&mut net, peer, &mut rng);
@@ -742,8 +741,7 @@ mod tests {
             if overlay % 2 == 1 {
                 // Post-churn: holes in the slot table, cycle-patched rows.
                 for _ in 0..n / 2 {
-                    let rank = rng.pick_rank(net.graph().num_live()).unwrap();
-                    let victim = net.graph().live_slot_at_rank(rank).unwrap();
+                    let victim = net.graph().pick_live(&mut rng, None).unwrap();
                     let peer = net.peer(victim);
                     gn.leave(&mut net, victim, &mut rng);
                     gn.join(&mut net, peer, &mut rng);

@@ -57,7 +57,7 @@ impl ObjectStore {
     }
 
     /// The peer holding the object whose key is owned by `owner_slot`.
-    pub fn holder_of(&self, owner_slot: Slot) -> MemberIdx {
+    fn holder_of(&self, owner_slot: Slot) -> MemberIdx {
         self.holder[owner_slot.index()]
     }
 

@@ -304,22 +304,19 @@ mod tests {
                     }
                 }
                 // One churn event; `touched` is everyone whose row may differ.
-                let rank = rng.pick_rank(net.graph().num_live()).unwrap();
+                let g = net.graph();
+                let drawn = g.pick_live(&mut rng, None).unwrap();
                 let victim = match event % 4 {
                     // Every fourth event takes the biggest hub.
-                    0 => {
-                        let g = net.graph();
-                        g.live_slots().max_by_key(|&s| g.degree(s)).unwrap()
-                    }
-                    _ => net.graph().live_slot_at_rank(rank).unwrap(),
+                    0 => g.live_slots().max_by_key(|&s| g.degree(s)).unwrap(),
+                    _ => drawn,
                 };
                 let peer = net.peer(victim);
-                let mut touched = net.graph().neighbors(victim).to_vec();
-                if event % 3 == 2 {
-                    gn.crash(&mut net, victim);
+                let mut touched = if event % 3 == 2 {
+                    gn.crash(&mut net, victim)
                 } else {
-                    gn.leave(&mut net, victim, &mut rng);
-                }
+                    gn.leave(&mut net, victim, &mut rng)
+                };
                 nodes[victim.index()] = None;
                 let joined = gn.join(&mut net, peer, &mut rng);
                 nodes.resize_with(net.graph().num_slots(), || None);

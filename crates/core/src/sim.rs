@@ -49,8 +49,9 @@
 //! The driver keeps one trial ledger, [`Overhead`], the same way in both
 //! modes: `launch` counts a trial and its walk messages, `resolve` files it
 //! under one outcome, and the §4.3 probe and notification messages are
-//! added at commit. It also owns the churn entry points used by the
-//! dynamic-environment experiments.
+//! added at commit. Churn is reported after the overlay's own join or
+//! leave has run: `handle_leave` takes the slots the leave returned,
+//! `handle_rewire` what a Chord join rewired.
 
 use crate::config::{ProbeMode, PropConfig, INIT_TIMER};
 use crate::exchange::{self, PlanKind, PlanScratch};
@@ -286,7 +287,9 @@ impl<M: Timing> PropSim<M> {
         &self.net
     }
 
-    /// Mutable overlay access (churn glue lives in the experiment layer).
+    /// Mutable overlay access: an overlay's join or leave runs on this,
+    /// and the caller then reports what it touched through the
+    /// `handle_*` churn entry points.
     pub fn net_mut(&mut self) -> &mut OverlayNet {
         &mut self.net
     }
@@ -390,19 +393,10 @@ impl<M: Timing> PropSim<M> {
                 self.net.probe_walk_into(slot, first, nhops, &mut self.rng, &mut self.walk_scratch);
             }
             ProbeMode::Random => {
-                // One rank draw over the live population minus self replaces
-                // the old O(n) `live_slots().collect()` per trial. The draw
-                // consumes the RNG exactly as `pick` over that vec did
-                // (same length, same `gen_range` call), and mapping the
-                // drawn rank around this node's own live rank selects the
-                // identical slot — seeded runs are unchanged.
-                let g = self.net.graph();
-                let Some(k) = self.rng.pick_rank(g.num_live().saturating_sub(1)) else {
+                let Some(v) = self.net.graph().pick_live(&mut self.rng, Some(slot)) else {
                     self.reschedule(slot);
                     return;
                 };
-                let rank = if k < g.live_rank(slot) { k } else { k + 1 };
-                let v = g.live_slot_at_rank(rank).expect("rank within live population");
                 self.walk_scratch.set_pair(slot, v);
             }
         }
@@ -686,8 +680,8 @@ impl<M: Timing> PropSim<M> {
         }
     }
 
-    // ----- churn entry points (called by the experiment layer after it
-    // ----- mutates the overlay through the overlay's own join/leave) -----
+    // ----- churn entry points (called after the caller has mutated the
+    // ----- overlay through the overlay's own join/leave) -----
 
     /// A peer joined at `slot` (already wired in the overlay). Starts its
     /// protocol instance and notifies its neighbors. In-flight commits that
@@ -863,8 +857,7 @@ mod tests {
         sim.run_until(SimTime::ZERO + minutes(10));
         let victim = Slot(7);
         let peer = sim.net().peer(victim);
-        let affected: Vec<Slot> = sim.net().graph().neighbors(victim).to_vec();
-        gn.leave(sim.net_mut(), victim, &mut rng);
+        let affected = gn.leave(sim.net_mut(), victim, &mut rng);
         sim.handle_leave(victim, &affected);
         sim.run_until(SimTime::ZERO + minutes(20));
         let slot = gn.join(sim.net_mut(), peer, &mut rng);
@@ -1250,8 +1243,7 @@ mod tests {
                 let g = sim.net().graph();
                 let victim = g.live_slot_at_rank(rng.range(0..g.num_live())).unwrap();
                 let peer = sim.net().peer(victim);
-                let affected: Vec<Slot> = g.neighbors(victim).to_vec();
-                gn.leave(sim.net_mut(), victim, &mut rng);
+                let affected = gn.leave(sim.net_mut(), victim, &mut rng);
                 sim.handle_leave(victim, &affected);
                 let slot = gn.join(sim.net_mut(), peer, &mut rng);
                 sim.handle_join(slot);
@@ -1270,8 +1262,7 @@ mod tests {
         for victim in [2u32, 9, 17] {
             let slot = Slot(victim);
             let peer = sim.net().peer(slot);
-            let affected: Vec<Slot> = sim.net().graph().neighbors(slot).to_vec();
-            gn.leave(sim.net_mut(), slot, &mut rng);
+            let affected = gn.leave(sim.net_mut(), slot, &mut rng);
             sim.handle_leave(slot, &affected);
             assert!(sim.net().graph().is_connected());
             sim.run_for(minutes(3));
@@ -1291,8 +1282,7 @@ mod tests {
                 sim.run_for(minutes(5));
                 let mut rng = SimRng::seed_from(15);
                 let leave = |sim: &mut PropSim<M>, slot: Slot, rng: &mut SimRng| {
-                    let affected: Vec<Slot> = sim.net().graph().neighbors(slot).to_vec();
-                    gn.leave(sim.net_mut(), slot, rng);
+                    let affected = gn.leave(sim.net_mut(), slot, rng);
                     sim.handle_leave(slot, &affected);
                 };
                 let peer = sim.net().peer(Slot(3));
@@ -1444,11 +1434,9 @@ mod tests {
                     sim.run_for(Duration::from_millis(20_000));
                     let at = format!("atomic={} case {case} slice {slice}", M::ATOMIC);
                     if slice % 4 == 1 {
-                        let live: Vec<Slot> = sim.net().graph().live_slots().collect();
-                        let victim = *rng.pick(&live).expect("live slots");
+                        let victim = sim.net().graph().pick_live(&mut rng, None).expect("live");
                         away.push(sim.net().peer(victim));
-                        let affected = sim.net().graph().neighbors(victim).to_vec();
-                        gn.leave(sim.net_mut(), victim, &mut rng);
+                        let affected = gn.leave(sim.net_mut(), victim, &mut rng);
                         sim.handle_leave(victim, &affected);
                         leaves += 1;
                     } else if slice % 4 == 3 {

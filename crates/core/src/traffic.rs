@@ -97,8 +97,11 @@ pub trait ChurnDriver {
     /// A slot was (re)occupied: start protocol state for it. Refreshes
     /// `m_default` to the new δ(G).
     fn handle_join(&mut self, slot: Slot);
-    /// A slot departed; `affected` are its former neighbors. Refreshes
-    /// `m_default` to the new δ(G).
+    /// A slot departed; `affected` is what the overlay's leave returned,
+    /// the slot's former neighbors (`Gnutella::leave`, `Gnutella::crash`
+    /// and `Chord::leave` each return them). Refreshes `m_default` to the
+    /// new δ(G). The slots a Chord join rewires go to
+    /// [`PropSim::handle_rewire`] instead.
     fn handle_leave(&mut self, slot: Slot, affected: &[Slot]);
 }
 

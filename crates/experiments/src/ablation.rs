@@ -40,7 +40,7 @@ use prop_overlay::can::Can;
 use prop_overlay::chord::ChordParams;
 use prop_overlay::pastry::Pastry;
 use prop_overlay::{Lookup, OverlayNet, Slot};
-use prop_workloads::churn::{ChurnOp, ChurnTrace};
+use prop_workloads::churn::{ChurnOp, ChurnReplay, ChurnTrace};
 use prop_workloads::{hetero, LookupGen, PopularityProcess};
 use std::sync::Arc;
 
@@ -154,11 +154,10 @@ pub fn churn(scale: Scale, seed: u64) -> ChurnReport {
 
     let mut stretch = TimeSeries::new("link stretch under churn");
     let mut probe_rate = TimeSeries::new("probe rate (trials/min)");
-    let mut absent: Vec<usize> = Vec::new();
+    let mut replay = ChurnReplay::new(&trace);
     let mut leaves = 0u64;
     let mut joins = 0u64;
     let mut always_connected = true;
-    let mut next_event = 0usize;
 
     let step = scale.sample_every();
     let mins = step.as_millis() as f64 / 60_000.0;
@@ -167,35 +166,13 @@ pub fn churn(scale: Scale, seed: u64) -> ChurnReport {
     while sim.now() < SimTime::ZERO + horizon {
         let deadline = sim.now() + step;
         // Interleave churn events with protocol execution.
-        while next_event < trace.events.len() && trace.events[next_event].0 <= deadline {
-            let (et, op) = trace.events[next_event];
-            next_event += 1;
-            sim.run_until(et);
+        replay.play_until(deadline, &mut sim, &gn, &mut churn_rng, 8, |sim, _, op| {
             match op {
-                ChurnOp::Leave => {
-                    let g = sim.net().graph();
-                    if g.num_live() <= 8 {
-                        continue;
-                    }
-                    // The draw `pick` over the collected live slots made.
-                    let rank = churn_rng.pick_rank(g.num_live()).expect("more than 8 live");
-                    let victim = g.live_slot_at_rank(rank).expect("rank within live population");
-                    let peer = sim.net().peer(victim);
-                    let affected: Vec<Slot> = sim.net().graph().neighbors(victim).to_vec();
-                    gn.leave(sim.net_mut(), victim, &mut churn_rng);
-                    sim.handle_leave(victim, &affected);
-                    absent.push(peer);
-                    leaves += 1;
-                }
-                ChurnOp::Join => {
-                    let Some(peer) = absent.pop() else { continue };
-                    let slot = gn.join(sim.net_mut(), peer, &mut churn_rng);
-                    sim.handle_join(slot);
-                    joins += 1;
-                }
+                ChurnOp::Leave => leaves += 1,
+                ChurnOp::Join => joins += 1,
             }
             always_connected &= sim.net().graph().is_connected();
-        }
+        });
         sim.run_until(deadline);
         stretch.push(sim.now(), link_stretch(sim.net()));
         let window = sim.overhead().since(&last_overhead);

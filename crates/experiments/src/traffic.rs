@@ -6,8 +6,8 @@
 //! the script into a [`prop_workloads::CompiledTraffic`] plane and pumps it
 //! through any [`ChurnDriver`] — the synchronous [`ProtocolSim`] (PROP-G or
 //! PROP-O), the asynchronous [`AsyncProtocolSim`], or the selfish baseline
-//! — interleaving scripted joins/leaves/lookups with protocol execution
-//! exactly the way the A2 ablation interleaves its Poisson trace.
+//! — running the driver to each scripted join, leave or lookup and then
+//! applying it, with peers drawn from the event's region first.
 //!
 //! Everything is deterministic: the plane is a pure function of
 //! `(script, seed)`, the apply-side RNG is a labelled fork of the scenario
@@ -23,12 +23,12 @@ use prop_core::{
     AsyncProtocolSim, ChurnDriver, PropConfig, PropSim, ProtocolSim, TrafficCounters, TrafficEvent,
     TrafficPlane,
 };
-use prop_engine::{json, json_impl, Duration, SimTime};
+use prop_engine::{json, json_impl, Duration, SimRng, SimTime};
 use prop_faults::{transit_bisection, FaultEvent, Scenario as ScenarioSpec};
 use prop_metrics::{link_stretch, path_stretch, StretchSummary, TimeSeries, TrafficReport};
 use prop_netsim::oracle::MemberIdx;
 use prop_overlay::gnutella::Gnutella;
-use prop_overlay::Slot;
+use prop_overlay::{LogicalGraph, Slot};
 use prop_workloads::traffic::script::PHASES;
 use prop_workloads::{CompiledTraffic, TrafficScript};
 
@@ -251,21 +251,18 @@ fn drive<S: ChurnDriver>(
             match ev {
                 TrafficEvent::Leave { domain } => {
                     let domain = domain % num_domains;
-                    let live: Vec<Slot> = sim.net().graph().live_slots().collect();
-                    if live.len() <= 8 {
+                    let g = sim.net().graph();
+                    if g.num_live() <= 8 {
                         report.record_suppressed(phase);
                         continue;
                     }
-                    let in_domain: Vec<Slot> = live
-                        .iter()
-                        .copied()
-                        .filter(|&s| member_domain[sim.net().peer(s)] == domain)
-                        .collect();
-                    let pool = if in_domain.is_empty() { &live } else { &in_domain };
-                    let victim = *churn_rng.pick(pool).unwrap();
+                    // A peer homed in the region; anyone when none is live.
+                    let in_domain = |s: Slot| member_domain[sim.net().peer(s)] == domain;
+                    let victim = pick_where(g, &mut churn_rng, in_domain)
+                        .or_else(|| g.pick_live(&mut churn_rng, None))
+                        .expect("more than 8 live");
                     let peer = sim.net().peer(victim);
-                    let affected: Vec<Slot> = sim.net().graph().neighbors(victim).to_vec();
-                    gn.leave(sim.net_mut(), victim, &mut churn_rng);
+                    let affected = gn.leave(sim.net_mut(), victim, &mut churn_rng);
                     sim.handle_leave(victim, &affected);
                     absent.push(peer);
                     report.record_leave(phase, member_domain[peer]);
@@ -296,24 +293,15 @@ fn drive<S: ChurnDriver>(
                         report.record_suppressed(phase);
                         continue;
                     }
-                    let in_domain: Vec<Slot> = sim
-                        .net()
-                        .graph()
-                        .live_slots()
-                        .filter(|&s| s != dst && member_domain[sim.net().peer(s)] == domain)
-                        .collect();
-                    let src = if in_domain.is_empty() {
-                        let live: Vec<Slot> =
-                            sim.net().graph().live_slots().filter(|&s| s != dst).collect();
-                        match churn_rng.pick(&live) {
-                            Some(&s) => s,
-                            None => {
-                                report.record_suppressed(phase);
-                                continue;
-                            }
-                        }
-                    } else {
-                        *churn_rng.pick(&in_domain).unwrap()
+                    // A source homed in the region; anyone else when none is.
+                    let g = sim.net().graph();
+                    let in_domain =
+                        |s: Slot| s != dst && member_domain[sim.net().peer(s)] == domain;
+                    let Some(src) = pick_where(g, &mut churn_rng, in_domain)
+                        .or_else(|| g.pick_live(&mut churn_rng, Some(dst)))
+                    else {
+                        report.record_suppressed(phase);
+                        continue;
                     };
                     window_pairs.push((src, dst));
                     report.record_lookup(phase, domain);
@@ -343,6 +331,13 @@ fn drive<S: ChurnDriver>(
 
     let final_link_stretch = link_stretch(sim.net());
     (series, report, always_connected, final_link_stretch)
+}
+
+/// A uniform live slot of those `keep` accepts: `rng.pick`'s draw over
+/// them collected in slot order, made by counting them, collecting none.
+fn pick_where(g: &LogicalGraph, rng: &mut SimRng, keep: impl Fn(Slot) -> bool) -> Option<Slot> {
+    let k = rng.pick_rank(g.live_slots().filter(|&s| keep(s)).count())?;
+    g.live_slots().filter(|&s| keep(s)).nth(k)
 }
 
 /// The scenarios [`builtin_scenario`] regenerates.

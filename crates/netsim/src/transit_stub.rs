@@ -352,7 +352,16 @@ mod tests {
     fn every_stub_domain_reaches_its_gateway() {
         let mut rng = SimRng::seed_from(5);
         let g = generate(&TransitStubParams::tiny(), &mut rng);
-        let (tt, st, ss) = g.link_class_counts();
+        // Links by how many endpoints are transit nodes: stub-stub,
+        // stub-transit, transit-transit.
+        let mut by_transit_ends = [0usize; 3];
+        for u in g.nodes() {
+            for &(v, _) in g.neighbors(u).iter().filter(|&&(v, _)| u.0 < v) {
+                let ends = [u, PhysNodeId(v)].iter().filter(|&&x| g.class(x).is_transit()).count();
+                by_transit_ends[ends] += 1;
+            }
+        }
+        let [ss, st, tt] = by_transit_ends;
         // 4 transit nodes × 2 stub domains each = 8 stub-transit links.
         assert_eq!(st, 8);
         assert!(tt >= 3); // backbone tree at minimum

@@ -108,7 +108,7 @@ impl Gnutella {
     ///
     /// O(k log n): the targets are drawn as ranks over the live population
     /// and resolved through the graph's rank index — the draws
-    /// `sample_distinct` would make over `live_slots().collect()`, without
+    /// `sample_distinct` would make over the collected live slots, without
     /// the two n-wide vectors per join.
     pub fn join(
         &self,
@@ -133,8 +133,10 @@ impl Gnutella {
     /// Churn: the peer at `slot` departs. Its former neighbors patch the
     /// hole by linking up in a random cycle (any route that used the
     /// departed node reroutes along the cycle), which keeps the overlay
-    /// connected.
-    pub fn leave(&self, net: &mut OverlayNet, slot: Slot, rng: &mut SimRng) {
+    /// connected. Returns those former neighbors in ascending order, its
+    /// row before the leave: the slots whose rows changed, which is what
+    /// the driver's `handle_leave` takes.
+    pub fn leave(&self, net: &mut OverlayNet, slot: Slot, rng: &mut SimRng) -> Vec<Slot> {
         let mut orphans = net.graph_mut().remove_slot(slot);
         net.placement_mut().vacate(slot);
         rng.shuffle(&mut orphans);
@@ -143,6 +145,8 @@ impl Gnutella {
                 net.graph_mut().add_edge(w[0], w[1]);
             }
         }
+        orphans.sort_unstable();
+        orphans
     }
 
     /// Sudden failure: the peer at `slot` vanishes *without* the graceful
@@ -284,6 +288,54 @@ mod tests {
                 let at = format!("case {case}, round {round}");
                 assert_eq!(a.graph().neighbors(slot), b.graph().neighbors(slot), "{at}");
                 assert_eq!(a.graph().num_edges(), b.graph().num_edges(), "{at}");
+            }
+            assert_eq!(ra.range(0u64..u64::MAX), rb.range(0u64..u64::MAX), "case {case}: streams");
+        }
+    }
+
+    /// `leave` returns the departing slot's row as it stood before the
+    /// leave, byte for byte, and otherwise does what the leave that
+    /// returned nothing did: the same patch cycle from the same draws, on
+    /// two copies of an overlay under the same churn.
+    #[test]
+    fn leave_returns_the_pre_leave_row() {
+        fn leave_reference(net: &mut OverlayNet, slot: Slot, rng: &mut SimRng) {
+            let mut orphans = net.graph_mut().remove_slot(slot);
+            net.placement_mut().vacate(slot);
+            rng.shuffle(&mut orphans);
+            for w in orphans.windows(2) {
+                if !net.graph().has_edge(w[0], w[1]) {
+                    net.graph_mut().add_edge(w[0], w[1]);
+                }
+            }
+        }
+        let bytes = |row: &[Slot]| row.iter().flat_map(|s| s.0.to_le_bytes()).collect::<Vec<u8>>();
+        for case in 0..24u64 {
+            let (gn, mut a) = build(30, 200 + case);
+            let (_, mut b) = build(30, 200 + case);
+            let (mut ra, mut rb) = (SimRng::seed_from(case), SimRng::seed_from(case));
+            for round in 0..16u32 {
+                let at = format!("case {case}, round {round}");
+                // Every fourth leave takes the biggest hub.
+                let pick = |net: &OverlayNet, rng: &mut SimRng| {
+                    let g = net.graph();
+                    match round % 4 {
+                        0 => g.live_slots().max_by_key(|&s| g.degree(s)),
+                        _ => g.pick_live(rng, None),
+                    }
+                };
+                let victim = pick(&a, &mut ra).unwrap();
+                assert_eq!(pick(&b, &mut rb), Some(victim), "{at}");
+                let row = bytes(a.graph().neighbors(victim));
+                let peer = a.peer(victim);
+                let returned = gn.leave(&mut a, victim, &mut ra);
+                leave_reference(&mut b, victim, &mut rb);
+                assert_eq!(bytes(&returned), row, "{at}");
+                for s in a.graph().live_slots() {
+                    assert_eq!(a.graph().neighbors(s), b.graph().neighbors(s), "{at}, {s:?}");
+                }
+                let slot = gn.join(&mut a, peer, &mut ra);
+                assert_eq!(gn.join(&mut b, peer, &mut rb), slot, "{at}");
             }
             assert_eq!(ra.range(0u64..u64::MAX), rb.range(0u64..u64::MAX), "case {case}: streams");
         }

@@ -10,6 +10,7 @@
 //! Neighbor lists are kept sorted so `has_edge` is a binary search and
 //! iteration order is deterministic.
 
+use prop_engine::SimRng;
 use std::fmt;
 
 /// A logical position in the overlay. Slots are dense indices; a slot is
@@ -32,8 +33,8 @@ impl fmt::Debug for Slot {
 
 /// Fenwick (binary indexed) tree over the alive bits, giving O(log n)
 /// rank (`prefix`) and select-by-rank over the live-slot set. This is what
-/// lets the drivers' `ProbeMode::Random` draw a uniform live counterpart
-/// without materializing `live_slots().collect()` on every trial.
+/// lets [`LogicalGraph::pick_live`] draw a uniform live slot without
+/// collecting the live population on every draw.
 #[derive(Clone, Debug, Default)]
 #[cfg_attr(test, derive(PartialEq))]
 struct LiveIndex {
@@ -271,12 +272,25 @@ impl LogicalGraph {
     }
 
     /// The live slot at rank `k` of `live_slots()` order (ascending index),
-    /// `None` when `k >= num_live()`. O(log n) select-by-rank — together
-    /// with [`LogicalGraph::live_rank`] this replaces the per-trial
-    /// `live_slots().collect()` in the drivers' `ProbeMode::Random`.
+    /// `None` when `k >= num_live()`. O(log n) select-by-rank.
     #[inline]
     pub fn live_slot_at_rank(&self, k: usize) -> Option<Slot> {
         self.live_index.select(k).map(|i| Slot(i as u32))
+    }
+
+    /// A uniform live slot other than `except`: what `rng.pick` over the
+    /// live slots less `except`, collected in slot order, returns, from
+    /// the same draw, in O(log n). `None`, drawing nothing, when there is
+    /// none.
+    #[inline]
+    pub fn pick_live(&self, rng: &mut SimRng, except: Option<Slot>) -> Option<Slot> {
+        let except = except.filter(|&x| self.is_alive(x));
+        let k = rng.pick_rank(self.num_live - usize::from(except.is_some()))?;
+        let k = match except {
+            Some(x) if k >= self.live_rank(x) => k + 1,
+            _ => k,
+        };
+        self.live_slot_at_rank(k)
     }
 
     /// Mean degree over live slots — the paper's `c` in the overhead model.
@@ -433,7 +447,6 @@ impl LogicalGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prop_engine::SimRng;
 
     fn path(n: u32) -> LogicalGraph {
         let mut g = LogicalGraph::new(n as usize);
@@ -679,6 +692,51 @@ mod tests {
         }
         assert!(g.num_slots() > 128, "storm must append past 128 slots");
         assert!(g.num_live() < g.num_slots() / 2, "most slots must have died below the appends");
+    }
+
+    /// `pick_live` against the form it replaced: collect the live slots,
+    /// leave `except` out, `rng.pick` over the vector. Slot tables with
+    /// random holes, with both ends dead, with one live slot and with none;
+    /// `except` none, each end of the live range, its middle and a dead
+    /// slot. Same slot on every draw, and the two streams equal afterwards.
+    #[test]
+    fn pick_live_is_pick_over_the_collected_live_slots() {
+        let mut shape = SimRng::seed_from(42);
+        let mut dead_excepts = 0;
+        for case in 0..200u64 {
+            let mut g = LogicalGraph::new(shape.range(1..40usize));
+            for _ in 0..shape.range(0..4u32) {
+                g.add_slot();
+            }
+            let slots = g.num_slots();
+            for i in 0..slots {
+                let kill = match case % 4 {
+                    0 => shape.range(0..3u32) == 0,
+                    1 => i == 0 || i + 1 == slots || shape.range(0..3u32) == 0,
+                    2 => i != slots / 2,
+                    _ => true,
+                };
+                if kill {
+                    g.remove_slot(Slot(i as u32));
+                }
+            }
+            let live: Vec<Slot> = g.live_slots().collect();
+            let dead = (0..slots as u32).map(Slot).find(|&s| !g.is_alive(s));
+            dead_excepts += usize::from(dead.is_some());
+            let middle = live.get(live.len() / 2);
+            let excepts =
+                [None, dead, live.first().copied(), middle.copied(), live.last().copied()];
+            let (mut a, mut b) = (SimRng::seed_from(case), SimRng::seed_from(case));
+            for except in excepts {
+                let pool: Vec<Slot> = live.iter().copied().filter(|&s| Some(s) != except).collect();
+                for draw in 0..8 {
+                    let at = format!("case {case}, except {except:?}, draw {draw}");
+                    assert_eq!(g.pick_live(&mut a, except), b.pick(&pool).copied(), "{at}");
+                }
+            }
+            assert_eq!(a.range(0..u64::MAX), b.range(0..u64::MAX), "case {case}: streams");
+        }
+        assert!(dead_excepts > 100, "only {dead_excepts} cases left out a dead slot");
     }
 
     /// The one-pass constructor against `new` plus an `add_edge` per edge

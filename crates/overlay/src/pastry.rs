@@ -202,7 +202,7 @@ impl Pastry {
     }
 
     /// Routing-table entry at (row, digit), if filled.
-    pub fn table_entry(&self, s: Slot, row: usize, digit: usize) -> Option<Slot> {
+    fn table_entry(&self, s: Slot, row: usize, digit: usize) -> Option<Slot> {
         self.table[s.index()].get(row * RADIX + digit).copied().flatten()
     }
 

@@ -316,8 +316,7 @@ mod tests {
                     &format!("overlay {overlay}, round {round}"),
                 );
                 for _ in 0..6 {
-                    let rank = rng.pick_rank(net.graph().num_live()).unwrap();
-                    let victim = net.graph().live_slot_at_rank(rank).unwrap();
+                    let victim = net.graph().pick_live(&mut rng, None).unwrap();
                     let peer = net.peer(victim);
                     gn.leave(&mut net, victim, &mut rng);
                     gn.join(&mut net, peer, &mut rng);

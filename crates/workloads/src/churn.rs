@@ -3,10 +3,13 @@
 //! The paper's dynamic-environment claim: PROP "is adaptive to dynamic
 //! change of peers" — after churn the probe frequency spikes (timers reset)
 //! and then decays again. A churn trace is a timestamped sequence of
-//! leave/join operations; the experiment layer applies each to the overlay
-//! and notifies the protocol driver.
+//! leave/join operations; [`ChurnReplay`] applies each to a Gnutella
+//! overlay and notifies the protocol driver.
 
+use prop_core::ChurnDriver;
 use prop_engine::{Duration, SimRng, SimTime};
+use prop_netsim::oracle::MemberIdx;
+use prop_overlay::gnutella::Gnutella;
 
 /// One churn operation. Victims/joiners are resolved at apply time (the
 /// population changes as the trace plays), so the trace only carries kinds.
@@ -52,13 +55,61 @@ impl ChurnTrace {
         events.sort_by_key(|&(t, _)| t);
         ChurnTrace { events }
     }
+}
 
-    pub fn len(&self) -> usize {
-        self.events.len()
+/// A [`ChurnTrace`] played into a Gnutella overlay under a [`ChurnDriver`]:
+/// the driver runs to each event; a `Leave` takes a uniform live peer
+/// (`rng.pick`'s draw over the live slots), [`Gnutella::leave`] patches
+/// the hole and what it returns goes to [`ChurnDriver::handle_leave`]; a
+/// `Join` brings back the last peer to leave through [`Gnutella::join`]
+/// and [`ChurnDriver::handle_join`]. Every draw is from the caller's `rng`.
+pub struct ChurnReplay<'t> {
+    /// The events not played yet.
+    events: &'t [(SimTime, ChurnOp)],
+    /// Departed peers, the last to leave on top.
+    absent: Vec<MemberIdx>,
+}
+
+impl<'t> ChurnReplay<'t> {
+    pub fn new(trace: &'t ChurnTrace) -> Self {
+        ChurnReplay { events: &trace.events, absent: Vec::new() }
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+    /// Plays the events not played yet at or before `deadline` and calls
+    /// `applied(sim, t, op)` after each one applied. A leave while `floor`
+    /// or fewer peers are live, and a join while none is away, change
+    /// nothing. The driver stands at the last event played.
+    pub fn play_until<D: ChurnDriver>(
+        &mut self,
+        deadline: SimTime,
+        sim: &mut D,
+        gn: &Gnutella,
+        rng: &mut SimRng,
+        floor: usize,
+        mut applied: impl FnMut(&D, SimTime, ChurnOp),
+    ) {
+        while let Some(&(t, op)) = self.events.first().filter(|e| e.0 <= deadline) {
+            self.events = &self.events[1..];
+            sim.run_until(t);
+            match op {
+                ChurnOp::Leave => {
+                    let g = sim.net().graph();
+                    if g.num_live() <= floor {
+                        continue;
+                    }
+                    let victim = g.pick_live(rng, None).expect("more than `floor` live");
+                    self.absent.push(sim.net().peer(victim));
+                    let affected = gn.leave(sim.net_mut(), victim, rng);
+                    sim.handle_leave(victim, &affected);
+                }
+                ChurnOp::Join => {
+                    let Some(peer) = self.absent.pop() else { continue };
+                    let slot = gn.join(sim.net_mut(), peer, rng);
+                    sim.handle_join(slot);
+                }
+            }
+            applied(sim, t, op);
+        }
     }
 }
 
@@ -86,7 +137,7 @@ mod tests {
         let trace =
             ChurnTrace::poisson(SimTime::ZERO, Duration::from_minutes(1000), 3.0, 1.0, &mut rng);
         let leaves = trace.events.iter().filter(|&&(_, op)| op == ChurnOp::Leave).count();
-        let joins = trace.len() - leaves;
+        let joins = trace.events.len() - leaves;
         let leave_rate = leaves as f64 / 1000.0;
         let join_rate = joins as f64 / 1000.0;
         assert!((leave_rate - 3.0).abs() < 0.3, "leave rate {leave_rate}");
@@ -98,6 +149,6 @@ mod tests {
         let mut rng = SimRng::seed_from(3);
         let trace =
             ChurnTrace::poisson(SimTime::ZERO, Duration::from_minutes(60), 0.0, 0.0, &mut rng);
-        assert!(trace.is_empty());
+        assert!(trace.events.is_empty());
     }
 }

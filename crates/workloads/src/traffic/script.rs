@@ -204,7 +204,7 @@ impl TrafficScript {
     }
 
     /// Global hour-of-day at `t_ms`.
-    pub fn hour_of_ms(&self, t_ms: u64) -> u64 {
+    fn hour_of_ms(&self, t_ms: u64) -> u64 {
         (t_ms / self.hour_ms) % HOURS_PER_DAY
     }
 

@@ -11,7 +11,7 @@
 //! ```
 
 use prop::prelude::*;
-use prop::workloads::churn::{ChurnOp, ChurnTrace};
+use prop::workloads::churn::{ChurnReplay, ChurnTrace};
 use std::sync::Arc;
 
 const N: usize = 200;
@@ -29,42 +29,18 @@ fn main() {
     let storm_start = SimTime::ZERO + Duration::from_minutes(30);
     let trace =
         ChurnTrace::poisson(storm_start, Duration::from_minutes(30), 4.0, 4.0, &mut churn_rng);
-    println!("churn storm: {} events between minute 30 and 60\n", trace.len());
+    println!("churn storm: {} events between minute 30 and 60\n", trace.events.len());
     println!(
         "{:>6} {:>10} {:>14} {:>8} {:>10}",
         "min", "stretch", "trials/min", "peers", "connected"
     );
 
-    let mut absent: Vec<usize> = Vec::new();
-    let mut next = 0usize;
+    let mut replay = ChurnReplay::new(&trace);
     let mut last_trials = 0u64;
     while sim.now() < SimTime::ZERO + Duration::from_minutes(90) {
         let deadline = sim.now() + Duration::from_minutes(5);
-        while next < trace.events.len() && trace.events[next].0 <= deadline {
-            let (t, op) = trace.events[next];
-            next += 1;
-            sim.run_until(t);
-            match op {
-                ChurnOp::Leave => {
-                    let live: Vec<Slot> = sim.net().graph().live_slots().collect();
-                    if live.len() <= 20 {
-                        continue;
-                    }
-                    let victim = *churn_rng.pick(&live).unwrap();
-                    let peer = sim.net().peer(victim);
-                    let affected: Vec<Slot> = sim.net().graph().neighbors(victim).to_vec();
-                    gnutella.leave(sim.net_mut(), victim, &mut churn_rng);
-                    sim.handle_leave(victim, &affected);
-                    absent.push(peer);
-                }
-                ChurnOp::Join => {
-                    if let Some(peer) = absent.pop() {
-                        let slot = gnutella.join(sim.net_mut(), peer, &mut churn_rng);
-                        sim.handle_join(slot);
-                    }
-                }
-            }
-        }
+        // Never fewer than 20 peers.
+        replay.play_until(deadline, &mut sim, &gnutella, &mut churn_rng, 20, |_, _, _| {});
         sim.run_until(deadline);
         let trials = sim.overhead().trials;
         let rate = (trials - last_trials) as f64 / 5.0;
@@ -84,6 +60,6 @@ fn main() {
         "\ntotal: {} trials, {} exchanges, {} peers absent at end",
         sim.overhead().trials,
         sim.overhead().exchanges,
-        absent.len()
+        N - sim.net().graph().num_live()
     );
 }

@@ -2,7 +2,7 @@
 //! must never violate the structural invariants.
 
 use prop::prelude::*;
-use prop::workloads::churn::{ChurnOp, ChurnTrace};
+use prop::workloads::churn::{ChurnReplay, ChurnTrace};
 use std::sync::Arc;
 
 fn run_storm(seed: u64, policy_cfg: PropConfig, leaves_per_min: f64) {
@@ -20,34 +20,15 @@ fn run_storm(seed: u64, policy_cfg: PropConfig, leaves_per_min: f64) {
         leaves_per_min,
         &mut churn_rng,
     );
-    assert!(!trace.is_empty());
+    assert!(!trace.events.is_empty());
 
-    let mut absent: Vec<usize> = Vec::new();
-    for &(t, op) in &trace.events {
-        sim.run_until(t);
-        match op {
-            ChurnOp::Leave => {
-                let live: Vec<Slot> = sim.net().graph().live_slots().collect();
-                if live.len() <= 30 {
-                    continue;
-                }
-                let victim = *churn_rng.pick(&live).unwrap();
-                let peer = sim.net().peer(victim);
-                let affected: Vec<Slot> = sim.net().graph().neighbors(victim).to_vec();
-                gn.leave(sim.net_mut(), victim, &mut churn_rng);
-                sim.handle_leave(victim, &affected);
-                absent.push(peer);
-            }
-            ChurnOp::Join => {
-                let Some(peer) = absent.pop() else { continue };
-                let slot = gn.join(sim.net_mut(), peer, &mut churn_rng);
-                sim.handle_join(slot);
-            }
-        }
-        // Invariants after *every* churn event.
+    // Never fewer than 30 peers; the invariants hold after *every* churn
+    // event.
+    let end = trace.events.last().unwrap().0;
+    ChurnReplay::new(&trace).play_until(end, &mut sim, &gn, &mut churn_rng, 30, |sim, t, _| {
         assert!(sim.net().graph().is_connected(), "partition at {t:?}");
         assert!(sim.net().placement().is_consistent(), "placement broken at {t:?}");
-    }
+    });
     // Let the protocol settle afterwards; it should still be improving.
     let stretch_post_churn = sim.net().stretch();
     sim.run_for(Duration::from_minutes(30));
@@ -87,11 +68,9 @@ fn population_can_shrink_and_regrow() {
     // Remove a third of the overlay, then bring everyone back.
     let mut absent = Vec::new();
     for _ in 0..20 {
-        let live: Vec<Slot> = sim.net().graph().live_slots().collect();
-        let victim = *rng.pick(&live).unwrap();
+        let victim = sim.net().graph().pick_live(&mut rng, None).unwrap();
         let peer = sim.net().peer(victim);
-        let affected: Vec<Slot> = sim.net().graph().neighbors(victim).to_vec();
-        gn.leave(sim.net_mut(), victim, &mut rng);
+        let affected = gn.leave(sim.net_mut(), victim, &mut rng);
         sim.handle_leave(victim, &affected);
         absent.push(peer);
         assert!(sim.net().graph().is_connected());

@@ -22,8 +22,7 @@ fn protocol_survives_crashes_without_patching() {
     sim.run_for(Duration::from_minutes(10));
     // Crash a quarter of the population, no patch-up at all.
     for _ in 0..25 {
-        let live: Vec<Slot> = sim.net().graph().live_slots().collect();
-        let victim = *rng.pick(&live).unwrap();
+        let victim = sim.net().graph().pick_live(&mut rng, None).unwrap();
         let orphans = gn.crash(sim.net_mut(), victim);
         sim.handle_leave(victim, &orphans);
         // The overlay may be partitioned here — the driver must keep

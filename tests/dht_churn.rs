@@ -28,8 +28,7 @@ fn propg_optimizes_a_churning_ring() {
         sim.run_for(Duration::from_minutes(8));
         // Alternate a leave and a join per round.
         if round % 2 == 0 {
-            let live: Vec<Slot> = sim.net().graph().live_slots().collect();
-            let victim = *rng.pick(&live).unwrap();
+            let victim = sim.net().graph().pick_live(&mut rng, None).unwrap();
             let peer = sim.net().peer(victim);
             let affected = dc.leave(sim.net_mut(), victim);
             sim.handle_leave(victim, &affected);
@@ -75,9 +74,8 @@ fn heavy_dht_churn_never_breaks_invariants() {
     let mut absent: Vec<usize> = Vec::new();
     for i in 0..60 {
         sim.run_for(Duration::from_minutes(1));
-        let live: Vec<Slot> = sim.net().graph().live_slots().collect();
-        if (i % 3 != 2 || absent.is_empty()) && live.len() > 20 {
-            let victim = *rng.pick(&live).unwrap();
+        if (i % 3 != 2 || absent.is_empty()) && sim.net().graph().num_live() > 20 {
+            let victim = sim.net().graph().pick_live(&mut rng, None).unwrap();
             let peer = sim.net().peer(victim);
             let affected = dc.leave(sim.net_mut(), victim);
             sim.handle_leave(victim, &affected);
