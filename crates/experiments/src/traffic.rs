@@ -101,8 +101,9 @@ json_impl!(ToJson for struct TrafficRunReport {
 });
 
 impl TrafficRunReport {
-    /// The `--min-delivery` / `--max-stretch` gates this run violates. The
-    /// selfish strawman is reported, never gated.
+    /// The `--min-delivery` / `--max-stretch` gates this run violates. A
+    /// gate on a value the run never measured (no lookup measured, or none
+    /// delivered) fails too. The selfish strawman is reported, never gated.
     pub fn gate_failures(
         &self,
         min_delivery: Option<f64>,
@@ -112,12 +113,28 @@ impl TrafficRunReport {
         if self.driver == TrafficDriver::Selfish.label() {
             return failures;
         }
-        let (delivery, stretch) = (self.report.delivery_rate(), self.report.overall_stretch());
-        if let Some(min) = min_delivery.filter(|&min| delivery < min) {
-            failures.push(format!("{}: delivery {delivery:.4} below gate {min:.4}", self.driver));
+        let driver = &self.driver;
+        if let Some(min) = min_delivery {
+            match self.report.delivery_rate() {
+                None => failures.push(format!(
+                    "{driver}: no lookups measured, delivery gate {min:.4} cannot pass"
+                )),
+                Some(delivery) if delivery < min => {
+                    failures.push(format!("{driver}: delivery {delivery:.4} below gate {min:.4}"))
+                }
+                Some(_) => {}
+            }
         }
-        if let Some(max) = max_stretch.filter(|&max| stretch > max) {
-            failures.push(format!("{}: stretch {stretch:.4} above gate {max:.4}", self.driver));
+        if let Some(max) = max_stretch {
+            match self.report.overall_stretch() {
+                None => failures.push(format!(
+                    "{driver}: no lookups delivered, stretch gate {max:.4} cannot pass"
+                )),
+                Some(stretch) if stretch > max => {
+                    failures.push(format!("{driver}: stretch {stretch:.4} above gate {max:.4}"))
+                }
+                Some(_) => {}
+            }
         }
         failures
     }
@@ -548,6 +565,23 @@ mod tests {
         for p in &r.report.phases {
             assert!(p.msgs >= p.trials, "{}: {} msgs over {} trials", p.phase, p.msgs, p.trials);
         }
+    }
+
+    #[test]
+    fn a_gate_on_a_run_without_lookups_fails() {
+        // A run that measured no lookup has no value to hold to a gate, so
+        // even the loosest gate fails on it.
+        let mut run = run_scenario(&tiny_spec(7), TrafficDriver::PropG, Scale::Quick);
+        assert!(run.gate_failures(Some(0.0), Some(1e9)).is_empty());
+        run.report = TrafficReport::new(&["night"], 1);
+        assert!(run.gate_failures(None, None).is_empty());
+        assert_eq!(
+            run.gate_failures(Some(0.0), Some(1e9)),
+            [
+                "prop-g: no lookups measured, delivery gate 0.0000 cannot pass",
+                "prop-g: no lookups delivered, stretch gate 1000000000.0000 cannot pass",
+            ]
+        );
     }
 
     #[test]

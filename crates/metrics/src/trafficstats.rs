@@ -99,7 +99,8 @@ pub struct TrafficReport {
 }
 
 /// The rows, then the run's two totals ([`TrafficReport::delivery_rate`],
-/// [`TrafficReport::msgs_per_trial`]) beside them.
+/// [`TrafficReport::msgs_per_trial`]) beside them; a delivery rate over no
+/// lookups is `null`.
 impl ToJson for TrafficReport {
     fn to_json(&self) -> Value {
         Value::Object(vec![
@@ -174,27 +175,21 @@ impl TrafficReport {
         &mut self.domains[i]
     }
 
-    /// Delivered-weighted mean stretch across all phases.
-    pub fn overall_stretch(&self) -> f64 {
+    /// Delivered-weighted mean stretch across all phases; `None` when no
+    /// lookup was delivered, since there is then nothing to average.
+    pub fn overall_stretch(&self) -> Option<f64> {
         let (num, den) = self.phases.iter().fold((0.0, 0u64), |(num, den), r| {
             (num + r.stretch * r.delivered as f64, den + r.delivered)
         });
-        if den == 0 {
-            0.0
-        } else {
-            num / den as f64
-        }
+        (den > 0).then(|| num / den as f64)
     }
 
-    /// Delivered fraction across all phases.
-    pub fn delivery_rate(&self) -> f64 {
+    /// Delivered fraction across all phases; `None` when no lookup was
+    /// measured, which is not a perfect run.
+    pub fn delivery_rate(&self) -> Option<f64> {
         let delivered: u64 = self.phases.iter().map(|r| r.delivered).sum();
         let failed: u64 = self.phases.iter().map(|r| r.failed).sum();
-        if delivered + failed == 0 {
-            1.0
-        } else {
-            delivered as f64 / (delivered + failed) as f64
-        }
+        (delivered + failed > 0).then(|| delivered as f64 / (delivered + failed) as f64)
     }
 
     /// Protocol messages per trial across all phases.
@@ -221,12 +216,14 @@ impl TrafficReport {
 
 impl std::fmt::Display for TrafficReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let absent = |what: &str| format!("n/a (no lookups {what})");
         writeln!(
             f,
-            "traffic: stretch {:.3}, delivery {:.1}%, {:.1} msgs/trial, \
+            "traffic: stretch {}, delivery {}, {:.1} msgs/trial, \
              {} events applied ({} suppressed)",
-            self.overall_stretch(),
-            self.delivery_rate() * 100.0,
+            self.overall_stretch().map_or_else(|| absent("delivered"), |s| format!("{s:.3}")),
+            self.delivery_rate()
+                .map_or_else(|| absent("measured"), |d| format!("{:.1}%", d * 100.0)),
             self.msgs_per_trial(),
             self.total_applied(),
             self.total_suppressed()
@@ -305,17 +302,28 @@ mod tests {
         let mut r = TrafficReport::new(&["a", "b"], 1);
         r.record_window(0, &summary(1.5, 10, 0), 2, 10);
         r.record_window(1, &summary(3.0, 10, 10), 2, 30);
-        assert!((r.overall_stretch() - 2.25).abs() < 1e-12);
-        assert!((r.delivery_rate() - 20.0 / 30.0).abs() < 1e-12);
+        assert!((r.overall_stretch().unwrap() - 2.25).abs() < 1e-12);
+        assert!((r.delivery_rate().unwrap() - 20.0 / 30.0).abs() < 1e-12);
         assert!((r.msgs_per_trial() - 10.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_report_is_safe() {
+        // A run that measured no lookup has no delivery rate and no
+        // stretch: it prints them as absent, never as 100 % and 0.
         let r = TrafficReport::new(&[], 0);
-        assert_eq!(r.overall_stretch(), 0.0);
-        assert_eq!(r.delivery_rate(), 1.0);
+        assert_eq!(r.overall_stretch(), None);
+        assert_eq!(r.delivery_rate(), None);
         assert_eq!(r.msgs_per_trial(), 0.0);
+        assert!(format!("{r}")
+            .contains("stretch n/a (no lookups delivered), delivery n/a (no lookups measured)"));
+        assert!(prop_engine::json::to_string(&r).contains("\"delivery_rate\":null"));
+        // Lookups that all failed give a delivery rate of 0 and still no
+        // stretch.
+        let mut r = TrafficReport::new(&["night"], 1);
+        r.record_window(0, &summary(f64::NAN, 0, 3), 1, 2);
+        assert_eq!(r.delivery_rate(), Some(0.0));
+        assert_eq!(r.overall_stretch(), None);
     }
 
     #[test]

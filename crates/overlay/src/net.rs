@@ -27,8 +27,11 @@ struct Link {
 }
 
 /// Every live slot's neighbour row with each link priced for a flood, in
-/// one flat array: slot `u`'s row is `links[start[u]..start[u + 1]]`, in
-/// [`LogicalGraph::neighbors`] order, and a dead slot's row is empty.
+/// one flat array: slot `u`'s row is `links[start[u]..start[u + 1]]`,
+/// cheapest first (ascending by `(cost, to)`, so equal costs keep one
+/// order), and a dead slot's row is empty. [`FloodScratch::run`] stops a
+/// relay's scan at the first link that cannot beat its bound, which the
+/// order makes exact.
 ///
 /// A derived, immutable table of one net state. [`OverlayNet`] builds it
 /// at the first flood after a mutation and drops it at each of its `&mut`
@@ -52,7 +55,7 @@ fn flood_cost(d: u32, proc_delay: u32) -> u32 {
 
 impl FloodView {
     /// One pass over the live slots, each row priced through one bound
-    /// source at its own peer.
+    /// source at its own peer and sorted in place.
     fn build(net: &OverlayNet) -> FloodView {
         let g = &net.graph;
         let mut start = Vec::with_capacity(g.num_slots() + 1);
@@ -61,10 +64,12 @@ impl FloodView {
         for u in (0..g.num_slots() as u32).map(Slot) {
             if g.is_alive(u) {
                 let from = net.oracle.source(net.peer(u));
+                let row = links.len();
                 links.extend(g.neighbors(u).iter().map(|&v| Link {
                     to: v,
                     cost: flood_cost(from.to(net.peer(v)), net.proc_delay(v)),
                 }));
+                links[row..].sort_unstable_by_key(|l| (l.cost, l.to));
             }
             start.push(u32::try_from(links.len()).expect("more than u32::MAX overlay links"));
         }
@@ -113,8 +118,9 @@ const NO_TAIL: u32 = u32::MAX;
 ///   (and swapped) rather than reallocated each round.
 ///
 /// Link costs are not the scratch's: the flood reads them from the net's
-/// flood view ([`OverlayNet`] prices every link once per net state and
-/// shares that table between all workers of a measurement).
+/// flood view ([`OverlayNet`] prices every link once per net state, sorts
+/// each row cheapest first and shares that table between all workers of a
+/// measurement).
 ///
 /// The scratch also keeps cumulative work counters (edge scans, dist
 /// improvements, frontier pushes) so benchmarks and regression tests can
@@ -202,6 +208,15 @@ impl FloodScratch {
     /// `(cost, hops)` is unchanged. The lower bound is read through a
     /// source bound at `dst`'s peer, and that source is not bound until a
     /// bound exists, which takes a live edge into `dst`.
+    ///
+    /// A relay's scan stops at the bounds too. Its row is sorted cheapest
+    /// first, so at the first link whose `c = du + cost` has `c ≥ best` or
+    /// `c > ub`, every later link costs at least as much. A slot `v` such a
+    /// link reaches at `c` would fail the floor test above when it relays
+    /// (its floor is at least `c`, and both bounds only fall), and `dst`
+    /// reached at `c` would beat neither `best` nor the real delivery `ub`
+    /// stands for. So no answer depends on those links; only the ledger
+    /// does (a skipped `v` may be improved later, at a cost no lower).
     pub fn run(
         &mut self,
         net: &OverlayNet,
@@ -255,6 +270,9 @@ impl FloodScratch {
                 for &Link { to: v, cost } in view.row(u) {
                     self.edges_scanned += 1;
                     let c = du + cost as u64;
+                    if c >= best || c > ub {
+                        break;
+                    }
                     let cell = &mut cells[v.index()];
                     if cell.stamp < epoch {
                         *cell = Cell { dist: u64::MAX, tail: NO_TAIL, stamp: epoch };
@@ -504,10 +522,11 @@ mod tests {
     }
 
     /// The engine `FloodScratch::run` replaced, kept as the reference it is
-    /// held to ledger for ledger: the same rounds, dedup and bounds over
-    /// the graph's own rows, but every scan prices its link through `cost`
-    /// and every pruning test reads `lower`, and the per-slot state is five
-    /// separately tagged arrays.
+    /// held to ledger for ledger: the same rounds, dedup, bounds and scan
+    /// cutoff over the graph's own rows, but every scan prices and sorts
+    /// the relay's row through `cost` (cheapest first, ties by slot, as the
+    /// view orders it), every pruning test reads `lower`, and the per-slot
+    /// state is five separately tagged arrays.
     #[derive(Default)]
     struct ReferenceScratch {
         tick: u64,
@@ -518,6 +537,7 @@ mod tests {
         next_tick: Vec<u64>,
         frontier: Vec<(Slot, u64)>,
         next: Vec<Slot>,
+        row: Vec<(u64, Slot)>,
         edges_scanned: u64,
         improvements: u64,
         frontier_pushes: u64,
@@ -580,9 +600,15 @@ mod tests {
                     if !relays(u) {
                         continue;
                     }
-                    for &v in graph.neighbors(u) {
+                    self.row.clear();
+                    self.row.extend(graph.neighbors(u).iter().map(|&v| (cost(u, v), v)));
+                    self.row.sort_unstable();
+                    for &(link, v) in &self.row {
                         self.edges_scanned += 1;
-                        let c = du + cost(u, v);
+                        let c = du + link;
+                        if c >= best || c > ub {
+                            break;
+                        }
                         let vi = v.index();
                         let dv = if self.dist_tick[vi] == epoch { self.dist[vi] } else { u64::MAX };
                         if c < dv {
@@ -904,6 +930,12 @@ mod tests {
         let later_delays = delays();
         let mut scratch = FloodScratch::new();
         let mut answers = |net: &OverlayNet, after: &str| {
+            // The scan cutoff is exact only over rows sorted cheapest first.
+            let view = net.flood_view();
+            for u in (0..n as u32).map(Slot) {
+                let row: Vec<_> = view.row(u).iter().map(|l| (l.cost, l.to)).collect();
+                assert!(row.windows(2).all(|w| w[0] < w[1]), "after {after}: {u:?} unsorted");
+            }
             let cost = |u, v| net.d(u, v) as u64 + net.proc_delay(v) as u64;
             let mut all = Vec::new();
             for ttl in [1u32, 2, 3, 7] {
@@ -975,11 +1007,13 @@ mod tests {
         // The ledger at the paper's own scale (ts-large, n = 1000, TTL 7) on
         // a freshly built, location-blind overlay: per lookup an undirected
         // flood scans 6,368 edges and pushes 1,300 slots, the lower bound
-        // alone 2,589 / 904, both bounds 1,674 / 703 (PROP-optimised
-        // overlays prune harder: ≈ 1.0k / 0.57k in the benchmark's probe).
-        // A change that silently disables a bound fails these counts. The
-        // replaced engine runs every flood beside the view's, and the two
-        // answers and ledgers must agree flood by flood.
+        // alone 2,589 / 904, both bounds 1,674 / 703, and both bounds with
+        // each relay's sorted scan stopped at them 1,167 / 511
+        // (PROP-optimised overlays prune harder: ≈ 0.7k / 0.4k in the
+        // benchmark's probe). A change that silently disables a bound or the
+        // cutoff fails these counts. The replaced engine runs every flood
+        // beside the view's, and the two answers and ledgers must agree
+        // flood by flood.
         let mut rng = SimRng::seed_from(1);
         let phys = generate(&TransitStubParams::ts_large(), &mut rng);
         let oracle = Arc::new(LatencyOracle::select_and_build(&phys, 1000, &mut rng));
@@ -1001,29 +1035,68 @@ mod tests {
         }
         let edges = scratch.edges_scanned() / floods;
         let pushes = scratch.frontier_pushes() / floods;
-        assert!(edges <= 2_000, "{edges} edges scanned per flood");
-        assert!(pushes <= 800, "{pushes} frontier pushes per flood");
+        assert!(edges <= 1_200, "{edges} edges scanned per flood");
+        assert!(pushes <= 520, "{pushes} frontier pushes per flood");
     }
 
     #[test]
     fn frontier_dedup_admits_each_slot_once_per_round() {
         // Diamond src—{a,b}—v: in round 2 both a and b may improve v; the
         // deduped frontier must admit v once either way, so total pushes are
-        // exactly 3 (a, b, v) for every seed.
+        // exactly 3 (a, b, v) for every seed. The target is a fifth, isolated
+        // slot, so no bound ever exists and nothing but the dedup limits the
+        // pushes.
         for seed in 0..20u64 {
             let mut rng = SimRng::seed_from(seed);
             let phys = generate(&TransitStubParams::tiny(), &mut rng);
-            let oracle = Arc::new(LatencyOracle::select_and_build(&phys, 4, &mut rng));
-            let mut g = LogicalGraph::new(4);
+            let oracle = Arc::new(LatencyOracle::select_and_build(&phys, 5, &mut rng));
+            let mut g = LogicalGraph::new(5);
             g.add_edge(Slot(0), Slot(1));
             g.add_edge(Slot(0), Slot(2));
             g.add_edge(Slot(1), Slot(3));
             g.add_edge(Slot(2), Slot(3));
-            let net = OverlayNet::new(g, Placement::identity(4), oracle);
+            let net = OverlayNet::new(g, Placement::identity(5), oracle);
             let mut scratch = FloodScratch::new();
-            let out = net.min_latency_within_hops_with(Slot(0), Slot(3), 7, &mut scratch);
-            assert!(out.is_some());
+            let out = net.min_latency_within_hops_with(Slot(0), Slot(4), 7, &mut scratch);
+            assert_eq!(out, None);
             assert_eq!(scratch.frontier_pushes(), 3, "seed {seed}: duplicate frontier entry");
+        }
+    }
+
+    #[test]
+    fn a_hub_stops_scanning_at_the_bound() {
+        // A star: the hub (slot 0, the source) links to every other slot,
+        // and each leaf links only back to it. The target is the leaf at the
+        // middle of the hub's sorted row. Round 1 scans the target's one
+        // link for its last-hop cost, then the hub's row cheapest first up
+        // to the target, whose delivery is the bound, then one link more:
+        // that link costs at least the bound and stops the scan. Round 2
+        // relays nobody, since every leaf's floor is at least the bound
+        // (triangle inequality). So the counts follow from the target's rank
+        // in the row; a scan that ignored the bound would read the whole
+        // row, n − 1 links.
+        let n = 24usize;
+        for seed in 0..10u64 {
+            let mut rng = SimRng::seed_from(seed);
+            let phys = generate(&TransitStubParams::tiny(), &mut rng);
+            let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
+            let mut g = LogicalGraph::new(n);
+            for v in 1..n as u32 {
+                g.add_edge(Slot(0), Slot(v));
+            }
+            let net = OverlayNet::new(g, Placement::identity(n), oracle);
+            let mut row: Vec<_> =
+                (1..n as u32).map(|v| (net.d(Slot(0), Slot(v)), Slot(v))).collect();
+            row.sort_unstable();
+            let rank = row.len() / 2;
+            let (cost, dst) = row[rank];
+            let mut scratch = FloodScratch::new();
+            let out = net.min_latency_within_hops_with(Slot(0), dst, 7, &mut scratch);
+            assert_eq!(out, Some((cost as u64, 1)), "seed {seed}");
+            let rank = rank as u64;
+            assert_eq!(scratch.edges_scanned(), 1 + (rank + 1) + 1, "seed {seed}: scans");
+            assert_eq!(scratch.frontier_pushes(), rank + 1, "seed {seed}: pushes");
+            assert_eq!(scratch.improvements(), rank + 1, "seed {seed}: improvements");
         }
     }
 
