@@ -20,9 +20,11 @@ use prop_engine::SimTime;
 use prop_overlay::{OverlayNet, Slot};
 
 /// One scripted workload event. Times live outside the event (the plane
-/// returns `(SimTime, TrafficEvent)` pairs); domains are transit-domain
-/// indices from `PhysGraph::transit_domain_of`, taken modulo the topology's
-/// actual domain count at apply time so one script drives any preset.
+/// returns `(SimTime, TrafficEvent)` pairs); `domain` is the scripted
+/// region, a transit-domain index of `PhysGraph::transit_domain_of`. A
+/// loaded scenario names only domains its topology has; the built-in
+/// presets' four regions fold onto a topology with fewer (region `r` on
+/// domain `r % count`), which the experiment layer's pump applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrafficEvent {
     /// A departed peer (preferentially one homed in `domain`) rejoins.

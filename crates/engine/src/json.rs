@@ -16,8 +16,10 @@
 //! * [`ToJson`] / [`FromJson`] and [`json_impl!`](crate::json_impl) — typed
 //!   conversion. The macro takes a type's field (or variant) list once and
 //!   emits either direction or both; an absent `Option` field reads as
-//!   `None`, an unknown key is an error naming it, enums are externally
-//!   tagged (`"Quick"`, `{"Loss": {"at_ms": 0, "prob": 0.1}}`).
+//!   `None`, an unknown key is an error naming it, a field's range rule
+//!   ([`at_least`], [`between`], [`each`] or the type's own) is held as
+//!   the field is read, enums are externally tagged (`"Quick"`,
+//!   `{"Loss": {"at_ms": 0, "prob": 0.1}}`).
 //!
 //! A decoding error from [`from_str`] says where in the document it is
 //! (`traffic.domains[2].hourly`) and at which line and column.
@@ -469,15 +471,28 @@ fn locate<'s>(root: &Value, path: impl Iterator<Item = &'s Seg>, on_key: bool) -
     mark
 }
 
+/// Give `e`, an error about a value of the document in `text`, the line and
+/// column of the value (or key) its path leads to.
+fn place(text: &str, value: &Value, marks: &[usize], mut e: Error) -> Error {
+    let mark = locate(value, e.path.iter().rev(), e.on_key);
+    (e.line, e.col) = position(text, marks[mark]);
+    e
+}
+
 /// Parse `text` and decode it as a `T`; a decoding error gets the line and
 /// column of the value (or key) it is about.
 pub fn from_str<T: FromJson>(text: &str) -> Result<T, Error> {
     let (value, marks) = parse_marked(text)?;
-    T::from_json(&value).map_err(|mut e| {
-        let mark = locate(&value, e.path.iter().rev(), e.on_key);
-        (e.line, e.col) = position(text, marks[mark]);
-        e
-    })
+    T::from_json(&value).map_err(|e| place(text, &value, &marks, e))
+}
+
+/// The line and column in `text` of `e`, an error a check made after
+/// [`from_str`] read `text`: the position of the value its path leads to.
+pub fn position_in(text: &str, e: Error) -> Error {
+    match parse_marked(text) {
+        Ok((value, marks)) => place(text, &value, &marks, e),
+        Err(_) => e,
+    }
 }
 
 // ---------------------------------------------------------------- writer ----
@@ -852,6 +867,36 @@ impl<'a> Fields<'a> {
     }
 }
 
+/// A range rule for [`json_impl!`](crate::json_impl)'s `[check = …]` flag:
+/// the value is at least `min` (a NaN is not).
+pub fn at_least<T: PartialOrd + fmt::Display>(min: T) -> impl Fn(&T) -> Result<(), Error> {
+    move |x| {
+        if *x >= min {
+            Ok(())
+        } else {
+            Err(Error::new(format!("must be ≥ {min}, got {x}")))
+        }
+    }
+}
+
+/// A range rule: the value is in `[lo, hi]`.
+pub fn between<T: PartialOrd + fmt::Display>(lo: T, hi: T) -> impl Fn(&T) -> Result<(), Error> {
+    move |x| {
+        if lo <= *x && *x <= hi {
+            Ok(())
+        } else {
+            Err(Error::new(format!("must be in [{lo}, {hi}], got {x}")))
+        }
+    }
+}
+
+/// A rule on every element of an array: the error names the element.
+pub fn each<T>(rule: impl Fn(&T) -> Result<(), Error>) -> impl Fn(&[T]) -> Result<(), Error> {
+    move |items| {
+        items.iter().enumerate().try_for_each(|(i, item)| rule(item).map_err(|e| e.in_index(i)))
+    }
+}
+
 /// The tag and, for a data-carrying variant, the body of an externally
 /// tagged enum value: `"Quick"` or `{"Loss": {…}}`.
 #[doc(hidden)]
@@ -907,6 +952,26 @@ pub fn unknown_variant(tag: &str, keyed: bool, owner: &str, known: &[&str]) -> E
 /// (any `Option` field already reads as `None` when absent); `[default]`
 /// reads an absent field as `Default::default()`. A unit variant may be
 /// renamed: `Done = "done"`.
+///
+/// `[check = rule]` (after `default, ` when both are wanted) holds a decoded
+/// field to a rule, `Fn(&T) -> Result<(), Error>`: a struct's or a
+/// variant's, once every field of it has been read, in field order. The
+/// rule expression sees the other fields by name, as references, so a rule
+/// that reads two fields sits on the later one. Its error gets the field's
+/// path, and [`from_str`] its line and column, as a decoding error does:
+///
+/// ```
+/// use prop_engine::json::{self, at_least, between};
+///
+/// #[derive(Debug)]
+/// struct Window { from: u64, to: u64, loss: f64 }
+/// prop_engine::json_impl!(FromJson for struct Window {
+///     from, to [check = at_least(*from)], loss [check = between(0.0, 1.0)]
+/// });
+///
+/// let e = json::from_str::<Window>("{\"from\": 9, \"to\": 3, \"loss\": 0}").unwrap_err();
+/// assert_eq!(e.to_string(), "1:19: to: must be ≥ 9, got 3");
+/// ```
 #[macro_export]
 macro_rules! json_impl {
     ($($dir:ident),+ for struct $ty:ident $fields:tt) => {
@@ -936,19 +1001,27 @@ macro_rules! json_impl {
             fn from_json(v: &$crate::json::Value) -> Result<Self, $crate::json::Error> {
                 let fields =
                     $crate::json::Fields::new(v, stringify!($ty), &[$(stringify!($f)),+])?;
-                Ok($ty { $( $f: $crate::json_impl!(@get fields, $f $(, $($flag)+)?), )+ })
+                let value = $ty { $( $f: $crate::json_impl!(@get fields, $f $(, $($flag)+)?), )+ };
+                #[allow(unused_variables)]
+                let $ty { $($f),+ } = &value;
+                $( $crate::json_impl!(@check $f $(, $($flag)+)?); )+
+                Ok(value)
             }
         }
     };
-    (@get $fields:ident, $f:ident, default) => {
+    (@get $fields:ident, $f:ident, default $(, check = $rule:expr)?) => {
         $fields.get_or_default(stringify!($f))?
     };
-    (@get $fields:ident, $f:ident $(, omit_none)?) => {
+    (@get $fields:ident, $f:ident $(, omit_none)? $(, check = $rule:expr)?) => {
         $fields.get(stringify!($f))?
     };
+    (@check $f:ident, $(default,)? check = $rule:expr) => {
+        ($rule)($f).map_err(|e| e.in_key(stringify!($f)))?
+    };
+    (@check $f:ident $(, default)? $(, omit_none)?) => {};
 
     (@ToJson enum $ty:ident {
-        $($var:ident $({ $($vf:ident),+ $(,)? })? $(= $name:literal)?),+ $(,)?
+        $($var:ident $({ $($vf:ident $([$($vflag:tt)+])?),+ $(,)? })? $(= $name:literal)?),+ $(,)?
     }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Value {
@@ -974,13 +1047,15 @@ macro_rules! json_impl {
     };
 
     (@FromJson enum $ty:ident {
-        $($var:ident $({ $($vf:ident),+ $(,)? })? $(= $name:literal)?),+ $(,)?
+        $($var:ident $({ $($vf:ident $([$($vflag:tt)+])?),+ $(,)? })? $(= $name:literal)?),+ $(,)?
     }) => {
         impl $crate::json::FromJson for $ty {
             fn from_json(v: &$crate::json::Value) -> Result<Self, $crate::json::Error> {
                 let (tag, body) = $crate::json::variant(v, stringify!($ty))?;
                 $( if tag == $crate::json_impl!(@tag $var $(= $name)?) {
-                    return $crate::json_impl!(@variant_from $ty $var tag body $({ $($vf),+ })?);
+                    return $crate::json_impl!(
+                        @variant_from $ty $var tag body $({ $($vf $([$($vflag)+])?),+ })?
+                    );
                 } )+
                 let known = [$( $crate::json_impl!(@tag $var $(= $name)?) ),+];
                 Err($crate::json::unknown_variant(tag, body.is_some(), stringify!($ty), &known))
@@ -995,12 +1070,23 @@ macro_rules! json_impl {
             ))),
         }
     };
-    (@variant_from $ty:ident $var:ident $tag:ident $body:ident { $($vf:ident),+ }) => {
+    (@variant_from $ty:ident $var:ident $tag:ident $body:ident {
+        $($vf:ident $([$($flag:tt)+])?),+
+    }) => {
         match $body {
             Some(b) => (|| -> Result<$ty, $crate::json::Error> {
                 let fields =
                     $crate::json::Fields::new(b, stringify!($var), &[$(stringify!($vf)),+])?;
-                Ok($ty::$var { $( $vf: fields.get(stringify!($vf))?, )+ })
+                let value =
+                    $ty::$var { $( $vf: $crate::json_impl!(@get fields, $vf $(, $($flag)+)?), )+ };
+                #[allow(unused_variables, unreachable_patterns)]
+                match &value {
+                    $ty::$var { $($vf),+ } => {
+                        $( $crate::json_impl!(@check $vf $(, $($flag)+)?); )+
+                    }
+                    _ => {}
+                }
+                Ok(value)
             })()
             .map_err(|e| e.in_key($tag)),
             None => Err($crate::json::Error::new(format!(
@@ -1344,5 +1430,108 @@ mod tests {
         // Without text there is a path but no position.
         let e = Probe::from_json(&Value::Object(vec![("ttl".into(), Value::Null)])).unwrap_err();
         assert_eq!((at(&e), e.path().as_str()), ((0, 0), "ttl"));
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    enum Step {
+        Loss { at_ms: u64, prob: f64 },
+        Gap { from: u64, to: u64 },
+    }
+    json_impl!(ToJson, FromJson for enum Step {
+        Loss { at_ms, prob [check = between(0.0, 1.0)] },
+        Gap { from, to [check = at_least(*from)] },
+    });
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct Plan {
+        rates: Vec<f64>,
+        steps: Vec<Step>,
+        hour_ms: u64,
+        horizon_ms: u64,
+    }
+    json_impl!(ToJson, FromJson for struct Plan {
+        rates [default, check = each(at_least(0.0))],
+        steps,
+        hour_ms [check = at_least(1)],
+        horizon_ms [check = at_least(*hour_ms)],
+    });
+
+    #[test]
+    fn checked_fields_are_refused_with_their_path_and_position() {
+        let plan = Plan {
+            rates: vec![0.0, 2.5],
+            steps: vec![Step::Loss { at_ms: 0, prob: 1.0 }, Step::Gap { from: 3, to: 3 }],
+            hour_ms: 10,
+            horizon_ms: 10,
+        };
+        assert_eq!(from_str::<Plan>(&to_string_pretty(&plan)), Ok(plan));
+        let ok = r#"{"steps": [], "hour_ms": 1, "horizon_ms": 5}"#;
+        assert_eq!(from_str::<Plan>(ok).map(|p| p.rates), Ok(vec![]), "a default is checked too");
+
+        for (doc, line, col, path, what) in [
+            (
+                "{\"rates\": [1, -0.5], \"steps\": [], \"hour_ms\": 1, \"horizon_ms\": 1}",
+                1,
+                15,
+                "rates[1]",
+                "must be ≥ 0, got -0.5",
+            ),
+            (
+                "{\"steps\": [],\n \"hour_ms\": 0, \"horizon_ms\": 1}",
+                2,
+                13,
+                "hour_ms",
+                "must be ≥ 1, got 0",
+            ),
+            // A rule that reads an earlier field.
+            (
+                "{\"steps\": [], \"hour_ms\": 7, \"horizon_ms\": 6}",
+                1,
+                43,
+                "horizon_ms",
+                "must be ≥ 7, got 6",
+            ),
+            // Variant fields, either rule.
+            (
+                "{\"steps\": [{\"Gap\": {\"from\": 4, \"to\": 3}},\n {\"Loss\": \
+                 {\"at_ms\": 1, \"prob\": 1.5}}],\n \"hour_ms\": 1, \"horizon_ms\": 1}",
+                1,
+                38,
+                "steps[0].Gap.to",
+                "must be ≥ 4, got 3",
+            ),
+            (
+                "{\"steps\": [{\"Loss\": {\"at_ms\": 1, \"prob\": 1.5}}],\n \
+                 \"hour_ms\": 1, \"horizon_ms\": 1}",
+                1,
+                42,
+                "steps[0].Loss.prob",
+                "must be in [0, 1], got 1.5",
+            ),
+            // Every field is read before any rule runs: a type error after a
+            // broken rule is the one reported.
+            (
+                "{\"steps\": [], \"hour_ms\": 0, \"horizon_ms\": \"x\"}",
+                1,
+                43,
+                "horizon_ms",
+                "expected an unsigned integer",
+            ),
+        ] {
+            let e = from_str::<Plan>(doc).expect_err(doc);
+            assert_eq!((at(&e), e.path().as_str()), ((line, col), path), "{doc}: {e}");
+            assert!(e.what.starts_with(what), "{doc}: {e}");
+        }
+        // A NaN is below every bound (no document holds one; a value may).
+        assert!(at_least(0.0)(&f64::NAN).is_err() && between(0.0, 1.0)(&f64::NAN).is_err());
+    }
+
+    #[test]
+    fn a_later_check_is_placed_in_the_text_it_read() {
+        let text = "{\"steps\": [],\n  \"hour_ms\": 1, \"horizon_ms\": 1}";
+        let e = position_in(text, Error::new("too long").in_key("horizon_ms"));
+        assert_eq!((at(&e), e.to_string().as_str()), ((2, 31), "2:31: horizon_ms: too long"));
+        let e = position_in("[", Error::new("unplaced"));
+        assert_eq!(at(&e), (0, 0), "a text that does not parse places nothing");
     }
 }

@@ -24,7 +24,7 @@ use prop_core::{
     TrafficPlane,
 };
 use prop_engine::{json, json_impl, Duration, SimRng, SimTime};
-use prop_faults::{transit_bisection, FaultEvent, Scenario as ScenarioSpec};
+use prop_faults::{transit_bisection, Scenario as ScenarioSpec};
 use prop_metrics::{link_stretch, path_stretch, StretchSummary, TimeSeries, TrafficReport};
 use prop_netsim::oracle::MemberIdx;
 use prop_overlay::gnutella::Gnutella;
@@ -265,9 +265,9 @@ fn drive<S: ChurnDriver>(
         while let Some((et, ev)) = plane.next_event(deadline) {
             sim.run_until(et);
             let phase = spec.traffic.phase_of_ms(et.as_millis());
+            let domain = region_domain(ev.domain(), num_domains);
             match ev {
-                TrafficEvent::Leave { domain } => {
-                    let domain = domain % num_domains;
+                TrafficEvent::Leave { .. } => {
                     let g = sim.net().graph();
                     if g.num_live() <= 8 {
                         report.record_suppressed(phase);
@@ -285,8 +285,7 @@ fn drive<S: ChurnDriver>(
                     report.record_leave(phase, member_domain[peer]);
                     always_connected &= sim.net().graph().is_connected();
                 }
-                TrafficEvent::Join { domain } => {
-                    let domain = domain % num_domains;
+                TrafficEvent::Join { .. } => {
                     if absent.is_empty() {
                         report.record_suppressed(phase);
                         continue;
@@ -303,8 +302,7 @@ fn drive<S: ChurnDriver>(
                     report.record_join(phase, member_domain[peer]);
                     always_connected &= sim.net().graph().is_connected();
                 }
-                TrafficEvent::Lookup { domain, rank } => {
-                    let domain = domain % num_domains;
+                TrafficEvent::Lookup { rank, .. } => {
                     let dst = ranking[rank as usize % ranking.len()];
                     if !sim.net().graph().is_alive(dst) {
                         report.record_suppressed(phase);
@@ -350,6 +348,16 @@ fn drive<S: ChurnDriver>(
     (series, report, always_connected, final_link_stretch)
 }
 
+/// The transit domain scripted region `region` plays on, of a topology's
+/// `count`: the region itself when the topology has it, `region % count`
+/// when not. A loaded file names only domains its topology has
+/// ([`load_scenario`] refuses the rest), so the fold only merges the
+/// built-in presets' four regions on a topology with fewer
+/// ([`builtin_scenario`]).
+fn region_domain(region: u16, count: u16) -> u16 {
+    region % count
+}
+
 /// A uniform live slot of those `keep` accepts: `rng.pick`'s draw over
 /// them collected in slot order, made by counting them, collecting none.
 fn pick_where(g: &LogicalGraph, rng: &mut SimRng, keep: impl Fn(Slot) -> bool) -> Option<Slot> {
@@ -361,7 +369,12 @@ fn pick_where(g: &LogicalGraph, rng: &mut SimRng, keep: impl Fn(Slot) -> bool) -
 pub const BUILTIN_SCENARIOS: [&str; 2] = ["diurnal-regional", "flash-crowd"];
 
 /// Built-in scenarios for `prop traffic`, the sweep orchestrator, and CI:
-/// the two committed example scripts, regenerated at any scale.
+/// the two committed example scripts, regenerated at any scale. Both
+/// script four regions, 0–3. At paper scale (ts-large, ten transit
+/// domains) each is its own domain; at `--quick` (ts-small, two) they
+/// fold onto domain `region % 2`: regions 0 and 2 share domain 0 and
+/// regions 1 and 3 domain 1, so the diurnal preset's regions offset by
+/// 0 h and 12 h run in one domain, as do those offset by 6 h and 18 h.
 pub fn builtin_scenario(
     name: &str,
     scale: Scale,
@@ -396,8 +409,9 @@ pub enum ScenarioError {
     /// The file is not the JSON it should be: `error` says where (line,
     /// column, and the path inside the document) and what was expected.
     Parse { path: String, error: json::Error },
-    /// The file parses, but a value in it cannot be run.
-    Invalid { path: String, what: String },
+    /// The file parses, but names what its topology does not have (see
+    /// [`load_scenario`]); `error` says where, as for a parse error.
+    Invalid { path: String, error: json::Error },
     /// Not a file, and not one of [`BUILTIN_SCENARIOS`] either.
     UnknownBuiltin(String),
 }
@@ -406,8 +420,9 @@ impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScenarioError::Read { path, source } => write!(f, "cannot read {path}: {source}"),
-            ScenarioError::Parse { path, error } => write!(f, "{path}:{error}"),
-            ScenarioError::Invalid { path, what } => write!(f, "{path}: {what}"),
+            ScenarioError::Parse { path, error } | ScenarioError::Invalid { path, error } => {
+                write!(f, "{path}:{error}")
+            }
             ScenarioError::UnknownBuiltin(name) => write!(
                 f,
                 "unknown builtin scenario {name:?} (known: {})",
@@ -424,74 +439,70 @@ fn read(path: &str) -> Result<String, ScenarioError> {
         .map_err(|source| ScenarioError::Read { path: path.to_string(), source })
 }
 
-/// The values a driver would divide by or index with, and the Zipf
-/// exponents its popularity would be drawn from.
-fn check_script(path: &str, script: &TrafficScript) -> Result<(), ScenarioError> {
-    let negative = script.popularity.iter().position(|shift| shift.alpha < 0.0);
-    let what = if script.hour_ms == 0 {
-        "traffic.hour_ms must be positive".to_string()
-    } else if script.catalog == 0 {
-        "traffic.catalog must be positive".to_string()
-    } else if let Some(i) = negative {
-        format!("traffic.popularity[{i}].alpha must be ≥ 0, got {}", script.popularity[i].alpha)
-    } else {
-        return Ok(());
+/// The one check a scenario needs its topology for: a label this layer
+/// knows, a membership it can build (a Gnutella overlay's seed clique, and
+/// no more members than the topology has stub hosts to put them on), and a
+/// transit domain of it for every region. Every other rule is checked
+/// where the file is parsed, by the types' `FromJson`.
+fn check_topology(spec: &ScenarioSpec) -> Result<(), json::Error> {
+    let Some(topology) = Topology::from_label(&spec.topology) else {
+        let what =
+            format!("unknown topology {:?} (known: ts-large, ts-small, tiny)", spec.topology);
+        return Err(json::Error::new(what).in_key("topology"));
     };
-    Err(ScenarioError::Invalid { path: path.to_string(), what })
-}
-
-/// A membership the run can build: a Gnutella overlay's seed clique, and no
-/// more members than the topology has stub hosts to put them on.
-fn check_members(path: &str, spec: &ScenarioSpec, topology: Topology) -> Result<(), ScenarioError> {
     let hosts = topology.params().stub_hosts();
-    let what = if spec.n < MIN_MEMBERS {
-        format!("n must be at least {MIN_MEMBERS}, got {}", spec.n)
-    } else if spec.n > hosts {
-        format!("n must be at most the {hosts} stub hosts of {}, got {}", spec.topology, spec.n)
-    } else {
-        return Ok(());
-    };
-    Err(ScenarioError::Invalid { path: path.to_string(), what })
+    if spec.n < MIN_MEMBERS {
+        let what = format!("must be at least {MIN_MEMBERS}, got {}", spec.n);
+        return Err(json::Error::new(what).in_key("n"));
+    }
+    if spec.n > hosts {
+        let what =
+            format!("must be at most the {hosts} stub hosts of {}, got {}", spec.topology, spec.n);
+        return Err(json::Error::new(what).in_key("n"));
+    }
+    check_regions(&spec.traffic, topology).map_err(|e| e.in_key("traffic"))
 }
 
-/// The fault events a plane would misread: a probability outside [0, 1]
-/// acts as 0 or 1, and a crash of a peer past the membership never fires.
-fn check_faults(path: &str, spec: &ScenarioSpec) -> Result<(), ScenarioError> {
-    let bad_prob = |kind: &str, p: f64| {
-        (!(0.0..=1.0).contains(&p)).then(|| format!("{kind}.prob must be in [0, 1], got {p}"))
-    };
-    for (i, ev) in spec.faults.events.iter().enumerate() {
-        let what = match *ev {
-            FaultEvent::Loss { prob, .. } => bad_prob("Loss", prob),
-            FaultEvent::Duplicate { prob, .. } => bad_prob("Duplicate", prob),
-            FaultEvent::Reorder { prob, .. } => bad_prob("Reorder", prob),
-            FaultEvent::Crash { peer, .. } => (peer >= spec.n)
-                .then(|| format!("Crash.peer must be below n = {}, got {peer}", spec.n)),
-            _ => None,
-        };
-        if let Some(what) = what {
-            let what = format!("faults.events[{i}].{what}");
-            return Err(ScenarioError::Invalid { path: path.to_string(), what });
+/// Every profile of `script` is a region `topology` has.
+fn check_regions(script: &TrafficScript, topology: Topology) -> Result<(), json::Error> {
+    let count = topology.params().transit_domains;
+    script.domains.iter().enumerate().try_for_each(|(i, profile)| {
+        if usize::from(profile.domain) < count {
+            return Ok(());
         }
-    }
-    Ok(())
+        let what = format!(
+            "must name one of the {count} transit domains of {}, got {}",
+            topology.label(),
+            profile.domain
+        );
+        Err(json::Error::new(what).in_key("domain").in_index(i).in_key("domains"))
+    })
+}
+
+/// `check` on what `text` parsed to, an error placed in `text`.
+fn checked(
+    path: &str,
+    text: &str,
+    check: impl FnOnce() -> Result<(), json::Error>,
+) -> Result<(), ScenarioError> {
+    check().map_err(|e| ScenarioError::Invalid {
+        path: path.to_string(),
+        error: json::position_in(text, e),
+    })
 }
 
 fn parse_bundle(path: &str, text: &str) -> Result<ScenarioSpec, ScenarioError> {
     let spec: ScenarioSpec = json::from_str(text)
         .map_err(|error| ScenarioError::Parse { path: path.to_string(), error })?;
-    let Some(topology) = Topology::from_label(&spec.topology) else {
-        let what =
-            format!("unknown topology {:?} (known: ts-large, ts-small, tiny)", spec.topology);
-        return Err(ScenarioError::Invalid { path: path.to_string(), what });
-    };
-    check_members(path, &spec, topology)?;
-    check_script(path, &spec.traffic)?;
-    check_faults(path, &spec)?;
+    checked(path, text, || check_topology(&spec))?;
     Ok(spec)
 }
 
-/// Load a scenario bundle from a JSON file (see `examples/*.json`).
+/// Load a scenario bundle from a JSON file (see `examples/*.json`). The
+/// parse refuses every value out of its range ([`ScenarioError::Parse`]);
+/// then the bundle is held to its topology ([`ScenarioError::Invalid`]):
+/// a known label, `n` from 5 up to its stub hosts, and each
+/// `traffic.domains[i].domain` one of its transit domains.
 pub fn load_scenario(path: &str) -> Result<ScenarioSpec, ScenarioError> {
     parse_bundle(path, &read(path)?)
 }
@@ -501,8 +512,8 @@ pub fn load_scenario(path: &str) -> Result<ScenarioSpec, ScenarioError> {
 /// top-level `"traffic"` key is a bundle, anything else is read as a
 /// script, and an error is that type's error. A bare script is wrapped in
 /// a scenario named after the file, at the scale's default topology and
-/// population, under `seed`. A full bundle keeps its own seed — it *is*
-/// the reproducible unit.
+/// population, under `seed`, and its regions are held to that topology. A
+/// full bundle keeps its own seed — it *is* the reproducible unit.
 pub fn load_script_or_scenario(
     path: &str,
     scale: Scale,
@@ -515,7 +526,7 @@ pub fn load_script_or_scenario(
         return parse_bundle(path, &text);
     }
     let script: TrafficScript = json::from_str(&text).map_err(parse_error)?;
-    check_script(path, &script)?;
+    checked(path, &text, || check_regions(&script, scale.topology()))?;
     let name = std::path::Path::new(path)
         .file_stem()
         .and_then(|s| s.to_str())
@@ -544,6 +555,24 @@ mod tests {
         assert!(r.report.phases.iter().map(|p| p.lookups).sum::<u64>() > 0);
         assert!(r.final_link_stretch.is_finite() && r.final_link_stretch > 0.0);
         assert!(!r.series.is_empty(), "no stretch samples");
+    }
+
+    #[test]
+    fn a_phase_no_window_fell_in_reads_as_absent() {
+        // Two sample windows over a compressed day start in the night and
+        // the afternoon; morning and evening get lookups and no window.
+        let r = run_scenario(&tiny_spec(7), TrafficDriver::PropG, Scale::Quick);
+        for (row, measured) in r.report.phases.iter().zip([true, false, true, false]) {
+            assert_eq!(row.windows > 0, measured, "{}", row.phase);
+            assert_eq!(row.stretch.is_some(), measured, "{}", row.phase);
+            assert_eq!(row.delivery_rate().is_some(), measured, "{}", row.phase);
+        }
+        assert!(r.report.phases[1].lookups > 0, "the morning's lookups fall in the night's window");
+        let text = r.report.to_string();
+        assert!(text.contains("morning    stretch n/a  delivery n/a"), "{text}");
+        assert!(text.contains("evening    stretch n/a  delivery n/a"), "{text}");
+        let json = json::to_string(&r);
+        assert!(json.contains(r#"{"phase":"evening","windows":0,"stretch":null,"#), "{json}");
     }
 
     #[test]
@@ -608,6 +637,9 @@ mod tests {
         assert!(matches!(&e, ScenarioError::UnknownBuiltin(name) if name == "bogus"), "{e}");
     }
 
+    /// Mutants made of each committed document.
+    const MUTANTS: usize = 40;
+
     const BUNDLE: &str = r#"{
   "name": "x",
   "topology": "tiny",
@@ -625,18 +657,24 @@ mod tests {
   "faults": {"events": [{"Loss": {"at_ms": 0, "prob": 0.1}}]}
 }"#;
 
-    /// Write `text` under a scratch name and load it the way `--traffic` does.
+    /// Write `text` under a scratch name, load it the way `--traffic` does,
+    /// and remove it.
     fn load_text(name: &str, text: &str) -> Result<ScenarioSpec, ScenarioError> {
         let dir = std::env::temp_dir().join(format!("prop-scenario-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{name}.json"));
         std::fs::write(&path, text).unwrap();
-        load_script_or_scenario(path.to_str().unwrap(), Scale::Quick, 9)
+        let loaded = load_script_or_scenario(path.to_str().unwrap(), Scale::Quick, 9);
+        std::fs::remove_file(&path).unwrap();
+        loaded
     }
 
-    /// 1-based line and column of the last occurrence of `needle`.
-    fn position_of(text: &str, needle: &str) -> (usize, usize) {
-        let before = &text[..text.rfind(needle).unwrap_or_else(|| panic!("no {needle:?}"))];
+    /// 1-based line and column of the last occurrence of `token`, at its
+    /// `|` if it has one (`"n": |4` is the `4`).
+    fn position_of(text: &str, token: &str) -> (usize, usize) {
+        let (pre, post) = token.split_once('|').unwrap_or(("", token));
+        let at = text.rfind(&format!("{pre}{post}")).unwrap_or_else(|| panic!("no {token:?}"));
+        let before = &text[..at + pre.len()];
         let line_start = before.rfind('\n').map_or(0, |p| p + 1);
         (1 + before.matches('\n').count(), 1 + before[line_start..].chars().count())
     }
@@ -655,13 +693,27 @@ mod tests {
 
     #[test]
     fn malformed_scenarios_are_errors_with_a_position_never_panics() {
+        assert!(matches!(
+            load_script_or_scenario("/nonexistent/scenario.json", Scale::Quick, 1),
+            Err(ScenarioError::Read { .. })
+        ));
         let edit = |from: &str, to: &str| {
             assert!(BUNDLE.contains(from), "the reference bundle has no {from:?}");
             BUNDLE.replacen(from, to, 1)
         };
+        let crowd = |multiplier: &str, hot_keys: &str| {
+            edit(
+                "\"flash_crowds\": []",
+                &format!(
+                    "\"flash_crowds\": [{{\"at_ms\": 0, \"duration_ms\": 1000, \
+                     \"multiplier\": {multiplier}, \"hot_keys\": {hot_keys}}}]"
+                ),
+            )
+        };
         let cut = BUNDLE.find("\"faults\"").unwrap() + 3;
         // (case, the file, the token the error points at, the path inside
-        //  the document, what the message says)
+        //  the document, what the message says). Syntax and type errors,
+        //  then each range rule, then the topology's check.
         let cases = [
             ("truncated", BUNDLE[..cut].to_string(), "\"fa", "", "unterminated string"),
             ("trailing-comma", edit("[]\n  }", "[],\n  }"), "},", "", "trailing comma"),
@@ -708,22 +760,187 @@ mod tests {
                 "",
                 "trailing characters",
             ),
+            (
+                "zero-hour",
+                edit("60000", "0"),
+                "\"hour_ms\": |0",
+                "traffic.hour_ms",
+                "must be ≥ 1, got 0",
+            ),
+            (
+                "zero-horizon",
+                edit("120000", "0"),
+                "\"horizon_ms\": |0",
+                "traffic.horizon_ms",
+                "must be ≥ 1, got 0",
+            ),
+            (
+                "zero-catalog",
+                edit("\"catalog\": 10", "\"catalog\": 0"),
+                "\"catalog\": |0",
+                "traffic.catalog",
+                "must be in [1, 1000000], got 0",
+            ),
+            (
+                "negative-joins",
+                edit("\"joins_per_min\": 1.0", "\"joins_per_min\": -1.0"),
+                "-1.0",
+                "traffic.domains[0].joins_per_min",
+                "must be ≥ 0, got -1",
+            ),
+            (
+                "negative-hourly",
+                edit("4.0}", "4.0, \"hourly\": [1.0, -0.25]}"),
+                "-0.25",
+                "traffic.domains[0].hourly[1]",
+                "must be ≥ 0, got -0.25",
+            ),
+            (
+                "negative-multiplier",
+                crowd("-3.0", "2"),
+                "-3.0",
+                "traffic.flash_crowds[0].multiplier",
+                "must be ≥ 1, got -3",
+            ),
+            (
+                "zero-hot-keys",
+                crowd("2.0", "0"),
+                "\"hot_keys\": |0",
+                "traffic.flash_crowds[0].hot_keys",
+                "must be ≥ 1, got 0",
+            ),
+            // Panicked in `Zipf::new` once.
+            (
+                "negative-alpha",
+                edit(
+                    "\"flash_crowds\": []",
+                    "\"flash_crowds\": [], \"popularity\": [{\"at_ms\": 0, \"alpha\": 0.8}, \
+                     {\"at_ms\": 9, \"alpha\": -0.5}]",
+                ),
+                "-0.5",
+                "traffic.popularity[1].alpha",
+                "must be ≥ 0, got -0.5",
+            ),
+            (
+                "too-many-hour-buckets",
+                edit("120000", "18446744073709551615"),
+                "18446744073709551615",
+                "traffic.horizon_ms",
+                "307445734561826 hour buckets of 60000 ms; a script may have at most 1000000",
+            ),
+            (
+                "too-many-events",
+                edit("\"lookups_per_min\": 4.0", "\"lookups_per_min\": 1e300"),
+                "\"horizon_ms\": |120000",
+                "traffic.horizon_ms",
+                "the script expects 2.000e300 events before its horizon",
+            ),
+            (
+                "loss-above-one",
+                edit("\"prob\": 0.1", "\"prob\": 1.5"),
+                "1.5",
+                "faults.events[0].Loss.prob",
+                "must be in [0, 1], got 1.5",
+            ),
+            (
+                "duplicate-negative",
+                edit("[{\"Loss\"", "[{\"Duplicate\": {\"at_ms\": 0, \"prob\": -0.1}}, {\"Loss\""),
+                "-0.1",
+                "faults.events[0].Duplicate.prob",
+                "must be in [0, 1], got -0.1",
+            ),
+            (
+                "reorder-above-one",
+                edit(
+                    "0.1}}]",
+                    "0.1}}, {\"Reorder\": {\"at_ms\": 5, \"prob\": 2.0, \"max_extra_ms\": 10}}]",
+                ),
+                "2.0",
+                "faults.events[1].Reorder.prob",
+                "must be in [0, 1], got 2",
+            ),
+            (
+                "crash-past-n",
+                edit(
+                    "0.1}}]",
+                    "0.1}}, {\"Crash\": {\"at_ms\": 0, \"peer\": 24, \"restart_after_ms\": 1000}}]",
+                ),
+                "\"peer\": |24",
+                "faults.events[1].Crash.peer",
+                "must be below n = 24, got 24",
+            ),
+            // The topology's check. Each of the two membership cases
+            // panicked in the run once: in `Gnutella::build` and in
+            // `LatencyOracle::select_and_build`.
+            (
+                "bad-topology",
+                edit("\"tiny\"", "\"huge\""),
+                "\"huge\"",
+                "topology",
+                "unknown topology \"huge\"",
+            ),
+            (
+                "four-members",
+                edit("\"n\": 24,", "\"n\": 4,"),
+                "\"n\": |4",
+                "n",
+                "must be at least 5, got 4",
+            ),
+            (
+                "more-members-than-stub-hosts",
+                edit("\"n\": 24,", "\"n\": 500,"),
+                "\"n\": |500",
+                "n",
+                "must be at most the 40 stub hosts of tiny, got 500",
+            ),
+            (
+                "region-past-the-topology",
+                edit("{\"domain\": 0", "{\"domain\": 2"),
+                "\"domain\": |2",
+                "traffic.domains[0].domain",
+                "must name one of the 2 transit domains of tiny, got 2",
+            ),
         ];
         for (name, text, token, doc_path, needle) in cases {
-            match load_text(name, &text) {
-                Err(ScenarioError::Parse { path, error }) => {
-                    assert!(path.ends_with(&format!("{name}.json")), "{name}: {path}");
-                    assert_eq!(
-                        (error.line, error.col),
-                        position_of(&text, token),
-                        "{name}: {error}"
-                    );
-                    assert_eq!(error.path(), doc_path, "{name}: {error}");
-                    assert!(error.what.contains(needle), "{name}: {error}");
-                }
-                other => panic!("{name}: expected a parse error, got {other:?}"),
-            }
+            let outcome = load_text(name, &text);
+            let (Err(ScenarioError::Parse { path, error })
+            | Err(ScenarioError::Invalid { path, error })) = &outcome
+            else {
+                panic!("{name}: expected a parse or topology error, got {outcome:?}");
+            };
+            let topology_check = matches!(outcome, Err(ScenarioError::Invalid { .. }));
+            assert_eq!(
+                topology_check,
+                ["topology", "n"].contains(&doc_path) || doc_path.ends_with("].domain"),
+                "{name}: {error}"
+            );
+            assert!(path.ends_with(&format!("{name}.json")), "{name}: {path}");
+            assert_eq!((error.line, error.col), position_of(&text, token), "{name}: {error}");
+            assert_eq!(error.path(), doc_path, "{name}: {error}");
+            assert!(error.what.contains(needle), "{name}: {error}");
+            let shown = outcome.as_ref().unwrap_err().to_string();
+            let at = if doc_path.is_empty() { String::new() } else { format!(" {doc_path}:") };
+            let (line, col, what) = (error.line, error.col, &error.what);
+            assert!(shown.ends_with(&format!("{name}.json:{line}:{col}:{at} {what}")), "{shown}");
         }
+    }
+
+    #[test]
+    fn a_bare_script_is_held_to_the_scales_topology() {
+        // `--quick` wraps a bare script on ts-small, two transit domains.
+        let script = r#"{"hour_ms": 1000, "horizon_ms": 5000, "catalog": 5, "domains": [
+  {"domain": 1, "joins_per_min": 1, "leaves_per_min": 1, "lookups_per_min": 1},
+  {"domain": 2, "joins_per_min": 1, "leaves_per_min": 1, "lookups_per_min": 1}]}"#;
+        let message = load_text("bare-region", script).unwrap_err().to_string();
+        assert!(
+            message.ends_with(
+                "bare-region.json:3:14: domains[1].domain: \
+                 must name one of the 2 transit domains of ts-small, got 2"
+            ),
+            "{message}"
+        );
+        assert!(load_text("bare-regions", &script.replacen("\"domain\": 2", "\"domain\": 0", 1))
+            .is_ok());
     }
 
     #[test]
@@ -746,68 +963,181 @@ mod tests {
         );
     }
 
-    #[test]
-    fn unreadable_and_unrunnable_files_are_errors_too() {
-        assert!(matches!(
-            load_script_or_scenario("/nonexistent/scenario.json", Scale::Quick, 1),
-            Err(ScenarioError::Read { .. })
-        ));
-        for (name, from, to, needle) in [
-            ("zero-hour", "60000", "0", "traffic.hour_ms must be positive"),
-            (
-                "zero-catalog",
-                "\"catalog\": 10",
-                "\"catalog\": 0",
-                "traffic.catalog must be positive",
-            ),
-            ("bad-topology", "\"tiny\"", "\"huge\"", "unknown topology \"huge\""),
-            (
-                "loss-above-one",
-                "\"prob\": 0.1",
-                "\"prob\": 1.5",
-                ".json: faults.events[0].Loss.prob must be in [0, 1], got 1.5",
-            ),
-            (
-                "duplicate-negative",
-                "[{\"Loss\"",
-                "[{\"Duplicate\": {\"at_ms\": 0, \"prob\": -0.1}}, {\"Loss\"",
-                ".json: faults.events[0].Duplicate.prob must be in [0, 1], got -0.1",
-            ),
-            (
-                "reorder-above-one",
-                "0.1}}]",
-                "0.1}}, {\"Reorder\": {\"at_ms\": 5, \"prob\": 2.0, \"max_extra_ms\": 10}}]",
-                ".json: faults.events[1].Reorder.prob must be in [0, 1], got 2",
-            ),
-            (
-                "crash-past-n",
-                "0.1}}]",
-                "0.1}}, {\"Crash\": {\"at_ms\": 0, \"peer\": 24, \"restart_after_ms\": 1000}}]",
-                ".json: faults.events[1].Crash.peer must be below n = 24, got 24",
-            ),
-            // Each of these three panicked in the run: in `Zipf::new`, in
-            // `Gnutella::build` and in `LatencyOracle::select_and_build`.
-            (
-                "negative-alpha",
-                "\"flash_crowds\": []",
-                "\"flash_crowds\": [], \"popularity\": [{\"at_ms\": 0, \"alpha\": 0.8}, {\"at_ms\": 9, \"alpha\": -0.5}]",
-                ".json: traffic.popularity[1].alpha must be ≥ 0, got -0.5",
-            ),
-            ("four-members", "\"n\": 24,", "\"n\": 4,", ".json: n must be at least 5, got 4"),
-            (
-                "more-members-than-stub-hosts",
-                "\"n\": 24,",
-                "\"n\": 500,",
-                ".json: n must be at most the 40 stub hosts of tiny, got 500",
-            ),
-        ] {
-            match load_text(name, &BUNDLE.replacen(from, to, 1)) {
-                Err(e @ ScenarioError::Invalid { .. }) => {
-                    assert!(e.to_string().contains(needle), "{name}: {e}")
-                }
-                other => panic!("{name}: expected an invalid-value error, got {other:?}"),
+    /// One step of a path into a document.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Key(String),
+        Index(usize),
+    }
+
+    /// Every member and element below `v` by its path from the root, and
+    /// whether it is a number.
+    fn member_paths(v: &json::Value, at: &mut Vec<Step>, out: &mut Vec<(Vec<Step>, bool)>) {
+        let children: Vec<(Step, &json::Value)> = match v {
+            json::Value::Object(members) => {
+                members.iter().map(|(k, m)| (Step::Key(k.clone()), m)).collect()
+            }
+            json::Value::Array(items) => {
+                items.iter().enumerate().map(|(i, m)| (Step::Index(i), m)).collect()
+            }
+            _ => return,
+        };
+        for (step, child) in children {
+            at.push(step);
+            let number =
+                matches!(child, json::Value::U64(_) | json::Value::I64(_) | json::Value::F64(_));
+            out.push((at.clone(), number));
+            member_paths(child, at, out);
+            at.pop();
+        }
+    }
+
+    /// `path` as a decoding error names it: `traffic.domains[2].hourly`.
+    fn dotted(path: &[Step]) -> String {
+        let mut out = String::new();
+        for step in path {
+            match step {
+                Step::Key(k) if out.is_empty() => out.push_str(k),
+                Step::Key(k) => out.push_str(&format!(".{k}")),
+                Step::Index(i) => out.push_str(&format!("[{i}]")),
             }
         }
+        out
+    }
+
+    /// The object or array that holds the value at `path`.
+    fn holder<'v>(v: &'v mut json::Value, path: &[Step]) -> &'v mut json::Value {
+        path[..path.len() - 1].iter().fold(v, |v, step| match (v, step) {
+            (json::Value::Object(members), Step::Key(k)) => {
+                &mut members.iter_mut().find(|(key, _)| key == k).expect("a listed member").1
+            }
+            (json::Value::Array(items), Step::Index(i)) => &mut items[*i],
+            _ => unreachable!("a listed path"),
+        })
+    }
+
+    /// Mutate `text` once, `rng`'s pick of a field drop, a type swap, a
+    /// numeric extreme or a truncation, at one of `paths`; the mutated
+    /// path (`None` for a truncation) and the mutant.
+    fn mutate(
+        text: &str,
+        paths: &[(Vec<Step>, bool)],
+        rng: &mut SimRng,
+    ) -> (Option<Vec<Step>>, String) {
+        let mut doc = json::parse(text).expect("a committed document");
+        let kind = rng.range(0..4u32);
+        if kind == 3 {
+            let mut cut = rng.range(0..text.len());
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            return (None, text[..cut].to_string());
+        }
+        // An extreme replaces a number; a drop or a swap takes any value.
+        let pool: Vec<&(Vec<Step>, bool)> =
+            paths.iter().filter(|(_, number)| kind != 2 || *number).collect();
+        let path = rng.pick(&pool).unwrap().0.clone();
+        let slot = holder(&mut doc, &path);
+        let value = match (slot, path.last().unwrap()) {
+            (json::Value::Object(members), Step::Key(k)) => {
+                let i = members.iter().position(|(key, _)| key == k).unwrap();
+                if kind == 0 {
+                    members.remove(i);
+                    None
+                } else {
+                    Some(&mut members[i].1)
+                }
+            }
+            (json::Value::Array(items), Step::Index(i)) => {
+                if kind == 0 {
+                    items.remove(*i);
+                    None
+                } else {
+                    Some(&mut items[*i])
+                }
+            }
+            _ => unreachable!("a listed path"),
+        };
+        if let Some(value) = value {
+            let extremes = [
+                json::Value::U64(0),
+                json::Value::I64(-1),
+                json::Value::U64(u64::MAX),
+                json::Value::F64(1e300),
+            ];
+            let kinds = [
+                json::Value::Str("x".into()),
+                json::Value::Bool(true),
+                json::Value::Null,
+                json::Value::Array(Vec::new()),
+                json::Value::Object(Vec::new()),
+                json::Value::U64(7),
+            ];
+            *value = if kind == 2 {
+                rng.pick(&extremes).unwrap().clone()
+            } else {
+                let other: Vec<&json::Value> = kinds
+                    .iter()
+                    .filter(|k| std::mem::discriminant(*k) != std::mem::discriminant(&*value))
+                    .collect();
+                (*rng.pick(&other).unwrap()).clone()
+            };
+        }
+        (Some(path), json::to_string_pretty(&doc))
+    }
+
+    #[test]
+    fn mutated_scenarios_are_refused_by_path_or_run() {
+        let examples = [
+            ("flash_crowd", include_str!("../../../examples/flash_crowd.json")),
+            ("diurnal_regional", include_str!("../../../examples/diurnal_regional.json")),
+            ("bundle_faults", BUNDLE),
+        ];
+        let mut rng = SimRng::seed_from(0x6d75_7461);
+        let (mut refused, mut ran) = (0, 0);
+        for (file, text) in examples {
+            let mut paths = Vec::new();
+            member_paths(&json::parse(text).unwrap(), &mut Vec::new(), &mut paths);
+            // The reference bundle lends its fault events; the examples
+            // have none, and everything else of theirs.
+            paths.retain(|(p, _)| {
+                file != "bundle_faults" || matches!(&p[0], Step::Key(k) if k == "faults")
+            });
+            for case in 0..MUTANTS {
+                let (path, mutant) = mutate(text, &paths, &mut rng);
+                let at = path.as_deref().map_or("(truncated)".to_string(), dotted);
+                eprintln!("{file} mutant {case} at {at}");
+                match load_text(&format!("mutant-{file}-{case}"), &mutant) {
+                    Ok(spec) => {
+                        let spec = ScenarioSpec { topology: "tiny".into(), n: 24, ..spec };
+                        let driver = [TrafficDriver::PropG, TrafficDriver::Async][case % 2];
+                        let run = run_scenario(&spec, driver, Scale::Quick);
+                        let compiled = prop_workloads::compile(&spec.traffic, spec.seed);
+                        assert_eq!(run.emitted.total(), compiled.len() as u64, "{file} {case}");
+                        ran += 1;
+                    }
+                    Err(
+                        ScenarioError::Parse { error, .. } | ScenarioError::Invalid { error, .. },
+                    ) => {
+                        // A truncation is a syntax error, at no path; any
+                        // other is about the mutated value or what holds
+                        // it, or the horizon's budget, which reads them all.
+                        let named = match &path {
+                            None => error.path().is_empty(),
+                            Some(path) => {
+                                dotted(path).starts_with(&error.path())
+                                    || error.path() == "traffic.horizon_ms"
+                            }
+                        };
+                        assert!(error.line > 0 && named, "{at}: {error}");
+                        refused += 1;
+                    }
+                    Err(other) => panic!("{file} mutant {case} at {at}: {other}"),
+                }
+            }
+        }
+        eprintln!("{refused} refused, {ran} ran");
+        assert!(refused > 0 && ran > 0);
     }
 
     #[test]

@@ -12,7 +12,15 @@
 //! the same kind (so `loss(0, 0.1)` + `loss(60_000, 0.0)` is "10 % loss
 //! for the first minute"). Window-style events (spike, drift, partition,
 //! crash) are self-contained `[at, at + duration)` intervals.
+//!
+//! A parsed script holds no probability outside [0, 1]: the `prob` of a
+//! `Loss`, `Duplicate` or `Reorder` event is checked where the event is
+//! read, and a file that breaks the rule is refused as
+//! `file:line:col: faults.events[1].Reorder.prob: must be in [0, 1], got 2`.
+//! Whether a `Crash.peer` is a member depends on the population, so the
+//! bundle that carries both ([`crate::Scenario`]) checks it.
 
+use prop_engine::json::between;
 use prop_engine::json_impl;
 
 /// One timed fault directive. Times are simulated milliseconds since
@@ -48,9 +56,9 @@ pub enum FaultEvent {
 }
 
 json_impl!(ToJson, FromJson for enum FaultEvent {
-    Loss { at_ms, prob },
-    Duplicate { at_ms, prob },
-    Reorder { at_ms, prob, max_extra_ms },
+    Loss { at_ms, prob [check = between(0.0, 1.0)] },
+    Duplicate { at_ms, prob [check = between(0.0, 1.0)] },
+    Reorder { at_ms, prob [check = between(0.0, 1.0)], max_extra_ms },
     LatencySpike { at_ms, duration_ms, extra_ms },
     LatencyDrift { at_ms, duration_ms, peak_extra_ms },
     Partition { at_ms, heal_after_ms },

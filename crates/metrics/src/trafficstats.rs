@@ -20,9 +20,9 @@ pub struct TrafficPhaseRow {
     pub phase: String,
     /// Sample windows attributed to this phase.
     pub windows: u64,
-    /// Delivered-weighted mean path stretch across the phase's windows
-    /// (0 when nothing was delivered).
-    pub stretch: f64,
+    /// Delivered-weighted mean path stretch across the phase's windows;
+    /// `None` (`null`, printed `n/a`) until a window delivers a lookup.
+    pub stretch: Option<f64>,
     pub delivered: u64,
     pub failed: u64,
     pub skipped: u64,
@@ -44,15 +44,18 @@ json_impl!(ToJson for struct TrafficPhaseRow {
     suppressed
 });
 
+/// `sum / count`, or `None` over a count of 0: a mean or a rate over no
+/// lookups is absent, never 0 or 100 %. Every stretch and delivery rate a
+/// report gives is one.
+fn over(sum: f64, count: u64) -> Option<f64> {
+    (count > 0).then(|| sum / count as f64)
+}
+
 impl TrafficPhaseRow {
-    /// Delivered fraction of measurable lookups (delivered + failed).
-    pub fn delivery_rate(&self) -> f64 {
-        let measurable = self.delivered + self.failed;
-        if measurable == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / measurable as f64
-        }
+    /// Delivered fraction of measurable lookups (delivered + failed);
+    /// `None` when the phase measured none.
+    pub fn delivery_rate(&self) -> Option<f64> {
+        over(self.delivered as f64, self.delivered + self.failed)
     }
 
     /// Protocol messages per optimization trial, 0 when idle.
@@ -68,9 +71,8 @@ impl TrafficPhaseRow {
         // Delivered-weighted running mean; NaN window means (nothing
         // delivered) contribute zero weight and are skipped.
         if s.delivered > 0 && s.mean.is_finite() {
-            let prev_w = self.delivered as f64;
-            let w = s.delivered as f64;
-            self.stretch = (self.stretch * prev_w + s.mean * w) / (prev_w + w);
+            let prev = self.stretch.unwrap_or(0.0) * self.delivered as f64;
+            self.stretch = over(prev + s.mean * s.delivered as f64, self.delivered + s.delivered);
         }
         self.delivered += s.delivered;
         self.failed += s.failed;
@@ -179,9 +181,9 @@ impl TrafficReport {
     /// lookup was delivered, since there is then nothing to average.
     pub fn overall_stretch(&self) -> Option<f64> {
         let (num, den) = self.phases.iter().fold((0.0, 0u64), |(num, den), r| {
-            (num + r.stretch * r.delivered as f64, den + r.delivered)
+            (num + r.stretch.unwrap_or(0.0) * r.delivered as f64, den + r.delivered)
         });
-        (den > 0).then(|| num / den as f64)
+        over(num, den)
     }
 
     /// Delivered fraction across all phases; `None` when no lookup was
@@ -189,7 +191,7 @@ impl TrafficReport {
     pub fn delivery_rate(&self) -> Option<f64> {
         let delivered: u64 = self.phases.iter().map(|r| r.delivered).sum();
         let failed: u64 = self.phases.iter().map(|r| r.failed).sum();
-        (delivered + failed > 0).then(|| delivered as f64 / (delivered + failed) as f64)
+        over(delivered as f64, delivered + failed)
     }
 
     /// Protocol messages per trial across all phases.
@@ -217,13 +219,14 @@ impl TrafficReport {
 impl std::fmt::Display for TrafficReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let absent = |what: &str| format!("n/a (no lookups {what})");
+        let stretch = |s: Option<f64>| s.map(|s| format!("{s:.3}"));
+        let delivery = |d: Option<f64>| d.map(|d| format!("{:.1}%", d * 100.0));
         writeln!(
             f,
             "traffic: stretch {}, delivery {}, {:.1} msgs/trial, \
              {} events applied ({} suppressed)",
-            self.overall_stretch().map_or_else(|| absent("delivered"), |s| format!("{s:.3}")),
-            self.delivery_rate()
-                .map_or_else(|| absent("measured"), |d| format!("{:.1}%", d * 100.0)),
+            stretch(self.overall_stretch()).unwrap_or_else(|| absent("delivered")),
+            delivery(self.delivery_rate()).unwrap_or_else(|| absent("measured")),
             self.msgs_per_trial(),
             self.total_applied(),
             self.total_suppressed()
@@ -231,11 +234,11 @@ impl std::fmt::Display for TrafficReport {
         for r in &self.phases {
             writeln!(
                 f,
-                "  {:<10} stretch {:.3}  delivery {:.1}%  {:>6} lookups  \
+                "  {:<10} stretch {}  delivery {}  {:>6} lookups  \
                  {:>4} joins  {:>4} leaves  {:.1} msgs/trial",
                 r.phase,
-                r.stretch,
-                r.delivery_rate() * 100.0,
+                stretch(r.stretch).unwrap_or_else(|| "n/a".into()),
+                delivery(r.delivery_rate()).unwrap_or_else(|| "n/a".into()),
                 r.lookups,
                 r.joins,
                 r.leaves,
@@ -266,7 +269,7 @@ mod tests {
         let mut r = TrafficReport::new(&["night", "day"], 1);
         r.record_window(0, &summary(2.0, 10, 0), 5, 50);
         r.record_window(0, &summary(4.0, 30, 0), 5, 50);
-        assert!((r.phases[0].stretch - 3.5).abs() < 1e-12, "10·2 + 30·4 over 40");
+        assert!((r.phases[0].stretch.unwrap() - 3.5).abs() < 1e-12, "10·2 + 30·4 over 40");
         assert_eq!(r.phases[0].windows, 2);
         assert_eq!(r.phases[0].trials, 10);
     }
@@ -275,10 +278,11 @@ mod tests {
     fn nan_windows_carry_no_weight() {
         let mut r = TrafficReport::new(&["night"], 1);
         r.record_window(0, &summary(f64::NAN, 0, 4), 1, 2);
+        assert_eq!((r.phases[0].stretch, r.phases[0].delivery_rate()), (None, Some(0.0)));
         r.record_window(0, &summary(2.0, 8, 0), 1, 2);
-        assert!((r.phases[0].stretch - 2.0).abs() < 1e-12);
+        assert!((r.phases[0].stretch.unwrap() - 2.0).abs() < 1e-12);
         assert_eq!(r.phases[0].failed, 4);
-        assert!((r.phases[0].delivery_rate() - 8.0 / 12.0).abs() < 1e-12);
+        assert!((r.phases[0].delivery_rate().unwrap() - 8.0 / 12.0).abs() < 1e-12);
     }
 
     #[test]
@@ -324,6 +328,27 @@ mod tests {
         r.record_window(0, &summary(f64::NAN, 0, 3), 1, 2);
         assert_eq!(r.delivery_rate(), Some(0.0));
         assert_eq!(r.overall_stretch(), None);
+    }
+
+    #[test]
+    fn a_phase_without_lookups_has_no_stretch_and_no_delivery_rate() {
+        // A phase no window fell in, and one whose window measured nothing,
+        // print and write as absent; the measured phase beside them does not.
+        let mut r = TrafficReport::new(&["night", "morning", "evening"], 1);
+        r.record_window(0, &summary(2.0, 5, 1), 1, 4);
+        r.record_window(2, &summary(f64::NAN, 0, 0), 1, 4);
+        r.record_lookup(1, 0);
+        for row in &r.phases[1..] {
+            assert_eq!((row.stretch, row.delivery_rate()), (None, None), "{}", row.phase);
+        }
+        assert_eq!(r.phases[0].delivery_rate(), Some(5.0 / 6.0));
+        let text = format!("{r}");
+        assert!(text.contains("night      stretch 2.000  delivery 83.3%"), "{text}");
+        assert!(text.contains("morning    stretch n/a  delivery n/a"), "{text}");
+        assert!(text.contains("evening    stretch n/a  delivery n/a"), "{text}");
+        let json = prop_engine::json::to_string(&r);
+        assert!(json.contains(r#"{"phase":"morning","windows":0,"stretch":null,"#), "{json}");
+        assert!(json.contains(r#"{"phase":"night","windows":1,"stretch":2.0,"#), "{json}");
     }
 
     #[test]

@@ -96,11 +96,17 @@ impl TrafficPlane for CompiledTraffic {
 /// leaves, and lookups from `fork_indexed("traffic-{kind}-p{i}", bucket)`
 /// streams — one per simulated hour — and flash crowd `j` draws its extra
 /// hot-set lookups from `fork_indexed("traffic-flash", j)`. Base streams
-/// are therefore untouched by adding or removing flash crowds.
+/// are therefore untouched by adding or removing flash crowds. Nothing is
+/// drawn past the horizon: the last hour bucket stops there with its
+/// earlier arrivals as they were, and a crowd's window is cut there (a
+/// crowd draws its domains and ranks after all its gaps, so one that would
+/// run past the horizon draws other ones than uncut; every committed
+/// example and preset ends its crowds before the horizon).
 pub fn compile(script: &TrafficScript, seed: u64) -> CompiledTraffic {
     let root = SimRng::seed_from(seed).fork("traffic");
     let pop = PopularityProcess::new(script);
     let buckets = script.buckets();
+    let horizon = SimTime(script.horizon_ms);
 
     let per_domain: Vec<Vec<(SimTime, TrafficEvent)>> = script
         .domains
@@ -116,6 +122,7 @@ pub fn compile(script: &TrafficScript, seed: u64) -> CompiledTraffic {
                 &format!("traffic-join-p{i}"),
                 script.hour_ms,
                 &rates(d.joins_per_min),
+                horizon,
             ) {
                 evs.push((t, TrafficEvent::Join { domain }));
             }
@@ -124,6 +131,7 @@ pub fn compile(script: &TrafficScript, seed: u64) -> CompiledTraffic {
                 &format!("traffic-leave-p{i}"),
                 script.hour_ms,
                 &rates(d.leaves_per_min),
+                horizon,
             ) {
                 evs.push((t, TrafficEvent::Leave { domain }));
             }
@@ -132,6 +140,7 @@ pub fn compile(script: &TrafficScript, seed: u64) -> CompiledTraffic {
                 &format!("traffic-lookup-p{i}"),
                 script.hour_ms,
                 &rates(d.lookups_per_min),
+                horizon,
                 |t, rng| pop.sample_rank(t.as_millis(), rng),
             ) {
                 evs.push((t, TrafficEvent::Lookup { domain, rank }));
@@ -149,15 +158,15 @@ pub fn compile(script: &TrafficScript, seed: u64) -> CompiledTraffic {
     // lookup rates, so regional load shares survive the spike.
     let base_lookup = script.base_lookup_rate_per_min();
     for (j, f) in script.flash_crowds.iter().enumerate() {
-        let extra = (f.multiplier - 1.0).max(0.0) * base_lookup;
+        let extra = (f.multiplier - 1.0) * base_lookup;
         let hot = f.hot_keys.min(script.catalog);
-        if extra <= 0.0 || f.duration_ms == 0 || hot == 0 {
+        let (start, end) = f.window_before(script.horizon_ms);
+        if extra <= 0.0 || end == start || hot == 0 {
             continue;
         }
         let mut rng = root.fork_indexed("traffic-flash", j as u64);
-        let start = SimTime(f.at_ms);
-        let window = Duration::from_millis(f.duration_ms);
-        for t in process::poisson_train(start, window, extra, &mut rng) {
+        let window = Duration::from_millis(end - start);
+        for t in process::poisson_train(SimTime(start), window, extra, &mut rng) {
             let mut pick = rng.unit() * base_lookup;
             let mut domain = script.domains.last().map(|d| d.domain).unwrap_or(0);
             for d in &script.domains {
@@ -172,9 +181,8 @@ pub fn compile(script: &TrafficScript, seed: u64) -> CompiledTraffic {
         }
     }
 
-    events.retain(|&(t, _)| t.as_millis() < script.horizon_ms);
-    // Stable: same-instant events keep authoring order (profiles in
-    // declaration order, flash crowds after).
+    // Every train stopped at the horizon. Stable: same-instant events keep
+    // authoring order (profiles in declaration order, flash crowds after).
     events.sort_by_key(|&(t, _)| t);
     CompiledTraffic { events, cursor: 0, counters: TrafficCounters::default() }
 }
@@ -264,6 +272,29 @@ mod tests {
             in_hour(12),
             in_hour(3)
         );
+    }
+
+    #[test]
+    fn every_train_stops_at_the_horizon() {
+        // An hour longer than the run, a crowd without end and one past
+        // the horizon draw nothing past it.
+        let long = TrafficScript::new(u64::MAX, 120_000, 10)
+            .domain(DomainProfile::flat(0, 30.0, 30.0, 60.0))
+            .flash(60_000, u64::MAX, 3.0, 2)
+            .flash(u64::MAX, 1, 3.0, 2);
+        let c = compile(&long, 4);
+        assert!(c.len() > 300 && c.len() < 600, "{} events in two minutes", c.len());
+        assert!(c.events().iter().all(|&(t, _)| t.as_millis() < 120_000));
+        // The cut bucket keeps its arrivals before the cut as they were.
+        let base = TrafficScript { flash_crowds: Vec::new(), ..long };
+        let cut = TrafficScript { horizon_ms: 90_000, ..base.clone() };
+        let before: Vec<_> = compile(&base, 4)
+            .events()
+            .iter()
+            .copied()
+            .filter(|&(t, _)| t.as_millis() < 90_000)
+            .collect();
+        assert_eq!(compile(&cut, 4).events(), before);
     }
 
     #[test]

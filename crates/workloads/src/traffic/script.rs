@@ -13,7 +13,25 @@
 //! [`PopularityShift`]s are step changes in force until the next shift;
 //! [`FlashCrowd`]s are self-contained `[at, at + duration)` windows —
 //! the same step/window split `FaultScript` uses.
+//!
+//! **A parsed script is a runnable one.** Each range rule lives in the
+//! `FromJson` of the type that holds the value, so a file that breaks one
+//! is refused where it is read, as `file:line:col: <json path>: <rule>`:
+//!
+//! * [`TrafficScript`]: `hour_ms` ≥ 1, `catalog` in `1..=`[`MAX_SCRIPTED`],
+//!   and a `horizon_ms` ≥ 1 that covers at most [`MAX_SCRIPTED`] hour
+//!   buckets and expects at most [`MAX_SCRIPTED`] events;
+//! * [`DomainProfile`]: every `*_per_min` rate and `hourly` entry ≥ 0;
+//! * [`FlashCrowd`]: `multiplier` ≥ 1, `hot_keys` ≥ 1;
+//! * [`PopularityShift`]: `alpha` ≥ 0.
+//!
+//! A `domain` names a transit domain of the scenario's topology; that one
+//! rule needs the topology, so the experiment layer checks it when it
+//! loads a file. Scripts built in code skip the parse: `domain`, `shift`
+//! and `flash` take values as given, and [`TrafficScript::new`] asserts
+//! its two divisors.
 
+use prop_engine::json::{at_least, between, each, Error};
 use prop_engine::json_impl;
 
 /// Hours per simulated day: diurnal tables index hour-of-day `0..24`.
@@ -25,13 +43,23 @@ pub const PHASES: [&str; 4] = ["night", "morning", "afternoon", "evening"];
 /// Zipf exponent in force before the first [`PopularityShift`].
 pub const DEFAULT_ALPHA: f64 = 0.8;
 
-/// One transit domain's workload profile: baseline event rates (events per
+/// The most hour buckets, the most expected events, and the most
+/// popularity ranks a parsed script may declare. Compiling a script
+/// allocates one rate per hour bucket per stream, one event per arrival
+/// and a Zipf table per popularity phase over the catalog, so each is
+/// bounded before anything is allocated. The committed `examples/*.json`
+/// have 24 buckets, about 53,000 expected events and 500 ranks.
+pub const MAX_SCRIPTED: u64 = 1_000_000;
+
+/// One region's workload profile: baseline event rates (events per
 /// simulated minute) shaped by per-hour multipliers and shifted by the
-/// domain's local clock. Domains are indices from
-/// `PhysGraph::transit_domain_of`, taken modulo the topology's actual
-/// domain count at apply time.
+/// region's local clock.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DomainProfile {
+    /// The transit domain (`PhysGraph::transit_domain_of`) the region is.
+    /// A loaded scenario file must name one its topology has; the built-in
+    /// presets script four regions, which fold onto a topology with fewer
+    /// transit domains (region `r` plays on domain `r % count`).
     pub domain: u16,
     /// Baseline join rate, events per simulated minute.
     pub joins_per_min: f64,
@@ -49,7 +77,12 @@ pub struct DomainProfile {
 }
 
 json_impl!(ToJson, FromJson for struct DomainProfile {
-    domain, joins_per_min, leaves_per_min, lookups_per_min, hourly [default], hour_offset [default]
+    domain,
+    joins_per_min [check = at_least(0.0)],
+    leaves_per_min [check = at_least(0.0)],
+    lookups_per_min [check = at_least(0.0)],
+    hourly [default, check = each(at_least(0.0))],
+    hour_offset [default],
 });
 
 impl DomainProfile {
@@ -108,12 +141,21 @@ pub struct FlashCrowd {
     pub hot_keys: u32,
 }
 
-json_impl!(ToJson, FromJson for struct FlashCrowd { at_ms, duration_ms, multiplier, hot_keys });
+json_impl!(ToJson, FromJson for struct FlashCrowd {
+    at_ms, duration_ms, multiplier [check = at_least(1.0)], hot_keys [check = at_least(1)]
+});
 
 impl FlashCrowd {
     /// The half-open active window `[start, end)` in ms.
     pub fn window(&self) -> (u64, u64) {
         (self.at_ms, self.at_ms.saturating_add(self.duration_ms))
+    }
+
+    /// The part of the window before `horizon_ms`, the part that can emit
+    /// (empty, `start == end`, when none of it is).
+    pub fn window_before(&self, horizon_ms: u64) -> (u64, u64) {
+        let (s, e) = self.window();
+        (s.min(horizon_ms), e.min(horizon_ms))
     }
 
     /// Is the crowd active at `t_ms`?
@@ -136,7 +178,9 @@ pub struct PopularityShift {
     pub rotate: u32,
 }
 
-json_impl!(ToJson, FromJson for struct PopularityShift { at_ms, alpha, rotate [default] });
+json_impl!(ToJson, FromJson for struct PopularityShift {
+    at_ms, alpha [check = at_least(0.0)], rotate [default]
+});
 
 /// A complete declarative traffic scenario (see module docs).
 #[derive(Clone, Debug, PartialEq)]
@@ -154,8 +198,65 @@ pub struct TrafficScript {
 }
 
 json_impl!(ToJson, FromJson for struct TrafficScript {
-    hour_ms, horizon_ms, catalog, domains, popularity [default], flash_crowds [default]
+    hour_ms [check = at_least(1)],
+    horizon_ms [check = within_budget(hour_ms, domains, flash_crowds)],
+    catalog [check = between(1, MAX_SCRIPTED as u32)],
+    domains,
+    popularity [default],
+    flash_crowds [default],
 });
+
+/// The horizon rule: positive, and a script over it of at most
+/// [`MAX_SCRIPTED`] hour buckets and [`MAX_SCRIPTED`] expected events.
+fn within_budget<'a>(
+    hour_ms: &'a u64,
+    domains: &'a [DomainProfile],
+    flash_crowds: &'a [FlashCrowd],
+) -> impl Fn(&u64) -> Result<(), Error> + 'a {
+    move |&horizon_ms| {
+        at_least(1)(&horizon_ms)?;
+        let buckets = horizon_ms.div_ceil(*hour_ms);
+        if buckets > MAX_SCRIPTED {
+            return Err(Error::new(format!(
+                "{buckets} hour buckets of {hour_ms} ms; a script may have at most {MAX_SCRIPTED}"
+            )));
+        }
+        let events = expected_events(horizon_ms, domains, flash_crowds);
+        if events > MAX_SCRIPTED as f64 {
+            return Err(Error::new(format!(
+                "the script expects {events:.3e} events before its horizon; \
+                 a script may expect at most {MAX_SCRIPTED}"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// An upper bound on the events a script's domains and flash crowds emit
+/// before `horizon_ms` (Σ rate × time, each domain at its peak hour). Never
+/// NaN: rates are finite and ≥ 0, and a product that overflows is +∞.
+fn expected_events(horizon_ms: u64, domains: &[DomainProfile], flash_crowds: &[FlashCrowd]) -> f64 {
+    let minutes = |ms: u64| ms as f64 / 60_000.0;
+    let domain_events = |d: &DomainProfile| -> f64 {
+        let peak =
+            if d.hourly.is_empty() { 1.0 } else { d.hourly.iter().fold(0.0, |m, &x| x.max(m)) };
+        [d.joins_per_min, d.leaves_per_min, d.lookups_per_min]
+            .iter()
+            .map(|rate| rate * peak * minutes(horizon_ms))
+            .sum()
+    };
+    let base_lookup: f64 = domains.iter().map(|d| d.lookups_per_min).sum();
+    let crowd_events = |f: &FlashCrowd| {
+        let (start, end) = f.window_before(horizon_ms);
+        if f.multiplier > 1.0 && end > start {
+            (f.multiplier - 1.0) * base_lookup * minutes(end - start)
+        } else {
+            0.0
+        }
+    };
+    domains.iter().map(domain_events).sum::<f64>()
+        + flash_crowds.iter().map(crowd_events).sum::<f64>()
+}
 
 impl TrafficScript {
     /// An empty script skeleton; add domains/shifts/crowds with the
@@ -277,6 +378,7 @@ pub const DIURNAL_SHAPE: [f64; 24] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prop_engine::json::FromJson;
 
     #[test]
     fn rate_at_applies_offset_modulo_day() {
@@ -332,6 +434,163 @@ mod tests {
         let f = TrafficScript::preset_flash_crowd(60_000, 24 * 60_000, 100, 0.5, 5.0);
         assert_eq!(f.flash_crowds.len(), 2);
         assert!(f.flash_crowds.iter().all(|c| c.hot_keys >= 1));
+    }
+
+    /// A one-domain script with `from` replaced by `to` in its text.
+    fn parse_edited(from: &str, to: &str) -> Result<TrafficScript, Error> {
+        let text = r#"{"hour_ms": 60000, "horizon_ms": 60000, "catalog": 10, "domains": [
+            {"domain": 0, "joins_per_min": 1.0, "leaves_per_min": 1.0, "lookups_per_min": 4.0}
+        ], "flash_crowds": []}"#;
+        assert!(text.contains(from), "no {from:?}");
+        prop_engine::json::from_str(&text.replacen(from, to, 1))
+    }
+
+    const RATES: &str = r#""joins_per_min": 1.0, "leaves_per_min": 1.0, "lookups_per_min": 4.0"#;
+
+    #[test]
+    fn each_range_rule_refuses_its_value_by_path() {
+        assert!(parse_edited("", "").is_ok());
+        let crowd = |m: &str, k: &str| {
+            let fields = format!(r#""duration_ms": 1, "multiplier": {m}, "hot_keys": {k}"#);
+            format!(r#""flash_crowds": [{{"at_ms": 0, {fields}}}]"#)
+        };
+        for (from, to, path, what) in [
+            ("\"hour_ms\": 60000", "\"hour_ms\": 0".to_string(), "hour_ms", "must be ≥ 1, got 0"),
+            (
+                "\"horizon_ms\": 60000",
+                "\"horizon_ms\": 0".into(),
+                "horizon_ms",
+                "must be ≥ 1, got 0",
+            ),
+            (
+                "\"catalog\": 10",
+                "\"catalog\": 0".into(),
+                "catalog",
+                "must be in [1, 1000000], got 0",
+            ),
+            (
+                "\"joins_per_min\": 1.0",
+                "\"joins_per_min\": -1".into(),
+                "domains[0].joins_per_min",
+                "must be ≥ 0, got -1",
+            ),
+            (
+                "\"leaves_per_min\": 1.0",
+                "\"leaves_per_min\": -2".into(),
+                "domains[0].leaves_per_min",
+                "must be ≥ 0, got -2",
+            ),
+            (
+                "\"lookups_per_min\": 4.0",
+                "\"lookups_per_min\": -0.5".into(),
+                "domains[0].lookups_per_min",
+                "must be ≥ 0, got -0.5",
+            ),
+            (
+                "4.0}",
+                "4.0, \"hourly\": [1, 0, -1]}".into(),
+                "domains[0].hourly[2]",
+                "must be ≥ 0, got -1",
+            ),
+            (
+                "\"flash_crowds\": []",
+                crowd("-3.0", "5"),
+                "flash_crowds[0].multiplier",
+                "must be ≥ 1, got -3",
+            ),
+            (
+                "\"flash_crowds\": []",
+                crowd("0.5", "5"),
+                "flash_crowds[0].multiplier",
+                "must be ≥ 1, got 0.5",
+            ),
+            (
+                "\"flash_crowds\": []",
+                crowd("2", "0"),
+                "flash_crowds[0].hot_keys",
+                "must be ≥ 1, got 0",
+            ),
+            (
+                "\"flash_crowds\": []",
+                r#""popularity": [{"at_ms": 0, "alpha": -0.5}]"#.into(),
+                "popularity[0].alpha",
+                "must be ≥ 0, got -0.5",
+            ),
+        ] {
+            let e = parse_edited(from, &to).expect_err(&to);
+            assert_eq!((e.path(), e.what.as_str()), (path.to_string(), what), "{to}: {e}");
+            assert!(e.line > 0, "{e}");
+        }
+    }
+
+    #[test]
+    fn a_script_is_bounded_before_it_compiles() {
+        let max = MAX_SCRIPTED;
+        // Hour buckets: the horizon over `hour_ms`, rounded up, of a script
+        // whose one domain is idle.
+        let edges = |hour: u64, horizon: u64| {
+            let idle = r#""joins_per_min": 0, "leaves_per_min": 0, "lookups_per_min": 0"#;
+            let text = parse_edited(RATES, idle).map(|s| prop_engine::json::to_string(&s)).unwrap();
+            let edit = format!("\"hour_ms\":{hour},\"horizon_ms\":{horizon}");
+            prop_engine::json::from_str::<TrafficScript>(&text.replacen(
+                "\"hour_ms\":60000,\"horizon_ms\":60000",
+                &edit,
+                1,
+            ))
+            .map(|_| ())
+            .map_err(|e| (e.path(), e.what))
+        };
+        assert_eq!(edges(60_000, max * 60_000), Ok(()));
+        let (path, what) = edges(60_000, max * 60_000 + 1).unwrap_err();
+        assert_eq!(
+            (path.as_str(), what.as_str()),
+            ("horizon_ms", "1000001 hour buckets of 60000 ms; a script may have at most 1000000")
+        );
+        let (path, what) = edges(300_000, u64::MAX).unwrap_err();
+        assert!(path == "horizon_ms" && what.contains("hour buckets"), "{what}");
+        // Expected events over the one minute the horizon spans: 1 + 1 + r
+        // a minute, at the bound for r = max − 2 and past it above.
+        let rate =
+            |r: f64| parse_edited("\"lookups_per_min\": 4.0", &format!("\"lookups_per_min\": {r}"));
+        assert!(rate(max as f64 - 2.0).is_ok());
+        for r in [max as f64 - 1.0, 1e300] {
+            let e = rate(r).unwrap_err();
+            assert_eq!(e.path(), "horizon_ms", "{e}");
+            assert!(e.what.contains("events before its horizon"), "{e}");
+        }
+        // A diurnal table counts at its peak hour.
+        assert!(parse_edited("4.0}", "4.0, \"hourly\": [0.5, 2e5]}").is_err());
+        assert!(parse_edited("4.0}", "4.0, \"hourly\": [0.5, 1e5]}").is_ok());
+        // A crowd counts for the part of its window before the horizon:
+        // (100 − 1) × 4 a minute over the one minute left of an endless one.
+        let crowd = |m: f64| {
+            let fields =
+                format!(r#""duration_ms": {}, "multiplier": {m}, "hot_keys": 1"#, u64::MAX);
+            let to = format!(r#""flash_crowds": [{{"at_ms": 0, {fields}}}]"#);
+            parse_edited("\"flash_crowds\": []", &to)
+        };
+        assert!(crowd(100.0).is_ok());
+        assert!(crowd(250_000.0).is_err());
+        let e = parse_edited("\"catalog\": 10", "\"catalog\": 1000001").unwrap_err();
+        assert_eq!(
+            (e.path(), e.what.as_str()),
+            ("catalog".to_string(), "must be in [1, 1000000], got 1000001")
+        );
+    }
+
+    #[test]
+    fn the_committed_examples_are_far_inside_the_bound() {
+        for (text, events) in [
+            (include_str!("../../../../examples/flash_crowd.json"), 53_400.0),
+            (include_str!("../../../../examples/diurnal_regional.json"), 42_240.0),
+        ] {
+            let doc = prop_engine::json::parse(text).unwrap();
+            let s = TrafficScript::from_json(doc.get("traffic").unwrap()).unwrap();
+            assert_eq!(s.buckets(), 24);
+            let expected = expected_events(s.horizon_ms, &s.domains, &s.flash_crowds);
+            assert!((expected - events).abs() < 1e-6, "{expected}");
+            assert!(expected * 10.0 < MAX_SCRIPTED as f64);
+        }
     }
 
     #[test]
