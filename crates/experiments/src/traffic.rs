@@ -691,30 +691,46 @@ mod tests {
         assert_eq!(wrapped.traffic, spec.traffic);
     }
 
+    /// The reference bundle with the first `from` replaced by `to`.
+    fn edit(from: &str, to: &str) -> String {
+        assert!(BUNDLE.contains(from), "the reference bundle has no {from:?}");
+        BUNDLE.replacen(from, to, 1)
+    }
+
+    /// Each case is (case, the file, the token the error points at, the
+    /// path inside the document, what the message says). Each must load
+    /// as a parse error, or a topology error where the path is one the
+    /// topology's check owns, at that position and path.
+    fn assert_positioned_errors(cases: Vec<(&str, String, &str, &str, &str)>) {
+        for (name, text, token, doc_path, needle) in cases {
+            let outcome = load_text(name, &text);
+            let (Err(ScenarioError::Parse { path, error })
+            | Err(ScenarioError::Invalid { path, error })) = &outcome
+            else {
+                panic!("{name}: expected a parse or topology error, got {outcome:?}");
+            };
+            let topology_check = matches!(outcome, Err(ScenarioError::Invalid { .. }));
+            assert_eq!(
+                topology_check,
+                ["topology", "n"].contains(&doc_path) || doc_path.ends_with("].domain"),
+                "{name}: {error}"
+            );
+            assert!(path.ends_with(&format!("{name}.json")), "{name}: {path}");
+            assert_eq!((error.line, error.col), position_of(&text, token), "{name}: {error}");
+            assert_eq!(error.path(), doc_path, "{name}: {error}");
+            assert!(error.what.contains(needle), "{name}: {error}");
+            let shown = outcome.as_ref().unwrap_err().to_string();
+            let at = if doc_path.is_empty() { String::new() } else { format!(" {doc_path}:") };
+            let (line, col, what) = (error.line, error.col, &error.what);
+            assert!(shown.ends_with(&format!("{name}.json:{line}:{col}:{at} {what}")), "{shown}");
+        }
+    }
+
     #[test]
     fn malformed_scenarios_are_errors_with_a_position_never_panics() {
-        assert!(matches!(
-            load_script_or_scenario("/nonexistent/scenario.json", Scale::Quick, 1),
-            Err(ScenarioError::Read { .. })
-        ));
-        let edit = |from: &str, to: &str| {
-            assert!(BUNDLE.contains(from), "the reference bundle has no {from:?}");
-            BUNDLE.replacen(from, to, 1)
-        };
-        let crowd = |multiplier: &str, hot_keys: &str| {
-            edit(
-                "\"flash_crowds\": []",
-                &format!(
-                    "\"flash_crowds\": [{{\"at_ms\": 0, \"duration_ms\": 1000, \
-                     \"multiplier\": {multiplier}, \"hot_keys\": {hot_keys}}}]"
-                ),
-            )
-        };
         let cut = BUNDLE.find("\"faults\"").unwrap() + 3;
-        // (case, the file, the token the error points at, the path inside
-        //  the document, what the message says). Syntax and type errors,
-        //  then each range rule, then the topology's check.
-        let cases = [
+        // Syntax and type errors.
+        assert_positioned_errors(vec![
             ("truncated", BUNDLE[..cut].to_string(), "\"fa", "", "unterminated string"),
             ("trailing-comma", edit("[]\n  }", "[],\n  }"), "},", "", "trailing comma"),
             (
@@ -760,6 +776,26 @@ mod tests {
                 "",
                 "trailing characters",
             ),
+        ]);
+    }
+
+    #[test]
+    fn unreadable_and_unrunnable_files_are_errors_too() {
+        assert!(matches!(
+            load_script_or_scenario("/nonexistent/scenario.json", Scale::Quick, 1),
+            Err(ScenarioError::Read { .. })
+        ));
+        let crowd = |multiplier: &str, hot_keys: &str| {
+            edit(
+                "\"flash_crowds\": []",
+                &format!(
+                    "\"flash_crowds\": [{{\"at_ms\": 0, \"duration_ms\": 1000, \
+                     \"multiplier\": {multiplier}, \"hot_keys\": {hot_keys}}}]"
+                ),
+            )
+        };
+        // Each range rule, then the topology's check.
+        assert_positioned_errors(vec![
             (
                 "zero-hour",
                 edit("60000", "0"),
@@ -900,29 +936,7 @@ mod tests {
                 "traffic.domains[0].domain",
                 "must name one of the 2 transit domains of tiny, got 2",
             ),
-        ];
-        for (name, text, token, doc_path, needle) in cases {
-            let outcome = load_text(name, &text);
-            let (Err(ScenarioError::Parse { path, error })
-            | Err(ScenarioError::Invalid { path, error })) = &outcome
-            else {
-                panic!("{name}: expected a parse or topology error, got {outcome:?}");
-            };
-            let topology_check = matches!(outcome, Err(ScenarioError::Invalid { .. }));
-            assert_eq!(
-                topology_check,
-                ["topology", "n"].contains(&doc_path) || doc_path.ends_with("].domain"),
-                "{name}: {error}"
-            );
-            assert!(path.ends_with(&format!("{name}.json")), "{name}: {path}");
-            assert_eq!((error.line, error.col), position_of(&text, token), "{name}: {error}");
-            assert_eq!(error.path(), doc_path, "{name}: {error}");
-            assert!(error.what.contains(needle), "{name}: {error}");
-            let shown = outcome.as_ref().unwrap_err().to_string();
-            let at = if doc_path.is_empty() { String::new() } else { format!(" {doc_path}:") };
-            let (line, col, what) = (error.line, error.col, &error.what);
-            assert!(shown.ends_with(&format!("{name}.json:{line}:{col}:{at} {what}")), "{shown}");
-        }
+        ]);
     }
 
     #[test]
