@@ -59,12 +59,13 @@ impl Delivery {
         Delivery { delivered: false, duplicate: false, extra_delay_ms: 0 };
 
     /// Merge the verdicts on two messages of one trial: a drop from either
-    /// side wins, duplication from either side sticks, delays accumulate.
+    /// side wins, duplication from either side sticks, delays accumulate
+    /// (saturating).
     pub fn merge(self, other: Delivery) -> Delivery {
         Delivery {
             delivered: self.delivered && other.delivered,
             duplicate: self.duplicate || other.duplicate,
-            extra_delay_ms: self.extra_delay_ms + other.extra_delay_ms,
+            extra_delay_ms: self.extra_delay_ms.saturating_add(other.extra_delay_ms),
         }
     }
 }

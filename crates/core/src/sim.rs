@@ -455,10 +455,15 @@ impl<M: Timing> PropSim<M> {
         // the same either way. Drift/spikes and reordering stretch the
         // in-flight time (one RTT's worth of link degradation), never d()
         // itself — Var and the theorems see the oracle's ground truth.
+        // The fault plane's delays saturate: a clock at `u64::MAX` is a
+        // commit that never arrives, not one that wraps into the past.
         let flight_ms = self.probe_duration(self.walk_scratch.walk()).as_millis();
-        let flight =
-            Duration::from_millis((flight_ms + verdict.extra_delay_ms + 2 * link_extra).max(1));
-        self.overhead.probe_time_ms += flight.as_millis();
+        let flight_ms = flight_ms
+            .saturating_add(verdict.extra_delay_ms)
+            .saturating_add(link_extra.saturating_mul(2));
+        let flight = Duration::from_millis(flight_ms.max(1));
+        self.overhead.probe_time_ms =
+            self.overhead.probe_time_ms.saturating_add(flight.as_millis());
         // Ties at `flight` break FIFO, so the original must be scheduled
         // first: it resolves the trial, and the duplicate then replays the
         // handshake against the already-consumed plan (stale abort, no
@@ -1099,6 +1104,45 @@ mod tests {
         // Each field's saturation and window sum was checked on a field
         // that moved.
         assert_eq!(moved, [true; 9], "a ledger field never moved");
+    }
+
+    /// A plane built in code, past the bound a parsed script is held to:
+    /// every message and link carries the largest extra delay there is.
+    struct EndlessDelayPlane;
+
+    impl FaultPlane for EndlessDelayPlane {
+        fn deliver(&mut self, _: SimTime, _: MsgKind, _: usize, _: usize) -> Delivery {
+            Delivery { extra_delay_ms: u64::MAX, ..Delivery::CLEAN }
+        }
+        fn is_up(&mut self, _: SimTime, _: usize) -> bool {
+            true
+        }
+        fn link_extra_ms(&mut self, _: SimTime, _: usize, _: usize) -> u64 {
+            u64::MAX
+        }
+        fn counters(&mut self, _: SimTime) -> FaultCounters {
+            FaultCounters::default()
+        }
+    }
+
+    #[test]
+    fn fault_delays_saturate_instead_of_wrapping_the_clock() {
+        // Merged verdicts, the flight and the ledger's probe time each add
+        // such delays; saturated, a message-level commit lands at the end
+        // of time and never arrives, and the atomic driver, which ignores
+        // delays, exchanges as on a perfect network.
+        let (_, mut sim) = gnutella_sim::<MessageLevel>(25, 4, PropConfig::prop_g());
+        sim.set_fault_plane(Box::new(EndlessDelayPlane));
+        sim.run_for(minutes(30));
+        let o = sim.overhead();
+        assert!(o.trials > 1, "{o:?}");
+        assert_eq!((o.exchanges, o.probe_time_ms), (0, u64::MAX), "{o:?}");
+        assert_eq!(sim.now(), SimTime::ZERO + minutes(30));
+
+        let (_, mut sim) = gnutella_sim::<Atomic>(25, 4, PropConfig::prop_g());
+        sim.set_fault_plane(Box::new(EndlessDelayPlane));
+        sim.run_for(minutes(30));
+        assert!(sim.overhead().exchanges > 0, "{:?}", sim.overhead());
     }
 
     #[test]

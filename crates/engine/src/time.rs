@@ -91,18 +91,20 @@ impl Duration {
     }
 }
 
+/// Saturating: an instant past the clock's range is the end of time, so a
+/// delay no run can reach schedules an event that never fires.
 impl Add<Duration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: Duration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<Duration> for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: Duration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 

@@ -409,7 +409,8 @@ pub enum ScenarioError {
     /// The file is not the JSON it should be: `error` says where (line,
     /// column, and the path inside the document) and what was expected.
     Parse { path: String, error: json::Error },
-    /// The file parses, but names what its topology does not have (see
+    /// The file parses, but names what its topology does not have, or runs
+    /// longer than [`MAX_WINDOWS`] sample windows of its scale (see
     /// [`load_scenario`]); `error` says where, as for a parse error.
     Invalid { path: String, error: json::Error },
     /// Not a file, and not one of [`BUILTIN_SCENARIOS`] either.
@@ -463,6 +464,27 @@ fn check_topology(spec: &ScenarioSpec) -> Result<(), json::Error> {
     check_regions(&spec.traffic, topology).map_err(|e| e.in_key("traffic"))
 }
 
+/// The most sample windows a loaded scenario's horizon may span at the
+/// scale it runs at. The pump walks the horizon one window at a time and
+/// measures each, idle or not, so a script's own budget (hour buckets and
+/// events) does not bound the run: a million idle hours would be twelve
+/// million windows at `--quick`. The committed examples run 12 windows at
+/// paper scale and 24 at `--quick`.
+pub const MAX_WINDOWS: u64 = 1_000;
+
+/// The check a scenario needs its run's scale for: a `horizon_ms` of at
+/// most [`MAX_WINDOWS`] of the scale's sample windows.
+fn check_horizon(script: &TrafficScript, scale: Scale) -> Result<(), json::Error> {
+    let width = scale.sample_every().as_millis();
+    let windows = script.horizon_ms.div_ceil(width);
+    if windows <= MAX_WINDOWS {
+        return Ok(());
+    }
+    let what =
+        format!("{windows} sample windows of {width} ms; a run may have at most {MAX_WINDOWS}");
+    Err(json::Error::new(what).in_key("horizon_ms"))
+}
+
 /// Every profile of `script` is a region `topology` has.
 fn check_regions(script: &TrafficScript, topology: Topology) -> Result<(), json::Error> {
     let count = topology.params().transit_domains;
@@ -491,20 +513,25 @@ fn checked(
     })
 }
 
-fn parse_bundle(path: &str, text: &str) -> Result<ScenarioSpec, ScenarioError> {
+fn parse_bundle(path: &str, text: &str, scale: Scale) -> Result<ScenarioSpec, ScenarioError> {
     let spec: ScenarioSpec = json::from_str(text)
         .map_err(|error| ScenarioError::Parse { path: path.to_string(), error })?;
-    checked(path, text, || check_topology(&spec))?;
+    checked(path, text, || {
+        check_topology(&spec)?;
+        check_horizon(&spec.traffic, scale).map_err(|e| e.in_key("traffic"))
+    })?;
     Ok(spec)
 }
 
-/// Load a scenario bundle from a JSON file (see `examples/*.json`). The
-/// parse refuses every value out of its range ([`ScenarioError::Parse`]);
-/// then the bundle is held to its topology ([`ScenarioError::Invalid`]):
-/// a known label, `n` from 5 up to its stub hosts, and each
-/// `traffic.domains[i].domain` one of its transit domains.
-pub fn load_scenario(path: &str) -> Result<ScenarioSpec, ScenarioError> {
-    parse_bundle(path, &read(path)?)
+/// Load a scenario bundle from a JSON file (see `examples/*.json`) to run
+/// at `scale`. The parse refuses every value out of its range
+/// ([`ScenarioError::Parse`]); then the bundle is held to its topology
+/// and its run ([`ScenarioError::Invalid`]): a known label, `n` from 5 up
+/// to its stub hosts, each `traffic.domains[i].domain` one of its transit
+/// domains, and a horizon of at most [`MAX_WINDOWS`] sample windows of
+/// `scale`.
+pub fn load_scenario(path: &str, scale: Scale) -> Result<ScenarioSpec, ScenarioError> {
+    parse_bundle(path, &read(path)?, scale)
 }
 
 /// Load either a full [`ScenarioSpec`] bundle or a bare [`TrafficScript`]
@@ -512,8 +539,9 @@ pub fn load_scenario(path: &str) -> Result<ScenarioSpec, ScenarioError> {
 /// top-level `"traffic"` key is a bundle, anything else is read as a
 /// script, and an error is that type's error. A bare script is wrapped in
 /// a scenario named after the file, at the scale's default topology and
-/// population, under `seed`, and its regions are held to that topology. A
-/// full bundle keeps its own seed — it *is* the reproducible unit.
+/// population, under `seed`, and its regions are held to that topology.
+/// A full bundle keeps its own seed — it *is* the reproducible unit. Both
+/// are held to [`MAX_WINDOWS`] sample windows of `scale`.
 pub fn load_script_or_scenario(
     path: &str,
     scale: Scale,
@@ -523,10 +551,13 @@ pub fn load_script_or_scenario(
     let parse_error = |error| ScenarioError::Parse { path: path.to_string(), error };
     let doc = json::parse(&text).map_err(parse_error)?;
     if doc.get("traffic").is_some() {
-        return parse_bundle(path, &text);
+        return parse_bundle(path, &text, scale);
     }
     let script: TrafficScript = json::from_str(&text).map_err(parse_error)?;
-    checked(path, &text, || check_regions(&script, scale.topology()))?;
+    checked(path, &text, || {
+        check_regions(&script, scale.topology())?;
+        check_horizon(&script, scale)
+    })?;
     let name = std::path::Path::new(path)
         .file_stem()
         .and_then(|s| s.to_str())
@@ -895,6 +926,41 @@ mod tests {
                 "faults.events[1].Reorder.prob",
                 "must be in [0, 1], got 2",
             ),
+            // Each extra delay once parsed, then overflowed a sum in the
+            // driver or the plane.
+            (
+                "reorder-delay-past-an-hour",
+                edit(
+                    "0.1}}]",
+                    "0.1}}, {\"Reorder\": {\"at_ms\": 5, \"prob\": 0.5, \
+                     \"max_extra_ms\": 18446744073709551615}}]",
+                ),
+                "18446744073709551615",
+                "faults.events[1].Reorder.max_extra_ms",
+                "must be in [0, 3600000], got 18446744073709551615",
+            ),
+            (
+                "spike-past-an-hour",
+                edit(
+                    "0.1}}]",
+                    "0.1}}, {\"LatencySpike\": {\"at_ms\": 0, \"duration_ms\": 1000, \
+                     \"extra_ms\": 3600001}}]",
+                ),
+                "3600001",
+                "faults.events[1].LatencySpike.extra_ms",
+                "must be in [0, 3600000], got 3600001",
+            ),
+            (
+                "drift-past-an-hour",
+                edit(
+                    "0.1}}]",
+                    "0.1}}, {\"LatencyDrift\": {\"at_ms\": 0, \"duration_ms\": 1000, \
+                     \"peak_extra_ms\": 9223372036854775808}}]",
+                ),
+                "9223372036854775808",
+                "faults.events[1].LatencyDrift.peak_extra_ms",
+                "must be in [0, 3600000], got 9223372036854775808",
+            ),
             (
                 "crash-past-n",
                 edit(
@@ -937,6 +1003,26 @@ mod tests {
                 "must name one of the 2 transit domains of tiny, got 2",
             ),
         ]);
+    }
+
+    #[test]
+    fn a_horizon_past_the_window_bound_is_refused_at_load() {
+        // At `--quick` a sample window is five minutes: a horizon of 1,000
+        // loads, one a millisecond longer is refused where it is written,
+        // in a bundle and in a bare script alike. Nothing here is run.
+        let past = |name: &str, text: &str, doc_path: &str| {
+            let Err(ScenarioError::Invalid { error, .. }) = load_text(name, text) else {
+                panic!("{name}: expected a refusal at load");
+            };
+            assert_eq!((error.line, error.col), position_of(text, "300000001"), "{error}");
+            assert_eq!(error.path(), doc_path, "{error}");
+            assert_eq!(error.what, "1001 sample windows of 300000 ms; a run may have at most 1000");
+        };
+        assert!(load_text("window-bound", &edit("120000", "300000000")).is_ok());
+        past("window-past", &edit("120000", "300000001"), "traffic.horizon_ms");
+        let mut script = load_text("ok", BUNDLE).expect("valid bundle").traffic;
+        script.horizon_ms = 300_000_001;
+        past("bare-window-past", &json::to_string(&script), "horizon_ms");
     }
 
     #[test]
@@ -1102,10 +1188,18 @@ mod tests {
 
     #[test]
     fn mutated_scenarios_are_refused_by_path_or_run() {
+        // The reference bundle's faults, with an event of each kind that
+        // carries an extra delay.
+        let faults = edit(
+            "0.1}}]",
+            "0.1}}, {\"Reorder\": {\"at_ms\": 5, \"prob\": 0.5, \"max_extra_ms\": 40}}, \
+             {\"LatencySpike\": {\"at_ms\": 0, \"duration_ms\": 9000, \"extra_ms\": 30}}, \
+             {\"LatencyDrift\": {\"at_ms\": 60000, \"duration_ms\": 9000, \"peak_extra_ms\": 80}}]",
+        );
         let examples = [
             ("flash_crowd", include_str!("../../../examples/flash_crowd.json")),
             ("diurnal_regional", include_str!("../../../examples/diurnal_regional.json")),
-            ("bundle_faults", BUNDLE),
+            ("bundle_faults", faults.as_str()),
         ];
         let mut rng = SimRng::seed_from(0x6d75_7461);
         let (mut refused, mut ran) = (0, 0);

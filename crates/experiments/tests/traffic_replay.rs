@@ -118,7 +118,8 @@ fn committed_example_scenarios_parse_and_compile() {
     let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
     for (file, flashes) in [("diurnal_regional.json", 0usize), ("flash_crowd.json", 2usize)] {
         let path = examples.join(file);
-        let spec = load_scenario(path.to_str().unwrap()).unwrap_or_else(|e| panic!("{e}"));
+        let spec =
+            load_scenario(path.to_str().unwrap(), Scale::Paper).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(spec.traffic.flash_crowds.len(), flashes, "{file}");
         assert!(!spec.traffic.domains.is_empty(), "{file} has no domains");
         let plane = prop_workloads::compile(&spec.traffic, spec.seed);

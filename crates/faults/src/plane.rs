@@ -130,7 +130,7 @@ impl FaultPlane for ComposedPlane {
 
     fn link_extra_ms(&mut self, now: SimTime, _a: usize, _b: usize) -> u64 {
         let t = now.as_millis();
-        self.spikes.iter().map(|w| w.extra_at(t)).sum()
+        self.spikes.iter().fold(0, |sum, w| sum.saturating_add(w.extra_at(t)))
     }
 
     fn counters(&mut self, now: SimTime) -> FaultCounters {

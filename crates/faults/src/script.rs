@@ -13,15 +13,24 @@
 //! for the first minute"). Window-style events (spike, drift, partition,
 //! crash) are self-contained `[at, at + duration)` intervals.
 //!
-//! A parsed script holds no probability outside [0, 1]: the `prob` of a
-//! `Loss`, `Duplicate` or `Reorder` event is checked where the event is
-//! read, and a file that breaks the rule is refused as
+//! A parsed script holds no probability outside [0, 1] and no extra delay
+//! past [`MAX_EXTRA_DELAY_MS`]: the `prob` of a `Loss`, `Duplicate` or
+//! `Reorder` event, `Reorder.max_extra_ms`, `LatencySpike.extra_ms` and
+//! `LatencyDrift.peak_extra_ms` are checked where the event is read, and a
+//! file that breaks a rule is refused as
 //! `file:line:col: faults.events[1].Reorder.prob: must be in [0, 1], got 2`.
+//! Scripts built in code skip the parse; the plane and the drivers add
+//! extra delays saturating, so no value wraps the clock.
 //! Whether a `Crash.peer` is a member depends on the population, so the
 //! bundle that carries both ([`crate::Scenario`]) checks it.
 
 use prop_engine::json::between;
 use prop_engine::json_impl;
+
+/// The most extra delay, in ms, one parsed fault event may add to a
+/// message or a link: one simulated hour, far past any congestion the
+/// scenarios model, and far below where sums of them could overflow.
+pub const MAX_EXTRA_DELAY_MS: u64 = 3_600_000;
 
 /// One timed fault directive. Times are simulated milliseconds since
 /// simulation start; peers are oracle member indices (physical identity).
@@ -58,9 +67,13 @@ pub enum FaultEvent {
 json_impl!(ToJson, FromJson for enum FaultEvent {
     Loss { at_ms, prob [check = between(0.0, 1.0)] },
     Duplicate { at_ms, prob [check = between(0.0, 1.0)] },
-    Reorder { at_ms, prob [check = between(0.0, 1.0)], max_extra_ms },
-    LatencySpike { at_ms, duration_ms, extra_ms },
-    LatencyDrift { at_ms, duration_ms, peak_extra_ms },
+    Reorder {
+        at_ms,
+        prob [check = between(0.0, 1.0)],
+        max_extra_ms [check = between(0, MAX_EXTRA_DELAY_MS)],
+    },
+    LatencySpike { at_ms, duration_ms, extra_ms [check = between(0, MAX_EXTRA_DELAY_MS)] },
+    LatencyDrift { at_ms, duration_ms, peak_extra_ms [check = between(0, MAX_EXTRA_DELAY_MS)] },
     Partition { at_ms, heal_after_ms },
     Crash { at_ms, peer, restart_after_ms },
 });

@@ -90,7 +90,8 @@ fn transit_core(slot: &[u32]) -> impl Fn(u32) -> Option<usize> + '_ {
 }
 
 /// One member as a point query reads it: sixteen bytes, one cache line.
-#[derive(Clone, Copy)]
+/// The default record names no member (see [`crate::oracle::Point`]).
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Record {
     /// Its stub domain; a transit member has a tag no other member shares.
     /// Two members of one tag are the pairs the core does not answer.
@@ -113,6 +114,12 @@ pub(crate) struct Points {
 }
 
 impl Points {
+    /// Member `a`'s record.
+    #[inline(always)]
+    pub(crate) fn record(&self, a: MemberIdx) -> Record {
+        self.rec[a]
+    }
+
     /// The point query from member `a`: its record and the offset of its
     /// gateway's row of the transit matrix, found once for any number of
     /// reads.
@@ -144,7 +151,21 @@ impl PointsFrom<'_> {
         if rb.tag == self.ra.tag {
             return Err(rb);
         }
-        Ok(self.ra.up + self.transit[self.row + rb.gw as usize] + rb.up)
+        Ok(self.through_core(rb))
+    }
+
+    /// [`Self::point`] to the member whose record is `rb`, given that
+    /// record: `None` when the two share a tag.
+    #[inline(always)]
+    pub(crate) fn across(&self, rb: Record) -> Option<u32> {
+        (rb.tag != self.ra.tag).then(|| self.through_core(rb))
+    }
+
+    /// The source's `up`, the transit cell between the two gateways, and
+    /// `rb`'s `up`.
+    #[inline(always)]
+    fn through_core(&self, rb: Record) -> u32 {
+        self.ra.up + self.transit[self.row + rb.gw as usize] + rb.up
     }
 }
 

@@ -27,7 +27,9 @@
 //! * [`Source`] — the oracle's one read path: [`LatencyOracle::source`]
 //!   loads a member's record and transit row once, and each
 //!   [`Source::to`] is then one record load and one transit cell;
-//!   `d(a, b)` is `source(a).to(b)`.
+//!   `d(a, b)` is `source(a).to(b)`. [`Source::to_point`] is the same
+//!   read against a member's [`Point`] (its record, held by the caller),
+//!   answered only across tags.
 //! * The row kernel (private module `decomp`) — how the exact answers of
 //!   both tiers are made. A transit–stub graph hangs each stub domain off
 //!   its transit node by a single link, so `d(u, v) = up(u) +
@@ -58,6 +60,6 @@ pub use graph::{LinkClass, NodeClass, PhysGraph, PhysNodeId};
 pub use latency::{OracleBuildError, OracleConfig, Tier};
 #[doc(hidden)]
 pub use oracle::CacheStats;
-pub use oracle::{LatencyOracle, Source};
+pub use oracle::{LatencyOracle, Point, Source};
 pub use transit_stub::{generate, TransitStubParams};
 pub use waxman::{generate_waxman, WaxmanParams};

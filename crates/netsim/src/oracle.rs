@@ -34,7 +34,7 @@
 //! Members are addressed by dense [`MemberIdx`] values `0..n`; the overlay
 //! crates use the same indexing for peers.
 
-use crate::decomp::{Blocks, Decomposition, Points, PointsFrom};
+use crate::decomp::{Blocks, Decomposition, Points, PointsFrom, Record};
 use crate::graph::{PhysGraph, PhysNodeId};
 use crate::latency::{OracleBuildError, OracleConfig, Tier};
 use prop_engine::SimRng;
@@ -74,6 +74,16 @@ pub struct LatencyOracle {
     store: Store,
 }
 
+/// One member as the point query reads it ([`LatencyOracle::point`]):
+/// sixteen opaque bytes that a [`Source`] turns into `d` without looking
+/// the member up again. A caller that reads many members' distances to one
+/// source keeps their points beside its own per-member state.
+///
+/// The default point names no member; it is a filler for a caller's table,
+/// never a value to measure from or to.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Point(Record);
+
 /// [`LatencyOracle::d`] from one member, bound by [`LatencyOracle::source`].
 #[derive(Clone, Copy)]
 pub struct Source<'a> {
@@ -98,6 +108,16 @@ impl Source<'_> {
                 }
             },
         }
+    }
+
+    /// `d(a, b)` for the member `b` whose [`Point`] is `p`, when the two
+    /// have different tags (different stub domains, or a transit member):
+    /// one transit cell and two adds, nothing looked up. `None` for two
+    /// members of one tag, which [`Self::to`] answers — and for every pair
+    /// on a graph without the decomposition, where all members share one.
+    #[inline(always)]
+    pub fn to_point(&self, p: Point) -> Option<u32> {
+        self.from.across(p.0)
     }
 }
 
@@ -239,6 +259,12 @@ impl LatencyOracle {
     #[inline(always)]
     pub fn source(&self, a: MemberIdx) -> Source<'_> {
         Source { from: self.points.from(a), a, oracle: self }
+    }
+
+    /// Member `a`'s [`Point`], for [`Source::to_point`].
+    #[inline]
+    pub fn point(&self, a: MemberIdx) -> Point {
+        Point(self.points.record(a))
     }
 
     /// The physical host backing member `i`.

@@ -15,7 +15,7 @@ use crate::walk::{random_walk_into, WalkScratch};
 use crate::RouteOutcome;
 use prop_engine::SimRng;
 use prop_netsim::oracle::MemberIdx;
-use prop_netsim::LatencyOracle;
+use prop_netsim::{LatencyOracle, Point};
 use std::sync::{Arc, OnceLock};
 
 /// One overlay link as a flood prices it: the neighbour reached and
@@ -31,7 +31,10 @@ struct Link {
 /// cheapest first (ascending by `(cost, to)`, so equal costs keep one
 /// order), and a dead slot's row is empty. [`FloodScratch::run`] stops a
 /// relay's scan at the first link that cannot beat its bound, which the
-/// order makes exact.
+/// order makes exact. Beside the rows, each live slot's peer as the
+/// oracle's point query reads it ([`Point`]; a dead slot's is the filler
+/// no link leads to), from which a flood reads a slot's distance to its
+/// destination without a lookup.
 ///
 /// A derived, immutable table of one net state. [`OverlayNet`] builds it
 /// at the first flood after a mutation and drops it at each of its `&mut`
@@ -41,6 +44,7 @@ struct Link {
 struct FloodView {
     start: Vec<u32>,
     links: Vec<Link>,
+    point: Vec<Point>,
 }
 
 /// What a link into `v` costs a flood, given `d(u, v)` and `v`'s
@@ -55,11 +59,12 @@ fn flood_cost(d: u32, proc_delay: u32) -> u32 {
 
 impl FloodView {
     /// One pass over the live slots, each row priced through one bound
-    /// source at its own peer and sorted in place.
+    /// source at its own peer and sorted in place, and each peer's point.
     fn build(net: &OverlayNet) -> FloodView {
         let g = &net.graph;
         let mut start = Vec::with_capacity(g.num_slots() + 1);
         let mut links = Vec::with_capacity(2 * g.num_edges());
+        let mut point = Vec::with_capacity(g.num_slots());
         start.push(0);
         for u in (0..g.num_slots() as u32).map(Slot) {
             if g.is_alive(u) {
@@ -70,10 +75,13 @@ impl FloodView {
                     cost: flood_cost(from.to(net.peer(v)), net.proc_delay(v)),
                 }));
                 links[row..].sort_unstable_by_key(|l| (l.cost, l.to));
+                point.push(net.oracle.point(net.peer(u)));
+            } else {
+                point.push(Point::default());
             }
             start.push(u32::try_from(links.len()).expect("more than u32::MAX overlay links"));
         }
-        FloodView { start, links }
+        FloodView { start, links, point }
     }
 
     fn num_slots(&self) -> usize {
@@ -99,6 +107,18 @@ struct Cell {
 }
 
 const NO_TAIL: u32 = u32::MAX;
+
+/// One slot of a flood's frontier: its dist at the round's start and its
+/// floor `d(slot, dst)`, or [`NO_FLOOR`] when that was not yet read.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    slot: Slot,
+    floor: u32,
+    dist: u64,
+}
+
+/// An [`Entry`]'s floor that is still to be read.
+const NO_FLOOR: u32 = u32::MAX;
 
 /// Reusable per-worker scratch state for repeated flood evaluations.
 ///
@@ -134,8 +154,9 @@ pub struct FloodScratch {
     /// values between restarts make stale stamps unambiguous.
     tick: u32,
     cells: Vec<Cell>,
-    frontier: Vec<(Slot, u64)>,
-    next: Vec<Slot>,
+    frontier: Vec<Entry>,
+    /// The next frontier's slots, each with its floor.
+    next: Vec<(Slot, u32)>,
     edges_scanned: u64,
     improvements: u64,
     frontier_pushes: u64,
@@ -183,7 +204,8 @@ impl FloodScratch {
     /// traversing `u → v` costs `d(u, v) + proc_delay(v)`, read from the
     /// net's flood view. Returns the cheapest `(cost, hops)` delivery
     /// within `max_hops` — `hops` is the first round that attains that
-    /// cost — or `None` if `dst` is out of reach.
+    /// cost — or `None` if `dst` is out of reach (a dead `dst` always is:
+    /// no link leads into it).
     ///
     /// Frontier entries carry their round-start dist (the per-round snapshot
     /// of the allocating original), so in-round improvements to a frontier
@@ -191,10 +213,10 @@ impl FloodScratch {
     /// frontier is deduped (duplicate entries would carry the same snapshot
     /// dist and re-relax idempotently under the strict `<`).
     ///
-    /// The flood is goal-directed. The lower bound `d(u, dst)` never
-    /// exceeds the cost of any route `u → … → dst` (`d` is a metric and
-    /// delays only add), so a frontier node at `du` relays only while
-    /// `du + d(u, dst)` could still beat two bounds:
+    /// The flood is goal-directed. The floor `lb(v) = d(v, dst)` never
+    /// exceeds the cost of any route `v → … → dst` (`d` is a metric and
+    /// delays only add), so a slot reached at `c` can lead to a delivery
+    /// only while `c + lb(v)` could still beat two bounds:
     ///
     /// * the incumbent answer `best` — skipped at `≥`, since only a strictly
     ///   cheaper delivery replaces the recorded `(cost, hops)`;
@@ -205,18 +227,30 @@ impl FloodScratch {
     ///
     /// Every node on the cheapest fewest-hop route sits at or under both
     /// bounds, so it relays in the same rounds as in the unpruned flood and
-    /// `(cost, hops)` is unchanged. The lower bound is read through a
-    /// source bound at `dst`'s peer, and that source is not bound until a
-    /// bound exists, which takes a live edge into `dst`.
+    /// `(cost, hops)` is unchanged.
     ///
-    /// A relay's scan stops at the bounds too. Its row is sorted cheapest
+    /// A relay's scan stops at the bounds. Its row is sorted cheapest
     /// first, so at the first link whose `c = du + cost` has `c ≥ best` or
-    /// `c > ub`, every later link costs at least as much. A slot `v` such a
-    /// link reaches at `c` would fail the floor test above when it relays
-    /// (its floor is at least `c`, and both bounds only fall), and `dst`
-    /// reached at `c` would beat neither `best` nor the real delivery `ub`
-    /// stands for. So no answer depends on those links; only the ledger
-    /// does (a skipped `v` may be improved later, at a cost no lower).
+    /// `c > ub`, every later link costs at least as much; a slot reached at
+    /// `c` or more could not pass the floor test (`lb ≥ 0`, and both bounds
+    /// only fall), and `dst` reached there would beat neither `best` nor
+    /// the real delivery `ub` stands for.
+    ///
+    /// A link that passes the cutoff is held to the floor test before its
+    /// cell is read or written: `lb(v)` is 0 for `dst`, one point read
+    /// ([`prop_netsim::Source::to_point`] on the view's point for `v`) when
+    /// `v` and `dst` have different tags, and the exact `d` otherwise. A
+    /// link that fails is skipped, and that is exact: bounds only fall, so
+    /// `v` at dist `c` would fail the same test when it is popped, and the
+    /// `ub` update it skips cannot matter, as `c + tail(v) ≥ c + lb(v)`. A
+    /// `v` improved later at a dist no lower fails at its pop the same way.
+    /// The pushed entry carries `lb(v)`, so the test when it is popped
+    /// reads nothing more. The exact read of two slots of one tag (a block
+    /// cell, or a meeting search) waits for a bound, as nothing is pruned
+    /// before one exists: on a graph of one tag (the matrix of a Waxman
+    /// graph), every floor is read so, and only once a bound exists, at the
+    /// link or else at the pop. None of this moves an answer; only the
+    /// ledger counts fewer improvements and pushes.
     pub fn run(
         &mut self,
         net: &OverlayNet,
@@ -228,8 +262,12 @@ impl FloodScratch {
         if src == dst {
             return Some((0, 0));
         }
+        if !net.graph.is_alive(dst) {
+            return None;
+        }
         let view = net.flood_view();
         let epoch = self.begin(view.num_slots(), max_hops);
+        let to_dst = net.oracle.source(net.peer(dst));
         let cells = &mut self.cells;
         for link in view.row(dst) {
             let w = link.to;
@@ -247,20 +285,19 @@ impl FloodScratch {
         let mut frontier = std::mem::take(&mut self.frontier);
         let mut next = std::mem::take(&mut self.next);
         frontier.clear();
-        frontier.push((src, 0));
+        frontier.push(Entry { slot: src, floor: NO_FLOOR, dist: 0 });
         // `u64::MAX` stands for "no such bound yet" in both.
         let (mut best, mut best_hops) = (u64::MAX, 0);
         let mut ub = u64::MAX;
-        let mut to_dst = None;
         for h in 1..=max_hops {
             self.tick += 1;
             let round = self.tick;
             next.clear();
-            for &(u, du) in &frontier {
+            for &Entry { slot: u, floor, dist: du } in &frontier {
                 if best.min(ub) != u64::MAX {
-                    let to_dst = to_dst.get_or_insert_with(|| net.oracle.source(net.peer(dst)));
-                    let floor = du + to_dst.to(net.peer(u)) as u64;
-                    if floor >= best || floor > ub {
+                    let floor = if floor == NO_FLOOR { to_dst.to(net.peer(u)) } else { floor };
+                    let f = du + floor as u64;
+                    if f >= best || f > ub {
                         continue;
                     }
                 }
@@ -273,6 +310,17 @@ impl FloodScratch {
                     if c >= best || c > ub {
                         break;
                     }
+                    let lb = match to_dst.to_point(view.point[v.index()]) {
+                        Some(d) => d,
+                        None if v == dst => 0,
+                        None if best.min(ub) != u64::MAX => to_dst.to(net.peer(v)),
+                        None => NO_FLOOR,
+                    };
+                    // With no bound yet this passes whatever `lb` is.
+                    let f = c + lb as u64;
+                    if f >= best || f > ub {
+                        continue;
+                    }
                     let cell = &mut cells[v.index()];
                     if cell.stamp < epoch {
                         *cell = Cell { dist: u64::MAX, tail: NO_TAIL, stamp: epoch };
@@ -282,7 +330,7 @@ impl FloodScratch {
                         self.improvements += 1;
                         if cell.stamp != round {
                             cell.stamp = round;
-                            next.push(v);
+                            next.push((v, lb));
                             self.frontier_pushes += 1;
                         }
                         if v == dst {
@@ -299,7 +347,11 @@ impl FloodScratch {
                 break;
             }
             frontier.clear();
-            frontier.extend(next.iter().map(|&v| (v, cells[v.index()].dist)));
+            frontier.extend(next.iter().map(|&(v, floor)| Entry {
+                slot: v,
+                floor,
+                dist: cells[v.index()].dist,
+            }));
         }
         self.frontier = frontier;
         self.next = next;
@@ -501,7 +553,7 @@ mod tests {
     use crate::gnutella::{Gnutella, GnutellaParams};
     use crate::ultrapeer::{self, Ultrapeer};
     use prop_engine::SimRng;
-    use prop_netsim::{generate, TransitStubParams};
+    use prop_netsim::{generate, generate_waxman, NodeClass, TransitStubParams, WaxmanParams};
 
     fn small_net(n: usize, seed: u64) -> (OverlayNet, Arc<LatencyOracle>) {
         let mut rng = SimRng::seed_from(seed);
@@ -522,11 +574,12 @@ mod tests {
     }
 
     /// The engine `FloodScratch::run` replaced, kept as the reference it is
-    /// held to ledger for ledger: the same rounds, dedup, bounds and scan
-    /// cutoff over the graph's own rows, but every scan prices and sorts
-    /// the relay's row through `cost` (cheapest first, ties by slot, as the
-    /// view orders it), every pruning test reads `lower`, and the per-slot
-    /// state is five separately tagged arrays.
+    /// held to ledger for ledger: the same rounds, dedup, bounds, scan
+    /// cutoff and floor test at each link and each pop over the graph's
+    /// own rows, but every scan prices and sorts the relay's row through
+    /// `cost` (cheapest first, ties by slot, as the view orders it), every
+    /// floor is `lower` read at the test, once a bound exists, and the
+    /// per-slot state is five separately tagged arrays.
     #[derive(Default)]
     struct ReferenceScratch {
         tick: u64,
@@ -608,6 +661,12 @@ mod tests {
                         let c = du + link;
                         if c >= best || c > ub {
                             break;
+                        }
+                        if best.min(ub) != u64::MAX {
+                            let floor = c + lower(v);
+                            if floor >= best || floor > ub {
+                                continue;
+                            }
                         }
                         let vi = v.index();
                         let dv = if self.dist_tick[vi] == epoch { self.dist[vi] } else { u64::MAX };
@@ -1007,13 +1066,14 @@ mod tests {
         // The ledger at the paper's own scale (ts-large, n = 1000, TTL 7) on
         // a freshly built, location-blind overlay: per lookup an undirected
         // flood scans 6,368 edges and pushes 1,300 slots, the lower bound
-        // alone 2,589 / 904, both bounds 1,674 / 703, and both bounds with
-        // each relay's sorted scan stopped at them 1,167 / 511
-        // (PROP-optimised overlays prune harder: ≈ 0.7k / 0.4k in the
-        // benchmark's probe). A change that silently disables a bound or the
-        // cutoff fails these counts. The replaced engine runs every flood
-        // beside the view's, and the two answers and ledgers must agree
-        // flood by flood.
+        // alone 2,589 / 904, both bounds 1,674 / 703, both bounds with each
+        // relay's sorted scan stopped at them 1,167 / 511, and with the
+        // floor also tested at each link before it is pushed 1,165 / 218
+        // (PROP-optimised overlays prune harder: ≈ 0.7k / 0.14k in the
+        // benchmark's probe). A change that silently disables a bound, the
+        // cutoff or the link's floor test fails these counts. The replaced
+        // engine runs every flood beside the view's, and the two answers and
+        // ledgers must agree flood by flood.
         let mut rng = SimRng::seed_from(1);
         let phys = generate(&TransitStubParams::ts_large(), &mut rng);
         let oracle = Arc::new(LatencyOracle::select_and_build(&phys, 1000, &mut rng));
@@ -1036,7 +1096,7 @@ mod tests {
         let edges = scratch.edges_scanned() / floods;
         let pushes = scratch.frontier_pushes() / floods;
         assert!(edges <= 1_200, "{edges} edges scanned per flood");
-        assert!(pushes <= 520, "{pushes} frontier pushes per flood");
+        assert!(pushes <= 225, "{pushes} frontier pushes per flood");
     }
 
     #[test]
@@ -1065,17 +1125,27 @@ mod tests {
 
     #[test]
     fn a_hub_stops_scanning_at_the_bound() {
-        // A star: the hub (slot 0, the source) links to every other slot,
-        // and each leaf links only back to it. The target is the leaf at the
-        // middle of the hub's sorted row. Round 1 scans the target's one
-        // link for its last-hop cost, then the hub's row cheapest first up
-        // to the target, whose delivery is the bound, then one link more:
-        // that link costs at least the bound and stops the scan. Round 2
-        // relays nobody, since every leaf's floor is at least the bound
-        // (triangle inequality). So the counts follow from the target's rank
-        // in the row; a scan that ignored the bound would read the whole
-        // row, n − 1 links.
+        // A star: the hub (slot 0) links to every other slot, and each leaf
+        // links only back to it. The target is the leaf at the middle of
+        // the hub's sorted row.
+        //
+        // From the hub: round 1 scans the target's one link for its
+        // last-hop cost, then the hub's row cheapest first up to the
+        // target, whose delivery is the bound, then one link more: that
+        // link costs at least the bound and stops the scan (a scan that
+        // ignored the bound would read the whole row, n − 1 links). No
+        // bound exists before the target is reached, so every leaf before
+        // it is pushed. Round 2 relays nobody, since every leaf's floor is
+        // at least the bound (triangle inequality).
+        //
+        // From the cheapest leaf: round 1 pushes the hub, whose delivery
+        // through the target is the look-ahead bound. Round 2 scans the
+        // hub's row the same way, but now under that bound, so a leaf
+        // before the target is pushed only when it lies on a shortest path
+        // from the hub to the target; a flood that held its floor test to
+        // the pop would push every one.
         let n = 24usize;
+        let mut floor_pruned = 0;
         for seed in 0..10u64 {
             let mut rng = SimRng::seed_from(seed);
             let phys = generate(&TransitStubParams::tiny(), &mut rng);
@@ -1085,18 +1155,121 @@ mod tests {
                 g.add_edge(Slot(0), Slot(v));
             }
             let net = OverlayNet::new(g, Placement::identity(n), oracle);
-            let mut row: Vec<_> =
-                (1..n as u32).map(|v| (net.d(Slot(0), Slot(v)), Slot(v))).collect();
+            let d = |a: Slot, b: Slot| net.d(a, b) as u64;
+            let mut row: Vec<_> = (1..n as u32).map(|v| (d(Slot(0), Slot(v)), Slot(v))).collect();
             row.sort_unstable();
             let rank = row.len() / 2;
             let (cost, dst) = row[rank];
+            let ledger =
+                |s: &FloodScratch| [s.edges_scanned(), s.improvements(), s.frontier_pushes()];
+
             let mut scratch = FloodScratch::new();
             let out = net.min_latency_within_hops_with(Slot(0), dst, 7, &mut scratch);
-            assert_eq!(out, Some((cost as u64, 1)), "seed {seed}");
-            let rank = rank as u64;
-            assert_eq!(scratch.edges_scanned(), 1 + (rank + 1) + 1, "seed {seed}: scans");
-            assert_eq!(scratch.frontier_pushes(), rank + 1, "seed {seed}: pushes");
-            assert_eq!(scratch.improvements(), rank + 1, "seed {seed}: improvements");
+            assert_eq!(out, Some((cost, 1)), "seed {seed}");
+            let r = rank as u64;
+            assert_eq!(ledger(&scratch), [1 + (r + 1) + 1, r + 1, r + 1], "seed {seed} from hub");
+
+            let src = row[0].1;
+            let on_path =
+                row[1..rank].iter().filter(|&&(to_v, v)| to_v + d(v, dst) <= cost).count() as u64;
+            let mut scratch = FloodScratch::new();
+            let out = net.min_latency_within_hops_with(src, dst, 7, &mut scratch);
+            assert_eq!(out, Some((d(src, Slot(0)) + cost, 2)), "seed {seed}");
+            let pushes = 2 + on_path;
+            assert_eq!(
+                ledger(&scratch),
+                [1 + 1 + (r + 1) + 1, pushes, pushes],
+                "seed {seed} from a leaf"
+            );
+            floor_pruned += (r - 1) - on_path;
+        }
+        assert!(floor_pruned > 0, "no leaf was kept off the frontier by its floor");
+    }
+
+    #[test]
+    fn the_views_point_floor_is_the_distance_across_tags() {
+        // The floor a flood reads for `v` toward `dst` is the point read of
+        // `v`'s point in the view from a source at `dst`'s peer. On every
+        // ordered pair of a shuffled placement it must be `d(v, dst)` when
+        // it answers, and it must leave over only two peers of one stub
+        // domain (members are stub hosts, so a tag is a stub domain).
+        for (name, params, n) in [
+            ("tiny", TransitStubParams::tiny(), 40),
+            ("ts_large", TransitStubParams::ts_large(), 1000),
+            ("ts_small", TransitStubParams::ts_small(), 600),
+            ("scaled(3000)", TransitStubParams::scaled(3000), 3000),
+        ] {
+            let mut rng = SimRng::seed_from(5);
+            let phys = generate(&params, &mut rng);
+            let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
+            let (_, mut net) =
+                Gnutella::build(GnutellaParams::default(), Arc::clone(&oracle), &mut rng);
+            for _ in 0..n {
+                net.swap_peers(Slot(rng.range(0..n as u32)), Slot(rng.range(0..n as u32)));
+            }
+            let domain = |s: Slot| match phys.class(oracle.host(net.peer(s))) {
+                NodeClass::Stub { domain, .. } => domain,
+                NodeClass::Transit { .. } => panic!("{name}: a transit member"),
+            };
+            let view = net.flood_view();
+            let (mut answered, mut left) = (0u64, 0u64);
+            for dst in (0..n as u32).map(Slot) {
+                let to_dst = oracle.source(net.peer(dst));
+                for v in (0..n as u32).map(Slot) {
+                    match to_dst.to_point(view.point[v.index()]) {
+                        Some(floor) => {
+                            assert_eq!(floor, net.d(v, dst), "{name}: {v:?} → {dst:?}");
+                            answered += 1;
+                        }
+                        None => {
+                            assert_eq!(domain(v), domain(dst), "{name}: {v:?} → {dst:?}");
+                            left += 1;
+                        }
+                    }
+                }
+            }
+            assert!(answered > 0 && left >= n as u64, "{name}: {answered} answered, {left} left");
+        }
+    }
+
+    #[test]
+    fn a_waxman_flood_matches_textbook_twin() {
+        // A Waxman graph has no decomposition: every member has one tag, so
+        // no floor is a point read, and every one is read exactly once a
+        // bound exists. Every ordered pair × TTL against the textbook twin,
+        // half the nets heterogeneous, and the replaced engine's answers
+        // and ledgers beside the view's, flood by flood.
+        let mut scratch = FloodScratch::new();
+        let mut reference = ReferenceScratch::default();
+        for seed in 0..8u64 {
+            let mut rng = SimRng::seed_from(seed);
+            let phys = generate_waxman(&WaxmanParams::tiny(), &mut rng);
+            let n = rng.range(12..=30usize);
+            let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
+            let (_, mut net) =
+                Gnutella::build(GnutellaParams::default(), Arc::clone(&oracle), &mut rng);
+            if seed % 2 == 1 {
+                net.set_processing_delays((0..n).map(|_| rng.range(0..80u32)).collect());
+            }
+            let view = net.flood_view();
+            let from = oracle.source(0);
+            assert!(view.point.iter().all(|&p| from.to_point(p).is_none()), "seed {seed}");
+            let cost = |u, v| net.d(u, v) as u64 + net.proc_delay(v) as u64;
+            for ttl in [1u32, 2, 3, 7] {
+                for a in (0..n as u32).map(Slot) {
+                    for b in (0..n as u32).map(Slot) {
+                        let want = reference_flood(net.graph(), a, b, ttl, |_| true, cost);
+                        let got = net.min_latency_within_hops_with(a, b, ttl, &mut scratch);
+                        let lower = |u| net.d(b, u) as u64;
+                        let old =
+                            reference.run_reference(net.graph(), a, b, ttl, |_| true, cost, lower);
+                        assert_eq!(got, want, "seed {seed} {a:?}→{b:?} ttl {ttl}");
+                        assert_eq!(old, want, "seed {seed} {a:?}→{b:?} ttl {ttl}");
+                        let [new_ledger, old_ledger] = ledgers(&scratch, &reference);
+                        assert_eq!(new_ledger, old_ledger, "seed {seed} ledger ttl {ttl}");
+                    }
+                }
+            }
         }
     }
 
