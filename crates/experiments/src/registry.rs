@@ -265,6 +265,9 @@ fn run_traffic(_: &Experiment, args: &Args) -> Result<ExitCode, CliError> {
         spec.traffic.flash_crowds.len(),
         spec.traffic.popularity.len()
     );
+    if let Some(merged) = traffic::merged_regions(&spec) {
+        println!("  {merged}");
+    }
     let mut failures = Vec::new();
     for &driver in &args.drivers {
         let run = traffic::run_scenario(&spec, driver, args.scale);

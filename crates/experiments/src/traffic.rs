@@ -7,7 +7,8 @@
 //! through any [`ChurnDriver`] — the synchronous [`ProtocolSim`] (PROP-G or
 //! PROP-O), the asynchronous [`AsyncProtocolSim`], or the selfish baseline
 //! — running the driver to each scripted join, leave or lookup and then
-//! applying it, with peers drawn from the event's region first.
+//! applying it — a join or leave through [`ChurnReplay`], the library's
+//! one churn applier, with peers drawn from the event's region first.
 //!
 //! Everything is deterministic: the plane is a pure function of
 //! `(script, seed)`, the apply-side RNG is a labelled fork of the scenario
@@ -23,12 +24,12 @@ use prop_core::{
     AsyncProtocolSim, ChurnDriver, PropConfig, PropSim, ProtocolSim, TrafficCounters, TrafficEvent,
     TrafficPlane,
 };
-use prop_engine::{json, json_impl, Duration, SimRng, SimTime};
+use prop_engine::{json, json_impl, Duration, SimTime};
 use prop_faults::{transit_bisection, Scenario as ScenarioSpec};
 use prop_metrics::{link_stretch, path_stretch, StretchSummary, TimeSeries, TrafficReport};
-use prop_netsim::oracle::MemberIdx;
 use prop_overlay::gnutella::Gnutella;
-use prop_overlay::{LogicalGraph, Slot};
+use prop_overlay::Slot;
+use prop_workloads::churn::ChurnReplay;
 use prop_workloads::traffic::script::PHASES;
 use prop_workloads::{CompiledTraffic, TrafficScript};
 
@@ -223,7 +224,8 @@ fn drive_prop<M: Timing>(
 }
 
 /// The generic pump: interleave plane events with protocol execution, one
-/// sample window at a time; measure the window's scripted lookups with the
+/// sample window at a time, churn homed in the event's region and never
+/// below 8 live peers; measure the window's scripted lookups with the
 /// deterministic parallel stretch plane; attribute everything to diurnal
 /// phases. `progress` reads the driver's cumulative (trials, msgs).
 fn drive<S: ChurnDriver>(
@@ -252,7 +254,7 @@ fn drive<S: ChurnDriver>(
 
     let mut report = TrafficReport::new(&PHASES, num_domains);
     let mut series = TimeSeries::new("scripted-lookup path stretch");
-    let mut absent: Vec<MemberIdx> = Vec::new();
+    let mut churn = ChurnReplay::default();
     let mut window_pairs: Vec<(Slot, Slot)> = Vec::new();
     let mut always_connected = true;
     let (mut last_trials, mut last_msgs) = progress(sim);
@@ -266,42 +268,22 @@ fn drive<S: ChurnDriver>(
             sim.run_until(et);
             let phase = spec.traffic.phase_of_ms(et.as_millis());
             let domain = region_domain(ev.domain(), num_domains);
+            let home = Some((&member_domain[..], domain));
             match ev {
-                TrafficEvent::Leave { .. } => {
-                    let g = sim.net().graph();
-                    if g.num_live() <= 8 {
-                        report.record_suppressed(phase);
-                        continue;
+                TrafficEvent::Leave { .. } => match churn.leave(sim, gn, &mut churn_rng, 8, home) {
+                    Some(peer) => {
+                        report.record_leave(phase, member_domain[peer]);
+                        always_connected &= sim.net().graph().is_connected();
                     }
-                    // A peer homed in the region; anyone when none is live.
-                    let in_domain = |s: Slot| member_domain[sim.net().peer(s)] == domain;
-                    let victim = pick_where(g, &mut churn_rng, in_domain)
-                        .or_else(|| g.pick_live(&mut churn_rng, None))
-                        .expect("more than 8 live");
-                    let peer = sim.net().peer(victim);
-                    let affected = gn.leave(sim.net_mut(), victim, &mut churn_rng);
-                    sim.handle_leave(victim, &affected);
-                    absent.push(peer);
-                    report.record_leave(phase, member_domain[peer]);
-                    always_connected &= sim.net().graph().is_connected();
-                }
-                TrafficEvent::Join { .. } => {
-                    if absent.is_empty() {
-                        report.record_suppressed(phase);
-                        continue;
+                    None => report.record_suppressed(phase),
+                },
+                TrafficEvent::Join { .. } => match churn.join(sim, gn, &mut churn_rng, home) {
+                    Some(peer) => {
+                        report.record_join(phase, member_domain[peer]);
+                        always_connected &= sim.net().graph().is_connected();
                     }
-                    // Prefer rejoining a peer homed in the scripted region;
-                    // fall back to the most recent departure.
-                    let pos = absent
-                        .iter()
-                        .position(|&p| member_domain[p] == domain)
-                        .unwrap_or(absent.len() - 1);
-                    let peer = absent.swap_remove(pos);
-                    let slot = gn.join(sim.net_mut(), peer, &mut churn_rng);
-                    sim.handle_join(slot);
-                    report.record_join(phase, member_domain[peer]);
-                    always_connected &= sim.net().graph().is_connected();
-                }
+                    None => report.record_suppressed(phase),
+                },
                 TrafficEvent::Lookup { rank, .. } => {
                     let dst = ranking[rank as usize % ranking.len()];
                     if !sim.net().graph().is_alive(dst) {
@@ -309,12 +291,10 @@ fn drive<S: ChurnDriver>(
                         continue;
                     }
                     // A source homed in the region; anyone else when none is.
-                    let g = sim.net().graph();
-                    let in_domain =
-                        |s: Slot| s != dst && member_domain[sim.net().peer(s)] == domain;
-                    let Some(src) = pick_where(g, &mut churn_rng, in_domain)
-                        .or_else(|| g.pick_live(&mut churn_rng, Some(dst)))
-                    else {
+                    let (net, g) = (sim.net(), sim.net().graph());
+                    let homed = |s: Slot| s != dst && member_domain[net.peer(s)] == domain;
+                    let src = g.pick_live_where(&mut churn_rng, homed);
+                    let Some(src) = src.or_else(|| g.pick_live(&mut churn_rng, Some(dst))) else {
                         report.record_suppressed(phase);
                         continue;
                     };
@@ -358,11 +338,25 @@ fn region_domain(region: u16, count: u16) -> u16 {
     region % count
 }
 
-/// A uniform live slot of those `keep` accepts: `rng.pick`'s draw over
-/// them collected in slot order, made by counting them, collecting none.
-fn pick_where(g: &LogicalGraph, rng: &mut SimRng, keep: impl Fn(Slot) -> bool) -> Option<Slot> {
-    let k = rng.pick_rank(g.live_slots().filter(|&s| keep(s)).count())?;
-    g.live_slots().filter(|&s| keep(s)).nth(k)
+/// The scripted regions that share a transit domain of the scenario's
+/// topology under `region_domain`, as `prop traffic`'s header names
+/// them: `regions 0,2 → domain 0; 1,3 → domain 1` for a builtin preset at
+/// `--quick`. `None` when every region plays on a domain of its own.
+pub fn merged_regions(spec: &ScenarioSpec) -> Option<String> {
+    let count = topology_from_label(&spec.topology).params().transit_domains as u16;
+    let mut regions = std::collections::BTreeMap::<u16, Vec<u16>>::new();
+    for profile in &spec.traffic.domains {
+        regions.entry(region_domain(profile.domain, count)).or_default().push(profile.domain);
+    }
+    let merged: Vec<String> = regions
+        .iter()
+        .filter(|(_, rs)| rs.len() > 1)
+        .map(|(d, rs)| {
+            let rs: Vec<String> = rs.iter().map(u16::to_string).collect();
+            format!("{} → domain {d}", rs.join(","))
+        })
+        .collect();
+    (!merged.is_empty()).then(|| format!("regions {}", merged.join("; ")))
 }
 
 /// The scenarios [`builtin_scenario`] regenerates.
@@ -569,6 +563,7 @@ pub fn load_script_or_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prop_engine::SimRng;
 
     fn tiny_spec(seed: u64) -> ScenarioSpec {
         // A compressed day over the tiny topology: 24 "hours" of 25 s each,
@@ -1041,6 +1036,20 @@ mod tests {
         );
         assert!(load_text("bare-regions", &script.replacen("\"domain\": 2", "\"domain\": 0", 1))
             .is_ok());
+    }
+
+    #[test]
+    fn the_quick_header_names_the_regions_that_share_a_domain() {
+        for name in BUILTIN_SCENARIOS {
+            let quick = builtin_scenario(name, Scale::Quick, 1).unwrap();
+            let merged = merged_regions(&quick);
+            assert_eq!(merged.as_deref(), Some("regions 0,2 → domain 0; 1,3 → domain 1"), "{name}");
+            let paper = builtin_scenario(name, Scale::Paper, 1).unwrap();
+            assert_eq!(merged_regions(&paper), None, "{name}: ten domains, one region each");
+        }
+        let mut three = tiny_spec(1);
+        three.traffic.domains.truncate(3);
+        assert_eq!(merged_regions(&three).as_deref(), Some("regions 0,2 → domain 0"));
     }
 
     #[test]

@@ -293,6 +293,14 @@ impl LogicalGraph {
         self.live_slot_at_rank(k)
     }
 
+    /// A uniform live slot of those `keep` accepts: `rng.pick`'s draw over
+    /// them in slot order, made by counting them, collecting none (O(n)).
+    /// `None`, drawing nothing, when `keep` accepts none.
+    pub fn pick_live_where(&self, rng: &mut SimRng, keep: impl Fn(Slot) -> bool) -> Option<Slot> {
+        let k = rng.pick_rank(self.live_slots().filter(|&s| keep(s)).count())?;
+        self.live_slots().filter(|&s| keep(s)).nth(k)
+    }
+
     /// Mean degree over live slots — the paper's `c` in the overhead model.
     pub fn mean_degree(&self) -> f64 {
         let live = self.num_live();
@@ -737,6 +745,47 @@ mod tests {
             assert_eq!(a.range(0..u64::MAX), b.range(0..u64::MAX), "case {case}: streams");
         }
         assert!(dead_excepts > 100, "only {dead_excepts} cases left out a dead slot");
+    }
+
+    /// `pick_live_where` against `rng.pick` over the live slots `keep`
+    /// accepts, collected in slot order: filters that keep every live slot,
+    /// none, every other one, a random third and the last one alone, on
+    /// slot tables with random holes; same slot, and the same stream after.
+    #[test]
+    fn pick_live_where_is_pick_over_the_collected_kept_slots() {
+        let mut shape = SimRng::seed_from(43);
+        let mut partial_pools = 0;
+        for case in 0..200u64 {
+            let mut g = LogicalGraph::new(shape.range(1..40usize));
+            for i in 0..g.num_slots() {
+                if shape.range(0..3u32) == 0 {
+                    g.remove_slot(Slot(i as u32));
+                }
+            }
+            let third: Vec<bool> = (0..g.num_slots()).map(|_| shape.range(0..3u32) == 0).collect();
+            let last = g.live_slots().last();
+            let filters: [&dyn Fn(Slot) -> bool; 5] = [
+                &|_| true,
+                &|_| false,
+                &|s: Slot| s.0.is_multiple_of(2),
+                &|s: Slot| third[s.index()],
+                &|s: Slot| Some(s) == last,
+            ];
+            let (mut a, mut b) = (SimRng::seed_from(case), SimRng::seed_from(case));
+            for (f, keep) in filters.iter().enumerate() {
+                let pool: Vec<Slot> = g.live_slots().filter(|&s| keep(s)).collect();
+                partial_pools += usize::from(!pool.is_empty() && pool.len() < g.num_live());
+                for draw in 0..8 {
+                    let at = format!("case {case}, filter {f}, draw {draw}");
+                    assert_eq!(g.pick_live_where(&mut a, keep), b.pick(&pool).copied(), "{at}");
+                }
+            }
+            assert_eq!(a.range(0..u64::MAX), b.range(0..u64::MAX), "case {case}: streams");
+        }
+        assert!(
+            partial_pools > 300,
+            "only {partial_pools} filters kept some live slots but not all"
+        );
     }
 
     /// The one-pass constructor against `new` plus an `add_edge` per edge
