@@ -247,7 +247,11 @@ impl LatencyOracle {
     }
 
     /// End-to-end latency between members `a` and `b`, in ms: exact, and
-    /// the same on both tiers. A metric; flood pruning relies on it.
+    /// the same on both tiers. A metric, which two things in a flood rely
+    /// on: its pruning (`d(v, dst)` is a floor on every route from `v`) and
+    /// the end a lookup floods from (a flood from `dst` prices every walk
+    /// as the flood from `src` does, up to one constant, only while
+    /// `d(a, b) == d(b, a)`).
     #[inline]
     pub fn d(&self, a: MemberIdx, b: MemberIdx) -> u32 {
         self.source(a).to(b)
@@ -414,6 +418,32 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn d_is_symmetric_on_every_store() {
+        // A lookup may flood from either end, and the answers agree only if
+        // `d(a, b) == d(b, a)`: over every member pair on the dense tier's
+        // blocks (ts_large, n = 1000), the search store on the same graph
+        // and a Waxman graph's matrix (every host).
+        let mut rng = SimRng::seed_from(50);
+        let ts_large = generate(&TransitStubParams::ts_large(), &mut rng);
+        let waxman = generate_waxman(&WaxmanParams::tiny(), &mut rng);
+        let n_waxman = waxman.stub_nodes().len();
+        let cases = [
+            ("ts_large, dense", &ts_large, 1000, OracleConfig::dense(), Tier::Dense),
+            ("ts_large, search store", &ts_large, 1000, OracleConfig::cached(1), Tier::Search),
+            ("waxman, matrix", &waxman, n_waxman, OracleConfig::dense(), Tier::Dense),
+        ];
+        for (name, g, n, cfg, tier) in cases {
+            let o = LatencyOracle::select_and_build_with(g, n, &mut rng, &cfg);
+            assert_eq!(o.built_tier(), tier, "{name}");
+            for a in 0..n {
+                for b in a + 1..n {
+                    assert_eq!(o.d(a, b), o.d(b, a), "{name}: d({a}, {b}) asymmetric");
                 }
             }
         }

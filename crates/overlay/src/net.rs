@@ -34,7 +34,8 @@ struct Link {
 /// order makes exact. Beside the rows, each live slot's peer as the
 /// oracle's point query reads it ([`Point`]; a dead slot's is the filler
 /// no link leads to), from which a flood reads a slot's distance to its
-/// destination without a lookup.
+/// destination without a lookup, and its neighbours' summed degree (0 for a
+/// dead slot), from which a lookup picks the end it floods from.
 ///
 /// A derived, immutable table of one net state. [`OverlayNet`] builds it
 /// at the first flood after a mutation and drops it at each of its `&mut`
@@ -45,6 +46,7 @@ struct FloodView {
     start: Vec<u32>,
     links: Vec<Link>,
     point: Vec<Point>,
+    reach: Vec<u32>,
 }
 
 /// What a link into `v` costs a flood, given `d(u, v)` and `v`'s
@@ -59,12 +61,14 @@ fn flood_cost(d: u32, proc_delay: u32) -> u32 {
 
 impl FloodView {
     /// One pass over the live slots, each row priced through one bound
-    /// source at its own peer and sorted in place, and each peer's point.
+    /// source at its own peer and sorted in place, and each peer's point
+    /// and its neighbours' summed degree.
     fn build(net: &OverlayNet) -> FloodView {
         let g = &net.graph;
         let mut start = Vec::with_capacity(g.num_slots() + 1);
         let mut links = Vec::with_capacity(2 * g.num_edges());
         let mut point = Vec::with_capacity(g.num_slots());
+        let mut reach = Vec::with_capacity(g.num_slots());
         start.push(0);
         for u in (0..g.num_slots() as u32).map(Slot) {
             if g.is_alive(u) {
@@ -76,12 +80,14 @@ impl FloodView {
                 }));
                 links[row..].sort_unstable_by_key(|l| (l.cost, l.to));
                 point.push(net.oracle.point(net.peer(u)));
+                reach.push(g.neighbors(u).iter().map(|&v| g.degree(v) as u32).sum());
             } else {
                 point.push(Point::default());
+                reach.push(0);
             }
             start.push(u32::try_from(links.len()).expect("more than u32::MAX overlay links"));
         }
-        FloodView { start, links, point }
+        FloodView { start, links, point, reach }
     }
 
     fn num_slots(&self) -> usize {
@@ -536,6 +542,17 @@ impl OverlayNet {
     /// sweeps run thousands of floods back to back and reuse one
     /// [`FloodScratch`] per worker (see [`FloodScratch::run`] for why its
     /// dedup and pruning leave every answer unchanged).
+    ///
+    /// The answer is the flood from `src`'s, but the flood may run from
+    /// `dst` instead: from the end whose neighbours have the smaller summed
+    /// degree, so a lookup with a hub at one end floods from the other,
+    /// which reaches the hub's tails early and has its look-ahead bound
+    /// almost at once. That is exact. `d` is symmetric and a hop's delay is
+    /// charged to the peer that receives it, so the reversed flood has the
+    /// same walks with the same hops, and every walk's cost is shifted by
+    /// one constant: `cost(src → dst) = cost(dst → src) + pd(dst) − pd(src)`.
+    /// The reversed cost already includes `pd(src)`, so this cannot
+    /// underflow.
     pub fn min_latency_within_hops_with(
         &self,
         src: Slot,
@@ -543,7 +560,37 @@ impl OverlayNet {
         max_hops: u32,
         scratch: &mut FloodScratch,
     ) -> Option<(u64, u32)> {
-        scratch.run(self, src, dst, max_hops, |_| true)
+        self.flood_from_cheaper_end(src, dst, max_hops, scratch, |_, _| true)
+    }
+
+    /// Whether a lookup from `src` to `dst` floods from `dst`: when `src`'s
+    /// neighbours have the larger summed degree (ties flood from `src`).
+    fn floods_from_dst(&self, src: Slot, dst: Slot) -> bool {
+        let reach = &self.flood_view().reach;
+        reach[src.index()] > reach[dst.index()]
+    }
+
+    /// [`FloodScratch::run`] from whichever end [`Self::floods_from_dst`]
+    /// picks, answered for the flood from `src`. `relays(s, u)` is the relay
+    /// rule of a flood whose source is `s`; it must allow the same walks in
+    /// both directions (a rule that lets the source relay, "the source or an
+    /// ultrapeer", does: an optimal walk of fewest hops visits neither end
+    /// twice).
+    pub(crate) fn flood_from_cheaper_end(
+        &self,
+        src: Slot,
+        dst: Slot,
+        max_hops: u32,
+        scratch: &mut FloodScratch,
+        relays: impl Fn(Slot, Slot) -> bool,
+    ) -> Option<(u64, u32)> {
+        let reversed = self.floods_from_dst(src, dst);
+        let (from, to) = if reversed { (dst, src) } else { (src, dst) };
+        let (cost, hops) = scratch.run(self, from, to, max_hops, |u| relays(from, u))?;
+        if reversed {
+            return Some((cost + self.proc_delay(dst) as u64 - self.proc_delay(src) as u64, hops));
+        }
+        Some((cost, hops))
     }
 }
 
@@ -856,8 +903,9 @@ mod tests {
         let mut scratch = FloodScratch::new();
         // Destination is the isolated slot: no edge leads into it, so neither
         // the incumbent nor the look-ahead bound ever exists, nothing is
-        // pruned, and the counts depend only on the topology.
-        let out = net.min_latency_within_hops_with(Slot(0), Slot(c as u32), 7, &mut scratch);
+        // pruned, and the counts depend only on the topology. It runs the
+        // directed engine: a lookup would flood from the isolated end.
+        let out = scratch.run(&net, Slot(0), Slot(c as u32), 7, |_| true);
         assert_eq!(out, None);
         let k = (c - 1) as u64;
         assert_eq!(scratch.edges_scanned(), k + k * k, "clique flood scan count");
@@ -906,9 +954,12 @@ mod tests {
         // one scratch per family across all of it. Mutation-checked:
         // `lower = 2·d` and `>=` on the look-ahead prune both fail here. The
         // two-tier sweep also runs the replaced engine beside the view's,
-        // flood by flood, and holds their answers and ledgers equal.
+        // flood by flood, and holds their answers and ledgers equal; the
+        // overlay's own lookup, which may flood from either end, keeps a
+        // scratch of its own.
         let mut scratch = FloodScratch::new();
         let mut tiers = FloodScratch::new();
+        let mut lookups = FloodScratch::new();
         let mut reference = ReferenceScratch::default();
         let mut triples = 0u64;
         for seed in 0..256u64 {
@@ -960,9 +1011,8 @@ mod tests {
                         let [new_ledger, old_ledger] = ledgers(&tiers, &reference);
                         assert_eq!(new_ledger, old_ledger, "seed {seed} ledger ttl {flood_ttl}");
                         if flood_ttl == ultrapeer::FLOOD_TTL {
-                            let got = up.flood_latency_with(&net, a, b, &mut tiers);
+                            let got = up.flood_latency_with(&net, a, b, &mut lookups);
                             assert_eq!(got, want, "seed {seed} two-tier {a:?}→{b:?}");
-                            reference.run_reference(net.graph(), a, b, hops, relays, cost, lower);
                         }
                         triples += 1;
                     }
@@ -1072,31 +1122,117 @@ mod tests {
         // (PROP-optimised overlays prune harder: ≈ 0.7k / 0.14k in the
         // benchmark's probe). A change that silently disables a bound, the
         // cutoff or the link's floor test fails these counts. The replaced
-        // engine runs every flood beside the view's, and the two answers and
-        // ledgers must agree flood by flood.
+        // engine runs every flood beside the directed engine, and the two
+        // answers and ledgers must agree flood by flood.
+        //
+        // The public lookup floods each pair from its cheaper end: it must
+        // answer as the reference does, and it scans 917.7 edges and pushes
+        // 172.6 slots per lookup, which a lookup flooded from its source
+        // would exceed.
         let mut rng = SimRng::seed_from(1);
         let phys = generate(&TransitStubParams::ts_large(), &mut rng);
         let oracle = Arc::new(LatencyOracle::select_and_build(&phys, 1000, &mut rng));
         let (gn, net) = Gnutella::build(GnutellaParams::default(), oracle, &mut rng);
         let mut scratch = FloodScratch::new();
+        let mut lookups = FloodScratch::new();
         let mut reference = ReferenceScratch::default();
         let cost = |u, v| net.d(u, v) as u64 + net.proc_delay(v) as u64;
         let floods = 256u64;
         let ttl = gn.params.flood_ttl;
         for _ in 0..floods {
             let (a, b) = (Slot(rng.range(0..1000u32)), Slot(rng.range(0..1000u32)));
-            let out = net.min_latency_within_hops_with(a, b, ttl, &mut scratch);
+            let out = scratch.run(&net, a, b, ttl, |_| true);
             assert!(out.is_some(), "{a:?}→{b:?} undelivered at TTL 7");
             let lower = |u| net.d(b, u) as u64;
             let old = reference.run_reference(net.graph(), a, b, ttl, |_| true, cost, lower);
             assert_eq!(out, old, "{a:?}→{b:?}");
             let [new_ledger, old_ledger] = ledgers(&scratch, &reference);
             assert_eq!(new_ledger, old_ledger, "{a:?}→{b:?}");
+            let lookup = net.min_latency_within_hops_with(a, b, ttl, &mut lookups);
+            assert_eq!(lookup, old, "lookup {a:?}→{b:?}");
         }
         let edges = scratch.edges_scanned() / floods;
         let pushes = scratch.frontier_pushes() / floods;
         assert!(edges <= 1_200, "{edges} edges scanned per flood");
         assert!(pushes <= 225, "{pushes} frontier pushes per flood");
+        let edges = lookups.edges_scanned() / floods;
+        let pushes = lookups.frontier_pushes() / floods;
+        assert!(edges <= 920, "{edges} edges scanned per lookup");
+        assert!(pushes <= 175, "{pushes} frontier pushes per lookup");
+    }
+
+    #[test]
+    fn a_lookup_from_either_end_answers_as_the_forward_flood() {
+        // The public lookups flood from the end whose neighbours have the
+        // smaller summed degree and shift a reversed answer back by
+        // `pd(dst) − pd(src)`. Every ordered pair × TTL on Gnutella nets
+        // over ts-large, `tiny` and Waxman graphs, placements shuffled, each
+        // with and without processing delays, and on two-tier overlays at
+        // every hop budget: the lookup's `(cost, hops)` must be the directed
+        // engine's forward answer, and the rule must pick each end.
+        let mut forward = FloodScratch::new();
+        let mut lookups = FloodScratch::new();
+        let mut picked = [0u64; 2];
+        let nets =
+            [("ts_large", 0u64, 200usize), ("tiny", 1, 40), ("tiny", 2, 40), ("waxman", 3, 30)];
+        for (name, seed, n) in nets {
+            let mut rng = SimRng::seed_from(seed);
+            let phys = match name {
+                "ts_large" => generate(&TransitStubParams::ts_large(), &mut rng),
+                "tiny" => generate(&TransitStubParams::tiny(), &mut rng),
+                _ => generate_waxman(&WaxmanParams::tiny(), &mut rng),
+            };
+            let oracle = Arc::new(LatencyOracle::select_and_build(&phys, n, &mut rng));
+            let delays: Vec<u32> = (0..n).map(|_| rng.range(0..80u32)).collect();
+            let (_, mut net) =
+                Gnutella::build(GnutellaParams::default(), Arc::clone(&oracle), &mut rng);
+            for _ in 0..n {
+                net.swap_peers(Slot(rng.range(0..n as u32)), Slot(rng.range(0..n as u32)));
+            }
+            for hetero in [false, true] {
+                if hetero {
+                    net.set_processing_delays(delays.clone());
+                }
+                for ttl in [1u32, 2, 3, 7] {
+                    for a in (0..n as u32).map(Slot) {
+                        for b in (0..n as u32).map(Slot) {
+                            let want = forward.run(&net, a, b, ttl, |_| true);
+                            let got = net.min_latency_within_hops_with(a, b, ttl, &mut lookups);
+                            assert_eq!(got, want, "{name} hetero {hetero} {a:?}→{b:?} ttl {ttl}");
+                            picked[usize::from(net.floods_from_dst(a, b))] += 1;
+                        }
+                    }
+                }
+            }
+
+            // The two-tier relay rule, "the source or an ultrapeer", at
+            // every hop budget its TTL gives, then the overlay's own lookup.
+            let (up, mut net) = Ultrapeer::build(Arc::clone(&oracle), &mut rng);
+            let relays_from = |s: Slot, u: Slot| u == s || up.is_ultrapeer(u);
+            for hetero in [false, true] {
+                if hetero {
+                    net.set_processing_delays(delays.clone());
+                }
+                for a in (0..n as u32).map(Slot) {
+                    for b in (0..n as u32).map(Slot) {
+                        for flood_ttl in [0u32, 1, 2, ultrapeer::FLOOD_TTL] {
+                            let hops = flood_ttl + 2;
+                            let want = forward.run(&net, a, b, hops, |u| relays_from(a, u));
+                            let got =
+                                net.flood_from_cheaper_end(a, b, hops, &mut lookups, relays_from);
+                            assert_eq!(got, want, "{name} two-tier {a:?}→{b:?} ttl {flood_ttl}");
+                            if flood_ttl == ultrapeer::FLOOD_TTL {
+                                let got = up.flood_latency_with(&net, a, b, &mut lookups);
+                                assert_eq!(got, want, "{name} two-tier lookup {a:?}→{b:?}");
+                            }
+                        }
+                        picked[usize::from(net.floods_from_dst(a, b))] += 1;
+                    }
+                }
+            }
+        }
+        let [from_src, from_dst] = picked;
+        assert!(from_src > 0 && from_dst > 0, "{from_src} from the source, {from_dst} from dst");
     }
 
     #[test]
@@ -1117,7 +1253,7 @@ mod tests {
             g.add_edge(Slot(2), Slot(3));
             let net = OverlayNet::new(g, Placement::identity(5), oracle);
             let mut scratch = FloodScratch::new();
-            let out = net.min_latency_within_hops_with(Slot(0), Slot(4), 7, &mut scratch);
+            let out = scratch.run(&net, Slot(0), Slot(4), 7, |_| true);
             assert_eq!(out, None);
             assert_eq!(scratch.frontier_pushes(), 3, "seed {seed}: duplicate frontier entry");
         }
@@ -1144,6 +1280,9 @@ mod tests {
         // before the target is pushed only when it lies on a shortest path
         // from the hub to the target; a flood that held its floor test to
         // the pop would push every one.
+        //
+        // Both halves run the directed engine, whose work from a given end
+        // is what they pin.
         let n = 24usize;
         let mut floor_pruned = 0;
         for seed in 0..10u64 {
@@ -1164,7 +1303,7 @@ mod tests {
                 |s: &FloodScratch| [s.edges_scanned(), s.improvements(), s.frontier_pushes()];
 
             let mut scratch = FloodScratch::new();
-            let out = net.min_latency_within_hops_with(Slot(0), dst, 7, &mut scratch);
+            let out = scratch.run(&net, Slot(0), dst, 7, |_| true);
             assert_eq!(out, Some((cost, 1)), "seed {seed}");
             let r = rank as u64;
             assert_eq!(ledger(&scratch), [1 + (r + 1) + 1, r + 1, r + 1], "seed {seed} from hub");
@@ -1173,7 +1312,7 @@ mod tests {
             let on_path =
                 row[1..rank].iter().filter(|&&(to_v, v)| to_v + d(v, dst) <= cost).count() as u64;
             let mut scratch = FloodScratch::new();
-            let out = net.min_latency_within_hops_with(src, dst, 7, &mut scratch);
+            let out = scratch.run(&net, src, dst, 7, |_| true);
             assert_eq!(out, Some((d(src, Slot(0)) + cost, 2)), "seed {seed}");
             let pushes = 2 + on_path;
             assert_eq!(
@@ -1238,8 +1377,11 @@ mod tests {
         // no floor is a point read, and every one is read exactly once a
         // bound exists. Every ordered pair × TTL against the textbook twin,
         // half the nets heterogeneous, and the replaced engine's answers
-        // and ledgers beside the view's, flood by flood.
+        // and ledgers beside the view's, flood by flood; the public lookup,
+        // which may flood from either end, answers the same in a scratch of
+        // its own.
         let mut scratch = FloodScratch::new();
+        let mut lookups = FloodScratch::new();
         let mut reference = ReferenceScratch::default();
         for seed in 0..8u64 {
             let mut rng = SimRng::seed_from(seed);
@@ -1259,7 +1401,9 @@ mod tests {
                 for a in (0..n as u32).map(Slot) {
                     for b in (0..n as u32).map(Slot) {
                         let want = reference_flood(net.graph(), a, b, ttl, |_| true, cost);
-                        let got = net.min_latency_within_hops_with(a, b, ttl, &mut scratch);
+                        let got = scratch.run(&net, a, b, ttl, |_| true);
+                        let lookup = net.min_latency_within_hops_with(a, b, ttl, &mut lookups);
+                        assert_eq!(lookup, want, "seed {seed} lookup {a:?}→{b:?} ttl {ttl}");
                         let lower = |u| net.d(b, u) as u64;
                         let old =
                             reference.run_reference(net.graph(), a, b, ttl, |_| true, cost, lower);

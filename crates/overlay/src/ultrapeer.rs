@@ -85,7 +85,10 @@ impl Ultrapeer {
     /// Leaf-aware flood into caller-owned scratch (see
     /// [`crate::FloodScratch`]): cheapest delivery from `src` to `dst` where
     /// only ultrapeer positions relay. Hop budget: 1 (into the mesh) +
-    /// [`FLOOD_TTL`] (mesh) + 1 (out to a leaf).
+    /// [`FLOOD_TTL`] (mesh) + 1 (out to a leaf). Like a flat lookup it
+    /// floods from its cheaper end
+    /// ([`OverlayNet::min_latency_within_hops_with`]); a flood from `dst`
+    /// lets `dst` relay in place of `src`, so it may take the same walks.
     pub fn flood_latency_with(
         &self,
         net: &OverlayNet,
@@ -93,7 +96,9 @@ impl Ultrapeer {
         dst: Slot,
         scratch: &mut crate::FloodScratch,
     ) -> Option<(u64, u32)> {
-        scratch.run(net, src, dst, FLOOD_TTL + 2, |u| u == src || self.is_ultrapeer(u))
+        net.flood_from_cheaper_end(src, dst, FLOOD_TTL + 2, scratch, |from, u| {
+            u == from || self.is_ultrapeer(u)
+        })
     }
 }
 
